@@ -1,6 +1,6 @@
 """Neural-network layer library (LLaMA-architecture building blocks)."""
 
-from repro.nn.attention import MultiHeadAttention
+from repro.nn.attention import AttentionRow, KVBlock, MultiHeadAttention
 from repro.nn.linear import Embedding, Linear
 from repro.nn.loss import IGNORE_INDEX, cross_entropy, token_log_likelihoods
 from repro.nn.mlp import SwiGLUMLP
@@ -10,6 +10,8 @@ from repro.nn.rope import RotaryEmbedding
 from repro.nn.transformer import DecoderLayer, Transformer
 
 __all__ = [
+    "AttentionRow",
+    "KVBlock",
     "MultiHeadAttention",
     "Embedding",
     "Linear",

@@ -4,11 +4,17 @@ The paper's ablation (Table 2) measures "one attention layer from the LLaMA
 7B decoder stack" under 3-bit DKM compression.  This module is that layer:
 four Linear projections -- whose weights the DKM layer re-clusters on every
 forward -- plus RoPE, causal masking and softmax attention.
+
+Inference additionally gets :meth:`MultiHeadAttention.step`, the K/V-cached
+form of the same layer: it sees only the tokens a sequence has not fed yet
+and attends over that sequence's :class:`KVBlock`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,9 +22,91 @@ from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.nn.rope import RotaryEmbedding
 from repro.tensor import ops
+from repro.tensor.device import Device
 from repro.tensor.dtype import DType, float32
+from repro.tensor.ops.activation import _stable_softmax
 from repro.tensor.random import default_rng
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, zeros
+
+
+class KVBlock:
+    """One sequence's cached keys and values for one attention layer.
+
+    Two ``(capacity, heads, head_dim)`` tensors on the model's device, so
+    the device tracker sees every cached byte.  Capacity grows in chunks of
+    :attr:`GROWTH` positions as the sequence does -- a block sized for
+    ``max_seq_len`` up front would charge a short request the longest
+    one's memory.  The block does not know how many positions are valid:
+    its owner keeps the committed length and hands it to :meth:`write`, so
+    a write past that length stays invisible until the owner commits it.
+    """
+
+    GROWTH = 16
+
+    def __init__(
+        self, n_heads: int, head_dim: int, dtype: DType, device: Device
+    ) -> None:
+        self.n_heads = n_heads
+        self.head_dim = head_dim
+        self.dtype = dtype
+        self.device = device
+        self.capacity = 0
+        self.keys: Tensor | None = None
+        self.values: Tensor | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Device bytes the block holds right now."""
+        if self.keys is None:
+            return 0
+        return self.keys.nbytes + self.values.nbytes
+
+    def _grow(self, keep: int, total: int) -> None:
+        capacity = -(-total // self.GROWTH) * self.GROWTH
+        shape = (capacity, self.n_heads, self.head_dim)
+        grown = []
+        for old in (self.keys, self.values):
+            new = zeros(*shape, dtype=self.dtype, device=self.device)
+            if keep and old is not None:
+                new._np()[:keep] = old._np()[:keep]
+                new.storage.bump_version()
+            grown.append(new)
+        self.keys, self.values = grown
+        self.capacity = capacity
+
+    def write(self, at: int, keys: np.ndarray, values: np.ndarray) -> None:
+        """Store ``(n, heads, head_dim)`` keys/values at positions ``[at, at + n)``.
+
+        Positions below ``at`` are kept (also across a growth); whatever
+        sat at or above it is overwritten.
+        """
+        end = at + keys.shape[0]
+        if end > self.capacity:
+            self._grow(at, end)
+        self.keys._np()[at:end] = self.dtype.project(keys)
+        self.keys.storage.bump_version()
+        self.values._np()[at:end] = self.dtype.project(values)
+        self.values.storage.bump_version()
+
+    def read(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the first ``length`` keys and values, ``(heads, length, head_dim)``."""
+        return (
+            self.keys._np()[:length].transpose(1, 0, 2),
+            self.values._np()[:length].transpose(1, 0, 2),
+        )
+
+
+class AttentionRow(NamedTuple):
+    """One sequence's share of a ragged :meth:`MultiHeadAttention.step`.
+
+    Its ``count`` new tokens sit at ``[start, start + count)`` of the
+    flattened input; ``cached`` positions are already in ``block``.
+    """
+
+    start: int
+    count: int
+    cached: int
+    block: KVBlock
 
 
 class MultiHeadAttention(Module):
@@ -64,3 +152,48 @@ class MultiHeadAttention(Module):
         weights = ops.softmax(scores, dim=-1)
         context = self._merge_heads(weights @ v)
         return self.o_proj(context)
+
+    def step(
+        self, x: Tensor, positions: np.ndarray, rows: list[AttentionRow]
+    ) -> Tensor:
+        """K/V-cached causal attention over the new tokens of several sequences.
+
+        ``x`` is ``(tokens, dim)``: every row's uncached tokens, flattened;
+        ``positions[i]`` is token ``i``'s position in its own sequence.
+        The four projections run once over all tokens; each row's new keys
+        and values are written to its block past the cached length, and
+        only the softmax(QK^T)V core is split, into groups of rows that
+        share ``(count, cached)`` and so stack without padding.  Inference
+        only: nothing is recorded on the autograd tape.
+        """
+        heads = (x.shape[0], self.n_heads, self.head_dim)
+        q = self.rope.apply_at(self.q_proj(x)._compute().reshape(heads), positions)
+        k = self.rope.apply_at(self.k_proj(x)._compute().reshape(heads), positions)
+        v = self.v_proj(x)._compute().reshape(heads)
+        groups: dict[tuple[int, int], list[AttentionRow]] = defaultdict(list)
+        for row in rows:
+            tokens = slice(row.start, row.start + row.count)
+            row.block.write(row.cached, k[tokens], v[tokens])
+            groups[(row.count, row.cached)].append(row)
+        context = np.empty(heads, dtype=q.dtype)
+        scale = 1.0 / math.sqrt(self.head_dim)
+        for (count, cached), members in groups.items():
+            total = cached + count
+            cache = [row.block.read(total) for row in members]
+            queries = np.stack(
+                [q[row.start : row.start + count] for row in members]
+            ).transpose(0, 2, 1, 3)
+            keys = np.stack([keys for keys, _ in cache])
+            values = np.stack([values for _, values in cache])
+            scores = (queries @ keys.transpose(0, 1, 3, 2)) * scale
+            if count > 1:  # new token i sees positions <= cached + i
+                future = np.triu(np.ones((count, total), dtype=bool), k=cached + 1)
+                scores[..., future] = -1e9
+            weights = _stable_softmax(scores, axis=-1)
+            mixed = (weights @ values).transpose(0, 2, 1, 3)
+            for row, out in zip(members, mixed):
+                context[row.start : row.start + count] = out
+        merged = Tensor.from_numpy(
+            context.reshape(x.shape[0], self.dim), dtype=x.dtype, device=x.device
+        )
+        return self.o_proj(merged)

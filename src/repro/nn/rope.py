@@ -56,3 +56,19 @@ class RotaryEmbedding:
         rotated_first = x1 * cos_b - x2 * sin_b
         rotated_second = x1 * sin_b + x2 * cos_b
         return ops.cat([rotated_first, rotated_second], dim=3)
+
+    def apply_at(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Rotate ``x`` of shape (tokens, heads, head_dim), token ``i`` at
+        ``positions[i]``.
+
+        The inference counterpart of :meth:`apply` for ragged decode
+        steps, where each token carries its own position; plain numpy,
+        never on the autograd tape, same arithmetic per element.
+        """
+        if x.ndim != 3 or x.shape[-1] != self.head_dim:
+            raise ValueError(f"expected (N, H, {self.head_dim}), got {x.shape}")
+        half = self.head_dim // 2
+        cos = self._cos[positions][:, None, :]
+        sin = self._sin[positions][:, None, :]
+        x1, x2 = x[..., :half], x[..., half:]
+        return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)

@@ -2,7 +2,7 @@
 
 The deployment half of eDKM: once a model's weights are clustered, this
 package serves it -- an admission-controlled request queue
-(:mod:`repro.serving.queue`), continuous batching over length-bucketed
+(:mod:`repro.serving.queue`), continuous batching over K/V-cached ragged
 decode steps (:mod:`repro.serving.batcher`), palette-aware matmul with a
 hot dequantized-tile LRU (:mod:`repro.serving.palette`), and per-request
 latency/throughput/byte accounting (:mod:`repro.serving.stats`), all

@@ -2,14 +2,20 @@
 
 :class:`ContinuousBatcher` owns the set of in-flight sequences.  Each
 :meth:`ContinuousBatcher.step` aborts rows past their deadline, runs one
-length-bucketed forward over the survivors
-(:func:`repro.llm.generate.batched_last_logits`), appends one token per
+ragged K/V-cached forward over the survivors
+(:func:`repro.llm.decode.decode_step`: a freshly admitted row feeds its
+whole prompt, every other row its one new token), appends one token per
 row, and retires rows that hit EOS or their token budget -- freeing
 their slots for the next :meth:`ContinuousBatcher.admit` without
-stalling the rest of the batch.  Because decoding is bucketed rather
-than padded, every row's token stream is bit-identical to a
-single-prompt :func:`repro.llm.generate.generate` call regardless of
-what other requests share its batch.
+stalling the rest of the batch.  Every row's token stream equals a
+single-prompt :func:`repro.llm.generate.generate` call -- which
+recomputes the full prefix and shares no code with the cached step --
+regardless of what other requests share its batch; logits agree to
+``1e-4``, not bit for bit (see :mod:`repro.llm.decode`).
+
+Each :class:`SequenceState` owns its sequence's K/V cache and every way
+out of the batch -- retire, deadline abort, :meth:`ContinuousBatcher.
+abort_all`, :meth:`ContinuousBatcher.release_kv` -- releases it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.llm.generate import _pick_next, batched_last_logits
+from repro.llm.decode import SequenceCache, decode_step
+from repro.llm.generate import _pick_next
 from repro.llm.tokenizer import WordTokenizer
 from repro.nn import Transformer
 from repro.serving.config import ServingConfig
@@ -37,6 +44,7 @@ class SequenceState:
         prompt_ids: list[int],
         budget: int,
         rng: np.random.Generator,
+        kv: SequenceCache,
     ) -> None:
         self.request = request
         self.prompt_tokens = len(prompt_ids)
@@ -44,6 +52,7 @@ class SequenceState:
         self.generated: list[int] = []
         self.budget = budget
         self.rng = rng
+        self.kv = kv
 
 
 class ContinuousBatcher:
@@ -83,6 +92,7 @@ class ContinuousBatcher:
                 prompt_ids=self.tokenizer.encode(request.prompt, bos=True),
                 budget=budget,
                 rng=default_rng(0),
+                kv=SequenceCache(self.model),
             )
         )
 
@@ -105,10 +115,16 @@ class ContinuousBatcher:
                 survivors.append(seq)
         self.active = survivors
         if not self.active:
+            self._note_kv_cache()
             return retired
-        windows = [seq.ids[-self.model.max_seq_len :] for seq in self.active]
-        lasts = batched_last_logits(self.model, windows, device=self.device)
+        lasts = decode_step(
+            self.model,
+            [seq.ids for seq in self.active],
+            [seq.kv for seq in self.active],
+            device=self.device,
+        )
         self.stats.note_step(len(self.active))
+        self._note_kv_cache()  # the step's high-water mark, before rows retire
         survivors = []
         for seq, last in zip(self.active, lasts):
             next_id = _pick_next(last, self.config.temperature, seq.rng)
@@ -125,7 +141,22 @@ class ContinuousBatcher:
                 continue
             survivors.append(seq)
         self.active = survivors
+        self._note_kv_cache()
         return retired
+
+    def release_kv(self) -> None:
+        """Release every in-flight sequence's K/V cache, leaving the batch as is.
+
+        For other threads (watchdog, ``stop`` escalation) failing this
+        batch while its loop may still be wedged mid-step: that step
+        finishes on the blocks it holds and commits nothing.
+        """
+        for seq in list(self.active):
+            seq.kv.release()
+        self._note_kv_cache()
+
+    def _note_kv_cache(self) -> None:
+        self.stats.note_kv_cache(sum(seq.kv.nbytes for seq in list(self.active)))
 
     def abort_all(self, error: BaseException) -> int:
         """Fail every in-flight sequence (server shutdown); returns count.
@@ -136,15 +167,18 @@ class ContinuousBatcher:
         """
         aborted = 0
         for seq in self.active:
+            seq.kv.release()
             if seq.request.fail(error):
                 self.stats.note_finished(
                     RequestRecord.from_request(seq.request, seq.prompt_tokens)
                 )
                 aborted += 1
         self.active = []
+        self._note_kv_cache()
         return aborted
 
     def _finish(self, seq: SequenceState) -> None:
+        seq.kv.release()  # before the client wakes: its bytes are back by then
         if not seq.request.complete(self.tokenizer.decode(seq.generated)):
             return  # already resolved elsewhere (watchdog); nothing to record
         self.stats.note_finished(
@@ -154,6 +188,7 @@ class ContinuousBatcher:
             self.on_retire(seq)
 
     def _abort_deadline(self, seq: SequenceState, now: float) -> None:
+        seq.kv.release()
         resolved = seq.request.fail(
             DeadlineExceeded(
                 f"request {seq.request.id} missed its deadline mid-decode"

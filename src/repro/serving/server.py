@@ -855,13 +855,15 @@ class PaletteServer:
     def _fail_active(
         self, batcher: ContinuousBatcher, error: BaseException
     ) -> None:
-        """Fail a batcher's in-flight futures without mutating its state.
+        """Fail a batcher's in-flight futures without mutating its batch.
 
         Used from *other* threads (watchdog, :meth:`stop` escalation)
         while the owning loop may still be wedged mid-step: resolution
         is idempotent, so whichever side lands first wins, and the
-        zombie's late writes go nowhere.
+        zombie's late writes go nowhere -- its sequences' K/V caches are
+        released here and belong to no other generation.
         """
+        batcher.release_kv()
         for seq in list(batcher.active):
             if seq.request.fail(error):
                 self.stats_acc.note_finished(

@@ -111,6 +111,8 @@ class StatsReport:
     breaker_trips: int = 0
     breaker_repromotions: int = 0
     degrade_bytes: int = 0
+    kv_cache_bytes: int = 0
+    kv_cache_peak_bytes: int = 0
 
     def to_json_dict(self) -> dict:
         """A JSON-serializable dict (the BENCH_serving row shape)."""
@@ -135,6 +137,8 @@ class ServerStats:
         self.loop_respawns = 0
         self.breaker_trips = 0
         self.breaker_repromotions = 0
+        self.kv_cache_bytes = 0
+        self.kv_cache_peak_bytes = 0
         self.started_at: float | None = None
         self.stopped_at: float | None = None
 
@@ -194,6 +198,13 @@ class ServerStats:
         with self._lock:
             self.breaker_repromotions += 1
 
+    def note_kv_cache(self, resident_bytes: int) -> None:
+        """Set the K/V bytes in-flight sequences hold now; tracks the peak."""
+        with self._lock:
+            self.kv_cache_bytes = resident_bytes
+            if resident_bytes > self.kv_cache_peak_bytes:
+                self.kv_cache_peak_bytes = resident_bytes
+
     def note_finished(self, record: RequestRecord) -> None:
         """Record a resolved request (completed or failed)."""
         with self._lock:
@@ -233,6 +244,8 @@ class ServerStats:
             loop_respawns = self.loop_respawns
             breaker_trips = self.breaker_trips
             breaker_repromotions = self.breaker_repromotions
+            kv_cache_bytes = self.kv_cache_bytes
+            kv_cache_peak_bytes = self.kv_cache_peak_bytes
         ok_records = [r for r in records if r.ok]
         failed_other = sum(
             1
@@ -284,4 +297,6 @@ class ServerStats:
             breaker_trips=breaker_trips,
             breaker_repromotions=breaker_repromotions,
             degrade_bytes=degrade_bytes,
+            kv_cache_bytes=kv_cache_bytes,
+            kv_cache_peak_bytes=kv_cache_peak_bytes,
         )

@@ -11,8 +11,11 @@ from repro.llm import (
     MICRO,
     TINY,
     FinetuneConfig,
+    SequenceCache,
     WordTokenizer,
+    batched_last_logits,
     build_model,
+    decode_step,
     generate,
     train_causal_lm,
 )
@@ -111,6 +114,76 @@ class TestGeneration:
         prompt = f"the color of {fact.subject} is"
         out = generate(trained_model, tokenizer, prompt, max_new_tokens=1)
         assert out.strip() == fact.answer
+
+
+class TestDecodeStep:
+    """The K/V-cached step against the full-recompute reference."""
+
+    def _model(self):
+        model = build_model(MICRO, vocab_size=40, seed=1)
+        model.eval()
+        return model
+
+    def test_matches_full_recompute_across_ragged_steps(self):
+        model = self._model()
+        rng = np.random.default_rng(0)
+        ids = [rng.integers(4, 40, size=n).tolist() for n in (1, 7, 3)]
+        caches = [SequenceCache(model) for _ in ids]
+        for step in range(6):
+            if step == 3:  # a row joins mid-flight and prefills beside decodes
+                ids.append(rng.integers(4, 40, size=5).tolist())
+                caches.append(SequenceCache(model))
+            got = decode_step(model, ids, caches)
+            want = batched_last_logits(model, ids)
+            for row, g, w in zip(ids, got, want):
+                np.testing.assert_allclose(g, w, atol=1e-4, rtol=0)
+                assert int(np.argmax(g)) == int(np.argmax(w))
+                row.append(int(np.argmax(g)))
+            assert [c.length for c in caches] == [len(row) - 1 for row in ids]
+
+    def test_sliding_window_drops_the_cache(self):
+        model = self._model()
+        ids = [[4 + i % 30 for i in range(model.max_seq_len - 1)]]
+        cache = SequenceCache(model)
+        for _ in range(3):
+            (got,) = decode_step(model, ids, [cache])
+            (want,) = batched_last_logits(model, [ids[0][-model.max_seq_len :]])
+            np.testing.assert_allclose(got, want, atol=1e-4, rtol=0)
+            ids[0].append(int(np.argmax(got)))
+        # Steps 1 and 2 fit the window and cached; step 3 slid it.
+        assert len(ids[0]) == model.max_seq_len + 2
+        assert cache.length == 0 and cache.nbytes == 0
+
+    def test_failed_step_commits_nothing(self):
+        model = self._model()
+        ids, cache = [[5, 6, 7]], SequenceCache(model)
+        decode_step(model, ids, [cache])
+        ids[0].append(8)
+        head = model.lm_head.forward
+        model.lm_head.forward = lambda x: (_ for _ in ()).throw(RuntimeError("boom"))
+        try:
+            with pytest.raises(RuntimeError):
+                decode_step(model, ids, [cache])
+        finally:
+            model.lm_head.forward = head
+        assert cache.length == 3
+        (got,) = decode_step(model, ids, [cache])
+        np.testing.assert_allclose(
+            got, batched_last_logits(model, ids)[0], atol=1e-4, rtol=0
+        )
+        assert cache.length == 4
+
+    def test_input_validation(self):
+        model = self._model()
+        assert decode_step(model, [], []) == []
+        with pytest.raises(ValueError, match="caches"):
+            decode_step(model, [[5]], [])
+        with pytest.raises(ValueError, match="nothing to feed"):
+            decode_step(model, [[]], [SequenceCache(model)])
+        cache = SequenceCache(model)
+        decode_step(model, [[5, 6]], [cache])
+        with pytest.raises(ValueError, match="nothing to feed"):
+            decode_step(model, [[5, 6]], [cache])  # no new token since
 
 
 class TestFinetune:

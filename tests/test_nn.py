@@ -199,6 +199,16 @@ class TestRoPE:
         with pytest.raises(ValueError):
             rope.apply(rt.tensor(_arr((1, 1, 8, 4))))
 
+    def test_apply_at_is_apply_at_arbitrary_positions(self):
+        rope = nn.RotaryEmbedding(head_dim=8, max_seq_len=16)
+        x = _arr((1, 2, 16, 8))
+        full = rope.apply(rt.tensor(x)).numpy()[0]  # (heads, seq, head_dim)
+        positions = np.array([5, 0, 15, 5])
+        ragged = rope.apply_at(x[0].transpose(1, 0, 2)[positions], positions)
+        np.testing.assert_array_equal(ragged, full.transpose(1, 0, 2)[positions])
+        with pytest.raises(ValueError):
+            rope.apply_at(x, positions)
+
 
 class TestAttention:
     def test_output_shape(self):
@@ -220,6 +230,56 @@ class TestAttention:
     def test_dim_head_divisibility(self):
         with pytest.raises(ValueError):
             nn.MultiHeadAttention(dim=10, n_heads=3)
+
+    def test_kv_block_grows_in_chunks_and_keeps_what_was_written(self):
+        block = nn.KVBlock(n_heads=2, head_dim=4, dtype=rt.float32, device=rt.GPU)
+        assert block.nbytes == 0
+        first = _arr((3, 2, 4), 1)
+        block.write(0, first, -first)
+        assert block.capacity == nn.KVBlock.GROWTH
+        assert block.nbytes == 2 * nn.KVBlock.GROWTH * 2 * 4 * 4
+        assert block.keys.device == rt.GPU
+        version = block.keys.storage.version
+        more = _arr((nn.KVBlock.GROWTH, 2, 4), 2)
+        block.write(3, more, -more)  # outgrows the first chunk
+        assert block.capacity == 2 * nn.KVBlock.GROWTH
+        keys, values = block.read(3 + nn.KVBlock.GROWTH)
+        want = np.concatenate([first, more]).transpose(1, 0, 2)
+        np.testing.assert_array_equal(keys, want)
+        np.testing.assert_array_equal(values, -want)
+        block.write(3, more[:1], more[:1])  # in place: the version moves
+        assert block.keys.storage.version > version
+
+    def test_step_matches_forward_for_any_split_of_the_sequence(self):
+        attn = nn.MultiHeadAttention(dim=16, n_heads=4, max_seq_len=12)
+        x = _arr((2, 9, 16))
+        with rt.no_grad():
+            full = attn(rt.tensor(x)).numpy()
+            # Row 0 is prefilled with 5 tokens, then fed 1 and 3; row 1
+            # joins a step late with all 9 at once.
+            blocks = [
+                nn.KVBlock(4, 4, rt.float32, rt.CPU),
+                nn.KVBlock(4, 4, rt.float32, rt.CPU),
+            ]
+            steps = [
+                [(0, 0, 5)],
+                [(0, 5, 1), (1, 0, 9)],
+                [(0, 6, 3)],
+            ]
+            got = np.zeros_like(full)
+            for step in steps:
+                rows, tokens, positions, start = [], [], [], 0
+                for seq, cached, count in step:
+                    rows.append(nn.AttentionRow(start, count, cached, blocks[seq]))
+                    tokens.append(x[seq, cached : cached + count])
+                    positions.extend(range(cached, cached + count))
+                    start += count
+                out = attn.step(
+                    rt.tensor(np.concatenate(tokens)), np.array(positions), rows
+                ).numpy()
+                for row, (seq, cached, count) in zip(rows, step):
+                    got[seq, cached : cached + count] = out[row.start : row.start + count]
+        np.testing.assert_allclose(got, full, atol=1e-5, rtol=0)
 
     def test_gradients_flow_to_all_projections(self):
         attn = nn.MultiHeadAttention(dim=8, n_heads=2, max_seq_len=4)

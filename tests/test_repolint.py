@@ -292,6 +292,18 @@ class TestDeterminism:
         )
         assert ids_and_lines(live) == [("RL303", 4)]
 
+    def test_decode_step_module_is_a_kernel_module(self):
+        live, _, _ = lint(
+            """\
+            import time
+
+            def stamp():
+                return time.time()
+            """,
+            path="src/repro/llm/decode.py",
+        )
+        assert ids_and_lines(live) == [("RL303", 4)]
+
     def test_clock_outside_kernel_module_is_clean(self):
         live, _, _ = lint(
             """\

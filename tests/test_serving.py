@@ -15,10 +15,15 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.nn as nn
@@ -32,12 +37,14 @@ from repro.core import (
     get_default_dkm_config,
 )
 from repro.core.compressor import ClusteredLinear
-from repro.llm import MICRO, build_model, generate, generate_batch
+from repro.llm import MICRO, ModelSpec, build_model, generate, generate_batch
 from repro.llm.generate import batched_last_logits
+import repro.serving.batcher as batcher_mod
 from repro.memory.traffic import TrafficLedger
 from repro.tensor.autograd import no_grad
 from repro.serving import (
     AdmissionError,
+    ContinuousBatcher,
     DeadlineExceeded,
     PaletteLayout,
     PaletteServer,
@@ -283,6 +290,32 @@ class TestBatchedGeneration:
             plain_model, tokenizer, [long_prompt, "bob"], max_new_tokens=3
         )
         assert batch[0] == single
+        # The server decodes from a K/V cache, and a sliding window shifts
+        # every cached position: a request that crosses max_seq_len
+        # mid-decode must drop its cache and still match full recompute.
+        spec = ModelSpec("window", 0, dim=32, n_layers=2, n_heads=4, hidden_dim=64, max_seq_len=8)
+        small = build_model(spec, vocab_size=tokenizer.vocab_size, seed=3)
+        small.to(rt.GPU)
+        small.eval()
+        prompts = ["alice lives in the", "bob", long_prompt]
+        offline = [generate(small, tokenizer, p, max_new_tokens=9) for p in prompts]
+        caches = []
+        real = batcher_mod.decode_step
+
+        def recording(model, ids, kv, device=None):
+            caches.extend(c for c in kv if c not in caches)
+            return real(model, ids, kv, device=device)
+
+        with mock.patch.object(batcher_mod, "decode_step", recording):
+            with PaletteServer(small, tokenizer, ServingConfig(max_batch_size=4)) as server:
+                requests = [server.submit(p, max_new_tokens=9) for p in prompts]
+                assert [r.result(timeout=120.0) for r in requests] == offline
+        # 6 prompt tokens + 9 new ones crossed the 8-token window ...
+        assert len(tokenizer.encode(prompts[0], bos=True)) < spec.max_seq_len
+        assert len(tokenizer.encode(prompts[0], bos=True)) + 9 > spec.max_seq_len
+        # ... and every cache was dropped on the way out.
+        assert len(caches) == len(prompts)
+        assert all(cache.nbytes == 0 and cache.length == 0 for cache in caches)
 
     def test_batched_last_logits_matches_per_row(self, plain_model, tokenizer):
         windows = [
@@ -299,6 +332,125 @@ class TestBatchedGeneration:
     def test_empty_window_raises(self, plain_model):
         with pytest.raises(ValueError):
             batched_last_logits(plain_model, [[]])
+
+
+@pytest.fixture(scope="module")
+def compressed3_model(tokenizer, trained_state):
+    """The trained MICRO model at 3 bits (the paper's setting); read-only."""
+    model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=0)
+    model.to(rt.GPU)
+    for name, param in model.state_dict().items():
+        param.copy_(trained_state[name])
+    ModelCompressor(DKMConfig(bits=3)).compress(model)
+    model.eval()
+    return model
+
+
+@contextlib.contextmanager
+def _palette_path(model):
+    """Run ``model``'s clustered layers on the palette executor for a while."""
+    clustered = [
+        (name, module)
+        for name, module in model.named_modules()
+        if isinstance(module, ClusteredLinear)
+    ]
+    cache = TileCache()
+    for name, module in clustered:
+        module.enable_palette_eval(name=name, cache=cache)
+    try:
+        yield
+    finally:
+        for _, module in clustered:
+            module.disable_palette_eval()
+
+
+WORDS = ["alice", "bob", "carol", "the", "capital", "of", "lives", "in", "works", "as", "a"]
+
+arrivals = st.lists(
+    st.tuples(
+        st.integers(0, 6),  # the step before which the request is admitted
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join),
+        st.integers(1, 7),  # its token budget
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestCachedDecodeIdentity:
+    """The served (K/V-cached, ragged) step against full recompute.
+
+    The reference shares no code with the cached step: per-prompt
+    ``generate`` recomputes the whole prefix each token.  Tokens must be
+    equal; logits agree to 1e-4 and not bit for bit, because a gemm's
+    result depends on how many rows it is handed.
+    """
+
+    @given(path=st.sampled_from(["plain", "dense", "palette"]), schedule=arrivals)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_batch_composition_matches_generate(
+        self, plain_model, compressed3_model, tokenizer, path, schedule
+    ):
+        model = plain_model if path == "plain" else compressed3_model
+        config = ServingConfig(max_batch_size=4)
+        real = batcher_mod.decode_step
+
+        def checked(model, ids, caches, device=None):
+            logits = real(model, ids, caches, device=device)
+            windows = [row[-model.max_seq_len :] for row in ids]
+            for got, want in zip(logits, batched_last_logits(model, windows)):
+                np.testing.assert_allclose(got, want, atol=1e-4, rtol=0)
+            return logits
+
+        with contextlib.ExitStack() as stack:
+            if path == "palette":
+                stack.enter_context(_palette_path(model))
+            stack.enter_context(mock.patch.object(batcher_mod, "decode_step", checked))
+            batcher = ContinuousBatcher(model, tokenizer, config)
+            waiting = sorted(
+                (
+                    (step, ServerRequest(prompt, budget))
+                    for step, prompt, budget in schedule
+                ),
+                key=lambda item: item[0],
+            )
+            requests = [request for _, request in waiting]
+            step = 0
+            while waiting or batcher.active:
+                while waiting and waiting[0][0] <= step and batcher.free_slots:
+                    batcher.admit(waiting.pop(0)[1], now=0.0)
+                batcher.step(now=0.0)
+                step += 1
+            served = [request.result(timeout=0) for request in requests]
+            offline = [
+                generate(model, tokenizer, r.prompt, max_new_tokens=r.max_new_tokens)
+                for r in requests
+            ]
+        assert served == offline
+
+    def test_cache_grows_with_the_sequence_on_the_models_device(self, plain_model, tokenizer):
+        gc.collect()
+        before = rt.GPU.tracker.current_bytes
+        batcher = ContinuousBatcher(plain_model, tokenizer, ServingConfig())
+        batcher.admit(ServerRequest("alice lives in", 40), now=0.0)
+        (seq,) = batcher.active
+        sizes = []
+        for _ in range(30):
+            batcher.step(now=0.0)
+            sizes.append(seq.kv.nbytes)
+        assert rt.GPU.tracker.current_bytes - before >= sizes[-1] > sizes[0] > 0
+        # Sized by what the sequence has fed, not by max_seq_len.
+        spec = MICRO
+        per_position = 2 * spec.n_layers * spec.dim * 4
+        assert sizes[0] < per_position * spec.max_seq_len / 2
+        assert seq.kv.length == len(seq.ids) - 1
+        batcher.abort_all(ServerClosed("done"))
+        gc.collect()
+        assert rt.GPU.tracker.current_bytes == before
 
 
 class TestConfigRoundTrips:
@@ -487,6 +639,8 @@ class TestPaletteServer:
         assert report.tokens_generated == sum(r.tokens_generated for r in requests)
         assert report.weight_bytes_read > 0
         assert report.activation_bytes > 0
+        assert report.kv_cache_peak_bytes > 0
+        assert report.kv_cache_bytes == 0  # everything retired, everything released
         per_request = ledger.by_tag("serve:req")
         assert set(per_request) == {request_tag(r.id) for r in requests}
         assert all(nbytes > 0 for nbytes in per_request.values())

@@ -20,9 +20,12 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import threading
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,11 +34,13 @@ import repro.tensor as rt
 from repro.core import DKMConfig, ModelCompressor
 from repro.core.faults import FaultSpec, RobustnessWarning
 from repro.llm import MICRO, build_model, generate
+import repro.serving.batcher as batcher_mod
 from repro.memory.traffic import TrafficLedger
 from repro.serving import (
     AdmissionError,
     BreakerBoard,
     CorruptTileError,
+    DeadlineExceeded,
     PaletteKernelError,
     PaletteServer,
     ServerClosed,
@@ -201,6 +206,15 @@ class TestTileCacheDigest:
         cache.put(("layer", 0, 0), self._tile())
         assert cache.corrupt_one(("other",)) is False
 
+    def test_digest_hashes_the_buffer_in_place(self):
+        import hashlib
+
+        tile = self._tile()
+        assert (
+            TileCache._digest(tile)
+            == hashlib.blake2b(tile.tobytes(), digest_size=8).digest()
+        )
+
     def test_digest_checks_off_serves_rotten_tile(self):
         cache = TileCache(digest_checks=False)
         cache.put(("layer", 0, 0), self._tile())
@@ -219,15 +233,15 @@ class TestStepCrashBoundary:
         calls = {"n": 0}
         import repro.serving.batcher as batcher_mod
 
-        real = batcher_mod.batched_last_logits
+        real = batcher_mod.decode_step
 
-        def exploding(model, windows, device=None):
+        def exploding(model, ids, caches, device=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("simulated forward crash")
-            return real(model, windows, device=device)
+            return real(model, ids, caches, device=device)
 
-        monkeypatch.setattr(batcher_mod, "batched_last_logits", exploding)
+        monkeypatch.setattr(batcher_mod, "decode_step", exploding)
         with PaletteServer(served_model, tokenizer, _config()) as server:
             request = server.submit(PROMPTS[0])
             # On the seed this raised TimeoutError: the scheduler thread
@@ -252,14 +266,14 @@ class TestStopJoinDeadline:
         entered = threading.Event()
         import repro.serving.batcher as batcher_mod
 
-        real = batcher_mod.batched_last_logits
+        real = batcher_mod.decode_step
 
-        def wedged(model, windows, device=None):
+        def wedged(model, ids, caches, device=None):
             entered.set()
             release.wait(timeout=60)
-            return real(model, windows, device=device)
+            return real(model, ids, caches, device=device)
 
-        monkeypatch.setattr(batcher_mod, "batched_last_logits", wedged)
+        monkeypatch.setattr(batcher_mod, "decode_step", wedged)
         server = PaletteServer(
             served_model, tokenizer, _config(join_timeout_s=0.3)
         )
@@ -430,6 +444,201 @@ class TestInjectedFaults:
                 assert time.monotonic() - begun < 10.0
             finally:
                 server.close()
+
+
+@contextlib.contextmanager
+def _raise_mid_step(model, error, on_call):
+    """Make the last layer's MLP raise ``error`` on its ``on_call``-th run.
+
+    By then the step's embedding and every attention layer have run, so a
+    step that appended K/V as it went would be half-appended.
+    """
+    mlp = model.layers[len(model.layers) - 1].mlp
+    real = mlp.forward
+    calls = {"n": 0}
+
+    def forward(x):
+        calls["n"] += 1
+        if calls["n"] == on_call:
+            raise error
+        return real(x)
+
+    object.__setattr__(mlp, "forward", forward)
+    try:
+        yield calls
+    finally:
+        object.__delattr__(mlp, "forward")
+
+
+@contextlib.contextmanager
+def _recorded_steps():
+    """Record ``(cache, cached length, tokens)`` per row of every ``decode_step`` call."""
+    real = batcher_mod.decode_step
+    calls = []
+
+    def recording(model, ids, caches, device=None):
+        entry = {
+            "rows": [(c, c.length, len(row)) for c, row in zip(caches, ids)],
+            "ok": False,
+        }
+        calls.append(entry)
+        logits = real(model, ids, caches, device=device)
+        entry["ok"] = True
+        return logits
+
+    with mock.patch.object(batcher_mod, "decode_step", recording):
+        yield calls
+
+
+class TestRetryAtomicity:
+    """A step that dies midway and is retried leaves no half-appended K/V."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            TransientStepError("mid-step"),
+            PaletteKernelError("layers.1.mlp.down_proj", "mid-step"),
+            CorruptTileError("layers.1.mlp.down_proj", "mid-step"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_mid_step_failure_retried_to_identical_tokens(
+        self, served_model, tokenizer, expected_texts, error
+    ):
+        config = _config(
+            max_batch_size=2, max_step_retries=2, step_retry_backoff_s=0.001
+        )
+        # Call 3 is a step over a partly decoded batch: with two slots and
+        # four prompts, rows are two tokens in.
+        with _raise_mid_step(served_model, error, on_call=3) as mlp_calls:
+            with _recorded_steps() as steps:
+                with PaletteServer(served_model, tokenizer, config) as server:
+                    texts = _serve_all(server)
+                    report = server.stats()
+        assert mlp_calls["n"] > 3
+        assert texts == [expected_texts[p] for p in PROMPTS]
+        assert report.step_retries == 1
+        assert report.step_failures == 0
+        failed = [i for i, step in enumerate(steps) if not step["ok"]]
+        assert failed == [2]
+        # The retry saw exactly the state the failed attempt saw ...
+        assert steps[3]["rows"] == steps[2]["rows"]
+        assert any(cached > 0 for _, cached, _ in steps[2]["rows"])
+        # ... and every row's cached length is what it fed in steps that
+        # succeeded: nothing before its first, all but the newest token after.
+        fed = set()
+        for step in steps:
+            for cache, cached, tokens in step["rows"]:
+                assert cached == (tokens - 1 if id(cache) in fed else 0)
+            if step["ok"]:
+                fed.update(id(cache) for cache, _, _ in step["rows"])
+
+
+class TestKVLifetime:
+    """K/V bytes live on the model's device and every way out returns them."""
+
+    def test_tracker_returns_to_baseline_after_mixed_outcomes(
+        self, served_model, tokenizer, monkeypatch
+    ):
+        class NeverStops(type(tokenizer)):
+            eos_id = -1  # every request decodes to its budget
+
+        decoder = NeverStops(tokenizer.words)
+        real = batcher_mod.decode_step
+        nap = {"calls": 0, "at_call": None, "every": 0.0}
+
+        def paced(model, ids, caches, device=None):
+            nap["calls"] += 1
+            time.sleep(0.3 if nap["calls"] == nap["at_call"] else nap["every"])
+            return real(model, ids, caches, device=device)
+
+        monkeypatch.setattr(batcher_mod, "decode_step", paced)
+        gc.collect()
+        baseline = rt.GPU.tracker.current_bytes
+        server = PaletteServer(served_model, decoder, _config(max_new_tokens=50))
+        server.start()
+        try:
+            completed = server.submit(PROMPTS[0], max_new_tokens=MAX_NEW)
+            assert completed.result(timeout=30) == generate(
+                served_model, decoder, PROMPTS[0], max_new_tokens=MAX_NEW
+            )
+            # Two tokens in when its deadline passes inside a slow step.
+            nap["at_call"] = nap["calls"] + 2
+            late = server.submit(PROMPTS[1], deadline_s=0.15)
+            with pytest.raises(DeadlineExceeded):
+                late.result(timeout=30)
+            assert late.tokens_generated == 2
+            # In flight when the server stops.
+            nap["every"] = 0.01
+            cut = [server.submit(p) for p in PROMPTS[2:]]
+            deadline = time.monotonic() + 10
+            while (
+                not all(r.tokens_generated for r in cut)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.002)
+            held = sum(seq.kv.nbytes for seq in server.batcher.active)
+            server.stop()
+            for request in cut:
+                with pytest.raises(ServerClosed):
+                    request.result(timeout=5)
+            report = server.stats()
+            gc.collect()
+            # ``server`` and its batch are still referenced here: only an
+            # explicit release gives these bytes back.
+            assert held > 0
+            assert len(server.batcher.active) == len(cut)
+            assert rt.GPU.tracker.current_bytes == baseline
+            assert report.aborted_deadline == 1
+            assert report.kv_cache_bytes == 0
+            assert report.kv_cache_peak_bytes >= held
+        finally:
+            server.close()
+
+    @pytest.mark.timeout(60)
+    def test_zombie_loop_cannot_touch_fresh_generation(
+        self, served_model, tokenizer, expected_texts, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        real = batcher_mod.decode_step
+        first = {"pending": True}
+
+        def wedge_first(model, ids, caches, device=None):
+            if first["pending"]:
+                first["pending"] = False
+                entered.set()
+                release.wait(timeout=30)
+            return real(model, ids, caches, device=device)
+
+        monkeypatch.setattr(batcher_mod, "decode_step", wedge_first)
+        gc.collect()
+        baseline = rt.GPU.tracker.current_bytes
+        config = _config(step_timeout_s=0.15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RobustnessWarning)
+            with PaletteServer(served_model, tokenizer, config) as server:
+                hung = server.submit(PROMPTS[0])
+                assert entered.wait(timeout=10)
+                zombie_batcher = server.batcher
+                zombie_thread = server._thread
+                (zombie_seq,) = zombie_batcher.active
+                with pytest.raises(StepFailed):
+                    hung.result(timeout=10)
+                assert server.batcher is not zombie_batcher
+                # The zombie wakes mid-step while the fresh loop decodes.
+                fresh = server.submit(PROMPTS[1])
+                release.set()
+                assert fresh.result(timeout=30) == expected_texts[PROMPTS[1]]
+                zombie_thread.join(timeout=10)
+                assert not zombie_thread.is_alive()
+                # It finished its step on blocks only it held and committed
+                # nothing: its sequence was released when its batch failed.
+                assert zombie_seq.kv.length == 0
+                assert zombie_seq.kv.nbytes == 0
+                assert server.stats().watchdog_kills == 1
+        del zombie_batcher, zombie_seq
+        gc.collect()
+        assert rt.GPU.tracker.current_bytes == baseline
 
 
 class TestBreakerBoard:
