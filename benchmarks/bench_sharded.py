@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Sharded cluster-scheduler benchmark entry point.
+"""Process-engine benchmark entry point (node scaling + delta shipping).
 
 Compresses a heterogeneous model (one embedding-sized layer dominating
-several small projections) on 1, 2, and 4 nodes and asserts what the
-cluster scheduler promises: every node count stays *bit-identical* to
-the serial backend -- centroids, assignments, reconstruction errors, and
-per-layer step-cache counters -- across a cold sweep, a warm
-delta-shipped sweep, and a sweep after a node worker is hard-killed;
-byte-balanced placement holds the ``mean + largest layer`` bound at
-every point; and the headline: a model whose total weight bytes exceed a
+several small projections) with ``backend="process"`` on 1, 2, and 4
+nodes (``num_workers``) and asserts what the engine promises: every node
+count stays *bit-identical* to the serial backend -- centroids,
+assignments, reconstruction errors, and per-layer step-cache counters --
+across a cold sweep, a warm all-delta sweep, a sweep after a node worker
+is hard-killed, and a sweep after the pool grows by one node (which must
+keep every unmoved layer on deltas); byte-balanced placement holds the
+``mean + largest layer`` bound at every point; and the headline: a model whose total weight bytes exceed a
 single node's ``node_memory_budget`` (provably unplaceable on one node)
 compresses across two, bit-identical, with no node over budget.  Every
 exported shared-memory block must be unlinked after the run.  Writes
@@ -61,6 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             f"nodes={row['nodes']} sweep {row['sweep']} "
             f"({row['scenario']:<14}) {row['wall_seconds']:.4f}s  "
             f"{row['bytes_shipped']:>7}B shipped "
+            f"({row['bytes_per_layer']:.0f}B/layer) "
             f"({row['full_tasks']} full / {row['delta_tasks']} delta)  "
             f"bit-identical={row['bit_identical']}  "
             f"stats-identical={row['stats_identical']}"
@@ -80,10 +82,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"nodes={row['nodes']} sweep {row['sweep']}: warm sweep "
                 f"still shipped {row['full_tasks']} full task(s)"
             )
+        if row["scenario"] == "resize" and row["delta_tasks"] == 0:
+            failures.append(
+                f"nodes={row['nodes']} sweep {row['sweep']}: the resize tore "
+                "every node down (no layer stayed on deltas)"
+            )
     for nodes, point in payload["scaling"].items():
         print(
             f"scaling nodes={nodes}: warm {point['warm_wall_seconds']:.4f}s  "
-            f"{point['warm_bytes_shipped']}B  loads={point['loads']}  "
+            f"{point['warm_bytes_shipped']}B "
+            f"({point['warm_bytes_per_layer']:.0f}B/layer)  loads={point['loads']}  "
             f"balanced={point['balanced']}"
         )
         if not point["balanced"]:
@@ -110,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             f"exceeds the {payload['node_budget']}B budget"
         )
     if not payload["shm_cleaned"]:
-        failures.append("sharded backend left shared-memory blocks linked")
+        failures.append("process backend left shared-memory blocks linked")
     print(f"shm-cleaned={payload['shm_cleaned']}  cpu_count={payload['cpu_count']}")
 
     os.makedirs(os.path.dirname(args.output), exist_ok=True)
@@ -127,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print("all sharded assertions passed")
+    print("all process-engine assertions passed")
     return 0
 
 

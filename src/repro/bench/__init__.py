@@ -15,16 +15,12 @@ pytest-benchmark entry points and prints paper-style tables.
   ablation (graph walk vs storage-id oracle vs sampled-stride fingerprint)
 - :mod:`repro.bench.faults` -- chaos suite (fault injection, watchdog,
   quarantine, degradation, crash-safe checkpoint/resume)
-- :mod:`repro.bench.affinity` -- sticky worker-affinity delta shipping
+- :mod:`repro.bench.backends` -- serial vs thread vs process fan-out
+- :mod:`repro.bench.sharded` -- process-engine node scaling, delta
+  shipping, crash/resize recovery, over-budget placement
 - :mod:`repro.bench.serving` -- palette serving under concurrent traffic
   (requests/sec, p50/p99 latency, token-identity + admission gates)
 """
-
-from repro.bench.affinity import (
-    AffinityBenchResult,
-    AffinitySweepRow,
-    run_affinity,
-)
 
 from repro.bench.claims import Claim, run_claims
 from repro.bench.fastpath import (
@@ -73,9 +69,6 @@ from repro.bench.serving import (
 from repro.bench.tables import paper_vs_measured, render_table
 
 __all__ = [
-    "AffinityBenchResult",
-    "AffinitySweepRow",
-    "run_affinity",
     "ServingBenchResult",
     "ServingScenarioRow",
     "run_serving",

@@ -1,19 +1,22 @@
-"""Sharded cluster-scheduler benchmark: node scaling + identity gates.
+"""Process-engine benchmark: node scaling, delta shipping, identity gates.
 
-Measures the cluster scheduler's node-count scaling curve and proves the
-equivalences sharding must not change:
+Measures the process engine's (``backend="process"``) node-count scaling
+curve and proves the equivalences placement must not change:
 
 - **Scaling curve** -- the same heterogeneous model (one embedding-sized
   layer dominating several small projections) is compressed on 1, 2, and
-  4 nodes; per-sweep wall time, shipped bytes, full/delta task counts,
-  and per-node byte loads are recorded for each point.  Wall times are
-  recorded but not gated (CI runners are core-starved and noisy); the
-  placement-balance, transport, and identity assertions always gate.
+  4 nodes (``num_workers``); per-sweep wall time, shipped bytes (total
+  and per layer), full/delta task counts, and per-node byte loads are
+  recorded for each point.  Wall times are recorded but not gated (CI
+  runners are core-starved and noisy); the placement-balance, transport,
+  and identity assertions always gate.
 - **Bit-identity** -- every node count must reproduce the serial
   reference exactly (centroids, assignments, temperatures,
   reconstruction errors, and per-layer ``FastPathStats`` counters)
-  across a cold sweep, a warm delta-shipped sweep, and a sweep after a
-  node worker is hard-killed (crash-recovery re-ships full state).
+  across a cold sweep, a warm all-delta sweep, a sweep after a node
+  worker is hard-killed (crash-recovery re-ships full state), and a
+  sweep after the pool grows by one node (only re-pinned layers ship
+  full; the rest stay on deltas).
 - **Over-budget headline** -- the model's total weight bytes exceed a
   single node's ``node_memory_budget`` (placing it on one node raises
   :class:`~repro.distributed.scheduler.PlacementError`), yet the same
@@ -33,14 +36,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 import repro.nn as nn
-from repro.bench.affinity import _kill_one_slot_worker
 from repro.bench.backends import _all_unlinked, _layer_stats, _results_identical
 from repro.core.compressor import ModelCompressor
 from repro.core.config import CompressorConfig, DKMConfig
 from repro.distributed.scheduler import NodePlacement, PlacementError
 
-N_SWEEPS = 3
-"""Per-node-count sweep schedule: cold, warm, crash-recovery."""
+N_SWEEPS = 4
+"""Per-node-count sweep schedule: cold, warm, crash-recovery, resize."""
 
 NODE_COUNTS = (1, 2, 4)
 """The scaling-curve points."""
@@ -55,6 +57,7 @@ class ShardedSweepRow:
     scenario: str
     wall_seconds: float
     bytes_shipped: int
+    bytes_per_layer: float
     full_tasks: int
     delta_tasks: int
     bit_identical: bool
@@ -102,6 +105,7 @@ class ShardedBenchResult:
                 str(nodes): {
                     "warm_wall_seconds": row.wall_seconds if row else None,
                     "warm_bytes_shipped": row.bytes_shipped if row else None,
+                    "warm_bytes_per_layer": row.bytes_per_layer if row else None,
                     "loads": self.loads.get(nodes),
                     "balanced": self.balanced.get(nodes),
                 }
@@ -155,6 +159,19 @@ def _build(
     return compressor
 
 
+def _kill_one_slot_worker(compressor: ModelCompressor) -> None:
+    """Simulate a node crash: hard-kill the first live slot process."""
+    engine = compressor._engine
+    assert engine is not None
+    for pool in engine._state["slots"]:
+        processes = list((pool._processes or {}).values())
+        if processes:
+            processes[0].kill()
+            processes[0].join()
+            return
+    raise AssertionError("no live slot worker to kill")
+
+
 def _weight_bytes(compressor: ModelCompressor) -> dict[str, int]:
     return {
         name: wrapper.inner.weight.numel * wrapper.inner.weight.dtype.itemsize
@@ -186,7 +203,7 @@ def run_sharded(
 
     for nodes in NODE_COUNTS:
         compressor = _build(
-            "sharded", features, n_small, seed, bits, iters, num_nodes=nodes
+            "process", features, n_small, seed, bits, iters, num_workers=nodes
         )
         try:
             for sweep in range(N_SWEEPS):
@@ -194,6 +211,14 @@ def run_sharded(
                 if sweep == 2:
                     _kill_one_slot_worker(compressor)
                     scenario = "crash-recovery"
+                if sweep == 3:
+                    # Read the pre-resize loads first: the scaling point
+                    # describes ``nodes`` nodes, not ``nodes + 1``.
+                    placement = compressor._engine.placement()
+                    result.loads[nodes] = placement.loads()
+                    result.balanced[nodes] = placement.is_balanced()
+                    compressor.config.num_workers = nodes + 1
+                    scenario = "resize"
                 start = time.perf_counter()
                 res = compressor.precluster(compute_error=True)
                 wall = time.perf_counter() - start
@@ -205,6 +230,8 @@ def run_sharded(
                         scenario=scenario,
                         wall_seconds=wall,
                         bytes_shipped=transport.last_sweep_bytes,
+                        bytes_per_layer=transport.last_sweep_bytes
+                        / result.n_layers,
                         full_tasks=transport.last_sweep_full_tasks,
                         delta_tasks=transport.last_sweep_delta_tasks,
                         bit_identical=_results_identical(
@@ -214,9 +241,9 @@ def run_sharded(
                         == _layer_stats(compressor),
                     )
                 )
-            placement = compressor._engine.placement()
-            result.loads[nodes] = placement.loads()
-            result.balanced[nodes] = placement.is_balanced()
+            # The rebalanced (nodes + 1) placement must hold the bound too.
+            if not compressor._engine.placement().is_balanced():
+                result.balanced[nodes] = False
         finally:
             engine = compressor._engine
             shm_names = engine.active_shm_names() if engine is not None else []
@@ -233,13 +260,13 @@ def run_sharded(
     except PlacementError:
         result.single_node_infeasible = True
     compressor = _build(
-        "sharded",
+        "process",
         features,
         n_small,
         seed,
         bits,
         iters,
-        num_nodes=2,
+        num_workers=2,
         node_memory_budget=budget,
     )
     try:

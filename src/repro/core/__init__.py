@@ -12,9 +12,10 @@ Public surface:
   marshaling and sharding (paper Section 2.1).
 - :class:`ModelCompressor` / :class:`ClusteredLinear` -- model-level
   train-time compression and palettization, with serial / thread-pool /
-  process-pool per-layer backends configured by :class:`CompressorConfig`
-  (the process backend ships zero-copy shared-memory weight views to its
-  workers via :class:`ProcessLayerEngine`).
+  process per-layer backends configured by :class:`CompressorConfig`
+  (the process backend pins layers to worker slots by weight bytes and
+  ships zero-copy shared-memory weight views plus ``O(k)`` deltas to them
+  via :class:`ProcessLayerEngine`).
 - :class:`FaultPlan` / :class:`FaultInjector` plus the checkpoint layer
   (:func:`write_checkpoint` / :func:`load_checkpoint`) -- the robustness
   surface: deterministic chaos injection, watchdog/retry/quarantine
@@ -31,7 +32,6 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.config import (
-    AFFINITY_MODES,
     BACKENDS,
     CompressorConfig,
     DKMConfig,
@@ -66,7 +66,6 @@ from repro.core.compressor import (
     refine_op,
 )
 from repro.core.procpool import (
-    AffinityMap,
     LayerDelta,
     LayerOutcome,
     LayerTask,
@@ -110,7 +109,6 @@ from repro.core.uniquify import (
 )
 
 __all__ = [
-    "AFFINITY_MODES",
     "BACKENDS",
     "CHECKPOINT_VERSION",
     "CheckpointCorrupt",
@@ -145,7 +143,6 @@ __all__ = [
     "parallel_layer_map",
     "precluster_op",
     "refine_op",
-    "AffinityMap",
     "LayerDelta",
     "LayerOutcome",
     "LayerTask",

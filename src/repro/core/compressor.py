@@ -19,11 +19,11 @@ execution backend selected by ``CompressorConfig.backend``:
   hosts, but Python-side op dispatch still serializes;
 - ``"process"`` -- the :class:`~repro.core.procpool.ProcessLayerEngine`:
   workers rebuild each layer's weight as a zero-copy shared-memory view,
-  overlapping dispatch as well.  Its default ``affinity="sticky"`` mode
-  pins each layer to one worker so uniquify products, attention tables,
-  and shm attachments stay worker-resident across sweeps and warm sweeps
-  ship only ``O(k)`` deltas (``affinity="chunked"`` keeps the stateless
-  round-robin task pool).
+  overlapping dispatch as well.  A byte-balanced
+  :class:`~repro.distributed.scheduler.NodePlacement` pins each layer to
+  one single-worker slot, so uniquify products, attention tables, and shm
+  attachments stay worker-resident across sweeps and warm sweeps ship
+  only ``O(k)`` deltas.
 
 **Bit-identity invariant** (established for the thread backend in the
 parallel-engine PR and extended to processes here): every backend hands
@@ -59,7 +59,6 @@ from repro.core.fastpath import FastPathReport, FastPathStats, StepCache
 from repro.core.faults import (
     PoolExhausted,
     RobustnessWarning,
-    WatchdogTimeout,
 )
 from repro.core.palettize import PalettizedTensor, kmeans_palettize
 from repro.nn.linear import Embedding, Linear
@@ -72,13 +71,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.faults import FaultLog
     from repro.core.procpool import ProcessLayerEngine, TransportStats
 
-_DEGRADATION_LADDER = {"sharded": "process", "process": "thread", "thread": "serial"}
+_DEGRADATION_LADDER = {"process": "thread", "thread": "serial"}
 """Backend demotion order: each infrastructure-class sweep failure steps
 one rung down; ``serial`` is the floor and its errors always propagate."""
 
-_INFRA_FAILURES = (PoolExhausted, WatchdogTimeout, BrokenExecutor, ShmLost)
-"""Sweep-level failures that indicate broken *infrastructure* (pools, shm,
-deadlines) rather than broken math.  Only these trigger degradation: an
+_INFRA_FAILURES = (PoolExhausted, BrokenExecutor, ShmLost)
+"""Sweep-level failures that indicate broken *infrastructure* (pools, shm)
+rather than broken math.  Only these trigger degradation: an
 op exception is deterministic and would reproduce on every backend, so
 demoting for it would just re-raise more slowly."""
 
@@ -434,7 +433,7 @@ SWEEP_OPS: dict[str, Callable] = {
     "palettize": palettize_op,
 }
 """Sweep-op registry, keyed by the names the process backend ships to its
-workers (:func:`repro.core.procpool._run_layer_batch` resolves them here)."""
+workers (:func:`repro.core.procpool._run_slot_batch` resolves them here)."""
 
 
 @dataclass
@@ -498,7 +497,7 @@ class ModelCompressor:
                 skip_names=() if skip_names is None else skip_names,
             )
         self.wrapped: dict[str, ClusteredLinear] = {}
-        # Lazily-created process backend (pool + shm exports); None until
+        # Lazily-created process backend (slots + shm exports); None until
         # the first sweep runs with config.backend == "process".
         self._engine: "ProcessLayerEngine | None" = None
         # Robustness state: the degradation ladder's current override
@@ -553,23 +552,12 @@ class ModelCompressor:
             self.config.resolve_workers(len(self.wrapped)),
         )
 
-    def _process_engine(self, backend: str = "process") -> "ProcessLayerEngine":
-        """The lazily-created engine for a process-class backend.
-
-        ``"process"`` builds the single-host pool engine; ``"sharded"``
-        builds the multi-node cluster scheduler (a subclass sharing the
-        same interface).  The two never coexist: demotion closes and
-        forgets the sharded engine before the process engine is built.
-        """
+    def _process_engine(self) -> "ProcessLayerEngine":
+        """The lazily-created engine behind ``backend="process"``."""
         if self._engine is None:
-            if backend == "sharded":
-                from repro.distributed.scheduler import ShardedClusterEngine
+            from repro.core.procpool import ProcessLayerEngine
 
-                self._engine = ShardedClusterEngine(self.config)
-            else:
-                from repro.core.procpool import ProcessLayerEngine
-
-                self._engine = ProcessLayerEngine(self.config)
+            self._engine = ProcessLayerEngine(self.config)
         return self._engine
 
     @property
@@ -577,7 +565,7 @@ class ModelCompressor:
         """The backend sweeps currently run on (degradation-aware).
 
         Starts as ``config.backend`` and only moves *down* the ladder
-        (sharded -> process -> thread -> serial) when an infrastructure
+        (process -> thread -> serial) when an infrastructure
         failure demotes it; never silently promotes back.
         """
         return self._backend_override or self.config.backend
@@ -593,14 +581,10 @@ class ModelCompressor:
         reason = f"{type(exc).__name__}: {exc}"
         self._backend_override = next_backend
         self.degradations.append((failed_backend, next_backend, reason))
-        if failed_backend in ("process", "sharded") and self._engine is not None:
+        if failed_backend == "process" and self._engine is not None:
             # The engine already reset itself on the way out; close it so
-            # no pools or blocks linger while we run degraded.  A failed
-            # sharded engine is also *forgotten*, so a later process-rung
-            # sweep lazily builds the right engine class.
+            # no pools or blocks linger while we run degraded.
             self._engine.close()
-            if failed_backend == "sharded":
-                self._engine = None
         warnings.warn(
             f"{failed_backend!r} backend failed a sweep ({reason}); degrading "
             f"to {next_backend!r} for the rest of the run",
@@ -626,8 +610,7 @@ class ModelCompressor:
 
         **Degradation ladder** (``config.degrade``, on by default): an
         infrastructure failure -- the engine's respawn budget running out
-        (:class:`~repro.core.faults.PoolExhausted`), a chunked-mode hang
-        (:class:`~repro.core.faults.WatchdogTimeout`), a broken pool, a
+        (:class:`~repro.core.faults.PoolExhausted`), a broken pool, a
         lost shm block -- demotes the run one backend down (process ->
         thread -> serial) with a :class:`~repro.core.faults.
         RobustnessWarning` and re-runs the sweep there.  The re-run is
@@ -650,7 +633,7 @@ class ModelCompressor:
 
     def _sweep_on(self, backend: str, op: str, **kwargs) -> dict[str, _R]:
         """One sweep attempt on one explicit backend (no ladder, no retry)."""
-        if backend not in ("process", "sharded"):
+        if backend != "process":
             num_workers = (
                 1
                 if backend == "serial"
@@ -663,7 +646,7 @@ class ModelCompressor:
                 self.wrapped.items(),
                 num_workers,
             )
-        outcomes = self._process_engine(backend).map_layers(
+        outcomes = self._process_engine().map_layers(
             op,
             [
                 (name, wrapper.clusterer, wrapper.inner.weight)
@@ -689,21 +672,22 @@ class ModelCompressor:
         """The process backend's per-sweep shipping counters, if it ran.
 
         ``None`` for the serial/thread backends (nothing is pickled) and
-        before the first process sweep.  Under ``affinity="sticky"`` the
-        ``last_sweep_*`` fields show the delta-shipping effect directly:
-        a warm sweep's ``last_sweep_delta_tasks`` equals the layer count
-        and its ``last_sweep_bytes`` undercuts the same sweep under
-        ``affinity="chunked"`` (see ``benchmarks/bench_affinity.py``).
+        before the first process sweep.  The ``last_sweep_*`` fields show
+        the delta-shipping effect directly: a warm sweep's
+        ``last_sweep_delta_tasks`` equals the layer count and its
+        ``last_sweep_bytes`` undercuts the cold full-task sweep's (see
+        ``benchmarks/bench_sharded.py``); ``bytes_shipped`` reconciles
+        exactly with the traffic ledger's ``shard:ship:*`` total.
         """
         return self._engine.transport if self._engine is not None else None
 
     def fault_log(self) -> "FaultLog | None":
         """The chaos injector's event log, if a fault plan is armed.
 
-        ``None`` when ``config.fault_plan`` is unset or no process-class
+        ``None`` when ``config.fault_plan`` is unset or no process
         engine has been created yet; fault injection only instruments the
-        process and sharded backends (the serial/thread paths have no
-        workers to kill, hang, or corrupt payloads for).
+        process backend (the serial/thread paths have no workers to kill,
+        hang, or corrupt payloads for).
         """
         return self._engine.fault_log if self._engine is not None else None
 
@@ -744,11 +728,20 @@ class ModelCompressor:
         A degraded run resumes degraded: whatever infrastructure failure
         forced the demotion (a flaky node, a reaped ``/dev/shm``) is
         assumed to outlive the restart, so resume never silently promotes
-        back to a backend that was already proven broken.
+        back to a backend that was already proven broken.  The override
+        only ever applies *downwards*: it is installed only when it is a
+        rung strictly below ``config.backend``, so a checkpoint written
+        on a higher rung (a ``thread`` run resumed by a compressor
+        configured ``serial``) or on a retired backend name (``sharded``
+        in older checkpoints, now simply ``process``) runs on the
+        configured backend.
         """
         self._sweeps_completed = sweeps_completed
-        if active_backend is not None and active_backend != self.config.backend:
-            self._backend_override = active_backend
+        rung = self.config.backend
+        while rung in _DEGRADATION_LADDER:
+            rung = _DEGRADATION_LADDER[rung]
+            if rung == active_backend:
+                self._backend_override = active_backend
 
     def close(self) -> None:
         """Release the process backend: shut the pool down, unlink shm.

@@ -105,22 +105,14 @@ def get_default_dkm_config(**overrides) -> "DKMConfig":
     return DKMConfig(**overrides)
 
 
-BACKENDS = ("serial", "thread", "process", "sharded")
+BACKENDS = ("serial", "thread", "process")
 """Execution backends for the per-layer compression engine: a plain loop
-on the calling thread, a GIL-sharing ``ThreadPoolExecutor``, a
-``ProcessPoolExecutor`` fed zero-copy shared-memory weight views, or the
-multi-node cluster scheduler (``repro.distributed.scheduler``) that
-shards layers across spawned node executors by weight bytes."""
+on the calling thread, a GIL-sharing ``ThreadPoolExecutor``, or the
+process engine (``repro.core.procpool``) that pins layers by weight bytes
+to spawned single-worker slots fed zero-copy shared-memory weight views."""
 
 MP_CONTEXTS = ("spawn", "fork", "forkserver")
 """Accepted ``multiprocessing`` start methods for the process backend."""
-
-AFFINITY_MODES = ("sticky", "chunked")
-"""Process-backend scheduling modes: ``"sticky"`` pins each layer to one
-worker (stable hash over layer insertion order, rebalanced only on pool
-resize) so worker-resident step caches survive across sweeps and warm
-sweeps ship only small deltas; ``"chunked"`` is the stateless task pool
-that re-ships full per-layer tasks in round-robin batches every sweep."""
 
 
 @dataclass
@@ -133,52 +125,36 @@ class CompressorConfig:
             (ignoring ``num_workers``); ``"thread"`` (default) fans layers
             out over a ``ThreadPoolExecutor`` -- numpy releases the GIL
             inside the big kernels, so this overlaps kernel time but not
-            Python-side op dispatch; ``"process"`` fans out over a
-            ``ProcessPoolExecutor`` whose workers rebuild each layer's
-            weight as a zero-copy ``multiprocessing.shared_memory`` view,
-            overlapping dispatch as well; ``"sharded"`` fans out over
-            ``num_nodes`` spawned node executors with byte-balanced layer
-            placement (see ``docs/sharding.md``).  All are bit-identical:
+            Python-side op dispatch; ``"process"`` fans out over
+            ``num_workers`` spawned single-worker slots ("nodes") whose
+            workers rebuild each layer's weight as a zero-copy
+            ``multiprocessing.shared_memory`` view, overlapping dispatch
+            as well.  Layers are pinned to slots by weight *bytes*
+            (:class:`~repro.distributed.scheduler.NodePlacement`), each
+            worker keeps its pinned layers' uniquify products, attention
+            tables, and shm attachments resident across sweeps, and the
+            parent ships only ``O(k)`` per-sweep *deltas* once a layer is
+            synced (see ``docs/sharding.md``).  All are bit-identical:
             per-layer clustering shares no state, every layer runs in
             exactly one worker, and results (centroids, assignments,
             step-cache counters, carried attention tables) merge back in
             layer insertion order.
-        num_workers: pool width for the thread/process backends.  ``1``
-            (default) degenerates the thread backend to the serial loop;
-            ``0`` means "one worker per visible CPU".
+        num_workers: pool width for the thread backend, slot (node)
+            count for the process backend; capped at the layer count.
+            ``1`` (default) degenerates the thread backend to the serial
+            loop; ``0`` means "one worker per visible CPU".
         mp_context: ``multiprocessing`` start method for the process
             backend.  ``"spawn"`` (default) is safe regardless of what
             threads the parent holds -- workers import the codebase fresh
             and receive only picklable task specs; ``"fork"`` starts
             faster on POSIX but inherits arbitrary parent state.
-        affinity: process-backend scheduling mode.  ``"sticky"``
-            (default) pins each layer to one worker through a stable hash
-            over layer insertion order (see
-            :class:`~repro.core.procpool.AffinityMap`), so each worker
-            keeps its pinned layers' uniquify products, attention tables,
-            and shared-memory attachments resident across sweeps and the
-            parent ships only per-sweep *deltas* (storage version,
-            cluster state, config epoch) once a layer is synced.
-            ``"chunked"`` keeps the stateless round-robin task pool that
-            re-ships full tasks every sweep.  Both modes are bit-identical
-            to serial; sticky ships strictly fewer pickled bytes per
-            layer on warm sweeps and skips worker-side recomputation.
-            Ignored by the serial/thread backends.
         worker_cache_bytes_limit: soft cap on the *resident* bytes each
-            sticky worker may hold across its pinned layers' step caches
+            process worker may hold across its pinned layers' step caches
             (uniquify products + carried attention tables).  When
             exceeded, least-recently-used layers' products are evicted
             down to phantom entries -- counters stay bit-identical to
             serial, the products are simply recomputed on next use.  ``0``
             (default) means unlimited.
-        task_chunk: layers per pickled task batch for the process
-            backend's ``"chunked"`` affinity mode.  Batching amortizes
-            per-task pickle + IPC overhead; ``0`` (default) auto-sizes to
-            ``ceil(n_layers / workers)`` -- one batch per worker, the
-            minimum dispatch cost for uniform layers.  Set small (e.g.
-            ``1``) when layer sizes are skewed and load balancing matters
-            more than dispatch overhead.  Sticky mode ignores it (one
-            batch per pinned worker by construction).
         embedding_bits: post-training palettization width for embeddings
             (paper: "we also compressed the embedding layers with 8 bits").
         skip_names: module-path prefixes exempted from wrapping.
@@ -218,33 +194,18 @@ class CompressorConfig:
         fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
             engine's deterministic fault injector (chaos testing).
             ``None`` (default) injects nothing.
-        num_nodes: node count for the ``"sharded"`` backend -- each node
-            is a spawned single-worker process group standing in for one
-            host, owning one learner memory domain.  Layers are placed
-            across nodes by weight *bytes* (see
-            :class:`~repro.distributed.scheduler.NodePlacement`); other
-            backends ignore it.
-        node_memory_budget: per-node byte budget for sharded placement.
-            ``0`` (default) means unlimited; a positive budget makes
-            placement raise
+        node_memory_budget: per-slot byte budget for the process
+            backend's placement.  ``0`` (default) means unlimited; a
+            positive budget makes placement raise
             :class:`~repro.distributed.scheduler.PlacementError` when a
             single layer exceeds it or greedy packing cannot fit the
             model, instead of silently overcommitting a node.
-        steal_max_layers: work-stealing bound for the sharded backend --
-            how many of each node's *trailing* pinned layers may be held
-            back per sweep and re-routed to whichever node drains its
-            queue first.  Stolen layers run as transient full tasks on
-            the thief; pinning never changes, so placement stability and
-            bit-identity are preserved.  ``0`` (default) disables
-            stealing (purely static placement).
     """
 
     backend: str = "thread"
     num_workers: int = 1
     mp_context: str = "spawn"
-    affinity: str = "sticky"
     worker_cache_bytes_limit: int = 0
-    task_chunk: int = 0
     embedding_bits: int = 8
     skip_names: tuple[str, ...] = ()
     task_timeout_s: float | None = None
@@ -254,9 +215,7 @@ class CompressorConfig:
     max_pool_respawns: int = 8
     degrade: bool = True
     fault_plan: "FaultPlan | None" = None
-    num_nodes: int = 2
     node_memory_budget: int = 0
-    steal_max_layers: int = 0
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -268,11 +227,6 @@ class CompressorConfig:
                 f"unknown mp_context {self.mp_context!r}; "
                 f"expected one of {MP_CONTEXTS}"
             )
-        if self.affinity not in AFFINITY_MODES:
-            raise ValueError(
-                f"unknown affinity {self.affinity!r}; "
-                f"expected one of {AFFINITY_MODES}"
-            )
         if self.num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
         if self.worker_cache_bytes_limit < 0:
@@ -280,8 +234,6 @@ class CompressorConfig:
                 "worker_cache_bytes_limit must be >= 0 (0 = unlimited), "
                 f"got {self.worker_cache_bytes_limit}"
             )
-        if self.task_chunk < 0:
-            raise ValueError(f"task_chunk must be >= 0, got {self.task_chunk}")
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError(
                 f"task_timeout_s must be positive or None, got {self.task_timeout_s}"
@@ -302,16 +254,10 @@ class CompressorConfig:
             raise ValueError(
                 f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"
             )
-        if self.num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.node_memory_budget < 0:
             raise ValueError(
                 "node_memory_budget must be >= 0 (0 = unlimited), "
                 f"got {self.node_memory_budget}"
-            )
-        if self.steal_max_layers < 0:
-            raise ValueError(
-                f"steal_max_layers must be >= 0, got {self.steal_max_layers}"
             )
 
     def resolve_workers(self, n_tasks: int) -> int:
@@ -320,21 +266,6 @@ class CompressorConfig:
             return 1
         workers = self.num_workers if self.num_workers > 0 else (os.cpu_count() or 1)
         return max(1, min(workers, n_tasks))
-
-    def resolve_nodes(self, n_layers: int) -> int:
-        """Effective node count for ``n_layers`` sharded layers.
-
-        Capped at the layer count -- an empty node would hold no pinned
-        layers and only add spawn cost -- but never below one.
-        """
-        return max(1, min(self.num_nodes, n_layers))
-
-    def resolve_task_chunk(self, n_tasks: int) -> int:
-        """Layers per process-backend batch (``task_chunk`` or auto)."""
-        if self.task_chunk > 0:
-            return self.task_chunk
-        workers = self.resolve_workers(n_tasks)
-        return max(1, -(-n_tasks // max(workers, 1)))
 
     def to_dict(self) -> dict:
         """A plain-primitive dict that :meth:`from_dict` rebuilds exactly.
@@ -354,9 +285,7 @@ class CompressorConfig:
             "backend": self.backend,
             "num_workers": self.num_workers,
             "mp_context": self.mp_context,
-            "affinity": self.affinity,
             "worker_cache_bytes_limit": self.worker_cache_bytes_limit,
-            "task_chunk": self.task_chunk,
             "embedding_bits": self.embedding_bits,
             "skip_names": list(self.skip_names),
             "task_timeout_s": self.task_timeout_s,
@@ -365,9 +294,7 @@ class CompressorConfig:
             "max_layer_retries": self.max_layer_retries,
             "max_pool_respawns": self.max_pool_respawns,
             "degrade": self.degrade,
-            "num_nodes": self.num_nodes,
             "node_memory_budget": self.node_memory_budget,
-            "steal_max_layers": self.steal_max_layers,
         }
 
     @classmethod

@@ -84,7 +84,7 @@ class FastPathStats:
     def diff(self, baseline: "FastPathStats") -> "FastPathStats":
         """The element-wise delta of this snapshot over ``baseline``.
 
-        The sticky process backend's counter transport: a worker snapshots
+        The process backend's counter transport: a worker snapshots
         its resident cache's counters before running a task and ships
         ``after.diff(before)`` home, so the parent's :meth:`StepCache.
         absorb` folds in exactly the increments this task caused --
@@ -289,8 +289,8 @@ class StepCache:
 
         Counts the uniquify decomposition (dominated by the ``O(|W|)``
         index list) and the carried attention table; a phantom entry (key
-        without products) reports zero.  This is the quantity the sticky
-        process backend's ``worker_cache_bytes_limit`` bounds.
+        without products) reports zero.  This is the quantity the process
+        backend's ``worker_cache_bytes_limit`` bounds.
         """
         with self._lock:
             total = 0
@@ -315,7 +315,7 @@ class StepCache:
         still counts a hit (the decomposition was computed this step, it
         just is not resident any more) and transparently recomputes --
         exactly the phantom semantics :meth:`mark_computed` installs.
-        Used by the sticky process backend to bound worker memory without
+        Used by the process backend to bound worker memory without
         perturbing the cross-backend counter reconciliation.  Returns the
         number of bytes released.
         """

@@ -35,8 +35,9 @@ The exception taxonomy the recovery paths key on also lives here:
   in place (backoff, no respawn).
 - :class:`CorruptPayload` -- a shipped payload failed its integrity
   digest; re-ship full, no respawn.
-- :class:`WatchdogTimeout` -- a task exceeded its deadline and the
-  worker was put down.
+- :class:`WatchdogTimeout` -- a supervised step exceeded its deadline
+  (the cause the serving step watchdog attaches; the compression engine
+  answers a hung slot by kill + respawn and never raises it).
 - :class:`PoolExhausted` -- the engine's respawn budget is spent; the
   caller should degrade to a cheaper backend, not keep respawning.
 - :class:`RobustnessWarning` -- the warning category for every
@@ -114,7 +115,7 @@ class CorruptPayload(RuntimeError):
 
 
 class WatchdogTimeout(RuntimeError):
-    """A slot batch exceeded its deadline and the worker was killed."""
+    """A supervised step exceeded its deadline and its loop was revoked."""
 
 
 class PoolExhausted(RuntimeError):

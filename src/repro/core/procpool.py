@@ -1,52 +1,52 @@
-"""Process-pool execution backend for the per-layer compression engine.
+"""Process execution backend for the per-layer compression engine.
 
 The thread backend (:func:`repro.core.compressor.parallel_layer_map`) only
 overlaps the GIL-releasing numpy kernels; on many-layer models the
 Python-side op dispatch still serializes.  This module fans the engine's
 no-grad sweeps (``refine`` / ``precluster`` / ``palettize``) out over
-process workers instead, which overlaps dispatch as well -- the
-"Process-pool fan-out" item of the roadmap -- and, in its default
-``"sticky"`` affinity mode, keeps each layer's heavy derived state
-*resident in its worker* across sweeps -- the "Persistent worker
-affinity" item.
+process workers instead, which overlaps dispatch as well, and keeps each
+layer's heavy derived state *resident in its worker* across sweeps.
 
-Two scheduling modes share one engine (``CompressorConfig.affinity``):
+There is one scheduling mode.  ``CompressorConfig.resolve_workers`` fixes
+the number of worker *slots* (each a spawned single-worker process
+standing in for one host -- a "node" owning one learner memory domain);
+a byte-balanced :class:`~repro.distributed.scheduler.NodePlacement` pins
+every layer to one slot (greedy largest-first, optionally capped by
+``node_memory_budget``) and is rebalanced -- minimally -- only when the
+layer set or the slot count changes.  A layer's tasks therefore always
+land in the same process, where a :class:`WorkerCacheRegistry` keeps its
+:class:`WorkerStepCache` -- its :class:`~repro.core.dkm.DKMClusterer`
+(step cache, uniquify products, carried attention table) plus a
+long-lived shared-memory lease -- alive between sweeps.  The first
+shipment of a layer is a full :class:`LayerTask` (handle + config +
+state); once synced, the parent ships an ``O(k)`` :class:`LayerDelta`
+(storage version, cluster state, config epoch, warm token) and warm
+sweeps skip the worker-side re-uniquify entirely.  Every batch carries
+the parent's gossiped ``{layer: (shm name, storage version, epoch)}``
+sync view of that slot; the worker reconciles its residents against it
+before running (:meth:`WorkerCacheRegistry.reconcile`), so re-pinned or
+removed layers release their caches and contradicted ones are dropped.
+Workers ship back outcomes plus :class:`~repro.core.fastpath.
+FastPathStats` counter *deltas* that the parent folds into its
+phantom-entry accounting, so hit/miss counters stay bit-identical to the
+serial sweep.  Every parent <-> slot transfer is recorded in the global
+:class:`~repro.memory.traffic.TrafficLedger` under ``shard:ship``,
+``shard:gossip`` and ``shard:gather`` tags.
 
-- **Sticky** (default).  An :class:`AffinityMap` pins every layer to one
-  worker slot through a stable content hash over the layer's name, taken
-  in layer insertion order and rebalanced only when the pool is resized.
-  Each slot is a single-worker pool, so a layer's tasks always land in
-  the same process, where a :class:`WorkerCacheRegistry` keeps the
-  layer's :class:`WorkerStepCache` -- its
-  :class:`~repro.core.dkm.DKMClusterer` (step cache, uniquify products,
-  carried attention table) plus a long-lived shared-memory lease --
-  alive between sweeps.  Once a layer is synced, the parent ships an
-  ``O(k)`` :class:`LayerDelta` (storage version, cluster state, config
-  epoch, warm token) instead of a full task, and warm sweeps skip the
-  worker-side re-uniquify entirely.  Workers ship back outcomes plus
-  :class:`~repro.core.fastpath.FastPathStats` counter *deltas* that the
-  parent folds into its phantom-entry accounting, so hit/miss counters
-  stay bit-identical to the serial sweep.
-- **Chunked**.  The stateless task pool of the original backend: layers
-  are grouped into ``CompressorConfig.resolve_task_chunk`` batches, each
-  task re-ships the full :class:`LayerTask` (handle + config + state),
-  and worker-side products die with the task.
-
-Three design rules keep both modes bit-identical to the serial sweep:
+Three design rules keep the engine bit-identical to the serial sweep:
 
 - **Shared-memory weights.**  Each layer's weight storage is exported
   once into a ``multiprocessing.shared_memory`` block (the only byte
   copy); workers rebuild a zero-copy strided view from a tiny picklable
   :class:`~repro.tensor.serialization.ShmTensorHandle`.  Exports are
   keyed on (storage identity, version), so an optimizer step in the
-  parent invalidates and re-exports exactly the layers it wrote -- and,
-  under sticky affinity, demotes exactly those layers back to full
-  shipping.
-- **Deterministic merge.**  Outcomes are gathered in layer insertion
-  order; per-layer clustering is a pure function of (weight bytes, prior
-  state, config), so centroids, assignments, carried attention tables,
-  and counter deltas merge back bit-identical to the serial sweep no
-  matter how the pool interleaves.
+  parent invalidates and re-exports exactly the layers it wrote -- and
+  demotes exactly those layers back to full shipping.
+- **Deterministic merge.**  Outcomes are collected in slot order and
+  returned in layer insertion order; per-layer clustering is a pure
+  function of (weight bytes, prior state, config), so centroids,
+  assignments, carried attention tables, and counter deltas merge back
+  bit-identical to the serial sweep no matter how the slots interleave.
 - **Invalidation protocol.**  The parent tracks per-layer sync records
   (slot, block name, storage version, config epoch) and only ships a
   delta when every field still matches; workers defensively re-validate
@@ -56,15 +56,16 @@ Three design rules keep both modes bit-identical to the serial sweep:
   Every transport decision is observable through the engine's
   :class:`TransportStats`.
 
-Worker lifecycle: pools are spawn-safe (workers receive only picklable
+Worker lifecycle: slots are spawn-safe (workers receive only picklable
 task specs and import the codebase fresh under the default ``"spawn"``
-context), lazily created on the first sweep, reused across sweeps, and
-torn down -- together with every exported block -- by
-:meth:`ProcessLayerEngine.close`, by :meth:`ProcessLayerEngine.reset` on
-any sweep error, or by a ``weakref.finalize`` safety net if the engine is
-garbage collected first.  A reset also drops every sync record, so the
-sweep after an error re-exports and re-ships everything instead of
-trusting stale ``(storage, version)`` keys.  Cleanup is verifiable:
+context), lazily created on the first sweep, reused across sweeps, grown
+or shrunk *incrementally* on a width change, and torn down -- together
+with every exported block -- by :meth:`ProcessLayerEngine.close`, by
+:meth:`ProcessLayerEngine.reset` on any sweep error, or by a
+``weakref.finalize`` safety net if the engine is garbage collected
+first.  A reset also drops every sync record, so the sweep after an
+error re-exports and re-ships everything instead of trusting stale
+``(storage, version)`` keys.  Cleanup is verifiable:
 :meth:`ProcessLayerEngine.active_shm_names` lists the live blocks, and
 attaching to any of them after ``close()`` raises ``FileNotFoundError``.
 """
@@ -88,7 +89,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -103,17 +104,19 @@ from repro.core.faults import (
     PoolExhausted,
     RobustnessWarning,
     TransientWorkerError,
-    WatchdogTimeout,
     apply_directive,
     corrupted_state,
 )
+from repro.distributed.collective import logical_nbytes
+from repro.distributed.learner import LearnerGroup
+from repro.distributed.scheduler import NodePlacement
+from repro.memory.traffic import global_ledger
 from repro.tensor.serialization import (
     ShmExport,
     ShmLease,
     ShmLeaseRegistry,
     ShmLost,
     ShmTensorHandle,
-    attach_tensor_shm,
     export_tensor_shm,
 )
 
@@ -159,8 +162,7 @@ class LayerTask:
 class LayerDelta:
     """The ``O(k)`` per-sweep shipment for a layer already resident.
 
-    Replaces a full :class:`LayerTask` under sticky affinity once the
-    worker holds the layer: no shm handle (the worker's pinned lease is
+    Replaces a full :class:`LayerTask` once the worker holds the layer: no shm handle (the worker's pinned lease is
     still valid -- ``version`` proves the storage was not rewritten), no
     config (``epoch`` proves the resident one is current), just the
     mutable cluster state the parent may have advanced between sweeps
@@ -232,14 +234,17 @@ class LayerOutcome:
 class TransportStats:
     """Parent-side accounting of what the engine ships per sweep.
 
-    ``bytes_shipped`` counts the pickled task payloads (the direction
-    affinity changes; outcome payloads are identical across modes).  The
-    ``last_sweep_*`` fields reset at every :meth:`begin_sweep`, so the
-    affinity benchmark can compare a warm sticky sweep against a warm
-    chunked sweep directly.  Accounting re-pickles each batch once; task
-    payloads are deliberately tiny (O(metadata) handles, ``O(k)`` states
-    and deltas -- never weight bytes), so this costs microseconds per
-    sweep and buys an always-on, assertable transport measurement.
+    ``bytes_shipped`` counts the pickled task payloads of every batch
+    that reached a slot (outcome payloads are ledgered separately under
+    ``shard:gather``).  The ``last_sweep_*`` fields reset at every
+    :meth:`begin_sweep`, so a warm all-delta sweep can be compared
+    against the cold full-task sweep directly.  The byte count is
+    measured once per batch by the engine (``_submit_slot``) and shared
+    with the ``shard:ship`` ledger record, so the two always reconcile;
+    task payloads are deliberately tiny (O(metadata) handles, ``O(k)``
+    states and deltas -- never weight bytes), so the measurement costs
+    microseconds per sweep and buys an always-on, assertable transport
+    number.
     """
 
     sweeps: int = 0
@@ -258,9 +263,8 @@ class TransportStats:
         self.last_sweep_full_tasks = 0
         self.last_sweep_delta_tasks = 0
 
-    def record_batch(self, tasks: "Sequence[LayerTask | LayerDelta]") -> None:
-        """Charge one submitted batch (pickled size + task-kind counts)."""
-        nbytes = len(pickle.dumps(list(tasks), protocol=pickle.HIGHEST_PROTOCOL))
+    def record_batch(self, tasks: "list[LayerTask | LayerDelta]", nbytes: int) -> None:
+        """Charge one submitted batch (``nbytes`` pickled + task-kind counts)."""
         full = sum(1 for task in tasks if isinstance(task, LayerTask))
         delta = len(tasks) - full
         self.tasks_shipped += len(tasks)
@@ -270,59 +274,6 @@ class TransportStats:
         self.last_sweep_bytes += nbytes
         self.last_sweep_full_tasks += full
         self.last_sweep_delta_tasks += delta
-
-
-def _stable_slot_hash(name: str) -> int:
-    """Process- and run-stable integer hash of a layer name.
-
-    ``blake2b`` rather than ``hash()``: the builtin is salted per
-    interpreter, and the pinning map must be identical across runs and
-    across the parent/worker boundary for the affinity tests to mean
-    anything.
-    """
-    return int.from_bytes(
-        hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "big"
-    )
-
-
-@dataclass(frozen=True)
-class AffinityMap:
-    """Deterministic layer -> worker-slot pinning for the sticky mode.
-
-    Built once per (layer list, pool width) and recomputed only when
-    either changes -- "rebalanced only on pool resize".  Each layer's
-    preferred slot is a stable content hash of its name; layers are
-    placed in insertion order and overflow to the next slot with spare
-    capacity, so the map is balanced (no slot exceeds
-    ``ceil(n_layers / n_workers)``) while staying a pure function of
-    (names, n_workers): two engines over the same model always agree.
-    """
-
-    names: tuple[str, ...]
-    n_workers: int
-    pins: dict[str, int]
-
-    @classmethod
-    def build(cls, names: Sequence[str], n_workers: int) -> "AffinityMap":
-        """Pin ``names`` (in order) onto ``n_workers`` slots, balanced."""
-        names = tuple(names)
-        n_workers = max(1, int(n_workers))
-        capacity = -(-len(names) // n_workers) if names else 0
-        load = [0] * n_workers
-        pins: dict[str, int] = {}
-        for name in names:
-            preferred = _stable_slot_hash(name) % n_workers
-            for probe in range(n_workers):
-                slot = (preferred + probe) % n_workers
-                if load[slot] < capacity:
-                    pins[name] = slot
-                    load[slot] += 1
-                    break
-        return cls(names=names, n_workers=n_workers, pins=pins)
-
-    def layers_for(self, slot: int) -> list[str]:
-        """The layer names pinned to ``slot``, in insertion order."""
-        return [name for name in self.names if self.pins[name] == slot]
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +303,7 @@ class WorkerStepCache:
 
 
 class WorkerCacheRegistry:
-    """Per-worker registry of resident layer caches (sticky affinity).
+    """Per-worker registry of resident layer caches.
 
     Lives as a process-global in each pool worker (one registry per
     worker process); the parent never touches it.  ``run`` executes one
@@ -466,44 +417,23 @@ class WorkerCacheRegistry:
             clusterer.fastpath.invalidate()
         return entry
 
-    def prune(self, retain: "Sequence[str]") -> None:
-        """Drop every entry (and its pinned lease) not named in ``retain``.
-
-        The parent sends each batch with the slot's *current* pinned
-        layer set, so a layer re-pinned elsewhere -- or removed from the
-        model -- releases its worker-side cache and shm mapping on the
-        old worker's next batch instead of lingering for the engine's
-        lifetime.
-        """
-        keep = set(retain)
-        with self._lock:
-            for name in [n for n in self._entries if n not in keep]:
-                del self._entries[name]
-                self._leases.release(name)
-
     def reconcile(self, gossip: "dict[str, tuple[str, int, int]]") -> None:
         """Converge residency on the coordinator's gossiped sync view.
 
         ``gossip`` maps layer name to the ``(shm_name, storage version,
-        epoch)`` triple the coordinator believes this worker holds.  Two
-        kinds of divergence are repaired: entries absent from the gossip
-        are pruned (the layer was re-pinned or removed -- same contract
-        as :meth:`prune`), and entries whose resident triple contradicts
-        the gossip are dropped so a later delta addressed to them raises
+        epoch)`` triple the parent believes this worker holds; it rides
+        on every batch.  Two kinds of divergence are repaired: entries
+        absent from the gossip are released together with their pinned
+        lease (the layer was re-pinned elsewhere or removed from the
+        model, so it must not linger for the engine's lifetime), and
+        entries whose resident triple contradicts the gossip are dropped
+        so a later delta addressed to them raises
         :class:`StaleWorkerCache` instead of resuming from a stale cache.
-        Used by the sharded cluster scheduler, which gossips every node's
-        expected ``(storage, version)`` state once per sweep.
         """
         with self._lock:
-            for name in [n for n in self._entries if n not in gossip]:
-                del self._entries[name]
-                self._leases.release(name)
-            for name, (shm_name, version, epoch) in gossip.items():
-                entry = self._entries.get(name)
-                if entry is None:
-                    continue
+            for name, entry in list(self._entries.items()):
                 resident = (entry.handle.shm_name, entry.handle.version, entry.epoch)
-                if resident != (shm_name, version, epoch):
+                if gossip.get(name) != resident:
                     del self._entries[name]
                     self._leases.release(name)
 
@@ -552,66 +482,29 @@ def _worker_cache_registry() -> WorkerCacheRegistry:
     return _WORKER_REGISTRY
 
 
-def _run_sticky_batch(
+def _run_slot_batch(
     op: str,
     kwargs: dict,
     tasks: "list[LayerTask | LayerDelta]",
     bytes_limit: int,
-    retain: "tuple[str, ...] | None" = None,
+    gossip: "dict[str, tuple[str, int, int]]",
 ) -> list[LayerOutcome]:
-    """Worker entry point for one sticky slot's per-sweep batch.
+    """The worker entry point: reconcile the gossip, then run the batch.
 
-    ``retain`` is the slot's current pinned layer set; anything else
-    resident in this worker is released first (re-pinned or removed
-    layers must not leak caches and shm mappings).  Top-level (picklable
-    by reference) so the spawn context resolves it by import; the op
-    table is imported lazily to keep the compressor -> procpool import
-    edge one-directional at module load time.
+    Residency converges on the parent's gossiped ``(shm name, storage
+    version, epoch)`` view *before* any task runs, so a delta addressed
+    to a dropped entry raises :class:`StaleWorkerCache` and triggers the
+    full-re-ship recovery path; an empty ``tasks`` list is a pure flush.
+    Top-level (picklable by reference) so the spawn context resolves it
+    by import; the op table is imported lazily to keep the compressor ->
+    procpool import edge one-directional at module load time.
     """
     from repro.core.compressor import SWEEP_OPS
 
     fn = SWEEP_OPS[op]
     registry = _worker_cache_registry()
-    if retain is not None:
-        registry.prune(retain)
+    registry.reconcile(gossip)
     return [registry.run(fn, task, kwargs, bytes_limit) for task in tasks]
-
-
-def _run_one(fn, task: LayerTask, kwargs: dict) -> LayerOutcome:
-    """Execute one layer task transiently (chunked mode); copy results out.
-
-    Runs in the worker process.  The lease is closed before returning, so
-    nothing referencing the shared pages survives into the pickled
-    outcome -- every array in the outcome is a fresh worker-local copy.
-    """
-    apply_directive(task.fault)
-    lease = attach_tensor_shm(task.handle)
-    try:
-        clusterer = DKMClusterer(task.dkm_config)
-        if task.state is not None:
-            clusterer.state = task.state
-        if task.warm:
-            clusterer.fastpath.mark_computed(
-                lease.tensor, task.dkm_config.weight_dtype
-            )
-        result = fn(clusterer, lease.tensor, **kwargs)
-        return LayerOutcome(
-            name=task.name,
-            result=result,
-            state=clusterer.state,
-            stats=clusterer.fastpath.stats,
-            table=clusterer.fastpath.peek_table(),
-        )
-    finally:
-        lease.close()
-
-
-def _run_layer_batch(op: str, kwargs: dict, tasks: list[LayerTask]) -> list[LayerOutcome]:
-    """Worker entry point: run a batch of transient layer tasks (chunked)."""
-    from repro.core.compressor import SWEEP_OPS
-
-    fn = SWEEP_OPS[op]
-    return [_run_one(fn, task, kwargs) for task in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -628,6 +521,11 @@ class _SyncRecord:
     version: int
     epoch: int
     config: DKMConfig  # snapshot copy; detects in-place config edits
+
+
+def _pickled_size(payload: Any) -> int:
+    """Bytes ``payload`` occupies on the parent <-> worker wire."""
+    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 _TEARDOWN_DRAIN_S = 5.0
@@ -679,12 +577,9 @@ def _teardown(state: dict) -> None:
     if pending:
         _, not_done = futures_wait(pending, timeout=_TEARDOWN_DRAIN_S)
         hung = bool(not_done)
-    pools = [state.get("pool")] + list(state.get("slots", []))
-    state["pool"] = None
+    pools = list(state.get("slots", []))
     state["slots"] = []
     for pool in pools:
-        if pool is None:
-            continue
         if hung:
             _kill_pool_processes(pool)
         try:
@@ -704,31 +599,32 @@ def _teardown(state: dict) -> None:
 
 
 class ProcessLayerEngine:
-    """Worker-lifecycle + shared-memory + affinity manager for the backend.
+    """Worker-lifecycle + shared-memory + placement manager for the backend.
 
     One engine serves one :class:`~repro.core.compressor.ModelCompressor`.
-    The pool width is fixed by ``config.resolve_workers`` at the first
-    sweep and revisited every sweep: a width change under sticky affinity
-    tears the slots down and rebalances the :class:`AffinityMap` (the
-    only event that re-pins layers).  Weight exports are cached per layer
-    and refreshed only when the layer's storage identity or version
-    changes (i.e. after an optimizer write), which simultaneously demotes
-    the layer from delta to full shipping.  Any error escaping a sweep
-    triggers :meth:`reset`, which tears down pools, unlinks every block,
-    and forgets every sync record before re-raising -- a crashed sweep
-    never leaks ``/dev/shm`` segments and never trusts stale ``(storage,
-    version)`` keys, and the next sweep transparently rebuilds all three.
+    The slot count is ``config.resolve_workers`` of the layer count,
+    revisited every sweep: a width change grows or shrinks the slot list
+    incrementally and minimally rebalances the
+    :class:`~repro.distributed.scheduler.NodePlacement` (with a layer-set
+    change, the only events that re-pin layers).  Weight exports are
+    cached per layer and refreshed only when the layer's storage identity
+    or version changes (i.e. after an optimizer write), which
+    simultaneously demotes the layer from delta to full shipping.  Any
+    error escaping a sweep triggers :meth:`reset`, which tears down the
+    slots, unlinks every block, and forgets every sync record before
+    re-raising -- a crashed sweep never leaks ``/dev/shm`` segments and
+    never trusts stale ``(storage, version)`` keys, and the next sweep
+    transparently rebuilds all three.
     """
 
     def __init__(self, config: CompressorConfig) -> None:
         self.config = config
-        # Mutable holder shared with the GC finalizer: "pool" is the live
-        # chunked-mode executor, "slots" the sticky-mode single-worker
-        # executors, "exports" maps layer name -> ShmExport, "export_refs"
-        # maps layer name -> weakref to the exported Storage (identity
-        # validation; ids can be recycled after garbage collection).
+        # Mutable holder shared with the GC finalizer: "slots" are the
+        # single-worker executors (one per node), "exports" maps layer
+        # name -> ShmExport, "export_refs" maps layer name -> weakref to
+        # the exported Storage (identity validation; ids can be recycled
+        # after garbage collection).
         self._state: dict = {
-            "pool": None,
             "slots": [],
             "exports": {},
             "export_refs": {},
@@ -736,7 +632,11 @@ class ProcessLayerEngine:
         }
         self.transport = TransportStats()
         self.faults = FaultInjector.from_plan(config.fault_plan)
-        self._affinity: AffinityMap | None = None
+        self._placement: NodePlacement | None = None
+        # Ledger endpoints: the parent is group.primary, slot i owns the
+        # learner domain group.devices[i + 1] ("<host>:peer{i+1}"); grown
+        # on demand by _ledger.
+        self._group = LearnerGroup(1)
         self._sync: dict[str, _SyncRecord] = {}
         self._epochs: dict[str, int] = {}
         self._sweep_index = 0
@@ -747,32 +647,30 @@ class ProcessLayerEngine:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _mp_context(self):
-        return get_context(self.config.mp_context)
+    def _new_slot(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=1, mp_context=get_context(self.config.mp_context)
+        )
 
-    def _ensure_pool(self, n_tasks: int) -> ProcessPoolExecutor:
-        pool = self._state["pool"]
-        if pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=self.config.resolve_workers(n_tasks),
-                mp_context=self._mp_context(),
-            )
-            self._state["pool"] = pool
-        return pool
+    def _ensure_slots(self, n_slots: int) -> None:
+        """Grow or shrink the slot list *incrementally*.
 
-    def _ensure_slots(self, n_workers: int) -> None:
-        """Sticky slots at the requested width; resize drops all state."""
+        Adding a worker must not restart the surviving ones.  Removed
+        slots shut down and their sync records drop (their layers
+        re-ship full to new owners after the rebalance); surviving slots
+        keep their executors, resident caches, and sync records, so
+        their unmoved layers keep shipping deltas across the resize.
+        """
         slots = self._state["slots"]
-        if len(slots) == n_workers:
+        if len(slots) == n_slots:
             return
-        for pool in slots:
+        for pool in slots[n_slots:]:
             pool.shutdown(wait=False, cancel_futures=True)
-        self._state["slots"] = [
-            ProcessPoolExecutor(max_workers=1, mp_context=self._mp_context())
-            for _ in range(n_workers)
-        ]
-        self._sync.clear()
-        self._affinity = None
+        del slots[n_slots:]
+        for name in [n for n, rec in self._sync.items() if rec.slot >= n_slots]:
+            del self._sync[name]
+        while len(slots) < n_slots:
+            slots.append(self._new_slot())
 
     def _respawn_slot(self, slot: int, kill: bool = False) -> None:
         """Replace one dead or hung slot worker; its layers re-ship full.
@@ -796,9 +694,7 @@ class ProcessLayerEngine:
                 f"worker respawn budget exhausted ({self._respawns - 1} respawns"
                 f" > max_pool_respawns={self.config.max_pool_respawns})"
             )
-        slots[slot] = ProcessPoolExecutor(
-            max_workers=1, mp_context=self._mp_context()
-        )
+        slots[slot] = self._new_slot()
 
     def reset(self) -> None:
         """Tear down pools, exports, and sync records; engine stays usable.
@@ -812,7 +708,7 @@ class ProcessLayerEngine:
         """
         _teardown(self._state)
         self._sync.clear()
-        self._affinity = None
+        self._placement = None
 
     def close(self) -> None:
         """Tear down pools, exports, and sync records (idempotent)."""
@@ -828,9 +724,9 @@ class ProcessLayerEngine:
         """Names of currently-linked shared-memory blocks (for audits)."""
         return [export.name for export in self._state["exports"].values()]
 
-    def affinity_map(self) -> AffinityMap | None:
-        """The current pinning map (``None`` before the first sticky sweep)."""
-        return self._affinity
+    def placement(self) -> "NodePlacement | None":
+        """The current pinning (``None`` before the first sweep)."""
+        return self._placement
 
     @property
     def fault_log(self) -> "FaultLog | None":
@@ -887,7 +783,7 @@ class ProcessLayerEngine:
         ``layers`` is ``(name, clusterer, weight)`` per layer.  The
         clusterer is only read on the parent side (state snapshot + warm
         token); the worker builds or resumes its own from the shipped
-        task.  Failures the sticky path *can* absorb -- crashes, hangs
+        task.  Failures the engine *can* absorb -- crashes, hangs
         past ``task_timeout_s``, stale caches, corrupt deltas, lost shm
         blocks, transient worker errors -- are retried per slot up to
         ``max_task_retries`` times and then executed in-parent (see
@@ -902,70 +798,19 @@ class ProcessLayerEngine:
                 self._sweep_index, [name for name, _, _ in layers], op
             )
         try:
-            outcomes = self._dispatch(op, layers, kwargs)
+            outcomes = self._map_slots(op, layers, kwargs)
         except BaseException:
             self.reset()
             raise
         self._state["inflight"] = []
         return {outcome.name: outcome for outcome in outcomes}
 
-    def _dispatch(self, op, layers, kwargs) -> list[LayerOutcome]:
-        """Route one sweep to the configured scheduling mode.
-
-        The seam subclasses override: the sharded cluster engine
-        (:class:`~repro.distributed.scheduler.ShardedClusterEngine`)
-        replaces this with byte-balanced node placement while inheriting
-        the sweep bookkeeping, fault arming, and reset-on-error contract
-        of :meth:`map_layers` unchanged.
-        """
-        if self.config.affinity == "sticky":
-            return self._map_sticky(op, layers, kwargs)
-        return self._map_chunked(op, layers, kwargs)
-
-    # -- chunked mode ---------------------------------------------------
-
     def _deadline(self, n_tasks: int) -> float | None:
         """The watchdog deadline for an ``n_tasks`` batch (``None`` = off)."""
         timeout = self.config.task_timeout_s
         return None if timeout is None else timeout * max(1, n_tasks)
 
-    def _map_chunked(self, op, layers, kwargs) -> list[LayerOutcome]:
-        self.transport.begin_sweep()
-        tasks = []
-        for name, clusterer, weights in layers:
-            task = LayerTask(
-                name=name,
-                handle=self._export_weight(name, weights),
-                dkm_config=clusterer.config,
-                state=clusterer.state,
-                warm=clusterer.fastpath.is_warm(
-                    weights, clusterer.config.weight_dtype
-                ),
-            )
-            tasks.append(self._inject_faults(task, name))
-        pool = self._ensure_pool(len(tasks))
-        chunk = self.config.resolve_task_chunk(len(tasks))
-        futures = []
-        for i in range(0, len(tasks), chunk):
-            batch = tasks[i : i + chunk]
-            self.transport.record_batch(batch)
-            futures.append(pool.submit(_run_layer_batch, op, kwargs, batch))
-        self._state["inflight"] = list(futures)
-        outcomes: list[LayerOutcome] = []
-        for index, future in enumerate(futures):
-            deadline = self._deadline(min(chunk, len(tasks) - index * chunk))
-            try:
-                outcomes.extend(future.result(timeout=deadline))
-            except FutureTimeout:
-                # Chunked workers are stateless and interchangeable; there
-                # is no per-slot respawn to do, so a hang is terminal for
-                # the sweep (map_layers resets; the compressor degrades).
-                raise WatchdogTimeout(
-                    f"chunked batch exceeded its {deadline:.1f}s deadline"
-                ) from None
-        return outcomes
-
-    # -- sticky mode ----------------------------------------------------
+    # -- task building --------------------------------------------------
 
     def _next_epoch(self, name: str) -> int:
         epoch = self._epochs.get(name, 0) + 1
@@ -1033,51 +878,98 @@ class ProcessLayerEngine:
             )
         return self._full_task(name, clusterer, weights, handle, slot)
 
+    # -- placement, submission, collection -------------------------------
+
+    def _ensure_placement(self, layers, n_slots: int) -> tuple[NodePlacement, set[int]]:
+        """Build or minimally rebalance the placement; drop broken pins.
+
+        Returns the placement plus the set of slots that must receive a
+        flush (an empty gossip-bearing batch) even with no pinned work
+        this sweep, because the pin map changed under live workers.
+        """
+        sized = [(name, logical_nbytes(weights)) for name, _, weights in layers]
+        budget = self.config.node_memory_budget
+        placement = self._placement
+        flush_slots: set[int] = set()
+        if (
+            placement is None
+            or placement.n_nodes != n_slots
+            or placement.budget != budget
+            or placement.names != tuple(name for name, _ in sized)
+            or any(placement.sizes[name] != size for name, size in sized)
+        ):
+            if placement is None:
+                placement = NodePlacement.build(sized, n_slots, budget)
+            else:
+                # Surviving slots may hold residents for re-pinned or
+                # removed layers; each must see a gossip flush even if
+                # it has no pinned work this sweep.
+                flush_slots = set(range(min(placement.n_nodes, n_slots)))
+                placement = placement.rebalance(sized, n_slots, budget)
+            self._placement = placement
+            # A sync record for a re-pinned layer points at a slot that
+            # no longer owns it; drop it so the new owner ships full.
+            for name in [
+                n for n, rec in self._sync.items() if placement.pins.get(n) != rec.slot
+            ]:
+                del self._sync[name]
+        return placement, flush_slots
+
+    def _ledger(self, slot: int, kind: str, nbytes: int) -> None:
+        """Record one parent <-> slot transfer under ``shard:<kind>:node<slot>``.
+
+        ``gather`` flows slot -> parent; ``ship`` and ``gossip`` the
+        other way.
+        """
+        if slot + 1 >= len(self._group):
+            self._group = LearnerGroup(slot + 2)
+        parent, node = self._group.primary.name, self._group.devices[slot + 1].name
+        src, dst = (node, parent) if kind == "gather" else (parent, node)
+        global_ledger().record(src, dst, nbytes, tag=f"shard:{kind}:node{slot}")
+
     def _submit_slot(
-        self,
-        slot: int,
-        op: str,
-        kwargs: dict,
-        batch: list,
-        retain: "tuple[str, ...] | None" = None,
+        self, slot: int, op: str, kwargs: dict, batch: list
     ) -> "Future | None":
-        """Submit one slot batch; ``None`` signals a dead worker (retry)."""
+        """Submit one slot batch with the parent's gossiped sync view.
+
+        ``None`` signals a worker already dead at submit time (the
+        caller treats it as a crash).  The batch is pickled once here to
+        measure it; that one number feeds both :class:`TransportStats`
+        and the ``shard:ship`` ledger record, so the two reconcile
+        exactly.  An empty ``batch`` is a pure gossip flush.
+        """
+        gossip = {
+            name: (rec.shm_name, rec.version, rec.epoch)
+            for name, rec in self._sync.items()
+            if rec.slot == slot
+        }
         try:
             future = self._state["slots"][slot].submit(
-                _run_sticky_batch,
+                _run_slot_batch,
                 op,
                 kwargs,
                 batch,
                 self.config.worker_cache_bytes_limit,
-                retain,
+                gossip,
             )
         except BrokenExecutor:
             return None
+        if batch:
+            nbytes = _pickled_size(batch)
+            self.transport.record_batch(batch, nbytes)
+            self._ledger(slot, "ship", nbytes)
+        if gossip:
+            self._ledger(slot, "gossip", _pickled_size(gossip))
         self._state["inflight"].append(future)
         return future
 
-    def _map_sticky(self, op, layers, kwargs) -> list[LayerOutcome]:
-        n_workers = self.config.resolve_workers(len(layers))
-        self._ensure_slots(n_workers)
-        names = tuple(name for name, _, _ in layers)
-        amap = self._affinity
-        prune_only_slots: set[int] = set()
-        if amap is None or amap.names != names or amap.n_workers != n_workers:
-            # A layer-set change at the same width keeps the live workers:
-            # any slot can hold entries for re-pinned/removed layers, so
-            # every slot must at least receive a prune message this sweep.
-            if amap is not None and amap.n_workers == n_workers:
-                prune_only_slots = set(range(n_workers))
-            self._affinity = amap = AffinityMap.build(names, n_workers)
-            # A record for a re-pinned layer points at a worker that no
-            # longer owns it; drop it so the new owner gets a full task.
-            for name in [
-                n for n, rec in self._sync.items() if amap.pins.get(n) != rec.slot
-            ]:
-                del self._sync[name]
+    def _map_slots(self, op, layers, kwargs) -> list[LayerOutcome]:
+        n_slots = self.config.resolve_workers(len(layers))
+        self._ensure_slots(n_slots)
+        placement, flush_slots = self._ensure_placement(layers, n_slots)
         self.transport.begin_sweep()
         spec: dict[str, tuple] = {}
-        batches: list[list] = [[] for _ in range(n_workers)]
+        batches: list[list] = [[] for _ in range(n_slots)]
         by_name: dict[str, LayerOutcome] = {}
         for name, clusterer, weights in layers:
             if name in self._quarantined:
@@ -1088,58 +980,44 @@ class ProcessLayerEngine:
                 )
                 continue
             handle = self._export_weight(name, weights)
-            slot = amap.pins[name]
+            slot = placement.pins[name]
             spec[name] = (clusterer, weights, handle)
             batches[slot].append(
                 self._inject_faults(
                     self._build_task(name, clusterer, weights, handle, slot), name
                 )
             )
-        futures: list["Future | None"] = []
-        for slot in range(n_workers):
-            if not batches[slot]:
-                # No work for this slot; still flush stale residents if
-                # the pin map just changed under live workers.
-                future = None
-                if slot in prune_only_slots:
-                    future = self._submit_slot(slot, op, kwargs, [], retain=())
-                futures.append(future)
+        # Submit everything first (slots run concurrently), then collect
+        # in slot order; a slot with no work still gets a flush if the
+        # pin map just changed under it.
+        futures = [
+            self._submit_slot(slot, op, kwargs, batches[slot])
+            if batches[slot] or slot in flush_slots
+            else None
+            for slot in range(n_slots)
+        ]
+        for slot, (batch, future) in enumerate(zip(batches, futures)):
+            if not batch:
+                self._drain_flush(slot, future)
                 continue
-            self.transport.record_batch(batches[slot])
-            futures.append(
-                self._submit_slot(
-                    slot, op, kwargs, batches[slot],
-                    retain=self._retain_for(slot),
-                )
-            )
-        for slot in range(n_workers):
-            if not batches[slot]:
-                future = futures[slot]
-                if future is not None:
-                    try:
-                        future.result(timeout=self._deadline(1))
-                    except FutureTimeout:
-                        self._respawn_slot(slot, kill=True)
-                    except (BrokenExecutor, StaleWorkerCache):
-                        pass  # a dead worker has nothing resident to prune
-                continue
-            for outcome in self._collect_slot(
-                slot, op, kwargs, batches[slot], spec, futures[slot]
-            ):
+            outcomes = self._collect_slot(slot, op, kwargs, batch, spec, future)
+            self._ledger(slot, "gather", _pickled_size(outcomes))
+            for outcome in outcomes:
                 by_name[outcome.name] = outcome
-        return [by_name[name] for name in names]
+        return [by_name[name] for name in placement.names]
+
+    def _drain_flush(self, slot: int, future: "Future | None") -> None:
+        """Wait out the empty gossip batch sent to an idle slot."""
+        if future is None:
+            return
+        try:
+            future.result(timeout=self._deadline(1))
+        except FutureTimeout:
+            self._respawn_slot(slot, kill=True)
+        except BrokenExecutor:
+            pass  # a dead worker has nothing resident to flush
 
     # -- failure recovery -----------------------------------------------
-
-    def _retain_for(self, slot: int) -> tuple[str, ...]:
-        """The slot's current pinned layer set, minus quarantined layers."""
-        if self._affinity is None:
-            return ()
-        return tuple(
-            name
-            for name in self._affinity.layers_for(slot)
-            if name not in self._quarantined
-        )
 
     def _inject_faults(
         self, task: "LayerTask | LayerDelta", name: str
@@ -1249,9 +1127,7 @@ class ProcessLayerEngine:
             if kind == "transient" and self.config.retry_backoff_s > 0:
                 time.sleep(self.config.retry_backoff_s * (2 ** (attempt - 1)))
             batch = self._rebuild_full(batch, spec, slot)
-            future = self._submit_slot(
-                slot, op, kwargs, batch, retain=self._retain_for(slot)
-            )
+            future = self._submit_slot(slot, op, kwargs, batch)
 
     def _rebuild_full(self, batch: list, spec: dict, slot: int) -> list:
         """Re-ship a failed batch as full tasks (re-exporting as needed).
@@ -1271,7 +1147,6 @@ class ProcessLayerEngine:
                     task.name,
                 )
             )
-        self.transport.record_batch(full_batch)
         return full_batch
 
     def _fallback_in_parent(
@@ -1313,8 +1188,8 @@ class ProcessLayerEngine:
     ) -> LayerOutcome:
         """Execute one layer in the parent with worker-path semantics.
 
-        Mirrors :func:`_run_one` exactly: a *fresh* clusterer seeded with
-        a copy of the parent's state (the parent clusterer is never
+        Mirrors a worker's cold full-task install exactly: a *fresh*
+        clusterer seeded with a copy of the parent's state (the parent clusterer is never
         mutated before the merge -- a later sweep failure followed by a
         degraded re-run must see unchanged inputs), the warm token
         becoming a phantom ``mark_computed``, and stats shipped as the

@@ -5,10 +5,10 @@ The paper shards DKM's index list over the learners of an FSDP setup
 keeps weights -- hence attention maps and index lists -- bit-identical on
 every learner at every moment.  This package models that setup: a
 :class:`LearnerGroup` is a set of per-learner memory domains, the
-collectives move real bytes between them while logging traffic, and the
-cluster scheduler (:mod:`repro.distributed.scheduler`) shards whole
-compression layers across spawned node executors, each owning one
-learner domain.
+collectives move real bytes between them while logging traffic, and
+:mod:`repro.distributed.scheduler` holds the byte-balanced placement the
+process compression engine pins whole layers to worker slots with (each
+slot owning one learner domain).
 """
 
 from repro.distributed.learner import LearnerGroup
@@ -20,29 +20,12 @@ from repro.distributed.collective import (
     logical_nbytes,
     shard_rows,
 )
-
-_SCHEDULER_EXPORTS = ("NodePlacement", "PlacementError", "ShardedClusterEngine")
-
-
-def __getattr__(name: str):
-    """Lazily resolve scheduler exports (PEP 562).
-
-    The scheduler imports ``repro.core.procpool``, which imports
-    ``repro.core.config``, which imports ``repro.distributed.learner`` --
-    importing it eagerly here would close that loop into a cycle the
-    moment anything imports ``repro.core.config`` first.
-    """
-    if name in _SCHEDULER_EXPORTS:
-        from repro.distributed import scheduler
-
-        return getattr(scheduler, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.distributed.scheduler import NodePlacement, PlacementError
 
 __all__ = [
     "LearnerGroup",
     "NodePlacement",
     "PlacementError",
-    "ShardedClusterEngine",
     "ShardedTensor",
     "all_gather",
     "all_reduce_mean",

@@ -1,75 +1,27 @@
-"""Sharded multi-node compression: the cluster scheduler.
+"""Byte-balanced layer placement for the process engine.
 
-Promotes the sticky-affinity process engine to a *cluster* scheduler:
-layers are sharded across ``num_nodes`` spawned process groups standing
-in for hosts ("nodes"), each owning one learner memory domain of a
-:class:`~repro.distributed.learner.LearnerGroup`.  Three things change
-relative to :class:`~repro.core.procpool.ProcessLayerEngine`, and
-nothing else does:
-
-**Placement** -- :class:`NodePlacement` generalizes
-:class:`~repro.core.procpool.AffinityMap` from count-balanced hashing to
-byte-balanced greedy packing: layers are placed largest-first onto the
-least-loaded node, which guarantees ``max node load <= mean load +
-largest layer`` (one huge embedding no longer shares a node with half
-the model).  ``node_memory_budget`` turns the balance into a hard
-per-node capacity; an unsatisfiable budget raises
+:class:`NodePlacement` is the one placement structure of
+:class:`~repro.core.procpool.ProcessLayerEngine`: layers are pinned to
+worker slots ("nodes" -- each a spawned single-worker process standing in
+for one host) largest-first onto the least-loaded slot, which guarantees
+``max slot load <= mean load + largest layer`` (one huge embedding no
+longer shares a slot with half the model).  ``node_memory_budget`` turns
+the balance into a hard per-slot capacity; an unsatisfiable budget raises
 :class:`PlacementError` instead of overcommitting.  Placement is pinning:
-it only changes when the layer set or node count changes, and a
+it only changes when the layer set or slot count changes, and a
 rebalance moves the minimum set of layers (orphans on remove, a settle
-pass onto fresh nodes on add).
+pass onto fresh slots on add) -- which is what lets unmoved layers keep
+shipping ``O(k)`` deltas across a pool resize.
 
-**Wire format** -- the PR-5 delta protocol *is* the node wire format:
-full :class:`~repro.core.procpool.LayerTask` shipments install a layer
-on its node, warm sweeps ship O(k) :class:`~repro.core.procpool.
-LayerDelta` payloads, and every cross-node transfer (ship, gather,
-gossip, steal) is recorded in the global
-:class:`~repro.memory.traffic.TrafficLedger` under ``shard:*`` tags
-against the node's learner-group device.  Each batch carries the
-coordinator's gossiped ``(storage version, epoch)`` sync view; the node
-reconciles its resident caches against it before running (see
-:meth:`~repro.core.procpool.WorkerCacheRegistry.reconcile`).
-
-**Work stealing** -- with ``steal_max_layers > 0`` each node's trailing
-pinned layers are held back; whichever node drains its queue first takes
-them, its own as the built delta/full shipment, another node's as a
-*transient* full task with no cache residency.  Pins never move, so
-placement stability -- and therefore delta shipping -- is unaffected,
-and the transient path reproduces in-parent semantics exactly, so
-results and counters stay bit-identical to serial.
-
-Crash, hang, stale-cache, corrupt-payload, lost-shm and transient
-failures reuse the PR-6 recovery taxonomy unchanged (node kill -> slot
-respawn -> full re-ship), driven by the same deterministic
-:class:`~repro.core.faults.FaultPlan` injection hooks.
+Pure data: this module imports nothing from ``repro.core``, so the
+engine can depend on it without closing an import cycle.  See
+``docs/sharding.md``.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-from repro.core.procpool import (
-    LayerOutcome,
-    LayerTask,
-    ProcessLayerEngine,
-    StaleWorkerCache,
-    _run_layer_batch,
-    _worker_cache_registry,
-)
-from repro.distributed.collective import logical_nbytes
-from repro.distributed.learner import LearnerGroup
-from repro.memory.traffic import global_ledger
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from concurrent.futures import Future
-
-    from repro.core.config import CompressorConfig
-    from repro.core.procpool import LayerDelta
+from typing import Sequence
 
 
 class PlacementError(ValueError):
@@ -80,9 +32,7 @@ class PlacementError(ValueError):
 class NodePlacement:
     """Byte-balanced, stable layer-to-node pinning.
 
-    The cluster-level analogue of :class:`~repro.core.procpool.
-    AffinityMap`: where the affinity map balances layer *counts* via a
-    stable hash, this balances layer *bytes* via greedy largest-first
+    Balances layer *bytes* (not counts) via greedy largest-first
     packing -- the right invariant when one embedding outweighs dozens
     of small projections.
 
@@ -270,435 +220,3 @@ class NodePlacement:
         if not self.sizes:
             return True
         return max(self.loads()) <= self.balance_bound() + 1e-9
-
-
-# ----------------------------------------------------------------------
-# Node executor entry point (runs in the node's worker process)
-# ----------------------------------------------------------------------
-
-
-def _run_node_batch(
-    op: str,
-    kwargs: dict,
-    tasks: "list[LayerTask | LayerDelta]",
-    bytes_limit: int,
-    gossip: "dict[str, tuple[str, int, int]] | None",
-) -> list[LayerOutcome]:
-    """One node's per-sweep batch: reconcile gossip, then run the tasks.
-
-    Identical to :func:`~repro.core.procpool._run_sticky_batch` except
-    that residency converges on the coordinator's gossiped ``(shm name,
-    storage version, epoch)`` view instead of a bare retain list: stale
-    residents are dropped *before* any task runs, so a delta addressed
-    to a dropped entry raises ``StaleWorkerCache`` and triggers the
-    full-re-ship recovery path.  Top-level so the spawn context pickles
-    it by reference.
-    """
-    from repro.core.compressor import SWEEP_OPS
-
-    fn = SWEEP_OPS[op]
-    registry = _worker_cache_registry()
-    if gossip is not None:
-        registry.reconcile(gossip)
-    return [registry.run(fn, task, kwargs, bytes_limit) for task in tasks]
-
-
-# ----------------------------------------------------------------------
-# Coordinator
-# ----------------------------------------------------------------------
-
-
-class ShardedClusterEngine(ProcessLayerEngine):
-    """Multi-node coordinator for ``backend="sharded"``.
-
-    Inherits the whole worker-lifecycle, shm-export, fault-injection,
-    and failure-recovery machinery of :class:`~repro.core.procpool.
-    ProcessLayerEngine`; each "slot" is one node executor (a spawned
-    single-worker process group).  Overrides exactly three seams: sweep
-    dispatch (:meth:`_dispatch` -> byte-balanced placement + optional
-    work stealing), batch submission (:meth:`_submit_slot` -> gossip +
-    ledger accounting), and the placement structure itself
-    (:class:`NodePlacement` instead of an
-    :class:`~repro.core.procpool.AffinityMap`).
-    """
-
-    def __init__(self, config: "CompressorConfig") -> None:
-        super().__init__(config)
-        # Coordinator = group.primary; node i = group.devices[i + 1]
-        # ("<host>:peer{i+1}"), each node owning one learner memory
-        # domain.  Built lazily at first sweep when the width is known.
-        self._group: LearnerGroup | None = None
-        self._steals = 0
-        self._last_sweep_steals = 0
-
-    # -- observability --------------------------------------------------
-
-    @property
-    def steals(self) -> int:
-        """Stolen-layer executions performed over the engine's lifetime."""
-        return self._steals
-
-    @property
-    def last_sweep_steals(self) -> int:
-        """Stolen-layer executions during the most recent sweep."""
-        return self._last_sweep_steals
-
-    def placement(self) -> "NodePlacement | None":
-        """The current pinning (``None`` before the first sharded sweep)."""
-        return self._affinity  # type: ignore[return-value]
-
-    def node_device(self, node: int) -> str:
-        """The learner-domain device name node ``node`` owns."""
-        assert self._group is not None, "no sweep has run yet"
-        return self._group.devices[node + 1].name
-
-    def _coordinator_device(self) -> str:
-        assert self._group is not None
-        return self._group.primary.name
-
-    def _ensure_group(self, n_nodes: int) -> None:
-        if self._group is None or self._group.n_learners != n_nodes + 1:
-            self._group = LearnerGroup(n_nodes + 1)
-
-    def _ensure_slots(self, n_nodes: int) -> None:
-        """Grow or shrink the node set *incrementally*.
-
-        Overrides the base engine's resize (which tears every slot down
-        and forgets all sync state): a cluster adding a node must not
-        restart the surviving nodes.  Removed nodes shut down and their
-        sync records drop (their layers re-ship full to new owners after
-        the rebalance); surviving nodes keep their executors, resident
-        caches, and sync records, so their unmoved layers keep shipping
-        deltas across the resize.
-        """
-        slots = self._state["slots"]
-        if len(slots) == n_nodes:
-            return
-        for pool in slots[n_nodes:]:
-            pool.shutdown(wait=False, cancel_futures=True)
-        del slots[n_nodes:]
-        for name in [n for n, rec in self._sync.items() if rec.slot >= n_nodes]:
-            del self._sync[name]
-        while len(slots) < n_nodes:
-            slots.append(
-                ProcessPoolExecutor(max_workers=1, mp_context=self._mp_context())
-            )
-
-    # -- wire accounting ------------------------------------------------
-
-    def _gossip_for(self, node: int) -> dict[str, tuple[str, int, int]]:
-        """The coordinator's sync view of ``node`` (shipped per batch)."""
-        return {
-            name: (rec.shm_name, rec.version, rec.epoch)
-            for name, rec in self._sync.items()
-            if rec.slot == node
-        }
-
-    def _ledger_ship(self, node: int, payload, tag: str) -> None:
-        """Record one coordinator -> node transfer in the traffic ledger."""
-        nbytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-        if nbytes:
-            global_ledger().record(
-                self._coordinator_device(),
-                self.node_device(node),
-                nbytes,
-                tag=f"{tag}:node{node}",
-            )
-
-    def _ledger_gather(self, node: int, outcomes: list[LayerOutcome]) -> None:
-        """Record one node -> coordinator outcome transfer."""
-        if not outcomes:
-            return
-        nbytes = len(pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL))
-        global_ledger().record(
-            self.node_device(node),
-            self._coordinator_device(),
-            nbytes,
-            tag=f"shard:gather:node{node}",
-        )
-
-    # -- submission (gossip rides along) --------------------------------
-
-    def _submit_slot(
-        self,
-        slot: int,
-        op: str,
-        kwargs: dict,
-        batch: list,
-        retain: "tuple[str, ...] | None" = None,
-    ) -> "Future | None":
-        """Submit one node batch with the coordinator's gossiped view.
-
-        Same signature as the base engine's so the inherited
-        ``_collect_slot`` retry taxonomy re-submits through this override
-        (re-ships keep gossiping).  ``retain`` is subsumed by the gossip:
-        reconciliation prunes to the gossip's key set.
-        """
-        gossip = self._gossip_for(slot)
-        try:
-            future = self._state["slots"][slot].submit(
-                _run_node_batch,
-                op,
-                kwargs,
-                batch,
-                self.config.worker_cache_bytes_limit,
-                gossip,
-            )
-        except BrokenExecutor:
-            return None
-        if batch:
-            self._ledger_ship(slot, batch, "shard:ship")
-        if gossip:
-            self._ledger_ship(slot, gossip, "shard:gossip")
-        self._state["inflight"].append(future)
-        return future
-
-    # -- sweep dispatch -------------------------------------------------
-
-    def _dispatch(self, op, layers, kwargs) -> list[LayerOutcome]:
-        return self._map_nodes(op, layers, kwargs)
-
-    def _sized(self, layers) -> list[tuple[str, int]]:
-        """``(name, logical weight bytes)`` for placement input."""
-        return [
-            (name, logical_nbytes(weights)) for name, _, weights in layers
-        ]
-
-    def _ensure_placement(self, layers, n_nodes: int) -> tuple["NodePlacement", set[int]]:
-        """Build or minimally rebalance the placement; drop broken pins.
-
-        Returns the placement plus the set of nodes that must receive a
-        flush (empty gossip-bearing batch) even with no pinned work this
-        sweep, because the pin map changed under live workers.
-        """
-        sized = self._sized(layers)
-        budget = self.config.node_memory_budget
-        placement: "NodePlacement | None" = self._affinity  # type: ignore[assignment]
-        names = tuple(name for name, _ in sized)
-        flush_nodes: set[int] = set()
-        if (
-            placement is None
-            or placement.names != names
-            or placement.n_nodes != n_nodes
-            or placement.budget != budget
-            or any(placement.sizes[n] != s for n, s in sized)
-        ):
-            if placement is not None:
-                # Surviving nodes may hold residents for re-pinned or
-                # removed layers; each must see a gossip flush even if
-                # it has no pinned work this sweep.
-                flush_nodes = set(range(min(placement.n_nodes, n_nodes)))
-            if placement is None:
-                placement = NodePlacement.build(sized, n_nodes, budget)
-            else:
-                placement = placement.rebalance(sized, n_nodes, budget)
-            self._affinity = placement  # duck-typed: .layers_for/.pins
-            # A sync record for a re-pinned layer points at a node that
-            # no longer owns it; drop it so the new owner ships full.
-            for name in [
-                n
-                for n, rec in self._sync.items()
-                if placement.pins.get(n) != rec.slot
-            ]:
-                del self._sync[name]
-        return placement, flush_nodes
-
-    def _map_nodes(self, op, layers, kwargs) -> list[LayerOutcome]:
-        n_nodes = self.config.resolve_nodes(len(layers))
-        self._ensure_slots(n_nodes)
-        self._ensure_group(n_nodes)
-        placement, flush_nodes = self._ensure_placement(layers, n_nodes)
-        self.transport.begin_sweep()
-        self._last_sweep_steals = 0
-        spec: dict[str, tuple] = {}
-        batches: list[list] = [[] for _ in range(n_nodes)]
-        by_name: dict[str, LayerOutcome] = {}
-        for name, clusterer, weights in layers:
-            if name in self._quarantined:
-                by_name[name] = self._run_in_parent(
-                    op, name, clusterer, weights, kwargs
-                )
-                continue
-            handle = self._export_weight(name, weights)
-            node = placement.pins[name]
-            spec[name] = (clusterer, weights, handle)
-            batches[node].append(
-                self._inject_faults(
-                    self._build_task(name, clusterer, weights, handle, node), name
-                )
-            )
-        # Hold back each node's trailing layers as stealable work; a node
-        # always keeps at least one primary task so its caches stay warm.
-        held: list[list] = [[] for _ in range(n_nodes)]
-        if self.config.steal_max_layers > 0:
-            for node in range(n_nodes):
-                keep = max(1, len(batches[node]) - self.config.steal_max_layers)
-                held[node] = batches[node][keep:]
-                batches[node] = batches[node][:keep]
-        watch: dict["Future", tuple[int, list]] = {}
-        flushes: list[tuple[int, "Future"]] = []
-        for node in range(n_nodes):
-            if not batches[node]:
-                if node in flush_nodes:
-                    future = self._submit_slot(node, op, kwargs, [])
-                    if future is not None:
-                        flushes.append((node, future))
-                continue
-            self.transport.record_batch(batches[node])
-            future = self._submit_slot(node, op, kwargs, batches[node])
-            if future is None:
-                # Node already dead at submit time: the inherited
-                # taxonomy treats a None future as a crash and respawns.
-                for outcome in self._collect_slot(
-                    node, op, kwargs, batches[node], spec, None
-                ):
-                    by_name[outcome.name] = outcome
-                continue
-            watch[future] = (node, batches[node])
-        self._service_nodes(op, kwargs, spec, watch, held, by_name)
-        self._drain_flushes(flushes)
-        self._drain_held(op, kwargs, spec, held, by_name)
-        return [by_name[name] for name in placement.names]
-
-    def _service_nodes(
-        self,
-        op: str,
-        kwargs: dict,
-        spec: dict,
-        watch: dict,
-        held: list[list],
-        by_name: dict[str, LayerOutcome],
-    ) -> None:
-        """Collect node batches in completion order, feeding idle nodes.
-
-        When a node's batch lands, it first takes its *own* held-back
-        tail (the already-built delta/full shipment), then steals the
-        byte-heaviest other tail as transient full tasks.  If a wait
-        window passes with nothing finishing, the loop falls back to
-        sequential collection, where the inherited watchdog/retry
-        taxonomy (hang -> kill + respawn, etc.) takes over.
-        """
-        while watch:
-            deadline = self._deadline(max(len(b) for _, b in watch.values()))
-            done, _ = futures_wait(
-                set(watch), timeout=deadline, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # Global stall: let _collect_slot apply the taxonomy.
-                for future, (node, batch) in list(watch.items()):
-                    for outcome in self._collect_slot(
-                        node, op, kwargs, batch, spec, future
-                    ):
-                        by_name[outcome.name] = outcome
-                watch.clear()
-                return
-            for future in done:
-                node, batch = watch.pop(future)
-                for outcome in self._collect_slot(
-                    node, op, kwargs, batch, spec, future
-                ):
-                    by_name[outcome.name] = outcome
-                self._ledger_gather(node, [by_name[t.name] for t in batch])
-                next_work = self._next_work(node, held, op, kwargs)
-                if next_work is None:
-                    continue
-                next_batch, next_future = next_work
-                if next_future is None:
-                    # The node died between batches: crash taxonomy.
-                    for outcome in self._collect_slot(
-                        node, op, kwargs, next_batch, spec, None
-                    ):
-                        by_name[outcome.name] = outcome
-                else:
-                    watch[next_future] = (node, next_batch)
-
-    def _next_work(
-        self, node: int, held: list[list], op: str, kwargs: dict
-    ) -> "tuple[list, Future] | None":
-        """Hand an idle node its own tail, else the heaviest stealable one."""
-        if held[node]:
-            batch, held[node] = held[node], []
-            self.transport.record_batch(batch)
-            future = self._submit_slot(node, op, kwargs, batch)
-            if future is None:
-                return (batch, None)  # collected via crash taxonomy
-            return (batch, future)
-        victims = [v for v in range(len(held)) if held[v]]
-        if not victims:
-            return None
-        placement: NodePlacement = self._affinity  # type: ignore[assignment]
-        victim = max(
-            victims,
-            key=lambda v: (sum(placement.sizes[t.name] for t in held[v]), -v),
-        )
-        stolen, held[victim] = held[victim], []
-        batch = [self._steal_task(task, victim) for task in stolen]
-        self.transport.record_batch(batch)
-        self._steals += len(batch)
-        self._last_sweep_steals += len(batch)
-        try:
-            future = self._state["slots"][node].submit(
-                _run_layer_batch, op, kwargs, batch
-            )
-        except BrokenExecutor:
-            return (batch, None)
-        self._ledger_ship(node, batch, "shard:steal")
-        self._state["inflight"].append(future)
-        return (batch, future)
-
-    def _steal_task(self, task, victim: int) -> LayerTask:
-        """Rebuild a held-back task as a transient full task for a thief.
-
-        A stolen delta leaves the victim's sync record in place -- the
-        delta protocol ships authoritative state every sweep, so the
-        victim resumes bit-identically next sweep.  A stolen *full* task
-        carried a fresh epoch the victim never saw; its optimistic sync
-        record is dropped so the next sweep re-ships full cleanly.
-        """
-        if isinstance(task, LayerTask):
-            rec = self._sync.get(task.name)
-            if rec is not None and rec.epoch == task.epoch:
-                del self._sync[task.name]
-            return task
-        # LayerDelta -> transient LayerTask with identical semantics.
-        handle = self._state["exports"][task.name].handle
-        rec = self._sync[task.name]
-        return LayerTask(
-            name=task.name,
-            handle=handle,
-            dkm_config=rec.config,
-            state=task.state,
-            warm=task.warm,
-            epoch=task.epoch,
-            fault=task.fault,
-        )
-
-    def _drain_flushes(self, flushes: list) -> None:
-        """Wait out the empty prune/gossip batches sent to idle nodes."""
-        for node, future in flushes:
-            try:
-                future.result(timeout=self._deadline(1))
-            except FutureTimeout:
-                self._respawn_slot(node, kill=True)
-            except (BrokenExecutor, StaleWorkerCache):
-                pass  # a dead node has nothing resident to flush
-
-    def _drain_held(
-        self,
-        op: str,
-        kwargs: dict,
-        spec: dict,
-        held: list[list],
-        by_name: dict[str, LayerOutcome],
-    ) -> None:
-        """Run any still-held tails on their own nodes (stall fallback)."""
-        for node, batch in enumerate(held):
-            if not batch:
-                continue
-            held[node] = []
-            self.transport.record_batch(batch)
-            future = self._submit_slot(node, op, kwargs, batch)
-            outcomes = self._collect_slot(node, op, kwargs, batch, spec, future)
-            for outcome in outcomes:
-                by_name[outcome.name] = outcome
-            self._ledger_gather(node, outcomes)

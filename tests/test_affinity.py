@@ -1,15 +1,17 @@
-"""Sticky worker-affinity tests (see ``repro/core/procpool.py``).
+"""Worker-residency tests for the process engine (``repro/core/procpool.py``).
 
-The contract under test: ``backend="process", affinity="sticky"`` pins
-each layer to one worker deterministically, keeps worker-side step caches
-and shm leases resident across sweeps, ships ``O(k)`` deltas instead of
-full tasks once a layer is synced -- and stays *bit-identical* to the
-serial backend (centroids, assignments, reconstruction errors, gradients,
-and per-layer ``FastPathStats`` counters) through warm sweeps, pool
-rebalances, worker crashes, stale-cache recoveries, and sweep errors.
+The contract under test: ``backend="process"`` pins each layer to one
+worker slot deterministically, keeps worker-side step caches and shm
+leases resident across sweeps, ships ``O(k)`` deltas instead of full
+tasks once a layer is synced -- and stays *bit-identical* to the serial
+backend (centroids, assignments, reconstruction errors, gradients, and
+per-layer ``FastPathStats`` counters) through warm sweeps, pool resizes,
+worker crashes, stale-cache recoveries, and sweep errors.  Placement,
+gossip, and the chaos matrix live in ``tests/test_sharded.py``.
 """
 
 import dataclasses
+import pickle
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -17,7 +19,6 @@ import pytest
 
 import repro.nn as nn
 from repro.core import (
-    AffinityMap,
     CompressorConfig,
     DKMConfig,
     LayerDelta,
@@ -27,6 +28,7 @@ from repro.core import (
 )
 from repro.core.compressor import SWEEP_OPS
 from repro.core.procpool import StaleWorkerCache
+from repro.memory.traffic import global_ledger
 from repro.tensor.dtype import bfloat16
 from repro.tensor.serialization import export_tensor_shm
 from repro.tensor.tensor import Tensor
@@ -75,45 +77,22 @@ def _assert_results_equal(reference, candidate):
         )
 
 
+def _kill_one_worker(engine):
+    """Hard-kill the first slot worker that has a live process."""
+    for slot, pool in enumerate(engine._state["slots"]):
+        processes = list((pool._processes or {}).values())
+        if processes:
+            processes[0].kill()
+            processes[0].join()
+            return slot
+    raise AssertionError("no live slot worker to kill")
+
+
 def _assert_all_unlinked(names):
     assert names
     for name in names:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
-
-
-class TestAffinityMap:
-    def test_deterministic_across_builds(self):
-        names = [f"block{i}.linear" for i in range(7)]
-        assert AffinityMap.build(names, 3) == AffinityMap.build(names, 3)
-        assert AffinityMap.build(names, 3).pins == AffinityMap.build(list(names), 3).pins
-
-    def test_balanced_within_capacity(self):
-        names = [f"layer{i}" for i in range(10)]
-        for workers in (1, 2, 3, 4, 7):
-            amap = AffinityMap.build(names, workers)
-            loads = [len(amap.layers_for(slot)) for slot in range(workers)]
-            assert sum(loads) == len(names)
-            assert max(loads) <= -(-len(names) // workers)  # ceil capacity
-
-    def test_layers_for_partitions_in_insertion_order(self):
-        names = [f"layer{i}" for i in range(6)]
-        amap = AffinityMap.build(names, 2)
-        merged = sorted(
-            (name for slot in range(2) for name in amap.layers_for(slot)),
-            key=names.index,
-        )
-        assert merged == names
-        for slot in range(2):
-            pinned = amap.layers_for(slot)
-            assert pinned == [n for n in names if n in set(pinned)]  # order kept
-
-    def test_resize_is_the_only_rebalance_trigger(self):
-        names = [f"layer{i}" for i in range(8)]
-        assert AffinityMap.build(names, 2) == AffinityMap.build(names, 2)
-        wide = AffinityMap.build(names, 4)
-        assert wide.n_workers == 4
-        assert {wide.pins[n] for n in names} <= set(range(4))
 
 
 class TestWorkerCacheRegistry:
@@ -236,41 +215,6 @@ class TestWorkerCacheRegistry:
             registry.close()
             export.close()
 
-    def test_prune_releases_unretained_entries_and_leases(self):
-        exports, tasks = [], []
-        for i in range(3):
-            values = np.random.default_rng(i).standard_normal(128).astype(np.float32)
-            tensor = Tensor.from_numpy(values * 0.1, dtype=bfloat16)
-            export = export_tensor_shm(tensor)
-            exports.append(export)
-            tasks.append(
-                LayerTask(
-                    name=f"layer{i}",
-                    handle=export.handle,
-                    dkm_config=DKMConfig(bits=3, iters=2),
-                    state=None,
-                    warm=False,
-                    epoch=1,
-                )
-            )
-        registry = WorkerCacheRegistry()
-        try:
-            for task in tasks:
-                registry.run(SWEEP_OPS["refine"], task, {})
-            assert len(registry) == 3
-            registry.prune(("layer0", "layer2"))  # layer1 re-pinned away
-            with registry._lock:  # white-box peek (tsan-clean)
-                assert sorted(registry._entries) == ["layer0", "layer2"]
-                assert len(registry._leases) == 2
-            registry.prune(())  # slot emptied entirely
-            assert len(registry) == 0
-            with registry._lock:
-                assert len(registry._leases) == 0
-        finally:
-            registry.close()
-            for export in exports:
-                export.close()
-
     def test_close_releases_leases(self):
         export, task = self._task()
         registry = WorkerCacheRegistry()
@@ -289,21 +233,20 @@ class TestStickyEquivalence:
         try:
             a.precluster()
             b.precluster()
-            assert a._engine.affinity_map() == b._engine.affinity_map()
+            assert a._engine.placement() == b._engine.placement()
         finally:
             a.close()
             b.close()
 
-    @pytest.mark.parametrize("affinity", ["sticky", "chunked"])
-    def test_bit_identical_to_serial_over_two_sweeps(self, affinity):
+    def test_bit_identical_to_serial_over_two_sweeps(self):
         serial, _ = _compressor("serial")
-        process, _ = _compressor("process", affinity=affinity)
+        process, _ = _compressor("process")
         try:
             for sweep in range(2):
                 res_s = serial.precluster(compute_error=True)
                 res_p = process.precluster(compute_error=True)
                 _assert_results_equal(res_s, res_p)
-                assert _stats(serial) == _stats(process), (affinity, sweep)
+                assert _stats(serial) == _stats(process), sweep
         finally:
             process.close()
 
@@ -328,27 +271,54 @@ class TestStickyEquivalence:
             sticky.close()
 
     def test_warm_sweep_ships_only_deltas_and_fewer_bytes(self):
-        sticky, _ = _compressor("process", affinity="sticky")
-        chunked, _ = _compressor("process", affinity="chunked")
+        sticky, _ = _compressor("process")
         try:
-            for compressor in (sticky, chunked):
-                compressor.precluster(compute_error=True)
-                compressor.precluster(compute_error=True)
-            t_sticky = sticky.transport_stats()
-            t_chunked = chunked.transport_stats()
             n_layers = len(sticky.wrapped)
-            assert t_sticky.last_sweep_full_tasks == 0
-            assert t_sticky.last_sweep_delta_tasks == n_layers
-            assert t_chunked.last_sweep_full_tasks == n_layers
-            # The acceptance gate: strictly fewer pickled bytes per layer
-            # on the warm sweep.
+            sticky.precluster(compute_error=True)
+            cold = sticky.transport_stats()
+            assert cold.last_sweep_full_tasks == n_layers
+            cold_bytes = cold.last_sweep_bytes
+            sticky.precluster(compute_error=True)
+            warm = sticky.transport_stats()
+            assert warm.last_sweep_full_tasks == 0
+            assert warm.last_sweep_delta_tasks == n_layers
+            # The acceptance gate: the all-delta sweep pickles strictly
+            # fewer bytes per layer than the full-task sweep.
+            assert warm.last_sweep_bytes / n_layers < cold_bytes / n_layers
+        finally:
+            sticky.close()
+
+    def test_bytes_shipped_reconciles_with_ship_ledger(self):
+        """One measurement per batch feeds both the transport counters
+        and the ``shard:ship`` ledger records -- through cold, warm, and
+        crash-recovery (re-shipped) sweeps -- and equals the real pickle."""
+        sticky, _ = _compressor("process")
+        ledger = global_ledger()
+        before = ledger.total_bytes(tag_prefix="shard:ship:")
+        shipped: list[int] = []
+        try:
+            engine = sticky._process_engine()
+            record_batch = engine.transport.record_batch
+
+            def spy(tasks, nbytes):
+                shipped.append(
+                    len(pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL))
+                )
+                record_batch(tasks, nbytes)
+
+            engine.transport.record_batch = spy
+            sticky.precluster()
+            sticky.precluster()
+            _kill_one_worker(engine)
+            sticky.precluster()
+            transport = sticky.transport_stats()
+            assert transport.bytes_shipped == sum(shipped) > 0
             assert (
-                t_sticky.last_sweep_bytes / n_layers
-                < t_chunked.last_sweep_bytes / n_layers
+                ledger.total_bytes(tag_prefix="shard:ship:") - before
+                == transport.bytes_shipped
             )
         finally:
             sticky.close()
-            chunked.close()
 
     def test_optimizer_write_demotes_layer_to_full_shipping(self):
         sticky, _ = _compressor("process", n_layers=2)
@@ -380,23 +350,13 @@ class TestStickyEquivalence:
 
 
 class TestStickyResilience:
-    def _kill_one_worker(self, engine):
-        """Hard-kill the first slot worker that has a live process."""
-        for slot, pool in enumerate(engine._state["slots"]):
-            processes = list((pool._processes or {}).values())
-            if processes:
-                processes[0].kill()
-                processes[0].join()
-                return slot
-        raise AssertionError("no live slot worker to kill")
-
     def test_worker_crash_recovers_bit_identical_with_no_leaks(self):
         serial, _ = _compressor("serial")
         sticky, _ = _compressor("process")
         try:
             serial.precluster(compute_error=True)
             sticky.precluster(compute_error=True)
-            self._kill_one_worker(sticky._engine)
+            _kill_one_worker(sticky._engine)
             # The crashed slot's layers re-ship full on a respawned worker;
             # results and counters still match a serial two-sweep history.
             res_s = serial.precluster(compute_error=True)
@@ -435,17 +395,36 @@ class TestStickyResilience:
         try:
             serial.precluster(compute_error=True)
             sticky.precluster(compute_error=True)
-            before = sticky._engine.affinity_map()
-            sticky.config.num_workers = 3  # pool resize: the one rebalance
+            before = sticky._engine.placement()
+            sticky.config.num_workers = 3  # pool resize: a minimal rebalance
             res_s = serial.precluster(compute_error=True)
             res_p = sticky.precluster(compute_error=True)
-            after = sticky._engine.affinity_map()
-            assert after.n_workers == 3
-            assert after != before
-            # Rebalance dropped every sync record: all layers shipped full.
-            assert sticky.transport_stats().last_sweep_full_tasks == 4
+            after = sticky._engine.placement()
+            assert after.n_nodes == 3
+            assert after.pins != before.pins  # the fresh slot took work
+            assert after.is_balanced()
             _assert_results_equal(res_s, res_p)
             assert _stats(serial) == _stats(sticky)
+        finally:
+            sticky.close()
+
+    def test_pool_resize_ships_full_only_for_moved_layers(self):
+        """Growing the pool 2 -> 3 must not tear the surviving workers
+        down: only the layers re-pinned onto the fresh slot lose their
+        residency and ship full; the unmoved ones keep shipping deltas."""
+        sticky, _ = _compressor("process", n_layers=4, num_workers=2)
+        try:
+            sticky.precluster()
+            sticky.precluster()
+            assert sticky.transport_stats().last_sweep_delta_tasks == 4
+            sticky.config.num_workers = 3
+            sticky.precluster()
+            transport = sticky.transport_stats()
+            assert 0 < transport.last_sweep_full_tasks < 4
+            assert (
+                transport.last_sweep_delta_tasks
+                == 4 - transport.last_sweep_full_tasks
+            )
         finally:
             sticky.close()
 

@@ -24,6 +24,7 @@ from repro.core import (
 from repro.core.checkpoint import (
     CheckpointCorrupt,
     CheckpointError,
+    _payload_digest,
     read_checkpoint,
 )
 
@@ -229,3 +230,47 @@ class TestCompatibilityPins:
         resumed, _ = _compressor("process")
         resumed.resume(path)
         assert resumed.active_backend == "thread"
+
+    def test_resume_never_promotes_above_configured_backend(self, tmp_path):
+        """Regression: a checkpoint written on ``thread`` resumed by a
+        compressor configured ``serial`` used to install ``thread`` as
+        the override (it merely *differed*) -- a silent promotion with an
+        empty ``degradations`` list.  The override only applies downwards."""
+        path = str(tmp_path / "ckpt.json")
+        first, _ = _compressor("thread")
+        first.precluster()
+        first.save_checkpoint(path)
+        assert read_checkpoint(path)["active_backend"] == "thread"
+        resumed, _ = _compressor("serial")
+        resumed.resume(path)
+        assert resumed.active_backend == "serial"
+        assert resumed.degradations == []
+        resumed.precluster()
+        assert resumed.active_backend == "serial"
+
+    def test_retired_sharded_payload_resumes_on_process(self, tmp_path):
+        """A checkpoint written by the retired ``backend="sharded"``
+        resumes on ``process`` (the same engine now), undegraded."""
+        path = str(tmp_path / "ckpt.json")
+        first, _ = _compressor("serial")
+        first.precluster()
+        first.save_checkpoint(path)
+        payload = json.load(open(path, encoding="utf-8"))
+        payload["backend"] = payload["active_backend"] = "sharded"
+        payload["digest"] = _payload_digest(payload)
+        json.dump(payload, open(path, "w", encoding="utf-8"))
+        reference, _ = _compressor("serial")
+        reference.precluster()
+        ref_final = _centroids(reference.precluster())
+        resumed, _ = _compressor("process")
+        try:
+            resumed.resume(path)
+            assert resumed.active_backend == "process"
+            res_final = _centroids(resumed.precluster())
+            assert resumed.active_backend == "process"
+            assert resumed.degradations == []
+            for name in ref_final:
+                assert np.array_equal(ref_final[name], res_final[name]), name
+            assert _stats(reference) == _stats(resumed)
+        finally:
+            resumed.close()

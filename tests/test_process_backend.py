@@ -72,18 +72,8 @@ class TestBackendConfig:
         with pytest.raises(ValueError, match="mp_context"):
             CompressorConfig(mp_context="teleport")
 
-    def test_negative_task_chunk_rejected(self):
-        with pytest.raises(ValueError, match="task_chunk"):
-            CompressorConfig(task_chunk=-1)
-
     def test_serial_backend_forces_one_worker(self):
         assert CompressorConfig(backend="serial", num_workers=8).resolve_workers(8) == 1
-
-    def test_task_chunk_auto_is_one_batch_per_worker(self):
-        config = CompressorConfig(backend="process", num_workers=3)
-        assert config.resolve_task_chunk(9) == 3
-        assert config.resolve_task_chunk(10) == 4
-        assert CompressorConfig(task_chunk=2).resolve_task_chunk(10) == 2
 
 
 class TestProcessEquivalence:

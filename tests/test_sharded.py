@@ -1,5 +1,6 @@
-"""Sharded cluster-scheduler tests (see ``repro/distributed/scheduler.py``
-and ``docs/sharding.md``).
+"""Placement, gossip and chaos tests for the process engine (see
+``repro/distributed/scheduler.py``, ``repro/core/procpool.py`` and
+``docs/sharding.md``).
 
 The contract under test, in three layers:
 
@@ -8,11 +9,11 @@ The contract under test, in three layers:
   ``max load <= mean load + largest layer``, is a deterministic function
   of its input, moves the minimum set of layers on node add/remove, and
   never exceeds a positive per-node budget.
-- **Equivalence**: ``backend="sharded"`` is *bit-identical* to serial --
-  centroids, temperatures, and per-layer ``FastPathStats`` counters --
-  through cold sweeps, warm delta-shipped sweeps, node resizes, and
-  bounded work stealing, while every cross-node transfer lands in the
-  traffic ledger under a ``shard:*`` tag.
+- **Equivalence**: ``backend="process"`` over ``num_workers`` nodes is
+  *bit-identical* to serial -- centroids, temperatures, and per-layer
+  ``FastPathStats`` counters -- through cold sweeps, warm delta-shipped
+  sweeps, and node resizes, while every parent <-> node transfer lands
+  in the traffic ledger under a ``shard:*`` tag.
 - **Chaos matrix**: every :data:`~repro.core.faults.FAULT_KINDS` fault,
   injected into a cold and a warm sweep, is survived with results still
   bit-identical to an undisturbed serial run and the fault log / ledger
@@ -42,9 +43,13 @@ from repro.core import (
 )
 from repro.core.compressor import SWEEP_OPS
 from repro.core.faults import FAULT_KINDS
-from repro.core.procpool import StaleWorkerCache
-from repro.distributed import NodePlacement, PlacementError, ShardedClusterEngine
-from repro.distributed.scheduler import _run_node_batch
+from repro.core.procpool import (
+    ProcessLayerEngine,
+    StaleWorkerCache,
+    _run_slot_batch,
+    _worker_cache_registry,
+)
+from repro.distributed import NodePlacement, PlacementError
 from repro.memory.traffic import global_ledger
 from repro.tensor.dtype import bfloat16
 from repro.tensor.serialization import export_tensor_shm
@@ -232,38 +237,29 @@ class TestPlacementProperties:
 
 class TestShardedConfig:
     def test_backend_registered(self):
-        config = CompressorConfig(backend="sharded", num_nodes=3)
-        assert config.backend == "sharded"
-        with pytest.raises(ValueError, match="backend"):
-            CompressorConfig(backend="cluster")
+        """The node scheduler *is* the process backend; the retired
+        ``"sharded"`` name is rejected like any unknown backend."""
+        config = CompressorConfig(backend="process", num_workers=3)
+        assert config.backend == "process"
+        for unknown in ("sharded", "cluster"):
+            with pytest.raises(ValueError, match="backend"):
+                CompressorConfig(backend=unknown)
 
     def test_knob_validation(self):
-        with pytest.raises(ValueError, match="num_nodes"):
-            CompressorConfig(num_nodes=0)
         with pytest.raises(ValueError, match="node_memory_budget"):
             CompressorConfig(node_memory_budget=-1)
-        with pytest.raises(ValueError, match="steal_max_layers"):
-            CompressorConfig(steal_max_layers=-1)
-
-    def test_resolve_nodes_caps_at_layers(self):
-        config = CompressorConfig(num_nodes=8)
-        assert config.resolve_nodes(3) == 3
-        assert config.resolve_nodes(100) == 8
-        assert config.resolve_nodes(0) == 1
 
     def test_round_trip(self):
         config = CompressorConfig(
-            backend="sharded", num_nodes=4, node_memory_budget=1 << 20,
-            steal_max_layers=2,
+            backend="process", num_workers=4, node_memory_budget=1 << 20
         )
         restored = CompressorConfig.from_dict(config.to_dict())
-        assert restored.num_nodes == 4
+        assert restored == config
         assert restored.node_memory_budget == 1 << 20
-        assert restored.steal_max_layers == 2
 
 
 # ----------------------------------------------------------------------
-# Tentpole: sharded == serial, placement/wire-format/stealing behavior
+# The engine: process == serial, placement / wire-format behavior
 # ----------------------------------------------------------------------
 
 
@@ -271,7 +267,7 @@ class TestShardedEquivalence:
     @pytest.mark.timeout(120)
     def test_cold_and_warm_bit_identical_to_serial(self):
         serial, _ = _compressor("serial")
-        sharded, _ = _compressor("sharded", num_nodes=2)
+        sharded, _ = _compressor("process", num_workers=2)
         try:
             ledger = global_ledger()
             ledger.clear()
@@ -302,7 +298,7 @@ class TestShardedEquivalence:
     def test_byte_balanced_placement_and_shm_cleanup(self):
         # One layer 16x the others: byte-balance isolates it.
         dims = [(24, 256), (24, 16), (24, 16), (24, 16), (24, 16)]
-        sharded, _ = _compressor("sharded", dims=dims, num_nodes=2)
+        sharded, _ = _compressor("process", dims=dims, num_workers=2)
         try:
             sharded.refine_all()
             engine = sharded._engine
@@ -322,7 +318,7 @@ class TestShardedEquivalence:
         budget = 24 * 256 * bfloat16.itemsize + 24 * 16 * bfloat16.itemsize
         assert total > budget  # would not fit on a single node
         sharded, _ = _compressor(
-            "sharded", dims=dims, num_nodes=2, node_memory_budget=budget
+            "process", dims=dims, num_workers=2, node_memory_budget=budget
         )
         try:
             sharded.refine_all()
@@ -332,9 +328,40 @@ class TestShardedEquivalence:
             sharded.close()
 
     @pytest.mark.timeout(120)
+    def test_budget_infeasible_on_one_worker_identical_on_two(self):
+        """``node_memory_budget`` below the model size: one worker cannot
+        place it (``PlacementError``, no silent overcommit, no leaked
+        shm), two workers compress it bit-identically to serial."""
+        dims = [(24, 256), (24, 16), (24, 16), (24, 16), (24, 16)]
+        budget = 24 * 256 * bfloat16.itemsize + 24 * 16 * bfloat16.itemsize
+        assert sum(i * o * bfloat16.itemsize for i, o in dims) > budget
+        single, _ = _compressor(
+            "process", dims=dims, num_workers=1, node_memory_budget=budget
+        )
+        try:
+            with pytest.raises(PlacementError):
+                single.refine_all()
+            assert single._engine.active_shm_names() == []
+            assert single.degradations == []  # not an infrastructure fault
+        finally:
+            single.close()
+        serial, _ = _compressor("serial", dims=dims)
+        double, _ = _compressor(
+            "process", dims=dims, num_workers=2, node_memory_budget=budget
+        )
+        try:
+            for _ in range(2):
+                serial.refine_all()
+                double.refine_all()
+            _assert_identical(serial, double)
+            assert max(double._engine.placement().loads()) <= budget
+        finally:
+            double.close()
+
+    @pytest.mark.timeout(120)
     def test_single_node_degenerate(self):
         ref_states, ref_stats = _serial_reference(n_sweeps=1)
-        sharded, _ = _compressor("sharded", num_nodes=1)
+        sharded, _ = _compressor("process", num_workers=1)
         try:
             sharded.refine_all()
             states = _states(sharded)
@@ -346,8 +373,8 @@ class TestShardedEquivalence:
 
     @pytest.mark.timeout(180)
     def test_placement_determinism_across_engines(self):
-        a, _ = _compressor("sharded", num_nodes=2)
-        b, _ = _compressor("sharded", num_nodes=2)
+        a, _ = _compressor("process", num_workers=2)
+        b, _ = _compressor("process", num_workers=2)
         try:
             a.refine_all()
             b.refine_all()
@@ -362,12 +389,12 @@ class TestNodeResize:
     def test_add_and_remove_nodes_mid_run(self):
         """Resizes move the minimum, keep deltas flowing, stay identical."""
         ref_states, ref_stats = _serial_reference(n_sweeps=3)
-        sharded, _ = _compressor("sharded", num_nodes=2)
+        sharded, _ = _compressor("process", num_workers=2)
         try:
             sharded.refine_all()
             before = sharded._engine.placement()
 
-            sharded.config.num_nodes = 3
+            sharded.config.num_workers = 3
             sharded.refine_all()
             grown = sharded._engine.placement()
             moved = [n for n in before.pins if before.pins[n] != grown.pins[n]]
@@ -378,7 +405,7 @@ class TestNodeResize:
             assert transport.last_sweep_delta_tasks == 4 - len(moved)
             assert len(moved) <= 2  # minimal movement, not a reshuffle
 
-            sharded.config.num_nodes = 2
+            sharded.config.num_workers = 2
             sharded.refine_all()
             shrunk = sharded._engine.placement()
             for name, node in grown.pins.items():
@@ -394,67 +421,8 @@ class TestNodeResize:
             sharded.close()
 
 
-class TestWorkStealing:
-    @pytest.mark.timeout(180)
-    def test_stealing_preserves_identity_and_pins(self):
-        """A delayed victim's held-back tail is stolen; results and pins
-        are untouched."""
-        ref_states, ref_stats = _serial_reference(n_sweeps=2)
-        # Delay the other node's *primary* task so this race is not one:
-        # the undelayed node drains its queue, takes its own held tail,
-        # then must cross-steal the victim's -- a full task on the cold
-        # sweep (sync record dropped), a delta rebuilt into a transient
-        # full task on the warm sweep (sync record kept).
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(kind="delay", sweep=1, layer="layer0", seconds=0.6),
-                FaultSpec(kind="delay", sweep=2, layer="layer0", seconds=0.6),
-            )
-        )
-        sharded, _ = _compressor(
-            "sharded",
-            num_nodes=2,
-            steal_max_layers=1,
-            fault_plan=plan,
-            task_timeout_s=30.0,
-        )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RobustnessWarning)
-                sharded.refine_all()
-                pins_after_cold = dict(sharded._engine.placement().pins)
-                sharded.refine_all()
-            assert sharded._engine.steals >= 2  # cold + warm sweep each stole
-            assert sharded._engine.last_sweep_steals >= 1
-            # Stealing never re-pins: placement is exactly as placed.
-            assert sharded._engine.placement().pins == pins_after_cold
-            states = _states(sharded)
-            for name in ref_states:
-                assert np.array_equal(ref_states[name][0], states[name][0])
-            assert _stats(sharded) == ref_stats
-            assert sharded.degradations == []
-        finally:
-            sharded.close()
-
-    @pytest.mark.timeout(120)
-    def test_steal_budget_bounds_held_tail(self):
-        """``steal_max_layers`` holds back at most that many layers per
-        node, and each node always keeps at least one primary task."""
-        sharded, _ = _compressor(
-            "sharded", n_layers=6, num_nodes=2, steal_max_layers=10
-        )
-        try:
-            sharded.refine_all()
-            placement = sharded._engine.placement()
-            for node in range(2):
-                assert len(placement.layers_for(node)) >= 1
-            assert sharded.degradations == []
-        finally:
-            sharded.close()
-
-
 # ----------------------------------------------------------------------
-# Satellite 2: chaos matrix -- every fault kind x {cold, warm} sweep
+# Chaos matrix -- every fault kind x {cold, warm} sweep
 # ----------------------------------------------------------------------
 
 
@@ -474,7 +442,7 @@ class TestShardedChaosMatrix:
         ref_states, ref_stats = reference
         plan = FaultPlan.single(kind, sweep=sweep, seconds=0.2)
         sharded, _ = _compressor(
-            "sharded", num_nodes=2, fault_plan=plan, task_timeout_s=15.0
+            "process", num_workers=2, fault_plan=plan, task_timeout_s=15.0
         )
         try:
             with warnings.catch_warnings():
@@ -505,10 +473,9 @@ class TestShardedChaosMatrix:
 class TestStallFallback:
     @pytest.mark.timeout(120)
     def test_every_node_hung_watchdog_recovers(self):
-        """Both nodes' primary tasks hang far past ``task_timeout_s``:
-        the wait stalls globally, the watchdog kills and respawns every
-        node, full re-ships recover, and the still-held tails drain on
-        their own nodes -- bit-identical to serial throughout."""
+        """Both nodes' batches hang far past ``task_timeout_s``: slot
+        by slot the watchdog kills and respawns the node and the full
+        re-ship recovers -- bit-identical to serial throughout."""
         ref_states, ref_stats = _serial_reference(n_sweeps=1)
         plan = FaultPlan(
             specs=(
@@ -517,17 +484,13 @@ class TestStallFallback:
             )
         )
         sharded, _ = _compressor(
-            "sharded",
-            num_nodes=2,
-            steal_max_layers=1,
-            fault_plan=plan,
-            task_timeout_s=1.0,
+            "process", num_workers=2, fault_plan=plan, task_timeout_s=1.0
         )
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RobustnessWarning)
                 sharded.refine_all()
-            assert sharded._engine.respawns >= 1
+            assert sharded._engine.respawns == 2  # every node was put down
             assert sharded.fault_log().count("hang") == 2
             states = _states(sharded)
             for name in ref_states:
@@ -549,55 +512,55 @@ class _BrokenPool:
 
 
 class TestEngineWhiteBox:
-    """Coordinator-side edges exercised without spawning pools."""
+    """Parent-side edges exercised without spawning workers."""
 
     def _engine(self):
-        engine = ShardedClusterEngine(
-            CompressorConfig(backend="sharded", num_nodes=2, steal_max_layers=1)
+        engine = ProcessLayerEngine(
+            CompressorConfig(backend="process", num_workers=2)
         )
         engine._state["slots"] = [_BrokenPool(), _BrokenPool()]
-        engine._affinity = NodePlacement.build(
-            [("layer0", 100), ("layer1", 100)], 2
-        )
         return engine
 
-    def _task(self, name):
-        return LayerTask(
-            name=name,
+    def test_submit_to_dead_node_returns_none(self):
+        engine = self._engine()
+        task = LayerTask(
+            name="layer0",
             handle=None,
             dkm_config=DKMConfig(bits=3, iters=2),
             state=None,
             warm=False,
             epoch=1,
         )
-
-    def test_submit_to_dead_node_returns_none(self):
-        engine = self._engine()
-        assert engine._submit_slot(0, "refine", {}, [self._task("layer0")]) is None
-        assert engine.last_sweep_steals == 0
-
-    def test_next_work_own_tail_on_dead_node(self):
-        engine = self._engine()
-        held = [[self._task("layer0")], []]
-        batch, future = engine._next_work(0, held, "refine", {})
-        assert future is None  # crash taxonomy takes over
-        assert [t.name for t in batch] == ["layer0"]
-        assert held[0] == []
-
-    def test_next_work_steal_from_dead_thief(self):
-        engine = self._engine()
-        held = [[], [self._task("layer1")]]
-        batch, future = engine._next_work(0, held, "refine", {})
-        assert future is None
-        assert [t.name for t in batch] == ["layer1"]
-        assert engine.steals == 1  # counted even though the thief died
+        ledger = global_ledger()
+        before = len(ledger.transfers())
+        assert engine._submit_slot(0, "refine", {}, [task]) is None
+        # Nothing reached the wire, so nothing is counted as shipped.
+        assert engine.transport.tasks_shipped == 0
+        assert len(ledger.transfers()) == before
 
     def test_ledger_gather_skips_empty(self):
+        """A sweep over no layers ships, gossips and gathers nothing (and
+        spawns nothing: executors start their process on first submit)."""
+        ledger = global_ledger()
+        before = len(ledger.transfers())
+        with ProcessLayerEngine(
+            CompressorConfig(backend="process", num_workers=2)
+        ) as engine:
+            assert engine.map_layers("refine", []) == {}
+            assert engine.transport.tasks_shipped == 0
+        assert len(ledger.transfers()) == before
+
+    def test_ledger_records_both_directions(self):
         engine = self._engine()
         ledger = global_ledger()
         before = len(ledger.transfers())
-        engine._ledger_gather(0, [])
-        assert len(ledger.transfers()) == before
+        engine._ledger(1, "ship", 10)
+        engine._ledger(1, "gather", 20)
+        ship, gather = ledger.transfers()[before:]
+        assert (ship.tag, ship.nbytes) == ("shard:ship:node1", 10)
+        assert (gather.tag, gather.nbytes) == ("shard:gather:node1", 20)
+        assert (ship.src, ship.dst) == (gather.dst, gather.src)
+        assert ship.dst.endswith(":peer2")  # node i owns learner domain i+1
 
     def test_drain_flushes_tolerates_dead_nodes(self):
         from concurrent.futures import Future
@@ -607,9 +570,9 @@ class TestEngineWhiteBox:
         done.set_result([])
         broken: Future = Future()
         broken.set_exception(BrokenExecutor("node down"))
-        stale: Future = Future()
-        stale.set_exception(StaleWorkerCache("resident cache gone"))
-        engine._drain_flushes([(0, done), (1, broken), (0, stale)])
+        for slot, future in ((0, None), (0, done), (1, broken)):
+            engine._drain_flush(slot, future)
+        assert engine.respawns == 0
 
 
 # ----------------------------------------------------------------------
@@ -694,7 +657,7 @@ class TestGossipReconcile:
         export_a, task_a = self._task(name="a", seed=1)
         export_b, task_b = self._task(name="b", seed=2)
         try:
-            outcomes = _run_node_batch(
+            outcomes = _run_slot_batch(
                 "refine", {}, [task_a, task_b], 0,
                 {  # gossip mentioning neither is a no-op on a cold registry
                     "ghost": ("shm", 1, 1),
@@ -704,8 +667,6 @@ class TestGossipReconcile:
             for outcome in outcomes:
                 assert outcome.stats.uniquify_misses == 1
         finally:
-            from repro.core.procpool import _worker_cache_registry
-
-            _worker_cache_registry().prune(set())
+            _worker_cache_registry().reconcile({})
             export_a.close()
             export_b.close()
