@@ -1,7 +1,9 @@
 """Experiment runners regenerating every table and figure of the paper.
 
-Each module is one experiment; ``benchmarks/`` wraps them in
-pytest-benchmark entry points and prints paper-style tables.
+Each module is one experiment and owns its shapes (``run(quick, seed)``),
+its printed rows (``render()``), its artifact (``to_json_dict()``) and its
+gates (``failures()``); ``python -m repro.bench <name>...|all`` is the one
+way to run them (:mod:`repro.bench.__main__` holds the registry).
 
 - :mod:`repro.bench.table1` -- Table 1 (cross-device copy duplication)
 - :mod:`repro.bench.fig2`   -- Fig. 2  (marshaling removes the duplicate)
@@ -11,6 +13,7 @@ pytest-benchmark entry points and prints paper-style tables.
 - :mod:`repro.bench.claims` -- Section 1/2 analytic size claims
 - :mod:`repro.bench.fastpath` -- fast-path engine micro-benchmark
   (histogram uniquify, bincount scatter, per-layer step cache)
+- :mod:`repro.bench.parallel_layers` -- thread fan-out + chunked dense
 - :mod:`repro.bench.marshal_strategies` -- marshal search-strategy
   ablation (graph walk vs storage-id oracle vs sampled-stride fingerprint)
 - :mod:`repro.bench.faults` -- chaos suite (fault injection, watchdog,
@@ -20,6 +23,7 @@ pytest-benchmark entry points and prints paper-style tables.
   shipping, crash/resize recovery, over-budget placement
 - :mod:`repro.bench.serving` -- palette serving under concurrent traffic
   (requests/sec, p50/p99 latency, token-identity + admission gates)
+- :mod:`repro.bench.serving_faults` -- chaos-serving fault matrix
 """
 
 from repro.bench.claims import Claim, run_claims

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.tables import PaperTable, render_table
 from repro.evalsuite.model_size import (
     GB,
     attention_map_bytes,
@@ -73,3 +74,64 @@ def run_claims(spec: ModelSpec = LLAMA_7B) -> list[Claim]:
             unit="x",
         ),
     ]
+
+
+# Table 3's "Model Size (GB)" column.
+PAPER_SIZES_GB = {
+    "fp16": 12.6, "rtn4": 3.5, "gptq4_g128": 3.7, "awq4_g128": 3.7,
+    "llmqat4": 3.5, "gptq3_g128": 3.0, "awq3_g128": 3.0, "edkm3": 2.5,
+}
+
+
+@dataclass
+class ClaimsResult(PaperTable):
+    """The Section 1/2 claims plus the analytic Table 3 size column."""
+
+    claims: list[Claim]
+    sizes_gb: dict[str, float]
+
+    def render(self) -> str:
+        return "\n\n".join(
+            [
+                render_table(
+                    ["claim", "paper", "measured", "unit", "rel. err"],
+                    [
+                        [c.label, c.paper_value, c.measured_value, c.unit,
+                         f"{c.relative_error * 100:.1f}%"]
+                        for c in self.claims
+                    ],
+                    title="Section 1/2 analytic claims at true LLaMA-7B dimensions",
+                    float_fmt="{:.2f}",
+                ),
+                render_table(
+                    ["scheme", "measured (GB)", "paper (GB)"],
+                    [[k, self.sizes_gb[k], paper] for k, paper in PAPER_SIZES_GB.items()],
+                    title="Table 3 'Model Size (GB)' column (analytic)",
+                    float_fmt="{:.2f}",
+                ),
+            ]
+        )
+
+    def failures(self) -> list[str]:
+        failures = [
+            f"claim {c.label!r}: {c.relative_error * 100:.1f}% off the paper (limit 10%)"
+            for c in self.claims
+            if not c.relative_error < 0.10
+        ]
+        failures += [
+            f"size {key}: {self.sizes_gb[key]:.2f} GB vs paper {paper} GB (limit 0.4)"
+            for key, paper in PAPER_SIZES_GB.items()
+            if abs(self.sizes_gb[key] - paper) > 0.4
+        ]
+        if self.sizes_gb["edkm3"] != min(self.sizes_gb.values()):
+            failures.append("size edkm3: not the smallest artifact")
+        return failures
+
+
+def run(quick: bool = False, seed: int = 0) -> ClaimsResult:
+    """``python -m repro.bench claims`` (spec arithmetic; seed unused)."""
+    schemes = paper_schemes()
+    return ClaimsResult(
+        claims=run_claims(),
+        sizes_gb={k: model_size_gb(LLAMA_7B, schemes[k]) for k in PAPER_SIZES_GB},
+    )

@@ -11,9 +11,9 @@ legacy implementations:
   per-layer :class:`~repro.core.fastpath.StepCache` (one uniquify per layer
   per step) vs the legacy two-uniquify step.
 
-``benchmarks/run_fastpath.py`` wraps :func:`run_fastpath` into a
-deterministic command-line entry point that writes the
-``BENCH_fastpath.json`` artifact.
+Kept out of tier-1 (timing gates do not belong in the correctness suite);
+``python -m repro.bench fastpath`` writes ``BENCH_fastpath.json`` and exits
+non-zero if a bit-exactness, call-count or not-slower gate fails.
 """
 
 from __future__ import annotations
@@ -38,6 +38,17 @@ from repro.tensor.tensor import Tensor
 
 # Shapes the not-slower assertion runs on (element counts of bf16 tensors).
 REFERENCE_SHAPES = (1 << 16, 1 << 20, 1 << 22)
+
+# The histogram uniquify must beat the sort by this factor at N >= 1M
+# (acceptance criterion); at small N it only has to not be slower.
+LARGE_N = 1 << 20
+LARGE_N_MIN_SPEEDUP = 2.0
+
+# The bincount scatter must beat the float64-accurate legacy outright, and
+# may not drift past this multiple of the fastest (dtype-matched float32)
+# legacy formulation -- the guardrail that catches a real regression even
+# though the accuracy-equivalent baseline is the headline comparison.
+MATCHED_RATIO_CEILING = 3.0
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -114,6 +125,8 @@ class FastPathBenchResult:
     uniquify: list[UniquifyBenchRow] = field(default_factory=list)
     scatter: list[ScatterBenchRow] = field(default_factory=list)
     step: list[StepBenchRow] = field(default_factory=list)
+    repeats: int = 0
+    steps: int = 0
 
     def to_json_dict(self) -> dict:
         def rows(items):
@@ -131,7 +144,78 @@ class FastPathBenchResult:
             "uniquify": rows(self.uniquify),
             "scatter": rows(self.scatter),
             "step": rows(self.step),
+            "repeats": self.repeats,
+            "steps": self.steps,
         }
+
+    def render(self) -> str:
+        lines = [
+            f"{f'uniquify N={row.n_weights}':<28} sort {row.sort_seconds:.5f}s  "
+            f"histogram {row.histogram_seconds:.5f}s  "
+            f"speedup {row.speedup:.1f}x  bit-identical={row.bit_identical}"
+            for row in self.uniquify
+        ]
+        lines += [
+            f"{f'{row.kind} N={row.n_elements}':<28} "
+            f"add.at(f64) {row.add_at_mixed_seconds:.5f}s  "
+            f"add.at(f32) {row.add_at_matched_seconds:.5f}s  "
+            f"bincount {row.bincount_seconds:.5f}s  "
+            f"speedup {row.speedup:.1f}x  "
+            f"vs-matched {row.matched_ratio:.2f}  max|err| {row.max_abs_error:.2e}"
+            for row in self.scatter
+        ]
+        lines += [
+            f"{f'train step N={row.n_weights}':<28} "
+            f"legacy {row.legacy_seconds_per_step:.5f}s/step  "
+            f"fastpath {row.fastpath_seconds_per_step:.5f}s/step  "
+            f"speedup {row.speedup:.1f}x  uniquify/step "
+            f"{row.legacy_uniquify_per_step:.0f}->{row.fastpath_uniquify_per_step:.0f}"
+            for row in self.step
+        ]
+        return "\n".join(lines)
+
+    def failures(self) -> list[str]:
+        failures: list[str] = []
+        for row in self.uniquify:
+            label = f"uniquify N={row.n_weights}"
+            if not row.bit_identical:
+                failures.append(f"{label}: histogram output differs from np.unique")
+            if row.speedup < 1.0:
+                failures.append(f"{label}: fast path slower ({row.speedup:.2f}x)")
+            if row.n_weights >= LARGE_N and row.speedup < LARGE_N_MIN_SPEEDUP:
+                failures.append(
+                    f"{label}: speedup {row.speedup:.2f}x below the "
+                    f"{LARGE_N_MIN_SPEEDUP}x floor for N >= 1M"
+                )
+        for row in self.scatter:
+            label = f"{row.kind} N={row.n_elements}"
+            if row.max_abs_error > 1e-3:
+                failures.append(f"{label}: bincount result diverges from np.add.at")
+            if row.speedup < 1.0:
+                failures.append(
+                    f"{label}: slower than the float64-accurate legacy "
+                    f"({row.speedup:.2f}x)"
+                )
+            if row.matched_ratio > MATCHED_RATIO_CEILING:
+                failures.append(
+                    f"{label}: bincount is {row.matched_ratio:.2f}x the "
+                    f"dtype-matched add.at (ceiling {MATCHED_RATIO_CEILING}x)"
+                )
+        for row in self.step:
+            label = f"train step N={row.n_weights}"
+            if row.fastpath_uniquify_per_step != 1.0:
+                failures.append(
+                    f"{label}: expected exactly one uniquify per step, got "
+                    f"{row.fastpath_uniquify_per_step}"
+                )
+            if row.legacy_uniquify_per_step != 2.0:
+                failures.append(
+                    f"{label}: the legacy step should uniquify twice, got "
+                    f"{row.legacy_uniquify_per_step}"
+                )
+            if row.speedup < 1.0:
+                failures.append(f"{label}: fast path slower ({row.speedup:.2f}x)")
+        return failures
 
 
 def _bench_uniquify(
@@ -286,10 +370,23 @@ def run_fastpath(
 ) -> FastPathBenchResult:
     """Run all three micro-benchmarks with a fixed seed."""
     rng = np.random.default_rng(seed)
-    result = FastPathBenchResult()
+    result = FastPathBenchResult(repeats=repeats, steps=steps)
     for n in uniquify_sizes:
         result.uniquify.append(_bench_uniquify(n, repeats, rng))
     result.scatter.append(_bench_segment_sum(1 << 20, 1 << 14, repeats, rng))
     result.scatter.append(_bench_scatter_rows(4096, 1 << 15, 64, repeats, rng))
     result.step.append(_bench_step(step_weights, steps, bits, rng))
     return result
+
+
+def run(quick: bool = False, seed: int = 0) -> FastPathBenchResult:
+    """``python -m repro.bench fastpath``; quick = smaller shapes, fewer repeats."""
+    if quick:
+        return run_fastpath(
+            uniquify_sizes=(1 << 16, 1 << 20),
+            repeats=2,
+            step_weights=1 << 16,
+            steps=2,
+            seed=seed,
+        )
+    return run_fastpath(seed=seed)

@@ -23,8 +23,8 @@ backend degradation), and asserts the robustness contract end to end:
 Recovery wall-time overhead is reported per scenario (chaotic wall minus
 an undisturbed process baseline with the same sweep count) but not
 gated: the cost of a respawn is host-dependent and CI runners are noisy.
-``benchmarks/bench_faults.py`` wraps :func:`run_faults` into the CLI that
-writes ``BENCH_faults.json`` (schema: ``docs/benchmarks.md``).
+``python -m repro.bench faults`` writes ``BENCH_faults.json`` (schema:
+``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 from repro.bench.backends import (
-    _LinearStack,
     _all_unlinked,
     _layer_stats,
     _results_identical,
+    build_stack_compressor,
 )
 from repro.core.compressor import ModelCompressor
-from repro.core.config import CompressorConfig, DKMConfig
 from repro.core.faults import FaultPlan, RobustnessWarning
 
 
@@ -123,6 +122,51 @@ class FaultBenchResult:
             "fault_events": self.fault_events,
         }
 
+    def render(self) -> str:
+        lines = [
+            f"{row.scenario:<14} ({'+'.join(row.kinds)}) "
+            f"{row.wall_seconds:.3f}s "
+            f"({row.wall_seconds - row.baseline_seconds:+.3f}s vs clean)  "
+            f"faults={row.faults_logged} respawns={row.respawns} "
+            f"quarantined={row.quarantined} "
+            f"degraded_to={row.degraded_to or '-'}  "
+            f"bit-identical={row.bit_identical}  "
+            f"stats-identical={row.stats_identical}"
+            for row in self.rows
+        ]
+        lines.append(
+            f"resume: checkpoint@sweep {self.resume_sweeps_completed} "
+            f"digest={self.checkpoint_digest[:12]}...  "
+            f"bit-identical={self.resume_bit_identical}  "
+            f"stats-identical={self.resume_stats_identical}"
+        )
+        return "\n".join(lines)
+
+    def failures(self) -> list[str]:
+        """The robustness contract: every violated clause, by scenario."""
+        failures = []
+        for row in self.rows:
+            checks = [
+                (row.bit_identical, "outputs differ from undisturbed serial run"),
+                (row.stats_identical, "step-cache counters differ from serial"),
+                (row.log_reconciled,
+                 f"planned fault kind(s) {row.kinds} never appeared in the fault log"),
+                (row.shm_cleaned, "shared-memory blocks left linked"),
+                (row.expectation_met,
+                 "expected recovery action (respawn/quarantine/degrade) did not happen"),
+            ]
+            failures += [f"{row.scenario}: {msg}" for ok, msg in checks if not ok]
+        if not self.resume_bit_identical:
+            failures.append(
+                "kill-then-resume: final outputs differ from uninterrupted run"
+            )
+        if not self.resume_stats_identical:
+            failures.append(
+                "kill-then-resume: step-cache counters differ from "
+                "uninterrupted run"
+            )
+        return failures
+
 
 def default_scenarios(
     hang_seconds: float = 600.0, watchdog_s: float = 2.0
@@ -201,16 +245,10 @@ def _build(
     seed: int,
     **config_kwargs,
 ) -> ModelCompressor:
-    stack = _LinearStack(n_layers, in_features, out_features, seed)
-    stack.to("gpu")
-    compressor = ModelCompressor(
-        DKMConfig(bits=3, iters=3),
-        config=CompressorConfig(
-            backend=backend, num_workers=workers, **config_kwargs
-        ),
+    return build_stack_compressor(
+        n_layers, in_features, out_features, seed,
+        backend=backend, num_workers=workers, **config_kwargs,
     )
-    compressor.compress(stack)
-    return compressor
 
 
 def _run_sweeps(compressor: ModelCompressor, n_sweeps: int) -> dict:
@@ -402,10 +440,22 @@ def _run_resume_scenario(
         os.rmdir(tmpdir)
 
 
+def run(quick: bool = False, seed: int = 0) -> FaultBenchResult:
+    """``python -m repro.bench faults``; quick = smaller layers, tighter watchdog."""
+    features = 48 if quick else 96
+    return run_faults(
+        in_features=features,
+        out_features=features,
+        seed=seed,
+        watchdog_s=1.0 if quick else 2.0,
+    )
+
+
 __all__ = [
     "FaultBenchResult",
     "FaultRow",
     "FaultScenario",
     "default_scenarios",
+    "run",
     "run_faults",
 ]

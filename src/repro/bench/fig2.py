@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bench.tables import PaperTable, render_table
 from repro.core.config import EDKMConfig
 from repro.core.offload import SavedTensorPipeline
 from repro.memory import global_ledger, profile_memory
@@ -74,6 +75,86 @@ def run_fig2(marshal: bool, hop_budget: int = 4, strategy: str = "graph") -> Fig
     )
 
 
-def run_hop_budget_sweep(budgets: tuple[int, ...] = (0, 1, 2, 4, 6)) -> list[Fig2Result]:
+HOP_BUDGETS = (0, 1, 2, 4, 6)
+
+
+def run_hop_budget_sweep(budgets: tuple[int, ...] = HOP_BUDGETS) -> list[Fig2Result]:
     """Ablation: how many hops the graph walk needs (paper: 4 suffices)."""
     return [run_fig2(marshal=True, hop_budget=b) for b in budgets]
+
+
+@dataclass
+class Fig2BenchResult(PaperTable):
+    """Fig. 2 plus its two ablations (hop budget, lookup strategy)."""
+
+    base: Fig2Result
+    marshal: Fig2Result
+    hop_sweep: list[Fig2Result]
+    oracle: Fig2Result
+
+    def render(self) -> str:
+        return "\n\n".join(
+            [
+                render_table(
+                    ["config", "CPU peak (MB)", "offload traffic (MB)", "copies",
+                     "avoided", "hits by hop"],
+                    [
+                        [label, r.cpu_peak_mb, r.offload_traffic_mb, r.copies_made,
+                         r.copies_avoided, str(r.hops_histogram)]
+                        for label, r in (
+                            ("no marshaling", self.base),
+                            ("with marshaling", self.marshal),
+                        )
+                    ],
+                    title="Fig. 2: cross-device tensor marshaling "
+                    "(x0, x1 = x0.view scenario)",
+                ),
+                render_table(
+                    ["hop budget", "CPU peak (MB)", "copies avoided", "hits by hop"],
+                    [
+                        [b, r.cpu_peak_mb, r.copies_avoided, str(r.hops_histogram)]
+                        for b, r in zip(HOP_BUDGETS, self.hop_sweep)
+                    ],
+                    title="Fig. 2 ablation: graph-walk hop budget (paper: 4 suffices)",
+                ),
+                render_table(
+                    ["strategy", "CPU peak (MB)", "copies avoided"],
+                    [
+                        ["graph walk (paper)", self.marshal.cpu_peak_mb,
+                         self.marshal.copies_avoided],
+                        ["storage-id oracle", self.oracle.cpu_peak_mb,
+                         self.oracle.copies_avoided],
+                    ],
+                    title="Fig. 2 ablation: lookup strategy",
+                ),
+            ]
+        )
+
+    def failures(self) -> list[str]:
+        base, marshal, sweep = self.base, self.marshal, self.hop_sweep
+        checks = [
+            (marshal.cpu_peak_mb < base.cpu_peak_mb,
+             "fig2: marshaling did not lower the CPU peak"),
+            (marshal.offload_traffic_mb < base.offload_traffic_mb,
+             "fig2: marshaling did not lower the offload traffic"),
+            (marshal.copies_avoided == 2,
+             f"fig2: expected 2 avoided copies, got {marshal.copies_avoided}"),
+            # Budget 0 misses the view-chain case; budget >= 1 is converged here.
+            (sweep[0].copies_avoided < sweep[1].copies_avoided,
+             "fig2: hop budget 0 dedups as much as budget 1"),
+            (sweep[1].cpu_peak_mb == sweep[-1].cpu_peak_mb,
+             "fig2: CPU peak still moves past hop budget 1"),
+            (marshal.copies_avoided == self.oracle.copies_avoided,
+             "fig2: graph walk and storage-id oracle dedup differently"),
+        ]
+        return [message for ok, message in checks if not ok]
+
+
+def run(quick: bool = False, seed: int = 0) -> Fig2BenchResult:
+    """``python -m repro.bench fig2`` (one fixed shape; seed unused)."""
+    return Fig2BenchResult(
+        base=run_fig2(marshal=False),
+        marshal=run_fig2(marshal=True),
+        hop_sweep=run_hop_budget_sweep(),
+        oracle=run_fig2(marshal=True, strategy="storage-id"),
+    )

@@ -26,8 +26,8 @@ mean the two strategies deduped the identical set of storages.  The
 per-strategy counters must also reconcile:
 ``copies_made + copies_avoided == tensors_packed == hits + misses``.
 
-``benchmarks/bench_marshal_strategies.py`` wraps :func:`run_marshal_strategies`
-into a command-line entry point that writes ``BENCH_marshal.json``.
+The content variant must also never dedup less than the oracle.
+``python -m repro.bench marshal`` writes ``BENCH_marshal.json``.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ class MarshalBenchResult:
     rows: list[StrategyRow] = field(default_factory=list)
     fingerprint_matches_oracle: bool = False
     all_reconcile: bool = False
+    config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -96,7 +97,36 @@ class MarshalBenchResult:
             "strategies": rows,
             "fingerprint_matches_oracle": self.fingerprint_matches_oracle,
             "all_reconcile": self.all_reconcile,
+            "config": self.config,
         }
+
+    def render(self) -> str:
+        return "\n".join(
+            f"{row.strategy:<20} packed {row.tensors_packed:>4}  "
+            f"hit-rate {row.hit_rate:.3f}  probe-cost {row.probe_cost:8.1f}  "
+            f"wall {row.wall_seconds:.4f}s  reconcile={row.counters_reconcile}"
+            for row in self.rows
+        )
+
+    def failures(self) -> list[str]:
+        failures = [
+            f"{row.strategy}: copies_made + copies_avoided != tensors_packed "
+            "or per-strategy hit/miss counters do not reconcile"
+            for row in self.rows
+            if not row.counters_reconcile
+        ]
+        if not self.fingerprint_matches_oracle:
+            failures.append(
+                "fingerprint deduped a different set of storages than storage-id "
+                "(pack-order event streams differ)"
+            )
+        rows = {row.strategy: row for row in self.rows}
+        oracle, content = rows.get("storage-id"), rows.get("fingerprint+content")
+        if oracle and content and content.copies_avoided < oracle.copies_avoided:
+            failures.append(
+                "fingerprint+content deduped less than the storage-id oracle"
+            )
+        return failures
 
 
 def _build_workload(
@@ -196,7 +226,17 @@ def run_marshal_strategies(
     seed: int = 0,
 ) -> MarshalBenchResult:
     """All three strategies (plus the content-dedup variant) on one step."""
-    result = MarshalBenchResult()
+    result = MarshalBenchResult(
+        config={
+            "dim": dim,
+            "hidden_dim": hidden_dim,
+            "n_layers": n_layers,
+            "seq_len": seq_len,
+            "repeats": repeats,
+            "hop_budget": hop_budget,
+            "fingerprint_max_samples": fingerprint_max_samples,
+        }
+    )
     events: dict[str, list[tuple[int, bool]]] = {}
     configurations = [(s, s, False) for s in SEARCH_STRATEGIES]
     configurations.append(("fingerprint+content", "fingerprint", True))
@@ -219,3 +259,12 @@ def run_marshal_strategies(
     result.fingerprint_matches_oracle = events["fingerprint"] == events["storage-id"]
     result.all_reconcile = all(row.counters_reconcile for row in result.rows)
     return result
+
+
+def run(quick: bool = False, seed: int = 0) -> MarshalBenchResult:
+    """``python -m repro.bench marshal``; quick = smaller model, one repeat."""
+    if quick:
+        return run_marshal_strategies(
+            dim=32, hidden_dim=64, seq_len=8, repeats=1, seed=seed
+        )
+    return run_marshal_strategies(seed=seed)

@@ -12,9 +12,12 @@ Two claims of the parallel engine (ISSUE 2) are measured:
   (:class:`MemoryError` via ``dense_saved_bytes_limit``), shown to run
   under ``row_chunk`` and to agree with the eDKM unique-space forward.
 
-``benchmarks/bench_parallel_layers.py`` wraps :func:`run_parallel_layers`
-into a deterministic command-line entry point that writes the
-``BENCH_parallel.json`` artifact.
+Bit-exactness and the chunked-fallback gates always apply; the >= 1.5x
+fan-out floor is armed only on a full-size run on a host with at least
+:data:`MIN_CORES_FOR_SPEEDUP_GATE` CPUs (a thread pool cannot beat serial
+on fewer cores, and ``--quick`` shapes are too small to time).  Kept out
+of tier-1 -- timing gates do not belong in the correctness suite;
+``python -m repro.bench parallel`` writes ``BENCH_parallel.json``.
 """
 
 from __future__ import annotations
@@ -25,32 +28,21 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-import repro.nn as nn
+from repro.bench.backends import (
+    _layer_stats,
+    _reset,
+    _results_identical,
+    build_stack_compressor,
+)
 from repro.core.compressor import ModelCompressor
-from repro.core.config import CompressorConfig, DKMConfig
+from repro.core.config import DKMConfig
 from repro.core.dkm import DKMClusterer
 from repro.core.edkm import edkm_cluster
-from repro.core.fastpath import FastPathStats
 from repro.tensor.dtype import bfloat16
 from repro.tensor.tensor import Tensor
 
-
-class _LinearStack(nn.Module):
-    """``n_layers`` independent Linears -- the multi-layer fan-out target."""
-
-    def __init__(self, n_layers: int, in_features: int, out_features: int, seed: int):
-        super().__init__()
-        for i in range(n_layers):
-            setattr(
-                self,
-                f"layer{i}",
-                nn.Linear(
-                    in_features,
-                    out_features,
-                    bias=False,
-                    rng=np.random.default_rng(seed + i),
-                ),
-            )
+MIN_CORES_FOR_SPEEDUP_GATE = 4
+MIN_SPEEDUP = 1.5
 
 
 @dataclass
@@ -86,6 +78,7 @@ class ChunkedDenseRow:
 @dataclass
 class ParallelBenchResult:
     cpu_count: int = 0
+    speedup_gate_active: bool = False
     sweeps: list[ParallelSweepRow] = field(default_factory=list)
     chunked: list[ChunkedDenseRow] = field(default_factory=list)
 
@@ -100,34 +93,62 @@ class ParallelBenchResult:
             "cpu_count": self.cpu_count,
             "sweeps": sweeps,
             "chunked_dense": [asdict(row) for row in self.chunked],
+            "min_speedup": MIN_SPEEDUP,
+            "speedup_gate_active": self.speedup_gate_active,
         }
 
+    def render(self) -> str:
+        lines = [
+            f"{_sweep_label(row):<36} serial {row.serial_seconds:.4f}s  "
+            f"parallel({row.workers}w) {row.parallel_seconds:.4f}s  "
+            f"speedup {row.speedup:.2f}x  bit-identical={row.bit_identical}  "
+            f"stats-identical={row.stats_identical}"
+            for row in self.sweeps
+        ]
+        if not self.speedup_gate_active:
+            lines.append(
+                f"speedup gate skipped (cpu_count={self.cpu_count}; armed on "
+                f"full-size runs with >= {MIN_CORES_FOR_SPEEDUP_GATE} CPUs)"
+            )
+        lines += [
+            f"{_chunked_label(row):<36} monolithic-raises={row.monolithic_raises}  "
+            f"chunked({row.row_chunk}) {row.chunked_seconds:.3f}s  "
+            f"matches-edkm={row.matches_edkm_forward}"
+            for row in self.chunked
+        ]
+        return "\n".join(lines)
 
-def _build_compressor(
-    n_layers: int,
-    in_features: int,
-    out_features: int,
-    bits: int,
-    iters: int,
-    workers: int,
-    seed: int,
-) -> ModelCompressor:
-    stack = _LinearStack(n_layers, in_features, out_features, seed)
-    stack.to("gpu")
-    compressor = ModelCompressor(
-        DKMConfig(bits=bits, iters=iters),
-        config=CompressorConfig(num_workers=workers),
-    )
-    compressor.compress(stack)
-    return compressor
+    def failures(self) -> list[str]:
+        failures = []
+        for row in self.sweeps:
+            label = _sweep_label(row)
+            if not row.bit_identical:
+                failures.append(f"{label}: parallel outputs differ from serial")
+            if not row.stats_identical:
+                failures.append(f"{label}: per-layer step-cache counters differ")
+            if self.speedup_gate_active and row.speedup < MIN_SPEEDUP:
+                failures.append(
+                    f"{label}: speedup {row.speedup:.2f}x below the "
+                    f"{MIN_SPEEDUP}x floor ({self.cpu_count} cores)"
+                )
+        for row in self.chunked:
+            label = _chunked_label(row)
+            if not row.monolithic_raises:
+                failures.append(
+                    f"{label}: monolithic dense composition did not refuse a "
+                    "layer over the saved-bytes limit"
+                )
+            if not row.matches_edkm_forward:
+                failures.append(f"{label}: chunked output diverges from eDKM forward")
+        return failures
 
 
-def _reset(compressor: ModelCompressor) -> None:
-    """Fresh clustering state + empty step caches for a timed sweep."""
-    for wrapper in compressor.wrapped.values():
-        wrapper.clusterer.state = None
-        wrapper.step_cache.invalidate()
-        wrapper.step_cache.stats = FastPathStats()
+def _sweep_label(row: ParallelSweepRow) -> str:
+    return f"sweep layers={row.n_layers} x {row.weights_per_layer}w"
+
+
+def _chunked_label(row: ChunkedDenseRow) -> str:
+    return f"chunked dense N={row.n_weights} k={row.n_clusters}"
 
 
 def _timed_sweep(compressor: ModelCompressor, repeats: int) -> tuple[float, dict]:
@@ -151,38 +172,23 @@ def _sweep_row(
     repeats: int,
     seed: int,
 ) -> ParallelSweepRow:
-    serial = _build_compressor(
-        n_layers, in_features, out_features, bits, iters, workers=1, seed=seed
+    serial = build_stack_compressor(
+        n_layers, in_features, out_features, seed, bits, iters, num_workers=1
     )
-    parallel = _build_compressor(
-        n_layers, in_features, out_features, bits, iters, workers=workers, seed=seed
+    parallel = build_stack_compressor(
+        n_layers, in_features, out_features, seed, bits, iters, num_workers=workers
     )
 
     serial_s, serial_res = _timed_sweep(serial, repeats)
     parallel_s, parallel_res = _timed_sweep(parallel, repeats)
-
-    bit_identical = list(serial_res) == list(parallel_res) and all(
-        np.array_equal(serial_res[name].centroids, parallel_res[name].centroids)
-        and np.array_equal(serial_res[name].assignments, parallel_res[name].assignments)
-        and serial_res[name].temperature == parallel_res[name].temperature
-        for name in serial_res
-    )
-    serial_stats = {
-        name: repr(wrapper.step_cache.stats)
-        for name, wrapper in serial.wrapped.items()
-    }
-    parallel_stats = {
-        name: repr(wrapper.step_cache.stats)
-        for name, wrapper in parallel.wrapped.items()
-    }
     return ParallelSweepRow(
         n_layers=n_layers,
         weights_per_layer=in_features * out_features,
         workers=workers,
         serial_seconds=serial_s,
         parallel_seconds=parallel_s,
-        bit_identical=bit_identical,
-        stats_identical=serial_stats == parallel_stats,
+        bit_identical=_results_identical(serial_res, parallel_res),
+        stats_identical=_layer_stats(serial) == _layer_stats(parallel),
     )
 
 
@@ -260,5 +266,25 @@ def run_parallel_layers(
     )
     result.chunked.append(
         _chunked_dense_row(dense_weights, dense_bits, dense_row_chunk, seed)
+    )
+    return result
+
+
+def run(quick: bool = False, seed: int = 0) -> ParallelBenchResult:
+    """``python -m repro.bench parallel``; quick = smaller layers, fewer repeats."""
+    if quick:
+        result = run_parallel_layers(
+            in_features=256,
+            out_features=512,
+            repeats=2,
+            # 4.7M weights: ~25% smaller than the 6M default while still
+            # over the 4.19M threshold of the default dense limit at k=16.
+            dense_weights=(1 << 22) + (1 << 19),
+            seed=seed,
+        )
+    else:
+        result = run_parallel_layers(seed=seed)
+    result.speedup_gate_active = (
+        not quick and result.cpu_count >= MIN_CORES_FOR_SPEEDUP_GATE
     )
     return result

@@ -25,8 +25,10 @@ fast:
   :class:`~repro.serving.queue.DeadlineExceeded`; everything submitted
   must be accounted for (completed + rejected == submitted).
 
-``benchmarks/bench_serving.py`` wraps :func:`run_serving` into the CLI
-that writes ``BENCH_serving.json`` (schema: ``docs/benchmarks.md``).
+Per-request byte accounting must also flow through the traffic ledger.
+Wall times and throughput are recorded but not gated -- CI runners are
+noisy.  ``python -m repro.bench serving`` writes ``BENCH_serving.json``
+(schema: ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -111,10 +113,19 @@ class ServingBenchResult:
                 return row
         return None
 
-    def to_json_dict(self) -> dict:
-        """The ``BENCH_serving.json`` payload (see ``docs/benchmarks.md``)."""
+    @property
+    def palette_weight_ratio(self) -> float | None:
+        """Palette over uncompressed resident weight bytes, if both ran."""
         palette = self.row("compressed-palette")
         uncompressed = self.row("uncompressed")
+        if palette is None or uncompressed is None:
+            return None
+        if not uncompressed.weight_bytes_resident:
+            return None
+        return palette.weight_bytes_resident / uncompressed.weight_bytes_resident
+
+    def to_json_dict(self) -> dict:
+        """The ``BENCH_serving.json`` payload (see ``docs/benchmarks.md``)."""
         return {
             "benchmark": "serving",
             "cpu_count": self.cpu_count,
@@ -124,13 +135,7 @@ class ServingBenchResult:
             "bits": self.bits,
             "rows": [asdict(row) for row in self.rows],
             "tokens_identical": self.tokens_identical,
-            "palette_vs_uncompressed_weight_bytes": (
-                None
-                if palette is None or uncompressed is None
-                or not uncompressed.weight_bytes_resident
-                else palette.weight_bytes_resident
-                / uncompressed.weight_bytes_resident
-            ),
+            "palette_vs_uncompressed_weight_bytes": self.palette_weight_ratio,
             "admission": {
                 "submit_attempts": self.admission_submit_attempts,
                 "rejected": self.admission_rejected,
@@ -140,6 +145,68 @@ class ServingBenchResult:
             "deadline_rejected": self.deadline_rejected,
             "request_bytes_tagged": self.request_bytes_tagged,
         }
+
+    def render(self) -> str:
+        def seconds(value: float | None) -> str:
+            return "None" if value is None else f"{value:.4f}s"
+
+        lines = [
+            f"{row.scenario:<19} ({row.eval_path:<7}) "
+            f"{row.requests_per_s:>7.2f} req/s  "
+            f"p50={seconds(row.latency_p50_s)} p99={seconds(row.latency_p99_s)}  "
+            f"occupancy={row.mean_batch_occupancy:.2f}  "
+            f"weights={row.weight_bytes_resident}B resident / "
+            f"{row.weight_bytes_read}B read"
+            for row in self.rows
+        ]
+        ratio = self.palette_weight_ratio
+        if ratio is not None:
+            lines.append(f"palette/uncompressed resident weight bytes: {ratio:.3f}")
+        lines.append(
+            f"admission: {self.admission_rejected} rejected / "
+            f"{self.admission_completed} completed of "
+            f"{self.admission_submit_attempts} attempts  "
+            f"deadline_rejected={self.deadline_rejected}"
+        )
+        lines.append(
+            f"tokens-identical={self.tokens_identical}  cpu_count={self.cpu_count}"
+        )
+        return "\n".join(lines)
+
+    def failures(self) -> list[str]:
+        failures = [
+            f"{row.scenario}: completed {row.completed} of "
+            f"{self.n_requests} requests"
+            for row in self.rows
+            if row.completed != self.n_requests
+        ]
+        if not self.tokens_identical:
+            failures.append(
+                "palette completions differ from dense/offline reference "
+                "(eval paths are not bit-identical under concurrent load)"
+            )
+        ratio = self.palette_weight_ratio
+        if ratio is not None and ratio >= 1.0:
+            failures.append(
+                "palette artifact is not smaller than the uncompressed "
+                f"weights (ratio {ratio:.3f})"
+            )
+        if self.admission_rejected == 0:
+            failures.append("admission probe: burst past queue bound shed nothing")
+        if not self.admission_accounted:
+            failures.append(
+                "admission probe: rejected + completed != submitted "
+                f"({self.admission_rejected} + {self.admission_completed} vs "
+                f"{self.admission_submit_attempts})"
+            )
+        if self.deadline_rejected == 0:
+            failures.append("microscopic deadline was not rejected")
+        if self.request_bytes_tagged != 4:
+            failures.append(
+                "per-request ledger accounting: expected 4 tagged requests, "
+                f"got {self.request_bytes_tagged}"
+            )
+        return failures
 
 
 def _train_small_model(sentences: int, epochs: int, seed: int):
@@ -395,3 +462,12 @@ def run_serving(
         if ledger.total_bytes(tag=request_tag(r.id)) > 0
     )
     return result
+
+
+def run(quick: bool = False, seed: int = 0) -> ServingBenchResult:
+    """``python -m repro.bench serving``; quick = smaller corpus and load."""
+    if quick:
+        return run_serving(
+            n_requests=6, max_new_tokens=4, sentences=120, epochs=1, seed=seed
+        )
+    return run_serving(seed=seed)

@@ -25,9 +25,9 @@ fault, re-promote after probation, end with every breaker closed) and
 draining shutdown (``stop(drain=True)`` finishes all in-flight
 requests bit-identically).
 
-``benchmarks/bench_serving_faults.py`` wraps :func:`run_serving_faults`
-into the CLI that writes ``BENCH_serving_faults.json`` (schema:
-``docs/benchmarks.md``).
+Wall times are recorded but not gated -- CI runners are noisy.
+``python -m repro.bench serving_faults`` writes
+``BENCH_serving_faults.json`` (schema: ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -111,9 +111,17 @@ class ChaosBenchResult:
     drain_completed: int = 0
     drain_ok: bool = False
 
+    def breaker_summary(self) -> dict:
+        """Trips over every row; re-promotions over the breaker scenario only."""
+        breaker_rows = [r for r in self.rows if r.scenario.startswith("breaker")]
+        return {
+            "trips": sum(r.breaker_trips for r in self.rows),
+            "repromotions": sum(r.breaker_repromotions for r in breaker_rows),
+            "final_states_closed": self.breaker_final_states_closed,
+        }
+
     def to_json_dict(self) -> dict:
         """The ``BENCH_serving_faults.json`` payload (``docs/benchmarks.md``)."""
-        breaker_rows = [r for r in self.rows if r.scenario.startswith("breaker")]
         return {
             "benchmark": "serving_faults",
             "cpu_count": self.cpu_count,
@@ -128,16 +136,81 @@ class ChaosBenchResult:
             "shutdown_bounded": all(
                 r.stop_s <= STOP_DEADLINE_S for r in self.rows
             ),
-            "breaker": {
-                "trips": sum(r.breaker_trips for r in self.rows),
-                "repromotions": sum(r.breaker_repromotions for r in breaker_rows),
-                "final_states_closed": self.breaker_final_states_closed,
-            },
+            "breaker": self.breaker_summary(),
             "drain": {
                 "completed": self.drain_completed,
                 "ok": self.drain_ok,
             },
         }
+
+    def render(self) -> str:
+        payload = self.to_json_dict()
+        lines = []
+        for row in self.rows:
+            events = ", ".join(
+                f"{kind}x{count}" for kind, count in sorted(row.fault_events.items())
+            )
+            lines.append(
+                f"{row.scenario:<22} clients={row.clients}  "
+                f"completed={row.completed}/{row.submitted}  "
+                f"retries={row.client_retries}  "
+                f"identical={row.tokens_identical}  "
+                f"stop={row.stop_s:.2f}s  "
+                f"events=[{events or '-'}]"
+            )
+        breaker = self.breaker_summary()
+        lines.append(
+            f"breaker: trips={breaker['trips']} "
+            f"repromotions={breaker['repromotions']} "
+            f"final_states_closed={breaker['final_states_closed']}"
+        )
+        lines.append(
+            f"drain: completed={self.drain_completed}/{self.n_prompts} "
+            f"ok={self.drain_ok}"
+        )
+        lines.append(
+            f"tokens-identical={payload['tokens_identical']}  "
+            f"faults-reconciled={payload['faults_reconciled']}  "
+            f"no-stranded-futures={payload['no_stranded_futures']}  "
+            f"shutdown-bounded={payload['shutdown_bounded']}  "
+            f"cpu_count={self.cpu_count}"
+        )
+        return "\n".join(lines)
+
+    def failures(self) -> list[str]:
+        """Every violated survival gate, by scenario."""
+        failures = []
+        for row in self.rows:
+            checks = [
+                (row.tokens_identical,
+                 "completions differ from the offline reference "
+                 "(faults were not survived bit-identically)"),
+                (not row.stranded,
+                 "a client thread never joined -- a submitted request was stranded"),
+                (not row.unfired_specs,
+                 f"{row.unfired_specs} armed fault spec(s) never fired "
+                 "(the chaos did not happen)"),
+                (row.stop_s <= STOP_DEADLINE_S,
+                 f"stop() took {row.stop_s:.2f}s (deadline {STOP_DEADLINE_S:.0f}s)"),
+            ]
+            failures += [f"{row.scenario}: {msg}" for ok, msg in checks if not ok]
+        breaker = self.breaker_summary()
+        hang_rows = [r for r in self.rows if r.kind == "hang_step"]
+        checks = [
+            (breaker["trips"] != 0,
+             "breaker never tripped (kernel faults went unnoticed)"),
+            (breaker["repromotions"] != 0,
+             "breaker never re-promoted (probation path was not exercised)"),
+            (self.breaker_final_states_closed,
+             "breaker-repromotion scenario ended with a non-closed breaker"),
+            (self.drain_ok,
+             "stop(drain=True) did not finish all in-flight requests "
+             "bit-identically within the deadline"),
+            (not hang_rows or any(r.watchdog_kills for r in hang_rows),
+             "hang_step scenario ran without a watchdog kill "
+             "(the hang was not injected or not detected)"),
+        ]
+        return failures + [message for ok, message in checks if not ok]
 
 
 def _plan_for(kind: str, seed: int) -> ServingFaultPlan:
@@ -473,3 +546,12 @@ def run_serving_faults(
         )
     )
     return result
+
+
+def run(quick: bool = False, seed: int = 0) -> ChaosBenchResult:
+    """``python -m repro.bench serving_faults``; quick = smaller corpus, one client count."""
+    if quick:
+        return run_serving_faults(
+            max_new_tokens=4, sentences=120, epochs=1, client_matrix=(4,), seed=seed
+        )
+    return run_serving_faults(seed=seed)

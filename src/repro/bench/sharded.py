@@ -23,8 +23,9 @@ curve and proves the equivalences placement must not change:
   budget compresses fine across two nodes, bit-identical to serial, with
   no node's pinned bytes above the budget.
 
-``benchmarks/bench_sharded.py`` wraps :func:`run_sharded` into the CLI
-that writes ``BENCH_sharded.json`` (schema: ``docs/benchmarks.md``).
+Every exported shared-memory block must be unlinked after the run.
+``python -m repro.bench sharded`` writes ``BENCH_sharded.json`` (schema:
+``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -117,6 +118,78 @@ class ShardedBenchResult:
             "over_budget_max_load": self.over_budget_max_load,
             "shm_cleaned": self.shm_cleaned,
         }
+
+    def render(self) -> str:
+        lines = [
+            f"nodes={row.nodes} sweep {row.sweep} "
+            f"({row.scenario:<14}) {row.wall_seconds:.4f}s  "
+            f"{row.bytes_shipped:>7}B shipped "
+            f"({row.bytes_per_layer:.0f}B/layer) "
+            f"({row.full_tasks} full / {row.delta_tasks} delta)  "
+            f"bit-identical={row.bit_identical}  "
+            f"stats-identical={row.stats_identical}"
+            for row in self.rows
+        ]
+        for nodes, point in self.to_json_dict()["scaling"].items():
+            lines.append(
+                f"scaling nodes={nodes}: warm {point['warm_wall_seconds']:.4f}s  "
+                f"{point['warm_bytes_shipped']}B "
+                f"({point['warm_bytes_per_layer']:.0f}B/layer)  "
+                f"loads={point['loads']}  balanced={point['balanced']}"
+            )
+        lines.append(
+            f"over-budget: total={self.total_bytes}B "
+            f"budget={self.node_budget}B  "
+            f"single-node-infeasible={self.single_node_infeasible}  "
+            f"max-load={self.over_budget_max_load}B  "
+            f"identical={self.over_budget_identical}  "
+            f"stats={self.over_budget_stats_identical}"
+        )
+        lines.append(f"shm-cleaned={self.shm_cleaned}  cpu_count={self.cpu_count}")
+        return "\n".join(lines)
+
+    def failures(self) -> list[str]:
+        """Identity, transport, placement, budget and shm-cleanup gates."""
+        failures = []
+        for row in self.rows:
+            label = f"nodes={row.nodes} sweep {row.sweep}"
+            if not row.bit_identical:
+                failures.append(
+                    f"{label} ({row.scenario}): outputs differ from serial"
+                )
+            if not row.stats_identical:
+                failures.append(
+                    f"{label} ({row.scenario}): step-cache counters differ from serial"
+                )
+            if row.scenario == "warm" and row.full_tasks != 0:
+                failures.append(
+                    f"{label}: warm sweep still shipped {row.full_tasks} full task(s)"
+                )
+            if row.scenario == "resize" and row.delta_tasks == 0:
+                failures.append(
+                    f"{label}: the resize tore every node down "
+                    "(no layer stayed on deltas)"
+                )
+        failures += [
+            f"nodes={nodes}: placement violates balance bound"
+            for nodes, balanced in self.balanced.items()
+            if not balanced
+        ]
+        checks = [
+            (self.total_bytes > self.node_budget,
+             "headline model does not exceed the per-node budget"),
+            (self.single_node_infeasible,
+             "single-node placement unexpectedly fit the budget"),
+            (self.over_budget_identical,
+             "over-budget run: outputs differ from serial"),
+            (self.over_budget_stats_identical,
+             "over-budget run: step-cache counters differ from serial"),
+            (self.over_budget_max_load <= self.node_budget,
+             f"over-budget run: node load {self.over_budget_max_load}B "
+             f"exceeds the {self.node_budget}B budget"),
+            (self.shm_cleaned, "process backend left shared-memory blocks linked"),
+        ]
+        return failures + [message for ok, message in checks if not ok]
 
 
 class _SkewedStack(nn.Module):
@@ -284,3 +357,8 @@ def run_sharded(
         if shm_names and not _all_unlinked(shm_names):
             result.shm_cleaned = False
     return result
+
+
+def run(quick: bool = False, seed: int = 0) -> ShardedBenchResult:
+    """``python -m repro.bench sharded``; quick = smaller layers."""
+    return run_sharded(features=32 if quick else 96, seed=seed)

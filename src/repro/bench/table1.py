@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bench.tables import PaperTable, render_table
 from repro.tensor.device import CPU, GPU
 from repro.tensor.tensor import Tensor
 
@@ -67,3 +68,33 @@ PAPER_TABLE1 = [
     (2, 4.0, 4.0),
     (3, 4.0, 8.0),
 ]
+
+
+@dataclass
+class Table1Result(PaperTable):
+    rows: list[Table1Row]
+
+    def render(self) -> str:
+        return render_table(
+            ["line", "code", "GPU (MB)", "CPU (MB)", "paper GPU", "paper CPU"],
+            [
+                [r.line, r.code, r.gpu_mb, r.cpu_mb, p[1], p[2]]
+                for r, p in zip(self.rows, PAPER_TABLE1)
+            ],
+            title="Table 1: memory footprint of cross-device tensor moves",
+        )
+
+    def failures(self) -> list[str]:
+        """Byte-for-byte match: it is arithmetic of the storage model."""
+        failures = []
+        for row, (line, gpu_mb, cpu_mb) in zip(self.rows, PAPER_TABLE1):
+            if row.gpu_mb != gpu_mb:
+                failures.append(f"table1 line {line}: GPU {row.gpu_mb} != {gpu_mb}")
+            if row.cpu_mb != cpu_mb:
+                failures.append(f"table1 line {line}: CPU {row.cpu_mb} != {cpu_mb}")
+        return failures
+
+
+def run(quick: bool = False, seed: int = 0) -> Table1Result:
+    """``python -m repro.bench table1`` (one fixed shape; seed unused)."""
+    return Table1Result(run_table1())

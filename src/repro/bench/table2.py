@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bench.tables import PaperTable, render_table
 from repro.core.compressor import ClusteredLinear
 from repro.core.config import DKMConfig, EDKMConfig
+from repro.core.dkm import DKMClusterer
+from repro.core.edkm import edkm_cluster
 from repro.core.offload import SavedTensorPipeline
 from repro.distributed import LearnerGroup
 from repro.memory import global_ledger, profile_memory
@@ -63,6 +66,22 @@ class Table2Result:
     def slowdown(self, row: Table2Row) -> float:
         base = self.rows[0].runtime_s
         return row.runtime_s / max(base, 1e-9)
+
+    def failures(self) -> list[str]:
+        """The paper's ordering, at the default :func:`run_table2` shape."""
+        by_name = {r.name: r for r in self.rows}
+        failures = [
+            f"table2 {name}: reduction {self.reduction(by_name[name]):.1f}x "
+            f"is not above {floor}x"
+            for name, floor in (("M", 1.5), ("M+U", 10), ("M+S", 5), ("M+U+S", 100))
+            if not self.reduction(by_name[name]) > floor
+        ]
+        if by_name["M+U+S"].cpu_peak_bytes != min(r.cpu_peak_bytes for r in self.rows):
+            failures.append("table2: M+U+S is not the smallest CPU peak")
+        # M+U beats M+S here as in the paper (23.5x vs 16.4x).
+        if not by_name["M+U"].cpu_peak_bytes < by_name["M+S"].cpu_peak_bytes:
+            failures.append("table2: M+U does not beat M+S")
+        return failures
 
 
 PAPER_TABLE2 = {
@@ -185,3 +204,131 @@ def run_bits_sweep(
     return {
         b: run_table2(dim=dim, seq_len=seq_len, bits=b) for b in bits_options
     }
+
+
+@dataclass
+class BackwardModeResult:
+    """Extension: paper-faithful map reconstruction vs factorized backward."""
+
+    reconstruct_s: float
+    factorized_s: float
+    max_grad_diff: float
+    grads_close: bool
+
+
+def run_backward_mode(n_weights: int = 1 << 16, seed: int = 0) -> BackwardModeResult:
+    values = (np.random.default_rng(seed).standard_normal(n_weights) * 0.05).astype(
+        np.float32
+    )
+
+    def run_mode(reconstruct: bool):
+        w = Tensor.from_numpy(values, dtype="bfloat16", device="gpu", requires_grad=True)
+        clusterer = DKMClusterer(DKMConfig(bits=3, iters=2))
+        start = time.perf_counter()
+        out = edkm_cluster(w, clusterer, reconstruct_backward=reconstruct)
+        (out * out).sum().backward()
+        return time.perf_counter() - start, w.grad.numpy()
+
+    t_recon, g_recon = run_mode(True)
+    t_fact, g_fact = run_mode(False)
+    return BackwardModeResult(
+        reconstruct_s=t_recon,
+        factorized_s=t_fact,
+        max_grad_diff=float(np.abs(g_recon - g_fact).max()),
+        grads_close=bool(
+            np.allclose(g_recon, g_fact, atol=1e-4 * max(np.abs(g_recon).max(), 1))
+        ),
+    )
+
+
+@dataclass
+class Table2BenchResult(PaperTable):
+    """Table 2 plus the learner-count, bit-width and backward-mode ablations."""
+
+    main: Table2Result
+    learner_sweep: dict[int, Table2Result]
+    bits_sweep: dict[int, Table2Result]
+    backward: BackwardModeResult
+
+    def render(self) -> str:
+        main = self.main
+        return "\n\n".join(
+            [
+                render_table(
+                    ["config", "CPU peak (MB)", "reduction", "runtime (s)",
+                     "rel. runtime", "dedup hits", "sharded", "paper reduction"],
+                    [
+                        [row.name, row.cpu_peak_mb, f"{main.reduction(row):.1f}x",
+                         row.runtime_s, f"{main.slowdown(row):.2f}x",
+                         row.copies_avoided, row.tensors_sharded,
+                         f"{PAPER_TABLE2[row.name][1]}x"]
+                        for row in main.rows
+                    ],
+                    title="Table 2: eDKM ablation (one attention layer, 3-bit, |L|=8)",
+                    float_fmt="{:.2f}",
+                ),
+                render_table(
+                    ["learners |L|", "M+U+S CPU peak (MB)", "reduction vs baseline"],
+                    [
+                        [n, r.rows[1].cpu_peak_mb, f"{r.reduction(r.rows[1]):.1f}x"]
+                        for n, r in self.learner_sweep.items()
+                    ],
+                    title="Table 2 ablation: sharding benefit vs learner count",
+                    float_fmt="{:.3f}",
+                ),
+                render_table(
+                    ["bits", "|C|", "baseline (MB)", "M+U+S (MB)", "reduction"],
+                    [
+                        [bits, 2**bits, r.rows[0].cpu_peak_mb, r.rows[-1].cpu_peak_mb,
+                         f"{r.reduction(r.rows[-1]):.1f}x"]
+                        for bits, r in self.bits_sweep.items()
+                    ],
+                    title="Table 2 ablation: bit width (map scales with 2^bits)",
+                    float_fmt="{:.3f}",
+                ),
+                render_table(
+                    ["backward mode", "fwd+bwd time (s)", "max |grad diff|"],
+                    [
+                        ["reconstruct dense map (paper)", self.backward.reconstruct_s, 0.0],
+                        ["factorized unique-space (ext.)", self.backward.factorized_s,
+                         self.backward.max_grad_diff],
+                    ],
+                    title="Extension ablation: eDKM backward implementation",
+                    float_fmt="{:.4f}",
+                ),
+            ]
+        )
+
+    def failures(self) -> list[str]:
+        failures = self.main.failures()
+        reductions = {
+            n: r.reduction(r.rows[1]) for n, r in self.learner_sweep.items()
+        }
+        if not reductions[8] > reductions[2] > reductions[1] * 0.9:
+            failures.append(
+                f"table2 learners: reduction does not grow with |L| ({reductions})"
+            )
+        # The dense map grows with the codebook.
+        baselines = [r.rows[0].cpu_peak_bytes for r in self.bits_sweep.values()]
+        if baselines != sorted(set(baselines)):
+            failures.append("table2 bits: baseline peak does not grow with 2^bits")
+        if not self.backward.grads_close:
+            failures.append(
+                "table2 backward: factorized gradient diverges from the "
+                f"reconstructed one (max diff {self.backward.max_grad_diff:.2e})"
+            )
+        return failures
+
+
+def run(quick: bool = False, seed: int = 0) -> Table2BenchResult:
+    """``python -m repro.bench table2`` (a few seconds; quick == full).
+
+    The ablation workloads are seeded internally; ``seed`` only drives the
+    backward-mode weights.
+    """
+    return Table2BenchResult(
+        main=run_table2(),
+        learner_sweep=run_learner_sweep(),
+        bits_sweep=run_bits_sweep(dim=192),
+        backward=run_backward_mode(seed=seed),
+    )

@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Sequence
+
+
+class PaperTable:
+    """Base of the paper-table results (each subclass is a dataclass).
+
+    ``python -m repro.bench`` writes these as rendered ``<name>.txt``; the
+    JSON view is simply the measured fields.
+    """
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 def render_table(

@@ -676,7 +676,7 @@ class ModelCompressor:
         the delta-shipping effect directly: a warm sweep's
         ``last_sweep_delta_tasks`` equals the layer count and its
         ``last_sweep_bytes`` undercuts the cold full-task sweep's (see
-        ``benchmarks/bench_sharded.py``); ``bytes_shipped`` reconciles
+        ``python -m repro.bench sharded``); ``bytes_shipped`` reconciles
         exactly with the traffic ledger's ``shard:ship:*`` total.
         """
         return self._engine.transport if self._engine is not None else None

@@ -20,7 +20,7 @@ back as a picklable :class:`FaultDirective` attached to the shipped task
 sleeping, or raising), parent-side kinds (payload corruption, shm drop)
 are applied by the engine before the task ships.  Every injection is
 recorded in a :class:`FaultLog`, which the chaos benchmark
-(``benchmarks/bench_faults.py``) cross-checks against the recoveries it
+(``python -m repro.bench faults``) cross-checks against the recoveries it
 observed.
 
 Determinism contract: for a fixed (plan, layer-name sequence), the

@@ -20,7 +20,7 @@ layer list; step-scoped kinds (``hang_step``, ``delay_step``,
 ``transient_step``) target the scheduler step itself.  Arm a plan via
 ``ServingConfig.fault_plan``; every injection lands in the shared
 :class:`~repro.core.faults.FaultLog` shape that
-``benchmarks/bench_serving_faults.py`` reconciles against the recoveries
+``python -m repro.bench serving_faults`` reconciles against the recoveries
 it observed.
 
 Firing semantics differ from the compression injector in one deliberate

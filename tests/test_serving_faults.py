@@ -910,9 +910,10 @@ class TestLedgerIsolation:
 class TestChaosBenchHelpers:
     """Unit tests for the chaos benchmark's pure pieces.
 
-    The end-to-end matrix runs in ``benchmarks/bench_serving_faults.py``
-    (CI smoke); these cover the plan/config factories and the gate
-    arithmetic in ``to_json_dict`` without training a model.
+    The end-to-end matrix runs as ``python -m repro.bench serving_faults``
+    (CI smoke, and ``tests/test_bench_cli.py`` in quick mode); these cover
+    the plan/config factories and the gate arithmetic in ``to_json_dict``
+    without training a model.
     """
 
     def _row(self, **overrides):
