@@ -24,8 +24,6 @@ import numpy as np
 from repro.bench.tables import PaperTable, render_table
 from repro.core.compressor import ClusteredLinear
 from repro.core.config import DKMConfig, EDKMConfig
-from repro.core.dkm import DKMClusterer
-from repro.core.edkm import edkm_cluster
 from repro.core.offload import SavedTensorPipeline
 from repro.distributed import LearnerGroup
 from repro.memory import global_ledger, profile_memory
@@ -207,48 +205,12 @@ def run_bits_sweep(
 
 
 @dataclass
-class BackwardModeResult:
-    """Extension: paper-faithful map reconstruction vs factorized backward."""
-
-    reconstruct_s: float
-    factorized_s: float
-    max_grad_diff: float
-    grads_close: bool
-
-
-def run_backward_mode(n_weights: int = 1 << 16, seed: int = 0) -> BackwardModeResult:
-    values = (np.random.default_rng(seed).standard_normal(n_weights) * 0.05).astype(
-        np.float32
-    )
-
-    def run_mode(reconstruct: bool):
-        w = Tensor.from_numpy(values, dtype="bfloat16", device="gpu", requires_grad=True)
-        clusterer = DKMClusterer(DKMConfig(bits=3, iters=2))
-        start = time.perf_counter()
-        out = edkm_cluster(w, clusterer, reconstruct_backward=reconstruct)
-        (out * out).sum().backward()
-        return time.perf_counter() - start, w.grad.numpy()
-
-    t_recon, g_recon = run_mode(True)
-    t_fact, g_fact = run_mode(False)
-    return BackwardModeResult(
-        reconstruct_s=t_recon,
-        factorized_s=t_fact,
-        max_grad_diff=float(np.abs(g_recon - g_fact).max()),
-        grads_close=bool(
-            np.allclose(g_recon, g_fact, atol=1e-4 * max(np.abs(g_recon).max(), 1))
-        ),
-    )
-
-
-@dataclass
 class Table2BenchResult(PaperTable):
-    """Table 2 plus the learner-count, bit-width and backward-mode ablations."""
+    """Table 2 plus the learner-count and bit-width ablations."""
 
     main: Table2Result
     learner_sweep: dict[int, Table2Result]
     bits_sweep: dict[int, Table2Result]
-    backward: BackwardModeResult
 
     def render(self) -> str:
         main = self.main
@@ -286,16 +248,6 @@ class Table2BenchResult(PaperTable):
                     title="Table 2 ablation: bit width (map scales with 2^bits)",
                     float_fmt="{:.3f}",
                 ),
-                render_table(
-                    ["backward mode", "fwd+bwd time (s)", "max |grad diff|"],
-                    [
-                        ["reconstruct dense map (paper)", self.backward.reconstruct_s, 0.0],
-                        ["factorized unique-space (ext.)", self.backward.factorized_s,
-                         self.backward.max_grad_diff],
-                    ],
-                    title="Extension ablation: eDKM backward implementation",
-                    float_fmt="{:.4f}",
-                ),
             ]
         )
 
@@ -312,23 +264,16 @@ class Table2BenchResult(PaperTable):
         baselines = [r.rows[0].cpu_peak_bytes for r in self.bits_sweep.values()]
         if baselines != sorted(set(baselines)):
             failures.append("table2 bits: baseline peak does not grow with 2^bits")
-        if not self.backward.grads_close:
-            failures.append(
-                "table2 backward: factorized gradient diverges from the "
-                f"reconstructed one (max diff {self.backward.max_grad_diff:.2e})"
-            )
         return failures
 
 
 def run(quick: bool = False, seed: int = 0) -> Table2BenchResult:
     """``python -m repro.bench table2`` (a few seconds; quick == full).
 
-    The ablation workloads are seeded internally; ``seed`` only drives the
-    backward-mode weights.
+    The ablation workloads are seeded internally, so ``seed`` is unused.
     """
     return Table2BenchResult(
         main=run_table2(),
         learner_sweep=run_learner_sweep(),
         bits_sweep=run_bits_sweep(dim=192),
-        backward=run_backward_mode(seed=seed),
     )

@@ -124,13 +124,11 @@ class ClusteredLinear(Module):
         inner: Linear,
         dkm_config: DKMConfig,
         uniquify_enabled: bool = True,
-        reconstruct_backward: bool = True,
     ) -> None:
         super().__init__()
         self.inner = inner
         self.dkm_config = dkm_config
         self.uniquify_enabled = uniquify_enabled
-        self.reconstruct_backward = reconstruct_backward
         self.clusterer = DKMClusterer(dkm_config)
         # Eval-path state: the version-keyed hard-weight cache, the shared
         # (centroids, assignments) products both eval paths derive from,
@@ -156,7 +154,6 @@ class ClusteredLinear(Module):
                 self.inner.weight,
                 self.clusterer,
                 uniquify_enabled=self.uniquify_enabled,
-                reconstruct_backward=self.reconstruct_backward,
             )
         else:
             from repro.tensor.autograd import is_grad_enabled

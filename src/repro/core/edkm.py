@@ -1,7 +1,7 @@
 """The eDKM differentiable clustering op (uniquification path).
 
-``EDKMClusterAssign`` produces the same output and the same weight gradient
-as the dense DKM composition in :meth:`DKMClusterer.cluster_dense`, but its
+``EDKMClusterAssign`` produces the same output and the same gradients as the
+dense DKM composition in :meth:`DKMClusterer.cluster_dense`, but its
 *saved-for-backward* set is the factored representation of paper Fig. 3:
 
 - attention table ``(u, k)`` float32 -- ``O(|C|)`` rows, ``u <= 2**16``;
@@ -13,12 +13,15 @@ These are saved through ``ctx.save_for_backward``, so the eDKM offload
 pipeline still applies to them: the index list is the large one and is
 exactly what sharding partitions across learners.
 
-For the backward pass the paper reconstructs the dense attention map from
-table + gathered index list "to stay compatible with the existing autograd
-implementation"; we do the same (``reconstruct=True`` default).  A fully
-factorized backward that never materializes the dense map -- grouping
-gradient segments by unique value -- is implemented as an extension
-(``reconstruct=False``) and ablated in the benchmarks.
+The backward pass stays in unique space too.  Weights with equal bit
+patterns share an attention row, so the dense chain rule factors exactly:
+``dL/dw_i = g_i * rho[idx_i]`` with one ``rho`` per table row, and the
+centroid gradient needs only the per-row segment sums of ``g``.  That is
+``O(u·|C| + |W|)`` work and memory; the ``|W| x |C|`` map is never rebuilt.
+(The paper rebuilds it from table + index list "to stay compatible with the
+existing autograd implementation"; our ``Function`` owns its backward, so
+the rebuild would only be a cost -- see docs/edkm-pipeline.md, "Deviation
+from the paper".  The rebuild lives on as the float64 test oracle.)
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from repro.core.dkm import DKMClusterer
 from repro.core.fastpath import StepCache
 from repro.core.uniquify import attention_table, index_dtype_for, uniquify
-from repro.tensor.autograd import Context, Function, no_grad
+from repro.tensor.autograd import Context, Function, is_grad_enabled, no_grad
 from repro.tensor.dtype import decode_pattern16, float32, uint16
 from repro.tensor.ops.segment import segment_sum
 from repro.tensor.tensor import Tensor
@@ -45,7 +48,6 @@ class EDKMClusterAssign(Function):
         weights: Tensor,
         centroids: Tensor,
         temperature: float,
-        reconstruct: bool = True,
         cache: StepCache | None = None,
     ) -> Tensor:
         """Reconstruct weights as attention-weighted centroid mixtures.
@@ -79,130 +81,68 @@ class EDKMClusterAssign(Function):
         mixed_unique = table_np @ c_np  # (u,)
         out_np = mixed_unique[unique.index_list.astype(np.int64)].reshape(weights.shape)
 
-        idx_dtype = index_dtype_for(unique.n_unique)
-        table_t = Tensor.from_numpy(table_np, dtype=float32, device=weights.device)
-        index_t = Tensor.from_numpy(
-            unique.index_list.astype(idx_dtype.np_storage, copy=False),
-            dtype=idx_dtype,
-            device=weights.device,
-        )
-        patterns_t = Tensor.from_numpy(
-            unique.patterns, dtype=uint16, device=weights.device
-        )
-        ctx.save_for_backward(table_t, index_t, patterns_t, centroids)
-        ctx.temperature = temperature
-        ctx.reconstruct = reconstruct
-        ctx.weight_dtype = dtype
-        ctx.w_shape = weights.shape
+        # Function.apply records a node only under these conditions; without
+        # one nothing will ever read the saved set, so do not hand it to the
+        # offload pipeline (frozen weight, or a forward under no_grad).
+        if is_grad_enabled() and any(ctx.needs_input_grad):
+            idx_dtype = index_dtype_for(unique.n_unique)
+            table_t = Tensor.from_numpy(table_np, dtype=float32, device=weights.device)
+            index_t = Tensor.from_numpy(
+                unique.index_list.astype(idx_dtype.np_storage, copy=False),
+                dtype=idx_dtype,
+                device=weights.device,
+            )
+            patterns_t = Tensor.from_numpy(
+                unique.patterns, dtype=uint16, device=weights.device
+            )
+            ctx.save_for_backward(table_t, index_t, patterns_t, centroids)
+            ctx.temperature = temperature
+            ctx.weight_dtype = dtype
+            ctx.w_shape = weights.shape
         return make_result(out_np, dtype, weights.device)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         """Exact dense-equivalent grads from the saved unique-space factors.
 
-        The paper's backward step: gather the dense attention rows back
-        through the index list (conceptually), implemented as bincount
-        segment reductions over unique rows so no ``O(|W|·|C|)`` buffer is
-        ever materialized.
+        Let ``z_ij = -(w_i - c_j)^2 / tau``, ``A = softmax_j(z)`` and
+        ``out_i = sum_j A_ij c_j``.  Rows of ``A`` are equal within a unique
+        group ``u``, so the dense chain rule collapses onto the table.  With
+        ``J_uj = A_uj (c_j - out_u) * 2 (w_u - c_j) / tau`` -- ``d out_u /
+        d c_j`` through the logits, and ``d z_uj / d w_u = -d z_uj / d c_j``:
+
+        - ``dL/dw_i = g_i * rho[idx_i]``, ``rho_u = -sum_j J_uj``;
+        - ``dL/dc_j = sum_u seg_u (A_uj + J_uj)``, ``seg_u`` the sum of
+          ``g`` over group ``u``.
+
+        The ``(u, k)`` part runs in float64 -- it is ``O(u·|C|)``, and the
+        ``c_j - out_u`` cancellation at near-hard temperatures otherwise
+        costs two digits -- and no ``O(|W|·|C|)`` buffer is ever built.
         """
         table_t, index_t, patterns_t, centroids_t = ctx.saved_tensors
-        table = table_t._compute()  # (u, k)
+        table = table_t._compute().astype(np.float64)  # (u, k)
         index_list = index_t._np().astype(np.int64)  # (N,) -- all-gathered by unpack
-        c = centroids_t._compute().reshape(-1)  # (k,)
+        c = centroids_t._compute().reshape(-1).astype(np.float64)  # (k,)
         w_unique = decode_pattern16(patterns_t._np(), ctx.weight_dtype)  # (u,)
-        g = grad.reshape(-1).astype(np.float32)  # (N,)
-        tau = ctx.temperature
+        g = grad.reshape(-1).astype(np.float32, copy=False)  # (N,)
+
+        diff_u = w_unique.astype(np.float64)[:, None] - c[None, :]  # (u, k)
+        out_u = table @ c  # (u,)
+        jac = table * (c[None, :] - out_u[:, None]) * (diff_u * (2.0 / ctx.temperature))
 
         needs_w, needs_c = ctx.needs_input_grad
-        if ctx.reconstruct:
-            grad_w, grad_c = _backward_dense_reconstruction(
-                table, index_list, w_unique, c, g, tau, needs_c
-            )
-        else:
-            grad_w, grad_c = _backward_factorized(
-                table, index_list, w_unique, c, g, tau, needs_c
-            )
-        return (
-            grad_w.reshape(ctx.w_shape) if needs_w else None,
-            grad_c if needs_c else None,
-        )
+        grad_w = grad_c = None
+        if needs_w:
+            rho = (-jac.sum(axis=1)).astype(np.float32)  # (u,)
+            grad_w = (g * rho[index_list]).reshape(ctx.w_shape)
+        if needs_c:
+            # (u,) segment sums of g: O(N) bincount instead of element-wise add.at.
+            seg_g = segment_sum(g, index_list, w_unique.shape[0])
+            grad_c = (seg_g @ (table + jac)).astype(np.float32)
+        return grad_w, grad_c
 
 
-def _backward_dense_reconstruction(
-    table: np.ndarray,
-    index_list: np.ndarray,
-    w_unique: np.ndarray,
-    c: np.ndarray,
-    g: np.ndarray,
-    tau: float,
-    needs_centroid_grad: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Paper-faithful backward: rebuild the O(|W|·|C|) map, then chain rule.
-
-    Let ``z_ij = -(w_i - c_j)^2 / tau``, ``A = softmax_j(z)`` and
-    ``out_i = sum_j A_ij c_j``.  Then with upstream gradient ``g``:
-
-    - ``dL/dA_ij = g_i c_j``
-    - ``dL/dz_ij = A_ij (g_i c_j - sum_l A_il g_i c_l)``
-    - ``dL/dw_i = sum_j dL/dz_ij * (-2 (w_i - c_j) / tau)``
-    - ``dL/dc_j = sum_i A_ij g_i  +  sum_i dL/dz_ij * (2 (w_i - c_j) / tau)``
-    """
-    attention = table[index_list]  # (N, k): the reconstructed dense map
-    w = w_unique[index_list]  # (N,)
-    diff = w[:, None] - c[None, :]  # (N, k)
-
-    grad_attention = g[:, None] * c[None, :]
-    inner = (attention * grad_attention).sum(axis=1, keepdims=True)
-    grad_logits = attention * (grad_attention - inner)
-
-    grad_w = (grad_logits * (-2.0 * diff / tau)).sum(axis=1)
-    if not needs_centroid_grad:
-        return grad_w, None
-    grad_c = attention.T @ g + (grad_logits * (2.0 * diff / tau)).sum(axis=0)
-    return grad_w, grad_c
-
-
-def _backward_factorized(
-    table: np.ndarray,
-    index_list: np.ndarray,
-    w_unique: np.ndarray,
-    c: np.ndarray,
-    g: np.ndarray,
-    tau: float,
-    needs_centroid_grad: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Extension: backward entirely in unique space, O(u·|C| + |W|) memory.
-
-    The per-position gradient factors as ``dL/dw_i = g_i * rho_{u(i)}`` where
-    ``rho`` depends only on the unique value, and the centroid gradient needs
-    only the *segment sums* of ``g`` grouped by unique value.  The dense map
-    is never materialized.
-    """
-    diff_u = w_unique[:, None] - c[None, :]  # (u, k)
-    # rho_u = sum_j A_uj (c_j - out_u) * (-2 diff_uj / tau)
-    out_u = table @ c  # (u,)
-    rho = (table * (c[None, :] - out_u[:, None]) * (-2.0 * diff_u / tau)).sum(axis=1)
-    grad_w = g * rho[index_list]
-    if not needs_centroid_grad:
-        return grad_w, None
-
-    # (u,) segment sums of g: O(N) bincount instead of element-wise add.at.
-    seg_g = segment_sum(g, index_list, w_unique.shape[0]).astype(np.float32)
-
-    grad_attention_u = seg_g[:, None] * c[None, :]  # (u, k)
-    inner_u = (table * grad_attention_u).sum(axis=1, keepdims=True)
-    # inner must use per-row g sums consistently: A_il g_i c_l summed over i
-    # in each unique group factors because A rows are equal within a group.
-    grad_logits_u = table * (grad_attention_u - inner_u)
-    grad_c = table.T @ seg_g + (grad_logits_u * (2.0 * diff_u / tau)).sum(axis=0)
-    return grad_w, grad_c
-
-
-def edkm_cluster(
-    weights: Tensor,
-    clusterer: DKMClusterer,
-    reconstruct_backward: bool = True,
-) -> Tensor:
+def edkm_cluster(weights: Tensor, clusterer: DKMClusterer) -> Tensor:
     """Refine centroids, then run the fused unique-space assignment.
 
     Drop-in alternative to :meth:`DKMClusterer.cluster_dense` with the eDKM
@@ -217,11 +157,7 @@ def edkm_cluster(
         state.centroids, dtype=float32, device=weights.device
     )
     return EDKMClusterAssign.apply(
-        weights,
-        centroids,
-        state.temperature,
-        reconstruct=reconstruct_backward,
-        cache=clusterer.fastpath,
+        weights, centroids, state.temperature, cache=clusterer.fastpath
     )
 
 
@@ -229,7 +165,6 @@ def cluster(
     weights: Tensor,
     clusterer: DKMClusterer,
     uniquify_enabled: bool,
-    reconstruct_backward: bool = True,
     dense_row_chunk: int | None = None,
 ) -> Tensor:
     """Dispatch between the dense DKM path and the eDKM unique path.
@@ -239,5 +174,5 @@ def cluster(
     ignored on the eDKM path, which never materializes dense buffers.
     """
     if uniquify_enabled:
-        return edkm_cluster(weights, clusterer, reconstruct_backward)
+        return edkm_cluster(weights, clusterer)
     return clusterer.cluster_dense(weights, row_chunk=dense_row_chunk)

@@ -3,7 +3,7 @@
 ``np.add.at`` is the obvious way to scatter-add gradients into duplicate
 index slots, but it dispatches element-by-element through the ufunc inner
 loop and is orders of magnitude slower than a histogram.  Every segment
-reduction in the repo (the eDKM factorized backward, embedding-gather
+reduction in the repo (the eDKM centroid gradient, embedding-gather
 backward, Lloyd iterations in palettization) routes through the two helpers
 here instead:
 

@@ -258,9 +258,9 @@ class TestTakeAlongDimBackward:
 
 class TestFactorizedBackward:
     def test_matches_add_at_segment_reference(self):
-        # The factorized backward's segment sums vs a hand-rolled np.add.at
+        # The unique-space backward's segment sums vs a hand-rolled np.add.at
         # reference on a duplicate-heavy tensor.
-        from repro.core.edkm import _backward_factorized
+        from repro.core.edkm import EDKMClusterAssign
         from repro.core.uniquify import attention_table
 
         rng = np.random.default_rng(0)
@@ -272,9 +272,10 @@ class TestFactorizedBackward:
         g = rng.standard_normal(400).astype(np.float32)
         index_list = unique.index_list.astype(np.int64)
 
-        grad_w, grad_c = _backward_factorized(
-            table, index_list, unique.values, c, g, tau
-        )
+        w_t = Tensor.from_numpy(w, dtype="bfloat16", requires_grad=True)
+        c_t = Tensor.from_numpy(c, requires_grad=True)
+        EDKMClusterAssign.apply(w_t, c_t, tau).backward(g)
+        grad_w, grad_c = w_t.grad.numpy(), c_t.grad.numpy()
 
         seg_ref = np.zeros(unique.n_unique, dtype=np.float32)
         np.add.at(seg_ref, index_list, g)

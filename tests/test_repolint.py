@@ -304,6 +304,19 @@ class TestDeterminism:
         )
         assert ids_and_lines(live) == [("RL303", 4)]
 
+    def test_edkm_kernels_are_kernel_modules(self):
+        for module in ("core/edkm.py", "core/uniquify.py"):
+            live, _, _ = lint(
+                """\
+                import time
+
+                def stamp():
+                    return time.time()
+                """,
+                path=f"src/repro/{module}",
+            )
+            assert ids_and_lines(live) == [("RL303", 4)], module
+
     def test_clock_outside_kernel_module_is_clean(self):
         live, _, _ = lint(
             """\

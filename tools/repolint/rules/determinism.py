@@ -14,8 +14,8 @@ sweep exactly.  Hidden entropy breaks that silently, so:
   take the fallback from :func:`repro.tensor.random.default_rng`.
 - **RL303**: no wall-clock (``time.time``) or stdlib ``random.*`` calls
   in kernel modules (``tensor/ops/``, ``core/fastpath.py``,
-  ``serving/palette.py``, ``llm/decode.py``) -- kernels must be pure
-  functions of their inputs.
+  ``core/edkm.py``, ``core/uniquify.py``, ``serving/palette.py``,
+  ``llm/decode.py``) -- kernels must be pure functions of their inputs.
 - **RL304**: no direct iteration over unordered ``set(...)`` /set
   literals/set comprehensions -- wrap in ``sorted(...)`` so downstream
   collections have deterministic order.
@@ -32,7 +32,13 @@ from tools.repolint.rules.base import FileContext, Rule, dotted_name
 #: The one module allowed to construct default generators.
 RNG_HOME_SUFFIX = "tensor/random.py"
 
-KERNEL_SUFFIXES = ("core/fastpath.py", "serving/palette.py", "llm/decode.py")
+KERNEL_SUFFIXES = (
+    "core/fastpath.py",
+    "core/edkm.py",
+    "core/uniquify.py",
+    "serving/palette.py",
+    "llm/decode.py",
+)
 KERNEL_DIR_FRAGMENT = "tensor/ops/"
 
 
@@ -144,8 +150,9 @@ class KernelClockRule(Rule):
 
     id = "RL303"
     summary = (
-        "kernel modules (tensor/ops/, core/fastpath.py, serving/palette.py, "
-        "llm/decode.py) must not call time.time() or random.*"
+        "kernel modules (tensor/ops/, core/fastpath.py, core/edkm.py, "
+        "core/uniquify.py, serving/palette.py, llm/decode.py) must not call "
+        "time.time() or random.*"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
