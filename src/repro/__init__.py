@@ -46,7 +46,7 @@ Subpackages: ``tensor`` (autograd substrate), ``memory`` (byte accounting),
 regeneration).
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 from repro import (  # noqa: F401
     baselines,

@@ -15,12 +15,12 @@ way to run them (:mod:`repro.bench.__main__` holds the registry).
   (histogram uniquify, bincount scatter, per-layer step cache)
 - :mod:`repro.bench.parallel_layers` -- thread fan-out + chunked dense
 - :mod:`repro.bench.marshal_strategies` -- marshal search-strategy
-  ablation (graph walk vs storage-id oracle vs sampled-stride fingerprint)
+  ablation (graph walk vs storage-id oracle)
 - :mod:`repro.bench.faults` -- chaos suite (fault injection, watchdog,
   quarantine, degradation, crash-safe checkpoint/resume)
 - :mod:`repro.bench.backends` -- serial vs thread vs process fan-out
 - :mod:`repro.bench.sharded` -- process-engine node scaling, delta
-  shipping, crash/resize recovery, over-budget placement
+  shipping, crash recovery, byte-balanced placement
 - :mod:`repro.bench.serving` -- palette serving under concurrent traffic
   (requests/sec, p50/p99 latency, token-identity + admission gates)
 - :mod:`repro.bench.serving_faults` -- chaos-serving fault matrix

@@ -1,32 +1,21 @@
-"""Marshal search-strategy ablation: graph walk vs storage-id vs fingerprint.
+"""Marshal search-strategy ablation: graph walk vs the storage-id oracle.
 
-The paper's Section 2.1 dismisses content hashing as prohibitively
-expensive and walks the forward graph instead.  This benchmark tests that
-assumption: a transformer forward+backward runs under the saved-tensor
-pipeline once per ``search_strategy`` (``graph``, ``storage-id``,
-``fingerprint``), on identical weights and inputs, and we record per
-strategy:
+The paper's Section 2.1 walks the forward graph for at most ``hop_budget``
+hops to find a host copy of the same storage.  This benchmark measures
+what that bounded walk leaves on the table: a transformer
+forward+backward runs under the saved-tensor pipeline once per
+``search_strategy`` (``graph``, ``storage-id``), on identical weights and
+inputs, and we record per strategy:
 
 - **hit rate** -- ``copies_avoided / tensors_packed``;
-- **probe cost** -- the strategy's own currency: frontier nodes dequeued
-  per graph walk, bytes hashed (+ collision-compare bytes) per fingerprint
-  probe, zero for the identity oracle;
+- **probe cost** -- frontier nodes dequeued per graph walk, zero for the
+  identity oracle;
 - **wall time** -- min-of-``repeats`` seconds for the full step.
 
-A fourth row, ``fingerprint+content``, runs the fingerprint strategy with
-``fingerprint_dedup_content=True``: verified byte-identical storages (e.g.
-the ones-initialized norm scales every layer shares) may then share one
-host copy, so its hit rate is the content-hashing *headroom* over the
-storage-identity oracle.
-
-Correctness cross-check: the pipeline's pack-order event stream
-(``record_events=True``) must be identical between ``fingerprint`` and
-``storage-id`` -- same workload, same pack order, so equal event streams
-mean the two strategies deduped the identical set of storages.  The
-per-strategy counters must also reconcile:
+The oracle dedups every repeated storage, so its hit rate is the ceiling
+the walk is judged against (ROADMAP 5(a) starts from that gap).  The
+per-strategy counters must reconcile:
 ``copies_made + copies_avoided == tensors_packed == hits + misses``.
-
-The content variant must also never dedup less than the oracle.
 ``python -m repro.bench marshal`` writes ``BENCH_marshal.json``.
 """
 
@@ -56,9 +45,6 @@ class StrategyRow:
     bytes_copied: int
     bytes_avoided: int
     graph_nodes_visited: int
-    fingerprint_bytes_hashed: int
-    fingerprint_bytes_compared: int
-    fingerprint_collisions: int
     counters_reconcile: bool
 
     @property
@@ -67,21 +53,13 @@ class StrategyRow:
 
     @property
     def probe_cost(self) -> float:
-        """Strategy-native work per probe (nodes walked or bytes hashed)."""
-        probes = max(self.tensors_packed, 1)
-        if self.strategy == "graph":
-            return self.graph_nodes_visited / probes
-        if self.strategy.startswith("fingerprint"):
-            return (
-                self.fingerprint_bytes_hashed + self.fingerprint_bytes_compared
-            ) / probes
-        return 0.0
+        """Graph nodes walked per probe (the identity oracle walks none)."""
+        return self.graph_nodes_visited / max(self.tensors_packed, 1)
 
 
 @dataclass
 class MarshalBenchResult:
     rows: list[StrategyRow] = field(default_factory=list)
-    fingerprint_matches_oracle: bool = False
     all_reconcile: bool = False
     config: dict = field(default_factory=dict)
 
@@ -95,7 +73,6 @@ class MarshalBenchResult:
         return {
             "benchmark": "marshal_strategies",
             "strategies": rows,
-            "fingerprint_matches_oracle": self.fingerprint_matches_oracle,
             "all_reconcile": self.all_reconcile,
             "config": self.config,
         }
@@ -115,17 +92,9 @@ class MarshalBenchResult:
             for row in self.rows
             if not row.counters_reconcile
         ]
-        if not self.fingerprint_matches_oracle:
-            failures.append(
-                "fingerprint deduped a different set of storages than storage-id "
-                "(pack-order event streams differ)"
-            )
         rows = {row.strategy: row for row in self.rows}
-        oracle, content = rows.get("storage-id"), rows.get("fingerprint+content")
-        if oracle and content and content.copies_avoided < oracle.copies_avoided:
-            failures.append(
-                "fingerprint+content deduped less than the storage-id oracle"
-            )
+        if rows["graph"].copies_avoided > rows["storage-id"].copies_avoided:
+            failures.append("graph walk deduped more than the storage-id oracle")
         return failures
 
 
@@ -158,16 +127,13 @@ def _build_workload(
 
 
 def _run_strategy(
-    label: str,
     strategy: str,
-    dedup_content: bool,
     model: nn.Transformer,
     tokens: Tensor,
     hop_budget: int,
-    fingerprint_max_samples: int,
     repeats: int,
-) -> tuple[StrategyRow, list[tuple[int, bool]]]:
-    """Time ``repeats`` steps; stats and events come from the last one."""
+) -> StrategyRow:
+    """Time ``repeats`` steps; stats come from the last one."""
     best = float("inf")
     pipeline = None
     for _ in range(max(1, repeats)):
@@ -179,10 +145,7 @@ def _run_strategy(
                 group=None,
                 hop_budget=hop_budget,
                 search_strategy=strategy,
-                fingerprint_max_samples=fingerprint_max_samples,
-                fingerprint_dedup_content=dedup_content,
-            ),
-            record_events=True,
+            )
         )
         t0 = time.perf_counter()
         with pipeline.step():
@@ -195,8 +158,8 @@ def _run_strategy(
         and stats.probes(strategy) == stats.tensors_packed
         and stats.strategy_hits.get(strategy, 0) == stats.copies_avoided
     )
-    row = StrategyRow(
-        strategy=label,
+    return StrategyRow(
+        strategy=strategy,
         wall_seconds=best,
         tensors_packed=stats.tensors_packed,
         copies_made=stats.copies_made,
@@ -204,12 +167,8 @@ def _run_strategy(
         bytes_copied=stats.bytes_copied,
         bytes_avoided=stats.bytes_avoided,
         graph_nodes_visited=stats.graph_nodes_visited,
-        fingerprint_bytes_hashed=stats.fingerprint_bytes_hashed,
-        fingerprint_bytes_compared=stats.fingerprint_bytes_compared,
-        fingerprint_collisions=stats.fingerprint_collisions,
         counters_reconcile=reconcile,
     )
-    return row, list(pipeline.events)
 
 
 def run_marshal_strategies(
@@ -221,11 +180,10 @@ def run_marshal_strategies(
     seq_len: int = 16,
     batch: int = 2,
     hop_budget: int = 4,
-    fingerprint_max_samples: int = 64,
     repeats: int = 3,
     seed: int = 0,
 ) -> MarshalBenchResult:
-    """All three strategies (plus the content-dedup variant) on one step."""
+    """Every search strategy on one identical training step."""
     result = MarshalBenchResult(
         config={
             "dim": dim,
@@ -234,29 +192,15 @@ def run_marshal_strategies(
             "seq_len": seq_len,
             "repeats": repeats,
             "hop_budget": hop_budget,
-            "fingerprint_max_samples": fingerprint_max_samples,
         }
     )
-    events: dict[str, list[tuple[int, bool]]] = {}
-    configurations = [(s, s, False) for s in SEARCH_STRATEGIES]
-    configurations.append(("fingerprint+content", "fingerprint", True))
-    for label, strategy, dedup_content in configurations:
+    for strategy in SEARCH_STRATEGIES:
         model, tokens = _build_workload(
             vocab_size, dim, n_layers, n_heads, hidden_dim, seq_len, batch, seed
         )
-        row, evts = _run_strategy(
-            label,
-            strategy,
-            dedup_content,
-            model,
-            tokens,
-            hop_budget,
-            fingerprint_max_samples,
-            repeats,
+        result.rows.append(
+            _run_strategy(strategy, model, tokens, hop_budget, repeats)
         )
-        result.rows.append(row)
-        events[label] = evts
-    result.fingerprint_matches_oracle = events["fingerprint"] == events["storage-id"]
     result.all_reconcile = all(row.counters_reconcile for row in result.rows)
     return result
 

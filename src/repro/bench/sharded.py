@@ -13,15 +13,8 @@ curve and proves the equivalences placement must not change:
 - **Bit-identity** -- every node count must reproduce the serial
   reference exactly (centroids, assignments, temperatures,
   reconstruction errors, and per-layer ``FastPathStats`` counters)
-  across a cold sweep, a warm all-delta sweep, a sweep after a node
-  worker is hard-killed (crash-recovery re-ships full state), and a
-  sweep after the pool grows by one node (only re-pinned layers ship
-  full; the rest stay on deltas).
-- **Over-budget headline** -- the model's total weight bytes exceed a
-  single node's ``node_memory_budget`` (placing it on one node raises
-  :class:`~repro.distributed.scheduler.PlacementError`), yet the same
-  budget compresses fine across two nodes, bit-identical to serial, with
-  no node's pinned bytes above the budget.
+  across a cold sweep, a warm all-delta sweep and a sweep after a node
+  worker is hard-killed (crash-recovery re-ships full state).
 
 Every exported shared-memory block must be unlinked after the run.
 ``python -m repro.bench sharded`` writes ``BENCH_sharded.json`` (schema:
@@ -40,10 +33,9 @@ import repro.nn as nn
 from repro.bench.backends import _all_unlinked, _layer_stats, _results_identical
 from repro.core.compressor import ModelCompressor
 from repro.core.config import CompressorConfig, DKMConfig
-from repro.distributed.scheduler import NodePlacement, PlacementError
 
-N_SWEEPS = 4
-"""Per-node-count sweep schedule: cold, warm, crash-recovery, resize."""
+N_SWEEPS = 3
+"""Per-node-count sweep schedule: cold, warm, crash-recovery."""
 
 NODE_COUNTS = (1, 2, 4)
 """The scaling-curve points."""
@@ -73,15 +65,10 @@ class ShardedBenchResult:
     n_layers: int = 0
     layer_bytes: dict[str, int] = field(default_factory=dict)
     total_bytes: int = 0
-    node_budget: int = 0
     serial_wall_seconds: list[float] = field(default_factory=list)
     rows: list[ShardedSweepRow] = field(default_factory=list)
     loads: dict[int, list[int]] = field(default_factory=dict)
     balanced: dict[int, bool] = field(default_factory=dict)
-    single_node_infeasible: bool = False
-    over_budget_identical: bool = False
-    over_budget_stats_identical: bool = False
-    over_budget_max_load: int = 0
     shm_cleaned: bool = True
 
     def to_json_dict(self) -> dict:
@@ -99,7 +86,6 @@ class ShardedBenchResult:
             "n_layers": self.n_layers,
             "layer_bytes": self.layer_bytes,
             "total_bytes": self.total_bytes,
-            "node_budget": self.node_budget,
             "serial_wall_seconds": self.serial_wall_seconds,
             "rows": [asdict(row) for row in self.rows],
             "scaling": {
@@ -112,10 +98,6 @@ class ShardedBenchResult:
                 }
                 for nodes, row in warm.items()
             },
-            "single_node_infeasible": self.single_node_infeasible,
-            "over_budget_identical": self.over_budget_identical,
-            "over_budget_stats_identical": self.over_budget_stats_identical,
-            "over_budget_max_load": self.over_budget_max_load,
             "shm_cleaned": self.shm_cleaned,
         }
 
@@ -137,19 +119,11 @@ class ShardedBenchResult:
                 f"({point['warm_bytes_per_layer']:.0f}B/layer)  "
                 f"loads={point['loads']}  balanced={point['balanced']}"
             )
-        lines.append(
-            f"over-budget: total={self.total_bytes}B "
-            f"budget={self.node_budget}B  "
-            f"single-node-infeasible={self.single_node_infeasible}  "
-            f"max-load={self.over_budget_max_load}B  "
-            f"identical={self.over_budget_identical}  "
-            f"stats={self.over_budget_stats_identical}"
-        )
         lines.append(f"shm-cleaned={self.shm_cleaned}  cpu_count={self.cpu_count}")
         return "\n".join(lines)
 
     def failures(self) -> list[str]:
-        """Identity, transport, placement, budget and shm-cleanup gates."""
+        """Identity, transport, placement and shm-cleanup gates."""
         failures = []
         for row in self.rows:
             label = f"nodes={row.nodes} sweep {row.sweep}"
@@ -165,31 +139,14 @@ class ShardedBenchResult:
                 failures.append(
                     f"{label}: warm sweep still shipped {row.full_tasks} full task(s)"
                 )
-            if row.scenario == "resize" and row.delta_tasks == 0:
-                failures.append(
-                    f"{label}: the resize tore every node down "
-                    "(no layer stayed on deltas)"
-                )
         failures += [
             f"nodes={nodes}: placement violates balance bound"
             for nodes, balanced in self.balanced.items()
             if not balanced
         ]
-        checks = [
-            (self.total_bytes > self.node_budget,
-             "headline model does not exceed the per-node budget"),
-            (self.single_node_infeasible,
-             "single-node placement unexpectedly fit the budget"),
-            (self.over_budget_identical,
-             "over-budget run: outputs differ from serial"),
-            (self.over_budget_stats_identical,
-             "over-budget run: step-cache counters differ from serial"),
-            (self.over_budget_max_load <= self.node_budget,
-             f"over-budget run: node load {self.over_budget_max_load}B "
-             f"exceeds the {self.node_budget}B budget"),
-            (self.shm_cleaned, "process backend left shared-memory blocks linked"),
-        ]
-        return failures + [message for ok, message in checks if not ok]
+        if not self.shm_cleaned:
+            failures.append("process backend left shared-memory blocks linked")
+        return failures
 
 
 class _SkewedStack(nn.Module):
@@ -259,7 +216,7 @@ def run_sharded(
     iters: int = 3,
     seed: int = 0,
 ) -> ShardedBenchResult:
-    """Run the node-scaling + over-budget benchmark, fixed seed."""
+    """Run the node-scaling benchmark, fixed seed."""
     result = ShardedBenchResult(cpu_count=os.cpu_count() or 1)
 
     serial = _build("serial", features, n_small, seed, bits, iters)
@@ -284,14 +241,6 @@ def run_sharded(
                 if sweep == 2:
                     _kill_one_slot_worker(compressor)
                     scenario = "crash-recovery"
-                if sweep == 3:
-                    # Read the pre-resize loads first: the scaling point
-                    # describes ``nodes`` nodes, not ``nodes + 1``.
-                    placement = compressor._engine.placement()
-                    result.loads[nodes] = placement.loads()
-                    result.balanced[nodes] = placement.is_balanced()
-                    compressor.config.num_workers = nodes + 1
-                    scenario = "resize"
                 start = time.perf_counter()
                 res = compressor.precluster(compute_error=True)
                 wall = time.perf_counter() - start
@@ -314,9 +263,14 @@ def run_sharded(
                         == _layer_stats(compressor),
                     )
                 )
-            # The rebalanced (nodes + 1) placement must hold the bound too.
-            if not compressor._engine.placement().is_balanced():
-                result.balanced[nodes] = False
+            loads = [0] * nodes
+            for name, slot in compressor._engine.placement().items():
+                loads[slot] += result.layer_bytes[name]
+            result.loads[nodes] = loads
+            # The greedy bound: max load <= mean load + largest layer.
+            result.balanced[nodes] = max(loads) <= (
+                result.total_bytes / nodes + max(result.layer_bytes.values())
+            )
         finally:
             engine = compressor._engine
             shm_names = engine.active_shm_names() if engine is not None else []
@@ -324,38 +278,6 @@ def run_sharded(
             if shm_names and not _all_unlinked(shm_names):
                 result.shm_cleaned = False
 
-    # Over-budget headline: the model does not fit one node's budget.
-    sized = sorted(result.layer_bytes.items())
-    budget = max(result.layer_bytes.values()) + min(result.layer_bytes.values())
-    result.node_budget = budget
-    try:
-        NodePlacement.build(sized, 1, budget=budget)
-    except PlacementError:
-        result.single_node_infeasible = True
-    compressor = _build(
-        "process",
-        features,
-        n_small,
-        seed,
-        bits,
-        iters,
-        num_workers=2,
-        node_memory_budget=budget,
-    )
-    try:
-        for sweep in range(2):
-            res = compressor.precluster(compute_error=True)
-        result.over_budget_identical = _results_identical(serial_results[1], res)
-        result.over_budget_stats_identical = serial_stats[1] == _layer_stats(
-            compressor
-        )
-        result.over_budget_max_load = max(compressor._engine.placement().loads())
-    finally:
-        engine = compressor._engine
-        shm_names = engine.active_shm_names() if engine is not None else []
-        compressor.close()
-        if shm_names and not _all_unlinked(shm_names):
-            result.shm_cleaned = False
     return result
 
 

@@ -81,13 +81,7 @@ from repro.core.dkm import (
 )
 from repro.core.edkm import EDKMClusterAssign, cluster, edkm_cluster
 from repro.core.fastpath import FastPathReport, FastPathStats, StepCache
-from repro.core.marshal import (
-    FINGERPRINT_BLOCK_BYTES,
-    MarshalRegistry,
-    OffloadEntry,
-    fingerprint_sample_offsets,
-    fingerprint_storage,
-)
+from repro.core.marshal import MarshalRegistry, OffloadEntry
 from repro.core.offload import SavedPayload, SavedTensorPipeline
 from repro.core.palettize import (
     PalettizedTensor,
@@ -159,11 +153,8 @@ __all__ = [
     "FastPathReport",
     "FastPathStats",
     "StepCache",
-    "FINGERPRINT_BLOCK_BYTES",
     "MarshalRegistry",
     "OffloadEntry",
-    "fingerprint_sample_offsets",
-    "fingerprint_storage",
     "SavedPayload",
     "SavedTensorPipeline",
     "PalettizedTensor",

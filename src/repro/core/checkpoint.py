@@ -51,8 +51,12 @@ from repro.core.fastpath import FastPathStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compressor import ModelCompressor
 
-CHECKPOINT_VERSION = 1
-"""Schema version stamped into (and verified from) every checkpoint."""
+CHECKPOINT_VERSION = 2
+"""Schema version stamped into (and verified from) every checkpoint.
+
+Version 2: ``EDKMConfig`` lost five fields, which changes the
+``config_epoch`` digest of every run; version-1 files are refused by
+version rather than with a misleading "different clustering config"."""
 
 
 class CheckpointError(RuntimeError):

@@ -19,9 +19,9 @@ execution backend selected by ``CompressorConfig.backend``:
   hosts, but Python-side op dispatch still serializes;
 - ``"process"`` -- the :class:`~repro.core.procpool.ProcessLayerEngine`:
   workers rebuild each layer's weight as a zero-copy shared-memory view,
-  overlapping dispatch as well.  A byte-balanced
-  :class:`~repro.distributed.scheduler.NodePlacement` pins each layer to
-  one single-worker slot, so uniquify products, attention tables, and shm
+  overlapping dispatch as well.  Byte-balanced
+  :func:`~repro.core.procpool.place_layers` pins each layer to one
+  single-worker slot, so uniquify products, attention tables, and shm
   attachments stay worker-resident across sweeps and warm sweeps ship
   only ``O(k)`` deltas.
 
@@ -256,7 +256,6 @@ class ClusteredLinear(Module):
     def enable_palette_eval(
         self,
         name: str = "",
-        tile_rows: int = 32,
         cache=None,
         fault_hook=None,
     ) -> None:
@@ -270,7 +269,7 @@ class ClusteredLinear(Module):
         rebuilt whenever the weight storage version moves, so enabling is
         cheap and never serves stale palettes.
         """
-        self._palette_opts = (name, max(1, int(tile_rows)), cache, fault_hook)
+        self._palette_opts = (name, cache, fault_hook)
         self._palette_exec = None
 
     def disable_palette_eval(self) -> None:
@@ -298,7 +297,7 @@ class ClusteredLinear(Module):
         """The executor for the current weight version, (re)built lazily."""
         from repro.serving.palette import PaletteLinearExec
 
-        name, tile_rows, cache, fault_hook = self._palette_opts
+        name, cache, fault_hook = self._palette_opts
         key = self._weight_version_key()
         exec_ = self._palette_exec
         if exec_ is not None and exec_.version_token == key:
@@ -316,7 +315,6 @@ class ClusteredLinear(Module):
             name,
             lut,
             indices,
-            tile_rows=tile_rows,
             cache=cache,
             version_token=key,
             fault_hook=fault_hook,

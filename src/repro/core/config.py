@@ -7,11 +7,50 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.distributed.learner import LearnerGroup
-from repro.tensor.device import CPU, GPU, Device
 from repro.tensor.dtype import DType, bfloat16, get_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.faults import FaultPlan
+
+
+def config_to_dict(config) -> dict:
+    """Every dataclass field of ``config`` as JSON-safe primitives.
+
+    Keys come from ``fields()``, so a removed field cannot leave a stale
+    key behind.  ``weight_dtype`` serializes by name, ``skip_names`` as a
+    list, and an armed ``fault_plan`` refuses to serialize: fault plans
+    are in-memory chaos-test instruments, and silently dropping one would
+    make a persisted artifact claim a cleaner run than actually happened.
+    """
+    if getattr(config, "fault_plan", None) is not None:
+        raise ValueError(
+            f"{type(config).__name__} with an armed fault_plan cannot be "
+            "serialized; disarm it first"
+        )
+    payload = {f.name: getattr(config, f.name) for f in fields(config)}
+    payload.pop("fault_plan", None)
+    if "weight_dtype" in payload:
+        payload["weight_dtype"] = payload["weight_dtype"].name
+    if "skip_names" in payload:
+        payload["skip_names"] = list(payload["skip_names"])
+    return payload
+
+
+def config_from_dict(cls, payload: dict):
+    """Rebuild a validated ``cls`` from :func:`config_to_dict` output.
+
+    Unknown keys raise ``ValueError`` -- a misspelled knob in a persisted
+    artifact must fail loudly, not silently default.
+    """
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+    payload = dict(payload)
+    if "weight_dtype" in payload:
+        payload["weight_dtype"] = get_dtype(payload["weight_dtype"])
+    if "skip_names" in payload:
+        payload["skip_names"] = tuple(payload["skip_names"])
+    return cls(**payload)
 
 
 @dataclass
@@ -64,36 +103,16 @@ class DKMConfig:
         return 2**self.bits
 
     def to_dict(self) -> dict:
-        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly.
-
-        ``weight_dtype`` serializes by name so the payload is JSON-safe
-        (the form checkpoint manifests and benchmark artifacts embed).
-        """
-        return {
-            "bits": self.bits,
-            "temperature": self.temperature,
-            "iters": self.iters,
-            "tol": self.tol,
-            "weight_dtype": self.weight_dtype.name,
-            "dense_row_chunk": self.dense_row_chunk,
-            "dense_saved_bytes_limit": self.dense_saved_bytes_limit,
-        }
+        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly
+        (the form checkpoint manifests and benchmark artifacts embed; see
+        :func:`config_to_dict`)."""
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DKMConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output.
-
-        Unknown keys raise ``ValueError`` -- a misspelled knob in a
-        persisted artifact must fail loudly, not silently default.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown DKMConfig keys: {unknown}")
-        payload = dict(payload)
-        if "weight_dtype" in payload:
-            payload["weight_dtype"] = get_dtype(payload["weight_dtype"])
-        return cls(**payload)
+        """Reconstruct a validated config from :meth:`to_dict` output
+        (unknown keys raise ``ValueError``)."""
+        return config_from_dict(cls, payload)
 
 
 def get_default_dkm_config(**overrides) -> "DKMConfig":
@@ -111,9 +130,6 @@ on the calling thread, a GIL-sharing ``ThreadPoolExecutor``, or the
 process engine (``repro.core.procpool``) that pins layers by weight bytes
 to spawned single-worker slots fed zero-copy shared-memory weight views."""
 
-MP_CONTEXTS = ("spawn", "fork", "forkserver")
-"""Accepted ``multiprocessing`` start methods for the process backend."""
-
 
 @dataclass
 class CompressorConfig:
@@ -126,35 +142,20 @@ class CompressorConfig:
             out over a ``ThreadPoolExecutor`` -- numpy releases the GIL
             inside the big kernels, so this overlaps kernel time but not
             Python-side op dispatch; ``"process"`` fans out over
-            ``num_workers`` spawned single-worker slots ("nodes") whose
-            workers rebuild each layer's weight as a zero-copy
-            ``multiprocessing.shared_memory`` view, overlapping dispatch
-            as well.  Layers are pinned to slots by weight *bytes*
-            (:class:`~repro.distributed.scheduler.NodePlacement`), each
-            worker keeps its pinned layers' uniquify products, attention
-            tables, and shm attachments resident across sweeps, and the
-            parent ships only ``O(k)`` per-sweep *deltas* once a layer is
-            synced (see ``docs/sharding.md``).  All are bit-identical:
-            per-layer clustering shares no state, every layer runs in
-            exactly one worker, and results (centroids, assignments,
-            step-cache counters, carried attention tables) merge back in
+            ``num_workers`` spawned single-worker slots ("nodes") fed
+            zero-copy ``multiprocessing.shared_memory`` weight views,
+            overlapping dispatch as well: layers are pinned to slots by
+            weight *bytes*, derived state stays worker-resident across
+            sweeps, and warm sweeps ship only ``O(k)`` *deltas* (see
+            ``docs/sharding.md``).  All three are bit-identical: every
+            layer runs in exactly one worker and results merge back in
             layer insertion order.
         num_workers: pool width for the thread backend, slot (node)
             count for the process backend; capped at the layer count.
             ``1`` (default) degenerates the thread backend to the serial
-            loop; ``0`` means "one worker per visible CPU".
-        mp_context: ``multiprocessing`` start method for the process
-            backend.  ``"spawn"`` (default) is safe regardless of what
-            threads the parent holds -- workers import the codebase fresh
-            and receive only picklable task specs; ``"fork"`` starts
-            faster on POSIX but inherits arbitrary parent state.
-        worker_cache_bytes_limit: soft cap on the *resident* bytes each
-            process worker may hold across its pinned layers' step caches
-            (uniquify products + carried attention tables).  When
-            exceeded, least-recently-used layers' products are evicted
-            down to phantom entries -- counters stay bit-identical to
-            serial, the products are simply recomputed on next use.  ``0``
-            (default) means unlimited.
+            loop; ``0`` means "one worker per visible CPU".  A process
+            engine's width is fixed for its life: a changed value makes
+            the next sweep a cold start.
         embedding_bits: post-training palettization width for embeddings
             (paper: "we also compressed the embedding layers with 8 bits").
         skip_names: module-path prefixes exempted from wrapping.
@@ -194,18 +195,10 @@ class CompressorConfig:
         fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
             engine's deterministic fault injector (chaos testing).
             ``None`` (default) injects nothing.
-        node_memory_budget: per-slot byte budget for the process
-            backend's placement.  ``0`` (default) means unlimited; a
-            positive budget makes placement raise
-            :class:`~repro.distributed.scheduler.PlacementError` when a
-            single layer exceeds it or greedy packing cannot fit the
-            model, instead of silently overcommitting a node.
     """
 
     backend: str = "thread"
     num_workers: int = 1
-    mp_context: str = "spawn"
-    worker_cache_bytes_limit: int = 0
     embedding_bits: int = 8
     skip_names: tuple[str, ...] = ()
     task_timeout_s: float | None = None
@@ -215,25 +208,14 @@ class CompressorConfig:
     max_pool_respawns: int = 8
     degrade: bool = True
     fault_plan: "FaultPlan | None" = None
-    node_memory_budget: int = 0
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.mp_context not in MP_CONTEXTS:
-            raise ValueError(
-                f"unknown mp_context {self.mp_context!r}; "
-                f"expected one of {MP_CONTEXTS}"
-            )
         if self.num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        if self.worker_cache_bytes_limit < 0:
-            raise ValueError(
-                "worker_cache_bytes_limit must be >= 0 (0 = unlimited), "
-                f"got {self.worker_cache_bytes_limit}"
-            )
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError(
                 f"task_timeout_s must be positive or None, got {self.task_timeout_s}"
@@ -254,11 +236,6 @@ class CompressorConfig:
             raise ValueError(
                 f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"
             )
-        if self.node_memory_budget < 0:
-            raise ValueError(
-                "node_memory_budget must be >= 0 (0 = unlimited), "
-                f"got {self.node_memory_budget}"
-            )
 
     def resolve_workers(self, n_tasks: int) -> int:
         """Effective pool width for ``n_tasks`` independent layers."""
@@ -268,50 +245,15 @@ class CompressorConfig:
         return max(1, min(workers, n_tasks))
 
     def to_dict(self) -> dict:
-        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly.
-
-        ``skip_names`` serializes as a list (JSON has no tuples).  A
-        config with an armed ``fault_plan`` refuses to serialize: fault
-        plans are in-memory chaos-test instruments, not deployment state,
-        and silently dropping one would make a persisted artifact claim a
-        cleaner run than actually happened.
-        """
-        if self.fault_plan is not None:
-            raise ValueError(
-                "CompressorConfig with an armed fault_plan cannot be "
-                "serialized; disarm it first"
-            )
-        return {
-            "backend": self.backend,
-            "num_workers": self.num_workers,
-            "mp_context": self.mp_context,
-            "worker_cache_bytes_limit": self.worker_cache_bytes_limit,
-            "embedding_bits": self.embedding_bits,
-            "skip_names": list(self.skip_names),
-            "task_timeout_s": self.task_timeout_s,
-            "max_task_retries": self.max_task_retries,
-            "retry_backoff_s": self.retry_backoff_s,
-            "max_layer_retries": self.max_layer_retries,
-            "max_pool_respawns": self.max_pool_respawns,
-            "degrade": self.degrade,
-            "node_memory_budget": self.node_memory_budget,
-        }
+        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly;
+        refuses while a ``fault_plan`` is armed (see :func:`config_to_dict`)."""
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CompressorConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output.
-
-        Unknown keys raise ``ValueError`` (fail loudly on misspelled
-        knobs); ``skip_names`` round-trips list -> tuple.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown CompressorConfig keys: {unknown}")
-        payload = dict(payload)
-        if "skip_names" in payload:
-            payload["skip_names"] = tuple(payload["skip_names"])
-        return cls(**payload)
+        """Reconstruct a validated config from :meth:`to_dict` output
+        (unknown keys raise ``ValueError``)."""
+        return config_from_dict(cls, payload)
 
 
 def get_default_compressor_config(**overrides) -> "CompressorConfig":
@@ -324,14 +266,9 @@ def get_default_compressor_config(**overrides) -> "CompressorConfig":
     return CompressorConfig(**overrides)
 
 
-SEARCH_STRATEGIES = ("graph", "storage-id", "fingerprint")
-"""Marshal lookup strategies: the paper's hop-limited forward-graph walk,
-the storage-identity oracle, and the sampled-stride content fingerprint."""
-
-DEFAULT_FINGERPRINT_MAX_SAMPLES = 64
-"""Cap on 64-byte blocks a fingerprint samples; the single source of truth
-for both ``EDKMConfig.fingerprint_max_samples`` and the bare
-``MarshalRegistry``/``fingerprint_storage`` defaults."""
+SEARCH_STRATEGIES = ("graph", "storage-id")
+"""Marshal lookup strategies: the paper's hop-limited forward-graph walk
+and the storage-identity oracle its tests and ablations compare against."""
 
 
 @dataclass
@@ -354,19 +291,10 @@ class EDKMConfig:
 
     ``search_strategy`` selects how the marshal registry locates an
     existing host copy: ``"graph"`` (paper Section 2.1, at most
-    ``hop_budget`` hops), ``"storage-id"`` (identity oracle), or
-    ``"fingerprint"`` (sampled-stride content hash over at most
-    ``fingerprint_max_samples`` 64-byte blocks, with a full-byte-compare
-    collision backstop).  By default a fingerprint hit still requires
-    storage identity -- the digest is just a cheap index -- so under the
-    step-scoped immutability contract every strategy assumes (saved
-    storages are not written in place between save and reuse; the
-    registry is cleared between steps because weights change), the dedup
-    set matches ``storage-id`` exactly.  If a storage *is* mutated
-    mid-step, the fingerprint conservatively misses where the oracle
-    would serve a stale snapshot.  ``fingerprint_dedup_content=True``
-    additionally lets *verified byte-identical* storages share one host
-    copy (never an unverified digest match).
+    ``hop_budget`` hops) or ``"storage-id"`` (identity oracle).  Both
+    assume the step-scoped immutability contract: saved storages are not
+    written in place between save and reuse, and the registry is cleared
+    between steps because weights change.
     """
 
     offload: bool = True
@@ -376,12 +304,7 @@ class EDKMConfig:
     hop_budget: int = 4
     search_strategy: str = "graph"
     group: LearnerGroup | None = None
-    source_device: Device = GPU
-    host_device: Device = CPU
-    min_offload_bytes: int = 0
     shard_min_bytes: int = 4096
-    fingerprint_max_samples: int = DEFAULT_FINGERPRINT_MAX_SAMPLES
-    fingerprint_dedup_content: bool = False
 
     def __post_init__(self) -> None:
         if self.search_strategy not in SEARCH_STRATEGIES:
@@ -391,8 +314,6 @@ class EDKMConfig:
             )
         if self.hop_budget < 0:
             raise ValueError("hop_budget must be >= 0")
-        if self.fingerprint_max_samples < 1:
-            raise ValueError("fingerprint_max_samples must be >= 1")
         if self.shard is None:
             # Auto mode: sharding needs a learner group, so default to
             # whatever the presence of one implies.
@@ -412,12 +333,10 @@ class PipelineStats:
 
     Besides the copy/shard byte accounting, the registry threads
     per-strategy *probe cost* through here: every ``MarshalRegistry.find``
-    records a hit or miss under its strategy name, the graph walk counts
-    frontier nodes it dequeues, and the fingerprint index counts the bytes
-    it hashes (registration + probe) and the bytes it full-compares when a
-    digest collides.  ``copies_made + copies_avoided == tensors_packed``
-    and, per strategy, ``hits + misses == probes`` are the reconciliation
-    invariants the strategy-equivalence tests assert.
+    records a hit or miss under its strategy name and the graph walk
+    counts the frontier nodes it dequeues.  ``copies_made + copies_avoided
+    == tensors_packed`` and, per strategy, ``hits + misses == probes`` are
+    the reconciliation invariants the strategy-equivalence tests assert.
     """
 
     tensors_packed: int = 0
@@ -432,9 +351,6 @@ class PipelineStats:
     strategy_hits: dict[str, int] = field(default_factory=dict)
     strategy_misses: dict[str, int] = field(default_factory=dict)
     graph_nodes_visited: int = 0
-    fingerprint_bytes_hashed: int = 0
-    fingerprint_bytes_compared: int = 0
-    fingerprint_collisions: int = 0
 
     def record_hit(self, hops: int, nbytes: int) -> None:
         """Count one avoided host copy found ``hops`` graph hops away."""

@@ -284,49 +284,6 @@ class StepCache:
             assert self._table_temperature is not None
             return (self._table_centroids, self._table_temperature, self._table)
 
-    def resident_bytes(self) -> int:
-        """Host bytes held by the *resident* products of the live entry.
-
-        Counts the uniquify decomposition (dominated by the ``O(|W|)``
-        index list) and the carried attention table; a phantom entry (key
-        without products) reports zero.  This is the quantity the process
-        backend's ``worker_cache_bytes_limit`` bounds.
-        """
-        with self._lock:
-            total = 0
-            if self._unique is not None:
-                total += (
-                    self._unique.patterns.nbytes
-                    + self._unique.index_list.nbytes
-                    + self._unique.values.nbytes
-                    + self._unique.counts.nbytes
-                )
-            if self._table is not None:
-                total += self._table.nbytes
-            if self._table_centroids is not None:
-                total += self._table_centroids.nbytes
-            return total
-
-    def evict_products(self) -> int:
-        """Release the resident products but keep the entry *phantom*.
-
-        The (storage, version, view) key and its weak storage reference
-        survive, so a later ``uniquify`` against the same weight version
-        still counts a hit (the decomposition was computed this step, it
-        just is not resident any more) and transparently recomputes --
-        exactly the phantom semantics :meth:`mark_computed` installs.
-        Used by the process backend to bound worker memory without
-        perturbing the cross-backend counter reconciliation.  Returns the
-        number of bytes released.
-        """
-        with self._lock:
-            released = self.resident_bytes()
-            self._unique = None
-            self._table = None
-            self._table_centroids = None
-            self._table_temperature = None
-            return released
-
     def invalidate(self) -> None:
         """Drop all cached products (weights changed out from under us)."""
         with self._lock:

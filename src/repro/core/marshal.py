@@ -14,93 +14,20 @@ tensor through data-storage-invariant operations (view, transpose, expand,
 slice, ...) for at most ``hop_budget`` hops, looking for a tensor already
 registered as offloaded.  The paper found 4 hops sufficient; an oracle
 ``"storage-id"`` strategy (a dict keyed on storage identity) is provided for
-ablation.
-
-The third ``"fingerprint"`` strategy tests the paper's "prohibitively
-expensive" assumption with a *sampled-stride* content hash: instead of
-hashing all of a storage's bytes, it hashes every Nth 64-byte block, with
-the stride chosen so the sampled volume grows like ``O(sqrt(nbytes))`` and
-is hard-capped by ``fingerprint_max_samples`` blocks.  Registered entries
-are indexed in a ``fingerprint -> [entries]`` multimap (hashing is deferred
-until the first fingerprint probe, so the other strategies pay nothing for
-it); a probe hashes the incoming tensor's storage and verifies every
-candidate -- storage identity first, then a full byte compare -- so a hash
-collision can never alias two different tensors into one host copy.  All
-three strategies thread probe-cost counters through
+ablation.  Both strategies thread probe-cost counters through
 :class:`~repro.core.config.PipelineStats`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
 import threading
 import weakref
 from collections import deque
 from typing import Iterator
 
-import numpy as np
-
-from repro.core.config import DEFAULT_FINGERPRINT_MAX_SAMPLES, PipelineStats
+from repro.core.config import PipelineStats
 from repro.distributed.collective import ShardedTensor
 from repro.tensor.tensor import Tensor
-
-FINGERPRINT_BLOCK_BYTES = 64
-
-
-def fingerprint_sample_offsets(
-    nbytes: int, max_samples: int = DEFAULT_FINGERPRINT_MAX_SAMPLES
-) -> list[int]:
-    """Byte offsets of the 64-byte blocks a fingerprint samples.
-
-    The stride is chosen so roughly ``sqrt(nbytes)`` bytes are sampled,
-    hard-capped at ``max_samples`` blocks; the final block is always
-    included so tail bytes cannot change silently (evicting the last
-    stride block when including it would exceed the cap).  Exposed
-    separately so tests can construct deterministic collisions (two
-    buffers differing only at unsampled offsets).
-    """
-    if nbytes <= 0:
-        return []
-    cap = max(1, int(max_samples))
-    n_blocks = -(-nbytes // FINGERPRINT_BLOCK_BYTES)
-    target = min(cap, max(1, math.isqrt(nbytes) // FINGERPRINT_BLOCK_BYTES + 1))
-    stride = -(-n_blocks // target)
-    blocks = list(range(0, n_blocks, stride))
-    if blocks[-1] != n_blocks - 1:
-        if len(blocks) >= cap:
-            blocks.pop()
-        blocks.append(n_blocks - 1)
-    return [b * FINGERPRINT_BLOCK_BYTES for b in blocks]
-
-
-def _storage_bytes(storage: object) -> np.ndarray:
-    """Zero-copy uint8 view of a storage's physical buffer."""
-    return np.ascontiguousarray(storage.data).view(np.uint8)
-
-
-def fingerprint_storage(
-    storage: object, max_samples: int = DEFAULT_FINGERPRINT_MAX_SAMPLES
-) -> tuple[int, int]:
-    """Sampled-stride content hash of ``storage``: ``(digest, bytes_hashed)``.
-
-    The digest covers the sampled blocks plus the byte length and the
-    storage dtype, so two storages of different sizes -- or byte-identical
-    buffers holding different dtypes (a float32 ``1.0`` is bit-identical
-    to an int32 ``1065353216``) -- never share a fingerprint.
-    ``bytes_hashed`` is the probe-cost figure threaded into
-    ``PipelineStats``.
-    """
-    raw = _storage_bytes(storage)
-    digest = hashlib.blake2b(digest_size=8)
-    hashed = 0
-    for offset in fingerprint_sample_offsets(raw.size, max_samples):
-        block = raw[offset : offset + FINGERPRINT_BLOCK_BYTES]
-        digest.update(block.tobytes())
-        hashed += int(block.size)
-    digest.update(raw.size.to_bytes(8, "little"))
-    digest.update(storage.dtype.name.encode())
-    return int.from_bytes(digest.digest(), "little"), hashed
 
 
 class OffloadEntry:
@@ -155,26 +82,17 @@ class MarshalRegistry:
     """Tracks which tensors' storages already have host copies.
 
     Registration is keyed on tensor object identity (validated through a
-    weak reference); lookup is by graph walk, by storage identity, or by
-    content fingerprint.  A registry instance scopes one forward/backward
-    step.
+    weak reference); lookup is by graph walk or by storage identity.  A
+    registry instance scopes one forward/backward step.
 
     The tensor-id and storage-id tables cross-reference each other's key,
     so a stale id detected on either side (the CPython allocator reuses
     addresses after garbage collection) evicts *both* slots -- a one-sided
     eviction would leave a dead counterpart that a recycled id could later
-    resolve to the wrong entry.  The fingerprint multimap is populated
-    lazily: ``register`` only queues the storage, and the first fingerprint
-    probe drains the queue, so graph/storage-id runs never pay for hashing.
+    resolve to the wrong entry.
     """
 
-    def __init__(
-        self,
-        fingerprint_max_samples: int = DEFAULT_FINGERPRINT_MAX_SAMPLES,
-        fingerprint_dedup_content: bool = False,
-    ) -> None:
-        self.fingerprint_max_samples = fingerprint_max_samples
-        self.fingerprint_dedup_content = fingerprint_dedup_content
+    def __init__(self) -> None:
         # Reentrant: public entry points lock, private helpers assume the
         # caller holds it (the repolint RL101/RL102 convention).
         self._lock = threading.RLock()
@@ -186,23 +104,10 @@ class MarshalRegistry:
         self._by_storage_id: dict[
             int, tuple[weakref.ReferenceType, OffloadEntry, int]
         ] = {}
-        # digest -> [(storage weakref, entry, version-at-register), ...]
-        # (digest collisions share a slot)
-        self._by_fingerprint: dict[
-            int, list[tuple[weakref.ReferenceType, OffloadEntry, int]]
-        ] = {}
-        self._fingerprint_pending: list[
-            tuple[weakref.ReferenceType, OffloadEntry, int]
-        ] = []
-        # id(storage) -> (storage weakref, version, digest): one hash per
-        # storage version -- the miss-probe that precedes every
-        # registration already computed the digest the drain needs.
-        self._digest_memo: dict[int, tuple[weakref.ReferenceType, int, int]] = {}
 
     def register(self, tensor: Tensor, entry: OffloadEntry) -> None:
         """Record that ``tensor``'s storage now has the host copy in
-        ``entry`` (indexed by tensor id, storage id, and -- lazily -- by
-        content fingerprint)."""
+        ``entry`` (indexed by tensor id and by storage id)."""
         ref = weakref.ref(tensor)
         storage_ref = weakref.ref(tensor.storage)
         with self._lock:
@@ -212,18 +117,12 @@ class MarshalRegistry:
                 entry,
                 id(tensor),
             )
-            self._fingerprint_pending.append(
-                (storage_ref, entry, tensor.storage.version)
-            )
 
     def clear(self) -> None:
         """Drop every index (called between steps: weights change)."""
         with self._lock:
             self._by_tensor_id.clear()
             self._by_storage_id.clear()
-            self._by_fingerprint.clear()
-            self._fingerprint_pending.clear()
-            self._digest_memo.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -253,8 +152,6 @@ class MarshalRegistry:
                 result = self._find_by_storage(tensor)
             elif strategy == "graph":
                 result = self._find_by_graph(tensor, hop_budget, stats)
-            elif strategy == "fingerprint":
-                result = self._find_by_fingerprint(tensor, stats)
             else:
                 raise ValueError(f"unknown search strategy {strategy!r}")
         if stats is not None:
@@ -293,120 +190,6 @@ class MarshalRegistry:
             self._evict_storage_key(id(tensor.storage))
             return (None, 0, [])
         return (entry, 0, [])
-
-    # -- fingerprint ----------------------------------------------------
-
-    def _fingerprint_digest(self, storage: object, stats: PipelineStats | None) -> int:
-        """The storage's digest, hashed at most once per storage version."""
-        memo = self._digest_memo.get(id(storage))
-        if memo is not None:
-            memo_ref, memo_version, memo_digest = memo
-            if memo_ref() is storage and memo_version == storage.version:
-                return memo_digest
-        digest, hashed = fingerprint_storage(storage, self.fingerprint_max_samples)
-        if stats is not None:
-            stats.fingerprint_bytes_hashed += hashed
-        self._digest_memo[id(storage)] = (
-            weakref.ref(storage),
-            storage.version,
-            digest,
-        )
-        return digest
-
-    def _drain_fingerprint_pending(self, stats: PipelineStats | None) -> None:
-        if not self._fingerprint_pending:
-            return
-        pending, self._fingerprint_pending = self._fingerprint_pending, []
-        for storage_ref, entry, version in pending:
-            storage = storage_ref()
-            # Skip storages written in place since registration: the entry's
-            # host snapshot holds the pre-write bytes, so indexing the
-            # *current* bytes would let a later identity probe serve the
-            # stale snapshot.  Dropping the entry makes such probes miss --
-            # the conservative behavior the strategy documents.
-            if storage is None or storage.version != version:
-                continue
-            digest = self._fingerprint_digest(storage, stats)
-            self._by_fingerprint.setdefault(digest, []).append(
-                (storage_ref, entry, version)
-            )
-
-    def _find_by_fingerprint(
-        self, tensor: Tensor, stats: PipelineStats | None = None
-    ) -> tuple[OffloadEntry | None, int, list[str]]:
-        """Probe the content index; verify candidates before trusting them.
-
-        Storage identity is checked first (free); a digest match alone is
-        never trusted.  With ``fingerprint_dedup_content`` enabled,
-        non-identity candidates are confirmed with a full byte compare --
-        the collision backstop that keeps a 64-bit (and deliberately
-        *partial*) hash from aliasing two different tensors into one host
-        copy -- and a *verified* byte-identical storage may then share the
-        host copy (safe: the host snapshot is immutable for the step and
-        unpack rebuilds views from payload metadata only).  With it
-        disabled (the default) a hit requires the identical storage, so
-        the dedup set matches the ``storage-id`` oracle exactly for
-        storages left unmutated within the step, and colliding digests
-        simply miss.  (A storage written in place after registration gets
-        a new digest, so the fingerprint conservatively misses where the
-        oracle would serve its stale pre-write snapshot.)
-
-        A content hit additionally requires the candidate storage's
-        version counter to still equal its value at registration: unpack
-        serves the host snapshot taken *then*, so if the source storage
-        was mutated in place afterwards, its current bytes no longer
-        vouch for the snapshot and the candidate is skipped.  (Identity
-        hits keep the step-scoped immutability contract every strategy
-        shares -- the registry is cleared between steps precisely because
-        weights change.)
-        """
-        self._drain_fingerprint_pending(stats)
-        target = tensor.storage
-        digest = self._fingerprint_digest(target, stats)
-        bucket = self._by_fingerprint.get(digest)
-        if not bucket:
-            return (None, 0, [])
-        live = [item for item in bucket if item[0]() is not None]
-        if len(live) != len(bucket):
-            if live:
-                self._by_fingerprint[digest] = live
-            else:
-                del self._by_fingerprint[digest]
-                return (None, 0, [])
-        for storage_ref, entry, version in live:
-            if storage_ref() is target:
-                # A write at an *unsampled* offset leaves the digest
-                # unchanged, so the version check is what keeps the
-                # conservative-miss guarantee deterministic rather than
-                # dependent on which byte was written.
-                if target.version != version:
-                    continue
-                return (entry, 0, [])
-        if not self.fingerprint_dedup_content:
-            return (None, 0, [])
-        target_raw = _storage_bytes(target)
-        for storage_ref, entry, version in live:
-            candidate = storage_ref()
-            # The dtype check is belt-and-braces (the digest already keys
-            # on dtype): equal bytes under different dtypes are different
-            # tensors, and unpack would reinterpret the host copy's buffer.
-            if (
-                candidate is None
-                or candidate.version != version
-                or candidate.nbytes != target.nbytes
-                or candidate.dtype.name != target.dtype.name
-            ):
-                continue
-            if stats is not None:
-                # Physical buffer bytes, matching what np.array_equal walks
-                # (a bf16 storage's float32 buffer is 2x its logical nbytes)
-                # and the unit fingerprint_bytes_hashed counts in.
-                stats.fingerprint_bytes_compared += int(target_raw.size)
-            if np.array_equal(_storage_bytes(candidate), target_raw):
-                return (entry, 0, ["content-equal"])
-            if stats is not None:
-                stats.fingerprint_collisions += 1
-        return (None, 0, [])
 
     def _find_by_graph(
         self, tensor: Tensor, hop_budget: int, stats: PipelineStats | None = None

@@ -28,6 +28,7 @@ from repro.core.marshal import MarshalRegistry, OffloadEntry
 from repro.distributed.collective import ShardedTensor, all_gather, shard_rows
 from repro.memory.traffic import global_ledger
 from repro.tensor.autograd import no_grad, saved_tensors_hooks
+from repro.tensor.device import CPU, GPU
 from repro.tensor.tensor import Tensor
 
 
@@ -67,10 +68,7 @@ class SavedTensorPipeline:
     def __init__(self, config: EDKMConfig, record_events: bool = False) -> None:
         self.config = config
         self.stats = PipelineStats()
-        self.registry = MarshalRegistry(
-            fingerprint_max_samples=config.fingerprint_max_samples,
-            fingerprint_dedup_content=config.fingerprint_dedup_content,
-        )
+        self.registry = MarshalRegistry()
         self.record_events = record_events
         self.events: list[tuple[int, bool]] = []
 
@@ -97,10 +95,7 @@ class SavedTensorPipeline:
 
     def _pack(self, tensor: Tensor) -> SavedPayload:
         cfg = self.config
-        if (
-            tensor.device != cfg.source_device
-            or tensor.storage.nbytes < cfg.min_offload_bytes
-        ):
+        if tensor.device != GPU:
             return SavedPayload(entry=None, passthrough=tensor)
 
         self.stats.tensors_packed += 1
@@ -173,32 +168,24 @@ class SavedTensorPipeline:
                 self.stats.bytes_sharded_local += host_copy.local_shard.nbytes
             else:
                 host_copy = Tensor.from_numpy(
-                    flat._np(), dtype=tensor.dtype, device=cfg.host_device
+                    flat._np(), dtype=tensor.dtype, device=CPU
                 )
                 global_ledger().record(
-                    cfg.source_device.name,
-                    cfg.host_device.name,
-                    host_copy.nbytes,
-                    tag="offload",
+                    GPU.name, CPU.name, host_copy.nbytes, tag="offload"
                 )
         self.stats.copies_made += 1
         self.stats.bytes_copied += storage.nbytes
-        return OffloadEntry(host_copy, storage, cfg.source_device)
+        return OffloadEntry(host_copy, storage, GPU)
 
     def _restore(self, entry: OffloadEntry) -> Tensor:
         """Bring a host copy back to the source device as a flat tensor."""
-        cfg = self.config
         with no_grad():
             if isinstance(entry.host_copy, ShardedTensor):
                 self.stats.gathers += 1
-                return all_gather(
-                    entry.host_copy, cfg.source_device, tag="backward-gather"
-                )
+                return all_gather(entry.host_copy, GPU, tag="backward-gather")
             host = entry.host_copy
-            restored = Tensor.from_numpy(
-                host._np(), dtype=host.dtype, device=cfg.source_device
-            )
+            restored = Tensor.from_numpy(host._np(), dtype=host.dtype, device=GPU)
             global_ledger().record(
-                cfg.host_device.name, cfg.source_device.name, restored.nbytes, tag="reload"
+                CPU.name, GPU.name, restored.nbytes, tag="reload"
             )
             return restored

@@ -9,29 +9,26 @@ layer's heavy derived state *resident in its worker* across sweeps.
 
 There is one scheduling mode.  ``CompressorConfig.resolve_workers`` fixes
 the number of worker *slots* (each a spawned single-worker process
-standing in for one host -- a "node" owning one learner memory domain);
-a byte-balanced :class:`~repro.distributed.scheduler.NodePlacement` pins
-every layer to one slot (greedy largest-first, optionally capped by
-``node_memory_budget``) and is rebalanced -- minimally -- only when the
-layer set or the slot count changes.  A layer's tasks therefore always
-land in the same process, where a :class:`WorkerCacheRegistry` keeps its
+standing in for one host -- a "node" owning one learner memory domain)
+and :func:`place_layers` pins every layer to one slot by weight bytes
+(greedy largest-first).  Width and layer set are fixed for a *generation*
+of the engine: a sweep that arrives with a different slot count or layer
+set restarts cold through the same :meth:`ProcessLayerEngine.reset` every
+sweep error takes.  A layer's tasks therefore always land in the same
+process, where a :class:`WorkerCacheRegistry` keeps its
 :class:`WorkerStepCache` -- its :class:`~repro.core.dkm.DKMClusterer`
 (step cache, uniquify products, carried attention table) plus a
 long-lived shared-memory lease -- alive between sweeps.  The first
 shipment of a layer is a full :class:`LayerTask` (handle + config +
 state); once synced, the parent ships an ``O(k)`` :class:`LayerDelta`
 (storage version, cluster state, config epoch, warm token) and warm
-sweeps skip the worker-side re-uniquify entirely.  Every batch carries
-the parent's gossiped ``{layer: (shm name, storage version, epoch)}``
-sync view of that slot; the worker reconciles its residents against it
-before running (:meth:`WorkerCacheRegistry.reconcile`), so re-pinned or
-removed layers release their caches and contradicted ones are dropped.
-Workers ship back outcomes plus :class:`~repro.core.fastpath.
-FastPathStats` counter *deltas* that the parent folds into its
-phantom-entry accounting, so hit/miss counters stay bit-identical to the
-serial sweep.  Every parent <-> slot transfer is recorded in the global
-:class:`~repro.memory.traffic.TrafficLedger` under ``shard:ship``,
-``shard:gossip`` and ``shard:gather`` tags.
+sweeps skip the worker-side re-uniquify entirely.  Workers ship back
+outcomes plus :class:`~repro.core.fastpath.FastPathStats` counter
+*deltas* that the parent folds into its phantom-entry accounting, so
+hit/miss counters stay bit-identical to the serial sweep.  Every parent
+<-> slot transfer is recorded in the global
+:class:`~repro.memory.traffic.TrafficLedger` under ``shard:ship`` and
+``shard:gather`` tags.
 
 Three design rules keep the engine bit-identical to the serial sweep:
 
@@ -48,20 +45,21 @@ Three design rules keep the engine bit-identical to the serial sweep:
   assignments, carried attention tables, and counter deltas merge back
   bit-identical to the serial sweep no matter how the slots interleave.
 - **Invalidation protocol.**  The parent tracks per-layer sync records
-  (slot, block name, storage version, config epoch) and only ships a
-  delta when every field still matches; workers defensively re-validate
-  and raise :class:`StaleWorkerCache` on any mismatch, which -- like a
+  (block name, storage version, config epoch) and only ships a delta
+  when every field still matches; workers defensively re-validate and
+  raise :class:`StaleWorkerCache` on any mismatch, which -- like a
   worker crash (``BrokenExecutor``) -- makes the parent re-ship the
   slot's layers as full tasks (respawning the worker first if it died).
+  That check is the whole residency rule.
   Every transport decision is observable through the engine's
   :class:`TransportStats`.
 
 Worker lifecycle: slots are spawn-safe (workers receive only picklable
 task specs and import the codebase fresh under the default ``"spawn"``
-context), lazily created on the first sweep, reused across sweeps, grown
-or shrunk *incrementally* on a width change, and torn down -- together
-with every exported block -- by :meth:`ProcessLayerEngine.close`, by
-:meth:`ProcessLayerEngine.reset` on any sweep error, or by a
+context), created on a generation's first sweep, reused across its
+sweeps, and torn down -- together with every exported block -- by
+:meth:`ProcessLayerEngine.close`, by :meth:`ProcessLayerEngine.reset` on
+any sweep error or generation change, or by a
 ``weakref.finalize`` safety net if the engine is garbage collected
 first.  A reset also drops every sync record, so the sweep after an
 error re-exports and re-ships everything instead of trusting stale
@@ -89,7 +87,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -109,7 +107,6 @@ from repro.core.faults import (
 )
 from repro.distributed.collective import logical_nbytes
 from repro.distributed.learner import LearnerGroup
-from repro.distributed.scheduler import NodePlacement
 from repro.memory.traffic import global_ledger
 from repro.tensor.serialization import (
     ShmExport,
@@ -298,7 +295,6 @@ class WorkerStepCache:
     lease: ShmLease
     handle: ShmTensorHandle
     epoch: int
-    tick: int = 0
     shipped_table: "np.ndarray | None" = None
 
 
@@ -311,13 +307,6 @@ class WorkerCacheRegistry:
     -- and returns the outcome with *delta* counters, snapshotting the
     resident cache's stats around the op so cumulative worker-local
     counters never double-count in the parent's merge.
-
-    ``bytes_limit`` (``CompressorConfig.worker_cache_bytes_limit``)
-    bounds the resident products: when the registry exceeds it, the
-    least-recently-used layers' uniquify products and tables are evicted
-    down to *phantom* entries (:meth:`~repro.core.fastpath.StepCache.
-    evict_products`), which preserves hit/miss semantics and merely costs
-    a recompute on next use.
     """
 
     def __init__(self) -> None:
@@ -327,28 +316,19 @@ class WorkerCacheRegistry:
         self._lock = threading.RLock()
         self._entries: dict[str, WorkerStepCache] = {}
         self._leases = ShmLeaseRegistry()
-        self._clock = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def run(
-        self,
-        fn,
-        task: "LayerTask | LayerDelta",
-        kwargs: dict,
-        bytes_limit: int = 0,
-    ) -> LayerOutcome:
+    def run(self, fn, task: "LayerTask | LayerDelta", kwargs: dict) -> LayerOutcome:
         """Execute one sweep op against the (installed or resident) layer."""
         with self._lock:
-            self._clock += 1
             apply_directive(task.fault)
             if isinstance(task, LayerDelta):
                 entry = self._resume(task)
             else:
                 entry = self._install(task)
-            entry.tick = self._clock
             clusterer = entry.clusterer
             tensor = entry.lease.tensor
             assert tensor is not None  # the registry never holds closed leases
@@ -360,19 +340,23 @@ class WorkerCacheRegistry:
             if peeked is not None and peeked[2] is not entry.shipped_table:
                 table = peeked
                 entry.shipped_table = peeked[2]
-            outcome = LayerOutcome(
+            return LayerOutcome(
                 name=task.name,
                 result=result,
                 state=clusterer.state,
                 stats=stats,
                 table=table,
             )
-            if bytes_limit > 0:
-                self.enforce_limit(bytes_limit)
-            return outcome
 
     def _install(self, task: LayerTask) -> WorkerStepCache:
-        """(Re)build the layer's entry from a full task."""
+        """(Re)build the layer's entry from a full task.
+
+        A full task means the parent trusts nothing this worker holds for
+        the layer, so the block is re-attached rather than served from a
+        held mapping: a block unlinked under us surfaces here as
+        :class:`~repro.tensor.serialization.ShmLost`.
+        """
+        self._leases.release(task.name)
         lease = self._leases.acquire(task.name, task.handle)
         clusterer = DKMClusterer(task.dkm_config)
         clusterer.state = task.state
@@ -417,46 +401,6 @@ class WorkerCacheRegistry:
             clusterer.fastpath.invalidate()
         return entry
 
-    def reconcile(self, gossip: "dict[str, tuple[str, int, int]]") -> None:
-        """Converge residency on the coordinator's gossiped sync view.
-
-        ``gossip`` maps layer name to the ``(shm_name, storage version,
-        epoch)`` triple the parent believes this worker holds; it rides
-        on every batch.  Two kinds of divergence are repaired: entries
-        absent from the gossip are released together with their pinned
-        lease (the layer was re-pinned elsewhere or removed from the
-        model, so it must not linger for the engine's lifetime), and
-        entries whose resident triple contradicts the gossip are dropped
-        so a later delta addressed to them raises
-        :class:`StaleWorkerCache` instead of resuming from a stale cache.
-        """
-        with self._lock:
-            for name, entry in list(self._entries.items()):
-                resident = (entry.handle.shm_name, entry.handle.version, entry.epoch)
-                if gossip.get(name) != resident:
-                    del self._entries[name]
-                    self._leases.release(name)
-
-    def resident_bytes(self) -> int:
-        """Total resident product bytes across all entries."""
-        with self._lock:
-            return sum(
-                entry.clusterer.fastpath.resident_bytes()
-                for entry in self._entries.values()
-            )
-
-    def enforce_limit(self, bytes_limit: int) -> None:
-        """Evict LRU layers' products until at or under ``bytes_limit``."""
-        with self._lock:
-            total = self.resident_bytes()
-            if total <= bytes_limit:
-                return
-            for entry in sorted(self._entries.values(), key=lambda e: e.tick):
-                total -= entry.clusterer.fastpath.evict_products()
-                entry.shipped_table = None
-                if total <= bytes_limit:
-                    break
-
     def close(self) -> None:
         """Drop every entry and release every pinned lease."""
         with self._lock:
@@ -483,18 +427,10 @@ def _worker_cache_registry() -> WorkerCacheRegistry:
 
 
 def _run_slot_batch(
-    op: str,
-    kwargs: dict,
-    tasks: "list[LayerTask | LayerDelta]",
-    bytes_limit: int,
-    gossip: "dict[str, tuple[str, int, int]]",
+    op: str, kwargs: dict, tasks: "list[LayerTask | LayerDelta]"
 ) -> list[LayerOutcome]:
-    """The worker entry point: reconcile the gossip, then run the batch.
+    """The worker entry point: run one slot's batch, in order.
 
-    Residency converges on the parent's gossiped ``(shm name, storage
-    version, epoch)`` view *before* any task runs, so a delta addressed
-    to a dropped entry raises :class:`StaleWorkerCache` and triggers the
-    full-re-ship recovery path; an empty ``tasks`` list is a pure flush.
     Top-level (picklable by reference) so the spawn context resolves it
     by import; the op table is imported lazily to keep the compressor ->
     procpool import edge one-directional at module load time.
@@ -503,8 +439,7 @@ def _run_slot_batch(
 
     fn = SWEEP_OPS[op]
     registry = _worker_cache_registry()
-    registry.reconcile(gossip)
-    return [registry.run(fn, task, kwargs, bytes_limit) for task in tasks]
+    return [registry.run(fn, task, kwargs) for task in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -514,13 +449,32 @@ def _run_slot_batch(
 
 @dataclass
 class _SyncRecord:
-    """What the parent believes one worker holds for one layer."""
+    """What the parent believes the layer's slot worker holds for it."""
 
-    slot: int
     shm_name: str
     version: int
     epoch: int
     config: DKMConfig  # snapshot copy; detects in-place config edits
+
+
+def place_layers(sized: "Iterable[tuple[str, int]]", n_slots: int) -> dict[str, int]:
+    """Pin ``(name, nbytes)`` layers to ``n_slots`` slots; ``{name: slot}``.
+
+    Greedy largest-first onto the least-loaded slot, balancing *bytes*
+    rather than counts (one embedding outweighs dozens of projections):
+    ``max load <= mean load + largest layer``, because when the last
+    layer lands on the eventual-max slot that slot held at most the
+    mean.  A pure function of its input -- ties break on the lexically
+    smaller name and the lower slot, never on hashing order -- so every
+    engine pins the same model the same way.
+    """
+    pins: dict[str, int] = {}
+    loads = [0] * n_slots
+    for name, nbytes in sorted(sized, key=lambda item: (-item[1], item[0])):
+        slot = min(range(n_slots), key=lambda i: (loads[i], i))
+        pins[name] = slot
+        loads[slot] += nbytes
+    return pins
 
 
 def _pickled_size(payload: Any) -> int:
@@ -602,14 +556,14 @@ class ProcessLayerEngine:
     """Worker-lifecycle + shared-memory + placement manager for the backend.
 
     One engine serves one :class:`~repro.core.compressor.ModelCompressor`.
-    The slot count is ``config.resolve_workers`` of the layer count,
-    revisited every sweep: a width change grows or shrinks the slot list
-    incrementally and minimally rebalances the
-    :class:`~repro.distributed.scheduler.NodePlacement` (with a layer-set
-    change, the only events that re-pin layers).  Weight exports are
-    cached per layer and refreshed only when the layer's storage identity
-    or version changes (i.e. after an optimizer write), which
-    simultaneously demotes the layer from delta to full shipping.  Any
+    The slot count is ``config.resolve_workers`` of the layer count;
+    together with the ``(name, bytes)`` layer set it defines the engine's
+    *generation*, and a sweep that disagrees with the live generation
+    restarts cold (:meth:`reset`, then fresh slots and a fresh
+    :func:`place_layers` pinning).  Weight exports are cached per layer
+    and refreshed only when the layer's storage identity or version
+    changes (i.e. after an optimizer write), which simultaneously
+    demotes the layer from delta to full shipping.  Any
     error escaping a sweep triggers :meth:`reset`, which tears down the
     slots, unlinks every block, and forgets every sync record before
     re-raising -- a crashed sweep never leaks ``/dev/shm`` segments and
@@ -632,7 +586,11 @@ class ProcessLayerEngine:
         }
         self.transport = TransportStats()
         self.faults = FaultInjector.from_plan(config.fault_plan)
-        self._placement: NodePlacement | None = None
+        # The live generation: (slot count, ((name, nbytes), ...)) and the
+        # pinning derived from it; None / empty before the first sweep and
+        # after a reset.
+        self._shape: tuple | None = None
+        self._pins: dict[str, int] = {}
         # Ledger endpoints: the parent is group.primary, slot i owns the
         # learner domain group.devices[i + 1] ("<host>:peer{i+1}"); grown
         # on demand by _ledger.
@@ -648,29 +606,21 @@ class ProcessLayerEngine:
     # -- lifecycle ------------------------------------------------------
 
     def _new_slot(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1, mp_context=get_context(self.config.mp_context)
-        )
+        # One worker per slot, always the "spawn" start method: workers
+        # import the codebase fresh and receive only picklable task specs,
+        # whatever threads the parent holds.
+        return ProcessPoolExecutor(1, get_context("spawn"))
 
-    def _ensure_slots(self, n_slots: int) -> None:
-        """Grow or shrink the slot list *incrementally*.
-
-        Adding a worker must not restart the surviving ones.  Removed
-        slots shut down and their sync records drop (their layers
-        re-ship full to new owners after the rebalance); surviving slots
-        keep their executors, resident caches, and sync records, so
-        their unmoved layers keep shipping deltas across the resize.
-        """
-        slots = self._state["slots"]
-        if len(slots) == n_slots:
+    def _ensure_generation(self, layers) -> None:
+        """Restart cold unless the sweep matches the live generation."""
+        n_slots = self.config.resolve_workers(len(layers))
+        sized = tuple((name, logical_nbytes(weights)) for name, _, weights in layers)
+        if self._shape == (n_slots, sized):
             return
-        for pool in slots[n_slots:]:
-            pool.shutdown(wait=False, cancel_futures=True)
-        del slots[n_slots:]
-        for name in [n for n, rec in self._sync.items() if rec.slot >= n_slots]:
-            del self._sync[name]
-        while len(slots) < n_slots:
-            slots.append(self._new_slot())
+        self.reset()
+        self._shape = (n_slots, sized)
+        self._pins = place_layers(sized, n_slots)
+        self._state["slots"] = [self._new_slot() for _ in range(n_slots)]
 
     def _respawn_slot(self, slot: int, kill: bool = False) -> None:
         """Replace one dead or hung slot worker; its layers re-ship full.
@@ -686,8 +636,9 @@ class ProcessLayerEngine:
         if kill:
             _kill_pool_processes(slots[slot])
         slots[slot].shutdown(wait=False, cancel_futures=True)
-        for name in [n for n, rec in self._sync.items() if rec.slot == slot]:
-            del self._sync[name]
+        for name, pinned in self._pins.items():
+            if pinned == slot:
+                self._sync.pop(name, None)
         self._respawns += 1
         if self._respawns > self.config.max_pool_respawns:
             raise PoolExhausted(
@@ -708,7 +659,8 @@ class ProcessLayerEngine:
         """
         _teardown(self._state)
         self._sync.clear()
-        self._placement = None
+        self._shape = None
+        self._pins = {}
 
     def close(self) -> None:
         """Tear down pools, exports, and sync records (idempotent)."""
@@ -724,9 +676,9 @@ class ProcessLayerEngine:
         """Names of currently-linked shared-memory blocks (for audits)."""
         return [export.name for export in self._state["exports"].values()]
 
-    def placement(self) -> "NodePlacement | None":
-        """The current pinning (``None`` before the first sweep)."""
-        return self._placement
+    def placement(self) -> dict[str, int]:
+        """The live ``{layer: slot}`` pinning (empty before the first sweep)."""
+        return dict(self._pins)
 
     @property
     def fault_log(self) -> "FaultLog | None":
@@ -823,7 +775,6 @@ class ProcessLayerEngine:
         clusterer: DKMClusterer,
         weights: "Tensor",
         handle: ShmTensorHandle,
-        slot: int,
     ) -> LayerTask:
         """A full shipment, optimistically recorded as synced.
 
@@ -833,7 +784,6 @@ class ProcessLayerEngine:
         """
         epoch = self._next_epoch(name)
         self._sync[name] = _SyncRecord(
-            slot=slot,
             shm_name=handle.shm_name,
             version=handle.version,
             epoch=epoch,
@@ -854,13 +804,11 @@ class ProcessLayerEngine:
         clusterer: DKMClusterer,
         weights: "Tensor",
         handle: ShmTensorHandle,
-        slot: int,
     ) -> "LayerTask | LayerDelta":
         """Delta when the sync record still matches reality, else full."""
         rec = self._sync.get(name)
         if (
             rec is not None
-            and rec.slot == slot
             and rec.shm_name == handle.shm_name
             and rec.version == handle.version
             and rec.config == clusterer.config
@@ -876,50 +824,14 @@ class ProcessLayerEngine:
                     name, handle.version, rec.epoch, warm, clusterer.state
                 ),
             )
-        return self._full_task(name, clusterer, weights, handle, slot)
+        return self._full_task(name, clusterer, weights, handle)
 
-    # -- placement, submission, collection -------------------------------
-
-    def _ensure_placement(self, layers, n_slots: int) -> tuple[NodePlacement, set[int]]:
-        """Build or minimally rebalance the placement; drop broken pins.
-
-        Returns the placement plus the set of slots that must receive a
-        flush (an empty gossip-bearing batch) even with no pinned work
-        this sweep, because the pin map changed under live workers.
-        """
-        sized = [(name, logical_nbytes(weights)) for name, _, weights in layers]
-        budget = self.config.node_memory_budget
-        placement = self._placement
-        flush_slots: set[int] = set()
-        if (
-            placement is None
-            or placement.n_nodes != n_slots
-            or placement.budget != budget
-            or placement.names != tuple(name for name, _ in sized)
-            or any(placement.sizes[name] != size for name, size in sized)
-        ):
-            if placement is None:
-                placement = NodePlacement.build(sized, n_slots, budget)
-            else:
-                # Surviving slots may hold residents for re-pinned or
-                # removed layers; each must see a gossip flush even if
-                # it has no pinned work this sweep.
-                flush_slots = set(range(min(placement.n_nodes, n_slots)))
-                placement = placement.rebalance(sized, n_slots, budget)
-            self._placement = placement
-            # A sync record for a re-pinned layer points at a slot that
-            # no longer owns it; drop it so the new owner ships full.
-            for name in [
-                n for n, rec in self._sync.items() if placement.pins.get(n) != rec.slot
-            ]:
-                del self._sync[name]
-        return placement, flush_slots
+    # -- submission, collection ------------------------------------------
 
     def _ledger(self, slot: int, kind: str, nbytes: int) -> None:
         """Record one parent <-> slot transfer under ``shard:<kind>:node<slot>``.
 
-        ``gather`` flows slot -> parent; ``ship`` and ``gossip`` the
-        other way.
+        ``gather`` flows slot -> parent; ``ship`` the other way.
         """
         if slot + 1 >= len(self._group):
             self._group = LearnerGroup(slot + 2)
@@ -930,46 +842,31 @@ class ProcessLayerEngine:
     def _submit_slot(
         self, slot: int, op: str, kwargs: dict, batch: list
     ) -> "Future | None":
-        """Submit one slot batch with the parent's gossiped sync view.
+        """Submit one slot batch.
 
         ``None`` signals a worker already dead at submit time (the
         caller treats it as a crash).  The batch is pickled once here to
         measure it; that one number feeds both :class:`TransportStats`
         and the ``shard:ship`` ledger record, so the two reconcile
-        exactly.  An empty ``batch`` is a pure gossip flush.
+        exactly.
         """
-        gossip = {
-            name: (rec.shm_name, rec.version, rec.epoch)
-            for name, rec in self._sync.items()
-            if rec.slot == slot
-        }
         try:
             future = self._state["slots"][slot].submit(
-                _run_slot_batch,
-                op,
-                kwargs,
-                batch,
-                self.config.worker_cache_bytes_limit,
-                gossip,
+                _run_slot_batch, op, kwargs, batch
             )
         except BrokenExecutor:
             return None
-        if batch:
-            nbytes = _pickled_size(batch)
-            self.transport.record_batch(batch, nbytes)
-            self._ledger(slot, "ship", nbytes)
-        if gossip:
-            self._ledger(slot, "gossip", _pickled_size(gossip))
+        nbytes = _pickled_size(batch)
+        self.transport.record_batch(batch, nbytes)
+        self._ledger(slot, "ship", nbytes)
         self._state["inflight"].append(future)
         return future
 
     def _map_slots(self, op, layers, kwargs) -> list[LayerOutcome]:
-        n_slots = self.config.resolve_workers(len(layers))
-        self._ensure_slots(n_slots)
-        placement, flush_slots = self._ensure_placement(layers, n_slots)
+        self._ensure_generation(layers)
         self.transport.begin_sweep()
         spec: dict[str, tuple] = {}
-        batches: list[list] = [[] for _ in range(n_slots)]
+        batches: list[list] = [[] for _ in self._state["slots"]]
         by_name: dict[str, LayerOutcome] = {}
         for name, clusterer, weights in layers:
             if name in self._quarantined:
@@ -980,42 +877,26 @@ class ProcessLayerEngine:
                 )
                 continue
             handle = self._export_weight(name, weights)
-            slot = placement.pins[name]
             spec[name] = (clusterer, weights, handle)
-            batches[slot].append(
+            batches[self._pins[name]].append(
                 self._inject_faults(
-                    self._build_task(name, clusterer, weights, handle, slot), name
+                    self._build_task(name, clusterer, weights, handle), name
                 )
             )
         # Submit everything first (slots run concurrently), then collect
-        # in slot order; a slot with no work still gets a flush if the
-        # pin map just changed under it.
+        # in slot order; a slot with no work this sweep is left alone.
         futures = [
-            self._submit_slot(slot, op, kwargs, batches[slot])
-            if batches[slot] or slot in flush_slots
-            else None
-            for slot in range(n_slots)
+            self._submit_slot(slot, op, kwargs, batch) if batch else None
+            for slot, batch in enumerate(batches)
         ]
         for slot, (batch, future) in enumerate(zip(batches, futures)):
             if not batch:
-                self._drain_flush(slot, future)
                 continue
             outcomes = self._collect_slot(slot, op, kwargs, batch, spec, future)
             self._ledger(slot, "gather", _pickled_size(outcomes))
             for outcome in outcomes:
                 by_name[outcome.name] = outcome
-        return [by_name[name] for name in placement.names]
-
-    def _drain_flush(self, slot: int, future: "Future | None") -> None:
-        """Wait out the empty gossip batch sent to an idle slot."""
-        if future is None:
-            return
-        try:
-            future.result(timeout=self._deadline(1))
-        except FutureTimeout:
-            self._respawn_slot(slot, kill=True)
-        except BrokenExecutor:
-            pass  # a dead worker has nothing resident to flush
+        return [by_name[name] for name, _, _ in layers]
 
     # -- failure recovery -----------------------------------------------
 
@@ -1126,10 +1007,10 @@ class ProcessLayerEngine:
             attempt += 1
             if kind == "transient" and self.config.retry_backoff_s > 0:
                 time.sleep(self.config.retry_backoff_s * (2 ** (attempt - 1)))
-            batch = self._rebuild_full(batch, spec, slot)
+            batch = self._rebuild_full(batch, spec)
             future = self._submit_slot(slot, op, kwargs, batch)
 
-    def _rebuild_full(self, batch: list, spec: dict, slot: int) -> list:
+    def _rebuild_full(self, batch: list, spec: dict) -> list:
         """Re-ship a failed batch as full tasks (re-exporting as needed).
 
         Injections are re-applied on the rebuilt tasks: a fault spec with
@@ -1143,7 +1024,7 @@ class ProcessLayerEngine:
             spec[task.name] = (clusterer, weights, handle)
             full_batch.append(
                 self._inject_faults(
-                    self._full_task(task.name, clusterer, weights, handle, slot),
+                    self._full_task(task.name, clusterer, weights, handle),
                     task.name,
                 )
             )

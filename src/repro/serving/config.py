@@ -10,8 +10,10 @@ checkpoint manifests and CI benchmark artifacts embed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.core.config import config_from_dict, config_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serving.faults import ServingFaultPlan
@@ -37,24 +39,16 @@ class ServingConfig:
             growing an unbounded backlog.
         max_new_tokens: per-request generation budget used when a request
             does not carry its own.
-        default_deadline_s: seconds after submission by which a request
-            must have *completed*; requests past their deadline are
-            rejected at schedule time (and aborted between decode steps)
-            with :class:`~repro.serving.queue.DeadlineExceeded`.  ``None``
-            (default) disables deadlines for requests that do not set one.
         eval_path: how eval-mode ``ClusteredLinear`` layers execute their
             matmul, one of :data:`EVAL_PATHS`.  ``"palette"`` (default)
             computes against the ``k``-entry palette -- multiplies scale
             with ``k``, not with dense out-features -- and fronts it with
             the dequantized-tile LRU; ``"dense"`` materializes the full
             hard-assigned weight (the pre-serving behavior).
-        palette_tile_rows: output rows per dequantized tile -- the unit
-            the tile LRU caches and the palette kernel processes.
         tile_cache_bytes_limit: soft cap on bytes of dequantized tiles
-            resident across all served layers, governed exactly like
-            ``CompressorConfig.worker_cache_bytes_limit``: least recently
-            used tiles are evicted down to the budget and their rows fall
-            back to the palette kernel.  ``0`` (default) means unlimited.
+            resident across all served layers: least recently used tiles
+            are evicted down to the budget and their rows fall back to
+            the palette kernel.  ``0`` (default) means unlimited.
         temperature: sampling temperature for generation; ``0`` (default)
             is greedy decoding, which is what the bit-identity gates
             compare.
@@ -88,10 +82,6 @@ class ServingConfig:
         breaker_probation_steps: fault-free decode steps a tripped layer
             serves dense before the breaker re-enables its palette path
             (doubled on each re-trip, capped at 8x).
-        tile_digest_checks: whether the tile LRU stamps and verifies a
-            content digest on every cached tile, turning silent
-            corruption into a typed
-            :class:`~repro.serving.faults.CorruptTileError`.
         fault_plan: a :class:`~repro.serving.faults.ServingFaultPlan`
             arming the server's deterministic fault injector (chaos
             testing).  ``None`` (default) injects nothing.
@@ -100,9 +90,7 @@ class ServingConfig:
     max_batch_size: int = 8
     max_queue_depth: int = 64
     max_new_tokens: int = 16
-    default_deadline_s: float | None = None
     eval_path: str = "palette"
-    palette_tile_rows: int = 32
     tile_cache_bytes_limit: int = 0
     temperature: float = 0.0
     poll_interval_s: float = 0.005
@@ -114,7 +102,6 @@ class ServingConfig:
     drain_timeout_s: float = 30.0
     breaker_threshold: int = 2
     breaker_probation_steps: int = 16
-    tile_digest_checks: bool = True
     fault_plan: "ServingFaultPlan | None" = None
 
     def __post_init__(self) -> None:
@@ -124,18 +111,9 @@ class ServingConfig:
             raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ValueError(
-                "default_deadline_s must be positive or None, "
-                f"got {self.default_deadline_s}"
-            )
         if self.eval_path not in EVAL_PATHS:
             raise ValueError(
                 f"unknown eval_path {self.eval_path!r}; expected one of {EVAL_PATHS}"
-            )
-        if self.palette_tile_rows < 1:
-            raise ValueError(
-                f"palette_tile_rows must be >= 1, got {self.palette_tile_rows}"
             )
         if self.tile_cache_bytes_limit < 0:
             raise ValueError(
@@ -193,38 +171,17 @@ class ServingConfig:
                 )
 
     def to_dict(self) -> dict:
-        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly.
-
-        A config with an armed ``fault_plan`` refuses to serialize --
-        the same contract as ``CompressorConfig``: fault plans are
-        in-memory chaos-test instruments, not deployment state, and
-        silently dropping one would make a persisted artifact claim a
-        cleaner run than actually happened.
-        """
-        if self.fault_plan is not None:
-            raise ValueError(
-                "ServingConfig with an armed fault_plan cannot be "
-                "serialized; disarm it first"
-            )
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "fault_plan"
-        }
+        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly;
+        refuses while a ``fault_plan`` is armed -- the same contract, and
+        the same :func:`~repro.core.config.config_to_dict`, as
+        ``CompressorConfig``."""
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServingConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output.
-
-        Unknown keys raise ``ValueError`` (a misspelled knob in a
-        checkpoint or CI manifest must fail loudly, not silently fall back
-        to a default).
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown ServingConfig keys: {unknown}")
-        return cls(**payload)
+        """Reconstruct a validated config from :meth:`to_dict` output
+        (unknown keys raise ``ValueError``)."""
+        return config_from_dict(cls, payload)
 
 
 def get_default_serving_config(**overrides) -> ServingConfig:

@@ -20,9 +20,8 @@ gather, one cumulative sum, and the ``k``-column mixture.
 In front of the kernel sits a **hot dequantized-tile LRU**
 (:class:`TileCache`): output-row tiles that keep getting hit are
 materialized back to dense and served by gemm (trading bytes for BLAS
-throughput), under a byte budget governed exactly like
-``CompressorConfig.worker_cache_bytes_limit`` -- least recently used
-tiles are evicted back to the palette path.  ``tile_cache_bytes_limit=0``
+throughput), under a byte budget -- least recently used tiles are
+evicted back to the palette path.  ``tile_cache_bytes_limit=0``
 means unlimited; a cache of ``None`` disables dequantization entirely
 (pure palette execution).
 
@@ -42,6 +41,10 @@ from typing import Callable
 import numpy as np
 
 from repro.serving.faults import CorruptTileError
+
+TILE_ROWS = 32
+"""Output rows per dequantized tile -- the unit the tile LRU caches and
+the palette kernel processes."""
 
 
 def _index_dtype(bound: int) -> np.dtype:
@@ -211,29 +214,25 @@ class TileCache:
     """LRU of hot dequantized weight tiles under a byte budget.
 
     Shared across every served layer (keys carry the layer name), so the
-    budget is global like ``worker_cache_bytes_limit``.  Thread-safe: the
-    scheduler thread and any caller probing stats may race.
+    budget is global.  Thread-safe: the scheduler thread and any caller
+    probing stats may race.
 
-    With ``digest_checks`` on (the default), every tile is stamped with a
-    blake2b digest at :meth:`put` and verified at :meth:`get`: a resident
-    tile whose bytes no longer match -- bit-rot, a stray write through an
-    aliased view, or the fault injector's :meth:`corrupt_one` -- is
-    dropped and surfaced as a typed
+    Every tile is stamped with a blake2b digest at :meth:`put` and
+    verified at :meth:`get`: a resident tile whose bytes no longer match
+    -- bit-rot, a stray write through an aliased view, or the fault
+    injector's :meth:`corrupt_one` -- is dropped and surfaced as a typed
     :class:`~repro.serving.faults.CorruptTileError` instead of silently
     serving wrong logits.  The supervised scheduler answers it by
     charging the layer's circuit breaker and retrying the step, which
     re-dequantizes cleanly.
     """
 
-    def __init__(self, bytes_limit: int = 0, digest_checks: bool = True) -> None:
+    def __init__(self, bytes_limit: int = 0) -> None:
         if bytes_limit < 0:
             raise ValueError(f"bytes_limit must be >= 0, got {bytes_limit}")
         self.bytes_limit = bytes_limit
-        self.digest_checks = digest_checks
         self._lock = threading.Lock()
-        self._tiles: OrderedDict[tuple, tuple[np.ndarray, bytes | None]] = (
-            OrderedDict()
-        )
+        self._tiles: OrderedDict[tuple, tuple[np.ndarray, bytes]] = OrderedDict()
         self._resident_bytes = 0
         self.stats = TileCacheStats()
 
@@ -247,8 +246,8 @@ class TileCache:
         """The tile under ``key`` (refreshing recency), or ``None``.
 
         Raises :class:`~repro.serving.faults.CorruptTileError` (after
-        dropping the entry) when digest checks are on and the tile's
-        bytes no longer match the digest stamped at :meth:`put`.
+        dropping the entry) when the tile's bytes no longer match the
+        digest stamped at :meth:`put`.
         """
         with self._lock:
             entry = self._tiles.get(key)
@@ -256,7 +255,7 @@ class TileCache:
                 self.stats.misses += 1
                 return None
             tile, digest = entry
-            if digest is not None and self._digest(tile) != digest:
+            if self._digest(tile) != digest:
                 self._tiles.pop(key)
                 self._resident_bytes -= int(tile.nbytes)
                 self.stats.corruptions += 1
@@ -274,7 +273,7 @@ class TileCache:
         nbytes = int(tile.nbytes)
         if self.bytes_limit and nbytes > self.bytes_limit:
             return
-        digest = self._digest(tile) if self.digest_checks else None
+        digest = self._digest(tile)
         with self._lock:
             old = self._tiles.pop(key, None)
             if old is not None:
@@ -297,9 +296,7 @@ class TileCache:
         deliberately *not* refreshed, so the next :meth:`get` of that key
         detects the corruption.  Returns whether a tile was poisoned
         (``False`` when nothing under ``prefix`` is resident -- the spec
-        stays armed).  A no-op cache with digest checks off still
-        corrupts, modeling undetected rot; callers wanting detection must
-        keep checks on.
+        stays armed).
         """
         with self._lock:
             for key, (tile, _) in self._tiles.items():
@@ -358,14 +355,12 @@ class PaletteLinearExec:
         name: str,
         lut: np.ndarray,
         indices: np.ndarray,
-        tile_rows: int = 32,
         cache: TileCache | None = None,
         version_token: object = None,
         fault_hook: Callable[[str], None] | None = None,
     ) -> None:
         self.name = name
         self.layout = PaletteLayout.build(lut, indices)
-        self.tile_rows = max(1, int(tile_rows))
         self.cache = cache
         self.version_token = version_token
         self.fault_hook = fault_hook
@@ -397,9 +392,9 @@ class PaletteLinearExec:
         out = np.empty((x.shape[0], self.layout.out_features), dtype=np.float32)
         self.stats.calls += 1
         for tile_idx, row_start in enumerate(
-            range(0, self.layout.out_features, self.tile_rows)
+            range(0, self.layout.out_features, TILE_ROWS)
         ):
-            row_end = min(row_start + self.tile_rows, self.layout.out_features)
+            row_end = min(row_start + TILE_ROWS, self.layout.out_features)
             tile = None
             if self.cache is not None:
                 key = (self.name, self.version_token, tile_idx)

@@ -68,7 +68,7 @@ from repro.serving.faults import (
     ServingFaultInjector,
     TransientStepError,
 )
-from repro.serving.palette import TileCache
+from repro.serving.palette import TILE_ROWS, TileCache
 from repro.serving.queue import (
     AdmissionError,
     RequestQueue,
@@ -320,10 +320,7 @@ class PaletteServer:
         self.ledger = ledger if ledger is not None else global_ledger()
         self.stats_acc = ServerStats()
         self.queue = RequestQueue(self.config.max_queue_depth)
-        self.tile_cache = TileCache(
-            self.config.tile_cache_bytes_limit,
-            digest_checks=self.config.tile_digest_checks,
-        )
+        self.tile_cache = TileCache(self.config.tile_cache_bytes_limit)
         self.supervisor = LoopSupervisor()
         self.breakers = BreakerBoard(
             threshold=self.config.breaker_threshold,
@@ -377,7 +374,6 @@ class PaletteServer:
     def _enable_layer_palette(self, name: str, module: ClusteredLinear) -> None:
         module.enable_palette_eval(
             name=name,
-            tile_rows=self.config.palette_tile_rows,
             cache=self.tile_cache,
             fault_hook=self._fault_hook(),
         )
@@ -551,9 +547,9 @@ class PaletteServer:
         ``max_queue_depth`` *or* the current decode step has overrun the
         watchdog deadline (shedding load behind a wedge), and
         :class:`ServerClosed` when the server is not running, draining,
-        or its scheduler loop is dead.  ``deadline_s`` (or the config
-        default) is measured from *submission* and covers queue wait
-        plus decoding.
+        or its scheduler loop is dead.  ``deadline_s`` is measured from
+        *submission* and covers queue wait plus decoding; ``None`` means
+        no deadline.
         """
         health = self.health()
         if not health.running:
@@ -572,11 +568,10 @@ class PaletteServer:
                 "respawned; shedding load"
             )
         now = time.monotonic()
-        budget = deadline_s if deadline_s is not None else self.config.default_deadline_s
         request = ServerRequest(
             prompt,
             max_new_tokens=max_new_tokens or self.config.max_new_tokens,
-            deadline=None if budget is None else now + budget,
+            deadline=None if deadline_s is None else now + deadline_s,
             now=now,
         )
         try:
@@ -916,12 +911,12 @@ class PaletteServer:
             if exec_ is None:
                 continue
             layout = exec_.layout
-            n_blocks = -(-layout.out_features // exec_.tile_rows)
+            n_blocks = -(-layout.out_features // TILE_ROWS)
             pal_before, dense_before = before.get(name, (0, 0))
             pal_blocks = exec_.stats.palette_row_blocks - pal_before
             dense_blocks = exec_.stats.dense_row_blocks - dense_before
             nbytes += pal_blocks * (layout.nbytes // max(1, n_blocks))
-            nbytes += dense_blocks * exec_.tile_rows * layout.in_features * 4
+            nbytes += dense_blocks * TILE_ROWS * layout.in_features * 4
         nbytes += self._dense_weight_bytes
         if nbytes:
             self.ledger.record("weights", "flops", nbytes, tag=WEIGHT_TAG)

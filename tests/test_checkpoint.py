@@ -203,6 +203,22 @@ class TestCompatibilityPins:
         with pytest.raises(CheckpointError, match="config"):
             other.resume(path)
 
+    def test_older_schema_version_refused_by_version(self, tmp_path):
+        """A pre-field-removal (version 1) file is refused as such, not
+        with the misleading "different clustering config" its changed
+        config epoch would otherwise trip."""
+        path = str(tmp_path / "ckpt.json")
+        compressor, _ = _compressor()
+        compressor.precluster()
+        compressor.save_checkpoint(path)
+        payload = json.load(open(path, encoding="utf-8"))
+        payload["version"] = 1
+        payload["config_epoch"] = "0" * 32
+        payload["digest"] = _payload_digest(payload)
+        json.dump(payload, open(path, "w", encoding="utf-8"))
+        with pytest.raises(CheckpointError, match="schema version 1"):
+            compressor.resume(path)
+
     def test_layer_set_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         compressor, _ = _compressor(n_layers=3)

@@ -1,0 +1,74 @@
+"""The configuration surface, pinned by name.
+
+Every field of the four config dataclasses and every member of the
+strategy / backend registries is listed here.  Adding a knob means editing
+this pin *and* naming, in the PR, the second non-test caller that needs a
+value different from the first (ROADMAP aim 2: a mechanism nobody but its
+own bench and tests switches on is deleted together with its selector).
+"""
+
+from dataclasses import fields
+
+import pytest
+
+from repro.core.config import (
+    BACKENDS,
+    SEARCH_STRATEGIES,
+    CompressorConfig,
+    DKMConfig,
+    EDKMConfig,
+)
+from repro.serving.config import ServingConfig
+
+SURFACE = {
+    DKMConfig: {
+        "bits", "temperature", "iters", "tol", "weight_dtype",
+        "dense_row_chunk", "dense_saved_bytes_limit",
+    },
+    CompressorConfig: {
+        "backend", "num_workers", "embedding_bits", "skip_names",
+        "task_timeout_s", "max_task_retries", "retry_backoff_s",
+        "max_layer_retries", "max_pool_respawns", "degrade", "fault_plan",
+    },
+    EDKMConfig: {
+        "offload", "marshal", "uniquify", "shard", "hop_budget",
+        "search_strategy", "group", "shard_min_bytes",
+    },
+    ServingConfig: {
+        "max_batch_size", "max_queue_depth", "max_new_tokens", "eval_path",
+        "tile_cache_bytes_limit", "temperature", "poll_interval_s",
+        "step_timeout_s", "max_step_retries", "step_retry_backoff_s",
+        "max_loop_respawns", "join_timeout_s", "drain_timeout_s",
+        "breaker_threshold", "breaker_probation_steps", "fault_plan",
+    },
+}
+
+
+@pytest.mark.parametrize("cls", SURFACE, ids=lambda cls: cls.__name__)
+def test_field_names_are_pinned(cls):
+    assert {f.name for f in fields(cls)} == SURFACE[cls]
+
+
+def test_field_budget():
+    assert sum(len(names) for names in SURFACE.values()) == 42
+
+
+def test_registries_are_pinned():
+    assert SEARCH_STRATEGIES == ("graph", "storage-id")
+    assert BACKENDS == ("serial", "thread", "process")
+
+
+@pytest.mark.parametrize(
+    "cls", [DKMConfig, CompressorConfig, ServingConfig], ids=lambda cls: cls.__name__
+)
+def test_to_dict_keys_are_derived_from_the_fields(cls):
+    """No hand-enumerated key list to drift: ``to_dict`` emits exactly the
+    dataclass fields (minus the unserializable ``fault_plan``) and
+    ``from_dict`` rebuilds the config from them, rejecting anything else."""
+    config = cls()
+    payload = config.to_dict()
+    assert set(payload) == SURFACE[cls] - {"fault_plan"}
+    assert cls.from_dict(payload) == config
+    with pytest.raises(ValueError, match=f"unknown {cls.__name__} keys"):
+        cls.from_dict({**payload, "mp_context": "spawn"})
+

@@ -163,7 +163,7 @@ class TestDensePath:
             with autograd.no_grad():
                 clusterer.cluster_dense(w)  # parks the table (fast path)
             if evict_table:
-                clusterer.fastpath.evict_products()  # pure seed recording
+                clusterer.fastpath.invalidate()  # pure seed recording
             out = clusterer.cluster_dense(w)
             (out * out).sum().backward()
             return w.grad.numpy()

@@ -8,13 +8,7 @@ import pytest
 
 import repro.tensor as rt
 from repro.core.config import EDKMConfig
-from repro.core.marshal import (
-    FINGERPRINT_BLOCK_BYTES,
-    MarshalRegistry,
-    OffloadEntry,
-    fingerprint_sample_offsets,
-    fingerprint_storage,
-)
+from repro.core.marshal import MarshalRegistry, OffloadEntry
 
 
 def _gpu_tensor(shape=(8, 8), seed=0, requires_grad=True):
@@ -227,226 +221,6 @@ class TestStaleIdEviction:
         assert registry._by_storage_id[sid][1] is fresh
 
 
-def _unsampled_victim(storage, max_samples):
-    """Index of the first float whose 4 bytes all fall outside the sampled
-    blocks -- mutating it changes the content but not the digest."""
-    offsets = fingerprint_sample_offsets(storage.nbytes, max_samples)
-    sampled = set()
-    for off in offsets:
-        sampled.update(range(off, off + FINGERPRINT_BLOCK_BYTES))
-    return next(
-        i
-        for i in range(storage.numel)
-        if not (sampled & set(range(4 * i, 4 * i + 4)))
-    )
-
-
-class TestFingerprint:
-    def test_sample_offsets_are_sqrt_bounded(self):
-        nbytes = 4 << 20
-        offsets = fingerprint_sample_offsets(nbytes, max_samples=64)
-        assert len(offsets) <= 64  # the cap is hard, tail included
-        assert offsets[0] == 0
-        assert offsets[-1] >= nbytes - FINGERPRINT_BLOCK_BYTES
-        sampled = len(offsets) * FINGERPRINT_BLOCK_BYTES
-        assert sampled < nbytes // 16  # far cheaper than a full hash
-
-    def test_sample_cap_is_hard_even_with_tail(self):
-        for max_samples in (1, 2, 7, 64):
-            for nbytes in (1, 63, 64, 65, 4096, 4097, 1 << 20):
-                offsets = fingerprint_sample_offsets(nbytes, max_samples)
-                assert len(offsets) <= max_samples, (max_samples, nbytes)
-                assert offsets[-1] >= nbytes - FINGERPRINT_BLOCK_BYTES
-                assert len(set(offsets)) == len(offsets)
-
-    def test_fingerprint_deterministic_and_content_keyed(self):
-        a = _gpu_tensor(seed=1)
-        b = rt.Tensor.from_numpy(a.numpy(), device="gpu")
-        fa, cost_a = fingerprint_storage(a.storage)
-        fb, _ = fingerprint_storage(b.storage)
-        assert fa == fb  # same bytes, distinct storages
-        assert cost_a > 0
-        c = _gpu_tensor(seed=2)
-        assert fingerprint_storage(c.storage)[0] != fa
-
-    def test_register_and_find_same_storage(self):
-        registry = MarshalRegistry()
-        t = _gpu_tensor()
-        registry.register(t, _entry_for(t))
-        entry, hops, trace = registry.find(t, 4, "fingerprint")
-        assert entry is not None
-        assert hops == 0 and trace == []
-
-    def test_view_of_registered_storage_hits(self):
-        """A view shares the storage object, so identity verification hits
-        without any graph walk."""
-        registry = MarshalRegistry()
-        t = _gpu_tensor()
-        registry.register(t, _entry_for(t))
-        entry, _, _ = registry.find(t.view(-1, 1), 4, "fingerprint")
-        assert entry is not None
-
-    def test_miss_returns_none(self):
-        registry = MarshalRegistry()
-        assert registry.find(_gpu_tensor(), 4, "fingerprint")[0] is None
-
-    def _colliding_pair(self, registry):
-        """Two storages whose sampled blocks agree but whose bytes differ.
-
-        The sampled-stride hash skips bytes by construction; flipping a
-        value inside an unsampled block forges a digest collision without
-        touching the hash function.
-        """
-        n = 1 << 16  # 64 KB of float32 -> stride > 1 block
-        base = np.zeros(n, dtype=np.float32)
-        a = rt.Tensor.from_numpy(base.copy(), device="gpu", requires_grad=True)
-        victim = _unsampled_victim(a.storage, registry.fingerprint_max_samples)
-        forged = base.copy()
-        forged[victim] = 123.456
-        b = rt.Tensor.from_numpy(forged, device="gpu", requires_grad=True)
-        assert (
-            fingerprint_storage(a.storage)[0] == fingerprint_storage(b.storage)[0]
-        )
-        assert not np.array_equal(a.numpy(), b.numpy())
-        return a, b
-
-    def test_forced_collision_never_aliases(self):
-        """Digest collision + different bytes must miss, not alias."""
-        registry = MarshalRegistry(fingerprint_dedup_content=True)
-        a, b = self._colliding_pair(registry)
-        entry_a = _entry_for(a)
-        registry.register(a, entry_a)
-        found, _, _ = registry.find(b, 4, "fingerprint")
-        assert found is None  # byte-compare backstop rejected the collision
-        # After registering b too, each probe resolves to its own entry.
-        entry_b = _entry_for(b)
-        registry.register(b, entry_b)
-        assert registry.find(a, 4, "fingerprint")[0] is entry_a
-        assert registry.find(b, 4, "fingerprint")[0] is entry_b
-
-    def test_forced_collision_misses_in_default_mode(self):
-        registry = MarshalRegistry()
-        a, b = self._colliding_pair(registry)
-        registry.register(a, _entry_for(a))
-        assert registry.find(b, 4, "fingerprint")[0] is None
-
-    def test_content_dedup_requires_opt_in(self):
-        """Byte-identical distinct storages: hit iff dedup_content is on."""
-        t = _gpu_tensor(seed=3)
-        twin = rt.Tensor.from_numpy(t.numpy(), device="gpu", requires_grad=True)
-
-        strict = MarshalRegistry()
-        strict.register(t, _entry_for(t))
-        assert strict.find(twin, 4, "fingerprint")[0] is None
-
-        content = MarshalRegistry(fingerprint_dedup_content=True)
-        entry = _entry_for(t)
-        content.register(t, entry)
-        found, hops, trace = content.find(twin, 4, "fingerprint")
-        assert found is entry
-        assert trace == ["content-equal"]
-
-    def test_byte_identical_different_dtypes_never_alias(self):
-        """A float32 1.0 is bit-identical to an int32 1065353216; sharing a
-        host copy would make unpack reinterpret the buffer.  The digest
-        keys on dtype, and the content-dedup compare re-checks it."""
-        ones_f32 = np.ones(64, dtype=np.float32)
-        as_i32 = ones_f32.view(np.int32).copy()
-        a = rt.Tensor.from_numpy(ones_f32, device="gpu", requires_grad=True)
-        b = rt.Tensor.from_numpy(as_i32, device="gpu")
-        assert a.storage.data.view(np.uint8).tobytes() == b.storage.data.view(
-            np.uint8
-        ).tobytes()
-        assert fingerprint_storage(a.storage)[0] != fingerprint_storage(b.storage)[0]
-        registry = MarshalRegistry(fingerprint_dedup_content=True)
-        registry.register(a, _entry_for(a))
-        assert registry.find(b, 4, "fingerprint")[0] is None
-
-    def test_mutated_source_cannot_vouch_for_stale_snapshot(self):
-        """Content-dedup compares against the candidate's *live* storage,
-        but unpack serves the host snapshot taken at registration.  If the
-        source was mutated in place after packing, a probe matching the
-        mutated bytes must not be handed the stale snapshot."""
-        registry = MarshalRegistry(fingerprint_dedup_content=True)
-        original = np.random.default_rng(0).standard_normal(64).astype(np.float32)
-        mutated = np.random.default_rng(1).standard_normal(64).astype(np.float32)
-        a = rt.Tensor.from_numpy(original, device="gpu", requires_grad=True)
-        registry.register(a, _entry_for(a))  # snapshot holds `original`
-        registry.find(a, 4, "fingerprint")  # drain while pre-mutation
-        a.copy_(mutated)  # in-place write bumps storage.version
-        b = rt.Tensor.from_numpy(mutated, device="gpu", requires_grad=True)
-        # b's bytes equal a's *current* storage, but a's host snapshot
-        # still holds the original values -- must miss.
-        assert registry.find(b, 4, "fingerprint")[0] is None
-
-    def test_mutated_registered_storage_conservatively_misses(self):
-        """An in-place write to a registered storage changes its digest,
-        so a later probe of the same storage misses (where the storage-id
-        oracle would serve its stale pre-write snapshot).  The oracle
-        equivalence the benchmark asserts is scoped to storages left
-        unmutated within the step -- the contract every strategy assumes."""
-        registry = MarshalRegistry()
-        t = _gpu_tensor()
-        registry.register(t, _entry_for(t))
-        registry.find(t, 4, "fingerprint")  # drain under the old digest
-        t.copy_(t._compute() * 2.0)  # bumps storage.version
-        assert registry.find(t, 4, "fingerprint")[0] is None
-        assert registry.find(t, 4, "storage-id")[0] is not None  # stale oracle
-
-    def test_mutation_at_unsampled_offset_also_misses(self):
-        """A write touching only unsampled bytes leaves the digest intact,
-        so the bucket is still found -- the identity path's version check
-        is what must reject the stale snapshot then."""
-        registry = MarshalRegistry()
-        a, _ = self._colliding_pair(registry)  # a is 64KB of zeros
-        registry.register(a, _entry_for(a))
-        registry.find(a, 4, "fingerprint")  # drain pre-mutation
-        victim = _unsampled_victim(a.storage, registry.fingerprint_max_samples)
-        mutated = a._compute().copy()
-        mutated[victim] = 7.0
-        a.copy_(mutated)  # bumps version; digest unchanged
-        assert registry.find(a, 4, "fingerprint")[0] is None
-
-    def test_mutation_before_first_probe_also_misses(self):
-        """Same guarantee for the register -> mutate -> first-probe order:
-        the lazy drain must not index the mutated bytes against the
-        pre-mutation host snapshot (the identity path has no version
-        check, so a drain-time guard is what keeps it honest)."""
-        registry = MarshalRegistry()
-        t = _gpu_tensor()
-        registry.register(t, _entry_for(t))
-        t.copy_(t._compute() * 2.0)  # mutate while still pending
-        assert registry.find(t, 4, "fingerprint")[0] is None
-
-    def test_each_storage_hashed_once(self):
-        """The miss-probe's digest is memoized, so the registration drain
-        must not hash the same storage a second time (the probe-cost
-        metric would otherwise be inflated 2x)."""
-        from repro.core.config import PipelineStats
-
-        registry = MarshalRegistry()
-        stats = PipelineStats()
-        t = _gpu_tensor()
-        registry.find(t, 4, "fingerprint", stats)  # miss, hashes t
-        after_probe = stats.fingerprint_bytes_hashed
-        assert after_probe > 0
-        registry.register(t, _entry_for(t))
-        entry, _, _ = registry.find(t, 4, "fingerprint", stats)  # drain + hit
-        assert entry is not None
-        assert stats.fingerprint_bytes_hashed == after_probe
-
-    def test_dead_storage_pruned_from_bucket(self):
-        registry = MarshalRegistry()
-        t = _gpu_tensor()
-        registry.register(t, _entry_for(t))
-        registry.find(t, 4, "fingerprint")  # drains the pending queue
-        probe = rt.Tensor.from_numpy(t.numpy(), device="gpu")
-        del t
-        gc.collect()
-        assert registry.find(probe, 4, "fingerprint")[0] is None
-        assert not registry._by_fingerprint  # dead bucket reclaimed
-
-
 class TestOffloadEntry:
     def test_host_nbytes_local_whole_copy(self):
         t = _gpu_tensor((4, 4))
@@ -506,15 +280,6 @@ class TestConfigValidation:
     def test_strategy_validated(self):
         with pytest.raises(ValueError, match="strategy"):
             EDKMConfig(shard=False, group=None, search_strategy="hash")
-
-    def test_fingerprint_strategy_accepted(self):
-        config = EDKMConfig(search_strategy="fingerprint")
-        assert config.fingerprint_max_samples == 64
-        assert config.fingerprint_dedup_content is False
-
-    def test_fingerprint_max_samples_validated(self):
-        with pytest.raises(ValueError, match="fingerprint_max_samples"):
-            EDKMConfig(fingerprint_max_samples=0)
 
     def test_negative_hop_budget(self):
         with pytest.raises(ValueError):

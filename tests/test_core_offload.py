@@ -109,14 +109,6 @@ class TestOffloadBehavior:
             _loss(x).backward()
         assert pipeline.stats.copies_made == 0
 
-    def test_min_offload_bytes_threshold(self):
-        pipeline = SavedTensorPipeline(
-            EDKMConfig.baseline_offload(min_offload_bytes=10_000_000)
-        )
-        with pipeline.step():
-            _loss(_gpu_matrix()).backward()
-        assert pipeline.stats.copies_made == 0
-
     def test_offload_frees_count_on_cpu_and_records_traffic(self):
         pipeline = SavedTensorPipeline(EDKMConfig.baseline_offload())
         cpu = rt.CPU

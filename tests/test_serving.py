@@ -470,7 +470,7 @@ class TestConfigRoundTrips:
             {"eval_path": "sparse"},
             {"tile_cache_bytes_limit": -1},
             {"temperature": -0.1},
-            {"default_deadline_s": 0.0},
+            {"max_new_tokens": 0},
         ],
     )
     def test_serving_validation(self, bad):

@@ -215,14 +215,6 @@ class TestTileCacheDigest:
             == hashlib.blake2b(tile.tobytes(), digest_size=8).digest()
         )
 
-    def test_digest_checks_off_serves_rotten_tile(self):
-        cache = TileCache(digest_checks=False)
-        cache.put(("layer", 0, 0), self._tile())
-        assert cache.corrupt_one(("layer",)) is True
-        got = cache.get(("layer", 0, 0))  # undetected rot, by design
-        assert got is not None
-        assert cache.stats.corruptions == 0
-
 
 class TestStepCrashBoundary:
     """Regression (seed bug): a step exception must not strand futures."""
@@ -788,7 +780,6 @@ class TestServingConfigContract:
             max_step_retries=3,
             breaker_threshold=4,
             breaker_probation_steps=9,
-            tile_digest_checks=False,
             join_timeout_s=2.0,
             drain_timeout_s=3.0,
         )

@@ -1,19 +1,17 @@
-"""Placement, gossip and chaos tests for the process engine (see
-``repro/distributed/scheduler.py``, ``repro/core/procpool.py`` and
-``docs/sharding.md``).
+"""Placement and chaos tests for the process engine (see
+``repro/core/procpool.py`` and ``docs/sharding.md``).
 
 The contract under test, in three layers:
 
 - **Placement properties** (hypothesis): over randomized layer-size
-  distributions, :class:`NodePlacement` honors the byte-balance bound
-  ``max load <= mean load + largest layer``, is a deterministic function
-  of its input, moves the minimum set of layers on node add/remove, and
-  never exceeds a positive per-node budget.
+  distributions, :func:`place_layers` honors the byte-balance bound
+  ``max load <= mean load + largest layer`` and is a deterministic
+  function of its input.
 - **Equivalence**: ``backend="process"`` over ``num_workers`` nodes is
   *bit-identical* to serial -- centroids, temperatures, and per-layer
-  ``FastPathStats`` counters -- through cold sweeps, warm delta-shipped
-  sweeps, and node resizes, while every parent <-> node transfer lands
-  in the traffic ledger under a ``shard:*`` tag.
+  ``FastPathStats`` counters -- through cold sweeps and warm
+  delta-shipped sweeps, while every parent <-> node transfer lands in
+  the traffic ledger under a ``shard:*`` tag.
 - **Chaos matrix**: every :data:`~repro.core.faults.FAULT_KINDS` fault,
   injected into a cold and a warm sweep, is survived with results still
   bit-identical to an undisturbed serial run and the fault log / ledger
@@ -35,25 +33,13 @@ from repro.core import (
     DKMConfig,
     FaultPlan,
     FaultSpec,
-    LayerDelta,
     LayerTask,
     ModelCompressor,
     RobustnessWarning,
-    WorkerCacheRegistry,
 )
-from repro.core.compressor import SWEEP_OPS
 from repro.core.faults import FAULT_KINDS
-from repro.core.procpool import (
-    ProcessLayerEngine,
-    StaleWorkerCache,
-    _run_slot_batch,
-    _worker_cache_registry,
-)
-from repro.distributed import NodePlacement, PlacementError
+from repro.core.procpool import ProcessLayerEngine, place_layers
 from repro.memory.traffic import global_ledger
-from repro.tensor.dtype import bfloat16
-from repro.tensor.serialization import export_tensor_shm
-from repro.tensor.tensor import Tensor
 
 
 class _Stack(nn.Module):
@@ -126,113 +112,41 @@ def _sized(sizes):
     return [(f"layer{i}", size) for i, size in enumerate(sizes)]
 
 
+def _loads(pins, sized, n_nodes):
+    sizes = dict(sized)
+    loads = [0] * n_nodes
+    for name, node in pins.items():
+        loads[node] += sizes[name]
+    return loads
+
+
 class TestPlacementProperties:
     """Randomized invariants of the byte-balanced greedy packer."""
 
     @given(layer_sizes, st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
     def test_balance_bound(self, sizes, n_nodes):
-        placement = NodePlacement.build(_sized(sizes), n_nodes)
-        assert placement.is_balanced()
-        assert max(placement.loads()) <= sum(sizes) / n_nodes + max(sizes)
+        pins = place_layers(_sized(sizes), n_nodes)
+        assert set(pins) == {name for name, _ in _sized(sizes)}
+        loads = _loads(pins, _sized(sizes), n_nodes)
+        assert max(loads) <= sum(sizes) / n_nodes + max(sizes)
 
     @given(layer_sizes, st.integers(1, 6))
     @settings(max_examples=50, deadline=None)
     def test_determinism(self, sizes, n_nodes):
-        first = NodePlacement.build(_sized(sizes), n_nodes)
-        second = NodePlacement.build(_sized(sizes), n_nodes)
-        assert first.pins == second.pins
-        assert first.loads() == second.loads()
-
-    @given(layer_sizes, st.integers(1, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_node_add_minimal_movement(self, sizes, n_nodes):
-        before = NodePlacement.build(_sized(sizes), n_nodes)
-        after = before.rebalance(_sized(sizes), n_nodes + 1)
-        assert after.is_balanced()
-        # Layers only ever move; none appear or vanish.
-        assert set(after.pins) == set(before.pins)
-        # The settle pass never touches a node-balanced placement's pins
-        # beyond what the bound demands: every move lands on a node.
-        for name, node in after.pins.items():
-            assert 0 <= node < n_nodes + 1, name
-
-    @given(layer_sizes, st.integers(2, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_node_remove_moves_only_orphans(self, sizes, n_nodes):
-        before = NodePlacement.build(_sized(sizes), n_nodes)
-        after = before.rebalance(_sized(sizes), n_nodes - 1)
-        assert after.is_balanced()
-        for name, node in before.pins.items():
-            if node < n_nodes - 1:  # survivor: pin must not move
-                assert after.pins[name] == node, name
-            else:  # orphan: must land on a surviving node
-                assert 0 <= after.pins[name] < n_nodes - 1, name
-
-    @given(layer_sizes, st.integers(1, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_budget_never_exceeded(self, sizes, n_nodes):
-        # A budget at the balance bound is always satisfiable.
-        budget = int(sum(sizes) / n_nodes + max(sizes)) + 1
-        placement = NodePlacement.build(_sized(sizes), n_nodes, budget=budget)
-        assert max(placement.loads()) <= budget
-
-    def test_infeasible_budget_raises(self):
-        with pytest.raises(PlacementError, match="exceeds the per-node budget"):
-            NodePlacement.build([("big", 100)], 2, budget=50)
-        with pytest.raises(PlacementError, match="no node can take"):
-            NodePlacement.build(
-                [("a", 60), ("b", 60), ("c", 60)], 2, budget=100
-            )
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(PlacementError, match="duplicate"):
-            NodePlacement.build([("a", 1), ("a", 2)], 2)
+        sized = _sized(sizes)
+        first = place_layers(sized, n_nodes)
+        # A pure function of the (name, size) set: input order is irrelevant.
+        assert place_layers(list(reversed(sized)), n_nodes) == first
 
     def test_bytes_beat_counts(self):
         """One huge embedding is placed alone; count-balancing would not."""
         sized = [("embed", 1000), ("a", 10), ("b", 10), ("c", 10), ("d", 10)]
-        placement = NodePlacement.build(sized, 2)
-        embed_node = placement.pins["embed"]
-        assert placement.layers_for(embed_node) == ["embed"]
-        assert placement.is_balanced()
+        pins = place_layers(sized, 2)
+        assert [n for n, node in pins.items() if node == pins["embed"]] == ["embed"]
 
     def test_empty_layer_set(self):
-        placement = NodePlacement.build([], 2)
-        assert placement.loads() == [0, 0]
-        assert placement.balance_bound() == 0.0
-        assert placement.is_balanced()
-
-    def test_rebalance_budget_pressure_rebuilds_cold(self):
-        """An orphan that cannot fit while keeping survivors forces a
-        cold rebuild -- which here succeeds by splitting them up."""
-        before = NodePlacement.build(
-            [("a", 60), ("b", 60), ("c", 60), ("d", 60)], 2
-        )
-        after = before.rebalance([("a", 60), ("b", 60), ("e", 100)], 2, budget=130)
-        assert max(after.loads()) <= 130
-        assert after.layers_for(after.pins["e"]) == ["e"]
-
-    def test_rebalance_budget_shrink_below_survivors_raises(self):
-        """Survivors over a tightened budget rebuild cold; a layer too
-        big for any node still raises."""
-        before = NodePlacement.build([("a", 50), ("b", 50)], 2)
-        with pytest.raises(PlacementError, match="exceeds the per-node budget"):
-            before.rebalance([("a", 90), ("b", 90)], 2, budget=80)
-
-    def test_is_balanced_detects_injected_imbalance(self):
-        """The audit hook fails on an everything-on-node-zero mutation."""
-        sized = [(f"layer{i}", 100) for i in range(4)]
-        good = NodePlacement.build(sized, 2)
-        assert good.is_balanced()
-        mutated = NodePlacement(
-            names=good.names,
-            sizes=good.sizes,
-            n_nodes=good.n_nodes,
-            pins={name: 0 for name in good.names},
-            budget=good.budget,
-        )
-        assert not mutated.is_balanced()
+        assert place_layers([], 2) == {}
 
 
 class TestShardedConfig:
@@ -245,17 +159,11 @@ class TestShardedConfig:
             with pytest.raises(ValueError, match="backend"):
                 CompressorConfig(backend=unknown)
 
-    def test_knob_validation(self):
-        with pytest.raises(ValueError, match="node_memory_budget"):
-            CompressorConfig(node_memory_budget=-1)
-
     def test_round_trip(self):
-        config = CompressorConfig(
-            backend="process", num_workers=4, node_memory_budget=1 << 20
-        )
+        config = CompressorConfig(backend="process", num_workers=4)
         restored = CompressorConfig.from_dict(config.to_dict())
         assert restored == config
-        assert restored.node_memory_budget == 1 << 20
+        assert restored.num_workers == 4
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +196,6 @@ class TestShardedEquivalence:
             }
             for node in (0, 1):
                 assert f"shard:ship:node{node}" in tags
-                assert f"shard:gossip:node{node}" in tags
                 assert f"shard:gather:node{node}" in tags
         finally:
             serial.close()
@@ -302,61 +209,13 @@ class TestShardedEquivalence:
         try:
             sharded.refine_all()
             engine = sharded._engine
-            placement = engine.placement()
-            assert placement.is_balanced()
-            big_node = placement.pins["layer0"]
-            assert placement.layers_for(big_node) == ["layer0"]
+            pins = engine.placement()
+            assert [n for n, node in pins.items() if node == pins["layer0"]] == [
+                "layer0"
+            ]
         finally:
             sharded.close()
         assert engine.active_shm_names() == []
-
-    @pytest.mark.timeout(120)
-    def test_over_budget_model_compresses(self):
-        """A model whose bytes exceed one node's budget still compresses."""
-        dims = [(24, 256), (24, 16), (24, 16), (24, 16), (24, 16)]
-        total = sum(i * o * bfloat16.itemsize for i, o in dims)
-        budget = 24 * 256 * bfloat16.itemsize + 24 * 16 * bfloat16.itemsize
-        assert total > budget  # would not fit on a single node
-        sharded, _ = _compressor(
-            "process", dims=dims, num_workers=2, node_memory_budget=budget
-        )
-        try:
-            sharded.refine_all()
-            assert max(sharded._engine.placement().loads()) <= budget
-            assert sharded.degradations == []
-        finally:
-            sharded.close()
-
-    @pytest.mark.timeout(120)
-    def test_budget_infeasible_on_one_worker_identical_on_two(self):
-        """``node_memory_budget`` below the model size: one worker cannot
-        place it (``PlacementError``, no silent overcommit, no leaked
-        shm), two workers compress it bit-identically to serial."""
-        dims = [(24, 256), (24, 16), (24, 16), (24, 16), (24, 16)]
-        budget = 24 * 256 * bfloat16.itemsize + 24 * 16 * bfloat16.itemsize
-        assert sum(i * o * bfloat16.itemsize for i, o in dims) > budget
-        single, _ = _compressor(
-            "process", dims=dims, num_workers=1, node_memory_budget=budget
-        )
-        try:
-            with pytest.raises(PlacementError):
-                single.refine_all()
-            assert single._engine.active_shm_names() == []
-            assert single.degradations == []  # not an infrastructure fault
-        finally:
-            single.close()
-        serial, _ = _compressor("serial", dims=dims)
-        double, _ = _compressor(
-            "process", dims=dims, num_workers=2, node_memory_budget=budget
-        )
-        try:
-            for _ in range(2):
-                serial.refine_all()
-                double.refine_all()
-            _assert_identical(serial, double)
-            assert max(double._engine.placement().loads()) <= budget
-        finally:
-            double.close()
 
     @pytest.mark.timeout(120)
     def test_single_node_degenerate(self):
@@ -378,47 +237,10 @@ class TestShardedEquivalence:
         try:
             a.refine_all()
             b.refine_all()
-            assert a._engine.placement().pins == b._engine.placement().pins
+            assert a._engine.placement() == b._engine.placement()
         finally:
             a.close()
             b.close()
-
-
-class TestNodeResize:
-    @pytest.mark.timeout(180)
-    def test_add_and_remove_nodes_mid_run(self):
-        """Resizes move the minimum, keep deltas flowing, stay identical."""
-        ref_states, ref_stats = _serial_reference(n_sweeps=3)
-        sharded, _ = _compressor("process", num_workers=2)
-        try:
-            sharded.refine_all()
-            before = sharded._engine.placement()
-
-            sharded.config.num_workers = 3
-            sharded.refine_all()
-            grown = sharded._engine.placement()
-            moved = [n for n in before.pins if before.pins[n] != grown.pins[n]]
-            transport = sharded.transport_stats()
-            assert grown.is_balanced()
-            # Only the moved layers lose residency; the rest ship deltas.
-            assert transport.last_sweep_full_tasks == len(moved)
-            assert transport.last_sweep_delta_tasks == 4 - len(moved)
-            assert len(moved) <= 2  # minimal movement, not a reshuffle
-
-            sharded.config.num_workers = 2
-            sharded.refine_all()
-            shrunk = sharded._engine.placement()
-            for name, node in grown.pins.items():
-                if node < 2:  # survivors keep their pins
-                    assert shrunk.pins[name] == node
-
-            states = _states(sharded)
-            for name in ref_states:
-                assert np.array_equal(ref_states[name][0], states[name][0])
-            assert _stats(sharded) == ref_stats
-            assert sharded.degradations == []
-        finally:
-            sharded.close()
 
 
 # ----------------------------------------------------------------------
@@ -561,112 +383,3 @@ class TestEngineWhiteBox:
         assert (gather.tag, gather.nbytes) == ("shard:gather:node1", 20)
         assert (ship.src, ship.dst) == (gather.dst, gather.src)
         assert ship.dst.endswith(":peer2")  # node i owns learner domain i+1
-
-    def test_drain_flushes_tolerates_dead_nodes(self):
-        from concurrent.futures import Future
-
-        engine = self._engine()
-        done: Future = Future()
-        done.set_result([])
-        broken: Future = Future()
-        broken.set_exception(BrokenExecutor("node down"))
-        for slot, future in ((0, None), (0, done), (1, broken)):
-            engine._drain_flush(slot, future)
-        assert engine.respawns == 0
-
-
-# ----------------------------------------------------------------------
-# Worker-side machinery, in process (no pool spawn)
-# ----------------------------------------------------------------------
-
-
-class TestGossipReconcile:
-    """In-process exercises of the node-side gossip reconciliation."""
-
-    def _task(self, name="layer0", seed=0, epoch=1, n=256):
-        values = np.random.default_rng(seed).standard_normal(n).astype(np.float32)
-        tensor = Tensor.from_numpy(values * 0.1, dtype=bfloat16)
-        export = export_tensor_shm(tensor)
-        task = LayerTask(
-            name=name,
-            handle=export.handle,
-            dkm_config=DKMConfig(bits=3, iters=2),
-            state=None,
-            warm=False,
-            epoch=epoch,
-        )
-        return export, task
-
-    def _delta(self, task, outcome, warm=True):
-        return LayerDelta(
-            name=task.name,
-            version=task.handle.version,
-            epoch=task.epoch,
-            state=outcome.state,
-            warm=warm,
-        )
-
-    def test_matching_gossip_keeps_residency(self):
-        export, task = self._task()
-        registry = WorkerCacheRegistry()
-        try:
-            first = registry.run(SWEEP_OPS["refine"], task, {})
-            gossip = {
-                task.name: (task.handle.shm_name, task.handle.version, task.epoch)
-            }
-            registry.reconcile(gossip)
-            second = registry.run(SWEEP_OPS["refine"], self._delta(task, first), {})
-            assert second.stats.uniquify_hits == 1
-            assert second.stats.uniquify_misses == 0
-        finally:
-            registry.close()
-            export.close()
-
-    def test_absent_from_gossip_prunes(self):
-        export, task = self._task()
-        registry = WorkerCacheRegistry()
-        try:
-            first = registry.run(SWEEP_OPS["refine"], task, {})
-            registry.reconcile({})  # coordinator no longer pins it here
-            with pytest.raises(StaleWorkerCache):
-                registry.run(SWEEP_OPS["refine"], self._delta(task, first), {})
-        finally:
-            registry.close()
-            export.close()
-
-    def test_mismatched_triple_drops_entry(self):
-        export, task = self._task()
-        registry = WorkerCacheRegistry()
-        try:
-            first = registry.run(SWEEP_OPS["refine"], task, {})
-            gossip = {
-                task.name: (
-                    task.handle.shm_name,
-                    task.handle.version + 1,  # coordinator re-exported
-                    task.epoch,
-                )
-            }
-            registry.reconcile(gossip)
-            with pytest.raises(StaleWorkerCache):
-                registry.run(SWEEP_OPS["refine"], self._delta(task, first), {})
-        finally:
-            registry.close()
-            export.close()
-
-    def test_run_node_batch_reconciles_then_runs(self):
-        export_a, task_a = self._task(name="a", seed=1)
-        export_b, task_b = self._task(name="b", seed=2)
-        try:
-            outcomes = _run_slot_batch(
-                "refine", {}, [task_a, task_b], 0,
-                {  # gossip mentioning neither is a no-op on a cold registry
-                    "ghost": ("shm", 1, 1),
-                },
-            )
-            assert [outcome.name for outcome in outcomes] == ["a", "b"]
-            for outcome in outcomes:
-                assert outcome.stats.uniquify_misses == 1
-        finally:
-            _worker_cache_registry().reconcile({})
-            export_a.close()
-            export_b.close()

@@ -16,7 +16,7 @@ Statements are derived from the compiled code objects' line tables
 ``coverage.py`` uses -- docstrings, ``else:`` lines, and blank lines are
 naturally excluded.  Only the tracing process is observed: code running
 in spawned worker processes must be exercised in-process somewhere for
-its lines to count (see ``tests/test_sharded.py``'s registry tests).
+its lines to count (see ``tests/test_process_backend.py``'s registry tests).
 """
 
 from __future__ import annotations
