@@ -41,17 +41,13 @@ class OffloadEntry:
     still uses it).
     """
 
-    __slots__ = ("host_copy", "source_storage_ref", "source_device", "_gpu_cache")
+    __slots__ = ("host_copy", "source_storage_ref", "_gpu_cache")
 
     def __init__(
-        self,
-        host_copy: "Tensor | ShardedTensor",
-        source_storage: object,
-        source_device: object,
+        self, host_copy: "Tensor | ShardedTensor", source_storage: object
     ) -> None:
         self.host_copy = host_copy
         self.source_storage_ref = weakref.ref(source_storage)
-        self.source_device = source_device
         self._gpu_cache: weakref.ReferenceType | None = None
 
     @property

@@ -27,7 +27,7 @@ from repro.core.config import EDKMConfig, PipelineStats
 from repro.core.marshal import MarshalRegistry, OffloadEntry
 from repro.distributed.collective import ShardedTensor, all_gather, shard_rows
 from repro.memory.traffic import global_ledger
-from repro.tensor.autograd import no_grad, saved_tensors_hooks
+from repro.tensor.autograd import saved_tensors_hooks
 from repro.tensor.device import CPU, GPU
 from repro.tensor.tensor import Tensor
 
@@ -154,38 +154,34 @@ class SavedTensorPipeline:
         """
         cfg = self.config
         storage = tensor.storage
-        with no_grad():
-            flat = Tensor(storage, (storage.numel,), (1,), 0)
-            if (
-                cfg.shard
-                and cfg.group is not None
-                and storage.nbytes >= cfg.shard_min_bytes
-            ):
-                host_copy: Tensor | ShardedTensor = shard_rows(
-                    flat, cfg.group, tag="offload-shard"
-                )
-                self.stats.tensors_sharded += 1
-                self.stats.bytes_sharded_local += host_copy.local_shard.nbytes
-            else:
-                host_copy = Tensor.from_numpy(
-                    flat._np(), dtype=tensor.dtype, device=CPU
-                )
-                global_ledger().record(
-                    GPU.name, CPU.name, host_copy.nbytes, tag="offload"
-                )
+        if (
+            cfg.shard
+            and cfg.group is not None
+            and storage.nbytes >= cfg.shard_min_bytes
+        ):
+            flat = Tensor(storage, (storage.numel,), (1,))
+            host_copy: Tensor | ShardedTensor = shard_rows(
+                flat, cfg.group, tag="offload-shard"
+            )
+            self.stats.tensors_sharded += 1
+            self.stats.bytes_sharded_local += host_copy.local_shard.nbytes
+        else:
+            host_copy = Tensor(storage.clone_to(CPU), (storage.numel,), (1,))
+            global_ledger().record(
+                GPU.name, CPU.name, host_copy.nbytes, tag="offload"
+            )
         self.stats.copies_made += 1
         self.stats.bytes_copied += storage.nbytes
-        return OffloadEntry(host_copy, storage, GPU)
+        return OffloadEntry(host_copy, storage)
 
     def _restore(self, entry: OffloadEntry) -> Tensor:
         """Bring a host copy back to the source device as a flat tensor."""
-        with no_grad():
-            if isinstance(entry.host_copy, ShardedTensor):
-                self.stats.gathers += 1
-                return all_gather(entry.host_copy, GPU, tag="backward-gather")
-            host = entry.host_copy
-            restored = Tensor.from_numpy(host._np(), dtype=host.dtype, device=GPU)
-            global_ledger().record(
-                CPU.name, GPU.name, restored.nbytes, tag="reload"
-            )
-            return restored
+        host = entry.host_copy
+        if isinstance(host, ShardedTensor):
+            self.stats.gathers += 1
+            return all_gather(host, GPU, tag="backward-gather")
+        restored = Tensor(
+            host.storage.clone_to(GPU), host.shape, host.strides, host.offset
+        )
+        global_ledger().record(CPU.name, GPU.name, restored.nbytes, tag="reload")
+        return restored

@@ -1,12 +1,18 @@
 """Collectives over a :class:`~repro.distributed.learner.LearnerGroup`.
 
-Data movement is real (buffers are copied between device-tagged storages)
-and every transfer is logged in the global traffic ledger, so experiments
-can report the communication cost the paper acknowledges for uniquification
-and sharding ("the sharded weights need to be all-gathered").
+Data movement is real -- one byte copy per shard between device-tagged
+storages: ``shard_rows`` slices the source buffer straight into per-device
+storages and ``all_gather`` writes the shard buffers into one preallocated
+destination, with no value-level round trip (no dtype projection, no
+intermediate concatenation), so what arrives is bit-for-bit what was sent.
+Every transfer is logged in the global traffic ledger, so experiments can
+report the communication cost the paper acknowledges for uniquification and
+sharding ("the sharded weights need to be all-gathered").
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,7 +20,8 @@ from repro.distributed.learner import LearnerGroup
 from repro.memory.traffic import global_ledger
 from repro.tensor.device import Device
 from repro.tensor.dtype import DType
-from repro.tensor.tensor import Tensor
+from repro.tensor.storage import Storage
+from repro.tensor.tensor import Tensor, contiguous_strides
 
 
 def logical_nbytes(tensor: Tensor) -> int:
@@ -71,35 +78,57 @@ class ShardedTensor:
 def shard_rows(tensor: Tensor, group: LearnerGroup, tag: str = "shard") -> ShardedTensor:
     """Partition ``tensor`` row-wise onto the group's devices.
 
-    The transfer of every non-local shard is logged (learner 0 scatters to
-    its peers in the synchronous setup).
+    Row counts follow ``np.array_split``: the first ``rows % n`` shards get
+    one extra row.  The transfer of every non-local shard is logged
+    (learner 0 scatters to its peers in the synchronous setup).
     """
-    values = np.ascontiguousarray(tensor._np())
-    chunks = np.array_split(values, group.n_learners, axis=0)
+    shape = tensor.shape
+    flat = np.ascontiguousarray(tensor._np()).reshape(-1)
+    dtype = tensor.dtype
+    src = tensor.device
+    tail = shape[1:]
+    row_elems = math.prod(tail)
+    base, extra = divmod(shape[0], group.n_learners)
+    ledger = global_ledger()
     shards = []
-    for chunk, dev in zip(chunks, group.devices):
-        shard = Tensor.from_numpy(chunk.copy(), dtype=tensor.dtype, device=dev)
-        if dev != tensor.device:
-            global_ledger().record(
-                tensor.device.name, dev.name, logical_nbytes(shard), tag=tag
-            )
-        shards.append(shard)
-    return ShardedTensor(shards, group, values.shape)
+    lo = 0
+    for i, dev in enumerate(group.devices):
+        rows = base + (i < extra)
+        hi = lo + rows * row_elems
+        storage = Storage(flat[lo:hi].copy(), dtype, dev)
+        shard_shape = (rows, *tail)
+        shards.append(Tensor(storage, shard_shape, contiguous_strides(shard_shape)))
+        if dev != src:
+            ledger.record(src.name, dev.name, storage.nbytes, tag=tag)
+        lo = hi
+    return ShardedTensor(shards, group, shape)
 
 
 def all_gather(
     sharded: ShardedTensor, device: Device, tag: str = "all_gather"
 ) -> Tensor:
     """Reassemble the full tensor on ``device``, logging per-shard traffic."""
-    pieces = []
+    dtype = sharded.dtype
+    full_shape = sharded.full_shape
+    out = np.empty(math.prod(full_shape), dtype.np_storage)
+    ledger = global_ledger()
+    lo = 0
     for shard in sharded.shards:
-        pieces.append(shard._np())
+        piece = shard._np()
+        hi = lo + piece.size
+        out[lo:hi] = piece.reshape(-1)
         if shard.device != device:
-            global_ledger().record(
+            ledger.record(
                 shard.device.name, device.name, logical_nbytes(shard), tag=tag
             )
-    full = np.concatenate(pieces, axis=0).reshape(sharded.full_shape)
-    return Tensor.from_numpy(full, dtype=sharded.dtype, device=device)
+        lo = hi
+    if lo != out.size:
+        raise ValueError(
+            f"shards hold {lo} elements, full shape {full_shape} needs {out.size}"
+        )
+    return Tensor(
+        Storage(out, dtype, device), full_shape, contiguous_strides(full_shape)
+    )
 
 
 def all_reduce_mean(tensors: list[Tensor], tag: str = "all_reduce") -> None:

@@ -10,11 +10,10 @@ paper's Section 2.1.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """A single cross-device copy."""
 
     src: str
@@ -34,7 +33,7 @@ class TrafficLedger:
         if nbytes < 0:
             raise ValueError(f"negative transfer of {nbytes} bytes")
         with self._lock:
-            self._transfers.append(Transfer(src=src, dst=dst, nbytes=nbytes, tag=tag))
+            self._transfers.append(Transfer(src, dst, nbytes, tag))
 
     def transfers(self) -> list[Transfer]:
         with self._lock:

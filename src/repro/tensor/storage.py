@@ -85,7 +85,9 @@ class Storage:
         """Allocate a storage holding ``values`` projected onto ``dtype``."""
         flat = dtype.project(values).reshape(-1)
         # Always own the buffer: the caller's array may alias something else.
-        if flat.base is not None or flat is values:
+        # A projection or dtype conversion is already a fresh array; copying
+        # it again would only double the cost of every ``from_numpy``.
+        if np.may_share_memory(flat, values):
             flat = flat.copy()
         return cls(flat, dtype, device)
 

@@ -152,9 +152,14 @@ class Tensor:
         """A (possibly non-contiguous) numpy view over this tensor's data."""
         phys = self.storage.data
         itemsize = phys.itemsize
-        byte_strides = tuple(s * itemsize for s in self.strides)
-        return np.lib.stride_tricks.as_strided(
-            phys[self.offset :], shape=self.shape, strides=byte_strides
+        # The ndarray constructor bounds-checks shape x strides against the
+        # buffer (ValueError on overrun); ``as_strided`` would not.
+        return np.ndarray(
+            self.shape,
+            phys.dtype,
+            phys,
+            self.offset * itemsize,
+            tuple(s * itemsize for s in self.strides),
         )
 
     def _compute(self) -> np.ndarray:

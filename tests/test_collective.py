@@ -12,8 +12,12 @@ wiring it in surfaced two defects, kept here as regression tests:
   backing storage instead of the bytes actually moved.
 """
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import (
     LearnerGroup,
@@ -25,7 +29,8 @@ from repro.distributed import (
     shard_rows,
 )
 from repro.memory.traffic import global_ledger
-from repro.tensor.dtype import bfloat16, float32
+from repro.tensor.device import GPU
+from repro.tensor.dtype import bfloat16, float16, float32, int64, uint16
 from repro.tensor.tensor import Tensor
 
 
@@ -113,6 +118,113 @@ class TestAllGather:
         assert len(records) == 3  # local shard moves nothing
         assert all(t.nbytes == 2 * 4 * 4 for t in records)
         assert all(t.dst == group.primary.name for t in records)
+
+
+@st.composite
+def _transfer_cases(draw):
+    """(n learners, dtype, source tensor) over the shapes sharding meets:
+    fewer rows than learners, exact multiples, remainders, 1-3 dims, and
+    sources that are offset or transposed views of a larger storage."""
+    n = draw(st.sampled_from([1, 3, 8]))
+    rows = draw(st.sampled_from([1, n - 1, n, n + 1, 10 * n + 3]))
+    tail = tuple(draw(st.lists(st.integers(1, 4), min_size=0, max_size=2)))
+    dtype = draw(st.sampled_from([float32, bfloat16, float16, uint16, int64]))
+    layout = draw(
+        st.sampled_from(["whole", "offset"] + (["transposed"] if tail else []))
+    )
+    on_primary = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+
+    base_shape, view = {
+        "whole": ((rows, *tail), lambda base: base),
+        "offset": ((rows + 2, *tail), lambda base: base[1 : rows + 1]),
+        "transposed": (
+            tail[:1] + (rows,) + tail[1:],
+            lambda base: base.transpose(0, 1),
+        ),
+    }[layout]
+    rng = np.random.default_rng(seed)
+    if dtype.is_floating:
+        values = rng.standard_normal(base_shape).astype(np.float32)
+    else:
+        values = rng.integers(0, 2**16, base_shape).astype(dtype.np_storage)
+    group = LearnerGroup(n)
+    tensor = view(
+        Tensor.from_numpy(
+            values, dtype=dtype, device=group.primary if on_primary else GPU
+        )
+    )
+    assert tensor.shape == (rows, *tail)
+    return group, dtype, tensor
+
+
+class TestTransferPath:
+    """Shards and gathers move raw storage bytes, fully accounted."""
+
+    @given(_transfer_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_shard_gather_bytes_trackers_and_ledger(self, case):
+        group, dtype, tensor = case
+        src = tensor.device
+        source = np.ascontiguousarray(tensor._np())
+        chunks = np.array_split(source, group.n_learners, axis=0)
+        chunk_bytes = [chunk.size * dtype.itemsize for chunk in chunks]
+        trackers = [dev.tracker for dev in group.devices] + [GPU.tracker]
+        ledger = global_ledger()
+        gc.collect()
+        baseline = [t.snapshot() for t in trackers]
+        ledger.clear()
+
+        # (i) row counts are np.array_split's; (iii) one allocation of the
+        # shard's logical bytes on each shard's own device.
+        sharded = shard_rows(tensor, group, tag="prop-shard")
+        assert sharded.full_shape == tensor.shape
+        for shard, chunk, dev in zip(sharded.shards, chunks, group.devices):
+            assert shard.shape == chunk.shape
+            assert shard.device == dev and shard.dtype is dtype
+            assert shard.storage.data.tobytes() == chunk.tobytes()
+        for tracker, before, nbytes in zip(trackers, baseline, chunk_bytes):
+            after = tracker.snapshot()
+            assert after.current_bytes - before.current_bytes == nbytes
+            assert after.alloc_count - before.alloc_count == 1
+        assert GPU.tracker.snapshot() == baseline[-1]
+
+        # (ii) the gathered storage is byte-equal to a contiguous copy.
+        gathered = all_gather(sharded, GPU, tag="prop-gather")
+        assert gathered.shape == tensor.shape and gathered.dtype is dtype
+        assert gathered.device == GPU and gathered.is_contiguous()
+        assert gathered.storage.data.tobytes() == source.tobytes()
+        after = GPU.tracker.snapshot()
+        assert after.current_bytes - baseline[-1].current_bytes == sum(chunk_bytes)
+        assert after.alloc_count - baseline[-1].alloc_count == 1
+
+        # (iv) one ledger row per non-local shard, each way.
+        scatter = [
+            (src.name, dev.name, nbytes, "prop-shard")
+            for dev, nbytes in zip(group.devices, chunk_bytes)
+            if dev != src
+        ]
+        gather = [
+            (dev.name, GPU.name, nbytes, "prop-gather")
+            for dev, nbytes in zip(group.devices, chunk_bytes)
+        ]
+        rows = [(t.src, t.dst, t.nbytes, t.tag) for t in ledger.transfers()]
+        assert rows == scatter + gather
+
+        # (iii, cont.) every byte is released with its last reference.
+        del sharded, shard, gathered
+        gc.collect()
+        for tracker, before in zip(trackers, baseline):
+            assert tracker.current_bytes == before.current_bytes
+        ledger.clear()
+
+    def test_gather_rejects_shards_that_do_not_fill_the_shape(self):
+        group = LearnerGroup(2)
+        sharded = shard_rows(_tensor((4, 3), device=group.primary), group)
+        for wrong_shape in [(5, 3), (3, 3)]:
+            mismatched = ShardedTensor(sharded.shards, group, wrong_shape)
+            with pytest.raises(ValueError):
+                all_gather(mismatched, group.primary)
 
 
 class TestAllReduceMean:

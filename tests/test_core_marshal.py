@@ -22,7 +22,7 @@ def _entry_for(tensor):
     host = rt.Tensor.from_numpy(
         tensor.numpy().reshape(-1), dtype=tensor.dtype, device="cpu"
     )
-    return OffloadEntry(host, tensor.storage, tensor.device)
+    return OffloadEntry(host, tensor.storage)
 
 
 class TestRegistryBasics:
@@ -250,7 +250,7 @@ class TestOffloadEntry:
         assert not whole.is_sharded
         group = LearnerGroup(2)
         sharded_copy = shard_rows(t.view(-1), group)
-        sharded = OffloadEntry(sharded_copy, t.storage, t.device)
+        sharded = OffloadEntry(sharded_copy, t.storage)
         assert sharded.is_sharded
         assert sharded.host_nbytes_local == 32
 

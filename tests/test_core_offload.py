@@ -217,3 +217,94 @@ class TestUnpackCaching:
             saved = mul_ctx.saved_tensors  # unpack both payloads now
             assert saved[0].shares_storage_with(saved[1])
             mul_ctx.release_saved()
+
+
+class TestRawByteTransfer:
+    """Saved tensors cross devices as storage bytes, never as values."""
+
+    @staticmethod
+    def _bf16_step(tokenizer, world, pipeline):
+        """First-step loss of a tiny bf16 LM under 3-bit eDKM wrappers."""
+        from repro.core import ModelCompressor
+        from repro.data import alpaca_batches, generate_alpaca
+        from repro.llm import FinetuneConfig, train_causal_lm
+        from repro.nn import Transformer
+
+        model = Transformer(
+            vocab_size=tokenizer.vocab_size,
+            dim=32,
+            n_layers=1,
+            n_heads=4,
+            hidden_dim=64,
+            max_seq_len=64,
+            dtype="bfloat16",
+            seed=3,
+        )
+        model.to(rt.GPU)
+        ModelCompressor(DKMConfig(bits=3, iters=2), pipeline.config).compress(model)
+        batches = alpaca_batches(
+            generate_alpaca(world, 8, seed=40), tokenizer, 8, rt.GPU, seed=41
+        )
+        result = train_causal_lm(
+            model, batches, FinetuneConfig(lr=1e-3), pipeline=pipeline, max_steps=1
+        )
+        return result.losses[0]
+
+    def test_mus_step_never_projects_and_restores_bit_identically(
+        self, monkeypatch, world, tokenizer
+    ):
+        from repro.tensor.dtype import DType
+
+        plain = self._bf16_step(
+            tokenizer, world, SavedTensorPipeline(EDKMConfig(offload=False))
+        )
+
+        pipeline = SavedTensorPipeline(
+            EDKMConfig(group=LearnerGroup(8), shard_min_bytes=512)
+        )
+        in_hook = [False]
+        projections = []
+        packed = {}  # id(payload) -> (payload kept alive, bytes it was packed from)
+        restored = []
+        real_project = DType.project
+
+        def counting_project(self, array):
+            if in_hook[0]:
+                projections.append(self.name)
+            return real_project(self, array)
+
+        def inside_hook(hook):
+            def run(arg):
+                in_hook[0] = True
+                try:
+                    return hook(arg)
+                finally:
+                    in_hook[0] = False
+
+            return run
+
+        pack, unpack = inside_hook(pipeline._pack), inside_hook(pipeline._unpack)
+
+        def recording_pack(tensor):
+            payload = pack(tensor)
+            if payload.entry is not None:
+                packed[id(payload)] = (payload, tensor._np().tobytes())
+            return payload
+
+        def checking_unpack(payload):
+            tensor = unpack(payload)
+            if payload.entry is not None:
+                assert tensor.device == rt.GPU
+                restored.append(tensor._np().tobytes() == packed[id(payload)][1])
+            return tensor
+
+        monkeypatch.setattr(DType, "project", counting_project)
+        pipeline._pack, pipeline._unpack = recording_pack, checking_unpack
+        piped = self._bf16_step(tokenizer, world, pipeline)
+
+        assert pipeline.stats.tensors_sharded > 0 and pipeline.stats.gathers > 0
+        assert pipeline.stats.copies_made > pipeline.stats.tensors_sharded
+        assert pipeline.stats.copies_avoided > 0
+        assert projections == []
+        assert restored and all(restored)
+        assert piped == plain  # bit-identical float, not approx

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.memory import profile_memory
-from repro.tensor import bfloat16, device, float32
+from repro.tensor import Tensor, bfloat16, device, float32
 from repro.tensor.storage import Storage
 
 
@@ -78,6 +78,23 @@ class TestStorageAccounting:
         storage = Storage.from_values(source, float32, device("cpu"))
         source[0] = 99.0
         assert storage.data[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "np_dtype, dtype",
+        [(np.float32, float32), (np.float64, float32), (np.float32, bfloat16)],
+        ids=["f32-f32", "f64-f32", "f32-bf16"],
+    )
+    def test_from_numpy_always_owns_its_buffer(self, np_dtype, dtype):
+        """Whether or not projection made a fresh array, the tensor never
+        aliases the caller's: later writes to the source must not show."""
+        source = np.arange(8, dtype=np_dtype)
+        for values in (source, source[2:6], source.reshape(2, 4)):
+            tensor = Tensor.from_numpy(values, dtype=dtype)
+            assert not np.may_share_memory(tensor.storage.data, source)
+            before = tensor.numpy()
+            source += 100
+            assert np.array_equal(tensor.numpy(), before)
+            source -= 100
 
     def test_clone_to_moves_device(self):
         src_dev = device("test-clone-src")

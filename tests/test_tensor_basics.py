@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import repro.tensor as rt
-from repro.tensor.tensor import contiguous_strides
+from repro.tensor.storage import Storage
+from repro.tensor.tensor import Tensor, contiguous_strides
 
 
 class TestConstruction:
@@ -83,6 +84,65 @@ class TestMetadata:
     def test_nbytes_is_storage_bytes(self):
         t = rt.zeros(10, dtype="bfloat16")
         assert t.nbytes == 20
+
+
+def _as_strided_view(t):
+    """The unchecked construction ``Tensor._np`` used to return."""
+    phys = t.storage.data
+    return np.lib.stride_tricks.as_strided(
+        phys[t.offset :],
+        shape=t.shape,
+        strides=tuple(s * phys.itemsize for s in t.strides),
+    )
+
+
+class TestNumpyView:
+    """``Tensor._np`` is a bounds-checked strided view of the storage."""
+
+    def test_overrunning_metadata_raises(self):
+        """Regression: shape x strides past the buffer used to read foreign
+        heap memory (``as_strided`` never checks bounds)."""
+        storage = Storage(np.arange(10, dtype=np.float32), rt.float32, rt.CPU)
+        with pytest.raises(ValueError):
+            Tensor(storage, (100,), (1,))._np()
+        with pytest.raises(ValueError):
+            Tensor(storage, (4,), (1,), offset=8)._np()
+        with pytest.raises(ValueError):
+            Tensor(storage, (3, 4), (5, 1))._np()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda t: t,
+            lambda t: t[2:5, 1::2],
+            lambda t: t[3],
+            lambda t: t[1:2].expand(5, 8),
+            lambda t: t.transpose(0, 1),
+            lambda t: t.view(2, 3, 8).permute(2, 0, 1)[1:],
+            lambda t: t[6:6],
+            lambda t: t[:, 8:],
+        ],
+        ids=[
+            "whole", "offset-slice", "row", "expand-stride0",
+            "transpose", "permute-offset", "zero-rows", "zero-cols-at-end",
+        ],
+    )
+    def test_matches_as_strided(self, make):
+        view = make(rt.randn(6, 8))
+        got = view._np()
+        want = _as_strided_view(view)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, view.storage.data) or got.size == 0
+
+    def test_empty_storage(self):
+        assert rt.zeros(0)._np().shape == (0,)
+        assert rt.zeros(0, 3)._np().shape == (0, 3)
+
+    def test_view_is_writable_through(self):
+        t = rt.zeros(2, 3)
+        t.transpose(0, 1)._np()[2, 1] = 7.0
+        assert t.numpy()[1, 2] == 7.0
 
 
 class TestViewSemantics:
