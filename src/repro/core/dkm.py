@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.config import DKMConfig
 from repro.core.fastpath import StepCache
-from repro.core.uniquify import attention_table
+from repro.core.uniquify import attention_table, attention_table_ku
 from repro.tensor import ops
 from repro.tensor.autograd import is_grad_enabled, no_grad
 from repro.tensor.tensor import Tensor
@@ -111,9 +111,23 @@ class DKMClusterer:
         the per-step table count is unchanged; it does eliminate the
         recomputation when several forwards share one refine, and the
         step-level speedup comes from the shared uniquify.)
+
+        Raises :class:`ValueError` for an empty weight and
+        :class:`FloatingPointError` for one holding NaN or inf, in both
+        cases before the cluster state is created or moved.
         """
         unique = self.fastpath.uniquify(weights, self.config.weight_dtype)
         w_u = unique.values
+        if w_u.size == 0:
+            raise ValueError("cannot cluster an empty weight")
+        n_bad = int(np.count_nonzero(~np.isfinite(w_u)))
+        if n_bad:
+            # One NaN/inf would turn every centroid and the temperature into
+            # NaN and park them in the layer's state for every later step.
+            raise FloatingPointError(
+                f"cannot cluster a non-finite weight: {n_bad} of {w_u.size} "
+                "unique patterns are NaN or inf"
+            )
         counts = unique.counts.astype(np.float64)
 
         if self.state is None:
@@ -126,11 +140,19 @@ class DKMClusterer:
             self.state = ClusterState(centroids=centroids, temperature=temperature)
 
         state = self.state
+        k = state.centroids.size
+        # Rows [:k] hold table * counts, rows [k:] that times w_u -- the
+        # denominator and numerator terms of every centroid, in float64.
+        terms = np.empty((2 * k, w_u.size), dtype=np.float64)
         for iteration in range(self.config.iters):
-            table = attention_table(w_u, state.centroids, state.temperature)
-            weighted = table * counts[:, None]
-            denom = weighted.sum(axis=0)
-            numer = (weighted * w_u[:, None]).sum(axis=0)
+            table_ku = attention_table_ku(w_u, state.centroids, state.temperature)
+            np.multiply(table_ku, counts, out=terms[:k])
+            np.multiply(terms[:k], w_u, out=terms[k:])
+            # Summed in order over u (axis 0 of the C-contiguous transpose),
+            # as the (u, k) formulation did; summing the rows where they
+            # lie would pair them up and change the last bits.
+            sums = np.ascontiguousarray(terms.T).sum(axis=0)
+            denom, numer = sums[:k], sums[k:]
             new_centroids = np.where(
                 denom > 1e-12, numer / np.maximum(denom, 1e-12), state.centroids
             ).astype(np.float32)

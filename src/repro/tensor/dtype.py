@@ -19,13 +19,24 @@ from typing import Callable
 import numpy as np
 
 
+def _bf16_rounded_bits(array: np.ndarray) -> np.ndarray:
+    """fp32 bits of ``array`` after the round-to-nearest-even bias is added.
+
+    The high half of each uint32 is the bf16 pattern; the low half is
+    whatever the carry left behind and must be masked or shifted away.
+    """
+    bits = np.ascontiguousarray(array, dtype=np.float32).view(np.uint32)
+    rounded = bits >> 16
+    rounded &= 1
+    rounded += np.uint32(0x7FFF)
+    rounded += bits
+    return rounded
+
+
 def _truncate_to_bf16(array: np.ndarray) -> np.ndarray:
     """Round-to-nearest-even truncation of fp32 values onto the bf16 grid."""
-    f32 = np.ascontiguousarray(array, dtype=np.float32)
-    bits = f32.view(np.uint32)
-    # Round-to-nearest-even on the low 16 bits before truncating them.
-    rounding_bias = ((bits >> 16) & 1) + np.uint32(0x7FFF)
-    rounded = (bits + rounding_bias) & np.uint32(0xFFFF0000)
+    rounded = _bf16_rounded_bits(array)
+    rounded &= np.uint32(0xFFFF0000)
     return rounded.view(np.float32)
 
 
@@ -223,8 +234,9 @@ def bit_pattern16(array: np.ndarray, dtype: DType) -> np.ndarray:
     if dtype is float16:
         return np.ascontiguousarray(array, dtype=np.float16).view(np.uint16).copy()
     if dtype is bfloat16:
-        f32 = _truncate_to_bf16(np.ascontiguousarray(array, dtype=np.float32))
-        return (f32.view(np.uint32) >> 16).astype(np.uint16)
+        rounded = _bf16_rounded_bits(array)
+        rounded >>= 16
+        return rounded.astype(np.uint16)
     raise ValueError(
         f"bit_pattern16 requires a 16-bit floating dtype, got {dtype.name}"
     )

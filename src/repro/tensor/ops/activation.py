@@ -23,12 +23,20 @@ def _stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Branch-indexed logistic; avoids exp overflow on either tail."""
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    e = np.exp(x[~positive])
-    out[~positive] = e / (1.0 + e)
+    """Logistic without exp overflow on either tail, in whole-array passes.
+
+    ``e = exp(-|x|)`` never overflows; ``x >= 0`` takes ``1 / (1 + e)`` and
+    ``x < 0`` takes ``e / (1 + e)`` -- the two branch formulas evaluated
+    elementwise instead of gathered and scattered through boolean masks.
+    ``minimum(x, -x)`` rather than ``-abs(x)`` keeps a NaN's sign bit.
+    """
+    # A typed one: a python 1.0 would promote a 0-d input's scalars to
+    # float64 under numpy < 2 and round twice.
+    one = x.dtype.type(1)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, one, e)
+    e += one
+    out /= e
     return out
 
 

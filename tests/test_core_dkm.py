@@ -10,6 +10,9 @@ from repro.core.dkm import (
     default_temperature,
     init_centroids_quantile,
 )
+from repro.core.uniquify import reset_uniquify_call_count, uniquify_call_count
+
+from tests.oracles import refine_uk
 
 
 def _weight_tensor(n=2000, seed=0, dtype="bfloat16", requires_grad=False):
@@ -115,6 +118,133 @@ class TestRefinement:
             (flat[:, None] - state.centroids[None, :]) ** 2, axis=1
         )
         assert np.array_equal(assignments, expected)
+
+
+class TestRefineRejectsUnclusterableWeights:
+    """A weight refine cannot cluster raises before any state exists or moves."""
+
+    @staticmethod
+    def _poisoned(value, n_bad=1):
+        values = (np.random.default_rng(0).standard_normal(2000) * 0.05).astype(np.float32)
+        values[:n_bad] = value
+        return rt.Tensor.from_numpy(values, dtype="bfloat16", device="gpu")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_cold_raises_and_creates_no_state(self, value):
+        clusterer = DKMClusterer(DKMConfig(bits=3))
+        with pytest.raises(FloatingPointError, match="1 of .* unique patterns"):
+            clusterer.refine(self._poisoned(value))
+        assert clusterer.state is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_warm_raises_and_leaves_state_untouched(self, value):
+        clusterer = DKMClusterer(DKMConfig(bits=3))
+        clusterer.refine(_weight_tensor())
+        state = clusterer.state
+        centroids = state.centroids.copy()
+        snapshot = (state.temperature, state.iterations_run)
+        with pytest.raises(FloatingPointError):
+            clusterer.refine(self._poisoned(value), cache_table=True)
+        assert clusterer.state is state
+        assert state.centroids.tobytes() == centroids.tobytes()
+        assert (state.temperature, state.iterations_run) == snapshot
+        assert np.isfinite(state.centroids).all()
+        # and the layer still trains once the weight is finite again
+        clusterer.refine(_weight_tensor(seed=1))
+        assert np.isfinite(clusterer.state.centroids).all()
+
+    def test_message_counts_unique_patterns_not_weights(self):
+        values = np.zeros(100, dtype=np.float32)
+        values[:40] = np.inf  # 40 weights, one pattern
+        values[40:50] = -np.inf
+        w = rt.Tensor.from_numpy(values, dtype="bfloat16", device="gpu")
+        with pytest.raises(FloatingPointError, match="2 of 3 unique patterns"):
+            DKMClusterer(DKMConfig(bits=2)).refine(w)
+
+    def test_empty_weight(self):
+        clusterer = DKMClusterer(DKMConfig(bits=3))
+        empty = rt.Tensor.from_numpy(np.zeros((0, 8), np.float32), dtype="bfloat16", device="gpu")
+        with pytest.raises(ValueError, match="cannot cluster an empty weight"):
+            clusterer.refine(empty)
+        assert clusterer.state is None
+
+
+class TestRefineEqualsOracle:
+    """``refine`` on the (k, u) kernel is byte-equal to the (u, k) loop it replaced."""
+
+    @staticmethod
+    def _pair(config, weights, steps=1, cache_table=True):
+        """Run kernel and oracle side by side; return both clusterers + call counts."""
+        runs = []
+        for refine in (DKMClusterer.refine, refine_uk):
+            clusterer = DKMClusterer(config)
+            reset_uniquify_call_count()
+            for _ in range(steps):
+                state = refine(clusterer, weights, cache_table=cache_table)
+            assert state is clusterer.state
+            runs.append((clusterer, uniquify_call_count()))
+        return runs
+
+    @staticmethod
+    def _assert_same(got, want):
+        (got, got_calls), (want, want_calls) = got, want
+        assert got.state.centroids.dtype == want.state.centroids.dtype == np.float32
+        assert got.state.centroids.tobytes() == want.state.centroids.tobytes()
+        assert got.state.temperature == want.state.temperature
+        assert got.state.iterations_run == want.state.iterations_run
+        assert got_calls == want_calls
+        assert vars(got.fastpath.stats) == vars(want.fastpath.stats)
+        got_entry, want_entry = got.fastpath.peek_table(), want.fastpath.peek_table()
+        assert (got_entry is None) == (want_entry is None)
+        if want_entry is not None:
+            for got_part, want_part in zip(got_entry, want_entry):
+                assert np.asarray(got_part).tobytes() == np.asarray(want_part).tobytes()
+            assert got_entry[2].shape == want_entry[2].shape
+            assert got_entry[2].flags.c_contiguous
+
+    @pytest.mark.parametrize("iters", [1, 4, 5])
+    @pytest.mark.parametrize("bits", [1, 3, 4, 8])
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
+    def test_cold_then_warm(self, iters, bits, dtype):
+        config = DKMConfig(bits=bits, iters=iters, weight_dtype=rt.get_dtype(dtype))
+        w = _weight_tensor(6000, seed=bits, dtype=dtype)
+        got, want = self._pair(config, w, steps=3)
+        self._assert_same(got, want)
+        assert got[0].state.iterations_run == 3 * iters
+
+    def test_counts_up_to_2_pow_20(self):
+        # One pattern held by 2^20 weights beside singletons: the float64
+        # denom/numer terms span 20 binades, so their order of addition shows.
+        rng = np.random.default_rng(7)
+        singletons = (rng.standard_normal(5000) * 0.05).astype(np.float32)
+        values = np.concatenate([np.full(1 << 20, 0.0625, np.float32), singletons])
+        w = rt.Tensor.from_numpy(rng.permutation(values), dtype="bfloat16", device="gpu")
+        got, want = self._pair(DKMConfig(bits=3, iters=4), w, steps=2)
+        self._assert_same(got, want)
+        assert got[0].fastpath.uniquify(w, w.dtype).counts.max() >= 1 << 20
+
+    def test_early_tol_exit(self):
+        config = DKMConfig(bits=3, iters=4, tol=1.0)
+        got, want = self._pair(config, _weight_tensor())
+        self._assert_same(got, want)
+        assert got[0].state.iterations_run == 1  # left the loop, table still parked
+        assert got[0].fastpath.peek_table() is not None
+
+    def test_without_cache_table_parks_nothing(self):
+        got, want = self._pair(DKMConfig(bits=3, iters=4), _weight_tensor(), cache_table=False)
+        self._assert_same(got, want)
+        assert got[0].fastpath.peek_table() is None
+
+    def test_explicit_temperature_and_degenerate_weight(self):
+        constant = rt.Tensor.from_numpy(
+            np.full(300, 0.125, np.float32), dtype="bfloat16", device="gpu"
+        )
+        for config, w in (
+            (DKMConfig(bits=3, iters=4, temperature=0.3), _weight_tensor()),
+            (DKMConfig(bits=2, iters=4), constant),  # u = 1, spread 0
+        ):
+            got, want = self._pair(config, w, steps=2)
+            self._assert_same(got, want)
 
 
 class TestDensePath:

@@ -2,16 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.dkm import default_temperature
 from repro.core.uniquify import (
     MAX_UNIQUE_16BIT,
+    _decompose_histogram,
+    _sum_rows_pairwise,
     attention_table,
+    attention_table_ku,
     dense_attention_map,
     index_dtype_for,
     reconstruct_attention_map,
     uniquify,
 )
-from repro.tensor.dtype import bfloat16, float16, uint16, int32
+from repro.tensor.dtype import bfloat16, decode_pattern16, float16, uint16, int32
+
+from tests.oracles import attention_table_uk
 
 
 def _weights(n=5000, seed=0, dtype=bfloat16):
@@ -112,3 +120,145 @@ class TestReconstruction:
         table_bytes = unique.n_unique * k * 4
         index_bytes = unique.n_weights * 2
         assert table_bytes + index_bytes < dense_bytes / 5
+
+
+def _finite_decodes(dtype):
+    values = decode_pattern16(np.arange(MAX_UNIQUE_16BIT, dtype=np.uint16), dtype)
+    return values[np.isfinite(values)]
+
+
+_VALUE_POOLS = {
+    "bf16": _finite_decodes(bfloat16),  # up to 3.4e38: squares overflow, rows go NaN
+    "fp16": _finite_decodes(float16),
+    "weights": bfloat16.project(
+        (np.random.default_rng(0).standard_normal(4096) * 0.05).astype(np.float32)
+    ),
+}
+_KERNEL_KS = [*range(1, 18), 31, 32, 33, 64, 127, 128, 129, 130, 256, 257]
+
+
+@st.composite
+def _kernel_cases(draw):
+    k = draw(st.sampled_from(_KERNEL_KS))
+    u = draw(st.sampled_from([0, 1, 7, 8, 9, 2003] + ([MAX_UNIQUE_16BIT] if k <= 16 else [])))
+    pool = _VALUE_POOLS[draw(st.sampled_from(sorted(_VALUE_POOLS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice(pool, size=u)
+    centroids = np.sort(rng.choice(pool, size=k))
+    with np.errstate(all="ignore"):
+        default = default_temperature(values, k) if u else 1e-8
+    temperature = draw(st.sampled_from([1e-12, default, 1.0]))
+    return values, centroids, temperature
+
+
+class TestSweepKernel:
+    """The (k, u) kernel is byte-equal to the (u, k) formulation it replaced."""
+
+    @given(_kernel_cases())
+    @settings(max_examples=250, deadline=None)
+    def test_table_bytes_equal_oracle(self, case):
+        values, centroids, temperature = case
+        with np.errstate(all="ignore"):
+            want = attention_table_uk(values, centroids, temperature)
+            got = attention_table(values, centroids, temperature)
+            got_ku = attention_table_ku(values, centroids, temperature)
+        assert got.shape == want.shape == (values.size, centroids.size)
+        assert got.dtype == want.dtype == np.float32
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert got_ku.shape == (centroids.size, values.size)
+        assert got_ku.T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 63, 64, 65, 100, *range(120, 138), 200, 255,
+                                   256, 257, 264, 300, 512, 1000, 1031])  # fmt: skip
+    def test_row_sum_reproduces_numpy_association_order(self, n):
+        # The one numpy implementation detail the kernel leans on: how
+        # add.reduce associates a contiguous run of n float32.
+        rng = np.random.default_rng(n)
+        rows = np.exp(rng.standard_normal((n, 37)).astype(np.float32) * 8)
+        want = np.ascontiguousarray(rows.T).sum(axis=1)
+        got = _sum_rows_pairwise(rows)
+        assert got.tobytes() == want.tobytes()
+        assert rows.tobytes() == np.exp(
+            np.random.default_rng(n).standard_normal((n, 37)).astype(np.float32) * 8
+        ).tobytes()  # the input rows are read, never accumulated into
+
+    def test_temperature_scalar_types_agree(self):
+        values, centroids = _VALUE_POOLS["weights"][:500], _VALUE_POOLS["weights"][500:508]
+        want = attention_table_uk(values, centroids, 2.4e-4)
+        for temperature in (2.4e-4, np.float64(2.4e-4), np.float32(2.4e-4)):
+            got = attention_table(values, centroids, temperature)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    def test_inputs_not_written(self):
+        values = _VALUE_POOLS["weights"][:64].copy()
+        centroids = np.sort(_VALUE_POOLS["weights"][64:72]).copy()
+        before = values.tobytes(), centroids.tobytes()
+        first = attention_table(values, centroids, 1e-3)
+        second = attention_table(values, centroids, 1e-3)
+        assert (values.tobytes(), centroids.tobytes()) == before
+        assert first is not second and not np.shares_memory(first, second)
+
+    def test_accepts_any_input_layout(self):
+        values = _VALUE_POOLS["weights"][:400].reshape(20, 20).T[::2]  # 2-D, strided
+        centroids = _VALUE_POOLS["weights"][1000:1016:2].astype(np.float64)
+        want = attention_table_uk(values, centroids, 1e-3)
+        assert attention_table(values, centroids, 1e-3).tobytes() == want.tobytes()
+
+
+class TestHistogramTail:
+    """``_decompose_histogram`` after the bincount: O(N + u), equal to ``np.unique``."""
+
+    @staticmethod
+    def _assert_equals_np_unique(patterns):
+        got_patterns, got_index, got_counts = _decompose_histogram(patterns)
+        want_patterns, want_index, want_counts = np.unique(
+            patterns, return_inverse=True, return_counts=True
+        )
+        assert got_patterns.dtype == np.uint16 and got_index.dtype == np.uint16
+        assert got_counts.dtype == want_counts.dtype
+        assert got_index.shape == patterns.shape
+        assert np.array_equal(got_patterns, want_patterns)
+        assert np.array_equal(got_index, want_index.reshape(-1))
+        assert np.array_equal(got_counts, want_counts)
+
+    def test_every_pattern_present(self):
+        # u = 65 536: the last rank, 65 535, must fit the LUT's uint16.
+        rng = np.random.default_rng(0)
+        patterns = rng.permutation(np.repeat(np.arange(MAX_UNIQUE_16BIT, dtype=np.uint16), 2))
+        self._assert_equals_np_unique(patterns)
+        index = _decompose_histogram(patterns)[1]
+        assert index.max() == MAX_UNIQUE_16BIT - 1
+
+    @pytest.mark.parametrize("n_present", [1, 2, 1999])
+    def test_sparse_patterns(self, n_present):
+        rng = np.random.default_rng(n_present)
+        present = rng.choice(MAX_UNIQUE_16BIT, size=n_present, replace=False).astype(np.uint16)
+        self._assert_equals_np_unique(rng.choice(present, size=10_000))
+
+    def test_float16_specials_over_the_whole_domain(self):
+        # Every float16 bit pattern once, +-0, +-inf and all 2 046 NaNs included.
+        weights = np.arange(MAX_UNIQUE_16BIT, dtype=np.uint16).view(np.float16)
+        hist = uniquify(weights, float16, method="histogram")
+        sort = uniquify(weights, float16, method="sort")
+        assert hist.n_unique == MAX_UNIQUE_16BIT
+        for field in ("patterns", "index_list", "counts", "values"):
+            got, want = getattr(hist, field), getattr(sort, field)
+            assert got.dtype == want.dtype, field
+            assert got.tobytes() == want.tobytes(), field
+        assert hist.index_list.dtype == np.uint16
+
+    @pytest.mark.parametrize("dtype", [bfloat16, float16], ids=["bf16", "fp16"])
+    def test_non_contiguous_input(self, dtype):
+        base = dtype.project(
+            (np.random.default_rng(5).standard_normal((96, 80)) * 0.05).astype(np.float32)
+        )
+        for view in (base.T, base[::3, 1::2], base[::-1]):
+            assert not view.flags.c_contiguous
+            hist = uniquify(view, dtype, method="histogram")
+            sort = uniquify(np.ascontiguousarray(view), dtype, method="sort")
+            assert hist.source_shape == view.shape
+            assert hist.index_list.flags.c_contiguous
+            for field in ("patterns", "index_list", "counts", "values"):
+                assert getattr(hist, field).tobytes() == getattr(sort, field).tobytes(), field

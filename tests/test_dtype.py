@@ -101,6 +101,29 @@ class TestBitPatterns:
         assert patterns[0] == patterns[1]
         assert patterns[0] != patterns[2]
 
+    def test_bf16_rounding_equals_the_unfolded_formulation(self):
+        # Every high half x the low halves around the rounding boundary:
+        # ties to even both ways, NaN/inf carries, and 0xFFFF_FFFF + bias
+        # wrapping uint32.  The oracle is the pass-per-step version
+        # ``project`` and ``bit_pattern16`` used before they shared one.
+        high = np.arange(1 << 16, dtype=np.uint32) << 16
+        low = np.array([0, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFF], dtype=np.uint32)
+        bits = (high[:, None] | low[None, :]).reshape(-1)
+        values = bits.view(np.float32)
+        before = values.tobytes()
+        bias = ((bits >> 16) & 1) + np.uint32(0x7FFF)
+        want = (bits + bias) & np.uint32(0xFFFF0000)
+        assert dt.bfloat16.project(values).tobytes() == want.tobytes()
+        got = dt.bit_pattern16(values, dt.bfloat16)
+        assert got.dtype == np.uint16
+        assert got.tobytes() == (want >> 16).astype(np.uint16).tobytes()
+        strided = values.reshape(-1, 6).T[::2]
+        assert np.array_equal(
+            dt.bit_pattern16(strided, dt.bfloat16),
+            (want >> 16).astype(np.uint16).reshape(-1, 6).T[::2],
+        )
+        assert values.tobytes() == before  # the in-place passes never reach the input
+
     def test_pattern_requires_16bit_dtype(self):
         with pytest.raises(ValueError, match="16-bit"):
             dt.bit_pattern16(np.zeros(4, dtype=np.float32), dt.float32)

@@ -6,6 +6,7 @@ import scipy.special
 
 import repro.tensor as rt
 from repro.tensor import ops
+from repro.tensor.ops.activation import _stable_sigmoid
 
 from tests.gradcheck import check_gradients
 
@@ -14,6 +15,65 @@ def _arr(shape, seed=0, scale=1.0):
     return (np.random.default_rng(seed).standard_normal(shape) * scale).astype(
         np.float32
     )
+
+
+def _masked_sigmoid(x):
+    """The branch-indexed logistic ``_stable_sigmoid`` replaced; the oracle."""
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    e = np.exp(x[~positive])
+    out[~positive] = e / (1.0 + e)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 88.7, -88.7, 89.0, -89.0,
+                  104.0, -104.0, 1e-30, -1e-30, 709.0, -709.0, 746.0, -746.0]  # fmt: skip
+
+
+class TestStableSigmoid:
+    """Whole-array ``_stable_sigmoid`` is byte-equal to the masked version."""
+
+    @staticmethod
+    def _assert_bytes_equal(x):
+        # Underflow is expected far out on the tails; anything else is a bug.
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            got = _stable_sigmoid(x)
+        with np.errstate(all="ignore"):
+            want = _masked_sigmoid(x)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype == x.dtype
+        assert got.shape == want.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges_and_bulk(self, dtype):
+        bulk = (np.random.default_rng(0).standard_normal((16, 40, 64)) * 6).astype(dtype)
+        with np.errstate(over="ignore"):  # 709 and 746 are inf in float32, on purpose
+            edges = np.array(_SIGMOID_EDGES, dtype=dtype)
+        for n in (1, 3, 17):  # vector-width remainders take the scalar tail
+            self._assert_bytes_equal(np.tile(edges, n))
+        self._assert_bytes_equal(bulk)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layouts(self, dtype):
+        base = (np.random.default_rng(1).standard_normal((12, 10)) * 30).astype(dtype)
+        before = base.tobytes()
+        views = (np.asarray(base[0, 0]), base[:0], base.T, base[::2, 1::3], base[::-1], base[3])
+        for x in views:
+            self._assert_bytes_equal(x)
+        assert views[0].ndim == 0 and views[1].size == 0
+        assert base.tobytes() == before  # input never written
+
+    def test_silu_forward_and_backward_bytes(self):
+        x = (np.random.default_rng(2).standard_normal((4, 33)) * 20).astype(np.float32)
+        a = rt.tensor(x, requires_grad=True)
+        out = ops.silu(a)
+        out.backward(np.ones_like(x))
+        sig = _masked_sigmoid(x)
+        assert out.numpy().tobytes() == (x * sig).tobytes()
+        want_grad = (sig + x * sig * (1.0 - sig)).astype(np.float32)
+        assert a.grad.numpy().tobytes() == want_grad.tobytes()
 
 
 class TestActivations:
