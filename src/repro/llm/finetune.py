@@ -10,6 +10,7 @@ marshaled and sharded exactly as eDKM prescribes.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -56,7 +57,8 @@ def train_causal_lm(
     """Train ``model`` on an iterable of :class:`Batch` objects.
 
     ``pipeline`` scopes each step in the eDKM saved-tensor hooks; without it
-    training runs with default (on-device) saved tensors.
+    training runs with default (on-device) saved tensors.  With
+    ``max_steps=n`` no more than ``n`` batches are pulled from ``batches``.
     """
     config = config or FinetuneConfig()
     optimizer = AdamW(
@@ -67,9 +69,7 @@ def train_causal_lm(
     )
     result = TrainResult()
     model.train()
-    for batch in batches:
-        if max_steps is not None and result.steps >= max_steps:
-            break
+    for batch in itertools.islice(batches, max_steps):
         scope = pipeline.step() if pipeline is not None else contextlib.nullcontext()
         with scope:
             logits = model(batch.tokens)

@@ -3,13 +3,14 @@
 Batched decoding here is **length-bucketed**, not padded: active rows
 are grouped by current window length and each group runs one forward.
 Rows of equal length stack into one ``(B, L)`` call whose per-row logits
-are bit-identical to ``B`` separate ``(1, L)`` calls (numpy executes a
-stacked matmul as independent per-row gemms, and every other op in the
-model is row-wise), so ``generate_batch`` over N prompts reproduces N
-``generate`` calls *exactly* -- the property the serving layer's
-identity gates rely on.  Right-padding was rejected because numpy's
-pairwise summation associates differently at different reduction
-lengths, which breaks bit-identity through softmax/norm denominators.
+equal ``B`` separate ``(1, L)`` calls to float32 rounding (every op is
+row-wise, but a ``Linear`` is one ``(B*L, K)`` gemm and BLAS blocks by
+row count; measured max |delta| 3.6e-7, argmax equal), so
+``generate_batch`` over N prompts reproduces the *tokens* of N
+``generate`` calls -- the property the serving layer's identity gates
+rely on.  Right-padding was rejected because numpy's pairwise summation
+associates differently at different reduction lengths, so a padded row's
+softmax/norm denominators would depend on its batch-mates' lengths.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ def batched_last_logits(
 
     ``windows[i]`` is a token window of length ``<= model.max_seq_len``
     (callers truncate).  Windows of equal length share one batched
-    forward; the result list lines up with ``windows`` and each entry is
-    bit-identical to a single-prompt forward of that window.
+    forward; the result list lines up with ``windows`` and each entry
+    equals a single-prompt forward of that window to float32 rounding
+    (same argmax).
     """
     if not windows:
         return []
@@ -90,8 +92,8 @@ def generate_batch(
     Decoding is continuous at the function scale: each step forwards only
     the still-active rows (EOS or token budget retires a row without
     stalling the others), grouped into length buckets.  With the default
-    per-row rngs the output is bit-identical to calling :func:`generate`
-    once per prompt.
+    per-row rngs the output equals calling :func:`generate` once per
+    prompt.
     """
     device = device or model.embed.weight.device
     if rngs is None:

@@ -11,11 +11,8 @@ from repro.tensor.dtype import DType, promote
 from repro.tensor.tensor import Tensor
 
 
-def make_result(
-    values: np.ndarray, dtype: DType, device: Device, like: Tensor | None = None
-) -> Tensor:
+def make_result(values: np.ndarray, dtype: DType, device: Device) -> Tensor:
     """Wrap raw values as a fresh contiguous tensor on ``device``."""
-    del like  # reserved for future layout propagation
     return Tensor.from_numpy(np.asarray(values), dtype=dtype, device=device)
 
 

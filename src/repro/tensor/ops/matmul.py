@@ -1,7 +1,15 @@
-"""Matrix multiplication with batch broadcasting."""
+"""Matrix multiplication with batch broadcasting.
+
+An N-D activation times a 2-D weight -- what every ``Linear`` does -- is
+one ``(prod(lead), K) @ (K, N)`` gemm: ``np.matmul`` would broadcast it as
+``prod(lead[:-1])`` separate gemms and backward would stack as many
+per-batch weight gradients only to sum them.  N-D x N-D operands
+(attention) keep numpy's batch broadcast.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +35,16 @@ def _unbroadcast_batch(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _rows(array: np.ndarray) -> np.ndarray:
+    """``array`` with its leading dims collapsed into one row axis."""
+    return array.reshape(math.prod(array.shape[:-1]), array.shape[-1])
+
+
+def _is_one_gemm(a: Tensor, b: Tensor) -> bool:
+    """Whether ``a @ b`` is an N-D activation times a 2-D weight."""
+    return b.ndim == 2 and a.ndim > 2
+
+
 class MatMul(Function):
     """``a @ b`` for operands with ``ndim >= 2`` (wrappers handle vectors)."""
 
@@ -41,16 +59,31 @@ class MatMul(Function):
             raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
         dtype = promote(a.dtype, b.dtype)
         ctx.save_for_backward(a, b)
-        out = np.matmul(
-            a._np().astype(dtype.np_compute, copy=False),
-            b._np().astype(dtype.np_compute, copy=False),
-        )
+        a_np = a._np().astype(dtype.np_compute, copy=False)
+        b_np = b._np().astype(dtype.np_compute, copy=False)
+        if _is_one_gemm(a, b):
+            out = np.matmul(_rows(a_np), b_np).reshape(a.shape[:-1] + b.shape[-1:])
+        else:
+            out = np.matmul(a_np, b_np)
         return make_result(out, dtype, a.device)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         a, b = ctx.saved_tensors
-        a_np, b_np = a._compute(), b._compute()
-        ga = _unbroadcast_batch(np.matmul(grad, np.swapaxes(b_np, -1, -2)), a.shape)
-        gb = _unbroadcast_batch(np.matmul(np.swapaxes(a_np, -1, -2), grad), b.shape)
+        needs_a, needs_b = ctx.needs_input_grad
+        # Strided views go to BLAS as transpose flags; no contiguous copies.
+        a_np = a._np().astype(grad.dtype, copy=False)
+        b_np = b._np().astype(grad.dtype, copy=False)
+        ga = gb = None
+        if _is_one_gemm(a, b):
+            grad = _rows(grad)
+            if needs_a:
+                ga = np.matmul(grad, b_np.T).reshape(a.shape)
+            if needs_b:
+                gb = np.matmul(_rows(a_np).T, grad)
+        else:
+            if needs_a:
+                ga = _unbroadcast_batch(np.matmul(grad, np.swapaxes(b_np, -1, -2)), a.shape)
+            if needs_b:
+                gb = _unbroadcast_batch(np.matmul(np.swapaxes(a_np, -1, -2), grad), b.shape)
         return (ga, gb)

@@ -19,9 +19,7 @@ def numeric_grad(
     """Central-difference gradient of ``sum(fn(inputs))`` wrt input ``wrt``."""
     base = [a.astype(np.float64) for a in arrays]
     grad = np.zeros_like(base[wrt])
-    it = np.nditer(grad, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(grad.shape):  # unlike nditer, fine with zero-size inputs
         plus = [a.copy() for a in base]
         minus = [a.copy() for a in base]
         plus[wrt][idx] += eps
@@ -33,7 +31,6 @@ def numeric_grad(
             fn([rt.tensor(a.astype(np.float32)) for a in minus]).sum().item()
         )
         grad[idx] = (f_plus - f_minus) / (2 * eps)
-        it.iternext()
     return grad
 
 

@@ -215,6 +215,26 @@ class TestFinetune:
         )
         assert result.steps == 3
 
+    def test_max_steps_pulls_no_extra_batch(self, world, tokenizer):
+        from repro.data import generate_corpus
+
+        corpus = generate_corpus(world, 200, seed=22)
+        model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=1)
+        model.to("gpu")
+        pulled = []
+
+        def counting():
+            for batch in corpus_batches(corpus, tokenizer, 8, rt.GPU, seed=23):
+                pulled.append(batch)
+                yield batch
+
+        feed = counting()
+        result = train_causal_lm(model, feed, FinetuneConfig(lr=1e-3), max_steps=2)
+        assert result.steps == 2
+        assert len(pulled) == 2
+        # The generator-backed loader still owns batch 3.
+        assert next(feed) is pulled[2]
+
     def test_training_under_edkm_pipeline_matches_plain(self, world, tokenizer):
         """The offload pipeline must not change training trajectories."""
         from repro.data import generate_corpus

@@ -123,6 +123,32 @@ class TestGradients:
         check_gradients(lambda ts: -ts[0], [_arr((3,))])
 
 
+# ``(B..., K) @ (K, N)`` runs as one gemm over the collapsed leading dims;
+# each case is (leaf shapes, how the operands are derived from the leaves).
+_COLLAPSED = {
+    "3d": ([(4, 3, 5), (5, 2)], lambda a, b: (a, b)),
+    "4d_leading_dims": ([(2, 3, 2, 5), (5, 2)], lambda a, b: (a, b)),
+    "leading_dims_of_1": ([(1, 1, 3, 5), (5, 2)], lambda a, b: (a, b)),
+    "zero_length_batch": ([(0, 3, 5), (5, 2)], lambda a, b: (a, b)),
+    "permuted_a": ([(3, 4, 5), (5, 2)], lambda a, b: (a.permute(1, 0, 2), b)),
+    "transposed_b": ([(4, 3, 5), (2, 5)], lambda a, b: (a, b.T)),
+}
+
+
+@pytest.fixture
+def gemm_shapes(monkeypatch):
+    """Operand shapes of every ``np.matmul`` call made during the test."""
+    calls = []
+    real = np.matmul
+
+    def recording(x, y, *args, **kwargs):
+        calls.append((x.shape, y.shape))
+        return real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return calls
+
+
 class TestMatmul:
     def test_2d_matmul_value(self):
         a, b = _arr((3, 4)), _arr((4, 5), 1)
@@ -167,3 +193,70 @@ class TestMatmul:
         check_gradients(
             lambda ts: ts[0] @ ts[1], [_arr((2, 2, 3)), _arr((3, 2), 1)]
         )
+
+    @pytest.mark.parametrize("case", sorted(_COLLAPSED))
+    def test_collapsed_matches_broadcast(self, case):
+        shapes, views = _COLLAPSED[case]
+        arrays = [_arr(shape, seed) for seed, shape in enumerate(shapes)]
+        a, b = views(*(rt.tensor(x) for x in arrays))
+        assert a.ndim > 2 and b.ndim == 2
+        expected = np.matmul(a.numpy(), b.numpy())
+        out = a @ b
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out.numpy(), expected, rtol=1e-6, atol=1e-6)
+        # float32 central differences of a sum of O(10) carry ~2e-3 of noise.
+        check_gradients(lambda ts: ops.matmul(*views(*ts)), arrays, atol=5e-3)
+
+    def test_collapsed_bf16_weight_under_float32_activation(self):
+        x, w = _arr((4, 3, 5)), _arr((2, 5), 1)
+        a = rt.tensor(x, requires_grad=True)
+        b = rt.tensor(w, dtype="bfloat16", requires_grad=True)
+        w16 = b.numpy()  # float32-backed values on the bf16 grid
+        assert not np.array_equal(w16, w)
+        out = a @ b.T
+        assert out.dtype is rt.float32
+        np.testing.assert_allclose(
+            out.numpy(), np.matmul(x, w16.T), rtol=1e-6, atol=1e-6
+        )
+        out.sum().backward()
+        ones = np.ones((4, 3, 2), dtype=np.float32)
+        np.testing.assert_allclose(a.grad.numpy(), ones @ w16, rtol=1e-6, atol=1e-6)
+        # The weight gradient lands on the weight's own grid.
+        assert b.grad.dtype is rt.bfloat16
+        np.testing.assert_allclose(
+            b.grad.numpy(), x.sum(axis=(0, 1))[None, :].repeat(2, 0), rtol=1e-2
+        )
+        check_gradients(lambda ts: ts[0] @ b.detach().T, [x], atol=5e-3)
+
+    def test_linear_shape_is_one_gemm_forward_two_backward(self, gemm_shapes):
+        x = rt.tensor(_arr((4, 3, 8)), requires_grad=True)
+        w = rt.tensor(_arr((6, 8), 1), requires_grad=True)
+        out = x @ w.T
+        assert gemm_shapes == [((12, 8), (8, 6))]
+        del gemm_shapes[:]
+        out.sum().backward()
+        assert gemm_shapes == [((12, 6), (6, 8)), ((8, 12), (12, 6))]
+
+    def test_nd_by_nd_keeps_the_broadcast(self, gemm_shapes):
+        q = rt.tensor(_arr((2, 2, 3, 4)), requires_grad=True)
+        k = rt.tensor(_arr((2, 2, 4, 3), 1), requires_grad=True)
+        out = q @ k
+        assert gemm_shapes == [((2, 2, 3, 4), (2, 2, 4, 3))]
+        del gemm_shapes[:]
+        out.sum().backward()
+        assert gemm_shapes == [
+            ((2, 2, 3, 3), (2, 2, 3, 4)),
+            ((2, 2, 4, 3), (2, 2, 3, 3)),
+        ]
+
+    @pytest.mark.parametrize("b_shape", [(4, 5), (2, 4, 5)], ids=["collapsed", "broadcast"])
+    @pytest.mark.parametrize("wanted", [0, 1])
+    def test_backward_skips_the_product_nobody_wants(self, gemm_shapes, b_shape, wanted):
+        tensors = [rt.tensor(_arr((2, 3, 4))), rt.tensor(_arr(b_shape, 1))]
+        tensors[wanted].requires_grad = True
+        out = tensors[0] @ tensors[1]
+        del gemm_shapes[:]
+        out.sum().backward()
+        assert len(gemm_shapes) == 1
+        assert tensors[wanted].grad.shape == tensors[wanted].shape
+        assert tensors[1 - wanted].grad is None

@@ -327,7 +327,10 @@ class TestBatchedGeneration:
                 np.asarray([window], dtype=np.int64), device=rt.GPU
             )
             expected = plain_model(tokens)._compute()[0, len(window) - 1]
-            np.testing.assert_array_equal(got, expected)
+            # A (B, L) bucket hands each Linear's gemm B*L rows, a (1, L)
+            # forward L: same tokens, logits equal to float32 rounding.
+            assert int(np.argmax(got)) == int(np.argmax(expected))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
 
     def test_empty_window_raises(self, plain_model):
         with pytest.raises(ValueError):
