@@ -41,26 +41,11 @@ class OffloadEntry:
     still uses it).
     """
 
-    __slots__ = ("host_copy", "source_storage_ref", "_gpu_cache")
+    __slots__ = ("host_copy", "_gpu_cache")
 
-    def __init__(
-        self, host_copy: "Tensor | ShardedTensor", source_storage: object
-    ) -> None:
+    def __init__(self, host_copy: "Tensor | ShardedTensor") -> None:
         self.host_copy = host_copy
-        self.source_storage_ref = weakref.ref(source_storage)
         self._gpu_cache: weakref.ReferenceType | None = None
-
-    @property
-    def is_sharded(self) -> bool:
-        """Whether the host copy is spread across a learner group."""
-        return isinstance(self.host_copy, ShardedTensor)
-
-    @property
-    def host_nbytes_local(self) -> int:
-        """Host bytes attributable to learner 0."""
-        if isinstance(self.host_copy, ShardedTensor):
-            return self.host_copy.local_shard.nbytes
-        return self.host_copy.nbytes
 
     def cache_gpu(self, tensor: Tensor) -> None:
         """Weakly remember ``tensor``'s storage as the latest source-device
@@ -199,6 +184,18 @@ class MarshalRegistry:
         tensors is free; stepping node-to-node through a dead intermediate
         costs one hop per op.
         """
+        # Most probes are plain misses -- the tensor is not registered and
+        # no storage-invariant op touches it -- and a registered tensor is
+        # its own 0-hop hit: answer both before any BFS state is built.
+        entry = self._lookup_tensor(tensor)
+        if (
+            entry is not None
+            or hop_budget <= 0
+            or next(_adjacent_view_nodes(tensor), None) is None
+        ):
+            if stats is not None:
+                stats.graph_nodes_visited += 1
+            return (entry, 0, [])
         visited: set[int] = {id(tensor)}
         # Items are (tensor-or-node, hops, op-name trace).  A deque keeps the
         # BFS pop O(1); list.pop(0) made the walk O(n^2) in frontier size.

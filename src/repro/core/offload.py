@@ -25,7 +25,7 @@ from typing import Iterator
 
 from repro.core.config import EDKMConfig, PipelineStats
 from repro.core.marshal import MarshalRegistry, OffloadEntry
-from repro.distributed.collective import ShardedTensor, all_gather, shard_rows
+from repro.distributed.collective import ShardedTensor, all_gather, shard_storage
 from repro.memory.traffic import global_ledger
 from repro.tensor.autograd import saved_tensors_hooks
 from repro.tensor.device import CPU, GPU
@@ -159,12 +159,11 @@ class SavedTensorPipeline:
             and cfg.group is not None
             and storage.nbytes >= cfg.shard_min_bytes
         ):
-            flat = Tensor(storage, (storage.numel,), (1,))
-            host_copy: Tensor | ShardedTensor = shard_rows(
-                flat, cfg.group, tag="offload-shard"
+            host_copy: Tensor | ShardedTensor = shard_storage(
+                storage, cfg.group, tag="offload-shard"
             )
             self.stats.tensors_sharded += 1
-            self.stats.bytes_sharded_local += host_copy.local_shard.nbytes
+            self.stats.bytes_sharded_local += host_copy.local_nbytes
         else:
             host_copy = Tensor(storage.clone_to(CPU), (storage.numel,), (1,))
             global_ledger().record(
@@ -172,7 +171,7 @@ class SavedTensorPipeline:
             )
         self.stats.copies_made += 1
         self.stats.bytes_copied += storage.nbytes
-        return OffloadEntry(host_copy, storage)
+        return OffloadEntry(host_copy)
 
     def _restore(self, entry: OffloadEntry) -> Tensor:
         """Bring a host copy back to the source device as a flat tensor."""

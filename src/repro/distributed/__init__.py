@@ -11,19 +11,19 @@ collectives move real bytes between them while logging traffic.
 from repro.distributed.learner import LearnerGroup
 from repro.distributed.collective import (
     ShardedTensor,
+    ShardView,
     all_gather,
-    all_reduce_mean,
-    broadcast,
     logical_nbytes,
     shard_rows,
+    shard_storage,
 )
 
 __all__ = [
     "LearnerGroup",
     "ShardedTensor",
+    "ShardView",
     "all_gather",
-    "all_reduce_mean",
-    "broadcast",
     "logical_nbytes",
     "shard_rows",
+    "shard_storage",
 ]

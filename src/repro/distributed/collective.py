@@ -1,22 +1,30 @@
 """Collectives over a :class:`~repro.distributed.learner.LearnerGroup`.
 
-Data movement is real -- one byte copy per shard between device-tagged
-storages: ``shard_rows`` slices the source buffer straight into per-device
-storages and ``all_gather`` writes the shard buffers into one preallocated
-destination, with no value-level round trip (no dtype projection, no
-intermediate concatenation), so what arrives is bit-for-bit what was sent.
-Every transfer is logged in the global traffic ledger, so experiments can
-report the communication cost the paper acknowledges for uniquification and
-sharding ("the sharded weights need to be all-gathered").
+Data movement is real -- one byte copy per collective between device-tagged
+buffers: ``shard_rows`` copies the source's bytes once into the flat buffer
+a :class:`ShardedTensor` owns and ``all_gather`` copies that buffer once
+into a fresh destination storage, with no value-level round trip (no dtype
+projection, no per-shard slicing, no concatenation), so what arrives is
+bit-for-bit what was sent.  Every transfer is logged in the global traffic
+ledger, one row per learner, so experiments can report the communication
+cost the paper acknowledges for uniquification and sharding ("the sharded
+weights need to be all-gathered").
+
+Simulation detail: the per-learner memory domains are the learners'
+*trackers*, not buffers -- each is charged the logical bytes of its rows,
+while the rows of all learners sit side by side in one host array.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.distributed.learner import LearnerGroup
+from repro.memory.tracker import MemoryTracker
 from repro.memory.traffic import global_ledger
 from repro.tensor.device import Device
 from repro.tensor.dtype import DType
@@ -30,49 +38,110 @@ def logical_nbytes(tensor: Tensor) -> int:
     ``Tensor.nbytes`` reports the *storage* footprint, which a view (a
     row slice, a transpose) shares with every sibling view -- correct for
     memory accounting, wrong for traffic accounting: a collective moves
-    only the view's elements, not its whole backing storage.  Every
-    ledger record in this module and in the sharded scheduler's
-    byte-balanced placement uses this logical size instead.
+    only the view's elements, not its whole backing storage.  The ledger
+    rows of this module are in these logical bytes, and the process
+    engine's byte-balanced placement sizes layers with this function.
     """
     return tensor.numel * tensor.dtype.itemsize
+
+
+class ShardView(NamedTuple):
+    """One learner's rows of a :class:`ShardedTensor`, for inspection:
+    ``data`` is a read-only window onto the owner's buffer, so looking at a
+    shard allocates nothing and charges no tracker."""
+
+    device: Device
+    shape: tuple[int, ...]
+    data: np.ndarray
+
+
+def _release(charges: list[tuple[MemoryTracker, int]]) -> None:
+    for tracker, nbytes in charges:
+        tracker.release(nbytes)
 
 
 class ShardedTensor:
     """A tensor row-partitioned across the learners of a group.
 
-    Shard ``i`` physically resides on ``group.devices[i]``; the logical
-    tensor is the concatenation of shards along dim 0.
+    One owned flat buffer holds the rows in order; ``counts[i]`` of its
+    elements belong to learner ``i`` and are charged, once, to
+    ``group.devices[i]``'s tracker for as long as this object lives.  The
+    logical tensor is the buffer reshaped to ``full_shape``.
     """
 
+    __slots__ = ("data", "dtype", "group", "full_shape", "counts", "learner_nbytes", "__weakref__")
+
     def __init__(
-        self, shards: list[Tensor], group: LearnerGroup, full_shape: tuple[int, ...]
+        self,
+        data: np.ndarray,
+        dtype: DType,
+        group: LearnerGroup,
+        full_shape: tuple[int, ...],
+        counts: list[int],
     ) -> None:
-        if len(shards) != group.n_learners:
+        if len(counts) != group.n_learners:
+            raise ValueError(f"{len(counts)} shards for {group.n_learners} learners")
+        if data.shape != (sum(counts),) or data.dtype != dtype.np_storage:
             raise ValueError(
-                f"{len(shards)} shards for {group.n_learners} learners"
+                f"buffer {data.dtype}{data.shape} is not {sum(counts)} flat "
+                f"{dtype.name} elements"
             )
-        self.shards = shards
+        self.data = data
+        self.dtype = dtype
         self.group = group
         self.full_shape = tuple(full_shape)
+        self.counts = tuple(counts)
+        # Logical bytes charged to each learner, in learner order.
+        self.learner_nbytes = tuple(count * dtype.itemsize for count in counts)
+        charges = [(dev.tracker, n) for dev, n in zip(group.devices, self.learner_nbytes)]
+        for tracker, nbytes in charges:
+            tracker.allocate(nbytes)
+        weakref.finalize(self, _release, charges)
 
     @property
-    def dtype(self) -> DType:
-        return self.shards[0].dtype
+    def local_nbytes(self) -> int:
+        """Learner 0's bytes (the footprint experiments report)."""
+        return self.learner_nbytes[0]
 
-    @property
-    def local_shard(self) -> Tensor:
-        """Learner 0's shard (the one whose footprint experiments report)."""
-        return self.shards[0]
-
-    @property
-    def nbytes_per_learner(self) -> int:
-        return max(shard.nbytes for shard in self.shards)
+    def shard_views(self) -> list[ShardView]:
+        """Per-learner device, shape and read-only data, in learner order."""
+        tail = self.full_shape[1:]
+        row_elems = math.prod(tail)
+        window = self.data.view()
+        window.flags.writeable = False
+        views = []
+        lo = 0
+        for dev, count in zip(self.group.devices, self.counts):
+            rows = count // row_elems if row_elems else 0
+            views.append(ShardView(dev, (rows, *tail), window[lo : lo + count]))
+            lo += count
+        return views
 
     def __repr__(self) -> str:
         return (
             f"ShardedTensor(full_shape={self.full_shape}, "
-            f"n_shards={len(self.shards)}, dtype={self.dtype.name})"
+            f"n_shards={len(self.counts)}, dtype={self.dtype.name})"
         )
+
+
+def _scatter(
+    data: np.ndarray,
+    dtype: DType,
+    shape: tuple[int, ...],
+    src: Device,
+    group: LearnerGroup,
+    tag: str,
+) -> ShardedTensor:
+    """Hand ``data``, a fresh flat copy of ``shape``, to the group's learners."""
+    row_elems = math.prod(shape[1:])
+    base, extra = divmod(shape[0], group.n_learners)
+    counts = [(base + (i < extra)) * row_elems for i in range(group.n_learners)]
+    sharded = ShardedTensor(data, dtype, group, shape, counts)
+    ledger = global_ledger()
+    for dev, nbytes in zip(group.devices, sharded.learner_nbytes):
+        if dev.name != src.name:
+            ledger.record(src.name, dev.name, nbytes, tag=tag)
+    return sharded
 
 
 def shard_rows(tensor: Tensor, group: LearnerGroup, tag: str = "shard") -> ShardedTensor:
@@ -82,104 +151,33 @@ def shard_rows(tensor: Tensor, group: LearnerGroup, tag: str = "shard") -> Shard
     one extra row.  The transfer of every non-local shard is logged
     (learner 0 scatters to its peers in the synchronous setup).
     """
-    shape = tensor.shape
-    flat = np.ascontiguousarray(tensor._np()).reshape(-1)
-    dtype = tensor.dtype
-    src = tensor.device
-    tail = shape[1:]
-    row_elems = math.prod(tail)
-    base, extra = divmod(shape[0], group.n_learners)
-    ledger = global_ledger()
-    shards = []
-    lo = 0
-    for i, dev in enumerate(group.devices):
-        rows = base + (i < extra)
-        hi = lo + rows * row_elems
-        storage = Storage(flat[lo:hi].copy(), dtype, dev)
-        shard_shape = (rows, *tail)
-        shards.append(Tensor(storage, shard_shape, contiguous_strides(shard_shape)))
-        if dev != src:
-            ledger.record(src.name, dev.name, storage.nbytes, tag=tag)
-        lo = hi
-    return ShardedTensor(shards, group, shape)
+    data = np.array(tensor._np(), order="C").reshape(-1)
+    return _scatter(data, tensor.dtype, tensor.shape, tensor.device, group, tag)
+
+
+def shard_storage(storage: Storage, group: LearnerGroup, tag: str = "shard") -> ShardedTensor:
+    """:func:`shard_rows` over a storage's whole flat buffer."""
+    return _scatter(
+        storage.data.copy(), storage.dtype, (storage.numel,), storage.device, group, tag
+    )
 
 
 def all_gather(
     sharded: ShardedTensor, device: Device, tag: str = "all_gather"
 ) -> Tensor:
     """Reassemble the full tensor on ``device``, logging per-shard traffic."""
-    dtype = sharded.dtype
     full_shape = sharded.full_shape
-    out = np.empty(math.prod(full_shape), dtype.np_storage)
-    ledger = global_ledger()
-    lo = 0
-    for shard in sharded.shards:
-        piece = shard._np()
-        hi = lo + piece.size
-        out[lo:hi] = piece.reshape(-1)
-        if shard.device != device:
-            ledger.record(
-                shard.device.name, device.name, logical_nbytes(shard), tag=tag
-            )
-        lo = hi
-    if lo != out.size:
+    if sharded.data.size != math.prod(full_shape):
         raise ValueError(
-            f"shards hold {lo} elements, full shape {full_shape} needs {out.size}"
+            f"shards hold {sharded.data.size} elements, "
+            f"full shape {full_shape} needs {math.prod(full_shape)}"
         )
+    ledger = global_ledger()
+    for dev, nbytes in zip(sharded.group.devices, sharded.learner_nbytes):
+        if dev.name != device.name:
+            ledger.record(dev.name, device.name, nbytes, tag=tag)
     return Tensor(
-        Storage(out, dtype, device), full_shape, contiguous_strides(full_shape)
+        Storage(sharded.data.copy(), sharded.dtype, device),
+        full_shape,
+        contiguous_strides(full_shape),
     )
-
-
-def all_reduce_mean(tensors: list[Tensor], tag: str = "all_reduce") -> None:
-    """In-place mean across per-learner replicas (gradient synchronization)."""
-    if not tensors:
-        raise ValueError("all_reduce_mean over zero tensors")
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1:
-        raise ValueError(f"mismatched replica shapes: {shapes}")
-    mean = np.mean([t._compute() for t in tensors], axis=0)
-    for t in tensors:
-        for other in tensors:
-            if other.device != t.device:
-                # Logical bytes, not t.nbytes: a replica that is a view
-                # of a larger storage exchanges only its own elements.
-                global_ledger().record(
-                    other.device.name, t.device.name, logical_nbytes(t), tag=tag
-                )
-        break  # ring cost approximation: one full exchange
-    for t in tensors:
-        t.copy_(mean)
-
-
-def broadcast(
-    tensor: Tensor,
-    group: LearnerGroup,
-    tag: str = "broadcast",
-    copy_local: bool = False,
-) -> list[Tensor]:
-    """Replicate ``tensor`` onto every learner device.
-
-    By default the replica on ``tensor``'s own device *is* ``tensor``
-    (zero-copy, matching the data-parallel optimizer's contract).  Pass
-    ``copy_local=True`` to get an independent copy there too: aliasing
-    learner-local state to the master copy means an in-place update
-    through the "replica" silently corrupts the source, which the
-    sharded scheduler's rejoin path -- re-shipping pristine master
-    weights to a respawned node -- cannot tolerate.  The local copy
-    moves no bytes either way, so it is never ledgered.
-    """
-    replicas = []
-    for dev in group.devices:
-        if dev == tensor.device and not copy_local:
-            replicas.append(tensor)
-            continue
-        replica = Tensor.from_numpy(
-            np.array(tensor._np(), copy=True), dtype=tensor.dtype, device=dev
-        )
-        if dev != tensor.device:
-            global_ledger().record(
-                tensor.device.name, dev.name, logical_nbytes(replica), tag=tag
-            )
-        replicas.append(replica)
-    return replicas

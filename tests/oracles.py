@@ -1,14 +1,24 @@
-"""The ``(u, k)`` formulation of the clustering sweep, kept as the test oracle.
+"""Implementations ``src/`` replaced, kept as test oracles.
 
-``src/`` builds the softmax table transposed, ``(k, u)``, and sums the
-normaliser in a hand-written association order; these are the functions
-it replaced, copied verbatim from the last commit that ran them.  The
-kernel's contract is byte equality with them, not a tolerance.
+Each is copied from the last commit that ran it, and the contract with
+what replaced it is equality, not a tolerance:
+
+- the ``(u, k)`` formulation of the clustering sweep -- ``src/`` builds
+  the softmax table transposed, ``(k, u)``, and sums the normaliser in a
+  hand-written association order;
+- the per-shard collectives -- ``src/`` keeps a sharded tensor in one flat
+  buffer and charges each learner's tracker for its rows; these build one
+  ``Storage`` and ``Tensor`` per learner.
 """
+
+import math
 
 import numpy as np
 
 from repro.core.dkm import ClusterState, default_temperature, init_centroids_quantile
+from repro.memory.traffic import global_ledger
+from repro.tensor.storage import Storage
+from repro.tensor.tensor import Tensor, contiguous_strides
 
 
 def attention_table_uk(unique_values, centroids, temperature):
@@ -57,3 +67,74 @@ def refine_uk(clusterer, weights, cache_table=False):
         final_table = attention_table_uk(w_u, state.centroids, state.temperature)
         self.fastpath.store_table(state.centroids, state.temperature, final_table)
     return state
+
+
+class PerShardTensor:
+    """``ShardedTensor`` as a list of per-device tensors, one storage each."""
+
+    def __init__(self, shards, group, full_shape):
+        if len(shards) != group.n_learners:
+            raise ValueError(f"{len(shards)} shards for {group.n_learners} learners")
+        self.shards = shards
+        self.group = group
+        self.full_shape = tuple(full_shape)
+
+    @property
+    def dtype(self):
+        return self.shards[0].dtype
+
+    @property
+    def local_nbytes(self):
+        return self.shards[0].nbytes
+
+
+def shard_rows_per_shard(tensor, group, tag="shard"):
+    """``shard_rows`` slicing the source into one ``Storage`` per learner."""
+    shape = tensor.shape
+    flat = np.ascontiguousarray(tensor._np()).reshape(-1)
+    dtype = tensor.dtype
+    src = tensor.device
+    tail = shape[1:]
+    row_elems = math.prod(tail)
+    base, extra = divmod(shape[0], group.n_learners)
+    ledger = global_ledger()
+    shards = []
+    lo = 0
+    for i, dev in enumerate(group.devices):
+        rows = base + (i < extra)
+        hi = lo + rows * row_elems
+        storage = Storage(flat[lo:hi].copy(), dtype, dev)
+        shard_shape = (rows, *tail)
+        shards.append(Tensor(storage, shard_shape, contiguous_strides(shard_shape)))
+        if dev != src:
+            ledger.record(src.name, dev.name, storage.nbytes, tag=tag)
+        lo = hi
+    return PerShardTensor(shards, group, shape)
+
+
+def shard_storage_per_shard(storage, group, tag="shard"):
+    """``shard_storage`` as the pipeline used to call it: through a flat tensor."""
+    return shard_rows_per_shard(Tensor(storage, (storage.numel,), (1,)), group, tag)
+
+
+def all_gather_per_shard(sharded, device, tag="all_gather"):
+    """``all_gather`` writing each shard's buffer into a preallocated destination."""
+    dtype = sharded.dtype
+    full_shape = sharded.full_shape
+    out = np.empty(math.prod(full_shape), dtype.np_storage)
+    ledger = global_ledger()
+    lo = 0
+    for shard in sharded.shards:
+        piece = shard._np()
+        hi = lo + piece.size
+        out[lo:hi] = piece.reshape(-1)
+        if shard.device != device:
+            ledger.record(
+                shard.device.name, device.name, shard.numel * dtype.itemsize, tag=tag
+            )
+        lo = hi
+    if lo != out.size:
+        raise ValueError(
+            f"shards hold {lo} elements, full shape {full_shape} needs {out.size}"
+        )
+    return Tensor(Storage(out, dtype, device), full_shape, contiguous_strides(full_shape))

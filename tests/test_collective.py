@@ -1,15 +1,9 @@
 """Direct tests for :mod:`repro.distributed.collective`.
 
-The module predates its first consumer (the sharded cluster scheduler);
-wiring it in surfaced two defects, kept here as regression tests:
-
-- ``broadcast`` returned the *source tensor itself* as the local
-  learner's replica, so an in-place update through the replica silently
-  corrupted the master copy -- fatal for the scheduler's rejoin path,
-  which re-ships pristine master weights to a respawned node.
-- Ledger records used ``Tensor.nbytes`` (the *storage* footprint, shared
-  across views), so a collective over a row-slice view billed the whole
-  backing storage instead of the bytes actually moved.
+One defect is kept here as a regression test: ledger records used
+``Tensor.nbytes`` (the *storage* footprint, shared across views), so a
+collective over a row-slice view billed the whole backing storage instead
+of the bytes actually moved.
 """
 
 import gc
@@ -23,14 +17,14 @@ from repro.distributed import (
     LearnerGroup,
     ShardedTensor,
     all_gather,
-    all_reduce_mean,
-    broadcast,
     logical_nbytes,
     shard_rows,
 )
+from repro.memory.tracker import global_registry
 from repro.memory.traffic import global_ledger
 from repro.tensor.device import GPU
 from repro.tensor.dtype import bfloat16, float16, float32, int64, uint16
+from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor
 
 
@@ -86,15 +80,19 @@ class TestShardRows:
         group = LearnerGroup(4)
         tensor = _tensor((2, 5), device=group.primary)
         sharded = shard_rows(tensor, group)
-        assert len(sharded.shards) == 4
+        assert [view.shape for view in sharded.shard_views()] == [
+            (1, 5), (1, 5), (0, 5), (0, 5)
+        ]
         gathered = all_gather(sharded, group.primary)
         assert np.array_equal(gathered._np(), tensor._np())
 
     def test_shard_count_mismatch_rejected(self):
         group = LearnerGroup(3)
-        tensor = _tensor((6, 2), device=group.primary)
+        data = np.zeros(12, np.float32)
         with pytest.raises(ValueError, match="shards for 3 learners"):
-            ShardedTensor([tensor], group, tensor.shape)
+            ShardedTensor(data, float32, group, (6, 2), [12])
+        with pytest.raises(ValueError, match="is not 12 flat"):
+            ShardedTensor(data[:10], float32, group, (6, 2), [4, 4, 4])
 
     def test_scatter_ledger_accounting(self, ledger):
         group = LearnerGroup(4)
@@ -176,13 +174,16 @@ class TestTransferPath:
         ledger.clear()
 
         # (i) row counts are np.array_split's; (iii) one allocation of the
-        # shard's logical bytes on each shard's own device.
+        # shard's logical bytes on each learner's own tracker, none on the
+        # source's.
         sharded = shard_rows(tensor, group, tag="prop-shard")
-        assert sharded.full_shape == tensor.shape
-        for shard, chunk, dev in zip(sharded.shards, chunks, group.devices):
-            assert shard.shape == chunk.shape
-            assert shard.device == dev and shard.dtype is dtype
-            assert shard.storage.data.tobytes() == chunk.tobytes()
+        assert sharded.full_shape == tensor.shape and sharded.dtype is dtype
+        assert sharded.local_nbytes == chunk_bytes[0]
+        views = sharded.shard_views()
+        assert len(views) == group.n_learners
+        for view, chunk, dev in zip(views, chunks, group.devices):
+            assert view.shape == chunk.shape and view.device == dev
+            assert view.data.tobytes() == chunk.tobytes()
         for tracker, before, nbytes in zip(trackers, baseline, chunk_bytes):
             after = tracker.snapshot()
             assert after.current_bytes - before.current_bytes == nbytes
@@ -194,6 +195,7 @@ class TestTransferPath:
         assert gathered.shape == tensor.shape and gathered.dtype is dtype
         assert gathered.device == GPU and gathered.is_contiguous()
         assert gathered.storage.data.tobytes() == source.tobytes()
+        assert not np.shares_memory(gathered.storage.data, sharded.data)
         after = GPU.tracker.snapshot()
         assert after.current_bytes - baseline[-1].current_bytes == sum(chunk_bytes)
         assert after.alloc_count - baseline[-1].alloc_count == 1
@@ -211,90 +213,53 @@ class TestTransferPath:
         rows = [(t.src, t.dst, t.nbytes, t.tag) for t in ledger.transfers()]
         assert rows == scatter + gather
 
-        # (iii, cont.) every byte is released with its last reference.
-        del sharded, shard, gathered
+        # (iii, cont.) every byte is released with the last reference --
+        # which a view's window onto the buffer is not.
+        del sharded, gathered
         gc.collect()
         for tracker, before in zip(trackers, baseline):
-            assert tracker.current_bytes == before.current_bytes
+            after = tracker.snapshot()
+            assert after.current_bytes == before.current_bytes
+            assert after.free_count - before.free_count == after.alloc_count - before.alloc_count
+        assert views[0].data.tobytes() == chunks[0].tobytes()
         ledger.clear()
 
     def test_gather_rejects_shards_that_do_not_fill_the_shape(self):
         group = LearnerGroup(2)
         sharded = shard_rows(_tensor((4, 3), device=group.primary), group)
         for wrong_shape in [(5, 3), (3, 3)]:
-            mismatched = ShardedTensor(sharded.shards, group, wrong_shape)
-            with pytest.raises(ValueError):
-                all_gather(mismatched, group.primary)
+            sharded.full_shape = wrong_shape
+            with pytest.raises(ValueError, match="full shape"):
+                all_gather(sharded, group.primary)
 
+    def test_one_buffer_per_collective(self, monkeypatch):
+        """Call shape: sharding builds no ``Storage`` at all -- the learners'
+        trackers are charged directly -- and a gather builds exactly the
+        destination."""
+        built = []
+        real_init = Storage.__init__
 
-class TestAllReduceMean:
-    def test_mean_values(self):
+        def counting_init(self, data, dtype, device):
+            built.append(device.name)
+            real_init(self, data, dtype, device)
+
+        group = LearnerGroup(8)
+        tensor = _tensor((19, 6), device=GPU)
+        monkeypatch.setattr(Storage, "__init__", counting_init)
+        sharded = shard_rows(tensor, group)
+        assert built == []
+        all_gather(sharded, GPU)
+        assert built == ["gpu"]
+
+    def test_inspecting_a_shard_charges_nothing(self):
         group = LearnerGroup(3)
-        replicas = [
-            Tensor.from_numpy(
-                np.full((2, 2), float(i), dtype=np.float32), device=dev
-            )
-            for i, dev in enumerate(group.devices)
-        ]
-        all_reduce_mean(replicas)
-        for replica in replicas:
-            assert np.allclose(replica._np(), 1.0)
-
-    def test_rejects_empty_and_mismatched(self):
-        group = LearnerGroup(2)
-        with pytest.raises(ValueError, match="zero tensors"):
-            all_reduce_mean([])
-        a = _tensor((2, 2), device=group.devices[0])
-        b = _tensor((3, 2), device=group.devices[1])
-        with pytest.raises(ValueError, match="mismatched replica shapes"):
-            all_reduce_mean([a, b])
-
-    def test_view_replica_ledgers_logical_bytes(self, ledger):
-        """Regression: reducing 2x8 row views of 8x8 storages must bill
-        64 bytes per transfer, not the 256-byte storage footprint."""
-        group = LearnerGroup(2)
-        views = [
-            _tensor((8, 8), seed=i, device=dev)[0:2]
-            for i, dev in enumerate(group.devices)
-        ]
-        all_reduce_mean(views, tag="reduce-test")
-        records = [t for t in ledger.transfers() if t.tag == "reduce-test"]
-        assert records  # one exchange ledgered (ring approximation)
-        assert all(t.nbytes == 2 * 8 * 4 for t in records)
-
-
-class TestBroadcast:
-    def test_replicates_to_every_device(self):
-        group = LearnerGroup(3)
-        tensor = _tensor((4, 4), device=group.primary)
-        replicas = broadcast(tensor, group)
-        assert len(replicas) == 3
-        for replica, dev in zip(replicas, group.devices):
-            assert replica.device == dev
-            assert np.array_equal(replica._np(), tensor._np())
-
-    def test_local_replica_aliases_by_default(self):
-        group = LearnerGroup(2)
-        tensor = _tensor((4, 4), device=group.primary)
-        replicas = broadcast(tensor, group)
-        assert replicas[0] is tensor  # data-parallel optimizer contract
-
-    def test_copy_local_isolates_master(self):
-        """With ``copy_local=True`` zeroing the local replica must leave
-        the master weights intact -- the sharded rejoin path re-ships
-        pristine masters and cannot tolerate aliasing."""
-        group = LearnerGroup(2)
-        tensor = _tensor((4, 4), device=group.primary)
-        original = tensor._np().copy()
-        replicas = broadcast(tensor, group, copy_local=True)
-        assert replicas[0] is not tensor
-        replicas[0].copy_(Tensor.from_numpy(np.zeros((4, 4), dtype=np.float32)))
-        assert np.array_equal(tensor._np(), original)  # master untouched
-
-    def test_local_copy_not_ledgered(self, ledger):
-        group = LearnerGroup(3)
-        tensor = _tensor((4, 4), device=group.primary)
-        broadcast(tensor, group, tag="bcast-test", copy_local=True)
-        records = [t for t in ledger.transfers() if t.tag == "bcast-test"]
-        assert len(records) == 2  # peers only; the local copy moves no bytes
-        assert all(t.nbytes == 4 * 4 * 4 for t in records)
+        sharded = shard_rows(_tensor((7, 2), device=GPU), group)
+        assert repr(sharded) == "ShardedTensor(full_shape=(7, 2), n_shards=3, dtype=float32)"
+        before = global_registry().snapshot_all()
+        views = sharded.shard_views()
+        assert [view.device for view in views] == group.devices
+        assert sum(view.data.nbytes for view in views) == sharded.data.nbytes
+        assert sharded.local_nbytes == views[0].data.nbytes == 3 * 2 * 4
+        with pytest.raises(ValueError, match="read-only"):
+            views[1].data[0] = 1.0
+        assert global_registry().snapshot_all() == before

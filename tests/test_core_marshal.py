@@ -22,7 +22,7 @@ def _entry_for(tensor):
     host = rt.Tensor.from_numpy(
         tensor.numpy().reshape(-1), dtype=tensor.dtype, device="cpu"
     )
-    return OffloadEntry(host, tensor.storage)
+    return OffloadEntry(host)
 
 
 class TestRegistryBasics:
@@ -222,11 +222,6 @@ class TestStaleIdEviction:
 
 
 class TestOffloadEntry:
-    def test_host_nbytes_local_whole_copy(self):
-        t = _gpu_tensor((4, 4))
-        entry = _entry_for(t)
-        assert entry.host_nbytes_local == 64
-
     def test_gpu_cache_weakrefs_storage(self):
         t = _gpu_tensor((4, 4))
         entry = _entry_for(t)
@@ -241,18 +236,6 @@ class TestOffloadEntry:
         del alias
         gc.collect()
         assert entry.cached_gpu_storage() is None
-
-    def test_is_sharded_flag(self):
-        from repro.distributed import LearnerGroup, shard_rows
-
-        t = _gpu_tensor((4, 4))
-        whole = _entry_for(t)
-        assert not whole.is_sharded
-        group = LearnerGroup(2)
-        sharded_copy = shard_rows(t.view(-1), group)
-        sharded = OffloadEntry(sharded_copy, t.storage)
-        assert sharded.is_sharded
-        assert sharded.host_nbytes_local == 32
 
 
 class TestConfigValidation:

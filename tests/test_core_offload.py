@@ -1,5 +1,7 @@
 """Tests for the saved-tensor offload pipeline (baseline, M, S)."""
 
+import gc
+
 import numpy as np
 
 import repro.tensor as rt
@@ -8,6 +10,8 @@ from repro.core.dkm import DKMClusterer
 from repro.core.edkm import edkm_cluster
 from repro.distributed import LearnerGroup
 from repro.memory import global_ledger, profile_memory
+from repro.memory.tracker import global_registry
+from tests import oracles
 
 
 def _loss(x):
@@ -308,3 +312,65 @@ class TestRawByteTransfer:
         assert projections == []
         assert restored and all(restored)
         assert piped == plain  # bit-identical float, not approx
+
+    def test_one_buffer_step_matches_the_per_shard_oracle(
+        self, monkeypatch, world, tokenizer
+    ):
+        """One M+U+S step over the one-buffer collectives and over the
+        per-shard ones they replaced: same ledger, same trackers, same bytes."""
+        from repro.core import offload
+
+        def run(per_shard):
+            pipeline = SavedTensorPipeline(
+                EDKMConfig(group=LearnerGroup(8), shard_min_bytes=512)
+            )
+            restored = []
+            unpack = pipeline._unpack
+
+            def recording_unpack(payload):
+                tensor = unpack(payload)
+                if payload.entry is not None:
+                    restored.append(tensor.storage.data.tobytes())
+                return tensor
+
+            pipeline._unpack = recording_unpack
+            registry = global_registry()
+            with monkeypatch.context() as patch:
+                if per_shard:
+                    patch.setattr(offload, "ShardedTensor", oracles.PerShardTensor)
+                    patch.setattr(offload, "shard_storage", oracles.shard_storage_per_shard)
+                    patch.setattr(offload, "all_gather", oracles.all_gather_per_shard)
+                gc.collect()
+                # The two paths allocate different numbers of objects, so the
+                # cycle collector would run at different points of the step.
+                gc.disable()
+                try:
+                    registry.reset_peaks()
+                    global_ledger().clear()
+                    before = registry.snapshot_all()
+                    loss = self._bf16_step(tokenizer, world, pipeline)
+                    after = registry.snapshot_all()
+                finally:
+                    gc.enable()
+            trackers = {
+                name: (
+                    snap.peak_bytes - before[name].current_bytes,
+                    snap.alloc_count - before[name].alloc_count,
+                    snap.free_count - before[name].free_count,
+                )
+                for name, snap in after.items()
+                if name == "gpu" or name.startswith("cpu")
+            }
+            stats = pipeline.stats
+            counts = (stats.tensors_sharded, stats.bytes_sharded_local, stats.gathers)
+            return loss, restored, global_ledger().transfers(), trackers, counts
+
+        loss, restored, transfers, trackers, counts = run(per_shard=False)
+        oracle = run(per_shard=True)
+        assert counts[0] > 0 and counts[2] > 0 and len(trackers) >= 9
+        assert loss == oracle[0]  # bit-identical float, not approx
+        assert restored == oracle[1]
+        assert transfers == oracle[2]
+        assert trackers == oracle[3]
+        assert counts == oracle[4]
+        global_ledger().clear()

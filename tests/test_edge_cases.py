@@ -193,7 +193,7 @@ class TestDistributedEdgeCases:
         group = LearnerGroup(8)
         t = rt.tensor(np.arange(3, dtype=np.float32), device="gpu")
         sharded = shard_rows(t, group)
-        sizes = [s.shape[0] for s in sharded.shards]
+        sizes = [view.shape[0] for view in sharded.shard_views()]
         assert sum(sizes) == 3
         assert max(sizes) == 1
         rebuilt = all_gather(sharded, rt.GPU)

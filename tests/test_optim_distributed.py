@@ -7,8 +7,6 @@ import repro.tensor as rt
 from repro.distributed import (
     LearnerGroup,
     all_gather,
-    all_reduce_mean,
-    broadcast,
     shard_rows,
 )
 from repro.memory import global_ledger, profile_memory
@@ -143,23 +141,24 @@ class TestCollectives:
         group = LearnerGroup(4)
         t = rt.tensor(np.arange(10, dtype=np.float32), device="gpu")
         sharded = shard_rows(t, group)
-        assert len(sharded.shards) == 4
-        assert sharded.shards[0].device.name == "cpu"
+        views = sharded.shard_views()
+        assert len(views) == 4
+        assert views[0].device.name == "cpu"
         rebuilt = all_gather(sharded, rt.GPU)
         assert np.array_equal(rebuilt.numpy(), t.numpy())
 
     def test_shard_sizes_balanced(self):
         group = LearnerGroup(4)
         sharded = shard_rows(rt.zeros(10), group)
-        sizes = [s.shape[0] for s in sharded.shards]
+        sizes = [view.shape[0] for view in sharded.shard_views()]
         assert sizes == [3, 3, 2, 2]
-        assert sharded.nbytes_per_learner == 12
+        assert sharded.learner_nbytes == (12, 12, 8, 8)
 
     def test_shard_2d_rows(self):
         group = LearnerGroup(2)
         t = rt.tensor(np.arange(12, dtype=np.float32).reshape(6, 2))
         sharded = shard_rows(t, group)
-        assert sharded.shards[0].shape == (3, 2)
+        assert sharded.shard_views()[0].shape == (3, 2)
         rebuilt = all_gather(sharded, rt.CPU)
         assert np.array_equal(rebuilt.numpy(), t.numpy())
 
@@ -171,7 +170,7 @@ class TestCollectives:
             sharded = shard_rows(t, group)
             del t
             assert prof is not None
-            local = sharded.local_shard.nbytes
+            local = sharded.local_nbytes
             del sharded
         assert prof.peak_delta("cpu") == local == 400
         assert prof.peak_delta(peer.name) == 400
@@ -184,31 +183,9 @@ class TestCollectives:
         shard_rows(t, group)
         assert ledger.total_bytes("gpu") - before == 400
 
-    def test_all_reduce_mean(self):
-        group = LearnerGroup(2)
-        a = rt.tensor([1.0, 3.0], device=group.devices[0])
-        b = rt.tensor([3.0, 5.0], device=group.devices[1])
-        all_reduce_mean([a, b])
-        assert np.array_equal(a.numpy(), [2.0, 4.0])
-        assert np.array_equal(b.numpy(), [2.0, 4.0])
-
-    def test_all_reduce_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            all_reduce_mean([rt.zeros(2), rt.zeros(3)])
-
-    def test_broadcast(self):
-        group = LearnerGroup(3)
-        t = rt.tensor([7.0], device=group.primary)
-        replicas = broadcast(t, group)
-        assert len(replicas) == 3
-        assert replicas[0] is t
-        for replica, dev in zip(replicas, group.devices):
-            assert replica.device == dev
-            assert replica.numpy()[0] == 7.0
-
     def test_sharded_tensor_validates_count(self):
         from repro.distributed.collective import ShardedTensor
 
         group = LearnerGroup(2)
         with pytest.raises(ValueError):
-            ShardedTensor([rt.zeros(2)], group, (2,))
+            ShardedTensor(np.zeros(2, np.float32), rt.float32, group, (2,), [2])

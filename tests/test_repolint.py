@@ -753,7 +753,7 @@ class TestTriageRegressions:
             Tensor.from_numpy(np.full((4,), float(i), dtype=np.float32))
             for i in range(16)
         ]
-        entries = {id(t): OffloadEntry(t, t.storage) for t in tensors}
+        entries = {id(t): OffloadEntry(t) for t in tensors}
         errors: list[BaseException] = []
 
         def worker(offset: int):
