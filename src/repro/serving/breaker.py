@@ -1,7 +1,7 @@
 """Per-layer palette→dense circuit breaker for the serving engine.
 
 When a layer's palette kernel keeps raising (:class:`PaletteKernelError`)
-or its tile cache keeps failing digest checks
+or its tile cache keeps failing CRC-32 checks
 (:class:`~repro.serving.faults.CorruptTileError`), serving that layer
 through the palette path is a liability -- but the *dense* eval path is
 bit-identical by construction (both paths decode the same hard

@@ -77,7 +77,7 @@ class ServingConfig:
         drain_timeout_s: deadline for ``stop(drain=True)`` to finish
             in-flight and queued work before falling back to a hard stop.
         breaker_threshold: consecutive palette-path failures (kernel
-            errors or tile digest mismatches) on one layer before its
+            errors or tile checksum mismatches) on one layer before its
             circuit breaker trips that layer to the dense path.
         breaker_probation_steps: fault-free decode steps a tripped layer
             serves dense before the breaker re-enables its palette path

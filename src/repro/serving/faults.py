@@ -38,8 +38,8 @@ The exception taxonomy the supervisor keys on:
 - :class:`PaletteKernelError` -- a layer's palette kernel failed; counts
   against that layer's circuit breaker (palette -> dense trip).
 - :class:`CorruptTileError` -- a cached dequantized tile failed its
-  digest; the poisoned entry is dropped and the failure counts against
-  the layer's breaker.
+  CRC-32 check; the poisoned entry is dropped and the failure counts
+  against the layer's breaker.
 - :class:`StepFailed` (in :mod:`repro.serving.queue`) -- the typed error
   delivered through every future of a batch whose step could not be
   completed.
@@ -67,7 +67,7 @@ SERVING_FAULT_KINDS = (
     "transient_step",
 )
 """Injectable serving fault classes: raise from a chosen layer's palette
-matmul, poison a digest-checked cached tile, hang a decode step past the
+matmul, poison a checksummed cached tile, hang a decode step past the
 step watchdog, delay it within the watchdog, or raise a retryable
 scheduler exception."""
 
@@ -99,15 +99,17 @@ class PaletteKernelError(ServingError):
 
 
 class CorruptTileError(ServingError):
-    """A cached dequantized tile failed its blake2b digest check.
+    """A cached dequantized tile failed its CRC-32 check.
 
     Raised by :class:`~repro.serving.palette.TileCache.get` when a
-    resident tile's bytes no longer match the digest stamped at ``put``
-    time -- bit-rot or the fault injector.  The cache drops the poisoned
-    entry before raising, so a retried step re-dequantizes cleanly.
+    resident tile's bytes no longer match the CRC-32 stamped at ``put``
+    time -- bit-rot, a stray write through an alias, or the fault
+    injector; accidental corruption, which is what a CRC detects.  The
+    cache drops the poisoned entry before raising, so a retried step
+    re-dequantizes cleanly.
     """
 
-    def __init__(self, layer: str, detail: str = "digest mismatch"):
+    def __init__(self, layer: str, detail: str = "checksum mismatch"):
         super().__init__(f"corrupt cached tile for layer {layer!r}: {detail}")
         self.layer = layer
         self.detail = detail

@@ -32,10 +32,10 @@ artifact execution, not training.
 
 from __future__ import annotations
 
-import hashlib
 import threading
+import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -217,14 +217,30 @@ class TileCache:
     budget is global.  Thread-safe: the scheduler thread and any caller
     probing stats may race.
 
-    Every tile is stamped with a blake2b digest at :meth:`put` and
-    verified at :meth:`get`: a resident tile whose bytes no longer match
-    -- bit-rot, a stray write through an aliased view, or the fault
-    injector's :meth:`corrupt_one` -- is dropped and surfaced as a typed
+    Every tile is stamped with its CRC-32 at :meth:`put`, and every
+    :meth:`get` recomputes the stamp over the whole tile: a resident tile
+    whose bytes no longer match -- bit-rot, a stray write through an
+    aliased view, or the fault injector's :meth:`corrupt_one` -- is
+    dropped and surfaced as a typed
     :class:`~repro.serving.faults.CorruptTileError` instead of silently
     serving wrong logits.  The supervised scheduler answers it by
     charging the layer's circuit breaker and retrying the step, which
     re-dequantizes cleanly.
+
+    The stamp is an error-detecting code, not a cryptographic hash: it
+    sits in the same dict entry as the tile, so whoever can write one can
+    write the other (preimage resistance buys nothing), and every threat
+    above is *accidental* corruption, where CRC-32 guarantees what a
+    truncated hash only makes likely -- any burst of at most 32 bits (all
+    damage confined to one float32, or to the injector's one byte) and
+    any 1- or 2-bit error are always caught, anything else with
+    probability ``1 - 2**-32``.  Process-local, never serialized.
+
+    Resident tiles are read-only (``put`` clears ``writeable``, ``get``
+    returns that same array), so a stray write through one, or through a
+    view taken from it, raises ``ValueError`` at the writer; only an
+    alias that predates ``put`` can still reach the bytes, and the stamp
+    catches that.
     """
 
     def __init__(self, bytes_limit: int = 0) -> None:
@@ -232,22 +248,22 @@ class TileCache:
             raise ValueError(f"bytes_limit must be >= 0, got {bytes_limit}")
         self.bytes_limit = bytes_limit
         self._lock = threading.Lock()
-        self._tiles: OrderedDict[tuple, tuple[np.ndarray, bytes]] = OrderedDict()
+        self._tiles: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
         self._resident_bytes = 0
         self.stats = TileCacheStats()
 
     @staticmethod
-    def _digest(tile: np.ndarray) -> bytes:
-        # Hashes the tile's buffer in place (tiles are C-contiguous, as
-        # corrupt_one assumes too): no copy per visit.
-        return hashlib.blake2b(tile, digest_size=8).digest()
+    def _digest(tile: np.ndarray) -> int:
+        # CRC-32 over the tile's buffer in place: no copy per visit.  A
+        # non-contiguous tile is refused (ValueError), never copied.
+        return zlib.crc32(tile)
 
     def get(self, key: tuple) -> np.ndarray | None:
         """The tile under ``key`` (refreshing recency), or ``None``.
 
         Raises :class:`~repro.serving.faults.CorruptTileError` (after
         dropping the entry) when the tile's bytes no longer match the
-        digest stamped at :meth:`put`.
+        CRC-32 stamped at :meth:`put`.  The returned array is read-only.
         """
         with self._lock:
             entry = self._tiles.get(key)
@@ -268,12 +284,14 @@ class TileCache:
         """Insert ``tile``, evicting LRU entries beyond the byte budget.
 
         A tile larger than the whole budget is not admitted at all --
-        the caller keeps serving it through the palette kernel.
+        the caller keeps serving it through the palette kernel.  An
+        admitted tile is made read-only: the cache owns it from here on.
         """
         nbytes = int(tile.nbytes)
         if self.bytes_limit and nbytes > self.bytes_limit:
             return
         digest = self._digest(tile)
+        tile.setflags(write=False)
         with self._lock:
             old = self._tiles.pop(key, None)
             if old is not None:
@@ -292,17 +310,19 @@ class TileCache:
     def corrupt_one(self, prefix: tuple) -> bool:
         """Flip one byte of the oldest resident tile under ``prefix``.
 
-        The fault injector's poisoning primitive: the stamped digest is
-        deliberately *not* refreshed, so the next :meth:`get` of that key
-        detects the corruption.  Returns whether a tile was poisoned
-        (``False`` when nothing under ``prefix`` is resident -- the spec
-        stays armed).
+        The fault injector's poisoning primitive (the bit-rot stand-in,
+        and the only code that lifts a resident tile's read-only flag):
+        the stamp is deliberately *not* refreshed, so the next :meth:`get`
+        of that key detects the corruption.  Returns whether a tile was
+        poisoned (``False`` when nothing under ``prefix`` is resident --
+        the spec stays armed).
         """
         with self._lock:
             for key, (tile, _) in self._tiles.items():
                 if key[: len(prefix)] == prefix:
-                    flat = tile.view(np.uint8).reshape(-1)
-                    flat[0] ^= 0xFF
+                    tile.setflags(write=True)
+                    tile.view(np.uint8).reshape(-1)[0] ^= 0xFF
+                    tile.setflags(write=False)
                     return True
         return False
 

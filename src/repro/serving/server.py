@@ -20,7 +20,7 @@ compression engine's chaos discipline, PR 6):
   :class:`~repro.serving.queue.StepFailed` -- and the loop keeps
   serving.  :class:`~repro.serving.faults.TransientStepError` is retried
   in place with bounded backoff first.
-- **Per-layer circuit breaker.**  Repeated palette-kernel or tile-digest
+- **Per-layer circuit breaker.**  Repeated palette-kernel or tile-checksum
   failures on one layer trip exactly that layer to the dense eval path
   (bit-identical by construction), audited in the traffic ledger under
   :data:`~repro.serving.stats.DEGRADE_TAG`; after a probation of clean
@@ -672,7 +672,7 @@ class PaletteServer:
         charge the layer's breaker and retry immediately (structurally
         bounded -- at the threshold the layer trips to dense and the
         failing path stops executing; a corrupt tile was already dropped
-        by the digest check); anything else fails the batch with
+        by the CRC-32 check); anything else fails the batch with
         :class:`StepFailed`.
         """
         injector = self.fault_injector

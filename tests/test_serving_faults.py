@@ -25,6 +25,7 @@ import gc
 import threading
 import time
 import warnings
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -37,11 +38,11 @@ from repro.llm import MICRO, build_model, generate
 import repro.serving.batcher as batcher_mod
 from repro.memory.traffic import TrafficLedger
 from repro.serving import (
-    AdmissionError,
     BreakerBoard,
     CorruptTileError,
     DeadlineExceeded,
     PaletteKernelError,
+    PaletteLinearExec,
     PaletteServer,
     ServerClosed,
     ServerRequest,
@@ -55,6 +56,7 @@ from repro.serving import (
     get_default_serving_config,
 )
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.serving.palette import TILE_ROWS
 
 MAX_NEW = 5
 
@@ -179,41 +181,149 @@ class TestServerRequestIdempotent:
 
 
 class TestTileCacheDigest:
+    """The tile stamp: CRC-32 over every resident byte, checked every hit.
+
+    The detection properties below hold *by construction* for a CRC and
+    fail for the cheaper schemes it was chosen over: an order-blind
+    sum/xor fold misses the row swap, and a sampled or every-N-th-visit
+    check misses most of the exhaustive sweeps and the call-shape count.
+    """
+
+    KEY = ("layer", 0, 0)
+
     def _tile(self):
         return np.arange(12, dtype=np.float32).reshape(3, 4)
 
+    def _assert_detected(self, cache, tile):
+        """The next ``get`` raises, drops the entry and then misses cleanly."""
+        before = cache.resident_bytes()
+        with pytest.raises(CorruptTileError) as excinfo:
+            cache.get(self.KEY)
+        assert excinfo.value.layer == "layer"
+        assert cache.resident_bytes() == before - tile.nbytes
+        assert len(cache) == 0
+
+    def _assert_flip_detected(self, cache, tile, alias, pos, mask):
+        """Put ``tile``, xor ``mask`` into ``alias[pos]``, detect, undo."""
+        cache.put(self.KEY, tile)
+        alias[pos] ^= mask
+        self._assert_detected(cache, tile)
+        alias[pos] ^= mask
+
     def test_roundtrip_clean(self):
         cache = TileCache()
-        cache.put(("layer", 0, 0), self._tile())
-        got = cache.get(("layer", 0, 0))
+        cache.put(self.KEY, self._tile())
+        got = cache.get(self.KEY)
         np.testing.assert_array_equal(got, self._tile())
         assert cache.stats.corruptions == 0
 
     def test_corrupt_one_poisons_and_get_detects(self):
         cache = TileCache()
-        cache.put(("layer", 0, 0), self._tile())
+        tile = self._tile()
+        cache.put(self.KEY, tile)
         assert cache.corrupt_one(("layer",)) is True
-        with pytest.raises(CorruptTileError) as excinfo:
-            cache.get(("layer", 0, 0))
-        assert excinfo.value.layer == "layer"
+        assert not tile.flags.writeable  # the flag was restored
+        self._assert_detected(cache, tile)
         assert cache.stats.corruptions == 1
         # The poisoned entry was dropped: next get is a clean miss.
-        assert cache.get(("layer", 0, 0)) is None
+        assert cache.get(self.KEY) is None
         assert cache.resident_bytes() == 0
+        assert cache.stats.misses == 1
 
     def test_corrupt_one_no_match(self):
         cache = TileCache()
-        cache.put(("layer", 0, 0), self._tile())
+        cache.put(self.KEY, self._tile())
         assert cache.corrupt_one(("other",)) is False
 
     def test_digest_hashes_the_buffer_in_place(self):
-        import hashlib
-
         tile = self._tile()
-        assert (
-            TileCache._digest(tile)
-            == hashlib.blake2b(tile.tobytes(), digest_size=8).digest()
-        )
+        assert TileCache._digest(tile) == zlib.crc32(tile.tobytes())
+        # In place means never a hidden copy: a non-contiguous tile is
+        # refused outright, by _digest and therefore by put.
+        with pytest.raises(ValueError, match="contiguous"):
+            TileCache._digest(tile.T)
+        cache = TileCache()
+        strided = tile[:, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            cache.put(self.KEY, strided)
+        assert len(cache) == 0 and strided.flags.writeable  # refused untouched
+
+    def test_every_single_byte_error_is_detected(self):
+        # Exhaustive on the 48-byte tile: every position x every non-zero
+        # xor mask is a burst of <= 8 bits, which CRC-32 always catches.
+        # The writable alias predates put -- the one stray-write route the
+        # read-only flag cannot close.
+        cache = TileCache()
+        tile = self._tile()
+        alias = tile.view(np.uint8).reshape(-1)
+        for pos in range(alias.size):
+            for mask in range(1, 256):
+                self._assert_flip_detected(cache, tile, alias, pos, mask)
+        assert cache.stats.corruptions == alias.size * 255
+        cache.put(self.KEY, tile)
+        np.testing.assert_array_equal(cache.get(self.KEY), self._tile())
+
+    def test_full_size_tile_byte_word_and_transposition_errors(self):
+        cache = TileCache()
+        rng = np.random.default_rng(0)
+        tile = rng.standard_normal((32, 256)).astype(np.float32)
+        pristine = tile.copy()
+        # Writable aliases must predate the first put (later views are
+        # read-only, like the tile itself).
+        as_bytes = tile.view(np.uint8).reshape(-1)
+        as_words = tile.view(np.uint32)
+        for pos in range(as_bytes.size):  # every byte, all 8 bits flipped
+            self._assert_flip_detected(cache, tile, as_bytes, pos, 0xFF)
+        # Every aligned float32 overwritten by a different value: a burst
+        # of <= 32 bits.  xor with a non-zero word guarantees "different".
+        flips = rng.integers(1, 1 << 32, size=as_words.shape, dtype=np.uint32)
+        for pos in np.ndindex(as_words.shape):
+            self._assert_flip_detected(cache, tile, as_words, pos, flips[pos])
+        np.testing.assert_array_equal(tile, pristine)
+        # A transposition keeps every byte value and every column sum, so
+        # an order-blind sum / xor fold cannot see it.
+        assert not np.array_equal(tile[3], tile[17])
+        cache.put(self.KEY, tile)
+        as_words[[3, 17]] = as_words[[17, 3]]
+        self._assert_detected(cache, tile)
+        assert cache.stats.corruptions == as_bytes.size + as_words.size + 1
+
+    def test_resident_tile_is_read_only(self):
+        cache = TileCache()
+        cache.put(self.KEY, self._tile())
+        with pytest.raises(ValueError, match="read-only"):
+            cache.get(self.KEY)[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cache.get(self.KEY)[1:].fill(0.0)  # views inherit the flag
+        # Nothing was written: the stamp still verifies.
+        np.testing.assert_array_equal(cache.get(self.KEY), self._tile())
+        assert cache.stats.corruptions == 0
+        assert cache.stats.hits == 3
+
+    def test_every_tile_is_verified_on_every_layer_call(self):
+        # Call shape, not timing: a sampled or every-N-th-visit scheme
+        # makes fewer _digest calls than tiles and fails here.
+        rng = np.random.default_rng(0)
+        lut = rng.standard_normal(16).astype(np.float32)
+        indices = rng.integers(0, 16, size=(4 * TILE_ROWS + 5, 24))
+        cache = TileCache()
+        layer = PaletteLinearExec("layer", lut, indices, cache=cache)
+        x = rng.standard_normal((7, 24)).astype(np.float32)
+        cold = layer.matmul(x)  # every tile misses, is dequantized and put
+        n_tiles = len(cache)
+        assert n_tiles == 5
+        with mock.patch.object(
+            TileCache, "_digest", wraps=TileCache._digest
+        ) as stamp:
+            for _ in range(3):
+                stamp.reset_mock()
+                warm = layer.matmul(x)
+                verified = [call.args[0] for call in stamp.call_args_list]
+                assert len(verified) == n_tiles
+                assert len({id(tile) for tile in verified}) == n_tiles
+                assert sum(t.nbytes for t in verified) == cache.resident_bytes()
+        assert cache.stats.hits == 3 * n_tiles
+        np.testing.assert_allclose(warm, cold, rtol=1e-5, atol=1e-5)
 
 
 class TestStepCrashBoundary:
