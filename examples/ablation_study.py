@@ -3,7 +3,8 @@
 Measures the saved-tensor CPU footprint of one DKM-compressed attention
 layer under every combination of the paper's three techniques --
 M(arshaling), U(niquification), S(harding) -- plus the design-choice sweeps
-called out in DESIGN.md: learner count and bit width.
+called out in docs/edkm-pipeline.md ("Section 2.2 -- sharding"): learner
+count and bit width.
 
 Run:  python examples/ablation_study.py        (~1 minute)
 """

@@ -10,10 +10,10 @@ End-to-end pipeline at substrate scale:
 4. report accuracy alongside the analytic model size at true LLaMA-7B
    dimensions (the paper's "Model Size (GB)" column is spec arithmetic).
 
-Scale calibration (documented in DESIGN.md): at dim=32, per-channel grids
-are disproportionately fine, so uniform baselines use per-tensor grids
-(RTN, LLM-QAT) and per-row grids (GPTQ, AWQ) to match the relative
-harshness of 3/4-bit quantization at 7B scale.
+Scale calibration (docs/edkm-pipeline.md, "Beyond the paper"): at dim=32,
+per-channel grids are disproportionately fine, so uniform baselines use
+per-tensor grids (RTN, LLM-QAT) and per-row grids (GPTQ, AWQ) to match the
+relative harshness of 3/4-bit quantization at 7B scale.
 """
 
 from __future__ import annotations

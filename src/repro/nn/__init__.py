@@ -5,7 +5,7 @@ from repro.nn.linear import Embedding, Linear
 from repro.nn.loss import IGNORE_INDEX, cross_entropy, token_log_likelihoods
 from repro.nn.mlp import SwiGLUMLP
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.nn.norm import LayerNorm, RMSNorm
+from repro.nn.norm import RMSNorm
 from repro.nn.rope import RotaryEmbedding
 from repro.nn.transformer import DecoderLayer, Transformer
 
@@ -22,7 +22,6 @@ __all__ = [
     "Module",
     "ModuleList",
     "Parameter",
-    "LayerNorm",
     "RMSNorm",
     "RotaryEmbedding",
     "DecoderLayer",

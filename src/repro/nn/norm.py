@@ -1,10 +1,11 @@
-"""Normalization layers (RMSNorm is the LLaMA choice)."""
+"""Normalization (RMSNorm, the LLaMA choice)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.module import Module, Parameter
+from repro.tensor import ops
 from repro.tensor.dtype import DType, float32, get_dtype
 from repro.tensor.tensor import Tensor
 
@@ -24,31 +25,4 @@ class RMSNorm(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        mean_square = (x * x).mean(dim=-1, keepdim=True)
-        normed = x / (mean_square + self.eps).sqrt()
-        return normed * self.weight
-
-
-class LayerNorm(Module):
-    """Standard layer normalization with learned scale and shift."""
-
-    def __init__(
-        self, dim: int, eps: float = 1e-5, dtype: DType | str = float32
-    ) -> None:
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        dt = get_dtype(dtype)
-        self.weight = Parameter.wrap(
-            Tensor.from_numpy(np.ones(dim, dtype=np.float32), dtype=dt)
-        )
-        self.bias = Parameter.wrap(
-            Tensor.from_numpy(np.zeros(dim, dtype=np.float32), dtype=dt)
-        )
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(dim=-1, keepdim=True)
-        centered = x - mean
-        variance = (centered * centered).mean(dim=-1, keepdim=True)
-        normed = centered / (variance + self.eps).sqrt()
-        return normed * self.weight + self.bias
+        return ops.rms_norm(x, self.weight, self.eps)

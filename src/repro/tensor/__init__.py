@@ -1,8 +1,9 @@
 """A numpy-backed tensor engine with PyTorch's memory architecture.
 
-This package is the substrate substitution for PyTorch (see DESIGN.md): it
-reproduces the pieces of the PyTorch tensor/autograd architecture that the
-eDKM paper's memory optimizations act on --
+This package is the substrate substitution for PyTorch (see
+docs/architecture.md, "Tensor engine"): it reproduces the pieces of the
+PyTorch tensor/autograd architecture that the eDKM paper's memory
+optimizations act on --
 
 - storage/metadata separation, so views are free and cross-device moves
   duplicate storage (paper Table 1);

@@ -39,7 +39,9 @@ from repro.tensor.ops.activation import (
 from repro.tensor.ops.indexing import IndexSelect, MaskedFill, TakeAlongDim, Where
 from repro.tensor.ops.matmul import MatMul
 from repro.tensor.ops.movement import Cast, ToDevice
+from repro.tensor.ops.norm import RmsNorm
 from repro.tensor.ops.reduce import Max, Mean, Min, Sum
+from repro.tensor.ops.rotary import Rope
 from repro.tensor.ops.shape import Cat, Contiguous, Expand, Permute, Slice, Transpose, View
 
 
@@ -152,6 +154,18 @@ def silu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     return Gelu.apply(a)
+
+
+# -- transformer-block ops ------------------------------------------------------
+
+def rms_norm(a: Tensor, weight: Tensor, eps: float) -> Tensor:
+    """``a / sqrt(mean(a·a) + eps) · weight`` over the last axis."""
+    return RmsNorm.apply(a, weight, eps)
+
+
+def rope(a: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate the halves of ``a``'s last axis by constant ``cos`` / ``sin`` tables."""
+    return Rope.apply(a, cos, sin)
 
 
 # -- shape --------------------------------------------------------------------

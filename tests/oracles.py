@@ -8,7 +8,11 @@ what replaced it is equality, not a tolerance:
   hand-written association order;
 - the per-shard collectives -- ``src/`` keeps a sharded tensor in one flat
   buffer and charges each learner's tracker for its rows; these build one
-  ``Storage`` and ``Tensor`` per learner.
+  ``Storage`` and ``Tensor`` per learner;
+- RoPE and RMSNorm as chains of primitive ops (13 and 6 dispatches) --
+  ``src/`` runs each as one ``Function``.  Forward is bit-equal for float32
+  activations; backward is closed-form there, so gradients agree to float32
+  rounding.
 """
 
 import math
@@ -17,6 +21,7 @@ import numpy as np
 
 from repro.core.dkm import ClusterState, default_temperature, init_centroids_quantile
 from repro.memory.traffic import global_ledger
+from repro.tensor import ops
 from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor, contiguous_strides
 
@@ -138,3 +143,27 @@ def all_gather_per_shard(sharded, device, tag="all_gather"):
             f"shards hold {lo} elements, full shape {full_shape} needs {out.size}"
         )
     return Tensor(Storage(out, dtype, device), full_shape, contiguous_strides(full_shape))
+
+
+def rope_composite(rope, x):
+    """``RotaryEmbedding.apply`` over per-device table tensors, slices and ``cat``."""
+    seq_len = x.shape[2]
+    half = rope.head_dim // 2
+    # src/ keeps the tables full width (cos ‖ cos, sin ‖ -sin); the left halves are these.
+    cos = Tensor.from_numpy(rope._cos[:seq_len, :half], device=x.device)
+    sin = Tensor.from_numpy(rope._sin[:seq_len, :half], device=x.device)
+    x1 = x[:, :, :, :half]
+    x2 = x[:, :, :, half:]
+    # cos/sin broadcast over batch and heads: (T, half) -> (1, 1, T, half)
+    cos_b = cos.unsqueeze(0).unsqueeze(0)
+    sin_b = sin.unsqueeze(0).unsqueeze(0)
+    rotated_first = x1 * cos_b - x2 * sin_b
+    rotated_second = x1 * sin_b + x2 * cos_b
+    return ops.cat([rotated_first, rotated_second], dim=3)
+
+
+def rms_norm_composite(x, weight, eps):
+    """``RMSNorm.forward`` as ``mul``, ``mean``, ``add``, ``sqrt``, ``div``, ``mul``."""
+    mean_square = (x * x).mean(dim=-1, keepdim=True)
+    normed = x / (mean_square + eps).sqrt()
+    return normed * weight
