@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.tensor.dtype import DType, bit_pattern16, decode_pattern16, int32, uint16
+from repro.tensor.pairwise import softmax_columns_
 
 MAX_UNIQUE_16BIT = 1 << 16
 
@@ -155,36 +156,6 @@ def uniquify(
     )
 
 
-def _sum_rows_pairwise(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``(n, u)`` ``rows`` in numpy's pairwise order.
-
-    Adds the ``n`` rows in exactly the association order ``np.add.reduce``
-    uses for a contiguous run of ``n`` floats, which is what makes the
-    ``(k, u)`` softmax normaliser bit-identical to ``exp.sum(axis=1)`` on
-    the ``(u, k)`` layout: sequential below 8; eight interleaved
-    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus a
-    sequential tail up to 128; halves (the first a multiple of 8) above.
-    """
-    n = rows.shape[0]
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _sum_rows_pairwise(rows[:half]) + _sum_rows_pairwise(rows[half:])
-    if n < 8:
-        total, tail = rows[0].copy(), rows[1:]
-    else:
-        body = n - n % 8
-        lanes = rows[:8]
-        for start in range(8, body, 8):
-            lanes = lanes + rows[start : start + 8]
-        pairs = lanes[0::2] + lanes[1::2]
-        quads = pairs[0::2] + pairs[1::2]
-        total, tail = quads[0] + quads[1], rows[body:]
-    for row in tail:
-        total += row
-    return total
-
-
 def attention_table_ku(
     unique_values: np.ndarray, centroids: np.ndarray, temperature: float
 ) -> np.ndarray:
@@ -207,10 +178,7 @@ def attention_table_ku(
     np.negative(buf, out=buf)
     # A python-float temperature divides a float32 array in float32.
     np.divide(buf, np.float32(temperature), out=buf)
-    np.subtract(buf, buf.max(axis=0), out=buf)
-    np.exp(buf, out=buf)
-    np.divide(buf, _sum_rows_pairwise(buf), out=buf)
-    return buf
+    return softmax_columns_(buf)
 
 
 def attention_table(

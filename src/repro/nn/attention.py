@@ -24,7 +24,7 @@ from repro.nn.rope import RotaryEmbedding
 from repro.tensor import ops
 from repro.tensor.device import Device
 from repro.tensor.dtype import DType, float32
-from repro.tensor.ops.activation import _stable_softmax
+from repro.tensor.pairwise import stable_softmax
 from repro.tensor.random import default_rng
 from repro.tensor.tensor import Tensor, zeros
 
@@ -189,7 +189,7 @@ class MultiHeadAttention(Module):
             if count > 1:  # new token i sees positions <= cached + i
                 future = np.triu(np.ones((count, total), dtype=bool), k=cached + 1)
                 scores[..., future] = -1e9
-            weights = _stable_softmax(scores, axis=-1)
+            weights = stable_softmax(scores, axis=-1)
             mixed = (weights @ values).transpose(0, 2, 1, 3)
             for row, out in zip(members, mixed):
                 context[row.start : row.start + count] = out

@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.tensor.pairwise import sum_keepdims
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tensor.tensor import Tensor
 
@@ -387,6 +389,10 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         grad = grad.sum(axis=tuple(range(extra)))
     # Sum dims that were size-1 in the target.
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
+    if len(axes) == 1:
+        # A trailing axis (the (N, k) -> (N, 1) of a dense DKM block) is
+        # summed down its k rows instead of across N rows of k.
+        grad = sum_keepdims(grad, axes[0])
+    elif axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)

@@ -13,7 +13,7 @@ import numpy as np
 from repro.tensor.device import Device
 from repro.tensor.dtype import DType, bool_, get_dtype, int64
 from repro.tensor.tensor import Tensor
-from repro.tensor.ops._common import make_result
+from repro.tensor.ops._common import make_result, normalize_dim
 from repro.tensor.ops.arithmetic import (
     Abs,
     Add,
@@ -110,20 +110,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # -- reductions ---------------------------------------------------------------
 
+def _reduce_dim(a: Tensor, dim: int | None) -> int | None:
+    return dim if dim is None else normalize_dim(dim, a.ndim)
+
+
 def sum_(a: Tensor, dim: int | None = None, keepdim: bool = False) -> Tensor:
-    return Sum.apply(a, dim if dim is None else dim % a.ndim, keepdim)
+    return Sum.apply(a, _reduce_dim(a, dim), keepdim)
 
 
 def mean(a: Tensor, dim: int | None = None, keepdim: bool = False) -> Tensor:
-    return Mean.apply(a, dim if dim is None else dim % a.ndim, keepdim)
+    return Mean.apply(a, _reduce_dim(a, dim), keepdim)
 
 
 def max_(a: Tensor, dim: int | None = None, keepdim: bool = False) -> Tensor:
-    return Max.apply(a, dim if dim is None else dim % a.ndim, keepdim)
+    return Max.apply(a, _reduce_dim(a, dim), keepdim)
 
 
 def min_(a: Tensor, dim: int | None = None, keepdim: bool = False) -> Tensor:
-    return Min.apply(a, dim if dim is None else dim % a.ndim, keepdim)
+    return Min.apply(a, _reduce_dim(a, dim), keepdim)
 
 
 # -- activations --------------------------------------------------------------
@@ -210,7 +214,7 @@ def stack(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
 
 def split(a: Tensor, size: int, dim: int = 0) -> list[Tensor]:
     """Split into chunks of ``size`` along ``dim`` (last may be smaller)."""
-    dim = dim % a.ndim
+    dim = normalize_dim(dim, a.ndim)
     chunks = []
     for start in range(0, a.shape[dim], size):
         key = [slice(None)] * a.ndim

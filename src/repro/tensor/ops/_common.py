@@ -16,6 +16,15 @@ def make_result(values: np.ndarray, dtype: DType, device: Device) -> Tensor:
     return Tensor.from_numpy(np.asarray(values), dtype=dtype, device=device)
 
 
+def normalize_dim(dim: int, ndim: int) -> int:
+    """``dim`` as an index into ``ndim`` axes; negative counts from the end."""
+    if not -ndim <= dim < ndim:
+        raise IndexError(
+            f"dimension out of range (expected [{-ndim}, {ndim - 1}], got {dim})"
+        )
+    return dim % ndim
+
+
 def check_same_device(*tensors: Tensor) -> Device:
     """All-tensor device agreement check; returns the common device."""
     dev = tensors[0].device

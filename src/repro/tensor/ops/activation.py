@@ -12,14 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.tensor.autograd import Context, Function
+from repro.tensor.pairwise import stable_softmax, sum_keepdims
 from repro.tensor.tensor import Tensor
-from repro.tensor.ops._common import make_result
-
-
-def _stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+from repro.tensor.ops._common import make_result, normalize_dim
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -43,9 +38,9 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 class Softmax(Function):
     @staticmethod
     def forward(ctx: Context, a: Tensor, dim: int) -> Tensor:
-        dim = dim % a.ndim
+        dim = normalize_dim(dim, a.ndim)
         ctx.dim = dim
-        out = make_result(_stable_softmax(a._compute(), dim), a.dtype, a.device)
+        out = make_result(stable_softmax(a._compute(), dim), a.dtype, a.device)
         ctx.save_for_backward(out)
         return out
 
@@ -53,14 +48,14 @@ class Softmax(Function):
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         (out,) = ctx.saved_tensors
         y = out._compute()
-        inner = (grad * y).sum(axis=ctx.dim, keepdims=True)
+        inner = sum_keepdims(grad * y, ctx.dim)
         return (y * (grad - inner),)
 
 
 class LogSoftmax(Function):
     @staticmethod
     def forward(ctx: Context, a: Tensor, dim: int) -> Tensor:
-        dim = dim % a.ndim
+        dim = normalize_dim(dim, a.ndim)
         ctx.dim = dim
         x = a._compute()
         shifted = x - x.max(axis=dim, keepdims=True)

@@ -21,10 +21,10 @@ class Add(Function):
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        ga = unbroadcast(grad, ctx.a_shape)
+        ga = unbroadcast(grad, ctx.a_shape) if ctx.needs_input_grad[0] else None
         if ctx.b_shape is None:
             return (ga,)
-        return (ga, unbroadcast(grad, ctx.b_shape))
+        return (ga, unbroadcast(grad, ctx.b_shape) if ctx.needs_input_grad[1] else None)
 
 
 class Sub(Function):
@@ -37,10 +37,10 @@ class Sub(Function):
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        ga = unbroadcast(grad, ctx.a_shape)
+        ga = unbroadcast(grad, ctx.a_shape) if ctx.needs_input_grad[0] else None
         if ctx.b_shape is None:
             return (ga,)
-        return (ga, unbroadcast(-grad, ctx.b_shape))
+        return (ga, unbroadcast(-grad, ctx.b_shape) if ctx.needs_input_grad[1] else None)
 
 
 class Mul(Function):
@@ -60,8 +60,9 @@ class Mul(Function):
         if ctx.b_shape is None:
             return (unbroadcast(grad * ctx.scalar, ctx.a_shape),)
         a, b = ctx.saved_tensors
-        ga = unbroadcast(grad * b._compute(), ctx.a_shape)
-        gb = unbroadcast(grad * a._compute(), ctx.b_shape)
+        needs_a, needs_b = ctx.needs_input_grad
+        ga = unbroadcast(grad * b._compute(), ctx.a_shape) if needs_a else None
+        gb = unbroadcast(grad * a._compute(), ctx.b_shape) if needs_b else None
         return (ga, gb)
 
 
@@ -82,9 +83,12 @@ class Div(Function):
         if ctx.b_shape is None:
             return (unbroadcast(grad / ctx.scalar, ctx.a_shape),)
         a, b = ctx.saved_tensors
-        a_np, b_np = a._compute(), b._compute()
-        ga = unbroadcast(grad / b_np, ctx.a_shape)
-        gb = unbroadcast(-grad * a_np / (b_np * b_np), ctx.b_shape)
+        needs_a, needs_b = ctx.needs_input_grad
+        b_np = b._compute()
+        ga = unbroadcast(grad / b_np, ctx.a_shape) if needs_a else None
+        gb = (
+            unbroadcast(-grad * a._compute() / (b_np * b_np), ctx.b_shape) if needs_b else None
+        )
         return (ga, gb)
 
 

@@ -12,9 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.autograd import Context, Function
+from repro.tensor.autograd import Context, Function, unbroadcast
 from repro.tensor.tensor import Tensor
-from repro.tensor.ops._common import check_same_device, make_result
+from repro.tensor.ops._common import check_same_device, make_result, normalize_dim
 from repro.tensor.ops.segment import scatter_add_rows
 
 # Widest row (trailing element count) the bincount scatter path accepts in
@@ -69,7 +69,7 @@ class TakeAlongDim(Function):
     @staticmethod
     def forward(ctx: Context, a: Tensor, indices: Tensor, dim: int) -> Tensor:
         check_same_device(a, indices)
-        dim = dim % a.ndim
+        dim = normalize_dim(dim, a.ndim)
         ctx.dim = dim
         ctx.in_shape = a.shape
         ctx.save_for_backward(indices)
@@ -136,8 +136,7 @@ class Where(Function):
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        from repro.tensor.autograd import unbroadcast
-
-        ga = unbroadcast(np.where(ctx.cond, grad, 0.0), ctx.a_shape)
-        gb = unbroadcast(np.where(ctx.cond, 0.0, grad), ctx.b_shape)
+        needs_a, needs_b = ctx.needs_input_grad
+        ga = unbroadcast(np.where(ctx.cond, grad, 0.0), ctx.a_shape) if needs_a else None
+        gb = unbroadcast(np.where(ctx.cond, 0.0, grad), ctx.b_shape) if needs_b else None
         return (ga, gb)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.tensor.autograd import Context, Function, unbroadcast
 from repro.tensor.tensor import Tensor, contiguous_strides
-from repro.tensor.ops._common import check_same_device, make_result
+from repro.tensor.ops._common import check_same_device, make_result, normalize_dim
 
 
 def resolve_shape(shape: Sequence[int], numel: int) -> tuple[int, ...]:
@@ -63,7 +63,7 @@ class Transpose(Function):
 
     @staticmethod
     def forward(ctx: Context, a: Tensor, dim0: int, dim1: int) -> Tensor:
-        dim0, dim1 = dim0 % a.ndim, dim1 % a.ndim
+        dim0, dim1 = normalize_dim(dim0, a.ndim), normalize_dim(dim1, a.ndim)
         ctx.dims = (dim0, dim1)
         shape = list(a.shape)
         strides = list(a.strides)
@@ -82,7 +82,7 @@ class Permute(Function):
 
     @staticmethod
     def forward(ctx: Context, a: Tensor, dims: tuple[int, ...]) -> Tensor:
-        dims = tuple(d % a.ndim for d in dims)
+        dims = tuple(normalize_dim(d, a.ndim) for d in dims)
         if sorted(dims) != list(range(a.ndim)):
             raise ValueError(f"invalid permutation {dims} for ndim {a.ndim}")
         ctx.dims = dims
@@ -201,7 +201,7 @@ class Cat(Function):
         if not tensors:
             raise ValueError("cat of zero tensors")
         check_same_device(*tensors)
-        dim = dim % tensors[0].ndim
+        dim = normalize_dim(dim, tensors[0].ndim)
         ctx.dim = dim
         ctx.sizes = [t.shape[dim] for t in tensors]
         dtype = tensors[0].dtype

@@ -6,6 +6,9 @@ what replaced it is equality, not a tolerance:
 - the ``(u, k)`` formulation of the clustering sweep -- ``src/`` builds
   the softmax table transposed, ``(k, u)``, and sums the normaliser in a
   hand-written association order;
+- the row-wise last-axis reductions of the ``Softmax`` op and of
+  ``unbroadcast`` -- ``src/`` moves a C-contiguous array with enough rows
+  to ``(n, rows)`` and reduces down its ``n`` rows in the same order;
 - the per-shard collectives -- ``src/`` keeps a sharded tensor in one flat
   buffer and charges each learner's tracker for its rows; these build one
   ``Storage`` and ``Tensor`` per learner;
@@ -36,6 +39,32 @@ def attention_table_uk(unique_values, centroids, temperature):
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def softmax_rowwise(x, axis):
+    """The ``Softmax`` forward kernel as numpy's own short-axis reductions compute it."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward_rowwise(grad, y, axis):
+    """``Softmax.backward`` with its inner product summed row by row."""
+    inner = (grad * y).sum(axis=axis, keepdims=True)
+    return y * (grad - inner)
+
+
+def unbroadcast_rowwise(grad, shape):
+    """``autograd.unbroadcast`` summing every broadcast axis with ``ndarray.sum``."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 def refine_uk(clusterer, weights, cache_table=False):

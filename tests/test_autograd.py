@@ -8,6 +8,9 @@ import pytest
 import repro.tensor as rt
 from repro.tensor import no_grad, saved_tensors_hooks
 from repro.tensor.autograd import is_grad_enabled, unbroadcast
+from repro.tensor.pairwise import SUM_MIN_ROWS
+
+from tests.oracles import unbroadcast_rowwise
 
 
 class TestGraphMechanics:
@@ -255,3 +258,70 @@ class TestConsumerEdges:
         x = rt.tensor([1.0])
         _ = x * 2.0
         assert x.consumers is None
+
+
+# Every branch of the pairwise order, and row counts either side of each sum
+# gate threshold and past one moved block.
+_AXIS_LENGTHS = [*range(1, 18), 31, 64, 127, 128, 129, 200, 257]
+_ROW_COUNTS = sorted({1, 9000} | {rows + d for _, rows in SUM_MIN_ROWS for d in (-1, 0)})
+
+
+def _assert_unbroadcast_matches_oracle(grad, shape):
+    got = unbroadcast(grad, shape)
+    want = unbroadcast_rowwise(grad, shape)
+    assert got.shape == want.shape == shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestUnbroadcastEqualsRowwiseOracle:
+    """A trailing-axis sum moved to ``(n, rows)`` keeps numpy's bytes."""
+
+    @pytest.mark.parametrize("n", _AXIS_LENGTHS)
+    @pytest.mark.parametrize("rows", _ROW_COUNTS)
+    def test_trailing_axis(self, rows, n):
+        grad = np.random.default_rng(n).standard_normal((rows, n)).astype(np.float32)
+        _assert_unbroadcast_matches_oracle(grad, (rows, 1))
+
+    @pytest.mark.parametrize("k", [4, 8, 16])  # the dense map at 2, 3 and 4 bits
+    @pytest.mark.parametrize("rows", [16384, 30848, 32768])
+    def test_dense_map_shapes(self, rows, k):
+        grad = (np.random.default_rng(rows).standard_normal((rows, k)) * 1e-3).astype(np.float32)
+        _assert_unbroadcast_matches_oracle(grad, (rows, 1))
+        _assert_unbroadcast_matches_oracle(grad, (1, k))
+
+    @pytest.mark.parametrize("rows", [20, 1500, 9000])
+    def test_special_values(self, rows):
+        grad = np.random.default_rng(1).standard_normal((rows, 8)).astype(np.float32)
+        grad[::4] = -0.0  # sums to +0.0: add.reduce starts from its identity
+        grad[1, 2] = np.nan
+        grad[2, :3] = np.inf
+        grad[3, 0], grad[3, 1] = np.inf, -np.inf
+        grad[5, 4] = np.float32(3e38)
+        grad[5, 5] = np.float32(3e38)  # overflows to inf in float32
+        with np.errstate(all="ignore"):
+            _assert_unbroadcast_matches_oracle(grad, (rows, 1))
+
+    @pytest.mark.parametrize("rows", [20, 1500, 9000])
+    def test_layouts_and_dtypes(self, rows):
+        rng = np.random.default_rng(2)
+        transposed = rng.standard_normal((8, rows)).astype(np.float32).T
+        _assert_unbroadcast_matches_oracle(transposed, (rows, 1))
+        _assert_unbroadcast_matches_oracle(rng.standard_normal((rows, 8)), (rows, 1))
+        _assert_unbroadcast_matches_oracle(
+            rng.standard_normal((rows, 8)).astype(np.float16), (rows, 1)
+        )
+
+    @pytest.mark.parametrize(
+        "grad_shape,shape",
+        [
+            ((3, 1500, 8), (1500, 1)),
+            ((3, 1500, 8), (3, 1500, 1)),
+            ((2, 3, 200, 8), (3, 1, 8)),
+            ((4, 1500, 8), (1, 1)),
+            ((16, 8, 23, 23), (16, 8, 23, 1)),
+        ],
+    )
+    def test_leading_and_several_axes(self, grad_shape, shape):
+        grad = np.random.default_rng(3).standard_normal(grad_shape).astype(np.float32)
+        _assert_unbroadcast_matches_oracle(grad, shape)

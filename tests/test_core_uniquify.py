@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.tensor as rt
 from repro.core.dkm import default_temperature
 from repro.core.uniquify import (
     MAX_UNIQUE_16BIT,
     _decompose_histogram,
-    _sum_rows_pairwise,
     attention_table,
     attention_table_ku,
     dense_attention_map,
@@ -18,6 +18,8 @@ from repro.core.uniquify import (
     uniquify,
 )
 from repro.tensor.dtype import bfloat16, decode_pattern16, float16, uint16, int32
+from repro.tensor import ops
+from repro.tensor.pairwise import _sum_rows_pairwise
 
 from tests.oracles import attention_table_uk
 
@@ -205,6 +207,19 @@ class TestSweepKernel:
         centroids = _VALUE_POOLS["weights"][1000:1016:2].astype(np.float64)
         want = attention_table_uk(values, centroids, 1e-3)
         assert attention_table(values, centroids, 1e-3).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("u", [1, 7, 127, 128, 2003, 9000])
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_sweep_table_equals_the_softmax_op(self, u, k):
+        # One kernel: the sweep's (k, u) table and the autograd op's softmax
+        # over the same (u, k) logits are the same bytes.
+        values = _VALUE_POOLS["weights"][np.arange(u) % 4096]
+        centroids = np.sort(_VALUE_POOLS["weights"][:k])
+        temperature = default_temperature(values, k)
+        logits = np.negative(np.square(values.reshape(-1, 1) - centroids.reshape(1, -1)))
+        logits /= np.float32(temperature)
+        got = ops.softmax(rt.tensor(logits), dim=1).numpy()
+        assert got.tobytes() == attention_table_ku(values, centroids, temperature).T.tobytes()
 
 
 class TestHistogramTail:

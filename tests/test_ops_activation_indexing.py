@@ -5,10 +5,12 @@ import pytest
 import scipy.special
 
 import repro.tensor as rt
-from repro.tensor import ops
+from repro.core.dkm import default_temperature, init_centroids_quantile
+from repro.tensor import ops, pairwise
 from repro.tensor.ops.activation import _stable_sigmoid
 
 from tests.gradcheck import check_gradients
+from tests.oracles import softmax_backward_rowwise, softmax_rowwise
 
 
 def _arr(shape, seed=0, scale=1.0):
@@ -150,6 +152,108 @@ class TestActivations:
         assert np.array_equal(a.grad.numpy(), [0.0, 1.0])
 
 
+# Every branch of the pairwise order (sequential < 8, lanes + tail to 128,
+# halves above), and row counts either side of every gate threshold and
+# past one moved block.
+_AXIS_LENGTHS = [*range(1, 18), 31, 64, 127, 128, 129, 200, 257]
+_GATES = pairwise.SOFTMAX_MIN_ROWS + pairwise.SUM_MIN_ROWS
+_ROW_COUNTS = sorted({1, 9000} | {rows + d for _, rows in _GATES for d in (-1, 0)})
+_SOFTMAX_CASES = [(r, n) for n in _AXIS_LENGTHS for r in _ROW_COUNTS if r * n <= 300_000]
+
+
+def _assert_softmax_matches_oracle(a, dim=-1, grad=None):
+    """Forward and backward of ``ops.softmax`` on ``a`` equal the row-wise oracle's bytes."""
+    with np.errstate(all="ignore"):  # masked and NaN rows warn on both paths alike
+        out = ops.softmax(a, dim=dim)
+        want = a.dtype.project(softmax_rowwise(a._compute(), dim))
+        y = out._compute()
+        if grad is None:
+            grad = np.random.default_rng(y.size).standard_normal(y.shape).astype(np.float32)
+        node = out.grad_fn
+        (got,) = node.fn.backward(node.ctx, grad)
+        want_grad = softmax_backward_rowwise(grad, y, dim)
+    assert out.numpy().tobytes() == want.tobytes()
+    assert got.dtype == want_grad.dtype
+    assert got.tobytes() == want_grad.tobytes()
+
+
+class TestSoftmaxEqualsRowwiseOracle:
+    """The moved layout changes speed only: every byte is the row-wise one's."""
+
+    @pytest.mark.parametrize("rows,n", _SOFTMAX_CASES)
+    def test_lengths_and_row_counts(self, rows, n):
+        a = rt.tensor(_arr((rows, n), seed=n, scale=4.0), requires_grad=True)
+        _assert_softmax_matches_oracle(a)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])  # 2, 3 and 4 bits
+    @pytest.mark.parametrize("rows", [16384, 30848, 32768])
+    def test_dense_map_shapes(self, rows, n):
+        w = rt.bfloat16.project(_arr(rows, seed=rows, scale=0.05))
+        c = init_centroids_quantile(w, n)
+        sq = np.square(w.reshape(-1, 1) - c.reshape(1, -1))
+        logits = sq * np.float32(-1.0 / default_temperature(w, n))
+        _assert_softmax_matches_oracle(rt.tensor(logits, requires_grad=True), dim=1)
+
+    @pytest.mark.parametrize("fill", [-1e9, -np.inf])
+    @pytest.mark.parametrize("shape", [(16, 8, 23, 23), (2, 4, 10, 10), (1, 1, 5, 5)])
+    def test_causal_attention(self, shape, fill):
+        scores = _arr(shape, seed=3, scale=2.0)
+        scores[..., ops.causal_mask(shape[-1])] = fill
+        _assert_softmax_matches_oracle(rt.tensor(scores, requires_grad=True))
+
+    @pytest.mark.parametrize("rows", [20, 1500, 9000])
+    def test_inf_and_nan_entries(self, rows):
+        x = _arr((rows, 8), seed=4, scale=3.0)
+        x[0, :] = -np.inf  # a fully masked row: NaN throughout
+        x[1, ::2] = -np.inf
+        x[2, 3] = np.nan
+        x[3, 5] = np.inf
+        _assert_softmax_matches_oracle(rt.tensor(x, requires_grad=True))
+
+    @pytest.mark.parametrize("rows", [20, 1500, 9000])
+    def test_gradient_rows_of_negative_zero(self, rows):
+        # add.reduce starts from +0.0, so a row of -0.0 products sums to +0.0.
+        grad = _arr((rows, 8), seed=5)
+        grad[::3] = -0.0
+        _assert_softmax_matches_oracle(rt.tensor(_arr((rows, 8)), requires_grad=True), grad=grad)
+
+    @pytest.mark.parametrize("rows", [20, 1500, 9000])
+    def test_non_contiguous_views_and_gradients(self, rows):
+        base = rt.tensor(_arr((8, rows), seed=6, scale=3.0), requires_grad=True)
+        grad_t = _arr((8, rows), seed=7).T  # a transposed upstream gradient
+        _assert_softmax_matches_oracle(base.transpose(0, 1), grad=grad_t)
+        base4 = rt.tensor(_arr((4, 12, 8, 6), seed=8), requires_grad=True)
+        _assert_softmax_matches_oracle(base4.permute(0, 2, 1, 3))
+        _assert_softmax_matches_oracle(base4.permute(0, 2, 3, 1), dim=2)
+
+    @pytest.mark.parametrize("dtype", [rt.float16, rt.bfloat16, rt.float64])
+    @pytest.mark.parametrize("rows", [20, 1500, 9000])
+    def test_other_activation_dtypes(self, dtype, rows):
+        a = rt.tensor(_arr((rows, 8), seed=9, scale=3.0), dtype=dtype, requires_grad=True)
+        grad = np.random.default_rng(10).standard_normal((rows, 8)).astype(dtype.np_compute)
+        _assert_softmax_matches_oracle(a, grad=grad)
+
+    def test_decode_scores_keep_the_rowwise_path(self):
+        # (groups, heads, new tokens, cached + new): a few dozen rows.
+        decode = np.zeros((14, 4, 1, 40), dtype=np.float32)
+        assert not pairwise._moves(decode, 3, pairwise.SOFTMAX_MIN_ROWS)
+        assert pairwise._moves(np.zeros((16, 8, 23, 23), np.float32), 3, pairwise.SOFTMAX_MIN_ROWS)
+        assert pairwise._moves(np.zeros((32768, 8), np.float32), 1, pairwise.SOFTMAX_MIN_ROWS)
+        assert pairwise._moves(np.zeros((32768, 8), np.float32), 1, pairwise.SUM_MIN_ROWS)
+        # Not the last axis, not contiguous, or a float16 array: row-wise.
+        assert not pairwise._moves(np.zeros((8, 32768), np.float32), 0, pairwise.SOFTMAX_MIN_ROWS)
+        assert not pairwise._moves(
+            np.zeros((8, 32768), np.float32).T, 1, pairwise.SOFTMAX_MIN_ROWS
+        )
+        assert not pairwise._moves(np.zeros((32768, 8), np.float16), 1, pairwise.SOFTMAX_MIN_ROWS)
+
+    def test_stable_softmax_leaves_its_input_alone(self):
+        x = _arr((1500, 8), seed=11)
+        before = x.tobytes()
+        assert pairwise.stable_softmax(x).tobytes() == softmax_rowwise(x, -1).tobytes()
+        assert x.tobytes() == before
+
+
 class TestIndexing:
     def test_index_select_values(self):
         w = _arr((6, 3))
@@ -220,6 +324,23 @@ class TestIndexing:
         ops.where(cond, a, b).sum().backward()
         assert np.array_equal(a.grad.numpy(), [1.0, 0.0])
         assert np.array_equal(b.grad.numpy(), [0.0, 1.0])
+
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_where_skips_the_gradient_of_a_frozen_operand(self, frozen):
+        cond = np.array([[True, False, True]] * 4)
+        grad = _arr((4, 3), seed=2)
+
+        def grads(requires):
+            a = rt.tensor(_arr((4, 3)), requires_grad=requires[0])
+            b = rt.tensor(_arr((1, 3), seed=1), requires_grad=requires[1])
+            node = ops.where(cond, a, b).grad_fn
+            return node.fn.backward(node.ctx, grad)
+
+        both = grads((True, True))
+        one = grads((frozen != 0, frozen != 1))
+        live = 1 - frozen
+        assert one[frozen] is None
+        assert one[live].tobytes() == both[live].tobytes()
 
     def test_one_hot(self):
         out = ops.one_hot(rt.tensor(np.array([0, 2])), num_classes=3)

@@ -122,6 +122,24 @@ class TestGradients:
     def test_neg_grad(self):
         check_gradients(lambda ts: -ts[0], [_arr((3,))])
 
+    @pytest.mark.parametrize("frozen", [0, 1])
+    @pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul, ops.div])
+    def test_frozen_operand_gets_no_gradient(self, op, frozen):
+        # The dense DKM block's `w - c`: the centroids are a constant there.
+        grad = _arr((4, 3), 2)
+
+        def grads(requires):
+            a = rt.tensor(_arr((4, 1)), requires_grad=requires[0])
+            b = rt.tensor(_arr((1, 3), 1, scale=0.2, offset=2.0), requires_grad=requires[1])
+            node = op(a, b).grad_fn
+            return node.fn.backward(node.ctx, grad)
+
+        both = grads((True, True))
+        one = grads((frozen != 0, frozen != 1))
+        live = 1 - frozen
+        assert one[frozen] is None
+        assert one[live].tobytes() == both[live].tobytes()
+
 
 # ``(B..., K) @ (K, N)`` runs as one gemm over the collapsed leading dims;
 # each case is (leaf shapes, how the operands are derived from the leaves).

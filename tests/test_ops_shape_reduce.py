@@ -143,3 +143,46 @@ class TestShapeOpGradients:
         out = a.view(8).view(2, 4).transpose(0, 1).reshape(-1)
         (out * out).sum().backward()
         assert np.allclose(a.grad.numpy(), 2 * a.numpy(), rtol=1e-5)
+
+
+# Each op taking a dim, applied to a (2, 3) tensor.  `permute` pairs the bad
+# dim with the axis it used to wrap onto's partner, so the old `dim % ndim`
+# would have returned a valid permutation rather than raised.
+_DIM_OPS = {
+    "softmax": lambda t, d: ops.softmax(t, dim=d),
+    "log_softmax": lambda t, d: ops.log_softmax(t, dim=d),
+    "take_along_dim": lambda t, d: ops.take_along_dim(
+        t, rt.tensor(np.zeros((2, 3), dtype=np.int64)), dim=d
+    ),
+    "transpose_dim0": lambda t, d: ops.transpose(t, d, 1),
+    "transpose_dim1": lambda t, d: ops.transpose(t, 0, d),
+    "permute": lambda t, d: ops.permute(t, (d, 1 - d % 2)),
+    "sum": lambda t, d: ops.sum_(t, dim=d),
+    "mean": lambda t, d: ops.mean(t, dim=d),
+    "max": lambda t, d: ops.max_(t, dim=d),
+    "min": lambda t, d: ops.min_(t, dim=d),
+    "split": lambda t, d: ops.split(t, 1, dim=d),
+    "cat": lambda t, d: ops.cat([t, t], dim=d),
+}
+
+
+class TestDimOutOfRange:
+    @pytest.mark.parametrize("dim", [2, -3])
+    @pytest.mark.parametrize("name", sorted(_DIM_OPS))
+    def test_raises_instead_of_wrapping(self, name, dim):
+        t = rt.tensor(_arr((2, 3)))
+        match = rf"dimension out of range \(expected \[-2, 1\], got {dim}\)"
+        with pytest.raises(IndexError, match=match):
+            _DIM_OPS[name](t, dim)
+
+    @pytest.mark.parametrize("dim", [1, -1, 0, -2])
+    @pytest.mark.parametrize("name", sorted(_DIM_OPS))
+    def test_in_range_dims_still_work(self, name, dim):
+        _DIM_OPS[name](rt.tensor(_arr((2, 3))), dim)
+
+    def test_tensor_methods_share_the_check(self):
+        t = rt.tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+        with pytest.raises(IndexError):
+            t.sum(dim=2)
+        with pytest.raises(IndexError):
+            t.transpose(0, 2)
