@@ -6,35 +6,23 @@ gates (``failures()``); ``python -m repro.bench <name>...|all`` is the one
 way to run them (:mod:`repro.bench.__main__` holds the registry).
 
 - :mod:`repro.bench.table1` -- Table 1 (cross-device copy duplication)
-- :mod:`repro.bench.fig2`   -- Fig. 2  (marshaling removes the duplicate)
+- :mod:`repro.bench.fig2`   -- Fig. 2  (marshaling removes the duplicate;
+  hop-budget and lookup-strategy ablations)
 - :mod:`repro.bench.fig3`   -- Fig. 3  (uniquification + sharding)
 - :mod:`repro.bench.table2` -- Table 2 (M/U/S ablation, memory + runtime)
 - :mod:`repro.bench.table3` -- Table 3 (accuracy of compressed models)
 - :mod:`repro.bench.claims` -- Section 1/2 analytic size claims
-- :mod:`repro.bench.fastpath` -- fast-path engine micro-benchmark
-  (histogram uniquify, bincount scatter, per-layer step cache)
-- :mod:`repro.bench.parallel_layers` -- thread fan-out + chunked dense
-- :mod:`repro.bench.marshal_strategies` -- marshal search-strategy
-  ablation (graph walk vs storage-id oracle)
+- :mod:`repro.bench.engine` -- serial / thread / process compression
+  engine over one stack x backend x width grid (identity, delta
+  shipping, crash recovery, byte-balanced placement)
 - :mod:`repro.bench.faults` -- chaos suite (fault injection, watchdog,
   quarantine, degradation, crash-safe checkpoint/resume)
-- :mod:`repro.bench.backends` -- serial vs thread vs process fan-out
-- :mod:`repro.bench.sharded` -- process-engine node scaling, delta
-  shipping, crash recovery, byte-balanced placement
 - :mod:`repro.bench.serving` -- palette serving under concurrent traffic
   (requests/sec, p50/p99 latency, token-identity + admission gates)
 - :mod:`repro.bench.serving_faults` -- chaos-serving fault matrix
 """
 
 from repro.bench.claims import Claim, run_claims
-from repro.bench.fastpath import (
-    FastPathBenchResult,
-    REFERENCE_SHAPES,
-    ScatterBenchRow,
-    StepBenchRow,
-    UniquifyBenchRow,
-    run_fastpath,
-)
 from repro.bench.faults import (
     FaultBenchResult,
     FaultRow,
@@ -43,11 +31,6 @@ from repro.bench.faults import (
     run_faults,
 )
 from repro.bench.fig2 import Fig2Result, run_fig2, run_hop_budget_sweep
-from repro.bench.marshal_strategies import (
-    MarshalBenchResult,
-    StrategyRow,
-    run_marshal_strategies,
-)
 from repro.bench.fig3 import Fig3Result, run_dtype_sweep, run_fig3
 from repro.bench.table1 import PAPER_TABLE1, Table1Row, run_table1
 from repro.bench.table2 import (
@@ -78,12 +61,6 @@ __all__ = [
     "run_serving",
     "Claim",
     "run_claims",
-    "FastPathBenchResult",
-    "REFERENCE_SHAPES",
-    "ScatterBenchRow",
-    "StepBenchRow",
-    "UniquifyBenchRow",
-    "run_fastpath",
     "FaultBenchResult",
     "FaultRow",
     "FaultScenario",
@@ -92,9 +69,6 @@ __all__ = [
     "Fig2Result",
     "run_fig2",
     "run_hop_budget_sweep",
-    "MarshalBenchResult",
-    "StrategyRow",
-    "run_marshal_strategies",
     "Fig3Result",
     "run_dtype_sweep",
     "run_fig3",

@@ -22,17 +22,13 @@ import sys
 import numpy
 
 from repro.bench import (
-    backends,
     claims,
-    fastpath,
+    engine,
     faults,
     fig2,
     fig3,
-    marshal_strategies,
-    parallel_layers,
     serving,
     serving_faults,
-    sharded,
     table1,
     table2,
     table3,
@@ -46,12 +42,8 @@ BENCHES = {
     "table2": table2,
     "table3": table3,
     "claims": claims,
-    "fastpath": fastpath,
-    "parallel": parallel_layers,
-    "marshal": marshal_strategies,
-    "backends": backends,
+    "engine": engine,
     "faults": faults,
-    "sharded": sharded,
     "serving": serving,
     "serving_faults": serving_faults,
 }

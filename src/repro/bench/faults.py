@@ -29,16 +29,18 @@ gated: the cost of a respawn is host-dependent and CI runners are noisy.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
-from repro.bench.backends import (
+from repro.bench.engine import (
     _all_unlinked,
+    _digest,
     _layer_stats,
-    _results_identical,
     build_stack_compressor,
 )
 from repro.core.compressor import ModelCompressor
@@ -236,21 +238,6 @@ def default_scenarios(
     ]
 
 
-def _build(
-    backend: str,
-    n_layers: int,
-    in_features: int,
-    out_features: int,
-    workers: int,
-    seed: int,
-    **config_kwargs,
-) -> ModelCompressor:
-    return build_stack_compressor(
-        n_layers, in_features, out_features, seed,
-        backend=backend, num_workers=workers, **config_kwargs,
-    )
-
-
 def _run_sweeps(compressor: ModelCompressor, n_sweeps: int) -> dict:
     results: dict = {}
     for _ in range(n_sweeps):
@@ -287,23 +274,26 @@ def run_faults(
         weights_per_layer=in_features * out_features,
     )
 
-    references: dict[int, tuple[dict, dict]] = {}
+    # Every compressor of the run: identically seeded weights, one width.
+    build = functools.partial(
+        build_stack_compressor,
+        [(in_features, out_features)] * n_layers,
+        seed,
+        num_workers=workers,
+    )
+    references: dict[int, tuple[str, dict]] = {}
     baselines: dict[int, float] = {}
 
-    def reference(n_sweeps: int) -> tuple[dict, dict]:
+    def reference(n_sweeps: int) -> tuple[str, dict]:
         if n_sweeps not in references:
-            compressor = _build(
-                "serial", n_layers, in_features, out_features, workers, seed
-            )
+            compressor = build(backend="serial")
             results = _run_sweeps(compressor, n_sweeps)
-            references[n_sweeps] = (results, _layer_stats(compressor))
+            references[n_sweeps] = (_digest(results), _layer_stats(compressor))
         return references[n_sweeps]
 
     def baseline(n_sweeps: int) -> float:
         if n_sweeps not in baselines:
-            compressor = _build(
-                "process", n_layers, in_features, out_features, workers, seed
-            )
+            compressor = build(backend="process")
             start = time.perf_counter()
             _run_sweeps(compressor, n_sweeps)
             baselines[n_sweeps] = time.perf_counter() - start
@@ -311,17 +301,10 @@ def run_faults(
         return baselines[n_sweeps]
 
     for scenario in scenarios:
-        ref_results, ref_stats = reference(scenario.sweeps)
+        ref_digest, ref_stats = reference(scenario.sweeps)
         base_wall = baseline(scenario.sweeps)
-        compressor = _build(
-            "process",
-            n_layers,
-            in_features,
-            out_features,
-            workers,
-            seed,
-            fault_plan=scenario.plan,
-            **scenario.config_kwargs,
+        compressor = build(
+            backend="process", fault_plan=scenario.plan, **scenario.config_kwargs
         )
         shm_names: set[str] = set()
         with warnings.catch_warnings():
@@ -365,7 +348,7 @@ def run_faults(
                 sweeps=scenario.sweeps,
                 wall_seconds=wall,
                 baseline_seconds=base_wall,
-                bit_identical=_results_identical(ref_results, results),
+                bit_identical=ref_digest == _digest(results),
                 stats_identical=ref_stats == stats,
                 faults_logged=faults_logged,
                 log_reconciled=log_reconciled,
@@ -377,19 +360,13 @@ def run_faults(
             )
         )
 
-    _run_resume_scenario(
-        result, n_layers, in_features, out_features, workers, seed
-    )
+    _run_resume_scenario(result, functools.partial(build, backend="process"))
     return result
 
 
 def _run_resume_scenario(
     result: FaultBenchResult,
-    n_layers: int,
-    in_features: int,
-    out_features: int,
-    workers: int,
-    seed: int,
+    build: Callable[[], ModelCompressor],
     n_sweeps: int = 3,
 ) -> None:
     """Kill-then-resume: checkpoint after sweep 1, resume, finish, compare.
@@ -398,9 +375,7 @@ def _run_resume_scenario(
     ``save_checkpoint``; the resumed compressor is built fresh over
     identically seeded weights, exactly as a restarted job would be.
     """
-    uninterrupted = _build(
-        "process", n_layers, in_features, out_features, workers, seed
-    )
+    uninterrupted = build()
     try:
         ref_results = _run_sweeps(uninterrupted, n_sweeps)
         ref_stats = _layer_stats(uninterrupted)
@@ -410,24 +385,20 @@ def _run_resume_scenario(
     tmpdir = tempfile.mkdtemp(prefix="bench_faults_")
     path = os.path.join(tmpdir, "ckpt.json")
     try:
-        first = _build(
-            "process", n_layers, in_features, out_features, workers, seed
-        )
+        first = build()
         try:
             first.precluster()
             result.checkpoint_digest = first.save_checkpoint(path)
         finally:
             first.close()  # the simulated crash
 
-        resumed = _build(
-            "process", n_layers, in_features, out_features, workers, seed
-        )
+        resumed = build()
         try:
             payload = resumed.resume(path)
             result.resume_sweeps_completed = payload["sweeps_completed"]
             res_results = _run_sweeps(resumed, n_sweeps - 1)
-            result.resume_bit_identical = _results_identical(
-                ref_results, res_results
+            result.resume_bit_identical = _digest(ref_results) == _digest(
+                res_results
             )
             result.resume_stats_identical = ref_stats == _layer_stats(resumed)
         finally:

@@ -1,20 +1,19 @@
 """``python -m repro.bench``: the registry, the one writer, and the gates.
 
-The deterministic-gate entries run here in ``--quick`` mode so a broken
-gate fails tier-1, and each gets a negative case proving ``failures()``
-really reads the field it claims to.  The timing-gated entries
-(``fastpath``, ``parallel``) stay out of tier-1; their gate arithmetic is
-unit-tested on hand-built results.
+The engineering entries run here in ``--quick`` mode so a broken gate
+fails tier-1, and each gate gets a negative case proving ``failures()``
+really reads the field it claims to.  No entry has a wall-clock gate.
 """
 
 import copy
 import json
 import pkgutil
 
+import numpy as np
 import pytest
 
 import repro.bench
-from repro.bench import fastpath, marshal_strategies, parallel_layers
+from repro.bench import engine
 from repro.bench.__main__ import BENCHES, main
 
 #: Modules of the package that are not runners.
@@ -25,7 +24,7 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.core.faults.RobustnessWarning"
 )
 
-DETERMINISTIC = ("marshal", "backends", "serving", "serving_faults", "sharded", "faults")
+DETERMINISTIC = ("fig2", "engine", "serving", "serving_faults", "faults")
 
 
 def _flip(result, path):
@@ -54,7 +53,7 @@ class TestRegistry:
         assert main(["--list"]) == 0
         assert capsys.readouterr().out.split() == list(BENCHES)
 
-    @pytest.mark.parametrize("argv", [["nope"], [], ["marshal", "--workers", "2"]])
+    @pytest.mark.parametrize("argv", [["nope"], [], ["engine", "--workers", "2"]])
     def test_bad_command_line_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -63,10 +62,12 @@ class TestRegistry:
 
 
 class TestWriter:
-    def test_json_artifact_is_stamped(self, tmp_path, capsys):
-        assert main(["marshal", "--quick", "--seed", "3", "--out", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "BENCH_marshal.json").read_text())
-        assert payload["benchmark"] == "marshal_strategies"
+    def test_json_artifact_is_stamped(self, tmp_path, capsys, monkeypatch, quick_result):
+        cached = quick_result("engine")
+        monkeypatch.setattr(engine, "run", lambda quick, seed: cached)
+        assert main(["engine", "--quick", "--seed", "3", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        assert payload["benchmark"] == "engine"
         assert (payload["ok"], payload["failures"]) == (True, [])
         assert (payload["seed"], payload["quick"]) == (3, True)
         assert set(payload["host"]) == {
@@ -82,20 +83,18 @@ class TestWriter:
             assert text.strip() and text in out
         assert not list(tmp_path.glob("*.json"))
 
-    def test_a_failed_gate_exits_1_and_is_listed(self, tmp_path, capsys, monkeypatch):
-        real_run = marshal_strategies.run
-
-        def broken(quick, seed):
-            result = real_run(quick=quick, seed=seed)
-            result.rows[0].counters_reconcile = False
-            return result
-
-        monkeypatch.setattr(marshal_strategies, "run", broken)
-        assert main(["marshal", "--quick", "--out", str(tmp_path)]) == 1
-        payload = json.loads((tmp_path / "BENCH_marshal.json").read_text())
+    def test_a_failed_gate_exits_1_and_is_listed(
+        self, tmp_path, capsys, monkeypatch, quick_result
+    ):
+        broken = _flip(quick_result("engine"), ("rows", 6, "bit_identical"))
+        monkeypatch.setattr(engine, "run", lambda quick, seed: broken)
+        assert main(["engine", "--quick", "--out", str(tmp_path)]) == 1
+        payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
         assert payload["ok"] is False
-        assert len(payload["failures"]) == 1 and "graph" in payload["failures"][0]
-        assert "marshal: graph" in capsys.readouterr().err
+        assert payload["failures"] == [
+            "compute process x2 sweep 1 (cold): outputs differ from serial"
+        ]
+        assert "engine: compute process x2" in capsys.readouterr().err
 
     def test_paper_results_have_a_json_view(self):
         for name in ("table1", "fig2", "fig3", "claims"):
@@ -119,30 +118,37 @@ def quick_result():
 
 # name -> (path to one boolean field, words its failure message must carry)
 NEGATIVE_CASES = {
-    "marshal": (("rows", 1, "counters_reconcile"), ("storage-id", "reconcile")),
-    "backends": (("sweeps", 2, "stats_identical"), ("sweep process", "counters")),
+    "fig2": (("steps", 0, "counters_reconcile"), ("graph step counters", "reconcile")),
+    "engine": (
+        ("rows", 7, "stats_identical"), ("compute process x2 sweep 2 (warm)", "counters"),
+    ),
     "serving": (("tokens_identical",), ("palette completions differ",)),
     "serving_faults": (
         ("rows", 0, "tokens_identical"), ("transient_step-c4", "offline reference"),
     ),
-    "sharded": (("rows", 1, "bit_identical"), ("nodes=1 sweep 2", "outputs differ")),
     "faults": (("rows", 6, "log_reconciled"), ("hang", "fault log")),
 }
 
-# Further flags whose flip must surface as exactly one failure.
+# Further flags whose flip must surface as exactly one failure.  Indices 0-1
+# and 6-8 are the engine cells that took over the ``backends`` / ``sharded``
+# flags once listed there.
 ALSO_GATED = [
-    ("backends", ("shm_cleaned",)),
-    ("backends", ("dispatch", 1, "bit_identical")),
+    ("engine", ("shm_cleaned",)),
+    ("engine", ("rows", 13, "bit_identical")),
     ("faults", ("rows", 0, "shm_cleaned")),
     ("faults", ("rows", 0, "stats_identical")),
     ("faults", ("rows", 8, "expectation_met")),
     ("faults", ("resume_bit_identical",)),
-    ("sharded", ("shm_cleaned",)),
-    ("sharded", ("rows", 1, "stats_identical")),
-    ("sharded", ("balanced", 2)),
+    ("engine", ("rows", 25, "bit_identical")),
+    ("engine", ("rows", 23, "stats_identical")),
+    ("engine", ("balanced", "skewed process x2")),
     ("serving_faults", ("drain_ok",)),
     ("serving_faults", ("rows", 4, "stranded")),
     ("serving", ("admission_accounted",)),
+    ("fig2", ("steps", 1, "counters_reconcile")),
+    ("engine", ("rows", 4, "bit_identical")),
+    ("engine", ("rows", 17, "bit_identical")),
+    ("engine", ("rows", 29, "stats_identical")),
 ]
 
 
@@ -166,6 +172,46 @@ class TestDeterministicGates:
     def test_other_flags_are_gated_too(self, quick_result, name, path):
         assert len(_flip(quick_result(name), path).failures()) == 1
 
+    def test_warm_process_sweep_shipping_a_full_task_is_reported(self, quick_result):
+        result = copy.deepcopy(quick_result("engine"))
+        row = result.rows[16]
+        assert (row.cell, row.scenario, row.full_tasks) == ("dispatch process x2", "warm", 0)
+        row.full_tasks = 1
+        assert result.failures() == [
+            "dispatch process x2 sweep 2 (warm): shipped 1 full task(s)"
+        ]
+
+    def test_result_digest_sees_every_compared_field(self):
+        """The identity gates compare digests: each field must move one."""
+        from repro.core.compressor import LayerClusterResult
+
+        def results(**change):
+            fields = dict(
+                centroids=np.array([-1.0, 1.0], np.float32), temperature=0.5,
+                iterations_run=3, assignments=np.array([0, 1, 1]),
+                reconstruction_error=0.25,
+            )
+            return {"layer0": LayerClusterResult(**{**fields, **change})}
+
+        base = engine._digest(results())
+        assert engine._digest(results()) == base
+        assert engine._digest(results(iterations_run=4)) == base  # not compared
+        for change in (
+            dict(centroids=np.array([-1.0, 1.5], np.float32)),
+            dict(assignments=np.array([0, 1, 0])),
+            dict(temperature=0.25),
+            dict(reconstruction_error=None),
+        ):
+            assert engine._digest(results(**change)) != base, change
+        assert engine._digest({"layer1": results()["layer0"]}) != base
+
+    def test_graph_walk_beating_the_oracle_is_reported(self, quick_result):
+        result = copy.deepcopy(quick_result("fig2"))
+        graph, oracle = result.steps
+        graph.copies_avoided = oracle.copies_avoided + 1
+        failures = result.failures()
+        assert len(failures) == 1 and "more step copies than the storage-id" in failures[0]
+
 
 class TestNoChaosCellDropped:
     def test_faults_rows(self, quick_result):
@@ -176,13 +222,42 @@ class TestNoChaosCellDropped:
         ]
         assert result.resume_sweeps_completed == 1
 
-    def test_sharded_rows(self, quick_result):
-        result = quick_result("sharded")
-        assert [(row.nodes, row.scenario) for row in result.rows] == [
-            (nodes, scenario)
-            for nodes in (1, 2, 4)
-            for scenario in ("cold", "warm", "crash-recovery")
+    def test_engine_rows(self, quick_result):
+        result = quick_result("engine")
+        assert [
+            (row.backend, row.workers, row.scenario)
+            for row in result.rows
+            if row.stack == "skewed"
+        ] == [("serial", 1, scenario) for scenario in ("cold", "warm", "refit", "warm")] + [
+            ("process", workers, scenario)
+            for workers in (1, 2, 4)
+            for scenario in ("cold", "warm", "refit", "crash-recovery")
         ]
+
+    def test_engine_rows_record_the_width_that_ran(self, quick_result):
+        """Serial runs on one worker: its rows must not carry a pool width."""
+        cells = {(r.stack, r.backend, r.workers) for r in quick_result("engine").rows}
+        assert cells == {
+            ("compute", "serial", 1), ("compute", "thread", 2), ("compute", "process", 2),
+            ("dispatch", "serial", 1), ("dispatch", "thread", 2), ("dispatch", "process", 2),
+            ("skewed", "serial", 1), ("skewed", "process", 1),
+            ("skewed", "process", 2), ("skewed", "process", 4),
+        }
+
+    def test_full_engine_grid_keeps_every_named_cell(self):
+        shapes = engine.stack_shapes(quick=False)
+        assert shapes["compute"] == [(512, 512)] * 8
+        assert shapes["dispatch"] == [(16, 16)] * 8
+        assert shapes["wide16"] == [(64, 64)] * 16
+        assert shapes["wide32"] == [(64, 64)] * 32
+        assert shapes["skewed"] == [(96, 768)] + [(96, 96)] * 5
+        full = set(engine.grid(quick=False))
+        assert set(engine.grid(quick=True)) <= full
+        for stack in ("compute", "dispatch"):
+            assert {(stack, "serial", 1), (stack, "thread", 2), (stack, "process", 2)} <= full
+        for stack in ("wide16", "wide32"):
+            assert {(stack, "thread", 2), (stack, "process", 2)} <= full
+        assert {("skewed", "process", w) for w in (1, 2, 4)} <= full
 
     def test_serving_faults_rows(self, quick_result):
         result = quick_result("serving_faults")
@@ -191,77 +266,3 @@ class TestNoChaosCellDropped:
             "corrupt_tile-c4", "hang_step-c4", "breaker-repromotion",
             "drain-shutdown",
         ]
-
-
-class TestTimingGateArithmetic:
-    """``fastpath`` / ``parallel`` gates on hand-built rows (no timing here)."""
-
-    def _fastpath(self, **step):
-        base = dict(
-            n_weights=1 << 16, steps=2,
-            legacy_seconds_per_step=0.2, fastpath_seconds_per_step=0.1,
-            legacy_uniquify_per_step=2.0, fastpath_uniquify_per_step=1.0,
-        )
-        base.update(step)
-        return fastpath.FastPathBenchResult(
-            uniquify=[
-                fastpath.UniquifyBenchRow(1 << 16, 0.010, 0.005, True),
-                fastpath.UniquifyBenchRow(1 << 20, 0.100, 0.010, True),
-            ],
-            scatter=[fastpath.ScatterBenchRow("segment_sum", 1 << 20, 0.2, 0.05, 0.04, 1e-6)],
-            step=[fastpath.StepBenchRow(**base)],
-        )
-
-    def test_clean_result_passes(self):
-        assert self._fastpath().failures() == []
-
-    def test_union_of_the_two_drifted_gates(self):
-        """One slow small-N uniquify row and one step that uniquifies twice
-        on the fast path: both are reported."""
-        result = self._fastpath(fastpath_uniquify_per_step=2.0)
-        result.uniquify[0].histogram_seconds = 0.02  # 0.5x at N = 65 536
-        failures = result.failures()
-        assert len(failures) == 2
-        assert "uniquify N=65536: fast path slower" in failures[0]
-        assert "expected exactly one uniquify per step, got 2.0" in failures[1]
-
-    def test_legacy_call_count_and_slow_step(self):
-        """The legacy step must uniquify exactly twice, and not be faster."""
-        failures = self._fastpath(
-            legacy_uniquify_per_step=1.0, fastpath_seconds_per_step=0.4
-        ).failures()
-        assert len(failures) == 2
-        assert "legacy step should uniquify twice" in failures[0]
-        assert "fast path slower (0.50x)" in failures[1]
-
-    def test_large_n_floor_and_scatter_ceiling(self):
-        result = self._fastpath()
-        result.uniquify[1].histogram_seconds = 0.06  # 1.7x: faster, but < 2x
-        result.scatter[0].bincount_seconds = 0.16  # 3.2x the matched add.at
-        failures = result.failures()
-        assert len(failures) == 2
-        assert "below the 2.0x floor" in failures[0]
-        assert "ceiling 3.0x" in failures[1]
-
-    def _parallel(self, cpu_count, gate_active):
-        return parallel_layers.ParallelBenchResult(
-            cpu_count=cpu_count,
-            speedup_gate_active=gate_active,
-            sweeps=[parallel_layers.ParallelSweepRow(8, 1 << 18, 4, 1.0, 0.9, True, True)],
-            chunked=[
-                parallel_layers.ChunkedDenseRow(6 << 20, 16, 1 << 16, True, "", 1.0, True)
-            ],
-        )
-
-    def test_speedup_floor_only_when_armed(self):
-        assert self._parallel(2, False).failures() == []
-        failures = self._parallel(8, True).failures()
-        assert len(failures) == 1 and "below the 1.5x floor (8 cores)" in failures[0]
-        payload = self._parallel(8, True).to_json_dict()
-        assert payload["speedup_gate_active"] is True and payload["min_speedup"] == 1.5
-
-    def test_chunked_dense_gates(self):
-        result = self._parallel(2, False)
-        result.chunked[0].monolithic_raises = False
-        result.sweeps[0].bit_identical = False
-        assert len(result.failures()) == 2

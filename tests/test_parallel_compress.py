@@ -23,6 +23,7 @@ from repro.core import (
     parallel_layer_map,
 )
 from repro.core.dkm import DKMClusterer
+from repro.core.edkm import edkm_cluster
 from repro.tensor.dtype import bfloat16
 from repro.tensor.tensor import Tensor
 
@@ -229,6 +230,22 @@ class TestChunkedDense:
         # The chunked fallback handles the same layer.
         out = clusterer.cluster_dense(w, row_chunk=256)
         assert out.shape == (2048,)
+
+    def test_chunked_over_limit_agrees_with_edkm_forward(self):
+        """A layer the monolithic path refuses still clusters, chunked, to
+        what the eDKM unique-space forward computes from the same state."""
+        config = DKMConfig(bits=4, iters=2, dense_saved_bytes_limit=4096)
+        clusterer = DKMClusterer(config)
+        with pytest.raises(MemoryError):
+            clusterer.cluster_dense(self._weights(n=8192))
+        chunked = clusterer.cluster_dense(self._weights(n=8192), row_chunk=1000)
+        edkm = edkm_cluster(self._weights(n=8192), DKMClusterer(config))
+        np.testing.assert_allclose(
+            chunked.numpy().astype(np.float32),
+            edkm.numpy().astype(np.float32),
+            atol=1e-2,
+            rtol=1e-2,
+        )
 
     def test_invalid_dense_config_rejected(self):
         with pytest.raises(ValueError):
