@@ -44,12 +44,13 @@ from repro.bench.engine import (
     build_stack_compressor,
 )
 from repro.core.compressor import ModelCompressor
+from repro.core.config import RetryPolicy
 from repro.core.faults import FaultPlan, RobustnessWarning
 
 
 @dataclass
 class FaultScenario:
-    """One chaos configuration: a fault plan plus engine policy knobs."""
+    """One chaos configuration: a fault plan plus the engine's retry policy."""
 
     name: str
     plan: FaultPlan
@@ -177,9 +178,10 @@ def default_scenarios(
 
     ``hang_seconds`` is deliberately far beyond ``watchdog_s``: a hang
     scenario that finishes at all proves the watchdog fired (the sleep
-    alone would exceed any sane suite budget).
+    alone would exceed any sane suite budget).  ``quarantine`` runs with
+    ``retries=0``, so its one failed shipment is also the layer's
+    ``retries + 1``-th fallback.
     """
-    backoff = {"retry_backoff_s": 0.001}
     return [
         FaultScenario(
             name="kill_cold",
@@ -195,12 +197,12 @@ def default_scenarios(
         FaultScenario(
             name="transient",
             plan=FaultPlan.single("transient", sweep=2),
-            config_kwargs=dict(backoff),
+            config_kwargs={"retry": RetryPolicy(backoff_s=0.001)},
         ),
         FaultScenario(
             name="delay",
             plan=FaultPlan.single("delay", sweep=1, seconds=0.05),
-            config_kwargs={"task_timeout_s": 60.0},
+            config_kwargs={"retry": RetryPolicy(timeout_s=60.0)},
         ),
         FaultScenario(
             name="corrupt_delta",
@@ -214,7 +216,7 @@ def default_scenarios(
         FaultScenario(
             name="hang",
             plan=FaultPlan.single("hang", sweep=1, seconds=hang_seconds),
-            config_kwargs={"task_timeout_s": watchdog_s},
+            config_kwargs={"retry": RetryPolicy(timeout_s=watchdog_s)},
             expect_respawn=True,
         ),
         FaultScenario(
@@ -222,17 +224,13 @@ def default_scenarios(
             plan=FaultPlan.single(
                 "transient", sweep=1, layer="layer0", times=50
             ),
-            config_kwargs={
-                "max_task_retries": 1,
-                "max_layer_retries": 1,
-                **backoff,
-            },
+            config_kwargs={"retry": RetryPolicy(retries=0)},
             expect_quarantine=True,
         ),
         FaultScenario(
             name="degrade",
             plan=FaultPlan.single("kill", sweep=1),
-            config_kwargs={"max_pool_respawns": 0},
+            config_kwargs={"retry": RetryPolicy(respawns=0)},
             expect_degrade=True,
         ),
     ]

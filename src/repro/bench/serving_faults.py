@@ -39,16 +39,11 @@ from dataclasses import asdict, dataclass, field
 
 from repro.bench.serving import _load_state, _state_dict, _train_small_model
 from repro.core.compressor import ModelCompressor
-from repro.core.config import DKMConfig
+from repro.core.config import DKMConfig, RetryPolicy
+from repro.core.faults import FaultPlan, FaultSpec
 from repro.llm import MICRO, build_model, generate
 from repro.memory.traffic import TrafficLedger
-from repro.serving import (
-    PaletteServer,
-    ServingConfig,
-    ServingFaultPlan,
-    ServingFaultSpec,
-    StepFailed,
-)
+from repro.serving import PaletteServer, ServingConfig, StepFailed
 from repro.serving.breaker import CLOSED
 
 import repro.tensor as rt
@@ -213,7 +208,7 @@ class ChaosBenchResult:
         return failures + [message for ok, message in checks if not ok]
 
 
-def _plan_for(kind: str, seed: int) -> ServingFaultPlan:
+def _plan_for(kind: str, seed: int) -> FaultPlan:
     """A deterministic single-kind plan tuned so the run survives it.
 
     ``corrupt_tile`` waits for step 2 so the palette tiles it poisons
@@ -221,22 +216,22 @@ def _plan_for(kind: str, seed: int) -> ServingFaultPlan:
     the revocation path can unwedge it.
     """
     if kind == "transient_step":
-        spec = ServingFaultSpec(kind=kind, sweep=1, times=2)
+        spec = FaultSpec(kind=kind, sweep=1, times=2)
     elif kind == "delay_step":
-        spec = ServingFaultSpec(kind=kind, sweep=1, times=2, seconds=0.05)
+        spec = FaultSpec(kind=kind, sweep=1, times=2, seconds=0.05)
     elif kind == "kernel_error":
-        spec = ServingFaultSpec(kind=kind, sweep=1, times=2)
+        spec = FaultSpec(kind=kind, sweep=1, times=2)
     elif kind == "corrupt_tile":
-        spec = ServingFaultSpec(kind=kind, sweep=2, times=1)
+        spec = FaultSpec(kind=kind, sweep=2, times=1)
     elif kind == "hang_step":
-        spec = ServingFaultSpec(kind=kind, sweep=1, times=1, seconds=30.0)
+        spec = FaultSpec(kind=kind, sweep=1, times=1, seconds=30.0)
     else:  # pragma: no cover - matrix is fixed above
         raise ValueError(f"unknown chaos kind {kind!r}")
-    return ServingFaultPlan(specs=(spec,), seed=seed)
+    return FaultPlan(specs=(spec,), seed=seed)
 
 
 def _config_for(
-    kind: str, plan: ServingFaultPlan, max_new_tokens: int
+    kind: str, plan: FaultPlan, max_new_tokens: int
 ) -> ServingConfig:
     """Serving knobs for one matrix cell.
 
@@ -253,14 +248,14 @@ def _config_for(
         eval_path="palette",
         poll_interval_s=0.002,
         fault_plan=plan,
-        max_step_retries=2,
-        step_retry_backoff_s=0.005,
+        retry=RetryPolicy(
+            timeout_s=0.25 if kind == "hang_step" else None,
+            backoff_s=0.005,
+            respawns=4,
+        ),
     )
     if kind == "kernel_error":
         kwargs["breaker_threshold"] = 1
-    if kind == "hang_step":
-        kwargs["step_timeout_s"] = 0.25
-        kwargs["max_loop_respawns"] = 4
     return ServingConfig(**kwargs)
 
 
@@ -315,7 +310,7 @@ def _drive_chaos(
 
 
 def _reconcile_faults(
-    server: PaletteServer, plan: ServingFaultPlan | None
+    server: PaletteServer, plan: FaultPlan | None
 ) -> tuple[dict, int]:
     """Count logged fault events per kind; report specs that never fired."""
     events: dict[str, int] = {}
@@ -448,8 +443,8 @@ def run_serving_faults(
             )
 
     # --- breaker round-trip: trip, probation, re-promotion ---------------
-    plan = ServingFaultPlan(
-        specs=(ServingFaultSpec(kind="kernel_error", sweep=1, times=1),),
+    plan = FaultPlan(
+        specs=(FaultSpec(kind="kernel_error", sweep=1, times=1),),
         seed=seed,
     )
     config = ServingConfig(

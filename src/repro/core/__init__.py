@@ -16,10 +16,11 @@ Public surface:
   (the process backend pins layers to worker slots by weight bytes and
   ships zero-copy shared-memory weight views plus ``O(k)`` deltas to them
   via :class:`ProcessLayerEngine`).
-- :class:`FaultPlan` / :class:`FaultInjector` plus the checkpoint layer
-  (:func:`write_checkpoint` / :func:`load_checkpoint`) -- the robustness
-  surface: deterministic chaos injection, watchdog/retry/quarantine
-  recovery, crash-safe checkpoint/resume, and graceful backend
+- :class:`FaultPlan` / :class:`FaultInjector` (one injector for the
+  compression engine and the server), :class:`RetryPolicy`, and the
+  checkpoint layer (:func:`write_checkpoint` / :func:`load_checkpoint`)
+  -- the robustness surface: deterministic chaos injection,
+  watchdog/retry/quarantine recovery, crash-safe checkpoint/resume, and graceful backend
   degradation (see ``docs/robustness.md``).
 """
 
@@ -37,6 +38,7 @@ from repro.core.config import (
     DKMConfig,
     EDKMConfig,
     PipelineStats,
+    RetryPolicy,
     get_default_compressor_config,
     get_default_dkm_config,
 )
@@ -125,6 +127,7 @@ __all__ = [
     "DKMConfig",
     "EDKMConfig",
     "PipelineStats",
+    "RetryPolicy",
     "get_default_compressor_config",
     "get_default_dkm_config",
     "ClusteredLinear",

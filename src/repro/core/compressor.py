@@ -603,8 +603,8 @@ class ModelCompressor:
         that the decomposition products are re-residented lazily on next
         local use.
 
-        **Degradation ladder** (``config.degrade``, on by default): an
-        infrastructure failure -- the engine's respawn budget running out
+        **Degradation ladder** (always on): an infrastructure
+        failure -- the engine's respawn budget running out
         (:class:`~repro.core.faults.PoolExhausted`), a broken pool, a
         lost shm block -- demotes the run one backend down (process ->
         thread -> serial) with a :class:`~repro.core.faults.
@@ -619,7 +619,7 @@ class ModelCompressor:
             try:
                 results = self._sweep_on(backend, op, **kwargs)
             except _INFRA_FAILURES as exc:
-                if backend == "serial" or not self.config.degrade:
+                if backend == "serial":
                     raise
                 self._demote(backend, exc)
                 continue
@@ -671,7 +671,7 @@ class ModelCompressor:
         the delta-shipping effect directly: a warm sweep's
         ``last_sweep_delta_tasks`` equals the layer count and its
         ``last_sweep_bytes`` undercuts the cold full-task sweep's (see
-        ``python -m repro.bench sharded``); ``bytes_shipped`` reconciles
+        ``python -m repro.bench engine``); ``bytes_shipped`` reconciles
         exactly with the traffic ledger's ``shard:ship:*`` total.
         """
         return self._engine.transport if self._engine is not None else None

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
 
+from repro.core.faults import FaultPlan, check_plan
 from repro.distributed.learner import LearnerGroup
 from repro.tensor.dtype import DType, bfloat16, get_dtype
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.faults import FaultPlan
 
 
 def config_to_dict(config) -> dict:
@@ -18,9 +15,10 @@ def config_to_dict(config) -> dict:
 
     Keys come from ``fields()``, so a removed field cannot leave a stale
     key behind.  ``weight_dtype`` serializes by name, ``skip_names`` as a
-    list, and an armed ``fault_plan`` refuses to serialize: fault plans
-    are in-memory chaos-test instruments, and silently dropping one would
-    make a persisted artifact claim a cleaner run than actually happened.
+    list, ``retry`` as a nested dict, and an armed ``fault_plan`` refuses
+    to serialize: fault plans are in-memory chaos-test instruments, and
+    silently dropping one would make a persisted artifact claim a
+    cleaner run than actually happened.
     """
     if getattr(config, "fault_plan", None) is not None:
         raise ValueError(
@@ -33,6 +31,8 @@ def config_to_dict(config) -> dict:
         payload["weight_dtype"] = payload["weight_dtype"].name
     if "skip_names" in payload:
         payload["skip_names"] = list(payload["skip_names"])
+    if "retry" in payload:
+        payload["retry"] = payload["retry"].to_dict()
     return payload
 
 
@@ -50,7 +50,72 @@ def config_from_dict(cls, payload: dict):
         payload["weight_dtype"] = get_dtype(payload["weight_dtype"])
     if "skip_names" in payload:
         payload["skip_names"] = tuple(payload["skip_names"])
+    if "retry" in payload:
+        payload["retry"] = RetryPolicy.from_dict(payload["retry"])
     return cls(**payload)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How a supervisor times out, retries, backs off and respawns.
+
+    One policy shape for both supervisors: the process compression
+    engine (``CompressorConfig.retry``, default ``(None, 2, 0.05, 8)``)
+    and the serving scheduler (``ServingConfig.retry``, default
+    ``(None, 2, 0.02, 4)``).
+
+    Attributes:
+        timeout_s: watchdog deadline.  Compression: per shipped task (a
+            slot batch of ``n`` tasks gets ``n * timeout_s`` before its
+            worker is declared hung, killed, and respawned).  Serving:
+            per decode step (a step still running is declared hung and
+            its loop generation revoked).  ``None`` (default) disables
+            the watchdog.
+        retries: bounded re-attempts of one failing unit.  Compression:
+            re-shipments of a slot batch per sweep before it runs
+            in-parent; a layer whose batches fall back ``retries + 1``
+            times is quarantined (executed in-parent for the rest of the
+            run).  Serving: retries of a decode step that raised
+            :class:`~repro.serving.faults.TransientStepError` before its
+            batch fails with ``StepFailed``.
+        backoff_s: base sleep before re-attempt ``n`` after a transient
+            failure, ``backoff_s * 2**(n - 1)`` (see :meth:`backoff`).
+        respawns: worker (compression) or scheduler-loop (serving)
+            respawn budget for the supervisor's lifetime.  Past it the
+            engine raises :class:`~repro.core.faults.PoolExhausted`,
+            which demotes the compression backend, and the server is
+            marked dead and rejects work.
+    """
+
+    timeout_s: float | None = None
+    retries: int = 2
+    backoff_s: float = 0.05
+    respawns: int = 8
+
+    def __post_init__(self) -> None:
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ValueError(
+                f"timeout_s must be positive or None, got {self.timeout_s}"
+            )
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.backoff_s < 0:
+            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if self.respawns < 0:
+            raise ValueError(f"respawns must be >= 0, got {self.respawns}")
+
+    def backoff(self, attempt: int) -> float:
+        """Seconds to sleep before 1-based re-attempt ``attempt``."""
+        return self.backoff_s * 2 ** (attempt - 1)
+
+    def to_dict(self) -> dict:
+        """The four fields as a plain dict (nested in a config's dict)."""
+        return config_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RetryPolicy":
+        """Rebuild a validated policy (unknown keys raise ``ValueError``)."""
+        return config_from_dict(cls, payload)
 
 
 @dataclass
@@ -159,55 +224,27 @@ class CompressorConfig:
         embedding_bits: post-training palettization width for embeddings
             (paper: "we also compressed the embedding layers with 8 bits").
         skip_names: module-path prefixes exempted from wrapping.
-        task_timeout_s: watchdog deadline per shipped process-backend
-            task.  A slot batch of ``n`` tasks gets ``n * task_timeout_s``
-            seconds before the parent declares the worker hung, hard-kills
-            it, respawns the slot, and re-ships the batch full.  ``None``
-            (default) disables the watchdog -- a hung worker then blocks
-            the sweep forever, exactly the pre-watchdog behavior.
-        max_task_retries: re-submission budget per slot batch per sweep.
-            Recoverable failures (crash, hang, stale cache, corrupt
-            payload, lost shm block, transient worker error) re-ship the
-            batch full up to this many times; exhausting the budget falls
-            back to in-parent serial execution for the batch (see
-            ``max_layer_retries``) instead of failing the sweep.
-        retry_backoff_s: base sleep before re-submitting after a
-            *transient* worker failure; doubles per retry (exponential
-            backoff).  Crash/hang retries do not sleep -- the respawn
-            itself is the delay.
-        max_layer_retries: per-layer failure budget across the run.  A
-            layer whose batches exhaust their retries this many times is
-            *quarantined*: permanently executed in-parent (bit-identical
-            by construction) and never shipped again, so one poison layer
-            cannot re-fail every sweep.
-        max_pool_respawns: worker-respawn budget for the engine's
-            lifetime.  Exceeding it raises
-            :class:`~repro.core.faults.PoolExhausted` instead of
-            respawning again, which the compressor (with ``degrade=True``)
-            answers by demoting the backend down the ladder
-            process -> thread -> serial.
-        degrade: whether ``ModelCompressor`` demotes the backend and
-            re-runs the sweep when a backend fails irrecoverably, instead
-            of propagating the error.  Demotion emits a
-            :class:`~repro.core.faults.RobustnessWarning` and is recorded
-            on ``ModelCompressor.degradations``; the re-run is safe
-            because a failed sweep merges nothing into parent state.
+        retry: the process backend's :class:`RetryPolicy` -- the
+            per-task watchdog deadline, the re-shipments of a failing
+            slot batch before it runs in-parent (crash, hang, stale
+            cache, corrupt payload, lost shm block, transient worker
+            error; only transient failures sleep the backoff, a respawn
+            is its own delay), quarantine after ``retries + 1``
+            fallbacks of one layer, and the worker-respawn budget whose
+            exhaustion demotes the backend process -> thread -> serial.
         fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
-            engine's deterministic fault injector (chaos testing).
-            ``None`` (default) injects nothing.
+            engine's deterministic fault injector (chaos testing); it
+            may only hold ``"compression"`` kinds of
+            :data:`~repro.core.faults.FAULT_KINDS`.  ``None`` (default)
+            injects nothing.
     """
 
     backend: str = "thread"
     num_workers: int = 1
     embedding_bits: int = 8
     skip_names: tuple[str, ...] = ()
-    task_timeout_s: float | None = None
-    max_task_retries: int = 2
-    retry_backoff_s: float = 0.05
-    max_layer_retries: int = 3
-    max_pool_respawns: int = 8
-    degrade: bool = True
-    fault_plan: "FaultPlan | None" = None
+    retry: RetryPolicy = RetryPolicy()
+    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -216,26 +253,7 @@ class CompressorConfig:
             )
         if self.num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError(
-                f"task_timeout_s must be positive or None, got {self.task_timeout_s}"
-            )
-        if self.max_task_retries < 0:
-            raise ValueError(
-                f"max_task_retries must be >= 0, got {self.max_task_retries}"
-            )
-        if self.retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.max_layer_retries < 1:
-            raise ValueError(
-                f"max_layer_retries must be >= 1, got {self.max_layer_retries}"
-            )
-        if self.max_pool_respawns < 0:
-            raise ValueError(
-                f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"
-            )
+        check_plan(self.fault_plan, "compression")
 
     def resolve_workers(self, n_tasks: int) -> int:
         """Effective pool width for ``n_tasks`` independent layers."""

@@ -1,27 +1,32 @@
-"""Deterministic fault injection for the compression engine (chaos harness).
+"""Deterministic fault injection for the compression engine and the server.
 
 A days-long train-time clustering run will see worker crashes, hangs,
 corrupted payloads, and externally-reaped ``/dev/shm`` segments long
-before it sees an OOM.  The engine's recovery paths -- watchdog respawn,
-bounded retry, poison-layer quarantine, shm re-export, checkpoint/resume,
-and backend degradation (see ``docs/robustness.md``) -- are only
-trustworthy if every one of them can be triggered *on demand*, at a
-chosen point, repeatably.  This module is that trigger.
+before it sees an OOM; a server will see a palette kernel raise, a
+cached tile rot, and a decode step wedge.  The recovery paths --
+watchdog respawn, bounded retry, poison-layer quarantine, shm re-export,
+checkpoint/resume, backend degradation, the serving crash boundary and
+circuit breaker (see ``docs/robustness.md``) -- are only trustworthy if
+every one of them can be triggered *on demand*, at a chosen point,
+repeatably.  This module is that trigger, for both engines.
 
 A :class:`FaultPlan` names the injections: each :class:`FaultSpec` arms
 one fault ``kind`` at a ``(sweep, layer)`` point (``layer=None`` picks a
 layer deterministically from the plan's seed, so "some layer, same one
 every run" is expressible without naming layers up front).  The
-:class:`FaultInjector` is driven by
-:class:`~repro.core.procpool.ProcessLayerEngine`: at every sweep it is
-asked, per layer, whether a fault fires *here*; worker-side kinds come
-back as a picklable :class:`FaultDirective` attached to the shipped task
-(the worker executes it via :func:`apply_directive` -- killing itself,
-sleeping, or raising), parent-side kinds (payload corruption, shm drop)
-are applied by the engine before the task ships.  Every injection is
-recorded in a :class:`FaultLog`, which the chaos benchmark
-(``python -m repro.bench faults``) cross-checks against the recoveries it
-observed.
+:data:`FAULT_KINDS` table says which engine injects each kind, what it
+targets, and when it fires.  One :class:`FaultInjector` serves both
+engines.  :class:`~repro.core.procpool.ProcessLayerEngine` asks it, per
+layer and sweep, whether a fault fires *here*: worker-side kinds ride
+the shipped task as a picklable :class:`FaultDirective` (the worker
+executes it via :func:`apply_directive` -- killing itself, sleeping, or
+raising), parent-side kinds (payload corruption, shm drop) are applied
+by the engine before the task ships.
+:class:`~repro.serving.server.PaletteServer` asks it, per decode step,
+from its palette kernel hook, its tile cache, and its step loop.  Every
+injection is recorded in a :class:`FaultLog`, which the chaos benchmarks
+(``python -m repro.bench faults serving_faults``) cross-check against
+the recoveries they observed.
 
 Determinism contract: for a fixed (plan, layer-name sequence), the
 injector fires the same faults at the same points on every run -- no
@@ -50,17 +55,46 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import ClassVar, Sequence
+from typing import Sequence
 
-FAULT_KINDS = ("kill", "hang", "delay", "transient", "corrupt_delta", "drop_shm")
-"""Injectable fault classes: hard-kill the worker mid-task, hang it past
-the watchdog deadline, delay it within the deadline, raise a retryable
-worker exception, corrupt a shipped ``LayerDelta`` payload, or unlink a
-layer's shared-memory block out from under the engine."""
+FAULT_KINDS = {
+    # kind            engine         scope     fires
+    "kill":           ("compression", "worker", "at"),
+    "hang":           ("compression", "worker", "at"),
+    "delay":          ("compression", "worker", "at"),
+    "transient":      ("compression", "worker", "at"),
+    "corrupt_delta":  ("compression", "parent", "at"),
+    "drop_shm":       ("compression", "parent", "at"),
+    "kernel_error":   ("serving",     "layer",  "from"),
+    "corrupt_tile":   ("serving",     "layer",  "from"),
+    "hang_step":      ("serving",     "step",   "from"),
+    "delay_step":     ("serving",     "step",   "from"),
+    "transient_step": ("serving",     "step",   "from"),
+}  # fmt: skip
+"""Every injectable fault, as ``kind -> (engine, scope, fires)``.
 
-WORKER_FAULT_KINDS = ("kill", "hang", "delay", "transient")
-"""The subset of :data:`FAULT_KINDS` executed *inside* a pool worker via
-a shipped :class:`FaultDirective`; the rest are applied parent-side."""
+``engine`` names the config that may arm the kind (``"compression"``:
+``CompressorConfig``; ``"serving"``: ``ServingConfig``).  ``scope`` is
+what a spec targets: ``"worker"`` kinds run inside a pool worker via a
+shipped :class:`FaultDirective` (hard-kill it, hang it past the
+watchdog, delay it within the deadline, raise a retryable error);
+``"parent"`` kinds are applied by the engine to a layer's outbound task
+(corrupt a shipped ``LayerDelta``, unlink the layer's shm block);
+``"layer"`` kinds hit one served layer (raise from its palette kernel,
+poison one of its cached tiles); ``"step"`` kinds hit the decode step
+itself (:data:`STEP_TARGET`: hang, delay, or raise a retryable error).
+``fires`` is the firing rule: ``"at"`` fires only at the spec's point,
+``"from"`` at the first opportunity at or after it -- a ``corrupt_tile``
+can only poison a resident tile and a ``kernel_error`` only fires while
+its layer's kernel runs, so a serving spec waits for one, while a
+compression spec whose sweep has nothing to hit (``corrupt_delta`` on a
+cold sweep) is a no-op."""
+
+STEP_TARGET = "<step>"
+"""The resolved target of step-scoped specs: the decode step, no layer."""
+
+_NAP_KINDS = ("hang", "delay", "hang_step", "delay_step")
+"""Kinds whose ``seconds`` sizes a sleep (logged as the event detail)."""
 
 
 class RobustnessWarning(RuntimeWarning):
@@ -119,7 +153,7 @@ class WatchdogTimeout(RuntimeError):
 
 
 class PoolExhausted(RuntimeError):
-    """The engine's worker-respawn budget (``max_pool_respawns``) is spent.
+    """The engine's worker-respawn budget (``retry.respawns``) is spent.
 
     Raised instead of respawning yet another worker; the
     :class:`~repro.core.compressor.ModelCompressor` reacts by demoting
@@ -130,21 +164,17 @@ class PoolExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One armed fault: ``kind`` at ``(sweep, layer)``, fired ``times`` times.
+    """One armed fault: ``kind`` at point ``sweep``, fired ``times`` times.
 
-    ``sweep`` counts the engine's sweeps 1-based (each ``refine_all`` /
-    ``precluster`` / ``finalize`` call is one sweep).  ``layer=None``
-    resolves to a deterministic seeded pick from that sweep's layer list;
-    ``op`` restricts the fault to one sweep op (``None`` matches any).
-    ``times > 1`` re-fires on retries -- e.g. a ``transient`` with
-    ``times`` above the engine's retry budget forces the quarantine path.
-    ``seconds`` parameterizes ``delay``/``hang`` durations.
+    ``sweep`` is 1-based: the compression engine's sweep count (each
+    ``refine_all`` / ``precluster`` / ``finalize`` call is one sweep) or
+    the server's decode step.  ``layer=None`` resolves to a deterministic
+    seeded pick from the point's layer list (step-scoped kinds always
+    target :data:`STEP_TARGET`); ``op`` restricts the fault to one sweep
+    op (``None`` matches any).  ``times > 1`` re-fires on retries --
+    e.g. a ``transient`` with ``times`` above the engine's retry budget
+    forces the quarantine path.  ``seconds`` sizes hang/delay naps.
     """
-
-    #: The kinds a spec of this class may arm.  Subclasses (the serving
-    #: fault layer in :mod:`repro.serving.faults`) override this to extend
-    #: the taxonomy while reusing the seeded-determinism machinery.
-    VALID_KINDS: ClassVar[tuple[str, ...]] = FAULT_KINDS
 
     kind: str
     sweep: int = 1
@@ -154,10 +184,10 @@ class FaultSpec:
     seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        kinds = type(self).VALID_KINDS
-        if self.kind not in kinds:
+        if self.kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {kinds}"
+                f"unknown fault kind {self.kind!r}; "
+                f"expected one of {tuple(FAULT_KINDS)}"
             )
         if self.sweep < 1:
             raise ValueError(f"sweep is 1-based, got {self.sweep}")
@@ -171,13 +201,11 @@ class FaultSpec:
 class FaultPlan:
     """A seedable, deterministic set of :class:`FaultSpec` injections.
 
-    Attach to ``CompressorConfig.fault_plan`` to arm the engine's
-    injector.  The plan is immutable; the injector tracks firing state.
+    Attach to ``CompressorConfig.fault_plan`` or
+    ``ServingConfig.fault_plan`` (each accepts only its own engine's
+    kinds, see :func:`check_plan`) to arm that engine's injector.  The
+    plan is immutable; the injector tracks firing state.
     """
-
-    #: The spec class :meth:`single` constructs; subclasses pair with
-    #: their own :class:`FaultSpec` subclass.
-    SPEC_CLASS: ClassVar[type] = FaultSpec
 
     specs: tuple[FaultSpec, ...] = ()
     seed: int = 0
@@ -189,7 +217,30 @@ class FaultPlan:
     @classmethod
     def single(cls, kind: str, sweep: int = 1, **kwargs) -> "FaultPlan":
         """A one-spec plan -- the common chaos-benchmark shape."""
-        return cls(specs=(cls.SPEC_CLASS(kind=kind, sweep=sweep, **kwargs),))
+        return cls(specs=(FaultSpec(kind=kind, sweep=sweep, **kwargs),))
+
+
+def check_plan(plan: "FaultPlan | None", engine: str) -> None:
+    """Validate a config's ``fault_plan`` for one :data:`FAULT_KINDS` engine.
+
+    Raises ``ValueError`` naming the kind and both engines when a spec
+    belongs to the other engine: no probe of this engine ever asks for
+    such a kind, so the plan would be accepted and silently inject
+    nothing.
+    """
+    if plan is None:
+        return
+    if not isinstance(plan, FaultPlan):
+        raise ValueError(
+            f"fault_plan must be a FaultPlan or None, got {type(plan).__name__}"
+        )
+    for spec in plan.specs:
+        owner = FAULT_KINDS[spec.kind][0]
+        if owner != engine:
+            raise ValueError(
+                f"fault kind {spec.kind!r} is injected by the {owner} engine; "
+                f"a {engine} config cannot arm it"
+            )
 
 
 @dataclass(frozen=True)
@@ -270,86 +321,88 @@ def _seeded_index(seed: int, spec_index: int, sweep: int, n: int) -> int:
 
 
 class FaultInjector:
-    """Stateful executor of a :class:`FaultPlan` (one per engine).
+    """Stateful executor of a :class:`FaultPlan` (one per engine or server).
 
-    Driven by the process engine: :meth:`begin_sweep` advances the sweep
-    counter and resolves ``layer=None`` specs against the sweep's layer
-    list; :meth:`fire` answers "does ``kind`` fire for (layer, op) right
-    now?", consuming one of the spec's ``times`` and logging the event
-    when it does; :meth:`worker_directive` packages the worker-side kinds
-    into a shippable :class:`FaultDirective`.  All methods are parent-side
-    and single-threaded (the engine submits batches from one thread).
+    The caller opens every point with :meth:`begin` -- the process
+    engine once per sweep, the server once per decode step -- and asks
+    :meth:`fire` whether ``kind`` fires on a target right now; a firing
+    consumes one of the spec's ``times`` and is logged.  Retries within
+    a point ask again without a new :meth:`begin`, so a spec with
+    ``times > 1`` re-fires on them.  Single-threaded by contract: the
+    engine submits batches from one thread, and the server's scheduler
+    loop owns its injector (a revoked loop never touches it again -- see
+    the stale-generation checks in :mod:`repro.serving.server`).
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.log = FaultLog()
-        self._sweep = 0
+        self.point = 0
         self._op = ""
         self._fired: dict[int, int] = {}
-        self._resolved: dict[int, str] = {}
+        self._targets: dict[int, str] = {}
 
     @classmethod
     def from_plan(cls, plan: "FaultPlan | None") -> "FaultInjector | None":
         """An injector for ``plan``, or ``None`` for a fault-free engine."""
         return None if plan is None else cls(plan)
 
-    def begin_sweep(self, sweep: int, names: Sequence[str], op: str) -> None:
-        """Arm the injector for one engine sweep over ``names``."""
-        self._sweep = sweep
+    def begin(self, point: int, names: Sequence[str], op: str) -> None:
+        """Open ``point`` (a sweep or decode step) over the layer ``names``.
+
+        Arms every spec whose firing rule admits ``point`` and resolves
+        its target: step-scoped kinds target :data:`STEP_TARGET`, a
+        pinned ``layer`` itself, and ``layer=None`` the seeded pick
+        ``names[_seeded_index(seed, index, spec.sweep, len(names))]`` --
+        the same layer at every point of every run.
+        """
+        self.point = point
         self._op = op
-        self._resolved = {}
+        self._targets = {}
         for index, spec in enumerate(self.plan.specs):
-            if spec.sweep != sweep:
+            _, scope, fires = FAULT_KINDS[spec.kind]
+            if spec.sweep > point or (fires == "at" and spec.sweep < point):
                 continue
-            if spec.layer is not None:
-                self._resolved[index] = spec.layer
+            if scope == "step":
+                self._targets[index] = STEP_TARGET
+            elif spec.layer is not None:
+                self._targets[index] = spec.layer
             elif names:
-                self._resolved[index] = names[
-                    _seeded_index(self.plan.seed, index, sweep, len(names))
+                self._targets[index] = names[
+                    _seeded_index(self.plan.seed, index, spec.sweep, len(names))
                 ]
 
-    def fire(self, kind: str, layer: str, detail: str = "") -> FaultSpec | None:
+    def fire(self, kind: str, target: str) -> FaultSpec | None:
         """Consume and log a matching armed spec, or return ``None``.
 
-        A spec matches when its kind, sweep, (resolved) layer, and op all
-        agree and it has firings left.  At most one spec fires per call.
+        A spec matches when it is armed at this point with this kind and
+        target, its ``op`` (if any) is the point's op, and it has firings
+        left.  At most one spec fires per call.
         """
         for index, spec in enumerate(self.plan.specs):
-            if spec.kind != kind or spec.sweep != self._sweep:
-                continue
-            if self._resolved.get(index) != layer:
+            if spec.kind != kind or self._targets.get(index) != target:
                 continue
             if spec.op is not None and spec.op != self._op:
                 continue
-            if self._fired.get(index, 0) >= spec.times:
+            fired = self._fired.get(index, 0)
+            if fired >= spec.times:
                 continue
-            self._fired[index] = self._fired.get(index, 0) + 1
+            self._fired[index] = fired + 1
             self.log.record(
                 FaultEvent(
-                    sweep=self._sweep,
-                    layer=layer,
+                    sweep=self.point,
+                    layer=target,
                     op=self._op,
                     kind=kind,
-                    detail=detail or self._describe(spec),
+                    detail=(
+                        f"{spec.seconds}s"
+                        if kind in _NAP_KINDS
+                        else f"firing {spec.times} time(s)"
+                    ),
                 )
             )
             return spec
         return None
-
-    def worker_directive(self, layer: str) -> FaultDirective | None:
-        """The worker-side directive firing for ``layer`` now, if any."""
-        for kind in WORKER_FAULT_KINDS:
-            spec = self.fire(kind, layer)
-            if spec is not None:
-                return FaultDirective(kind=kind, layer=layer, seconds=spec.seconds)
-        return None
-
-    @staticmethod
-    def _describe(spec: FaultSpec) -> str:
-        if spec.kind in ("hang", "delay"):
-            return f"{spec.seconds}s"
-        return f"firing {spec.times} time(s)"
 
 
 def apply_directive(directive: "FaultDirective | None") -> None:
@@ -392,7 +445,7 @@ def corrupted_state(state):
 
 __all__ = [
     "FAULT_KINDS",
-    "WORKER_FAULT_KINDS",
+    "STEP_TARGET",
     "CorruptPayload",
     "FaultDirective",
     "FaultEvent",
@@ -405,5 +458,6 @@ __all__ = [
     "TransientWorkerError",
     "WatchdogTimeout",
     "apply_directive",
+    "check_plan",
     "corrupted_state",
 ]

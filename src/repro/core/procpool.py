@@ -95,6 +95,7 @@ from repro.core.config import CompressorConfig, DKMConfig
 from repro.core.dkm import ClusterState, DKMClusterer
 from repro.core.fastpath import FastPathStats
 from repro.core.faults import (
+    FAULT_KINDS,
     CorruptPayload,
     FaultDirective,
     FaultInjector,
@@ -119,6 +120,11 @@ from repro.tensor.serialization import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tensor.tensor import Tensor
+
+_WORKER_FAULTS = tuple(
+    kind for kind, (_, scope, _) in FAULT_KINDS.items() if scope == "worker"
+)
+"""Fault kinds a worker executes from a shipped :class:`FaultDirective`."""
 
 
 class StaleWorkerCache(RuntimeError):
@@ -628,7 +634,7 @@ class ProcessLayerEngine:
         ``kill=True`` is the watchdog path: the worker is wedged in a
         hung task, so its processes are SIGKILLed before the executor is
         shut down (``cancel_futures`` alone cannot stop a running task).
-        Every respawn draws on ``config.max_pool_respawns``; past the
+        Every respawn draws on ``config.retry.respawns``; past the
         budget :class:`~repro.core.faults.PoolExhausted` is raised so the
         compressor degrades the backend instead of respawning forever.
         """
@@ -640,10 +646,10 @@ class ProcessLayerEngine:
             if pinned == slot:
                 self._sync.pop(name, None)
         self._respawns += 1
-        if self._respawns > self.config.max_pool_respawns:
+        if self._respawns > self.config.retry.respawns:
             raise PoolExhausted(
                 f"worker respawn budget exhausted ({self._respawns - 1} respawns"
-                f" > max_pool_respawns={self.config.max_pool_respawns})"
+                f" > retry.respawns={self.config.retry.respawns})"
             )
         slots[slot] = self._new_slot()
 
@@ -736,9 +742,9 @@ class ProcessLayerEngine:
         clusterer is only read on the parent side (state snapshot + warm
         token); the worker builds or resumes its own from the shipped
         task.  Failures the engine *can* absorb -- crashes, hangs
-        past ``task_timeout_s``, stale caches, corrupt deltas, lost shm
+        past ``retry.timeout_s``, stale caches, corrupt deltas, lost shm
         blocks, transient worker errors -- are retried per slot up to
-        ``max_task_retries`` times and then executed in-parent (see
+        ``retry.retries`` times and then executed in-parent (see
         :meth:`_collect_slot`); on any failure beyond that taxonomy (a
         real op bug, the respawn budget running out) the engine is
         :meth:`reset` before the error propagates, so a failed sweep
@@ -746,7 +752,7 @@ class ProcessLayerEngine:
         """
         self._sweep_index += 1
         if self.faults is not None:
-            self.faults.begin_sweep(
+            self.faults.begin(
                 self._sweep_index, [name for name, _, _ in layers], op
             )
         try:
@@ -759,7 +765,7 @@ class ProcessLayerEngine:
 
     def _deadline(self, n_tasks: int) -> float | None:
         """The watchdog deadline for an ``n_tasks`` batch (``None`` = off)."""
-        timeout = self.config.task_timeout_s
+        timeout = self.config.retry.timeout_s
         return None if timeout is None else timeout * max(1, n_tasks)
 
     # -- task building --------------------------------------------------
@@ -915,9 +921,12 @@ class ProcessLayerEngine:
         injector = self.faults
         if injector is None:
             return task
-        directive = injector.worker_directive(name)
-        if directive is not None:
-            task = replace(task, fault=directive)
+        for kind in _WORKER_FAULTS:
+            spec = injector.fire(kind, name)
+            if spec is not None:
+                directive = FaultDirective(kind=kind, layer=name, seconds=spec.seconds)
+                task = replace(task, fault=directive)
+                break
         if isinstance(task, LayerDelta) and injector.fire("corrupt_delta", name):
             task = replace(task, state=corrupted_state(task.state))
         if injector.fire("drop_shm", name):
@@ -964,17 +973,17 @@ class ProcessLayerEngine:
         respawns the worker; a crash respawns it; a stale cache or
         corrupt payload re-ships full to the live worker; a lost shm
         block re-exports first; a transient error backs off
-        exponentially (``retry_backoff_s * 2**attempt``) and retries in
-        place.  Each retry re-ships the batch as full tasks.  After
-        ``max_task_retries`` failed shipments the batch falls back to
-        in-parent serial execution -- the sweep still completes -- and
-        each layer's failure count advances toward quarantine.
+        exponentially (:meth:`~repro.core.config.RetryPolicy.backoff`)
+        and retries in place.  Each retry re-ships the batch as full
+        tasks.  After ``retry.retries`` failed shipments the batch falls
+        back to in-parent serial execution -- the sweep still completes
+        -- and each layer's failure count advances toward quarantine.
         :class:`~repro.core.faults.PoolExhausted` (respawn budget spent)
         is deliberately *not* absorbed: it propagates so the compressor
         can demote the whole backend.
         """
         deadline = self._deadline(len(batch))
-        retries = self.config.max_task_retries
+        policy = self.config.retry
         attempt = 0
         while True:
             kind = None
@@ -1002,11 +1011,11 @@ class ProcessLayerEngine:
             if kind == "shm-lost":
                 for task in batch:
                     self._drop_export(task.name)
-            if attempt >= retries:
+            if attempt >= policy.retries:
                 return self._fallback_in_parent(op, kwargs, batch, spec, kind)
             attempt += 1
-            if kind == "transient" and self.config.retry_backoff_s > 0:
-                time.sleep(self.config.retry_backoff_s * (2 ** (attempt - 1)))
+            if kind == "transient":
+                time.sleep(policy.backoff(attempt))
             batch = self._rebuild_full(batch, spec)
             future = self._submit_slot(slot, op, kwargs, batch)
 
@@ -1037,9 +1046,9 @@ class ProcessLayerEngine:
 
         The sweep still completes bit-identically (the in-parent path
         reproduces the worker-path semantics exactly); each layer's
-        failure count advances, and a layer reaching
-        ``max_layer_retries`` is quarantined -- permanently executed
-        in-parent, never shipped again -- with a
+        failure count advances, and a layer reaching ``retry.retries + 1``
+        fallbacks is quarantined -- permanently executed in-parent, never
+        shipped again -- with a
         :class:`~repro.core.faults.RobustnessWarning`.
         """
         outcomes = []
@@ -1049,7 +1058,7 @@ class ProcessLayerEngine:
             self._layer_failures[name] = failures
             self._sync.pop(name, None)
             if (
-                failures >= self.config.max_layer_retries
+                failures > self.config.retry.retries
                 and name not in self._quarantined
             ):
                 self._quarantined.add(name)

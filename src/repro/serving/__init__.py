@@ -12,8 +12,8 @@ top-level ``repro.serve()`` convenience).
 The server is chaos-hardened (:mod:`repro.serving.faults`): a supervised
 scheduler with a per-step crash boundary and watchdog, a per-layer
 palette->dense circuit breaker (:mod:`repro.serving.breaker`), draining
-shutdown, and a deterministic fault injector armed via
-``ServingConfig.fault_plan``.
+shutdown, and the deterministic fault injector of
+:mod:`repro.core.faults` armed via ``ServingConfig.fault_plan``.
 """
 
 from repro.serving.batcher import ContinuousBatcher, SequenceState
@@ -24,13 +24,8 @@ from repro.serving.config import (
     get_default_serving_config,
 )
 from repro.serving.faults import (
-    LAYER_FAULT_KINDS,
-    SERVING_FAULT_KINDS,
     CorruptTileError,
     PaletteKernelError,
-    ServingFaultInjector,
-    ServingFaultPlan,
-    ServingFaultSpec,
     TransientStepError,
 )
 from repro.serving.palette import (
@@ -62,8 +57,6 @@ from repro.serving.stats import (
 __all__ = [
     "DEGRADE_TAG",
     "EVAL_PATHS",
-    "LAYER_FAULT_KINDS",
-    "SERVING_FAULT_KINDS",
     "AdmissionError",
     "BreakerBoard",
     "BreakerSnapshot",
@@ -84,9 +77,6 @@ __all__ = [
     "ServerStats",
     "ServingConfig",
     "ServingError",
-    "ServingFaultInjector",
-    "ServingFaultPlan",
-    "ServingFaultSpec",
     "StatsReport",
     "StepFailed",
     "TileCache",

@@ -3,7 +3,8 @@
 One keyword-only, validated dataclass plus a ``get_default_serving_config``
 constructor, mirroring the ``RTNConfig`` / ``get_default_rtn_config`` shape
 of Intel Neural Compressor's quantization front-end.  Every field is a
-primitive, so a config round-trips exactly through
+primitive or the frozen :class:`~repro.core.config.RetryPolicy` (a
+nested dict on the wire), so a config round-trips exactly through
 :meth:`ServingConfig.to_dict` / :meth:`ServingConfig.from_dict` -- the form
 checkpoint manifests and CI benchmark artifacts embed.
 """
@@ -11,12 +12,9 @@ checkpoint manifests and CI benchmark artifacts embed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.core.config import config_from_dict, config_to_dict
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serving.faults import ServingFaultPlan
+from repro.core.config import RetryPolicy, config_from_dict, config_to_dict
+from repro.core.faults import FaultPlan, check_plan
 
 EVAL_PATHS = ("palette", "dense")
 """Eval-mode execution paths for compressed layers: ``"palette"`` runs the
@@ -54,22 +52,18 @@ class ServingConfig:
             compare.
         poll_interval_s: how long the scheduler thread sleeps waiting for
             work when the queue is empty and no sequence is active.
-        step_timeout_s: per-decode-step watchdog deadline.  A step still
-            running after this many seconds is declared hung: its batch's
-            requests fail with :class:`~repro.serving.queue.StepFailed`,
-            the loop generation is revoked (the stuck thread becomes a
-            zombie whose late writes are discarded), and a fresh
-            scheduler loop is respawned.  ``None`` (default) disables the
-            watchdog.
-        max_step_retries: bounded retries for a decode step that raised
-            :class:`~repro.serving.faults.TransientStepError` before the
-            batch is failed with ``StepFailed``.
-        step_retry_backoff_s: base sleep between step retries; attempt
-            ``n`` waits ``n * step_retry_backoff_s``.
-        max_loop_respawns: watchdog kill budget.  After this many loop
-            respawns the server stops respawning and fails over to
-            rejecting work (dead-loop admission raises
-            :class:`~repro.serving.queue.ServerClosed`).
+        retry: the scheduler's :class:`~repro.core.config.RetryPolicy`
+            -- the per-decode-step watchdog deadline (a step still
+            running past it fails its batch with
+            :class:`~repro.serving.queue.StepFailed`, its loop generation
+            is revoked -- the stuck thread becomes a zombie whose late
+            writes are discarded -- and a fresh loop is respawned), the
+            retries of a step that raised
+            :class:`~repro.serving.faults.TransientStepError` and their
+            backoff, and the loop-respawn budget after which the server
+            fails over to rejecting work (dead-loop admission raises
+            :class:`~repro.serving.queue.ServerClosed`).  Default
+            ``RetryPolicy(None, 2, 0.02, 4)``: watchdog off.
         join_timeout_s: how long :meth:`PaletteServer.stop` waits for the
             scheduler thread to exit before escalating (warn, zombify the
             loop, fail whatever is still in flight) instead of
@@ -82,9 +76,11 @@ class ServingConfig:
         breaker_probation_steps: fault-free decode steps a tripped layer
             serves dense before the breaker re-enables its palette path
             (doubled on each re-trip, capped at 8x).
-        fault_plan: a :class:`~repro.serving.faults.ServingFaultPlan`
-            arming the server's deterministic fault injector (chaos
-            testing).  ``None`` (default) injects nothing.
+        fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
+            server's deterministic fault injector (chaos testing); it may
+            only hold ``"serving"`` kinds of
+            :data:`~repro.core.faults.FAULT_KINDS`.  ``None`` (default)
+            injects nothing.
     """
 
     max_batch_size: int = 8
@@ -94,15 +90,12 @@ class ServingConfig:
     tile_cache_bytes_limit: int = 0
     temperature: float = 0.0
     poll_interval_s: float = 0.005
-    step_timeout_s: float | None = None
-    max_step_retries: int = 2
-    step_retry_backoff_s: float = 0.02
-    max_loop_respawns: int = 4
+    retry: RetryPolicy = RetryPolicy(backoff_s=0.02, respawns=4)
     join_timeout_s: float = 5.0
     drain_timeout_s: float = 30.0
     breaker_threshold: int = 2
     breaker_probation_steps: int = 16
-    fault_plan: "ServingFaultPlan | None" = None
+    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -126,24 +119,6 @@ class ServingConfig:
             raise ValueError(
                 f"poll_interval_s must be positive, got {self.poll_interval_s}"
             )
-        if self.step_timeout_s is not None and self.step_timeout_s <= 0:
-            raise ValueError(
-                "step_timeout_s must be positive or None, "
-                f"got {self.step_timeout_s}"
-            )
-        if self.max_step_retries < 0:
-            raise ValueError(
-                f"max_step_retries must be >= 0, got {self.max_step_retries}"
-            )
-        if self.step_retry_backoff_s < 0:
-            raise ValueError(
-                "step_retry_backoff_s must be >= 0, "
-                f"got {self.step_retry_backoff_s}"
-            )
-        if self.max_loop_respawns < 0:
-            raise ValueError(
-                f"max_loop_respawns must be >= 0, got {self.max_loop_respawns}"
-            )
         if self.join_timeout_s <= 0:
             raise ValueError(
                 f"join_timeout_s must be positive, got {self.join_timeout_s}"
@@ -161,14 +136,7 @@ class ServingConfig:
                 "breaker_probation_steps must be >= 1, "
                 f"got {self.breaker_probation_steps}"
             )
-        if self.fault_plan is not None:
-            from repro.serving.faults import ServingFaultPlan
-
-            if not isinstance(self.fault_plan, ServingFaultPlan):
-                raise ValueError(
-                    "fault_plan must be a ServingFaultPlan or None, "
-                    f"got {type(self.fault_plan).__name__}"
-                )
+        check_plan(self.fault_plan, "serving")
 
     def to_dict(self) -> dict:
         """A plain-primitive dict that :meth:`from_dict` rebuilds exactly;

@@ -307,6 +307,11 @@ class TileCache:
                     self._resident_bytes -= int(evicted.nbytes)
                     self.stats.evictions += 1
 
+    def holds(self, prefix: tuple) -> bool:
+        """Whether any tile under ``prefix`` is resident (a poisoning target)."""
+        with self._lock:
+            return any(key[: len(prefix)] == prefix for key in self._tiles)
+
     def corrupt_one(self, prefix: tuple) -> bool:
         """Flip one byte of the oldest resident tile under ``prefix``.
 
@@ -314,8 +319,7 @@ class TileCache:
         and the only code that lifts a resident tile's read-only flag):
         the stamp is deliberately *not* refreshed, so the next :meth:`get`
         of that key detects the corruption.  Returns whether a tile was
-        poisoned (``False`` when nothing under ``prefix`` is resident --
-        the spec stays armed).
+        poisoned (``False`` when nothing under ``prefix`` is resident).
         """
         with self._lock:
             for key, (tile, _) in self._tiles.items():
@@ -401,8 +405,8 @@ class PaletteLinearExec:
 
         Resident tiles run dense gemm; misses run the palette kernel and
         (when a cache is attached) dequantize the tile for next time.
-        The optional ``fault_hook`` (the serving fault injector's
-        ``maybe_kernel_error``) runs first with this layer's name so an
+        The optional ``fault_hook`` (the server's ``kernel_error``
+        probe) runs first with this layer's name so an
         injected :class:`~repro.serving.faults.PaletteKernelError`
         genuinely originates inside the kernel call.
         """

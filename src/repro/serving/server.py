@@ -25,7 +25,7 @@ compression engine's chaos discipline, PR 6):
   (bit-identical by construction), audited in the traffic ledger under
   :data:`~repro.serving.stats.DEGRADE_TAG`; after a probation of clean
   steps the palette path is re-enabled.
-- **Step watchdog.**  With ``config.step_timeout_s`` set, a sidecar
+- **Step watchdog.**  With ``config.retry.timeout_s`` set, a sidecar
   thread revokes the loop *generation* of a step that wedges: the stuck
   thread becomes a zombie whose late writes are discarded
   (:class:`ServerRequest` resolution is idempotent; the loop re-checks
@@ -55,7 +55,12 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.core.compressor import ClusteredLinear
-from repro.core.faults import RobustnessWarning, WatchdogTimeout
+from repro.core.faults import (
+    STEP_TARGET,
+    FaultInjector,
+    RobustnessWarning,
+    WatchdogTimeout,
+)
 from repro.llm.tokenizer import WordTokenizer
 from repro.memory.traffic import TrafficLedger, global_ledger
 from repro.nn import Transformer
@@ -65,7 +70,6 @@ from repro.serving.config import ServingConfig, get_default_serving_config
 from repro.serving.faults import (
     CorruptTileError,
     PaletteKernelError,
-    ServingFaultInjector,
     TransientStepError,
 )
 from repro.serving.palette import TILE_ROWS, TileCache
@@ -104,7 +108,7 @@ class ServerHealth:
 
     ``accepting`` is the admission verdict: the server is running, not
     draining, and its loop is not dead.  ``stalled`` means the current
-    decode step has already overrun ``step_timeout_s`` but the watchdog
+    decode step has already overrun ``retry.timeout_s`` but the watchdog
     has not yet revoked the loop -- :meth:`PaletteServer.submit` sheds
     load during that window instead of queueing behind a wedge.
     """
@@ -326,9 +330,7 @@ class PaletteServer:
             threshold=self.config.breaker_threshold,
             probation_steps=self.config.breaker_probation_steps,
         )
-        self.fault_injector = ServingFaultInjector.from_plan(
-            self.config.fault_plan
-        )
+        self.fault_injector = FaultInjector.from_plan(self.config.fault_plan)
         self.batcher = self._make_batcher()
         self._palette_layers: list[tuple[str, ClusteredLinear]] = []
         self._thread: threading.Thread | None = None
@@ -339,8 +341,6 @@ class PaletteServer:
         model.eval()
         if self.config.eval_path == "palette":
             self._install_palette()
-        if self.fault_injector is not None:
-            self.fault_injector.arm([name for name, _ in self._palette_layers])
         # Clustered layers on the dense eval path *from construction*
         # charge their full 16-bit weight per step; the total is fixed,
         # so compute it once.  Breaker-tripped palette layers are charged
@@ -367,9 +367,17 @@ class PaletteServer:
         )
 
     def _fault_hook(self):
-        if self.fault_injector is None:
-            return None
-        return self.fault_injector.maybe_kernel_error
+        return None if self.fault_injector is None else self._kernel_fault
+
+    def _kernel_fault(self, layer: str) -> None:
+        """The palette executor's ``fault_hook``: raise if a fault fires.
+
+        Runs inside the layer's kernel call during a decode forward, so
+        an injected :class:`PaletteKernelError` originates on exactly the
+        path the circuit breaker guards.
+        """
+        if self.fault_injector.fire("kernel_error", layer):
+            raise PaletteKernelError(layer)
 
     def _enable_layer_palette(self, name: str, module: ClusteredLinear) -> None:
         module.enable_palette_eval(
@@ -416,7 +424,7 @@ class PaletteServer:
         self._started_at = time.monotonic()
         self.stats_acc.started_at = self._started_at
         self._spawn_loop(count_respawn=False)
-        if self.config.step_timeout_s is not None:
+        if self.config.retry.timeout_s is not None:
             self._watchdog = threading.Thread(
                 target=self._watchdog_loop,
                 name="palette-server-watchdog",
@@ -514,11 +522,8 @@ class PaletteServer:
             thread is not None and thread.is_alive() and not snap["dead"]
         )
         in_flight = snap["step_in_flight_s"]
-        stalled = (
-            self.config.step_timeout_s is not None
-            and in_flight is not None
-            and in_flight > self.config.step_timeout_s
-        )
+        timeout = self.config.retry.timeout_s
+        stalled = timeout is not None and in_flight is not None and in_flight > timeout
         return ServerHealth(
             running=running,
             accepting=running and not snap["draining"] and not snap["dead"],
@@ -564,7 +569,7 @@ class PaletteServer:
         if health.stalled:
             self.stats_acc.note_rejected_admission()
             raise AdmissionError(
-                "decode step overran step_timeout_s and the loop is not yet "
+                "decode step overran retry.timeout_s and the loop is not yet "
                 "respawned; shedding load"
             )
         now = time.monotonic()
@@ -668,7 +673,7 @@ class PaletteServer:
 
         Exception taxonomy (see :mod:`repro.serving.faults`):
         transient errors retry in place with backoff up to
-        ``max_step_retries``; palette-kernel and corrupt-tile errors
+        ``retry.retries``; palette-kernel and corrupt-tile errors
         charge the layer's breaker and retry immediately (structurally
         bounded -- at the threshold the layer trips to dense and the
         failing path stops executing; a corrupt tile was already dropped
@@ -677,7 +682,8 @@ class PaletteServer:
         """
         injector = self.fault_injector
         if injector is not None:
-            injector.begin_step()
+            names = [name for name, _ in self._palette_layers]
+            injector.begin(injector.point + 1, names, "decode")
         self.supervisor.note_step_start(generation, time.monotonic())
         transient_attempts = 0
         try:
@@ -697,13 +703,12 @@ class PaletteServer:
                     raise
                 except TransientStepError as exc:
                     transient_attempts += 1
-                    if transient_attempts > self.config.max_step_retries:
+                    if transient_attempts > self.config.retry.retries:
                         self._fail_batch(batcher, exc)
                         return
                     self.stats_acc.note_step_retry()
                     self._sleep_checked(
-                        generation,
-                        transient_attempts * self.config.step_retry_backoff_s,
+                        generation, self.config.retry.backoff(transient_attempts)
                     )
                 except (PaletteKernelError, CorruptTileError) as exc:
                     self.stats_acc.note_step_retry()
@@ -715,16 +720,26 @@ class PaletteServer:
             self.supervisor.note_step_end(generation, time.monotonic())
 
     def _apply_step_faults(
-        self, generation: int, injector: ServingFaultInjector | None
+        self, generation: int, injector: FaultInjector | None
     ) -> None:
-        """Fire armed step-scoped faults for this step (and its retries)."""
+        """Fire armed faults for this step (and its retries).
+
+        A ``corrupt_tile`` fires only on a layer with a resident tile to
+        poison, otherwise it stays armed for a later step; a
+        ``hang_step`` is simply a nap the plan sized past the watchdog
+        deadline, so the supervisor revokes the loop mid-sleep.
+        """
         if injector is None:
             return
-        injector.maybe_corrupt_tiles(self.tile_cache)
-        seconds = injector.step_sleep()
-        if seconds > 0:
-            self._sleep_checked(generation, seconds)
-        injector.maybe_transient()
+        for name, _ in self._palette_layers:
+            if self.tile_cache.holds((name,)) and injector.fire("corrupt_tile", name):
+                self.tile_cache.corrupt_one((name,))
+        for kind in ("hang_step", "delay_step"):
+            spec = injector.fire(kind, STEP_TARGET)
+            if spec is not None:
+                self._sleep_checked(generation, spec.seconds)
+        if injector.fire("transient_step", STEP_TARGET):
+            raise TransientStepError()
 
     def _sleep_checked(self, generation: int, seconds: float) -> None:
         """Sleep in small slices, aborting the moment this loop is revoked.
@@ -798,7 +813,7 @@ class PaletteServer:
     # ------------------------------------------------------------------
 
     def _watchdog_loop(self) -> None:
-        timeout = self.config.step_timeout_s
+        timeout = self.config.retry.timeout_s
         assert timeout is not None
         interval = max(0.002, min(timeout / 4, 0.05))
         while not self._stop.is_set():
@@ -813,12 +828,12 @@ class PaletteServer:
         self.stats_acc.note_watchdog_kill()
         error = StepFailed(
             "decode step exceeded "
-            f"step_timeout_s={self.config.step_timeout_s}; loop revoked",
+            f"retry.timeout_s={self.config.retry.timeout_s}; loop revoked",
             cause=WatchdogTimeout("serving step watchdog fired"),
         )
         if (
             self._stop.is_set()
-            or self.supervisor.respawns_used() >= self.config.max_loop_respawns
+            or self.supervisor.respawns_used() >= self.config.retry.respawns
         ):
             self.supervisor.mark_dead()
             if batcher is not None:
@@ -835,7 +850,7 @@ class PaletteServer:
         warnings.warn(
             "scheduler loop revoked by the step watchdog; respawning "
             f"({self.supervisor.respawns_used() + 1}/"
-            f"{self.config.max_loop_respawns})",
+            f"{self.config.retry.respawns})",
             RobustnessWarning,
             stacklevel=2,
         )

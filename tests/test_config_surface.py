@@ -17,6 +17,7 @@ from repro.core.config import (
     CompressorConfig,
     DKMConfig,
     EDKMConfig,
+    RetryPolicy,
 )
 from repro.serving.config import ServingConfig
 
@@ -26,9 +27,8 @@ SURFACE = {
         "dense_row_chunk", "dense_saved_bytes_limit",
     },
     CompressorConfig: {
-        "backend", "num_workers", "embedding_bits", "skip_names",
-        "task_timeout_s", "max_task_retries", "retry_backoff_s",
-        "max_layer_retries", "max_pool_respawns", "degrade", "fault_plan",
+        "backend", "num_workers", "embedding_bits", "skip_names", "retry",
+        "fault_plan",
     },
     EDKMConfig: {
         "offload", "marshal", "uniquify", "shard", "hop_budget",
@@ -36,10 +36,9 @@ SURFACE = {
     },
     ServingConfig: {
         "max_batch_size", "max_queue_depth", "max_new_tokens", "eval_path",
-        "tile_cache_bytes_limit", "temperature", "poll_interval_s",
-        "step_timeout_s", "max_step_retries", "step_retry_backoff_s",
-        "max_loop_respawns", "join_timeout_s", "drain_timeout_s",
-        "breaker_threshold", "breaker_probation_steps", "fault_plan",
+        "tile_cache_bytes_limit", "temperature", "poll_interval_s", "retry",
+        "join_timeout_s", "drain_timeout_s", "breaker_threshold",
+        "breaker_probation_steps", "fault_plan",
     },
 }
 
@@ -50,7 +49,16 @@ def test_field_names_are_pinned(cls):
 
 
 def test_field_budget():
-    assert sum(len(names) for names in SURFACE.values()) == 42
+    assert sum(len(names) for names in SURFACE.values()) == 34
+
+
+def test_settable_value_budget():
+    """``retry`` is one field but four values per engine."""
+    policy = {f.name for f in fields(RetryPolicy)}
+    assert policy == {"timeout_s", "retries", "backoff_s", "respawns"}
+    retry_fields = sum("retry" in names for names in SURFACE.values())
+    total = sum(len(names) for names in SURFACE.values())
+    assert total - retry_fields + retry_fields * len(policy) == 40
 
 
 def test_registries_are_pinned():

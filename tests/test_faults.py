@@ -30,8 +30,12 @@ from repro.core import (
     FaultSpec,
     ModelCompressor,
     PoolExhausted,
+    ProcessLayerEngine,
+    RetryPolicy,
     RobustnessWarning,
 )
+from repro.core.faults import STEP_TARGET, _seeded_index
+from repro.serving import ServingConfig
 from repro.tensor.serialization import ShmLost
 
 
@@ -91,15 +95,49 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError, match="seconds"):
             FaultSpec(kind="hang", seconds=-1.0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="task_timeout_s"):
-            CompressorConfig(task_timeout_s=0)
-        with pytest.raises(ValueError, match="max_task_retries"):
-            CompressorConfig(max_task_retries=-1)
-        with pytest.raises(ValueError, match="max_layer_retries"):
-            CompressorConfig(max_layer_retries=0)
-        with pytest.raises(ValueError, match="max_pool_respawns"):
-            CompressorConfig(max_pool_respawns=-1)
+    def test_compressor_config_rejects_serving_kinds(self):
+        # A serving kind armed on the compression engine used to be
+        # accepted and then never fire: no engine probe asks for it.
+        plan = FaultPlan.single("kernel_error")
+        with pytest.raises(ValueError, match="'kernel_error'.*serving engine"):
+            CompressorConfig(backend="process", fault_plan=plan)
+
+    def test_serving_config_rejects_compression_kinds(self):
+        plan = FaultPlan(specs=(FaultSpec(kind="kill"),))
+        with pytest.raises(ValueError, match="'kill'.*compression engine"):
+            ServingConfig(fault_plan=plan)
+
+
+class TestRetryPolicy:
+    def test_validation(self):
+        for bad, field in (
+            (dict(timeout_s=0.0), "timeout_s"),
+            (dict(retries=-1), "retries"),
+            (dict(backoff_s=-0.1), "backoff_s"),
+            (dict(respawns=-1), "respawns"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                RetryPolicy(**bad)
+
+    def test_engine_defaults(self):
+        assert CompressorConfig().retry == RetryPolicy(None, 2, 0.05, 8)
+        assert ServingConfig().retry == RetryPolicy(None, 2, 0.02, 4)
+
+    def test_backoff_doubles_per_attempt(self):
+        policy = RetryPolicy(backoff_s=0.02)
+        assert [policy.backoff(n) for n in (1, 2, 3)] == [0.02, 0.04, 0.08]
+
+    @pytest.mark.parametrize("cls", [CompressorConfig, ServingConfig])
+    def test_round_trips_as_nested_dict(self, cls):
+        config = cls(retry=RetryPolicy(timeout_s=1.5, retries=3, backoff_s=0.0))
+        payload = config.to_dict()
+        assert payload["retry"] == {
+            "timeout_s": 1.5, "retries": 3, "backoff_s": 0.0, "respawns": 8,
+        }
+        assert cls.from_dict(payload) == config
+        payload["retry"]["max_retries"] = 1
+        with pytest.raises(ValueError, match="unknown RetryPolicy keys"):
+            cls.from_dict(payload)
 
 
 class TestInjectorDeterminism:
@@ -109,16 +147,33 @@ class TestInjectorDeterminism:
         picks = []
         for _ in range(3):
             injector = FaultInjector(plan)
-            injector.begin_sweep(2, names, "refine")
+            injector.begin(2, names, "refine")
             fired = [n for n in names if injector.fire("kill", n)]
             picks.append(fired)
         assert picks[0] == picks[1] == picks[2]
         assert len(picks[0]) == 1
 
+    @pytest.mark.parametrize("kind", ["kill", "kernel_error"])
+    def test_unpinned_layer_resolves_to_seeded_index(self, kind):
+        """One injector, one pick rule: compression and serving kinds alike
+        target ``names[_seeded_index(seed, spec index, sweep, len(names))]``."""
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="delay", sweep=9), FaultSpec(kind=kind, sweep=3)),
+            seed=11,
+        )
+        names = [f"layers.{i}.mlp" for i in range(7)]
+        target = names[_seeded_index(11, 1, 3, len(names))]
+        injector = FaultInjector(plan)
+        injector.begin(3, names, "decode")
+        assert [n for n in names if injector.fire(kind, n)] == [target]
+        assert [(e.kind, e.sweep, e.layer) for e in injector.log.events] == [
+            (kind, 3, target)
+        ]
+
     def test_times_budget_is_consumed(self):
         plan = FaultPlan.single("transient", sweep=1, layer="a", times=2)
         injector = FaultInjector(plan)
-        injector.begin_sweep(1, ["a", "b"], "refine")
+        injector.begin(1, ["a", "b"], "refine")
         assert injector.fire("transient", "a") is not None
         assert injector.fire("transient", "a") is not None
         assert injector.fire("transient", "a") is None
@@ -129,13 +184,21 @@ class TestInjectorDeterminism:
             specs=(FaultSpec(kind="kill", sweep=2, layer="a", op="refine"),)
         )
         injector = FaultInjector(plan)
-        injector.begin_sweep(1, ["a"], "refine")
+        injector.begin(1, ["a"], "refine")
         assert injector.fire("kill", "a") is None  # wrong sweep
-        injector.begin_sweep(2, ["a"], "palettize")
+        injector.begin(2, ["a"], "palettize")
         assert injector.fire("kill", "a") is None  # wrong op
-        injector.begin_sweep(2, ["a"], "refine")
+        injector.begin(3, ["a"], "refine")
+        assert injector.fire("kill", "a") is None  # compression fires "at"
+        injector.begin(2, ["a"], "refine")
         assert injector.fire("kill", "b") is None  # wrong layer
         assert injector.fire("kill", "a") is not None
+
+    def test_step_scoped_kinds_target_the_step(self):
+        injector = FaultInjector(FaultPlan.single("hang_step", sweep=1, seconds=2.0))
+        injector.begin(1, ["layers.0.mlp"], "decode")
+        assert injector.fire("hang_step", "layers.0.mlp") is None
+        assert injector.fire("hang_step", STEP_TARGET).seconds == 2.0
 
 
 class TestFaultRecoveryBitIdentity:
@@ -170,14 +233,14 @@ class TestFaultRecoveryBitIdentity:
     def test_transient_error_retried_in_place(self):
         chaotic = self._chaos_run(
             FaultPlan.single("transient", sweep=1),
-            retry_backoff_s=0.001,
+            retry=RetryPolicy(backoff_s=0.001),
         )
         assert chaotic._engine.respawns == 0  # retried, never respawned
 
     def test_delay_within_deadline_is_harmless(self):
         chaotic = self._chaos_run(
             FaultPlan.single("delay", sweep=1, seconds=0.2),
-            task_timeout_s=30.0,
+            retry=RetryPolicy(timeout_s=30.0),
         )
         assert chaotic._engine.respawns == 0
 
@@ -199,18 +262,18 @@ class TestFaultRecoveryBitIdentity:
                 FaultSpec(kind="corrupt_delta", sweep=3),
             )
         )
-        self._chaos_run(plan, n_sweeps=3, retry_backoff_s=0.001)
+        self._chaos_run(plan, n_sweeps=3, retry=RetryPolicy(backoff_s=0.001))
 
 
 class TestWatchdog:
     @pytest.mark.timeout(120)
     def test_hung_worker_killed_within_deadline(self):
-        """A worker napping far past ``task_timeout_s`` is put down, the
+        """A worker napping far past ``retry.timeout_s`` is put down, the
         slot respawned, and the sweep completes bit-identically -- well
         before the hang's nominal duration."""
         plan = FaultPlan.single("hang", sweep=1, seconds=600.0)
         chaotic, _ = _compressor(
-            "process", fault_plan=plan, task_timeout_s=1.0
+            "process", fault_plan=plan, retry=RetryPolicy(timeout_s=1.0)
         )
         serial, _ = _compressor("serial")
         try:
@@ -233,11 +296,7 @@ class TestQuarantine:
             "transient", sweep=1, layer="layer0", times=50
         )
         chaotic, _ = _compressor(
-            "process",
-            fault_plan=plan,
-            max_task_retries=1,
-            max_layer_retries=1,
-            retry_backoff_s=0.001,
+            "process", fault_plan=plan, retry=RetryPolicy(retries=0)
         )
         serial, _ = _compressor("serial")
         try:
@@ -251,6 +310,33 @@ class TestQuarantine:
             for name in serial_result:
                 assert np.array_equal(serial_result[name], chaos_result[name]), name
             assert _stats(serial) == _stats(chaotic)
+            assert chaotic.fault_log().count("transient") == 1
+        finally:
+            chaotic.close()
+
+    def test_quarantine_fires_at_retries_plus_one_fallbacks(self):
+        """With ``retries=1`` each failing sweep ships twice and falls back
+        once; the layer is quarantined at its second fallback, not its first."""
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(kind="transient", sweep=1, layer="layer0", times=2),
+                FaultSpec(kind="transient", sweep=2, layer="layer0", times=2),
+            )
+        )
+        chaotic, _ = _compressor(
+            "process",
+            fault_plan=plan,
+            retry=RetryPolicy(retries=1, backoff_s=0.001),
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RobustnessWarning)
+                _run_sweeps(chaotic, 1)
+            assert "layer0" not in chaotic._engine.quarantined
+            with pytest.warns(RobustnessWarning, match="failed 2 shipped batches"):
+                _run_sweeps(chaotic, 1)
+            assert "layer0" in chaotic._engine.quarantined
+            assert chaotic.fault_log().count("transient") == 4
         finally:
             chaotic.close()
 
@@ -261,7 +347,7 @@ class TestDegradation:
         the compressor demotes process -> thread instead of failing."""
         plan = FaultPlan.single("kill", sweep=1)
         chaotic, _ = _compressor(
-            "process", fault_plan=plan, max_pool_respawns=0
+            "process", fault_plan=plan, retry=RetryPolicy(respawns=0)
         )
         serial, _ = _compressor("serial")
         try:
@@ -278,16 +364,26 @@ class TestDegradation:
         finally:
             chaotic.close()
 
-    def test_degrade_disabled_raises(self):
-        plan = FaultPlan.single("kill", sweep=1)
-        chaotic, _ = _compressor(
-            "process", fault_plan=plan, max_pool_respawns=0, degrade=False
+    def test_engine_raises_pool_exhausted(self):
+        """The engine itself never absorbs a spent respawn budget: it
+        resets (no block left linked) and raises for the compressor's
+        ladder to answer."""
+        config = CompressorConfig(
+            backend="process",
+            num_workers=2,
+            retry=RetryPolicy(respawns=0),
+            fault_plan=FaultPlan.single("kill", sweep=1),
         )
-        try:
-            with pytest.raises(PoolExhausted):
-                chaotic.precluster()
-        finally:
-            chaotic.close()
+        compressor, _ = _compressor("serial")
+        layers = [
+            (name, wrapper.clusterer, wrapper.inner.weight)
+            for name, wrapper in compressor.wrapped.items()
+        ]
+        with ProcessLayerEngine(config) as engine:
+            with pytest.raises(PoolExhausted, match="retry.respawns=0"):
+                engine.map_layers("precluster", layers)
+            assert engine.respawns == 1
+            assert engine.active_shm_names() == []
 
 
 class TestShmLost:

@@ -32,8 +32,14 @@ import numpy as np
 import pytest
 
 import repro.tensor as rt
-from repro.core import DKMConfig, ModelCompressor
-from repro.core.faults import FaultSpec, RobustnessWarning
+from repro.core import DKMConfig, ModelCompressor, RetryPolicy
+from repro.core.faults import (
+    STEP_TARGET,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    RobustnessWarning,
+)
 from repro.llm import MICRO, build_model, generate
 import repro.serving.batcher as batcher_mod
 from repro.memory.traffic import TrafficLedger
@@ -47,9 +53,6 @@ from repro.serving import (
     ServerClosed,
     ServerRequest,
     ServingConfig,
-    ServingFaultInjector,
-    ServingFaultPlan,
-    ServingFaultSpec,
     StepFailed,
     TileCache,
     TransientStepError,
@@ -104,61 +107,53 @@ def _serve_all(server, prompts=PROMPTS, timeout=30.0):
     return [r.result(timeout=timeout) for r in requests]
 
 
-class TestServingFaultPlanSpec:
+class TestFaultPlanSpec:
     def test_valid_kinds_accepted(self):
         for kind in ("kernel_error", "corrupt_tile", "hang_step",
                      "delay_step", "transient_step"):
-            spec = ServingFaultSpec(kind=kind, sweep=2)
-            assert spec.step == 2
+            plan = FaultPlan(specs=(FaultSpec(kind=kind, sweep=2),))
+            assert _config(fault_plan=plan).fault_plan.specs[0].sweep == 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            ServingFaultSpec(kind="disk_full", sweep=1)
-
-    def test_core_spec_rejects_serving_kinds(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(kind="kernel_error", sweep=1)
+            FaultSpec(kind="disk_full", sweep=1)
 
     def test_single_builds_serving_spec(self):
-        plan = ServingFaultPlan.single("hang_step", sweep=3, seconds=1.5)
+        plan = FaultPlan.single("hang_step", sweep=3, seconds=1.5)
         (spec,) = plan.specs
-        assert isinstance(spec, ServingFaultSpec)
         assert spec.kind == "hang_step"
+        assert spec.sweep == 3
         assert spec.seconds == 1.5
 
     def test_injector_from_plan_none(self):
-        assert ServingFaultInjector.from_plan(None) is None
+        assert FaultInjector.from_plan(None) is None
 
     def test_seeded_layer_pick_deterministic(self):
-        plan = ServingFaultPlan(
-            specs=(ServingFaultSpec(kind="kernel_error", sweep=1),), seed=7
-        )
+        plan = FaultPlan(specs=(FaultSpec(kind="kernel_error", sweep=1),), seed=7)
         names = [f"blocks.{i}.mlp" for i in range(6)]
         picks = set()
         for _ in range(3):
-            injector = ServingFaultInjector(plan)
-            injector.arm(names)
-            injector.begin_step()
-            with pytest.raises(PaletteKernelError) as excinfo:
-                for name in names:
-                    injector.maybe_kernel_error(name)
-            picks.add(excinfo.value.layer)
+            injector = FaultInjector(plan)
+            injector.begin(1, names, "decode")
+            fired = [name for name in names if injector.fire("kernel_error", name)]
+            picks.add(tuple(fired))
         assert len(picks) == 1
-        assert picks.pop() in names
+        (fired,) = picks.pop()
+        assert fired in names
 
     def test_fires_at_first_opportunity_at_or_after_step(self):
-        plan = ServingFaultPlan.single("transient_step", sweep=3)
-        injector = ServingFaultInjector(plan)
-        injector.arm([])
-        injector.begin_step()
-        injector.maybe_transient()  # step 1: armed for >= 3, no fire
-        injector.begin_step()
-        injector.maybe_transient()
-        injector.begin_step()
-        with pytest.raises(TransientStepError):
-            injector.maybe_transient()
-        injector.maybe_transient()  # times=1 consumed
-        assert len(injector.log.events) == 1
+        plan = FaultPlan.single("transient_step", sweep=3)
+        injector = FaultInjector(plan)
+        injector.begin(1, [], "decode")
+        assert injector.fire("transient_step", STEP_TARGET) is None  # armed >= 3
+        injector.begin(2, [], "decode")
+        assert injector.fire("transient_step", STEP_TARGET) is None
+        injector.begin(4, [], "decode")  # step 3 gave no opportunity
+        assert injector.fire("transient_step", STEP_TARGET) is not None
+        assert injector.fire("transient_step", STEP_TARGET) is None  # times=1
+        assert [(e.kind, e.sweep) for e in injector.log.events] == [
+            ("transient_step", 4)
+        ]
 
 
 class TestServerRequestIdempotent:
@@ -400,9 +395,8 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single("transient_step", sweep=1),
-            max_step_retries=2,
-            step_retry_backoff_s=0.001,
+            fault_plan=FaultPlan.single("transient_step", sweep=1),
+            retry=RetryPolicy(backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             texts = _serve_all(server)
@@ -417,11 +411,10 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single(
+            fault_plan=FaultPlan.single(
                 "transient_step", sweep=1, times=2
             ),
-            max_step_retries=1,
-            step_retry_backoff_s=0.001,
+            retry=RetryPolicy(retries=1, backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             request = server.submit(PROMPTS[0])
@@ -436,7 +429,7 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single(
+            fault_plan=FaultPlan.single(
                 "delay_step", sweep=2, seconds=0.05
             ),
         )
@@ -450,7 +443,7 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single(
+            fault_plan=FaultPlan.single(
                 "kernel_error", sweep=1, times=2
             ),
             breaker_threshold=2,
@@ -476,7 +469,7 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single("corrupt_tile", sweep=2),
+            fault_plan=FaultPlan.single("corrupt_tile", sweep=2),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             texts = _serve_all(server)
@@ -492,10 +485,10 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single(
+            fault_plan=FaultPlan.single(
                 "hang_step", sweep=1, seconds=30.0
             ),
-            step_timeout_s=0.15,
+            retry=RetryPolicy(timeout_s=0.15, respawns=4),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
@@ -503,7 +496,7 @@ class TestInjectedFaults:
                 hung = server.submit(PROMPTS[0])
                 with pytest.raises(StepFailed) as excinfo:
                     hung.result(timeout=10)
-                assert "step_timeout_s" in str(excinfo.value)
+                assert "retry.timeout_s" in str(excinfo.value)
                 # The respawned loop serves, and the spent hang spec does
                 # not re-fire.
                 text = server.submit(PROMPTS[1]).result(timeout=30)
@@ -519,11 +512,10 @@ class TestInjectedFaults:
         self, served_model, tokenizer
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single(
+            fault_plan=FaultPlan.single(
                 "hang_step", sweep=1, times=3, seconds=30.0
             ),
-            step_timeout_s=0.1,
-            max_loop_respawns=0,
+            retry=RetryPolicy(timeout_s=0.1, respawns=0),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
@@ -607,9 +599,7 @@ class TestRetryAtomicity:
     def test_mid_step_failure_retried_to_identical_tokens(
         self, served_model, tokenizer, expected_texts, error
     ):
-        config = _config(
-            max_batch_size=2, max_step_retries=2, step_retry_backoff_s=0.001
-        )
+        config = _config(max_batch_size=2, retry=RetryPolicy(backoff_s=0.001))
         # Call 3 is a step over a partly decoded batch: with two slots and
         # four prompts, rows are two tokens in.
         with _raise_mid_step(served_model, error, on_call=3) as mlp_calls:
@@ -715,7 +705,7 @@ class TestKVLifetime:
         monkeypatch.setattr(batcher_mod, "decode_step", wedge_first)
         gc.collect()
         baseline = rt.GPU.tracker.current_bytes
-        config = _config(step_timeout_s=0.15)
+        config = _config(retry=RetryPolicy(timeout_s=0.15, respawns=4))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
             with PaletteServer(served_model, tokenizer, config) as server:
@@ -812,7 +802,7 @@ class TestBreakerRepromotion:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=ServingFaultPlan.single("kernel_error", sweep=1),
+            fault_plan=FaultPlan.single("kernel_error", sweep=1),
             breaker_threshold=1,
             breaker_probation_steps=2,
         )
@@ -886,8 +876,7 @@ class TestDrainAndHealth:
 class TestServingConfigContract:
     def test_round_trip_includes_robustness_knobs(self):
         config = _config(
-            step_timeout_s=1.5,
-            max_step_retries=3,
+            retry=RetryPolicy(timeout_s=1.5, retries=3),
             breaker_threshold=4,
             breaker_probation_steps=9,
             join_timeout_s=2.0,
@@ -895,13 +884,13 @@ class TestServingConfigContract:
         )
         payload = config.to_dict()
         assert "fault_plan" not in payload
-        assert payload["step_timeout_s"] == 1.5
+        assert payload["retry"]["timeout_s"] == 1.5
         assert payload["breaker_threshold"] == 4
         assert ServingConfig.from_dict(payload) == config
 
     def test_armed_fault_plan_refuses_to_serialize(self):
         config = _config(
-            fault_plan=ServingFaultPlan.single("delay_step", sweep=1)
+            fault_plan=FaultPlan.single("delay_step", sweep=1)
         )
         with pytest.raises(ValueError, match="disarm"):
             config.to_dict()
@@ -912,10 +901,6 @@ class TestServingConfigContract:
 
     def test_knob_validation(self):
         for bad in (
-            dict(step_timeout_s=0.0),
-            dict(max_step_retries=-1),
-            dict(step_retry_backoff_s=-0.1),
-            dict(max_loop_respawns=-1),
             dict(join_timeout_s=0.0),
             dict(drain_timeout_s=0.0),
             dict(breaker_threshold=0),
@@ -929,18 +914,14 @@ class TestConcurrentChaos:
     def test_concurrent_clients_with_faults_no_stranded_futures(
         self, served_model, tokenizer, expected_texts
     ):
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             specs=(
-                ServingFaultSpec(kind="transient_step", sweep=2),
-                ServingFaultSpec(kind="corrupt_tile", sweep=3),
-                ServingFaultSpec(kind="delay_step", sweep=4, seconds=0.02),
+                FaultSpec(kind="transient_step", sweep=2),
+                FaultSpec(kind="corrupt_tile", sweep=3),
+                FaultSpec(kind="delay_step", sweep=4, seconds=0.02),
             )
         )
-        config = _config(
-            fault_plan=plan,
-            max_step_retries=2,
-            step_retry_backoff_s=0.001,
-        )
+        config = _config(fault_plan=plan, retry=RetryPolicy(backoff_s=0.001))
         results: dict[int, str | BaseException] = {}
         lock = threading.Lock()
 
@@ -983,7 +964,7 @@ class TestLedgerIsolation:
     ):
         ledger = TrafficLedger()
         config = _config(
-            fault_plan=ServingFaultPlan.single("kernel_error", sweep=1),
+            fault_plan=FaultPlan.single("kernel_error", sweep=1),
             breaker_threshold=1,
         )
         with warnings.catch_warnings():
@@ -1054,10 +1035,10 @@ class TestChaosBenchHelpers:
         from repro.bench.serving_faults import _config_for, _plan_for
 
         hang = _config_for("hang_step", _plan_for("hang_step", 0), 4)
-        assert hang.step_timeout_s is not None
+        assert hang.retry.timeout_s is not None
         assert hang.fault_plan is not None
         quiet = _config_for("delay_step", _plan_for("delay_step", 0), 4)
-        assert quiet.step_timeout_s is None
+        assert quiet.retry.timeout_s is None
         # The kernel cell pins threshold=1 so one fire must trip.
         kernel = _config_for("kernel_error", _plan_for("kernel_error", 0), 4)
         assert kernel.breaker_threshold == 1
@@ -1117,14 +1098,14 @@ class TestChaosBenchHelpers:
     ):
         from repro.bench.serving_faults import _reconcile_faults
 
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             specs=(
-                ServingFaultSpec(kind="transient_step", sweep=1, times=1),
-                ServingFaultSpec(kind="delay_step", sweep=999),
+                FaultSpec(kind="transient_step", sweep=1, times=1),
+                FaultSpec(kind="delay_step", sweep=999),
             ),
             seed=0,
         )
-        config = _config(fault_plan=plan, max_step_retries=2)
+        config = _config(fault_plan=plan)
         with PaletteServer(served_model, tokenizer, config) as server:
             _serve_all(server, PROMPTS[:1])
             events, unfired = _reconcile_faults(server, plan)
