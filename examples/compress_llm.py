@@ -9,8 +9,9 @@ Run:  python examples/compress_llm.py         (~2-3 minutes on a laptop)
 """
 
 
+import repro
 import repro.tensor as rt
-from repro.baselines import quantize_model_rtn
+from repro.baselines import RTNConfig
 from repro.core import DKMConfig, EDKMConfig, ModelCompressor, SavedTensorPipeline
 from repro.data import (
     FactWorld,
@@ -65,7 +66,7 @@ def main() -> None:
 
     # --- RTN 3-bit post-training baseline --------------------------------
     rtn_model = clone_weights(model, tokenizer, snapshot)
-    quantize_model_rtn(rtn_model, bits=3, per_channel=False)
+    repro.quantize(rtn_model, RTNConfig(bits=3, per_channel=False))
     rtn_report = evaluate_suites(rtn_model, tokenizer, suites, rt.GPU)
     print(f"RTN 3-bit mean accuracy: {rtn_report.mean_accuracy:.1f}%")
 

@@ -13,6 +13,11 @@ Quickstart -- compress::
     # Linears now re-cluster every forward; fine-tune, then:
     report = compressor.finalize(model)
 
+Quickstart -- one Table 3 method::
+
+    from repro.baselines import GPTQConfig
+    repro.quantize(model, GPTQConfig(bits=3), run_fn=calibrate)
+
 Quickstart -- serve::
 
     import repro
@@ -28,6 +33,9 @@ Quickstart -- serve::
 
 ``repro.compress`` wraps the model's Linears with
 :class:`~repro.core.compressor.ClusteredLinear` (train-time clustering);
+``repro.quantize`` applies any Table 3 method named by its config (RTN /
+GPTQ / AWQ / SmoothQuant / LLM-QAT, or eDKM via ``DKMConfig``), with
+``run_fn`` as the calibration pass or the fine-tune;
 ``repro.serve`` starts a :class:`~repro.serving.server.PaletteServer` --
 an admission-controlled, continuously-batched generation server whose
 eval-mode clustered layers execute against the k-entry palette.  The
@@ -61,6 +69,7 @@ from repro import (  # noqa: F401
     serving,
     tensor,
 )
+from repro.baselines import quantize
 from repro.core import (
     CompressorConfig,
     DKMConfig,
@@ -147,6 +156,7 @@ def serve(
 __all__ = [
     "__version__",
     "compress",
+    "quantize",
     "serve",
     "CompressorConfig",
     "DKMConfig",

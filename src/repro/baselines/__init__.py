@@ -1,52 +1,47 @@
-"""Baseline compression schemes compared against eDKM in Table 3."""
+"""Baseline compression schemes compared against eDKM in Table 3.
 
-from repro.baselines.awq import AWQReport, awq_scale_search, quantize_model_awq
-from repro.baselines.calibration import (
-    LayerCalibration,
-    collect_calibration,
-    record_linear_inputs,
-)
+:func:`quantize` is the one model-level entry point; the per-weight
+transforms it composes stay importable for single-matrix experiments.
+"""
+
+from repro.baselines.awq import awq_scale_search
+from repro.baselines.calibration import LayerCalibration, record_linear_inputs
 from repro.baselines.common import (
     QuantizedWeight,
     fake_quantize,
     quantization_mse,
     quantize_uniform,
 )
-from repro.baselines.gptq import GPTQReport, gptq_quantize_weight, quantize_model_gptq
-from repro.baselines.llm_qat import (
-    FakeQuantSTE,
-    QATLinear,
-    apply_qat,
-    freeze_qat,
+from repro.baselines.gptq import gptq_quantize_weight
+from repro.baselines.llm_qat import FakeQuantSTE, QATLinear
+from repro.baselines.frontend import (
+    AWQConfig,
+    GPTQConfig,
+    QATConfig,
+    QuantReport,
+    RTNConfig,
+    SmoothQuantConfig,
+    quantize,
 )
-from repro.baselines.rtn import RTNReport, quantize_model_rtn
-from repro.baselines.smoothquant import (
-    SmoothQuantReport,
-    quantize_model_smoothquant,
-    smoothquant_scales,
-)
+from repro.baselines.smoothquant import smoothquant_scales
 
 __all__ = [
-    "AWQReport",
+    "quantize",
+    "QuantReport",
+    "RTNConfig",
+    "GPTQConfig",
+    "AWQConfig",
+    "SmoothQuantConfig",
+    "QATConfig",
     "awq_scale_search",
-    "quantize_model_awq",
     "LayerCalibration",
-    "collect_calibration",
     "record_linear_inputs",
     "QuantizedWeight",
     "fake_quantize",
     "quantization_mse",
     "quantize_uniform",
-    "GPTQReport",
     "gptq_quantize_weight",
-    "quantize_model_gptq",
     "FakeQuantSTE",
     "QATLinear",
-    "apply_qat",
-    "freeze_qat",
-    "RTNReport",
-    "quantize_model_rtn",
-    "SmoothQuantReport",
-    "quantize_model_smoothquant",
     "smoothquant_scales",
 ]

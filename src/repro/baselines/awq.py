@@ -9,14 +9,10 @@ minimize the reconstruction error of layer outputs on calibration data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.baselines.calibration import LayerCalibration, collect_calibration
+from repro.baselines.calibration import LayerCalibration
 from repro.baselines.common import fake_quantize
-from repro.data.loader import Batch
-from repro.nn import Linear, Module
 
 
 def awq_scale_search(
@@ -44,43 +40,3 @@ def awq_scale_search(
         if err < best[2]:
             best = (scales, alpha, err)
     return best
-
-
-@dataclass
-class AWQReport:
-    bits: int
-    group_size: int | None
-    layer_alpha: dict[str, float] = field(default_factory=dict)
-    layer_error: dict[str, float] = field(default_factory=dict)
-
-
-def quantize_model_awq(
-    model: Module,
-    calibration_batches: list[Batch],
-    bits: int,
-    group_size: int | None = None,
-    skip_names: tuple[str, ...] = (),
-    records: dict[str, LayerCalibration] | None = None,
-) -> AWQReport:
-    """AWQ-quantize every Linear weight in place (scales folded back)."""
-    if records is None:
-        records = collect_calibration(model, calibration_batches)
-    report = AWQReport(bits=bits, group_size=group_size)
-    for name, module in model.named_modules():
-        if not isinstance(module, Linear) or name not in records:
-            continue
-        if any(name.startswith(skip) for skip in skip_names):
-            continue
-        original = module.weight._compute()
-        scales, alpha, err = awq_scale_search(
-            original, records[name], bits, group_size
-        )
-        quantized = fake_quantize(
-            original * scales[None, :], bits, symmetric=True, group_size=group_size
-        )
-        module.weight.copy_(quantized / scales[None, :])
-        report.layer_alpha[name] = alpha
-        report.layer_error[name] = err
-    if not report.layer_alpha:
-        raise ValueError("no Linear layers quantized")
-    return report

@@ -1,24 +1,20 @@
 """Calibration-data capture for activation-aware baselines (GPTQ, AWQ).
 
-Runs the model over calibration batches while recording, per Linear layer,
-the inputs it saw -- from which GPTQ builds its Hessian ``2 X^T X`` and AWQ
-its per-channel activation magnitudes.
+Records, per Linear layer, the inputs it saw while a calibration pass runs
+-- from which GPTQ builds its Hessian ``2 X^T X`` and AWQ its per-channel
+activation magnitudes.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.nn import Linear, Module
-from repro.tensor.autograd import no_grad
+from repro.nn import Linear, Module, named_linears
 from repro.tensor.tensor import Tensor
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.data.loader import Batch
 
 
 @dataclass
@@ -60,9 +56,7 @@ def record_linear_inputs(
     """Patch every Linear's forward to record inputs; restore on exit."""
     records: dict[str, LayerCalibration] = {}
     originals: list[tuple[Linear, object]] = []
-    for name, module in model.named_modules():
-        if not isinstance(module, Linear):
-            continue
+    for name, _, _, module in named_linears(model):
         calibration = LayerCalibration(in_features=module.in_features)
         records[name] = calibration
 
@@ -80,16 +74,3 @@ def record_linear_inputs(
     finally:
         for module, original in originals:
             object.__setattr__(module, "forward", original)
-
-
-def collect_calibration(
-    model: Module, batches: Iterable[Batch], max_batches: int = 8
-) -> dict[str, LayerCalibration]:
-    """Run ``model`` over calibration batches, returning per-layer stats."""
-    with record_linear_inputs(model) as records:
-        with no_grad():
-            for i, batch in enumerate(batches):
-                if i >= max_batches:
-                    break
-                model(batch.tokens)
-    return records

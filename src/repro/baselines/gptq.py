@@ -8,31 +8,9 @@ is the standard OBQ/GPTQ recursion with Cholesky-based inverse and dampening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.baselines.calibration import LayerCalibration, collect_calibration
-from repro.baselines.common import quantization_mse
-from repro.data.loader import Batch
-from repro.nn import Linear, Module
-
-
-def _grid_for_columns(
-    w_cols: np.ndarray, bits: int, symmetric: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row scale/zero for a column block (rows x block)."""
-    qmax = 2**bits - 1
-    if symmetric:
-        limit = 2 ** (bits - 1) - 1
-        scales = np.maximum(np.abs(w_cols).max(axis=1) / max(limit, 1), 1e-12)
-        zeros = np.zeros_like(scales)
-    else:
-        lo = w_cols.min(axis=1)
-        hi = w_cols.max(axis=1)
-        scales = np.maximum((hi - lo) / qmax, 1e-12)
-        zeros = np.round(-lo / scales)
-    return scales, zeros
+from repro.baselines.common import _grid_minmax
 
 
 def _quantize_column(
@@ -57,8 +35,8 @@ def gptq_quantize_weight(
 ) -> np.ndarray:
     """Quantize one (out, in) weight with input Hessian (in, in)."""
     w = np.asarray(weight, dtype=np.float64).copy()
-    rows, cols = w.shape
-    h = np.asarray(hessian, dtype=np.float64).copy()
+    cols = w.shape[1]
+    h =np.asarray(hessian, dtype=np.float64).copy()
 
     dead = np.diag(h) <= 0
     if dead.any():
@@ -77,52 +55,12 @@ def gptq_quantize_weight(
     scales = zeros = None
     for col in range(cols):
         if col % effective_group == 0:
+            # One (rows, 1) grid per row over the next column block.
             block = w[:, col : col + effective_group]
-            scales, zeros = _grid_for_columns(block, bits, symmetric)
-        d = hinv[col, col]
-        quantized = _quantize_column(w[:, col], scales, zeros, bits, symmetric)
-        q[:, col] = quantized
-        err = (w[:, col] - quantized) / d
-        if col + 1 < cols:
-            w[:, col + 1 :] -= np.outer(err, hinv[col, col + 1 :])
+            scales, zeros = _grid_minmax(block, bits, symmetric)
+        column = w[:, col : col + 1]
+        quantized = _quantize_column(column, scales, zeros, bits, symmetric)
+        q[:, col : col + 1] = quantized
+        err = (column - quantized) / hinv[col, col]
+        w[:, col + 1 :] -= np.outer(err, hinv[col, col + 1 :])
     return q.astype(np.float32)
-
-
-@dataclass
-class GPTQReport:
-    bits: int
-    group_size: int | None
-    layer_mse: dict[str, float] = field(default_factory=dict)
-
-
-def quantize_model_gptq(
-    model: Module,
-    calibration_batches: list[Batch],
-    bits: int,
-    group_size: int | None = None,
-    percdamp: float = 0.01,
-    skip_names: tuple[str, ...] = (),
-    records: dict[str, LayerCalibration] | None = None,
-) -> GPTQReport:
-    """Calibrate then GPTQ-quantize every Linear weight in place."""
-    if records is None:
-        records = collect_calibration(model, calibration_batches)
-    report = GPTQReport(bits=bits, group_size=group_size)
-    for name, module in model.named_modules():
-        if not isinstance(module, Linear) or name not in records:
-            continue
-        if any(name.startswith(skip) for skip in skip_names):
-            continue
-        original = module.weight._compute()
-        quantized = gptq_quantize_weight(
-            original,
-            records[name].hessian,
-            bits,
-            group_size=group_size,
-            percdamp=percdamp,
-        )
-        module.weight.copy_(quantized)
-        report.layer_mse[name] = quantization_mse(original, quantized)
-    if not report.layer_mse:
-        raise ValueError("no Linear layers quantized")
-    return report

@@ -4,7 +4,9 @@ Weights pass through a fake-quantizer on every forward; the backward uses a
 straight-through estimator (identity gradient), so the optimizer learns
 weights that sit well on the quantization grid.  Structurally this is the
 uniform-grid sibling of DKM's non-linear clustering and shares the
-fine-tuning loop.
+fine-tuning loop.  The grid is symmetric and per-channel (one scale per
+output row); :func:`~repro.baselines.frontend.quantize` freezes onto the
+same grid.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ class FakeQuantSTE(Function):
     """Project onto the uniform grid forward; identity gradient backward."""
 
     @staticmethod
-    def forward(ctx: Context, weight: Tensor, bits: int, symmetric: bool) -> Tensor:
+    def forward(ctx: Context, weight: Tensor, bits: int) -> Tensor:
         from repro.tensor.ops._common import make_result
 
-        projected = fake_quantize(
-            weight._compute(), bits, symmetric=symmetric, per_channel=True
-        )
+        projected = fake_quantize(weight._compute(), bits)
         return make_result(projected, weight.dtype, weight.device)
 
     @staticmethod
@@ -37,60 +37,19 @@ class FakeQuantSTE(Function):
 
 
 class QATLinear(Module):
-    """A Linear whose weight is fake-quantized on every training forward."""
+    """A Linear whose weight is fake-quantized on every forward."""
 
-    def __init__(self, inner: Linear, bits: int, symmetric: bool = True) -> None:
+    def __init__(self, inner: Linear, bits: int) -> None:
         super().__init__()
         self.inner = inner
         self.bits = bits
-        self.symmetric = symmetric
 
     def forward(self, x: Tensor) -> Tensor:
-        weight = FakeQuantSTE.apply(self.inner.weight, self.bits, self.symmetric)
+        weight = FakeQuantSTE.apply(self.inner.weight, self.bits)
         out = x @ weight.T
         if self.inner.bias is not None:
             out = out + self.inner.bias
         return out
 
-    def freeze(self) -> None:
-        """Bake the quantized weight into the inner Linear (deployment)."""
-        projected = fake_quantize(
-            self.inner.weight._compute(),
-            self.bits,
-            symmetric=self.symmetric,
-            per_channel=True,
-        )
-        self.inner.weight.copy_(projected)
-
     def __repr__(self) -> str:
         return f"QATLinear({self.inner!r}, bits={self.bits})"
-
-
-def apply_qat(
-    model: Module, bits: int, skip_names: tuple[str, ...] = ()
-) -> dict[str, QATLinear]:
-    """Wrap every Linear in ``model`` with a :class:`QATLinear`."""
-    wrapped: dict[str, QATLinear] = {}
-
-    def _wrap(module: Module, prefix: str) -> None:
-        for name, child in list(module._modules.items()):
-            full_name = f"{prefix}{name}"
-            if any(full_name.startswith(skip) for skip in skip_names):
-                continue
-            if isinstance(child, Linear):
-                qat = QATLinear(child, bits)
-                setattr(module, name, qat)
-                wrapped[full_name] = qat
-            else:
-                _wrap(child, prefix=f"{full_name}.")
-
-    _wrap(model, "")
-    if not wrapped:
-        raise ValueError("no Linear layers found to wrap")
-    return wrapped
-
-
-def freeze_qat(wrapped: dict[str, QATLinear]) -> None:
-    """Finalize all QAT layers to their quantized weights."""
-    for qat in wrapped.values():
-        qat.freeze()

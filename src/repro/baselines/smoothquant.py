@@ -9,14 +9,9 @@ the weight-side projection so it slots into the same Table 3 harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.baselines.calibration import LayerCalibration, collect_calibration
-from repro.baselines.common import fake_quantize
-from repro.data.loader import Batch
-from repro.nn import Linear, Module
+from repro.baselines.calibration import LayerCalibration
 
 
 def smoothquant_scales(
@@ -28,38 +23,3 @@ def smoothquant_scales(
     w_max = np.maximum(np.abs(np.asarray(weight)).max(axis=0), 1e-8)
     scales = act_max**alpha / w_max ** (1.0 - alpha)
     return np.maximum(scales.astype(np.float32), 1e-8)
-
-
-@dataclass
-class SmoothQuantReport:
-    bits: int
-    alpha: float
-    layers: list[str] = field(default_factory=list)
-
-
-def quantize_model_smoothquant(
-    model: Module,
-    calibration_batches: list[Batch],
-    bits: int = 8,
-    alpha: float = 0.5,
-    skip_names: tuple[str, ...] = (),
-    records: dict[str, LayerCalibration] | None = None,
-) -> SmoothQuantReport:
-    """Apply smoothing + weight quantization in place."""
-    if records is None:
-        records = collect_calibration(model, calibration_batches)
-    report = SmoothQuantReport(bits=bits, alpha=alpha)
-    for name, module in model.named_modules():
-        if not isinstance(module, Linear) or name not in records:
-            continue
-        if any(name.startswith(skip) for skip in skip_names):
-            continue
-        original = module.weight._compute()
-        scales = smoothquant_scales(original, records[name], alpha)
-        smoothed = original * scales[None, :]
-        quantized = fake_quantize(smoothed, bits, symmetric=True, per_channel=True)
-        module.weight.copy_(quantized / scales[None, :])
-        report.layers.append(name)
-    if not report.layers:
-        raise ValueError("no Linear layers quantized")
-    return report

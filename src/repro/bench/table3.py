@@ -4,32 +4,26 @@ End-to-end pipeline at substrate scale:
 
 1. pre-train the MICRO LLaMA-architecture model on the synthetic fact corpus
    and instruction split (the "pretrained LLaMA 7B" stand-in);
-2. apply each compression scheme -- RTN / GPTQ / AWQ / SmoothQuant post-
-   training, LLM-QAT and eDKM as fine-tunes;
+2. apply each row's method config through one ``quantize`` call -- RTN /
+   GPTQ / AWQ post-training, LLM-QAT and eDKM as fine-tunes;
 3. score the seven synthetic suites with lm-eval-style rules;
 4. report accuracy alongside the analytic model size at true LLaMA-7B
    dimensions (the paper's "Model Size (GB)" column is spec arithmetic).
 
-Scale calibration (docs/edkm-pipeline.md, "Beyond the paper"): at dim=32,
-per-channel grids are disproportionately fine, so uniform baselines use
-per-tensor grids (RTN, LLM-QAT) and per-row grids (GPTQ, AWQ) to match the
-relative harshness of 3/4-bit quantization at 7B scale.
+Grids (docs/edkm-pipeline.md, "Beyond the paper"): RTN uses one grid per
+tensor; LLM-QAT, GPTQ and AWQ (at ``group_size=None``) use one grid per
+output row, which at dim=32 is one scale per 32 weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
-from repro.baselines import (
-    apply_qat,
-    freeze_qat,
-    quantize_model_awq,
-    quantize_model_gptq,
-    quantize_model_rtn,
-    quantize_model_smoothquant,
-)
+from repro.baselines import AWQConfig, GPTQConfig, QATConfig, RTNConfig, quantize
 from repro.bench.tables import PaperTable, render_table
-from repro.core import DKMConfig, ModelCompressor
+from repro.core import DKMConfig
 from repro.data import (
     FactWorld,
     alpaca_batches,
@@ -101,6 +95,30 @@ class Table3Row:
         return self.report.mean_accuracy
 
 
+# Table 3's rows: (label, analytic-size scheme key, method config); fp16
+# has no config.  The GPTQ / AWQ sizes are the paper's g128 schemes at
+# LLaMA-7B dimensions, while the runs here use one grid per row.
+FP16 = ("LLaMA (fp16)", "fp16", None)
+RTN3 = ("RTN", "rtn3", RTNConfig(bits=3, per_channel=False))
+EDKM3 = ("eDKM", "edkm3", DKMConfig(bits=3, iters=4))
+QUICK_ROWS = [FP16, RTN3, EDKM3]
+TABLE3_ROWS = [
+    FP16,
+    ("RTN", "rtn4", RTNConfig(bits=4, per_channel=False)),
+    ("GPTQ", "gptq4_g128", GPTQConfig(bits=4)),
+    ("AWQ", "awq4_g128", AWQConfig(bits=4)),
+    ("LLM-QAT", "llmqat4", QATConfig(bits=4)),
+    ("GPTQ", "gptq3_g128", GPTQConfig(bits=3)),
+    ("AWQ", "awq3_g128", AWQConfig(bits=3)),
+    EDKM3,
+    RTN3,  # a reference row the paper does not report
+]
+
+# The fine-tune methods' (data seed offset, epochs in units of
+# ``alpaca_epochs``); every other method's run_fn is the calibration pass.
+_FINETUNES = {QATConfig: (5, 1), DKMConfig: (6, 2)}
+
+
 @dataclass
 class Table3Harness:
     """Shared world/model state so methods start from the same checkpoint."""
@@ -123,13 +141,13 @@ class Table3Harness:
         self.alpaca = generate_alpaca(self.world, self.n_alpaca, seed=self.seed + 2)
         self.suites = standard_suites(self.world, n_items=self.n_items)
         self._snapshot: dict | None = None
-        self._model = None
+        self._pretrained = None
 
     # -- shared checkpoint ------------------------------------------------
 
     def pretrained(self):
-        """The fine-tuned fp16 stand-in model (built once, then snapshotted)."""
-        if self._model is None:
+        """The fine-tuned fp16 stand-in model (trained once, never quantized)."""
+        if self._pretrained is None:
             model = build_model(MICRO, vocab_size=self.tokenizer.vocab_size, seed=self.seed)
             model.to(GPU)
             cfg = FinetuneConfig(lr=self.pretrain_lr)
@@ -149,11 +167,11 @@ class Table3Harness:
                 ),
                 cfg,
             )
-            self._model = model
+            self._pretrained = model
             self._snapshot = {
                 k: v.numpy().copy() for k, v in model.state_dict().items()
             }
-        return self._model
+        return self._pretrained
 
     def restore(self):
         """A fresh model loaded from the pre-trained snapshot.
@@ -167,100 +185,56 @@ class Table3Harness:
         model.to(GPU)
         for name, param in model.state_dict().items():
             param.copy_(self._snapshot[name])
-        self._model = model
         return model
 
-    def _evaluate(self) -> EvalReport:
-        return evaluate_suites(self._model, self.tokenizer, self.suites, GPU)
-
-    def calibration_batches(self, n: int = 16):
-        return list(
-            corpus_batches(
-                self.corpus[: 16 * n], self.tokenizer, 16, GPU, seed=self.seed + 9
-            )
+    def calibrate(self, model) -> None:
+        """The calibration pass: 8 shuffled corpus batches of 16 sentences."""
+        batches = corpus_batches(
+            self.corpus[:256], self.tokenizer, 16, GPU, seed=self.seed + 9
         )
+        for batch in islice(batches, 8):
+            model(batch.tokens)
 
-    # -- methods (Table 3 rows) --------------------------------------------
-
-    def run_fp16(self) -> Table3Row:
-        self.restore()
-        return self._row("LLaMA (fp16)", "fp16", 16, self._evaluate())
-
-    def run_rtn(self, bits: int) -> Table3Row:
-        self.restore()
-        quantize_model_rtn(self._model, bits=bits, per_channel=False)
-        return self._row("RTN", f"rtn{bits}", bits, self._evaluate())
-
-    def run_gptq(self, bits: int, group_size: int | None = None) -> Table3Row:
-        self.restore()
-        calib = self.calibration_batches()
-        quantize_model_gptq(self._model, calib, bits=bits, group_size=group_size)
-        return self._row("GPTQ", f"gptq{bits}_g128", bits, self._evaluate())
-
-    def run_awq(self, bits: int, group_size: int | None = None) -> Table3Row:
-        self.restore()
-        calib = self.calibration_batches()
-        quantize_model_awq(self._model, calib, bits=bits, group_size=group_size)
-        return self._row("AWQ", f"awq{bits}_g128", bits, self._evaluate())
-
-    def run_smoothquant(self, bits: int = 8) -> Table3Row:
-        self.restore()
-        calib = self.calibration_batches()
-        quantize_model_smoothquant(self._model, calib, bits=bits)
-        return self._row("SmoothQuant", "rtn4", bits, self._evaluate())
-
-    def run_llm_qat(self, bits: int) -> Table3Row:
-        self.restore()
-        wrapped = apply_qat(self._model, bits=bits)
+    def finetune(self, model, seed: int, epochs: int) -> None:
+        """The LLM-QAT / eDKM fine-tune on the instruction split."""
         train_causal_lm(
-            self._model,
+            model,
             alpaca_batches(
-                self.alpaca, self.tokenizer, 16, GPU,
-                epochs=self.alpaca_epochs, seed=self.seed + 5,
+                self.alpaca, self.tokenizer, 16, GPU, epochs=epochs, seed=seed
             ),
             FinetuneConfig(lr=self.compress_lr),
         )
-        freeze_qat(wrapped)
-        # Unwrap for evaluation: QATLinear.forward quantizes already-frozen
-        # weights, which is idempotent, so evaluating through it is fine.
-        return self._row("LLM-QAT", f"llmqat{bits}", bits, self._evaluate())
 
-    def run_edkm(self, bits: int, epochs: int | None = None) -> Table3Row:
-        self.restore()
-        compressor = ModelCompressor(DKMConfig(bits=bits, iters=4))
-        compressor.compress(self._model)
-        train_causal_lm(
-            self._model,
-            alpaca_batches(
-                self.alpaca, self.tokenizer, 16, GPU,
-                epochs=epochs or 2 * self.alpaca_epochs, seed=self.seed + 6,
-            ),
-            FinetuneConfig(lr=self.compress_lr),
-        )
-        return self._row("eDKM", f"edkm{bits}", bits, self._evaluate())
+    # -- rows ---------------------------------------------------------------
 
-    def _row(self, method: str, scheme_key: str, bits: int, report: EvalReport) -> Table3Row:
-        scheme = paper_schemes().get(scheme_key)
-        size = model_size_gb(LLAMA_7B, scheme) if scheme else float("nan")
-        return Table3Row(method=method, bits=bits, size_gb=size, report=report)
+    def run_row(
+        self, label: str, scheme_key: str, config, *, epochs: int | None = None
+    ) -> Table3Row:
+        """Quantize a fresh copy of the pretrained model with ``config``
+        (none for fp16), then score it.  ``epochs`` overrides the length of
+        an LLM-QAT or eDKM fine-tune."""
+        model = self.restore()
+        bits = 16
+        if config is not None:
+            run_fn = self.calibrate
+            if type(config) in _FINETUNES:
+                offset, multiple = _FINETUNES[type(config)]
+                run_fn = partial(
+                    self.finetune,
+                    seed=self.seed + offset,
+                    epochs=epochs or multiple * self.alpaca_epochs,
+                )
+            quantize(model, config, run_fn=run_fn)
+            bits = config.bits
+        size = model_size_gb(LLAMA_7B, paper_schemes()[scheme_key])
+        report = evaluate_suites(model, self.tokenizer, self.suites, GPU)
+        return Table3Row(method=label, bits=bits, size_gb=size, report=report)
 
 
 def run_table3(harness: Table3Harness | None = None, quick: bool = False) -> list[Table3Row]:
     """All Table 3 rows.  ``quick`` runs the fp16/RTN/eDKM subset."""
     harness = harness or Table3Harness()
-    rows = [harness.run_fp16()]
-    if quick:
-        rows.append(harness.run_rtn(3))
-        rows.append(harness.run_edkm(3))
-        return rows
-    rows.append(harness.run_rtn(4))
-    rows.append(harness.run_gptq(4))
-    rows.append(harness.run_awq(4))
-    rows.append(harness.run_llm_qat(4))
-    rows.append(harness.run_gptq(3))
-    rows.append(harness.run_awq(3))
-    rows.append(harness.run_edkm(3))
-    return rows
+    return [harness.run_row(*row) for row in (QUICK_ROWS if quick else TABLE3_ROWS)]
 
 
 # (method, bits) -> PAPER_TABLE3 key, for the rows the paper reports.
@@ -347,8 +321,4 @@ def run(quick: bool = False, seed: int = 0) -> Table3BenchResult:
     (~20 s on 2 cores); the full run adds a 3-bit RTN reference row to the
     paper's eight.
     """
-    harness = Table3Harness(seed=seed, n_items=25)
-    rows = run_table3(harness, quick=quick)
-    if not quick:
-        rows.append(harness.run_rtn(3))
-    return Table3BenchResult(rows)
+    return Table3BenchResult(run_table3(Table3Harness(seed=seed, n_items=25), quick))

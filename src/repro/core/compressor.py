@@ -61,7 +61,7 @@ from repro.core.faults import (
     RobustnessWarning,
 )
 from repro.core.palettize import PalettizedTensor, kmeans_palettize
-from repro.nn.linear import Embedding, Linear
+from repro.nn.linear import Embedding, Linear, named_linears
 from repro.nn.module import Module
 from repro.tensor.dtype import promote
 from repro.tensor.serialization import ShmLost
@@ -514,26 +514,17 @@ class ModelCompressor:
 
     def compress(self, model: Module) -> Module:
         """Replace every target Linear in ``model`` with a ClusteredLinear."""
-        self._wrap_children(model, prefix="")
+        for name, parent, attribute, linear in named_linears(model, self.skip_names):
+            wrapper = ClusteredLinear(
+                linear,
+                self.dkm_config,
+                uniquify_enabled=self.edkm_config.uniquify,
+            )
+            setattr(parent, attribute, wrapper)
+            self.wrapped[name] = wrapper
         if not self.wrapped:
             raise ValueError("no Linear layers found to compress")
         return model
-
-    def _wrap_children(self, module: Module, prefix: str) -> None:
-        for name, child in list(module._modules.items()):
-            full_name = f"{prefix}{name}"
-            if any(full_name.startswith(skip) for skip in self.skip_names):
-                continue
-            if isinstance(child, Linear):
-                wrapper = ClusteredLinear(
-                    child,
-                    self.dkm_config,
-                    uniquify_enabled=self.edkm_config.uniquify,
-                )
-                setattr(module, name, wrapper)
-                self.wrapped[full_name] = wrapper
-            else:
-                self._wrap_children(child, prefix=f"{full_name}.")
 
     # ------------------------------------------------------------------
     # Parallel per-layer engine

@@ -1,7 +1,7 @@
 """Neural-network layer library (LLaMA-architecture building blocks)."""
 
 from repro.nn.attention import AttentionRow, KVBlock, MultiHeadAttention
-from repro.nn.linear import Embedding, Linear
+from repro.nn.linear import Embedding, Linear, named_linears
 from repro.nn.loss import IGNORE_INDEX, cross_entropy, token_log_likelihoods
 from repro.nn.mlp import SwiGLUMLP
 from repro.nn.module import Module, ModuleList, Parameter
@@ -15,6 +15,7 @@ __all__ = [
     "MultiHeadAttention",
     "Embedding",
     "Linear",
+    "named_linears",
     "IGNORE_INDEX",
     "cross_entropy",
     "token_log_likelihoods",

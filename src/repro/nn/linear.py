@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.nn import init
@@ -53,6 +55,29 @@ class Linear(Module):
             f"Linear(in={self.in_features}, out={self.out_features}, "
             f"bias={self.bias is not None})"
         )
+
+
+def named_linears(
+    model: Module, skip_names: tuple[str, ...] = ()
+) -> Iterator[tuple[str, Module, str, Linear]]:
+    """Every ``Linear`` below ``model``, in ``named_modules`` order.
+
+    Yields ``(name, parent, attribute, linear)`` and leaves out each Linear
+    whose dotted name starts with one of ``skip_names``.  ``parent`` and
+    ``attribute`` let a caller swap a wrapper in while the walk runs
+    (``setattr(parent, attribute, wrapper)``): each level's children are
+    read before any is yielded, and a Linear is never descended into.
+    """
+
+    def walk(module: Module, prefix: str) -> Iterator[tuple[str, Module, str, Linear]]:
+        for attribute, child in list(module._modules.items()):
+            name = f"{prefix}{attribute}"
+            if not isinstance(child, Linear):
+                yield from walk(child, f"{name}.")
+            elif not any(name.startswith(skip) for skip in skip_names):
+                yield name, module, attribute, child
+
+    return walk(model, "")
 
 
 class Embedding(Module):

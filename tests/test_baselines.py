@@ -1,4 +1,5 @@
-"""Tests for the baseline compressors (RTN, GPTQ, AWQ, SmoothQuant, QAT)."""
+"""Tests for the baseline compressors (RTN, GPTQ, AWQ, SmoothQuant, QAT) and
+the one ``quantize(model, config, run_fn=)`` front-end over them."""
 
 import numpy as np
 import pytest
@@ -6,22 +7,25 @@ import pytest
 import repro.tensor as rt
 import repro.nn as nn
 from repro.baselines import (
+    AWQConfig,
     FakeQuantSTE,
-    apply_qat,
-    collect_calibration,
+    GPTQConfig,
+    QATConfig,
+    QATLinear,
+    RTNConfig,
+    SmoothQuantConfig,
     fake_quantize,
-    freeze_qat,
     gptq_quantize_weight,
     quantization_mse,
-    quantize_model_awq,
-    quantize_model_gptq,
-    quantize_model_rtn,
-    quantize_model_smoothquant,
+    quantize,
     quantize_uniform,
+    record_linear_inputs,
     smoothquant_scales,
 )
 from repro.baselines.awq import awq_scale_search
 from repro.baselines.calibration import LayerCalibration
+from repro.core import DKMConfig, ModelCompressor
+from repro.core.compressor import ClusteredLinear
 
 
 def _weight(shape=(8, 16), seed=0, scale=0.1):
@@ -78,6 +82,25 @@ class TestQuantGrids:
             quantize_uniform(np.zeros(8, dtype=np.float32), bits=4)
 
 
+def _forward_all(batches):
+    """A calibration ``run_fn``: one forward per batch."""
+
+    def run_fn(model):
+        for batch in batches:
+            model(batch.tokens)
+
+    return run_fn
+
+
+def _tiny_lm(tokenizer):
+    model = nn.Transformer(
+        vocab_size=tokenizer.vocab_size, dim=16, n_layers=1, n_heads=2,
+        hidden_dim=32, max_seq_len=16,
+    )
+    model.to("gpu")
+    return model
+
+
 def _calibrated_layer(in_f=32, out_f=16, n=256, seed=0):
     """A Linear plus calibration stats from correlated inputs."""
     rng = np.random.default_rng(seed)
@@ -123,14 +146,11 @@ class TestGPTQ:
     def test_model_level_gptq(self, world, tokenizer):
         from repro.data import corpus_batches, generate_corpus
 
-        model = nn.Transformer(
-            vocab_size=tokenizer.vocab_size, dim=16, n_layers=1, n_heads=2,
-            hidden_dim=32, max_seq_len=16,
-        )
-        model.to("gpu")
+        model = _tiny_lm(tokenizer)
         corpus = generate_corpus(world, 64, seed=5)
         batches = list(corpus_batches(corpus, tokenizer, 8, rt.GPU, seed=6))
-        report = quantize_model_gptq(model, batches, bits=4)
+        report = quantize(model, GPTQConfig(bits=4), run_fn=_forward_all(batches))
+        assert (report.method, report.bits) == ("GPTQ", 4)
         assert len(report.layer_mse) == 8
         assert all(np.isfinite(v) for v in report.layer_mse.values())
 
@@ -155,15 +175,11 @@ class TestAWQ:
     def test_model_level_awq(self, world, tokenizer):
         from repro.data import corpus_batches, generate_corpus
 
-        model = nn.Transformer(
-            vocab_size=tokenizer.vocab_size, dim=16, n_layers=1, n_heads=2,
-            hidden_dim=32, max_seq_len=16,
-        )
-        model.to("gpu")
+        model = _tiny_lm(tokenizer)
         corpus = generate_corpus(world, 64, seed=7)
         batches = list(corpus_batches(corpus, tokenizer, 8, rt.GPU, seed=8))
-        report = quantize_model_awq(model, batches, bits=4)
-        assert len(report.layer_alpha) == 8
+        report = quantize(model, AWQConfig(bits=4), run_fn=_forward_all(batches))
+        assert len(report.layer_mse) == 8
 
 
 class TestRTN:
@@ -172,7 +188,7 @@ class TestRTN:
             vocab_size=20, dim=16, n_layers=1, n_heads=2, hidden_dim=32
         )
         before = model.lm_head.weight.numpy().copy()
-        report = quantize_model_rtn(model, bits=3, per_channel=False)
+        report = quantize(model, RTNConfig(bits=3, per_channel=False))
         after = model.lm_head.weight.numpy()
         assert not np.array_equal(before, after)
         assert len(np.unique(after)) <= 2**3 * 2  # per-tensor symmetric grid
@@ -183,12 +199,12 @@ class TestRTN:
             vocab_size=20, dim=16, n_layers=1, n_heads=2, hidden_dim=32
         )
         before = model.lm_head.weight.numpy().copy()
-        quantize_model_rtn(model, bits=3, skip_names=("lm_head",))
+        quantize(model, RTNConfig(bits=3), skip_names=("lm_head",))
         assert np.array_equal(before, model.lm_head.weight.numpy())
 
     def test_no_linears_raises(self):
         with pytest.raises(ValueError):
-            quantize_model_rtn(nn.RMSNorm(4), bits=3)
+            quantize(nn.RMSNorm(4), RTNConfig(bits=3))
 
 
 class TestSmoothQuant:
@@ -201,45 +217,47 @@ class TestSmoothQuant:
     def test_model_level(self, world, tokenizer):
         from repro.data import corpus_batches, generate_corpus
 
-        model = nn.Transformer(
-            vocab_size=tokenizer.vocab_size, dim=16, n_layers=1, n_heads=2,
-            hidden_dim=32, max_seq_len=16,
-        )
-        model.to("gpu")
+        model = _tiny_lm(tokenizer)
         corpus = generate_corpus(world, 64, seed=9)
         batches = list(corpus_batches(corpus, tokenizer, 8, rt.GPU, seed=10))
-        report = quantize_model_smoothquant(model, batches, bits=8)
-        assert len(report.layers) == 8
+        report = quantize(model, SmoothQuantConfig(), run_fn=_forward_all(batches))
+        assert report.bits == 8
+        assert len(report.layer_mse) == 8
 
 
 class TestLLMQAT:
     def test_ste_gradient_is_identity(self):
         w = rt.Tensor.from_numpy(_weight(), device="gpu", requires_grad=True)
-        out = FakeQuantSTE.apply(w, 4, True)
+        out = FakeQuantSTE.apply(w, 4)
         out.sum().backward()
         assert np.allclose(w.grad.numpy(), np.ones_like(w.numpy()))
 
     def test_forward_projects_to_grid(self):
         w = rt.Tensor.from_numpy(_weight(), device="gpu")
-        out = FakeQuantSTE.apply(w, 3, True)
+        out = FakeQuantSTE.apply(w, 3)
         for row in out.numpy():
             assert len(np.unique(row)) <= 2**3
 
-    def test_apply_qat_wraps_linears(self):
+    def test_qat_wraps_linears(self):
         model = nn.Transformer(
             vocab_size=20, dim=16, n_layers=1, n_heads=2, hidden_dim=32
         )
-        wrapped = apply_qat(model, bits=4)
-        assert len(wrapped) == 8
-        tokens = rt.tensor(np.array([[1, 2, 3]]))
-        assert model(tokens).shape == (1, 3, 20)
+        seen = {}
+
+        def run_fn(m):
+            seen["wrapped"] = [
+                name for name, mod in m.named_modules() if isinstance(mod, QATLinear)
+            ]
+            seen["shape"] = m(rt.tensor(np.array([[1, 2, 3]]))).shape
+
+        report = quantize(model, QATConfig(bits=4), run_fn=run_fn)
+        assert len(seen["wrapped"]) == 8 == len(report.layer_mse)
+        assert seen["shape"] == (1, 3, 20)
 
     def test_qat_training_reduces_quantized_loss(self):
         rng = np.random.default_rng(0)
         layer = nn.Linear(8, 8, rng=rng)
         # Direct QAT on a single layer:
-        from repro.baselines.llm_qat import QATLinear
-
         wrapped = QATLinear(layer, bits=3)
         x = rt.tensor(rng.standard_normal((16, 8)).astype(np.float32))
         target = rt.tensor(rng.standard_normal((16, 8)).astype(np.float32))
@@ -258,9 +276,10 @@ class TestLLMQAT:
         model = nn.Transformer(
             vocab_size=20, dim=16, n_layers=1, n_heads=2, hidden_dim=32
         )
-        wrapped = apply_qat(model, bits=3)
-        freeze_qat(wrapped)
-        for qat in wrapped.values():
+        quantize(model, QATConfig(bits=3), run_fn=lambda m: None)
+        wrapped = [m for _, m in model.named_modules() if isinstance(m, QATLinear)]
+        assert len(wrapped) == 8
+        for qat in wrapped:
             w = qat.inner.weight.numpy()
             for row in w:
                 assert len(np.unique(row)) <= 2**3
@@ -287,18 +306,63 @@ class TestCalibration:
         cal.update(np.ones((8, 2)))
         assert cal.stacked_samples().shape[0] == 10
 
-    def test_collect_calibration_restores_forward(self, world, tokenizer):
+    def test_record_linear_inputs_restores_forward(self, world, tokenizer):
         from repro.data import corpus_batches, generate_corpus
 
-        model = nn.Transformer(
-            vocab_size=tokenizer.vocab_size, dim=16, n_layers=1, n_heads=2,
-            hidden_dim=32, max_seq_len=16,
-        )
-        model.to("gpu")
+        model = _tiny_lm(tokenizer)
         original_forward = model.lm_head.forward
         corpus = generate_corpus(world, 32, seed=11)
         batches = list(corpus_batches(corpus, tokenizer, 8, rt.GPU, seed=12))
-        records = collect_calibration(model, batches)
+        with record_linear_inputs(model) as records:
+            _forward_all(batches)(model)
         assert model.lm_head.forward == original_forward
         assert "lm_head" in records
         assert records["lm_head"].n_samples > 0
+
+
+class TestQuantizeFrontEnd:
+    @pytest.mark.parametrize(
+        "config",
+        [GPTQConfig(), AWQConfig(), SmoothQuantConfig(), QATConfig(), DKMConfig()],
+        ids=lambda c: type(c).__name__,
+    )
+    def test_run_fn_required_but_for_rtn(self, config):
+        model = nn.Transformer(vocab_size=20, dim=16, n_layers=1, n_heads=2, hidden_dim=32)
+        with pytest.raises(ValueError, match="needs a run_fn"):
+            quantize(model, config)
+
+    def test_edkm_is_compress_then_run_fn(self, tokenizer):
+        model = _tiny_lm(tokenizer)
+        tokens = rt.tensor(np.array([[1, 2, 3, 4]])).to(rt.GPU)
+        report = quantize(
+            model, DKMConfig(bits=3, iters=2), run_fn=lambda m: m(tokens),
+            skip_names=("lm_head",),
+        )
+        clustered = [n for n, m in model.named_modules() if isinstance(m, ClusteredLinear)]
+        assert clustered == list(report.layer_mse) and len(clustered) == 7
+        assert (report.method, report.bits) == ("DKM", 3)
+        assert all(np.isfinite(v) and v >= 0 for v in report.layer_mse.values())
+
+    def test_qat_honours_skip_names(self):
+        model = nn.Transformer(vocab_size=20, dim=16, n_layers=1, n_heads=2, hidden_dim=32)
+        report = quantize(model, QATConfig(bits=4), run_fn=lambda m: None, skip_names=("lm_head",))
+        assert isinstance(model.lm_head, nn.Linear) and "lm_head" not in report.layer_mse
+        assert len(report.layer_mse) == 7
+
+    def test_one_walk_in_named_modules_order(self):
+        """``named_linears`` yields the Linears in ``named_modules`` order, and
+        ``ModelCompressor.wrapped`` keeps that order (placement and sweep
+        merges depend on it)."""
+
+        def build():
+            return nn.Transformer(vocab_size=20, dim=16, n_layers=2, n_heads=2, hidden_dim=32)
+
+        model = build()
+        reference = [n for n, m in model.named_modules() if isinstance(m, nn.Linear)]
+        assert [name for name, *_ in nn.named_linears(model)] == reference
+        skip = ("layers.0.attn", "lm_head")
+        kept = [n for n in reference if not n.startswith(skip)]
+        assert [name for name, *_ in nn.named_linears(model, skip)] == kept
+        compressor = ModelCompressor(DKMConfig(bits=3), skip_names=skip)
+        compressor.compress(build())
+        assert list(compressor.wrapped) == kept

@@ -1,16 +1,26 @@
 """The configuration surface, pinned by name.
 
-Every field of the four config dataclasses and every member of the
-strategy / backend registries is listed here.  Adding a knob means editing
+Every field of the four engine config dataclasses, of the five baseline
+method configs, and every member of the strategy / backend registries is
+listed here.  Adding a knob means editing
 this pin *and* naming, in the PR, the second non-test caller that needs a
 value different from the first (ROADMAP aim 2: a mechanism nobody but its
 own bench and tests switches on is deleted together with its selector).
 """
 
+import inspect
 from dataclasses import fields
 
 import pytest
 
+from repro.baselines import (
+    AWQConfig,
+    GPTQConfig,
+    QATConfig,
+    RTNConfig,
+    SmoothQuantConfig,
+    quantize,
+)
 from repro.core.config import (
     BACKENDS,
     SEARCH_STRATEGIES,
@@ -43,9 +53,39 @@ SURFACE = {
 }
 
 
+# ``quantize(model, config, run_fn=, skip_names=)``: eDKM takes the
+# DKMConfig above; ``percdamp`` and SmoothQuant's ``alpha`` are defaults of
+# the per-weight functions, not knobs.
+METHOD_SURFACE = {
+    RTNConfig: {"bits", "symmetric", "per_channel"},
+    GPTQConfig: {"bits", "group_size"},
+    AWQConfig: {"bits", "group_size"},
+    SmoothQuantConfig: {"bits"},
+    QATConfig: {"bits"},
+}
+
+
 @pytest.mark.parametrize("cls", SURFACE, ids=lambda cls: cls.__name__)
 def test_field_names_are_pinned(cls):
     assert {f.name for f in fields(cls)} == SURFACE[cls]
+
+
+@pytest.mark.parametrize("cls", METHOD_SURFACE, ids=lambda cls: cls.__name__)
+def test_method_config_fields_are_pinned(cls):
+    assert {f.name for f in fields(cls)} == METHOD_SURFACE[cls]
+
+
+def test_baseline_settable_value_budget():
+    """The five method configs' fields plus ``skip_names``: 10 values, down
+    from 16 keyword knobs on six model-level entry points (``run_fn`` is a
+    data argument, like the calibration batches it replaced)."""
+    params = inspect.signature(quantize).parameters
+    assert [n for n, p in params.items() if p.kind is p.POSITIONAL_OR_KEYWORD] == [
+        "model", "config",
+    ]
+    knobs = [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY and n != "run_fn"]
+    assert knobs == ["skip_names"]
+    assert sum(len(names) for names in METHOD_SURFACE.values()) + len(knobs) == 10
 
 
 def test_field_budget():

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.tensor as rt
 from repro.core import DKMConfig
 from repro.core.dkm import (
+    ClusterState,
     DKMClusterer,
     default_temperature,
     init_centroids_quantile,
+    nearest_centroid,
 )
 from repro.core.uniquify import reset_uniquify_call_count, uniquify_call_count
 
@@ -118,6 +122,64 @@ class TestRefinement:
             (flat[:, None] - state.centroids[None, :]) ** 2, axis=1
         )
         assert np.array_equal(assignments, expected)
+
+
+@st.composite
+def _ranked_case(draw):
+    """Sorted centroids (repeats allowed) on a 2**-8 grid in [-2, 2], and
+    float32 values in [-3, 3] that include every adjacent midpoint.
+
+    The grid keeps centroid gaps far above float32 resolution at these
+    magnitudes: centroids closer than the rounding of ``(v - c) ** 2``
+    would make distant values tie and fall to the lower index, which is
+    the one way finite arithmetic could break the order.
+    """
+    grid = draw(st.lists(st.integers(-512, 512), min_size=1, max_size=16))
+    centroids = np.sort(np.asarray(grid, dtype=np.float32) / 256)
+    values = draw(
+        st.lists(
+            st.floats(-3, 3, width=32, allow_subnormal=False), min_size=1, max_size=300
+        )
+    )
+    midpoints = (centroids[:-1] + centroids[1:]) / 2
+    return centroids, np.concatenate([np.asarray(values, np.float32), midpoints])
+
+
+def _assert_rank_monotone(values, centroids, assignments):
+    """Non-decreasing in the value; ties (repeats, midpoints) to the lower index."""
+    order = np.argsort(values, kind="stable")
+    assert np.all(np.diff(assignments[order]) >= 0)
+    first = np.searchsorted(centroids, centroids, side="left")
+    assert np.array_equal(first[assignments], assignments)  # first of a repeat run
+    for i in range(len(centroids) - 1):
+        midpoint = (centroids[i] + centroids[i + 1]) / 2
+        if centroids[i] < centroids[i + 1]:
+            assert np.all(assignments[values == midpoint] == first[i])
+
+
+class TestRankMonotonicity:
+    """With sorted centroids, hard assignment only reads a weight's rank:
+    the index is non-decreasing in the value, ties to the lower index."""
+
+    @given(_ranked_case(), st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_centroid_across_chunks(self, case, chunk):
+        centroids, values = case
+        assignments = nearest_centroid(values, centroids, chunk=chunk)
+        _assert_rank_monotone(values, centroids, assignments)
+
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float32"])
+    @given(case=_ranked_case())
+    @settings(max_examples=100, deadline=None)
+    def test_hard_assign(self, dtype, case):
+        """bf16 takes the unique-space path, float32 the chunked one."""
+        centroids, values = case
+        weights = rt.Tensor.from_numpy(values, dtype=dtype, device="gpu")
+        clusterer = DKMClusterer(DKMConfig(bits=4, weight_dtype=rt.get_dtype(dtype)))
+        clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
+        assignments = np.asarray(clusterer.hard_assign(weights))
+        stored = weights.numpy().reshape(-1)  # values after the dtype's rounding
+        _assert_rank_monotone(stored, centroids, assignments)
 
 
 class TestRefineRejectsUnclusterableWeights:

@@ -3,7 +3,7 @@
 import numpy as np
 
 import repro.tensor as rt
-from repro.baselines import quantize_model_rtn
+from repro.baselines import RTNConfig, quantize
 from repro.core import (
     DKMConfig,
     EDKMConfig,
@@ -49,7 +49,7 @@ class TestCompressedFinetuneEndToEnd:
         suites = standard_suites(world, n_items=12)
 
         rtn_model = model_factory()
-        quantize_model_rtn(rtn_model, bits=3, per_channel=False)
+        quantize(rtn_model, RTNConfig(bits=3, per_channel=False))
         rtn = evaluate_suites(rtn_model, tokenizer, suites, rt.GPU)
 
         edkm_model = model_factory()
