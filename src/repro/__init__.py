@@ -76,14 +76,8 @@ from repro.core import (
     EDKMConfig,
     ModelCompressor,
     SavedTensorPipeline,
-    get_default_compressor_config,
-    get_default_dkm_config,
 )
-from repro.serving import (
-    PaletteServer,
-    ServingConfig,
-    get_default_serving_config,
-)
+from repro.serving import PaletteServer, ServingConfig
 
 
 def compress(
@@ -104,7 +98,7 @@ def compress(
     Pass ``dkm_config`` to control clustering beyond ``bits`` (they are
     mutually exclusive with each other only when they disagree:
     ``bits`` is ignored when an explicit ``dkm_config`` is given),
-    ``config`` for engine knobs (backend, workers, skip lists).
+    ``config`` for engine knobs (workers, skip lists).
     """
     compressor = ModelCompressor(
         dkm_config or DKMConfig(bits=bits),
@@ -146,7 +140,7 @@ def serve(
     server = PaletteServer(
         model,
         tokenizer,
-        config=config or get_default_serving_config(**overrides),
+        config=config or ServingConfig(**overrides),
         device=device,
         ledger=ledger,
     )
@@ -165,9 +159,6 @@ __all__ = [
     "PaletteServer",
     "SavedTensorPipeline",
     "ServingConfig",
-    "get_default_compressor_config",
-    "get_default_dkm_config",
-    "get_default_serving_config",
     "baselines",
     "core",
     "data",

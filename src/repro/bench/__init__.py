@@ -12,8 +12,8 @@ way to run them (:mod:`repro.bench.__main__` holds the registry).
 - :mod:`repro.bench.table2` -- Table 2 (M/U/S ablation, memory + runtime)
 - :mod:`repro.bench.table3` -- Table 3 (accuracy of compressed models)
 - :mod:`repro.bench.claims` -- Section 1/2 analytic size claims
-- :mod:`repro.bench.engine` -- serial / thread / process compression
-  engine over one stack x backend x width grid (identity, delta
+- :mod:`repro.bench.engine` -- the serial loop and the process
+  compression engine over one stack x width grid (identity, delta
   shipping, crash recovery, byte-balanced placement)
 - :mod:`repro.bench.faults` -- chaos suite (fault injection, watchdog,
   quarantine, degradation, crash-safe checkpoint/resume)

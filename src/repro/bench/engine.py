@@ -1,17 +1,18 @@
-"""Engine benchmark: every compression backend over one declared grid.
+"""Engine benchmark: the serial loop and the process engine over one grid.
 
 One :class:`~repro.core.compressor.ModelCompressor` per grid cell sweeps
 a stack of bias-free Linears (``precluster`` with reconstruction errors)
-through one ``CompressorConfig.backend`` at one pool width.  The grid is
-declared once: the product of :data:`OPTIONS` (stack x backend x width)
-minus the cells :func:`excluded` names.  The stacks:
+at one ``CompressorConfig.num_workers``: width 1 is the serial loop (each
+stack's reference), 2 and 4 run the process engine.  The grid is
+declared once: the product of :data:`OPTIONS` (stack x width) minus the
+cells :func:`excluded` names.  The stacks:
 
 - ``compute`` -- 8 layers of 512x512: kernel time dominates;
 - ``dispatch`` -- 8 layers of 16x16: compute is negligible, so the wall
-  time *is* the backend's dispatch cost (thread-pool handoff vs task
-  pickling + IPC + shm attach);
-- ``wide16`` / ``wide32`` -- 16 / 32 layers of 64x64: the two cells where
-  ``process`` has beaten ``thread`` at 2 workers on refit sweeps on a
+  time *is* the process engine's dispatch cost (task pickling + IPC + shm
+  attach);
+- ``wide16`` / ``wide32`` -- 16 / 32 layers of 64x64: many small layers,
+  where the process engine at 2 workers has come closest to serial on a
   2-core host (measured numbers: ``docs/sharding.md``);
 - ``skewed`` -- one 8fxf layer plus five fxf: the process engine's
   byte-balanced placement, at every width.
@@ -21,19 +22,19 @@ process pool spawns); ``repeats`` ``warm`` sweeps (state carried, step
 caches hit, process layers ship as ``O(k)`` deltas); ``repeats`` ``refit``
 sweeps, each after an optimizer-style write of every weight (caches miss
 on a warm pool, process layers re-ship full: the e2e ``compress_sweep``
-regime).  The ``skewed`` cells run one more: ``crash-recovery`` on
-``process`` (one slot worker is hard-killed first, so the engine respawns
-it and re-ships its layers full), ``warm`` on the serial reference.  The
-serial cell of each stack is the reference; each row records the width
-the engine actually ran (``config.resolve_workers``, 1 on serial).
+regime).  The ``skewed`` cells run one more: ``crash-recovery`` at 2 and
+4 workers (one slot worker is hard-killed first, so the engine respawns
+it and re-ships its layers full), ``warm`` on the serial reference.  Each
+row records the width the engine actually ran
+(``config.resolve_workers``).
 
 Gates (``failures()``): every sweep's outputs (centroids, assignments,
 temperatures, reconstruction errors) and per-layer ``FastPathStats``
-equal the serial cell's at the same sweep; warm ``process`` sweeps ship
-no full task; each process cell's per-slot byte loads obey the greedy
-bound ``max load <= mean load + largest layer``; every shared-memory
-block a process cell exported is unlinked after ``close()``.  Wall times
-are recorded, not gated: pool backends cannot beat serial without spare
+equal the serial cell's at the same sweep; warm process sweeps ship no
+full task; each process cell's per-slot byte loads obey the greedy bound
+``max load <= mean load + largest layer``; every shared-memory block a
+process cell exported is unlinked after ``close()``.  Wall times are
+recorded, not gated: the process engine cannot beat serial without spare
 cores, and CI runners are noisy.  ``python -m repro.bench engine`` writes
 ``BENCH_engine.json`` (schema: ``docs/benchmarks.md``).
 """
@@ -51,41 +52,39 @@ import numpy as np
 
 import repro.nn as nn
 from repro.core.compressor import ModelCompressor
-from repro.core.config import BACKENDS, CompressorConfig, DKMConfig
+from repro.core.config import CompressorConfig, DKMConfig
 from repro.core.procpool import TransportStats
 
 SUMMARY = ("cold", "warm", "refit")
 """The scenarios each cell's summary reports (best wall time of each)."""
 
 POOL_WIDTH = 2
-"""The one pool width of the quick grid's thread / process cells."""
+"""The one process width of the quick grid."""
 
 OPTIONS = {
     "stack": ("compute", "dispatch", "wide16", "wide32", "skewed"),
-    "backend": BACKENDS,
     "workers": (1, 2, 4),
 }
 
 
-def excluded(stack: str, backend: str, workers: int, quick: bool) -> bool:
+def excluded(stack: str, workers: int, quick: bool) -> bool:
     """The cells of the option product the grid skips.
 
-    Serial runs once per stack (it is the reference) and ``skewed`` is the
-    process engine's placement stack.  The quick grid only arms the gates,
-    so it keeps one pool width and drops the two timing-only ``wide``
-    stacks: every process cell spawns its workers, ~0.4 s of imports each.
+    The full grid runs every cell.  The quick grid only arms the gates, so
+    it drops the two timing-only ``wide`` stacks and keeps the serial
+    reference plus one process width, except on ``skewed``, the placement
+    stack, which keeps every width: each process cell spawns its workers,
+    ~0.4 s of imports each.
     """
-    if quick and stack.startswith("wide"):
+    if not quick:
+        return False
+    if stack.startswith("wide"):
         return True
-    if backend == "serial":
-        return workers != 1
-    if stack == "skewed":
-        return backend != "process"
-    return quick and workers != POOL_WIDTH
+    return stack != "skewed" and workers not in (1, POOL_WIDTH)
 
 
-def grid(quick: bool) -> list[tuple[str, str, int]]:
-    """``(stack, backend, workers)`` cells, each stack's serial cell first."""
+def grid(quick: bool) -> list[tuple[str, int]]:
+    """``(stack, workers)`` cells, each stack's serial cell (width 1) first."""
     return [
         cell
         for cell in itertools.product(*OPTIONS.values())
@@ -210,7 +209,6 @@ class SweepRow:
     """One sweep of one grid cell, against the serial cell's same sweep."""
 
     stack: str
-    backend: str
     workers: int
     sweep: int
     scenario: str
@@ -223,7 +221,7 @@ class SweepRow:
 
     @property
     def cell(self) -> str:
-        return f"{self.stack} {self.backend} x{self.workers}"
+        return f"{self.stack} x{self.workers}"
 
 
 @dataclass
@@ -243,22 +241,21 @@ class EngineBenchResult:
         walls: dict[tuple, dict[str, float]] = {}
         for row in self.rows:
             if row.scenario != "crash-recovery":
-                wall = walls.setdefault((row.stack, row.backend, row.workers), {})
+                wall = walls.setdefault((row.stack, row.workers), {})
                 wall[row.scenario] = min(
                     wall.get(row.scenario, float("inf")), row.wall_seconds
                 )
         return [
             {
                 "stack": stack,
-                "backend": backend,
                 "workers": workers,
                 **{f"{key}_wall_seconds": wall[key] for key in SUMMARY},
                 **{
-                    f"{key}_speedup": walls[(stack, "serial", 1)][key] / wall[key]
+                    f"{key}_speedup": walls[(stack, 1)][key] / wall[key]
                     for key in SUMMARY
                 },
             }
-            for (stack, backend, workers), wall in walls.items()
+            for (stack, workers), wall in walls.items()
         ]
 
     def to_json_dict(self) -> dict:
@@ -277,7 +274,7 @@ class EngineBenchResult:
 
     def render(self) -> str:
         lines = [
-            f"{cell['stack']:<9} {cell['backend']:<8} x{cell['workers']}"
+            f"{cell['stack']:<9} x{cell['workers']}"
             + "".join(
                 f"  {key} {cell[f'{key}_wall_seconds']:.4f}s "
                 f"({cell[f'{key}_speedup']:.2f}x)"
@@ -305,7 +302,7 @@ class EngineBenchResult:
                 failures.append(f"{label}: outputs differ from serial")
             if not row.stats_identical:
                 failures.append(f"{label}: step-cache counters differ from serial")
-            if row.backend == "process" and row.scenario == "warm" and row.full_tasks:
+            if row.workers > 1 and row.scenario == "warm" and row.full_tasks:
                 failures.append(f"{label}: shipped {row.full_tasks} full task(s)")
         failures += [
             f"{cell}: placement violates balance bound"
@@ -313,7 +310,7 @@ class EngineBenchResult:
             if not ok
         ]
         if not self.shm_cleaned:
-            failures.append("process backend left shared-memory blocks linked")
+            failures.append("process engine left shared-memory blocks linked")
         return failures
 
 
@@ -326,14 +323,12 @@ def run_engine(quick: bool = False, seed: int = 0, repeats: int = 3) -> EngineBe
     shapes = stack_shapes(quick)
     result = EngineBenchResult(cpu_count=os.cpu_count() or 1, repeats=repeats)
     references: dict[str, list[tuple[str, dict]]] = {}
-    for stack, backend, workers in grid(quick):
+    for stack, workers in grid(quick):
+        compressor = build_stack_compressor(shapes[stack], seed, num_workers=workers)
+        workers = compressor.config.resolve_workers(len(compressor.wrapped))
         schedule = ["cold"] + ["warm"] * repeats + ["refit"] * repeats
         if stack == "skewed":
-            schedule.append("crash-recovery" if backend == "process" else "warm")
-        compressor = build_stack_compressor(
-            shapes[stack], seed, backend=backend, num_workers=workers
-        )
-        workers = compressor.config.resolve_workers(len(compressor.wrapped))
+            schedule.append("crash-recovery" if workers > 1 else "warm")
         sizes = {
             name: wrapper.inner.weight.numel * wrapper.inner.weight.dtype.itemsize
             for name, wrapper in compressor.wrapped.items()
@@ -352,12 +347,12 @@ def run_engine(quick: bool = False, seed: int = 0, repeats: int = 3) -> EngineBe
                 if compressor._engine is not None:
                     shm_names.update(compressor._engine.active_shm_names())
                 stats = _layer_stats(compressor)
-                if backend == "serial":
+                if workers == 1:
                     reference.append((digest, stats))
                 shipped = compressor.transport_stats() or TransportStats()
                 result.rows.append(
                     SweepRow(
-                        stack, backend, workers, sweep, scenario, wall,
+                        stack, workers, sweep, scenario, wall,
                         reference[sweep - 1][0] == digest,
                         reference[sweep - 1][1] == stats,
                         shipped.last_sweep_bytes,
@@ -365,7 +360,7 @@ def run_engine(quick: bool = False, seed: int = 0, repeats: int = 3) -> EngineBe
                         shipped.last_sweep_delta_tasks,
                     )
                 )
-            if backend == "process":
+            if workers > 1:
                 cell = result.rows[-1].cell
                 loads = [0] * workers
                 for name, slot in compressor._engine.placement().items():

@@ -1,15 +1,16 @@
 """Chaos benchmark: fault injection, recovery, and crash-safe resume.
 
-Runs one multi-sweep ``precluster`` workload through the process backend
+Runs one multi-sweep ``precluster`` workload through the process engine
 under every fault class the injector knows (worker kill, hang, delay,
 transient op failure, corrupted delta payload, reaped shm block) plus two
 policy scenarios (retry exhaustion -> quarantine, respawn exhaustion ->
-backend degradation), and asserts the robustness contract end to end:
+demotion to the serial loop), and asserts the robustness contract end to
+end:
 
 - **bit identity** -- every chaotic run's centroids, assignments,
   temperatures, and per-layer step-cache counters equal an undisturbed
   *serial* run's.  Recovery may re-ship, retry, fall back in-parent, or
-  demote the backend, but it may never change the math.
+  demote the run to the serial loop, but it may never change the math.
 - **log reconciliation** -- every planned fault kind appears in the
   engine's :class:`~repro.core.faults.FaultLog`; a scenario whose fault
   never fired tested nothing.
@@ -272,7 +273,8 @@ def run_faults(
         weights_per_layer=in_features * out_features,
     )
 
-    # Every compressor of the run: identically seeded weights, one width.
+    # Every compressor of the run: identically seeded weights, one process
+    # width (the serial references override it with num_workers=1).
     build = functools.partial(
         build_stack_compressor,
         [(in_features, out_features)] * n_layers,
@@ -284,14 +286,14 @@ def run_faults(
 
     def reference(n_sweeps: int) -> tuple[str, dict]:
         if n_sweeps not in references:
-            compressor = build(backend="serial")
+            compressor = build(num_workers=1)
             results = _run_sweeps(compressor, n_sweeps)
             references[n_sweeps] = (_digest(results), _layer_stats(compressor))
         return references[n_sweeps]
 
     def baseline(n_sweeps: int) -> float:
         if n_sweeps not in baselines:
-            compressor = build(backend="process")
+            compressor = build()
             start = time.perf_counter()
             _run_sweeps(compressor, n_sweeps)
             baselines[n_sweeps] = time.perf_counter() - start
@@ -301,9 +303,7 @@ def run_faults(
     for scenario in scenarios:
         ref_digest, ref_stats = reference(scenario.sweeps)
         base_wall = baseline(scenario.sweeps)
-        compressor = build(
-            backend="process", fault_plan=scenario.plan, **scenario.config_kwargs
-        )
+        compressor = build(fault_plan=scenario.plan, **scenario.config_kwargs)
         shm_names: set[str] = set()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
@@ -358,7 +358,7 @@ def run_faults(
             )
         )
 
-    _run_resume_scenario(result, functools.partial(build, backend="process"))
+    _run_resume_scenario(result, build)
     return result
 
 
@@ -369,7 +369,7 @@ def _run_resume_scenario(
 ) -> None:
     """Kill-then-resume: checkpoint after sweep 1, resume, finish, compare.
 
-    The "crash" is a hard process-backend teardown after
+    The "crash" is a hard process-engine teardown after
     ``save_checkpoint``; the resumed compressor is built fresh over
     identically seeded weights, exactly as a restarted job would be.
     """

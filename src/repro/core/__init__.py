@@ -11,17 +11,17 @@ Public surface:
 - :class:`SavedTensorPipeline` -- saved-tensor offloading with cross-device
   marshaling and sharding (paper Section 2.1).
 - :class:`ModelCompressor` / :class:`ClusteredLinear` -- model-level
-  train-time compression and palettization, with serial / thread-pool /
-  process per-layer backends configured by :class:`CompressorConfig`
-  (the process backend pins layers to worker slots by weight bytes and
-  ships zero-copy shared-memory weight views plus ``O(k)`` deltas to them
-  via :class:`ProcessLayerEngine`).
+  train-time compression and palettization; ``CompressorConfig.num_workers``
+  picks the per-layer engine: the serial loop (1) or
+  :class:`ProcessLayerEngine` (>= 2), which pins layers to worker slots by
+  weight bytes and ships zero-copy shared-memory weight views plus
+  ``O(k)`` deltas to them.
 - :class:`FaultPlan` / :class:`FaultInjector` (one injector for the
   compression engine and the server), :class:`RetryPolicy`, and the
   checkpoint layer (:func:`write_checkpoint` / :func:`load_checkpoint`)
   -- the robustness surface: deterministic chaos injection,
-  watchdog/retry/quarantine recovery, crash-safe checkpoint/resume, and graceful backend
-  degradation (see ``docs/robustness.md``).
+  watchdog/retry/quarantine recovery, crash-safe checkpoint/resume, and
+  graceful process -> serial degradation (see ``docs/robustness.md``).
 """
 
 from repro.core.checkpoint import (
@@ -33,14 +33,11 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.config import (
-    BACKENDS,
     CompressorConfig,
     DKMConfig,
     EDKMConfig,
     PipelineStats,
     RetryPolicy,
-    get_default_compressor_config,
-    get_default_dkm_config,
 )
 from repro.core.faults import (
     FAULT_KINDS,
@@ -63,7 +60,6 @@ from repro.core.compressor import (
     SWEEP_OPS,
     dequantized_state,
     palettize_op,
-    parallel_layer_map,
     precluster_op,
     refine_op,
 )
@@ -105,7 +101,6 @@ from repro.core.uniquify import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CHECKPOINT_VERSION",
     "CheckpointCorrupt",
     "CheckpointError",
@@ -128,8 +123,6 @@ __all__ = [
     "EDKMConfig",
     "PipelineStats",
     "RetryPolicy",
-    "get_default_compressor_config",
-    "get_default_dkm_config",
     "ClusteredLinear",
     "CompressionReport",
     "LayerClusterResult",
@@ -137,7 +130,6 @@ __all__ = [
     "SWEEP_OPS",
     "dequantized_state",
     "palettize_op",
-    "parallel_layer_map",
     "precluster_op",
     "refine_op",
     "LayerDelta",

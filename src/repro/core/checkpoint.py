@@ -51,11 +51,13 @@ from repro.core.fastpath import FastPathStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compressor import ModelCompressor
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 """Schema version stamped into (and verified from) every checkpoint.
 
-Version 2: ``EDKMConfig`` lost five fields, which changes the
-``config_epoch`` digest of every run; version-1 files are refused by
+Version 2: ``EDKMConfig`` lost five fields.  Version 3: ``DKMConfig`` lost
+its dense row-chunk field and the payload its configured-engine key
+(``active_backend`` is ``"serial"`` or ``"process"``).  Each change moves
+the ``config_epoch`` digest of every run, so older files are refused by
 version rather than with a misleading "different clustering config"."""
 
 
@@ -139,7 +141,6 @@ def build_payload(compressor: "ModelCompressor") -> dict:
         "version": CHECKPOINT_VERSION,
         "config_epoch": _config_epoch(compressor),
         "sweeps_completed": compressor.sweeps_completed,
-        "backend": compressor.config.backend,
         "active_backend": compressor.active_backend,
         "layers": layers,
     }

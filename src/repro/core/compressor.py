@@ -8,47 +8,40 @@ and finalizes the fine-tuned model into palettized artifacts.
 
 Per-layer clustering is embarrassingly parallel -- each ``ClusteredLinear``
 owns its weight storage, its :class:`~repro.core.dkm.DKMClusterer`, and its
-:class:`~repro.core.fastpath.StepCache` -- so the compressor fans its
-no-grad sweeps (``refine_all`` / ``precluster`` / ``finalize``) out over an
-execution backend selected by ``CompressorConfig.backend``:
+:class:`~repro.core.fastpath.StepCache` -- so the compressor runs its
+no-grad sweeps (``refine_all`` / ``precluster`` / ``finalize``) on one of
+two engines, picked per sweep by ``CompressorConfig.resolve_workers`` of
+the layer count:
 
-- ``"serial"`` -- the reference loop on the calling thread;
-- ``"thread"`` (default) -- a ``ThreadPoolExecutor``
-  (:func:`parallel_layer_map`): numpy releases the GIL inside the big
-  uniquify/gather/softmax kernels, so kernel time overlaps on multi-core
-  hosts, but Python-side op dispatch still serializes;
-- ``"process"`` -- the :class:`~repro.core.procpool.ProcessLayerEngine`:
-  workers rebuild each layer's weight as a zero-copy shared-memory view,
-  overlapping dispatch as well.  Byte-balanced
+- ``1`` (the default) -- the reference loop on the calling thread;
+- ``N >= 2`` -- the :class:`~repro.core.procpool.ProcessLayerEngine`:
+  ``N`` spawned workers rebuild each layer's weight as a zero-copy
+  shared-memory view.  Byte-balanced
   :func:`~repro.core.procpool.place_layers` pins each layer to one
   single-worker slot, so uniquify products, attention tables, and shm
   attachments stay worker-resident across sweeps and warm sweeps ship
   only ``O(k)`` deltas.
 
-**Bit-identity invariant** (established for the thread backend in the
-parallel-engine PR and extended to processes here): every backend hands
-each layer to exactly one worker, per-layer clustering is a pure function
-of (weight bytes, prior cluster state, config), and results -- centroids,
-assignments, palettized artifacts, per-layer
-:class:`~repro.core.fastpath.StepCache` counters, and the carried
-refine->forward attention table -- are merged in layer *insertion order*
-regardless of completion order.  The three backends are therefore
-interchangeable: same outputs, same stats, different wall time.
+**Bit-identity invariant**: both engines hand each layer to exactly one
+executor, per-layer clustering is a pure function of (weight bytes,
+prior cluster state, config), and results -- centroids, assignments,
+palettized artifacts, per-layer :class:`~repro.core.fastpath.StepCache`
+counters, and the carried refine->forward attention table -- are merged
+in layer *insertion order* regardless of completion order.  The two
+engines are therefore interchangeable: same outputs, same stats,
+different wall time.
 
-**Thread-safety invariant**: pool workers only *read* layer weights; all
-writes (optimizer steps) happen on the thread/process that owns the
-training loop.  Per-layer step caches are internally locked, so even a
-mis-use that hands one layer to two workers degrades to recompute, never
-to corruption (see ``StepCache``).
+**Write invariant**: workers only *read* layer weights; all writes
+(optimizer steps) happen in the process that owns the training loop.
 """
 
 from __future__ import annotations
 
 import warnings
 import weakref
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
 
@@ -71,44 +64,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.faults import FaultLog
     from repro.core.procpool import ProcessLayerEngine, TransportStats
 
-_DEGRADATION_LADDER = {"process": "thread", "thread": "serial"}
-"""Backend demotion order: each infrastructure-class sweep failure steps
-one rung down; ``serial`` is the floor and its errors always propagate."""
-
 _INFRA_FAILURES = (PoolExhausted, BrokenExecutor, ShmLost)
 """Sweep-level failures that indicate broken *infrastructure* (pools, shm)
-rather than broken math.  Only these trigger degradation: an
-op exception is deterministic and would reproduce on every backend, so
+rather than broken math.  Only these demote a run to the serial loop: an
+op exception is deterministic and would reproduce there too, so
 demoting for it would just re-raise more slowly."""
 
-_T = TypeVar("_T")
 _R = TypeVar("_R")
-
-
-def parallel_layer_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[tuple[str, _T]],
-    num_workers: int,
-) -> dict[str, _R]:
-    """Apply ``fn`` to named, independent layer tasks; deterministic order.
-
-    With ``num_workers <= 1`` (or a single task) this is a plain serial
-    loop on the calling thread -- the reference behavior.  Otherwise tasks
-    are submitted to a :class:`ThreadPoolExecutor` in input order and the
-    results are *gathered* in input order, so the returned dict is
-    identical to the serial sweep's no matter how the pool interleaves.
-    Exceptions propagate from the first failing task in input order.
-
-    Callers must hand each layer to exactly one task: the per-layer
-    clusterer, step cache, and cluster state are only synchronized against
-    concurrent use of *different* layers (see ``StepCache``'s lock notes).
-    """
-    pairs = list(items)
-    if num_workers <= 1 or len(pairs) <= 1:
-        return {name: fn(task) for name, task in pairs}
-    with ThreadPoolExecutor(max_workers=num_workers) as pool:
-        futures = [(name, pool.submit(fn, task)) for name, task in pairs]
-        return {name: future.result() for name, future in futures}
 
 
 class ClusteredLinear(Module):
@@ -380,11 +342,10 @@ class LayerClusterResult:
 # Sweep ops
 #
 # One function per engine sweep, taking only (clusterer, weights, ...).
-# Every backend executes these exact functions -- the serial loop and the
-# thread pool call them on the wrapper's own clusterer, the process
-# backend calls them inside workers on a reconstructed clusterer -- which
-# is what makes backend equivalence hold by construction rather than by
-# parallel-maintained code paths.
+# Both engines execute these exact functions -- the serial loop calls them
+# on the wrapper's own clusterer, the process engine inside workers on a
+# reconstructed clusterer -- which is what makes engine equivalence hold
+# by construction rather than by parallel-maintained code paths.
 # ----------------------------------------------------------------------
 
 
@@ -427,7 +388,7 @@ SWEEP_OPS: dict[str, Callable] = {
     "precluster": precluster_op,
     "palettize": palettize_op,
 }
-"""Sweep-op registry, keyed by the names the process backend ships to its
+"""Sweep-op registry, keyed by the names the process engine ships to its
 workers (:func:`repro.core.procpool._run_slot_batch` resolves them here)."""
 
 
@@ -492,13 +453,13 @@ class ModelCompressor:
                 skip_names=() if skip_names is None else skip_names,
             )
         self.wrapped: dict[str, ClusteredLinear] = {}
-        # Lazily-created process backend (slots + shm exports); None until
-        # the first sweep runs with config.backend == "process".
+        # Lazily-created process engine (slots + shm exports); None until
+        # the first sweep that resolves to two or more workers.
         self._engine: "ProcessLayerEngine | None" = None
-        # Robustness state: the degradation ladder's current override
-        # (None = run on config.backend), the demotion history, and the
-        # sweep counter the checkpoint layer persists.
-        self._backend_override: str | None = None
+        # Robustness state: whether an infrastructure failure pinned the
+        # run to the serial loop, the demotion history, and the sweep
+        # counter the checkpoint layer persists.
+        self._demoted = False
         self.degradations: list[tuple[str, str, str]] = []
         self._sweeps_completed = 0
 
@@ -527,19 +488,11 @@ class ModelCompressor:
         return model
 
     # ------------------------------------------------------------------
-    # Parallel per-layer engine
+    # Per-layer engine
     # ------------------------------------------------------------------
 
-    def _layer_map(self, fn: Callable[[ClusteredLinear], _R]) -> dict[str, _R]:
-        """Fan ``fn`` out over all wrapped layers (see ``parallel_layer_map``)."""
-        return parallel_layer_map(
-            fn,
-            self.wrapped.items(),
-            self.config.resolve_workers(len(self.wrapped)),
-        )
-
     def _process_engine(self) -> "ProcessLayerEngine":
-        """The lazily-created engine behind ``backend="process"``."""
+        """The lazily-created engine behind ``num_workers >= 2``."""
         if self._engine is None:
             from repro.core.procpool import ProcessLayerEngine
 
@@ -548,42 +501,42 @@ class ModelCompressor:
 
     @property
     def active_backend(self) -> str:
-        """The backend sweeps currently run on (degradation-aware).
+        """The engine sweeps currently run on: ``"serial"`` or ``"process"``.
 
-        Starts as ``config.backend`` and only moves *down* the ladder
-        (process -> thread -> serial) when an infrastructure
-        failure demotes it; never silently promotes back.
+        ``"process"`` while ``config.resolve_workers`` of the layer count
+        is 2 or more, until an infrastructure failure demotes the run to
+        ``"serial"``; a demoted run never silently promotes back.
         """
-        return self._backend_override or self.config.backend
+        if self._demoted or self.config.resolve_workers(len(self.wrapped)) < 2:
+            return "serial"
+        return "process"
 
     @property
     def sweeps_completed(self) -> int:
         """Sweeps merged so far (the checkpoint layer's progress marker)."""
         return self._sweeps_completed
 
-    def _demote(self, failed_backend: str, exc: BaseException) -> None:
-        """Step one rung down the degradation ladder, warning loudly."""
-        next_backend = _DEGRADATION_LADDER[failed_backend]
+    def _demote(self, exc: BaseException) -> None:
+        """Pin the run to the serial loop after a process failure, warning loudly."""
         reason = f"{type(exc).__name__}: {exc}"
-        self._backend_override = next_backend
-        self.degradations.append((failed_backend, next_backend, reason))
-        if failed_backend == "process" and self._engine is not None:
-            # The engine already reset itself on the way out; close it so
-            # no pools or blocks linger while we run degraded.
-            self._engine.close()
+        self._demoted = True
+        self.degradations.append(("process", "serial", reason))
+        # The engine already reset itself on the way out; close it so no
+        # pools or blocks linger while we run degraded.
+        self._engine.close()
         warnings.warn(
-            f"{failed_backend!r} backend failed a sweep ({reason}); degrading "
-            f"to {next_backend!r} for the rest of the run",
+            f"'process' engine failed a sweep ({reason}); degrading "
+            "to 'serial' for the rest of the run",
             RobustnessWarning,
             stacklevel=4,
         )
 
     def _sweep(self, op: str, **kwargs) -> dict[str, _R]:
-        """Run one sweep op over all layers through the active backend.
+        """Run one sweep op over all layers on the active engine.
 
-        Serial/thread backends call the :data:`SWEEP_OPS` function on each
-        wrapper's own clusterer; the process backend ships
-        :class:`~repro.core.procpool.LayerTask` batches to pool workers and
+        The serial loop calls the :data:`SWEEP_OPS` function on each
+        wrapper's own clusterer; the process engine ships
+        :class:`~repro.core.procpool.LayerTask` batches to its workers and
         merges the outcomes back in layer insertion order: the worker's
         final cluster state replaces the layer's, its
         :class:`~repro.core.fastpath.FastPathStats` deltas fold into the
@@ -594,44 +547,31 @@ class ModelCompressor:
         that the decomposition products are re-residented lazily on next
         local use.
 
-        **Degradation ladder** (always on): an infrastructure
-        failure -- the engine's respawn budget running out
-        (:class:`~repro.core.faults.PoolExhausted`), a broken pool, a
-        lost shm block -- demotes the run one backend down (process ->
-        thread -> serial) with a :class:`~repro.core.faults.
-        RobustnessWarning` and re-runs the sweep there.  The re-run is
-        bit-safe because a failed process sweep merges *nothing*: the
-        engine raises before any outcome touches a wrapper.  Op
-        exceptions (bad math, bad kwargs) are not absorbed -- they are
-        deterministic and would fail on every backend.
+        **Degradation** (always on): an infrastructure failure -- the
+        engine's respawn budget running out
+        (:class:`~repro.core.faults.PoolExhausted`), a broken pool, a lost
+        shm block -- demotes the run to the serial loop with a
+        :class:`~repro.core.faults.RobustnessWarning` and re-runs the
+        sweep there.  The re-run is bit-safe because a failed process
+        sweep merges *nothing*: the engine raises before any outcome
+        touches a wrapper.  Op exceptions (bad math, bad kwargs) are not
+        absorbed -- they are deterministic and would fail serially too.
         """
-        while True:
-            backend = self.active_backend
+        if self.active_backend == "process":
             try:
-                results = self._sweep_on(backend, op, **kwargs)
+                results = self._process_sweep(op, **kwargs)
             except _INFRA_FAILURES as exc:
-                if backend == "serial":
-                    raise
-                self._demote(backend, exc)
-                continue
-            self._sweeps_completed += 1
-            return results
+                self._demote(exc)
+        if self.active_backend == "serial":
+            results = {
+                name: SWEEP_OPS[op](wrapper.clusterer, wrapper.inner.weight, **kwargs)
+                for name, wrapper in self.wrapped.items()
+            }
+        self._sweeps_completed += 1
+        return results
 
-    def _sweep_on(self, backend: str, op: str, **kwargs) -> dict[str, _R]:
-        """One sweep attempt on one explicit backend (no ladder, no retry)."""
-        if backend != "process":
-            num_workers = (
-                1
-                if backend == "serial"
-                else self.config.resolve_workers(len(self.wrapped))
-            )
-            return parallel_layer_map(
-                lambda wrapper: SWEEP_OPS[op](
-                    wrapper.clusterer, wrapper.inner.weight, **kwargs
-                ),
-                self.wrapped.items(),
-                num_workers,
-            )
+    def _process_sweep(self, op: str, **kwargs) -> dict[str, _R]:
+        """One sweep attempt on the process engine (no demotion, no retry)."""
         outcomes = self._process_engine().map_layers(
             op,
             [
@@ -655,9 +595,9 @@ class ModelCompressor:
         return results
 
     def transport_stats(self) -> "TransportStats | None":
-        """The process backend's per-sweep shipping counters, if it ran.
+        """The process engine's per-sweep shipping counters, if it ran.
 
-        ``None`` for the serial/thread backends (nothing is pickled) and
+        ``None`` for the serial loop (nothing is pickled) and
         before the first process sweep.  The ``last_sweep_*`` fields show
         the delta-shipping effect directly: a warm sweep's
         ``last_sweep_delta_tasks`` equals the layer count and its
@@ -672,8 +612,8 @@ class ModelCompressor:
 
         ``None`` when ``config.fault_plan`` is unset or no process
         engine has been created yet; fault injection only instruments the
-        process backend (the serial/thread paths have no workers to kill,
-        hang, or corrupt payloads for).
+        process engine (the serial loop has no workers to kill, hang, or
+        corrupt payloads for).
         """
         return self._engine.fault_log if self._engine is not None else None
 
@@ -713,26 +653,18 @@ class ModelCompressor:
 
         A degraded run resumes degraded: whatever infrastructure failure
         forced the demotion (a flaky node, a reaped ``/dev/shm``) is
-        assumed to outlive the restart, so resume never silently promotes
-        back to a backend that was already proven broken.  The override
-        only ever applies *downwards*: it is installed only when it is a
-        rung strictly below ``config.backend``, so a checkpoint written
-        on a higher rung (a ``thread`` run resumed by a compressor
-        configured ``serial``) or on a retired backend name (``sharded``
-        in older checkpoints, now simply ``process``) runs on the
-        configured backend.
+        assumed to outlive the restart, so a checkpoint that records
+        ``"serial"`` pins the resumed run to the serial loop.  Anything
+        else runs on the engine the configured ``num_workers`` picks.
         """
         self._sweeps_completed = sweeps_completed
-        rung = self.config.backend
-        while rung in _DEGRADATION_LADDER:
-            rung = _DEGRADATION_LADDER[rung]
-            if rung == active_backend:
-                self._backend_override = active_backend
+        if active_backend == "serial":
+            self._demoted = True
 
     def close(self) -> None:
-        """Release the process backend: shut the pool down, unlink shm.
+        """Release the process engine: shut the pool down, unlink shm.
 
-        No-op for the serial/thread backends and safe to call repeatedly;
+        No-op on the serial loop and safe to call repeatedly;
         a compressor is also usable again afterwards (the next process
         sweep rebuilds pool and exports).  ``ModelCompressor`` is a
         context manager for exactly this cleanup.
@@ -747,7 +679,7 @@ class ModelCompressor:
         self.close()
 
     def refine_all(self, cache_table: bool = False) -> dict[str, ClusterState]:
-        """Converge every layer's centroids; one pool task per layer.
+        """Converge every layer's centroids; one engine task per layer.
 
         Equivalent to calling ``wrapper.clusterer.refine`` on each wrapped
         layer in insertion order, and bit-identical to that serial sweep:
@@ -757,7 +689,7 @@ class ModelCompressor:
         return self._sweep("refine", cache_table=cache_table)
 
     def precluster(self, compute_error: bool = False) -> dict[str, LayerClusterResult]:
-        """Refine + hard-assign every layer, in parallel, snapshotting results.
+        """Refine + hard-assign every layer, snapshotting results.
 
         This is the multi-layer compression sweep the paper runs once per
         checkpoint/deployment: converge centroids, then map each weight to
@@ -789,9 +721,9 @@ class ModelCompressor:
     def finalize(self, model: Module) -> CompressionReport:
         """Palettize all clustered layers and embeddings; report sizes.
 
-        The per-layer palettization (refine + hard assign + pack) fans out
-        over the engine's worker pool; embeddings and the byte accounting
-        stay on the calling thread.
+        The per-layer palettization (refine + hard assign + pack) is one
+        engine sweep; embeddings and the byte accounting stay on the
+        calling thread.
         """
         report = CompressionReport()
         report.palettized.update(self._sweep("palettize", bits=self.dkm_config.bits))

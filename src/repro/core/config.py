@@ -83,8 +83,8 @@ class RetryPolicy:
         respawns: worker (compression) or scheduler-loop (serving)
             respawn budget for the supervisor's lifetime.  Past it the
             engine raises :class:`~repro.core.faults.PoolExhausted`,
-            which demotes the compression backend, and the server is
-            marked dead and rejects work.
+            which demotes the compression run to the serial loop, and
+            the server is marked dead and rejects work.
     """
 
     timeout_s: float | None = None
@@ -131,15 +131,11 @@ class DKMConfig:
         tol: early-stop threshold on centroid movement.
         weight_dtype: 16-bit dtype weights are clustered in (uniquification
             keys on its bit patterns; paper fine-tunes in bfloat16).
-        dense_row_chunk: when set, :meth:`DKMClusterer.cluster_dense` runs
-            the dense DKM ablation in row blocks of this many weights, so
-            its materialized/saved buffers are bounded at ``chunk x k``
-            instead of ``|W| x k``.  ``None`` keeps the original monolithic
-            composition (subject to ``dense_saved_bytes_limit``).
         dense_saved_bytes_limit: refuse the monolithic dense composition
             when one of its ``O(|W|·|C|)`` float32 buffers would exceed this
             many bytes, instead of letting the host OOM; the error message
-            points at ``dense_row_chunk``.
+            points at :meth:`DKMClusterer.cluster_dense`'s ``row_chunk``
+            argument (the blocked fallback).
     """
 
     bits: int = 3
@@ -147,7 +143,6 @@ class DKMConfig:
     iters: int = 5
     tol: float = 1e-8
     weight_dtype: DType = bfloat16
-    dense_row_chunk: int | None = None
     dense_saved_bytes_limit: int = 256 << 20
 
     def __post_init__(self) -> None:
@@ -157,8 +152,6 @@ class DKMConfig:
             raise ValueError("temperature must be positive")
         if self.iters < 1:
             raise ValueError("need at least one k-means iteration")
-        if self.dense_row_chunk is not None and self.dense_row_chunk < 1:
-            raise ValueError("dense_row_chunk must be positive when set")
         if self.dense_saved_bytes_limit < 1:
             raise ValueError("dense_saved_bytes_limit must be positive")
 
@@ -180,66 +173,44 @@ class DKMConfig:
         return config_from_dict(cls, payload)
 
 
-def get_default_dkm_config(**overrides) -> "DKMConfig":
-    """A fresh :class:`DKMConfig` with any field overridden by keyword.
-
-    The neural-compressor constructor idiom (``get_default_rtn_config``
-    and friends): one-knob callers still get full combination validation.
-    """
-    return DKMConfig(**overrides)
-
-
-BACKENDS = ("serial", "thread", "process")
-"""Execution backends for the per-layer compression engine: a plain loop
-on the calling thread, a GIL-sharing ``ThreadPoolExecutor``, or the
-process engine (``repro.core.procpool``) that pins layers by weight bytes
-to spawned single-worker slots fed zero-copy shared-memory weight views."""
-
-
 @dataclass
 class CompressorConfig:
     """Model-level compression engine knobs (see ``ModelCompressor``).
 
     Attributes:
-        backend: how the per-layer ``refine``/``hard_assign``/``palettize``
-            sweeps execute.  ``"serial"`` loops on the calling thread
-            (ignoring ``num_workers``); ``"thread"`` (default) fans layers
-            out over a ``ThreadPoolExecutor`` -- numpy releases the GIL
-            inside the big kernels, so this overlaps kernel time but not
-            Python-side op dispatch; ``"process"`` fans out over
-            ``num_workers`` spawned single-worker slots ("nodes") fed
-            zero-copy ``multiprocessing.shared_memory`` weight views,
-            overlapping dispatch as well: layers are pinned to slots by
-            weight *bytes*, derived state stays worker-resident across
-            sweeps, and warm sweeps ship only ``O(k)`` *deltas* (see
-            ``docs/sharding.md``).  All three are bit-identical: every
-            layer runs in exactly one worker and results merge back in
-            layer insertion order.
-        num_workers: pool width for the thread backend, slot (node)
-            count for the process backend; capped at the layer count.
-            ``1`` (default) degenerates the thread backend to the serial
-            loop; ``0`` means "one worker per visible CPU".  A process
-            engine's width is fixed for its life: a changed value makes
-            the next sweep a cold start.
+        num_workers: which engine runs the per-layer ``refine`` /
+            ``hard_assign`` / ``palettize`` sweeps, after capping at the
+            layer count (:meth:`resolve_workers`).  ``1`` (default) loops
+            on the calling thread; ``N >= 2`` fans out over ``N`` spawned
+            single-worker slots ("nodes") of the process engine, fed
+            zero-copy ``multiprocessing.shared_memory`` weight views:
+            layers are pinned to slots by weight *bytes*, derived state
+            stays worker-resident across sweeps, and warm sweeps ship only
+            ``O(k)`` *deltas* (see ``docs/sharding.md``).  Both engines are
+            bit-identical: every layer runs in exactly one place and
+            results merge back in layer insertion order.  ``0`` means "one
+            worker per visible CPU".  A process engine's width is fixed
+            for its life: a changed value makes the next sweep a cold
+            start.
         embedding_bits: post-training palettization width for embeddings
             (paper: "we also compressed the embedding layers with 8 bits").
         skip_names: module-path prefixes exempted from wrapping.
-        retry: the process backend's :class:`RetryPolicy` -- the
+        retry: the process engine's :class:`RetryPolicy` -- the
             per-task watchdog deadline, the re-shipments of a failing
             slot batch before it runs in-parent (crash, hang, stale
             cache, corrupt payload, lost shm block, transient worker
             error; only transient failures sleep the backoff, a respawn
             is its own delay), quarantine after ``retries + 1``
             fallbacks of one layer, and the worker-respawn budget whose
-            exhaustion demotes the backend process -> thread -> serial.
+            exhaustion demotes the run to the serial loop.
         fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
-            engine's deterministic fault injector (chaos testing); it
-            may only hold ``"compression"`` kinds of
-            :data:`~repro.core.faults.FAULT_KINDS`.  ``None`` (default)
-            injects nothing.
+            process engine's deterministic fault injector (chaos
+            testing); it may only hold ``"compression"`` kinds of
+            :data:`~repro.core.faults.FAULT_KINDS` and needs
+            ``num_workers != 1`` (the serial loop has no workers to
+            fault).  ``None`` (default) injects nothing.
     """
 
-    backend: str = "thread"
     num_workers: int = 1
     embedding_bits: int = 8
     skip_names: tuple[str, ...] = ()
@@ -247,18 +218,18 @@ class CompressorConfig:
     fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         if self.num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
         check_plan(self.fault_plan, "compression")
+        if self.fault_plan is not None and self.num_workers == 1:
+            raise ValueError(
+                "a fault_plan needs the process engine (num_workers >= 2); "
+                "num_workers=1 runs the serial loop, where it would never fire"
+            )
 
     def resolve_workers(self, n_tasks: int) -> int:
-        """Effective pool width for ``n_tasks`` independent layers."""
-        if self.backend == "serial":
-            return 1
+        """Effective width for ``n_tasks`` independent layers: 1 is the
+        serial loop, ``>= 2`` the process engine's slot count."""
         workers = self.num_workers if self.num_workers > 0 else (os.cpu_count() or 1)
         return max(1, min(workers, n_tasks))
 
@@ -272,16 +243,6 @@ class CompressorConfig:
         """Reconstruct a validated config from :meth:`to_dict` output
         (unknown keys raise ``ValueError``)."""
         return config_from_dict(cls, payload)
-
-
-def get_default_compressor_config(**overrides) -> "CompressorConfig":
-    """A fresh :class:`CompressorConfig` with any field overridden by keyword.
-
-    The neural-compressor constructor idiom: callers that only touch one
-    knob write ``get_default_compressor_config(backend="process")`` and
-    still get full validation of the combination.
-    """
-    return CompressorConfig(**overrides)
 
 
 SEARCH_STRATEGIES = ("graph", "storage-id")

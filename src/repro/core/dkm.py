@@ -179,8 +179,8 @@ class DKMClusterer:
         the squared-distance matrix and the attention map, each
         ``O(|W|·|C|)``, plus small vectors.
 
-        ``row_chunk`` (default ``config.dense_row_chunk``) switches to the
-        blocked fallback: the flattened weight is clustered in row blocks of
+        ``row_chunk`` (default ``None``: one monolithic block) switches to
+        the blocked fallback: the flattened weight is clustered in row blocks of
         ``row_chunk`` positions, each through the same primitive composition
         (so per-position gradients are exactly the monolithic ones -- the
         softmax and mixture are row-local), and the block outputs are
@@ -216,9 +216,7 @@ class DKMClusterer:
         regression test); the single-block gate keeps the blocked
         fallback's bounded-buffer behavior untouched.
         """
-        if row_chunk is None:
-            row_chunk = self.config.dense_row_chunk
-        elif row_chunk < 1:
+        if row_chunk is not None and row_chunk < 1:
             raise ValueError(f"row_chunk must be positive when set, got {row_chunk}")
         n_weights = weights.numel
         k = self.config.n_clusters
@@ -229,8 +227,8 @@ class DKMClusterer:
                     f"dense DKM would materialize {dense_bytes} bytes per "
                     f"O(|W|·|C|) buffer ({n_weights} weights x {k} centroids), "
                     f"over the {self.config.dense_saved_bytes_limit}-byte limit; "
-                    "set dense_row_chunk (DKMConfig / cluster_dense argument) "
-                    "to use the blocked fallback, or use the eDKM path"
+                    "pass cluster_dense(row_chunk=) to use the blocked "
+                    "fallback, or use the eDKM path"
                 )
             row_chunk = n_weights  # single block == original monolithic path
         fastpath_ok = (

@@ -165,14 +165,8 @@ def cluster(
     weights: Tensor,
     clusterer: DKMClusterer,
     uniquify_enabled: bool,
-    dense_row_chunk: int | None = None,
 ) -> Tensor:
-    """Dispatch between the dense DKM path and the eDKM unique path.
-
-    ``dense_row_chunk`` overrides the clusterer config's chunk size for the
-    dense ablation (``None`` defers to ``DKMConfig.dense_row_chunk``); it is
-    ignored on the eDKM path, which never materializes dense buffers.
-    """
+    """Dispatch between the dense DKM path and the eDKM unique path."""
     if uniquify_enabled:
         return edkm_cluster(weights, clusterer)
-    return clusterer.cluster_dense(weights, row_chunk=dense_row_chunk)
+    return clusterer.cluster_dense(weights)

@@ -31,8 +31,8 @@ known-computed, but the products are not resident.  Counters track
 phantom key records a **hit** (the decomposition for those exact bytes
 was already computed somewhere this step) while transparently recomputing
 and re-residenting the products locally.  This keeps the per-layer
-hit/miss counters bit-identical across ``serial``/``thread``/``process``
-backends for any sequence of sweeps; the physical recompute count is
+hit/miss counters bit-identical between the serial loop and the process
+engine for any sequence of sweeps; the physical recompute count is
 still observable via :func:`repro.core.uniquify.uniquify_call_count`,
 which only ever counts computations in the calling process.
 
@@ -84,7 +84,7 @@ class FastPathStats:
     def diff(self, baseline: "FastPathStats") -> "FastPathStats":
         """The element-wise delta of this snapshot over ``baseline``.
 
-        The process backend's counter transport: a worker snapshots
+        The process engine's counter transport: a worker snapshots
         its resident cache's counters before running a task and ships
         ``after.diff(before)`` home, so the parent's :meth:`StepCache.
         absorb` folds in exactly the increments this task caused --
@@ -115,13 +115,12 @@ class StepCache:
     through a weak reference (ids can be recycled after garbage
     collection, exactly the hazard ``MarshalRegistry`` guards against).
 
-    Thread safety: the parallel compression engine hands each layer (and
-    therefore each cache) to exactly one pool worker per sweep, but the
-    memo, the derived table, and the hit/miss counters are nevertheless
-    guarded by a per-cache reentrant lock so concurrent calls against one
-    cache stay consistent (an interleaved miss can at worst recompute, it
-    can never corrupt the memo or lose counter increments).  Distinct
-    layers own distinct caches and never contend.
+    Thread safety: the memo, the derived table, and the hit/miss
+    counters are guarded by a per-cache reentrant lock, so calls against
+    one cache from two threads sharing a model (the serving scheduler
+    and its caller, say) stay consistent: an interleaved miss can at worst
+    recompute, it can never corrupt the memo or lose counter increments.
+    Distinct layers own distinct caches and never contend.
     """
 
     def __init__(self) -> None:
@@ -186,7 +185,7 @@ class StepCache:
 
     def is_warm(self, weights: "Tensor", dtype: DType) -> bool:
         """Whether a ``uniquify`` for ``weights`` would be a (possibly
-        phantom) hit -- the token the process backend ships to workers so
+        phantom) hit -- the token the process engine ships to workers so
         their fresh caches count the sweep exactly as the serial engine
         would."""
         with self._lock:
@@ -195,7 +194,7 @@ class StepCache:
     def mark_computed(self, weights: "Tensor", dtype: DType) -> None:
         """Install a phantom entry: key known-computed, products elsewhere.
 
-        Called by the process backend after a worker confirmed computing
+        Called by the process engine after a worker confirmed computing
         the decomposition for exactly these weight bytes.  A resident
         entry for the same key is left untouched (it is strictly better);
         any entry for a different key is dropped first.
@@ -234,7 +233,7 @@ class StepCache:
 
         Accepted against a resident entry whose row count matches, or
         against a *phantom* entry (key known-computed, products
-        non-resident): the only phantom writer is the process backend's
+        non-resident): the only phantom writer is the process engine's
         merge step, which hands over a table the worker computed from the
         exact bytes the phantom key covers, so the row count is consistent
         by construction.  With no live entry at all the call is ignored.

@@ -5,10 +5,10 @@ corrupted payloads, and externally-reaped ``/dev/shm`` segments long
 before it sees an OOM; a server will see a palette kernel raise, a
 cached tile rot, and a decode step wedge.  The recovery paths --
 watchdog respawn, bounded retry, poison-layer quarantine, shm re-export,
-checkpoint/resume, backend degradation, the serving crash boundary and
-circuit breaker (see ``docs/robustness.md``) -- are only trustworthy if
-every one of them can be triggered *on demand*, at a chosen point,
-repeatably.  This module is that trigger, for both engines.
+checkpoint/resume, process -> serial degradation, the serving crash
+boundary and circuit breaker (see ``docs/robustness.md``) -- are only
+trustworthy if every one of them can be triggered *on demand*, at a
+chosen point, repeatably.  This module is that trigger, for both engines.
 
 A :class:`FaultPlan` names the injections: each :class:`FaultSpec` arms
 one fault ``kind`` at a ``(sweep, layer)`` point (``layer=None`` picks a
@@ -44,9 +44,9 @@ The exception taxonomy the recovery paths key on also lives here:
   (the cause the serving step watchdog attaches; the compression engine
   answers a hung slot by kill + respawn and never raises it).
 - :class:`PoolExhausted` -- the engine's respawn budget is spent; the
-  caller should degrade to a cheaper backend, not keep respawning.
+  caller should degrade to the serial loop, not keep respawning.
 - :class:`RobustnessWarning` -- the warning category for every
-  survivable degradation (quarantine, backend demotion).
+  survivable degradation (quarantine, process -> serial demotion).
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class RobustnessWarning(RuntimeWarning):
 
     Emitted (never raised) whenever the engine trades performance for
     forward progress -- a layer quarantined to in-parent execution, the
-    process backend demoted to thread or serial -- so operators see the
+    process engine demoted to the serial loop -- so operators see the
     event without the run failing.
     """
 
@@ -157,8 +157,8 @@ class PoolExhausted(RuntimeError):
 
     Raised instead of respawning yet another worker; the
     :class:`~repro.core.compressor.ModelCompressor` reacts by demoting
-    the backend down the degradation ladder (process -> thread -> serial)
-    rather than failing the run.
+    the run from the process engine to the serial loop rather than
+    failing it.
     """
 
 

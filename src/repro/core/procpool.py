@@ -1,11 +1,12 @@
-"""Process execution backend for the per-layer compression engine.
+"""Process engine for the per-layer compression sweeps.
 
-The thread backend (:func:`repro.core.compressor.parallel_layer_map`) only
-overlaps the GIL-releasing numpy kernels; on many-layer models the
-Python-side op dispatch still serializes.  This module fans the engine's
-no-grad sweeps (``refine`` / ``precluster`` / ``palettize``) out over
-process workers instead, which overlaps dispatch as well, and keeps each
-layer's heavy derived state *resident in its worker* across sweeps.
+``ModelCompressor`` runs a sweep here whenever
+``CompressorConfig.resolve_workers`` of its layer count is 2 or more (1
+is the serial loop on the calling thread).  This module fans the no-grad
+sweeps (``refine`` / ``precluster`` / ``palettize``) out over process
+workers, which overlaps numpy kernels and Python-side op dispatch alike,
+and keeps each layer's heavy derived state *resident in its worker*
+across sweeps.
 
 There is one scheduling mode.  ``CompressorConfig.resolve_workers`` fixes
 the number of worker *slots* (each a spawned single-worker process
@@ -559,7 +560,7 @@ def _teardown(state: dict) -> None:
 
 
 class ProcessLayerEngine:
-    """Worker-lifecycle + shared-memory + placement manager for the backend.
+    """Worker lifecycle, shared memory and layer placement of the engine.
 
     One engine serves one :class:`~repro.core.compressor.ModelCompressor`.
     The slot count is ``config.resolve_workers`` of the layer count;
@@ -636,7 +637,7 @@ class ProcessLayerEngine:
         shut down (``cancel_futures`` alone cannot stop a running task).
         Every respawn draws on ``config.retry.respawns``; past the
         budget :class:`~repro.core.faults.PoolExhausted` is raised so the
-        compressor degrades the backend instead of respawning forever.
+        compressor degrades to the serial loop instead of respawning forever.
         """
         slots = self._state["slots"]
         if kill:
@@ -980,7 +981,7 @@ class ProcessLayerEngine:
         -- and each layer's failure count advances toward quarantine.
         :class:`~repro.core.faults.PoolExhausted` (respawn budget spent)
         is deliberately *not* absorbed: it propagates so the compressor
-        can demote the whole backend.
+        can demote the whole run to the serial loop.
         """
         deadline = self._deadline(len(batch))
         policy = self.config.retry

@@ -71,8 +71,8 @@ HISTOGRAM_MIN_SIZE = 2048
 # Total calls that actually computed a decomposition (cache hits in the
 # fast-path StepCache never reach this function).  Inspected by the
 # one-uniquify-per-layer-per-step tests and the fastpath benchmark.  The
-# lock keeps the counter exact when the parallel compression engine
-# uniquifies several layers from pool threads at once.
+# lock keeps the counter exact when two threads of one process (the
+# serving scheduler and its caller, say) uniquify at once.
 _CALL_COUNT = 0
 _CALL_COUNT_LOCK = threading.Lock()
 

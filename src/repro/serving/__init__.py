@@ -18,11 +18,7 @@ shutdown, and the deterministic fault injector of
 
 from repro.serving.batcher import ContinuousBatcher, SequenceState
 from repro.serving.breaker import BreakerBoard, BreakerSnapshot
-from repro.serving.config import (
-    EVAL_PATHS,
-    ServingConfig,
-    get_default_serving_config,
-)
+from repro.serving.config import EVAL_PATHS, ServingConfig
 from repro.serving.faults import (
     CorruptTileError,
     PaletteKernelError,
@@ -82,7 +78,6 @@ __all__ = [
     "TileCache",
     "TileCacheStats",
     "TransientStepError",
-    "get_default_serving_config",
     "palette_matmul",
     "percentile",
     "request_tag",

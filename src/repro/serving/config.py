@@ -1,8 +1,7 @@
-"""Serving-engine configuration (the neural-compressor config idiom).
+"""Serving-engine configuration.
 
-One keyword-only, validated dataclass plus a ``get_default_serving_config``
-constructor, mirroring the ``RTNConfig`` / ``get_default_rtn_config`` shape
-of Intel Neural Compressor's quantization front-end.  Every field is a
+One keyword-only, validated dataclass, built directly
+(``ServingConfig(max_batch_size=16)``).  Every field is a
 primitive or the frozen :class:`~repro.core.config.RetryPolicy` (a
 nested dict on the wire), so a config round-trips exactly through
 :meth:`ServingConfig.to_dict` / :meth:`ServingConfig.from_dict` -- the form
@@ -151,12 +150,3 @@ class ServingConfig:
         (unknown keys raise ``ValueError``)."""
         return config_from_dict(cls, payload)
 
-
-def get_default_serving_config(**overrides) -> ServingConfig:
-    """A fresh :class:`ServingConfig`, with any field overridden by keyword.
-
-    The neural-compressor constructor idiom: callers that only touch one
-    knob write ``get_default_serving_config(max_batch_size=16)`` and still
-    get full validation of the combination.
-    """
-    return ServingConfig(**overrides)

@@ -66,7 +66,7 @@ from repro.memory.traffic import TrafficLedger, global_ledger
 from repro.nn import Transformer
 from repro.serving.batcher import ContinuousBatcher, SequenceState
 from repro.serving.breaker import BreakerBoard, BreakerSnapshot
-from repro.serving.config import ServingConfig, get_default_serving_config
+from repro.serving.config import ServingConfig
 from repro.serving.faults import (
     CorruptTileError,
     PaletteKernelError,
@@ -319,7 +319,7 @@ class PaletteServer:
     ) -> None:
         self.model = model
         self.tokenizer = tokenizer
-        self.config = config or get_default_serving_config()
+        self.config = config or ServingConfig()
         self.device = device
         self.ledger = ledger if ledger is not None else global_ledger()
         self.stats_acc = ServerStats()

@@ -86,15 +86,15 @@ class TestWriter:
     def test_a_failed_gate_exits_1_and_is_listed(
         self, tmp_path, capsys, monkeypatch, quick_result
     ):
-        broken = _flip(quick_result("engine"), ("rows", 6, "bit_identical"))
+        broken = _flip(quick_result("engine"), ("rows", 3, "bit_identical"))
         monkeypatch.setattr(engine, "run", lambda quick, seed: broken)
         assert main(["engine", "--quick", "--out", str(tmp_path)]) == 1
         payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
         assert payload["ok"] is False
         assert payload["failures"] == [
-            "compute process x2 sweep 1 (cold): outputs differ from serial"
+            "compute x2 sweep 1 (cold): outputs differ from serial"
         ]
-        assert "engine: compute process x2" in capsys.readouterr().err
+        assert "engine: compute x2" in capsys.readouterr().err
 
     def test_paper_results_have_a_json_view(self):
         for name in ("table1", "fig2", "fig3", "claims"):
@@ -120,7 +120,7 @@ def quick_result():
 NEGATIVE_CASES = {
     "fig2": (("steps", 0, "counters_reconcile"), ("graph step counters", "reconcile")),
     "engine": (
-        ("rows", 7, "stats_identical"), ("compute process x2 sweep 2 (warm)", "counters"),
+        ("rows", 4, "stats_identical"), ("compute x2 sweep 2 (warm)", "counters"),
     ),
     "serving": (("tokens_identical",), ("palette completions differ",)),
     "serving_faults": (
@@ -129,26 +129,26 @@ NEGATIVE_CASES = {
     "faults": (("rows", 6, "log_reconciled"), ("hang", "fault log")),
 }
 
-# Further flags whose flip must surface as exactly one failure.  Indices 0-1
-# and 6-8 are the engine cells that took over the ``backends`` / ``sharded``
-# flags once listed there.
+# Further flags whose flip must surface as exactly one failure.  Quick engine
+# rows: compute x1 0-2, x2 3-5; dispatch x1 6-8, x2 9-11; skewed x1 12-15,
+# x2 16-19, x4 20-23 (skewed cells end with a fourth sweep).
 ALSO_GATED = [
     ("engine", ("shm_cleaned",)),
-    ("engine", ("rows", 13, "bit_identical")),
+    ("engine", ("rows", 7, "bit_identical")),
     ("faults", ("rows", 0, "shm_cleaned")),
     ("faults", ("rows", 0, "stats_identical")),
     ("faults", ("rows", 8, "expectation_met")),
     ("faults", ("resume_bit_identical",)),
-    ("engine", ("rows", 25, "bit_identical")),
-    ("engine", ("rows", 23, "stats_identical")),
-    ("engine", ("balanced", "skewed process x2")),
+    ("engine", ("rows", 23, "bit_identical")),
+    ("engine", ("rows", 21, "stats_identical")),
+    ("engine", ("balanced", "skewed x2")),
     ("serving_faults", ("drain_ok",)),
     ("serving_faults", ("rows", 4, "stranded")),
     ("serving", ("admission_accounted",)),
     ("fig2", ("steps", 1, "counters_reconcile")),
-    ("engine", ("rows", 4, "bit_identical")),
-    ("engine", ("rows", 17, "bit_identical")),
-    ("engine", ("rows", 29, "stats_identical")),
+    ("engine", ("rows", 5, "bit_identical")),
+    ("engine", ("rows", 11, "bit_identical")),
+    ("engine", ("rows", 19, "stats_identical")),
 ]
 
 
@@ -174,11 +174,11 @@ class TestDeterministicGates:
 
     def test_warm_process_sweep_shipping_a_full_task_is_reported(self, quick_result):
         result = copy.deepcopy(quick_result("engine"))
-        row = result.rows[16]
-        assert (row.cell, row.scenario, row.full_tasks) == ("dispatch process x2", "warm", 0)
+        row = result.rows[10]
+        assert (row.cell, row.scenario, row.full_tasks) == ("dispatch x2", "warm", 0)
         row.full_tasks = 1
         assert result.failures() == [
-            "dispatch process x2 sweep 2 (warm): shipped 1 full task(s)"
+            "dispatch x2 sweep 2 (warm): shipped 1 full task(s)"
         ]
 
     def test_result_digest_sees_every_compared_field(self):
@@ -225,23 +225,20 @@ class TestNoChaosCellDropped:
     def test_engine_rows(self, quick_result):
         result = quick_result("engine")
         assert [
-            (row.backend, row.workers, row.scenario)
-            for row in result.rows
-            if row.stack == "skewed"
-        ] == [("serial", 1, scenario) for scenario in ("cold", "warm", "refit", "warm")] + [
-            ("process", workers, scenario)
-            for workers in (1, 2, 4)
+            (row.workers, row.scenario) for row in result.rows if row.stack == "skewed"
+        ] == [(1, scenario) for scenario in ("cold", "warm", "refit", "warm")] + [
+            (workers, scenario)
+            for workers in (2, 4)
             for scenario in ("cold", "warm", "refit", "crash-recovery")
         ]
 
     def test_engine_rows_record_the_width_that_ran(self, quick_result):
-        """Serial runs on one worker: its rows must not carry a pool width."""
-        cells = {(r.stack, r.backend, r.workers) for r in quick_result("engine").rows}
+        """Width 1 is each stack's serial reference; the quick grid keeps
+        one process width, except on the placement stack ``skewed``."""
+        cells = {(r.stack, r.workers) for r in quick_result("engine").rows}
         assert cells == {
-            ("compute", "serial", 1), ("compute", "thread", 2), ("compute", "process", 2),
-            ("dispatch", "serial", 1), ("dispatch", "thread", 2), ("dispatch", "process", 2),
-            ("skewed", "serial", 1), ("skewed", "process", 1),
-            ("skewed", "process", 2), ("skewed", "process", 4),
+            ("compute", 1), ("compute", 2), ("dispatch", 1), ("dispatch", 2),
+            ("skewed", 1), ("skewed", 2), ("skewed", 4),
         }
 
     def test_full_engine_grid_keeps_every_named_cell(self):
@@ -251,13 +248,9 @@ class TestNoChaosCellDropped:
         assert shapes["wide16"] == [(64, 64)] * 16
         assert shapes["wide32"] == [(64, 64)] * 32
         assert shapes["skewed"] == [(96, 768)] + [(96, 96)] * 5
-        full = set(engine.grid(quick=False))
-        assert set(engine.grid(quick=True)) <= full
-        for stack in ("compute", "dispatch"):
-            assert {(stack, "serial", 1), (stack, "thread", 2), (stack, "process", 2)} <= full
-        for stack in ("wide16", "wide32"):
-            assert {(stack, "thread", 2), (stack, "process", 2)} <= full
-        assert {("skewed", "process", w) for w in (1, 2, 4)} <= full
+        full = engine.grid(quick=False)
+        assert full == [(stack, w) for stack in shapes for w in (1, 2, 4)]
+        assert set(engine.grid(quick=True)) <= set(full)
 
     def test_serving_faults_rows(self, quick_result):
         result = quick_result("serving_faults")

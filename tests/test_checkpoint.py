@@ -40,12 +40,12 @@ class _Stack(nn.Module):
             )
 
 
-def _compressor(backend="serial", n_layers=3, seed=0, bits=3, **config_kwargs):
+def _compressor(num_workers=1, n_layers=3, seed=0, bits=3, **config_kwargs):
     stack = _Stack(n_layers=n_layers, seed=seed)
     stack.to("gpu")
     compressor = ModelCompressor(
         DKMConfig(bits=bits, iters=3),
-        config=CompressorConfig(backend=backend, num_workers=2, **config_kwargs),
+        config=CompressorConfig(num_workers=num_workers, **config_kwargs),
     )
     compressor.compress(stack)
     return compressor, stack
@@ -87,22 +87,53 @@ class TestRoundTrip:
         # Counters too: the resumed run continued the sequence exactly.
         assert _stats(reference) == _stats(resumed)
 
-    def test_resume_into_process_backend_stays_identical(self, tmp_path):
+    def test_resume_into_process_engine_stays_identical(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         reference, _ = _compressor()
         for _ in range(3):
             ref_final = _centroids(reference.precluster())
-        first, _ = _compressor("process")
+        first, _ = _compressor(num_workers=2)
         try:
             first.precluster()
             first.save_checkpoint(path)
         finally:
             first.close()
-        resumed, _ = _compressor("process")
+        resumed, _ = _compressor(num_workers=2)
         try:
             resumed.resume(path)
             resumed.precluster()
             res_final = _centroids(resumed.precluster())
+            for name in ref_final:
+                assert np.array_equal(ref_final[name], res_final[name]), name
+            assert _stats(reference) == _stats(resumed)
+        finally:
+            resumed.close()
+
+    def test_process_checkpoint_resumes_on_the_configured_engine(self, tmp_path):
+        """A ``"process"`` record installs nothing: a serial-configured
+        resume runs the serial loop bit-identically, undegraded, and a
+        later width change still reaches the process engine."""
+        path = str(tmp_path / "ckpt.json")
+        reference, _ = _compressor()
+        for _ in range(3):
+            ref_final = _centroids(reference.precluster())
+        first, _ = _compressor(num_workers=2)
+        try:
+            first.precluster()
+            first.save_checkpoint(path)
+        finally:
+            first.close()
+        assert read_checkpoint(path)["active_backend"] == "process"
+        resumed, _ = _compressor(num_workers=1)
+        try:
+            resumed.resume(path)
+            assert resumed.active_backend == "serial"
+            resumed.precluster()
+            assert resumed.transport_stats() is None
+            resumed.config.num_workers = 2
+            assert resumed.active_backend == "process"
+            res_final = _centroids(resumed.precluster())
+            assert resumed.degradations == []
             for name in ref_final:
                 assert np.array_equal(ref_final[name], res_final[name]), name
             assert _stats(reference) == _stats(resumed)
@@ -228,65 +259,38 @@ class TestCompatibilityPins:
         with pytest.raises(CheckpointError, match="layer set"):
             other.resume(path)
 
+    def test_version_2_payload_refused_by_version(self, tmp_path):
+        """A version-2 file (it still carried the configured ``backend``
+        and a ``DKMConfig`` repr with a dense row-chunk field) is refused
+        by version, not as a "different clustering config"."""
+        path = str(tmp_path / "ckpt.json")
+        compressor, _ = _compressor()
+        compressor.precluster()
+        compressor.save_checkpoint(path)
+        payload = json.load(open(path, encoding="utf-8"))
+        assert "backend" not in payload
+        assert payload["active_backend"] == "serial"
+        payload.update(version=2, backend="thread", active_backend="thread")
+        payload["config_epoch"] = "0" * 32
+        payload["digest"] = _payload_digest(payload)
+        json.dump(payload, open(path, "w", encoding="utf-8"))
+        with pytest.raises(CheckpointError, match="schema version 2"):
+            compressor.resume(path)
+
     def test_degraded_run_resumes_degraded(self, tmp_path):
-        """A checkpoint written after a process->thread demotion restores
+        """A checkpoint written after a process->serial demotion restores
         the demotion: resume never silently re-promotes onto
         infrastructure that already failed."""
         path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor("process")
+        compressor, _ = _compressor(num_workers=2)
         try:
             compressor.precluster()
             with pytest.warns(RobustnessWarning):
-                compressor._demote(
-                    "process", RuntimeError("simulated node fault")
-                )
+                compressor._demote(RuntimeError("simulated node fault"))
             compressor.save_checkpoint(path)
         finally:
             compressor.close()
-        resumed, _ = _compressor("process")
-        resumed.resume(path)
-        assert resumed.active_backend == "thread"
-
-    def test_resume_never_promotes_above_configured_backend(self, tmp_path):
-        """Regression: a checkpoint written on ``thread`` resumed by a
-        compressor configured ``serial`` used to install ``thread`` as
-        the override (it merely *differed*) -- a silent promotion with an
-        empty ``degradations`` list.  The override only applies downwards."""
-        path = str(tmp_path / "ckpt.json")
-        first, _ = _compressor("thread")
-        first.precluster()
-        first.save_checkpoint(path)
-        assert read_checkpoint(path)["active_backend"] == "thread"
-        resumed, _ = _compressor("serial")
+        assert read_checkpoint(path)["active_backend"] == "serial"
+        resumed, _ = _compressor(num_workers=2)
         resumed.resume(path)
         assert resumed.active_backend == "serial"
-        assert resumed.degradations == []
-        resumed.precluster()
-        assert resumed.active_backend == "serial"
-
-    def test_retired_sharded_payload_resumes_on_process(self, tmp_path):
-        """A checkpoint written by the retired ``backend="sharded"``
-        resumes on ``process`` (the same engine now), undegraded."""
-        path = str(tmp_path / "ckpt.json")
-        first, _ = _compressor("serial")
-        first.precluster()
-        first.save_checkpoint(path)
-        payload = json.load(open(path, encoding="utf-8"))
-        payload["backend"] = payload["active_backend"] = "sharded"
-        payload["digest"] = _payload_digest(payload)
-        json.dump(payload, open(path, "w", encoding="utf-8"))
-        reference, _ = _compressor("serial")
-        reference.precluster()
-        ref_final = _centroids(reference.precluster())
-        resumed, _ = _compressor("process")
-        try:
-            resumed.resume(path)
-            assert resumed.active_backend == "process"
-            res_final = _centroids(resumed.precluster())
-            assert resumed.active_backend == "process"
-            assert resumed.degradations == []
-            for name in ref_final:
-                assert np.array_equal(ref_final[name], res_final[name]), name
-            assert _stats(reference) == _stats(resumed)
-        finally:
-            resumed.close()

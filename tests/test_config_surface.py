@@ -1,7 +1,7 @@
 """The configuration surface, pinned by name.
 
 Every field of the four engine config dataclasses, of the five baseline
-method configs, and every member of the strategy / backend registries is
+method configs, and every member of the strategy registry is
 listed here.  Adding a knob means editing
 this pin *and* naming, in the PR, the second non-test caller that needs a
 value different from the first (ROADMAP aim 2: a mechanism nobody but its
@@ -22,7 +22,6 @@ from repro.baselines import (
     quantize,
 )
 from repro.core.config import (
-    BACKENDS,
     SEARCH_STRATEGIES,
     CompressorConfig,
     DKMConfig,
@@ -34,11 +33,10 @@ from repro.serving.config import ServingConfig
 SURFACE = {
     DKMConfig: {
         "bits", "temperature", "iters", "tol", "weight_dtype",
-        "dense_row_chunk", "dense_saved_bytes_limit",
+        "dense_saved_bytes_limit",
     },
     CompressorConfig: {
-        "backend", "num_workers", "embedding_bits", "skip_names", "retry",
-        "fault_plan",
+        "num_workers", "embedding_bits", "skip_names", "retry", "fault_plan",
     },
     EDKMConfig: {
         "offload", "marshal", "uniquify", "shard", "hop_budget",
@@ -89,7 +87,7 @@ def test_baseline_settable_value_budget():
 
 
 def test_field_budget():
-    assert sum(len(names) for names in SURFACE.values()) == 34
+    assert sum(len(names) for names in SURFACE.values()) == 32
 
 
 def test_settable_value_budget():
@@ -98,12 +96,11 @@ def test_settable_value_budget():
     assert policy == {"timeout_s", "retries", "backoff_s", "respawns"}
     retry_fields = sum("retry" in names for names in SURFACE.values())
     total = sum(len(names) for names in SURFACE.values())
-    assert total - retry_fields + retry_fields * len(policy) == 40
+    assert total - retry_fields + retry_fields * len(policy) == 38
 
 
 def test_registries_are_pinned():
     assert SEARCH_STRATEGIES == ("graph", "storage-id")
-    assert BACKENDS == ("serial", "thread", "process")
 
 
 @pytest.mark.parametrize(

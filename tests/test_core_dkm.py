@@ -14,7 +14,10 @@ from repro.core.dkm import (
     init_centroids_quantile,
     nearest_centroid,
 )
+from repro.core.edkm import edkm_cluster
 from repro.core.uniquify import reset_uniquify_call_count, uniquify_call_count
+from repro.tensor.dtype import bfloat16
+from repro.tensor.tensor import Tensor
 
 from tests.oracles import refine_uk
 
@@ -433,3 +436,89 @@ class TestDensePath:
             clusterer.cluster_dense(w)
         # At least one saved tensor has N*k*4 bytes (the attention map).
         assert max(packed_bytes) >= 1000 * 8 * 4
+
+
+class TestChunkedDense:
+    """The blocked dense fallback (``cluster_dense(row_chunk=)``) reproduces
+    the monolithic composition exactly, forward and gradient, and the
+    monolithic path refuses layers over ``dense_saved_bytes_limit``."""
+
+    def _weights(self, n=4096, seed=0):
+        values = np.random.default_rng(seed).standard_normal(n).astype(np.float32)
+        return Tensor.from_numpy(values * 0.05, dtype=bfloat16, requires_grad=True)
+
+    def test_chunked_forward_and_grad_bit_identical(self):
+        w_mono, w_chunk = self._weights(), self._weights()
+        mono = DKMClusterer(DKMConfig(bits=3, iters=3)).cluster_dense(w_mono)
+        chunk = DKMClusterer(DKMConfig(bits=3, iters=3)).cluster_dense(
+            w_chunk, row_chunk=700
+        )
+        assert np.array_equal(mono.numpy(), chunk.numpy())
+        (mono * mono).sum().backward()
+        (chunk * chunk).sum().backward()
+        assert np.array_equal(w_mono.grad.numpy(), w_chunk.grad.numpy())
+
+    def test_chunk_larger_than_tensor_is_monolithic(self):
+        w_a, w_b = self._weights(n=300), self._weights(n=300)
+        a = DKMClusterer(DKMConfig(bits=2, iters=2)).cluster_dense(w_a)
+        b = DKMClusterer(DKMConfig(bits=2, iters=2)).cluster_dense(
+            w_b, row_chunk=10_000
+        )
+        assert np.array_equal(a.numpy(), b.numpy())
+
+    def test_monolithic_over_limit_raises(self):
+        w = self._weights(n=2048)
+        clusterer = DKMClusterer(DKMConfig(bits=4, iters=2, dense_saved_bytes_limit=1024))
+        with pytest.raises(MemoryError, match=r"cluster_dense\(row_chunk=\)"):
+            clusterer.cluster_dense(w)
+        # The refusal happens before any refinement work.
+        assert clusterer.state is None
+        # The chunked fallback handles the same layer.
+        out = clusterer.cluster_dense(w, row_chunk=256)
+        assert out.shape == (2048,)
+
+    def test_chunked_over_limit_agrees_with_edkm_forward(self):
+        """A layer the monolithic path refuses still clusters, chunked, to
+        what the eDKM unique-space forward computes from the same state."""
+        config = DKMConfig(bits=4, iters=2, dense_saved_bytes_limit=4096)
+        clusterer = DKMClusterer(config)
+        with pytest.raises(MemoryError):
+            clusterer.cluster_dense(self._weights(n=8192))
+        chunked = clusterer.cluster_dense(self._weights(n=8192), row_chunk=1000)
+        edkm = edkm_cluster(self._weights(n=8192), DKMClusterer(config))
+        np.testing.assert_allclose(
+            chunked.numpy().astype(np.float32),
+            edkm.numpy().astype(np.float32),
+            atol=1e-2,
+            rtol=1e-2,
+        )
+
+    def test_invalid_dense_config_rejected(self):
+        with pytest.raises(ValueError):
+            DKMConfig(dense_saved_bytes_limit=0)
+
+    def test_invalid_row_chunk_argument_rejected(self):
+        w = self._weights(n=128)
+        clusterer = DKMClusterer(DKMConfig(bits=2, iters=1))
+        with pytest.raises(ValueError, match="row_chunk"):
+            clusterer.cluster_dense(w, row_chunk=0)
+        with pytest.raises(ValueError, match="row_chunk"):
+            clusterer.cluster_dense(w, row_chunk=-4)
+
+    def test_row_chunk_is_not_a_config_field(self):
+        """The chunk size is a ``cluster_dense`` argument only: the
+        retired config field is refused, built or persisted, and the
+        ``cluster`` dispatcher takes no chunk keyword."""
+        from repro.core.edkm import cluster
+
+        with pytest.raises(TypeError, match="dense_row_chunk"):
+            DKMConfig(bits=3, dense_row_chunk=512)
+        with pytest.raises(ValueError, match="dense_row_chunk"):
+            DKMConfig.from_dict({"bits": 3, "dense_row_chunk": 512})
+        with pytest.raises(TypeError, match="dense_row_chunk"):
+            cluster(
+                self._weights(n=128),
+                DKMClusterer(DKMConfig(bits=2, iters=1)),
+                False,
+                dense_row_chunk=64,
+            )

@@ -3,10 +3,10 @@
 
 The contract under test: every injectable fault -- worker kill, hang,
 delay, transient exception, corrupted delta payload, dropped shm block --
-is survived by the process backend with results (centroids, stats
+is survived by the process engine with results (centroids, stats
 counters) *bit-identical* to an undisturbed serial run; retries exhaust
 into in-parent fallback and poison-layer quarantine; the respawn budget
-exhausts into graceful backend degradation; and a hung worker is put
+exhausts into graceful demotion to the serial loop; and a hung worker is put
 down within the watchdog deadline instead of blocking the sweep forever.
 """
 
@@ -50,14 +50,12 @@ class _Stack(nn.Module):
             )
 
 
-def _compressor(backend, num_workers=2, n_layers=4, seed=0, **config_kwargs):
+def _compressor(num_workers=2, n_layers=4, seed=0, **config_kwargs):
     stack = _Stack(n_layers=n_layers, seed=seed)
     stack.to("gpu")
     compressor = ModelCompressor(
         DKMConfig(bits=3, iters=3),
-        config=CompressorConfig(
-            backend=backend, num_workers=num_workers, **config_kwargs
-        ),
+        config=CompressorConfig(num_workers=num_workers, **config_kwargs),
     )
     compressor.compress(stack)
     return compressor, stack
@@ -100,7 +98,13 @@ class TestFaultPlanValidation:
         # accepted and then never fire: no engine probe asks for it.
         plan = FaultPlan.single("kernel_error")
         with pytest.raises(ValueError, match="'kernel_error'.*serving engine"):
-            CompressorConfig(backend="process", fault_plan=plan)
+            CompressorConfig(num_workers=2, fault_plan=plan)
+
+    def test_compressor_config_rejects_plan_on_serial_loop(self):
+        # The serial loop has no workers to fault: a plan armed there used
+        # to run clean and log nothing.
+        with pytest.raises(ValueError, match="num_workers"):
+            CompressorConfig(fault_plan=FaultPlan.single("kill"))
 
     def test_serving_config_rejects_compression_kinds(self):
         plan = FaultPlan(specs=(FaultSpec(kind="kill"),))
@@ -205,8 +209,8 @@ class TestFaultRecoveryBitIdentity:
     """Every injected fault is survived bit-identically to a serial run."""
 
     def _chaos_run(self, plan, n_sweeps=2, **config_kwargs):
-        chaotic, _ = _compressor("process", fault_plan=plan, **config_kwargs)
-        serial, _ = _compressor("serial")
+        chaotic, _ = _compressor(fault_plan=plan, **config_kwargs)
+        serial, _ = _compressor(num_workers=1)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RobustnessWarning)
@@ -272,10 +276,8 @@ class TestWatchdog:
         slot respawned, and the sweep completes bit-identically -- well
         before the hang's nominal duration."""
         plan = FaultPlan.single("hang", sweep=1, seconds=600.0)
-        chaotic, _ = _compressor(
-            "process", fault_plan=plan, retry=RetryPolicy(timeout_s=1.0)
-        )
-        serial, _ = _compressor("serial")
+        chaotic, _ = _compressor(fault_plan=plan, retry=RetryPolicy(timeout_s=1.0))
+        serial, _ = _compressor(num_workers=1)
         try:
             chaos_result = _run_sweeps(chaotic)
             serial_result = _run_sweeps(serial)
@@ -295,10 +297,8 @@ class TestQuarantine:
         plan = FaultPlan.single(
             "transient", sweep=1, layer="layer0", times=50
         )
-        chaotic, _ = _compressor(
-            "process", fault_plan=plan, retry=RetryPolicy(retries=0)
-        )
-        serial, _ = _compressor("serial")
+        chaotic, _ = _compressor(fault_plan=plan, retry=RetryPolicy(retries=0))
+        serial, _ = _compressor(num_workers=1)
         try:
             with pytest.warns(RobustnessWarning, match="quarantin"):
                 chaos_result = _run_sweeps(chaotic, 1)
@@ -324,7 +324,6 @@ class TestQuarantine:
             )
         )
         chaotic, _ = _compressor(
-            "process",
             fault_plan=plan,
             retry=RetryPolicy(retries=1, backoff_s=0.001),
         )
@@ -342,22 +341,20 @@ class TestQuarantine:
 
 
 class TestDegradation:
-    def test_pool_exhaustion_degrades_to_thread(self):
+    def test_pool_exhaustion_degrades_to_serial(self):
         """With a zero respawn budget, the first kill exhausts the pool and
-        the compressor demotes process -> thread instead of failing."""
+        the compressor demotes process -> serial instead of failing."""
         plan = FaultPlan.single("kill", sweep=1)
-        chaotic, _ = _compressor(
-            "process", fault_plan=plan, retry=RetryPolicy(respawns=0)
-        )
-        serial, _ = _compressor("serial")
+        chaotic, _ = _compressor(fault_plan=plan, retry=RetryPolicy(respawns=0))
+        serial, _ = _compressor(num_workers=1)
         try:
             with pytest.warns(RobustnessWarning, match="degrading"):
                 chaos_result = _run_sweeps(chaotic)
             serial_result = _run_sweeps(serial)
-            assert chaotic.active_backend == "thread"
+            assert chaotic.active_backend == "serial"
             assert len(chaotic.degradations) == 1
             assert chaotic.degradations[0][0] == "process"
-            assert chaotic.degradations[0][1] == "thread"
+            assert chaotic.degradations[0][1] == "serial"
             for name in serial_result:
                 assert np.array_equal(serial_result[name], chaos_result[name]), name
             assert _stats(serial) == _stats(chaotic)
@@ -367,14 +364,13 @@ class TestDegradation:
     def test_engine_raises_pool_exhausted(self):
         """The engine itself never absorbs a spent respawn budget: it
         resets (no block left linked) and raises for the compressor's
-        ladder to answer."""
+        demotion to answer."""
         config = CompressorConfig(
-            backend="process",
             num_workers=2,
             retry=RetryPolicy(respawns=0),
             fault_plan=FaultPlan.single("kill", sweep=1),
         )
-        compressor, _ = _compressor("serial")
+        compressor, _ = _compressor(num_workers=1)
         layers = [
             (name, wrapper.clusterer, wrapper.inner.weight)
             for name, wrapper in compressor.wrapped.items()
@@ -417,7 +413,7 @@ class TestResetDoubleFault:
         """Satellite regression: one export whose close() raises must not
         leak the other blocks or leave the engine dicts dirty (the seed
         teardown aborted its cleanup loop on the first failure)."""
-        process, _ = _compressor("process")
+        process, _ = _compressor()
         process.precluster()
         engine = process._engine
         exports = list(engine._state["exports"].values())

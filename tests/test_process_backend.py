@@ -1,7 +1,7 @@
 """Process engine tests, worker side included (``repro/core/procpool.py``).
 
-The contract under test: ``backend="process"`` is *bit-identical* to
-``backend="serial"`` -- centroids, assignments, palettized artifacts,
+The contract under test: ``num_workers >= 2`` picks the process engine,
+which is *bit-identical* to the serial loop (``num_workers=1``) -- centroids, assignments, palettized artifacts,
 reconstruction errors, per-layer step-cache counters, and the gradients of
 a subsequent training step -- across repeated sweeps (the warm-cache
 path), while every shared-memory block the engine exports is verifiably
@@ -32,6 +32,7 @@ from repro.core import (
 )
 from repro.core.compressor import SWEEP_OPS
 from repro.core.fastpath import StepCache
+from repro.core.faults import RobustnessWarning
 from repro.core.procpool import StaleWorkerCache, _run_slot_batch, _worker_cache_registry
 from repro.memory.traffic import global_ledger
 from repro.tensor.dtype import bfloat16
@@ -50,14 +51,12 @@ class _Stack(nn.Module):
             )
 
 
-def _compressor(backend, num_workers=2, n_layers=4, seed=0, **config_kwargs):
+def _compressor(num_workers=2, n_layers=4, seed=0, **config_kwargs):
     stack = _Stack(n_layers=n_layers, seed=seed)
     stack.to("gpu")
     compressor = ModelCompressor(
         DKMConfig(bits=3, iters=3),
-        config=CompressorConfig(
-            backend=backend, num_workers=num_workers, **config_kwargs
-        ),
+        config=CompressorConfig(num_workers=num_workers, **config_kwargs),
     )
     compressor.compress(stack)
     return compressor, stack
@@ -100,19 +99,187 @@ def _kill_one_worker(engine):
     raise AssertionError("no live slot worker to kill")
 
 
-class TestBackendConfig:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            CompressorConfig(backend="gpu")
+class TestEngineSelection:
+    def test_one_worker_runs_the_serial_loop(self):
+        serial, _ = _compressor(num_workers=1)
+        assert serial.active_backend == "serial"
+        serial.precluster()
+        assert serial._engine is None
+        assert serial.transport_stats() is None
 
-    def test_serial_backend_forces_one_worker(self):
-        assert CompressorConfig(backend="serial", num_workers=8).resolve_workers(8) == 1
+    def test_two_workers_run_the_process_engine(self):
+        process, _ = _compressor(num_workers=2)
+        try:
+            assert process.active_backend == "process"
+            process.precluster()
+            transport = process.transport_stats()
+            assert transport is not None
+            assert transport.last_sweep_full_tasks == 4
+        finally:
+            process.close()
+
+    def test_width_capped_at_the_layer_count(self):
+        """Four workers over one layer resolve to one: the serial loop."""
+        single, _ = _compressor(num_workers=4, n_layers=1)
+        assert single.config.resolve_workers(len(single.wrapped)) == 1
+        assert single.active_backend == "serial"
+        single.precluster()
+        assert single.transport_stats() is None
+
+    def test_op_exception_propagates_without_demotion(self):
+        """An op bug is deterministic, so it is raised, not absorbed: the
+        run stays on the process engine, counts no sweep, and its next
+        sweep still matches serial."""
+        serial, _ = _compressor(num_workers=1, n_layers=2)
+        process, _ = _compressor(n_layers=2)
+        try:
+            with pytest.raises(TypeError):
+                process._sweep("refine", bogus_kwarg=True)
+            assert process.active_backend == "process"
+            assert process.degradations == []
+            assert process.sweeps_completed == 0
+            _assert_results_equal(
+                serial.precluster(compute_error=True),
+                process.precluster(compute_error=True),
+            )
+        finally:
+            process.close()
+
+    def test_demotion_pins_the_serial_loop(self):
+        """After a demotion the engine is closed for good: later sweeps
+        run on the calling thread, export nothing, and stay
+        serial-identical."""
+        serial, _ = _compressor(num_workers=1)
+        process, _ = _compressor()
+        try:
+            serial.precluster(compute_error=True)
+            process.precluster(compute_error=True)
+            names = process._engine.active_shm_names()
+            with pytest.warns(RobustnessWarning, match="degrading to 'serial'"):
+                process._demote(RuntimeError("simulated node fault"))
+            _assert_all_unlinked(names)
+            assert process.degradations == [
+                ("process", "serial", "RuntimeError: simulated node fault")
+            ]
+            shipped = process.transport_stats().bytes_shipped
+            _assert_results_equal(
+                serial.precluster(compute_error=True),
+                process.precluster(compute_error=True),
+            )
+            assert _stats(serial) == _stats(process)
+            assert process.active_backend == "serial"
+            assert process._engine.active_shm_names() == []
+            assert process.transport_stats().bytes_shipped == shipped
+        finally:
+            process.close()
+
+    def test_map_layers_returns_outcomes_in_input_order(self):
+        """Outcomes come back in the caller's layer order, not in slot or
+        completion order, whatever the names sort to."""
+        from repro.core import DKMClusterer
+        from repro.core.procpool import ProcessLayerEngine
+
+        names = ["w6", "a0", "m3", "b1", "z9", "c2", "k5"]
+        layers = []
+        for seed, name in enumerate(names):
+            values = np.random.default_rng(seed).standard_normal(128).astype(np.float32)
+            tensor = Tensor.from_numpy(values * 0.1, dtype=bfloat16, device="gpu")
+            layers.append((name, DKMClusterer(DKMConfig(bits=2, iters=2)), tensor))
+        with ProcessLayerEngine(CompressorConfig(num_workers=3)) as engine:
+            outcomes = engine.map_layers("refine", layers)
+        assert list(outcomes) == names
+        assert [outcome.name for outcome in outcomes.values()] == names
+
+
+class TestWideEngineDeterminism:
+    """Six layers over four slots: uneven per-slot batches (2/2/1/1 or
+    similar), still bit- and counter-identical to the serial loop."""
+
+    def test_precluster_bit_identical_to_serial(self):
+        serial, _ = _compressor(num_workers=1, n_layers=6)
+        process, _ = _compressor(num_workers=4, n_layers=6)
+        try:
+            res_s = serial.precluster(compute_error=True)
+            res_p = process.precluster(compute_error=True)
+            _assert_results_equal(res_s, res_p)
+            for name in res_s:
+                assert res_s[name].centroids.dtype == res_p[name].centroids.dtype
+                assert res_s[name].iterations_run == res_p[name].iterations_run
+            assert len(set(process._engine.placement().values())) == 4
+        finally:
+            process.close()
+
+    def test_step_cache_counters_match_serial(self):
+        serial, _ = _compressor(num_workers=1, n_layers=6)
+        process, _ = _compressor(num_workers=4, n_layers=6)
+        try:
+            serial.precluster()
+            process.precluster()
+            report_s = serial.fastpath_report().per_layer
+            report_p = process.fastpath_report().per_layer
+            assert list(report_s) == list(report_p)
+            for name in report_s:
+                s, p = report_s[name], report_p[name]
+                assert (s.uniquify_hits, s.uniquify_misses) == (
+                    p.uniquify_hits,
+                    p.uniquify_misses,
+                )
+                assert (s.table_hits, s.table_misses) == (p.table_hits, p.table_misses)
+                # One real uniquify per layer for the whole refine+assign sweep.
+                assert p.uniquify_misses == 1
+        finally:
+            process.close()
+
+    def test_refine_all_matches_per_layer_refine(self):
+        process, _ = _compressor(num_workers=4, n_layers=6)
+        reference, _ = _compressor(num_workers=1, n_layers=6)
+        try:
+            states_p = process.refine_all()
+        finally:
+            process.close()
+        states_r = {
+            name: wrapper.clusterer.refine(wrapper.inner.weight)
+            for name, wrapper in reference.wrapped.items()
+        }
+        assert list(states_p) == list(states_r)
+        for name in states_r:
+            assert np.array_equal(states_p[name].centroids, states_r[name].centroids)
+            assert states_p[name].temperature == states_r[name].temperature
+
+    def test_finalize_artifacts_bit_identical(self):
+        serial, stack_s = _compressor(num_workers=1, n_layers=6)
+        process, stack_p = _compressor(num_workers=4, n_layers=6)
+        try:
+            report_s = serial.finalize(stack_s)
+            report_p = process.finalize(stack_p)
+        finally:
+            process.close()
+        assert list(report_s.palettized) == list(report_p.palettized)
+        for name, pal_s in report_s.palettized.items():
+            pal_p = report_p.palettized[name]
+            assert np.array_equal(pal_s.lut, pal_p.lut)
+            assert np.array_equal(pal_s.packed, pal_p.packed)
+        assert report_s.total_bytes == report_p.total_bytes
+
+    def test_process_is_repeatable(self):
+        first, _ = _compressor(num_workers=4, n_layers=6)
+        second, _ = _compressor(num_workers=4, n_layers=6)
+        try:
+            res_a = first.precluster()
+            res_b = second.precluster()
+            assert first._engine.placement() == second._engine.placement()
+        finally:
+            first.close()
+            second.close()
+        for name in res_a:
+            assert np.array_equal(res_a[name].centroids, res_b[name].centroids)
+            assert np.array_equal(res_a[name].assignments, res_b[name].assignments)
 
 
 class TestProcessEquivalence:
     def test_precluster_bit_identical_and_stats_match_over_two_sweeps(self):
-        serial, _ = _compressor("serial")
-        process, _ = _compressor("process")
+        serial, _ = _compressor(num_workers=1)
+        process, _ = _compressor()
         try:
             for sweep in range(2):  # second sweep exercises the warm path
                 res_s = serial.precluster(compute_error=True)
@@ -136,8 +303,8 @@ class TestProcessEquivalence:
             process.close()
 
     def test_refine_all_and_finalize_match_serial(self):
-        serial, stack_s = _compressor("serial", seed=3)
-        process, stack_p = _compressor("process", seed=3)
+        serial, stack_s = _compressor(num_workers=1, seed=3)
+        process, stack_p = _compressor(seed=3)
         try:
             states_s = serial.refine_all(cache_table=True)
             states_p = process.refine_all(cache_table=True)
@@ -160,8 +327,8 @@ class TestProcessEquivalence:
             process.close()
 
     def test_training_grads_identical_after_process_sweep(self):
-        serial, stack_s = _compressor("serial", n_layers=2, seed=7)
-        process, stack_p = _compressor("process", n_layers=2, seed=7)
+        serial, stack_s = _compressor(num_workers=1, n_layers=2, seed=7)
+        process, stack_p = _compressor(n_layers=2, seed=7)
         try:
             serial.precluster()
             process.precluster()
@@ -183,7 +350,7 @@ class TestProcessEquivalence:
 
 class TestWorkerLifecycle:
     def test_shm_cleaned_after_close(self):
-        process, _ = _compressor("process")
+        process, _ = _compressor()
         process.precluster()
         names = process._engine.active_shm_names()
         process.close()
@@ -195,8 +362,8 @@ class TestWorkerLifecycle:
         # FileNotFoundError; it now surfaces worker-side as the typed
         # ShmLost and the engine re-exports + re-ships without the caller
         # ever seeing an error.
-        process, _ = _compressor("process")
-        serial, _ = _compressor("serial")
+        process, _ = _compressor()
+        serial, _ = _compressor(num_workers=1)
         process.precluster()
         serial.precluster()
         engine = process._engine
@@ -222,14 +389,14 @@ class TestWorkerLifecycle:
         _assert_all_unlinked(names)
 
     def test_context_manager_closes(self):
-        process, _ = _compressor("process")
+        process, _ = _compressor()
         with process:
             process.precluster()
             names = process._engine.active_shm_names()
         _assert_all_unlinked(names)
 
     def test_optimizer_write_triggers_reexport(self):
-        process, _ = _compressor("process", n_layers=2)
+        process, _ = _compressor(n_layers=2)
         try:
             process.precluster()
             engine = process._engine
@@ -371,8 +538,8 @@ class TestWorkerCacheRegistry:
 
 class TestStickyEquivalence:
     def test_training_grads_identical_after_sticky_sweeps(self):
-        serial, stack_s = _compressor("serial", n_layers=2, seed=7)
-        sticky, stack_p = _compressor("process", n_layers=2, seed=7)
+        serial, stack_s = _compressor(num_workers=1, n_layers=2, seed=7)
+        sticky, stack_p = _compressor(n_layers=2, seed=7)
         try:
             for _ in range(2):  # second sweep runs the delta path
                 serial.precluster()
@@ -391,7 +558,7 @@ class TestStickyEquivalence:
             sticky.close()
 
     def test_warm_sweep_ships_only_deltas_and_fewer_bytes(self):
-        sticky, _ = _compressor("process")
+        sticky, _ = _compressor()
         try:
             n_layers = len(sticky.wrapped)
             sticky.precluster(compute_error=True)
@@ -412,7 +579,7 @@ class TestStickyEquivalence:
         """One measurement per batch feeds both the transport counters
         and the ``shard:ship`` ledger records -- through cold, warm, and
         crash-recovery (re-shipped) sweeps -- and equals the real pickle."""
-        sticky, _ = _compressor("process")
+        sticky, _ = _compressor()
         ledger = global_ledger()
         before = ledger.total_bytes(tag_prefix="shard:ship:")
         shipped: list[int] = []
@@ -441,7 +608,7 @@ class TestStickyEquivalence:
             sticky.close()
 
     def test_optimizer_write_demotes_layer_to_full_shipping(self):
-        sticky, _ = _compressor("process", n_layers=2)
+        sticky, _ = _compressor(n_layers=2)
         try:
             sticky.precluster()
             sticky.precluster()
@@ -459,8 +626,8 @@ class TestStickyEquivalence:
 
 class TestStickyResilience:
     def test_worker_crash_recovers_bit_identical_with_no_leaks(self):
-        serial, _ = _compressor("serial")
-        sticky, _ = _compressor("process")
+        serial, _ = _compressor(num_workers=1)
+        sticky, _ = _compressor()
         try:
             serial.precluster(compute_error=True)
             sticky.precluster(compute_error=True)
@@ -480,8 +647,8 @@ class TestStickyResilience:
             sticky.close()
 
     def test_stale_delta_recovery_reships_full(self):
-        serial, _ = _compressor("serial", n_layers=2)
-        sticky, _ = _compressor("process", n_layers=2)
+        serial, _ = _compressor(num_workers=1, n_layers=2)
+        sticky, _ = _compressor(n_layers=2)
         try:
             serial.precluster()
             sticky.precluster()
@@ -503,8 +670,8 @@ class TestStickyResilience:
         ships full onto fresh workers, no block of the old generation
         stays linked), after which deltas flow again -- bit- and
         stats-identical to serial throughout."""
-        serial, _ = _compressor("serial", n_layers=4)
-        sticky, _ = _compressor("process", n_layers=4, num_workers=2)
+        serial, _ = _compressor(num_workers=1, n_layers=4)
+        sticky, _ = _compressor(n_layers=4, num_workers=2)
         try:
             serial.precluster(compute_error=True)
             sticky.precluster(compute_error=True)
@@ -531,8 +698,8 @@ class TestStickyResilience:
     def test_layer_set_change_restarts_cold_bit_identical(self):
         """The layer set is fixed for an engine generation too: dropping
         a layer (same width) restarts cold and stays serial-identical."""
-        serial, _ = _compressor("serial", n_layers=4)
-        sticky, _ = _compressor("process", n_layers=4, num_workers=2)
+        serial, _ = _compressor(num_workers=1, n_layers=4)
+        sticky, _ = _compressor(n_layers=4, num_workers=2)
         try:
             serial.precluster(compute_error=True)
             sticky.precluster(compute_error=True)
@@ -565,7 +732,7 @@ class TestStickyResilience:
 
         layers_a = [layer(0), layer(1), layer(2), layer(3)]
         layers_b = layers_a[:2] + [layer(4), layer(5)]  # two swapped out
-        config = CompressorConfig(backend="process", num_workers=2)
+        config = CompressorConfig(num_workers=2)
         with ProcessLayerEngine(config) as engine:
             first = engine.map_layers("refine", layers_a)
             for name, clusterer, _ in layers_a:  # the compressor merge step
@@ -593,8 +760,8 @@ class TestStickyResilience:
         genuine op failure -- a bad kwarg raising in the worker -- which
         is outside the recovery taxonomy and must reset the engine.
         """
-        sticky, _ = _compressor("process", n_layers=2)
-        serial, _ = _compressor("serial", n_layers=2)
+        sticky, _ = _compressor(n_layers=2)
+        serial, _ = _compressor(num_workers=1, n_layers=2)
         try:
             sticky.precluster()
             serial.precluster()

@@ -33,8 +33,6 @@ from repro.core import (
     DKMConfig,
     FaultPlan,
     ModelCompressor,
-    get_default_compressor_config,
-    get_default_dkm_config,
 )
 from repro.core.compressor import ClusteredLinear
 from repro.llm import MICRO, ModelSpec, build_model, generate, generate_batch
@@ -53,7 +51,6 @@ from repro.serving import (
     ServerRequest,
     ServingConfig,
     TileCache,
-    get_default_serving_config,
     palette_matmul,
     percentile,
     request_tag,
@@ -478,15 +475,15 @@ class TestConfigRoundTrips:
     )
     def test_serving_validation(self, bad):
         with pytest.raises(ValueError):
-            get_default_serving_config(**bad)
+            ServingConfig(**bad)
 
     def test_default_constructors_apply_overrides(self):
-        assert get_default_serving_config(max_batch_size=16).max_batch_size == 16
-        assert get_default_dkm_config(bits=2).bits == 2
-        assert get_default_compressor_config(backend="serial").backend == "serial"
+        assert ServingConfig(max_batch_size=16).max_batch_size == 16
+        assert DKMConfig(bits=2).bits == 2
+        assert CompressorConfig(num_workers=2).num_workers == 2
 
     def test_dkm_round_trip_includes_dtype(self):
-        config = get_default_dkm_config(bits=2, weight_dtype=rt.bfloat16)
+        config = DKMConfig(bits=2, weight_dtype=rt.bfloat16)
         payload = config.to_dict()
         assert payload["weight_dtype"] == "bfloat16"
         assert DKMConfig.from_dict(payload) == config
@@ -494,12 +491,12 @@ class TestConfigRoundTrips:
             DKMConfig.from_dict({"bitz": 3})
 
     def test_compressor_round_trip(self):
-        config = get_default_compressor_config(backend="serial", skip_names=("lm_head",))
+        config = CompressorConfig(num_workers=2, skip_names=("lm_head",))
         rebuilt = CompressorConfig.from_dict(config.to_dict())
         assert rebuilt == config
 
     def test_armed_fault_plan_refuses_serialization(self):
-        config = CompressorConfig(fault_plan=FaultPlan())
+        config = CompressorConfig(num_workers=2, fault_plan=FaultPlan())
         with pytest.raises(ValueError, match="fault_plan"):
             config.to_dict()
 
@@ -741,7 +738,14 @@ class TestFacade:
         assert repro.ModelCompressor is ModelCompressor
         assert repro.ServingConfig is ServingConfig
         assert repro.PaletteServer is PaletteServer
-        assert repro.get_default_serving_config is get_default_serving_config
+        # The ``Cls(**overrides)`` wrappers are gone; build the configs.
+        for module in (repro, repro.core, repro.serving):
+            for name in (
+                "get_default_dkm_config",
+                "get_default_compressor_config",
+                "get_default_serving_config",
+            ):
+                assert not hasattr(module, name), (module.__name__, name)
         # Old deep imports stay valid.
         from repro.core.compressor import ModelCompressor as deep
 

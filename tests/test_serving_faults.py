@@ -56,7 +56,6 @@ from repro.serving import (
     StepFailed,
     TileCache,
     TransientStepError,
-    get_default_serving_config,
 )
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.serving.palette import TILE_ROWS
@@ -99,7 +98,7 @@ def expected_texts(served_model, tokenizer):
 def _config(**overrides) -> ServingConfig:
     defaults = dict(max_new_tokens=MAX_NEW, poll_interval_s=0.002)
     defaults.update(overrides)
-    return get_default_serving_config(**defaults)
+    return ServingConfig(**defaults)
 
 
 def _serve_all(server, prompts=PROMPTS, timeout=30.0):

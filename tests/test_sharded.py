@@ -7,7 +7,7 @@ The contract under test, in three layers:
   distributions, :func:`place_layers` honors the byte-balance bound
   ``max load <= mean load + largest layer`` and is a deterministic
   function of its input.
-- **Equivalence**: ``backend="process"`` over ``num_workers`` nodes is
+- **Equivalence**: the process engine over ``num_workers >= 2`` nodes is
   *bit-identical* to serial -- centroids, temperatures, and per-layer
   ``FastPathStats`` counters -- through cold sweeps and warm
   delta-shipped sweeps, while every parent <-> node transfer lands in
@@ -57,12 +57,12 @@ class _Stack(nn.Module):
             )
 
 
-def _compressor(backend, n_layers=4, seed=0, dims=None, **config_kwargs):
+def _compressor(num_workers=1, n_layers=4, seed=0, dims=None, **config_kwargs):
     stack = _Stack(n_layers=n_layers, seed=seed, dims=dims)
     stack.to("gpu")
     compressor = ModelCompressor(
         DKMConfig(bits=3, iters=3),
-        config=CompressorConfig(backend=backend, **config_kwargs),
+        config=CompressorConfig(num_workers=num_workers, **config_kwargs),
     )
     compressor.compress(stack)
     return compressor, stack
@@ -95,7 +95,7 @@ def _assert_identical(reference, candidate):
 
 
 def _serial_reference(n_sweeps=2, **kwargs):
-    serial, _ = _compressor("serial", **kwargs)
+    serial, _ = _compressor(**kwargs)
     try:
         for _ in range(n_sweeps):
             serial.refine_all()
@@ -153,17 +153,16 @@ class TestPlacementProperties:
 
 
 class TestShardedConfig:
-    def test_backend_registered(self):
-        """The node scheduler *is* the process backend; the retired
-        ``"sharded"`` name is rejected like any unknown backend."""
-        config = CompressorConfig(backend="process", num_workers=3)
-        assert config.backend == "process"
-        for unknown in ("sharded", "cluster"):
-            with pytest.raises(ValueError, match="backend"):
-                CompressorConfig(backend=unknown)
+    def test_no_backend_field(self):
+        """``num_workers`` alone picks the engine: the retired ``backend``
+        keyword is rejected, and so is a persisted config that carries it."""
+        with pytest.raises(TypeError, match="backend"):
+            CompressorConfig(backend="process", num_workers=3)
+        with pytest.raises(ValueError, match="backend"):
+            CompressorConfig.from_dict({"backend": "thread", "num_workers": 2})
 
     def test_round_trip(self):
-        config = CompressorConfig(backend="process", num_workers=4)
+        config = CompressorConfig(num_workers=4)
         restored = CompressorConfig.from_dict(config.to_dict())
         assert restored == config
         assert restored.num_workers == 4
@@ -177,8 +176,8 @@ class TestShardedConfig:
 class TestShardedEquivalence:
     @pytest.mark.timeout(120)
     def test_cold_and_warm_bit_identical_to_serial(self):
-        serial, _ = _compressor("serial")
-        sharded, _ = _compressor("process", num_workers=2)
+        serial, _ = _compressor()
+        sharded, _ = _compressor(num_workers=2)
         try:
             ledger = global_ledger()
             ledger.clear()
@@ -208,7 +207,7 @@ class TestShardedEquivalence:
     def test_byte_balanced_placement_and_shm_cleanup(self):
         # One layer 16x the others: byte-balance isolates it.
         dims = [(24, 256), (24, 16), (24, 16), (24, 16), (24, 16)]
-        sharded, _ = _compressor("process", dims=dims, num_workers=2)
+        sharded, _ = _compressor(dims=dims, num_workers=2)
         try:
             sharded.refine_all()
             engine = sharded._engine
@@ -220,23 +219,10 @@ class TestShardedEquivalence:
             sharded.close()
         assert engine.active_shm_names() == []
 
-    @pytest.mark.timeout(120)
-    def test_single_node_degenerate(self):
-        ref_states, ref_stats = _serial_reference(n_sweeps=1)
-        sharded, _ = _compressor("process", num_workers=1)
-        try:
-            sharded.refine_all()
-            states = _states(sharded)
-            for name in ref_states:
-                assert np.array_equal(ref_states[name][0], states[name][0])
-            assert _stats(sharded) == ref_stats
-        finally:
-            sharded.close()
-
     @pytest.mark.timeout(180)
     def test_placement_determinism_across_engines(self):
-        a, _ = _compressor("process", num_workers=2)
-        b, _ = _compressor("process", num_workers=2)
+        a, _ = _compressor(num_workers=2)
+        b, _ = _compressor(num_workers=2)
         try:
             a.refine_all()
             b.refine_all()
@@ -267,7 +253,6 @@ class TestShardedChaosMatrix:
         ref_states, ref_stats = reference
         plan = FaultPlan.single(kind, sweep=sweep, seconds=0.2)
         sharded, _ = _compressor(
-            "process",
             num_workers=2,
             fault_plan=plan,
             retry=RetryPolicy(timeout_s=15.0),
@@ -312,7 +297,6 @@ class TestStallFallback:
             )
         )
         sharded, _ = _compressor(
-            "process",
             num_workers=2,
             fault_plan=plan,
             retry=RetryPolicy(timeout_s=1.0),
@@ -347,7 +331,7 @@ class TestEngineWhiteBox:
 
     def _engine(self):
         engine = ProcessLayerEngine(
-            CompressorConfig(backend="process", num_workers=2)
+            CompressorConfig(num_workers=2)
         )
         engine._state["slots"] = [_BrokenPool(), _BrokenPool()]
         return engine
@@ -375,7 +359,7 @@ class TestEngineWhiteBox:
         ledger = global_ledger()
         before = len(ledger.transfers())
         with ProcessLayerEngine(
-            CompressorConfig(backend="process", num_workers=2)
+            CompressorConfig(num_workers=2)
         ) as engine:
             assert engine.map_layers("refine", []) == {}
             assert engine.transport.tasks_shipped == 0
