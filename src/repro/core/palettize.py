@@ -18,9 +18,14 @@ def pack_indices(indices: np.ndarray, bits: int) -> np.ndarray:
     """Pack ``bits``-wide integers into a uint8 byte stream (LSB-first)."""
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits}")
-    indices = np.asarray(indices, dtype=np.uint8).reshape(-1)
-    if indices.size and int(indices.max()) >= (1 << bits):
-        raise ValueError(f"index {int(indices.max())} does not fit in {bits} bits")
+    indices = np.asarray(indices).reshape(-1)
+    # Range-checked before the uint8 cast, which would wrap 256 to 0 and -1 to 255.
+    if indices.size:
+        low, high = int(indices.min()), int(indices.max())
+        if low < 0 or high >= (1 << bits):
+            bad = low if low < 0 else high
+            raise ValueError(f"index {bad} does not fit in {bits} bits")
+    indices = indices.astype(np.uint8, copy=False)
     as_bits = np.unpackbits(indices.reshape(-1, 1), axis=1, bitorder="little")
     payload = as_bits[:, :bits].reshape(-1)
     return np.packbits(payload, bitorder="little")
@@ -117,7 +122,6 @@ def kmeans_palettize(
     uniquification trick as eDKM, applied to inference-time compression.
     """
     from repro.core.dkm import nearest_centroid
-    from repro.core.uniquify import attention_table  # noqa: F401 (doc cross-ref)
     from repro.tensor.ops.segment import segment_sum
 
     flat = np.asarray(weights, dtype=np.float32).reshape(-1)

@@ -12,6 +12,16 @@ equal patterns provably receive identical attention rows, so the dense
 
 The factorization is lossless: gathering table rows by the index list
 reconstructs the dense map bit-for-bit.
+
+:func:`uniquify` is ``O(N)``.  A stored bf16 weight is already on the bf16
+grid, so its patterns are read straight off the float32 high halves as a
+strided view -- no rounding pass, no copy -- after one check that every low
+half is zero (:func:`~repro.tensor.dtype._pattern16_view`); a raw array off
+the grid is rounded to nearest even by
+:func:`~repro.tensor.dtype.bit_pattern16` instead.  From
+:data:`HISTOGRAM_MIN_SIZE` weights up, the patterns are cast to ``intp``
+once and that one array feeds both the 65,536-bin ``bincount`` and the
+pattern -> row gather.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tensor.dtype import DType, bit_pattern16, decode_pattern16, int32, uint16
+from repro.tensor.dtype import DType, _pattern16_view, decode_pattern16, int32, uint16
 from repro.tensor.pairwise import softmax_columns_
 
 MAX_UNIQUE_16BIT = 1 << 16
@@ -104,19 +114,22 @@ def _decompose_histogram(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """O(N + u) decomposition over the fixed 2^16-pattern domain.
 
-    One ``bincount`` over all 65,536 possible uint16 patterns yields the
-    multiplicities; the pattern -> row lookup table is written only at the
-    ``u`` present patterns (the rest is never read), already in the index
-    dtype -- rank 65,535 fits uint16 -- so the index list is one gather.
-    Output is bit-identical to ``np.unique`` (both enumerate present
-    patterns in ascending order).
+    ``patterns`` is a 1-D uint16 array, or a strided view of one.  It is
+    cast to ``intp`` once, up front: ``bincount`` and ``take`` would each
+    make that cast internally otherwise.  One ``bincount`` over all 65,536
+    possible patterns yields the multiplicities; the pattern -> row lookup
+    table is written only at the ``u`` present patterns (the rest is never
+    read), already in the index dtype -- rank 65,535 fits uint16 -- so the
+    index list is one gather.  Output is bit-identical to ``np.unique``
+    (both enumerate present patterns in ascending order).
     """
-    hist = np.bincount(patterns, minlength=MAX_UNIQUE_16BIT)
+    keys = patterns.astype(np.intp)
+    hist = np.bincount(keys, minlength=MAX_UNIQUE_16BIT)
     # flatnonzero scans a bool mask 4x faster than the int64 histogram itself.
     present = np.flatnonzero(hist.astype(bool))
     lut = np.empty(MAX_UNIQUE_16BIT, dtype=np.uint16)
     lut[present] = np.arange(present.size, dtype=np.uint16)
-    return present.astype(np.uint16), lut.take(patterns), hist[present]
+    return present.astype(np.uint16), lut.take(keys), hist[present]
 
 
 def uniquify(
@@ -132,7 +145,8 @@ def uniquify(
     global _CALL_COUNT
     with _CALL_COUNT_LOCK:
         _CALL_COUNT += 1
-    patterns = bit_pattern16(weights, dtype).reshape(-1)
+    # A view into ``weights`` when they are on the bf16 grid: read only.
+    patterns = _pattern16_view(weights, dtype).reshape(-1)
     if method == "auto":
         method = "histogram" if patterns.size >= HISTOGRAM_MIN_SIZE else "sort"
     if method == "histogram":
@@ -141,8 +155,6 @@ def uniquify(
         unique_patterns, inverse, counts = _decompose_sort(patterns)
     else:
         raise ValueError(f"unknown uniquify method {method!r}")
-    if unique_patterns.size > MAX_UNIQUE_16BIT:  # pragma: no cover - impossible
-        raise AssertionError("more than 2^16 unique 16-bit patterns")
     idx_np = inverse.astype(
         index_dtype_for(unique_patterns.size).np_storage, copy=False
     )

@@ -8,15 +8,44 @@ memory accounting charges 2 bytes per element.
 
 The 16-bit floating dtypes also expose :func:`bit_pattern16`, the exact
 mechanism eDKM's weight uniquification keys on: a 16-bit weight tensor has at
-most ``2**16`` distinct bit patterns (paper Section 2.2).
+most ``2**16`` distinct bit patterns (paper Section 2.2).  Every write into a
+bf16 buffer projects, so a stored bf16 buffer is already on the grid -- each
+float32's low half is zero -- and :func:`_pattern16_view`, which uniquify
+keys on, reads its patterns straight off the high halves
+(:func:`_bf16_grid_patterns`); only off-grid input pays
+:func:`bit_pattern16`'s rounding passes.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+# Read at call time, so a test can take the path a big-endian host takes.
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _bf16_grid_patterns(array: np.ndarray) -> np.ndarray | None:
+    """The bf16 patterns of ``array`` if it is on the bf16 grid, else ``None``.
+
+    On the grid every float32's low half is zero; the pattern is then the
+    high half, returned as a strided ``uint16`` view (shape of ``array``,
+    at least 1-D) into ``array``'s buffer, or into its float32 copy when
+    ``array`` is not a C-contiguous float32 array.  Round-to-nearest-even
+    is the identity there for every pattern, NaN, +-inf and ``0xFFFF``
+    included: a zero low half plus a bias of at most ``0x8000`` never
+    carries into the high half.  ``None`` when any low half is set, and on
+    a big-endian host, where the high half is the first of the pair.
+    """
+    if not _LITTLE_ENDIAN:
+        return None
+    halves = np.ascontiguousarray(array, dtype=np.float32).view(np.uint16)
+    if halves[..., 0::2].any():
+        return None
+    return halves[..., 1::2]
 
 
 def _bf16_rounded_bits(array: np.ndarray) -> np.ndarray:
@@ -240,6 +269,21 @@ def bit_pattern16(array: np.ndarray, dtype: DType) -> np.ndarray:
     raise ValueError(
         f"bit_pattern16 requires a 16-bit floating dtype, got {dtype.name}"
     )
+
+
+def _pattern16_view(array: np.ndarray, dtype: DType) -> np.ndarray:
+    """:func:`bit_pattern16`'s patterns, without the rounding passes when possible.
+
+    For bf16 ``array`` on the grid this is :func:`_bf16_grid_patterns`'
+    strided view, which may share ``array``'s buffer: read it, never write
+    it.  Otherwise (float16, off-grid input, a big-endian host) it is
+    :func:`bit_pattern16`'s fresh array.  The patterns are equal either way.
+    """
+    if dtype is bfloat16:
+        on_grid = _bf16_grid_patterns(array)
+        if on_grid is not None:
+            return on_grid
+    return bit_pattern16(array, dtype)
 
 
 def decode_pattern16(patterns: np.ndarray, dtype: DType) -> np.ndarray:

@@ -16,15 +16,21 @@ what replaced it is equality, not a tolerance:
   ``src/`` runs each as one ``Function``.  Forward is bit-equal for float32
   activations; backward is closed-form there, so gradients agree to float32
   rounding.
+
+``pattern16_inputs`` draws the arrays on which uniquify's on-grid bf16 read
+must agree with ``bit_pattern16``, which rounds every element to nearest even.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.core.dkm import ClusterState, default_temperature, init_centroids_quantile
+from repro.core.uniquify import HISTOGRAM_MIN_SIZE
 from repro.memory.traffic import global_ledger
 from repro.tensor import ops
+from repro.tensor.dtype import bfloat16, float16
 from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor, contiguous_strides
 
@@ -196,3 +202,62 @@ def rms_norm_composite(x, weight, eps):
     mean_square = (x * x).mean(dim=-1, keepdim=True)
     normed = x / (mean_square + eps).sqrt()
     return normed * weight
+
+
+# +-0, +-inf, quiet and signalling NaNs, the largest finite value, 0xFFFF.
+_SPECIALS = {
+    bfloat16: [0x0000, 0x8000, 0x7F80, 0xFF80, 0x7FC0, 0xFFC1, 0x7F81, 0x7F7F, 0xFFFF],
+    float16: [0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFE01, 0x7C01, 0x7BFF, 0xFFFF],
+}
+# Around the rounding boundary: ties both ways, and the carries into the high half.
+_LOW_HALVES = [0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF]
+_SIZES = [0, 1, 2, 7, HISTOGRAM_MIN_SIZE - 1, HISTOGRAM_MIN_SIZE, HISTOGRAM_MIN_SIZE + 1, 5003]
+
+
+def _lay_out(base, layout, n):
+    """``n`` elements of ``base`` as a C-order, transposed, F-order or ``[::2]`` array."""
+    if layout == "step2":
+        return base[::2]
+    rows = next((d for d in range(2, n) if n % d == 0), 1)
+    grid = base.reshape(rows, n // rows)
+    if layout == "T":
+        return grid.T
+    if layout == "F":
+        return np.asfortranarray(grid)
+    return grid
+
+
+@st.composite
+def pattern16_inputs(draw):
+    """``(array, dtype, off_grid)`` for ``bit_pattern16`` and ``uniquify``.
+
+    bf16 arrays are float32 on the bf16 grid, except, when ``off_grid``, for
+    one element at the first, last or a random position whose low half is
+    set; float16 arrays are float16.  Sizes straddle ``HISTOGRAM_MIN_SIZE``;
+    the high halves are a few dozen patterns, the whole domain, or only the
+    specials (which the other two pools also mix in).
+    """
+    dtype = draw(st.sampled_from([bfloat16, float16]))
+    n = draw(st.sampled_from(_SIZES))
+    layout = draw(st.sampled_from(["C", "T", "F", "step2"]))
+    pool = draw(st.sampled_from(["few", "all", "specials"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 2 * n if layout == "step2" else n
+    specials = np.array(_SPECIALS[dtype], dtype=np.uint16)
+    if pool == "few":
+        few = rng.integers(0, 1 << 16, 37).astype(np.uint16)
+        high = rng.choice(np.concatenate([few, specials]), size)
+    elif pool == "all":
+        high = np.concatenate([specials, rng.integers(0, 1 << 16, size).astype(np.uint16)])
+        high = rng.permutation(high)[:size]
+    else:
+        high = rng.choice(specials, size)
+    if dtype is float16:
+        return _lay_out(high, layout, n).view(np.float16), dtype, False
+    laid = _lay_out(high.astype(np.uint32) << 16, layout, n)
+    where = draw(st.sampled_from([None, "first", "last", "random"])) if n else None
+    if where is not None:
+        position = {"first": 0, "last": n - 1, "random": int(rng.integers(n))}[where]
+        low = np.uint32(draw(st.sampled_from(_LOW_HALVES)))
+        laid[np.unravel_index(position, laid.shape)] |= low
+    return laid.view(np.float32), dtype, where is not None

@@ -28,6 +28,19 @@ class TestBitPacking:
         with pytest.raises(ValueError, match="fit"):
             pack_indices(np.array([8]), bits=3)
 
+    @pytest.mark.parametrize(
+        "indices, bits", [([256, 1], 3), ([1, 256], 8), ([-1], 8), ([0, -255], 2)]
+    )
+    def test_out_of_range_rejected_before_the_uint8_cast(self, indices, bits):
+        # A uint8 cast first would wrap 256 to 0 and -1 to 255, both in range.
+        with pytest.raises(ValueError, match="fit"):
+            pack_indices(np.array(indices), bits)
+
+    def test_wide_integer_indices_pack_like_uint8(self):
+        indices = np.random.default_rng(9).integers(0, 8, size=999)
+        want = pack_indices(indices.astype(np.uint8), 3)
+        assert pack_indices(indices, 3).tobytes() == want.tobytes()
+
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
             pack_indices(np.array([0]), bits=0)

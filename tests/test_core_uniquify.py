@@ -1,5 +1,7 @@
 """Tests for weight uniquification (paper Section 2.2 / Fig. 3)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,12 @@ from repro.core.uniquify import (
     reconstruct_attention_map,
     uniquify,
 )
-from repro.tensor.dtype import bfloat16, decode_pattern16, float16, uint16, int32
+from repro.tensor import dtype as dtype_module
+from repro.tensor.dtype import bfloat16, bit_pattern16, decode_pattern16, float16, uint16, int32
 from repro.tensor import ops
 from repro.tensor.pairwise import _sum_rows_pairwise
 
-from tests.oracles import attention_table_uk
+from tests.oracles import attention_table_uk, pattern16_inputs
 
 
 def _weights(n=5000, seed=0, dtype=bfloat16):
@@ -277,3 +280,29 @@ class TestHistogramTail:
             assert hist.index_list.flags.c_contiguous
             for field in ("patterns", "index_list", "counts", "values"):
                 assert getattr(hist, field).tobytes() == getattr(sort, field).tobytes(), field
+
+
+class TestOnGridRead:
+    """bf16 patterns read off the stored grid decompose exactly as the rounded ones."""
+
+    @given(pattern16_inputs(), st.sampled_from(["auto", "histogram", "sort"]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique_oracle(self, case, method, little_endian):
+        # The on-grid read (little-endian, no low half set) and the rounding
+        # passes both decompose exactly as np.unique over the rounded patterns.
+        array, dtype, _ = case
+        before = array.tobytes()
+        want_patterns, want_index, want_counts = np.unique(
+            bit_pattern16(array, dtype).reshape(-1), return_inverse=True, return_counts=True
+        )
+        with mock.patch.object(dtype_module, "_LITTLE_ENDIAN", little_endian):
+            got = uniquify(array, dtype, method=method)
+        assert got.patterns.dtype == np.uint16
+        assert got.patterns.tobytes() == want_patterns.tobytes()
+        assert got.index_list.dtype == np.uint16
+        assert got.index_list.tobytes() == want_index.reshape(-1).astype(np.uint16).tobytes()
+        assert got.counts.dtype == want_counts.dtype
+        assert got.counts.tobytes() == want_counts.tobytes()
+        assert got.values.tobytes() == decode_pattern16(want_patterns, dtype).tobytes()
+        assert got.source_shape == array.shape
+        assert array.tobytes() == before

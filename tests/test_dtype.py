@@ -1,9 +1,15 @@
 """Tests for logical dtypes, bf16 simulation and 16-bit pattern keying."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tensor import dtype as dt
+
+from tests.oracles import pattern16_inputs
 
 
 class TestDTypeBasics:
@@ -123,6 +129,33 @@ class TestBitPatterns:
             (want >> 16).astype(np.uint16).reshape(-1, 6).T[::2],
         )
         assert values.tobytes() == before  # the in-place passes never reach the input
+
+    def test_on_grid_read_is_a_strided_view_of_the_buffer(self):
+        values = dt.bfloat16.project(
+            np.random.default_rng(5).standard_normal((64, 48)).astype(np.float32)
+        )
+        view = dt._bf16_grid_patterns(values)
+        assert view.dtype == np.uint16 and view.shape == values.shape
+        assert np.shares_memory(view, values) and not view.flags.c_contiguous
+        assert view.tobytes() == dt.bit_pattern16(values, dt.bfloat16).tobytes()
+
+    @given(pattern16_inputs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_rounding_formulation(self, case, little_endian):
+        # An on-grid bf16 buffer on a little-endian host is read off its high
+        # halves; off-grid input, float16 and a big-endian host take the
+        # rounding passes of bit_pattern16.
+        array, dtype, off_grid = case
+        before = array.tobytes()
+        want = dt.bit_pattern16(array, dtype)
+        with mock.patch.object(dt, "_LITTLE_ENDIAN", little_endian):
+            got = dt._pattern16_view(array, dtype)
+            if dtype is dt.bfloat16:
+                on_grid = dt._bf16_grid_patterns(array)
+                assert (on_grid is not None) == (little_endian and not off_grid)
+        assert got.dtype == np.uint16 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert array.tobytes() == before
 
     def test_pattern_requires_16bit_dtype(self):
         with pytest.raises(ValueError, match="16-bit"):
