@@ -71,7 +71,6 @@ from repro import (  # noqa: F401
 )
 from repro.baselines import quantize
 from repro.core import (
-    CompressorConfig,
     DKMConfig,
     EDKMConfig,
     ModelCompressor,
@@ -86,7 +85,6 @@ def compress(
     *,
     dkm_config: DKMConfig | None = None,
     edkm_config: EDKMConfig | None = None,
-    config: CompressorConfig | None = None,
 ) -> ModelCompressor:
     """Wrap ``model``'s Linears with train-time clustering; return the compressor.
 
@@ -97,13 +95,12 @@ def compress(
     compressor for sweeps (``refine_all``/``precluster``/``finalize``).
     Pass ``dkm_config`` to control clustering beyond ``bits`` (they are
     mutually exclusive with each other only when they disagree:
-    ``bits`` is ignored when an explicit ``dkm_config`` is given),
-    ``config`` for engine knobs (workers, skip lists).
+    ``bits`` is ignored when an explicit ``dkm_config`` is given).
+    Build a :class:`~repro.core.compressor.ModelCompressor` directly for
+    ``embedding_bits`` or ``skip_names``.
     """
     compressor = ModelCompressor(
-        dkm_config or DKMConfig(bits=bits),
-        edkm_config=edkm_config,
-        config=config,
+        dkm_config or DKMConfig(bits=bits), edkm_config=edkm_config
     )
     compressor.compress(model)
     return compressor
@@ -152,7 +149,6 @@ __all__ = [
     "compress",
     "quantize",
     "serve",
-    "CompressorConfig",
     "DKMConfig",
     "EDKMConfig",
     "ModelCompressor",

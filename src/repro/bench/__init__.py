@@ -12,24 +12,15 @@ way to run them (:mod:`repro.bench.__main__` holds the registry).
 - :mod:`repro.bench.table2` -- Table 2 (M/U/S ablation, memory + runtime)
 - :mod:`repro.bench.table3` -- Table 3 (accuracy of compressed models)
 - :mod:`repro.bench.claims` -- Section 1/2 analytic size claims
-- :mod:`repro.bench.engine` -- the serial loop and the process
-  compression engine over one stack x width grid (identity, delta
-  shipping, crash recovery, byte-balanced placement)
-- :mod:`repro.bench.faults` -- chaos suite (fault injection, watchdog,
-  quarantine, degradation, crash-safe checkpoint/resume)
+- :mod:`repro.bench.faults` -- crash-safe checkpoint/resume of a
+  compression run
 - :mod:`repro.bench.serving` -- palette serving under concurrent traffic
   (requests/sec, p50/p99 latency, token-identity + admission gates)
 - :mod:`repro.bench.serving_faults` -- chaos-serving fault matrix
 """
 
 from repro.bench.claims import Claim, run_claims
-from repro.bench.faults import (
-    FaultBenchResult,
-    FaultRow,
-    FaultScenario,
-    default_scenarios,
-    run_faults,
-)
+from repro.bench.faults import FaultBenchResult, run_faults
 from repro.bench.fig2 import Fig2Result, run_fig2, run_hop_budget_sweep
 from repro.bench.fig3 import Fig3Result, run_dtype_sweep, run_fig3
 from repro.bench.table1 import PAPER_TABLE1, Table1Row, run_table1
@@ -62,9 +53,6 @@ __all__ = [
     "Claim",
     "run_claims",
     "FaultBenchResult",
-    "FaultRow",
-    "FaultScenario",
-    "default_scenarios",
     "run_faults",
     "Fig2Result",
     "run_fig2",

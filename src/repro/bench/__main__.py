@@ -23,7 +23,6 @@ import numpy
 
 from repro.bench import (
     claims,
-    engine,
     faults,
     fig2,
     fig3,
@@ -42,7 +41,6 @@ BENCHES = {
     "table2": table2,
     "table3": table3,
     "claims": claims,
-    "engine": engine,
     "faults": faults,
     "serving": serving,
     "serving_faults": serving_faults,

@@ -24,7 +24,8 @@ import numpy as np
 
 import repro.nn as nn
 from repro.bench.tables import PaperTable, render_table
-from repro.core.config import SEARCH_STRATEGIES, EDKMConfig
+from repro.core.config import EDKMConfig
+from repro.core.marshal import SEARCH_STRATEGIES, MarshalRegistry
 from repro.core.offload import SavedTensorPipeline
 from repro.memory import global_ledger, profile_memory
 from repro.tensor.device import CPU, GPU
@@ -45,16 +46,17 @@ class Fig2Result:
 
 
 def _pipeline(marshal: bool, hop_budget: int = 4, strategy: str = "graph"):
-    return SavedTensorPipeline(
+    pipeline = SavedTensorPipeline(
         EDKMConfig(
             marshal=marshal,
             uniquify=False,
             shard=False,
             group=None,
             hop_budget=hop_budget,
-            search_strategy=strategy,
         )
     )
+    pipeline.registry = MarshalRegistry(strategy)
+    return pipeline
 
 
 def _saved_tensor_scenario(pipeline: SavedTensorPipeline) -> None:

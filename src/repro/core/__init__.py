@@ -11,17 +11,12 @@ Public surface:
 - :class:`SavedTensorPipeline` -- saved-tensor offloading with cross-device
   marshaling and sharding (paper Section 2.1).
 - :class:`ModelCompressor` / :class:`ClusteredLinear` -- model-level
-  train-time compression and palettization; ``CompressorConfig.num_workers``
-  picks the per-layer engine: the serial loop (1) or
-  :class:`ProcessLayerEngine` (>= 2), which pins layers to worker slots by
-  weight bytes and ships zero-copy shared-memory weight views plus
-  ``O(k)`` deltas to them.
-- :class:`FaultPlan` / :class:`FaultInjector` (one injector for the
-  compression engine and the server), :class:`RetryPolicy`, and the
-  checkpoint layer (:func:`write_checkpoint` / :func:`load_checkpoint`)
-  -- the robustness surface: deterministic chaos injection,
-  watchdog/retry/quarantine recovery, crash-safe checkpoint/resume, and
-  graceful process -> serial degradation (see ``docs/robustness.md``).
+  train-time compression and palettization; every per-layer sweep is one
+  loop over the wrapped layers.
+- :class:`FaultPlan` / :class:`FaultInjector` and :class:`RetryPolicy`
+  (the server's deterministic chaos injection and retry policy), and the
+  checkpoint layer (:func:`write_checkpoint` / :func:`load_checkpoint`,
+  crash-safe resume of compression sweeps); see ``docs/robustness.md``.
 """
 
 from repro.core.checkpoint import (
@@ -33,7 +28,6 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.config import (
-    CompressorConfig,
     DKMConfig,
     EDKMConfig,
     PipelineStats,
@@ -41,15 +35,12 @@ from repro.core.config import (
 )
 from repro.core.faults import (
     FAULT_KINDS,
-    CorruptPayload,
     FaultEvent,
     FaultInjector,
     FaultLog,
     FaultPlan,
     FaultSpec,
-    PoolExhausted,
     RobustnessWarning,
-    TransientWorkerError,
     WatchdogTimeout,
 )
 from repro.core.compressor import (
@@ -62,14 +53,6 @@ from repro.core.compressor import (
     palettize_op,
     precluster_op,
     refine_op,
-)
-from repro.core.procpool import (
-    LayerDelta,
-    LayerOutcome,
-    LayerTask,
-    ProcessLayerEngine,
-    TransportStats,
-    WorkerCacheRegistry,
 )
 from repro.core.dkm import (
     ClusterState,
@@ -108,17 +91,13 @@ __all__ = [
     "read_checkpoint",
     "write_checkpoint",
     "FAULT_KINDS",
-    "CorruptPayload",
     "FaultEvent",
     "FaultInjector",
     "FaultLog",
     "FaultPlan",
     "FaultSpec",
-    "PoolExhausted",
     "RobustnessWarning",
-    "TransientWorkerError",
     "WatchdogTimeout",
-    "CompressorConfig",
     "DKMConfig",
     "EDKMConfig",
     "PipelineStats",
@@ -132,12 +111,6 @@ __all__ = [
     "palettize_op",
     "precluster_op",
     "refine_op",
-    "LayerDelta",
-    "LayerOutcome",
-    "LayerTask",
-    "ProcessLayerEngine",
-    "TransportStats",
-    "WorkerCacheRegistry",
     "ClusterState",
     "DKMClusterer",
     "default_temperature",

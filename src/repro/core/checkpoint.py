@@ -1,7 +1,7 @@
-"""Crash-safe checkpoint/resume for the compression engine.
+"""Crash-safe checkpoint/resume for model compression sweeps.
 
 A days-long train-time clustering run must survive being killed at any
-point -- by a preempted node, an OOM reaper, or the chaos suite -- and
+point -- by a preempted node or an OOM reaper -- and
 resume *bit-identically*: the sweeps after a kill-and-resume must
 produce the same centroids, assignments, palettized artifacts, and step
 cache counters as a run that was never interrupted.  This module is the
@@ -23,7 +23,8 @@ Durability contract:
 
 - **Atomic**: the payload is written to a same-directory temp file,
   fsynced, then ``os.replace``d over the target -- a crash mid-save
-  leaves either the old checkpoint or the new one, never a torn file.
+  leaves either the old checkpoint or the new one, never a torn file,
+  and a save that raises removes its temp file.
 - **Tamper-evident**: a blake2b digest over the canonical JSON payload
   is stored inside the file and re-verified on load; bit-rot surfaces
   as :class:`CheckpointCorrupt`, never as silently-wrong weights.
@@ -51,14 +52,16 @@ from repro.core.fastpath import FastPathStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compressor import ModelCompressor
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 """Schema version stamped into (and verified from) every checkpoint.
 
 Version 2: ``EDKMConfig`` lost five fields.  Version 3: ``DKMConfig`` lost
-its dense row-chunk field and the payload its configured-engine key
-(``active_backend`` is ``"serial"`` or ``"process"``).  Each change moves
-the ``config_epoch`` digest of every run, so older files are refused by
-version rather than with a misleading "different clustering config"."""
+its dense row-chunk field and the payload its configured-backend key.
+Version 4: the payload lost ``active_backend`` (sweeps always run the
+serial loop) and ``EDKMConfig`` its ``search_strategy`` field.  Each
+change moves the ``config_epoch`` digest of every run, so older files
+are refused by version rather than with a misleading "different
+clustering config"."""
 
 
 class CheckpointError(RuntimeError):
@@ -141,7 +144,6 @@ def build_payload(compressor: "ModelCompressor") -> dict:
         "version": CHECKPOINT_VERSION,
         "config_epoch": _config_epoch(compressor),
         "sweeps_completed": compressor.sweeps_completed,
-        "active_backend": compressor.active_backend,
         "layers": layers,
     }
     payload["digest"] = _payload_digest(payload)
@@ -153,18 +155,25 @@ def write_checkpoint(compressor: "ModelCompressor", path: str) -> str:
 
     tmp + fsync + ``os.replace`` in the target's directory, so the
     rename is atomic on POSIX and a crash at any byte offset leaves a
-    valid file.  A one-line history record is appended to
-    ``<path>.journal`` after the rename lands.
+    valid file.  A save that raises unlinks its temp file before the
+    error propagates, leaving the previous checkpoint untouched.  A
+    one-line history record is appended to ``<path>.journal`` after the
+    rename lands.
     """
     payload = build_payload(compressor)
     path = os.fspath(path)
     tmp_path = f"{path}.tmp.{os.getpid()}"
     data = json.dumps(payload, sort_keys=True, indent=1)
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
     journal_line = json.dumps(
         {
             "sweeps_completed": payload["sweeps_completed"],
@@ -240,10 +249,7 @@ def restore_payload(compressor: "ModelCompressor", payload: dict) -> None:
                 table_misses=stats["table_misses"],
             )
         )
-    compressor.restore_progress(
-        sweeps_completed=int(payload["sweeps_completed"]),
-        active_backend=payload.get("active_backend"),
-    )
+    compressor.sweeps_completed = int(payload["sweeps_completed"])
 
 
 def load_checkpoint(compressor: "ModelCompressor", path: str) -> dict:

@@ -6,71 +6,31 @@ fine-tunes with.  ``ModelCompressor`` swaps the wrappers into a model,
 coordinates the shared :class:`~repro.core.offload.SavedTensorPipeline`,
 and finalizes the fine-tuned model into palettized artifacts.
 
-Per-layer clustering is embarrassingly parallel -- each ``ClusteredLinear``
-owns its weight storage, its :class:`~repro.core.dkm.DKMClusterer`, and its
-:class:`~repro.core.fastpath.StepCache` -- so the compressor runs its
-no-grad sweeps (``refine_all`` / ``precluster`` / ``finalize``) on one of
-two engines, picked per sweep by ``CompressorConfig.resolve_workers`` of
-the layer count:
-
-- ``1`` (the default) -- the reference loop on the calling thread;
-- ``N >= 2`` -- the :class:`~repro.core.procpool.ProcessLayerEngine`:
-  ``N`` spawned workers rebuild each layer's weight as a zero-copy
-  shared-memory view.  Byte-balanced
-  :func:`~repro.core.procpool.place_layers` pins each layer to one
-  single-worker slot, so uniquify products, attention tables, and shm
-  attachments stay worker-resident across sweeps and warm sweeps ship
-  only ``O(k)`` deltas.
-
-**Bit-identity invariant**: both engines hand each layer to exactly one
-executor, per-layer clustering is a pure function of (weight bytes,
-prior cluster state, config), and results -- centroids, assignments,
-palettized artifacts, per-layer :class:`~repro.core.fastpath.StepCache`
-counters, and the carried refine->forward attention table -- are merged
-in layer *insertion order* regardless of completion order.  The two
-engines are therefore interchangeable: same outputs, same stats,
-different wall time.
-
-**Write invariant**: workers only *read* layer weights; all writes
-(optimizer steps) happen in the process that owns the training loop.
+Each ``ClusteredLinear`` owns its weight storage, its
+:class:`~repro.core.dkm.DKMClusterer`, and its
+:class:`~repro.core.fastpath.StepCache`, so the compressor's no-grad
+sweeps (``refine_all`` / ``precluster`` / ``finalize``) are one loop on
+the calling thread: the :data:`SWEEP_OPS` function of the sweep, called
+on every wrapped layer in insertion order.
 """
 
 from __future__ import annotations
 
-import warnings
 import weakref
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
-from repro.core.config import CompressorConfig, DKMConfig, EDKMConfig
+from repro.core.config import DKMConfig, EDKMConfig
 from repro.core.dkm import ClusterState, DKMClusterer
 from repro.core.edkm import cluster
 from repro.core.fastpath import FastPathReport, FastPathStats, StepCache
-from repro.core.faults import (
-    PoolExhausted,
-    RobustnessWarning,
-)
 from repro.core.palettize import PalettizedTensor, kmeans_palettize
 from repro.nn.linear import Embedding, Linear, named_linears
 from repro.nn.module import Module
 from repro.tensor.dtype import promote
-from repro.tensor.serialization import ShmLost
 from repro.tensor.tensor import Tensor
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.faults import FaultLog
-    from repro.core.procpool import ProcessLayerEngine, TransportStats
-
-_INFRA_FAILURES = (PoolExhausted, BrokenExecutor, ShmLost)
-"""Sweep-level failures that indicate broken *infrastructure* (pools, shm)
-rather than broken math.  Only these demote a run to the serial loop: an
-op exception is deterministic and would reproduce there too, so
-demoting for it would just re-raise more slowly."""
-
-_R = TypeVar("_R")
 
 
 class ClusteredLinear(Module):
@@ -341,11 +301,7 @@ class LayerClusterResult:
 # ----------------------------------------------------------------------
 # Sweep ops
 #
-# One function per engine sweep, taking only (clusterer, weights, ...).
-# Both engines execute these exact functions -- the serial loop calls them
-# on the wrapper's own clusterer, the process engine inside workers on a
-# reconstructed clusterer -- which is what makes engine equivalence hold
-# by construction rather than by parallel-maintained code paths.
+# One function per compressor sweep, taking only (clusterer, weights, ...).
 # ----------------------------------------------------------------------
 
 
@@ -388,8 +344,7 @@ SWEEP_OPS: dict[str, Callable] = {
     "precluster": precluster_op,
     "palettize": palettize_op,
 }
-"""Sweep-op registry, keyed by the names the process engine ships to its
-workers (:func:`repro.core.procpool._run_slot_batch` resolves them here)."""
+"""Sweep-op registry, keyed by the op names ``ModelCompressor`` sweeps run."""
 
 
 @dataclass
@@ -422,56 +377,26 @@ class ModelCompressor:
 
     Embeddings are palettized post-training at ``embedding_bits`` (paper:
     "we also compressed the embedding layers with 8 bits"); norms and biases
-    stay in 16-bit.
+    stay in 16-bit.  ``skip_names`` lists module-path prefixes exempted
+    from wrapping.  ``sweeps_completed`` counts the sweeps run so far (the
+    checkpoint layer's progress marker).
     """
 
     def __init__(
         self,
         dkm_config: DKMConfig,
         edkm_config: EDKMConfig | None = None,
-        embedding_bits: int | None = None,
-        skip_names: tuple[str, ...] | None = None,
-        config: CompressorConfig | None = None,
+        embedding_bits: int = 8,
+        skip_names: tuple[str, ...] = (),
     ) -> None:
         self.dkm_config = dkm_config
         self.edkm_config = edkm_config or EDKMConfig(
             offload=False, marshal=False, uniquify=True, shard=False, group=None
         )
-        # The loose keyword arguments are the long-standing shorthand for
-        # the serial engine; a CompressorConfig carries the same fields, so
-        # mixing the two would make one of them silently lose.
-        if config is not None:
-            if embedding_bits is not None or skip_names is not None:
-                raise ValueError(
-                    "pass embedding_bits/skip_names on the CompressorConfig "
-                    "when a config object is given, not as keyword arguments"
-                )
-            self.config = config
-        else:
-            self.config = CompressorConfig(
-                embedding_bits=8 if embedding_bits is None else embedding_bits,
-                skip_names=() if skip_names is None else skip_names,
-            )
+        self.embedding_bits = embedding_bits
+        self.skip_names = skip_names
         self.wrapped: dict[str, ClusteredLinear] = {}
-        # Lazily-created process engine (slots + shm exports); None until
-        # the first sweep that resolves to two or more workers.
-        self._engine: "ProcessLayerEngine | None" = None
-        # Robustness state: whether an infrastructure failure pinned the
-        # run to the serial loop, the demotion history, and the sweep
-        # counter the checkpoint layer persists.
-        self._demoted = False
-        self.degradations: list[tuple[str, str, str]] = []
-        self._sweeps_completed = 0
-
-    @property
-    def embedding_bits(self) -> int:
-        """Embedding palettization width (delegates to the config)."""
-        return self.config.embedding_bits
-
-    @property
-    def skip_names(self) -> tuple[str, ...]:
-        """Module-path prefixes exempted from wrapping (from the config)."""
-        return self.config.skip_names
+        self.sweeps_completed = 0
 
     def compress(self, model: Module) -> Module:
         """Replace every target Linear in ``model`` with a ClusteredLinear."""
@@ -487,135 +412,18 @@ class ModelCompressor:
             raise ValueError("no Linear layers found to compress")
         return model
 
-    # ------------------------------------------------------------------
-    # Per-layer engine
-    # ------------------------------------------------------------------
+    def _sweep(self, op: str, **kwargs) -> dict:
+        """Run the :data:`SWEEP_OPS` function ``op`` over every layer.
 
-    def _process_engine(self) -> "ProcessLayerEngine":
-        """The lazily-created engine behind ``num_workers >= 2``."""
-        if self._engine is None:
-            from repro.core.procpool import ProcessLayerEngine
-
-            self._engine = ProcessLayerEngine(self.config)
-        return self._engine
-
-    @property
-    def active_backend(self) -> str:
-        """The engine sweeps currently run on: ``"serial"`` or ``"process"``.
-
-        ``"process"`` while ``config.resolve_workers`` of the layer count
-        is 2 or more, until an infrastructure failure demotes the run to
-        ``"serial"``; a demoted run never silently promotes back.
+        Each wrapper's own clusterer and weight, in insertion order; the
+        results come back keyed by layer name in that order.
         """
-        if self._demoted or self.config.resolve_workers(len(self.wrapped)) < 2:
-            return "serial"
-        return "process"
-
-    @property
-    def sweeps_completed(self) -> int:
-        """Sweeps merged so far (the checkpoint layer's progress marker)."""
-        return self._sweeps_completed
-
-    def _demote(self, exc: BaseException) -> None:
-        """Pin the run to the serial loop after a process failure, warning loudly."""
-        reason = f"{type(exc).__name__}: {exc}"
-        self._demoted = True
-        self.degradations.append(("process", "serial", reason))
-        # The engine already reset itself on the way out; close it so no
-        # pools or blocks linger while we run degraded.
-        self._engine.close()
-        warnings.warn(
-            f"'process' engine failed a sweep ({reason}); degrading "
-            "to 'serial' for the rest of the run",
-            RobustnessWarning,
-            stacklevel=4,
-        )
-
-    def _sweep(self, op: str, **kwargs) -> dict[str, _R]:
-        """Run one sweep op over all layers on the active engine.
-
-        The serial loop calls the :data:`SWEEP_OPS` function on each
-        wrapper's own clusterer; the process engine ships
-        :class:`~repro.core.procpool.LayerTask` batches to its workers and
-        merges the outcomes back in layer insertion order: the worker's
-        final cluster state replaces the layer's, its
-        :class:`~repro.core.fastpath.FastPathStats` deltas fold into the
-        layer's step cache, the cache is marked *phantom-warm* for the
-        swept weight bytes, and any carried attention table is re-parked
-        -- after which the layer is indistinguishable (outputs, counters,
-        and subsequent cache behavior) from one swept serially, except
-        that the decomposition products are re-residented lazily on next
-        local use.
-
-        **Degradation** (always on): an infrastructure failure -- the
-        engine's respawn budget running out
-        (:class:`~repro.core.faults.PoolExhausted`), a broken pool, a lost
-        shm block -- demotes the run to the serial loop with a
-        :class:`~repro.core.faults.RobustnessWarning` and re-runs the
-        sweep there.  The re-run is bit-safe because a failed process
-        sweep merges *nothing*: the engine raises before any outcome
-        touches a wrapper.  Op exceptions (bad math, bad kwargs) are not
-        absorbed -- they are deterministic and would fail serially too.
-        """
-        if self.active_backend == "process":
-            try:
-                results = self._process_sweep(op, **kwargs)
-            except _INFRA_FAILURES as exc:
-                self._demote(exc)
-        if self.active_backend == "serial":
-            results = {
-                name: SWEEP_OPS[op](wrapper.clusterer, wrapper.inner.weight, **kwargs)
-                for name, wrapper in self.wrapped.items()
-            }
-        self._sweeps_completed += 1
+        results = {
+            name: SWEEP_OPS[op](wrapper.clusterer, wrapper.inner.weight, **kwargs)
+            for name, wrapper in self.wrapped.items()
+        }
+        self.sweeps_completed += 1
         return results
-
-    def _process_sweep(self, op: str, **kwargs) -> dict[str, _R]:
-        """One sweep attempt on the process engine (no demotion, no retry)."""
-        outcomes = self._process_engine().map_layers(
-            op,
-            [
-                (name, wrapper.clusterer, wrapper.inner.weight)
-                for name, wrapper in self.wrapped.items()
-            ],
-            **kwargs,
-        )
-        results: dict[str, _R] = {}
-        for name, wrapper in self.wrapped.items():
-            outcome = outcomes[name]
-            wrapper.clusterer.state = outcome.state
-            cache = wrapper.step_cache
-            cache.absorb(outcome.stats)
-            cache.mark_computed(
-                wrapper.inner.weight, wrapper.dkm_config.weight_dtype
-            )
-            if outcome.table is not None:
-                cache.store_table(*outcome.table)
-            results[name] = outcome.result
-        return results
-
-    def transport_stats(self) -> "TransportStats | None":
-        """The process engine's per-sweep shipping counters, if it ran.
-
-        ``None`` for the serial loop (nothing is pickled) and
-        before the first process sweep.  The ``last_sweep_*`` fields show
-        the delta-shipping effect directly: a warm sweep's
-        ``last_sweep_delta_tasks`` equals the layer count and its
-        ``last_sweep_bytes`` undercuts the cold full-task sweep's (see
-        ``python -m repro.bench engine``); ``bytes_shipped`` reconciles
-        exactly with the traffic ledger's ``shard:ship:*`` total.
-        """
-        return self._engine.transport if self._engine is not None else None
-
-    def fault_log(self) -> "FaultLog | None":
-        """The chaos injector's event log, if a fault plan is armed.
-
-        ``None`` when ``config.fault_plan`` is unset or no process
-        engine has been created yet; fault injection only instruments the
-        process engine (the serial loop has no workers to kill, hang, or
-        corrupt payloads for).
-        """
-        return self._engine.fault_log if self._engine is not None else None
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
@@ -646,46 +454,8 @@ class ModelCompressor:
 
         return load_checkpoint(self, path)
 
-    def restore_progress(
-        self, sweeps_completed: int, active_backend: "str | None" = None
-    ) -> None:
-        """Reinstall checkpointed progress markers (used by resume).
-
-        A degraded run resumes degraded: whatever infrastructure failure
-        forced the demotion (a flaky node, a reaped ``/dev/shm``) is
-        assumed to outlive the restart, so a checkpoint that records
-        ``"serial"`` pins the resumed run to the serial loop.  Anything
-        else runs on the engine the configured ``num_workers`` picks.
-        """
-        self._sweeps_completed = sweeps_completed
-        if active_backend == "serial":
-            self._demoted = True
-
-    def close(self) -> None:
-        """Release the process engine: shut the pool down, unlink shm.
-
-        No-op on the serial loop and safe to call repeatedly;
-        a compressor is also usable again afterwards (the next process
-        sweep rebuilds pool and exports).  ``ModelCompressor`` is a
-        context manager for exactly this cleanup.
-        """
-        if self._engine is not None:
-            self._engine.close()
-
-    def __enter__(self) -> "ModelCompressor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def refine_all(self, cache_table: bool = False) -> dict[str, ClusterState]:
-        """Converge every layer's centroids; one engine task per layer.
-
-        Equivalent to calling ``wrapper.clusterer.refine`` on each wrapped
-        layer in insertion order, and bit-identical to that serial sweep:
-        layers share no clustering state, so the fan-out cannot reorder any
-        floating-point reduction *within* a layer.
-        """
+        """Converge every layer's centroids, in layer insertion order."""
         return self._sweep("refine", cache_table=cache_table)
 
     def precluster(self, compute_error: bool = False) -> dict[str, LayerClusterResult]:
@@ -722,8 +492,7 @@ class ModelCompressor:
         """Palettize all clustered layers and embeddings; report sizes.
 
         The per-layer palettization (refine + hard assign + pack) is one
-        engine sweep; embeddings and the byte accounting stay on the
-        calling thread.
+        sweep; embeddings and the byte accounting follow it.
         """
         report = CompressionReport()
         report.palettized.update(self._sweep("palettize", bits=self.dkm_config.bits))

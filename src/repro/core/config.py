@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 
-from repro.core.faults import FaultPlan, check_plan
 from repro.distributed.learner import LearnerGroup
 from repro.tensor.dtype import DType, bfloat16, get_dtype
 
@@ -14,8 +12,8 @@ def config_to_dict(config) -> dict:
     """Every dataclass field of ``config`` as JSON-safe primitives.
 
     Keys come from ``fields()``, so a removed field cannot leave a stale
-    key behind.  ``weight_dtype`` serializes by name, ``skip_names`` as a
-    list, ``retry`` as a nested dict, and an armed ``fault_plan`` refuses
+    key behind.  ``weight_dtype`` serializes by name, ``retry`` as a
+    nested dict, and an armed ``fault_plan`` refuses
     to serialize: fault plans are in-memory chaos-test instruments, and
     silently dropping one would make a persisted artifact claim a
     cleaner run than actually happened.
@@ -29,8 +27,6 @@ def config_to_dict(config) -> dict:
     payload.pop("fault_plan", None)
     if "weight_dtype" in payload:
         payload["weight_dtype"] = payload["weight_dtype"].name
-    if "skip_names" in payload:
-        payload["skip_names"] = list(payload["skip_names"])
     if "retry" in payload:
         payload["retry"] = payload["retry"].to_dict()
     return payload
@@ -48,8 +44,6 @@ def config_from_dict(cls, payload: dict):
     payload = dict(payload)
     if "weight_dtype" in payload:
         payload["weight_dtype"] = get_dtype(payload["weight_dtype"])
-    if "skip_names" in payload:
-        payload["skip_names"] = tuple(payload["skip_names"])
     if "retry" in payload:
         payload["retry"] = RetryPolicy.from_dict(payload["retry"])
     return cls(**payload)
@@ -57,40 +51,28 @@ def config_from_dict(cls, payload: dict):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a supervisor times out, retries, backs off and respawns.
+    """How the serving scheduler times out, retries, backs off and respawns.
 
-    One policy shape for both supervisors: the process compression
-    engine (``CompressorConfig.retry``, default ``(None, 2, 0.05, 8)``)
-    and the serving scheduler (``ServingConfig.retry``, default
-    ``(None, 2, 0.02, 4)``).
+    ``ServingConfig.retry`` holds one; the defaults are the server's.
 
     Attributes:
-        timeout_s: watchdog deadline.  Compression: per shipped task (a
-            slot batch of ``n`` tasks gets ``n * timeout_s`` before its
-            worker is declared hung, killed, and respawned).  Serving:
-            per decode step (a step still running is declared hung and
-            its loop generation revoked).  ``None`` (default) disables
-            the watchdog.
-        retries: bounded re-attempts of one failing unit.  Compression:
-            re-shipments of a slot batch per sweep before it runs
-            in-parent; a layer whose batches fall back ``retries + 1``
-            times is quarantined (executed in-parent for the rest of the
-            run).  Serving: retries of a decode step that raised
+        timeout_s: watchdog deadline per decode step (a step still
+            running is declared hung and its loop generation revoked).
+            ``None`` (default) disables the watchdog.
+        retries: retries of a decode step that raised
             :class:`~repro.serving.faults.TransientStepError` before its
             batch fails with ``StepFailed``.
         backoff_s: base sleep before re-attempt ``n`` after a transient
             failure, ``backoff_s * 2**(n - 1)`` (see :meth:`backoff`).
-        respawns: worker (compression) or scheduler-loop (serving)
-            respawn budget for the supervisor's lifetime.  Past it the
-            engine raises :class:`~repro.core.faults.PoolExhausted`,
-            which demotes the compression run to the serial loop, and
-            the server is marked dead and rejects work.
+        respawns: scheduler-loop respawn budget for the server's
+            lifetime.  Past it the server is marked dead and rejects
+            work.
     """
 
     timeout_s: float | None = None
     retries: int = 2
-    backoff_s: float = 0.05
-    respawns: int = 8
+    backoff_s: float = 0.02
+    respawns: int = 4
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -174,83 +156,6 @@ class DKMConfig:
 
 
 @dataclass
-class CompressorConfig:
-    """Model-level compression engine knobs (see ``ModelCompressor``).
-
-    Attributes:
-        num_workers: which engine runs the per-layer ``refine`` /
-            ``hard_assign`` / ``palettize`` sweeps, after capping at the
-            layer count (:meth:`resolve_workers`).  ``1`` (default) loops
-            on the calling thread; ``N >= 2`` fans out over ``N`` spawned
-            single-worker slots ("nodes") of the process engine, fed
-            zero-copy ``multiprocessing.shared_memory`` weight views:
-            layers are pinned to slots by weight *bytes*, derived state
-            stays worker-resident across sweeps, and warm sweeps ship only
-            ``O(k)`` *deltas* (see ``docs/sharding.md``).  Both engines are
-            bit-identical: every layer runs in exactly one place and
-            results merge back in layer insertion order.  ``0`` means "one
-            worker per visible CPU".  A process engine's width is fixed
-            for its life: a changed value makes the next sweep a cold
-            start.
-        embedding_bits: post-training palettization width for embeddings
-            (paper: "we also compressed the embedding layers with 8 bits").
-        skip_names: module-path prefixes exempted from wrapping.
-        retry: the process engine's :class:`RetryPolicy` -- the
-            per-task watchdog deadline, the re-shipments of a failing
-            slot batch before it runs in-parent (crash, hang, stale
-            cache, corrupt payload, lost shm block, transient worker
-            error; only transient failures sleep the backoff, a respawn
-            is its own delay), quarantine after ``retries + 1``
-            fallbacks of one layer, and the worker-respawn budget whose
-            exhaustion demotes the run to the serial loop.
-        fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
-            process engine's deterministic fault injector (chaos
-            testing); it may only hold ``"compression"`` kinds of
-            :data:`~repro.core.faults.FAULT_KINDS` and needs
-            ``num_workers != 1`` (the serial loop has no workers to
-            fault).  ``None`` (default) injects nothing.
-    """
-
-    num_workers: int = 1
-    embedding_bits: int = 8
-    skip_names: tuple[str, ...] = ()
-    retry: RetryPolicy = RetryPolicy()
-    fault_plan: FaultPlan | None = None
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        check_plan(self.fault_plan, "compression")
-        if self.fault_plan is not None and self.num_workers == 1:
-            raise ValueError(
-                "a fault_plan needs the process engine (num_workers >= 2); "
-                "num_workers=1 runs the serial loop, where it would never fire"
-            )
-
-    def resolve_workers(self, n_tasks: int) -> int:
-        """Effective width for ``n_tasks`` independent layers: 1 is the
-        serial loop, ``>= 2`` the process engine's slot count."""
-        workers = self.num_workers if self.num_workers > 0 else (os.cpu_count() or 1)
-        return max(1, min(workers, n_tasks))
-
-    def to_dict(self) -> dict:
-        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly;
-        refuses while a ``fault_plan`` is armed (see :func:`config_to_dict`)."""
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CompressorConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output
-        (unknown keys raise ``ValueError``)."""
-        return config_from_dict(cls, payload)
-
-
-SEARCH_STRATEGIES = ("graph", "storage-id")
-"""Marshal lookup strategies: the paper's hop-limited forward-graph walk
-and the storage-identity oracle its tests and ablations compare against."""
-
-
-@dataclass
 class EDKMConfig:
     """The eDKM memory pipeline: which of M / U / S are enabled.
 
@@ -268,12 +173,11 @@ class EDKMConfig:
       is constructible; an *explicit* ``shard=True`` without a group is
       still rejected.
 
-    ``search_strategy`` selects how the marshal registry locates an
-    existing host copy: ``"graph"`` (paper Section 2.1, at most
-    ``hop_budget`` hops) or ``"storage-id"`` (identity oracle).  Both
-    assume the step-scoped immutability contract: saved storages are not
-    written in place between save and reuse, and the registry is cleared
-    between steps because weights change.
+    ``hop_budget`` bounds the marshal registry's forward-graph walk
+    (paper Section 2.1).  The walk assumes the step-scoped immutability
+    contract: saved storages are not written in place between save and
+    reuse, and the registry is cleared between steps because weights
+    change.
     """
 
     offload: bool = True
@@ -281,16 +185,10 @@ class EDKMConfig:
     uniquify: bool = True
     shard: bool | None = None
     hop_budget: int = 4
-    search_strategy: str = "graph"
     group: LearnerGroup | None = None
     shard_min_bytes: int = 4096
 
     def __post_init__(self) -> None:
-        if self.search_strategy not in SEARCH_STRATEGIES:
-            raise ValueError(
-                f"unknown search strategy {self.search_strategy!r}; "
-                f"expected one of {SEARCH_STRATEGIES}"
-            )
         if self.hop_budget < 0:
             raise ValueError("hop_budget must be >= 0")
         if self.shard is None:

@@ -20,21 +20,17 @@ Each :class:`~repro.core.dkm.DKMClusterer` owns one cache, so multi-layer
 models amortize per layer independently; :class:`repro.core.compressor.
 ModelCompressor` aggregates the per-layer hit counters for reporting.
 
-**Process-pool semantics.**  When the compression engine fans a sweep out
-over *processes*, a worker computes the decomposition in its own address
-space and only small results plus :class:`FastPathStats` deltas are
-pickled back (shipping the ``O(|W|)`` index list home would cost more
-than it saves).  The parent cache then holds a *phantom* entry
+**Phantom entries.**  A checkpoint resume (:mod:`repro.core.checkpoint`)
+restores a layer that was warm when it was saved as a *phantom* entry
 (:meth:`StepCache.mark_computed`): the (storage, version, view) key is
 known-computed, but the products are not resident.  Counters track
 *logical* cache validity -- a ``uniquify`` call against a matching
 phantom key records a **hit** (the decomposition for those exact bytes
-was already computed somewhere this step) while transparently recomputing
-and re-residenting the products locally.  This keeps the per-layer
-hit/miss counters bit-identical between the serial loop and the process
-engine for any sequence of sweeps; the physical recompute count is
-still observable via :func:`repro.core.uniquify.uniquify_call_count`,
-which only ever counts computations in the calling process.
+was already computed before the restart) while transparently
+recomputing and re-residenting the products locally.  This keeps the
+per-layer hit/miss counters of a resumed run bit-identical to an
+uninterrupted one; the physical recompute count is still observable via
+:func:`repro.core.uniquify.uniquify_call_count`.
 
 Footprint: between steps the cache retains the layer's
 :class:`~repro.core.uniquify.UniquifiedWeights` -- dominated by the
@@ -82,15 +78,8 @@ class FastPathStats:
         )
 
     def diff(self, baseline: "FastPathStats") -> "FastPathStats":
-        """The element-wise delta of this snapshot over ``baseline``.
-
-        The process engine's counter transport: a worker snapshots
-        its resident cache's counters before running a task and ships
-        ``after.diff(before)`` home, so the parent's :meth:`StepCache.
-        absorb` folds in exactly the increments this task caused --
-        cumulative worker-local counters never double-count, and the
-        merged totals reconcile bit-identical with the serial sweep.
-        """
+        """The element-wise delta of this snapshot over ``baseline``
+        (what a run of sweeps added between two reports)."""
         return FastPathStats(
             uniquify_hits=self.uniquify_hits - baseline.uniquify_hits,
             uniquify_misses=self.uniquify_misses - baseline.uniquify_misses,
@@ -159,9 +148,9 @@ class StepCache:
 
         Against a matching *phantom* entry (see :meth:`mark_computed`) this
         records a hit -- the decomposition of these exact bytes was already
-        computed, just not in this process -- and recomputes the products
-        locally, promoting the entry to resident so subsequent calls are
-        ordinary hits.
+        computed, just not resident here -- and recomputes the products,
+        promoting the entry to resident so subsequent calls are ordinary
+        hits.
         """
         with self._lock:
             matches = self._key_matches(weights, dtype)
@@ -185,19 +174,17 @@ class StepCache:
 
     def is_warm(self, weights: "Tensor", dtype: DType) -> bool:
         """Whether a ``uniquify`` for ``weights`` would be a (possibly
-        phantom) hit -- the token the process engine ships to workers so
-        their fresh caches count the sweep exactly as the serial engine
-        would."""
+        phantom) hit -- the warm token a checkpoint records per layer."""
         with self._lock:
             return self._key_matches(weights, dtype)
 
     def mark_computed(self, weights: "Tensor", dtype: DType) -> None:
         """Install a phantom entry: key known-computed, products elsewhere.
 
-        Called by the process engine after a worker confirmed computing
-        the decomposition for exactly these weight bytes.  A resident
-        entry for the same key is left untouched (it is strictly better);
-        any entry for a different key is dropped first.
+        Called by checkpoint resume for a layer whose cache covered
+        exactly these weight bytes when it was saved.  A resident entry
+        for the same key is left untouched (it is strictly better); any
+        entry for a different key is dropped first.
         """
         with self._lock:
             if self._key_matches(weights, dtype):
@@ -205,11 +192,6 @@ class StepCache:
             self.invalidate()
             self._storage_ref = weakref.ref(weights.storage)
             self._key = self._weight_key(weights, dtype)
-
-    def absorb(self, delta: FastPathStats) -> None:
-        """Fold a worker's counter deltas into this cache's counters."""
-        with self._lock:
-            self.stats = self.stats.merge(delta)
 
     def restore_counters(self, stats: FastPathStats) -> None:
         """Overwrite the hit/miss counters with a checkpointed snapshot.
@@ -233,10 +215,7 @@ class StepCache:
 
         Accepted against a resident entry whose row count matches, or
         against a *phantom* entry (key known-computed, products
-        non-resident): the only phantom writer is the process engine's
-        merge step, which hands over a table the worker computed from the
-        exact bytes the phantom key covers, so the row count is consistent
-        by construction.  With no live entry at all the call is ignored.
+        non-resident).  With no live entry at all the call is ignored.
         """
         with self._lock:
             if self._key is None:
@@ -269,19 +248,6 @@ class StepCache:
                 return self._table
             self.stats.table_misses += 1
             return None
-
-    def peek_table(self) -> tuple[np.ndarray, float, np.ndarray] | None:
-        """The carried ``(centroids, temperature, table)`` without counting.
-
-        Used by process-pool workers to extract the table their refine
-        parked, so the parent can re-park it (counter-free on both ends --
-        the transfer is transport, not a cache probe).
-        """
-        with self._lock:
-            if self._table is None or self._table_centroids is None:
-                return None
-            assert self._table_temperature is not None
-            return (self._table_centroids, self._table_temperature, self._table)
 
     def invalidate(self) -> None:
         """Drop all cached products (weights changed out from under us)."""

@@ -14,8 +14,10 @@ tensor through data-storage-invariant operations (view, transpose, expand,
 slice, ...) for at most ``hop_budget`` hops, looking for a tensor already
 registered as offloaded.  The paper found 4 hops sufficient; an oracle
 ``"storage-id"`` strategy (a dict keyed on storage identity) is provided for
-ablation.  Both strategies thread probe-cost counters through
-:class:`~repro.core.config.PipelineStats`.
+ablation: Fig. 2 and the strategy tests build a
+``MarshalRegistry(strategy="storage-id")`` and assign it to
+``SavedTensorPipeline.registry``.  Both strategies thread probe-cost
+counters through :class:`~repro.core.config.PipelineStats`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from typing import Iterator
 from repro.core.config import PipelineStats
 from repro.distributed.collective import ShardedTensor
 from repro.tensor.tensor import Tensor
+
+SEARCH_STRATEGIES = ("graph", "storage-id")
+"""Marshal lookup strategies: the paper's hop-limited forward-graph walk
+and the storage-identity oracle its tests and ablations compare against."""
 
 
 class OffloadEntry:
@@ -63,7 +69,8 @@ class MarshalRegistry:
     """Tracks which tensors' storages already have host copies.
 
     Registration is keyed on tensor object identity (validated through a
-    weak reference); lookup is by graph walk or by storage identity.  A
+    weak reference); lookup is by graph walk (``strategy="graph"``, the
+    default) or by storage identity (``"storage-id"``, the oracle).  A
     registry instance scopes one forward/backward step.
 
     The tensor-id and storage-id tables cross-reference each other's key,
@@ -73,7 +80,13 @@ class MarshalRegistry:
     resolve to the wrong entry.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, strategy: str = "graph") -> None:
+        if strategy not in SEARCH_STRATEGIES:
+            raise ValueError(
+                f"unknown search strategy {strategy!r}; "
+                f"expected one of {SEARCH_STRATEGIES}"
+            )
+        self.strategy = strategy
         # Reentrant: public entry points lock, private helpers assume the
         # caller holds it (the repolint RL101/RL102 convention).
         self._lock = threading.RLock()
@@ -117,7 +130,6 @@ class MarshalRegistry:
         self,
         tensor: Tensor,
         hop_budget: int,
-        strategy: str,
         stats: PipelineStats | None = None,
     ) -> tuple[OffloadEntry | None, int, list[str]]:
         """Locate an existing entry for ``tensor``'s data storage.
@@ -126,17 +138,15 @@ class MarshalRegistry:
         storage-invariant ops connecting the found tensor back to the new
         one (the "required ops for future retrieval" of Fig. 2b).  When
         ``stats`` is given, the probe's cost and hit/miss outcome are
-        recorded under the strategy's name.
+        recorded under the registry's strategy name.
         """
         with self._lock:
-            if strategy == "storage-id":
+            if self.strategy == "storage-id":
                 result = self._find_by_storage(tensor)
-            elif strategy == "graph":
-                result = self._find_by_graph(tensor, hop_budget, stats)
             else:
-                raise ValueError(f"unknown search strategy {strategy!r}")
+                result = self._find_by_graph(tensor, hop_budget, stats)
         if stats is not None:
-            stats.record_probe(strategy, hit=result[0] is not None)
+            stats.record_probe(self.strategy, hit=result[0] is not None)
         return result
 
     # -- eviction (both sides, see class docstring) ---------------------

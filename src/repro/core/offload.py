@@ -104,7 +104,7 @@ class SavedTensorPipeline:
 
         if cfg.marshal:
             entry, hops, trace = self.registry.find(
-                tensor, cfg.hop_budget, cfg.search_strategy, self.stats
+                tensor, cfg.hop_budget, self.stats
             )
             if entry is not None:
                 self.stats.record_hit(hops, tensor.storage.nbytes)

@@ -13,7 +13,6 @@ from repro.distributed.collective import (
     ShardedTensor,
     ShardView,
     all_gather,
-    logical_nbytes,
     shard_rows,
     shard_storage,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "ShardedTensor",
     "ShardView",
     "all_gather",
-    "logical_nbytes",
     "shard_rows",
     "shard_storage",
 ]

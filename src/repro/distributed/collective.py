@@ -32,19 +32,6 @@ from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor, contiguous_strides
 
 
-def logical_nbytes(tensor: Tensor) -> int:
-    """Bytes of ``tensor``'s own elements, independent of its storage.
-
-    ``Tensor.nbytes`` reports the *storage* footprint, which a view (a
-    row slice, a transpose) shares with every sibling view -- correct for
-    memory accounting, wrong for traffic accounting: a collective moves
-    only the view's elements, not its whole backing storage.  The ledger
-    rows of this module are in these logical bytes, and the process
-    engine's byte-balanced placement sizes layers with this function.
-    """
-    return tensor.numel * tensor.dtype.itemsize
-
-
 class ShardView(NamedTuple):
     """One learner's rows of a :class:`ShardedTensor`, for inspection:
     ``data`` is a read-only window onto the owner's buffer, so looking at a

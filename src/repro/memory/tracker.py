@@ -23,7 +23,11 @@ class MemoryTracker:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = threading.Lock()
+        # Reentrant: a Storage's finalizer calls ``release``, and the
+        # garbage collector can run it on any allocation -- including one
+        # this thread makes while it holds the lock (``snapshot`` builds
+        # its result under it).  A plain Lock would deadlock there.
+        self._lock = threading.RLock()
         self._current = 0
         self._peak = 0
         self._alloc_count = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import RetryPolicy, config_from_dict, config_to_dict
-from repro.core.faults import FaultPlan, check_plan
+from repro.core.faults import FaultPlan
 
 EVAL_PATHS = ("palette", "dense")
 """Eval-mode execution paths for compressed layers: ``"palette"`` runs the
@@ -62,7 +62,7 @@ class ServingConfig:
             backoff, and the loop-respawn budget after which the server
             fails over to rejecting work (dead-loop admission raises
             :class:`~repro.serving.queue.ServerClosed`).  Default
-            ``RetryPolicy(None, 2, 0.02, 4)``: watchdog off.
+            ``RetryPolicy()``, i.e. ``(None, 2, 0.02, 4)``: watchdog off.
         join_timeout_s: how long :meth:`PaletteServer.stop` waits for the
             scheduler thread to exit before escalating (warn, zombify the
             loop, fail whatever is still in flight) instead of
@@ -76,10 +76,9 @@ class ServingConfig:
             serves dense before the breaker re-enables its palette path
             (doubled on each re-trip, capped at 8x).
         fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
-            server's deterministic fault injector (chaos testing); it may
-            only hold ``"serving"`` kinds of
-            :data:`~repro.core.faults.FAULT_KINDS`.  ``None`` (default)
-            injects nothing.
+            server's deterministic fault injector (chaos testing), over
+            the kinds of :data:`~repro.core.faults.FAULT_KINDS`.  ``None``
+            (default) injects nothing.
     """
 
     max_batch_size: int = 8
@@ -89,7 +88,7 @@ class ServingConfig:
     tile_cache_bytes_limit: int = 0
     temperature: float = 0.0
     poll_interval_s: float = 0.005
-    retry: RetryPolicy = RetryPolicy(backoff_s=0.02, respawns=4)
+    retry: RetryPolicy = RetryPolicy()
     join_timeout_s: float = 5.0
     drain_timeout_s: float = 30.0
     breaker_threshold: int = 2
@@ -135,13 +134,16 @@ class ServingConfig:
                 "breaker_probation_steps must be >= 1, "
                 f"got {self.breaker_probation_steps}"
             )
-        check_plan(self.fault_plan, "serving")
+        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
+            raise ValueError(
+                "fault_plan must be a FaultPlan or None, "
+                f"got {type(self.fault_plan).__name__}"
+            )
 
     def to_dict(self) -> dict:
         """A plain-primitive dict that :meth:`from_dict` rebuilds exactly;
-        refuses while a ``fault_plan`` is armed -- the same contract, and
-        the same :func:`~repro.core.config.config_to_dict`, as
-        ``CompressorConfig``."""
+        refuses while a ``fault_plan`` is armed (see
+        :func:`~repro.core.config.config_to_dict`)."""
         return config_to_dict(self)
 
     @classmethod

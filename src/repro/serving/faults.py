@@ -4,8 +4,8 @@ A serving process will see a palette kernel raise on a bad layout, a
 cached dequantized tile rot in memory, and a decode step wedge or stall
 long before it sees a clean crash; the supervised scheduler in
 :mod:`repro.serving.server` recovers from all of them.  The trigger is
-the one deterministic injector of :mod:`repro.core.faults`: its
-:data:`~repro.core.faults.FAULT_KINDS` table holds the serving kinds
+the deterministic injector of :mod:`repro.core.faults`: its
+:data:`~repro.core.faults.FAULT_KINDS` table holds the five kinds
 (``kernel_error``, ``corrupt_tile``, ``hang_step``, ``delay_step``,
 ``transient_step``), armed via ``ServingConfig.fault_plan`` and fired
 by the server at the first decode step at or after each spec's

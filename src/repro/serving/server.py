@@ -12,8 +12,7 @@ hot-tile LRU.  Per-request bytes flow into
 :meth:`PaletteServer.stats` renders everything into a
 :class:`~repro.serving.stats.StatsReport`.
 
-The scheduler is *supervised* (the serving counterpart of the
-compression engine's chaos discipline, PR 6):
+The scheduler is *supervised*:
 
 - **Crash boundary.**  A decode step that raises fails only that batch's
   requests -- each future gets a typed

@@ -101,9 +101,8 @@ class DType:
         """Pickle by name so unpickling returns the interned singleton.
 
         Dispatch throughout the engine compares dtypes by identity
-        (``dtype is bfloat16``); a structurally-pickled copy crossing a
-        process boundary -- e.g. a ``DKMConfig`` shipped to a pool worker --
-        would silently fail every such check.
+        (``dtype is bfloat16``); a structurally-pickled copy -- e.g. inside
+        a pickled ``DKMConfig`` -- would silently fail every such check.
         """
         return (get_dtype, (self.name,))
 

@@ -1,62 +1,19 @@
-"""Tensor serialization: ``.npz`` state-dicts and the shared-memory codec.
+"""Tensor serialization: ``.npz`` state-dicts.
 
-Two transports live here:
-
-- :func:`save_state` / :func:`load_state` -- durable name->tensor archives
-  (npz payload + a JSON sidecar carrying the *logical* dtypes numpy cannot
-  represent, e.g. bfloat16).
-- the **shm codec** -- zero-copy hand-off of a tensor between processes on
-  one host via ``multiprocessing.shared_memory``.  The exporting process
-  copies the tensor's physical storage buffer into a named block once
-  (:func:`export_tensor_shm`); any number of worker processes then
-  reconstruct a read-only view over the *same* pages
-  (:func:`attach_tensor_shm`) from a tiny picklable
-  :class:`ShmTensorHandle`, so fanning a sweep out over a process pool
-  ships O(metadata) per task instead of O(weight bytes).
-
-Lifecycle rules of the codec (enforced by :class:`ShmExport` /
-:class:`ShmLease`):
-
-- the exporter owns the block: ``ShmExport.close()`` unmaps *and unlinks*
-  it; every attach is read-only and must be closed by the worker --
-  either transiently per task, or held *pinned* across tasks through a
-  :class:`ShmLeaseRegistry`, which re-attaches automatically when the
-  exporter rotates a block.
-- attaching never takes resource-tracker *ownership* of the block
-  (``track=False`` on Python >= 3.13; on older interpreters the attach's
-  registration is harmless because workers share the exporter's tracker
-  and the exporter's ``unlink`` clears the per-name entry exactly once --
-  see :func:`_open_shm_untracked` for why it must *not* be explicitly
-  unregistered).
-- blocks are sized off ``Storage.physical_nbytes`` -- the numpy buffer,
-  not the logical accounting -- because simulated dtypes (bfloat16) store
-  wider than they account.
-- an attach against an unlinked block raises the typed :class:`ShmLost`
-  (a ``FileNotFoundError`` subclass that pickles across the pool
-  boundary), which the process engine treats as a recoverable fault:
-  drop the stale export, re-export, re-ship.
-- a module-level ``atexit`` backstop unlinks every block still owned by
-  a live :class:`ShmExport` when the interpreter exits, so a parent that
-  dies between sweeps without running ``close()`` cannot leak
-  ``/dev/shm`` segments (``kill -9`` excepted -- no exit hook survives
-  that; the checkpoint journal covers recovery instead).
+:func:`save_state` / :func:`load_state` write and read durable
+name->tensor archives: an npz payload plus a JSON sidecar carrying the
+*logical* dtypes numpy cannot represent (e.g. bfloat16).
 """
 
 from __future__ import annotations
 
-import atexit
-import errno
 import json
 import os
-import weakref
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.tensor.device import CPU, Device, device as as_device
 from repro.tensor.dtype import get_dtype
-from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor
 
 
@@ -92,335 +49,3 @@ def _sidecar(path: str) -> str:
     base = path[:-4] if path.endswith(".npz") else path
     return base + ".dtypes.json"
 
-
-# ----------------------------------------------------------------------
-# Shared-memory codec
-# ----------------------------------------------------------------------
-
-
-class ShmLost(FileNotFoundError):
-    """A shared-memory block named by a live handle no longer exists.
-
-    The typed form of the codec's one external failure mode: the block
-    was unlinked out from under a handle -- a crashed exporter, an
-    overzealous ``/dev/shm`` reaper, or the fault injector.  Subclasses
-    ``FileNotFoundError`` so pre-existing callers keep working, but
-    carries the block name and pickles cleanly across the process-pool
-    boundary, so the parent engine can recover (drop the stale export,
-    re-export, re-ship) instead of pattern-matching on ``errno``.
-    """
-
-    def __init__(self, shm_name: str):
-        super().__init__(
-            errno.ENOENT,
-            f"shared-memory block {shm_name!r} is gone (unlinked or never created)",
-        )
-        self.shm_name = shm_name
-
-    def __reduce__(self):
-        """Pickle by block name (OSError's default reduce would re-init
-        with ``(errno, message)`` and crash on this signature)."""
-        return (type(self), (self.shm_name,))
-
-
-# Every live ShmExport, tracked weakly for the atexit backstop below.
-_LIVE_EXPORTS: "weakref.WeakSet[ShmExport]" = weakref.WeakSet()
-
-
-def _atexit_unlink_exports() -> None:
-    """Unlink every block still owned by a live export at interpreter exit.
-
-    Each export already has a ``weakref.finalize`` safety net, but a
-    parent that exits while an engine (and therefore its export cache)
-    is still strongly referenced -- an uncaught exception between sweeps,
-    a bare ``sys.exit`` -- would otherwise rely on interpreter-teardown
-    GC ordering to run those finalizers.  This hook makes the guarantee
-    unconditional for any exit that runs ``atexit`` at all (nothing can
-    help after ``kill -9``; crash *recovery* for that case is the
-    checkpoint journal's job).  It unlinks the raw block directly rather
-    than going through ``export.close()``, so it still works when an
-    export's finalizer was detached or already consumed.
-    """
-    for export in list(_LIVE_EXPORTS):
-        try:
-            _destroy_shm(export.shm)
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-
-atexit.register(_atexit_unlink_exports)
-
-
-@dataclass(frozen=True)
-class ShmTensorHandle:
-    """Picklable descriptor of a tensor exported to a shared-memory block.
-
-    Carries everything a worker needs to rebuild a zero-copy view: the
-    block name, the logical dtype *name* (resolved back to the interned
-    :class:`~repro.tensor.dtype.DType` on attach), the storage element
-    count, and the (shape, strides, offset) view metadata.  ``version`` is
-    the source storage's in-place-write counter at export time, so the
-    exporter can detect that a handle has gone stale after an optimizer
-    step without re-hashing any bytes.
-    """
-
-    shm_name: str
-    dtype_name: str
-    storage_numel: int
-    shape: tuple[int, ...]
-    strides: tuple[int, ...]
-    offset: int
-    version: int
-    device_name: str = "cpu"
-
-
-class ShmExport:
-    """Owner of one exported block: closes *and unlinks* on ``close()``.
-
-    A safety-net ``weakref.finalize`` unlinks the block if the owner is
-    garbage collected (or the interpreter exits) without an explicit
-    close, so a crashed sweep cannot leak ``/dev/shm`` segments.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, handle: ShmTensorHandle):
-        self.shm = shm
-        self.handle = handle
-        self._finalizer = weakref.finalize(self, _destroy_shm, shm)
-        _LIVE_EXPORTS.add(self)
-
-    @property
-    def name(self) -> str:
-        """The block's name (what :func:`attach_tensor_shm` opens)."""
-        return self.handle.shm_name
-
-    def close(self) -> None:
-        """Unmap and unlink the block.  Idempotent."""
-        self._finalizer()
-
-    def __enter__(self) -> "ShmExport":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _destroy_shm(shm: shared_memory.SharedMemory) -> None:
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - stray view still alive
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def _open_shm_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without taking tracker ownership.
-
-    Python >= 3.13 exposes ``track=False`` for exactly this.  On older
-    interpreters the attach registers the name with the resource tracker;
-    that is harmless *and must be left in place*: pool workers share the
-    exporting process's tracker (spawn hands children the tracker fd), its
-    cache is a per-name set, so the attach-side registration is idempotent
-    with the exporter's own and is cleared exactly once by the exporter's
-    ``unlink``.  Explicitly unregistering here would strip the exporter's
-    entry from the shared tracker and make that later ``unlink`` a noisy
-    double-unregister.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
-def export_tensor_shm(tensor: Tensor, name: str | None = None) -> ShmExport:
-    """Copy ``tensor``'s storage into a fresh shared-memory block.
-
-    The whole backing storage is exported (views share storages, so one
-    export serves every view of a weight) together with the tensor's view
-    metadata.  This is the codec's only byte copy; attaches are zero-copy.
-    A zero-size storage still allocates a 1-byte block (the OS refuses
-    empty segments); the handle's ``storage_numel`` keeps the truth.
-    """
-    _sweep_deferred_closes()
-    storage = tensor.storage
-    phys = storage.data
-    shm = shared_memory.SharedMemory(
-        create=True, size=max(1, storage.physical_nbytes), name=name
-    )
-    try:
-        staging = np.frombuffer(shm.buf, dtype=phys.dtype, count=phys.size)
-        staging[...] = phys
-        del staging
-        handle = ShmTensorHandle(
-            shm_name=shm.name,
-            dtype_name=storage.dtype.name,
-            storage_numel=storage.numel,
-            shape=tuple(tensor.shape),
-            strides=tuple(tensor.strides),
-            offset=int(tensor.offset),
-            version=int(storage.version),
-            device_name=storage.device.name,
-        )
-    except BaseException:
-        _destroy_shm(shm)
-        raise
-    return ShmExport(shm, handle)
-
-
-# Leases whose unmap had to wait for an outstanding view: (weakref to the
-# pinning buffer array, shm).  Plain weakrefs, no callbacks -- a weakref
-# *callback* fires mid-deallocation, before numpy has released its buffer
-# export, so closing from one still hits BufferError; polling the ref
-# instead guarantees the export is fully gone.  The strong shm reference
-# also keeps ``SharedMemory.__del__`` (which would warn) from ever running
-# on an un-closable mapping.
-_deferred_closes: list[tuple[weakref.ReferenceType, shared_memory.SharedMemory]] = []
-
-
-def _sweep_deferred_closes() -> None:
-    """Unmap any parked lease whose last pinning view has died."""
-    still_pinned = []
-    for ref, shm in _deferred_closes:
-        if ref() is not None:
-            still_pinned.append((ref, shm))
-            continue
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - export released lazily
-            still_pinned.append((ref, shm))
-    _deferred_closes[:] = still_pinned
-
-
-class ShmLease:
-    """A worker-side attachment: tensor view + the duty to close it.
-
-    ``tensor`` is valid only while the lease is open.  ``close()`` unmaps
-    the block immediately when nothing else references the mapped pages
-    (the worker path -- results were copied out first); if the caller
-    still holds the tensor (easy to do with the ``with ... as t``
-    binding), the mapping is parked and unmapped by the next codec call
-    after the last view dies, instead of raising ``BufferError``.  The
-    block is never *unlinked* here -- the exporter owns its lifetime.
-    """
-
-    def __init__(self, handle: ShmTensorHandle):
-        self.handle = handle
-        try:
-            self._shm: shared_memory.SharedMemory | None = _open_shm_untracked(
-                handle.shm_name
-            )
-        except FileNotFoundError as exc:
-            raise ShmLost(handle.shm_name) from exc
-        dtype = get_dtype(handle.dtype_name)
-        data = np.frombuffer(
-            self._shm.buf, dtype=dtype.np_storage, count=handle.storage_numel
-        )
-        # The pages are shared by every worker and reused across sweeps;
-        # a stray in-place write must fail loudly, not corrupt them all.
-        data.flags.writeable = False
-        self._data: np.ndarray | None = data
-        storage = Storage(data, dtype, as_device(handle.device_name))
-        self.tensor: Tensor | None = Tensor(
-            storage, handle.shape, handle.strides, handle.offset
-        )
-
-    def close(self) -> None:
-        """Release the lease; unmap now or as soon as the last view dies."""
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        data, self._data = self._data, None
-        self.tensor = None
-        data_ref = weakref.ref(data)
-        del data
-        try:
-            shm.close()
-        except BufferError:
-            _deferred_closes.append((data_ref, shm))
-        _sweep_deferred_closes()
-
-    def __enter__(self) -> Tensor:
-        assert self.tensor is not None
-        return self.tensor
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def attach_tensor_shm(handle: ShmTensorHandle) -> ShmLease:
-    """Open a zero-copy view of an exported tensor in this process.
-
-    Returns a :class:`ShmLease`; use it as a context manager (the yielded
-    tensor shares the exporter's physical pages and must not outlive the
-    lease).  Raises :class:`ShmLost` (a ``FileNotFoundError`` subclass)
-    if the block was already unlinked -- the signal tests use to verify
-    cleanup, and the signal the process engine recovers from by
-    re-exporting.
-    """
-    _sweep_deferred_closes()
-    return ShmLease(handle)
-
-
-class ShmLeaseRegistry:
-    """Long-lived lease pool keyed by a caller-chosen identity.
-
-    The transient attach/compute/close pattern re-maps a layer's pages on
-    every task; a *pinned* worker instead holds one lease per assigned
-    layer across sweeps.  ``acquire`` hands back the held lease while the
-    exported handle is unchanged (same block name, version, and view
-    metadata -- the frozen-dataclass equality of
-    :class:`ShmTensorHandle`), and transparently closes + re-attaches
-    when the exporter rotated the block (an optimizer write re-exported
-    the weight).  A key whose old block was unlinked under us still
-    re-attaches cleanly: the held mapping keeps the dead block's pages
-    alive only for this process and is released on rotation.
-
-    Not thread-safe -- a process-pool worker services one task at a time,
-    which is the intended habitat.  ``close_all`` releases every mapping
-    (worker shutdown / engine reset).
-    """
-
-    def __init__(self) -> None:
-        self._leases: dict[str, ShmLease] = {}
-
-    def __len__(self) -> int:
-        return len(self._leases)
-
-    def acquire(self, key: str, handle: ShmTensorHandle) -> ShmLease:
-        """The lease for ``key``, reused while ``handle`` is unchanged."""
-        held = self._leases.get(key)
-        if held is not None:
-            if held.handle == handle and held.tensor is not None:
-                return held
-            held.close()
-            del self._leases[key]
-        lease = attach_tensor_shm(handle)
-        self._leases[key] = lease
-        return lease
-
-    def release(self, key: str) -> None:
-        """Close and forget ``key``'s lease (missing keys are a no-op)."""
-        held = self._leases.pop(key, None)
-        if held is not None:
-            held.close()
-
-    def close_all(self) -> None:
-        """Release every held lease.  Idempotent."""
-        for key in list(self._leases):
-            self.release(key)
-
-
-def materialize_shm(handle: ShmTensorHandle) -> np.ndarray:
-    """Attach, copy the tensor's data out, detach.
-
-    The round-trip primitive: safe to call from any process, returns a
-    plain owned array (physical dtype), leaves the block mapped nowhere.
-    """
-    lease = attach_tensor_shm(handle)
-    try:
-        assert lease.tensor is not None
-        return lease.tensor.numpy()
-    finally:
-        lease.close()

@@ -57,24 +57,12 @@ class Storage:
     def numel(self) -> int:
         return int(self.data.size)
 
-    @property
-    def physical_nbytes(self) -> int:
-        """Bytes of the backing numpy buffer (not the logical accounting).
-
-        For natively-representable dtypes this equals ``nbytes``; for
-        simulated ones it differs -- bfloat16 is *accounted* at 2 bytes per
-        element but *stored* in a float32 buffer at 4.  Byte-level transports
-        (the shared-memory codec in :mod:`repro.tensor.serialization`) must
-        size their blocks off this figure, not ``nbytes``.
-        """
-        return int(self.data.size) * int(self.data.dtype.itemsize)
-
     def bump_version(self) -> None:
         """Record an in-place write to the buffer.
 
         Writers (optimizer steps, ``copy_``) run on the thread that owns the
-        training loop; the parallel compression engine only *reads* weights
-        from pool workers, and a stale read of ``version`` merely causes a
+        training loop; another thread (the serving scheduler) only *reads*
+        weights, and a stale read of ``version`` merely causes a
         step-cache recompute, never a wrong hit -- the cache validates the
         full (storage, version, view) key under its own lock.
         """

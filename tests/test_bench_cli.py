@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro.bench
-from repro.bench import engine
+from repro.bench import faults
 from repro.bench.__main__ import BENCHES, main
 
 #: Modules of the package that are not runners.
@@ -24,7 +24,7 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.core.faults.RobustnessWarning"
 )
 
-DETERMINISTIC = ("fig2", "engine", "serving", "serving_faults", "faults")
+DETERMINISTIC = ("fig2", "serving", "serving_faults", "faults")
 
 
 def _flip(result, path):
@@ -53,7 +53,7 @@ class TestRegistry:
         assert main(["--list"]) == 0
         assert capsys.readouterr().out.split() == list(BENCHES)
 
-    @pytest.mark.parametrize("argv", [["nope"], [], ["engine", "--workers", "2"]])
+    @pytest.mark.parametrize("argv", [["nope"], [], ["faults", "--workers", "2"]])
     def test_bad_command_line_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -63,11 +63,11 @@ class TestRegistry:
 
 class TestWriter:
     def test_json_artifact_is_stamped(self, tmp_path, capsys, monkeypatch, quick_result):
-        cached = quick_result("engine")
-        monkeypatch.setattr(engine, "run", lambda quick, seed: cached)
-        assert main(["engine", "--quick", "--seed", "3", "--out", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
-        assert payload["benchmark"] == "engine"
+        cached = quick_result("faults")
+        monkeypatch.setattr(faults, "run", lambda quick, seed: cached)
+        assert main(["faults", "--quick", "--seed", "3", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "BENCH_faults.json").read_text())
+        assert payload["benchmark"] == "faults"
         assert (payload["ok"], payload["failures"]) == (True, [])
         assert (payload["seed"], payload["quick"]) == (3, True)
         assert set(payload["host"]) == {
@@ -86,15 +86,15 @@ class TestWriter:
     def test_a_failed_gate_exits_1_and_is_listed(
         self, tmp_path, capsys, monkeypatch, quick_result
     ):
-        broken = _flip(quick_result("engine"), ("rows", 3, "bit_identical"))
-        monkeypatch.setattr(engine, "run", lambda quick, seed: broken)
-        assert main(["engine", "--quick", "--out", str(tmp_path)]) == 1
-        payload = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        broken = _flip(quick_result("faults"), ("resume_bit_identical",))
+        monkeypatch.setattr(faults, "run", lambda quick, seed: broken)
+        assert main(["faults", "--quick", "--out", str(tmp_path)]) == 1
+        payload = json.loads((tmp_path / "BENCH_faults.json").read_text())
         assert payload["ok"] is False
         assert payload["failures"] == [
-            "compute x2 sweep 1 (cold): outputs differ from serial"
+            "kill-then-resume: final outputs differ from uninterrupted run"
         ]
-        assert "engine: compute x2" in capsys.readouterr().err
+        assert "faults: kill-then-resume" in capsys.readouterr().err
 
     def test_paper_results_have_a_json_view(self):
         for name in ("table1", "fig2", "fig3", "claims"):
@@ -119,36 +119,20 @@ def quick_result():
 # name -> (path to one boolean field, words its failure message must carry)
 NEGATIVE_CASES = {
     "fig2": (("steps", 0, "counters_reconcile"), ("graph step counters", "reconcile")),
-    "engine": (
-        ("rows", 4, "stats_identical"), ("compute x2 sweep 2 (warm)", "counters"),
-    ),
     "serving": (("tokens_identical",), ("palette completions differ",)),
     "serving_faults": (
         ("rows", 0, "tokens_identical"), ("transient_step-c4", "offline reference"),
     ),
-    "faults": (("rows", 6, "log_reconciled"), ("hang", "fault log")),
+    "faults": (("resume_stats_identical",), ("kill-then-resume", "counters")),
 }
 
-# Further flags whose flip must surface as exactly one failure.  Quick engine
-# rows: compute x1 0-2, x2 3-5; dispatch x1 6-8, x2 9-11; skewed x1 12-15,
-# x2 16-19, x4 20-23 (skewed cells end with a fourth sweep).
+# Further flags whose flip must surface as exactly one failure.
 ALSO_GATED = [
-    ("engine", ("shm_cleaned",)),
-    ("engine", ("rows", 7, "bit_identical")),
-    ("faults", ("rows", 0, "shm_cleaned")),
-    ("faults", ("rows", 0, "stats_identical")),
-    ("faults", ("rows", 8, "expectation_met")),
     ("faults", ("resume_bit_identical",)),
-    ("engine", ("rows", 23, "bit_identical")),
-    ("engine", ("rows", 21, "stats_identical")),
-    ("engine", ("balanced", "skewed x2")),
     ("serving_faults", ("drain_ok",)),
     ("serving_faults", ("rows", 4, "stranded")),
     ("serving", ("admission_accounted",)),
     ("fig2", ("steps", 1, "counters_reconcile")),
-    ("engine", ("rows", 5, "bit_identical")),
-    ("engine", ("rows", 11, "bit_identical")),
-    ("engine", ("rows", 19, "stats_identical")),
 ]
 
 
@@ -172,15 +156,6 @@ class TestDeterministicGates:
     def test_other_flags_are_gated_too(self, quick_result, name, path):
         assert len(_flip(quick_result(name), path).failures()) == 1
 
-    def test_warm_process_sweep_shipping_a_full_task_is_reported(self, quick_result):
-        result = copy.deepcopy(quick_result("engine"))
-        row = result.rows[10]
-        assert (row.cell, row.scenario, row.full_tasks) == ("dispatch x2", "warm", 0)
-        row.full_tasks = 1
-        assert result.failures() == [
-            "dispatch x2 sweep 2 (warm): shipped 1 full task(s)"
-        ]
-
     def test_result_digest_sees_every_compared_field(self):
         """The identity gates compare digests: each field must move one."""
         from repro.core.compressor import LayerClusterResult
@@ -193,17 +168,17 @@ class TestDeterministicGates:
             )
             return {"layer0": LayerClusterResult(**{**fields, **change})}
 
-        base = engine._digest(results())
-        assert engine._digest(results()) == base
-        assert engine._digest(results(iterations_run=4)) == base  # not compared
+        base = faults._digest(results())
+        assert faults._digest(results()) == base
+        assert faults._digest(results(iterations_run=4)) == base  # not compared
         for change in (
             dict(centroids=np.array([-1.0, 1.5], np.float32)),
             dict(assignments=np.array([0, 1, 0])),
             dict(temperature=0.25),
             dict(reconstruction_error=None),
         ):
-            assert engine._digest(results(**change)) != base, change
-        assert engine._digest({"layer1": results()["layer0"]}) != base
+            assert faults._digest(results(**change)) != base, change
+        assert faults._digest({"layer1": results()["layer0"]}) != base
 
     def test_graph_walk_beating_the_oracle_is_reported(self, quick_result):
         result = copy.deepcopy(quick_result("fig2"))
@@ -215,42 +190,12 @@ class TestDeterministicGates:
 
 class TestNoChaosCellDropped:
     def test_faults_rows(self, quick_result):
+        """One cell stays: serial kill-then-resume.  The nine process-engine
+        cells are retired with the engine (``docs/robustness.md``)."""
         result = quick_result("faults")
-        assert [row.scenario for row in result.rows] == [
-            "kill_cold", "kill_warm", "transient", "delay", "corrupt_delta",
-            "drop_shm", "hang", "quarantine", "degrade",
-        ]
+        payload = result.to_json_dict()
+        assert set(payload) == {"benchmark", "n_layers", "weights_per_layer", "resume"}
         assert result.resume_sweeps_completed == 1
-
-    def test_engine_rows(self, quick_result):
-        result = quick_result("engine")
-        assert [
-            (row.workers, row.scenario) for row in result.rows if row.stack == "skewed"
-        ] == [(1, scenario) for scenario in ("cold", "warm", "refit", "warm")] + [
-            (workers, scenario)
-            for workers in (2, 4)
-            for scenario in ("cold", "warm", "refit", "crash-recovery")
-        ]
-
-    def test_engine_rows_record_the_width_that_ran(self, quick_result):
-        """Width 1 is each stack's serial reference; the quick grid keeps
-        one process width, except on the placement stack ``skewed``."""
-        cells = {(r.stack, r.workers) for r in quick_result("engine").rows}
-        assert cells == {
-            ("compute", 1), ("compute", 2), ("dispatch", 1), ("dispatch", 2),
-            ("skewed", 1), ("skewed", 2), ("skewed", 4),
-        }
-
-    def test_full_engine_grid_keeps_every_named_cell(self):
-        shapes = engine.stack_shapes(quick=False)
-        assert shapes["compute"] == [(512, 512)] * 8
-        assert shapes["dispatch"] == [(16, 16)] * 8
-        assert shapes["wide16"] == [(64, 64)] * 16
-        assert shapes["wide32"] == [(64, 64)] * 32
-        assert shapes["skewed"] == [(96, 768)] + [(96, 96)] * 5
-        full = engine.grid(quick=False)
-        assert full == [(stack, w) for stack in shapes for w in (1, 2, 4)]
-        assert set(engine.grid(quick=True)) <= set(full)
 
     def test_serving_faults_rows(self, quick_result):
         result = quick_result("serving_faults")

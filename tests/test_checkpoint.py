@@ -2,7 +2,7 @@
 
 The contract under test: ``save_checkpoint`` + ``resume`` restarts a
 compression run *bit-identically* -- a run killed after sweep N and
-resumed into a fresh process-equivalent compressor produces the same
+resumed into a fresh compressor produces the same
 centroids, palettized artifacts, and step-cache counters as a run that
 was never interrupted -- while the file format is atomic (tmp + rename),
 digest-verified, config-pinned, and journaled.
@@ -10,17 +10,14 @@ digest-verified, config-pinned, and journaled.
 
 import dataclasses
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.core import (
-    CompressorConfig,
-    DKMConfig,
-    ModelCompressor,
-    RobustnessWarning,
-)
+from repro.core import DKMConfig, ModelCompressor
 from repro.core.checkpoint import (
     CheckpointCorrupt,
     CheckpointError,
@@ -40,13 +37,10 @@ class _Stack(nn.Module):
             )
 
 
-def _compressor(num_workers=1, n_layers=3, seed=0, bits=3, **config_kwargs):
+def _compressor(n_layers=3, seed=0, bits=3):
     stack = _Stack(n_layers=n_layers, seed=seed)
     stack.to("gpu")
-    compressor = ModelCompressor(
-        DKMConfig(bits=bits, iters=3),
-        config=CompressorConfig(num_workers=num_workers, **config_kwargs),
-    )
+    compressor = ModelCompressor(DKMConfig(bits=bits, iters=3))
     compressor.compress(stack)
     return compressor, stack
 
@@ -87,59 +81,6 @@ class TestRoundTrip:
         # Counters too: the resumed run continued the sequence exactly.
         assert _stats(reference) == _stats(resumed)
 
-    def test_resume_into_process_engine_stays_identical(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        reference, _ = _compressor()
-        for _ in range(3):
-            ref_final = _centroids(reference.precluster())
-        first, _ = _compressor(num_workers=2)
-        try:
-            first.precluster()
-            first.save_checkpoint(path)
-        finally:
-            first.close()
-        resumed, _ = _compressor(num_workers=2)
-        try:
-            resumed.resume(path)
-            resumed.precluster()
-            res_final = _centroids(resumed.precluster())
-            for name in ref_final:
-                assert np.array_equal(ref_final[name], res_final[name]), name
-            assert _stats(reference) == _stats(resumed)
-        finally:
-            resumed.close()
-
-    def test_process_checkpoint_resumes_on_the_configured_engine(self, tmp_path):
-        """A ``"process"`` record installs nothing: a serial-configured
-        resume runs the serial loop bit-identically, undegraded, and a
-        later width change still reaches the process engine."""
-        path = str(tmp_path / "ckpt.json")
-        reference, _ = _compressor()
-        for _ in range(3):
-            ref_final = _centroids(reference.precluster())
-        first, _ = _compressor(num_workers=2)
-        try:
-            first.precluster()
-            first.save_checkpoint(path)
-        finally:
-            first.close()
-        assert read_checkpoint(path)["active_backend"] == "process"
-        resumed, _ = _compressor(num_workers=1)
-        try:
-            resumed.resume(path)
-            assert resumed.active_backend == "serial"
-            resumed.precluster()
-            assert resumed.transport_stats() is None
-            resumed.config.num_workers = 2
-            assert resumed.active_backend == "process"
-            res_final = _centroids(resumed.precluster())
-            assert resumed.degradations == []
-            for name in ref_final:
-                assert np.array_equal(ref_final[name], res_final[name]), name
-            assert _stats(reference) == _stats(resumed)
-        finally:
-            resumed.close()
-
     def test_exact_float_round_trip(self, tmp_path):
         """Centroids and temperature survive the JSON round trip to the
         last ulp (hex-encoded IEEE-754 bytes, not decimal repr)."""
@@ -164,6 +105,91 @@ class TestRoundTrip:
             assert state.temperature == temperature
             assert state.iterations_run == iterations
 
+    @pytest.mark.parametrize("saved_after", [1, 2, 3])
+    def test_resume_after_any_sweep_is_bit_identical(self, tmp_path, saved_after):
+        """Four sweeps in all, interrupted after ``saved_after`` of them."""
+        path = str(tmp_path / "ckpt.json")
+        reference, _ = _compressor(seed=2)
+        for _ in range(3):
+            reference.precluster()
+        ref_final = reference.precluster(compute_error=True)
+        first, _ = _compressor(seed=2)
+        for _ in range(saved_after):
+            first.precluster()
+        first.save_checkpoint(path)
+        resumed, _ = _compressor(seed=2)
+        resumed.resume(path)
+        assert resumed.sweeps_completed == saved_after
+        for _ in range(3 - saved_after):
+            resumed.precluster()
+        res_final = resumed.precluster(compute_error=True)
+        for name in ref_final:
+            assert np.array_equal(ref_final[name].centroids, res_final[name].centroids)
+            assert np.array_equal(
+                ref_final[name].assignments, res_final[name].assignments
+            )
+            assert (
+                ref_final[name].reconstruction_error
+                == res_final[name].reconstruction_error
+            )
+        assert _stats(reference) == _stats(resumed)
+        assert resumed.sweeps_completed == reference.sweeps_completed == 4
+
+    def test_resume_after_refine_all_is_bit_identical(self, tmp_path):
+        """A ``refine_all`` sweep leaves its layers warm too: the resumed
+        run's counters continue the uninterrupted run's."""
+        path = str(tmp_path / "ckpt.json")
+        reference, _ = _compressor(seed=4)
+        reference.refine_all(cache_table=True)
+        ref_states = reference.refine_all(cache_table=True)
+        first, _ = _compressor(seed=4)
+        first.refine_all(cache_table=True)
+        first.save_checkpoint(path)
+        resumed, _ = _compressor(seed=4)
+        resumed.resume(path)
+        res_states = resumed.refine_all(cache_table=True)
+        for name in ref_states:
+            assert np.array_equal(ref_states[name].centroids, res_states[name].centroids)
+        assert _stats(reference) == _stats(resumed)
+
+    def test_resume_then_finalize_matches_uninterrupted_artifacts(self, tmp_path):
+        path = str(tmp_path / "ckpt.json")
+        reference, stack_r = _compressor(seed=6)
+        reference.precluster()
+        ref_report = reference.finalize(stack_r)
+        first, _ = _compressor(seed=6)
+        first.precluster()
+        first.save_checkpoint(path)
+        resumed, stack_s = _compressor(seed=6)
+        resumed.resume(path)
+        report = resumed.finalize(stack_s)
+        assert list(report.palettized) == list(ref_report.palettized)
+        for name, pal in ref_report.palettized.items():
+            assert np.array_equal(report.palettized[name].lut, pal.lut)
+            assert np.array_equal(report.palettized[name].packed, pal.packed)
+        assert report.total_bytes == ref_report.total_bytes
+
+    def test_released_caches_resume_cold(self, tmp_path):
+        """A run that dropped its step caches before saving resumes cold:
+        the first post-resume sweep counts a miss per layer, as the
+        uninterrupted run does."""
+        path = str(tmp_path / "ckpt.json")
+        reference, _ = _compressor(seed=8)
+        reference.precluster()
+        reference.release_step_caches()
+        reference.precluster()
+        first, _ = _compressor(seed=8)
+        first.precluster()
+        first.release_step_caches()
+        first.save_checkpoint(path)
+        assert not any(
+            record["warm"] for record in read_checkpoint(path)["layers"].values()
+        )
+        resumed, _ = _compressor(seed=8)
+        resumed.resume(path)
+        resumed.precluster()
+        assert _stats(reference) == _stats(resumed)
+
 
 class TestDurability:
     def test_no_tmp_file_left_behind(self, tmp_path):
@@ -173,6 +199,67 @@ class TestDurability:
         compressor.save_checkpoint(path)
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert sorted(leftovers) == ["ckpt.json", "ckpt.json.journal"]
+
+    def test_failed_save_removes_its_tmp_file(self, tmp_path):
+        """A save whose rename raises unlinks ``<path>.tmp.<pid>`` and
+        leaves the previous checkpoint readable."""
+        path = str(tmp_path / "ckpt.json")
+        compressor, _ = _compressor()
+        compressor.precluster()
+        digest = compressor.save_checkpoint(path)
+        compressor.precluster()
+        with mock.patch(
+            "repro.core.checkpoint.os.replace", side_effect=OSError("disk gone")
+        ):
+            with pytest.raises(OSError, match="disk gone"):
+                compressor.save_checkpoint(path)
+        leftovers = sorted(p.name for p in tmp_path.iterdir())
+        assert leftovers == ["ckpt.json", "ckpt.json.journal"]
+        assert not os.path.exists(f"{path}.tmp.{os.getpid()}")
+        assert read_checkpoint(path)["digest"] == digest
+
+    @pytest.mark.parametrize("failing", ["write", "fsync"])
+    def test_failed_write_or_fsync_removes_its_tmp_file(self, tmp_path, failing):
+        """The temp file is unlinked whichever step before the rename
+        raises, and the previous checkpoint still reads."""
+        path = str(tmp_path / "ckpt.json")
+        compressor, _ = _compressor()
+        compressor.precluster()
+        digest = compressor.save_checkpoint(path)
+        compressor.precluster()
+        real_open = open
+
+        class _FailingWrite:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                self._handle.__enter__()
+                return self
+
+            def __exit__(self, *exc):
+                return self._handle.__exit__(*exc)
+
+            def write(self, data):
+                self._handle.write(data[: len(data) // 2])
+                raise OSError("disk gone")
+
+        def failing_open(name, *args, **kwargs):
+            return _FailingWrite(real_open(name, *args, **kwargs))
+
+        target = (
+            mock.patch("repro.core.checkpoint.open", failing_open, create=True)
+            if failing == "write"
+            else mock.patch(
+                "repro.core.checkpoint.os.fsync", side_effect=OSError("disk gone")
+            )
+        )
+        with target:
+            with pytest.raises(OSError, match="disk gone"):
+                compressor.save_checkpoint(path)
+        leftovers = sorted(p.name for p in tmp_path.iterdir())
+        assert leftovers == ["ckpt.json", "ckpt.json.journal"]
+        assert read_checkpoint(path)["digest"] == digest
 
     def test_save_overwrites_atomically(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -259,38 +346,19 @@ class TestCompatibilityPins:
         with pytest.raises(CheckpointError, match="layer set"):
             other.resume(path)
 
-    def test_version_2_payload_refused_by_version(self, tmp_path):
-        """A version-2 file (it still carried the configured ``backend``
-        and a ``DKMConfig`` repr with a dense row-chunk field) is refused
+    def test_version_3_payload_refused_by_version(self, tmp_path):
+        """A version-3 file (it still carried ``active_backend`` and an
+        ``EDKMConfig`` repr with a ``search_strategy`` field) is refused
         by version, not as a "different clustering config"."""
         path = str(tmp_path / "ckpt.json")
         compressor, _ = _compressor()
         compressor.precluster()
         compressor.save_checkpoint(path)
         payload = json.load(open(path, encoding="utf-8"))
-        assert "backend" not in payload
-        assert payload["active_backend"] == "serial"
-        payload.update(version=2, backend="thread", active_backend="thread")
+        assert "active_backend" not in payload
+        payload.update(version=3, active_backend="serial")
         payload["config_epoch"] = "0" * 32
         payload["digest"] = _payload_digest(payload)
         json.dump(payload, open(path, "w", encoding="utf-8"))
-        with pytest.raises(CheckpointError, match="schema version 2"):
+        with pytest.raises(CheckpointError, match="schema version 3"):
             compressor.resume(path)
-
-    def test_degraded_run_resumes_degraded(self, tmp_path):
-        """A checkpoint written after a process->serial demotion restores
-        the demotion: resume never silently re-promotes onto
-        infrastructure that already failed."""
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor(num_workers=2)
-        try:
-            compressor.precluster()
-            with pytest.warns(RobustnessWarning):
-                compressor._demote(RuntimeError("simulated node fault"))
-            compressor.save_checkpoint(path)
-        finally:
-            compressor.close()
-        assert read_checkpoint(path)["active_backend"] == "serial"
-        resumed, _ = _compressor(num_workers=2)
-        resumed.resume(path)
-        assert resumed.active_backend == "serial"

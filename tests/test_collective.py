@@ -3,7 +3,8 @@
 One defect is kept here as a regression test: ledger records used
 ``Tensor.nbytes`` (the *storage* footprint, shared across views), so a
 collective over a row-slice view billed the whole backing storage instead
-of the bytes actually moved.
+of the bytes actually moved.  ``TestTransferPath`` draws offset and
+transposed views of larger storages and checks the ledger bytes.
 """
 
 import gc
@@ -17,7 +18,6 @@ from repro.distributed import (
     LearnerGroup,
     ShardedTensor,
     all_gather,
-    logical_nbytes,
     shard_rows,
 )
 from repro.memory.tracker import global_registry
@@ -42,20 +42,6 @@ def ledger():
     ledger.clear()
     yield ledger
     ledger.clear()
-
-
-class TestLogicalNbytes:
-    def test_owner_matches_storage(self):
-        tensor = _tensor((8, 8))
-        assert logical_nbytes(tensor) == 8 * 8 * 4 == tensor.nbytes
-
-    def test_view_counts_only_its_elements(self):
-        """Regression: a 2-row slice of an 8x8 storage moves 2x8 elements,
-        not 8x8 -- ``Tensor.nbytes`` reports the latter."""
-        base = _tensor((8, 8))
-        view = base[0:2]
-        assert logical_nbytes(view) == 2 * 8 * 4
-        assert view.nbytes == 8 * 8 * 4  # storage bytes: the defect's source
 
 
 class TestShardRows:

@@ -1,14 +1,15 @@
 """The configuration surface, pinned by name.
 
-Every field of the four engine config dataclasses, of the five baseline
-method configs, and every member of the strategy registry is
-listed here.  Adding a knob means editing
+Every field of the three engine config dataclasses, every keyword of
+``ModelCompressor``, every field of the five baseline method configs, and
+every member of the strategy registry is listed here.  Adding a knob means editing
 this pin *and* naming, in the PR, the second non-test caller that needs a
 value different from the first (ROADMAP aim 2: a mechanism nobody but its
 own bench and tests switches on is deleted together with its selector).
 """
 
 import inspect
+import json
 from dataclasses import fields
 
 import pytest
@@ -21,26 +22,20 @@ from repro.baselines import (
     SmoothQuantConfig,
     quantize,
 )
-from repro.core.config import (
-    SEARCH_STRATEGIES,
-    CompressorConfig,
-    DKMConfig,
-    EDKMConfig,
-    RetryPolicy,
-)
+from repro.core.compressor import ModelCompressor
+from repro.core.config import DKMConfig, EDKMConfig, RetryPolicy
+from repro.core.marshal import SEARCH_STRATEGIES
 from repro.serving.config import ServingConfig
+from repro.tensor.dtype import float16
 
 SURFACE = {
     DKMConfig: {
         "bits", "temperature", "iters", "tol", "weight_dtype",
         "dense_saved_bytes_limit",
     },
-    CompressorConfig: {
-        "num_workers", "embedding_bits", "skip_names", "retry", "fault_plan",
-    },
     EDKMConfig: {
-        "offload", "marshal", "uniquify", "shard", "hop_budget",
-        "search_strategy", "group", "shard_min_bytes",
+        "offload", "marshal", "uniquify", "shard", "hop_budget", "group",
+        "shard_min_bytes",
     },
     ServingConfig: {
         "max_batch_size", "max_queue_depth", "max_new_tokens", "eval_path",
@@ -87,25 +82,32 @@ def test_baseline_settable_value_budget():
 
 
 def test_field_budget():
-    assert sum(len(names) for names in SURFACE.values()) == 32
+    assert sum(len(names) for names in SURFACE.values()) == 26
 
 
 def test_settable_value_budget():
-    """``retry`` is one field but four values per engine."""
+    """``retry`` is one field but four values."""
     policy = {f.name for f in fields(RetryPolicy)}
     assert policy == {"timeout_s", "retries", "backoff_s", "respawns"}
     retry_fields = sum("retry" in names for names in SURFACE.values())
     total = sum(len(names) for names in SURFACE.values())
-    assert total - retry_fields + retry_fields * len(policy) == 38
+    assert total - retry_fields + retry_fields * len(policy) == 29
+
+
+def test_model_compressor_keywords_are_pinned():
+    """The configs plus two loose values; there is no engine knob."""
+    params = inspect.signature(ModelCompressor).parameters
+    assert list(params) == [
+        "dkm_config", "edkm_config", "embedding_bits", "skip_names",
+    ]
+    assert (params["embedding_bits"].default, params["skip_names"].default) == (8, ())
 
 
 def test_registries_are_pinned():
     assert SEARCH_STRATEGIES == ("graph", "storage-id")
 
 
-@pytest.mark.parametrize(
-    "cls", [DKMConfig, CompressorConfig, ServingConfig], ids=lambda cls: cls.__name__
-)
+@pytest.mark.parametrize("cls", [DKMConfig, ServingConfig], ids=lambda cls: cls.__name__)
 def test_to_dict_keys_are_derived_from_the_fields(cls):
     """No hand-enumerated key list to drift: ``to_dict`` emits exactly the
     dataclass fields (minus the unserializable ``fault_plan``) and
@@ -116,4 +118,83 @@ def test_to_dict_keys_are_derived_from_the_fields(cls):
     assert cls.from_dict(payload) == config
     with pytest.raises(ValueError, match=f"unknown {cls.__name__} keys"):
         cls.from_dict({**payload, "mp_context": "spawn"})
+
+
+# One value off the default for every serialized field: a field must
+# survive ``to_dict`` / JSON / ``from_dict`` at any value, not only at the
+# default the test above builds.
+NON_DEFAULTS = {
+    DKMConfig: dict(
+        bits=4, temperature=0.5, iters=7, tol=1e-4, weight_dtype=float16,
+        dense_saved_bytes_limit=1 << 20,
+    ),
+    ServingConfig: dict(
+        max_batch_size=3, max_queue_depth=5, max_new_tokens=9, eval_path="dense",
+        tile_cache_bytes_limit=4096, temperature=0.7, poll_interval_s=0.01,
+        retry=RetryPolicy(timeout_s=1.0, retries=0, backoff_s=0.0, respawns=1),
+        join_timeout_s=1.5, drain_timeout_s=2.5, breaker_threshold=3,
+        breaker_probation_steps=4,
+    ),
+    RetryPolicy: dict(timeout_s=0.25, retries=5, backoff_s=0.0, respawns=0),
+}
+
+
+def test_non_default_table_covers_every_serialized_field():
+    for cls, values in NON_DEFAULTS.items():
+        assert set(values) == {f.name for f in fields(cls)} - {"fault_plan"}
+
+
+@pytest.mark.parametrize(
+    "cls,name",
+    [(cls, name) for cls, values in NON_DEFAULTS.items() for name in values],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_every_field_round_trips_off_its_default(cls, name):
+    value = NON_DEFAULTS[cls][name]
+    config = cls(**{name: value})
+    assert getattr(config, name) != getattr(cls(), name)
+    payload = json.loads(json.dumps(config.to_dict()))
+    rebuilt = cls.from_dict(payload)
+    assert rebuilt == config
+    assert getattr(rebuilt, name) == value
+
+
+OUT_OF_RANGE = [
+    (DKMConfig, "bits", 0),
+    (DKMConfig, "bits", 9),
+    (DKMConfig, "temperature", 0.0),
+    (DKMConfig, "iters", 0),
+    (DKMConfig, "dense_saved_bytes_limit", 0),
+    (EDKMConfig, "hop_budget", -1),
+    (EDKMConfig, "shard", True),  # no LearnerGroup to shard over
+    (ServingConfig, "max_batch_size", 0),
+    (ServingConfig, "max_queue_depth", 0),
+    (ServingConfig, "max_new_tokens", 0),
+    (ServingConfig, "eval_path", "sparse"),
+    (ServingConfig, "tile_cache_bytes_limit", -1),
+    (ServingConfig, "temperature", -0.1),
+    (ServingConfig, "poll_interval_s", 0.0),
+    (ServingConfig, "join_timeout_s", 0.0),
+    (ServingConfig, "drain_timeout_s", 0.0),
+    (ServingConfig, "breaker_threshold", 0),
+    (ServingConfig, "breaker_probation_steps", 0),
+    (ServingConfig, "fault_plan", "hang_step"),
+    (RetryPolicy, "timeout_s", 0.0),
+    (RetryPolicy, "retries", -1),
+    (RetryPolicy, "backoff_s", -0.1),
+    (RetryPolicy, "respawns", -1),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,name,value",
+    OUT_OF_RANGE,
+    ids=[f"{cls.__name__}-{name}-{value!r}" for cls, name, value in OUT_OF_RANGE],
+)
+def test_out_of_range_value_rejected(cls, name, value):
+    with pytest.raises(ValueError):
+        cls(**{name: value})
+    if hasattr(cls, "from_dict") and name != "fault_plan":
+        with pytest.raises(ValueError):
+            cls.from_dict({name: value})
 

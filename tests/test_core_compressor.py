@@ -5,7 +5,7 @@ import pytest
 
 import repro.tensor as rt
 import repro.nn as nn
-from repro.core import CompressorConfig, DKMConfig, ModelCompressor
+from repro.core import DKMConfig, ModelCompressor
 from repro.core.compressor import ClusteredLinear, dequantized_state
 
 
@@ -166,44 +166,9 @@ class TestModelCompressor:
         assert "TOTAL" in text
         assert "lm_head" in text
 
-
-class TestCompressorConfig:
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            CompressorConfig(num_workers=-1)
-
-    def test_resolve_workers_caps_at_task_count(self):
-        assert CompressorConfig(num_workers=16).resolve_workers(3) == 3
-        assert CompressorConfig(num_workers=2).resolve_workers(9) == 2
-        assert CompressorConfig(num_workers=1).resolve_workers(0) == 1
-
-    def test_zero_means_cpu_count(self):
-        import os
-
-        expected = max(1, min(os.cpu_count() or 1, 64))
-        assert CompressorConfig(num_workers=0).resolve_workers(64) == expected
-
-    def test_legacy_keywords_still_apply(self):
+    def test_keywords_apply(self):
         compressor = ModelCompressor(
             DKMConfig(bits=3), embedding_bits=6, skip_names=("layer0",)
         )
         assert compressor.embedding_bits == 6
         assert compressor.skip_names == ("layer0",)
-
-    def test_config_object_wins(self):
-        compressor = ModelCompressor(
-            DKMConfig(bits=3),
-            config=CompressorConfig(num_workers=3, skip_names=("layer1",)),
-        )
-        assert compressor.config.num_workers == 3
-        assert compressor.skip_names == ("layer1",)
-
-    def test_mixing_config_and_legacy_keywords_rejected(self):
-        with pytest.raises(ValueError, match="CompressorConfig"):
-            ModelCompressor(
-                DKMConfig(bits=3), embedding_bits=4, config=CompressorConfig()
-            )
-        with pytest.raises(ValueError, match="CompressorConfig"):
-            ModelCompressor(
-                DKMConfig(bits=3), skip_names=("lm_head",), config=CompressorConfig()
-            )

@@ -30,14 +30,14 @@ class TestRegistryBasics:
         registry = MarshalRegistry()
         t = _gpu_tensor()
         registry.register(t, _entry_for(t))
-        entry, hops, trace = registry.find(t, hop_budget=4, strategy="graph")
+        entry, hops, trace = registry.find(t, hop_budget=4)
         assert entry is not None
         assert hops == 0
         assert trace == []
 
     def test_miss_returns_none(self):
         registry = MarshalRegistry()
-        entry, _, _ = registry.find(_gpu_tensor(), 4, "graph")
+        entry, _, _ = registry.find(_gpu_tensor(), 4)
         assert entry is None
 
     def test_clear(self):
@@ -46,11 +46,11 @@ class TestRegistryBasics:
         registry.register(t, _entry_for(t))
         registry.clear()
         assert len(registry) == 0
-        assert registry.find(t, 4, "graph")[0] is None
+        assert registry.find(t, 4)[0] is None
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            MarshalRegistry().find(_gpu_tensor(), 4, "bogus")
+        with pytest.raises(ValueError, match="strategy"):
+            MarshalRegistry("bogus")
 
     def test_dead_registered_tensor_not_resolved(self):
         registry = MarshalRegistry()
@@ -61,7 +61,7 @@ class TestRegistryBasics:
         gc.collect()
         # The registered tensor (an intermediate) is dead: the walk from the
         # live base must not resolve its stale entry.
-        entry, _, _ = registry.find(base, 4, "graph")
+        entry, _, _ = registry.find(base, 4)
         assert entry is None
 
     def test_walk_through_dead_intermediates(self):
@@ -72,7 +72,7 @@ class TestRegistryBasics:
         x3 = x0.view(-1).view(8, 8).transpose(0, 1)  # middles die immediately
         gc.collect()
         registry.register(x0, _entry_for(x0))
-        entry, hops, trace = registry.find(x3, 4, "graph")
+        entry, hops, trace = registry.find(x3, 4)
         assert entry is not None
         assert hops == 3
         assert trace == ["Transpose", "View", "View"]
@@ -85,7 +85,7 @@ class TestGraphWalk:
         x0 = _gpu_tensor()
         x1 = x0.view(-1, 1)
         registry.register(x0, _entry_for(x0))
-        entry, hops, trace = registry.find(x1, 4, "graph")
+        entry, hops, trace = registry.find(x1, 4)
         assert entry is not None
         assert hops == 1
         assert trace == ["View"]
@@ -96,7 +96,7 @@ class TestGraphWalk:
         x0 = _gpu_tensor()
         x1 = x0.view(-1, 1)
         registry.register(x1, _entry_for(x1))
-        entry, hops, _ = registry.find(x0, 4, "graph")
+        entry, hops, _ = registry.find(x0, 4)
         assert entry is not None
         assert hops == 1
 
@@ -107,7 +107,7 @@ class TestGraphWalk:
         x2 = x1.view(8, 8)
         x3 = x2.transpose(0, 1)
         registry.register(x0, _entry_for(x0))
-        entry, hops, trace = registry.find(x3, 4, "graph")
+        entry, hops, trace = registry.find(x3, 4)
         assert entry is not None
         assert hops == 3
         assert trace == ["Transpose", "View", "View"]
@@ -117,8 +117,8 @@ class TestGraphWalk:
         x0 = _gpu_tensor()
         x3 = x0.view(-1).view(8, 8).transpose(0, 1)
         registry.register(x0, _entry_for(x0))
-        assert registry.find(x3, 2, "graph")[0] is None
-        assert registry.find(x3, 3, "graph")[0] is not None
+        assert registry.find(x3, 2)[0] is None
+        assert registry.find(x3, 3)[0] is not None
 
     def test_walk_does_not_cross_data_ops(self):
         """Non-storage-invariant ops (e.g. Mul) are not walkable edges."""
@@ -126,7 +126,7 @@ class TestGraphWalk:
         x0 = _gpu_tensor()
         y = x0 * 2.0  # new storage
         registry.register(x0, _entry_for(x0))
-        entry, _, _ = registry.find(y, 4, "graph")
+        entry, _, _ = registry.find(y, 4)
         assert entry is None
 
     def test_sibling_views_resolve_through_base(self):
@@ -136,18 +136,20 @@ class TestGraphWalk:
         a = x0.view(-1)
         b = x0.transpose(0, 1)
         registry.register(a, _entry_for(a))
-        entry, hops, _ = registry.find(b, 4, "graph")
+        entry, hops, _ = registry.find(b, 4)
         assert entry is not None
         assert hops == 2
 
     def test_storage_id_oracle_matches_graph(self):
-        registry = MarshalRegistry()
+        graph, oracle = MarshalRegistry(), MarshalRegistry("storage-id")
         x0 = _gpu_tensor()
         x1 = x0.view(-1, 1)
-        registry.register(x0, _entry_for(x0))
-        graph_entry, _, _ = registry.find(x1, 4, "graph")
-        oracle_entry, hops, _ = registry.find(x1, 4, "storage-id")
-        assert graph_entry is oracle_entry
+        entry = _entry_for(x0)
+        graph.register(x0, entry)
+        oracle.register(x0, entry)
+        graph_entry, _, _ = graph.find(x1, 4)
+        oracle_entry, hops, _ = oracle.find(x1, 4)
+        assert graph_entry is oracle_entry is entry
         assert hops == 0
 
     def test_slice_view_resolves(self):
@@ -155,7 +157,7 @@ class TestGraphWalk:
         x0 = _gpu_tensor()
         s = x0[2:5]
         registry.register(x0, _entry_for(x0))
-        entry, hops, trace = registry.find(s, 4, "graph")
+        entry, hops, trace = registry.find(s, 4)
         assert entry is not None
         assert trace == ["Slice"]
 
@@ -182,8 +184,8 @@ class TestStaleIdEviction:
     is nondeterministic.
     """
 
-    def _register_with_dead_refs(self):
-        registry = MarshalRegistry()
+    def _register_with_dead_refs(self, strategy="graph"):
+        registry = MarshalRegistry(strategy)
         t = _gpu_tensor()
         registry.register(t, _entry_for(t))
         tid, sid = id(t), id(t.storage)
@@ -196,14 +198,14 @@ class TestStaleIdEviction:
 
     def test_stale_tensor_id_evicts_storage_side(self):
         registry, t, tid, sid = self._register_with_dead_refs()
-        entry, _, _ = registry.find(t, 4, "graph")  # _lookup_tensor sees stale
+        entry, _, _ = registry.find(t, 4)  # _lookup_tensor sees stale
         assert entry is None
         assert tid not in registry._by_tensor_id
         assert sid not in registry._by_storage_id
 
     def test_stale_storage_id_evicts_tensor_side(self):
-        registry, t, tid, sid = self._register_with_dead_refs()
-        entry, _, _ = registry.find(t, 4, "storage-id")
+        registry, t, tid, sid = self._register_with_dead_refs("storage-id")
+        entry, _, _ = registry.find(t, 4)
         assert entry is None
         assert sid not in registry._by_storage_id
         assert tid not in registry._by_tensor_id
@@ -260,9 +262,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="LearnerGroup"):
             EDKMConfig(shard=True, group=None)
 
-    def test_strategy_validated(self):
-        with pytest.raises(ValueError, match="strategy"):
-            EDKMConfig(shard=False, group=None, search_strategy="hash")
+    def test_strategy_is_not_a_config_field(self):
+        """The lookup strategy is a ``MarshalRegistry`` argument: only the
+        Fig. 2 ablation and the tests pick the storage-id oracle."""
+        with pytest.raises(TypeError, match="search_strategy"):
+            EDKMConfig(shard=False, group=None, search_strategy="graph")
 
     def test_negative_hop_budget(self):
         with pytest.raises(ValueError):

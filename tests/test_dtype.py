@@ -1,5 +1,6 @@
 """Tests for logical dtypes, bf16 simulation and 16-bit pattern keying."""
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -183,3 +184,11 @@ class TestPromotion:
     def test_int_widths(self):
         assert dt.promote(dt.int32, dt.int64) is dt.int64
         assert dt.promote(dt.uint8, dt.uint16) is dt.uint16
+
+
+class TestDTypePickling:
+    @pytest.mark.parametrize("dtype_name", sorted(dt._ALL))
+    def test_dtype_unpickles_to_interned_singleton(self, dtype_name):
+        dtype = dt.get_dtype(dtype_name)
+        assert pickle.loads(pickle.dumps(dtype)) is dtype
+

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import repro.tensor as rt
-from repro.core import EDKMConfig, SavedTensorPipeline
-from repro.core.config import SEARCH_STRATEGIES
+from repro.core import EDKMConfig, MarshalRegistry, SavedTensorPipeline
+from repro.core.marshal import SEARCH_STRATEGIES
 
 
 def _gpu_matrix(n=24, seed=0):
@@ -21,16 +21,12 @@ def _gpu_matrix(n=24, seed=0):
 
 
 def _pipeline(strategy):
-    return SavedTensorPipeline(
-        EDKMConfig(
-            marshal=True,
-            uniquify=False,
-            shard=False,
-            group=None,
-            search_strategy=strategy,
-        ),
+    pipeline = SavedTensorPipeline(
+        EDKMConfig(marshal=True, uniquify=False, shard=False, group=None),
         record_events=True,
     )
+    pipeline.registry = MarshalRegistry(strategy)
+    return pipeline
 
 
 def _run_step(pipeline, seed=0):

@@ -1,5 +1,9 @@
 """Tests for memory trackers, traffic ledger, profiling and reports."""
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -53,6 +57,29 @@ class TestMemoryTracker:
         t.allocate(10)
         assert snap.current_bytes == 10
         assert snap.name == "snap"
+
+    def test_finalizer_release_under_the_lock_does_not_deadlock(self):
+        """A collection that runs a storage finalizer (``release``) while
+        the same thread holds the tracker's lock completes."""
+        t = MemoryTracker("reentry")
+        t.allocate(8)
+
+        class Cycle:
+            pass
+
+        def collect_under_lock():
+            garbage = Cycle()
+            garbage.self = garbage
+            weakref.finalize(garbage, t.release, 8)
+            del garbage
+            with t._lock:
+                gc.collect()
+
+        worker = threading.Thread(target=collect_under_lock, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "release deadlocked on the tracker lock"
+        assert (t.current_bytes, t.free_count) == (0, 1)
 
 
 class TestTrafficLedger:

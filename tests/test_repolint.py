@@ -748,7 +748,7 @@ class TestTriageRegressions:
         from repro.core.marshal import MarshalRegistry, OffloadEntry
         from repro.tensor.tensor import Tensor
 
-        registry = MarshalRegistry()
+        registry = MarshalRegistry("storage-id")
         tensors = [
             Tensor.from_numpy(np.full((4,), float(i), dtype=np.float32))
             for i in range(16)
@@ -760,7 +760,7 @@ class TestTriageRegressions:
             try:
                 for tensor in tensors[offset::2]:
                     registry.register(tensor, entries[id(tensor)])
-                    entry, _, _ = registry.find(tensor, 0, "storage-id")
+                    entry, _, _ = registry.find(tensor, 0)
                     assert entry is entries[id(tensor)]
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)

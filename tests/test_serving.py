@@ -29,10 +29,10 @@ import repro
 import repro.nn as nn
 import repro.tensor as rt
 from repro.core import (
-    CompressorConfig,
     DKMConfig,
     FaultPlan,
     ModelCompressor,
+    RetryPolicy,
 )
 from repro.core.compressor import ClusteredLinear
 from repro.llm import MICRO, ModelSpec, build_model, generate, generate_batch
@@ -458,6 +458,12 @@ class TestConfigRoundTrips:
         config = ServingConfig(max_batch_size=3, eval_path="dense")
         assert ServingConfig.from_dict(config.to_dict()) == config
 
+    def test_serving_round_trip_with_retry(self):
+        config = ServingConfig(
+            max_batch_size=3, retry=RetryPolicy(timeout_s=0.5, respawns=1)
+        )
+        assert ServingConfig.from_dict(config.to_dict()) == config
+
     def test_serving_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown ServingConfig keys"):
             ServingConfig.from_dict({"max_batch_sz": 3})
@@ -480,7 +486,6 @@ class TestConfigRoundTrips:
     def test_default_constructors_apply_overrides(self):
         assert ServingConfig(max_batch_size=16).max_batch_size == 16
         assert DKMConfig(bits=2).bits == 2
-        assert CompressorConfig(num_workers=2).num_workers == 2
 
     def test_dkm_round_trip_includes_dtype(self):
         config = DKMConfig(bits=2, weight_dtype=rt.bfloat16)
@@ -490,13 +495,8 @@ class TestConfigRoundTrips:
         with pytest.raises(ValueError, match="unknown"):
             DKMConfig.from_dict({"bitz": 3})
 
-    def test_compressor_round_trip(self):
-        config = CompressorConfig(num_workers=2, skip_names=("lm_head",))
-        rebuilt = CompressorConfig.from_dict(config.to_dict())
-        assert rebuilt == config
-
     def test_armed_fault_plan_refuses_serialization(self):
-        config = CompressorConfig(num_workers=2, fault_plan=FaultPlan())
+        config = ServingConfig(fault_plan=FaultPlan())
         with pytest.raises(ValueError, match="fault_plan"):
             config.to_dict()
 
@@ -734,7 +734,6 @@ class TestFacade:
 
     def test_reexports(self):
         assert repro.DKMConfig is DKMConfig
-        assert repro.CompressorConfig is CompressorConfig
         assert repro.ModelCompressor is ModelCompressor
         assert repro.ServingConfig is ServingConfig
         assert repro.PaletteServer is PaletteServer
@@ -744,6 +743,7 @@ class TestFacade:
                 "get_default_dkm_config",
                 "get_default_compressor_config",
                 "get_default_serving_config",
+                "CompressorConfig",
             ):
                 assert not hasattr(module, name), (module.__name__, name)
         # Old deep imports stay valid.

@@ -15,8 +15,7 @@ Statements are derived from the compiled code objects' line tables
 (:func:`dis.findlinestarts`, recursively), the same source of truth
 ``coverage.py`` uses -- docstrings, ``else:`` lines, and blank lines are
 naturally excluded.  Only the tracing process is observed: code running
-in spawned worker processes must be exercised in-process somewhere for
-its lines to count (see ``tests/test_process_backend.py``'s registry tests).
+in a spawned subprocess does not count.
 """
 
 from __future__ import annotations

@@ -41,8 +41,6 @@ from tools.repolint.rules.base import (
 RESOURCE_FACTORIES = frozenset(
     {
         "SharedMemory",
-        "ShmExport",
-        "ShmLease",
         "ThreadPoolExecutor",
         "ProcessPoolExecutor",
     }
@@ -95,7 +93,7 @@ class ResourceLifecycleRule(Rule):
 
     id = "RL401"
     summary = (
-        "SharedMemory/ShmExport/ShmLease/executor constructions must be "
+        "SharedMemory/executor constructions must be "
         "owned: with-block, try/finally, registry hand-off, or returned"
     )
 

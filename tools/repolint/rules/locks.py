@@ -6,9 +6,8 @@ underscore-prefixed instance state is treated as guarded by that lock,
 and every read or write of a guarded attribute must happen lexically
 inside ``with self._lock`` (or any other lock-like attribute of the same
 instance).  This is the static model behind the repo's "bit-identical
-under any interleaving" guarantee: ``StepCache``, ``WorkerCacheRegistry``,
-``RequestQueue``, ``TileCache``, ``ServerStats``, and ``MarshalRegistry``
-all follow it.
+under any interleaving" guarantee: ``StepCache``, ``RequestQueue``,
+``TileCache``, ``ServerStats``, and ``MarshalRegistry`` all follow it.
 
 Private helper methods (leading underscore) follow the repo convention
 "caller holds the lock": their unguarded accesses are accepted as long as

@@ -46,7 +46,6 @@ DEFAULT_MODULES = (
     "repro.memory.traffic",
     "repro.core.fastpath",
     "repro.core.marshal",
-    "repro.core.procpool",
     "repro.serving.queue",
     "repro.serving.palette",
     "repro.serving.stats",
