@@ -55,6 +55,45 @@ def init_centroids_quantile(values: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(centroids, dtype=np.float32)
 
 
+def init_centroids_histogram(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """:func:`init_centroids_quantile` of ``values.repeat(counts)``, bit for bit.
+
+    ``np.quantile``'s linear method interpolates between the sorted
+    weights at ``floor((n - 1) * q)`` and the next position.  In the sorted
+    repeat, position ``i`` holds the first value-sorted unique value whose
+    running count exceeds ``i``, so both neighbours are a ``searchsorted``
+    over ``cumsum(counts)``, and numpy's own index, gamma and ``_lerp``
+    arithmetic gives the same float64 result without the ``O(N)`` repeat
+    and partition.  The one exception is +0.0 and -0.0 both present: which
+    zero ``np.partition`` leaves at a position then depends on the input
+    order, not only on the multiset, so that input takes the repeat.
+    """
+    values = np.asarray(values).reshape(-1)
+    zero_signs = np.signbit(values[values == 0])
+    if zero_signs.any() and not zero_signs.all():
+        return init_centroids_quantile(values.repeat(counts), k)
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order].astype(np.float64)
+    ends = np.cumsum(counts[order])
+    last = int(ends[-1]) - 1
+    quantiles = (np.arange(k, dtype=np.float64) + 0.5) / k
+    virtual = last * quantiles
+    previous = np.floor(virtual)
+    # Past the last index numpy reads the last weight twice, and measures
+    # gamma from index -1.
+    at_end = virtual >= last
+    gamma = virtual - np.where(at_end, -1.0, previous)
+    below = np.where(at_end, last, previous).astype(np.int64)
+    above = np.where(at_end, last, previous + 1).astype(np.int64)
+    a = sorted_values[np.searchsorted(ends, below, side="right")]
+    b = sorted_values[np.searchsorted(ends, above, side="right")]
+    diff = b - a
+    centroids = a + diff * gamma
+    late = gamma >= 0.5
+    centroids[late] = (b - diff * (1 - gamma))[late]
+    return centroids.astype(np.float32)
+
+
 def default_temperature(values: np.ndarray, k: int) -> float:
     """Adaptive softmax temperature.
 
@@ -131,7 +170,7 @@ class DKMClusterer:
         counts = unique.counts.astype(np.float64)
 
         if self.state is None:
-            centroids = init_centroids_quantile(w_u.repeat(unique.counts), self.config.n_clusters)
+            centroids = init_centroids_histogram(w_u, unique.counts, self.config.n_clusters)
             temperature = (
                 self.config.temperature
                 if self.config.temperature is not None
@@ -288,12 +327,13 @@ class DKMClusterer:
     # ------------------------------------------------------------------
 
     def hard_assign(self, weights: Tensor) -> np.ndarray:
-        """Nearest-centroid index per weight (no gradient; for palettization).
+        """Nearest-centroid index per weight as uint8 (no gradient; for palettization).
 
-        Works in unique-value space for 16-bit weights (at most ``2**16``
-        distance rows regardless of layer size) and falls back to a chunked
-        sweep otherwise, so the full ``(N, k)`` distance matrix is never
-        materialized.
+        ``DKMConfig`` caps bits at 8, so every index fits a byte.  Works in
+        unique-value space for 16-bit weights (at most ``2**16`` distance
+        rows regardless of layer size, then one uint8 gather by the uint16
+        index list) and falls back to a chunked sweep otherwise, so the
+        full ``(N, k)`` distance matrix is never materialized.
         """
         if self.state is None:
             raise RuntimeError("cluster state not initialized; call refine() first")
@@ -301,8 +341,8 @@ class DKMClusterer:
         if dtype.is_floating and dtype.itemsize == 2:
             unique = self.fastpath.uniquify(weights, dtype)
             assign_u = nearest_centroid(unique.values, self.state.centroids)
-            return assign_u[unique.index_list.astype(np.int64, copy=False)]
-        return nearest_centroid(weights._compute(), self.state.centroids)
+            return assign_u.astype(np.uint8).take(unique.index_list)
+        return nearest_centroid(weights._compute(), self.state.centroids).astype(np.uint8)
 
     def reconstruction_error(self, weights: Tensor) -> float:
         """Mean squared error of hard-assigned reconstruction."""

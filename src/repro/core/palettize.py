@@ -14,26 +14,53 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def pack_indices(indices: np.ndarray, bits: int) -> np.ndarray:
-    """Pack ``bits``-wide integers into a uint8 byte stream (LSB-first)."""
+def _check_bits(bits: int) -> None:
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits}")
+
+
+def pack_indices(indices: np.ndarray, bits: int) -> np.ndarray:
+    """Pack ``bits``-wide integers into a uint8 byte stream (LSB-first).
+
+    Eight indices fill exactly ``bits`` bytes, so each group of eight is
+    ORed into one little-endian word (uint32 up to 4 bits, else uint64) at
+    shifts ``0, bits, ..., 7 * bits``, and the low ``bits`` bytes of every
+    word are the stream.
+    """
+    _check_bits(bits)
     indices = np.asarray(indices).reshape(-1)
+    if indices.dtype.kind not in "biu":
+        raise ValueError(f"indices must be integers or bools, got {indices.dtype}")
     # Range-checked before the uint8 cast, which would wrap 256 to 0 and -1 to 255.
     if indices.size:
         low, high = int(indices.min()), int(indices.max())
         if low < 0 or high >= (1 << bits):
             bad = low if low < 0 else high
             raise ValueError(f"index {bad} does not fit in {bits} bits")
-    indices = indices.astype(np.uint8, copy=False)
-    as_bits = np.unpackbits(indices.reshape(-1, 1), axis=1, bitorder="little")
-    payload = as_bits[:, :bits].reshape(-1)
-    return np.packbits(payload, bitorder="little")
+    n = indices.size
+    lanes = np.zeros((-(-n // 8), 8), dtype=np.uint8)
+    lanes.reshape(-1)[:n] = indices
+    word = np.dtype("<u4" if bits <= 4 else "<u8")
+    words = lanes[:, 0].astype(word)
+    for lane in range(1, 8):
+        shifted = lanes[:, lane].astype(word)
+        np.left_shift(shifted, word.type(lane * bits), out=shifted)
+        words |= shifted
+    stream = words.view(np.uint8).reshape(-1, word.itemsize)[:, :bits].reshape(-1)
+    return stream[: (n * bits + 7) // 8]
 
 
 def unpack_indices(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_indices` for ``count`` values."""
-    as_bits = np.unpackbits(np.asarray(packed, dtype=np.uint8), bitorder="little")
+    _check_bits(bits)
+    packed = np.asarray(packed, dtype=np.uint8)
+    capacity = 8 * packed.size // bits
+    if not 0 <= count <= capacity:
+        raise ValueError(
+            f"count {count} is outside [0, {capacity}]: {packed.size} bytes "
+            f"hold {capacity} {bits}-bit indices"
+        )
+    as_bits = np.unpackbits(packed, bitorder="little")
     usable = as_bits[: count * bits].reshape(count, bits)
     padded = np.zeros((count, 8), dtype=np.uint8)
     padded[:, :bits] = usable

@@ -15,7 +15,9 @@ what replaced it is equality, not a tolerance:
 - RoPE and RMSNorm as chains of primitive ops (13 and 6 dispatches) --
   ``src/`` runs each as one ``Function``.  Forward is bit-equal for float32
   activations; backward is closed-form there, so gradients agree to float32
-  rounding.
+  rounding;
+- index packing through a per-index bit matrix (``unpackbits`` -> slice ->
+  ``packbits``) -- ``src/`` ORs eight indices into one word.
 
 ``pattern16_inputs`` draws the arrays on which uniquify's on-grid bf16 read
 must agree with ``bit_pattern16``, which rounds every element to nearest even.
@@ -107,6 +109,14 @@ def refine_uk(clusterer, weights, cache_table=False):
         final_table = attention_table_uk(w_u, state.centroids, state.temperature)
         self.fastpath.store_table(state.centroids, state.temperature, final_table)
     return state
+
+
+def pack_indices_unpackbits(indices, bits):
+    """``pack_indices`` for in-range integers: each index's low ``bits`` bits, concatenated."""
+    indices = np.asarray(indices).reshape(-1).astype(np.uint8)
+    as_bits = np.unpackbits(indices.reshape(-1, 1), axis=1, bitorder="little")
+    payload = as_bits[:, :bits].reshape(-1)
+    return np.packbits(payload, bitorder="little")
 
 
 class PerShardTensor:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.tensor as rt
@@ -11,6 +11,7 @@ from repro.core.dkm import (
     ClusterState,
     DKMClusterer,
     default_temperature,
+    init_centroids_histogram,
     init_centroids_quantile,
     nearest_centroid,
 )
@@ -151,7 +152,8 @@ def _ranked_case(draw):
 def _assert_rank_monotone(values, centroids, assignments):
     """Non-decreasing in the value; ties (repeats, midpoints) to the lower index."""
     order = np.argsort(values, kind="stable")
-    assert np.all(np.diff(assignments[order]) >= 0)
+    # Widen first: a uint8 diff wraps, so a decreasing step would read 255.
+    assert np.all(np.diff(assignments[order].astype(np.int64)) >= 0)
     first = np.searchsorted(centroids, centroids, side="left")
     assert np.array_equal(first[assignments], assignments)  # first of a repeat run
     for i in range(len(centroids) - 1):
@@ -183,6 +185,107 @@ class TestRankMonotonicity:
         assignments = np.asarray(clusterer.hard_assign(weights))
         stored = weights.numpy().reshape(-1)  # values after the dtype's rounding
         _assert_rank_monotone(stored, centroids, assignments)
+
+
+@st.composite
+def _histogram_case(draw):
+    """Distinct finite float32 values in any order (bf16 patterns, or
+    normals on a coarse grid), counts from 1 up, and ``k`` up to 256;
+    +0.0 and -0.0 are mixed in, together or alone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_values = draw(st.sampled_from([1, 2, 3, 17, 300]))
+    if draw(st.booleans()):
+        patterns = rng.integers(0, 1 << 16, n_values).astype(np.uint32) << 16
+        values = patterns.view(np.float32)
+    else:
+        values = (np.round(rng.standard_normal(n_values) * 64) / 256).astype(np.float32)
+    zeros = draw(st.sampled_from([[], [0.0], [-0.0], [0.0, -0.0]]))
+    values = np.concatenate([values[np.isfinite(values)], np.array(zeros, np.float32)])
+    _, first = np.unique(values.view(np.uint32), return_index=True)
+    values = rng.permutation(values[first])  # distinct patterns, like uniquify's
+    assume(values.size)
+    top = draw(st.sampled_from([1, 2, 50, 5000]))
+    counts = rng.integers(1, top + 1, values.size)
+    k = draw(st.sampled_from([1, 2, 3, 8, 16, 256]))
+    return values, counts, k
+
+
+class TestHistogramInit:
+    """Centroid init read off ``(values, counts)`` is byte-equal to the
+    quantiles of the repeated weights it replaced."""
+
+    @given(_histogram_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_quantile_of_the_repeat(self, case):
+        values, counts, k = case
+        got = init_centroids_histogram(values, counts, k)
+        want = init_centroids_quantile(values.repeat(counts), k)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([0.25], [1]),  # one value
+            ([0.25], [1000]),
+            ([0.5, -1.0, 2.0, 0.125], [1, 1, 1, 1]),  # counts of 1
+            # Both zeros: the repeat fallback.  Read off the sorted unique
+            # values, the median of the first is -0.0 and of the second 0.0;
+            # np.partition leaves the other zero there.
+            ([0.0, 0.75, -0.0], [4, 5, 3]),
+            ([-0.5, -0.0, 0.25, 0.0], [3, 5, 5, 5]),
+            ([-0.0, -1.0, 1.0], [4, 1, 1]),  # one zero sign: no fallback needed
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 8, 256])
+    def test_edge_cases(self, values, counts, k):
+        values = np.array(values, np.float32)
+        counts = np.array(counts, np.int64)
+        want = init_centroids_quantile(values.repeat(counts), k)
+        assert init_centroids_histogram(values, counts, k).tobytes() == want.tobytes()
+
+    def test_cold_refine_starts_from_the_histogram(self, monkeypatch):
+        import repro.core.dkm as dkm
+
+        calls = []
+        monkeypatch.setattr(dkm, "init_centroids_quantile", lambda *a: calls.append(a))
+        clusterer = DKMClusterer(DKMConfig(bits=3, iters=1))
+        clusterer.refine(_weight_tensor())
+        assert calls == []  # no repeat, no np.quantile
+
+
+class TestHardAssignUint8:
+    """``hard_assign`` returns uint8 on both paths, equal to the int64 gather."""
+
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16", "float32"])
+    @given(case=_ranked_case(), bits=st.sampled_from([4, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_int64_gather(self, dtype, case, bits):
+        centroids, values = case
+        weights = rt.Tensor.from_numpy(values, dtype=dtype, device="gpu")
+        clusterer = DKMClusterer(DKMConfig(bits=bits, weight_dtype=rt.get_dtype(dtype)))
+        clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
+        got = clusterer.hard_assign(weights)
+        if dtype == "float32":
+            want = nearest_centroid(weights._compute(), centroids)
+        else:
+            unique = clusterer.fastpath.uniquify(weights, weights.dtype)
+            want = nearest_centroid(unique.values, centroids)[
+                unique.index_list.astype(np.int64)
+            ]
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+    def test_all_256_centroids(self):
+        centroids = np.linspace(-1, 1, 256).astype(np.float32)
+        weights = rt.Tensor.from_numpy(centroids, dtype="bfloat16", device="gpu")
+        clusterer = DKMClusterer(DKMConfig(bits=8))
+        clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
+        got = clusterer.hard_assign(weights)
+        unique = clusterer.fastpath.uniquify(weights, weights.dtype)
+        want = nearest_centroid(unique.values, centroids)[unique.index_list.astype(np.int64)]
+        assert got.dtype == np.uint8 and want.max() == 255
+        assert np.array_equal(got, want)
 
 
 class TestRefineRejectsUnclusterableWeights:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.palettize import (
     PalettizedTensor,
@@ -9,6 +11,8 @@ from repro.core.palettize import (
     pack_indices,
     unpack_indices,
 )
+
+from tests.oracles import pack_indices_unpackbits
 
 
 class TestBitPacking:
@@ -51,6 +55,63 @@ class TestBitPacking:
         packed = pack_indices(np.array([], dtype=np.uint8), 3)
         assert np.array_equal(unpack_indices(packed, 3, 0), np.array([], dtype=np.uint8))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_float_indices_rejected(self, dtype):
+        # A cast would truncate: [0.5, 1.9, 7.99] would pack as [0, 1, 7].
+        with pytest.raises(ValueError, match="integers or bools"):
+            pack_indices(np.array([0.5, 1.9, 7.99], dtype=dtype), 3)
+
+    @pytest.mark.parametrize("bits", [0, 9, -1])
+    def test_unpack_bad_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match=rf"bits must be in \[1, 8\], got {bits}"):
+            unpack_indices(np.zeros(4, dtype=np.uint8), bits, 2)
+
+    @pytest.mark.parametrize(
+        "n_bytes, bits, count, capacity", [(3, 3, 9, 8), (0, 1, 1, 0), (4, 8, 5, 4), (3, 3, -1, 8)]
+    )
+    def test_unpack_count_outside_stream_rejected(self, n_bytes, bits, count, capacity):
+        with pytest.raises(ValueError, match=rf"count {count} is outside \[0, {capacity}\]"):
+            unpack_indices(np.zeros(n_bytes, dtype=np.uint8), bits, count)
+
+    def test_unpack_whole_stream_accepted(self):
+        # 3 bytes hold 8 three-bit indices; the last bit is padding.
+        indices = np.arange(8, dtype=np.uint8)
+        assert np.array_equal(unpack_indices(pack_indices(indices, 3), 3, 8), indices)
+
+
+def _pack_case_indices(bits, length, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if dtype is bool:
+        return rng.integers(0, 2, length).astype(bool)
+    high = min(1 << bits, int(np.iinfo(dtype).max) + 1)
+    return rng.integers(0, high, length).astype(dtype)
+
+
+class TestPackEqualsOracle:
+    """The word-wide packer is byte-equal to the bit-matrix packer it replaced."""
+
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 70),
+        st.sampled_from([np.uint8, np.uint16, np.int8, np.int32, np.int64, np.uint64, bool]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_oracle(self, bits, length, dtype, seed):
+        indices = _pack_case_indices(bits, length, dtype, seed)
+        packed = pack_indices(indices, bits)
+        want = pack_indices_unpackbits(indices, bits)
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == want.tobytes()
+        assert np.array_equal(unpack_indices(packed, bits, length), indices.astype(np.uint8))
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_every_length_mod_8_at_the_top_index(self, bits):
+        for length in range(17):
+            indices = np.full(length, (1 << bits) - 1, dtype=np.int64)
+            want = pack_indices_unpackbits(indices, bits)
+            assert pack_indices(indices, bits).tobytes() == want.tobytes()
+
 
 class TestPalettizedTensor:
     def test_from_weights_nearest_assignment(self):
@@ -85,6 +146,13 @@ class TestPalettizedTensor:
             PalettizedTensor.from_weights(
                 np.zeros(4, dtype=np.float32), np.linspace(0, 1, 16), bits=3
             )
+
+    def test_dequantize_of_truncated_stream_rejected(self):
+        weights = np.zeros((6, 7), dtype=np.float32)
+        p = PalettizedTensor.from_weights(weights, np.linspace(-1, 1, 8), bits=3)
+        p.packed = p.packed[:-2]  # 14 bytes hold 37 of the 42 indices
+        with pytest.raises(ValueError, match=r"count 42 is outside \[0, 37\]"):
+            p.dequantize()
 
     def test_dequantize_error_bounded_by_lut_resolution(self):
         rng = np.random.default_rng(1)
