@@ -14,10 +14,11 @@ tripped through hex-encoded IEEE-754 bytes so not one ulp is lost), the
 layer's *warm token* (whether its step cache covers the current weight
 bytes), and its hit/miss counters -- plus the compressor's sweep count
 and a config epoch digest.  ``resume`` restores all of it: states are
-reassigned, warm layers get a phantom :meth:`~repro.core.fastpath.
-StepCache.mark_computed` entry (so the first post-resume sweep counts a
-hit exactly as the uninterrupted run would), counters are overwritten
-via :meth:`~repro.core.fastpath.StepCache.restore_counters`.
+reassigned, each warm layer's step cache is refilled by one
+:meth:`~repro.core.fastpath.StepCache.uniquify` of its weight (so the
+first post-resume sweep hits, exactly as the uninterrupted run would),
+and then the counters are overwritten via
+:meth:`~repro.core.fastpath.StepCache.restore_counters`.
 
 Durability contract:
 
@@ -52,13 +53,15 @@ from repro.core.fastpath import FastPathStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compressor import ModelCompressor
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 """Schema version stamped into (and verified from) every checkpoint.
 
 Version 2: ``EDKMConfig`` lost five fields.  Version 3: ``DKMConfig`` lost
 its dense row-chunk field and the payload its configured-backend key.
 Version 4: the payload lost ``active_backend`` (sweeps always run the
-serial loop) and ``EDKMConfig`` its ``search_strategy`` field.  Each
+serial loop) and ``EDKMConfig`` its ``search_strategy`` field.  Version
+5: ``DKMConfig`` lost its dense-path byte limit (now a module constant of
+:mod:`repro.core.dkm`).  Each
 change moves the ``config_epoch`` digest of every run, so older files
 are refused by version rather than with a misleading "different
 clustering config"."""
@@ -234,12 +237,10 @@ def restore_payload(compressor: "ModelCompressor", payload: dict) -> None:
         cache = wrapper.step_cache
         cache.invalidate()
         if record["warm"]:
-            # Phantom entry: the interrupted run had already computed the
-            # decomposition of these exact bytes, so the first post-resume
-            # uniquify must count a hit, just as it would have.
-            cache.mark_computed(
-                wrapper.inner.weight, wrapper.dkm_config.weight_dtype
-            )
+            # The interrupted run held the decomposition of these exact
+            # bytes, so the first post-resume uniquify must hit, as it
+            # would have; the miss counted here is overwritten below.
+            cache.uniquify(wrapper.inner.weight, wrapper.dkm_config.weight_dtype)
         stats = record["stats"]
         cache.restore_counters(
             FastPathStats(

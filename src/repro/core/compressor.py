@@ -305,18 +305,16 @@ class LayerClusterResult:
 # ----------------------------------------------------------------------
 
 
-def refine_op(
-    clusterer: DKMClusterer, weights: Tensor, cache_table: bool = False
-) -> ClusterState:
+def refine_op(clusterer: DKMClusterer, weights: Tensor) -> ClusterState:
     """One layer's centroid refinement (the ``refine_all`` sweep body)."""
-    return clusterer.refine(weights, cache_table=cache_table)
+    return clusterer.refine(weights)
 
 
 def precluster_op(
     clusterer: DKMClusterer, weights: Tensor, compute_error: bool = False
 ) -> LayerClusterResult:
     """One layer's refine + hard-assign snapshot (``precluster`` body)."""
-    state = clusterer.refine(weights, cache_table=True)
+    state = clusterer.refine(weights)
     assignments = clusterer.hard_assign(weights)
     error = clusterer.reconstruction_error(weights) if compute_error else None
     return LayerClusterResult(
@@ -378,8 +376,8 @@ class ModelCompressor:
     Embeddings are palettized post-training at ``embedding_bits`` (paper:
     "we also compressed the embedding layers with 8 bits"); norms and biases
     stay in 16-bit.  ``skip_names`` lists module-path prefixes exempted
-    from wrapping.  ``sweeps_completed`` counts the sweeps run so far (the
-    checkpoint layer's progress marker).
+    from wrapping; their Linears stay in 16-bit too.  ``sweeps_completed``
+    counts the sweeps run so far (the checkpoint layer's progress marker).
     """
 
     def __init__(
@@ -454,9 +452,9 @@ class ModelCompressor:
 
         return load_checkpoint(self, path)
 
-    def refine_all(self, cache_table: bool = False) -> dict[str, ClusterState]:
+    def refine_all(self) -> dict[str, ClusterState]:
         """Converge every layer's centroids, in layer insertion order."""
-        return self._sweep("refine", cache_table=cache_table)
+        return self._sweep("refine")
 
     def precluster(self, compute_error: bool = False) -> dict[str, LayerClusterResult]:
         """Refine + hard-assign every layer, snapshotting results.
@@ -496,14 +494,19 @@ class ModelCompressor:
         """
         report = CompressionReport()
         report.palettized.update(self._sweep("palettize", bits=self.dkm_config.bits))
+        wrapped_inner = {id(wrapper.inner) for wrapper in self.wrapped.values()}
         for name, module in model.named_modules():
             if isinstance(module, Embedding):
                 report.palettized[f"{name}.weight"] = kmeans_palettize(
                     module.weight._compute(), self.embedding_bits
                 )
-            elif hasattr(module, "weight") and not isinstance(
-                module, (Linear, ClusteredLinear, Embedding)
-            ):
+            elif isinstance(module, Linear):
+                # A Linear exempted by ``skip_names`` ships at 16-bit.
+                if id(module) not in wrapped_inner:
+                    report.uncompressed[f"{name}.weight"] = 2 * module.weight.numel
+                    if module.bias is not None:
+                        report.uncompressed[f"{name}.bias"] = 2 * module.bias.numel
+            elif not isinstance(module, ClusteredLinear):
                 weight = getattr(module, "weight", None)
                 if isinstance(weight, Tensor):
                     report.uncompressed[f"{name}.weight"] = 2 * weight.numel

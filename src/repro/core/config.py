@@ -113,11 +113,6 @@ class DKMConfig:
         tol: early-stop threshold on centroid movement.
         weight_dtype: 16-bit dtype weights are clustered in (uniquification
             keys on its bit patterns; paper fine-tunes in bfloat16).
-        dense_saved_bytes_limit: refuse the monolithic dense composition
-            when one of its ``O(|W|·|C|)`` float32 buffers would exceed this
-            many bytes, instead of letting the host OOM; the error message
-            points at :meth:`DKMClusterer.cluster_dense`'s ``row_chunk``
-            argument (the blocked fallback).
     """
 
     bits: int = 3
@@ -125,7 +120,6 @@ class DKMConfig:
     iters: int = 5
     tol: float = 1e-8
     weight_dtype: DType = bfloat16
-    dense_saved_bytes_limit: int = 256 << 20
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 8:
@@ -134,8 +128,6 @@ class DKMConfig:
             raise ValueError("temperature must be positive")
         if self.iters < 1:
             raise ValueError("need at least one k-means iteration")
-        if self.dense_saved_bytes_limit < 1:
-            raise ValueError("dense_saved_bytes_limit must be positive")
 
     @property
     def n_clusters(self) -> int:

@@ -9,9 +9,11 @@ shapes the clustering.
 Two differentiable paths are provided:
 
 - :meth:`DKMClusterer.cluster_dense` -- the original DKM formulation
-  composed from primitive autograd ops.  Its saved tensors include two
-  ``O(|W|·|C|)`` buffers (the squared-distance matrix and the attention
-  map), which is the memory wall motivating eDKM.
+  composed from primitive autograd ops, one path whether or not it
+  records gradients.  Its saved tensors include two ``O(|W|·|C|)``
+  buffers (the squared-distance matrix and the attention map), which is
+  the memory wall motivating eDKM; a layer whose buffer would exceed
+  :data:`DENSE_SAVED_BYTES_LIMIT` is refused up front.
 - :func:`repro.core.edkm.edkm_cluster` -- the eDKM path that computes in
   unique-value space and saves the attention *table* + index list instead.
 
@@ -31,12 +33,16 @@ from repro.core.config import DKMConfig
 from repro.core.fastpath import StepCache
 from repro.core.uniquify import attention_table, attention_table_ku
 from repro.tensor import ops
-from repro.tensor.autograd import is_grad_enabled, no_grad
+from repro.tensor.autograd import no_grad
 from repro.tensor.tensor import Tensor
 
 # Row-block size for the chunked fallback of the inspection helpers: bounds
 # the materialized distance block at chunk x k instead of N x k.
 HARD_ASSIGN_CHUNK = 1 << 16
+
+# Largest ``O(|W|·|C|)`` float32 buffer :meth:`DKMClusterer.cluster_dense`
+# builds; a bigger layer raises ``MemoryError`` instead of thrashing the host.
+DENSE_SAVED_BYTES_LIMIT = 256 << 20
 
 
 @dataclass
@@ -209,118 +215,43 @@ class DKMClusterer:
     # Differentiable assignment -- dense DKM path
     # ------------------------------------------------------------------
 
-    def cluster_dense(self, weights: Tensor, row_chunk: int | None = None) -> Tensor:
+    def cluster_dense(self, weights: Tensor) -> Tensor:
         """Soft-reconstruct ``weights`` through the dense attention map.
 
         Composed from primitive ops so every intermediate flows through the
         active saved-tensor hooks exactly as the original DKM implementation
         does in PyTorch.  Saved tensors of this path (per weight tensor):
         the squared-distance matrix and the attention map, each
-        ``O(|W|·|C|)``, plus small vectors.
+        ``O(|W|·|C|)``, plus small vectors -- the memory wall eDKM removes.
+        A forward that records no gradient runs the same composition, so
+        its output is byte-equal to a recording one.
 
-        ``row_chunk`` (default ``None``: one monolithic block) switches to
-        the blocked fallback: the flattened weight is clustered in row blocks of
-        ``row_chunk`` positions, each through the same primitive composition
-        (so per-position gradients are exactly the monolithic ones -- the
-        softmax and mixture are row-local), and the block outputs are
-        concatenated.  Each individual buffer is then bounded at
-        ``row_chunk x k``: the *transient* working set (the no-grad sweeps,
-        eval/palettization, and each op's scratch) shrinks accordingly, and
-        every saved-for-backward tensor becomes small enough for the
-        offload pipeline to spill or shard per block.  The *total*
-        retained-for-backward footprint of a grad-recording forward is
-        still ``O(|W|·|C|)`` summed over blocks -- that is inherent to
-        dense DKM and is exactly the memory wall eDKM exists to remove.
-        Without a chunk size, a monolithic composition whose
-        ``O(|W|·|C|)`` float32 buffers would exceed
-        ``config.dense_saved_bytes_limit`` raises :class:`MemoryError` up
-        front instead of thrashing the host.
-
-        **Step-cache table reuse** (the dense-path fast path): when the
-        call records *no* gradients -- grad mode is off or ``weights``
-        does not require grad -- and the whole tensor fits in one block
-        (``|W| <= row_chunk``, or the monolithic path), the reconstruction
-        is served from the step cache instead of the primitive
-        composition: the shared uniquify plus the refine-parked attention
-        table collapse the rebuild into a ``(u, k) @ (k,)`` mixture and an
-        ``O(|W|)`` gather, skipping the ``O(|W|·|C|)`` distance/softmax
-        blocks entirely.  The served values are the *unique-space*
-        mixture -- the same arithmetic the eDKM assignment uses -- which
-        differs from the primitive composition at the ULP level (division
-        by the temperature vs multiplication by its reciprocal), exactly
-        the established eDKM-vs-dense numerical relationship; do not
-        expect a no-grad forward to be bit-equal to a recording one.
-        Grad-recording calls never take this path, so training gradients
-        are bit-identical to the original composition (asserted by
-        regression test); the single-block gate keeps the blocked
-        fallback's bounded-buffer behavior untouched.
+        A layer whose ``O(|W|·|C|)`` float32 buffer would exceed
+        :data:`DENSE_SAVED_BYTES_LIMIT` raises :class:`MemoryError` up
+        front, before the cluster state is created or moved, instead of
+        thrashing the host.
         """
-        if row_chunk is not None and row_chunk < 1:
-            raise ValueError(f"row_chunk must be positive when set, got {row_chunk}")
         n_weights = weights.numel
         k = self.config.n_clusters
-        if row_chunk is None:
-            dense_bytes = n_weights * k * 4
-            if dense_bytes > self.config.dense_saved_bytes_limit:
-                raise MemoryError(
-                    f"dense DKM would materialize {dense_bytes} bytes per "
-                    f"O(|W|·|C|) buffer ({n_weights} weights x {k} centroids), "
-                    f"over the {self.config.dense_saved_bytes_limit}-byte limit; "
-                    "pass cluster_dense(row_chunk=) to use the blocked "
-                    "fallback, or use the eDKM path"
-                )
-            row_chunk = n_weights  # single block == original monolithic path
-        fastpath_ok = (
-            n_weights <= row_chunk
-            and self.config.weight_dtype.itemsize == 2
-            and weights.dtype is self.config.weight_dtype
-            and not (is_grad_enabled() and weights.requires_grad)
-        )
+        dense_bytes = n_weights * k * 4
+        if dense_bytes > DENSE_SAVED_BYTES_LIMIT:
+            raise MemoryError(
+                f"dense DKM would materialize {dense_bytes} bytes per "
+                f"O(|W|·|C|) buffer ({n_weights} weights x {k} centroids), "
+                f"over the {DENSE_SAVED_BYTES_LIMIT}-byte limit; cluster this "
+                "layer on the eDKM path (edkm_cluster) instead"
+            )
         with no_grad():
-            state = self.refine(weights, cache_table=fastpath_ok)
-        if fastpath_ok:
-            reconstructed = self._dense_from_table(weights, state)
-            if reconstructed is not None:
-                return reconstructed
+            state = self.refine(weights)
         centroids = Tensor.from_numpy(
             state.centroids, dtype="float32", device=weights.device
         )
-
-        flat = weights.reshape(-1)
-        blocks = []
-        for start in range(0, max(n_weights, 1), max(row_chunk, 1)):
-            block = flat[start : min(start + row_chunk, n_weights)]
-            diff = block.unsqueeze(1) - centroids.unsqueeze(0)  # (chunk, k)
-            sq_dist = diff * diff  # saves `diff` twice (same storage)
-            logits = sq_dist * (-1.0 / state.temperature)
-            attention = ops.softmax(logits, dim=1)  # the (chunk, k) map
-            mixed = attention @ centroids.unsqueeze(1)  # saves `attention` again
-            blocks.append(mixed.reshape(-1))
-        mixed_flat = blocks[0] if len(blocks) == 1 else ops.cat(blocks, dim=0)
-        reconstructed = mixed_flat.reshape(weights.shape)
-        return reconstructed.cast(weights.dtype)
-
-    def _dense_from_table(
-        self, weights: Tensor, state: ClusterState
-    ) -> Tensor | None:
-        """No-grad dense reconstruction straight from the carried table.
-
-        Returns ``None`` when the cache does not hold the table for the
-        refined (centroids, temperature) -- the caller falls back to the
-        primitive composition.  Only called from :meth:`cluster_dense`
-        when no gradient is being recorded, so substituting the
-        unique-space mixture for the per-block softmax rebuild cannot
-        perturb any training gradient.
-        """
-        unique = self.fastpath.uniquify(weights, self.config.weight_dtype)
-        table = self.fastpath.lookup_table(state.centroids, state.temperature)
-        if table is None:
-            return None
-        mixed_unique = table @ state.centroids.astype(np.float32)  # (u,)
-        out = mixed_unique[unique.index_list.astype(np.int64, copy=False)]
-        return Tensor.from_numpy(
-            out.reshape(weights.shape), dtype=weights.dtype, device=weights.device
-        )
+        diff = weights.reshape(-1).unsqueeze(1) - centroids.unsqueeze(0)  # (|W|, k)
+        sq_dist = diff * diff  # saves `diff` twice (same storage)
+        logits = sq_dist * (-1.0 / state.temperature)
+        attention = ops.softmax(logits, dim=1)  # the (|W|, k) map
+        mixed = attention @ centroids.unsqueeze(1)  # saves `attention` again
+        return mixed.reshape(weights.shape).cast(weights.dtype)
 
     # ------------------------------------------------------------------
     # Inspection helpers

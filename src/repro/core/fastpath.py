@@ -20,17 +20,11 @@ Each :class:`~repro.core.dkm.DKMClusterer` owns one cache, so multi-layer
 models amortize per layer independently; :class:`repro.core.compressor.
 ModelCompressor` aggregates the per-layer hit counters for reporting.
 
-**Phantom entries.**  A checkpoint resume (:mod:`repro.core.checkpoint`)
-restores a layer that was warm when it was saved as a *phantom* entry
-(:meth:`StepCache.mark_computed`): the (storage, version, view) key is
-known-computed, but the products are not resident.  Counters track
-*logical* cache validity -- a ``uniquify`` call against a matching
-phantom key records a **hit** (the decomposition for those exact bytes
-was already computed before the restart) while transparently
-recomputing and re-residenting the products locally.  This keeps the
-per-layer hit/miss counters of a resumed run bit-identical to an
-uninterrupted one; the physical recompute count is still observable via
-:func:`repro.core.uniquify.uniquify_call_count`.
+A checkpoint resume (:mod:`repro.core.checkpoint`) re-enters a layer
+that was warm when it was saved through one ordinary :meth:`StepCache.
+uniquify` call and then overwrites the counters with the saved ones, so
+the entry is resident and the first sweep after the resume hits, as it
+would have in the uninterrupted run.
 
 Footprint: between steps the cache retains the layer's
 :class:`~repro.core.uniquify.UniquifiedWeights` -- dominated by the
@@ -136,7 +130,7 @@ class StepCache:
         )
 
     def _key_matches(self, weights: "Tensor", dtype: DType) -> bool:
-        """Whether the live entry (resident *or* phantom) covers ``weights``."""
+        """Whether the live entry covers ``weights``."""
         return (
             self._key == self._weight_key(weights, dtype)
             and self._storage_ref is not None
@@ -144,23 +138,10 @@ class StepCache:
         )
 
     def uniquify(self, weights: "Tensor", dtype: DType) -> UniquifiedWeights:
-        """The decomposition of ``weights``, computed at most once per version.
-
-        Against a matching *phantom* entry (see :meth:`mark_computed`) this
-        records a hit -- the decomposition of these exact bytes was already
-        computed, just not resident here -- and recomputes the products,
-        promoting the entry to resident so subsequent calls are ordinary
-        hits.
-        """
+        """The decomposition of ``weights``, computed at most once per version."""
         with self._lock:
-            matches = self._key_matches(weights, dtype)
-            if matches and self._unique is not None:
+            if self._key_matches(weights, dtype):
                 self.stats.uniquify_hits += 1
-                return self._unique
-            if matches:
-                # Phantom hit: logically warm, physically absent.
-                self.stats.uniquify_hits += 1
-                self._unique = uniquify(weights._np(), dtype)
                 return self._unique
             self.stats.uniquify_misses += 1
             unique = uniquify(weights._np(), dtype)
@@ -173,25 +154,10 @@ class StepCache:
             return unique
 
     def is_warm(self, weights: "Tensor", dtype: DType) -> bool:
-        """Whether a ``uniquify`` for ``weights`` would be a (possibly
-        phantom) hit -- the warm token a checkpoint records per layer."""
+        """Whether a ``uniquify`` for ``weights`` would be a hit -- the
+        warm token a checkpoint records per layer."""
         with self._lock:
             return self._key_matches(weights, dtype)
-
-    def mark_computed(self, weights: "Tensor", dtype: DType) -> None:
-        """Install a phantom entry: key known-computed, products elsewhere.
-
-        Called by checkpoint resume for a layer whose cache covered
-        exactly these weight bytes when it was saved.  A resident entry
-        for the same key is left untouched (it is strictly better); any
-        entry for a different key is dropped first.
-        """
-        with self._lock:
-            if self._key_matches(weights, dtype):
-                return
-            self.invalidate()
-            self._storage_ref = weakref.ref(weights.storage)
-            self._key = self._weight_key(weights, dtype)
 
     def restore_counters(self, stats: FastPathStats) -> None:
         """Overwrite the hit/miss counters with a checkpointed snapshot.
@@ -213,14 +179,11 @@ class StepCache:
     ) -> None:
         """Remember the table for the *current* decomposition and centroids.
 
-        Accepted against a resident entry whose row count matches, or
-        against a *phantom* entry (key known-computed, products
-        non-resident).  With no live entry at all the call is ignored.
+        Accepted against a live entry whose row count matches; otherwise
+        the call is ignored.
         """
         with self._lock:
-            if self._key is None:
-                return
-            if self._unique is not None and table.shape[0] != self._unique.n_unique:
+            if self._unique is None or table.shape[0] != self._unique.n_unique:
                 return
             self._table = table
             # Flatten at store time: lookup compares against a flattened

@@ -62,8 +62,9 @@ class SavedTensorPipeline:
     ``(nbytes, hit)`` to :attr:`events`, in pack order.  Two strategies
     dedup the identical set of storages on a deterministic workload iff
     their event sequences are equal -- the comparison the
-    strategy-equivalence suite and Fig. 2's lookup-strategy table
-    (``python -m repro.bench fig2``) run on.
+    strategy-equivalence tests run on.  Fig. 2's lookup-strategy table
+    (``python -m repro.bench fig2``) reads the :attr:`stats` counters
+    instead and leaves this off.
     """
 
     def __init__(self, config: EDKMConfig, record_events: bool = False) -> None:

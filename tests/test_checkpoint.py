@@ -19,11 +19,13 @@ import pytest
 import repro.nn as nn
 from repro.core import DKMConfig, ModelCompressor
 from repro.core.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointCorrupt,
     CheckpointError,
     _payload_digest,
     read_checkpoint,
 )
+from repro.core.uniquify import reset_uniquify_call_count, uniquify_call_count
 
 
 class _Stack(nn.Module):
@@ -50,6 +52,12 @@ def _stats(compressor):
         name: dataclasses.asdict(wrapper.step_cache.stats)
         for name, wrapper in compressor.wrapped.items()
     }
+
+
+def _resident(cache):
+    """Whether ``cache`` holds a decomposition (read under its lock)."""
+    with cache._lock:
+        return cache._unique is not None
 
 
 def _centroids(results):
@@ -140,14 +148,14 @@ class TestRoundTrip:
         run's counters continue the uninterrupted run's."""
         path = str(tmp_path / "ckpt.json")
         reference, _ = _compressor(seed=4)
-        reference.refine_all(cache_table=True)
-        ref_states = reference.refine_all(cache_table=True)
+        reference.refine_all()
+        ref_states = reference.refine_all()
         first, _ = _compressor(seed=4)
-        first.refine_all(cache_table=True)
+        first.refine_all()
         first.save_checkpoint(path)
         resumed, _ = _compressor(seed=4)
         resumed.resume(path)
-        res_states = resumed.refine_all(cache_table=True)
+        res_states = resumed.refine_all()
         for name in ref_states:
             assert np.array_equal(ref_states[name].centroids, res_states[name].centroids)
         assert _stats(reference) == _stats(resumed)
@@ -189,6 +197,64 @@ class TestRoundTrip:
         resumed.resume(path)
         resumed.precluster()
         assert _stats(reference) == _stats(resumed)
+
+
+class TestWarmResume:
+    """A layer warm at save time comes back with a resident entry, made by
+    one ordinary ``StepCache.uniquify`` before the counters are restored."""
+
+    @staticmethod
+    def _saved_then_resumed(tmp_path, seed=10, release=()):
+        path = str(tmp_path / "ckpt.json")
+        first, _ = _compressor(seed=seed)
+        first.precluster()
+        for name in release:
+            first.wrapped[name].step_cache.invalidate()
+        first.save_checkpoint(path)
+        resumed, _ = _compressor(seed=seed)
+        reset_uniquify_call_count()
+        resumed.resume(path)
+        return first, resumed
+
+    def test_warm_layer_entry_is_resident(self, tmp_path):
+        first, resumed = self._saved_then_resumed(tmp_path)
+        for name, wrapper in resumed.wrapped.items():
+            cache = wrapper.step_cache
+            assert cache.is_warm(wrapper.inner.weight, wrapper.dkm_config.weight_dtype)
+            assert _resident(cache), name
+        # one decomposition per warm layer, and the saved counters survive it
+        assert uniquify_call_count() == len(resumed.wrapped)
+        assert _stats(resumed) == _stats(first)
+
+    def test_first_uniquify_after_resume_is_a_hit(self, tmp_path):
+        _, resumed = self._saved_then_resumed(tmp_path)
+        reset_uniquify_call_count()
+        for name, wrapper in resumed.wrapped.items():
+            cache = wrapper.step_cache
+            hits, misses = cache.stats.uniquify_hits, cache.stats.uniquify_misses
+            cache.uniquify(wrapper.inner.weight, wrapper.dkm_config.weight_dtype)
+            assert cache.stats.uniquify_hits == hits + 1, name
+            assert cache.stats.uniquify_misses == misses
+        assert uniquify_call_count() == 0
+
+    def test_resumed_run_uniquifies_once_per_warm_layer(self, tmp_path):
+        """Resume plus two more sweeps computes each warm layer's
+        decomposition once, and counts what the uninterrupted run counts."""
+        reference, _ = _compressor(seed=10)
+        for _ in range(3):
+            reference.precluster()
+        _, resumed = self._saved_then_resumed(tmp_path)
+        resumed.precluster()
+        resumed.precluster()
+        assert uniquify_call_count() == len(resumed.wrapped)
+        assert _stats(reference) == _stats(resumed)
+
+    def test_only_warm_layers_are_refilled(self, tmp_path):
+        first, resumed = self._saved_then_resumed(tmp_path, release=("layer1",))
+        assert uniquify_call_count() == len(resumed.wrapped) - 1
+        assert not _resident(resumed.wrapped["layer1"].step_cache)
+        assert _resident(resumed.wrapped["layer0"].step_cache)
+        assert _stats(resumed) == _stats(first)
 
 
 class TestDurability:
@@ -361,4 +427,21 @@ class TestCompatibilityPins:
         payload["digest"] = _payload_digest(payload)
         json.dump(payload, open(path, "w", encoding="utf-8"))
         with pytest.raises(CheckpointError, match="schema version 3"):
+            compressor.resume(path)
+
+    def test_version_4_payload_refused_by_version(self, tmp_path):
+        """A version-4 file (its config epoch still hashed a ``DKMConfig``
+        repr with ``dense_saved_bytes_limit``) is refused by version, not
+        as a "different clustering config"."""
+        assert CHECKPOINT_VERSION == 5
+        path = str(tmp_path / "ckpt.json")
+        compressor, _ = _compressor()
+        compressor.precluster()
+        compressor.save_checkpoint(path)
+        payload = json.load(open(path, encoding="utf-8"))
+        payload["version"] = 4
+        payload["config_epoch"] = "0" * 32
+        payload["digest"] = _payload_digest(payload)
+        json.dump(payload, open(path, "w", encoding="utf-8"))
+        with pytest.raises(CheckpointError, match="schema version 4"):
             compressor.resume(path)

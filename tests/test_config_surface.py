@@ -31,7 +31,6 @@ from repro.tensor.dtype import float16
 SURFACE = {
     DKMConfig: {
         "bits", "temperature", "iters", "tol", "weight_dtype",
-        "dense_saved_bytes_limit",
     },
     EDKMConfig: {
         "offload", "marshal", "uniquify", "shard", "hop_budget", "group",
@@ -82,7 +81,7 @@ def test_baseline_settable_value_budget():
 
 
 def test_field_budget():
-    assert sum(len(names) for names in SURFACE.values()) == 26
+    assert sum(len(names) for names in SURFACE.values()) == 25
 
 
 def test_settable_value_budget():
@@ -91,7 +90,7 @@ def test_settable_value_budget():
     assert policy == {"timeout_s", "retries", "backoff_s", "respawns"}
     retry_fields = sum("retry" in names for names in SURFACE.values())
     total = sum(len(names) for names in SURFACE.values())
-    assert total - retry_fields + retry_fields * len(policy) == 29
+    assert total - retry_fields + retry_fields * len(policy) == 28
 
 
 def test_model_compressor_keywords_are_pinned():
@@ -126,7 +125,6 @@ def test_to_dict_keys_are_derived_from_the_fields(cls):
 NON_DEFAULTS = {
     DKMConfig: dict(
         bits=4, temperature=0.5, iters=7, tol=1e-4, weight_dtype=float16,
-        dense_saved_bytes_limit=1 << 20,
     ),
     ServingConfig: dict(
         max_batch_size=3, max_queue_depth=5, max_new_tokens=9, eval_path="dense",
@@ -164,7 +162,6 @@ OUT_OF_RANGE = [
     (DKMConfig, "bits", 9),
     (DKMConfig, "temperature", 0.0),
     (DKMConfig, "iters", 0),
-    (DKMConfig, "dense_saved_bytes_limit", 0),
     (EDKMConfig, "hop_budget", -1),
     (EDKMConfig, "shard", True),  # no LearnerGroup to shard over
     (ServingConfig, "max_batch_size", 0),

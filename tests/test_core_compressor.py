@@ -172,3 +172,55 @@ class TestModelCompressor:
         )
         assert compressor.embedding_bits == 6
         assert compressor.skip_names == ("layer0",)
+
+
+class _BodyAndHead(nn.Module):
+    def __init__(self):
+        super().__init__()
+        self.body = nn.Linear(16, 16, rng=np.random.default_rng(0))
+        self.head = nn.Linear(16, 8, rng=np.random.default_rng(1))
+
+
+class TestFinalizeCountsSkippedLinears:
+    """A Linear exempted by ``skip_names`` ships at 16-bit, weight and
+    bias, and is reported as such."""
+
+    def _report(self, skip_names):
+        model = _BodyAndHead()
+        model.to("gpu")
+        compressor = ModelCompressor(DKMConfig(bits=3), skip_names=skip_names)
+        compressor.compress(model)
+        return compressor.finalize(model)
+
+    def test_skipped_head_is_uncompressed(self):
+        report = self._report(("head",))
+        assert list(report.palettized) == ["body"]
+        assert report.uncompressed == {
+            "head.weight": 2 * 16 * 8,
+            "head.bias": 2 * 8,
+            "body.bias": 2 * 16,
+        }
+        assert report.total_bytes == 416
+        assert "head.weight" in report.summary()
+
+    def test_wrapped_linears_are_not_double_counted(self):
+        report = self._report(())
+        assert list(report.palettized) == ["body", "head"]
+        assert report.uncompressed == {"body.bias": 2 * 16, "head.bias": 2 * 8}
+
+    def test_skipping_lm_head_adds_its_16_bit_bytes(self):
+        def report(skip_names):
+            model = nn.Transformer(
+                vocab_size=30, dim=16, n_layers=1, n_heads=2, hidden_dim=32, max_seq_len=8
+            )
+            model.to("gpu")
+            compressor = ModelCompressor(DKMConfig(bits=3), skip_names=skip_names)
+            compressor.compress(model)
+            return compressor.finalize(model)
+
+        full, skipped = report(()), report(("lm_head",))
+        assert "lm_head" not in skipped.palettized
+        assert skipped.uncompressed["lm_head.weight"] == 2 * 30 * 16
+        assert skipped.total_bytes == (
+            full.total_bytes - full.palettized["lm_head"].nbytes + 2 * 30 * 16
+        )

@@ -15,10 +15,7 @@ from repro.core.dkm import (
     init_centroids_quantile,
     nearest_centroid,
 )
-from repro.core.edkm import edkm_cluster
 from repro.core.uniquify import reset_uniquify_call_count, uniquify_call_count
-from repro.tensor.dtype import bfloat16
-from repro.tensor.tensor import Tensor
 
 from tests.oracles import refine_uk
 
@@ -459,80 +456,24 @@ class TestDensePath:
         out = clusterer.cluster_dense(w)
         assert out.shape == (16, 8)
 
-    def test_table_reuse_keeps_recording_grads_bit_identical(self):
-        """The dense fast path must never touch a grad-recording forward:
-        grads with a parked attention table equal grads without one."""
+    def test_no_grad_forward_first_keeps_recording_grads_bit_identical(self):
+        """A no-grad forward before a recording one leaves its gradients
+        equal to those of a clusterer that only ever recorded."""
         import repro.tensor.autograd as autograd
 
-        def grads(evict_table):
+        def grads(warm_no_grad):
             clusterer = DKMClusterer(DKMConfig(bits=3, iters=3))
             w = _weight_tensor(seed=5, requires_grad=True)
-            with autograd.no_grad():
-                clusterer.cluster_dense(w)  # parks the table (fast path)
-            if evict_table:
-                clusterer.fastpath.invalidate()  # pure seed recording
+            if warm_no_grad:
+                with autograd.no_grad():
+                    clusterer.cluster_dense(w)
+            else:
+                clusterer.cluster_dense(w)
             out = clusterer.cluster_dense(w)
             (out * out).sum().backward()
             return w.grad.numpy()
 
-        assert np.array_equal(grads(evict_table=False), grads(evict_table=True))
-
-    def test_no_grad_single_block_served_from_table(self, monkeypatch):
-        """Under no_grad with |W| in one block, the cached table replaces
-        the whole primitive composition (no softmax is ever built)."""
-        import repro.tensor.autograd as autograd
-        import repro.tensor.ops as ops_module
-
-        calls = {"softmax": 0}
-        original = ops_module.softmax
-
-        def counting(*args, **kwargs):
-            calls["softmax"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(ops_module, "softmax", counting)
-        clusterer = DKMClusterer(DKMConfig(bits=3, iters=3))
-        w = _weight_tensor(seed=6)
-        with autograd.no_grad():
-            fast = clusterer.cluster_dense(w)
-        assert calls["softmax"] == 0
-        assert clusterer.fastpath.stats.table_hits >= 1
-        # The served values are the exact unique-space mixture.
-        unique = clusterer.fastpath.uniquify(w, clusterer.config.weight_dtype)
-        state = clusterer.state
-        from repro.core.uniquify import attention_table
-
-        table = attention_table(unique.values, state.centroids, state.temperature)
-        expected = (table @ state.centroids)[unique.index_list.astype(np.int64)]
-        np.testing.assert_allclose(
-            fast.numpy(), expected.reshape(w.shape), rtol=1e-2, atol=1e-3
-        )
-
-    def test_no_grad_multi_block_keeps_composition(self, monkeypatch):
-        """The fast path is gated to a single block: a chunked no-grad
-        call still runs the bounded-buffer primitive composition."""
-        import repro.tensor.autograd as autograd
-        import repro.tensor.ops as ops_module
-
-        calls = {"softmax": 0}
-        original = ops_module.softmax
-
-        def counting(*args, **kwargs):
-            calls["softmax"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(ops_module, "softmax", counting)
-        clusterer = DKMClusterer(DKMConfig(bits=3, iters=3))
-        w = _weight_tensor(seed=6)
-        with autograd.no_grad():
-            chunked = clusterer.cluster_dense(w, row_chunk=512)
-        assert calls["softmax"] == 4  # 2000 weights / 512 per block
-        fresh = DKMClusterer(DKMConfig(bits=3, iters=3))
-        with autograd.no_grad():
-            fast = fresh.cluster_dense(_weight_tensor(seed=6))
-        np.testing.assert_allclose(
-            fast.numpy(), chunked.numpy(), rtol=1e-2, atol=1e-3
-        )
+        assert np.array_equal(grads(warm_no_grad=True), grads(warm_no_grad=False))
 
     def test_saved_tensor_complexity_is_w_times_c(self):
         """The dense path saves O(|W|·|C|) tensors -- DKM's memory wall."""
@@ -550,77 +491,101 @@ class TestDensePath:
         assert max(packed_bytes) >= 1000 * 8 * 4
 
 
-class TestChunkedDense:
-    """The blocked dense fallback (``cluster_dense(row_chunk=)``) reproduces
-    the monolithic composition exactly, forward and gradient, and the
-    monolithic path refuses layers over ``dense_saved_bytes_limit``."""
+class TestDenseOnePath:
+    """``cluster_dense`` has one path: the primitive composition every
+    training forward runs, recording gradients or not."""
 
-    def _weights(self, n=4096, seed=0):
-        values = np.random.default_rng(seed).standard_normal(n).astype(np.float32)
-        return Tensor.from_numpy(values * 0.05, dtype=bfloat16, requires_grad=True)
+    @staticmethod
+    def _recording_and_not(config, mode, dtype="bfloat16", n=2000):
+        """The recording forward and a ``mode`` one from equal cold states."""
+        import repro.tensor.autograd as autograd
 
-    def test_chunked_forward_and_grad_bit_identical(self):
-        w_mono, w_chunk = self._weights(), self._weights()
-        mono = DKMClusterer(DKMConfig(bits=3, iters=3)).cluster_dense(w_mono)
-        chunk = DKMClusterer(DKMConfig(bits=3, iters=3)).cluster_dense(
-            w_chunk, row_chunk=700
+        recording = DKMClusterer(config)
+        quiet = DKMClusterer(config)
+        want = recording.cluster_dense(
+            _weight_tensor(n, seed=6, dtype=dtype, requires_grad=True)
         )
-        assert np.array_equal(mono.numpy(), chunk.numpy())
-        (mono * mono).sum().backward()
-        (chunk * chunk).sum().backward()
-        assert np.array_equal(w_mono.grad.numpy(), w_chunk.grad.numpy())
+        if mode == "no_grad":
+            with autograd.no_grad():
+                got = quiet.cluster_dense(
+                    _weight_tensor(n, seed=6, dtype=dtype, requires_grad=True)
+                )
+        else:  # a frozen weight under grad mode
+            got = quiet.cluster_dense(_weight_tensor(n, seed=6, dtype=dtype))
+        assert recording.state.centroids.tobytes() == quiet.state.centroids.tobytes()
+        assert recording.state.temperature == quiet.state.temperature
+        return recording, quiet, want, got
 
-    def test_chunk_larger_than_tensor_is_monolithic(self):
-        w_a, w_b = self._weights(n=300), self._weights(n=300)
-        a = DKMClusterer(DKMConfig(bits=2, iters=2)).cluster_dense(w_a)
-        b = DKMClusterer(DKMConfig(bits=2, iters=2)).cluster_dense(
-            w_b, row_chunk=10_000
-        )
-        assert np.array_equal(a.numpy(), b.numpy())
+    @pytest.mark.parametrize("mode", ["no_grad", "frozen"])
+    @pytest.mark.parametrize("bits", [1, 3, 4])
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
+    def test_forward_without_grad_is_byte_equal_to_recording(self, mode, bits, dtype):
+        # 60 000 weights: enough that a last-bit float32 difference (the
+        # unique-space mixture once served here) survives the 16-bit cast.
+        config = DKMConfig(bits=bits, iters=3, weight_dtype=rt.get_dtype(dtype))
+        _, _, want, got = self._recording_and_not(config, mode, dtype, n=60_000)
+        assert got.dtype is want.dtype
+        assert got.shape == want.shape
+        assert got.numpy().tobytes() == want.numpy().tobytes()
 
-    def test_monolithic_over_limit_raises(self):
-        w = self._weights(n=2048)
-        clusterer = DKMClusterer(DKMConfig(bits=4, iters=2, dense_saved_bytes_limit=1024))
-        with pytest.raises(MemoryError, match=r"cluster_dense\(row_chunk=\)"):
-            clusterer.cluster_dense(w)
-        # The refusal happens before any refinement work.
+    @pytest.mark.parametrize("mode", ["no_grad", "frozen"])
+    def test_dense_forward_parks_and_reads_no_table(self, mode):
+        _, quiet, _, _ = self._recording_and_not(DKMConfig(bits=3, iters=3), mode)
+        assert _parked(quiet.fastpath) is None
+        stats = quiet.fastpath.stats
+        assert (stats.table_hits, stats.table_misses) == (0, 0)
+
+    def test_limit_is_a_module_constant(self):
+        import repro.core.dkm as dkm
+
+        assert dkm.DENSE_SAVED_BYTES_LIMIT == 256 << 20
+
+    def test_over_limit_raises_before_any_state(self, monkeypatch):
+        import repro.core.dkm as dkm
+
+        monkeypatch.setattr(dkm, "DENSE_SAVED_BYTES_LIMIT", 1024)
+        clusterer = DKMClusterer(DKMConfig(bits=4, iters=2))
+        reset_uniquify_call_count()
+        with pytest.raises(MemoryError, match="eDKM path"):
+            clusterer.cluster_dense(_weight_tensor(2048, requires_grad=True))
         assert clusterer.state is None
-        # The chunked fallback handles the same layer.
-        out = clusterer.cluster_dense(w, row_chunk=256)
-        assert out.shape == (2048,)
+        assert uniquify_call_count() == 0
+        assert clusterer.fastpath.stats.uniquify_misses == 0
 
-    def test_chunked_over_limit_agrees_with_edkm_forward(self):
-        """A layer the monolithic path refuses still clusters, chunked, to
-        what the eDKM unique-space forward computes from the same state."""
-        config = DKMConfig(bits=4, iters=2, dense_saved_bytes_limit=4096)
-        clusterer = DKMClusterer(config)
+    def test_limit_is_inclusive(self, monkeypatch):
+        import repro.core.dkm as dkm
+
+        n, k = 2048, 16
+        monkeypatch.setattr(dkm, "DENSE_SAVED_BYTES_LIMIT", n * k * 4)
+        out = DKMClusterer(DKMConfig(bits=4, iters=2)).cluster_dense(_weight_tensor(n))
+        assert out.shape == (n,)
+        monkeypatch.setattr(dkm, "DENSE_SAVED_BYTES_LIMIT", n * k * 4 - 1)
         with pytest.raises(MemoryError):
-            clusterer.cluster_dense(self._weights(n=8192))
-        chunked = clusterer.cluster_dense(self._weights(n=8192), row_chunk=1000)
-        edkm = edkm_cluster(self._weights(n=8192), DKMClusterer(config))
-        np.testing.assert_allclose(
-            chunked.numpy().astype(np.float32),
-            edkm.numpy().astype(np.float32),
-            atol=1e-2,
-            rtol=1e-2,
-        )
+            DKMClusterer(DKMConfig(bits=4, iters=2)).cluster_dense(_weight_tensor(n))
 
-    def test_invalid_dense_config_rejected(self):
-        with pytest.raises(ValueError):
-            DKMConfig(dense_saved_bytes_limit=0)
 
-    def test_invalid_row_chunk_argument_rejected(self):
-        w = self._weights(n=128)
+class TestRetiredDenseKnobs:
+    """The dense path's chunk size and byte limit are no knobs: each
+    retired spelling is refused, built or persisted."""
+
+    def test_limit_is_not_a_config_field(self):
+        with pytest.raises(TypeError, match="dense_saved_bytes_limit"):
+            DKMConfig(bits=3, dense_saved_bytes_limit=1 << 20)
+
+    def test_from_dict_refuses_the_limit_key(self):
+        payload = {**DKMConfig().to_dict(), "dense_saved_bytes_limit": 1 << 20}
+        with pytest.raises(ValueError, match="dense_saved_bytes_limit"):
+            DKMConfig.from_dict(payload)
+
+    def test_cluster_dense_takes_no_row_chunk(self):
         clusterer = DKMClusterer(DKMConfig(bits=2, iters=1))
-        with pytest.raises(ValueError, match="row_chunk"):
-            clusterer.cluster_dense(w, row_chunk=0)
-        with pytest.raises(ValueError, match="row_chunk"):
-            clusterer.cluster_dense(w, row_chunk=-4)
+        with pytest.raises(TypeError, match="row_chunk"):
+            clusterer.cluster_dense(_weight_tensor(128), row_chunk=64)
+        assert clusterer.state is None
 
     def test_row_chunk_is_not_a_config_field(self):
-        """The chunk size is a ``cluster_dense`` argument only: the
-        retired config field is refused, built or persisted, and the
-        ``cluster`` dispatcher takes no chunk keyword."""
+        """The retired config-level chunk is refused, built or persisted,
+        and the ``cluster`` dispatcher takes no chunk keyword."""
         from repro.core.edkm import cluster
 
         with pytest.raises(TypeError, match="dense_row_chunk"):
@@ -629,7 +594,7 @@ class TestChunkedDense:
             DKMConfig.from_dict({"bits": 3, "dense_row_chunk": 512})
         with pytest.raises(TypeError, match="dense_row_chunk"):
             cluster(
-                self._weights(n=128),
+                _weight_tensor(128, requires_grad=True),
                 DKMClusterer(DKMConfig(bits=2, iters=1)),
                 False,
                 dense_row_chunk=64,

@@ -450,42 +450,32 @@ class TestOneUniquifyPerLayerPerStep:
         assert uniquify_call_count() == n_layers
 
 
-class TestPhantomStepCache:
-    """Phantom entries: what checkpoint resume installs for a warm layer."""
+class TestOneKindOfEntry:
+    """The cache holds one kind of entry: a resident decomposition.  A
+    checkpoint resume refills it through an ordinary ``uniquify``
+    (``TestWarmResume`` in tests/test_checkpoint.py)."""
 
     def _weights(self):
         values = np.random.default_rng(0).standard_normal(256).astype(np.float32)
         return Tensor.from_numpy(values * 0.1, dtype=bfloat16)
 
-    def test_mark_computed_makes_next_uniquify_a_hit(self):
+    def test_no_phantom_api(self):
+        assert not hasattr(StepCache, "mark_computed")
+
+    def test_is_warm_tracks_the_resident_entry(self):
         weights = self._weights()
         cache = StepCache()
-        cache.mark_computed(weights, bfloat16)
+        assert not cache.is_warm(weights, bfloat16)
+        cache.uniquify(weights, bfloat16)
         assert cache.is_warm(weights, bfloat16)
-        unique = cache.uniquify(weights, bfloat16)
-        assert cache.stats.uniquify_hits == 1
-        assert cache.stats.uniquify_misses == 0
-        # Promoted to resident: the same object comes back.
-        assert cache.uniquify(weights, bfloat16) is unique
-        assert cache.stats.uniquify_hits == 2
-
-    def test_mark_computed_keeps_resident_entry(self):
-        weights = self._weights()
-        cache = StepCache()
-        unique = cache.uniquify(weights, bfloat16)
-        cache.mark_computed(weights, bfloat16)
-        assert cache.uniquify(weights, bfloat16) is unique
-
-    def test_mark_computed_invalidated_by_version_bump(self):
-        weights = self._weights()
-        cache = StepCache()
-        cache.mark_computed(weights, bfloat16)
+        assert not cache.is_warm(weights, float16)  # another dtype's key
         weights.copy_(weights.numpy() * 2.0)
         assert not cache.is_warm(weights, bfloat16)
         cache.uniquify(weights, bfloat16)
-        assert cache.stats.uniquify_misses == 1
+        cache.invalidate()
+        assert not cache.is_warm(weights, bfloat16)
 
-    def test_store_table_accepted_on_phantom_entry(self):
+    def test_store_table_needs_a_resident_entry(self):
         weights = self._weights()
         unique = StepCache().uniquify(weights, bfloat16)
         centroids = np.linspace(-0.2, 0.2, 8, dtype=np.float32)
@@ -493,7 +483,15 @@ class TestPhantomStepCache:
         cache = StepCache()
         cache.store_table(centroids, 0.01, table)  # no entry at all: ignored
         assert cache.lookup_table(centroids, 0.01) is None
-        cache.mark_computed(weights, bfloat16)
-        cache.store_table(centroids, 0.01, table)  # phantom entry: accepted
+        cache.uniquify(weights, bfloat16)
+        cache.store_table(centroids, 0.01, table)
         assert cache.lookup_table(centroids, 0.01) is table
 
+    def test_store_table_of_another_decomposition_is_ignored(self):
+        weights = self._weights()
+        cache = StepCache()
+        unique = cache.uniquify(weights, bfloat16)
+        centroids = np.linspace(-0.2, 0.2, 8, dtype=np.float32)
+        short = np.full((unique.n_unique - 1, 8), 0.125, dtype=np.float32)
+        cache.store_table(centroids, 0.01, short)
+        assert cache.lookup_table(centroids, 0.01) is None

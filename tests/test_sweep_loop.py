@@ -52,6 +52,12 @@ def _stats(compressor):
     }
 
 
+def _parked_table(cache):
+    """The attention table ``cache`` carries, read under its lock."""
+    with cache._lock:
+        return cache._table
+
+
 def _assert_results_equal(reference, candidate):
     assert list(reference) == list(candidate)
     for name in reference:
@@ -121,19 +127,10 @@ class TestSweepEqualsPerLayerOps:
     def test_precluster_centroids_are_the_refine_all_centroids(self):
         refined, _ = _compressor(seed=3)
         preclustered, _ = _compressor(seed=3)
-        states = refined.refine_all(cache_table=True)
+        states = refined.refine_all()
         results = preclustered.precluster()
         for name in states:
             assert np.array_equal(states[name].centroids, results[name].centroids)
-
-    def test_cache_table_keeps_centroids(self):
-        plain, _ = _compressor(seed=5)
-        cached, _ = _compressor(seed=5)
-        for _ in range(2):
-            states_p = plain.refine_all()
-            states_c = cached.refine_all(cache_table=True)
-            for name in states_p:
-                assert np.array_equal(states_p[name].centroids, states_c[name].centroids)
 
     def test_compute_error_only_adds_the_error(self):
         quiet, _ = _compressor(seed=2)
@@ -145,6 +142,47 @@ class TestSweepEqualsPerLayerOps:
             assert res_l[name].reconstruction_error > 0
             assert np.array_equal(res_q[name].centroids, res_l[name].centroids)
             assert np.array_equal(res_q[name].assignments, res_l[name].assignments)
+
+
+class TestTableParking:
+    """Sweeps park no attention table: only ``edkm_cluster``'s forward
+    reads one, and its own ``refine`` parks it first."""
+
+    @pytest.mark.parametrize("sweep", ["refine_all", "precluster", "finalize"])
+    def test_sweep_parks_no_table(self, sweep):
+        compressor, stack = _compressor(seed=5)
+        for _ in range(2):  # the second sweep runs warm
+            if sweep == "finalize":
+                compressor.finalize(stack)
+            else:
+                getattr(compressor, sweep)()
+            for name, wrapper in compressor.wrapped.items():
+                assert _parked_table(wrapper.step_cache) is None, name
+        total = compressor.fastpath_report().total
+        assert (total.table_hits, total.table_misses) == (0, 0)
+
+    def test_refine_sweep_takes_no_cache_table(self):
+        compressor, _ = _compressor(n_layers=1)
+        with pytest.raises(TypeError, match="cache_table"):
+            compressor.refine_all(cache_table=True)
+        wrapper = compressor.wrapped["layer0"]
+        with pytest.raises(TypeError, match="cache_table"):
+            SWEEP_OPS["refine"](wrapper.clusterer, wrapper.inner.weight, cache_table=True)
+        assert compressor.sweeps_completed == 0
+
+    def test_training_forward_after_precluster_reads_its_own_table(self):
+        compressor, stack = _compressor(n_layers=2, seed=7)
+        compressor.precluster()
+        stack.train()
+        x = Tensor.from_numpy(
+            np.random.default_rng(0).standard_normal((3, 32)).astype(np.float32),
+            device="gpu",
+        )
+        for wrapper in compressor.wrapped.values():
+            wrapper(x)
+        for name, wrapper in compressor.wrapped.items():
+            stats = wrapper.step_cache.stats
+            assert (stats.table_hits, stats.table_misses) == (1, 0), name
 
 
 class TestRepeatability:
