@@ -8,7 +8,7 @@ through three scenarios:
 - ``compressed-dense`` -- clustered layers reconstructing the full hard
   weight per layer (``eval_path="dense"``);
 - ``compressed-palette`` -- clustered layers on the palette kernels with
-  the hot-tile LRU (``eval_path="palette"``).
+  the dequantized-tile cache (``eval_path="palette"``).
 
 Each scenario reports requests/sec, p50/p99 latency, batch occupancy,
 and weight bytes (resident artifact + per-step read traffic from the
@@ -381,7 +381,6 @@ def run_serving(
     bits: int = 4,
     sentences: int = 400,
     epochs: int = 2,
-    tile_cache_bytes_limit: int = 0,
     seed: int = 0,
 ) -> ServingBenchResult:
     """Run the serving benchmark end to end, fixed seed.
@@ -430,7 +429,6 @@ def run_serving(
             max_queue_depth=max(64, 2 * n_requests),
             max_new_tokens=max_new_tokens,
             eval_path=eval_path,
-            tile_cache_bytes_limit=tile_cache_bytes_limit,
         )
         result.rows.append(
             _run_scenario(name, model, tokenizer, prompts, config, max_new_tokens)

@@ -13,9 +13,7 @@ Public surface:
 - :class:`ModelCompressor` / :class:`ClusteredLinear` -- model-level
   train-time compression and palettization; every per-layer sweep is one
   loop over the wrapped layers.
-- :class:`FaultPlan` / :class:`FaultInjector` and :class:`RetryPolicy`
-  (the server's deterministic chaos injection and retry policy), and the
-  checkpoint layer (:func:`write_checkpoint` / :func:`load_checkpoint`,
+- the checkpoint layer (:func:`write_checkpoint` / :func:`load_checkpoint`,
   crash-safe resume of compression sweeps); see ``docs/robustness.md``.
 """
 
@@ -31,17 +29,6 @@ from repro.core.config import (
     DKMConfig,
     EDKMConfig,
     PipelineStats,
-    RetryPolicy,
-)
-from repro.core.faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultInjector,
-    FaultLog,
-    FaultPlan,
-    FaultSpec,
-    RobustnessWarning,
-    WatchdogTimeout,
 )
 from repro.core.compressor import (
     ClusteredLinear,
@@ -90,18 +77,9 @@ __all__ = [
     "load_checkpoint",
     "read_checkpoint",
     "write_checkpoint",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultLog",
-    "FaultPlan",
-    "FaultSpec",
-    "RobustnessWarning",
-    "WatchdogTimeout",
     "DKMConfig",
     "EDKMConfig",
     "PipelineStats",
-    "RetryPolicy",
     "ClusteredLinear",
     "CompressionReport",
     "LayerClusterResult",

@@ -177,13 +177,13 @@ class ClusteredLinear(Module):
 
     def enable_palette_eval(
         self,
-        name: str = "",
-        cache=None,
+        name: str,
+        cache,
         fault_hook=None,
     ) -> None:
         """Route no-grad eval forwards through the palette executor.
 
-        ``cache`` is an optional shared
+        ``cache`` is the shared
         :class:`~repro.serving.palette.TileCache`; ``name`` keys this
         layer's tiles in it.  ``fault_hook`` (serving chaos harness) is
         called with the layer name at every palette matmul entry.  The

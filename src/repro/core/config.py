@@ -12,23 +12,11 @@ def config_to_dict(config) -> dict:
     """Every dataclass field of ``config`` as JSON-safe primitives.
 
     Keys come from ``fields()``, so a removed field cannot leave a stale
-    key behind.  ``weight_dtype`` serializes by name, ``retry`` as a
-    nested dict, and an armed ``fault_plan`` refuses
-    to serialize: fault plans are in-memory chaos-test instruments, and
-    silently dropping one would make a persisted artifact claim a
-    cleaner run than actually happened.
+    key behind.  ``weight_dtype`` serializes by name.
     """
-    if getattr(config, "fault_plan", None) is not None:
-        raise ValueError(
-            f"{type(config).__name__} with an armed fault_plan cannot be "
-            "serialized; disarm it first"
-        )
     payload = {f.name: getattr(config, f.name) for f in fields(config)}
-    payload.pop("fault_plan", None)
     if "weight_dtype" in payload:
         payload["weight_dtype"] = payload["weight_dtype"].name
-    if "retry" in payload:
-        payload["retry"] = payload["retry"].to_dict()
     return payload
 
 
@@ -44,60 +32,7 @@ def config_from_dict(cls, payload: dict):
     payload = dict(payload)
     if "weight_dtype" in payload:
         payload["weight_dtype"] = get_dtype(payload["weight_dtype"])
-    if "retry" in payload:
-        payload["retry"] = RetryPolicy.from_dict(payload["retry"])
     return cls(**payload)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the serving scheduler times out, retries, backs off and respawns.
-
-    ``ServingConfig.retry`` holds one; the defaults are the server's.
-
-    Attributes:
-        timeout_s: watchdog deadline per decode step (a step still
-            running is declared hung and its loop generation revoked).
-            ``None`` (default) disables the watchdog.
-        retries: retries of a decode step that raised
-            :class:`~repro.serving.faults.TransientStepError` before its
-            batch fails with ``StepFailed``.
-        backoff_s: base sleep before re-attempt ``n`` after a transient
-            failure, ``backoff_s * 2**(n - 1)`` (see :meth:`backoff`).
-        respawns: scheduler-loop respawn budget for the server's
-            lifetime.  Past it the server is marked dead and rejects
-            work.
-    """
-
-    timeout_s: float | None = None
-    retries: int = 2
-    backoff_s: float = 0.02
-    respawns: int = 4
-
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(
-                f"timeout_s must be positive or None, got {self.timeout_s}"
-            )
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.respawns < 0:
-            raise ValueError(f"respawns must be >= 0, got {self.respawns}")
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to sleep before 1-based re-attempt ``attempt``."""
-        return self.backoff_s * 2 ** (attempt - 1)
-
-    def to_dict(self) -> dict:
-        """The four fields as a plain dict (nested in a config's dict)."""
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RetryPolicy":
-        """Rebuild a validated policy (unknown keys raise ``ValueError``)."""
-        return config_from_dict(cls, payload)
 
 
 @dataclass

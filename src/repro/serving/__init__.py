@@ -4,25 +4,31 @@ The deployment half of eDKM: once a model's weights are clustered, this
 package serves it -- an admission-controlled request queue
 (:mod:`repro.serving.queue`), continuous batching over K/V-cached ragged
 decode steps (:mod:`repro.serving.batcher`), palette-aware matmul with a
-hot dequantized-tile LRU (:mod:`repro.serving.palette`), and per-request
+dequantized-tile cache (:mod:`repro.serving.palette`), and per-request
 latency/throughput/byte accounting (:mod:`repro.serving.stats`), all
 fronted by :class:`~repro.serving.server.PaletteServer` (or the
 top-level ``repro.serve()`` convenience).
 
-The server is chaos-hardened (:mod:`repro.serving.faults`): a supervised
-scheduler with a per-step crash boundary and watchdog, a per-layer
-palette->dense circuit breaker (:mod:`repro.serving.breaker`), draining
-shutdown, and the deterministic fault injector of
-:mod:`repro.core.faults` armed via ``ServingConfig.fault_plan``.
+The server is chaos-hardened: a supervised scheduler with a per-step
+crash boundary, one bounded retry path (:class:`RetryPolicy`) and a
+watchdog, draining shutdown, and the deterministic fault injector of
+:mod:`repro.serving.faults` armed via ``ServingConfig.fault_plan``.
 """
 
 from repro.serving.batcher import ContinuousBatcher, SequenceState
-from repro.serving.breaker import BreakerBoard, BreakerSnapshot
-from repro.serving.config import EVAL_PATHS, ServingConfig
+from repro.serving.config import EVAL_PATHS, RetryPolicy, ServingConfig
 from repro.serving.faults import (
+    FAULT_KINDS,
     CorruptTileError,
+    FaultEvent,
+    FaultInjector,
+    FaultLog,
+    FaultPlan,
+    FaultSpec,
     PaletteKernelError,
+    RobustnessWarning,
     TransientStepError,
+    WatchdogTimeout,
 )
 from repro.serving.palette import (
     PaletteLayout,
@@ -42,7 +48,6 @@ from repro.serving.queue import (
 )
 from repro.serving.server import LoopSupervisor, PaletteServer, ServerHealth
 from repro.serving.stats import (
-    DEGRADE_TAG,
     RequestRecord,
     ServerStats,
     StatsReport,
@@ -51,14 +56,17 @@ from repro.serving.stats import (
 )
 
 __all__ = [
-    "DEGRADE_TAG",
     "EVAL_PATHS",
+    "FAULT_KINDS",
     "AdmissionError",
-    "BreakerBoard",
-    "BreakerSnapshot",
     "ContinuousBatcher",
     "CorruptTileError",
     "DeadlineExceeded",
+    "FaultEvent",
+    "FaultInjector",
+    "FaultLog",
+    "FaultPlan",
+    "FaultSpec",
     "LoopSupervisor",
     "PaletteKernelError",
     "PaletteLayout",
@@ -66,6 +74,8 @@ __all__ = [
     "PaletteServer",
     "RequestQueue",
     "RequestRecord",
+    "RetryPolicy",
+    "RobustnessWarning",
     "SequenceState",
     "ServerClosed",
     "ServerHealth",
@@ -78,6 +88,7 @@ __all__ = [
     "TileCache",
     "TileCacheStats",
     "TransientStepError",
+    "WatchdogTimeout",
     "palette_matmul",
     "percentile",
     "request_tag",

@@ -85,12 +85,11 @@ class ContinuousBatcher:
         if self.free_slots <= 0:
             raise RuntimeError("admit() with no free batch slot")
         request.scheduled_at = now
-        budget = request.max_new_tokens or self.config.max_new_tokens
         self.active.append(
             SequenceState(
                 request,
                 prompt_ids=self.tokenizer.encode(request.prompt, bos=True),
-                budget=budget,
+                budget=request.max_new_tokens,
                 rng=default_rng(0),
                 kv=SequenceCache(self.model),
             )

@@ -2,18 +2,72 @@
 
 One keyword-only, validated dataclass, built directly
 (``ServingConfig(max_batch_size=16)``).  Every field is a
-primitive or the frozen :class:`~repro.core.config.RetryPolicy` (a
-nested dict on the wire), so a config round-trips exactly through
-:meth:`ServingConfig.to_dict` / :meth:`ServingConfig.from_dict` -- the form
-checkpoint manifests and CI benchmark artifacts embed.
+primitive, the frozen :class:`RetryPolicy` (a nested dict on the wire)
+or the in-memory ``fault_plan``, so a disarmed config round-trips
+exactly through :meth:`ServingConfig.to_dict` /
+:meth:`ServingConfig.from_dict` -- the form checkpoint manifests and CI
+benchmark artifacts embed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import RetryPolicy, config_from_dict, config_to_dict
-from repro.core.faults import FaultPlan
+from repro.core.config import config_from_dict, config_to_dict
+from repro.serving.faults import FaultPlan
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How the serving scheduler times out, retries, backs off and respawns.
+
+    ``ServingConfig.retry`` holds one; the defaults are the server's.
+
+    Attributes:
+        timeout_s: watchdog deadline per decode step (a step still
+            running is declared hung and its loop generation revoked).
+            ``None`` (default) disables the watchdog.
+        retries: retries of a decode step that raised
+            :class:`~repro.serving.faults.TransientStepError` (palette
+            kernel and corrupt-tile errors included) before its batch
+            fails with ``StepFailed``.
+        backoff_s: base sleep before re-attempt ``n`` after a transient
+            failure, ``backoff_s * 2**(n - 1)`` (see :meth:`backoff`).
+        respawns: scheduler-loop respawn budget for the server's
+            lifetime.  Past it the server is marked dead and rejects
+            work.
+    """
+
+    timeout_s: float | None = None
+    retries: int = 2
+    backoff_s: float = 0.02
+    respawns: int = 4
+
+    def __post_init__(self) -> None:
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ValueError(
+                f"timeout_s must be positive or None, got {self.timeout_s}"
+            )
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.backoff_s < 0:
+            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if self.respawns < 0:
+            raise ValueError(f"respawns must be >= 0, got {self.respawns}")
+
+    def backoff(self, attempt: int) -> float:
+        """Seconds to sleep before 1-based re-attempt ``attempt``."""
+        return self.backoff_s * 2 ** (attempt - 1)
+
+    def to_dict(self) -> dict:
+        """The four fields as a plain dict (nested in a config's dict)."""
+        return config_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RetryPolicy":
+        """Rebuild a validated policy (unknown keys raise ``ValueError``)."""
+        return config_from_dict(cls, payload)
+
 
 EVAL_PATHS = ("palette", "dense")
 """Eval-mode execution paths for compressed layers: ``"palette"`` runs the
@@ -42,23 +96,20 @@ class ServingConfig:
             with ``k``, not with dense out-features -- and fronts it with
             the dequantized-tile LRU; ``"dense"`` materializes the full
             hard-assigned weight (the pre-serving behavior).
-        tile_cache_bytes_limit: soft cap on bytes of dequantized tiles
-            resident across all served layers: least recently used tiles
-            are evicted down to the budget and their rows fall back to
-            the palette kernel.  ``0`` (default) means unlimited.
         temperature: sampling temperature for generation; ``0`` (default)
             is greedy decoding, which is what the bit-identity gates
             compare.
         poll_interval_s: how long the scheduler thread sleeps waiting for
             work when the queue is empty and no sequence is active.
-        retry: the scheduler's :class:`~repro.core.config.RetryPolicy`
+        retry: the scheduler's :class:`RetryPolicy`
             -- the per-decode-step watchdog deadline (a step still
             running past it fails its batch with
             :class:`~repro.serving.queue.StepFailed`, its loop generation
             is revoked -- the stuck thread becomes a zombie whose late
             writes are discarded -- and a fresh loop is respawned), the
             retries of a step that raised
-            :class:`~repro.serving.faults.TransientStepError` and their
+            :class:`~repro.serving.faults.TransientStepError` (palette
+            kernel and corrupt-tile errors are transient) and their
             backoff, and the loop-respawn budget after which the server
             fails over to rejecting work (dead-loop admission raises
             :class:`~repro.serving.queue.ServerClosed`).  Default
@@ -69,30 +120,21 @@ class ServingConfig:
             deadlocking the caller.
         drain_timeout_s: deadline for ``stop(drain=True)`` to finish
             in-flight and queued work before falling back to a hard stop.
-        breaker_threshold: consecutive palette-path failures (kernel
-            errors or tile checksum mismatches) on one layer before its
-            circuit breaker trips that layer to the dense path.
-        breaker_probation_steps: fault-free decode steps a tripped layer
-            serves dense before the breaker re-enables its palette path
-            (doubled on each re-trip, capped at 8x).
-        fault_plan: a :class:`~repro.core.faults.FaultPlan` arming the
+        fault_plan: a :class:`~repro.serving.faults.FaultPlan` arming the
             server's deterministic fault injector (chaos testing), over
-            the kinds of :data:`~repro.core.faults.FAULT_KINDS`.  ``None``
-            (default) injects nothing.
+            the kinds of :data:`~repro.serving.faults.FAULT_KINDS`.
+            ``None`` (default) injects nothing.
     """
 
     max_batch_size: int = 8
     max_queue_depth: int = 64
     max_new_tokens: int = 16
     eval_path: str = "palette"
-    tile_cache_bytes_limit: int = 0
     temperature: float = 0.0
     poll_interval_s: float = 0.005
     retry: RetryPolicy = RetryPolicy()
     join_timeout_s: float = 5.0
     drain_timeout_s: float = 30.0
-    breaker_threshold: int = 2
-    breaker_probation_steps: int = 16
     fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
@@ -105,11 +147,6 @@ class ServingConfig:
         if self.eval_path not in EVAL_PATHS:
             raise ValueError(
                 f"unknown eval_path {self.eval_path!r}; expected one of {EVAL_PATHS}"
-            )
-        if self.tile_cache_bytes_limit < 0:
-            raise ValueError(
-                "tile_cache_bytes_limit must be >= 0 (0 = unlimited), "
-                f"got {self.tile_cache_bytes_limit}"
             )
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
@@ -125,15 +162,6 @@ class ServingConfig:
             raise ValueError(
                 f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
             )
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_probation_steps < 1:
-            raise ValueError(
-                "breaker_probation_steps must be >= 1, "
-                f"got {self.breaker_probation_steps}"
-            )
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValueError(
                 "fault_plan must be a FaultPlan or None, "
@@ -141,14 +169,29 @@ class ServingConfig:
             )
 
     def to_dict(self) -> dict:
-        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly;
-        refuses while a ``fault_plan`` is armed (see
-        :func:`~repro.core.config.config_to_dict`)."""
-        return config_to_dict(self)
+        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly,
+        with ``retry`` as a nested dict.
+
+        An armed ``fault_plan`` refuses to serialize: fault plans are
+        in-memory chaos-test instruments, and silently dropping one would
+        make a persisted artifact claim a cleaner run than actually
+        happened.
+        """
+        if self.fault_plan is not None:
+            raise ValueError(
+                "ServingConfig with an armed fault_plan cannot be "
+                "serialized; disarm it first"
+            )
+        payload = config_to_dict(self)
+        del payload["fault_plan"]
+        payload["retry"] = self.retry.to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServingConfig":
         """Reconstruct a validated config from :meth:`to_dict` output
-        (unknown keys raise ``ValueError``)."""
+        (unknown keys, nested ones included, raise ``ValueError``)."""
+        if "retry" in payload:
+            payload = {**payload, "retry": RetryPolicy.from_dict(payload["retry"])}
         return config_from_dict(cls, payload)
 

@@ -17,13 +17,11 @@ version (a permutation of weight positions sorted by ``(row, palette
 entry)`` plus segment bounds), so the per-call work is one activation
 gather, one cumulative sum, and the ``k``-column mixture.
 
-In front of the kernel sits a **hot dequantized-tile LRU**
-(:class:`TileCache`): output-row tiles that keep getting hit are
-materialized back to dense and served by gemm (trading bytes for BLAS
-throughput), under a byte budget -- least recently used tiles are
-evicted back to the palette path.  ``tile_cache_bytes_limit=0``
-means unlimited; a cache of ``None`` disables dequantization entirely
-(pure palette execution).
+In front of the kernel sits a **dequantized-tile cache**
+(:class:`TileCache`): the first call runs each output-row tile through
+the palette kernel and materializes it back to dense, and every later
+call serves it by gemm (trading bytes for BLAS throughput) until the
+weight version moves on.
 
 Everything in this module is plain numpy on host memory -- no tensor
 autograd, no device tracking -- because it models the *deployment*
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import threading
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,8 +40,8 @@ import numpy as np
 from repro.serving.faults import CorruptTileError
 
 TILE_ROWS = 32
-"""Output rows per dequantized tile -- the unit the tile LRU caches and
-the palette kernel processes."""
+"""Output rows per dequantized tile -- the unit the tile cache holds and
+the palette kernel processes (a layer's last tile may be shorter)."""
 
 
 def _index_dtype(bound: int) -> np.dtype:
@@ -136,7 +133,7 @@ class PaletteLayout:
     def dequantize_rows(self, row_start: int, row_end: int) -> np.ndarray:
         """Materialize output rows ``[row_start, row_end)`` as dense float32.
 
-        The tile the LRU caches: reconstructed by scattering each
+        The tile the cache holds: reconstructed by scattering each
         segment's palette value back to its input columns.
         """
         rows = row_end - row_start
@@ -191,11 +188,10 @@ def palette_matmul(
 
 @dataclass
 class TileCacheStats:
-    """Hit/miss/eviction counters of one :class:`TileCache`."""
+    """Hit/miss counters of one :class:`TileCache`."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     puts: int = 0
     corruptions: int = 0
 
@@ -204,17 +200,17 @@ class TileCacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "puts": self.puts,
             "corruptions": self.corruptions,
         }
 
 
 class TileCache:
-    """LRU of hot dequantized weight tiles under a byte budget.
+    """The dequantized weight tiles of every served layer.
 
-    Shared across every served layer (keys carry the layer name), so the
-    budget is global.  Thread-safe: the scheduler thread and any caller
+    Shared across every served layer (keys carry the layer name and
+    weight version); a tile stays resident until its layer's version is
+    invalidated.  Thread-safe: the scheduler thread and any caller
     probing stats may race.
 
     Every tile is stamped with its CRC-32 at :meth:`put`, and every
@@ -223,9 +219,8 @@ class TileCache:
     aliased view, or the fault injector's :meth:`corrupt_one` -- is
     dropped and surfaced as a typed
     :class:`~repro.serving.faults.CorruptTileError` instead of silently
-    serving wrong logits.  The supervised scheduler answers it by
-    charging the layer's circuit breaker and retrying the step, which
-    re-dequantizes cleanly.
+    serving wrong logits.  The error is a transient step error: the
+    supervised scheduler retries the step, which re-dequantizes cleanly.
 
     The stamp is an error-detecting code, not a cryptographic hash: it
     sits in the same dict entry as the tile, so whoever can write one can
@@ -243,12 +238,9 @@ class TileCache:
     catches that.
     """
 
-    def __init__(self, bytes_limit: int = 0) -> None:
-        if bytes_limit < 0:
-            raise ValueError(f"bytes_limit must be >= 0, got {bytes_limit}")
-        self.bytes_limit = bytes_limit
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tiles: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
+        self._tiles: dict[tuple, tuple[np.ndarray, int]] = {}
         self._resident_bytes = 0
         self.stats = TileCacheStats()
 
@@ -259,7 +251,7 @@ class TileCache:
         return zlib.crc32(tile)
 
     def get(self, key: tuple) -> np.ndarray | None:
-        """The tile under ``key`` (refreshing recency), or ``None``.
+        """The tile under ``key``, or ``None``.
 
         Raises :class:`~repro.serving.faults.CorruptTileError` (after
         dropping the entry) when the tile's bytes no longer match the
@@ -276,20 +268,13 @@ class TileCache:
                 self._resident_bytes -= int(tile.nbytes)
                 self.stats.corruptions += 1
                 raise CorruptTileError(str(key[0]))
-            self._tiles.move_to_end(key)
             self.stats.hits += 1
             return tile
 
     def put(self, key: tuple, tile: np.ndarray) -> None:
-        """Insert ``tile``, evicting LRU entries beyond the byte budget.
-
-        A tile larger than the whole budget is not admitted at all --
-        the caller keeps serving it through the palette kernel.  An
-        admitted tile is made read-only: the cache owns it from here on.
-        """
+        """Insert ``tile`` and make it read-only: the cache owns it from
+        here on."""
         nbytes = int(tile.nbytes)
-        if self.bytes_limit and nbytes > self.bytes_limit:
-            return
         digest = self._digest(tile)
         tile.setflags(write=False)
         with self._lock:
@@ -299,13 +284,6 @@ class TileCache:
             self._tiles[key] = (tile, digest)
             self._resident_bytes += nbytes
             self.stats.puts += 1
-            if self.bytes_limit:
-                # The just-inserted tile fits the budget (admission above),
-                # so evicting strictly-older entries always terminates.
-                while self._resident_bytes > self.bytes_limit and len(self._tiles) > 1:
-                    _, (evicted, _) = self._tiles.popitem(last=False)
-                    self._resident_bytes -= int(evicted.nbytes)
-                    self.stats.evictions += 1
 
     def holds(self, prefix: tuple) -> bool:
         """Whether any tile under ``prefix`` is resident (a poisoning target)."""
@@ -349,23 +327,28 @@ class TileCache:
 
 @dataclass
 class PaletteExecStats:
-    """Per-layer execution counters: which path served how many rows."""
+    """Per-layer execution counters: which path served how many rows.
+
+    ``palette_row_blocks`` counts tiles run through the palette kernel;
+    ``dense_rows`` counts output rows served by gemm from resident
+    tiles (a layer's last tile may be shorter than :data:`TILE_ROWS`).
+    """
 
     palette_row_blocks: int = 0
-    dense_row_blocks: int = 0
+    dense_rows: int = 0
     calls: int = 0
 
     def to_dict(self) -> dict:
         """Plain-dict form for stats reports and benchmark artifacts."""
         return {
             "palette_row_blocks": self.palette_row_blocks,
-            "dense_row_blocks": self.dense_row_blocks,
+            "dense_rows": self.dense_rows,
             "calls": self.calls,
         }
 
 
 class PaletteLinearExec:
-    """One eval-mode layer's palette executor: tiled kernel + LRU front.
+    """One eval-mode layer's palette executor: tiled kernel + tile cache.
 
     Built from the layer's converged palette (``lut`` already projected to
     the serving weight dtype, so palette arithmetic consumes exactly the
@@ -379,7 +362,7 @@ class PaletteLinearExec:
         name: str,
         lut: np.ndarray,
         indices: np.ndarray,
-        cache: TileCache | None = None,
+        cache: TileCache,
         version_token: object = None,
         fault_hook: Callable[[str], None] | None = None,
     ) -> None:
@@ -404,7 +387,7 @@ class PaletteLinearExec:
         """``x @ W.T`` over all output rows, tile by tile.
 
         Resident tiles run dense gemm; misses run the palette kernel and
-        (when a cache is attached) dequantize the tile for next time.
+        dequantize the tile into the cache for next time.
         The optional ``fault_hook`` (the server's ``kernel_error``
         probe) runs first with this layer's name so an
         injected :class:`~repro.serving.faults.PaletteKernelError`
@@ -419,29 +402,19 @@ class PaletteLinearExec:
             range(0, self.layout.out_features, TILE_ROWS)
         ):
             row_end = min(row_start + TILE_ROWS, self.layout.out_features)
-            tile = None
-            if self.cache is not None:
-                key = (self.name, self.version_token, tile_idx)
-                tile = self.cache.get(key)
-                if tile is None:
-                    tile = self.layout.dequantize_rows(row_start, row_end)
-                    self.cache.put(key, tile)
-                    self.stats.palette_row_blocks += 1
-                    out[:, row_start:row_end] = palette_matmul(
-                        x, self.layout, row_start, row_end
-                    )
-                    continue
-            if tile is not None:
-                self.stats.dense_row_blocks += 1
-                out[:, row_start:row_end] = x @ tile.T
-            else:
+            key = (self.name, self.version_token, tile_idx)
+            tile = self.cache.get(key)
+            if tile is None:
+                self.cache.put(key, self.layout.dequantize_rows(row_start, row_end))
                 self.stats.palette_row_blocks += 1
                 out[:, row_start:row_end] = palette_matmul(
                     x, self.layout, row_start, row_end
                 )
+            else:
+                self.stats.dense_rows += row_end - row_start
+                out[:, row_start:row_end] = x @ tile.T
         return out
 
     def invalidate(self) -> None:
         """Drop this layer's cached tiles (weight version moved on)."""
-        if self.cache is not None:
-            self.cache.invalidate_prefix((self.name, self.version_token))
+        self.cache.invalidate_prefix((self.name, self.version_token))

@@ -7,7 +7,7 @@ thread, a scheduler thread drains the admission-controlled
 :class:`~repro.serving.batcher.ContinuousBatcher`, and eval-mode
 :class:`~repro.core.compressor.ClusteredLinear` layers execute through
 the palette kernels (:mod:`repro.serving.palette`) with a shared
-hot-tile LRU.  Per-request bytes flow into
+dequantized-tile cache.  Per-request bytes flow into
 :mod:`repro.memory.traffic` under ``serve:`` tags, and
 :meth:`PaletteServer.stats` renders everything into a
 :class:`~repro.serving.stats.StatsReport`.
@@ -17,13 +17,9 @@ The scheduler is *supervised*:
 - **Crash boundary.**  A decode step that raises fails only that batch's
   requests -- each future gets a typed
   :class:`~repro.serving.queue.StepFailed` -- and the loop keeps
-  serving.  :class:`~repro.serving.faults.TransientStepError` is retried
-  in place with bounded backoff first.
-- **Per-layer circuit breaker.**  Repeated palette-kernel or tile-checksum
-  failures on one layer trip exactly that layer to the dense eval path
-  (bit-identical by construction), audited in the traffic ledger under
-  :data:`~repro.serving.stats.DEGRADE_TAG`; after a probation of clean
-  steps the palette path is re-enabled.
+  serving.  A :class:`~repro.serving.faults.TransientStepError` -- which
+  includes a palette-kernel error and a tile-checksum failure -- is
+  retried in place with bounded backoff first.
 - **Step watchdog.**  With ``config.retry.timeout_s`` set, a sidecar
   thread revokes the loop *generation* of a step that wedges: the stuck
   thread becomes a zombie whose late writes are discarded
@@ -33,17 +29,17 @@ The scheduler is *supervised*:
 - **Lifecycle.**  :meth:`stop` joins with a deadline and escalates
   (warn, zombify, fail in-flight) instead of deadlocking on a hung
   step; ``stop(drain=True)`` closes admission and finishes in-flight
-  work first; :meth:`health` snapshots loop liveness, queue depth, and
-  breaker states, and :meth:`submit` consults it to shed load.
+  work first; :meth:`health` snapshots loop liveness and queue depth,
+  and :meth:`submit` consults it to shed load.
 
 Byte accounting convention: prompt and completion text bytes are
 recorded per request (``serve:req<id>`` tags, endpoints
 ``client <-> server``); weight bytes *read per decode step* are
 recorded under ``serve:weights`` with ``dst="flops"`` -- palette-path
-layers charge their deployable layout bytes (lut + packed indices),
-dense-path layers (including breaker-tripped ones) their 16-bit weight
-bytes, so compressed and uncompressed scenarios are comparable at a
-glance.
+layers charge their execution-layout share for tiles run through the
+kernel and the resident tile bytes for tiles served by gemm, dense-path
+layers their 16-bit weight bytes, so compressed and uncompressed
+scenarios are comparable at a glance.
 """
 
 from __future__ import annotations
@@ -51,25 +47,21 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.compressor import ClusteredLinear
-from repro.core.faults import (
-    STEP_TARGET,
-    FaultInjector,
-    RobustnessWarning,
-    WatchdogTimeout,
-)
 from repro.llm.tokenizer import WordTokenizer
 from repro.memory.traffic import TrafficLedger, global_ledger
 from repro.nn import Transformer
 from repro.serving.batcher import ContinuousBatcher, SequenceState
-from repro.serving.breaker import BreakerBoard, BreakerSnapshot
 from repro.serving.config import ServingConfig
 from repro.serving.faults import (
-    CorruptTileError,
+    STEP_TARGET,
+    FaultInjector,
     PaletteKernelError,
+    RobustnessWarning,
     TransientStepError,
+    WatchdogTimeout,
 )
 from repro.serving.palette import TILE_ROWS, TileCache
 from repro.serving.queue import (
@@ -80,7 +72,6 @@ from repro.serving.queue import (
     StepFailed,
 )
 from repro.serving.stats import (
-    DEGRADE_TAG,
     RequestRecord,
     ServerStats,
     StatsReport,
@@ -124,11 +115,10 @@ class ServerHealth:
     active_requests: int
     last_step_age_s: float | None
     step_in_flight_s: float | None
-    breakers: dict[str, BreakerSnapshot] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """A JSON-serializable snapshot (breakers flattened to dicts)."""
-        payload = {
+        """A JSON-serializable snapshot."""
+        return {
             "running": self.running,
             "accepting": self.accepting,
             "draining": self.draining,
@@ -141,11 +131,7 @@ class ServerHealth:
             "active_requests": self.active_requests,
             "last_step_age_s": self.last_step_age_s,
             "step_in_flight_s": self.step_in_flight_s,
-            "breakers": {
-                name: snap.to_dict() for name, snap in self.breakers.items()
-            },
         }
-        return payload
 
 
 class LoopSupervisor:
@@ -304,7 +290,7 @@ class PaletteServer:
     The model is switched to eval mode on construction; when
     ``config.eval_path == "palette"`` every :class:`ClusteredLinear` in
     it is routed through the palette executor with one shared
-    :class:`TileCache` budgeted by ``config.tile_cache_bytes_limit``.
+    :class:`TileCache`.
     Use as a context manager, or pair :meth:`start` with :meth:`close`.
     """
 
@@ -323,12 +309,8 @@ class PaletteServer:
         self.ledger = ledger if ledger is not None else global_ledger()
         self.stats_acc = ServerStats()
         self.queue = RequestQueue(self.config.max_queue_depth)
-        self.tile_cache = TileCache(self.config.tile_cache_bytes_limit)
+        self.tile_cache = TileCache()
         self.supervisor = LoopSupervisor()
-        self.breakers = BreakerBoard(
-            threshold=self.config.breaker_threshold,
-            probation_steps=self.config.breaker_probation_steps,
-        )
         self.fault_injector = FaultInjector.from_plan(self.config.fault_plan)
         self.batcher = self._make_batcher()
         self._palette_layers: list[tuple[str, ClusteredLinear]] = []
@@ -340,10 +322,8 @@ class PaletteServer:
         model.eval()
         if self.config.eval_path == "palette":
             self._install_palette()
-        # Clustered layers on the dense eval path *from construction*
-        # charge their full 16-bit weight per step; the total is fixed,
-        # so compute it once.  Breaker-tripped palette layers are charged
-        # dynamically in _record_step_weights (they flip back).
+        # Clustered layers on the dense eval path charge their full
+        # 16-bit weight per step; the total is fixed, so compute it once.
         self._dense_weight_bytes = sum(
             2 * module.inner.weight.numel
             for _, module in model.named_modules()
@@ -372,35 +352,26 @@ class PaletteServer:
         """The palette executor's ``fault_hook``: raise if a fault fires.
 
         Runs inside the layer's kernel call during a decode forward, so
-        an injected :class:`PaletteKernelError` originates on exactly the
-        path the circuit breaker guards.
+        an injected :class:`PaletteKernelError` originates inside the
+        palette path the step's retry covers.
         """
         if self.fault_injector.fire("kernel_error", layer):
             raise PaletteKernelError(layer)
 
-    def _enable_layer_palette(self, name: str, module: ClusteredLinear) -> None:
-        module.enable_palette_eval(
-            name=name,
-            cache=self.tile_cache,
-            fault_hook=self._fault_hook(),
-        )
-
     def _install_palette(self) -> None:
         for name, module in self.model.named_modules():
             if isinstance(module, ClusteredLinear):
-                self._enable_layer_palette(name, module)
+                module.enable_palette_eval(
+                    name=name,
+                    cache=self.tile_cache,
+                    fault_hook=self._fault_hook(),
+                )
                 self._palette_layers.append((name, module))
 
     def _uninstall_palette(self) -> None:
         for _, module in self._palette_layers:
             module.disable_palette_eval()
         self._palette_layers = []
-
-    def _module_for(self, layer: str) -> ClusteredLinear | None:
-        for name, module in self._palette_layers:
-            if name == layer:
-                return module
-        return None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -509,7 +480,7 @@ class PaletteServer:
     # ------------------------------------------------------------------
 
     def health(self) -> ServerHealth:
-        """Liveness snapshot: loop generation, queue depth, breakers.
+        """Liveness snapshot: loop generation, liveness, queue depth.
 
         Cheap enough to call per-submit; :meth:`submit` uses it to shed
         load (``stalled``) and refuse dead or draining servers.
@@ -536,7 +507,6 @@ class PaletteServer:
             active_requests=len(self.batcher.active),
             last_step_age_s=snap["last_step_age_s"],
             step_in_flight_s=in_flight,
-            breakers=self.breakers.states(),
         )
 
     def submit(
@@ -553,8 +523,13 @@ class PaletteServer:
         :class:`ServerClosed` when the server is not running, draining,
         or its scheduler loop is dead.  ``deadline_s`` is measured from
         *submission* and covers queue wait plus decoding; ``None`` means
-        no deadline.
+        no deadline.  ``max_new_tokens`` below 1 raises ``ValueError``;
+        ``None`` means ``config.max_new_tokens``.
         """
+        if max_new_tokens is None:
+            max_new_tokens = self.config.max_new_tokens
+        elif max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
         health = self.health()
         if not health.running:
             raise ServerClosed("submit() on a server that is not running")
@@ -574,7 +549,7 @@ class PaletteServer:
         now = time.monotonic()
         request = ServerRequest(
             prompt,
-            max_new_tokens=max_new_tokens or self.config.max_new_tokens,
+            max_new_tokens=max_new_tokens,
             deadline=None if deadline_s is None else now + deadline_s,
             now=now,
         )
@@ -670,14 +645,12 @@ class PaletteServer:
     def _run_step(self, generation: int, batcher: ContinuousBatcher) -> None:
         """One supervised decode step: the crash boundary.
 
-        Exception taxonomy (see :mod:`repro.serving.faults`):
-        transient errors retry in place with backoff up to
-        ``retry.retries``; palette-kernel and corrupt-tile errors
-        charge the layer's breaker and retry immediately (structurally
-        bounded -- at the threshold the layer trips to dense and the
-        failing path stops executing; a corrupt tile was already dropped
-        by the CRC-32 check); anything else fails the batch with
-        :class:`StepFailed`.
+        Exception taxonomy (see :mod:`repro.serving.faults`): a
+        :class:`TransientStepError` -- palette-kernel and corrupt-tile
+        errors included (a corrupt tile was already dropped by the CRC-32
+        check) -- retries in place with backoff up to ``retry.retries``,
+        then fails the batch; anything else fails the batch with
+        :class:`StepFailed` at once.
         """
         injector = self.fault_injector
         if injector is not None:
@@ -693,10 +666,9 @@ class PaletteServer:
                     before = self._weight_block_snapshot()
                     batcher.step(time.monotonic())
                     # A zombie waking from a genuine in-step hang must not
-                    # ledger bytes or advance breaker probation.
+                    # ledger bytes.
                     self.supervisor.check(generation)
                     self._record_step_weights(before)
-                    self._note_clean_step()
                     return
                 except _StaleGeneration:
                     raise
@@ -709,9 +681,6 @@ class PaletteServer:
                     self._sleep_checked(
                         generation, self.config.retry.backoff(transient_attempts)
                     )
-                except (PaletteKernelError, CorruptTileError) as exc:
-                    self.stats_acc.note_step_retry()
-                    self._charge_breaker(exc.layer, exc)
                 except Exception as exc:  # noqa: BLE001 - crash boundary
                     self._fail_batch(batcher, exc)
                     return
@@ -763,49 +732,6 @@ class PaletteServer:
         batcher.abort_all(
             StepFailed(f"decode step failed: {cause}", cause=cause)
         )
-
-    # ------------------------------------------------------------------
-    # Circuit breaker
-    # ------------------------------------------------------------------
-
-    def _charge_breaker(self, layer: str, cause: BaseException) -> None:
-        action = self.breakers.note_failure(layer)
-        if action in ("trip", "retrip"):
-            self._trip_layer(layer, action, cause)
-
-    def _trip_layer(
-        self, layer: str, action: str, cause: BaseException
-    ) -> None:
-        """Flip ``layer`` to the dense eval path (bit-identical output)."""
-        module = self._module_for(layer)
-        if module is None:
-            return
-        dense_bytes = 2 * module.inner.weight.numel
-        module.disable_palette_eval()
-        self.stats_acc.note_breaker_trip()
-        self.ledger.record(
-            "server",
-            "audit",
-            dense_bytes,
-            tag=DEGRADE_TAG,
-        )
-        warnings.warn(
-            f"palette path for layer {layer!r} tripped to dense "
-            f"({action}: {type(cause).__name__}); output is bit-identical, "
-            "bandwidth is not",
-            RobustnessWarning,
-            stacklevel=3,
-        )
-
-    def _note_clean_step(self) -> None:
-        """Breaker bookkeeping after a fault-free step (re-promotions)."""
-        for layer in self.breakers.note_clean_step():
-            module = self._module_for(layer)
-            if module is None:
-                continue
-            self._enable_layer_palette(layer, module)
-            self.stats_acc.note_breaker_repromotion()
-            self.ledger.record("server", "audit", 0, tag=DEGRADE_TAG)
 
     # ------------------------------------------------------------------
     # Watchdog (sidecar thread)
@@ -896,31 +822,25 @@ class PaletteServer:
         )
 
     def _weight_block_snapshot(self) -> dict[str, tuple[int, int]]:
-        """Per-layer (palette_row_blocks, dense_row_blocks) counters now."""
+        """Per-layer (palette_row_blocks, dense_rows) counters now."""
         snapshot: dict[str, tuple[int, int]] = {}
         for name, module in self._palette_layers:
             exec_ = module.palette_exec
             if exec_ is not None:
-                snapshot[name] = (
-                    exec_.stats.palette_row_blocks,
-                    exec_.stats.dense_row_blocks,
-                )
+                snapshot[name] = (exec_.stats.palette_row_blocks, exec_.stats.dense_rows)
         return snapshot
 
     def _record_step_weights(self, before: dict[str, tuple[int, int]]) -> None:
         """Ledger the weight bytes one decode step read.
 
-        Palette blocks charge their share of the deployable layout (lut +
-        packed indices); dense blocks charge the dequantized tile bytes.
-        Layers on the dense eval path -- from construction or because
-        their breaker tripped -- charge their full 16-bit weight each
-        step.
+        Palette blocks charge their share of the execution layout (lut +
+        cols + bounds); rows served by gemm charge the float32 bytes of
+        the resident tile rows they read, so a layer's shorter last tile
+        is charged for its real rows.  Clustered layers on the dense
+        eval path charge their full 16-bit weight each step.
         """
         nbytes = 0
         for name, module in self._palette_layers:
-            if module.eval_path == "dense":  # breaker-tripped
-                nbytes += 2 * module.inner.weight.numel
-                continue
             exec_ = module.palette_exec
             if exec_ is None:
                 continue
@@ -928,9 +848,9 @@ class PaletteServer:
             n_blocks = -(-layout.out_features // TILE_ROWS)
             pal_before, dense_before = before.get(name, (0, 0))
             pal_blocks = exec_.stats.palette_row_blocks - pal_before
-            dense_blocks = exec_.stats.dense_row_blocks - dense_before
+            dense_rows = exec_.stats.dense_rows - dense_before
             nbytes += pal_blocks * (layout.nbytes // max(1, n_blocks))
-            nbytes += dense_blocks * TILE_ROWS * layout.in_features * 4
+            nbytes += dense_rows * layout.in_features * 4
         nbytes += self._dense_weight_bytes
         if nbytes:
             self.ledger.record("weights", "flops", nbytes, tag=WEIGHT_TAG)

@@ -32,14 +32,6 @@ def request_tag(request_id: int) -> str:
     return f"{SERVE_TAG_PREFIX}req{request_id}"
 
 
-DEGRADE_TAG = f"{SERVE_TAG_PREFIX}degrade"
-"""Ledger tag for circuit-breaker events (palette→dense trips and
-re-promotions).  Records under this tag are an audit trail, not data
-movement, so :meth:`ServerStats.report` excludes them from both the
-weight and activation byte tallies and surfaces them separately as
-``degrade_bytes``."""
-
-
 def percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile of an ascending-sorted, non-empty list."""
     if not sorted_values:
@@ -108,9 +100,6 @@ class StatsReport:
     step_retries: int = 0
     watchdog_kills: int = 0
     loop_respawns: int = 0
-    breaker_trips: int = 0
-    breaker_repromotions: int = 0
-    degrade_bytes: int = 0
     kv_cache_bytes: int = 0
     kv_cache_peak_bytes: int = 0
 
@@ -135,8 +124,6 @@ class ServerStats:
         self.step_retries = 0
         self.watchdog_kills = 0
         self.loop_respawns = 0
-        self.breaker_trips = 0
-        self.breaker_repromotions = 0
         self.kv_cache_bytes = 0
         self.kv_cache_peak_bytes = 0
         self.started_at: float | None = None
@@ -188,16 +175,6 @@ class ServerStats:
         with self._lock:
             self.loop_respawns += 1
 
-    def note_breaker_trip(self) -> None:
-        """Count a per-layer circuit breaker tripping palette to dense."""
-        with self._lock:
-            self.breaker_trips += 1
-
-    def note_breaker_repromotion(self) -> None:
-        """Count a tripped layer re-promoted to the palette path."""
-        with self._lock:
-            self.breaker_repromotions += 1
-
     def note_kv_cache(self, resident_bytes: int) -> None:
         """Set the K/V bytes in-flight sequences hold now; tracks the peak."""
         with self._lock:
@@ -226,9 +203,7 @@ class ServerStats:
         ``wall_s`` is the measurement window (the caller owns the clock);
         ``ledger`` supplies byte totals from ``tag_prefix``-tagged
         transfers -- weight reads are ``dst="flops"`` records, activation
-        traffic everything else.  :data:`DEGRADE_TAG` records are an
-        audit trail of breaker events, not data movement: they are
-        excluded from both tallies and summed into ``degrade_bytes``.
+        traffic everything else.
         """
         with self._lock:
             records = list(self._records)
@@ -242,8 +217,6 @@ class ServerStats:
             step_retries = self.step_retries
             watchdog_kills = self.watchdog_kills
             loop_respawns = self.loop_respawns
-            breaker_trips = self.breaker_trips
-            breaker_repromotions = self.breaker_repromotions
             kv_cache_bytes = self.kv_cache_bytes
             kv_cache_peak_bytes = self.kv_cache_peak_bytes
         ok_records = [r for r in records if r.ok]
@@ -260,14 +233,11 @@ class ServerStats:
         wall = max(wall_s, 1e-9)
         weight_bytes = 0
         activation_bytes = 0
-        degrade_bytes = 0
         if ledger is not None:
             for transfer in ledger.transfers():
                 if not transfer.tag.startswith(tag_prefix):
                     continue
-                if transfer.tag == DEGRADE_TAG:
-                    degrade_bytes += transfer.nbytes
-                elif transfer.dst == "flops":
+                if transfer.dst == "flops":
                     weight_bytes += transfer.nbytes
                 else:
                     activation_bytes += transfer.nbytes
@@ -294,9 +264,6 @@ class ServerStats:
             step_retries=step_retries,
             watchdog_kills=watchdog_kills,
             loop_respawns=loop_respawns,
-            breaker_trips=breaker_trips,
-            breaker_repromotions=breaker_repromotions,
-            degrade_bytes=degrade_bytes,
             kv_cache_bytes=kv_cache_bytes,
             kv_cache_peak_bytes=kv_cache_peak_bytes,
         )

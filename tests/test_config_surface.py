@@ -23,9 +23,9 @@ from repro.baselines import (
     quantize,
 )
 from repro.core.compressor import ModelCompressor
-from repro.core.config import DKMConfig, EDKMConfig, RetryPolicy
+from repro.core.config import DKMConfig, EDKMConfig
 from repro.core.marshal import SEARCH_STRATEGIES
-from repro.serving.config import ServingConfig
+from repro.serving.config import RetryPolicy, ServingConfig
 from repro.tensor.dtype import float16
 
 SURFACE = {
@@ -38,9 +38,8 @@ SURFACE = {
     },
     ServingConfig: {
         "max_batch_size", "max_queue_depth", "max_new_tokens", "eval_path",
-        "tile_cache_bytes_limit", "temperature", "poll_interval_s", "retry",
-        "join_timeout_s", "drain_timeout_s", "breaker_threshold",
-        "breaker_probation_steps", "fault_plan",
+        "temperature", "poll_interval_s", "retry", "join_timeout_s",
+        "drain_timeout_s", "fault_plan",
     },
 }
 
@@ -81,7 +80,7 @@ def test_baseline_settable_value_budget():
 
 
 def test_field_budget():
-    assert sum(len(names) for names in SURFACE.values()) == 25
+    assert sum(len(names) for names in SURFACE.values()) == 22
 
 
 def test_settable_value_budget():
@@ -90,7 +89,7 @@ def test_settable_value_budget():
     assert policy == {"timeout_s", "retries", "backoff_s", "respawns"}
     retry_fields = sum("retry" in names for names in SURFACE.values())
     total = sum(len(names) for names in SURFACE.values())
-    assert total - retry_fields + retry_fields * len(policy) == 28
+    assert total - retry_fields + retry_fields * len(policy) == 25
 
 
 def test_model_compressor_keywords_are_pinned():
@@ -128,10 +127,9 @@ NON_DEFAULTS = {
     ),
     ServingConfig: dict(
         max_batch_size=3, max_queue_depth=5, max_new_tokens=9, eval_path="dense",
-        tile_cache_bytes_limit=4096, temperature=0.7, poll_interval_s=0.01,
+        temperature=0.7, poll_interval_s=0.01,
         retry=RetryPolicy(timeout_s=1.0, retries=0, backoff_s=0.0, respawns=1),
-        join_timeout_s=1.5, drain_timeout_s=2.5, breaker_threshold=3,
-        breaker_probation_steps=4,
+        join_timeout_s=1.5, drain_timeout_s=2.5,
     ),
     RetryPolicy: dict(timeout_s=0.25, retries=5, backoff_s=0.0, respawns=0),
 }
@@ -168,13 +166,10 @@ OUT_OF_RANGE = [
     (ServingConfig, "max_queue_depth", 0),
     (ServingConfig, "max_new_tokens", 0),
     (ServingConfig, "eval_path", "sparse"),
-    (ServingConfig, "tile_cache_bytes_limit", -1),
     (ServingConfig, "temperature", -0.1),
     (ServingConfig, "poll_interval_s", 0.0),
     (ServingConfig, "join_timeout_s", 0.0),
     (ServingConfig, "drain_timeout_s", 0.0),
-    (ServingConfig, "breaker_threshold", 0),
-    (ServingConfig, "breaker_probation_steps", 0),
     (ServingConfig, "fault_plan", "hang_step"),
     (RetryPolicy, "timeout_s", 0.0),
     (RetryPolicy, "retries", -1),
@@ -195,3 +190,16 @@ def test_out_of_range_value_rejected(cls, name, value):
         with pytest.raises(ValueError):
             cls.from_dict({name: value})
 
+
+
+@pytest.mark.parametrize(
+    "name", ["tile_cache_bytes_limit", "breaker_threshold", "breaker_probation_steps"]
+)
+def test_retired_serving_knobs_are_refused(name):
+    """The tile-cache budget and the circuit breaker's two knobs are gone:
+    a constructor keyword is a ``TypeError`` and a persisted key a
+    ``ValueError``, never a silent default."""
+    with pytest.raises(TypeError, match=name):
+        ServingConfig(**{name: 1})
+    with pytest.raises(ValueError, match=name):
+        ServingConfig.from_dict({**ServingConfig().to_dict(), name: 1})

@@ -1,5 +1,5 @@
 """Fault-plan, retry-policy and injector tests (see
-``repro/core/faults.py`` and ``docs/robustness.md``).
+``repro/serving/faults.py`` and ``docs/robustness.md``).
 
 The contract under test: a :class:`FaultSpec` is validated on
 construction, ``ServingConfig`` accepts only a :class:`FaultPlan`, the
@@ -9,11 +9,50 @@ same points on every run.  The server's recoveries under those faults
 are tested in ``tests/test_serving_faults.py``.
 """
 
+import importlib
+
 import pytest
 
-from repro.core import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
-from repro.core.faults import FAULT_KINDS, STEP_TARGET, _seeded_index
-from repro.serving import ServingConfig
+import repro.core
+import repro.serving
+from repro.serving import (
+    CorruptTileError,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    PaletteKernelError,
+    RetryPolicy,
+    ServingConfig,
+    TransientStepError,
+)
+from repro.serving.faults import FAULT_KINDS, STEP_TARGET, _seeded_index
+
+#: The fault / retry names that live in ``repro.serving`` alone.
+SERVING_FAULT_NAMES = (
+    "FAULT_KINDS", "FaultEvent", "FaultInjector", "FaultLog", "FaultPlan",
+    "FaultSpec", "RobustnessWarning", "WatchdogTimeout", "RetryPolicy",
+)
+
+
+class TestFaultMachineryHome:
+    def test_serving_exports_and_core_does_not(self):
+        for name in SERVING_FAULT_NAMES:
+            assert name in repro.serving.__all__, name
+            assert not hasattr(repro.core, name), name
+            assert name not in repro.core.__all__, name
+
+    def test_no_core_faults_module(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.faults")
+
+    @pytest.mark.parametrize("error", [PaletteKernelError, CorruptTileError])
+    def test_palette_errors_are_transient_step_errors(self, error):
+        """The one ``except TransientStepError`` arm of the step loop
+        retries every palette-path failure."""
+        assert issubclass(error, TransientStepError)
+        exc = error("layers.0.mlp")
+        assert exc.layer == "layers.0.mlp"
+        assert "layers.0.mlp" in str(exc)
 
 
 class TestFaultPlanValidation:

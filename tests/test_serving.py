@@ -28,14 +28,9 @@ from hypothesis import strategies as st
 import repro
 import repro.nn as nn
 import repro.tensor as rt
-from repro.core import (
-    DKMConfig,
-    FaultPlan,
-    ModelCompressor,
-    RetryPolicy,
-)
+from repro.core import DKMConfig, ModelCompressor
 from repro.core.compressor import ClusteredLinear
-from repro.llm import MICRO, ModelSpec, build_model, generate, generate_batch
+from repro.llm import MICRO, ModelSpec, WordTokenizer, build_model, generate, generate_batch
 from repro.llm.generate import batched_last_logits
 import repro.serving.batcher as batcher_mod
 from repro.memory.traffic import TrafficLedger
@@ -43,10 +38,13 @@ from repro.tensor.autograd import no_grad
 from repro.serving import (
     AdmissionError,
     ContinuousBatcher,
+    CorruptTileError,
     DeadlineExceeded,
+    FaultPlan,
     PaletteLayout,
     PaletteServer,
     RequestQueue,
+    RetryPolicy,
     ServerClosed,
     ServerRequest,
     ServingConfig,
@@ -177,29 +175,45 @@ class TestTileCache:
     def _tile(self, fill, rows=2, cols=4):
         return np.full((rows, cols), fill, dtype=np.float32)  # 32 bytes
 
-    def test_lru_eviction_under_budget(self):
-        cache = TileCache(bytes_limit=64)  # room for two 32-byte tiles
-        cache.put(("a", 0, 0), self._tile(0.0))
-        cache.put(("a", 0, 1), self._tile(1.0))
-        assert cache.get(("a", 0, 0)) is not None  # 0 is now most recent
-        cache.put(("a", 0, 2), self._tile(2.0))  # evicts 1, the LRU
-        assert cache.get(("a", 0, 1)) is None
-        assert cache.get(("a", 0, 0)) is not None
-        assert cache.resident_bytes() == 64
-        assert cache.stats.evictions == 1
+    def test_bytes_limit_is_refused(self):
+        """The byte budget and its LRU eviction are retired: the cache
+        takes no arguments and its stats carry no eviction counter."""
+        with pytest.raises(TypeError, match="bytes_limit"):
+            TileCache(bytes_limit=64)
+        assert set(TileCache().stats.to_dict()) == {"hits", "misses", "puts", "corruptions"}
 
-    def test_oversize_tile_refused(self):
-        cache = TileCache(bytes_limit=16)
-        cache.put(("a", 0, 0), self._tile(0.0))  # 32 > 16
-        assert cache.get(("a", 0, 0)) is None
-        assert cache.resident_bytes() == 0
-
-    def test_unlimited_budget(self):
-        cache = TileCache(bytes_limit=0)
+    def test_every_put_stays_resident(self):
+        cache = TileCache()
         for i in range(10):
             cache.put(("a", 0, i), self._tile(float(i)))
         assert cache.resident_bytes() == 320
-        assert cache.stats.evictions == 0
+        assert all(cache.get(("a", 0, i)) is not None for i in range(10))
+
+    def test_put_over_a_key_replaces_its_bytes(self):
+        cache = TileCache()
+        cache.put(("a", 0, 0), self._tile(0.0))
+        cache.put(("a", 0, 0), self._tile(1.0))
+        assert len(cache) == 1
+        assert cache.resident_bytes() == 32
+        assert float(cache.get(("a", 0, 0))[0, 0]) == 1.0
+
+    def test_corrupt_tile_is_dropped_and_refilled(self):
+        cache = TileCache()
+        cache.put(("a", 0, 0), self._tile(1.0))
+        cache.put(("b", 0, 0), self._tile(2.0))
+        assert cache.corrupt_one(("a",))
+        with pytest.raises(CorruptTileError):
+            cache.get(("a", 0, 0))
+        # The poisoned entry is gone; the other layer's tile is untouched.
+        assert not cache.holds(("a",))
+        assert cache.resident_bytes() == 32
+        assert cache.get(("a", 0, 0)) is None
+        cache.put(("a", 0, 0), self._tile(1.0))
+        assert float(cache.get(("a", 0, 0))[0, 0]) == 1.0
+        assert float(cache.get(("b", 0, 0))[0, 0]) == 2.0
+        assert cache.stats.to_dict() == {
+            "hits": 2, "misses": 1, "puts": 3, "corruptions": 1
+        }
 
     def test_invalidate_prefix(self):
         cache = TileCache()
@@ -474,9 +488,10 @@ class TestConfigRoundTrips:
             {"max_batch_size": 0},
             {"max_queue_depth": 0},
             {"eval_path": "sparse"},
-            {"tile_cache_bytes_limit": -1},
             {"temperature": -0.1},
             {"max_new_tokens": 0},
+            {"poll_interval_s": 0.0},
+            {"drain_timeout_s": -1.0},
         ],
     )
     def test_serving_validation(self, bad):
@@ -614,15 +629,6 @@ class TestPaletteServer:
                 t.join()
         assert results == offline
 
-    def test_tile_budget_eviction_preserves_tokens(self, served_model, tokenizer):
-        offline = self._offline(served_model, tokenizer)
-        config = ServingConfig(max_batch_size=4, tile_cache_bytes_limit=1 << 14)
-        with PaletteServer(served_model, tokenizer, config=config) as server:
-            got = [server.generate(p, max_new_tokens=MAX_NEW) for p in PROMPTS]
-            stats = server.tile_cache.stats
-            assert stats.evictions > 0  # the budget actually binds
-        assert got == offline
-
     def test_stats_and_ledger_accounting(self, served_model, tokenizer):
         ledger = TrafficLedger()
         config = ServingConfig(max_batch_size=4)
@@ -644,6 +650,36 @@ class TestPaletteServer:
         per_request = ledger.by_tag("serve:req")
         assert set(per_request) == {request_tag(r.id) for r in requests}
         assert all(nbytes > 0 for nbytes in per_request.values())
+
+    def test_warm_step_charges_the_real_rows_of_a_short_last_tile(self):
+        """Nine words make ``lm_head`` (13, 32): one 13-row tile.  A warm
+        step serves every tile by gemm and must ledger exactly the
+        resident tile bytes, not ``TILE_ROWS`` rows per tile (the old
+        charge read 86 016 B against 83 584 B of tiles)."""
+        words = ["alice", "bob", "carol", "the", "capital", "of", "lives", "in", "works"]
+        decoder = WordTokenizer(words)
+        model = build_model(MICRO, vocab_size=decoder.vocab_size, seed=0)
+        model.to(rt.GPU)
+        ModelCompressor(DKMConfig(bits=4)).compress(model)
+        assert model.lm_head.inner.weight.shape == (13, 32)
+        ledger = TrafficLedger()
+        with PaletteServer(model, decoder, ledger=ledger) as server:
+            server.submit("alice lives in", max_new_tokens=1).result(timeout=30)
+            cold = ledger.total_bytes(tag="serve:weights")
+            server.submit("alice lives in", max_new_tokens=1).result(timeout=30)
+            warm = ledger.total_bytes(tag="serve:weights") - cold
+            assert warm == server.tile_cache.resident_bytes() == 83_584
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_submit_rejects_a_budget_below_one(self, served_model, tokenizer, budget):
+        """``0`` used to decode the config default and ``-3`` one token."""
+        with PaletteServer(served_model, tokenizer) as server:
+            with pytest.raises(ValueError, match=f"max_new_tokens must be >= 1, got {budget}"):
+                server.submit(PROMPTS[0], max_new_tokens=budget)
+            assert server.stats().submitted == 0
+            request = server.submit(PROMPTS[0], max_new_tokens=None)
+            assert request.max_new_tokens == server.config.max_new_tokens
+            request.result(timeout=30)
 
     def test_admission_burst_is_shed_and_accounted(self, served_model, tokenizer):
         config = ServingConfig(

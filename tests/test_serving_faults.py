@@ -1,4 +1,4 @@
-"""Chaos-hardened serving: supervisor, breaker, drain, fault injection.
+"""Chaos-hardened serving: supervisor, retry, drain, fault injection.
 
 The load-bearing guarantees under test:
 
@@ -11,8 +11,9 @@ The load-bearing guarantees under test:
 - every injected fault -- kernel error, corrupt tile, hang, delay,
   transient -- is recovered from with *bit-identical* completed tokens
   and an audit trail in the fault log;
-- the per-layer circuit breaker trips exactly the failing layer to the
-  dense path and re-promotes it after probation;
+- a palette-kernel or corrupt-tile failure is a transient step error:
+  retried under ``RetryPolicy`` to identical tokens, and past the retry
+  budget it fails the batch while the server keeps serving;
 - ``stop(drain=True)`` finishes in-flight work; a dead loop refuses
   admission; ``ServingConfig`` round-trips but refuses to serialize an
   armed fault plan.
@@ -32,24 +33,20 @@ import numpy as np
 import pytest
 
 import repro.tensor as rt
-from repro.core import DKMConfig, ModelCompressor, RetryPolicy
-from repro.core.faults import (
-    STEP_TARGET,
+from repro.core import DKMConfig, ModelCompressor
+from repro.llm import MICRO, build_model, generate
+import repro.serving.batcher as batcher_mod
+from repro.serving import (
+    CorruptTileError,
+    DeadlineExceeded,
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    RobustnessWarning,
-)
-from repro.llm import MICRO, build_model, generate
-import repro.serving.batcher as batcher_mod
-from repro.memory.traffic import TrafficLedger
-from repro.serving import (
-    BreakerBoard,
-    CorruptTileError,
-    DeadlineExceeded,
     PaletteKernelError,
     PaletteLinearExec,
     PaletteServer,
+    RetryPolicy,
+    RobustnessWarning,
     ServerClosed,
     ServerRequest,
     ServingConfig,
@@ -57,7 +54,7 @@ from repro.serving import (
     TileCache,
     TransientStepError,
 )
-from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.serving.faults import STEP_TARGET
 from repro.serving.palette import TILE_ROWS
 
 MAX_NEW = 5
@@ -438,31 +435,45 @@ class TestInjectedFaults:
             events = server.fault_injector.log.events
             assert [e.kind for e in events] == ["delay_step"]
 
-    def test_kernel_error_trips_breaker_identical_tokens(
+    def test_kernel_error_retried_to_identical_tokens(
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=FaultPlan.single(
-                "kernel_error", sweep=1, times=2
-            ),
-            breaker_threshold=2,
+            fault_plan=FaultPlan.single("kernel_error", sweep=1, times=2),
+            retry=RetryPolicy(backoff_s=0.001),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            with PaletteServer(served_model, tokenizer, config) as server:
-                texts = _serve_all(server)
-                assert texts == [expected_texts[p] for p in PROMPTS]
-                report = server.stats()
-                assert report.breaker_trips == 1
-                assert report.degrade_bytes > 0
-                events = server.fault_injector.log.events
-                assert {e.kind for e in events} == {"kernel_error"}
-                assert len(events) == 2
-                tripped = events[0].layer
-                health = server.health()
-                assert health.breakers[tripped].state == OPEN
-                module = server._module_for(tripped)
-                assert module is not None and module.eval_path == "dense"
+        with PaletteServer(served_model, tokenizer, config) as server:
+            texts = _serve_all(server)
+            assert texts == [expected_texts[p] for p in PROMPTS]
+            report = server.stats()
+            events = server.fault_injector.log.events
+            assert [e.kind for e in events] == ["kernel_error"] * 2
+            assert report.step_retries == len(events)
+            assert report.step_failures == 0
+            # Every layer stays on the palette path: no layer is tripped.
+            assert all(
+                module.eval_path == "palette" for _, module in server._palette_layers
+            )
+
+    def test_kernel_error_exhausts_retries_to_step_failed(
+        self, served_model, tokenizer, expected_texts
+    ):
+        config = _config(
+            fault_plan=FaultPlan.single("kernel_error", sweep=1, times=2),
+            retry=RetryPolicy(retries=1, backoff_s=0.001),
+        )
+        with PaletteServer(served_model, tokenizer, config) as server:
+            request = server.submit(PROMPTS[0])
+            with pytest.raises(StepFailed) as excinfo:
+                request.result(timeout=10)
+            assert isinstance(excinfo.value.cause, PaletteKernelError)
+            # The server keeps serving, on the palette path, once the plan
+            # is spent.
+            text = server.submit(PROMPTS[1]).result(timeout=30)
+            assert text == expected_texts[PROMPTS[1]]
+            report = server.stats()
+            assert (report.step_retries, report.step_failures) == (1, 1)
+            assert server.running
 
     def test_corrupt_tile_detected_and_recovered(
         self, served_model, tokenizer, expected_texts
@@ -476,9 +487,8 @@ class TestInjectedFaults:
             events = server.fault_injector.log.events
             assert [e.kind for e in events] == ["corrupt_tile"]
             assert server.tile_cache.stats.corruptions >= 1
-            # One digest failure is below the default threshold: counted,
-            # not tripped.
-            assert server.stats().breaker_trips == 0
+            # The poisoned tile was dropped; one retry re-dequantized it.
+            assert server.stats().step_retries == 1
 
     def test_hang_step_watchdog_respawns_loop(
         self, served_model, tokenizer, expected_texts
@@ -537,6 +547,83 @@ class TestInjectedFaults:
                 assert time.monotonic() - begun < 10.0
             finally:
                 server.close()
+
+
+_TRANSIENT_ERRORS = [
+    lambda: TransientStepError("step"),
+    lambda: PaletteKernelError("layers.0.attn.q_proj", "step"),
+    lambda: CorruptTileError("layers.0.attn.q_proj", "step"),
+]
+_TRANSIENT_IDS = ["TransientStepError", "PaletteKernelError", "CorruptTileError"]
+
+
+@contextlib.contextmanager
+def _failing_first_steps(make_error, times):
+    """Make the first ``times`` ``decode_step`` calls raise ``make_error()``."""
+    real = batcher_mod.decode_step
+    calls = {"n": 0}
+
+    def failing(model, ids, caches, device=None):
+        calls["n"] += 1
+        if calls["n"] <= times:
+            raise make_error()
+        return real(model, ids, caches, device=device)
+
+    with mock.patch.object(batcher_mod, "decode_step", failing):
+        yield calls
+
+
+def _record_sleeps(server):
+    """Record every ``_sleep_checked`` duration of ``server``'s loop."""
+    real = server._sleep_checked
+    sleeps = []
+
+    def recording(generation, seconds):
+        sleeps.append(seconds)
+        real(generation, seconds)
+
+    server._sleep_checked = recording
+    return sleeps
+
+
+class TestOneRetryPath:
+    """Every palette-path failure takes the one transient retry arm."""
+
+    @pytest.mark.parametrize("make_error", _TRANSIENT_ERRORS, ids=_TRANSIENT_IDS)
+    def test_each_retry_sleeps_the_policy_backoff(
+        self, served_model, tokenizer, expected_texts, make_error
+    ):
+        policy = RetryPolicy(retries=2, backoff_s=0.001)
+        config = _config(retry=policy)
+        with _failing_first_steps(make_error, times=2) as calls:
+            with PaletteServer(served_model, tokenizer, config) as server:
+                sleeps = _record_sleeps(server)
+                text = server.submit(PROMPTS[0]).result(timeout=30)
+                report = server.stats()
+        assert text == expected_texts[PROMPTS[0]]
+        assert calls["n"] > 2
+        assert sleeps == [policy.backoff(1), policy.backoff(2)]
+        assert (report.step_retries, report.step_failures) == (2, 0)
+
+    @pytest.mark.parametrize("make_error", _TRANSIENT_ERRORS, ids=_TRANSIENT_IDS)
+    def test_zero_retries_fails_the_batch_at_once(
+        self, served_model, tokenizer, expected_texts, make_error
+    ):
+        config = _config(retry=RetryPolicy(retries=0, backoff_s=0.001))
+        with _failing_first_steps(make_error, times=1):
+            with PaletteServer(served_model, tokenizer, config) as server:
+                sleeps = _record_sleeps(server)
+                request = server.submit(PROMPTS[0])
+                with pytest.raises(StepFailed) as excinfo:
+                    request.result(timeout=10)
+                assert type(excinfo.value.cause) is type(make_error())
+                # The loop survived and serves the next request cleanly.
+                text = server.submit(PROMPTS[1]).result(timeout=30)
+                report = server.stats()
+                assert server.running
+        assert text == expected_texts[PROMPTS[1]]
+        assert sleeps == []
+        assert (report.step_retries, report.step_failures) == (0, 1)
 
 
 @contextlib.contextmanager
@@ -732,96 +819,6 @@ class TestKVLifetime:
         assert rt.GPU.tracker.current_bytes == baseline
 
 
-class TestBreakerBoard:
-    def test_counts_below_threshold(self):
-        board = BreakerBoard(threshold=3, probation_steps=4)
-        assert board.note_failure("a") == "count"
-        assert board.note_failure("a") == "count"
-        assert board.states()["a"].consecutive_failures == 2
-
-    def test_clean_step_resets_closed_counter(self):
-        board = BreakerBoard(threshold=3, probation_steps=4)
-        board.note_failure("a")
-        board.note_clean_step()
-        assert board.states()["a"].consecutive_failures == 0
-
-    def test_trip_at_threshold(self):
-        board = BreakerBoard(threshold=2, probation_steps=3)
-        board.note_failure("a")
-        assert board.note_failure("a") == "trip"
-        snap = board.states()["a"]
-        assert snap.state == OPEN
-        assert snap.trips == 1
-        assert board.open_layers() == ["a"]
-
-    def test_probation_promotes_then_closes(self):
-        board = BreakerBoard(threshold=1, probation_steps=2)
-        assert board.note_failure("a") == "trip"
-        assert board.note_clean_step() == []
-        assert board.note_clean_step() == ["a"]
-        assert board.states()["a"].state == HALF_OPEN
-        assert board.note_clean_step() == []
-        snap = board.states()["a"]
-        assert snap.state == CLOSED
-        assert snap.repromotions == 1
-
-    def test_half_open_failure_retrips_with_doubled_probation(self):
-        board = BreakerBoard(threshold=1, probation_steps=2)
-        board.note_failure("a")
-        board.note_clean_step()
-        board.note_clean_step()  # promoted to half-open
-        assert board.note_failure("a") == "retrip"
-        assert board.states()["a"].probation_remaining == 4
-
-    def test_probation_doubling_caps_at_8x(self):
-        board = BreakerBoard(threshold=1, probation_steps=2)
-        for _ in range(6):  # flap: trip, serve probation, fail the probe
-            action = board.note_failure("a")
-            assert action in ("trip", "retrip")
-            while board.states()["a"].state == OPEN:
-                board.note_clean_step()
-        board.note_failure("a")
-        assert board.states()["a"].probation_remaining <= 16
-
-    def test_failure_while_open_is_inert(self):
-        board = BreakerBoard(threshold=1, probation_steps=8)
-        board.note_failure("a")
-        assert board.note_failure("a") == "open"
-        assert board.states()["a"].trips == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BreakerBoard(threshold=0, probation_steps=1)
-        with pytest.raises(ValueError):
-            BreakerBoard(threshold=1, probation_steps=0)
-
-
-class TestBreakerRepromotion:
-    def test_tripped_layer_repromoted_after_probation(
-        self, served_model, tokenizer, expected_texts
-    ):
-        config = _config(
-            fault_plan=FaultPlan.single("kernel_error", sweep=1),
-            breaker_threshold=1,
-            breaker_probation_steps=2,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            with PaletteServer(served_model, tokenizer, config) as server:
-                texts = _serve_all(server)
-                assert texts == [expected_texts[p] for p in PROMPTS]
-                tripped = server.fault_injector.log.events[0].layer
-                report = server.stats()
-                assert report.breaker_trips == 1
-                # MAX_NEW * len(PROMPTS) steps comfortably cover a
-                # 2-step probation plus the closing probe step.
-                assert report.breaker_repromotions == 1
-                health = server.health()
-                assert health.breakers[tripped].state == CLOSED
-                module = server._module_for(tripped)
-                assert module is not None and module.eval_path == "palette"
-
-
 class TestDrainAndHealth:
     def test_drain_completes_inflight_work(
         self, served_model, tokenizer, expected_texts
@@ -859,7 +856,7 @@ class TestDrainAndHealth:
             assert health.queue_depth == 0
             payload = health.to_dict()
             assert payload["running"] is True
-            assert isinstance(payload["breakers"], dict)
+            assert "breakers" not in payload
         finally:
             server.close()
         assert not server.health().running
@@ -876,15 +873,13 @@ class TestServingConfigContract:
     def test_round_trip_includes_robustness_knobs(self):
         config = _config(
             retry=RetryPolicy(timeout_s=1.5, retries=3),
-            breaker_threshold=4,
-            breaker_probation_steps=9,
             join_timeout_s=2.0,
             drain_timeout_s=3.0,
         )
         payload = config.to_dict()
         assert "fault_plan" not in payload
         assert payload["retry"]["timeout_s"] == 1.5
-        assert payload["breaker_threshold"] == 4
+        assert payload["join_timeout_s"] == 2.0
         assert ServingConfig.from_dict(payload) == config
 
     def test_armed_fault_plan_refuses_to_serialize(self):
@@ -902,8 +897,6 @@ class TestServingConfigContract:
         for bad in (
             dict(join_timeout_s=0.0),
             dict(drain_timeout_s=0.0),
-            dict(breaker_threshold=0),
-            dict(breaker_probation_steps=0),
         ):
             with pytest.raises(ValueError):
                 _config(**bad)
@@ -957,37 +950,6 @@ class TestConcurrentChaos:
             assert outcome == expected_texts[PROMPTS[idx % len(PROMPTS)]]
 
 
-class TestLedgerIsolation:
-    def test_degrade_bytes_excluded_from_traffic_split(
-        self, served_model, tokenizer
-    ):
-        ledger = TrafficLedger()
-        config = _config(
-            fault_plan=FaultPlan.single("kernel_error", sweep=1),
-            breaker_threshold=1,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            with PaletteServer(
-                served_model, tokenizer, config, ledger=ledger
-            ) as server:
-                _serve_all(server, PROMPTS[:2])
-                report = server.stats()
-        assert report.degrade_bytes > 0
-        degrade_total = sum(
-            t.nbytes for t in ledger.transfers() if t.tag == "serve:degrade"
-        )
-        assert report.degrade_bytes == degrade_total
-        assert report.weight_bytes_read > 0
-        # Weight/activation tallies must not double-count the audit trail.
-        serve_total = sum(
-            t.nbytes
-            for t in ledger.transfers()
-            if t.tag.startswith("serve:") and t.tag != "serve:degrade"
-        )
-        assert report.weight_bytes_read + report.activation_bytes == serve_total
-
-
 class TestChaosBenchHelpers:
     """Unit tests for the chaos benchmark's pure pieces.
 
@@ -1038,9 +1000,9 @@ class TestChaosBenchHelpers:
         assert hang.fault_plan is not None
         quiet = _config_for("delay_step", _plan_for("delay_step", 0), 4)
         assert quiet.retry.timeout_s is None
-        # The kernel cell pins threshold=1 so one fire must trip.
+        # The kernel cell's retry budget covers every firing of its spec.
         kernel = _config_for("kernel_error", _plan_for("kernel_error", 0), 4)
-        assert kernel.breaker_threshold == 1
+        assert kernel.retry.retries >= kernel.fault_plan.specs[0].times
 
     def test_to_json_dict_gates_reflect_rows(self):
         from repro.bench.serving_faults import ChaosBenchResult
@@ -1067,30 +1029,21 @@ class TestChaosBenchHelpers:
         assert not payload["no_stranded_futures"]
         assert not payload["shutdown_bounded"]
 
-    def test_breaker_summary_sums_only_breaker_rows(self):
+    def test_kernel_row_without_a_retry_per_firing_is_reported(self):
         from repro.bench.serving_faults import ChaosBenchResult
 
-        result = ChaosBenchResult(
-            rows=[
-                self._row(
-                    scenario="kernel_error-c1",
-                    breaker_trips=2,
-                    breaker_repromotions=1,
-                ),
-                self._row(
-                    scenario="breaker-repromotion",
-                    breaker_trips=1,
-                    breaker_repromotions=1,
-                ),
-            ],
-            breaker_final_states_closed=True,
+        fired = {"kernel_error": 2}
+        retried = self._row(
+            scenario="kernel_error-c1", kind="kernel_error",
+            fault_events=fired, step_retries=2,
         )
-        payload = result.to_json_dict()
-        assert payload["breaker"]["trips"] == 3
-        # Only the breaker scenario's repromotions count toward the gate:
-        # matrix cells may trip without ever re-promoting.
-        assert payload["breaker"]["repromotions"] == 1
-        assert payload["breaker"]["final_states_closed"]
+        assert ChaosBenchResult(rows=[retried], drain_ok=True).failures() == []
+        unretried = self._row(
+            scenario="kernel_error-c1", kind="kernel_error",
+            fault_events=fired, step_retries=1,
+        )
+        (failure,) = ChaosBenchResult(rows=[unretried], drain_ok=True).failures()
+        assert "did not retry every firing" in failure
 
     def test_reconcile_faults_counts_events_and_unfired_specs(
         self, served_model, tokenizer

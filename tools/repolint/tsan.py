@@ -49,7 +49,6 @@ DEFAULT_MODULES = (
     "repro.serving.queue",
     "repro.serving.palette",
     "repro.serving.stats",
-    "repro.serving.breaker",
     "repro.serving.server",
 )
 
