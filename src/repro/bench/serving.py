@@ -7,8 +7,8 @@ through three scenarios:
   batcher (the baseline the paper's deployment story competes with);
 - ``compressed-dense`` -- clustered layers reconstructing the full hard
   weight per layer (``eval_path="dense"``);
-- ``compressed-palette`` -- clustered layers on the palette kernels with
-  the dequantized-tile cache (``eval_path="palette"``).
+- ``compressed-palette`` -- clustered layers keeping lut + indices and
+  serving one resident dequantized weight each (``eval_path="palette"``).
 
 Each scenario reports requests/sec, p50/p99 latency, batch occupancy,
 and weight bytes (resident artifact + per-step read traffic from the
@@ -236,12 +236,13 @@ def _load_state(model, state: dict) -> None:
 
 
 def _weight_bytes_resident(model, eval_path: str) -> tuple[int, int]:
-    """Deployable weight bytes plus palette execution-layout bytes.
+    """Deployable weight bytes plus palette executor bytes.
 
     Dense scenarios hold the full weight tensor; the palette scenario
     ships the packed artifact (16-bit lut + bit-packed indices) and
-    additionally keeps the unpacked execution layout resident, which the
-    second return value reports separately.
+    additionally keeps its float32 lut and uint8 indices in memory, which
+    the second return value reports separately (the resident dequantized
+    weights are the tile cache's, not counted here).
     """
     modules = list(model.named_modules())
     inner_ids = {

@@ -192,8 +192,8 @@ class ChaosBenchResult:
 def _plan_for(kind: str, seed: int) -> FaultPlan:
     """A deterministic single-kind plan tuned so the run survives it.
 
-    ``corrupt_tile`` waits for step 2 so the palette tiles it poisons
-    are resident; ``hang_step`` sleeps far past the watchdog so only
+    ``corrupt_tile`` waits for step 2 so the layer weight it poisons
+    is resident; ``hang_step`` sleeps far past the watchdog so only
     the revocation path can unwedge it.
     """
     if kind == "transient_step":
@@ -365,7 +365,7 @@ def run_serving_faults(
     reference on a fresh compressed copy, then replays the identical
     prompt set through every (fault kind x client count) cell plus the
     draining-shutdown scenario.  Every scenario gets a fresh model +
-    snapshot, so corrupted tiles never leak between cells.
+    snapshot, so corrupted weights never leak between cells.
     """
     result = ChaosBenchResult(
         cpu_count=os.cpu_count() or 1,

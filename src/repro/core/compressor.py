@@ -52,13 +52,14 @@ class ClusteredLinear(Module):
         self.dkm_config = dkm_config
         self.uniquify_enabled = uniquify_enabled
         self.clusterer = DKMClusterer(dkm_config)
-        # Eval-path state: the version-keyed hard-weight cache, the shared
-        # (centroids, assignments) products both eval paths derive from,
-        # and the optional palette executor (enable_palette_eval).
+        # Eval-path state, each entry ``(key, storage weakref, ...)``: the
+        # hard-weight cache, the shared (centroids, assignments) products
+        # both eval paths derive from, and the optional palette executor
+        # (enable_palette_eval).
         self._hard_cache: tuple | None = None
         self._hard_products_cache: tuple | None = None
         self._palette_opts: tuple | None = None
-        self._palette_exec = None
+        self._palette_cache: tuple | None = None
         # Clustering keys on 16-bit patterns: keep the master weight in the
         # configured 16-bit training dtype (paper: bfloat16).
         if inner.weight.dtype is not dkm_config.weight_dtype:
@@ -105,13 +106,29 @@ class ClusteredLinear(Module):
         return self
 
     def _weight_version_key(self) -> tuple:
-        """The (version, view) key a weight write invalidates."""
+        """The (storage, version, view) key a weight write or a storage
+        swap invalidates.
+
+        ``id(storage)`` alone can be reused once a swapped-out storage is
+        collected, so every cache holding this key also holds a weakref to
+        the storage and checks it with :meth:`_is_current`.
+        """
         weight = self.inner.weight
         return (
+            id(weight.storage),
             weight.storage.version,
             weight.shape,
             weight.strides,
             weight.offset,
+        )
+
+    def _is_current(self, cached: tuple | None) -> bool:
+        """Whether ``cached`` -- ``(key, storage weakref, ...)`` -- was
+        built from the weight as it is now."""
+        return (
+            cached is not None
+            and cached[0] == self._weight_version_key()
+            and cached[1]() is self.inner.weight.storage
         )
 
     def _hard_products(self) -> tuple[np.ndarray, np.ndarray]:
@@ -127,13 +144,8 @@ class ClusteredLinear(Module):
         from repro.tensor.autograd import no_grad
 
         weight = self.inner.weight
-        key = self._weight_version_key()
         cached = self._hard_products_cache
-        if (
-            cached is not None
-            and cached[0] == key
-            and cached[1]() is weight.storage
-        ):
+        if self._is_current(cached):
             return cached[2], cached[3]
         with no_grad():
             state = self.clusterer.refine(weight)
@@ -142,7 +154,7 @@ class ClusteredLinear(Module):
             )
         centroids = state.centroids.copy()
         self._hard_products_cache = (
-            key,
+            self._weight_version_key(),
             weakref.ref(weight.storage),
             centroids,
             assignments,
@@ -151,23 +163,20 @@ class ClusteredLinear(Module):
 
     def _hard_weight(self) -> Tensor:
         weight = self.inner.weight
-        key = self._weight_version_key()
         cached = getattr(self, "_hard_cache", None)
         # Keyed on Storage.version (the counter every in-place write
         # bumps), not just on mode changes: an optimizer step or
         # weight.copy_ while the module stays in eval mode must not
         # keep serving the stale palettized reconstruction.
-        if (
-            cached is not None
-            and cached[0] == key
-            and cached[1]() is weight.storage
-        ):
+        if self._is_current(cached):
             return cached[2]
         centroids, assignments = self._hard_products()
         values = centroids[assignments].reshape(weight.shape)
         hard = Tensor.from_numpy(values, dtype=weight.dtype, device=weight.device)
         object.__setattr__(
-            self, "_hard_cache", (key, weakref.ref(weight.storage), hard)
+            self,
+            "_hard_cache",
+            (self._weight_version_key(), weakref.ref(weight.storage), hard),
         )
         return hard
 
@@ -185,21 +194,22 @@ class ClusteredLinear(Module):
 
         ``cache`` is the shared
         :class:`~repro.serving.palette.TileCache`; ``name`` keys this
-        layer's tiles in it.  ``fault_hook`` (serving chaos harness) is
-        called with the layer name at every palette matmul entry.  The
-        executor itself is built lazily on the first palette forward and
-        rebuilt whenever the weight storage version moves, so enabling is
-        cheap and never serves stale palettes.
+        layer's resident weight in it.  ``fault_hook`` (serving chaos
+        harness) is called with the layer name at every palette matmul
+        entry.  The executor itself is built lazily on the first palette
+        forward and rebuilt whenever the weight's storage or its version
+        moves, so enabling is cheap and never serves stale weights.
         """
         self._palette_opts = (name, cache, fault_hook)
-        self._palette_exec = None
+        self._palette_cache = None
 
     def disable_palette_eval(self) -> None:
-        """Restore the dense-reconstruction eval path, dropping tiles."""
-        if self._palette_exec is not None:
-            self._palette_exec.invalidate()
+        """Restore the dense-reconstruction eval path, dropping the
+        resident weight."""
+        if self.palette_exec is not None:
+            self.palette_exec.invalidate()
         self._palette_opts = None
-        self._palette_exec = None
+        self._palette_cache = None
 
     @property
     def eval_path(self) -> str:
@@ -213,19 +223,19 @@ class ClusteredLinear(Module):
         ``None`` until the first palette forward builds it (or when the
         palette path is disabled).
         """
-        return self._palette_exec
+        return None if self._palette_cache is None else self._palette_cache[2]
 
     def _palette_executor(self):
-        """The executor for the current weight version, (re)built lazily."""
+        """The executor for the current weight storage and version,
+        (re)built lazily."""
         from repro.serving.palette import PaletteLinearExec
 
+        if self._is_current(self._palette_cache):
+            return self._palette_cache[2]
+        if self.palette_exec is not None:
+            self.palette_exec.invalidate()
         name, cache, fault_hook = self._palette_opts
         key = self._weight_version_key()
-        exec_ = self._palette_exec
-        if exec_ is not None and exec_.version_token == key:
-            return exec_
-        if exec_ is not None:
-            exec_.invalidate()
         weight = self.inner.weight
         centroids, assignments = self._hard_products()
         # Project the palette through the weight dtype's grid so palette
@@ -241,7 +251,7 @@ class ClusteredLinear(Module):
             version_token=key,
             fault_hook=fault_hook,
         )
-        self._palette_exec = exec_
+        self._palette_cache = (key, weakref.ref(weight.storage), exec_)
         return exec_
 
     def _palette_forward(self, x: Tensor) -> Tensor:

@@ -5,14 +5,14 @@ only the tokens its :class:`SequenceCache` has not seen -- the whole
 prompt on its first step, one token afterwards -- and all rows' tokens run
 *flattened* through the embedding, the norms, every projection and the
 MLPs in a single pass.  RoPE rotates each token at its own position, the
-softmax(QK^T)V core alone is split by ``(new tokens, cached length)``
+softmax(QK^T)V core alone is split by new-token count
 (:meth:`repro.nn.MultiHeadAttention.step`), and the final norm and LM head
 see each row's last position only.
 
 The step is **atomic**: a layer writes new keys and values past the
 cached length, where nothing reads them, and the length moves only after
 the last layer and the LM head have succeeded.  A step that raises midway
--- a palette kernel fault, a corrupt tile -- therefore leaves every cache
+-- a palette-path fault, a corrupt resident weight -- therefore leaves every cache
 as it found it, and retrying it feeds the same tokens again.
 
 Logits are *not* bit-equal to the full-recompute reference

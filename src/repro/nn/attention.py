@@ -162,33 +162,40 @@ class MultiHeadAttention(Module):
         ``positions[i]`` is token ``i``'s position in its own sequence.
         The four projections run once over all tokens; each row's new keys
         and values are written to its block past the cached length, and
-        only the softmax(QK^T)V core is split, into groups of rows that
-        share ``(count, cached)`` and so stack without padding.  Inference
+        only the softmax(QK^T)V core is split, into one group per new-token
+        count.  A group's caches are copied into one zero-padded
+        ``(rows, heads, longest, head_dim)`` block, and one mask hides every
+        position past ``cached + i`` from a row's new token ``i``: that
+        covers both the padding and, in a prefill, the future.  Inference
         only: nothing is recorded on the autograd tape.
         """
         heads = (x.shape[0], self.n_heads, self.head_dim)
         q = self.rope.apply_at(self.q_proj(x)._compute().reshape(heads), positions)
         k = self.rope.apply_at(self.k_proj(x)._compute().reshape(heads), positions)
         v = self.v_proj(x)._compute().reshape(heads)
-        groups: dict[tuple[int, int], list[AttentionRow]] = defaultdict(list)
+        groups: dict[int, list[AttentionRow]] = defaultdict(list)
         for row in rows:
             tokens = slice(row.start, row.start + row.count)
             row.block.write(row.cached, k[tokens], v[tokens])
-            groups[(row.count, row.cached)].append(row)
+            groups[row.count].append(row)
         context = np.empty(heads, dtype=q.dtype)
         scale = 1.0 / math.sqrt(self.head_dim)
-        for (count, cached), members in groups.items():
-            total = cached + count
-            cache = [row.block.read(total) for row in members]
+        for count, members in groups.items():
+            cached = np.array([row.cached for row in members])
+            longest = int(cached.max()) + count
+            shape = (len(members), self.n_heads, longest, self.head_dim)
+            keys = np.zeros(shape, dtype=members[0].block.dtype.np_storage)
+            values = np.zeros_like(keys)
+            for slot, row in enumerate(members):
+                total = row.cached + count
+                keys[slot, :, :total], values[slot, :, :total] = row.block.read(total)
             queries = np.stack(
                 [q[row.start : row.start + count] for row in members]
             ).transpose(0, 2, 1, 3)
-            keys = np.stack([keys for keys, _ in cache])
-            values = np.stack([values for _, values in cache])
             scores = (queries @ keys.transpose(0, 1, 3, 2)) * scale
-            if count > 1:  # new token i sees positions <= cached + i
-                future = np.triu(np.ones((count, total), dtype=bool), k=cached + 1)
-                scores[..., future] = -1e9
+            seen = cached[:, None] + np.arange(count)  # (rows, count)
+            hidden = np.arange(longest) > seen[:, None, :, None]
+            np.copyto(scores, -1e9, where=hidden)
             weights = stable_softmax(scores, axis=-1)
             mixed = (weights @ values).transpose(0, 2, 1, 3)
             for row, out in zip(members, mixed):

@@ -3,8 +3,9 @@
 The deployment half of eDKM: once a model's weights are clustered, this
 package serves it -- an admission-controlled request queue
 (:mod:`repro.serving.queue`), continuous batching over K/V-cached ragged
-decode steps (:mod:`repro.serving.batcher`), palette-aware matmul with a
-dequantized-tile cache (:mod:`repro.serving.palette`), and per-request
+decode steps (:mod:`repro.serving.batcher`), palettized layers served
+from one resident, CRC-32-checked weight each (:mod:`repro.serving.palette`),
+and per-request
 latency/throughput/byte accounting (:mod:`repro.serving.stats`), all
 fronted by :class:`~repro.serving.server.PaletteServer` (or the
 top-level ``repro.serve()`` convenience).

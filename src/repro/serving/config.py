@@ -70,10 +70,10 @@ class RetryPolicy:
 
 
 EVAL_PATHS = ("palette", "dense")
-"""Eval-mode execution paths for compressed layers: ``"palette"`` runs the
-k-entry palette matmul (with the hot dequantized-tile LRU in front),
-``"dense"`` reconstructs the full hard-assigned weight and runs the
-ordinary gemm."""
+"""Eval-mode execution paths for compressed layers: ``"palette"`` keeps
+each layer's lut and uint8 indices and serves one resident, CRC-32-checked
+``lut[indices]`` per weight version by gemm; ``"dense"`` reconstructs the
+full hard-assigned weight as a tensor and runs the ordinary gemm."""
 
 
 @dataclass(kw_only=True)
@@ -92,10 +92,10 @@ class ServingConfig:
             does not carry its own.
         eval_path: how eval-mode ``ClusteredLinear`` layers execute their
             matmul, one of :data:`EVAL_PATHS`.  ``"palette"`` (default)
-            computes against the ``k``-entry palette -- multiplies scale
-            with ``k``, not with dense out-features -- and fronts it with
-            the dequantized-tile LRU; ``"dense"`` materializes the full
-            hard-assigned weight (the pre-serving behavior).
+            dequantizes each layer's palette once per weight version into
+            one resident weight in the server's ``TileCache``, verified on
+            every read; ``"dense"`` materializes the full hard-assigned
+            weight as a tensor (the pre-serving behavior).
         temperature: sampling temperature for generation; ``0`` (default)
             is greedy decoding, which is what the bit-identity gates
             compare.

@@ -1,7 +1,7 @@
 """The serving engine's fault model: deterministic injection and taxonomy.
 
-A serving process will see a palette kernel raise on a bad layout, a
-cached dequantized tile rot in memory, and a decode step wedge or stall
+A serving process will see a palette-path layer raise on a bad palette,
+a resident dequantized weight rot in memory, and a decode step wedge or stall
 long before it sees a clean crash.  The recovery paths of
 :mod:`repro.serving.server` -- the crash boundary, bounded retry and the
 step watchdog (see ``docs/robustness.md``) -- are only trustworthy if
@@ -17,7 +17,7 @@ run" is expressible without naming layers up front).  The
 ``ServingConfig.fault_plan``,
 :class:`~repro.serving.server.PaletteServer` opens every decode step
 with :meth:`FaultInjector.begin` and asks :meth:`FaultInjector.fire`
-from its palette kernel hook, its tile cache, and its step loop.  Every
+from its palette-path hook, its resident-weight cache, and its step loop.  Every
 injection is recorded in a :class:`FaultLog`, which the chaos benchmark
 (``python -m repro.bench serving_faults``) cross-checks against the
 recoveries it observed.
@@ -32,10 +32,10 @@ The names the supervisor keys on:
 
 - :class:`TransientStepError` -- a decode-step failure worth retrying in
   place (backoff, same scheduler loop, bounded by ``retry.retries``).
-- :class:`PaletteKernelError` -- a layer's palette kernel failed; a
+- :class:`PaletteKernelError` -- a layer's palette-path call failed; a
   transient step error.
-- :class:`CorruptTileError` -- a cached dequantized tile failed its
-  CRC-32 check; the poisoned entry is already dropped, so it too is a
+- :class:`CorruptTileError` -- a resident dequantized layer weight failed
+  its CRC-32 check; the poisoned entry is already dropped, so it too is a
   transient step error.
 - :class:`WatchdogTimeout` -- a supervised step exceeded its deadline
   (the cause the step watchdog attaches).
@@ -64,12 +64,12 @@ FAULT_KINDS = {
 """Every injectable fault, as ``kind -> scope``.
 
 ``scope`` is what a spec targets: ``"layer"`` kinds hit one served layer
-(raise from its palette kernel, poison one of its cached tiles);
+(raise from its palette-path call, poison its resident weight);
 ``"step"`` kinds hit the decode step itself (:data:`STEP_TARGET`: hang,
 delay, or raise a retryable error).  A spec fires at the first
 opportunity at or after its step: a ``corrupt_tile`` can only poison a
-resident tile and a ``kernel_error`` only fires while its layer's kernel
-runs, so a spec waits for one."""
+resident weight and a ``kernel_error`` only fires while its layer's
+palette-path call runs, so a spec waits for one."""
 
 STEP_TARGET = "<step>"
 """The resolved target of step-scoped specs: the decode step, no layer."""
@@ -100,11 +100,11 @@ class TransientStepError(ServingError):
 
 
 class PaletteKernelError(TransientStepError):
-    """A layer's palette matmul kernel failed mid-step.
+    """A layer's palette-path matmul failed mid-step.
 
     Carries the layer name for the failure message.  Raised by the
-    server's fault hook; real kernel code may raise it for genuine
-    layout corruption.  Retried like any :class:`TransientStepError`.
+    server's fault hook; real kernel code may raise it for a genuinely
+    corrupt palette.  Retried like any :class:`TransientStepError`.
     """
 
     def __init__(self, layer: str, detail: str = "injected"):
@@ -116,10 +116,10 @@ class PaletteKernelError(TransientStepError):
 
 
 class CorruptTileError(TransientStepError):
-    """A cached dequantized tile failed its CRC-32 check.
+    """A resident dequantized layer weight failed its CRC-32 check.
 
     Raised by :class:`~repro.serving.palette.TileCache.get` when a
-    resident tile's bytes no longer match the CRC-32 stamped at ``put``
+    resident weight's bytes no longer match the CRC-32 stamped at ``put``
     time -- bit-rot, a stray write through an alias, or the fault
     injector; accidental corruption, which is what a CRC detects.  The
     cache drops the poisoned entry before raising, so a retried step
@@ -128,7 +128,7 @@ class CorruptTileError(TransientStepError):
 
     def __init__(self, layer: str, detail: str = "checksum mismatch"):
         ServingError.__init__(
-            self, f"corrupt cached tile for layer {layer!r}: {detail}"
+            self, f"corrupt resident weight for layer {layer!r}: {detail}"
         )
         self.layer = layer
         self.detail = detail

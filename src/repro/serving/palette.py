@@ -1,27 +1,24 @@
-"""Palette-aware matmul kernels for eval-mode clustered layers.
+"""Serving eval-mode clustered layers from their palettized weights.
 
 A palettized linear weight ``W`` of shape ``(out, in)`` takes at most
-``k = 2**bits`` distinct values -- the palette.  The dense eval path
-materializes ``lut[idx]`` and runs an ordinary gemm, paying
-``B * out * in`` multiplies.  The palette kernel restructures the matmul
-around the palette instead::
+``k = 2**bits`` distinct values -- the palette ``lut`` -- and ships as
+that ``lut`` plus one small index per weight position.  The server keeps
+exactly that per layer (:class:`PaletteLinearExec`: the ``lut`` and the
+uint8 ``indices``) and dequantizes it once per weight version: the first
+call builds ``dense = lut[indices]`` and puts it into the shared
+:class:`TileCache` as one CRC-32-stamped, read-only entry; every call
+reads that entry back (verifying every byte) and runs one gemm,
+``x @ dense.T``.
+
+:class:`PaletteLayout` and :func:`palette_matmul` are the
+multiply-by-palette formulation of the same product::
 
     y[b, o] = sum_i x[b, i] * lut[idx[o, i]]
             = sum_k lut[k] * ( sum_{i : idx[o, i] == k} x[b, i] )
 
-The inner parenthesis is a *segment sum* of activations -- additions
-only -- and the outer mixture is a ``(B, out, k) @ (k,)`` contraction:
-the multiply count scales with ``k``, not with the dense inner dimension.
-:class:`PaletteLayout` precomputes the segment structure once per weight
-version (a permutation of weight positions sorted by ``(row, palette
-entry)`` plus segment bounds), so the per-call work is one activation
-gather, one cumulative sum, and the ``k``-column mixture.
-
-In front of the kernel sits a **dequantized-tile cache**
-(:class:`TileCache`): the first call runs each output-row tile through
-the palette kernel and materializes it back to dense, and every later
-call serves it by gemm (trading bytes for BLAS throughput) until the
-weight version moves on.
+-- a segment sum of activations followed by a ``k``-column mixture.  No
+serving code runs it any more; it stays as the reference kernel the
+end-to-end benchmark times against the dense gemm.
 
 Everything in this module is plain numpy on host memory -- no tensor
 autograd, no device tracking -- because it models the *deployment*
@@ -39,10 +36,6 @@ import numpy as np
 
 from repro.serving.faults import CorruptTileError
 
-TILE_ROWS = 32
-"""Output rows per dequantized tile -- the unit the tile cache holds and
-the palette kernel processes (a layer's last tile may be shorter)."""
-
 
 def _index_dtype(bound: int) -> np.dtype:
     """Smallest unsigned dtype addressing ``bound`` distinct values."""
@@ -53,15 +46,25 @@ def _index_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _checked_indices(lut: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``indices`` as a 2-D ``(out, in)`` array addressing ``lut``, or ValueError."""
+    indices = np.asarray(indices)
+    if indices.ndim != 2:
+        raise ValueError(f"indices must be 2-D (out, in), got {indices.shape}")
+    if indices.size and int(indices.max()) >= lut.size:
+        raise ValueError(
+            f"index {int(indices.max())} out of range for a {lut.size}-entry palette"
+        )
+    return indices
+
+
 @dataclass(frozen=True)
 class PaletteLayout:
     """Precomputed segment structure of one palettized ``(out, in)`` weight.
 
     ``cols`` lists the *input-column* index of every weight position,
     sorted by ``(output row, palette entry)``; ``bounds`` delimits the
-    ``out * k`` segments in that order.  Rows are contiguous prefixes of
-    the sort order, so any tile of output rows is a contiguous slice --
-    the property the tiled kernel and the dequantizer rely on.
+    ``out * k`` segments in that order.
     """
 
     lut: np.ndarray  # (k,) float32, already projected to the serving dtype
@@ -75,23 +78,6 @@ class PaletteLayout:
         """Palette entries (``2**bits``)."""
         return int(self.lut.size)
 
-    @property
-    def nbytes(self) -> int:
-        """Host bytes of the in-memory execution layout (lut + cols + bounds)."""
-        return int(self.lut.nbytes + self.cols.nbytes + self.bounds.nbytes)
-
-    @property
-    def packed_nbytes(self) -> int:
-        """Bytes of the minimal shippable artifact: 16-bit lut + bit-packed indices.
-
-        The execution layout (:attr:`nbytes`) trades memory for kernel
-        speed; this is what actually ships -- the eDKM deployment size
-        of ``bits/16`` of a float16 weight, plus the ``k``-entry lut.
-        """
-        bits = max(1, (self.k - 1).bit_length())
-        positions = self.out_features * self.in_features
-        return int(2 * self.k + (positions * bits + 7) // 8)
-
     @classmethod
     def build(cls, lut: np.ndarray, indices: np.ndarray) -> "PaletteLayout":
         """Precompute the layout for palette ``lut`` and index matrix ``indices``.
@@ -101,15 +87,9 @@ class PaletteLayout:
         layout is deterministic for identical inputs.
         """
         lut = np.asarray(lut, dtype=np.float32).reshape(-1)
-        indices = np.asarray(indices)
-        if indices.ndim != 2:
-            raise ValueError(f"indices must be 2-D (out, in), got {indices.shape}")
+        indices = _checked_indices(lut, indices)
         out_features, in_features = indices.shape
         k = int(lut.size)
-        if indices.size and int(indices.max()) >= k:
-            raise ValueError(
-                f"index {int(indices.max())} out of range for a {k}-entry palette"
-            )
         keys = indices.astype(np.int64, copy=False) + (
             np.arange(out_features, dtype=np.int64)[:, None] * k
         )
@@ -130,59 +110,28 @@ class PaletteLayout:
             in_features=in_features,
         )
 
-    def dequantize_rows(self, row_start: int, row_end: int) -> np.ndarray:
-        """Materialize output rows ``[row_start, row_end)`` as dense float32.
 
-        The tile the cache holds: reconstructed by scattering each
-        segment's palette value back to its input columns.
-        """
-        rows = row_end - row_start
-        k = self.k
-        seg_lo, seg_hi = row_start * k, row_end * k
-        seg_len = np.diff(self.bounds[seg_lo : seg_hi + 1])
-        values = np.repeat(np.tile(self.lut, rows), seg_len)
-        pos_lo, pos_hi = self.bounds[seg_lo], self.bounds[seg_hi]
-        cols = self.cols[pos_lo:pos_hi].astype(np.int64, copy=False)
-        row_of_pos = np.repeat(
-            np.arange(rows, dtype=np.int64), self.in_features
-        )
-        tile = np.empty((rows, self.in_features), dtype=np.float32)
-        tile[row_of_pos, cols] = values
-        return tile
+def palette_matmul(x: np.ndarray, layout: PaletteLayout) -> np.ndarray:
+    """``x @ W.T`` computed against the palette.
 
-
-def palette_matmul(
-    x: np.ndarray,
-    layout: PaletteLayout,
-    row_start: int = 0,
-    row_end: int | None = None,
-) -> np.ndarray:
-    """``x @ W[row_start:row_end].T`` computed against the palette.
-
-    ``x`` is ``(B, in)``; the result is ``(B, rows)`` float32.  Per call:
-    one ``O(B * rows * in)`` activation gather + cumulative sum (additions,
+    ``x`` is ``(B, in)``; the result is ``(B, out)`` float32.  Per call:
+    one ``O(B * out * in)`` activation gather + cumulative sum (additions,
     accumulated in float64 so segment differences stay accurate) and an
-    ``O(B * rows * k)`` mixture against the palette -- the only multiply
+    ``O(B * out * k)`` mixture against the palette -- the only multiply
     stage, scaling with ``k`` instead of the dense inner dimension.
     """
-    if row_end is None:
-        row_end = layout.out_features
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] != layout.in_features:
         raise ValueError(
             f"x must be (B, {layout.in_features}), got {x.shape}"
         )
-    rows = row_end - row_start
-    k = layout.k
-    seg_lo, seg_hi = row_start * k, row_end * k
-    pos_lo, pos_hi = layout.bounds[seg_lo], layout.bounds[seg_hi]
-    cols = layout.cols[pos_lo:pos_hi].astype(np.int64, copy=False)
-    gathered = x[:, cols]
+    gathered = x[:, layout.cols.astype(np.int64, copy=False)]
     csum = np.zeros((x.shape[0], gathered.shape[1] + 1), dtype=np.float64)
     np.cumsum(gathered, axis=1, dtype=np.float64, out=csum[:, 1:])
-    seg_bounds = (layout.bounds[seg_lo : seg_hi + 1] - pos_lo).astype(np.int64)
-    seg_sums = csum[:, seg_bounds[1:]] - csum[:, seg_bounds[:-1]]  # (B, rows*k)
-    mixed = seg_sums.reshape(x.shape[0], rows, k) @ layout.lut.astype(np.float64)
+    seg_sums = csum[:, layout.bounds[1:]] - csum[:, layout.bounds[:-1]]
+    mixed = seg_sums.reshape(x.shape[0], layout.out_features, layout.k) @ (
+        layout.lut.astype(np.float64)
+    )
     return mixed.astype(np.float32)
 
 
@@ -206,32 +155,32 @@ class TileCacheStats:
 
 
 class TileCache:
-    """The dequantized weight tiles of every served layer.
+    """The dequantized weight of every served layer, one entry per layer.
 
-    Shared across every served layer (keys carry the layer name and
-    weight version); a tile stays resident until its layer's version is
-    invalidated.  Thread-safe: the scheduler thread and any caller
-    probing stats may race.
+    Shared across every served layer (keys carry the layer name and its
+    weight's storage and version); an entry stays resident until its
+    layer's version is invalidated.  Thread-safe: the scheduler thread
+    and any caller probing stats may race.
 
-    Every tile is stamped with its CRC-32 at :meth:`put`, and every
-    :meth:`get` recomputes the stamp over the whole tile: a resident tile
-    whose bytes no longer match -- bit-rot, a stray write through an
-    aliased view, or the fault injector's :meth:`corrupt_one` -- is
+    Every entry is stamped with its CRC-32 at :meth:`put`, and every
+    :meth:`get` recomputes the stamp over the whole entry: a resident
+    weight whose bytes no longer match -- bit-rot, a stray write through
+    an aliased view, or the fault injector's :meth:`corrupt_one` -- is
     dropped and surfaced as a typed
     :class:`~repro.serving.faults.CorruptTileError` instead of silently
     serving wrong logits.  The error is a transient step error: the
     supervised scheduler retries the step, which re-dequantizes cleanly.
 
     The stamp is an error-detecting code, not a cryptographic hash: it
-    sits in the same dict entry as the tile, so whoever can write one can
-    write the other (preimage resistance buys nothing), and every threat
-    above is *accidental* corruption, where CRC-32 guarantees what a
-    truncated hash only makes likely -- any burst of at most 32 bits (all
-    damage confined to one float32, or to the injector's one byte) and
-    any 1- or 2-bit error are always caught, anything else with
+    sits in the same dict entry as the weight, so whoever can write one
+    can write the other (preimage resistance buys nothing), and every
+    threat above is *accidental* corruption, where CRC-32 guarantees what
+    a truncated hash only makes likely -- any burst of at most 32 bits
+    (all damage confined to one float32, or to the injector's one byte)
+    and any 1- or 2-bit error are always caught, anything else with
     probability ``1 - 2**-32``.  Process-local, never serialized.
 
-    Resident tiles are read-only (``put`` clears ``writeable``, ``get``
+    Resident entries are read-only (``put`` clears ``writeable``, ``get``
     returns that same array), so a stray write through one, or through a
     view taken from it, raises ``ValueError`` at the writer; only an
     alias that predates ``put`` can still reach the bytes, and the stamp
@@ -246,16 +195,16 @@ class TileCache:
 
     @staticmethod
     def _digest(tile: np.ndarray) -> int:
-        # CRC-32 over the tile's buffer in place: no copy per visit.  A
-        # non-contiguous tile is refused (ValueError), never copied.
+        # CRC-32 over the entry's buffer in place: no copy per visit.  A
+        # non-contiguous array is refused (ValueError), never copied.
         return zlib.crc32(tile)
 
     def get(self, key: tuple) -> np.ndarray | None:
-        """The tile under ``key``, or ``None``.
+        """The entry under ``key``, or ``None``.
 
         Raises :class:`~repro.serving.faults.CorruptTileError` (after
-        dropping the entry) when the tile's bytes no longer match the
-        CRC-32 stamped at :meth:`put`.  The returned array is read-only.
+        dropping the entry) when its bytes no longer match the CRC-32
+        stamped at :meth:`put`.  The returned array is read-only.
         """
         with self._lock:
             entry = self._tiles.get(key)
@@ -286,17 +235,17 @@ class TileCache:
             self.stats.puts += 1
 
     def holds(self, prefix: tuple) -> bool:
-        """Whether any tile under ``prefix`` is resident (a poisoning target)."""
+        """Whether any entry under ``prefix`` is resident (a poisoning target)."""
         with self._lock:
             return any(key[: len(prefix)] == prefix for key in self._tiles)
 
     def corrupt_one(self, prefix: tuple) -> bool:
-        """Flip one byte of the oldest resident tile under ``prefix``.
+        """Flip one byte of the oldest resident entry under ``prefix``.
 
         The fault injector's poisoning primitive (the bit-rot stand-in,
-        and the only code that lifts a resident tile's read-only flag):
+        and the only code that lifts a resident entry's read-only flag):
         the stamp is deliberately *not* refreshed, so the next :meth:`get`
-        of that key detects the corruption.  Returns whether a tile was
+        of that key detects the corruption.  Returns whether an entry was
         poisoned (``False`` when nothing under ``prefix`` is resident).
         """
         with self._lock:
@@ -309,14 +258,14 @@ class TileCache:
         return False
 
     def invalidate_prefix(self, prefix: tuple) -> None:
-        """Drop every tile whose key starts with ``prefix`` (stale version)."""
+        """Drop every entry whose key starts with ``prefix`` (stale version)."""
         with self._lock:
             stale = [k for k in self._tiles if k[: len(prefix)] == prefix]
             for key in stale:
                 self._resident_bytes -= int(self._tiles.pop(key)[0].nbytes)
 
     def resident_bytes(self) -> int:
-        """Bytes currently held by resident tiles."""
+        """Bytes currently held by resident entries."""
         with self._lock:
             return self._resident_bytes
 
@@ -327,34 +276,33 @@ class TileCache:
 
 @dataclass
 class PaletteExecStats:
-    """Per-layer execution counters: which path served how many rows.
+    """Per-layer execution counters.
 
-    ``palette_row_blocks`` counts tiles run through the palette kernel;
-    ``dense_rows`` counts output rows served by gemm from resident
-    tiles (a layer's last tile may be shorter than :data:`TILE_ROWS`).
+    ``calls`` counts :meth:`PaletteLinearExec.matmul` calls that ran a
+    gemm; ``dequantizations`` counts the calls among them that rebuilt the
+    resident weight from the palette (the first call of a weight version,
+    and the first after a corrupt entry was dropped).
     """
 
-    palette_row_blocks: int = 0
-    dense_rows: int = 0
     calls: int = 0
+    dequantizations: int = 0
 
     def to_dict(self) -> dict:
         """Plain-dict form for stats reports and benchmark artifacts."""
-        return {
-            "palette_row_blocks": self.palette_row_blocks,
-            "dense_rows": self.dense_rows,
-            "calls": self.calls,
-        }
+        return {"calls": self.calls, "dequantizations": self.dequantizations}
 
 
 class PaletteLinearExec:
-    """One eval-mode layer's palette executor: tiled kernel + tile cache.
+    """One eval-mode layer's executor: palette + one resident dense weight.
 
     Built from the layer's converged palette (``lut`` already projected to
-    the serving weight dtype, so palette arithmetic consumes exactly the
-    values the dense reconstruction path would) and keyed by the caller on
-    the weight storage version -- a weight write invalidates the executor
-    wholesale, never silently serves stale tiles.
+    the serving weight dtype, so the resident weight holds exactly the
+    values the dense reconstruction path would) and its ``(out, in)``
+    index matrix, stored as uint8.  ``version_token`` is the caller's key
+    for the weight it was built from; the cache entry is keyed on
+    ``(name, version_token)``, so a weight write or a storage swap --
+    which the caller answers with a new executor -- never reads another
+    version's entry.
     """
 
     def __init__(
@@ -367,54 +315,55 @@ class PaletteLinearExec:
         fault_hook: Callable[[str], None] | None = None,
     ) -> None:
         self.name = name
-        self.layout = PaletteLayout.build(lut, indices)
+        self.lut = np.asarray(lut, dtype=np.float32).reshape(-1)
+        self.indices = _checked_indices(self.lut, indices).astype(
+            _index_dtype(self.lut.size)
+        )
         self.cache = cache
-        self.version_token = version_token
+        self.key = (name, version_token)
         self.fault_hook = fault_hook
         self.stats = PaletteExecStats()
 
     @property
     def nbytes(self) -> int:
-        """Execution-layout bytes resident for this layer (tiles are cache)."""
-        return self.layout.nbytes
+        """Bytes the executor holds itself: the lut and the indices."""
+        return int(self.lut.nbytes + self.indices.nbytes)
+
+    @property
+    def dense_nbytes(self) -> int:
+        """Bytes of the resident float32 weight a warm call reads."""
+        return int(self.indices.size * 4)
 
     @property
     def packed_nbytes(self) -> int:
-        """Minimal shippable artifact bytes (see :attr:`PaletteLayout.packed_nbytes`)."""
-        return self.layout.packed_nbytes
+        """Bytes of the shippable artifact: a 16-bit lut plus bit-packed
+        indices (the eDKM deployment size)."""
+        k = int(self.lut.size)
+        bits = max(1, (k - 1).bit_length())
+        return int(2 * k + (self.indices.size * bits + 7) // 8)
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``x @ W.T`` over all output rows, tile by tile.
+        """``x @ W.T``: one verified cache read and one gemm.
 
-        Resident tiles run dense gemm; misses run the palette kernel and
-        dequantize the tile into the cache for next time.
-        The optional ``fault_hook`` (the server's ``kernel_error``
-        probe) runs first with this layer's name so an
-        injected :class:`~repro.serving.faults.PaletteKernelError`
-        genuinely originates inside the kernel call.
+        A miss (first call of this weight version, or the first after a
+        corrupt entry was dropped) dequantizes ``lut[indices]`` and puts
+        it into the cache first.  The optional ``fault_hook`` (the
+        server's ``kernel_error`` probe) runs first with this layer's
+        name, so an injected
+        :class:`~repro.serving.faults.PaletteKernelError` genuinely
+        originates inside the layer's call.
         """
         if self.fault_hook is not None:
             self.fault_hook(self.name)
         x = np.asarray(x, dtype=np.float32)
-        out = np.empty((x.shape[0], self.layout.out_features), dtype=np.float32)
+        dense = self.cache.get(self.key)
+        if dense is None:
+            dense = self.lut[self.indices]
+            self.cache.put(self.key, dense)
+            self.stats.dequantizations += 1
         self.stats.calls += 1
-        for tile_idx, row_start in enumerate(
-            range(0, self.layout.out_features, TILE_ROWS)
-        ):
-            row_end = min(row_start + TILE_ROWS, self.layout.out_features)
-            key = (self.name, self.version_token, tile_idx)
-            tile = self.cache.get(key)
-            if tile is None:
-                self.cache.put(key, self.layout.dequantize_rows(row_start, row_end))
-                self.stats.palette_row_blocks += 1
-                out[:, row_start:row_end] = palette_matmul(
-                    x, self.layout, row_start, row_end
-                )
-            else:
-                self.stats.dense_rows += row_end - row_start
-                out[:, row_start:row_end] = x @ tile.T
-        return out
+        return np.matmul(x, dense.T)
 
     def invalidate(self) -> None:
-        """Drop this layer's cached tiles (weight version moved on)."""
-        self.cache.invalidate_prefix((self.name, self.version_token))
+        """Drop this layer's resident weight (weight version moved on)."""
+        self.cache.invalidate_prefix(self.key)

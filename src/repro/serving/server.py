@@ -1,4 +1,4 @@
-"""The palette-aware inference server: queue + batcher + palette kernels.
+"""The palette-aware inference server: queue + batcher + palettized layers.
 
 :class:`PaletteServer` is the deployment-shaped front door the north
 star names: clients :meth:`PaletteServer.submit` prompts from any
@@ -6,8 +6,8 @@ thread, a scheduler thread drains the admission-controlled
 :class:`~repro.serving.queue.RequestQueue` into the
 :class:`~repro.serving.batcher.ContinuousBatcher`, and eval-mode
 :class:`~repro.core.compressor.ClusteredLinear` layers execute through
-the palette kernels (:mod:`repro.serving.palette`) with a shared
-dequantized-tile cache.  Per-request bytes flow into
+one resident, CRC-32-checked dequantized weight per layer
+(:mod:`repro.serving.palette`) in a shared cache.  Per-request bytes flow into
 :mod:`repro.memory.traffic` under ``serve:`` tags, and
 :meth:`PaletteServer.stats` renders everything into a
 :class:`~repro.serving.stats.StatsReport`.
@@ -18,7 +18,7 @@ The scheduler is *supervised*:
   requests -- each future gets a typed
   :class:`~repro.serving.queue.StepFailed` -- and the loop keeps
   serving.  A :class:`~repro.serving.faults.TransientStepError` -- which
-  includes a palette-kernel error and a tile-checksum failure -- is
+  includes a palette-path error and a weight-checksum failure -- is
   retried in place with bounded backoff first.
 - **Step watchdog.**  With ``config.retry.timeout_s`` set, a sidecar
   thread revokes the loop *generation* of a step that wedges: the stuck
@@ -36,8 +36,8 @@ Byte accounting convention: prompt and completion text bytes are
 recorded per request (``serve:req<id>`` tags, endpoints
 ``client <-> server``); weight bytes *read per decode step* are
 recorded under ``serve:weights`` with ``dst="flops"`` -- palette-path
-layers charge their execution-layout share for tiles run through the
-kernel and the resident tile bytes for tiles served by gemm, dense-path
+layers charge their palette (lut + indices) on the call that dequantizes
+it and the resident float32 weight on every other call, dense-path
 layers their 16-bit weight bytes, so compressed and uncompressed
 scenarios are comparable at a glance.
 """
@@ -63,7 +63,7 @@ from repro.serving.faults import (
     TransientStepError,
     WatchdogTimeout,
 )
-from repro.serving.palette import TILE_ROWS, TileCache
+from repro.serving.palette import TileCache
 from repro.serving.queue import (
     AdmissionError,
     RequestQueue,
@@ -647,7 +647,7 @@ class PaletteServer:
 
         Exception taxonomy (see :mod:`repro.serving.faults`): a
         :class:`TransientStepError` -- palette-kernel and corrupt-tile
-        errors included (a corrupt tile was already dropped by the CRC-32
+        errors included (a corrupt weight was already dropped by the CRC-32
         check) -- retries in place with backoff up to ``retry.retries``,
         then fails the batch; anything else fails the batch with
         :class:`StepFailed` at once.
@@ -663,7 +663,7 @@ class PaletteServer:
                 self.supervisor.check(generation)
                 try:
                     self._apply_step_faults(generation, injector)
-                    before = self._weight_block_snapshot()
+                    before = self._weight_call_snapshot()
                     batcher.step(time.monotonic())
                     # A zombie waking from a genuine in-step hang must not
                     # ledger bytes.
@@ -692,7 +692,7 @@ class PaletteServer:
     ) -> None:
         """Fire armed faults for this step (and its retries).
 
-        A ``corrupt_tile`` fires only on a layer with a resident tile to
+        A ``corrupt_tile`` fires only on a layer with a resident weight to
         poison, otherwise it stays armed for a later step; a
         ``hang_step`` is simply a nap the plan sized past the watchdog
         deadline, so the supervisor revokes the loop mid-sleep.
@@ -821,36 +821,33 @@ class PaletteServer:
             tag=request_tag(seq.request.id),
         )
 
-    def _weight_block_snapshot(self) -> dict[str, tuple[int, int]]:
-        """Per-layer (palette_row_blocks, dense_rows) counters now."""
+    def _weight_call_snapshot(self) -> dict[str, tuple[int, int]]:
+        """Per-layer (calls, dequantizations) counters now."""
         snapshot: dict[str, tuple[int, int]] = {}
         for name, module in self._palette_layers:
             exec_ = module.palette_exec
             if exec_ is not None:
-                snapshot[name] = (exec_.stats.palette_row_blocks, exec_.stats.dense_rows)
+                snapshot[name] = (exec_.stats.calls, exec_.stats.dequantizations)
         return snapshot
 
     def _record_step_weights(self, before: dict[str, tuple[int, int]]) -> None:
         """Ledger the weight bytes one decode step read.
 
-        Palette blocks charge their share of the execution layout (lut +
-        cols + bounds); rows served by gemm charge the float32 bytes of
-        the resident tile rows they read, so a layer's shorter last tile
-        is charged for its real rows.  Clustered layers on the dense
-        eval path charge their full 16-bit weight each step.
+        A palette-path call that dequantized charges the palette it read
+        (lut + indices); every other call charges the resident float32
+        weight its gemm read.  Clustered layers on the dense eval path
+        charge their full 16-bit weight each step.
         """
         nbytes = 0
         for name, module in self._palette_layers:
             exec_ = module.palette_exec
             if exec_ is None:
                 continue
-            layout = exec_.layout
-            n_blocks = -(-layout.out_features // TILE_ROWS)
-            pal_before, dense_before = before.get(name, (0, 0))
-            pal_blocks = exec_.stats.palette_row_blocks - pal_before
-            dense_rows = exec_.stats.dense_rows - dense_before
-            nbytes += pal_blocks * (layout.nbytes // max(1, n_blocks))
-            nbytes += dense_rows * layout.in_features * 4
+            calls_before, dequantizations_before = before.get(name, (0, 0))
+            calls = exec_.stats.calls - calls_before
+            dequantizations = exec_.stats.dequantizations - dequantizations_before
+            nbytes += dequantizations * exec_.nbytes
+            nbytes += (calls - dequantizations) * exec_.dense_nbytes
         nbytes += self._dense_weight_bytes
         if nbytes:
             self.ledger.record("weights", "flops", nbytes, tag=WEIGHT_TAG)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.tensor as rt
 import repro.nn as nn
+import repro.nn.attention as attention_mod
 from repro.nn.module import Parameter
 
 from tests.gradcheck import check_gradients
@@ -302,6 +305,91 @@ class TestAttention:
         for proj in (attn.q_proj, attn.k_proj, attn.v_proj, attn.o_proj):
             assert proj.weight.grad is not None
             assert float(np.abs(proj.weight.grad.numpy()).max()) > 0
+
+
+STEP_LEN = 16  # max_seq_len of the step property's attention layer
+
+
+@st.composite
+def _step_rows(draw):
+    """``(cached, count)`` rows with distinct cached lengths: decodes
+    (count 1) and prefills (count 2-6), room left for a longer row."""
+    cached = draw(st.lists(st.integers(0, STEP_LEN - 8), min_size=1, max_size=7, unique=True))
+    counts = [draw(st.sampled_from([1, 1, 2, 3, 4, 5, 6])) for _ in cached]
+    return list(zip(cached, counts))
+
+
+class TestAttentionStepGroups:
+    """``MultiHeadAttention.step`` pads each new-token-count group to its
+    longest row; the mask must make that padding invisible."""
+
+    def _attn(self):
+        return nn.MultiHeadAttention(
+            dim=16, n_heads=4, max_seq_len=STEP_LEN, rng=np.random.default_rng(3)
+        )
+
+    def _step(self, attn, rows):
+        """Outputs of one step over ``rows``, each row on fresh blocks whose
+        cached positions hold that row's own seeded keys and values."""
+        tokens, positions, attention_rows, start = [], [], [], 0
+        for cached, count in rows:
+            rng = np.random.default_rng(1000 * cached + count)
+            block = nn.KVBlock(4, 4, rt.float32, rt.CPU)
+            if cached:
+                block.write(0, rng.standard_normal((cached, 4, 4)), rng.standard_normal((cached, 4, 4)))
+            attention_rows.append(nn.AttentionRow(start, count, cached, block))
+            tokens.append(rng.standard_normal((count, 16)).astype(np.float32))
+            positions.extend(range(cached, cached + count))
+            start += count
+        with rt.no_grad():
+            out = attn.step(
+                rt.tensor(np.concatenate(tokens)), np.array(positions), attention_rows
+            ).numpy()
+        return [out[row.start : row.start + row.count] for row in attention_rows]
+
+    @given(_step_rows())
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_matches_the_row_stepped_alone(self, rows):
+        attn = self._attn()
+        rows = rows + [(0, STEP_LEN)]  # a sliding row feeds its whole window
+        together = self._step(attn, rows)
+        for row, got in zip(rows, together):
+            (alone,) = self._step(attn, [row])
+            np.testing.assert_allclose(got, alone, atol=1e-5, rtol=0)
+
+    @given(_step_rows(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_longer_row_joining_the_group_moves_nothing(self, rows, data):
+        attn = self._attn()
+        count = data.draw(st.sampled_from(sorted({count for _, count in rows})))
+        before = self._step(attn, rows)
+        after = self._step(attn, rows + [(STEP_LEN - count, count)])
+        for got, want in zip(after, before):
+            np.testing.assert_allclose(got, want, atol=1e-6, rtol=0)
+
+    def test_a_seven_row_decode_step_runs_one_softmax_per_layer(self, monkeypatch):
+        from repro.llm import MICRO, build_model
+        from repro.llm.decode import SequenceCache, decode_step
+
+        model = build_model(MICRO, vocab_size=40, seed=1)
+        model.eval()
+        rng = np.random.default_rng(0)
+        ids = [rng.integers(4, 40, size=n).tolist() for n in range(1, 8)]
+        caches = [SequenceCache(model) for _ in ids]
+        decode_step(model, ids, caches)  # seven prefills, one per length
+        for row in ids:
+            row.append(5)
+        calls = []
+        real = attention_mod.stable_softmax
+
+        def counting(x, axis=-1):
+            calls.append(x.shape)
+            return real(x, axis)
+
+        monkeypatch.setattr(attention_mod, "stable_softmax", counting)
+        decode_step(model, ids, caches)
+        assert len(calls) == len(model.layers)
+        assert all(shape[0] == 7 for shape in calls)
 
 
 class TestTransformer:

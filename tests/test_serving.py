@@ -42,6 +42,7 @@ from repro.serving import (
     DeadlineExceeded,
     FaultPlan,
     PaletteLayout,
+    PaletteLinearExec,
     PaletteServer,
     RequestQueue,
     RetryPolicy,
@@ -122,22 +123,33 @@ class TestPaletteKernel:
         indices = rng.integers(0, k, size=(out, in_f))
         return lut, indices, PaletteLayout.build(lut, indices)
 
-    def test_dequantize_rows_exact(self):
-        lut, indices, layout = self._layout()
-        np.testing.assert_array_equal(
-            layout.dequantize_rows(2, 6), lut[indices[2:6]]
-        )
+    def test_executor_resident_weight_is_the_lut_gather(self):
+        lut, indices, _ = self._layout(out=40, in_f=24, k=16)
+        cache = TileCache()
+        layer = PaletteLinearExec("layer", lut, indices, cache=cache)
+        assert layer.indices.dtype == np.uint8
+        layer.matmul(np.ones((1, 24), np.float32))
+        resident = cache.get(layer.key)
+        assert resident.tobytes() == lut[indices].tobytes()
+        assert cache.resident_bytes() == layer.dense_nbytes == 40 * 24 * 4
+        assert layer.nbytes == lut.nbytes + 40 * 24
+
+    def test_executor_refuses_a_bad_index_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            PaletteLinearExec("l", np.zeros(4, np.float32), np.zeros(8, np.int64), TileCache())
+        with pytest.raises(ValueError, match="out of range"):
+            PaletteLinearExec("l", np.zeros(4, np.float32), np.full((2, 3), 4), TileCache())
 
     def test_palette_matmul_matches_dense(self):
         lut, indices, layout = self._layout(out=12, in_f=32, k=8)
         x = np.random.default_rng(1).standard_normal((5, 32)).astype(np.float32)
         dense = x @ lut[indices].T
         np.testing.assert_allclose(palette_matmul(x, layout), dense, atol=1e-5)
-        np.testing.assert_allclose(
-            palette_matmul(x, layout, row_start=3, row_end=9),
-            dense[:, 3:9],
-            atol=1e-5,
-        )
+
+    def test_palette_matmul_takes_no_row_range(self):
+        _, _, layout = self._layout()
+        with pytest.raises(TypeError):
+            palette_matmul(np.ones((1, 16), np.float32), layout, row_start=3, row_end=9)
 
     @pytest.mark.parametrize("dtype", ["float16", "bfloat16", "float32"])
     def test_palette_matmul_across_lut_dtypes(self, dtype):
@@ -167,8 +179,9 @@ class TestPaletteKernel:
             )
 
     def test_packed_artifact_smaller_than_fp16(self):
-        _, _, layout = self._layout(out=64, in_f=64, k=16)
-        assert layout.packed_nbytes < 2 * 64 * 64
+        lut, indices, _ = self._layout(out=64, in_f=64, k=16)
+        layer = PaletteLinearExec("layer", lut, indices, cache=TileCache())
+        assert layer.packed_nbytes == 2 * 16 + 64 * 64 * 4 // 8 < 2 * 64 * 64
 
 
 class TestTileCache:
@@ -571,6 +584,35 @@ class TestHardWeightVersioning:
         wrapped.disable_palette_eval()
         assert wrapped.eval_path == "dense"
 
+    def test_palette_path_tracks_a_storage_swap_at_an_equal_version(self):
+        """``to(CPU)`` gives the weight a fresh storage at version 0, and one
+        ``copy_`` brings it back to version 1: the executor and its cache
+        entry must key on the storage too (the palette path used to serve
+        the old weight, |palette - dense| ~ 5)."""
+        wrapped = ClusteredLinear(
+            nn.Linear(16, 8, rng=np.random.default_rng(0)), DKMConfig(bits=2)
+        )
+        wrapped.to(rt.GPU)
+        wrapped.eval()
+        weight = wrapped.inner.weight
+        weight.copy_(weight.numpy())
+        cache = TileCache()
+        wrapped.enable_palette_eval(name="layer", cache=cache)
+        x = self._x().numpy()
+        with no_grad():
+            wrapped(rt.Tensor.from_numpy(x, device=rt.GPU))
+            exec_before = wrapped.palette_exec
+            wrapped.to(rt.CPU)
+            weight = wrapped.inner.weight
+            weight.copy_(-3 * weight.numpy())
+            assert weight.storage.version == 1
+            palette = wrapped(rt.Tensor.from_numpy(x, device=rt.CPU)).numpy()
+            assert wrapped.palette_exec is not exec_before
+            assert len(cache) == 1  # the old storage's entry was dropped
+            wrapped.disable_palette_eval()
+            dense = wrapped(rt.Tensor.from_numpy(x, device=rt.CPU)).numpy()
+        np.testing.assert_allclose(palette, dense, atol=1e-4)
+
     def test_palette_matches_dense_forward(self):
         wrapped = self._wrapped()
         x = self._x()
@@ -651,11 +693,11 @@ class TestPaletteServer:
         assert set(per_request) == {request_tag(r.id) for r in requests}
         assert all(nbytes > 0 for nbytes in per_request.values())
 
-    def test_warm_step_charges_the_real_rows_of_a_short_last_tile(self):
-        """Nine words make ``lm_head`` (13, 32): one 13-row tile.  A warm
-        step serves every tile by gemm and must ledger exactly the
-        resident tile bytes, not ``TILE_ROWS`` rows per tile (the old
-        charge read 86 016 B against 83 584 B of tiles)."""
+    def test_cold_step_charges_the_palette_and_warm_step_the_resident_weight(self):
+        """Nine words make ``lm_head`` (13, 32).  The cold step dequantizes
+        every layer and ledgers each palette (lut + uint8 indices); a warm
+        step reads each layer's resident float32 weight once, which is
+        exactly the cache's resident bytes."""
         words = ["alice", "bob", "carol", "the", "capital", "of", "lives", "in", "works"]
         decoder = WordTokenizer(words)
         model = build_model(MICRO, vocab_size=decoder.vocab_size, seed=0)
@@ -668,7 +710,10 @@ class TestPaletteServer:
             cold = ledger.total_bytes(tag="serve:weights")
             server.submit("alice lives in", max_new_tokens=1).result(timeout=30)
             warm = ledger.total_bytes(tag="serve:weights") - cold
+            palettes = [module.palette_exec for _, module in server._palette_layers]
+            assert cold == sum(p.lut.nbytes + p.indices.size for p in palettes)
             assert warm == server.tile_cache.resident_bytes() == 83_584
+            assert len(server.tile_cache) == len(palettes)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_submit_rejects_a_budget_below_one(self, served_model, tokenizer, budget):

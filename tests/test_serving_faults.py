@@ -55,7 +55,6 @@ from repro.serving import (
     TransientStepError,
 )
 from repro.serving.faults import STEP_TARGET
-from repro.serving.palette import TILE_ROWS
 
 MAX_NEW = 5
 
@@ -172,7 +171,8 @@ class TestServerRequestIdempotent:
 
 
 class TestTileCacheDigest:
-    """The tile stamp: CRC-32 over every resident byte, checked every hit.
+    """The stamp on each resident layer weight: CRC-32 over every byte,
+    checked on every hit.
 
     The detection properties below hold *by construction* for a CRC and
     fail for the cheaper schemes it was chosen over: an order-blind
@@ -291,30 +291,66 @@ class TestTileCacheDigest:
         assert cache.stats.corruptions == 0
         assert cache.stats.hits == 3
 
-    def test_every_tile_is_verified_on_every_layer_call(self):
-        # Call shape, not timing: a sampled or every-N-th-visit scheme
-        # makes fewer _digest calls than tiles and fails here.
+    def _layers(self, cache, shapes=((133, 24), (40, 133), (7, 40))):
         rng = np.random.default_rng(0)
         lut = rng.standard_normal(16).astype(np.float32)
-        indices = rng.integers(0, 16, size=(4 * TILE_ROWS + 5, 24))
+        return [
+            PaletteLinearExec(f"layer{i}", lut, rng.integers(0, 16, size=shape), cache=cache)
+            for i, shape in enumerate(shapes)
+        ]
+
+    def _forward(self, layers, x):
+        for layer in layers:
+            x = layer.matmul(x)
+        return x
+
+    def test_every_layer_is_verified_on_every_call(self):
+        # Call shape, not timing: a sampled or every-N-th-visit scheme
+        # makes fewer _digest calls than layers and fails here.
         cache = TileCache()
-        layer = PaletteLinearExec("layer", lut, indices, cache=cache)
-        x = rng.standard_normal((7, 24)).astype(np.float32)
-        cold = layer.matmul(x)  # every tile misses, is dequantized and put
-        n_tiles = len(cache)
-        assert n_tiles == 5
+        layers = self._layers(cache)
+        x = np.random.default_rng(1).standard_normal((7, 24)).astype(np.float32)
+        cold = self._forward(layers, x)  # every layer misses, is dequantized and put
+        assert len(cache) == len(layers)
         with mock.patch.object(
             TileCache, "_digest", wraps=TileCache._digest
         ) as stamp:
             for _ in range(3):
                 stamp.reset_mock()
-                warm = layer.matmul(x)
+                warm = self._forward(layers, x)
                 verified = [call.args[0] for call in stamp.call_args_list]
-                assert len(verified) == n_tiles
-                assert len({id(tile) for tile in verified}) == n_tiles
+                assert [t.shape for t in verified] == [
+                    layer.indices.shape for layer in layers
+                ]
                 assert sum(t.nbytes for t in verified) == cache.resident_bytes()
-        assert cache.stats.hits == 3 * n_tiles
-        np.testing.assert_allclose(warm, cold, rtol=1e-5, atol=1e-5)
+        assert cache.stats.hits == 3 * len(layers)
+        assert [layer.stats.to_dict() for layer in layers] == [
+            {"calls": 4, "dequantizations": 1}
+        ] * len(layers)
+        np.testing.assert_array_equal(warm, cold)
+
+    def test_warm_call_is_one_get_one_digest_one_gemm(self, monkeypatch):
+        cache = TileCache()
+        (layer,) = self._layers(cache, shapes=((133, 24),))
+        x = np.random.default_rng(1).standard_normal((7, 24)).astype(np.float32)
+        layer.matmul(x)
+        gemms = []
+        real_matmul = np.matmul
+
+        def recording(a, b, *args, **kwargs):
+            gemms.append((a.shape, b.shape))
+            return real_matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        with mock.patch.object(
+            TileCache, "get", autospec=True, side_effect=TileCache.get
+        ) as get, mock.patch.object(
+            TileCache, "_digest", wraps=TileCache._digest
+        ) as stamp:
+            y = layer.matmul(x)
+        assert get.call_count == 1 and stamp.call_count == 1
+        assert gemms == [((7, 24), (24, 133))]
+        np.testing.assert_array_equal(y, x @ layer.lut[layer.indices].T)
 
 
 class TestStepCrashBoundary:
