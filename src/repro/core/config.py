@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from repro.distributed.learner import LearnerGroup
 from repro.tensor.dtype import DType, bfloat16, get_dtype
@@ -59,8 +62,11 @@ class DKMConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 8:
             raise ValueError(f"bits must be in [1, 8], got {self.bits}")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        # The attention table divides by the float32 temperature: NaN, or a
+        # value that rounds to 0.0 there, turns every entry into NaN.
+        t = self.temperature
+        if t is not None and not (math.isfinite(t) and np.float32(t) > 0):
+            raise ValueError(f"temperature must be finite and positive in float32, got {t!r}")
         if self.iters < 1:
             raise ValueError("need at least one k-means iteration")
 

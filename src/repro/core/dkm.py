@@ -157,6 +157,9 @@ class DKMClusterer:
         recomputation when several forwards share one refine, and the
         step-level speedup comes from the shared uniquify.)
 
+        Each update is one float64 gemm, summed in BLAS's order; its bound
+        is in ``docs/edkm-pipeline.md`` ("Refine's update is one gemm").
+
         Raises :class:`ValueError` for an empty weight and
         :class:`FloatingPointError` for one holding NaN or inf, in both
         cases before the cluster state is created or moved.
@@ -173,7 +176,6 @@ class DKMClusterer:
                 f"cannot cluster a non-finite weight: {n_bad} of {w_u.size} "
                 "unique patterns are NaN or inf"
             )
-        counts = unique.counts.astype(np.float64)
 
         if self.state is None:
             centroids = init_centroids_histogram(w_u, unique.counts, self.config.n_clusters)
@@ -185,19 +187,13 @@ class DKMClusterer:
             self.state = ClusterState(centroids=centroids, temperature=temperature)
 
         state = self.state
-        k = state.centroids.size
-        # Rows [:k] hold table * counts, rows [k:] that times w_u -- the
-        # denominator and numerator terms of every centroid, in float64.
-        terms = np.empty((2 * k, w_u.size), dtype=np.float64)
+        # Count and count * w_u per pattern: table @ moments is every
+        # centroid's denominator and numerator.
+        counts = unique.counts.astype(np.float64)
+        moments = np.stack([counts, counts * w_u], axis=1)
         for iteration in range(self.config.iters):
             table_ku = attention_table_ku(w_u, state.centroids, state.temperature)
-            np.multiply(table_ku, counts, out=terms[:k])
-            np.multiply(terms[:k], w_u, out=terms[k:])
-            # Summed in order over u (axis 0 of the C-contiguous transpose),
-            # as the (u, k) formulation did; summing the rows where they
-            # lie would pair them up and change the last bits.
-            sums = np.ascontiguousarray(terms.T).sum(axis=0)
-            denom, numer = sums[:k], sums[k:]
+            denom, numer = (table_ku.astype(np.float64) @ moments).T
             new_centroids = np.where(
                 denom > 1e-12, numer / np.maximum(denom, 1e-12), state.centroids
             ).astype(np.float32)

@@ -4,8 +4,9 @@ Each is copied from the last commit that ran it, and the contract with
 what replaced it is equality, not a tolerance:
 
 - the ``(u, k)`` formulation of the clustering sweep -- ``src/`` builds
-  the softmax table transposed, ``(k, u)``, and sums the normaliser in a
-  hand-written association order;
+  the softmax table transposed, ``(k, u)``, sums the normaliser in a
+  hand-written association order and the centroid update in one float64
+  gemm, whose float32 centroids are byte-equal to this in-order sum;
 - the row-wise last-axis reductions of the ``Softmax`` op and of
   ``unbroadcast`` -- ``src/`` moves a C-contiguous array with enough rows
   to ``(n, rows)`` and reduces down its ``n`` rows in the same order;

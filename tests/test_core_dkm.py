@@ -1,5 +1,7 @@
 """Tests for the DKM clustering layer (dense path and refinement)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,11 @@ from repro.core.dkm import (
     init_centroids_quantile,
     nearest_centroid,
 )
-from repro.core.uniquify import reset_uniquify_call_count, uniquify_call_count
+from repro.core.uniquify import (
+    HISTOGRAM_MIN_SIZE,
+    reset_uniquify_call_count,
+    uniquify_call_count,
+)
 
 from tests.oracles import refine_uk
 
@@ -39,6 +45,10 @@ class TestConfig:
             DKMConfig(bits=9)
         with pytest.raises(ValueError):
             DKMConfig(temperature=-1.0)
+        with pytest.raises(ValueError):
+            DKMConfig(temperature=float("nan"))
+        with pytest.raises(ValueError):
+            DKMConfig(temperature=1e-50)  # 0.0 in float32
         with pytest.raises(ValueError):
             DKMConfig(iters=0)
 
@@ -388,7 +398,8 @@ class TestRefineEqualsOracle:
 
     def test_counts_up_to_2_pow_20(self):
         # One pattern held by 2^20 weights beside singletons: the float64
-        # denom/numer terms span 20 binades, so their order of addition shows.
+        # denom/numer terms span 20 binades.  The gemm adds them in BLAS's
+        # order, not the oracle's, and the float32 centroids still match.
         rng = np.random.default_rng(7)
         singletons = (rng.standard_normal(5000) * 0.05).astype(np.float32)
         values = np.concatenate([np.full(1 << 20, 0.0625, np.float32), singletons])
@@ -419,6 +430,64 @@ class TestRefineEqualsOracle:
         ):
             got, want = self._pair(config, w, steps=2)
             self._assert_same(got, want)
+
+
+@st.composite
+def _refine_case(draw):
+    """A refine input: distribution, scale, size either side of the
+    histogram cut-over (both uniquify paths), bits and 16-bit dtype."""
+    kind = draw(st.sampled_from(["normal", "student_t3", "uniform"]))
+    scale = 10.0 ** draw(st.floats(-3.0, 0.0))
+    n = draw(
+        st.one_of(
+            st.integers(1, HISTOGRAM_MIN_SIZE - 1),
+            st.integers(HISTOGRAM_MIN_SIZE, 3 * HISTOGRAM_MIN_SIZE),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    draws = {
+        "normal": lambda: rng.standard_normal(n),
+        "student_t3": lambda: rng.standard_t(3, n),
+        "uniform": lambda: rng.uniform(-1.0, 1.0, n),
+    }
+    values = (draws[kind]() * scale).astype(np.float32)
+    dtype = draw(st.sampled_from(["bfloat16", "float16"]))
+    bits = draw(st.integers(1, 8))
+    config = DKMConfig(bits=bits, iters=draw(st.integers(1, 5)), weight_dtype=rt.get_dtype(dtype))
+    return config, rt.Tensor.from_numpy(values, dtype=dtype, device="gpu")
+
+
+class TestRefineGemm:
+    """The centroid update is one float64 gemm: byte-equal to the oracle on
+    the inputs its ULP contract covers, in one ``(k, u)`` scratch table."""
+
+    @given(case=_refine_case())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_three_refines_equal_oracle(self, case):
+        config, w = case
+        got, want = DKMClusterer(config), DKMClusterer(config)
+        for _ in range(3):
+            DKMClusterer.refine(got, w, cache_table=True)
+            refine_uk(want, w, cache_table=True)
+            TestRefineEqualsOracle._assert_same((got, None), (want, None))
+
+    def test_warm_refine_scratch_is_one_table(self):
+        # One iteration's scratch: the float32 table and its float64 copy,
+        # 12 bytes per k*u.
+        config = DKMConfig(bits=6, iters=4, weight_dtype=rt.get_dtype("float16"))
+        w = _weight_tensor(3600, dtype="float16")
+        clusterer = DKMClusterer(config)
+        clusterer.refine(w, cache_table=True)
+        u = clusterer.fastpath.uniquify(w, w.dtype).values.size
+        assert 2500 <= u <= 3500
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            clusterer.refine(w, cache_table=True)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * config.n_clusters * u
 
 
 class TestDensePath:
