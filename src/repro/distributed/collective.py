@@ -18,13 +18,11 @@ while the rows of all learners sit side by side in one host array.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.distributed.learner import LearnerGroup
-from repro.memory.tracker import MemoryTracker
 from repro.memory.traffic import global_ledger
 from repro.tensor.device import Device
 from repro.tensor.dtype import DType
@@ -40,11 +38,6 @@ class ShardView(NamedTuple):
     device: Device
     shape: tuple[int, ...]
     data: np.ndarray
-
-
-def _release(charges: list[tuple[MemoryTracker, int]]) -> None:
-    for tracker, nbytes in charges:
-        tracker.release(nbytes)
 
 
 class ShardedTensor:
@@ -78,12 +71,20 @@ class ShardedTensor:
         self.group = group
         self.full_shape = tuple(full_shape)
         self.counts = tuple(counts)
-        # Logical bytes charged to each learner, in learner order.
-        self.learner_nbytes = tuple(count * dtype.itemsize for count in counts)
-        charges = [(dev.tracker, n) for dev, n in zip(group.devices, self.learner_nbytes)]
-        for tracker, nbytes in charges:
-            tracker.allocate(nbytes)
-        weakref.finalize(self, _release, charges)
+        learner_nbytes = tuple(count * dtype.itemsize for count in counts)
+        for dev, nbytes in zip(group.devices, learner_nbytes):
+            dev.tracker.allocate(nbytes)
+        # Logical bytes charged to each learner, in learner order.  Set only
+        # once charged: ``__del__`` releases what this slot holds.
+        self.learner_nbytes = learner_nbytes
+
+    def __del__(self) -> None:
+        try:
+            learner_nbytes = self.learner_nbytes
+        except AttributeError:  # the constructor rejected the buffer
+            return
+        for dev, nbytes in zip(self.group.devices, learner_nbytes):
+            dev.tracker.release(nbytes)
 
     @property
     def local_nbytes(self) -> int:

@@ -23,7 +23,7 @@ class MemoryTracker:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        # Reentrant: a Storage's finalizer calls ``release``, and the
+        # Reentrant: ``Storage.__del__`` calls ``release``, and the
         # garbage collector can run it on any allocation -- including one
         # this thread makes while it holds the lock (``snapshot`` builds
         # its result under it).  A plain Lock would deadlock there.

@@ -116,16 +116,14 @@ class Context:
     """Per-call scratch space connecting forward and backward.
 
     ``save_for_backward`` stores tensors (through the active hooks);
-    arbitrary non-tensor metadata can be attached as attributes.
+    arbitrary non-tensor metadata is attached as plain attributes
+    (``ctx.dim = 1``).
     """
 
-    __slots__ = ("_packed", "_unpack_fns", "needs_input_grad", "_extras")
-
-    def __init__(self) -> None:
+    def __init__(self, needs_input_grad: tuple[bool, ...] = ()) -> None:
         self._packed: list[Any] = []
         self._unpack_fns: list[Callable[[Any], "Tensor"] | None] = []
-        self.needs_input_grad: tuple[bool, ...] = ()
-        self._extras: dict[str, Any] = {}
+        self.needs_input_grad = needs_input_grad
 
     def save_for_backward(self, *tensors: "Tensor") -> None:
         hooks = _current_hooks()
@@ -149,19 +147,6 @@ class Context:
         """Drop saved payloads (called after backward consumes the node)."""
         self._packed = []
         self._unpack_fns = []
-
-    # Attribute-style extras, e.g. ``ctx.dim = 1``.
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in Context.__slots__:
-            object.__setattr__(self, name, value)
-        else:
-            self._extras[name] = value
-
-    def __getattr__(self, name: str) -> Any:
-        try:
-            return self._extras[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 class Node:
@@ -236,18 +221,16 @@ class Function:
         from repro.tensor.tensor import Tensor
 
         tensor_inputs = [a for a in args if isinstance(a, Tensor)]
-        record = _grad_enabled() and any(t.requires_grad for t in tensor_inputs)
-
-        ctx = Context()
-        ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
+        needs_input_grad = tuple([t.requires_grad for t in tensor_inputs])
+        ctx = Context(needs_input_grad)
         output = cls.forward(ctx, *args, **kwargs)
 
-        if record:
+        if True in needs_input_grad and _grad_enabled():
             edges: list[tuple[str, Any]] = []
             input_refs: list[weakref.ReferenceType[Tensor] | None] = []
-            for t in tensor_inputs:
+            for t, needs_grad in zip(tensor_inputs, needs_input_grad):
                 input_refs.append(weakref.ref(t))
-                if not t.requires_grad:
+                if not needs_grad:
                     edges.append(("none", None))
                 elif t.grad_fn is not None:
                     edges.append(("node", t.grad_fn))

@@ -226,30 +226,22 @@ def from_numpy_dtype(np_dtype: np.dtype) -> DType:
     raise ValueError(f"no logical dtype for numpy dtype {np_dtype}")
 
 
-# Floating widths used by type promotion, narrowest to widest.
-_FLOAT_ORDER = [float16, bfloat16, float32, float64]
-
-
 def promote(a: DType, b: DType) -> DType:
     """Result dtype of a binary op between ``a`` and ``b``.
 
     Floats dominate ints; among floats the wider wins; the fp16/bf16 pair
-    (equal width, different grids) promotes to float32.
+    (equal width, different grids) promotes to float32.  Dtypes are
+    interned (:meth:`DType.__reduce__` keeps them so across pickling), so
+    identity and width decide without hashing.
     """
     if a is b:
         return a
-    if a.is_floating and not b.is_floating:
-        return a
-    if b.is_floating and not a.is_floating:
-        return b
-    if a.is_floating and b.is_floating:
-        if {a, b} == {float16, bfloat16}:
-            return float32
-        return a if _FLOAT_ORDER.index(a) >= _FLOAT_ORDER.index(b) else b
-    # Both integral: pick the wider, ties broken toward signed.
+    if a.is_floating is not b.is_floating:
+        return a if a.is_floating else b
     if a.itemsize != b.itemsize:
         return a if a.itemsize > b.itemsize else b
-    return a
+    # Equal widths: the fp16/bf16 pair, or two integral dtypes (the first wins).
+    return float32 if a.is_floating else a
 
 
 def bit_pattern16(array: np.ndarray, dtype: DType) -> np.ndarray:

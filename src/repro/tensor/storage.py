@@ -7,13 +7,11 @@ memory (Table 1 of the paper, lines 0-1), while a cross-device move must
 allocate a fresh storage on the destination (lines 2-3).
 
 Byte accounting happens here: allocation charges ``numel * dtype.itemsize``
-logical bytes to the owning device's tracker, and a weakref finalizer
-releases them when the buffer is garbage collected.
+logical bytes to the owning device's tracker, and ``__del__`` releases them
+when the buffer is garbage collected.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -30,7 +28,6 @@ class Storage:
         "device",
         "nbytes",
         "version",
-        "_finalizer",
         "__weakref__",
     )
 
@@ -45,13 +42,21 @@ class Storage:
         self.data = data
         self.dtype = dtype
         self.device = device
-        self.nbytes = int(data.size) * dtype.itemsize
         # In-place write counter (PyTorch ``_version`` analogue).  Bumped by
         # every Tensor in-place mutation; per-layer step caches key on it to
         # detect optimizer writes between training steps.
         self.version = 0
-        device.tracker.allocate(self.nbytes)
-        self._finalizer = weakref.finalize(self, device.tracker.release, self.nbytes)
+        nbytes = data.size * dtype.itemsize
+        device.tracker.allocate(nbytes)
+        # Set only once charged: ``__del__`` releases what this slot holds.
+        self.nbytes = nbytes
+
+    def __del__(self) -> None:
+        try:
+            nbytes = self.nbytes
+        except AttributeError:  # the constructor rejected the buffer
+            return
+        self.device.tracker.release(nbytes)
 
     @property
     def numel(self) -> int:

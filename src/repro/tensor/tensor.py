@@ -30,12 +30,6 @@ def contiguous_strides(shape: Sequence[int]) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def _ops():
-    from repro.tensor import ops
-
-    return ops
-
-
 class Tensor:
     """A strided, device-tagged, optionally differentiable array."""
 
@@ -62,8 +56,8 @@ class Tensor:
     ) -> None:
         self.storage = storage
         self.dtype = storage.dtype
-        self.shape = tuple(int(s) for s in shape)
-        self.strides = tuple(int(s) for s in strides)
+        self.shape = tuple(map(int, shape))
+        self.strides = tuple(map(int, strides))
         self.offset = int(offset)
         self.requires_grad = bool(requires_grad)
         self.grad: Tensor | None = None
@@ -89,9 +83,11 @@ class Tensor:
         values = np.asarray(values)
         if dtype is None:
             dtype = dtypes.from_numpy_dtype(values.dtype)
-        dtype = get_dtype(dtype)
-        dev = as_device(device)
-        storage = Storage.from_values(values, dtype, dev)
+        elif not isinstance(dtype, DType):
+            dtype = get_dtype(dtype)
+        if not isinstance(device, Device):
+            device = as_device(device)
+        storage = Storage.from_values(values, dtype, device)
         return cls(
             storage,
             shape=values.shape,
@@ -159,7 +155,7 @@ class Tensor:
             phys.dtype,
             phys,
             self.offset * itemsize,
-            tuple(s * itemsize for s in self.strides),
+            tuple(map(itemsize.__mul__, self.strides)),
         )
 
     def _compute(self) -> np.ndarray:
@@ -242,13 +238,13 @@ class Tensor:
         dev = as_device(device)
         if dev == self.device:
             return self
-        return _ops().to_device(self, dev, tag=tag)
+        return _ops.to_device(self, dev, tag=tag)
 
     def cast(self, dtype: DType | str) -> "Tensor":
         dtype = get_dtype(dtype)
         if dtype is self.dtype:
             return self
-        return _ops().cast(self, dtype)
+        return _ops.cast(self, dtype)
 
     def float(self) -> "Tensor":
         return self.cast(dtypes.float32)
@@ -264,21 +260,21 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def view(self, *shape: int) -> "Tensor":
-        return _ops().view(self, _normalize_shape(shape))
+        return _ops.view(self, _normalize_shape(shape))
 
     def reshape(self, *shape: int) -> "Tensor":
-        return _ops().reshape(self, _normalize_shape(shape))
+        return _ops.reshape(self, _normalize_shape(shape))
 
     def transpose(self, dim0: int, dim1: int) -> "Tensor":
-        return _ops().transpose(self, dim0, dim1)
+        return _ops.transpose(self, dim0, dim1)
 
     def permute(self, *dims: int) -> "Tensor":
         if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
             dims = tuple(dims[0])
-        return _ops().permute(self, dims)
+        return _ops.permute(self, dims)
 
     def expand(self, *shape: int) -> "Tensor":
-        return _ops().expand(self, _normalize_shape(shape))
+        return _ops.expand(self, _normalize_shape(shape))
 
     def flatten(self) -> "Tensor":
         return self.reshape(-1)
@@ -301,7 +297,7 @@ class Tensor:
     def contiguous(self) -> "Tensor":
         if self.is_contiguous():
             return self
-        return _ops().contiguous(self)
+        return _ops.contiguous(self)
 
     @property
     def T(self) -> "Tensor":
@@ -310,63 +306,63 @@ class Tensor:
         return self.transpose(0, 1)
 
     def __getitem__(self, key: Any) -> "Tensor":
-        return _ops().slice_(self, key)
+        return _ops.slice_(self, key)
 
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
 
     def __add__(self, other: Any) -> "Tensor":
-        return _ops().add(self, other)
+        return _ops.add(self, other)
 
     def __radd__(self, other: Any) -> "Tensor":
-        return _ops().add(self, other)
+        return _ops.add(self, other)
 
     def __sub__(self, other: Any) -> "Tensor":
-        return _ops().sub(self, other)
+        return _ops.sub(self, other)
 
     def __rsub__(self, other: Any) -> "Tensor":
-        return _ops().sub(_ops().constant_like(self, other), self)
+        return _ops.sub(_ops.constant_like(self, other), self)
 
     def __mul__(self, other: Any) -> "Tensor":
-        return _ops().mul(self, other)
+        return _ops.mul(self, other)
 
     def __rmul__(self, other: Any) -> "Tensor":
-        return _ops().mul(self, other)
+        return _ops.mul(self, other)
 
     def __truediv__(self, other: Any) -> "Tensor":
-        return _ops().div(self, other)
+        return _ops.div(self, other)
 
     def __rtruediv__(self, other: Any) -> "Tensor":
-        return _ops().div(_ops().constant_like(self, other), self)
+        return _ops.div(_ops.constant_like(self, other), self)
 
     def __neg__(self) -> "Tensor":
-        return _ops().neg(self)
+        return _ops.neg(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
-        return _ops().pow(self, exponent)
+        return _ops.pow(self, exponent)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        return _ops().matmul(self, other)
+        return _ops.matmul(self, other)
 
     # Comparisons: non-differentiable, produce bool tensors.
     def __eq__(self, other: Any):  # type: ignore[override]
-        return _ops().compare(self, other, "eq")
+        return _ops.compare(self, other, "eq")
 
     def __ne__(self, other: Any):  # type: ignore[override]
-        return _ops().compare(self, other, "ne")
+        return _ops.compare(self, other, "ne")
 
     def __lt__(self, other: Any) -> "Tensor":
-        return _ops().compare(self, other, "lt")
+        return _ops.compare(self, other, "lt")
 
     def __le__(self, other: Any) -> "Tensor":
-        return _ops().compare(self, other, "le")
+        return _ops.compare(self, other, "le")
 
     def __gt__(self, other: Any) -> "Tensor":
-        return _ops().compare(self, other, "gt")
+        return _ops.compare(self, other, "gt")
 
     def __ge__(self, other: Any) -> "Tensor":
-        return _ops().compare(self, other, "ge")
+        return _ops.compare(self, other, "ge")
 
     def __hash__(self) -> int:
         return id(self)
@@ -376,43 +372,43 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def sum(self, dim: int | None = None, keepdim: bool = False) -> "Tensor":
-        return _ops().sum_(self, dim=dim, keepdim=keepdim)
+        return _ops.sum_(self, dim=dim, keepdim=keepdim)
 
     def mean(self, dim: int | None = None, keepdim: bool = False) -> "Tensor":
-        return _ops().mean(self, dim=dim, keepdim=keepdim)
+        return _ops.mean(self, dim=dim, keepdim=keepdim)
 
     def max(self, dim: int | None = None, keepdim: bool = False) -> "Tensor":
-        return _ops().max_(self, dim=dim, keepdim=keepdim)
+        return _ops.max_(self, dim=dim, keepdim=keepdim)
 
     def min(self, dim: int | None = None, keepdim: bool = False) -> "Tensor":
-        return _ops().min_(self, dim=dim, keepdim=keepdim)
+        return _ops.min_(self, dim=dim, keepdim=keepdim)
 
     def exp(self) -> "Tensor":
-        return _ops().exp(self)
+        return _ops.exp(self)
 
     def log(self) -> "Tensor":
-        return _ops().log(self)
+        return _ops.log(self)
 
     def sqrt(self) -> "Tensor":
-        return _ops().sqrt(self)
+        return _ops.sqrt(self)
 
     def abs(self) -> "Tensor":
-        return _ops().abs_(self)
+        return _ops.abs_(self)
 
     def clip(self, low: float | None = None, high: float | None = None) -> "Tensor":
-        return _ops().clip(self, low, high)
+        return _ops.clip(self, low, high)
 
     def softmax(self, dim: int = -1) -> "Tensor":
-        return _ops().softmax(self, dim=dim)
+        return _ops.softmax(self, dim=dim)
 
     def log_softmax(self, dim: int = -1) -> "Tensor":
-        return _ops().log_softmax(self, dim=dim)
+        return _ops.log_softmax(self, dim=dim)
 
     def argmax(self, dim: int | None = None) -> "Tensor":
-        return _ops().argmax(self, dim=dim)
+        return _ops.argmax(self, dim=dim)
 
     def argmin(self, dim: int | None = None) -> "Tensor":
-        return _ops().argmin(self, dim=dim)
+        return _ops.argmin(self, dim=dim)
 
     def __repr__(self) -> str:
         grad_part = ", requires_grad=True" if self.requires_grad else ""
@@ -429,8 +425,8 @@ class Tensor:
 
 def _normalize_shape(shape: tuple) -> tuple[int, ...]:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        return tuple(int(s) for s in shape[0])
-    return tuple(int(s) for s in shape)
+        return tuple(map(int, shape[0]))
+    return tuple(map(int, shape))
 
 
 # --------------------------------------------------------------------------
@@ -508,3 +504,7 @@ def arange(
     return Tensor.from_numpy(
         np.arange(start, stop, step).astype(dt.np_storage), dtype=dt, device=device
     )
+
+
+# Bound last: ``ops`` imports ``Tensor`` from this module.
+from repro.tensor import ops as _ops  # noqa: E402

@@ -1,13 +1,15 @@
 """Tests for autograd graph mechanics and saved-tensor hooks."""
 
+import copy
 import gc
+import pickle
 
 import numpy as np
 import pytest
 
 import repro.tensor as rt
 from repro.tensor import no_grad, saved_tensors_hooks
-from repro.tensor.autograd import is_grad_enabled, unbroadcast
+from repro.tensor.autograd import Context, is_grad_enabled, unbroadcast
 from repro.tensor.pairwise import SUM_MIN_ROWS
 
 from tests.oracles import unbroadcast_rowwise
@@ -127,6 +129,22 @@ class TestGraphMechanics:
         x = rt.tensor([1.0], dtype="bfloat16", requires_grad=True)
         (x * 2.0).sum().backward()
         assert x.grad.dtype is rt.bfloat16
+
+
+class TestContext:
+    def test_plain_object_protocols(self):
+        """A ctx is an ordinary object: built without ``__init__``, copied
+        or pickled, it neither recurses nor loses its attributes."""
+        bare = Context.__new__(Context)
+        assert not hasattr(bare, "dim")
+        ctx = Context()
+        ctx.needs_input_grad = (True, False)
+        ctx.dim = 1
+        for clone in (copy.copy(ctx), pickle.loads(pickle.dumps(ctx))):
+            assert clone.dim == 1
+            assert clone.needs_input_grad == (True, False)
+            assert clone.saved_tensors == ()
+            assert not hasattr(clone, "scalar")
 
 
 class TestUnbroadcast:

@@ -185,6 +185,34 @@ class TestPromotion:
         assert dt.promote(dt.int32, dt.int64) is dt.int64
         assert dt.promote(dt.uint8, dt.uint16) is dt.uint16
 
+    # Row ``a``, column ``b``: the name of ``promote(a, b)``.
+    PAIRWISE = """
+                 float64  float32  float16  bfloat16 int64    int32    uint16   uint8    bool
+        float64  float64  float64  float64  float64  float64  float64  float64  float64  float64
+        float32  float64  float32  float32  float32  float32  float32  float32  float32  float32
+        float16  float64  float32  float16  float32  float16  float16  float16  float16  float16
+        bfloat16 float64  float32  float32  bfloat16 bfloat16 bfloat16 bfloat16 bfloat16 bfloat16
+        int64    float64  float32  float16  bfloat16 int64    int64    int64    int64    int64
+        int32    float64  float32  float16  bfloat16 int64    int32    int32    int32    int32
+        uint16   float64  float32  float16  bfloat16 int64    int32    uint16   uint16   uint16
+        uint8    float64  float32  float16  bfloat16 int64    int32    uint16   uint8    uint8
+        bool     float64  float32  float16  bfloat16 int64    int32    uint16   bool     bool
+    """
+
+    @pytest.mark.parametrize("repickle", [False, True], ids=["interned", "repickled"])
+    def test_pairwise_table(self, repickle):
+        """Every pair of interned dtypes, including dtypes that went through
+        pickle: ``promote`` compares by identity, which
+        ``DType.__reduce__`` keeps sound."""
+        header, *rows = (line.split() for line in self.PAIRWISE.strip().splitlines())
+        assert sorted(header) == sorted(dt._ALL)
+        for a, *results in rows:
+            for b, want in zip(header, results):
+                x, y = dt.get_dtype(a), dt.get_dtype(b)
+                if repickle:
+                    x, y = pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(y))
+                assert dt.promote(x, y) is dt.get_dtype(want), (a, b)
+
 
 class TestDTypePickling:
     @pytest.mark.parametrize("dtype_name", sorted(dt._ALL))

@@ -2,7 +2,6 @@
 
 import gc
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from repro.memory import (
     global_ledger,
     profile_memory,
 )
+from repro.tensor.device import Device
+from repro.tensor.storage import Storage
 
 
 class TestMemoryTracker:
@@ -59,10 +60,11 @@ class TestMemoryTracker:
         assert snap.name == "snap"
 
     def test_finalizer_release_under_the_lock_does_not_deadlock(self):
-        """A collection that runs a storage finalizer (``release``) while
-        the same thread holds the tracker's lock completes."""
+        """A collection that releases a storage (``Storage.__del__`` calls
+        ``release``) while the same thread holds the tracker's lock
+        completes."""
         t = MemoryTracker("reentry")
-        t.allocate(8)
+        dev = Device("reentry", t)
 
         class Cycle:
             pass
@@ -70,7 +72,7 @@ class TestMemoryTracker:
         def collect_under_lock():
             garbage = Cycle()
             garbage.self = garbage
-            weakref.finalize(garbage, t.release, 8)
+            garbage.storage = Storage(np.zeros(2, dtype=np.float32), rt.float32, dev)
             del garbage
             with t._lock:
                 gc.collect()

@@ -5,9 +5,15 @@ import gc
 import numpy as np
 import pytest
 
+from repro.distributed import LearnerGroup, ShardedTensor
 from repro.memory import profile_memory
 from repro.tensor import Tensor, bfloat16, device, float32
 from repro.tensor.storage import Storage
+
+
+def _counters(dev):
+    tracker = dev.tracker
+    return tracker.current_bytes, tracker.alloc_count, tracker.free_count
 
 
 class TestDeviceInterning:
@@ -58,13 +64,45 @@ class TestStorageAccounting:
         gc.collect()
         assert dev.tracker.current_bytes == before
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_requires_1d_buffer(self):
+        dev = device("test-reject-1d")
+        before = _counters(dev)
         with pytest.raises(ValueError, match="1-D"):
-            Storage(np.zeros((4, 4), dtype=np.float32), float32, device("cpu"))
+            Storage(np.zeros((4, 4), dtype=np.float32), float32, dev)
+        gc.collect()
+        assert _counters(dev) == before
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_requires_matching_physical_dtype(self):
+        dev = device("test-reject-dtype")
+        before = _counters(dev)
         with pytest.raises(ValueError, match="dtype"):
-            Storage(np.zeros(4, dtype=np.float64), float32, device("cpu"))
+            Storage(np.zeros(4, dtype=np.float64), float32, dev)
+        gc.collect()
+        assert _counters(dev) == before
+
+    def test_cycle_releases_each_charge_once(self):
+        """A Storage and a ShardedTensor kept alive only by a reference
+        cycle are each released exactly once, by the collector."""
+        dev = device("test-cycle")
+        group = LearnerGroup(2, host=device("test-cycle-host"))
+        devices = [dev, *group.devices]
+        before = [_counters(d) for d in devices]
+
+        class Holder:
+            pass
+
+        holder = Holder()
+        holder.self = holder
+        holder.storage = Storage(np.zeros(8, dtype=np.float32), float32, dev)
+        holder.sharded = ShardedTensor(
+            np.zeros(6, dtype=np.float32), float32, group, (3, 2), [4, 2]
+        )
+        del holder
+        gc.collect()
+        for d, (current, allocs, frees) in zip(devices, before):
+            assert _counters(d) == (current, allocs + 1, frees + 1), d.name
 
     def test_from_values_projects(self):
         storage = Storage.from_values(
