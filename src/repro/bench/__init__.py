@@ -14,8 +14,6 @@ way to run them (:mod:`repro.bench.__main__` holds the registry).
 - :mod:`repro.bench.claims` -- Section 1/2 analytic size claims
 - :mod:`repro.bench.faults` -- crash-safe checkpoint/resume of a
   compression run
-- :mod:`repro.bench.serving` -- palette serving under concurrent traffic
-  (requests/sec, p50/p99 latency, token-identity + admission gates)
 - :mod:`repro.bench.serving_faults` -- chaos-serving fault matrix
 """
 
@@ -39,17 +37,9 @@ from repro.bench.table3 import (
     Table3Row,
     run_table3,
 )
-from repro.bench.serving import (
-    ServingBenchResult,
-    ServingScenarioRow,
-    run_serving,
-)
 from repro.bench.tables import paper_vs_measured, render_table
 
 __all__ = [
-    "ServingBenchResult",
-    "ServingScenarioRow",
-    "run_serving",
     "Claim",
     "run_claims",
     "FaultBenchResult",

@@ -26,7 +26,6 @@ from repro.bench import (
     faults,
     fig2,
     fig3,
-    serving,
     serving_faults,
     table1,
     table2,
@@ -42,7 +41,6 @@ BENCHES = {
     "table3": table3,
     "claims": claims,
     "faults": faults,
-    "serving": serving,
     "serving_faults": serving_faults,
 }
 

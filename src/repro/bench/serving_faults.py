@@ -35,10 +35,22 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.bench.serving import _load_state, _state_dict, _train_small_model
 from repro.core.compressor import ModelCompressor
 from repro.core.config import DKMConfig
-from repro.llm import MICRO, build_model, generate
+from repro.data import (
+    FactWorld,
+    corpus_batches,
+    corpus_vocabulary,
+    generate_corpus,
+)
+from repro.llm import (
+    MICRO,
+    FinetuneConfig,
+    WordTokenizer,
+    build_model,
+    generate,
+    train_causal_lm,
+)
 from repro.memory.traffic import TrafficLedger
 from repro.serving import (
     FaultPlan,
@@ -189,6 +201,22 @@ class ChaosBenchResult:
         return failures + [message for ok, message in checks if not ok]
 
 
+def _train_small_model(sentences: int, epochs: int, seed: int):
+    """One briefly fine-tuned MICRO model plus its tokenizer and corpus."""
+    world = FactWorld(seed=seed)
+    tokenizer = WordTokenizer(corpus_vocabulary(world))
+    corpus = generate_corpus(world, sentences, seed=seed + 1)
+    model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=seed)
+    model.to(rt.GPU)
+    train_causal_lm(
+        model,
+        corpus_batches(corpus, tokenizer, 16, rt.GPU, epochs=epochs, seed=seed + 2),
+        FinetuneConfig(lr=3e-3),
+    )
+    model.eval()
+    return model, tokenizer, corpus
+
+
 def _plan_for(kind: str, seed: int) -> FaultPlan:
     """A deterministic single-kind plan tuned so the run survives it.
 
@@ -223,7 +251,6 @@ def _config_for(
         max_batch_size=4,
         max_queue_depth=64,
         max_new_tokens=max_new_tokens,
-        eval_path="palette",
         poll_interval_s=0.002,
         fault_plan=plan,
         retry=RetryPolicy(
@@ -361,11 +388,12 @@ def run_serving_faults(
 ) -> ChaosBenchResult:
     """Run the chaos-serving matrix end to end, fixed seed.
 
-    Trains one model, snapshots its weights, computes the offline
-    reference on a fresh compressed copy, then replays the identical
-    prompt set through every (fault kind x client count) cell plus the
-    draining-shutdown scenario.  Every scenario gets a fresh model +
-    snapshot, so corrupted weights never leak between cells.
+    Trains one model, computes the offline reference on a fresh
+    compressed copy of its weights, then replays the identical prompt
+    set through every (fault kind x client count) cell plus the
+    draining-shutdown scenario.  Every scenario gets a fresh model
+    loaded from the trained one, so corrupted weights never leak
+    between cells.
     """
     result = ChaosBenchResult(
         cpu_count=os.cpu_count() or 1,
@@ -375,7 +403,7 @@ def run_serving_faults(
         client_matrix=list(client_matrix),
     )
     base_model, tokenizer, corpus = _train_small_model(sentences, epochs, seed)
-    state = _state_dict(base_model)
+    state = base_model.state_dict()
     prompts = [
         " ".join(corpus[i % len(corpus)].split()[:3]) for i in range(n_prompts)
     ]
@@ -383,7 +411,7 @@ def run_serving_faults(
     def fresh_model():
         model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=seed)
         model.to(rt.GPU)
-        _load_state(model, state)
+        model.load_state_dict(state)
         ModelCompressor(DKMConfig(bits=bits)).compress(model)
         model.eval()
         return model
@@ -417,7 +445,6 @@ def run_serving_faults(
     config = ServingConfig(
         max_batch_size=2,
         max_new_tokens=max_new_tokens,
-        eval_path="palette",
         poll_interval_s=0.002,
         drain_timeout_s=STOP_DEADLINE_S,
     )

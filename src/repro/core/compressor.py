@@ -212,11 +212,6 @@ class ClusteredLinear(Module):
         self._palette_cache = None
 
     @property
-    def eval_path(self) -> str:
-        """``"palette"`` when the executor is installed, else ``"dense"``."""
-        return "dense" if self._palette_opts is None else "palette"
-
-    @property
     def palette_exec(self):
         """The live :class:`~repro.serving.palette.PaletteLinearExec`.
 

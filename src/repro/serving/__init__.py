@@ -17,7 +17,7 @@ watchdog, draining shutdown, and the deterministic fault injector of
 """
 
 from repro.serving.batcher import ContinuousBatcher, SequenceState
-from repro.serving.config import EVAL_PATHS, RetryPolicy, ServingConfig
+from repro.serving.config import RetryPolicy, ServingConfig
 from repro.serving.faults import (
     FAULT_KINDS,
     CorruptTileError,
@@ -57,7 +57,6 @@ from repro.serving.stats import (
 )
 
 __all__ = [
-    "EVAL_PATHS",
     "FAULT_KINDS",
     "AdmissionError",
     "ContinuousBatcher",

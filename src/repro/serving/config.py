@@ -11,6 +11,7 @@ benchmark artifacts embed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.config import config_from_dict, config_to_dict
@@ -26,13 +27,15 @@ class RetryPolicy:
     Attributes:
         timeout_s: watchdog deadline per decode step (a step still
             running is declared hung and its loop generation revoked).
-            ``None`` (default) disables the watchdog.
+            ``None`` (default) disables the watchdog; any other value
+            must be finite and positive.
         retries: retries of a decode step that raised
             :class:`~repro.serving.faults.TransientStepError` (palette
             kernel and corrupt-tile errors included) before its batch
             fails with ``StepFailed``.
         backoff_s: base sleep before re-attempt ``n`` after a transient
-            failure, ``backoff_s * 2**(n - 1)`` (see :meth:`backoff`).
+            failure, ``backoff_s * 2**(n - 1)`` (see :meth:`backoff`);
+            finite and non-negative.
         respawns: scheduler-loop respawn budget for the server's
             lifetime.  Past it the server is marked dead and rejects
             work.
@@ -44,14 +47,18 @@ class RetryPolicy:
     respawns: int = 4
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0
+        ):
             raise ValueError(
-                f"timeout_s must be positive or None, got {self.timeout_s}"
+                f"timeout_s must be finite and positive, or None, got {self.timeout_s}"
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
+            raise ValueError(
+                f"backoff_s must be finite and >= 0, got {self.backoff_s}"
+            )
         if self.respawns < 0:
             raise ValueError(f"respawns must be >= 0, got {self.respawns}")
 
@@ -69,16 +76,12 @@ class RetryPolicy:
         return config_from_dict(cls, payload)
 
 
-EVAL_PATHS = ("palette", "dense")
-"""Eval-mode execution paths for compressed layers: ``"palette"`` keeps
-each layer's lut and uint8 indices and serves one resident, CRC-32-checked
-``lut[indices]`` per weight version by gemm; ``"dense"`` reconstructs the
-full hard-assigned weight as a tensor and runs the ordinary gemm."""
-
-
 @dataclass(kw_only=True)
 class ServingConfig:
     """Knobs of the palette-aware inference server.
+
+    Every time and ``temperature`` must be finite: a NaN passes every
+    sign check, and an infinite sleep or join overflows in the scheduler.
 
     Attributes:
         max_batch_size: upper bound on sequences decoded together in one
@@ -90,12 +93,6 @@ class ServingConfig:
             growing an unbounded backlog.
         max_new_tokens: per-request generation budget used when a request
             does not carry its own.
-        eval_path: how eval-mode ``ClusteredLinear`` layers execute their
-            matmul, one of :data:`EVAL_PATHS`.  ``"palette"`` (default)
-            dequantizes each layer's palette once per weight version into
-            one resident weight in the server's ``TileCache``, verified on
-            every read; ``"dense"`` materializes the full hard-assigned
-            weight as a tensor (the pre-serving behavior).
         temperature: sampling temperature for generation; ``0`` (default)
             is greedy decoding, which is what the bit-identity gates
             compare.
@@ -129,7 +126,6 @@ class ServingConfig:
     max_batch_size: int = 8
     max_queue_depth: int = 64
     max_new_tokens: int = 16
-    eval_path: str = "palette"
     temperature: float = 0.0
     poll_interval_s: float = 0.005
     retry: RetryPolicy = RetryPolicy()
@@ -144,24 +140,14 @@ class ServingConfig:
             raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
         if self.max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if self.eval_path not in EVAL_PATHS:
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(
-                f"unknown eval_path {self.eval_path!r}; expected one of {EVAL_PATHS}"
+                f"temperature must be finite and >= 0, got {self.temperature}"
             )
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be positive, got {self.poll_interval_s}"
-            )
-        if self.join_timeout_s <= 0:
-            raise ValueError(
-                f"join_timeout_s must be positive, got {self.join_timeout_s}"
-            )
-        if self.drain_timeout_s <= 0:
-            raise ValueError(
-                f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
-            )
+        for name in ("poll_interval_s", "join_timeout_s", "drain_timeout_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValueError(
                 "fault_plan must be a FaultPlan or None, "

@@ -334,14 +334,6 @@ class PaletteLinearExec:
         """Bytes of the resident float32 weight a warm call reads."""
         return int(self.indices.size * 4)
 
-    @property
-    def packed_nbytes(self) -> int:
-        """Bytes of the shippable artifact: a 16-bit lut plus bit-packed
-        indices (the eDKM deployment size)."""
-        k = int(self.lut.size)
-        bits = max(1, (k - 1).bit_length())
-        return int(2 * k + (self.indices.size * bits + 7) // 8)
-
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """``x @ W.T``: one verified cache read and one gemm.
 

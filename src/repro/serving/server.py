@@ -35,11 +35,9 @@ The scheduler is *supervised*:
 Byte accounting convention: prompt and completion text bytes are
 recorded per request (``serve:req<id>`` tags, endpoints
 ``client <-> server``); weight bytes *read per decode step* are
-recorded under ``serve:weights`` with ``dst="flops"`` -- palette-path
-layers charge their palette (lut + indices) on the call that dequantizes
-it and the resident float32 weight on every other call, dense-path
-layers their 16-bit weight bytes, so compressed and uncompressed
-scenarios are comparable at a glance.
+recorded under ``serve:weights`` with ``dst="flops"`` -- each clustered
+layer charges its palette (lut + indices) on the call that dequantizes
+it and the resident float32 weight on every other call.
 """
 
 from __future__ import annotations
@@ -287,10 +285,9 @@ class LoopSupervisor:
 class PaletteServer:
     """Concurrent generation server over a (possibly compressed) model.
 
-    The model is switched to eval mode on construction; when
-    ``config.eval_path == "palette"`` every :class:`ClusteredLinear` in
-    it is routed through the palette executor with one shared
-    :class:`TileCache`.
+    The model is switched to eval mode on construction, and every
+    :class:`ClusteredLinear` in it is routed through the palette executor
+    with one shared :class:`TileCache`.
     Use as a context manager, or pair :meth:`start` with :meth:`close`.
     """
 
@@ -320,16 +317,7 @@ class PaletteServer:
         self._started_at: float | None = None
         self._stopped_at: float | None = None
         model.eval()
-        if self.config.eval_path == "palette":
-            self._install_palette()
-        # Clustered layers on the dense eval path charge their full
-        # 16-bit weight per step; the total is fixed, so compute it once.
-        self._dense_weight_bytes = sum(
-            2 * module.inner.weight.numel
-            for _, module in model.named_modules()
-            if isinstance(module, ClusteredLinear)
-            and module.eval_path == "dense"
-        )
+        self._install_palette()
 
     # ------------------------------------------------------------------
     # Palette installation
@@ -835,8 +823,7 @@ class PaletteServer:
 
         A palette-path call that dequantized charges the palette it read
         (lut + indices); every other call charges the resident float32
-        weight its gemm read.  Clustered layers on the dense eval path
-        charge their full 16-bit weight each step.
+        weight its gemm read.
         """
         nbytes = 0
         for name, module in self._palette_layers:
@@ -848,6 +835,5 @@ class PaletteServer:
             dequantizations = exec_.stats.dequantizations - dequantizations_before
             nbytes += dequantizations * exec_.nbytes
             nbytes += (calls - dequantizations) * exec_.dense_nbytes
-        nbytes += self._dense_weight_bytes
         if nbytes:
             self.ledger.record("weights", "flops", nbytes, tag=WEIGHT_TAG)

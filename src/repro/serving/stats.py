@@ -4,8 +4,9 @@ Every request that reaches the server leaves a :class:`RequestRecord`
 (latency, queue wait, token counts, outcome).  :class:`ServerStats`
 accumulates those records plus scheduler-level counters (decode steps,
 batch occupancy, admission/deadline rejections) and renders them into a
-:class:`StatsReport` -- the requests/sec + p50/p99 numbers
-``BENCH_serving.json`` publishes.  Byte traffic is not tracked here:
+:class:`StatsReport` -- the rejection, decode-step, occupancy and
+step-failure counters the ``deploy_serve_eval`` pipeline benchmark
+reads.  Byte traffic is not tracked here:
 the server records per-request transfers into
 :mod:`repro.memory.traffic` under ``serve:``-prefixed tags, and the
 report pulls totals back out of the ledger.

@@ -7,6 +7,7 @@ really reads the field it claims to.  No entry has a wall-clock gate.
 
 import copy
 import json
+import os
 import pkgutil
 
 import numpy as np
@@ -24,7 +25,11 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.serving.faults.RobustnessWarning"
 )
 
-DETERMINISTIC = ("fig2", "serving", "serving_faults", "faults")
+DETERMINISTIC = ("fig2", "serving_faults", "faults")
+
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "results"
+)
 
 
 def _flip(result, path):
@@ -48,6 +53,18 @@ class TestRegistry:
         assert sorted(registered) == sorted(modules - HELPERS)
         for module in BENCHES.values():
             assert callable(module.run)
+
+    def test_every_tracked_artifact_names_an_entry(self):
+        """A ``BENCH_<name>.json`` or ``<name>.txt`` whose runner is gone
+        is an orphan."""
+        names = os.listdir(RESULTS_DIR)
+        artifacts = [
+            name[len("BENCH_"):-len(".json")]
+            for name in names
+            if name.startswith("BENCH_") and name.endswith(".json")
+        ] + [name[:-len(".txt")] for name in names if name.endswith(".txt")]
+        assert "serving_faults" in artifacts
+        assert sorted(set(artifacts) - set(BENCHES)) == []
 
     def test_list_prints_every_name(self, capsys):
         assert main(["--list"]) == 0
@@ -119,7 +136,6 @@ def quick_result():
 # name -> (path to one boolean field, words its failure message must carry)
 NEGATIVE_CASES = {
     "fig2": (("steps", 0, "counters_reconcile"), ("graph step counters", "reconcile")),
-    "serving": (("tokens_identical",), ("palette completions differ",)),
     "serving_faults": (
         ("rows", 0, "tokens_identical"), ("transient_step-c4", "offline reference"),
     ),
@@ -131,7 +147,6 @@ ALSO_GATED = [
     ("faults", ("resume_bit_identical",)),
     ("serving_faults", ("drain_ok",)),
     ("serving_faults", ("rows", 4, "stranded")),
-    ("serving", ("admission_accounted",)),
     ("fig2", ("steps", 1, "counters_reconcile")),
 ]
 

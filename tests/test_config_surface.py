@@ -10,6 +10,7 @@ own bench and tests switches on is deleted together with its selector).
 
 import inspect
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -37,7 +38,7 @@ SURFACE = {
         "shard_min_bytes",
     },
     ServingConfig: {
-        "max_batch_size", "max_queue_depth", "max_new_tokens", "eval_path",
+        "max_batch_size", "max_queue_depth", "max_new_tokens",
         "temperature", "poll_interval_s", "retry", "join_timeout_s",
         "drain_timeout_s", "fault_plan",
     },
@@ -80,7 +81,7 @@ def test_baseline_settable_value_budget():
 
 
 def test_field_budget():
-    assert sum(len(names) for names in SURFACE.values()) == 22
+    assert sum(len(names) for names in SURFACE.values()) == 21
 
 
 def test_settable_value_budget():
@@ -89,7 +90,7 @@ def test_settable_value_budget():
     assert policy == {"timeout_s", "retries", "backoff_s", "respawns"}
     retry_fields = sum("retry" in names for names in SURFACE.values())
     total = sum(len(names) for names in SURFACE.values())
-    assert total - retry_fields + retry_fields * len(policy) == 25
+    assert total - retry_fields + retry_fields * len(policy) == 24
 
 
 def test_model_compressor_keywords_are_pinned():
@@ -126,7 +127,7 @@ NON_DEFAULTS = {
         bits=4, temperature=0.5, iters=7, tol=1e-4, weight_dtype=float16,
     ),
     ServingConfig: dict(
-        max_batch_size=3, max_queue_depth=5, max_new_tokens=9, eval_path="dense",
+        max_batch_size=3, max_queue_depth=5, max_new_tokens=9,
         temperature=0.7, poll_interval_s=0.01,
         retry=RetryPolicy(timeout_s=1.0, retries=0, backoff_s=0.0, respawns=1),
         join_timeout_s=1.5, drain_timeout_s=2.5,
@@ -165,7 +166,6 @@ OUT_OF_RANGE = [
     (ServingConfig, "max_batch_size", 0),
     (ServingConfig, "max_queue_depth", 0),
     (ServingConfig, "max_new_tokens", 0),
-    (ServingConfig, "eval_path", "sparse"),
     (ServingConfig, "temperature", -0.1),
     (ServingConfig, "poll_interval_s", 0.0),
     (ServingConfig, "join_timeout_s", 0.0),
@@ -175,6 +175,20 @@ OUT_OF_RANGE = [
     (RetryPolicy, "retries", -1),
     (RetryPolicy, "backoff_s", -0.1),
     (RetryPolicy, "respawns", -1),
+    # Non-finite times and temperatures: a NaN passes every sign check,
+    # and an infinite sleep or join overflows inside the scheduler.
+    (ServingConfig, "temperature", math.nan),
+    (ServingConfig, "temperature", math.inf),
+    (ServingConfig, "poll_interval_s", math.nan),
+    (ServingConfig, "poll_interval_s", math.inf),
+    (ServingConfig, "join_timeout_s", math.nan),
+    (ServingConfig, "join_timeout_s", math.inf),
+    (ServingConfig, "drain_timeout_s", math.nan),
+    (ServingConfig, "drain_timeout_s", math.inf),
+    (RetryPolicy, "timeout_s", math.nan),
+    (RetryPolicy, "timeout_s", math.inf),
+    (RetryPolicy, "backoff_s", math.nan),
+    (RetryPolicy, "backoff_s", math.inf),
 ]
 
 
@@ -193,13 +207,15 @@ def test_out_of_range_value_rejected(cls, name, value):
 
 
 @pytest.mark.parametrize(
-    "name", ["tile_cache_bytes_limit", "breaker_threshold", "breaker_probation_steps"]
+    "name",
+    ["tile_cache_bytes_limit", "breaker_threshold", "breaker_probation_steps", "eval_path"],
 )
 def test_retired_serving_knobs_are_refused(name):
-    """The tile-cache budget and the circuit breaker's two knobs are gone:
-    a constructor keyword is a ``TypeError`` and a persisted key a
-    ``ValueError``, never a silent default."""
+    """The tile-cache budget, the circuit breaker's two knobs and the
+    palette/dense eval-path switch are gone: a constructor keyword is a
+    ``TypeError`` and a persisted key a ``ValueError``, never a silent
+    default."""
     with pytest.raises(TypeError, match=name):
         ServingConfig(**{name: 1})
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=rf"unknown ServingConfig keys: \['{name}'\]"):
         ServingConfig.from_dict({**ServingConfig().to_dict(), name: 1})

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import math
 import threading
 from unittest import mock
 
@@ -179,9 +180,13 @@ class TestPaletteKernel:
             )
 
     def test_packed_artifact_smaller_than_fp16(self):
-        lut, indices, _ = self._layout(out=64, in_f=64, k=16)
-        layer = PaletteLinearExec("layer", lut, indices, cache=TileCache())
-        assert layer.packed_nbytes == 2 * 16 + 64 * 64 * 4 // 8 < 2 * 64 * 64
+        """The shipped artifact is a 16-bit lut plus bit-packed indices."""
+        wrapped = ClusteredLinear(
+            nn.Linear(64, 64, rng=np.random.default_rng(0)), DKMConfig(bits=4)
+        )
+        artifact = wrapped.palettize()
+        assert artifact.lut.size == 16
+        assert artifact.nbytes == 2 * 16 + 64 * 64 * 4 // 8 < 2 * 64 * 64
 
 
 class TestTileCache:
@@ -482,7 +487,7 @@ class TestCachedDecodeIdentity:
 
 class TestConfigRoundTrips:
     def test_serving_round_trip(self):
-        config = ServingConfig(max_batch_size=3, eval_path="dense")
+        config = ServingConfig(max_batch_size=3, temperature=0.5)
         assert ServingConfig.from_dict(config.to_dict()) == config
 
     def test_serving_round_trip_with_retry(self):
@@ -500,11 +505,12 @@ class TestConfigRoundTrips:
         [
             {"max_batch_size": 0},
             {"max_queue_depth": 0},
-            {"eval_path": "sparse"},
+            {"temperature": math.nan},
             {"temperature": -0.1},
             {"max_new_tokens": 0},
             {"poll_interval_s": 0.0},
             {"drain_timeout_s": -1.0},
+            {"poll_interval_s": math.inf},
         ],
     )
     def test_serving_validation(self, bad):
@@ -582,7 +588,7 @@ class TestHardWeightVersioning:
         assert wrapped.palette_exec is not exec_before
         assert not np.allclose(before, after)
         wrapped.disable_palette_eval()
-        assert wrapped.eval_path == "dense"
+        assert wrapped.palette_exec is None
 
     def test_palette_path_tracks_a_storage_swap_at_an_equal_version(self):
         """``to(CPU)`` gives the weight a fresh storage at version 0, and one
@@ -642,9 +648,13 @@ class TestPaletteServer:
         config = ServingConfig(max_batch_size=4)
         with PaletteServer(served_model, tokenizer, config=config) as server:
             got = [server.generate(p, max_new_tokens=MAX_NEW) for p in PROMPTS]
+            assert server._palette_layers
+            assert all(m.palette_exec is not None for _, m in server._palette_layers)
         assert got == offline
+        # close() restores the dense eval path on every clustered layer.
+        assert server._palette_layers == []
         assert all(
-            module.eval_path == "dense"
+            module.palette_exec is None
             for _, module in served_model.named_modules()
             if isinstance(module, ClusteredLinear)
         )

@@ -487,8 +487,10 @@ class TestInjectedFaults:
             assert report.step_retries == len(events)
             assert report.step_failures == 0
             # Every layer stays on the palette path: no layer is tripped.
+            assert server._palette_layers
             assert all(
-                module.eval_path == "palette" for _, module in server._palette_layers
+                module.palette_exec is not None
+                for _, module in server._palette_layers
             )
 
     def test_kernel_error_exhausts_retries_to_step_failed(
