@@ -4,7 +4,7 @@ from repro.evalsuite.harness import (
     EvalReport,
     SuiteResult,
     evaluate_suites,
-    option_log_likelihood,
+    option_log_likelihoods,
     score_cloze,
     score_multiple_choice,
 )
@@ -24,7 +24,7 @@ __all__ = [
     "EvalReport",
     "SuiteResult",
     "evaluate_suites",
-    "option_log_likelihood",
+    "option_log_likelihoods",
     "score_cloze",
     "score_multiple_choice",
     "GB",

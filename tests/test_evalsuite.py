@@ -6,20 +6,24 @@ import pytest
 import repro.tensor as rt
 import repro.nn as nn
 from repro.data import standard_suites
-from repro.data.tasks import MultipleChoiceItem, TaskSuite
+from repro.data.tasks import ClozeItem, MultipleChoiceItem, TaskSuite
 from repro.evalsuite import (
     GB,
+    EvalReport,
     QuantScheme,
     attention_map_bytes,
     evaluate_suites,
     fp16_size_bytes,
     model_size_gb,
-    option_log_likelihood,
+    option_log_likelihoods,
     paper_schemes,
     perplexity,
+    score_cloze,
     score_multiple_choice,
 )
-from repro.llm import LLAMA_7B, WordTokenizer
+from repro.llm import LLAMA_7B, MICRO, WordTokenizer, build_model
+from repro.tensor import ops
+from repro.tensor.autograd import no_grad
 from repro.tensor.tensor import Tensor
 
 
@@ -39,6 +43,33 @@ class BigramOracle(nn.Module):
         return Tensor.from_numpy(logits, device=tokens.device)
 
 
+class CountingLM(nn.Module):
+    """Passes every forward through to ``inner`` and counts them."""
+
+    def __init__(self, inner: nn.Module):
+        super().__init__()
+        self.inner = inner
+        self.forwards = 0
+
+    def forward(self, tokens: Tensor) -> Tensor:
+        self.forwards += 1
+        return self.inner(tokens)
+
+
+def oracle_log_likelihood(model, tokenizer, context, option, device) -> float:
+    """One full forward of ``context + option``: the per-option scorer."""
+    context_ids = tokenizer.encode(context, bos=True)
+    option_ids = tokenizer.encode(option)
+    full = context_ids + option_ids
+    tokens = Tensor.from_numpy(np.asarray([full], dtype=np.int64), device=device)
+    with no_grad():
+        log_probs = ops.log_softmax(model(tokens), dim=-1)._np()[0]
+    total = 0.0
+    for position, token_id in enumerate(option_ids):
+        total += float(log_probs[len(context_ids) + position - 1, token_id])
+    return total / len(option_ids)
+
+
 class TestHarnessScoring:
     def _oracle_setup(self):
         tok = WordTokenizer(words=["sky", "is", "blue", "green"])
@@ -54,8 +85,9 @@ class TestHarnessScoring:
 
     def test_option_log_likelihood_prefers_oracle_answer(self):
         model, tok, _, _ = self._oracle_setup()
-        ll_blue = option_log_likelihood(model, tok, "sky is", "blue", rt.CPU)
-        ll_green = option_log_likelihood(model, tok, "sky is", "green", rt.CPU)
+        ll_blue, ll_green = option_log_likelihoods(
+            model, tok, "sky is", ["blue", "green"], rt.CPU
+        )
         assert ll_blue > ll_green
 
     def test_length_normalization(self):
@@ -63,8 +95,7 @@ class TestHarnessScoring:
         tok = WordTokenizer(words=["a", "b", "c"])
         a, b = tok.encode("a")[0], tok.encode("b")[0]
         model = BigramOracle(tok.vocab_size, {(tok.bos_id, a): None, (a, a): None})
-        ll_short = option_log_likelihood(model, tok, "", "a", rt.CPU)
-        ll_long = option_log_likelihood(model, tok, "", "a a", rt.CPU)
+        ll_short, ll_long = option_log_likelihoods(model, tok, "", ["a", "a a"], rt.CPU)
         assert ll_short == pytest.approx(ll_long, abs=1e-4)
 
     def test_score_multiple_choice_oracle_is_perfect(self):
@@ -85,7 +116,36 @@ class TestHarnessScoring:
     def test_empty_option_rejected(self):
         model, tok, _, _ = self._oracle_setup()
         with pytest.raises(ValueError):
-            option_log_likelihood(model, tok, "sky is", "", rt.CPU)
+            option_log_likelihoods(model, tok, "sky is", ["blue", ""], rt.CPU)
+
+    def test_nan_score_raises_naming_suite_and_item(self):
+        """np.argmax takes the first NaN: a NaN model must not score 100 %."""
+        model, tok, _, _ = self._oracle_setup()
+        model.table[:] = np.nan
+        suite = TaskSuite(
+            name="stub",
+            kind="multiple_choice",
+            items=[
+                MultipleChoiceItem("sky is", ("blue", "green"), 0),
+                MultipleChoiceItem("sky is", ("green", "blue"), 0),
+            ],
+            n_options=2,
+        )
+        with pytest.raises(FloatingPointError, match="stub item 0"):
+            score_multiple_choice(model, tok, suite, rt.CPU)
+
+    @pytest.mark.parametrize("answer", ["", "   "])
+    def test_empty_cloze_answer_rejected(self, answer):
+        """An answer of no tokens would match the empty generation."""
+        tok = WordTokenizer(words=["capital", "paris"])
+        model = build_model(MICRO, vocab_size=tok.vocab_size, seed=0)
+        suite = TaskSuite(name="cloze", kind="cloze", items=[ClozeItem("capital", answer)])
+        with pytest.raises(ValueError, match="tokenizes to nothing"):
+            score_cloze(model, tok, suite, rt.CPU)
+
+    def test_empty_report_has_no_mean(self):
+        with pytest.raises(ValueError, match="no suite scored"):
+            EvalReport().mean_accuracy
 
     def test_trained_model_beats_chance(self, world, tokenizer, trained_model):
         suites = standard_suites(world, n_items=16)
@@ -110,6 +170,53 @@ class TestHarnessScoring:
         order = [s.name for s in suites]
         row = report.as_row(order)
         assert len(row) == 7
+
+
+class TestGroupedScoringEqualsOracle:
+    """One forward per distinct option prefix, each score == its own forward."""
+
+    WORDS = ["the", "sky", "is", "very", "big", "small", "tall", "red", "blue", "green"]
+
+    @pytest.mark.parametrize(
+        "options, n_prefixes",
+        [
+            (["red", "blue", "green", "tall"], 1),  # one token each
+            (["big red", "big blue", "big green"], 1),  # shared prefix
+            (["big red", "small red", "tall red"], 3),  # distinct prefixes
+            (["red", "big red", "very big red", "big blue", "blue", "red"], 3),  # mixed
+        ],
+    )
+    def test_scores_equal_per_option_forward(self, options, n_prefixes):
+        tok = WordTokenizer(words=self.WORDS)
+        model = build_model(MICRO, vocab_size=tok.vocab_size, seed=3)
+        model.eval()
+        counted = CountingLM(model)
+        scores = option_log_likelihoods(counted, tok, "the sky is", options, rt.CPU)
+        assert counted.forwards == n_prefixes
+        expected = [
+            oracle_log_likelihood(model, tok, "the sky is", option, rt.CPU)
+            for option in options
+        ]
+        assert scores == expected
+
+    def test_standard_suites_one_forward_per_item(self, world, tokenizer):
+        """Every standard-suite option is one token: 12 forwards, not 40."""
+        model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=0)
+        model.eval()
+        counted = CountingLM(model)
+        suites = [s for s in standard_suites(world, n_items=2) if s.kind == "multiple_choice"]
+        for suite in suites:
+            score_multiple_choice(counted, tokenizer, suite, rt.CPU)
+        assert counted.forwards == 12
+        for suite in suites:
+            for item in suite.items:
+                scores = option_log_likelihoods(
+                    model, tokenizer, item.context, item.options, rt.CPU
+                )
+                assert scores == [
+                    oracle_log_likelihood(model, tokenizer, item.context, option, rt.CPU)
+                    for option in item.options
+                ]
 
 
 class TestPerplexity:
