@@ -120,8 +120,8 @@ def serve(
 
     The one-call front door to :class:`~repro.serving.server.
     PaletteServer`: switches the model to eval mode, routes any
-    :class:`~repro.core.compressor.ClusteredLinear` through the palette
-    executor, and -- unless ``start=False`` --
+    :class:`~repro.core.compressor.ClusteredLinear` to the server's
+    tile cache, and -- unless ``start=False`` --
     launches the scheduler thread so :meth:`~repro.serving.server.
     PaletteServer.submit` / :meth:`~repro.serving.server.PaletteServer.
     generate` are immediately usable.  Keyword ``overrides`` are

@@ -29,6 +29,7 @@ from repro.core.fastpath import FastPathReport, FastPathStats, StepCache
 from repro.core.palettize import PalettizedTensor, kmeans_palettize
 from repro.nn.linear import Embedding, Linear, named_linears
 from repro.nn.module import Module
+from repro.tensor.autograd import is_grad_enabled, no_grad
 from repro.tensor.dtype import promote
 from repro.tensor.tensor import Tensor
 
@@ -52,14 +53,16 @@ class ClusteredLinear(Module):
         self.dkm_config = dkm_config
         self.uniquify_enabled = uniquify_enabled
         self.clusterer = DKMClusterer(dkm_config)
-        # Eval-path state, each entry ``(key, storage weakref, ...)``: the
-        # hard-weight cache, the shared (centroids, assignments) products
-        # both eval paths derive from, and the optional palette executor
-        # (enable_palette_eval).
-        self._hard_cache: tuple | None = None
-        self._hard_products_cache: tuple | None = None
-        self._palette_opts: tuple | None = None
-        self._palette_cache: tuple | None = None
+        # Eval state.  ``_eval`` is the hard clustering of one weight
+        # version, ``(key, lut, indices, dense)``: the palette projected to
+        # the weight dtype, the uint8 ``(out, in)`` index matrix and the
+        # dense reconstruction Tensor (``None`` until a dense eval forward
+        # builds it).  ``_route`` is ``(name, cache, fault_hook)`` while a
+        # server serves this layer (:meth:`enable_palette_eval`).
+        self._eval: tuple | None = None
+        self._route: tuple | None = None
+        # Weight bytes the served forwards read (the server's ledger charge).
+        self.served_bytes = 0
         # Clustering keys on 16-bit patterns: keep the master weight in the
         # configured 16-bit training dtype (paper: bfloat16).
         if inner.weight.dtype is not dkm_config.weight_dtype:
@@ -71,7 +74,7 @@ class ClusteredLinear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """``x @ clustered(W).T + b``: soft clustering while training, the
-        cached hard-palettized weight in eval mode."""
+        hard-clustered weight in eval mode."""
         if self.training:
             clustered = cluster(
                 self.inner.weight,
@@ -79,15 +82,12 @@ class ClusteredLinear(Module):
                 uniquify_enabled=self.uniquify_enabled,
             )
         else:
-            from repro.tensor.autograd import is_grad_enabled
-
-            # Eval mode: hard palettized weights (deployment behavior).
-            # Palette execution only applies off the autograd tape -- it
-            # returns detached values, so a recorded eval forward (e.g.
-            # probing gradients against frozen weights) keeps the dense
-            # reconstruction path.
-            if self._palette_opts is not None and not is_grad_enabled():
-                return self._palette_forward(x)
+            # A served layer answers no-grad forwards from the server's
+            # resident weight.  Served outputs are detached, so a recorded
+            # eval forward (e.g. probing gradients against frozen weights)
+            # keeps the dense Tensor.
+            if self._route is not None and not is_grad_enabled():
+                return self._served_forward(x)
             clustered = self._hard_weight()
         out = x @ clustered.T
         if self.inner.bias is not None:
@@ -95,170 +95,121 @@ class ClusteredLinear(Module):
         return out
 
     def train(self, mode: bool = True) -> "ClusteredLinear":
-        """Switch train/eval mode, dropping the hard-weight eval cache.
+        """Switch train/eval mode; training drops the dense eval Tensor.
 
-        Mode changes signal intent to (stop) mutating weights, so the
-        cached palettized reconstruction is conservatively dropped even
-        though it is also keyed on the weight storage version.
+        Training is about to rewrite the weight, so its dense
+        reconstruction is released even though the snapshot is also keyed
+        on the weight storage version.  The lut and indices stay: they are
+        small, and an unchanged weight reuses them.
         """
-        object.__setattr__(self, "_hard_cache", None)
+        if mode:
+            self._drop_dense()
         super().train(mode)
         return self
 
-    def _weight_version_key(self) -> tuple:
-        """The (storage, version, view) key a weight write or a storage
-        swap invalidates.
+    def _drop_dense(self) -> None:
+        if self._eval is not None:
+            self._eval = self._eval[:3] + (None,)
 
-        ``id(storage)`` alone can be reused once a swapped-out storage is
-        collected, so every cache holding this key also holds a weakref to
-        the storage and checks it with :meth:`_is_current`.
+    def _snapshot(self) -> tuple:
+        """The eval entry for the current weight, built once per version.
+
+        One ``refine`` plus one ``hard_assign``, shared by the dense and the
+        served path: ``refine`` warm-starts from mutable clusterer state, so
+        a second call against the same bytes can keep converging and yield
+        a slightly different palette.  The key is the (storage, version,
+        view) a weight write or a storage swap moves.  It names the storage
+        by weakref, not by ``id``: a swapped-out storage's id can be reused
+        by its successor, while a dead weakref equals only itself, so
+        neither this entry nor a server cache entry stamped with the key
+        can match a later storage.
         """
         weight = self.inner.weight
-        return (
-            id(weight.storage),
+        key = (
+            weakref.ref(weight.storage),
             weight.storage.version,
             weight.shape,
             weight.strides,
             weight.offset,
         )
-
-    def _is_current(self, cached: tuple | None) -> bool:
-        """Whether ``cached`` -- ``(key, storage weakref, ...)`` -- was
-        built from the weight as it is now."""
-        return (
-            cached is not None
-            and cached[0] == self._weight_version_key()
-            and cached[1]() is self.inner.weight.storage
-        )
-
-    def _hard_products(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(centroids, assignments)`` for the current weight version.
-
-        Computed once per version and shared by *both* eval paths:
-        ``refine`` warm-starts from mutable clusterer state, so a second
-        call against the same bytes can keep converging and yield a
-        slightly different palette -- the dense reconstruction and the
-        palette executor must consume the same snapshot or their outputs
-        diverge beyond summation order.
-        """
-        from repro.tensor.autograd import no_grad
-
-        weight = self.inner.weight
-        cached = self._hard_products_cache
-        if self._is_current(cached):
-            return cached[2], cached[3]
+        entry = self._eval
+        if entry is not None and entry[0] == key:
+            return entry
         with no_grad():
             state = self.clusterer.refine(weight)
-            assignments = np.asarray(
-                self.clusterer.hard_assign(weight), dtype=np.int64
-            )
-        centroids = state.centroids.copy()
-        self._hard_products_cache = (
-            self._weight_version_key(),
-            weakref.ref(weight.storage),
-            centroids,
-            assignments,
-        )
-        return centroids, assignments
+            indices = self.clusterer.hard_assign(weight).reshape(weight.shape)
+        # Project the palette through the weight dtype's grid, so the served
+        # weight holds exactly the values of the dense Tensor.
+        lut = Tensor.from_numpy(state.centroids, dtype=weight.dtype)._compute()
+        self._eval = (key, lut, indices, None)
+        return self._eval
 
     def _hard_weight(self) -> Tensor:
-        weight = self.inner.weight
-        cached = getattr(self, "_hard_cache", None)
-        # Keyed on Storage.version (the counter every in-place write
-        # bumps), not just on mode changes: an optimizer step or
-        # weight.copy_ while the module stays in eval mode must not
-        # keep serving the stale palettized reconstruction.
-        if self._is_current(cached):
-            return cached[2]
-        centroids, assignments = self._hard_products()
-        values = centroids[assignments].reshape(weight.shape)
-        hard = Tensor.from_numpy(values, dtype=weight.dtype, device=weight.device)
-        object.__setattr__(
-            self,
-            "_hard_cache",
-            (self._weight_version_key(), weakref.ref(weight.storage), hard),
-        )
-        return hard
+        """The dense hard-clustered weight, ``lut[indices]``, as a Tensor."""
+        key, lut, indices, dense = self._snapshot()
+        if dense is None:
+            weight = self.inner.weight
+            dense = Tensor.from_numpy(
+                lut[indices], dtype=weight.dtype, device=weight.device
+            )
+            self._eval = (key, lut, indices, dense)
+        return dense
 
     # ------------------------------------------------------------------
-    # Palette eval path (serving)
+    # Served eval path
     # ------------------------------------------------------------------
 
-    def enable_palette_eval(
-        self,
-        name: str,
-        cache,
-        fault_hook=None,
-    ) -> None:
-        """Route no-grad eval forwards through the palette executor.
+    def enable_palette_eval(self, name: str, cache, fault_hook=None) -> None:
+        """Serve no-grad eval forwards from ``cache``.
 
-        ``cache`` is the shared
-        :class:`~repro.serving.palette.TileCache`; ``name`` keys this
-        layer's resident weight in it.  ``fault_hook`` (serving chaos
-        harness) is called with the layer name at every palette matmul
-        entry.  The executor itself is built lazily on the first palette
-        forward and rebuilt whenever the weight's storage or its version
-        moves, so enabling is cheap and never serves stale weights.
+        ``cache`` is the server's
+        :class:`~repro.serving.palette.TileCache`, which holds this layer's
+        resident weight under ``name``; ``fault_hook`` (serving chaos
+        harness) is called with ``name`` on every served forward.  The
+        dense Tensor is dropped: a served layer holds only its lut and
+        indices.  Raises ``RuntimeError`` if another cache already serves
+        this layer: two live servers would share its fault hook and byte
+        counter, and closing either would un-route the other.
         """
-        self._palette_opts = (name, cache, fault_hook)
-        self._palette_cache = None
+        if self._route is not None and self._route[1] is not cache:
+            raise RuntimeError(
+                f"layer {name!r} is already served from another cache; "
+                "close that server first"
+            )
+        self._route = (name, cache, fault_hook)
+        self._drop_dense()
 
     def disable_palette_eval(self) -> None:
-        """Restore the dense-reconstruction eval path, dropping the
-        resident weight."""
-        if self.palette_exec is not None:
-            self.palette_exec.invalidate()
-        self._palette_opts = None
-        self._palette_cache = None
+        """Restore the dense eval path."""
+        self._route = None
 
-    @property
-    def palette_exec(self):
-        """The live :class:`~repro.serving.palette.PaletteLinearExec`.
+    def _served_forward(self, x: Tensor) -> Tensor:
+        """One verified cache read and one gemm (host numpy).
 
-        ``None`` until the first palette forward builds it (or when the
-        palette path is disabled).
+        A miss (the first call of a weight version, or the first after a
+        corrupt entry was dropped) puts ``lut[indices]`` into the cache
+        first.  The fault hook runs before the read, so an injected
+        :class:`~repro.serving.faults.PaletteKernelError` originates inside
+        the layer's call.
         """
-        return None if self._palette_cache is None else self._palette_cache[2]
-
-    def _palette_executor(self):
-        """The executor for the current weight storage and version,
-        (re)built lazily."""
-        from repro.serving.palette import PaletteLinearExec
-
-        if self._is_current(self._palette_cache):
-            return self._palette_cache[2]
-        if self.palette_exec is not None:
-            self.palette_exec.invalidate()
-        name, cache, fault_hook = self._palette_opts
-        key = self._weight_version_key()
-        weight = self.inner.weight
-        centroids, assignments = self._hard_products()
-        # Project the palette through the weight dtype's grid so palette
-        # arithmetic consumes exactly the values the dense reconstruction
-        # (Tensor.from_numpy(..., dtype=weight.dtype)) would.
-        lut = Tensor.from_numpy(centroids, dtype=weight.dtype)._compute()
-        indices = assignments.reshape(weight.shape)
-        exec_ = PaletteLinearExec(
-            name,
-            lut,
-            indices,
-            cache=cache,
-            version_token=key,
-            fault_hook=fault_hook,
-        )
-        self._palette_cache = (key, weakref.ref(weight.storage), exec_)
-        return exec_
-
-    def _palette_forward(self, x: Tensor) -> Tensor:
-        """Eval forward through the palette executor (host numpy)."""
-        exec_ = self._palette_executor()
+        key, lut, indices, _ = self._snapshot()
+        name, cache, fault_hook = self._route
+        if fault_hook is not None:
+            fault_hook(name)
+        resident = cache.get(name, key)
+        if resident is None:
+            resident = lut[indices]
+            cache.put(name, key, resident)
+            self.served_bytes += lut.nbytes + indices.nbytes
+        else:
+            self.served_bytes += resident.nbytes
         weight = self.inner.weight
         x_np = x._compute()
-        flat = x_np.reshape(-1, weight.shape[1])
-        y = exec_.matmul(flat)
-        out_np = y.reshape(*x_np.shape[:-1], weight.shape[0])
+        y = np.matmul(x_np.reshape(-1, weight.shape[1]), resident.T)
         out = Tensor.from_numpy(
-            out_np, dtype=promote(x.dtype, weight.dtype), device=x.device
+            y.reshape(*x_np.shape[:-1], weight.shape[0]),
+            dtype=promote(x.dtype, weight.dtype),
+            device=x.device,
         )
         if self.inner.bias is not None:
             out = out + self.inner.bias

@@ -33,7 +33,6 @@ from repro.serving.faults import (
 )
 from repro.serving.palette import (
     PaletteLayout,
-    PaletteLinearExec,
     TileCache,
     TileCacheStats,
     palette_matmul,
@@ -70,7 +69,6 @@ __all__ = [
     "LoopSupervisor",
     "PaletteKernelError",
     "PaletteLayout",
-    "PaletteLinearExec",
     "PaletteServer",
     "RequestQueue",
     "RequestRecord",

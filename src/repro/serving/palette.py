@@ -2,13 +2,13 @@
 
 A palettized linear weight ``W`` of shape ``(out, in)`` takes at most
 ``k = 2**bits`` distinct values -- the palette ``lut`` -- and ships as
-that ``lut`` plus one small index per weight position.  The server keeps
-exactly that per layer (:class:`PaletteLinearExec`: the ``lut`` and the
-uint8 ``indices``) and dequantizes it once per weight version: the first
-call builds ``dense = lut[indices]`` and puts it into the shared
-:class:`TileCache` as one CRC-32-stamped, read-only entry; every call
-reads that entry back (verifying every byte) and runs one gemm,
-``x @ dense.T``.
+that ``lut`` plus one small index per weight position.  A served
+:class:`~repro.core.compressor.ClusteredLinear` keeps exactly that (its
+eval snapshot) and dequantizes it once per weight version: the first
+served call puts ``dense = lut[indices]`` into the server's
+:class:`TileCache` as one CRC-32-stamped, read-only entry under the
+layer's name; every call reads that entry back (verifying every byte)
+and runs one gemm, ``x @ dense.T``.
 
 :class:`PaletteLayout` and :func:`palette_matmul` are the
 multiply-by-palette formulation of the same product::
@@ -30,7 +30,6 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -157,10 +156,10 @@ class TileCacheStats:
 class TileCache:
     """The dequantized weight of every served layer, one entry per layer.
 
-    Shared across every served layer (keys carry the layer name and its
-    weight's storage and version); an entry stays resident until its
-    layer's version is invalidated.  Thread-safe: the scheduler thread
-    and any caller probing stats may race.
+    Shared across a server's layers: each entry sits under its layer's
+    name, stamped with the weight version it was built from, and a
+    :meth:`put` of a new version replaces it.  Thread-safe: the scheduler
+    thread and any caller probing stats may race.
 
     Every entry is stamped with its CRC-32 at :meth:`put`, and every
     :meth:`get` recomputes the stamp over the whole entry: a resident
@@ -189,7 +188,7 @@ class TileCache:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tiles: dict[tuple, tuple[np.ndarray, int]] = {}
+        self._tiles: dict[str, tuple[object, np.ndarray, int]] = {}
         self._resident_bytes = 0
         self.stats = TileCacheStats()
 
@@ -199,70 +198,70 @@ class TileCache:
         # non-contiguous array is refused (ValueError), never copied.
         return zlib.crc32(tile)
 
-    def get(self, key: tuple) -> np.ndarray | None:
-        """The entry under ``key``, or ``None``.
+    def get(self, name: str, version: object) -> np.ndarray | None:
+        """``name``'s entry if it was built from ``version``, else ``None``.
 
         Raises :class:`~repro.serving.faults.CorruptTileError` (after
         dropping the entry) when its bytes no longer match the CRC-32
         stamped at :meth:`put`.  The returned array is read-only.
         """
         with self._lock:
-            entry = self._tiles.get(key)
-            if entry is None:
+            entry = self._tiles.get(name)
+            if entry is None or entry[0] != version:
                 self.stats.misses += 1
                 return None
-            tile, digest = entry
+            _, tile, digest = entry
             if self._digest(tile) != digest:
-                self._tiles.pop(key)
+                del self._tiles[name]
                 self._resident_bytes -= int(tile.nbytes)
                 self.stats.corruptions += 1
-                raise CorruptTileError(str(key[0]))
+                raise CorruptTileError(name)
             self.stats.hits += 1
             return tile
 
-    def put(self, key: tuple, tile: np.ndarray) -> None:
-        """Insert ``tile`` and make it read-only: the cache owns it from
-        here on."""
+    def put(self, name: str, version: object, tile: np.ndarray) -> None:
+        """Make ``tile`` ``name``'s entry for ``version``, replacing any
+        other, and make it read-only: the cache owns it from here on."""
         nbytes = int(tile.nbytes)
         digest = self._digest(tile)
         tile.setflags(write=False)
         with self._lock:
-            old = self._tiles.pop(key, None)
+            old = self._tiles.get(name)
             if old is not None:
-                self._resident_bytes -= int(old[0].nbytes)
-            self._tiles[key] = (tile, digest)
+                self._resident_bytes -= int(old[1].nbytes)
+            self._tiles[name] = (version, tile, digest)
             self._resident_bytes += nbytes
             self.stats.puts += 1
 
-    def holds(self, prefix: tuple) -> bool:
-        """Whether any entry under ``prefix`` is resident (a poisoning target)."""
+    def holds(self, name: str) -> bool:
+        """Whether ``name`` has a resident entry (a poisoning target)."""
         with self._lock:
-            return any(key[: len(prefix)] == prefix for key in self._tiles)
+            return name in self._tiles
 
-    def corrupt_one(self, prefix: tuple) -> bool:
-        """Flip one byte of the oldest resident entry under ``prefix``.
+    def corrupt_one(self, name: str) -> bool:
+        """Flip one byte of ``name``'s resident entry.
 
         The fault injector's poisoning primitive (the bit-rot stand-in,
         and the only code that lifts a resident entry's read-only flag):
         the stamp is deliberately *not* refreshed, so the next :meth:`get`
-        of that key detects the corruption.  Returns whether an entry was
-        poisoned (``False`` when nothing under ``prefix`` is resident).
+        of that entry detects the corruption.  Returns whether an entry
+        was poisoned (``False`` when ``name`` has none).
         """
         with self._lock:
-            for key, (tile, _) in self._tiles.items():
-                if key[: len(prefix)] == prefix:
-                    tile.setflags(write=True)
-                    tile.view(np.uint8).reshape(-1)[0] ^= 0xFF
-                    tile.setflags(write=False)
-                    return True
-        return False
+            entry = self._tiles.get(name)
+            if entry is None:
+                return False
+            tile = entry[1]
+            tile.setflags(write=True)
+            tile.view(np.uint8).reshape(-1)[0] ^= 0xFF
+            tile.setflags(write=False)
+            return True
 
-    def invalidate_prefix(self, prefix: tuple) -> None:
-        """Drop every entry whose key starts with ``prefix`` (stale version)."""
+    def clear(self) -> None:
+        """Drop every entry (the server closed); the stats stay."""
         with self._lock:
-            stale = [k for k in self._tiles if k[: len(prefix)] == prefix]
-            for key in stale:
-                self._resident_bytes -= int(self._tiles.pop(key)[0].nbytes)
+            self._tiles.clear()
+            self._resident_bytes = 0
 
     def resident_bytes(self) -> int:
         """Bytes currently held by resident entries."""
@@ -272,90 +271,3 @@ class TileCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._tiles)
-
-
-@dataclass
-class PaletteExecStats:
-    """Per-layer execution counters.
-
-    ``calls`` counts :meth:`PaletteLinearExec.matmul` calls that ran a
-    gemm; ``dequantizations`` counts the calls among them that rebuilt the
-    resident weight from the palette (the first call of a weight version,
-    and the first after a corrupt entry was dropped).
-    """
-
-    calls: int = 0
-    dequantizations: int = 0
-
-    def to_dict(self) -> dict:
-        """Plain-dict form for stats reports and benchmark artifacts."""
-        return {"calls": self.calls, "dequantizations": self.dequantizations}
-
-
-class PaletteLinearExec:
-    """One eval-mode layer's executor: palette + one resident dense weight.
-
-    Built from the layer's converged palette (``lut`` already projected to
-    the serving weight dtype, so the resident weight holds exactly the
-    values the dense reconstruction path would) and its ``(out, in)``
-    index matrix, stored as uint8.  ``version_token`` is the caller's key
-    for the weight it was built from; the cache entry is keyed on
-    ``(name, version_token)``, so a weight write or a storage swap --
-    which the caller answers with a new executor -- never reads another
-    version's entry.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        lut: np.ndarray,
-        indices: np.ndarray,
-        cache: TileCache,
-        version_token: object = None,
-        fault_hook: Callable[[str], None] | None = None,
-    ) -> None:
-        self.name = name
-        self.lut = np.asarray(lut, dtype=np.float32).reshape(-1)
-        self.indices = _checked_indices(self.lut, indices).astype(
-            _index_dtype(self.lut.size)
-        )
-        self.cache = cache
-        self.key = (name, version_token)
-        self.fault_hook = fault_hook
-        self.stats = PaletteExecStats()
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes the executor holds itself: the lut and the indices."""
-        return int(self.lut.nbytes + self.indices.nbytes)
-
-    @property
-    def dense_nbytes(self) -> int:
-        """Bytes of the resident float32 weight a warm call reads."""
-        return int(self.indices.size * 4)
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``x @ W.T``: one verified cache read and one gemm.
-
-        A miss (first call of this weight version, or the first after a
-        corrupt entry was dropped) dequantizes ``lut[indices]`` and puts
-        it into the cache first.  The optional ``fault_hook`` (the
-        server's ``kernel_error`` probe) runs first with this layer's
-        name, so an injected
-        :class:`~repro.serving.faults.PaletteKernelError` genuinely
-        originates inside the layer's call.
-        """
-        if self.fault_hook is not None:
-            self.fault_hook(self.name)
-        x = np.asarray(x, dtype=np.float32)
-        dense = self.cache.get(self.key)
-        if dense is None:
-            dense = self.lut[self.indices]
-            self.cache.put(self.key, dense)
-            self.stats.dequantizations += 1
-        self.stats.calls += 1
-        return np.matmul(x, dense.T)
-
-    def invalidate(self) -> None:
-        """Drop this layer's resident weight (weight version moved on)."""
-        self.cache.invalidate_prefix(self.key)

@@ -6,9 +6,9 @@ thread, a scheduler thread drains the admission-controlled
 :class:`~repro.serving.queue.RequestQueue` into the
 :class:`~repro.serving.batcher.ContinuousBatcher`, and eval-mode
 :class:`~repro.core.compressor.ClusteredLinear` layers execute through
-one resident, CRC-32-checked dequantized weight per layer
-(:mod:`repro.serving.palette`) in a shared cache.  Per-request bytes flow into
-:mod:`repro.memory.traffic` under ``serve:`` tags, and
+one resident, CRC-32-checked dequantized weight per layer in the
+server's :class:`~repro.serving.palette.TileCache`.  Per-request bytes flow
+into :mod:`repro.memory.traffic` under ``serve:`` tags, and
 :meth:`PaletteServer.stats` renders everything into a
 :class:`~repro.serving.stats.StatsReport`.
 
@@ -286,8 +286,9 @@ class PaletteServer:
     """Concurrent generation server over a (possibly compressed) model.
 
     The model is switched to eval mode on construction, and every
-    :class:`ClusteredLinear` in it is routed through the palette executor
-    with one shared :class:`TileCache`.
+    :class:`ClusteredLinear` in it is routed to this server's
+    :class:`TileCache`; constructing a second server on a model that a
+    live server still serves raises ``RuntimeError``.
     Use as a context manager, or pair :meth:`start` with :meth:`close`.
     """
 
@@ -337,9 +338,9 @@ class PaletteServer:
         return None if self.fault_injector is None else self._kernel_fault
 
     def _kernel_fault(self, layer: str) -> None:
-        """The palette executor's ``fault_hook``: raise if a fault fires.
+        """The served layers' ``fault_hook``: raise if a fault fires.
 
-        Runs inside the layer's kernel call during a decode forward, so
+        Runs inside the layer's served call during a decode forward, so
         an injected :class:`PaletteKernelError` originates inside the
         palette path the step's retry covers.
         """
@@ -347,19 +348,25 @@ class PaletteServer:
             raise PaletteKernelError(layer)
 
     def _install_palette(self) -> None:
-        for name, module in self.model.named_modules():
-            if isinstance(module, ClusteredLinear):
-                module.enable_palette_eval(
-                    name=name,
-                    cache=self.tile_cache,
-                    fault_hook=self._fault_hook(),
-                )
-                self._palette_layers.append((name, module))
+        try:
+            for name, module in self.model.named_modules():
+                if isinstance(module, ClusteredLinear):
+                    module.enable_palette_eval(
+                        name=name,
+                        cache=self.tile_cache,
+                        fault_hook=self._fault_hook(),
+                    )
+                    self._palette_layers.append((name, module))
+        except RuntimeError:
+            # Another cache serves a layer: undo the routes set so far.
+            self._uninstall_palette()
+            raise
 
     def _uninstall_palette(self) -> None:
         for _, module in self._palette_layers:
             module.disable_palette_eval()
         self._palette_layers = []
+        self.tile_cache.clear()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -547,11 +554,8 @@ class PaletteServer:
             self.stats_acc.note_rejected_admission()
             raise
         self.stats_acc.note_submitted()
-        self.ledger.record(
-            "client",
-            "server",
-            len(prompt.encode("utf-8")),
-            tag=request_tag(request.id),
+        self._record(
+            "client", "server", len(prompt.encode("utf-8")), request_tag(request.id)
         )
         return request
 
@@ -574,7 +578,7 @@ class PaletteServer:
         else:
             end = self._stopped_at if self._stopped_at is not None else time.monotonic()
             wall = end - self._started_at
-        return self.stats_acc.report(wall, ledger=self.ledger)
+        return self.stats_acc.report(wall)
 
     # ------------------------------------------------------------------
     # Scheduler (one thread per loop generation)
@@ -651,7 +655,7 @@ class PaletteServer:
                 self.supervisor.check(generation)
                 try:
                     self._apply_step_faults(generation, injector)
-                    before = self._weight_call_snapshot()
+                    before = self._served_bytes()
                     batcher.step(time.monotonic())
                     # A zombie waking from a genuine in-step hang must not
                     # ledger bytes.
@@ -688,8 +692,8 @@ class PaletteServer:
         if injector is None:
             return
         for name, _ in self._palette_layers:
-            if self.tile_cache.holds((name,)) and injector.fire("corrupt_tile", name):
-                self.tile_cache.corrupt_one((name,))
+            if self.tile_cache.holds(name) and injector.fire("corrupt_tile", name):
+                self.tile_cache.corrupt_one(name)
         for kind in ("hang_step", "delay_step"):
             spec = injector.fire(kind, STEP_TARGET)
             if spec is not None:
@@ -797,43 +801,31 @@ class PaletteServer:
     # Byte accounting
     # ------------------------------------------------------------------
 
+    def _record(self, src: str, dst: str, nbytes: int, tag: str) -> None:
+        """Ledger one transfer and count it in this server's stats."""
+        self.ledger.record(src, dst, nbytes, tag=tag)
+        self.stats_acc.note_bytes(nbytes, weights=dst == "flops")
+
     def _on_retire(self, seq: SequenceState) -> None:
         """Ledger the completion bytes of a retired sequence."""
         text = "" if seq.request.error is not None else self.tokenizer.decode(
             seq.generated
         )
-        self.ledger.record(
-            "server",
-            "client",
-            len(text.encode("utf-8")),
-            tag=request_tag(seq.request.id),
+        self._record(
+            "server", "client", len(text.encode("utf-8")), request_tag(seq.request.id)
         )
 
-    def _weight_call_snapshot(self) -> dict[str, tuple[int, int]]:
-        """Per-layer (calls, dequantizations) counters now."""
-        snapshot: dict[str, tuple[int, int]] = {}
-        for name, module in self._palette_layers:
-            exec_ = module.palette_exec
-            if exec_ is not None:
-                snapshot[name] = (exec_.stats.calls, exec_.stats.dequantizations)
-        return snapshot
+    def _served_bytes(self) -> int:
+        """Weight bytes the served layers have read so far."""
+        return sum(module.served_bytes for _, module in self._palette_layers)
 
-    def _record_step_weights(self, before: dict[str, tuple[int, int]]) -> None:
+    def _record_step_weights(self, before: int) -> None:
         """Ledger the weight bytes one decode step read.
 
-        A palette-path call that dequantized charges the palette it read
-        (lut + indices); every other call charges the resident float32
-        weight its gemm read.
+        A served call that dequantized charges the palette it read (lut +
+        indices); every other call charges the resident float32 weight its
+        gemm read.
         """
-        nbytes = 0
-        for name, module in self._palette_layers:
-            exec_ = module.palette_exec
-            if exec_ is None:
-                continue
-            calls_before, dequantizations_before = before.get(name, (0, 0))
-            calls = exec_.stats.calls - calls_before
-            dequantizations = exec_.stats.dequantizations - dequantizations_before
-            nbytes += dequantizations * exec_.nbytes
-            nbytes += (calls - dequantizations) * exec_.dense_nbytes
+        nbytes = self._served_bytes() - before
         if nbytes:
-            self.ledger.record("weights", "flops", nbytes, tag=WEIGHT_TAG)
+            self._record("weights", "flops", nbytes, WEIGHT_TAG)

@@ -6,10 +6,9 @@ accumulates those records plus scheduler-level counters (decode steps,
 batch occupancy, admission/deadline rejections) and renders them into a
 :class:`StatsReport` -- the rejection, decode-step, occupancy and
 step-failure counters the ``deploy_serve_eval`` pipeline benchmark
-reads.  Byte traffic is not tracked here:
-the server records per-request transfers into
-:mod:`repro.memory.traffic` under ``serve:``-prefixed tags, and the
-report pulls totals back out of the ledger.
+reads.  The server records every transfer into :mod:`repro.memory.traffic`
+under ``serve:``-prefixed tags and counts the same bytes here, so a report
+covers this server's transfers only, whatever else shares the ledger.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict, dataclass
 
-from repro.memory.traffic import TrafficLedger
 from repro.serving.queue import ServerRequest
 
 SERVE_TAG_PREFIX = "serve:"
@@ -127,6 +125,8 @@ class ServerStats:
         self.loop_respawns = 0
         self.kv_cache_bytes = 0
         self.kv_cache_peak_bytes = 0
+        self.weight_bytes_read = 0
+        self.activation_bytes = 0
         self.started_at: float | None = None
         self.stopped_at: float | None = None
 
@@ -183,6 +183,14 @@ class ServerStats:
             if resident_bytes > self.kv_cache_peak_bytes:
                 self.kv_cache_peak_bytes = resident_bytes
 
+    def note_bytes(self, nbytes: int, weights: bool) -> None:
+        """Count bytes the server ledgered: weight reads or request text."""
+        with self._lock:
+            if weights:
+                self.weight_bytes_read += nbytes
+            else:
+                self.activation_bytes += nbytes
+
     def note_finished(self, record: RequestRecord) -> None:
         """Record a resolved request (completed or failed)."""
         with self._lock:
@@ -193,18 +201,10 @@ class ServerStats:
         with self._lock:
             return list(self._records)
 
-    def report(
-        self,
-        wall_s: float,
-        ledger: TrafficLedger | None = None,
-        tag_prefix: str = SERVE_TAG_PREFIX,
-    ) -> StatsReport:
+    def report(self, wall_s: float) -> StatsReport:
         """Render accumulated counters into a :class:`StatsReport`.
 
-        ``wall_s`` is the measurement window (the caller owns the clock);
-        ``ledger`` supplies byte totals from ``tag_prefix``-tagged
-        transfers -- weight reads are ``dst="flops"`` records, activation
-        traffic everything else.
+        ``wall_s`` is the measurement window (the caller owns the clock).
         """
         with self._lock:
             records = list(self._records)
@@ -220,6 +220,8 @@ class ServerStats:
             loop_respawns = self.loop_respawns
             kv_cache_bytes = self.kv_cache_bytes
             kv_cache_peak_bytes = self.kv_cache_peak_bytes
+            weight_bytes = self.weight_bytes_read
+            activation_bytes = self.activation_bytes
         ok_records = [r for r in records if r.ok]
         failed_other = sum(
             1
@@ -232,16 +234,6 @@ class ServerStats:
         waits = [r.queue_wait_s for r in ok_records if r.queue_wait_s is not None]
         tokens = sum(r.new_tokens for r in ok_records)
         wall = max(wall_s, 1e-9)
-        weight_bytes = 0
-        activation_bytes = 0
-        if ledger is not None:
-            for transfer in ledger.transfers():
-                if not transfer.tag.startswith(tag_prefix):
-                    continue
-                if transfer.dst == "flops":
-                    weight_bytes += transfer.nbytes
-                else:
-                    activation_bytes += transfer.nbytes
         return StatsReport(
             wall_s=wall_s,
             submitted=submitted,

@@ -6,8 +6,9 @@ The load-bearing guarantees under test:
   (length-bucketed, never padded);
 - the palette eval path produces the same tokens as dense
   reconstruction, sequentially and under concurrent multi-client load;
-- ``ClusteredLinear``'s eval caches key on the weight's storage version,
-  so an in-place weight update in eval mode is never served stale;
+- ``ClusteredLinear``'s eval snapshot keys on the weight's storage and
+  its version, so an in-place weight update in eval mode is never served
+  stale;
 - admission control bounds the queue and deadlines reject late work;
 - every serving byte flows through the traffic ledger under ``serve:``
   tags.
@@ -34,6 +35,10 @@ from repro.core.compressor import ClusteredLinear
 from repro.llm import MICRO, ModelSpec, WordTokenizer, build_model, generate, generate_batch
 from repro.llm.generate import batched_last_logits
 import repro.serving.batcher as batcher_mod
+from repro.core.uniquify import uniquify_call_count
+from repro.data import standard_suites
+from repro.evalsuite import evaluate_suites
+from repro.memory import global_registry
 from repro.memory.traffic import TrafficLedger
 from repro.tensor.autograd import no_grad
 from repro.serving import (
@@ -43,7 +48,6 @@ from repro.serving import (
     DeadlineExceeded,
     FaultPlan,
     PaletteLayout,
-    PaletteLinearExec,
     PaletteServer,
     RequestQueue,
     RetryPolicy,
@@ -124,22 +128,23 @@ class TestPaletteKernel:
         indices = rng.integers(0, k, size=(out, in_f))
         return lut, indices, PaletteLayout.build(lut, indices)
 
-    def test_executor_resident_weight_is_the_lut_gather(self):
-        lut, indices, _ = self._layout(out=40, in_f=24, k=16)
+    def test_served_resident_weight_is_the_lut_gather(self):
+        wrapped = ClusteredLinear(
+            nn.Linear(24, 40, rng=np.random.default_rng(0)), DKMConfig(bits=4)
+        )
+        wrapped.eval()
         cache = TileCache()
-        layer = PaletteLinearExec("layer", lut, indices, cache=cache)
-        assert layer.indices.dtype == np.uint8
-        layer.matmul(np.ones((1, 24), np.float32))
-        resident = cache.get(layer.key)
+        wrapped.enable_palette_eval(name="layer", cache=cache)
+        with no_grad():
+            wrapped(rt.Tensor.from_numpy(np.ones((1, 24), np.float32)))
+        key, lut, indices, dense = wrapped._eval
+        assert indices.dtype == np.uint8 and indices.shape == (40, 24)
+        assert dense is None  # a served layer holds no dense Tensor
+        resident = cache.get("layer", key)
         assert resident.tobytes() == lut[indices].tobytes()
-        assert cache.resident_bytes() == layer.dense_nbytes == 40 * 24 * 4
-        assert layer.nbytes == lut.nbytes + 40 * 24
-
-    def test_executor_refuses_a_bad_index_matrix(self):
-        with pytest.raises(ValueError, match="2-D"):
-            PaletteLinearExec("l", np.zeros(4, np.float32), np.zeros(8, np.int64), TileCache())
-        with pytest.raises(ValueError, match="out of range"):
-            PaletteLinearExec("l", np.zeros(4, np.float32), np.full((2, 3), 4), TileCache())
+        assert cache.resident_bytes() == 40 * 24 * 4
+        # The cold call charged the palette it read: the lut and the indices.
+        assert wrapped.served_bytes == lut.nbytes + 40 * 24 == 16 * 4 + 40 * 24
 
     def test_palette_matmul_matches_dense(self):
         lut, indices, layout = self._layout(out=12, in_f=32, k=8)
@@ -203,45 +208,52 @@ class TestTileCache:
     def test_every_put_stays_resident(self):
         cache = TileCache()
         for i in range(10):
-            cache.put(("a", 0, i), self._tile(float(i)))
+            cache.put(f"a{i}", 0, self._tile(float(i)))
         assert cache.resident_bytes() == 320
-        assert all(cache.get(("a", 0, i)) is not None for i in range(10))
+        assert all(cache.get(f"a{i}", 0) is not None for i in range(10))
 
     def test_put_over_a_key_replaces_its_bytes(self):
         cache = TileCache()
-        cache.put(("a", 0, 0), self._tile(0.0))
-        cache.put(("a", 0, 0), self._tile(1.0))
+        cache.put("a", 0, self._tile(0.0))
+        cache.put("a", 0, self._tile(1.0))
         assert len(cache) == 1
         assert cache.resident_bytes() == 32
-        assert float(cache.get(("a", 0, 0))[0, 0]) == 1.0
+        assert float(cache.get("a", 0)[0, 0]) == 1.0
 
     def test_corrupt_tile_is_dropped_and_refilled(self):
         cache = TileCache()
-        cache.put(("a", 0, 0), self._tile(1.0))
-        cache.put(("b", 0, 0), self._tile(2.0))
-        assert cache.corrupt_one(("a",))
+        cache.put("a", 0, self._tile(1.0))
+        cache.put("b", 0, self._tile(2.0))
+        assert cache.corrupt_one("a")
         with pytest.raises(CorruptTileError):
-            cache.get(("a", 0, 0))
+            cache.get("a", 0)
         # The poisoned entry is gone; the other layer's tile is untouched.
-        assert not cache.holds(("a",))
+        assert not cache.holds("a")
         assert cache.resident_bytes() == 32
-        assert cache.get(("a", 0, 0)) is None
-        cache.put(("a", 0, 0), self._tile(1.0))
-        assert float(cache.get(("a", 0, 0))[0, 0]) == 1.0
-        assert float(cache.get(("b", 0, 0))[0, 0]) == 2.0
+        assert cache.get("a", 0) is None
+        cache.put("a", 0, self._tile(1.0))
+        assert float(cache.get("a", 0)[0, 0]) == 1.0
+        assert float(cache.get("b", 0)[0, 0]) == 2.0
         assert cache.stats.to_dict() == {
             "hits": 2, "misses": 1, "puts": 3, "corruptions": 1
         }
 
-    def test_invalidate_prefix(self):
+    def test_new_version_replaces_the_entry(self):
+        """One entry per layer name: a put of a new weight version replaces
+        the old one, whose version then misses."""
         cache = TileCache()
-        cache.put(("layer0", 7, 0), self._tile(0.0))
-        cache.put(("layer0", 8, 0), self._tile(1.0))
-        cache.put(("layer1", 7, 0), self._tile(2.0))
-        cache.invalidate_prefix(("layer0", 7))
-        assert cache.get(("layer0", 7, 0)) is None
-        assert cache.get(("layer0", 8, 0)) is not None
-        assert cache.get(("layer1", 7, 0)) is not None
+        cache.put("layer0", 7, self._tile(0.0))
+        cache.put("layer1", 7, self._tile(2.0))
+        cache.put("layer0", 8, self._tile(1.0))
+        assert len(cache) == 2 and cache.resident_bytes() == 64
+        assert cache.get("layer0", 7) is None
+        assert float(cache.get("layer0", 8)[0, 0]) == 1.0
+        assert cache.get("layer1", 7) is not None
+        cache.clear()
+        assert len(cache) == 0 and cache.resident_bytes() == 0
+        assert cache.stats.to_dict() == {
+            "hits": 2, "misses": 1, "puts": 3, "corruptions": 0
+        }
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +392,7 @@ def compressed3_model(tokenizer, trained_state):
 
 @contextlib.contextmanager
 def _palette_path(model):
-    """Run ``model``'s clustered layers on the palette executor for a while."""
+    """Serve ``model``'s clustered layers from one tile cache for a while."""
     clustered = [
         (name, module)
         for name, module in model.named_modules()
@@ -573,22 +585,24 @@ class TestHardWeightVersioning:
     def test_palette_path_tracks_weight_update(self):
         # The palette path only runs for detached (no_grad) eval forwards.
         wrapped = self._wrapped()
-        wrapped.enable_palette_eval(name="layer", cache=TileCache())
+        cache = TileCache()
+        wrapped.enable_palette_eval(name="layer", cache=cache)
         x = self._x()
         with no_grad():
             before = wrapped(x).numpy().copy()
-            exec_before = wrapped.palette_exec
-            assert exec_before is not None
+            snapshot_before = wrapped._eval
+            assert snapshot_before is not None
             wrapped.inner.weight.copy_(
                 np.random.default_rng(9)
                 .standard_normal((12, 16))
                 .astype(np.float32)
             )
             after = wrapped(x).numpy()
-        assert wrapped.palette_exec is not exec_before
+        assert wrapped._eval[0] != snapshot_before[0]
+        assert cache.stats.puts == 2 and len(cache) == 1
         assert not np.allclose(before, after)
         wrapped.disable_palette_eval()
-        assert wrapped.palette_exec is None
+        assert wrapped._route is None
 
     def test_palette_path_tracks_a_storage_swap_at_an_equal_version(self):
         """``to(CPU)`` gives the weight a fresh storage at version 0, and one
@@ -607,33 +621,69 @@ class TestHardWeightVersioning:
         x = self._x().numpy()
         with no_grad():
             wrapped(rt.Tensor.from_numpy(x, device=rt.GPU))
-            exec_before = wrapped.palette_exec
             wrapped.to(rt.CPU)
             weight = wrapped.inner.weight
             weight.copy_(-3 * weight.numpy())
             assert weight.storage.version == 1
             palette = wrapped(rt.Tensor.from_numpy(x, device=rt.CPU)).numpy()
-            assert wrapped.palette_exec is not exec_before
-            assert len(cache) == 1  # the old storage's entry was dropped
+            assert wrapped._eval[0][0]() is weight.storage
+            assert len(cache) == 1  # the new version replaced the old entry
+            assert cache.stats.puts == 2
             wrapped.disable_palette_eval()
             dense = wrapped(rt.Tensor.from_numpy(x, device=rt.CPU)).numpy()
         np.testing.assert_allclose(palette, dense, atol=1e-4)
+
+    def test_served_entry_misses_when_a_new_storage_reuses_the_id(self):
+        """Moving the weight off and back frees its storage, and a later
+        storage can take the freed id; ``copy_`` then brings it back to the
+        old version.  A cache entry stamped with ``id(storage)`` matched
+        that key and served the old weight (|served - dense| ~ 5)."""
+        wrapped = ClusteredLinear(
+            nn.Linear(16, 8, rng=np.random.default_rng(0)), DKMConfig(bits=2)
+        )
+        wrapped.to(rt.GPU)
+        wrapped.eval()
+        weight = wrapped.inner.weight
+        weight.copy_(weight.numpy())
+        cache = TileCache()
+        wrapped.enable_palette_eval(name="layer", cache=cache)
+        x = self._x().numpy()
+        with no_grad():
+            wrapped(rt.Tensor.from_numpy(x, device=rt.GPU))
+            old_id, old_version = id(weight.storage), weight.storage.version
+            # CPython hands a freed id to a later allocation of the same size:
+            # keep moving until the weight's storage lands on the old one.
+            for step in range(12):
+                wrapped.to(rt.CPU if step % 2 == 0 else rt.GPU)
+                if id(weight.storage) == old_id:
+                    break
+            for _ in range(old_version):
+                weight.copy_(-3 * weight.numpy())
+            device = weight.device
+            served = wrapped(rt.Tensor.from_numpy(x, device=device)).numpy()
+            assert (cache.stats.misses, cache.stats.puts) == (2, 2)
+            wrapped.disable_palette_eval()
+            dense = wrapped(rt.Tensor.from_numpy(x, device=device)).numpy()
+        np.testing.assert_allclose(served, dense, atol=1e-4)
 
     def test_palette_matches_dense_forward(self):
         wrapped = self._wrapped()
         x = self._x()
         with no_grad():
             dense = wrapped(x).numpy().copy()
-            wrapped.enable_palette_eval(name="layer", cache=TileCache())
+            cache = TileCache()
+            wrapped.enable_palette_eval(name="layer", cache=cache)
             palette = wrapped(x).numpy()
         wrapped.disable_palette_eval()
         np.testing.assert_allclose(palette, dense, atol=1e-4)
 
     def test_grad_enabled_forward_keeps_dense_path(self):
         wrapped = self._wrapped()
-        wrapped.enable_palette_eval(name="layer", cache=TileCache())
+        cache = TileCache()
+        wrapped.enable_palette_eval(name="layer", cache=cache)
         wrapped(self._x())  # grad enabled: palette path must not engage
-        assert wrapped.palette_exec is None
+        assert len(cache) == 0 and wrapped.served_bytes == 0
+        assert wrapped._eval[3] is not None  # the dense Tensor served it
         wrapped.disable_palette_eval()
 
 
@@ -649,12 +699,15 @@ class TestPaletteServer:
         with PaletteServer(served_model, tokenizer, config=config) as server:
             got = [server.generate(p, max_new_tokens=MAX_NEW) for p in PROMPTS]
             assert server._palette_layers
-            assert all(m.palette_exec is not None for _, m in server._palette_layers)
+            assert all(
+                server.tile_cache.holds(name) for name, _ in server._palette_layers
+            )
         assert got == offline
         # close() restores the dense eval path on every clustered layer.
         assert server._palette_layers == []
+        assert len(server.tile_cache) == 0
         assert all(
-            module.palette_exec is None
+            module._route is None
             for _, module in served_model.named_modules()
             if isinstance(module, ClusteredLinear)
         )
@@ -720,10 +773,10 @@ class TestPaletteServer:
             cold = ledger.total_bytes(tag="serve:weights")
             server.submit("alice lives in", max_new_tokens=1).result(timeout=30)
             warm = ledger.total_bytes(tag="serve:weights") - cold
-            palettes = [module.palette_exec for _, module in server._palette_layers]
-            assert cold == sum(p.lut.nbytes + p.indices.size for p in palettes)
+            snapshots = [module._eval for _, module in server._palette_layers]
+            assert cold == sum(lut.nbytes + indices.size for _, lut, indices, _ in snapshots)
             assert warm == server.tile_cache.resident_bytes() == 83_584
-            assert len(server.tile_cache) == len(palettes)
+            assert len(server.tile_cache) == len(snapshots)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_submit_rejects_a_budget_below_one(self, served_model, tokenizer, budget):
@@ -780,6 +833,102 @@ class TestPaletteServer:
             assert request.done
             if not request.ok:
                 assert isinstance(request.error, (ServerClosed, DeadlineExceeded))
+
+    def test_a_second_server_on_a_served_model_is_refused(self, served_model, tokenizer):
+        """Two live servers on one model used to share its layers: the
+        second took every route, and closing either sent the other's
+        layers back to the dense path (no CRC check, no fault hook and no
+        weight bytes)."""
+        with PaletteServer(served_model, tokenizer) as s1:
+            with pytest.raises(RuntimeError, match="already served"):
+                PaletteServer(served_model, tokenizer)
+            layers = s1._palette_layers
+            assert all(module._route[1] is s1.tile_cache for _, module in layers)
+            s1.generate(PROMPTS[0], max_new_tokens=1)  # cold: fills s1's cache
+            hits = s1.tile_cache.stats.hits
+            weight_bytes = s1.stats().weight_bytes_read
+            s1.generate(PROMPTS[0], max_new_tokens=1)
+            assert s1.tile_cache.stats.hits - hits == len(layers) == 15
+            assert (
+                s1.stats().weight_bytes_read - weight_bytes
+                == s1.tile_cache.resident_bytes()
+            )
+        assert all(module._route is None for _, module in layers)
+        with PaletteServer(served_model, tokenizer) as s2:  # s1 closed: allowed
+            assert all(module._route[1] is s2.tile_cache for _, module in layers)
+
+    def test_stats_count_only_this_servers_bytes(self, served_model, tokenizer):
+        """A fresh server used to report its predecessor's ledgered bytes."""
+        ledger = TrafficLedger()
+        with PaletteServer(served_model, tokenizer, ledger=ledger) as first:
+            first.generate(PROMPTS[0], max_new_tokens=2)
+        used = first.stats()
+        assert used.weight_bytes_read > 0 and used.activation_bytes > 0
+        with PaletteServer(served_model, tokenizer, ledger=ledger) as fresh:
+            report = fresh.stats()
+        assert (report.completed, report.weight_bytes_read, report.activation_bytes) == (0, 0, 0)
+        # The ledger still receives every record.
+        assert ledger.total_bytes(tag_prefix="serve:") == (
+            used.weight_bytes_read + used.activation_bytes
+        )
+
+
+def _compressed(tokenizer, trained_state):
+    """A fresh trained MICRO model, compressed to 4 bits and in eval mode."""
+    model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=0)
+    model.to(rt.GPU)
+    for name, param in model.state_dict().items():
+        param.copy_(trained_state[name])
+    ModelCompressor(DKMConfig(bits=4)).compress(model)
+    model.eval()
+    return model
+
+
+def _clustered(model):
+    return [m for _, m in model.named_modules() if isinstance(m, ClusteredLinear)]
+
+
+class TestEvalSnapshot:
+    """One ``(lut, indices)`` snapshot per weight version feeds the dense
+    Tensor and the served weight; only the dense Tensor is ever dropped."""
+
+    def test_served_layers_hold_no_dense_tensor(self, tokenizer, trained_state):
+        model = _compressed(tokenizer, trained_state)
+        gpu = global_registry().get("gpu")
+        gc.collect()
+        before = gpu.current_bytes
+        generate(model, tokenizer, PROMPTS[0], max_new_tokens=3)
+        gc.collect()
+        assert gpu.current_bytes > before  # the dense path built its Tensors
+        server = PaletteServer(model, tokenizer)
+        try:
+            gc.collect()
+            assert gpu.current_bytes == before
+            assert all(m._eval[3] is None and m._eval[2] is not None for m in _clustered(model))
+        finally:
+            server.close()
+
+    def test_eval_passes_reuse_the_dense_tensor(self, world, tokenizer, trained_state):
+        model = _compressed(tokenizer, trained_state)
+        suites = standard_suites(world, n_items=2)
+        first = evaluate_suites(model, tokenizer, suites, rt.GPU)
+        dense = [m._eval[3] for m in _clustered(model)]
+        assert all(d is not None for d in dense)
+        second = evaluate_suites(model, tokenizer, suites, rt.GPU)
+        assert all(m._eval[3] is d for m, d in zip(_clustered(model), dense))
+        names = [suite.name for suite in suites]
+        assert second.as_row(names) == first.as_row(names)
+        model.train()
+        assert all(m._eval[3] is None for m in _clustered(model))
+
+    def test_no_uniquify_across_serve_and_close(self, tokenizer, trained_state):
+        model = _compressed(tokenizer, trained_state)
+        offline = generate(model, tokenizer, PROMPTS[0], max_new_tokens=2)
+        calls = uniquify_call_count()
+        with PaletteServer(model, tokenizer) as server:
+            assert server.generate(PROMPTS[0], max_new_tokens=2) == offline
+        assert generate(model, tokenizer, PROMPTS[0], max_new_tokens=2) == offline
+        assert uniquify_call_count() == calls
 
 
 class TestFacade:

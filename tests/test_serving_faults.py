@@ -32,8 +32,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import repro.nn as nn
 import repro.tensor as rt
 from repro.core import DKMConfig, ModelCompressor
+from repro.core.compressor import ClusteredLinear
 from repro.llm import MICRO, build_model, generate
 import repro.serving.batcher as batcher_mod
 from repro.serving import (
@@ -43,7 +45,6 @@ from repro.serving import (
     FaultPlan,
     FaultSpec,
     PaletteKernelError,
-    PaletteLinearExec,
     PaletteServer,
     RetryPolicy,
     RobustnessWarning,
@@ -55,6 +56,7 @@ from repro.serving import (
     TransientStepError,
 )
 from repro.serving.faults import STEP_TARGET
+from repro.tensor.autograd import no_grad
 
 MAX_NEW = 5
 
@@ -180,7 +182,7 @@ class TestTileCacheDigest:
     check misses most of the exhaustive sweeps and the call-shape count.
     """
 
-    KEY = ("layer", 0, 0)
+    KEY = ("layer", 0)  # (layer name, weight version)
 
     def _tile(self):
         return np.arange(12, dtype=np.float32).reshape(3, 4)
@@ -189,42 +191,42 @@ class TestTileCacheDigest:
         """The next ``get`` raises, drops the entry and then misses cleanly."""
         before = cache.resident_bytes()
         with pytest.raises(CorruptTileError) as excinfo:
-            cache.get(self.KEY)
+            cache.get(*self.KEY)
         assert excinfo.value.layer == "layer"
         assert cache.resident_bytes() == before - tile.nbytes
         assert len(cache) == 0
 
     def _assert_flip_detected(self, cache, tile, alias, pos, mask):
         """Put ``tile``, xor ``mask`` into ``alias[pos]``, detect, undo."""
-        cache.put(self.KEY, tile)
+        cache.put(*self.KEY, tile)
         alias[pos] ^= mask
         self._assert_detected(cache, tile)
         alias[pos] ^= mask
 
     def test_roundtrip_clean(self):
         cache = TileCache()
-        cache.put(self.KEY, self._tile())
-        got = cache.get(self.KEY)
+        cache.put(*self.KEY, self._tile())
+        got = cache.get(*self.KEY)
         np.testing.assert_array_equal(got, self._tile())
         assert cache.stats.corruptions == 0
 
     def test_corrupt_one_poisons_and_get_detects(self):
         cache = TileCache()
         tile = self._tile()
-        cache.put(self.KEY, tile)
-        assert cache.corrupt_one(("layer",)) is True
+        cache.put(*self.KEY, tile)
+        assert cache.corrupt_one("layer") is True
         assert not tile.flags.writeable  # the flag was restored
         self._assert_detected(cache, tile)
         assert cache.stats.corruptions == 1
         # The poisoned entry was dropped: next get is a clean miss.
-        assert cache.get(self.KEY) is None
+        assert cache.get(*self.KEY) is None
         assert cache.resident_bytes() == 0
         assert cache.stats.misses == 1
 
     def test_corrupt_one_no_match(self):
         cache = TileCache()
-        cache.put(self.KEY, self._tile())
-        assert cache.corrupt_one(("other",)) is False
+        cache.put(*self.KEY, self._tile())
+        assert cache.corrupt_one("other") is False
 
     def test_digest_hashes_the_buffer_in_place(self):
         tile = self._tile()
@@ -236,7 +238,7 @@ class TestTileCacheDigest:
         cache = TileCache()
         strided = tile[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
-            cache.put(self.KEY, strided)
+            cache.put(*self.KEY, strided)
         assert len(cache) == 0 and strided.flags.writeable  # refused untouched
 
     def test_every_single_byte_error_is_detected(self):
@@ -251,8 +253,8 @@ class TestTileCacheDigest:
             for mask in range(1, 256):
                 self._assert_flip_detected(cache, tile, alias, pos, mask)
         assert cache.stats.corruptions == alias.size * 255
-        cache.put(self.KEY, tile)
-        np.testing.assert_array_equal(cache.get(self.KEY), self._tile())
+        cache.put(*self.KEY, tile)
+        np.testing.assert_array_equal(cache.get(*self.KEY), self._tile())
 
     def test_full_size_tile_byte_word_and_transposition_errors(self):
         cache = TileCache()
@@ -274,35 +276,42 @@ class TestTileCacheDigest:
         # A transposition keeps every byte value and every column sum, so
         # an order-blind sum / xor fold cannot see it.
         assert not np.array_equal(tile[3], tile[17])
-        cache.put(self.KEY, tile)
+        cache.put(*self.KEY, tile)
         as_words[[3, 17]] = as_words[[17, 3]]
         self._assert_detected(cache, tile)
         assert cache.stats.corruptions == as_bytes.size + as_words.size + 1
 
     def test_resident_tile_is_read_only(self):
         cache = TileCache()
-        cache.put(self.KEY, self._tile())
+        cache.put(*self.KEY, self._tile())
         with pytest.raises(ValueError, match="read-only"):
-            cache.get(self.KEY)[0, 0] = 1.0
+            cache.get(*self.KEY)[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            cache.get(self.KEY)[1:].fill(0.0)  # views inherit the flag
+            cache.get(*self.KEY)[1:].fill(0.0)  # views inherit the flag
         # Nothing was written: the stamp still verifies.
-        np.testing.assert_array_equal(cache.get(self.KEY), self._tile())
+        np.testing.assert_array_equal(cache.get(*self.KEY), self._tile())
         assert cache.stats.corruptions == 0
         assert cache.stats.hits == 3
 
     def _layers(self, cache, shapes=((133, 24), (40, 133), (7, 40))):
-        rng = np.random.default_rng(0)
-        lut = rng.standard_normal(16).astype(np.float32)
-        return [
-            PaletteLinearExec(f"layer{i}", lut, rng.integers(0, 16, size=shape), cache=cache)
-            for i, shape in enumerate(shapes)
-        ]
+        """Served clustered layers, each routed to ``cache`` under its name."""
+        layers = []
+        for i, (out_features, in_features) in enumerate(shapes):
+            layer = ClusteredLinear(
+                nn.Linear(in_features, out_features, bias=False, rng=np.random.default_rng(i)),
+                DKMConfig(bits=4),
+            )
+            layer.eval()
+            layer.enable_palette_eval(name=f"layer{i}", cache=cache)
+            layers.append(layer)
+        return layers
 
     def _forward(self, layers, x):
-        for layer in layers:
-            x = layer.matmul(x)
-        return x
+        x = rt.Tensor.from_numpy(x)
+        with no_grad():
+            for layer in layers:
+                x = layer(x)
+        return x.numpy()
 
     def test_every_layer_is_verified_on_every_call(self):
         # Call shape, not timing: a sampled or every-N-th-visit scheme
@@ -320,20 +329,22 @@ class TestTileCacheDigest:
                 warm = self._forward(layers, x)
                 verified = [call.args[0] for call in stamp.call_args_list]
                 assert [t.shape for t in verified] == [
-                    layer.indices.shape for layer in layers
+                    layer.inner.weight.shape for layer in layers
                 ]
                 assert sum(t.nbytes for t in verified) == cache.resident_bytes()
         assert cache.stats.hits == 3 * len(layers)
-        assert [layer.stats.to_dict() for layer in layers] == [
-            {"calls": 4, "dequantizations": 1}
-        ] * len(layers)
+        assert cache.stats.puts == len(layers)
+        # One cold call read each palette, three warm calls the resident weight.
+        assert [layer.served_bytes for layer in layers] == [
+            16 * 4 + layer.inner.weight.numel * (1 + 3 * 4) for layer in layers
+        ]
         np.testing.assert_array_equal(warm, cold)
 
     def test_warm_call_is_one_get_one_digest_one_gemm(self, monkeypatch):
         cache = TileCache()
         (layer,) = self._layers(cache, shapes=((133, 24),))
         x = np.random.default_rng(1).standard_normal((7, 24)).astype(np.float32)
-        layer.matmul(x)
+        self._forward([layer], x)
         gemms = []
         real_matmul = np.matmul
 
@@ -347,10 +358,11 @@ class TestTileCacheDigest:
         ) as get, mock.patch.object(
             TileCache, "_digest", wraps=TileCache._digest
         ) as stamp:
-            y = layer.matmul(x)
+            y = self._forward([layer], x)
         assert get.call_count == 1 and stamp.call_count == 1
         assert gemms == [((7, 24), (24, 133))]
-        np.testing.assert_array_equal(y, x @ layer.lut[layer.indices].T)
+        _, lut, indices, _ = layer._eval
+        np.testing.assert_array_equal(y, real_matmul(x, lut[indices].T))
 
 
 class TestStepCrashBoundary:
@@ -489,7 +501,7 @@ class TestInjectedFaults:
             # Every layer stays on the palette path: no layer is tripped.
             assert server._palette_layers
             assert all(
-                module.palette_exec is not None
+                module._route[1] is server.tile_cache
                 for _, module in server._palette_layers
             )
 
