@@ -206,10 +206,10 @@ class ClusteredLinear(Module):
         weight = self.inner.weight
         x_np = x._compute()
         y = np.matmul(x_np.reshape(-1, weight.shape[1]), resident.T)
-        out = Tensor.from_numpy(
+        out = Tensor.adopt(  # y is this gemm's fresh result
             y.reshape(*x_np.shape[:-1], weight.shape[0]),
-            dtype=promote(x.dtype, weight.dtype),
-            device=x.device,
+            promote(x.dtype, weight.dtype),
+            x.device,
         )
         if self.inner.bias is not None:
             out = out + self.inner.bias

@@ -147,12 +147,22 @@ def kmeans_palettize(
 
     Runs plain Lloyd iterations in unique-value space -- the same
     uniquification trick as eDKM, applied to inference-time compression.
+    Raises :class:`FloatingPointError` for a table holding NaN or inf, as
+    ``DKMClusterer.refine`` does for a Linear weight: one would turn every
+    LUT entry into NaN, or ship an inf entry.
     """
     from repro.core.dkm import nearest_centroid
     from repro.tensor.ops.segment import segment_sum
 
     flat = np.asarray(weights, dtype=np.float32).reshape(-1)
     values, counts = np.unique(flat, return_counts=True)
+    # Sorted: any -inf is first, and +inf and NaN are last.
+    if values.size and not (np.isfinite(values[0]) and np.isfinite(values[-1])):
+        n_bad = int(counts[~np.isfinite(values)].sum())
+        raise FloatingPointError(
+            f"cannot palettize a non-finite weight: {n_bad} of {flat.size} "
+            "values are NaN or inf"
+        )
     k = 1 << bits
     quantiles = (np.arange(k) + 0.5) / k
     lut = np.quantile(flat, quantiles).astype(np.float32)

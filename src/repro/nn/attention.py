@@ -200,7 +200,7 @@ class MultiHeadAttention(Module):
             mixed = (weights @ values).transpose(0, 2, 1, 3)
             for row, out in zip(members, mixed):
                 context[row.start : row.start + count] = out
-        merged = Tensor.from_numpy(
-            context.reshape(x.shape[0], self.dim), dtype=x.dtype, device=x.device
+        merged = Tensor.adopt(  # context was allocated above, for this step only
+            context.reshape(x.shape[0], self.dim), x.dtype, x.device
         )
         return self.o_proj(merged)

@@ -11,9 +11,10 @@ from repro.tensor.dtype import DType, promote
 from repro.tensor.tensor import Tensor
 
 
-def make_result(values: np.ndarray, dtype: DType, device: Device) -> Tensor:
-    """Wrap raw values as a fresh contiguous tensor on ``device``."""
-    return Tensor.from_numpy(np.asarray(values), dtype=dtype, device=device)
+# An op's result wraps its kernel's fresh array without copying it
+# (``Tensor.adopt``): an op whose numpy result can alias an input copies
+# explicitly before it gets here.
+make_result = Tensor.adopt
 
 
 def normalize_dim(dim: int, ndim: int) -> int:

@@ -44,7 +44,13 @@ class Cast(Function):
     @staticmethod
     def forward(ctx: Context, a: Tensor, dtype: DType) -> Tensor:
         ctx.was_floating = a.dtype.is_floating
-        return make_result(a._np(), dtype, a.device)
+        values = dtype.project(a._np())
+        # Between dtypes sharing a physical buffer type with nothing to
+        # round (bf16 -> float32, or to ``a``'s own dtype) the projection
+        # is ``a``'s buffer itself.
+        if np.may_share_memory(values, a.storage.data):
+            values = values.copy()
+        return make_result(values, dtype, a.device)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:

@@ -217,7 +217,9 @@ class Cat(Function):
 class Contiguous(Function):
     @staticmethod
     def forward(ctx: Context, a: Tensor) -> Tensor:
-        return make_result(np.ascontiguousarray(a._np()), a.dtype, a.device)
+        # ``copy()``, not ``ascontiguousarray``: a contiguous input must not
+        # hand back its own buffer.
+        return make_result(a._np().copy(), a.dtype, a.device)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:

@@ -11,6 +11,7 @@ marshaling removes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -22,11 +23,16 @@ from repro.tensor.dtype import DType, get_dtype
 from repro.tensor.storage import Storage
 
 
-def contiguous_strides(shape: Sequence[int]) -> tuple[int, ...]:
-    """Row-major element strides for ``shape``."""
+@lru_cache(maxsize=1024)
+def contiguous_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-major element strides for ``shape``, as Python ints.
+
+    Memoized (a handful of shapes recur), so a result tensor costs no
+    stride loop; a numpy-int shape hashes like its Python-int twin.
+    """
     strides = [1] * len(shape)
     for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
+        strides[i] = strides[i + 1] * int(shape[i + 1])
     return tuple(strides)
 
 
@@ -43,6 +49,7 @@ class Tensor:
         "grad",
         "grad_fn",
         "consumers",
+        "_view",
         "__weakref__",
     )
 
@@ -54,18 +61,43 @@ class Tensor:
         offset: int = 0,
         requires_grad: bool = False,
     ) -> None:
+        self._set_slots(
+            storage,
+            tuple(map(int, shape)),
+            tuple(map(int, strides)),
+            int(offset),
+            bool(requires_grad),
+        )
+
+    def _set_slots(
+        self,
+        storage: Storage,
+        shape: tuple[int, ...],
+        strides: tuple[int, ...],
+        offset: int,
+        requires_grad: bool,
+        view: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Set every slot, from already-normalized metadata.
+
+        The one place that does: ``__init__`` normalizes its arguments
+        first, while ``adopt`` passes the kernel's shape as it is.
+        """
         self.storage = storage
         self.dtype = storage.dtype
-        self.shape = tuple(map(int, shape))
-        self.strides = tuple(map(int, strides))
-        self.offset = int(offset)
-        self.requires_grad = bool(requires_grad)
+        self.shape = shape
+        self.strides = strides
+        self.offset = offset
+        self.requires_grad = requires_grad
         self.grad: Tensor | None = None
         self.grad_fn: autograd.Node | None = None
         # Weak references to Nodes that consumed this tensor as an input;
         # populated by Function.apply and walked (descendant direction) by
         # eDKM's cross-device marshaling.
         self.consumers: list[Any] | None = None
+        # ``(storage.data, ndarray view)``, built by the first ``_np()``;
+        # see ``_np`` for why it holds the buffer and not the Storage.
+        self._view = view
 
     # ------------------------------------------------------------------
     # Construction
@@ -94,6 +126,34 @@ class Tensor:
             strides=contiguous_strides(values.shape),
             requires_grad=requires_grad,
         )
+
+    @classmethod
+    def adopt(cls, values: np.ndarray, dtype: DType, device: Device) -> "Tensor":
+        """Wrap a fresh kernel result as a contiguous tensor, without copying it.
+
+        ``values`` becomes the buffer (projected onto ``dtype``; a
+        non-C-contiguous result is laid out once), so it must share memory
+        with no input and no one else may write it: an op whose numpy
+        result can alias an input copies explicitly first.  External data
+        goes through :meth:`from_numpy`, which never aliases its caller.
+        The tensor is built in one step from the array's own shape, and it
+        starts with its numpy view.
+        """
+        view = dtype.project(values)
+        if not view.flags.c_contiguous:
+            view = view.copy()
+        flat = view.reshape(-1)
+        shape = view.shape
+        out = cls.__new__(cls)
+        out._set_slots(
+            Storage(flat, dtype, device),
+            shape,
+            contiguous_strides(shape),
+            0,
+            False,
+            (flat, view),
+        )
+        return out
 
     @classmethod
     def view_of(
@@ -145,18 +205,34 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def _np(self) -> np.ndarray:
-        """A (possibly non-contiguous) numpy view over this tensor's data."""
+        """A (possibly non-contiguous) numpy view over this tensor's data.
+
+        Built once and kept with the buffer it reads, as one tuple (one
+        atomic store, so a concurrent reader sees a matching pair).  The
+        pair names ``storage.data``, never the ``Storage``: a storage
+        swapped out (``Parameter.move_to``, a dtype re-projection) fails
+        the identity check, so the view is rebuilt over the new buffer, and
+        the old ``Storage`` is free to die and release its tracker bytes.
+        """
+        cached = self._view
+        if cached is not None and cached[0] is self.storage.data:
+            return cached[1]
+        return self._new_view()
+
+    def _new_view(self) -> np.ndarray:
         phys = self.storage.data
         itemsize = phys.itemsize
         # The ndarray constructor bounds-checks shape x strides against the
         # buffer (ValueError on overrun); ``as_strided`` would not.
-        return np.ndarray(
+        view = np.ndarray(
             self.shape,
             phys.dtype,
             phys,
             self.offset * itemsize,
             tuple(map(itemsize.__mul__, self.strides)),
         )
+        self._view = (phys, view)
+        return view
 
     def _compute(self) -> np.ndarray:
         """Data as a contiguous array in the dtype's compute precision."""

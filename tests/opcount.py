@@ -2,15 +2,19 @@
 
 ``count_ops()`` wraps ``Function.apply`` and ``Context.save_for_backward``
 for the length of a ``with`` block, so a test can pin how many ops a
-forward records and how many tensors each one saves.  Run as a script it
+forward records and how many tensors each one saves.  It also counts the
+copies ``Storage.from_values`` makes to own a caller's buffer (and their
+bytes) and the numpy views ``Tensor._np`` builds.  Run as a script it
 prints the per-op table of one benchmark-shaped ``finetune_mus`` training
-step (``docs/edkm-pipeline.md`` carries a copy)::
+step (``docs/edkm-pipeline.md`` carries a copy), or with ``--eval`` of one
+``evaluate_suites`` pass over ``standard_suites(n_items=2)``::
 
-    PYTHONPATH=src python tests/opcount.py
+    PYTHONPATH=src python tests/opcount.py [--eval]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,14 +24,20 @@ import numpy as np
 
 import repro.tensor as rt
 from repro.tensor.autograd import Context, Function
+from repro.tensor.storage import Storage
+from repro.tensor.tensor import Tensor
 
 
 @dataclass
 class OpCounts:
-    """``Function.apply`` calls and tensors saved for backward, by op name."""
+    """``Function.apply`` calls and tensors saved for backward, by op name,
+    plus the block's storage copies, their bytes and ``_np`` view builds."""
 
     dispatches: Counter = field(default_factory=Counter)
     saved: Counter = field(default_factory=Counter)
+    copies: int = 0
+    copied_bytes: int = 0
+    view_builds: int = 0
 
     def table(self) -> str:
         """A markdown table, busiest op first, totals last."""
@@ -38,6 +48,14 @@ class OpCounts:
             f"| **total** | **{sum(self.dispatches.values())}** "
             f"| **{sum(self.saved.values())}** |"
         )
+        lines += [
+            "",
+            "| counter | count |",
+            "|---|---:|",
+            f"| storage copies (`Storage.from_values`) | {self.copies} |",
+            f"| copied bytes | {self.copied_bytes} |",
+            f"| `_np` view builds | {self.view_builds} |",
+        ]
         return "\n".join(lines)
 
 
@@ -48,6 +66,8 @@ def count_ops() -> Iterator[OpCounts]:
     running: list[str] = []  # innermost op last: an op's forward may apply others
     original_apply = Function.__dict__["apply"]
     original_save = Context.save_for_backward
+    original_from_values = Storage.__dict__["from_values"]
+    original_new_view = Tensor._new_view
 
     def apply(cls, *args, **kwargs):
         name = cls.op_name or cls.__name__
@@ -62,21 +82,37 @@ def count_ops() -> Iterator[OpCounts]:
         counts.saved[running[-1]] += len(tensors)
         original_save(ctx, *tensors)
 
+    def from_values(cls, values, dtype, device):
+        storage = original_from_values.__func__(cls, values, dtype, device)
+        # The condition under which from_values copies to own its buffer.
+        if np.may_share_memory(dtype.project(values), values):
+            counts.copies += 1
+            counts.copied_bytes += storage.data.nbytes
+        return storage
+
+    def new_view(tensor):
+        counts.view_builds += 1
+        return original_new_view(tensor)
+
     Function.apply = classmethod(apply)
     Context.save_for_backward = save_for_backward
+    Storage.from_values = classmethod(from_values)
+    Tensor._new_view = new_view
     try:
         yield counts
     finally:
         Function.apply = original_apply
         Context.save_for_backward = original_save
+        Storage.from_values = original_from_values
+        Tensor._new_view = original_new_view
 
 
-def bench_shaped_model():
+def bench_shaped_model(vocab_size: int = 64):
     """The e2e benchmark's architecture: 15 Linears over 2 decoder layers."""
     from repro import nn
 
     return nn.Transformer(
-        vocab_size=64, dim=128, n_layers=2, n_heads=8, hidden_dim=256, max_seq_len=64
+        vocab_size=vocab_size, dim=128, n_layers=2, n_heads=8, hidden_dim=256, max_seq_len=64
     ).to("gpu")
 
 
@@ -99,5 +135,35 @@ def training_step_counts() -> OpCounts:
     return counts
 
 
+def eval_pass_counts(seed: int = 0) -> OpCounts:
+    """One warm ``evaluate_suites`` pass of ``deploy_serve_eval``'s scoring phase.
+
+    The bench-shaped model at the tokenizer's vocabulary, 3-bit clustered
+    and preclustered, scored over ``standard_suites(n_items=2)``: 12
+    multiple-choice and 8 cloze items.  A first, uncounted pass builds each
+    layer's eval snapshot, as the benchmark's warm passes do.
+    """
+    import repro
+    from repro.data import FactWorld, standard_suites
+    from repro.data.corpus import corpus_vocabulary
+    from repro.evalsuite import evaluate_suites
+    from repro.llm import WordTokenizer
+
+    world = FactWorld(seed=seed)
+    tokenizer = WordTokenizer(corpus_vocabulary(world))
+    model = bench_shaped_model(tokenizer.vocab_size)
+    repro.compress(model, bits=3).precluster()
+    suites = standard_suites(world, n_items=2)
+    evaluate_suites(model, tokenizer, suites, rt.GPU)
+    with count_ops() as counts:
+        evaluate_suites(model, tokenizer, suites, rt.GPU)
+    return counts
+
+
 if __name__ == "__main__":
-    print(training_step_counts().table())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--eval", action="store_true", help="count one evaluate_suites pass, not a training step"
+    )
+    args = parser.parse_args()
+    print((eval_pass_counts() if args.eval else training_step_counts()).table())

@@ -130,6 +130,22 @@ class TestGraphMechanics:
         (x * 2.0).sum().backward()
         assert x.grad.dtype is rt.bfloat16
 
+    def test_leaf_grads_never_share_a_buffer(self):
+        """``Add.backward`` hands one ``grad`` array to both inputs; each
+        leaf must still own its ``.grad`` (``_accumulate_leaf`` copies)."""
+        from repro.nn import Parameter
+
+        w1, w2 = (
+            Parameter.wrap(rt.tensor(np.full((2, 3), v, dtype=np.float32)))
+            for v in (1.0, 2.0)
+        )
+        weights = rt.tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
+        for step in (1, 2):  # the second backward accumulates
+            ((w1 + w2) * weights).sum().backward()
+            for w in (w1, w2):
+                assert np.array_equal(w.grad.numpy(), step * weights.numpy())
+            assert not np.shares_memory(w1.grad.storage.data, w2.grad.storage.data)
+
 
 class TestContext:
     def test_plain_object_protocols(self):

@@ -182,6 +182,15 @@ class TestKMeansPalettize:
         rel_err = np.mean((p.dequantize() - table) ** 2) / table.var()
         assert rel_err < 0.01
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises(self, bad):
+        # One NaN used to make all 256 LUT entries NaN, and an inf shipped
+        # an inf entry, silently; refine raises on the same input.
+        table = np.random.default_rng(3).standard_normal((64, 32)).astype(np.float32)
+        table[5, 7] = bad
+        with pytest.raises(FloatingPointError, match="1 of 2048 values"):
+            kmeans_palettize(table, bits=8)
+
     def test_deterministic(self):
         weights = np.random.default_rng(2).standard_normal(1000).astype(np.float32)
         a = kmeans_palettize(weights, bits=3)

@@ -1,6 +1,7 @@
 """Tests for Storage byte accounting and Device interning."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -155,3 +156,52 @@ class TestStorageAccounting:
             gc.collect()
         assert prof.peak_delta(dev.name) == 8000
         assert prof.retained_delta(dev.name) == 0
+
+
+class TestCachedViewFollowsStorageSwaps:
+    """A tensor keeps its numpy view with the buffer it reads, never the
+    Storage: a swapped-out storage is rebuilt over, and dies on time."""
+
+    def test_move_to_reads_new_buffer_and_releases_old(self):
+        from repro.nn import Parameter
+
+        src, dst = device("test-swap-move-src"), device("test-swap-move-dst")
+        param = Parameter.wrap(Tensor.from_numpy(np.arange(12.0).reshape(3, 4), float32, src))
+        old_view = param._np()
+        old_storage = weakref.ref(param.storage)
+        gc.collect()
+        before = src.tracker.current_bytes
+        param.move_to(dst)
+        gc.collect()
+        assert old_storage() is None
+        assert src.tracker.current_bytes == before - 48
+        view = param._np()
+        assert view is not old_view
+        assert np.shares_memory(view, param.storage.data)
+        assert np.array_equal(view, np.arange(12.0).reshape(3, 4))
+        param.fill_(5.0)
+        assert (param.storage.data == 5.0).all()
+
+    def test_bf16_reprojection_reads_new_buffer_and_releases_old(self):
+        from repro.core import DKMConfig
+        from repro.core.compressor import ClusteredLinear
+        from repro.nn import Linear
+
+        dev = device("test-swap-reproject")
+        layer = Linear(8, 6, bias=False, rng=np.random.default_rng(0))
+        layer.to(dev)
+        weight = layer.weight
+        old_view = weight._np()
+        old_storage = weakref.ref(weight.storage)
+        gc.collect()
+        before = dev.tracker.current_bytes
+        ClusteredLinear(layer, DKMConfig(bits=2))
+        gc.collect()
+        assert weight.dtype is bfloat16
+        assert old_storage() is None
+        # 48 float32 weights (4 B each) became 48 bf16 ones (2 B each).
+        assert dev.tracker.current_bytes == before - 48 * 4 + 48 * 2
+        view = weight._np()
+        assert view is not old_view
+        assert np.shares_memory(view, weight.storage.data)
+        assert np.array_equal(view, bfloat16.project(old_view))
