@@ -1,7 +1,7 @@
 """Compare every compression baseline on one weight matrix + calibration set.
 
 A compact, model-free view of the Table 3 contenders: quantize the same
-Linear weight with RTN / GPTQ / AWQ / SmoothQuant / k-means palettization /
+Linear weight with RTN / GPTQ / AWQ / k-means palettization /
 DKM clustering at 3 and 4 bits, and report both raw weight error and -- the
 metric GPTQ/AWQ actually optimize -- the layer *output* error on calibration
 inputs.
@@ -15,7 +15,6 @@ import repro.tensor as rt
 from repro.baselines import fake_quantize, gptq_quantize_weight
 from repro.baselines.awq import awq_scale_search
 from repro.baselines.calibration import LayerCalibration
-from repro.baselines.smoothquant import smoothquant_scales
 from repro.bench.tables import render_table
 from repro.core import DKMConfig
 from repro.core.dkm import DKMClusterer
@@ -60,10 +59,6 @@ def run_bits(bits: int):
     scales, alpha, _ = awq_scale_search(weight, calibration, bits, group_size=32)
     awq = fake_quantize(weight * scales[None, :], bits, group_size=32) / scales[None, :]
     evaluate(f"AWQ g32 (alpha={alpha})", weight, awq, x, rows)
-
-    sq_scales = smoothquant_scales(weight, calibration, alpha=0.5)
-    sq = fake_quantize(weight * sq_scales[None, :], bits) / sq_scales[None, :]
-    evaluate("SmoothQuant", weight, sq, x, rows)
 
     km = kmeans_palettize(weight, bits)
     evaluate("k-means palette (PTQ)", weight, km.dequantize(), x, rows)

@@ -34,7 +34,7 @@ Quickstart -- serve::
 ``repro.compress`` wraps the model's Linears with
 :class:`~repro.core.compressor.ClusteredLinear` (train-time clustering);
 ``repro.quantize`` applies any Table 3 method named by its config (RTN /
-GPTQ / AWQ / SmoothQuant / LLM-QAT, or eDKM via ``DKMConfig``), with
+GPTQ / AWQ / LLM-QAT, or eDKM via ``DKMConfig``), with
 ``run_fn`` as the calibration pass or the fine-tune;
 ``repro.serve`` starts a :class:`~repro.serving.server.PaletteServer` --
 an admission-controlled, continuously-batched generation server whose
@@ -49,7 +49,7 @@ lives on :class:`SavedTensorPipeline`::
 Subpackages: ``tensor`` (autograd substrate), ``memory`` (byte accounting),
 ``nn``/``optim`` (model library), ``distributed`` (learner simulation),
 ``core`` (DKM + eDKM), ``serving`` (palette-aware inference serving),
-``baselines`` (RTN/GPTQ/AWQ/SmoothQuant/LLM-QAT), ``llm``/``data``/
+``baselines`` (RTN/GPTQ/AWQ/LLM-QAT), ``llm``/``data``/
 ``evalsuite`` (end-to-end experiments), ``bench`` (table/figure
 regeneration).
 """

@@ -20,10 +20,8 @@ from repro.baselines.frontend import (
     QATConfig,
     QuantReport,
     RTNConfig,
-    SmoothQuantConfig,
     quantize,
 )
-from repro.baselines.smoothquant import smoothquant_scales
 
 __all__ = [
     "quantize",
@@ -31,7 +29,6 @@ __all__ = [
     "RTNConfig",
     "GPTQConfig",
     "AWQConfig",
-    "SmoothQuantConfig",
     "QATConfig",
     "awq_scale_search",
     "LayerCalibration",
@@ -43,5 +40,4 @@ __all__ = [
     "gptq_quantize_weight",
     "FakeQuantSTE",
     "QATLinear",
-    "smoothquant_scales",
 ]

@@ -4,8 +4,8 @@ The shape is neural-compressor's prepare -> ``run_fn(model)`` -> convert,
 and the config's type picks the method:
 
 - :class:`RTNConfig` -- round-to-nearest; needs no ``run_fn``.
-- :class:`GPTQConfig`, :class:`AWQConfig`, :class:`SmoothQuantConfig` --
-  ``run_fn`` is the calibration pass; it runs without gradients while
+- :class:`GPTQConfig`, :class:`AWQConfig` -- ``run_fn`` is the
+  calibration pass; it runs without gradients while
   :func:`~repro.baselines.calibration.record_linear_inputs` records every
   Linear's inputs.
 - :class:`QATConfig` -- LLM-QAT: the Linears are wrapped in
@@ -35,7 +35,6 @@ from repro.baselines.calibration import LayerCalibration, record_linear_inputs
 from repro.baselines.common import fake_quantize, quantization_mse
 from repro.baselines.gptq import gptq_quantize_weight
 from repro.baselines.llm_qat import QATLinear
-from repro.baselines.smoothquant import smoothquant_scales
 from repro.core.compressor import ModelCompressor
 from repro.core.config import DKMConfig
 from repro.nn import Module, named_linears
@@ -68,22 +67,13 @@ class AWQConfig:
 
 
 @dataclass(frozen=True)
-class SmoothQuantConfig:
-    """SmoothQuant's weight side: smoothed, then one symmetric grid per row."""
-
-    bits: int = 8
-
-
-@dataclass(frozen=True)
 class QATConfig:
     """LLM-QAT: fine-tune through a per-row symmetric fake-quantizer."""
 
     bits: int = 4
 
 
-QuantConfig = Union[
-    RTNConfig, GPTQConfig, AWQConfig, SmoothQuantConfig, QATConfig, DKMConfig
-]
+QuantConfig = Union[RTNConfig, GPTQConfig, AWQConfig, QATConfig, DKMConfig]
 
 
 @dataclass
@@ -109,15 +99,11 @@ def _quantize_weight(
         return gptq_quantize_weight(
             weight, calibration.hessian, config.bits, group_size=config.group_size
         )
-    if isinstance(config, AWQConfig):
-        scales = awq_scale_search(weight, calibration, config.bits, config.group_size)[0]
-        group_size = config.group_size
-    else:
-        scales, group_size = smoothquant_scales(weight, calibration), None
+    scales = awq_scale_search(weight, calibration, config.bits, config.group_size)[0]
     # Quantize ``W * s`` so salient input channels get finer steps, then fold
     # ``s`` back out.
     quantized = fake_quantize(
-        weight * scales[None, :], config.bits, symmetric=True, group_size=group_size
+        weight * scales[None, :], config.bits, symmetric=True, group_size=config.group_size
     )
     return quantized / scales[None, :]
 
@@ -132,8 +118,8 @@ def quantize(
     """Compress ``model``'s Linears in place with ``config``'s method.
 
     ``skip_names`` are module-path prefixes left untouched.  ``run_fn`` is
-    required by every method but RTN: the calibration pass for GPTQ / AWQ /
-    SmoothQuant, the fine-tune for LLM-QAT and eDKM.  eDKM's ``layer_mse``
+    required by every method but RTN: the calibration pass for GPTQ and
+    AWQ, the fine-tune for LLM-QAT and eDKM.  eDKM's ``layer_mse``
     is each fine-tuned weight's hard-assignment error against its current
     centroids.
     """

@@ -37,7 +37,7 @@ from repro.bench.table3 import (
     Table3Row,
     run_table3,
 )
-from repro.bench.tables import paper_vs_measured, render_table
+from repro.bench.tables import render_table
 
 __all__ = [
     "Claim",
@@ -64,6 +64,5 @@ __all__ = [
     "Table3Harness",
     "Table3Row",
     "run_table3",
-    "paper_vs_measured",
     "render_table",
 ]

@@ -251,12 +251,10 @@ def _config_for(
         max_batch_size=4,
         max_queue_depth=64,
         max_new_tokens=max_new_tokens,
-        poll_interval_s=0.002,
         fault_plan=plan,
         retry=RetryPolicy(
             timeout_s=0.25 if kind == "hang_step" else None,
             backoff_s=0.005,
-            respawns=4,
         ),
     )
 
@@ -442,12 +440,7 @@ def run_serving_faults(
             )
 
     # --- draining shutdown: stop(drain=True) finishes in-flight ----------
-    config = ServingConfig(
-        max_batch_size=2,
-        max_new_tokens=max_new_tokens,
-        poll_interval_s=0.002,
-        drain_timeout_s=STOP_DEADLINE_S,
-    )
+    config = ServingConfig(max_batch_size=2, max_new_tokens=max_new_tokens)
     server = PaletteServer(
         fresh_model(), tokenizer, config=config, ledger=TrafficLedger()
     )

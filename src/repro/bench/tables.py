@@ -46,9 +46,3 @@ def render_table(
     for row in text_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def paper_vs_measured(
-    label: str, paper_value: float | str, measured_value: float | str
-) -> str:
-    return f"{label:<40} paper={paper_value!s:>10}  measured={measured_value!s:>10}"

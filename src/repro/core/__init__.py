@@ -36,7 +36,6 @@ from repro.core.compressor import (
     LayerClusterResult,
     ModelCompressor,
     SWEEP_OPS,
-    dequantized_state,
     palettize_op,
     precluster_op,
     refine_op,
@@ -85,7 +84,6 @@ __all__ = [
     "LayerClusterResult",
     "ModelCompressor",
     "SWEEP_OPS",
-    "dequantized_state",
     "palettize_op",
     "precluster_op",
     "refine_op",

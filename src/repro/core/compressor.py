@@ -16,6 +16,7 @@ on every wrapped layer in insertion order.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -114,10 +115,9 @@ class ClusteredLinear(Module):
     def _snapshot(self) -> tuple:
         """The eval entry for the current weight, built once per version.
 
-        One ``refine`` plus one ``hard_assign``, shared by the dense and the
-        served path: ``refine`` warm-starts from mutable clusterer state, so
-        a second call against the same bytes can keep converging and yield
-        a slightly different palette.  The key is the (storage, version,
+        One :func:`hard_cluster`, shared by the dense and the served path,
+        and the same products :func:`palettize_op` ships, so an eval-mode
+        layer scores the artifact.  The key is the (storage, version,
         view) a weight write or a storage swap moves.  It names the storage
         by weakref, not by ``id``: a swapped-out storage's id can be reused
         by its successor, while a dead weakref equals only itself, so
@@ -135,12 +135,7 @@ class ClusteredLinear(Module):
         entry = self._eval
         if entry is not None and entry[0] == key:
             return entry
-        with no_grad():
-            state = self.clusterer.refine(weight)
-            indices = self.clusterer.hard_assign(weight).reshape(weight.shape)
-        # Project the palette through the weight dtype's grid, so the served
-        # weight holds exactly the values of the dense Tensor.
-        lut = Tensor.from_numpy(state.centroids, dtype=weight.dtype)._compute()
+        lut, indices = hard_cluster(self.clusterer, weight)
         self._eval = (key, lut, indices, None)
         return self._eval
 
@@ -282,15 +277,42 @@ def precluster_op(
     )
 
 
+def hard_cluster(
+    clusterer: DKMClusterer, weights: Tensor
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hard clustering of ``weights``: ``(lut, indices)``.
+
+    Refines a *copy* of the clusterer state and hard-assigns against it, so
+    the trained state is left as it was: ``refine`` warm-starts from that
+    state, and refining it in place would make every call converge a little
+    further and return a different palette.  ``lut`` is the refined
+    centroids projected onto the weight dtype's grid (float32 values), so
+    ``lut[indices]`` is exactly the hard weight; ``indices`` is the uint8
+    nearest-centroid index per weight, in the weight's shape.
+    """
+    trained = clusterer.state
+    if trained is not None:
+        clusterer.state = dataclasses.replace(
+            trained, centroids=trained.centroids.copy()
+        )
+    try:
+        with no_grad():
+            state = clusterer.refine(weights)
+            indices = clusterer.hard_assign(weights).reshape(weights.shape)
+    finally:
+        clusterer.state = trained
+    lut = Tensor.from_numpy(state.centroids, dtype=weights.dtype)._compute()
+    return lut, indices
+
+
 def palettize_op(
     clusterer: DKMClusterer, weights: Tensor, bits: int
 ) -> PalettizedTensor:
-    """One layer's refine + hard-assign + LUT packing (``finalize`` body)."""
-    state = clusterer.refine(weights)
-    assignments = clusterer.hard_assign(weights)
-    return PalettizedTensor.from_assignments(
-        state.centroids, assignments, bits, tuple(weights.shape)
-    )
+    """One layer's :func:`hard_cluster` packed into LUT + indices
+    (``finalize`` body): a pure function of the weight and the trained
+    state."""
+    lut, indices = hard_cluster(clusterer, weights)
+    return PalettizedTensor.from_assignments(lut, indices, bits, tuple(weights.shape))
 
 
 SWEEP_OPS: dict[str, Callable] = {
@@ -470,8 +492,3 @@ class ModelCompressor:
             if wrapper.inner.bias is not None:
                 report.uncompressed[f"{name}.bias"] = 2 * wrapper.inner.bias.numel
         return report
-
-
-def dequantized_state(report: CompressionReport) -> dict[str, np.ndarray]:
-    """Materialize fp32 weights from a compression report (for evaluation)."""
-    return {name: p.dequantize() for name, p in report.palettized.items()}

@@ -3,39 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.distributed.learner import LearnerGroup
-from repro.tensor.dtype import DType, bfloat16, get_dtype
-
-
-def config_to_dict(config) -> dict:
-    """Every dataclass field of ``config`` as JSON-safe primitives.
-
-    Keys come from ``fields()``, so a removed field cannot leave a stale
-    key behind.  ``weight_dtype`` serializes by name.
-    """
-    payload = {f.name: getattr(config, f.name) for f in fields(config)}
-    if "weight_dtype" in payload:
-        payload["weight_dtype"] = payload["weight_dtype"].name
-    return payload
-
-
-def config_from_dict(cls, payload: dict):
-    """Rebuild a validated ``cls`` from :func:`config_to_dict` output.
-
-    Unknown keys raise ``ValueError`` -- a misspelled knob in a persisted
-    artifact must fail loudly, not silently default.
-    """
-    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
-    payload = dict(payload)
-    if "weight_dtype" in payload:
-        payload["weight_dtype"] = get_dtype(payload["weight_dtype"])
-    return cls(**payload)
+from repro.tensor.dtype import DType, bfloat16
 
 
 @dataclass
@@ -74,18 +47,6 @@ class DKMConfig:
     def n_clusters(self) -> int:
         """Codebook size ``k = 2**bits``."""
         return 2**self.bits
-
-    def to_dict(self) -> dict:
-        """A plain-primitive dict that :meth:`from_dict` rebuilds exactly
-        (the form checkpoint manifests and benchmark artifacts embed; see
-        :func:`config_to_dict`)."""
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DKMConfig":
-        """Reconstruct a validated config from :meth:`to_dict` output
-        (unknown keys raise ``ValueError``)."""
-        return config_from_dict(cls, payload)
 
 
 @dataclass

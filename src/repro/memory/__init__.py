@@ -15,7 +15,7 @@ This package provides the instruments those experiments are built on:
 from repro.memory.tracker import MemoryTracker, TrackerRegistry, global_registry
 from repro.memory.traffic import TrafficLedger, Transfer, global_ledger
 from repro.memory.profile import MemoryProfile, profile_memory
-from repro.memory.report import format_bytes, footprint_table
+from repro.memory.report import format_bytes
 
 __all__ = [
     "MemoryTracker",
@@ -27,5 +27,4 @@ __all__ = [
     "MemoryProfile",
     "profile_memory",
     "format_bytes",
-    "footprint_table",
 ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from repro.memory.tracker import MemoryTracker
-
 _UNITS = ["B", "KB", "MB", "GB", "TB"]
 
 
@@ -17,16 +15,3 @@ def format_bytes(nbytes: float, precision: int = 2) -> str:
             return f"{sign}{value:.{precision}f} {unit}"
         value /= 1024.0
     raise AssertionError("unreachable")
-
-
-def footprint_table(trackers: list[MemoryTracker]) -> str:
-    """A small fixed-width table of current/peak residency per device."""
-    header = f"{'device':<12} {'current':>12} {'peak':>12}"
-    lines = [header, "-" * len(header)]
-    for tracker in trackers:
-        lines.append(
-            f"{tracker.name:<12} "
-            f"{format_bytes(tracker.current_bytes):>12} "
-            f"{format_bytes(tracker.peak_bytes):>12}"
-        )
-    return "\n".join(lines)

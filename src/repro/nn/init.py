@@ -17,10 +17,3 @@ def kaiming_uniform(
     """He-uniform used for Linear weights (matches torch's default gain)."""
     bound = float(np.sqrt(1.0 / max(fan_in, 1)))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    bound = float(np.sqrt(6.0 / max(fan_in + fan_out, 1)))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)

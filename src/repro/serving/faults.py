@@ -141,8 +141,7 @@ class FaultSpec:
     ``sweep`` is the 1-based decode step the spec arms at (the name is
     the fault log's key).  ``layer=None`` resolves to a deterministic
     seeded pick from the step's layer list (step-scoped kinds always
-    target :data:`STEP_TARGET`); ``op`` restricts the fault to one point
-    op (``None`` matches any).  ``times > 1`` re-fires on retries -- e.g.
+    target :data:`STEP_TARGET`).  ``times > 1`` re-fires on retries -- e.g.
     a ``transient_step`` with ``times`` above the retry budget fails the
     batch.  ``seconds`` sizes hang/delay naps.
     """
@@ -150,7 +149,6 @@ class FaultSpec:
     kind: str
     sweep: int = 1
     layer: str | None = None
-    op: str | None = None
     times: int = 1
     seconds: float = 30.0
 
@@ -195,7 +193,6 @@ class FaultEvent:
 
     sweep: int
     layer: str
-    op: str
     kind: str
     detail: str = ""
 
@@ -223,19 +220,6 @@ class FaultLog:
         if kind is None:
             return len(self.events)
         return sum(1 for event in self.events if event.kind == kind)
-
-    def to_json_dicts(self) -> list[dict]:
-        """The events as JSON-serializable dicts (benchmark artifact)."""
-        return [
-            {
-                "sweep": e.sweep,
-                "layer": e.layer,
-                "op": e.op,
-                "kind": e.kind,
-                "detail": e.detail,
-            }
-            for e in self.events
-        ]
 
 
 def _seeded_index(seed: int, spec_index: int, sweep: int, n: int) -> int:
@@ -268,7 +252,6 @@ class FaultInjector:
         self.plan = plan
         self.log = FaultLog()
         self.point = 0
-        self._op = ""
         self._fired: dict[int, int] = {}
         self._targets: dict[int, str] = {}
 
@@ -277,7 +260,7 @@ class FaultInjector:
         """An injector for ``plan``, or ``None`` for a fault-free server."""
         return None if plan is None else cls(plan)
 
-    def begin(self, point: int, names: Sequence[str], op: str) -> None:
+    def begin(self, point: int, names: Sequence[str]) -> None:
         """Open ``point`` (a decode step) over the layer ``names``.
 
         Arms every spec whose step is at or before ``point`` and resolves
@@ -287,7 +270,6 @@ class FaultInjector:
         the same layer at every point of every run.
         """
         self.point = point
-        self._op = op
         self._targets = {}
         for index, spec in enumerate(self.plan.specs):
             if spec.sweep > point:
@@ -305,13 +287,10 @@ class FaultInjector:
         """Consume and log a matching armed spec, or return ``None``.
 
         A spec matches when it is armed at this point with this kind and
-        target, its ``op`` (if any) is the point's op, and it has firings
-        left.  At most one spec fires per call.
+        target and has firings left.  At most one spec fires per call.
         """
         for index, spec in enumerate(self.plan.specs):
             if spec.kind != kind or self._targets.get(index) != target:
-                continue
-            if spec.op is not None and spec.op != self._op:
                 continue
             fired = self._fired.get(index, 0)
             if fired >= spec.times:
@@ -321,7 +300,6 @@ class FaultInjector:
                 FaultEvent(
                     sweep=self.point,
                     layer=target,
-                    op=self._op,
                     kind=kind,
                     detail=(
                         f"{spec.seconds}s"

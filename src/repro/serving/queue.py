@@ -205,13 +205,11 @@ class RequestQueue:
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
         self._pending: deque[ServerRequest] = deque()
-        self.rejected_full = 0
 
     def submit(self, request: ServerRequest) -> ServerRequest:
         """Enqueue ``request`` or raise :class:`AdmissionError` when full."""
         with self._lock:
             if len(self._pending) >= self.max_depth:
-                self.rejected_full += 1
                 raise AdmissionError(
                     f"queue full ({self.max_depth} pending); request rejected"
                 )
@@ -253,12 +251,21 @@ class RequestQueue:
             request.fail(error)
         return drained
 
-    def wait_nonempty(self, timeout: float) -> bool:
-        """Block up to ``timeout`` seconds for a pending request."""
+    def wait_nonempty(self, timeout: float, stop: threading.Event) -> bool:
+        """Block up to ``timeout`` seconds for a pending request or ``stop``.
+
+        ``stop`` is read under the queue's lock, so a :meth:`wake` that
+        follows ``stop.set()`` cannot slip between the check and the wait.
+        """
         with self._nonempty:
-            if self._pending:
-                return True
-            return self._nonempty.wait(timeout)
+            return self._nonempty.wait_for(
+                lambda: bool(self._pending) or stop.is_set(), timeout
+            )
+
+    def wake(self) -> None:
+        """Wake every :meth:`wait_nonempty` caller to re-check its ``stop``."""
+        with self._nonempty:
+            self._nonempty.notify_all()
 
     def __len__(self) -> int:
         with self._lock:

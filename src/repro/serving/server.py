@@ -25,7 +25,8 @@ The scheduler is *supervised*:
   thread becomes a zombie whose late writes are discarded
   (:class:`ServerRequest` resolution is idempotent; the loop re-checks
   its generation after every sleep), its batch fails with
-  ``StepFailed``, and a fresh loop is respawned under a bounded budget.
+  ``StepFailed``, and a fresh loop is respawned, at most
+  :data:`LOOP_RESPAWNS` times.
 - **Lifecycle.**  :meth:`stop` joins with a deadline and escalates
   (warn, zombify, fail in-flight) instead of deadlocking on a hung
   step; ``stop(drain=True)`` closes admission and finishes in-flight
@@ -80,6 +81,24 @@ from repro.tensor.device import Device
 WEIGHT_TAG = "serve:weights"
 """Ledger tag of per-step weight-read records (``dst="flops"``)."""
 
+POLL_INTERVAL_S = 0.005
+"""How long an idle scheduler waits for work before re-checking its
+generation and the drain flag (a submit or a :meth:`PaletteServer.stop`
+wakes it at once)."""
+
+JOIN_TIMEOUT_S = 5.0
+"""How long :meth:`PaletteServer.stop` joins the scheduler (and the
+watchdog) before escalating: warn, zombify the loop, fail what is still in
+flight."""
+
+DRAIN_TIMEOUT_S = 30.0
+"""How long ``stop(drain=True)`` lets queued and in-flight work finish
+before falling back to the hard stop."""
+
+LOOP_RESPAWNS = 4
+"""Watchdog respawns of the scheduler loop over a server's lifetime; past
+them the server is marked dead and rejects work."""
+
 
 class _StaleGeneration(Exception):
     """Internal: this scheduler loop's generation was revoked.
@@ -113,23 +132,6 @@ class ServerHealth:
     active_requests: int
     last_step_age_s: float | None
     step_in_flight_s: float | None
-
-    def to_dict(self) -> dict:
-        """A JSON-serializable snapshot."""
-        return {
-            "running": self.running,
-            "accepting": self.accepting,
-            "draining": self.draining,
-            "dead": self.dead,
-            "stalled": self.stalled,
-            "generation": self.generation,
-            "loop_alive": self.loop_alive,
-            "respawns": self.respawns,
-            "queue_depth": self.queue_depth,
-            "active_requests": self.active_requests,
-            "last_step_age_s": self.last_step_age_s,
-            "step_in_flight_s": self.step_in_flight_s,
-        }
 
 
 class LoopSupervisor:
@@ -417,9 +419,9 @@ class PaletteServer:
         """Stop the scheduler; fail queued and in-flight requests.
 
         With ``drain=True`` admission closes first and the loop is given
-        ``config.drain_timeout_s`` to finish queued and in-flight work
-        before the hard stop.  The hard stop joins the scheduler thread
-        with ``config.join_timeout_s`` and *escalates* on overrun --
+        :data:`DRAIN_TIMEOUT_S` to finish queued and in-flight work before
+        the hard stop.  The hard stop wakes an idle scheduler, joins its
+        thread for :data:`JOIN_TIMEOUT_S` and *escalates* on overrun --
         emits a :class:`RobustnessWarning`, revokes the loop generation
         (zombifying the stuck thread), and fails whatever is still in
         flight -- instead of deadlocking the caller.
@@ -428,20 +430,21 @@ class PaletteServer:
             return
         if drain and not self.supervisor.is_dead():
             self.supervisor.start_draining()
-            deadline = time.monotonic() + self.config.drain_timeout_s
+            deadline = time.monotonic() + DRAIN_TIMEOUT_S
             while time.monotonic() < deadline:
                 thread = self._thread
                 if thread is None or not thread.is_alive():
                     break
                 thread.join(timeout=0.01)
         self._stop.set()
+        self.queue.wake()
         thread = self._thread
         if thread is not None and thread.is_alive():
-            thread.join(timeout=self.config.join_timeout_s)
+            thread.join(timeout=JOIN_TIMEOUT_S)
             if thread.is_alive():
                 warnings.warn(
-                    "scheduler thread did not exit within join_timeout_s="
-                    f"{self.config.join_timeout_s}; revoking its generation "
+                    "scheduler thread did not exit within "
+                    f"{JOIN_TIMEOUT_S}s; revoking its generation "
                     "and failing in-flight requests",
                     RobustnessWarning,
                     stacklevel=2,
@@ -450,7 +453,7 @@ class PaletteServer:
         self._thread = None
         watchdog = self._watchdog
         if watchdog is not None:
-            watchdog.join(timeout=self.config.join_timeout_s)
+            watchdog.join(timeout=JOIN_TIMEOUT_S)
             self._watchdog = None
         self._stopped_at = time.monotonic()
         self.stats_acc.stopped_at = self._stopped_at
@@ -611,7 +614,7 @@ class PaletteServer:
                 elif self.supervisor.is_draining() and len(self.queue) == 0:
                     return  # drained: nothing in flight, nothing queued
                 else:
-                    self.queue.wait_nonempty(self.config.poll_interval_s)
+                    self.queue.wait_nonempty(POLL_INTERVAL_S, self._stop)
         except _StaleGeneration:
             return  # revoked by the watchdog; a fresh loop owns the server
         finally:
@@ -647,7 +650,7 @@ class PaletteServer:
         injector = self.fault_injector
         if injector is not None:
             names = [name for name, _ in self._palette_layers]
-            injector.begin(injector.point + 1, names, "decode")
+            injector.begin(injector.point + 1, names)
         self.supervisor.note_step_start(generation, time.monotonic())
         transient_attempts = 0
         try:
@@ -750,7 +753,7 @@ class PaletteServer:
         )
         if (
             self._stop.is_set()
-            or self.supervisor.respawns_used() >= self.config.retry.respawns
+            or self.supervisor.respawns_used() >= LOOP_RESPAWNS
         ):
             self.supervisor.mark_dead()
             if batcher is not None:
@@ -767,7 +770,7 @@ class PaletteServer:
         warnings.warn(
             "scheduler loop revoked by the step watchdog; respawning "
             f"({self.supervisor.respawns_used() + 1}/"
-            f"{self.config.retry.respawns})",
+            f"{LOOP_RESPAWNS})",
             RobustnessWarning,
             stacklevel=2,
         )

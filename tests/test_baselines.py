@@ -1,4 +1,4 @@
-"""Tests for the baseline compressors (RTN, GPTQ, AWQ, SmoothQuant, QAT) and
+"""Tests for the baseline compressors (RTN, GPTQ, AWQ, QAT) and
 the one ``quantize(model, config, run_fn=)`` front-end over them."""
 
 import numpy as np
@@ -13,14 +13,12 @@ from repro.baselines import (
     QATConfig,
     QATLinear,
     RTNConfig,
-    SmoothQuantConfig,
     fake_quantize,
     gptq_quantize_weight,
     quantization_mse,
     quantize,
     quantize_uniform,
     record_linear_inputs,
-    smoothquant_scales,
 )
 from repro.baselines.awq import awq_scale_search
 from repro.baselines.calibration import LayerCalibration
@@ -207,24 +205,6 @@ class TestRTN:
             quantize(nn.RMSNorm(4), RTNConfig(bits=3))
 
 
-class TestSmoothQuant:
-    def test_scales_balance_act_and_weight(self):
-        layer, cal, _ = _calibrated_layer()
-        scales = smoothquant_scales(layer.weight.numpy(), cal, alpha=0.5)
-        assert scales.shape == (32,)
-        assert np.all(scales > 0)
-
-    def test_model_level(self, world, tokenizer):
-        from repro.data import corpus_batches, generate_corpus
-
-        model = _tiny_lm(tokenizer)
-        corpus = generate_corpus(world, 64, seed=9)
-        batches = list(corpus_batches(corpus, tokenizer, 8, rt.GPU, seed=10))
-        report = quantize(model, SmoothQuantConfig(), run_fn=_forward_all(batches))
-        assert report.bits == 8
-        assert len(report.layer_mse) == 8
-
-
 class TestLLMQAT:
     def test_ste_gradient_is_identity(self):
         w = rt.Tensor.from_numpy(_weight(), device="gpu", requires_grad=True)
@@ -323,7 +303,7 @@ class TestCalibration:
 class TestQuantizeFrontEnd:
     @pytest.mark.parametrize(
         "config",
-        [GPTQConfig(), AWQConfig(), SmoothQuantConfig(), QATConfig(), DKMConfig()],
+        [GPTQConfig(), AWQConfig(), QATConfig(), DKMConfig()],
         ids=lambda c: type(c).__name__,
     )
     def test_run_fn_required_but_for_rtn(self, config):

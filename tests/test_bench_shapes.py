@@ -19,7 +19,7 @@ from repro.bench import (
     run_table2,
 )
 from repro.bench.table2 import Table2Result
-from repro.bench.tables import paper_vs_measured, render_table
+from repro.bench.tables import render_table
 
 
 class TestTable1:
@@ -114,7 +114,3 @@ class TestTableRendering:
             ["a", "b"], [[1, 2.5], ["x", None]], title="T", float_fmt="{:.2f}"
         )
         assert "T" in text and "2.50" in text and "--" in text
-
-    def test_paper_vs_measured(self):
-        line = paper_vs_measured("claim", 12.6, 12.55)
-        assert "12.6" in line and "12.55" in line

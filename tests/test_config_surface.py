@@ -1,15 +1,15 @@
 """The configuration surface, pinned by name.
 
-Every field of the three engine config dataclasses, every keyword of
-``ModelCompressor``, every field of the five baseline method configs, and
-every member of the strategy registry is listed here.  Adding a knob means editing
-this pin *and* naming, in the PR, the second non-test caller that needs a
-value different from the first (ROADMAP aim 2: a mechanism nobody but its
-own bench and tests switches on is deleted together with its selector).
+Every field of the three engine config dataclasses and the retry policy
+nested in ``ServingConfig``, every keyword of ``ModelCompressor``, every
+field of the four baseline method configs, and every member of the
+strategy registry is listed here.  Adding a knob means editing this pin
+*and* naming, in the PR, the second non-test caller that needs a value
+different from the first (ROADMAP aim 2: a mechanism nobody but its own
+bench and tests switches on is deleted together with its selector).
 """
 
 import inspect
-import json
 import math
 from dataclasses import fields
 
@@ -20,14 +20,12 @@ from repro.baselines import (
     GPTQConfig,
     QATConfig,
     RTNConfig,
-    SmoothQuantConfig,
     quantize,
 )
 from repro.core.compressor import ModelCompressor
 from repro.core.config import DKMConfig, EDKMConfig
 from repro.core.marshal import SEARCH_STRATEGIES
 from repro.serving.config import RetryPolicy, ServingConfig
-from repro.tensor.dtype import float16
 
 SURFACE = {
     DKMConfig: {
@@ -39,20 +37,22 @@ SURFACE = {
     },
     ServingConfig: {
         "max_batch_size", "max_queue_depth", "max_new_tokens",
-        "temperature", "poll_interval_s", "retry", "join_timeout_s",
-        "drain_timeout_s", "fault_plan",
+        "temperature", "retry", "fault_plan",
     },
+    RetryPolicy: {"timeout_s", "retries", "backoff_s"},
 }
+
+# Fields that hold a nested config: each counts as its config's values.
+NESTED = {(ServingConfig, "retry"): RetryPolicy}
 
 
 # ``quantize(model, config, run_fn=, skip_names=)``: eDKM takes the
-# DKMConfig above; ``percdamp`` and SmoothQuant's ``alpha`` are defaults of
-# the per-weight functions, not knobs.
+# DKMConfig above; ``percdamp`` is a default of the per-weight function,
+# not a knob.
 METHOD_SURFACE = {
     RTNConfig: {"bits", "symmetric", "per_channel"},
     GPTQConfig: {"bits", "group_size"},
     AWQConfig: {"bits", "group_size"},
-    SmoothQuantConfig: {"bits"},
     QATConfig: {"bits"},
 }
 
@@ -68,7 +68,7 @@ def test_method_config_fields_are_pinned(cls):
 
 
 def test_baseline_settable_value_budget():
-    """The five method configs' fields plus ``skip_names``: 10 values, down
+    """The four method configs' fields plus ``skip_names``: 9 values, down
     from 16 keyword knobs on six model-level entry points (``run_fn`` is a
     data argument, like the calibration batches it replaced)."""
     params = inspect.signature(quantize).parameters
@@ -77,20 +77,22 @@ def test_baseline_settable_value_budget():
     ]
     knobs = [n for n, p in params.items() if p.kind is p.KEYWORD_ONLY and n != "run_fn"]
     assert knobs == ["skip_names"]
-    assert sum(len(names) for names in METHOD_SURFACE.values()) + len(knobs) == 10
+    assert sum(len(names) for names in METHOD_SURFACE.values()) + len(knobs) == 9
 
 
 def test_field_budget():
-    assert sum(len(names) for names in SURFACE.values()) == 21
+    """Fields of the three top-level configs; a nested policy is one field."""
+    nested = set(NESTED.values())
+    assert sum(len(names) for cls, names in SURFACE.items() if cls not in nested) == 18
 
 
 def test_settable_value_budget():
-    """``retry`` is one field but four values."""
-    policy = {f.name for f in fields(RetryPolicy)}
-    assert policy == {"timeout_s", "retries", "backoff_s", "respawns"}
-    retry_fields = sum("retry" in names for names in SURFACE.values())
+    """Every field is one value, except that a nested config counts as its
+    own fields: ``retry`` is one field but three values."""
+    for (owner, name), nested in NESTED.items():
+        assert name in SURFACE[owner] and nested in SURFACE
     total = sum(len(names) for names in SURFACE.values())
-    assert total - retry_fields + retry_fields * len(policy) == 24
+    assert total - len(NESTED) == 20
 
 
 def test_model_compressor_keywords_are_pinned():
@@ -106,56 +108,6 @@ def test_registries_are_pinned():
     assert SEARCH_STRATEGIES == ("graph", "storage-id")
 
 
-@pytest.mark.parametrize("cls", [DKMConfig, ServingConfig], ids=lambda cls: cls.__name__)
-def test_to_dict_keys_are_derived_from_the_fields(cls):
-    """No hand-enumerated key list to drift: ``to_dict`` emits exactly the
-    dataclass fields (minus the unserializable ``fault_plan``) and
-    ``from_dict`` rebuilds the config from them, rejecting anything else."""
-    config = cls()
-    payload = config.to_dict()
-    assert set(payload) == SURFACE[cls] - {"fault_plan"}
-    assert cls.from_dict(payload) == config
-    with pytest.raises(ValueError, match=f"unknown {cls.__name__} keys"):
-        cls.from_dict({**payload, "mp_context": "spawn"})
-
-
-# One value off the default for every serialized field: a field must
-# survive ``to_dict`` / JSON / ``from_dict`` at any value, not only at the
-# default the test above builds.
-NON_DEFAULTS = {
-    DKMConfig: dict(
-        bits=4, temperature=0.5, iters=7, tol=1e-4, weight_dtype=float16,
-    ),
-    ServingConfig: dict(
-        max_batch_size=3, max_queue_depth=5, max_new_tokens=9,
-        temperature=0.7, poll_interval_s=0.01,
-        retry=RetryPolicy(timeout_s=1.0, retries=0, backoff_s=0.0, respawns=1),
-        join_timeout_s=1.5, drain_timeout_s=2.5,
-    ),
-    RetryPolicy: dict(timeout_s=0.25, retries=5, backoff_s=0.0, respawns=0),
-}
-
-
-def test_non_default_table_covers_every_serialized_field():
-    for cls, values in NON_DEFAULTS.items():
-        assert set(values) == {f.name for f in fields(cls)} - {"fault_plan"}
-
-
-@pytest.mark.parametrize(
-    "cls,name",
-    [(cls, name) for cls, values in NON_DEFAULTS.items() for name in values],
-    ids=lambda value: value if isinstance(value, str) else value.__name__,
-)
-def test_every_field_round_trips_off_its_default(cls, name):
-    value = NON_DEFAULTS[cls][name]
-    config = cls(**{name: value})
-    assert getattr(config, name) != getattr(cls(), name)
-    payload = json.loads(json.dumps(config.to_dict()))
-    rebuilt = cls.from_dict(payload)
-    assert rebuilt == config
-    assert getattr(rebuilt, name) == value
-
-
 OUT_OF_RANGE = [
     (DKMConfig, "bits", 0),
     (DKMConfig, "bits", 9),
@@ -167,28 +119,33 @@ OUT_OF_RANGE = [
     (ServingConfig, "max_queue_depth", 0),
     (ServingConfig, "max_new_tokens", 0),
     (ServingConfig, "temperature", -0.1),
-    (ServingConfig, "poll_interval_s", 0.0),
-    (ServingConfig, "join_timeout_s", 0.0),
-    (ServingConfig, "drain_timeout_s", 0.0),
     (ServingConfig, "fault_plan", "hang_step"),
     (RetryPolicy, "timeout_s", 0.0),
     (RetryPolicy, "retries", -1),
     (RetryPolicy, "backoff_s", -0.1),
-    (RetryPolicy, "respawns", -1),
     # Non-finite times and temperatures: a NaN passes every sign check,
-    # and an infinite sleep or join overflows inside the scheduler.
+    # and an infinite sleep overflows inside the scheduler.
     (ServingConfig, "temperature", math.nan),
     (ServingConfig, "temperature", math.inf),
-    (ServingConfig, "poll_interval_s", math.nan),
-    (ServingConfig, "poll_interval_s", math.inf),
-    (ServingConfig, "join_timeout_s", math.nan),
-    (ServingConfig, "join_timeout_s", math.inf),
-    (ServingConfig, "drain_timeout_s", math.nan),
-    (ServingConfig, "drain_timeout_s", math.inf),
     (RetryPolicy, "timeout_s", math.nan),
     (RetryPolicy, "timeout_s", math.inf),
     (RetryPolicy, "backoff_s", math.nan),
     (RetryPolicy, "backoff_s", math.inf),
+    # One past each bound on the other side, and the signed infinities.
+    (DKMConfig, "bits", -1),
+    (DKMConfig, "iters", -1),
+    (DKMConfig, "temperature", -1.0),
+    (DKMConfig, "temperature", math.nan),
+    (DKMConfig, "temperature", math.inf),
+    # Positive in float64 but 0.0 in float32, where the table divides by it.
+    (DKMConfig, "temperature", 1e-50),
+    (ServingConfig, "max_batch_size", -1),
+    (ServingConfig, "max_queue_depth", -1),
+    (ServingConfig, "max_new_tokens", -1),
+    (ServingConfig, "temperature", -math.inf),
+    (RetryPolicy, "timeout_s", -1.0),
+    (RetryPolicy, "timeout_s", -math.inf),
+    (RetryPolicy, "backoff_s", -math.inf),
 ]
 
 
@@ -200,22 +157,86 @@ OUT_OF_RANGE = [
 def test_out_of_range_value_rejected(cls, name, value):
     with pytest.raises(ValueError):
         cls(**{name: value})
-    if hasattr(cls, "from_dict") and name != "fault_plan":
-        with pytest.raises(ValueError):
-            cls.from_dict({name: value})
 
+
+IN_RANGE = [
+    (DKMConfig, "bits", 1),
+    (DKMConfig, "bits", 8),
+    (DKMConfig, "iters", 1),
+    (DKMConfig, "temperature", 1e-30),
+    (EDKMConfig, "hop_budget", 0),
+    (ServingConfig, "max_batch_size", 1),
+    (ServingConfig, "max_queue_depth", 1),
+    (ServingConfig, "max_new_tokens", 1),
+    (ServingConfig, "temperature", 0.0),
+    (RetryPolicy, "timeout_s", None),
+    (RetryPolicy, "retries", 0),
+    (RetryPolicy, "backoff_s", 0.0),
+]
 
 
 @pytest.mark.parametrize(
-    "name",
-    ["tile_cache_bytes_limit", "breaker_threshold", "breaker_probation_steps", "eval_path"],
+    "cls,name,value",
+    IN_RANGE,
+    ids=[f"{cls.__name__}-{name}-{value!r}" for cls, name, value in IN_RANGE],
 )
-def test_retired_serving_knobs_are_refused(name):
-    """The tile-cache budget, the circuit breaker's two knobs and the
-    palette/dense eval-path switch are gone: a constructor keyword is a
-    ``TypeError`` and a persisted key a ``ValueError``, never a silent
-    default."""
+def test_boundary_value_accepted(cls, name, value):
+    """Each bound is inclusive where the docstring says so: the value on
+    the bound builds, and is kept as given."""
+    assert getattr(cls(**{name: value}), name) == value
+
+
+RETIRED = [
+    (ServingConfig, "tile_cache_bytes_limit"),
+    (ServingConfig, "breaker_threshold"),
+    (ServingConfig, "breaker_probation_steps"),
+    (ServingConfig, "eval_path"),
+    (ServingConfig, "poll_interval_s"),
+    (ServingConfig, "join_timeout_s"),
+    (ServingConfig, "drain_timeout_s"),
+    (RetryPolicy, "respawns"),
+]
+
+
+@pytest.mark.parametrize("cls,name", RETIRED, ids=[name for _, name in RETIRED])
+def test_retired_serving_knobs_are_refused(cls, name):
+    """The tile-cache budget, the circuit breaker's two knobs, the
+    palette/dense eval-path switch, and the scheduler's idle poll, join and
+    drain deadlines and respawn budget (now constants of
+    ``repro.serving.server``) are gone: a constructor keyword is a
+    ``TypeError``, never a silent default."""
     with pytest.raises(TypeError, match=name):
-        ServingConfig(**{name: 1})
-    with pytest.raises(ValueError, match=rf"unknown ServingConfig keys: \['{name}'\]"):
-        ServingConfig.from_dict({**ServingConfig().to_dict(), name: 1})
+        cls(**{name: 1})
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("POLL_INTERVAL_S", 0.005),
+        ("JOIN_TIMEOUT_S", 5.0),
+        ("DRAIN_TIMEOUT_S", 30.0),
+        ("LOOP_RESPAWNS", 4),
+    ],
+)
+def test_retired_knobs_are_server_constants(name, value):
+    """The four retired scheduler knobs live on as module constants at the
+    defaults they had as fields; tests that need a short deadline patch the
+    constant."""
+    import repro.serving.server as server_mod
+
+    assert getattr(server_mod, name) == value
+
+
+@pytest.mark.parametrize("method", ["to_dict", "from_dict"])
+@pytest.mark.parametrize("cls", list(SURFACE), ids=lambda cls: cls.__name__)
+def test_configs_have_no_serialization_layer(cls, method):
+    """Configs are built in code and validated on construction; nothing
+    persists or reloads them (checkpoints pin a config through ``repr``)."""
+    assert not hasattr(cls, method)
+
+
+@pytest.mark.parametrize("name", ["config_to_dict", "config_from_dict"])
+def test_core_config_has_no_dict_helpers(name):
+    import repro.core.config as config_mod
+
+    assert not hasattr(config_mod, name)

@@ -635,16 +635,11 @@ class TestDenseOnePath:
 
 class TestRetiredDenseKnobs:
     """The dense path's chunk size and byte limit are no knobs: each
-    retired spelling is refused, built or persisted."""
+    retired spelling is refused."""
 
     def test_limit_is_not_a_config_field(self):
         with pytest.raises(TypeError, match="dense_saved_bytes_limit"):
             DKMConfig(bits=3, dense_saved_bytes_limit=1 << 20)
-
-    def test_from_dict_refuses_the_limit_key(self):
-        payload = {**DKMConfig().to_dict(), "dense_saved_bytes_limit": 1 << 20}
-        with pytest.raises(ValueError, match="dense_saved_bytes_limit"):
-            DKMConfig.from_dict(payload)
 
     def test_cluster_dense_takes_no_row_chunk(self):
         clusterer = DKMClusterer(DKMConfig(bits=2, iters=1))
@@ -653,14 +648,12 @@ class TestRetiredDenseKnobs:
         assert clusterer.state is None
 
     def test_row_chunk_is_not_a_config_field(self):
-        """The retired config-level chunk is refused, built or persisted,
-        and the ``cluster`` dispatcher takes no chunk keyword."""
+        """The retired config-level chunk is refused, and the ``cluster``
+        dispatcher takes no chunk keyword."""
         from repro.core.edkm import cluster
 
         with pytest.raises(TypeError, match="dense_row_chunk"):
             DKMConfig(bits=3, dense_row_chunk=512)
-        with pytest.raises(ValueError, match="dense_row_chunk"):
-            DKMConfig.from_dict({"bits": 3, "dense_row_chunk": 512})
         with pytest.raises(TypeError, match="dense_row_chunk"):
             cluster(
                 _weight_tensor(128, requires_grad=True),

@@ -79,6 +79,11 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec(kind=kind)
 
+    def test_spec_has_no_op_filter(self):
+        """Every fault point is a decode step, so a spec names no op."""
+        with pytest.raises(TypeError, match="op"):
+            FaultSpec(kind="kernel_error", op="decode")
+
     def test_serving_config_rejects_a_non_plan(self):
         with pytest.raises(ValueError, match="FaultPlan"):
             ServingConfig(fault_plan=[FaultSpec(kind="kernel_error")])
@@ -90,30 +95,16 @@ class TestRetryPolicy:
             (dict(timeout_s=0.0), "timeout_s"),
             (dict(retries=-1), "retries"),
             (dict(backoff_s=-0.1), "backoff_s"),
-            (dict(respawns=-1), "respawns"),
         ):
             with pytest.raises(ValueError, match=field):
                 RetryPolicy(**bad)
 
     def test_server_defaults(self):
-        assert ServingConfig().retry == RetryPolicy() == RetryPolicy(None, 2, 0.02, 4)
+        assert ServingConfig().retry == RetryPolicy() == RetryPolicy(None, 2, 0.02)
 
     def test_backoff_doubles_per_attempt(self):
         policy = RetryPolicy(backoff_s=0.02)
         assert [policy.backoff(n) for n in (1, 2, 3)] == [0.02, 0.04, 0.08]
-
-    def test_round_trips_as_nested_dict(self):
-        config = ServingConfig(
-            retry=RetryPolicy(timeout_s=1.5, retries=3, backoff_s=0.0)
-        )
-        payload = config.to_dict()
-        assert payload["retry"] == {
-            "timeout_s": 1.5, "retries": 3, "backoff_s": 0.0, "respawns": 4,
-        }
-        assert ServingConfig.from_dict(payload) == config
-        payload["retry"]["max_retries"] = 1
-        with pytest.raises(ValueError, match="unknown RetryPolicy keys"):
-            ServingConfig.from_dict(payload)
 
 
 class TestInjectorDeterminism:
@@ -123,7 +114,7 @@ class TestInjectorDeterminism:
         picks = []
         for _ in range(3):
             injector = FaultInjector(plan)
-            injector.begin(2, names, "decode")
+            injector.begin(2, names)
             fired = [n for n in names if injector.fire("kernel_error", n)]
             picks.append(fired)
         assert picks[0] == picks[1] == picks[2]
@@ -143,7 +134,7 @@ class TestInjectorDeterminism:
         names = [f"layers.{i}.mlp" for i in range(7)]
         target = names[_seeded_index(11, 1, 3, len(names))]
         injector = FaultInjector(plan)
-        injector.begin(3, names, "decode")
+        injector.begin(3, names)
         assert [n for n in names if injector.fire(kind, n)] == [target]
         assert [(e.kind, e.sweep, e.layer) for e in injector.log.events] == [
             (kind, 3, target)
@@ -152,29 +143,25 @@ class TestInjectorDeterminism:
     def test_times_budget_is_consumed(self):
         plan = FaultPlan.single("kernel_error", sweep=1, layer="a", times=2)
         injector = FaultInjector(plan)
-        injector.begin(1, ["a", "b"], "decode")
+        injector.begin(1, ["a", "b"])
         assert injector.fire("kernel_error", "a") is not None
         assert injector.fire("kernel_error", "a") is not None
         assert injector.fire("kernel_error", "a") is None
         assert injector.log.count("kernel_error") == 2
 
-    def test_wrong_sweep_op_or_layer_never_fires(self):
-        plan = FaultPlan(
-            specs=(FaultSpec(kind="kernel_error", sweep=2, layer="a", op="decode"),)
-        )
+    def test_wrong_sweep_or_layer_never_fires(self):
+        plan = FaultPlan(specs=(FaultSpec(kind="kernel_error", sweep=2, layer="a"),))
         injector = FaultInjector(plan)
-        injector.begin(1, ["a"], "decode")
+        injector.begin(1, ["a"])
         assert injector.fire("kernel_error", "a") is None  # before its step
-        injector.begin(2, ["a"], "prefill")
-        assert injector.fire("kernel_error", "a") is None  # wrong op
-        injector.begin(2, ["a"], "decode")
+        injector.begin(2, ["a"])
         assert injector.fire("kernel_error", "b") is None  # wrong layer
-        injector.begin(3, ["a"], "decode")
+        injector.begin(3, ["a"])
         assert injector.fire("kernel_error", "a") is not None  # fires from its step on
 
     def test_step_scoped_kinds_target_the_step(self):
         injector = FaultInjector(FaultPlan.single("hang_step", sweep=1, seconds=2.0))
-        injector.begin(1, ["layers.0.mlp"], "decode")
+        injector.begin(1, ["layers.0.mlp"])
         assert injector.fire("hang_step", "layers.0.mlp") is None
         assert injector.fire("hang_step", STEP_TARGET).seconds == 2.0
 
@@ -199,7 +186,7 @@ class TestEveryKind:
     @pytest.mark.parametrize("kind", STEP_KINDS)
     def test_step_kind_ignores_a_pinned_layer(self, kind):
         injector = FaultInjector(FaultPlan.single(kind, sweep=1, layer="lm_head"))
-        injector.begin(1, NAMES, "decode")
+        injector.begin(1, NAMES)
         assert injector.fire(kind, "lm_head") is None
         assert injector.fire(kind, STEP_TARGET) is not None
         assert [e.layer for e in injector.log.events] == [STEP_TARGET]
@@ -207,7 +194,7 @@ class TestEveryKind:
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_pinned_layer_kind_fires_only_on_its_layer(self, kind):
         injector = FaultInjector(FaultPlan.single(kind, sweep=1, layer="lm_head"))
-        injector.begin(1, NAMES, "decode")
+        injector.begin(1, NAMES)
         assert injector.fire(kind, STEP_TARGET) is None
         assert [n for n in NAMES if injector.fire(kind, n)] == ["lm_head"]
 
@@ -216,29 +203,27 @@ class TestEveryKind:
         """A step with no layers resolves no target: the spec stays armed
         and fires at the first step that has one."""
         injector = FaultInjector(FaultPlan.single(kind, sweep=1))
-        injector.begin(1, [], "decode")
+        injector.begin(1, [])
         assert injector.fire(kind, STEP_TARGET) is None
         assert len(injector.log) == 0
-        injector.begin(2, NAMES, "decode")
+        injector.begin(2, NAMES)
         assert [n for n in NAMES if injector.fire(kind, n)] != []
         assert len(injector.log) == 1
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
     def test_event_detail(self, kind):
         injector = FaultInjector(FaultPlan.single(kind, sweep=1, times=3, seconds=0.5))
-        injector.begin(1, NAMES, "decode")
+        injector.begin(1, NAMES)
         targets = [STEP_TARGET] if kind in STEP_KINDS else NAMES
         assert any(injector.fire(kind, target) for target in targets)
         (event,) = injector.log.events
         expected = "0.5s" if kind in ("hang_step", "delay_step") else "firing 3 time(s)"
-        assert (event.kind, event.sweep, event.op, event.detail) == (
-            kind, 1, "decode", expected,
-        )
+        assert (event.kind, event.sweep, event.detail) == (kind, 1, expected)
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
     def test_no_other_kind_fires_on_its_spec(self, kind):
         injector = FaultInjector(FaultPlan.single(kind, sweep=1, times=5))
-        injector.begin(1, NAMES, "decode")
+        injector.begin(1, NAMES)
         for other in FAULT_KINDS:
             if other == kind:
                 continue
@@ -256,7 +241,7 @@ class TestFaultLog:
             )
         )
         injector = FaultInjector(plan)
-        injector.begin(1, NAMES, "decode")
+        injector.begin(1, NAMES)
         injector.fire("transient_step", STEP_TARGET)
         injector.fire("transient_step", STEP_TARGET)
         injector.fire("delay_step", STEP_TARGET)
@@ -265,22 +250,6 @@ class TestFaultLog:
         assert log.count("transient_step") == 2
         assert log.count("delay_step") == 1
         assert log.count("kernel_error") == 0
-
-    def test_to_json_dicts_lists_every_event_in_order(self):
-        injector = FaultInjector(
-            FaultPlan.single("kernel_error", sweep=2, layer="lm_head", op="decode")
-        )
-        injector.begin(3, NAMES, "decode")
-        injector.fire("kernel_error", "lm_head")
-        assert injector.log.to_json_dicts() == [
-            {
-                "sweep": 3,
-                "layer": "lm_head",
-                "op": "decode",
-                "kind": "kernel_error",
-                "detail": "firing 1 time(s)",
-            }
-        ]
 
 
 class TestSeededIndex:

@@ -11,7 +11,6 @@ from repro.memory import (
     MemoryTracker,
     TrafficLedger,
     format_bytes,
-    footprint_table,
     global_ledger,
     profile_memory,
 )
@@ -159,10 +158,3 @@ class TestReport:
         assert format_bytes(4 * 1024 * 1024) == "4.00 MB"
         assert format_bytes(-2048) == "-2.00 KB"
         assert "TB" in format_bytes(2**45)
-
-    def test_footprint_table(self):
-        t = MemoryTracker("dev0")
-        t.allocate(2048)
-        table = footprint_table([t])
-        assert "dev0" in table
-        assert "2.00 KB" in table

@@ -46,11 +46,9 @@ from repro.serving import (
     ContinuousBatcher,
     CorruptTileError,
     DeadlineExceeded,
-    FaultPlan,
     PaletteLayout,
     PaletteServer,
     RequestQueue,
-    RetryPolicy,
     ServerClosed,
     ServerRequest,
     ServingConfig,
@@ -74,7 +72,6 @@ class TestRequestQueue:
         queue.submit(_request())
         with pytest.raises(AdmissionError):
             queue.submit(_request())
-        assert queue.rejected_full == 1
         assert len(queue) == 2
 
     def test_take_skips_expired_without_consuming_slots(self):
@@ -497,21 +494,7 @@ class TestCachedDecodeIdentity:
         assert rt.GPU.tracker.current_bytes == before
 
 
-class TestConfigRoundTrips:
-    def test_serving_round_trip(self):
-        config = ServingConfig(max_batch_size=3, temperature=0.5)
-        assert ServingConfig.from_dict(config.to_dict()) == config
-
-    def test_serving_round_trip_with_retry(self):
-        config = ServingConfig(
-            max_batch_size=3, retry=RetryPolicy(timeout_s=0.5, respawns=1)
-        )
-        assert ServingConfig.from_dict(config.to_dict()) == config
-
-    def test_serving_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown ServingConfig keys"):
-            ServingConfig.from_dict({"max_batch_sz": 3})
-
+class TestConfigValidation:
     @pytest.mark.parametrize(
         "bad",
         [
@@ -520,9 +503,6 @@ class TestConfigRoundTrips:
             {"temperature": math.nan},
             {"temperature": -0.1},
             {"max_new_tokens": 0},
-            {"poll_interval_s": 0.0},
-            {"drain_timeout_s": -1.0},
-            {"poll_interval_s": math.inf},
         ],
     )
     def test_serving_validation(self, bad):
@@ -532,19 +512,6 @@ class TestConfigRoundTrips:
     def test_default_constructors_apply_overrides(self):
         assert ServingConfig(max_batch_size=16).max_batch_size == 16
         assert DKMConfig(bits=2).bits == 2
-
-    def test_dkm_round_trip_includes_dtype(self):
-        config = DKMConfig(bits=2, weight_dtype=rt.bfloat16)
-        payload = config.to_dict()
-        assert payload["weight_dtype"] == "bfloat16"
-        assert DKMConfig.from_dict(payload) == config
-        with pytest.raises(ValueError, match="unknown"):
-            DKMConfig.from_dict({"bitz": 3})
-
-    def test_armed_fault_plan_refuses_serialization(self):
-        config = ServingConfig(fault_plan=FaultPlan())
-        with pytest.raises(ValueError, match="fault_plan"):
-            config.to_dict()
 
 
 class TestHardWeightVersioning:
@@ -790,9 +757,7 @@ class TestPaletteServer:
             request.result(timeout=30)
 
     def test_admission_burst_is_shed_and_accounted(self, served_model, tokenizer):
-        config = ServingConfig(
-            max_batch_size=1, max_queue_depth=1, poll_interval_s=0.001
-        )
+        config = ServingConfig(max_batch_size=1, max_queue_depth=1)
         with PaletteServer(served_model, tokenizer, config=config) as server:
             accepted, rejected = [], 0
             for _ in range(8):
@@ -824,7 +789,7 @@ class TestPaletteServer:
             server.close()
 
     def test_stop_fails_queued_requests(self, served_model, tokenizer):
-        config = ServingConfig(max_batch_size=1, poll_interval_s=0.001)
+        config = ServingConfig(max_batch_size=1)
         server = PaletteServer(served_model, tokenizer, config=config)
         server.start()
         requests = [server.submit(p, max_new_tokens=2) for p in PROMPTS[:4]]

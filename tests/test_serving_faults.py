@@ -38,6 +38,7 @@ from repro.core import DKMConfig, ModelCompressor
 from repro.core.compressor import ClusteredLinear
 from repro.llm import MICRO, build_model, generate
 import repro.serving.batcher as batcher_mod
+import repro.serving.server as server_mod
 from repro.serving import (
     CorruptTileError,
     DeadlineExceeded,
@@ -94,7 +95,7 @@ def expected_texts(served_model, tokenizer):
 
 
 def _config(**overrides) -> ServingConfig:
-    defaults = dict(max_new_tokens=MAX_NEW, poll_interval_s=0.002)
+    defaults = dict(max_new_tokens=MAX_NEW)
     defaults.update(overrides)
     return ServingConfig(**defaults)
 
@@ -131,7 +132,7 @@ class TestFaultPlanSpec:
         picks = set()
         for _ in range(3):
             injector = FaultInjector(plan)
-            injector.begin(1, names, "decode")
+            injector.begin(1, names)
             fired = [name for name in names if injector.fire("kernel_error", name)]
             picks.add(tuple(fired))
         assert len(picks) == 1
@@ -141,11 +142,11 @@ class TestFaultPlanSpec:
     def test_fires_at_first_opportunity_at_or_after_step(self):
         plan = FaultPlan.single("transient_step", sweep=3)
         injector = FaultInjector(plan)
-        injector.begin(1, [], "decode")
+        injector.begin(1, [])
         assert injector.fire("transient_step", STEP_TARGET) is None  # armed >= 3
-        injector.begin(2, [], "decode")
+        injector.begin(2, [])
         assert injector.fire("transient_step", STEP_TARGET) is None
-        injector.begin(4, [], "decode")  # step 3 gave no opportunity
+        injector.begin(4, [])  # step 3 gave no opportunity
         assert injector.fire("transient_step", STEP_TARGET) is not None
         assert injector.fire("transient_step", STEP_TARGET) is None  # times=1
         assert [(e.kind, e.sweep) for e in injector.log.events] == [
@@ -400,6 +401,27 @@ class TestStepCrashBoundary:
 class TestStopJoinDeadline:
     """Regression (seed bug): stop() must not deadlock on a hung step."""
 
+    def test_submit_and_stop_wake_an_idle_scheduler(
+        self, served_model, tokenizer, expected_texts, monkeypatch
+    ):
+        """An idle loop waits on the queue's condition: a submit wakes it,
+        and so does stop(), so neither waits out the idle poll."""
+        monkeypatch.setattr(server_mod, "POLL_INTERVAL_S", 60.0)
+        server = PaletteServer(served_model, tokenizer, _config())
+        try:
+            server.start()
+            time.sleep(0.05)  # the loop is idle, in its 60 s wait
+            text = server.generate(PROMPTS[0], timeout=30)
+            assert text == expected_texts[PROMPTS[0]]
+            time.sleep(0.05)
+            begun = time.monotonic()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RobustnessWarning)
+                server.stop()
+            assert time.monotonic() - begun < 1.0
+        finally:
+            server.close()
+
     def test_stop_escalates_past_hung_step(
         self, served_model, tokenizer, monkeypatch
     ):
@@ -415,9 +437,8 @@ class TestStopJoinDeadline:
             return real(model, ids, caches, device=device)
 
         monkeypatch.setattr(batcher_mod, "decode_step", wedged)
-        server = PaletteServer(
-            served_model, tokenizer, _config(join_timeout_s=0.3)
-        )
+        monkeypatch.setattr(server_mod, "JOIN_TIMEOUT_S", 0.3)
+        server = PaletteServer(served_model, tokenizer, _config())
         try:
             server.start()
             request = server.submit(PROMPTS[0])
@@ -547,7 +568,7 @@ class TestInjectedFaults:
             fault_plan=FaultPlan.single(
                 "hang_step", sweep=1, seconds=30.0
             ),
-            retry=RetryPolicy(timeout_s=0.15, respawns=4),
+            retry=RetryPolicy(timeout_s=0.15),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
@@ -568,13 +589,14 @@ class TestInjectedFaults:
                 assert health.generation >= 2
 
     def test_respawn_budget_exhaustion_kills_server(
-        self, served_model, tokenizer
+        self, served_model, tokenizer, monkeypatch
     ):
+        monkeypatch.setattr(server_mod, "LOOP_RESPAWNS", 0)
         config = _config(
             fault_plan=FaultPlan.single(
                 "hang_step", sweep=1, times=3, seconds=30.0
             ),
-            retry=RetryPolicy(timeout_s=0.1, respawns=0),
+            retry=RetryPolicy(timeout_s=0.1),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
@@ -841,7 +863,7 @@ class TestKVLifetime:
         monkeypatch.setattr(batcher_mod, "decode_step", wedge_first)
         gc.collect()
         baseline = rt.GPU.tracker.current_bytes
-        config = _config(retry=RetryPolicy(timeout_s=0.15, respawns=4))
+        config = _config(retry=RetryPolicy(timeout_s=0.15))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
             with PaletteServer(served_model, tokenizer, config) as server:
@@ -904,9 +926,6 @@ class TestDrainAndHealth:
             assert not health.dead and not health.stalled
             assert health.generation == 1
             assert health.queue_depth == 0
-            payload = health.to_dict()
-            assert payload["running"] is True
-            assert "breakers" not in payload
         finally:
             server.close()
         assert not server.health().running
@@ -920,36 +939,9 @@ class TestDrainAndHealth:
 
 
 class TestServingConfigContract:
-    def test_round_trip_includes_robustness_knobs(self):
-        config = _config(
-            retry=RetryPolicy(timeout_s=1.5, retries=3),
-            join_timeout_s=2.0,
-            drain_timeout_s=3.0,
-        )
-        payload = config.to_dict()
-        assert "fault_plan" not in payload
-        assert payload["retry"]["timeout_s"] == 1.5
-        assert payload["join_timeout_s"] == 2.0
-        assert ServingConfig.from_dict(payload) == config
-
-    def test_armed_fault_plan_refuses_to_serialize(self):
-        config = _config(
-            fault_plan=FaultPlan.single("delay_step", sweep=1)
-        )
-        with pytest.raises(ValueError, match="disarm"):
-            config.to_dict()
-
     def test_fault_plan_type_validated(self):
         with pytest.raises(ValueError, match="fault_plan"):
             _config(fault_plan="hang_step")
-
-    def test_knob_validation(self):
-        for bad in (
-            dict(join_timeout_s=0.0),
-            dict(drain_timeout_s=0.0),
-        ):
-            with pytest.raises(ValueError):
-                _config(**bad)
 
 
 class TestConcurrentChaos:
