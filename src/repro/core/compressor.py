@@ -476,7 +476,9 @@ class ModelCompressor:
         for name, module in model.named_modules():
             if isinstance(module, Embedding):
                 report.palettized[f"{name}.weight"] = kmeans_palettize(
-                    module.weight._compute(), self.embedding_bits
+                    module.weight._compute(),
+                    self.embedding_bits,
+                    dtype=self.dkm_config.weight_dtype,
                 )
             elif isinstance(module, Linear):
                 # A Linear exempted by ``skip_names`` ships at 16-bit.

@@ -222,6 +222,12 @@ class DKMClusterer:
         A forward that records no gradient runs the same composition, so
         its output is byte-equal to a recording one.
 
+        The map is laid out ``(k, |W|)``, so its softmax and the weight
+        gradient's sum run down ``k`` rows of ``|W|`` contiguous elements
+        and the backward of ``mixed`` is one broadcast outer product.  The
+        weight gradient is byte-equal to the ``(|W|, k)`` layout's; the
+        forward's ``k``-term gemv may round ``mixed`` differently.
+
         A layer whose ``O(|W|·|C|)`` float32 buffer would exceed
         :data:`DENSE_SAVED_BYTES_LIMIT` raises :class:`MemoryError` up
         front, before the cluster state is created or moved, instead of
@@ -242,11 +248,11 @@ class DKMClusterer:
         centroids = Tensor.from_numpy(
             state.centroids, dtype="float32", device=weights.device
         )
-        diff = weights.reshape(-1).unsqueeze(1) - centroids.unsqueeze(0)  # (|W|, k)
+        diff = weights.reshape(1, -1) - centroids.reshape(-1, 1)  # (k, |W|)
         sq_dist = diff * diff  # saves `diff` twice (same storage)
         logits = sq_dist * (-1.0 / state.temperature)
-        attention = ops.softmax(logits, dim=1)  # the (|W|, k) map
-        mixed = attention @ centroids.unsqueeze(1)  # saves `attention` again
+        attention = ops.softmax(logits, dim=0)  # the (k, |W|) map
+        mixed = centroids.reshape(1, -1) @ attention  # saves `attention` again
         return mixed.reshape(weights.shape).cast(weights.dtype)
 
     # ------------------------------------------------------------------

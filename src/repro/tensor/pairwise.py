@@ -1,4 +1,4 @@
-"""Last-axis reductions in numpy's association order, run down long rows.
+"""Short-axis reductions in numpy's association order, run down long rows.
 
 numpy reduces the last axis of a C-contiguous ``(rows, n)`` array by
 entering its inner loop once per ``n``-element row.  With ``n`` a handful
@@ -46,6 +46,14 @@ A sum alone has less row-wise overhead to win back than a softmax (no
 ``max``, no broadcast subtract), so it moves later and never past
 ``n`` = 16.  A decode step's ``(B·H, T)`` scores are a few dozen rows --
 where the move would run at 0.4-0.8× -- and keep the row-wise path.
+
+An array already laid out ``(n, m)`` needs no move.  A C-contiguous 2-D
+float32 / float64 array reduced over an axis 0 of at most
+:data:`DOWN_ROWS_MAX_N` rows -- the dense DKM map is ``(k, |W|)``, with
+``k`` up to 2⁸ -- is reduced down those rows in place, in the same pairwise
+order and from the same ``+0.0`` identity.  Its bytes are those of the
+row-wise reduction of its C-contiguous transpose, not numpy's own axis-0
+reduction, which adds the rows in sequence.  A longer axis 0 keeps numpy's.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ import numpy as np
 
 # Elements per moved block: a block's transposed copy stays in cache.
 BLOCK_ELEMENTS = 1 << 16
+
+# Longest axis 0 reduced down the rows it has: every k that DKMConfig allows.
+DOWN_ROWS_MAX_N = 1 << 8
 
 # (largest n, fewest rows) at which each kernel moves to (n, rows).
 SOFTMAX_MIN_ROWS = ((32, 128),)
@@ -73,6 +84,17 @@ def _moves(x: np.ndarray, axis: int, grid: tuple[tuple[int, int], ...]) -> bool:
         if n <= max_n:
             return x.size // n >= min_rows
     return False
+
+
+def _down_rows(x: np.ndarray, axis: int) -> bool:
+    """Whether reducing ``x`` over ``axis`` runs down the rows it already has."""
+    return (
+        axis == 0
+        and x.ndim == 2
+        and 0 < x.shape[0] <= DOWN_ROWS_MAX_N
+        and x.dtype in _PAIRWISE_DTYPES
+        and x.flags.c_contiguous
+    )
 
 
 def _row_blocks(rows: int, n: int) -> list[slice]:
@@ -113,7 +135,15 @@ def _sum_rows_pairwise(rows: np.ndarray) -> np.ndarray:
 
 
 def sum_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
-    """``x.sum(axis=axis, keepdims=True)``, bit for bit, in the faster layout."""
+    """``x.sum(axis=axis, keepdims=True)`` in the faster layout.
+
+    Bit for bit numpy's, except over an axis 0 that :func:`_down_rows`
+    takes: there it is the pairwise sum down the rows, the bytes of the
+    row-wise sum of ``x``'s C-contiguous transpose.
+    """
+    if _down_rows(x, axis):
+        total = _sum_rows_pairwise(x)
+        return np.add(x.dtype.type(0), total, out=total).reshape(1, -1)
     if not _moves(x, axis, SUM_MIN_ROWS):
         return x.sum(axis=axis, keepdims=True)
     flat = x.reshape(-1, x.shape[-1])
@@ -137,9 +167,16 @@ def softmax_columns_(buf: np.ndarray) -> np.ndarray:
 
 
 def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of ``x`` over ``axis`` with the max shift, in the faster layout."""
+    """Softmax of ``x`` over ``axis`` with the max shift, in the faster layout.
+
+    Over an axis 0 that :func:`_down_rows` takes, it runs down the rows
+    with no move, and its bytes are the row-wise softmax of ``x``'s
+    C-contiguous transpose, transposed.
+    """
     if axis < 0:
         axis += x.ndim
+    if _down_rows(x, axis):
+        return softmax_columns_(x.copy())
     if not _moves(x, axis, SOFTMAX_MIN_ROWS):
         shifted = x - x.max(axis=axis, keepdims=True)
         e = np.exp(shifted)

@@ -4,18 +4,25 @@
 for the length of a ``with`` block, so a test can pin how many ops a
 forward records and how many tensors each one saves.  It also counts the
 copies ``Storage.from_values`` makes to own a caller's buffer (and their
-bytes) and the numpy views ``Tensor._np`` builds.  Run as a script it
-prints the per-op table of one benchmark-shaped ``finetune_mus`` training
-step (``docs/edkm-pipeline.md`` carries a copy), or with ``--eval`` of one
-``evaluate_suites`` pass over ``standard_suites(n_items=2)``::
+bytes), the numpy views ``Tensor._np`` builds, the blocks (and elements)
+``tensor/pairwise.py`` moves to a transposed copy, the reductions it runs
+down an axis 0 in place, and the products with a contracted dimension of
+1 (outer products): those ``MatMul`` computes, and those handed to
+``np.matmul``, that is to BLAS.  Run as a script it prints the per-op table
+of one benchmark-shaped ``finetune_mus`` training step
+(``docs/edkm-pipeline.md`` carries a copy), with ``--dense`` of one
+``finetune_offload``-configured step (dense DKM, naive offload), or with
+``--eval`` of one ``evaluate_suites`` pass over
+``standard_suites(n_items=2)``::
 
-    PYTHONPATH=src python tests/opcount.py [--eval]
+    PYTHONPATH=src python tests/opcount.py [--dense | --eval]
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -23,21 +30,31 @@ from typing import Iterator
 import numpy as np
 
 import repro.tensor as rt
+from repro.tensor import pairwise
 from repro.tensor.autograd import Context, Function
 from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor
+
+# The module; the attribute ``repro.tensor.ops.matmul`` is the op function.
+matmul = importlib.import_module("repro.tensor.ops.matmul")
 
 
 @dataclass
 class OpCounts:
     """``Function.apply`` calls and tensors saved for backward, by op name,
-    plus the block's storage copies, their bytes and ``_np`` view builds."""
+    plus the block's storage copies, their bytes, ``_np`` view builds,
+    pairwise moves and in-place axis-0 reductions, and outer products."""
 
     dispatches: Counter = field(default_factory=Counter)
     saved: Counter = field(default_factory=Counter)
     copies: int = 0
     copied_bytes: int = 0
     view_builds: int = 0
+    moved_blocks: int = 0
+    moved_elements: int = 0
+    down_rows: int = 0
+    outer_products: int = 0
+    outer_gemms: int = 0
 
     def table(self) -> str:
         """A markdown table, busiest op first, totals last."""
@@ -55,6 +72,11 @@ class OpCounts:
             f"| storage copies (`Storage.from_values`) | {self.copies} |",
             f"| copied bytes | {self.copied_bytes} |",
             f"| `_np` view builds | {self.view_builds} |",
+            f"| pairwise blocks moved to a transposed copy | {self.moved_blocks} |",
+            f"| elements in those blocks | {self.moved_elements} |",
+            f"| pairwise reductions down an axis 0 in place | {self.down_rows} |",
+            f"| `MatMul` outer products (broadcast multiply) | {self.outer_products} |",
+            f"| outer products sent to `np.matmul` (BLAS) | {self.outer_gemms} |",
         ]
         return "\n".join(lines)
 
@@ -68,6 +90,10 @@ def count_ops() -> Iterator[OpCounts]:
     original_save = Context.save_for_backward
     original_from_values = Storage.__dict__["from_values"]
     original_new_view = Tensor._new_view
+    original_row_blocks = pairwise._row_blocks
+    original_down_rows = pairwise._down_rows
+    original_product = matmul._product
+    original_matmul = np.matmul
 
     def apply(cls, *args, **kwargs):
         name = cls.op_name or cls.__name__
@@ -94,10 +120,33 @@ def count_ops() -> Iterator[OpCounts]:
         counts.view_builds += 1
         return original_new_view(tensor)
 
+    def row_blocks(rows, n):
+        blocks = original_row_blocks(rows, n)
+        counts.moved_blocks += len(blocks)
+        counts.moved_elements += rows * n
+        return blocks
+
+    def down_rows(x, axis):
+        runs = original_down_rows(x, axis)
+        counts.down_rows += runs
+        return runs
+
+    def product(x, y):
+        counts.outer_products += x.shape[-1] == 1
+        return original_product(x, y)
+
+    def np_matmul(x, y, *args, **kwargs):
+        counts.outer_gemms += np.shape(x)[-1] == 1
+        return original_matmul(x, y, *args, **kwargs)
+
     Function.apply = classmethod(apply)
     Context.save_for_backward = save_for_backward
     Storage.from_values = classmethod(from_values)
     Tensor._new_view = new_view
+    pairwise._row_blocks = row_blocks
+    pairwise._down_rows = down_rows
+    matmul._product = product
+    np.matmul = np_matmul
     try:
         yield counts
     finally:
@@ -105,6 +154,10 @@ def count_ops() -> Iterator[OpCounts]:
         Context.save_for_backward = original_save
         Storage.from_values = original_from_values
         Tensor._new_view = original_new_view
+        pairwise._row_blocks = original_row_blocks
+        pairwise._down_rows = original_down_rows
+        matmul._product = original_product
+        np.matmul = original_matmul
 
 
 def bench_shaped_model(vocab_size: int = 64):
@@ -116,14 +169,18 @@ def bench_shaped_model(vocab_size: int = 64):
     ).to("gpu")
 
 
-def training_step_counts() -> OpCounts:
-    """One ``finetune_mus``-configured step: 3-bit eDKM with M + U + S over 8 learners."""
+def training_step_counts(dense: bool = False) -> OpCounts:
+    """One ``finetune_mus``-configured step: 3-bit eDKM with M + U + S over 8
+    learners; with ``dense``, ``finetune_offload``'s: dense DKM, naive offload."""
     from repro import nn
     from repro.core import DKMConfig, EDKMConfig, ModelCompressor, SavedTensorPipeline
     from repro.distributed import LearnerGroup
 
     model = bench_shaped_model()
-    config = EDKMConfig(group=LearnerGroup(8))
+    if dense:
+        config = EDKMConfig(marshal=False, uniquify=False, shard=False)
+    else:
+        config = EDKMConfig(group=LearnerGroup(8))
     ModelCompressor(DKMConfig(bits=3, iters=4), edkm_config=config).compress(model)
     rng = np.random.default_rng(0)
     tokens, targets = (
@@ -162,8 +219,13 @@ def eval_pass_counts(seed: int = 0) -> OpCounts:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--dense", action="store_true", help="count one finetune_offload-configured training step"
+    )
+    mode.add_argument(
         "--eval", action="store_true", help="count one evaluate_suites pass, not a training step"
     )
     args = parser.parse_args()
-    print((eval_pass_counts() if args.eval else training_step_counts()).table())
+    counts = eval_pass_counts() if args.eval else training_step_counts(dense=args.dense)
+    print(counts.table())

@@ -9,7 +9,12 @@ what replaced it is equality, not a tolerance:
   gemm, whose float32 centroids are byte-equal to this in-order sum;
 - the row-wise last-axis reductions of the ``Softmax`` op and of
   ``unbroadcast`` -- ``src/`` moves a C-contiguous array with enough rows
-  to ``(n, rows)`` and reduces down its ``n`` rows in the same order;
+  to ``(n, rows)`` and reduces down its ``n`` rows in the same order, and
+  reduces axis 0 of a C-contiguous ``(n, m)`` array down its rows, so it
+  equals these on the C-contiguous transpose;
+- the dense DKM map laid out ``(|W|, k)`` -- ``src/`` builds it ``(k, |W|)``:
+  weight gradients are byte-equal, and the output may differ where the
+  forward's ``k``-term gemv rounds differently, by at most one 16-bit ulp;
 - the per-shard collectives -- ``src/`` keeps a sharded tensor in one flat
   buffer and charges each learner's tracker for its rows; these build one
   ``Storage`` and ``Tensor`` per learner;
@@ -33,6 +38,7 @@ from repro.core.dkm import ClusterState, default_temperature, init_centroids_qua
 from repro.core.uniquify import HISTOGRAM_MIN_SIZE
 from repro.memory.traffic import global_ledger
 from repro.tensor import ops
+from repro.tensor.autograd import no_grad
 from repro.tensor.dtype import bfloat16, float16
 from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor, contiguous_strides
@@ -110,6 +116,19 @@ def refine_uk(clusterer, weights, cache_table=False):
         final_table = attention_table_uk(w_u, state.centroids, state.temperature)
         self.fastpath.store_table(state.centroids, state.temperature, final_table)
     return state
+
+
+def cluster_dense_wk(clusterer, weights):
+    """``DKMClusterer.cluster_dense`` with the map laid out ``(|W|, k)``."""
+    with no_grad():
+        state = clusterer.refine(weights)
+    centroids = Tensor.from_numpy(state.centroids, dtype="float32", device=weights.device)
+    diff = weights.reshape(-1).unsqueeze(1) - centroids.unsqueeze(0)  # (|W|, k)
+    sq_dist = diff * diff
+    logits = sq_dist * (-1.0 / state.temperature)
+    attention = ops.softmax(logits, dim=1)
+    mixed = attention @ centroids.unsqueeze(1)
+    return mixed.reshape(weights.shape).cast(weights.dtype)
 
 
 def pack_indices_unpackbits(indices, bits):

@@ -10,7 +10,7 @@ import pytest
 import repro.tensor as rt
 from repro.tensor import no_grad, saved_tensors_hooks
 from repro.tensor.autograd import Context, is_grad_enabled, unbroadcast
-from repro.tensor.pairwise import SUM_MIN_ROWS
+from repro.tensor.pairwise import DOWN_ROWS_MAX_N, SUM_MIN_ROWS
 
 from tests.oracles import unbroadcast_rowwise
 
@@ -359,3 +359,46 @@ class TestUnbroadcastEqualsRowwiseOracle:
     def test_leading_and_several_axes(self, grad_shape, shape):
         grad = np.random.default_rng(3).standard_normal(grad_shape).astype(np.float32)
         _assert_unbroadcast_matches_oracle(grad, shape)
+
+
+def _assert_down_rows_matches_oracle(grad):
+    """``(n, m) -> (1, m)`` equals the row-wise oracle on the C-contiguous transpose."""
+    n, m = grad.shape
+    got = unbroadcast(grad, (1, m))
+    want = unbroadcast_rowwise(np.ascontiguousarray(grad.T), (m, 1)).reshape(1, m)
+    assert got.shape == (1, m)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestUnbroadcastDownRowsEqualsTransposedOracle:
+    """An axis 0 of at most ``DOWN_ROWS_MAX_N`` rows (the weight gradient of
+    the ``(k, |W|)`` dense map) is summed down its rows in the row-wise order."""
+
+    @pytest.mark.parametrize("m", [1, 7, 1500, 9000])
+    @pytest.mark.parametrize("n", [n for n in _AXIS_LENGTHS if n <= DOWN_ROWS_MAX_N] + [256])
+    def test_lengths_and_column_counts(self, n, m):
+        grad = np.random.default_rng(n).standard_normal((n, m)).astype(np.float32)
+        _assert_down_rows_matches_oracle(grad)
+
+    @pytest.mark.parametrize("m", [20, 1500, 9000])
+    def test_special_values(self, m):
+        grad = np.random.default_rng(1).standard_normal((m, 8)).astype(np.float32)
+        grad[::4] = -0.0  # sums to +0.0: add.reduce starts from its identity
+        grad[1, 2] = np.nan
+        grad[2, :3] = np.inf
+        grad[3, 0], grad[3, 1] = np.inf, -np.inf
+        grad[5, 4] = np.float32(3e38)
+        grad[5, 5] = np.float32(3e38)  # overflows to inf in float32
+        with np.errstate(all="ignore"):
+            _assert_down_rows_matches_oracle(grad.T.copy())
+
+    def test_float64(self):
+        grad = np.random.default_rng(2).standard_normal((16, 1500))
+        _assert_down_rows_matches_oracle(grad)
+
+    def test_longer_axis_0_keeps_numpys_sum(self):
+        # The centroid gradient of the old (|W|, k) map, summed over |W| rows.
+        grad = np.random.default_rng(3).standard_normal((DOWN_ROWS_MAX_N + 1, 8))
+        grad = grad.astype(np.float32)
+        _assert_unbroadcast_matches_oracle(grad, (1, 8))

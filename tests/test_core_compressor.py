@@ -7,6 +7,7 @@ import repro.tensor as rt
 import repro.nn as nn
 from repro.core import DKMConfig, ModelCompressor
 from repro.core.compressor import ClusteredLinear
+from repro.core.palettize import PalettizedTensor
 from repro.llm import MICRO, build_model
 
 
@@ -217,6 +218,20 @@ class TestFinalizeIsPure:
             assert len(lut) <= 2**bits, name
             on_grid = rt.Tensor.from_numpy(lut, dtype=weight_dtype)._compute()
             assert lut.tobytes() == on_grid.tobytes()
+
+    def test_embedding_lut_is_on_the_weight_grid(self, bits, weight_dtype):
+        """``nbytes`` counts 2 bytes a LUT entry, so the embedding ships
+        16-bit values too, in as many entries.  Its k-means LUT used to stay
+        float32, on neither grid."""
+        model, compressor = self._trained(bits, weight_dtype)
+        embedding = compressor.finalize(model).palettized["embed.weight"]
+        assert embedding.lut.size == 2**compressor.embedding_bits
+        on_grid = rt.Tensor.from_numpy(embedding.lut, dtype=weight_dtype)._compute()
+        assert embedding.lut.tobytes() == on_grid.tobytes()
+        # The projected LUT is also the one the final assignment used.
+        flat = model.embed.weight._compute().reshape(-1)
+        want = PalettizedTensor.from_weights(flat, embedding.lut, embedding.bits)
+        assert want.packed.tobytes() == embedding.packed.tobytes()
 
     def test_finalize_leaves_eval_outputs_unchanged(self, bits, weight_dtype):
         """Finalizing between two eval forwards changes neither logit."""

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro.tensor as rt
@@ -23,7 +23,8 @@ from repro.core.uniquify import (
     uniquify_call_count,
 )
 
-from tests.oracles import refine_uk
+from tests.opcount import count_ops
+from tests.oracles import cluster_dense_wk, refine_uk
 
 
 def _weight_tensor(n=2000, seed=0, dtype="bfloat16", requires_grad=False):
@@ -631,6 +632,83 @@ class TestDenseOnePath:
         monkeypatch.setattr(dkm, "DENSE_SAVED_BYTES_LIMIT", n * k * 4 - 1)
         with pytest.raises(MemoryError):
             DKMClusterer(DKMConfig(bits=4, iters=2)).cluster_dense(_weight_tensor(n))
+
+
+def _ordered16(values, dtype):
+    """16-bit ``values`` as integers one ulp apart, across zero too."""
+    if dtype == "float16":
+        pattern = values.astype(np.float16).view(np.uint16).astype(np.int64)
+    else:
+        pattern = (values.view(np.uint32) >> 16).astype(np.int64)
+    magnitude = pattern & 0x7FFF
+    return np.where(pattern & 0x8000, -magnitude, magnitude)
+
+
+def _dense_step(compose, config, values, dtype, grad):
+    """One forward and backward of ``compose``: output, weight gradient,
+    tensors saved per op, and the byte sizes of their distinct storages."""
+    packed = []
+    w = rt.Tensor.from_numpy(values, dtype=dtype, device="gpu", requires_grad=True)
+    with count_ops() as counts:
+        with rt.saved_tensors_hooks(lambda t: packed.append(t) or t, lambda t: t):
+            out = compose(DKMClusterer(config), w)
+        out.backward(rt.Tensor.from_numpy(grad, dtype=dtype, device="gpu"))
+    storages = {id(t.storage): t.storage.nbytes for t in packed}
+    return out._compute(), w.grad._compute(), counts, sorted(storages.values())
+
+
+class TestDenseEqualsWkOracle:
+    """The ``(k, |W|)`` map against the ``(|W|, k)`` composition it replaced:
+    byte-equal weight gradients, the same saved tensors and storage bytes,
+    and outputs within one 16-bit ulp where the forward gemv rounds apart."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bits=st.integers(1, 8),
+        dtype=st.sampled_from(["bfloat16", "float16"]),
+        n=st.integers(1, 32768),
+        seed=st.integers(0, 2**16),
+    )
+    @example(bits=8, dtype="bfloat16", n=32768, seed=0)  # k = 2^8, the largest layer
+    @example(bits=3, dtype="float16", n=32768, seed=1)
+    @example(bits=3, dtype="bfloat16", n=8193, seed=2)  # a moved (|W|, 8) block and one row
+    @example(bits=4, dtype="float16", n=4097, seed=3)
+    @example(bits=1, dtype="bfloat16", n=1, seed=4)
+    def test_matches_the_oracle(self, bits, dtype, n, seed):
+        rng = np.random.default_rng(seed)
+        values = (rng.standard_normal(n) * 0.05).astype(np.float32)
+        values[rng.random(n) < 0.05] = 0.0
+        if n % 8 == 0:
+            values = values.reshape(n // 8, 8)
+        grad = rng.standard_normal(values.shape).astype(np.float32)
+        grad.reshape(-1)[rng.random(n) < 0.1] = 0.0
+        grad.reshape(-1)[rng.random(n) < 0.05] = -0.0
+        config = DKMConfig(bits=bits, iters=3, weight_dtype=rt.get_dtype(dtype))
+        out, w_grad, counts, storages = _dense_step(
+            DKMClusterer.cluster_dense, config, values, dtype, grad
+        )
+        want_out, want_grad, want_counts, want_storages = _dense_step(
+            cluster_dense_wk, config, values, dtype, grad
+        )
+        assert w_grad.tobytes() == want_grad.tobytes()
+        ulps = np.abs(_ordered16(out, dtype) - _ordered16(want_out, dtype))
+        assert ulps.max() <= 1
+        assert counts.saved == want_counts.saved
+        assert storages == want_storages
+        # The map's sums run down its rows, and no outer product goes to BLAS.
+        assert counts.moved_blocks == counts.outer_gemms == 0
+        assert counts.outer_products == 1
+
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
+    def test_rounding_apart_is_rare(self, dtype):
+        """At a 32 768-weight layer, fewer than 1 output in 1 000 moves."""
+        rng = np.random.default_rng(7)
+        values = (rng.standard_normal((256, 128)) * 0.05).astype(np.float32)
+        grad = rng.standard_normal(values.shape).astype(np.float32)
+        config = DKMConfig(bits=3, iters=3, weight_dtype=rt.get_dtype(dtype))
+        out = _dense_step(DKMClusterer.cluster_dense, config, values, dtype, grad)[0]
+        want = _dense_step(cluster_dense_wk, config, values, dtype, grad)[0]
+        assert np.count_nonzero(out != want) < out.size // 1000
 
 
 class TestRetiredDenseKnobs:

@@ -254,6 +254,92 @@ class TestSoftmaxEqualsRowwiseOracle:
         assert x.tobytes() == before
 
 
+# Every k that DKMConfig allows, and column counts from one to several
+# cache-sized rows.
+_DOWN_ROWS_LENGTHS = [n for n in _AXIS_LENGTHS if n <= pairwise.DOWN_ROWS_MAX_N] + [256]
+_DOWN_ROWS_CASES = [
+    (n, m) for n in _DOWN_ROWS_LENGTHS for m in (1, 7, 1500, 9000) if n * m <= 600_000
+]
+
+
+def _assert_softmax_down_rows_matches_oracle(a, grad=None):
+    """``ops.softmax(a, dim=0)`` of a C-contiguous ``(n, m)`` ``a``, forward
+    and backward, equals the row-wise oracle on its C-contiguous transpose."""
+    with np.errstate(all="ignore"):
+        out = ops.softmax(a, dim=0)
+        want = a.dtype.project(softmax_rowwise(np.ascontiguousarray(a._compute().T), -1))
+        y = out._compute()
+        if grad is None:
+            grad = np.random.default_rng(y.size).standard_normal(y.shape).astype(np.float32)
+        node = out.grad_fn
+        (got,) = node.fn.backward(node.ctx, grad)
+        want_grad = softmax_backward_rowwise(
+            np.ascontiguousarray(grad.T), np.ascontiguousarray(y.T), -1
+        )
+    assert out.numpy().tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert got.dtype == want_grad.dtype
+    assert got.tobytes() == np.ascontiguousarray(want_grad.T).tobytes()
+
+
+class TestSoftmaxDownRowsEqualsTransposedOracle:
+    """Axis 0 of a C-contiguous ``(n, m)`` array -- the ``(k, |W|)`` dense
+    map -- is reduced down its ``n`` rows in place: every byte is the
+    row-wise one's of the ``(m, n)`` array the map used to be."""
+
+    @pytest.mark.parametrize("n,m", _DOWN_ROWS_CASES)
+    def test_lengths_and_column_counts(self, n, m):
+        a = rt.tensor(_arr((n, m), seed=n, scale=4.0), requires_grad=True)
+        _assert_softmax_down_rows_matches_oracle(a)
+
+    @pytest.mark.parametrize("k", [2, 8, 16, 256])  # 1, 3, 4 and 8 bits
+    @pytest.mark.parametrize("size", [8193, 32768])
+    def test_dense_map_shapes(self, size, k):
+        w = rt.bfloat16.project(_arr(size, seed=size, scale=0.05))
+        c = init_centroids_quantile(w, k)
+        sq = np.square(w.reshape(1, -1) - c.reshape(-1, 1))
+        logits = sq * np.float32(-1.0 / default_temperature(w, k))
+        _assert_softmax_down_rows_matches_oracle(rt.tensor(logits, requires_grad=True))
+
+    @pytest.mark.parametrize("m", [20, 1500, 9000])
+    def test_inf_and_nan_entries(self, m):
+        x = _arr((m, 8), seed=4, scale=3.0)
+        x[0, :] = -np.inf  # a fully masked column: NaN throughout
+        x[1, ::2] = -np.inf
+        x[2, 3] = np.nan
+        x[3, 5] = np.inf
+        _assert_softmax_down_rows_matches_oracle(rt.tensor(x.T.copy(), requires_grad=True))
+
+    @pytest.mark.parametrize("m", [20, 1500, 9000])
+    def test_gradient_columns_of_negative_zero(self, m):
+        # add.reduce starts from +0.0, so a column of -0.0 products sums to +0.0.
+        grad = _arr((8, m), seed=5)
+        grad[:, ::3] = -0.0
+        a = rt.tensor(_arr((8, m)), requires_grad=True)
+        _assert_softmax_down_rows_matches_oracle(a, grad=grad)
+
+    @pytest.mark.parametrize("dtype", [rt.float16, rt.bfloat16, rt.float64])
+    def test_other_activation_dtypes(self, dtype):
+        a = rt.tensor(_arr((8, 1500), seed=9, scale=3.0), dtype=dtype, requires_grad=True)
+        grad = np.random.default_rng(10).standard_normal((8, 1500)).astype(dtype.np_compute)
+        _assert_softmax_down_rows_matches_oracle(a, grad=grad)
+
+    def test_past_the_longest_k_numpy_reduces_axis_0(self):
+        x = _arr((pairwise.DOWN_ROWS_MAX_N + 1, 40), seed=12)
+        assert pairwise._down_rows(x[:-1], 0) and not pairwise._down_rows(x, 0)
+        want = softmax_rowwise(x, 0)
+        assert ops.softmax(rt.tensor(x), dim=0).numpy().tobytes() == want.tobytes()
+
+    def test_the_rule_reads_the_array_alone(self):
+        x = np.zeros((8, 32768), np.float32)
+        assert pairwise._down_rows(x, 0)
+        assert not pairwise._down_rows(x, 1)
+        assert not pairwise._down_rows(np.asfortranarray(x), 0)  # not C-contiguous
+        assert not pairwise._down_rows(x[:, ::2], 0)
+        assert not pairwise._down_rows(x.astype(np.float16), 0)
+        assert not pairwise._down_rows(x.reshape(8, 2, -1), 0)  # not 2-D
+        assert not pairwise._down_rows(x[:0], 0)
+
+
 class TestIndexing:
     def test_index_select_values(self):
         w = _arr((6, 3))

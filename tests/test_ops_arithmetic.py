@@ -278,3 +278,80 @@ class TestMatmul:
         assert len(gemm_shapes) == 1
         assert tensors[wanted].grad.shape == tensors[wanted].shape
         assert tensors[1 - wanted].grad is None
+
+
+def _signed_zero_operands(a_shape, b_shape, seed=0):
+    """Operands whose products hold both zeros, infinities and NaN."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(a_shape).astype(np.float32)
+    b = rng.standard_normal(b_shape).astype(np.float32)
+    a.reshape(-1)[::3] = -0.0
+    a.reshape(-1)[1::5] = 0.0
+    b.reshape(-1)[::4] = -0.0
+    b.reshape(-1)[1] = np.inf
+    a.reshape(-1)[-1] = np.nan
+    return a, b
+
+
+# (a, b) shapes whose contracted dimension is 1: a plain outer product,
+# the dense DKM map's (k, 1) x (1, |W|), an N-D activation times a 2-D
+# weight (one collapsed product) and a batch broadcast.
+_OUTER_SHAPES = [((5, 1), (1, 7)), ((8, 1), (1, 4097)), ((2, 3, 1), (1, 6)), ((2, 4, 1), (1, 1, 5))]
+
+
+class TestOuterProduct:
+    """A contracted dimension of 1 is a broadcast multiply, not a BLAS call."""
+
+    @pytest.mark.parametrize("a_shape,b_shape", _OUTER_SHAPES)
+    def test_forward_is_the_elementwise_product(self, gemm_shapes, a_shape, b_shape):
+        a, b = _signed_zero_operands(a_shape, b_shape)
+        with np.errstate(invalid="ignore"):
+            out = (rt.tensor(a) @ rt.tensor(b)).numpy()
+            product = a * b
+            blas = np.matmul(a, b)
+        assert gemm_shapes == [(a.shape, b.shape)]  # the reference call above only
+        assert out.shape == blas.shape
+        assert out.tobytes() == product.tobytes()
+        # np.matmul agrees up to the sign of a zero product: its beta = 0
+        # accumulate turns -0.0 into +0.0.
+        assert np.array_equal(out, blas, equal_nan=True)
+        differ = out.view(np.uint32) != blas.view(np.uint32)
+        assert (out[differ] == 0).all() and np.signbit(out[differ]).all()
+
+    @pytest.mark.parametrize("y_shape", [(5, 1), (300, 1), (3, 5, 1)])
+    def test_backward_products_are_elementwise(self, gemm_shapes, y_shape):
+        """A row times a column: both gradients are outer products."""
+        m = y_shape[-2]
+        x_np, y_np = _signed_zero_operands((1, m), y_shape, seed=1)
+        x_np[np.isnan(x_np)] = 1.0
+        y_np[np.isinf(y_np)] = 2.0
+        x = rt.tensor(x_np, requires_grad=True)
+        y = rt.tensor(y_np, requires_grad=True)
+        out = x @ y  # (..., 1, 1)
+        grad = np.random.default_rng(2).standard_normal(out.shape).astype(np.float32)
+        grad.reshape(-1)[::2] = -0.0
+        node = out.grad_fn
+        del gemm_shapes[:]
+        gx, gy = node.fn.backward(node.ctx, grad)
+        assert gemm_shapes == []
+        want_gx = grad * np.swapaxes(y_np, -1, -2)
+        if want_gx.ndim > 2:  # the batch np.matmul broadcast x over
+            want_gx = want_gx.sum(axis=0)
+        assert gx.tobytes() == want_gx.tobytes()
+        assert gy.tobytes() == (x_np.T * grad).tobytes()
+
+    def test_dense_map_weight_gradient(self, gemm_shapes):
+        """The ``(1, k) @ (k, |W|)`` of ``cluster_dense``: its map gradient
+        is ``centroids.T * grad``, with no gemm."""
+        k, n = 8, 4097
+        c, g = _signed_zero_operands((1, k), (1, n), seed=3)
+        c[0, -1] = 0.5  # no NaN in the centroids
+        g.reshape(-1)[1] = 2.0
+        attention = rt.tensor(np.abs(_arr((k, n), 4)), requires_grad=True)
+        out = rt.tensor(c) @ attention
+        del gemm_shapes[:]
+        node = out.grad_fn
+        ga, gb = node.fn.backward(node.ctx, g)
+        assert ga is None and gemm_shapes == []
+        assert gb.flags.c_contiguous
+        assert gb.tobytes() == (c.T * g).tobytes()
