@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tensor.dtype import DType
+from repro.tensor.dtype import DType, bfloat16
 
 
 def _check_bits(bits: int) -> None:
@@ -146,16 +146,16 @@ def kmeans_palettize(
     weights: np.ndarray,
     bits: int,
     iters: int = 25,
-    seed: int = 0,
-    dtype: DType | None = None,
+    dtype: DType = bfloat16,
 ) -> PalettizedTensor:
     """Post-training k-means palettization (used for embedding tables).
 
     Runs plain Lloyd iterations in unique-value space -- the same
     uniquification trick as eDKM, applied to inference-time compression.
-    With ``dtype`` (a 16-bit :class:`~repro.tensor.dtype.DType`) the LUT is
-    projected onto that grid before the final assignment, so the 2-byte
-    entries ``nbytes`` counts are the values ``lut[indices]`` ships.
+    The LUT is projected onto the grid of ``dtype`` (a 16-bit
+    :class:`~repro.tensor.dtype.DType`, bf16 as in ``DKMConfig``) before
+    the final assignment, so the 2-byte entries ``nbytes`` counts are the
+    values ``lut[indices]`` ships.
     Raises :class:`FloatingPointError` for a table holding NaN or inf, as
     ``DKMClusterer.refine`` does for a Linear weight: one would turn every
     LUT entry into NaN, or ship an inf entry.
@@ -184,6 +184,5 @@ def kmeans_palettize(
             lut = new_lut.astype(np.float32)
             break
         lut = new_lut.astype(np.float32)
-    if dtype is not None:
-        lut = dtype.project(lut).astype(np.float32)
+    lut = dtype.project(lut).astype(np.float32)
     return PalettizedTensor.from_weights(weights, lut, bits)

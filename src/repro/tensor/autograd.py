@@ -373,9 +373,8 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # Sum dims that were size-1 in the target.
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if len(axes) == 1:
-        # A short trailing axis is moved to run down its rows, and axis 0 of
-        # a 2-D grad (the (k, N) -> (1, N) of the dense DKM map) is summed
-        # down the rows it has; both in the order of a row-wise sum.
+        # Axis 0 of a 2-D grad (the (k, N) -> (1, N) of the dense DKM map)
+        # is summed down the rows it has, in the order of a row-wise sum.
         grad = sum_keepdims(grad, axes[0])
     elif axes:
         grad = grad.sum(axis=axes, keepdims=True)

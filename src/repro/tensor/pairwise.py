@@ -2,12 +2,11 @@
 
 numpy reduces the last axis of a C-contiguous ``(rows, n)`` array by
 entering its inner loop once per ``n``-element row.  With ``n`` a handful
--- the dense DKM map has ``k = 8`` columns at 3 bits, a training attention
-row is one short sequence -- that entry costs more than the arithmetic:
-``max`` over a ``(32 768, 8)`` map takes 2.1 ms where the same data laid
-out as ``(8, 32 768)`` takes 29 µs.  Moved to ``(n, rows)``, every
-reduction runs down ``n`` long contiguous rows as a few whole-array ufunc
-calls.
+-- a training step's attention scores are ``(B, H, T, T)`` with ``T`` one
+short sequence, ``(16, 8, 23, 23)`` in the benchmark's step -- that entry
+costs more than the arithmetic of the softmax over those rows.  Moved to
+``(n, rows)``, its max shift, ``exp`` and normaliser run down ``n`` long
+contiguous rows as a few whole-array ufunc calls.
 
 The results are bit-identical to numpy's own: ``max`` is order-free, every
 other op is elementwise IEEE, and :func:`_sum_rows_pairwise` adds the ``n``
@@ -17,10 +16,10 @@ contiguous run of ``n`` floats.  The move happens in blocks of
 when it is reduced.
 
 The layout is picked from the array alone: a C-contiguous float32 / float64
-array reduced over its last axis, with at least as many rows as the grid
-asks for its ``n``.  Speed of the moved layout over numpy's row-wise
-reduction (float32, one BLAS thread, 2-core reference VM, min of 5
-repeats; each kernel moves in the bracketed cells):
+array whose softmax runs over its last axis, with at least as many rows as
+:data:`SOFTMAX_MIN_ROWS` asks for its ``n``.  Speed of the moved layout
+over numpy's row-wise softmax (float32, one BLAS thread, 2-core reference
+VM, min of 5 repeats; the kernel moves in the bracketed cells):
 
 =======  =====  =====  =====  =====  =====  =====  =====  ======
 softmax  32     64     128    256    512    1 024  2 048  32 768
@@ -33,19 +32,12 @@ n = 64   0.55   0.72   0.89   0.91   0.91   0.94   0.94   0.99
 n = 128  0.46   0.64   0.65   0.59   0.64   0.72   0.64
 =======  =====  =====  =====  =====  =====  =====  =====  ======
 
-=======  =====  =====  =====  =====  =====  =====  =====  ======
-sum      32     64     128    256    512    1 024  2 048  32 768
-=======  =====  =====  =====  =====  =====  =====  =====  ======
-n = 2    0.32   0.43   0.59   0.89   1.34   [2.34  3.90   12.6]
-n = 8    0.23   0.31   0.43   0.62   0.96   [1.36  1.86   3.19]
-n = 16   0.24   0.30   0.40   0.57   0.82   0.99   [1.23  1.38]
-n = 32   0.21   0.27   0.36   0.49   0.49   0.56   0.64   0.58
-=======  =====  =====  =====  =====  =====  =====  =====  ======
-
-A sum alone has less row-wise overhead to win back than a softmax (no
-``max``, no broadcast subtract), so it moves later and never past
-``n`` = 16.  A decode step's ``(B·H, T)`` scores are a few dozen rows --
-where the move would run at 0.4-0.8× -- and keep the row-wise path.
+A decode step's ``(B·H, T)`` scores are a few dozen rows -- where the move
+would run at 0.4-0.8× -- and keep the row-wise path.  A sum over a last
+axis (the softmax backward's ``(grad · y).sum``, ``unbroadcast``) is
+numpy's own.  It has less row-wise overhead to win back than a softmax (no
+``max``, no broadcast subtract), so a move pays only past 1 024 rows at
+``n`` ≤ 8: a shape no benchmark workload sums.
 
 An array already laid out ``(n, m)`` needs no move.  A C-contiguous 2-D
 float32 / float64 array reduced over an axis 0 of at most
@@ -66,21 +58,20 @@ BLOCK_ELEMENTS = 1 << 16
 # Longest axis 0 reduced down the rows it has: every k that DKMConfig allows.
 DOWN_ROWS_MAX_N = 1 << 8
 
-# (largest n, fewest rows) at which each kernel moves to (n, rows).
+# (largest n, fewest rows) at which the softmax moves to (n, rows).
 SOFTMAX_MIN_ROWS = ((32, 128),)
-SUM_MIN_ROWS = ((8, 1024), (16, 2048))
 
 _PAIRWISE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _moves(x: np.ndarray, axis: int, grid: tuple[tuple[int, int], ...]) -> bool:
-    """Whether reducing ``x`` over ``axis`` is faster moved to ``(n, rows)``."""
+def _moves(x: np.ndarray, axis: int) -> bool:
+    """Whether the softmax of ``x`` over ``axis`` is faster moved to ``(n, rows)``."""
     if axis != x.ndim - 1 or x.dtype not in _PAIRWISE_DTYPES or not x.flags.c_contiguous:
         return False
     n = x.shape[-1]
     if n < 2:
         return False
-    for max_n, min_rows in grid:
+    for max_n, min_rows in SOFTMAX_MIN_ROWS:
         if n <= max_n:
             return x.size // n >= min_rows
     return False
@@ -135,23 +126,16 @@ def _sum_rows_pairwise(rows: np.ndarray) -> np.ndarray:
 
 
 def sum_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
-    """``x.sum(axis=axis, keepdims=True)`` in the faster layout.
+    """``x.sum(axis=axis, keepdims=True)``, down the rows over a short axis 0.
 
     Bit for bit numpy's, except over an axis 0 that :func:`_down_rows`
     takes: there it is the pairwise sum down the rows, the bytes of the
     row-wise sum of ``x``'s C-contiguous transpose.
     """
-    if _down_rows(x, axis):
-        total = _sum_rows_pairwise(x)
-        return np.add(x.dtype.type(0), total, out=total).reshape(1, -1)
-    if not _moves(x, axis, SUM_MIN_ROWS):
+    if not _down_rows(x, axis):
         return x.sum(axis=axis, keepdims=True)
-    flat = x.reshape(-1, x.shape[-1])
-    out = np.empty(flat.shape[0], dtype=x.dtype)
-    zero = x.dtype.type(0)
-    for block in _row_blocks(*flat.shape):
-        np.add(zero, _sum_rows_pairwise(np.ascontiguousarray(flat[block].T)), out=out[block])
-    return out.reshape(x.shape[:-1] + (1,))
+    total = _sum_rows_pairwise(x)
+    return np.add(x.dtype.type(0), total, out=total).reshape(1, -1)
 
 
 def softmax_columns_(buf: np.ndarray) -> np.ndarray:
@@ -177,7 +161,7 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
         axis += x.ndim
     if _down_rows(x, axis):
         return softmax_columns_(x.copy())
-    if not _moves(x, axis, SOFTMAX_MIN_ROWS):
+    if not _moves(x, axis):
         shifted = x - x.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=axis, keepdims=True)

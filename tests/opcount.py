@@ -7,9 +7,11 @@ copies ``Storage.from_values`` makes to own a caller's buffer (and their
 bytes), the numpy views ``Tensor._np`` builds, the blocks (and elements)
 ``tensor/pairwise.py`` moves to a transposed copy, the reductions it runs
 down an axis 0 in place, and the products with a contracted dimension of
-1 (outer products): those ``MatMul`` computes, and those handed to
-``np.matmul``, that is to BLAS.  Run as a script it prints the per-op table
-of one benchmark-shaped ``finetune_mus`` training step
+1 (outer products): those ``MatMul`` computes, and those passed to
+``np.matmul``.  That last counter swaps the ``np.matmul`` attribute for the
+block, so it sees calls spelled ``np.matmul(...)`` only: not the ``@``
+operator, nor a module that kept its own reference.  Run as a script it
+prints the per-op table of one benchmark-shaped ``finetune_mus`` training step
 (``docs/edkm-pipeline.md`` carries a copy), with ``--dense`` of one
 ``finetune_offload``-configured step (dense DKM, naive offload), or with
 ``--eval`` of one ``evaluate_suites`` pass over
@@ -76,7 +78,7 @@ class OpCounts:
             f"| elements in those blocks | {self.moved_elements} |",
             f"| pairwise reductions down an axis 0 in place | {self.down_rows} |",
             f"| `MatMul` outer products (broadcast multiply) | {self.outer_products} |",
-            f"| outer products sent to `np.matmul` (BLAS) | {self.outer_gemms} |",
+            f"| outer products passed to `np.matmul` | {self.outer_gemms} |",
         ]
         return "\n".join(lines)
 

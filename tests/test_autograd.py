@@ -10,7 +10,7 @@ import pytest
 import repro.tensor as rt
 from repro.tensor import no_grad, saved_tensors_hooks
 from repro.tensor.autograd import Context, is_grad_enabled, unbroadcast
-from repro.tensor.pairwise import DOWN_ROWS_MAX_N, SUM_MIN_ROWS
+from repro.tensor.pairwise import DOWN_ROWS_MAX_N
 
 from tests.oracles import unbroadcast_rowwise
 
@@ -294,10 +294,9 @@ class TestConsumerEdges:
         assert x.consumers is None
 
 
-# Every branch of the pairwise order, and row counts either side of each sum
-# gate threshold and past one moved block.
+# Every branch of the pairwise order, from one row to many.
 _AXIS_LENGTHS = [*range(1, 18), 31, 64, 127, 128, 129, 200, 257]
-_ROW_COUNTS = sorted({1, 9000} | {rows + d for _, rows in SUM_MIN_ROWS for d in (-1, 0)})
+_ROW_COUNTS = [1, 20, 1500, 9000]
 
 
 def _assert_unbroadcast_matches_oracle(grad, shape):
@@ -309,7 +308,7 @@ def _assert_unbroadcast_matches_oracle(grad, shape):
 
 
 class TestUnbroadcastEqualsRowwiseOracle:
-    """A trailing-axis sum moved to ``(n, rows)`` keeps numpy's bytes."""
+    """Every sum but a short axis 0's keeps numpy's bytes."""
 
     @pytest.mark.parametrize("n", _AXIS_LENGTHS)
     @pytest.mark.parametrize("rows", _ROW_COUNTS)

@@ -695,7 +695,7 @@ class TestDenseEqualsWkOracle:
         assert ulps.max() <= 1
         assert counts.saved == want_counts.saved
         assert storages == want_storages
-        # The map's sums run down its rows, and no outer product goes to BLAS.
+        # The map's sums run down its rows; no outer product is passed to np.matmul.
         assert counts.moved_blocks == counts.outer_gemms == 0
         assert counts.outer_products == 1
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.tensor as rt
 from repro.core.palettize import (
     PalettizedTensor,
     kmeans_palettize,
@@ -190,6 +191,14 @@ class TestKMeansPalettize:
         table[5, 7] = bad
         with pytest.raises(FloatingPointError, match="1 of 2048 values"):
             kmeans_palettize(table, bits=8)
+
+    @pytest.mark.parametrize("bits", [3, 8])
+    def test_lut_is_on_the_bf16_grid_by_default(self, bits):
+        # nbytes counts 2 bytes a LUT entry: every entry is a 16-bit value.
+        weights = (np.random.default_rng(4).standard_normal(5000) * 0.02).astype(np.float32)
+        lut = kmeans_palettize(weights, bits=bits).lut
+        assert lut.dtype == np.float32
+        assert lut.tobytes() == rt.bfloat16.project(lut).astype(np.float32).tobytes()
 
     def test_deterministic(self):
         weights = np.random.default_rng(2).standard_normal(1000).astype(np.float32)

@@ -153,11 +153,12 @@ class TestActivations:
 
 
 # Every branch of the pairwise order (sequential < 8, lanes + tail to 128,
-# halves above), and row counts either side of every gate threshold and
-# past one moved block.
+# halves above), and row counts either side of the softmax gate threshold
+# and past one moved block.
 _AXIS_LENGTHS = [*range(1, 18), 31, 64, 127, 128, 129, 200, 257]
-_GATES = pairwise.SOFTMAX_MIN_ROWS + pairwise.SUM_MIN_ROWS
-_ROW_COUNTS = sorted({1, 9000} | {rows + d for _, rows in _GATES for d in (-1, 0)})
+_ROW_COUNTS = sorted(
+    {1, 9000} | {rows + d for _, rows in pairwise.SOFTMAX_MIN_ROWS for d in (-1, 0)}
+)
 _SOFTMAX_CASES = [(r, n) for n in _AXIS_LENGTHS for r in _ROW_COUNTS if r * n <= 300_000]
 
 
@@ -236,16 +237,13 @@ class TestSoftmaxEqualsRowwiseOracle:
     def test_decode_scores_keep_the_rowwise_path(self):
         # (groups, heads, new tokens, cached + new): a few dozen rows.
         decode = np.zeros((14, 4, 1, 40), dtype=np.float32)
-        assert not pairwise._moves(decode, 3, pairwise.SOFTMAX_MIN_ROWS)
-        assert pairwise._moves(np.zeros((16, 8, 23, 23), np.float32), 3, pairwise.SOFTMAX_MIN_ROWS)
-        assert pairwise._moves(np.zeros((32768, 8), np.float32), 1, pairwise.SOFTMAX_MIN_ROWS)
-        assert pairwise._moves(np.zeros((32768, 8), np.float32), 1, pairwise.SUM_MIN_ROWS)
+        assert not pairwise._moves(decode, 3)
+        assert pairwise._moves(np.zeros((16, 8, 23, 23), np.float32), 3)
+        assert pairwise._moves(np.zeros((32768, 8), np.float32), 1)
         # Not the last axis, not contiguous, or a float16 array: row-wise.
-        assert not pairwise._moves(np.zeros((8, 32768), np.float32), 0, pairwise.SOFTMAX_MIN_ROWS)
-        assert not pairwise._moves(
-            np.zeros((8, 32768), np.float32).T, 1, pairwise.SOFTMAX_MIN_ROWS
-        )
-        assert not pairwise._moves(np.zeros((32768, 8), np.float16), 1, pairwise.SOFTMAX_MIN_ROWS)
+        assert not pairwise._moves(np.zeros((8, 32768), np.float32), 0)
+        assert not pairwise._moves(np.zeros((8, 32768), np.float32).T, 1)
+        assert not pairwise._moves(np.zeros((32768, 8), np.float16), 1)
 
     def test_stable_softmax_leaves_its_input_alone(self):
         x = _arr((1500, 8), seed=11)
