@@ -14,7 +14,8 @@ Public surface:
   train-time compression and palettization; every per-layer sweep is one
   loop over the wrapped layers.
 - the checkpoint layer (:func:`write_checkpoint` / :func:`load_checkpoint`,
-  crash-safe resume of compression sweeps); see ``docs/robustness.md``.
+  crash-safe resume of the fine-tune that ``train_causal_lm(checkpoint=)``
+  drives); see ``docs/robustness.md``.
 """
 
 from repro.core.checkpoint import (

@@ -354,8 +354,7 @@ class ModelCompressor:
     Embeddings are palettized post-training at ``embedding_bits`` (paper:
     "we also compressed the embedding layers with 8 bits"); norms and biases
     stay in 16-bit.  ``skip_names`` lists module-path prefixes exempted
-    from wrapping; their Linears stay in 16-bit too.  ``sweeps_completed``
-    counts the sweeps run so far (the checkpoint layer's progress marker).
+    from wrapping; their Linears stay in 16-bit too.
     """
 
     def __init__(
@@ -372,7 +371,6 @@ class ModelCompressor:
         self.embedding_bits = embedding_bits
         self.skip_names = skip_names
         self.wrapped: dict[str, ClusteredLinear] = {}
-        self.sweeps_completed = 0
 
     def compress(self, model: Module) -> Module:
         """Replace every target Linear in ``model`` with a ClusteredLinear."""
@@ -394,41 +392,10 @@ class ModelCompressor:
         Each wrapper's own clusterer and weight, in insertion order; the
         results come back keyed by layer name in that order.
         """
-        results = {
+        return {
             name: SWEEP_OPS[op](wrapper.clusterer, wrapper.inner.weight, **kwargs)
             for name, wrapper in self.wrapped.items()
         }
-        self.sweeps_completed += 1
-        return results
-
-    # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-
-    def save_checkpoint(self, path: str) -> str:
-        """Atomically persist clustering progress to ``path``; return digest.
-
-        Sweep-granular: per-layer cluster states (exact IEEE-754 bytes),
-        warm tokens, and step-cache counters, plus the sweep count and a
-        config-epoch pin -- everything :meth:`resume` needs to continue
-        bit-identically to a run that was never interrupted.  See
-        :mod:`repro.core.checkpoint` for the durability contract.
-        """
-        from repro.core.checkpoint import write_checkpoint
-
-        return write_checkpoint(self, path)
-
-    def resume(self, path: str) -> dict:
-        """Restore clustering progress saved by :meth:`save_checkpoint`.
-
-        Verifies the payload digest and the config epoch, then reinstalls
-        every layer's state, warm token, and counters; subsequent sweeps
-        are bit-identical -- outputs *and* counters -- to the
-        uninterrupted run's.  Returns the verified payload for audits.
-        """
-        from repro.core.checkpoint import load_checkpoint
-
-        return load_checkpoint(self, path)
 
     def refine_all(self) -> dict[str, ClusterState]:
         """Converge every layer's centroids, in layer insertion order."""

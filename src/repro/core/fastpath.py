@@ -20,12 +20,6 @@ Each :class:`~repro.core.dkm.DKMClusterer` owns one cache, so multi-layer
 models amortize per layer independently; :class:`repro.core.compressor.
 ModelCompressor` aggregates the per-layer hit counters for reporting.
 
-A checkpoint resume (:mod:`repro.core.checkpoint`) re-enters a layer
-that was warm when it was saved through one ordinary :meth:`StepCache.
-uniquify` call and then overwrites the counters with the saved ones, so
-the entry is resident and the first sweep after the resume hits, as it
-would have in the uninterrupted run.
-
 Footprint: between steps the cache retains the layer's
 :class:`~repro.core.uniquify.UniquifiedWeights` -- dominated by the
 ``O(|W|)`` uint16 index list, i.e. roughly the byte size of the bf16
@@ -152,23 +146,6 @@ class StepCache:
             self._key = self._weight_key(weights, dtype)
             self._unique = unique
             return unique
-
-    def is_warm(self, weights: "Tensor", dtype: DType) -> bool:
-        """Whether a ``uniquify`` for ``weights`` would be a hit -- the
-        warm token a checkpoint records per layer."""
-        with self._lock:
-            return self._key_matches(weights, dtype)
-
-    def restore_counters(self, stats: FastPathStats) -> None:
-        """Overwrite the hit/miss counters with a checkpointed snapshot.
-
-        Used by checkpoint resume (:mod:`repro.core.checkpoint`): a
-        resumed run must continue the counter sequence exactly where the
-        interrupted run left it, so subsequent sweeps stay bit-identical
-        -- counters included -- to a run that was never interrupted.
-        """
-        with self._lock:
-            self.stats = stats.merge(FastPathStats())
 
     # ------------------------------------------------------------------
     # Attention-table carry-over (refine -> forward assignment)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.tensor.device import CPU, Device, device as as_device
+from repro.tensor.device import CPU, Device, as_device
 
 
 class LearnerGroup:

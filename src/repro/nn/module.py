@@ -6,7 +6,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.tensor.device import Device, device as as_device
+from repro.tensor.device import Device, as_device
 from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor
 

@@ -1,16 +1,13 @@
-"""Optimizers and schedules used by the fine-tuning loops."""
+"""Optimizers used by the fine-tuning loops."""
 
 from repro.optim.adamw import AdamW
 from repro.optim.clip import clip_grad_norm_
-from repro.optim.lr_scheduler import ConstantLR, CosineWithWarmup
 from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 
 __all__ = [
     "AdamW",
     "clip_grad_norm_",
-    "ConstantLR",
-    "CosineWithWarmup",
     "Optimizer",
     "SGD",
 ]

@@ -10,6 +10,10 @@ from repro.optim.optimizer import Optimizer
 
 
 class AdamW(Optimizer):
+    """``m`` and ``v`` hold each parameter's moments by its position in
+    ``params`` (``None`` until its first gradient), so a checkpoint can
+    name them after the parameters they belong to."""
+
     def __init__(
         self,
         params: list[Parameter],
@@ -22,27 +26,26 @@ class AdamW(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self.m: list[np.ndarray | None] = [None] * len(self.params)
+        self.v: list[np.ndarray | None] = [None] * len(self.params)
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for param in self.params:
+        for index, param in enumerate(self.params):
             if param.grad is None:
                 continue
             grad = param.grad._compute()
-            key = id(param)
-            m = self._m.get(key)
-            v = self._v.get(key)
+            m = self.m[index]
+            v = self.v[index]
             if m is None:
                 m = np.zeros_like(grad)
                 v = np.zeros_like(grad)
             m = self.beta1 * m + (1.0 - self.beta1) * grad
             v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            self._m[key], self._v[key] = m, v
+            self.m[index], self.v[index] = m, v
 
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             values = param._compute()

@@ -23,7 +23,7 @@ from repro.tensor.autograd import (
     no_grad,
     saved_tensors_hooks,
 )
-from repro.tensor.device import CPU, GPU, Device, device
+from repro.tensor.device import CPU, GPU, Device, as_device
 from repro.tensor.dtype import (
     DType,
     bfloat16,
@@ -55,7 +55,7 @@ __all__ = [
     "CPU",
     "GPU",
     "Device",
-    "device",
+    "as_device",
     "DType",
     "bfloat16",
     "bit_pattern16",

@@ -91,7 +91,7 @@ class Device:
 _INTERNED: dict[str, Device] = {}
 
 
-def device(spec: "Device | str") -> Device:
+def as_device(spec: "Device | str") -> Device:
     """Resolve a device name (or pass through a Device) to the interned object."""
     if isinstance(spec, Device):
         return spec
@@ -104,5 +104,5 @@ def device(spec: "Device | str") -> Device:
     return dev
 
 
-CPU = device("cpu")
-GPU = device("gpu")
+CPU = as_device("cpu")
+GPU = as_device("gpu")

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from repro.tensor.device import CPU, Device, device as as_device
+from repro.tensor.device import CPU, Device, as_device
 from repro.tensor.dtype import get_dtype
 from repro.tensor.tensor import Tensor
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.tensor import autograd
 from repro.tensor import dtype as dtypes
-from repro.tensor.device import CPU, Device, device as as_device
+from repro.tensor.device import CPU, Device, as_device
 from repro.tensor.dtype import DType, get_dtype
 from repro.tensor.storage import Storage
 

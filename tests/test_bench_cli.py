@@ -139,7 +139,7 @@ NEGATIVE_CASES = {
     "serving_faults": (
         ("rows", 0, "tokens_identical"), ("transient_step-c4", "offline reference"),
     ),
-    "faults": (("resume_stats_identical",), ("kill-then-resume", "counters")),
+    "faults": (("resume_losses_identical",), ("kill-then-resume", "losses")),
 }
 
 # Further flags whose flip must surface as exactly one failure.
@@ -172,28 +172,26 @@ class TestDeterministicGates:
         assert len(_flip(quick_result(name), path).failures()) == 1
 
     def test_result_digest_sees_every_compared_field(self):
-        """The identity gates compare digests: each field must move one."""
-        from repro.core.compressor import LayerClusterResult
+        """The artifact gate compares digests: each field must move one."""
+        from repro.core import CompressionReport, PalettizedTensor
 
-        def results(**change):
+        def report(name="layer0", **change):
             fields = dict(
-                centroids=np.array([-1.0, 1.0], np.float32), temperature=0.5,
-                iterations_run=3, assignments=np.array([0, 1, 1]),
-                reconstruction_error=0.25,
+                lut=np.array([-1.0, 1.0], np.float32),
+                packed=np.array([6], np.uint8), bits=1, shape=(3,),
             )
-            return {"layer0": LayerClusterResult(**{**fields, **change})}
+            result = CompressionReport()
+            result.palettized[name] = PalettizedTensor(**{**fields, **change})
+            return result
 
-        base = faults._digest(results())
-        assert faults._digest(results()) == base
-        assert faults._digest(results(iterations_run=4)) == base  # not compared
+        base = faults._digest(report())
+        assert faults._digest(report()) == base
         for change in (
-            dict(centroids=np.array([-1.0, 1.5], np.float32)),
-            dict(assignments=np.array([0, 1, 0])),
-            dict(temperature=0.25),
-            dict(reconstruction_error=None),
+            dict(lut=np.array([-1.0, 1.5], np.float32)),
+            dict(packed=np.array([2], np.uint8)),
         ):
-            assert faults._digest(results(**change)) != base, change
-        assert faults._digest({"layer1": results()["layer0"]}) != base
+            assert faults._digest(report(**change)) != base, change
+        assert faults._digest(report("layer1")) != base
 
     def test_graph_walk_beating_the_oracle_is_reported(self, quick_result):
         result = copy.deepcopy(quick_result("fig2"))
@@ -205,12 +203,14 @@ class TestDeterministicGates:
 
 class TestNoChaosCellDropped:
     def test_faults_rows(self, quick_result):
-        """One cell stays: serial kill-then-resume.  The nine process-engine
-        cells are retired with the engine (``docs/robustness.md``)."""
+        """One cell stays: kill-then-resume, now of an M+U+S fine-tune.
+        The nine process-engine cells are retired with the engine and the
+        sweep-granular resume with its checkpoint (``docs/robustness.md``)."""
         result = quick_result("faults")
         payload = result.to_json_dict()
-        assert set(payload) == {"benchmark", "n_layers", "weights_per_layer", "resume"}
-        assert result.resume_sweeps_completed == 1
+        assert set(payload) == {"benchmark", "n_steps", "resume"}
+        assert payload["resume"]["bit_identical"] is True
+        assert (result.kill_after, result.n_steps) == (2, 4)
 
     def test_serving_faults_rows(self, quick_result):
         """One cell per fault kind, plus draining shutdown.  The

@@ -1,314 +1,299 @@
 """Crash-safe checkpoint/resume tests (see ``repro/core/checkpoint.py``).
 
-The contract under test: ``save_checkpoint`` + ``resume`` restarts a
-compression run *bit-identically* -- a run killed after sweep N and
-resumed into a fresh compressor produces the same
-centroids, palettized artifacts, and step-cache counters as a run that
-was never interrupted -- while the file format is atomic (tmp + rename),
-digest-verified, config-pinned, and journaled.
+The contract under test: ``train_causal_lm(checkpoint=path)`` restarts an
+eDKM fine-tune *bit-identically* -- a run killed after step k and resumed
+into a freshly built model with the same seed produces the same losses,
+parameter bytes, AdamW state, cluster states and finalized palettes as a
+run that was never interrupted -- while the file format is atomic (tmp +
+rename), digest-verified, config-pinned and versioned.
 """
 
 import dataclasses
-import json
+import hashlib
 import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
-import repro.nn as nn
-from repro.core import DKMConfig, ModelCompressor
+import repro.llm.finetune as finetune
+import repro.tensor as rt
+from repro.core import DKMConfig, EDKMConfig, ModelCompressor, SavedTensorPipeline
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointCorrupt,
     CheckpointError,
-    _payload_digest,
+    _digest,
     read_checkpoint,
 )
-from repro.core.uniquify import reset_uniquify_call_count, uniquify_call_count
+from repro.data import alpaca_batches, generate_alpaca
+from repro.distributed import LearnerGroup
+from repro.llm import MICRO, FinetuneConfig, build_model, train_causal_lm
+
+N_STEPS = 4
+BATCH_SIZE = 8
+FINETUNE = FinetuneConfig(lr=1e-3)
+EDKM = EDKMConfig(group=LearnerGroup(8))
 
 
-class _Stack(nn.Module):
-    def __init__(self, n_layers=3, in_f=32, out_f=24, seed=0):
-        super().__init__()
-        for i in range(n_layers):
-            setattr(
-                self,
-                f"layer{i}",
-                nn.Linear(in_f, out_f, bias=False, rng=np.random.default_rng(seed + i)),
+class _Killed(Exception):
+    """The simulated crash: the batch stream dies between two steps."""
+
+
+def _killed_after(batches, n):
+    for index, batch in enumerate(batches):
+        if index == n:
+            raise _Killed
+        yield batch
+
+
+def _fine_tune(
+    world,
+    tokenizer,
+    checkpoint,
+    *,
+    seed=0,
+    pipelined=True,
+    kill_after=None,
+    max_steps=None,
+    config=FINETUNE,
+    spec=MICRO,
+    bits=3,
+):
+    """A MICRO model built from ``seed``, every Linear wrapped for eDKM,
+    fine-tuned on a fixed batch stream; returns ``(result, model,
+    compressor)``."""
+    model = build_model(spec, vocab_size=tokenizer.vocab_size, seed=seed)
+    model.to(rt.GPU)
+    compressor = ModelCompressor(DKMConfig(bits=bits, iters=2), EDKM)
+    compressor.compress(model)
+    examples = generate_alpaca(world, N_STEPS * BATCH_SIZE, seed=seed + 1)
+    batches = alpaca_batches(examples, tokenizer, BATCH_SIZE, rt.GPU, seed=seed + 2)
+    if kill_after is not None:
+        batches = _killed_after(batches, kill_after)
+    result = train_causal_lm(
+        model,
+        batches,
+        config,
+        pipeline=SavedTensorPipeline(EDKM) if pipelined else None,
+        max_steps=max_steps,
+        checkpoint=checkpoint,
+    )
+    return result, model, compressor
+
+
+def _artifacts(compressor, model):
+    """blake2b over every finalized palette's name, LUT and packed bytes."""
+    digest = hashlib.blake2b(digest_size=16)
+    for name, tensor in compressor.finalize(model).palettized.items():
+        digest.update(name.encode())
+        digest.update(tensor.lut.tobytes())
+        digest.update(tensor.packed.tobytes())
+    return digest.hexdigest()
+
+
+def _assert_same_arrays(got, want):
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _rewrite(path, arrays):
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+@pytest.fixture(scope="module")
+def reference(world, tokenizer, tmp_path_factory):
+    """``(seed, pipelined) -> (losses, final checkpoint arrays, artifacts)``
+    of an uninterrupted ``N_STEPS`` run, each computed once per module."""
+    cache = {}
+
+    def get(seed, pipelined):
+        if (seed, pipelined) not in cache:
+            path = str(tmp_path_factory.mktemp("reference") / "ckpt.npz")
+            result, model, compressor = _fine_tune(
+                world, tokenizer, path, seed=seed, pipelined=pipelined
             )
-
-
-def _compressor(n_layers=3, seed=0, bits=3):
-    stack = _Stack(n_layers=n_layers, seed=seed)
-    stack.to("gpu")
-    compressor = ModelCompressor(DKMConfig(bits=bits, iters=3))
-    compressor.compress(stack)
-    return compressor, stack
-
-
-def _stats(compressor):
-    return {
-        name: dataclasses.asdict(wrapper.step_cache.stats)
-        for name, wrapper in compressor.wrapped.items()
-    }
-
-
-def _resident(cache):
-    """Whether ``cache`` holds a decomposition (read under its lock)."""
-    with cache._lock:
-        return cache._unique is not None
-
-
-def _centroids(results):
-    return {name: result.centroids for name, result in results.items()}
-
-
-class TestRoundTrip:
-    def test_resume_is_bit_identical_to_uninterrupted_run(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        # Uninterrupted reference: three sweeps straight through.
-        reference, _ = _compressor()
-        reference.precluster()
-        reference.precluster()
-        ref_final = _centroids(reference.precluster())
-        # Interrupted run: one sweep, checkpoint, "crash", resume into a
-        # *fresh* compressor over identical weights, two more sweeps.
-        first, _ = _compressor()
-        first.precluster()
-        digest = first.save_checkpoint(path)
-        assert digest
-        resumed, _ = _compressor()  # fresh process stands in for a restart
-        payload = resumed.resume(path)
-        assert payload["sweeps_completed"] == 1
-        assert resumed.sweeps_completed == 1
-        resumed.precluster()
-        res_final = _centroids(resumed.precluster())
-        for name in ref_final:
-            assert np.array_equal(ref_final[name], res_final[name]), name
-        # Counters too: the resumed run continued the sequence exactly.
-        assert _stats(reference) == _stats(resumed)
-
-    def test_exact_float_round_trip(self, tmp_path):
-        """Centroids and temperature survive the JSON round trip to the
-        last ulp (hex-encoded IEEE-754 bytes, not decimal repr)."""
-        path = str(tmp_path / "ckpt.json")
-        first, _ = _compressor()
-        first.precluster()
-        states = {
-            name: (
-                wrapper.clusterer.state.centroids.copy(),
-                wrapper.clusterer.state.temperature,
-                wrapper.clusterer.state.iterations_run,
+            assert result.steps == N_STEPS
+            cache[seed, pipelined] = (
+                result.losses,
+                read_checkpoint(path),
+                _artifacts(compressor, model),
             )
-            for name, wrapper in first.wrapped.items()
-        }
-        first.save_checkpoint(path)
-        resumed, _ = _compressor()
-        resumed.resume(path)
-        for name, wrapper in resumed.wrapped.items():
-            centroids, temperature, iterations = states[name]
-            state = wrapper.clusterer.state
-            assert np.array_equal(state.centroids, centroids)
-            assert state.temperature == temperature
-            assert state.iterations_run == iterations
+        return cache[seed, pipelined]
 
-    @pytest.mark.parametrize("saved_after", [1, 2, 3])
-    def test_resume_after_any_sweep_is_bit_identical(self, tmp_path, saved_after):
-        """Four sweeps in all, interrupted after ``saved_after`` of them."""
-        path = str(tmp_path / "ckpt.json")
-        reference, _ = _compressor(seed=2)
-        for _ in range(3):
-            reference.precluster()
-        ref_final = reference.precluster(compute_error=True)
-        first, _ = _compressor(seed=2)
-        for _ in range(saved_after):
-            first.precluster()
-        first.save_checkpoint(path)
-        resumed, _ = _compressor(seed=2)
-        resumed.resume(path)
-        assert resumed.sweeps_completed == saved_after
-        for _ in range(3 - saved_after):
-            resumed.precluster()
-        res_final = resumed.precluster(compute_error=True)
-        for name in ref_final:
-            assert np.array_equal(ref_final[name].centroids, res_final[name].centroids)
-            assert np.array_equal(
-                ref_final[name].assignments, res_final[name].assignments
+    return get
+
+
+class TestResume:
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["mus", "no-pipeline"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kill_after", [1, 2, 3])
+    def test_resume_is_byte_identical(
+        self, world, tokenizer, reference, tmp_path, seed, pipelined, kill_after
+    ):
+        """Killed after step ``kill_after`` of ``N_STEPS``, resumed into a
+        freshly built model: losses, parameters, AdamW state, cluster
+        states and finalized palettes equal the uninterrupted run's."""
+        ref_losses, ref_arrays, ref_artifacts = reference(seed, pipelined)
+        path = str(tmp_path / "ckpt.npz")
+        with pytest.raises(_Killed):
+            _fine_tune(
+                world, tokenizer, path, seed=seed, pipelined=pipelined,
+                kill_after=kill_after,
             )
-            assert (
-                ref_final[name].reconstruction_error
-                == res_final[name].reconstruction_error
-            )
-        assert _stats(reference) == _stats(resumed)
-        assert resumed.sweeps_completed == reference.sweeps_completed == 4
-
-    def test_resume_after_refine_all_is_bit_identical(self, tmp_path):
-        """A ``refine_all`` sweep leaves its layers warm too: the resumed
-        run's counters continue the uninterrupted run's."""
-        path = str(tmp_path / "ckpt.json")
-        reference, _ = _compressor(seed=4)
-        reference.refine_all()
-        ref_states = reference.refine_all()
-        first, _ = _compressor(seed=4)
-        first.refine_all()
-        first.save_checkpoint(path)
-        resumed, _ = _compressor(seed=4)
-        resumed.resume(path)
-        res_states = resumed.refine_all()
-        for name in ref_states:
-            assert np.array_equal(ref_states[name].centroids, res_states[name].centroids)
-        assert _stats(reference) == _stats(resumed)
-
-    def test_resume_then_finalize_matches_uninterrupted_artifacts(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        reference, stack_r = _compressor(seed=6)
-        reference.precluster()
-        ref_report = reference.finalize(stack_r)
-        first, _ = _compressor(seed=6)
-        first.precluster()
-        first.save_checkpoint(path)
-        resumed, stack_s = _compressor(seed=6)
-        resumed.resume(path)
-        report = resumed.finalize(stack_s)
-        assert list(report.palettized) == list(ref_report.palettized)
-        for name, pal in ref_report.palettized.items():
-            assert np.array_equal(report.palettized[name].lut, pal.lut)
-            assert np.array_equal(report.palettized[name].packed, pal.packed)
-        assert report.total_bytes == ref_report.total_bytes
-
-    def test_released_caches_resume_cold(self, tmp_path):
-        """A run that dropped its step caches before saving resumes cold:
-        the first post-resume sweep counts a miss per layer, as the
-        uninterrupted run does."""
-        path = str(tmp_path / "ckpt.json")
-        reference, _ = _compressor(seed=8)
-        reference.precluster()
-        reference.release_step_caches()
-        reference.precluster()
-        first, _ = _compressor(seed=8)
-        first.precluster()
-        first.release_step_caches()
-        first.save_checkpoint(path)
-        assert not any(
-            record["warm"] for record in read_checkpoint(path)["layers"].values()
+        assert len(read_checkpoint(path)["losses"]) == kill_after
+        result, model, compressor = _fine_tune(
+            world, tokenizer, path, seed=seed, pipelined=pipelined
         )
-        resumed, _ = _compressor(seed=8)
-        resumed.resume(path)
-        resumed.precluster()
-        assert _stats(reference) == _stats(resumed)
+        assert result.losses == ref_losses
+        assert result.steps == N_STEPS
+        _assert_same_arrays(read_checkpoint(path), ref_arrays)
+        assert _artifacts(compressor, model) == ref_artifacts
+
+    @pytest.mark.parametrize("pipelined", [True, False], ids=["mus", "no-pipeline"])
+    def test_fresh_checkpoint_path_trains_like_none(
+        self, world, tokenizer, tmp_path, monkeypatch, pipelined
+    ):
+        optimizers = []
+
+        class RecordingAdamW(finetune.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(finetune, "AdamW", RecordingAdamW)
+        runs = [
+            _fine_tune(world, tokenizer, checkpoint, pipelined=pipelined)
+            for checkpoint in (None, str(tmp_path / "ckpt.npz"))
+        ]
+        (plain, plain_model, plain_comp), (saved, saved_model, saved_comp) = runs
+        assert saved.losses == plain.losses
+        for (name, a), (_, b) in zip(
+            plain_model.named_parameters(), saved_model.named_parameters()
+        ):
+            assert a.numpy().tobytes() == b.numpy().tobytes(), name
+        first, second = optimizers
+        assert first.step_count == second.step_count == N_STEPS
+        for moments in ("m", "v"):
+            for a, b in zip(getattr(first, moments), getattr(second, moments)):
+                assert a.tobytes() == b.tobytes()
+        assert _artifacts(plain_comp, plain_model) == _artifacts(saved_comp, saved_model)
+
+    def test_max_steps_counts_from_the_first_batch(
+        self, world, tokenizer, reference, tmp_path
+    ):
+        ref_losses, _, _ = reference(0, True)
+        path = str(tmp_path / "ckpt.npz")
+        _fine_tune(world, tokenizer, path, max_steps=1)
+        result, _, _ = _fine_tune(world, tokenizer, path, max_steps=3)
+        assert result.steps == 3
+        assert result.losses == ref_losses[:3]
+
+    def test_finished_run_restarted_trains_nothing(
+        self, world, tokenizer, reference, tmp_path
+    ):
+        ref_losses, ref_arrays, _ = reference(0, True)
+        path = str(tmp_path / "ckpt.npz")
+        _fine_tune(world, tokenizer, path)
+        digest = str(read_checkpoint(path)["digest"])
+        result, model, _ = _fine_tune(world, tokenizer, path)
+        assert result.losses == ref_losses
+        assert str(read_checkpoint(path)["digest"]) == digest
+        for name, param in model.named_parameters():
+            assert param.numpy().tobytes() == ref_arrays[f"param:{name}"].tobytes()
 
 
-class TestWarmResume:
-    """A layer warm at save time comes back with a resident entry, made by
-    one ordinary ``StepCache.uniquify`` before the counters are restored."""
+class TestCrashDuringSave:
+    @pytest.mark.parametrize("failing_save", [1, 2, 3])
+    def test_fsync_failure_keeps_the_previous_step(
+        self, world, tokenizer, reference, tmp_path, failing_save
+    ):
+        """The save after step ``failing_save`` dies in ``os.fsync``: the
+        previous step's file is what is left, and a run resumed from it
+        matches the uninterrupted run byte for byte."""
+        ref_losses, ref_arrays, ref_artifacts = reference(0, True)
+        path = str(tmp_path / "ckpt.npz")
+        calls = []
+        real_fsync = os.fsync
 
-    @staticmethod
-    def _saved_then_resumed(tmp_path, seed=10, release=()):
-        path = str(tmp_path / "ckpt.json")
-        first, _ = _compressor(seed=seed)
-        first.precluster()
-        for name in release:
-            first.wrapped[name].step_cache.invalidate()
-        first.save_checkpoint(path)
-        resumed, _ = _compressor(seed=seed)
-        reset_uniquify_call_count()
-        resumed.resume(path)
-        return first, resumed
+        def fsync(fd):
+            calls.append(fd)
+            if len(calls) == failing_save:
+                raise OSError("disk gone")
+            real_fsync(fd)
 
-    def test_warm_layer_entry_is_resident(self, tmp_path):
-        first, resumed = self._saved_then_resumed(tmp_path)
-        for name, wrapper in resumed.wrapped.items():
-            cache = wrapper.step_cache
-            assert cache.is_warm(wrapper.inner.weight, wrapper.dkm_config.weight_dtype)
-            assert _resident(cache), name
-        # one decomposition per warm layer, and the saved counters survive it
-        assert uniquify_call_count() == len(resumed.wrapped)
-        assert _stats(resumed) == _stats(first)
+        with mock.patch("repro.core.checkpoint.os.fsync", fsync):
+            with pytest.raises(OSError, match="disk gone"):
+                _fine_tune(world, tokenizer, path)
+        if failing_save == 1:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["ckpt.npz"]
+            assert len(read_checkpoint(path)["losses"]) == failing_save - 1
+        result, model, compressor = _fine_tune(world, tokenizer, path)
+        assert result.losses == ref_losses
+        _assert_same_arrays(read_checkpoint(path), ref_arrays)
+        assert _artifacts(compressor, model) == ref_artifacts
 
-    def test_first_uniquify_after_resume_is_a_hit(self, tmp_path):
-        _, resumed = self._saved_then_resumed(tmp_path)
-        reset_uniquify_call_count()
-        for name, wrapper in resumed.wrapped.items():
-            cache = wrapper.step_cache
-            hits, misses = cache.stats.uniquify_hits, cache.stats.uniquify_misses
-            cache.uniquify(wrapper.inner.weight, wrapper.dkm_config.weight_dtype)
-            assert cache.stats.uniquify_hits == hits + 1, name
-            assert cache.stats.uniquify_misses == misses
-        assert uniquify_call_count() == 0
 
-    def test_resumed_run_uniquifies_once_per_warm_layer(self, tmp_path):
-        """Resume plus two more sweeps computes each warm layer's
-        decomposition once, and counts what the uninterrupted run counts."""
-        reference, _ = _compressor(seed=10)
-        for _ in range(3):
-            reference.precluster()
-        _, resumed = self._saved_then_resumed(tmp_path)
-        resumed.precluster()
-        resumed.precluster()
-        assert uniquify_call_count() == len(resumed.wrapped)
-        assert _stats(reference) == _stats(resumed)
+class _FailingWrite:
+    """A file handle whose first write lands half its bytes, then fails."""
 
-    def test_only_warm_layers_are_refilled(self, tmp_path):
-        first, resumed = self._saved_then_resumed(tmp_path, release=("layer1",))
-        assert uniquify_call_count() == len(resumed.wrapped) - 1
-        assert not _resident(resumed.wrapped["layer1"].step_cache)
-        assert _resident(resumed.wrapped["layer0"].step_cache)
-        assert _stats(resumed) == _stats(first)
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        self._handle.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._handle.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        raise OSError("disk gone")
 
 
 class TestDurability:
-    def test_no_tmp_file_left_behind(self, tmp_path):
-        compressor, _ = _compressor()
-        compressor.precluster()
-        path = str(tmp_path / "ckpt.json")
-        compressor.save_checkpoint(path)
-        leftovers = [p.name for p in tmp_path.iterdir()]
-        assert sorted(leftovers) == ["ckpt.json", "ckpt.json.journal"]
+    @staticmethod
+    def _one_step(world, tokenizer, tmp_path):
+        """A checkpoint after step 1; returns its path and digest."""
+        path = str(tmp_path / "ckpt.npz")
+        _fine_tune(world, tokenizer, path, pipelined=False, max_steps=1)
+        return path, str(read_checkpoint(path)["digest"])
 
-    def test_failed_save_removes_its_tmp_file(self, tmp_path):
+    def test_no_tmp_file_left_behind(self, world, tokenizer, tmp_path):
+        self._one_step(world, tokenizer, tmp_path)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+
+    def test_failed_save_removes_its_tmp_file(self, world, tokenizer, tmp_path):
         """A save whose rename raises unlinks ``<path>.tmp.<pid>`` and
         leaves the previous checkpoint readable."""
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        digest = compressor.save_checkpoint(path)
-        compressor.precluster()
+        path, digest = self._one_step(world, tokenizer, tmp_path)
         with mock.patch(
             "repro.core.checkpoint.os.replace", side_effect=OSError("disk gone")
         ):
             with pytest.raises(OSError, match="disk gone"):
-                compressor.save_checkpoint(path)
-        leftovers = sorted(p.name for p in tmp_path.iterdir())
-        assert leftovers == ["ckpt.json", "ckpt.json.journal"]
+                _fine_tune(world, tokenizer, path, pipelined=False, max_steps=2)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
         assert not os.path.exists(f"{path}.tmp.{os.getpid()}")
-        assert read_checkpoint(path)["digest"] == digest
+        assert str(read_checkpoint(path)["digest"]) == digest
 
     @pytest.mark.parametrize("failing", ["write", "fsync"])
-    def test_failed_write_or_fsync_removes_its_tmp_file(self, tmp_path, failing):
+    def test_failed_write_or_fsync_removes_its_tmp_file(
+        self, world, tokenizer, tmp_path, failing
+    ):
         """The temp file is unlinked whichever step before the rename
         raises, and the previous checkpoint still reads."""
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        digest = compressor.save_checkpoint(path)
-        compressor.precluster()
+        path, digest = self._one_step(world, tokenizer, tmp_path)
         real_open = open
-
-        class _FailingWrite:
-            def __init__(self, handle):
-                self._handle = handle
-
-            def __enter__(self):
-                self._handle.__enter__()
-                return self
-
-            def __exit__(self, *exc):
-                return self._handle.__exit__(*exc)
-
-            def write(self, data):
-                self._handle.write(data[: len(data) // 2])
-                raise OSError("disk gone")
 
         def failing_open(name, *args, **kwargs):
             return _FailingWrite(real_open(name, *args, **kwargs))
@@ -322,126 +307,79 @@ class TestDurability:
         )
         with target:
             with pytest.raises(OSError, match="disk gone"):
-                compressor.save_checkpoint(path)
-        leftovers = sorted(p.name for p in tmp_path.iterdir())
-        assert leftovers == ["ckpt.json", "ckpt.json.journal"]
-        assert read_checkpoint(path)["digest"] == digest
+                _fine_tune(world, tokenizer, path, pipelined=False, max_steps=2)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        assert str(read_checkpoint(path)["digest"]) == digest
 
-    def test_save_overwrites_atomically(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        digest_1 = compressor.save_checkpoint(path)
-        compressor.precluster()
-        digest_2 = compressor.save_checkpoint(path)
-        assert digest_1 != digest_2
-        assert read_checkpoint(path)["digest"] == digest_2
+    def test_save_overwrites_atomically(self, world, tokenizer, tmp_path):
+        path, digest_1 = self._one_step(world, tokenizer, tmp_path)
+        _fine_tune(world, tokenizer, path, pipelined=False, max_steps=2)
+        arrays = read_checkpoint(path)
+        assert str(arrays["digest"]) != digest_1
+        assert len(arrays["losses"]) == 2
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
 
-    def test_journal_records_every_save(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        lines = [
-            json.loads(line)
-            for line in open(f"{path}.journal", encoding="utf-8")
-        ]
-        assert [line["sweeps_completed"] for line in lines] == [1, 2]
-        assert all(line["digest"] for line in lines)
-
-    def test_corrupt_payload_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        payload = json.load(open(path, encoding="utf-8"))
-        payload["sweeps_completed"] = 99  # tamper without re-digesting
-        json.dump(payload, open(path, "w", encoding="utf-8"))
+    def test_corrupt_payload_rejected(self, world, tokenizer, tmp_path):
+        path, _ = self._one_step(world, tokenizer, tmp_path)
+        arrays = read_checkpoint(path)
+        key = next(key for key in arrays if key.startswith("param:"))
+        arrays[key] = arrays[key] + np.float32(1.0)  # tamper, no re-digest
+        _rewrite(path, arrays)
         with pytest.raises(CheckpointCorrupt, match="digest"):
             read_checkpoint(path)
 
-    def test_truncated_file_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        data = open(path, encoding="utf-8").read()
-        open(path, "w", encoding="utf-8").write(data[: len(data) // 2])
+    def test_file_without_digest_rejected(self, world, tokenizer, tmp_path):
+        path, _ = self._one_step(world, tokenizer, tmp_path)
+        arrays = read_checkpoint(path)
+        del arrays["digest"]
+        _rewrite(path, arrays)
+        with pytest.raises(CheckpointCorrupt, match="no digest"):
+            read_checkpoint(path)
+
+    def test_truncated_file_rejected(self, world, tokenizer, tmp_path):
+        path, _ = self._one_step(world, tokenizer, tmp_path)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[: len(data) // 2])
         with pytest.raises(CheckpointCorrupt):
             read_checkpoint(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointCorrupt, match="cannot read"):
-            read_checkpoint(str(tmp_path / "nope.json"))
+            read_checkpoint(str(tmp_path / "nope.npz"))
 
 
 class TestCompatibilityPins:
-    def test_config_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor(bits=3)
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        other, _ = _compressor(bits=4)
-        with pytest.raises(CheckpointError, match="config"):
-            other.resume(path)
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"config": FinetuneConfig(lr=2e-3)},
+            {"bits": 4},
+            {"spec": dataclasses.replace(MICRO, hidden_dim=48)},
+        ],
+        ids=["finetune-config", "dkm-config", "parameter-shapes"],
+    )
+    def test_config_mismatch_refused(self, world, tokenizer, tmp_path, change):
+        path = str(tmp_path / "ckpt.npz")
+        _fine_tune(world, tokenizer, path, pipelined=False, max_steps=1)
+        with pytest.raises(CheckpointError, match="different fine-tune or clustering config"):
+            _fine_tune(world, tokenizer, path, pipelined=False, **change)
 
-    def test_older_schema_version_refused_by_version(self, tmp_path):
-        """A pre-field-removal (version 1) file is refused as such, not
-        with the misleading "different clustering config" its changed
-        config epoch would otherwise trip."""
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        payload = json.load(open(path, encoding="utf-8"))
-        payload["version"] = 1
-        payload["config_epoch"] = "0" * 32
-        payload["digest"] = _payload_digest(payload)
-        json.dump(payload, open(path, "w", encoding="utf-8"))
-        with pytest.raises(CheckpointError, match="schema version 1"):
-            compressor.resume(path)
+    def test_parameter_set_mismatch_refused(self, world, tokenizer, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        _fine_tune(world, tokenizer, path, pipelined=False, max_steps=1)
+        deeper = dataclasses.replace(MICRO, n_layers=3)
+        with pytest.raises(CheckpointError, match="parameter set"):
+            _fine_tune(world, tokenizer, path, pipelined=False, spec=deeper)
 
-    def test_layer_set_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor(n_layers=3)
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        other, _ = _compressor(n_layers=4)
-        with pytest.raises(CheckpointError, match="layer set"):
-            other.resume(path)
-
-    def test_version_3_payload_refused_by_version(self, tmp_path):
-        """A version-3 file (it still carried ``active_backend`` and an
-        ``EDKMConfig`` repr with a ``search_strategy`` field) is refused
-        by version, not as a "different clustering config"."""
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        payload = json.load(open(path, encoding="utf-8"))
-        assert "active_backend" not in payload
-        payload.update(version=3, active_backend="serial")
-        payload["config_epoch"] = "0" * 32
-        payload["digest"] = _payload_digest(payload)
-        json.dump(payload, open(path, "w", encoding="utf-8"))
-        with pytest.raises(CheckpointError, match="schema version 3"):
-            compressor.resume(path)
-
-    def test_version_4_payload_refused_by_version(self, tmp_path):
-        """A version-4 file (its config epoch still hashed a ``DKMConfig``
-        repr with ``dense_saved_bytes_limit``) is refused by version, not
-        as a "different clustering config"."""
-        assert CHECKPOINT_VERSION == 5
-        path = str(tmp_path / "ckpt.json")
-        compressor, _ = _compressor()
-        compressor.precluster()
-        compressor.save_checkpoint(path)
-        payload = json.load(open(path, encoding="utf-8"))
-        payload["version"] = 4
-        payload["config_epoch"] = "0" * 32
-        payload["digest"] = _payload_digest(payload)
-        json.dump(payload, open(path, "w", encoding="utf-8"))
-        with pytest.raises(CheckpointError, match="schema version 4"):
-            compressor.resume(path)
+    def test_older_schema_version_refused_by_version(self, world, tokenizer, tmp_path):
+        """A file of another schema version is refused as such, not with a
+        misleading digest or config message."""
+        path = str(tmp_path / "ckpt.npz")
+        _fine_tune(world, tokenizer, path, pipelined=False, max_steps=1)
+        arrays = read_checkpoint(path)
+        arrays["version"] = np.array(CHECKPOINT_VERSION - 1)
+        arrays["config"] = np.array("0" * 32)
+        arrays["digest"] = np.array(_digest(arrays))
+        _rewrite(path, arrays)
+        with pytest.raises(CheckpointError, match=f"schema version {CHECKPOINT_VERSION - 1}"):
+            _fine_tune(world, tokenizer, path, pipelined=False)

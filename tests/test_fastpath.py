@@ -451,9 +451,7 @@ class TestOneUniquifyPerLayerPerStep:
 
 
 class TestOneKindOfEntry:
-    """The cache holds one kind of entry: a resident decomposition.  A
-    checkpoint resume refills it through an ordinary ``uniquify``
-    (``TestWarmResume`` in tests/test_checkpoint.py)."""
+    """The cache holds one kind of entry: a resident decomposition."""
 
     def _weights(self):
         values = np.random.default_rng(0).standard_normal(256).astype(np.float32)
@@ -462,18 +460,25 @@ class TestOneKindOfEntry:
     def test_no_phantom_api(self):
         assert not hasattr(StepCache, "mark_computed")
 
-    def test_is_warm_tracks_the_resident_entry(self):
+    def test_only_the_resident_key_hits(self):
+        """A ``uniquify`` hits only the resident entry's weight version and
+        dtype: another dtype, a weight write or an ``invalidate`` misses."""
         weights = self._weights()
         cache = StepCache()
-        assert not cache.is_warm(weights, bfloat16)
-        cache.uniquify(weights, bfloat16)
-        assert cache.is_warm(weights, bfloat16)
-        assert not cache.is_warm(weights, float16)  # another dtype's key
+
+        def hits(dtype):
+            before = cache.stats.uniquify_hits
+            cache.uniquify(weights, dtype)
+            return cache.stats.uniquify_hits - before
+
+        assert hits(bfloat16) == 0
+        assert hits(bfloat16) == 1
+        assert hits(float16) == 0  # another dtype's key
+        assert hits(bfloat16) == 0
         weights.copy_(weights.numpy() * 2.0)
-        assert not cache.is_warm(weights, bfloat16)
-        cache.uniquify(weights, bfloat16)
+        assert hits(bfloat16) == 0
         cache.invalidate()
-        assert not cache.is_warm(weights, bfloat16)
+        assert hits(bfloat16) == 0
 
     def test_store_table_needs_a_resident_entry(self):
         weights = self._weights()

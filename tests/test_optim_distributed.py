@@ -1,4 +1,4 @@
-"""Tests for optimizers, schedules, clipping, and the learner simulation."""
+"""Tests for optimizers, clipping, and the learner simulation."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.distributed import (
 )
 from repro.memory import global_ledger, profile_memory
 from repro.nn.module import Parameter
-from repro.optim import SGD, AdamW, ConstantLR, CosineWithWarmup, clip_grad_norm_
+from repro.optim import SGD, AdamW, clip_grad_norm_
 
 
 def _quadratic_param(value=5.0):
@@ -70,7 +70,18 @@ class TestOptimizers:
         loss = (p1 * p1).sum() + (p2 * p2 * 2.0).sum()
         loss.backward()
         opt.step()
-        assert len(opt._m) == 2
+        assert len(opt.m) == len(opt.v) == 2
+        assert not np.array_equal(opt.m[0], opt.m[1])
+
+    def test_adamw_moments_are_keyed_by_position(self):
+        """A parameter that got no gradient keeps ``None`` at its own
+        position; its neighbours' moments sit at theirs."""
+        p1, p2, p3 = (_quadratic_param(v) for v in (1.0, 2.0, 3.0))
+        opt = AdamW([p1, p2, p3], lr=0.1)
+        ((p1 * p1).sum() + (p3 * p3).sum()).backward()
+        opt.step()
+        assert opt.m[1] is None and opt.v[1] is None
+        assert 0 < opt.m[0][0] < opt.m[2][0]  # gradients 2 and 6
 
 
 class TestClipping:
@@ -95,27 +106,6 @@ class TestClipping:
     def test_bad_max_norm(self):
         with pytest.raises(ValueError):
             clip_grad_norm_([], max_norm=0.0)
-
-
-class TestSchedules:
-    def test_constant(self):
-        opt = SGD([_quadratic_param()], lr=0.5)
-        sched = ConstantLR(opt)
-        assert sched.step() == 0.5
-
-    def test_cosine_warmup_profile(self):
-        opt = SGD([_quadratic_param()], lr=1.0)
-        sched = CosineWithWarmup(opt, warmup_steps=5, total_steps=20)
-        lrs = [sched.step() for _ in range(20)]
-        assert lrs[0] == pytest.approx(0.2)
-        assert lrs[4] == pytest.approx(1.0)
-        assert lrs[-1] == pytest.approx(0.0, abs=1e-6)
-        assert all(a >= b for a, b in zip(lrs[5:], lrs[6:]))  # decay monotone
-
-    def test_cosine_validates_steps(self):
-        opt = SGD([_quadratic_param()], lr=1.0)
-        with pytest.raises(ValueError):
-            CosineWithWarmup(opt, warmup_steps=10, total_steps=10)
 
 
 class TestLearnerGroup:

@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.distributed import LearnerGroup, ShardedTensor
 from repro.memory import profile_memory
-from repro.tensor import Tensor, bfloat16, device, float32
+from repro.tensor import Tensor, as_device, bfloat16, float32
 from repro.tensor.storage import Storage
 
 
@@ -25,45 +25,55 @@ def _counters(dev):
 
 class TestDeviceInterning:
     def test_same_name_same_object(self):
-        assert device("gpu") is device("gpu")
-        assert device("cpu:peer1") is device("cpu:peer1")
+        assert as_device("gpu") is as_device("gpu")
+        assert as_device("cpu:peer1") is as_device("cpu:peer1")
 
     def test_different_names_different_objects(self):
-        assert device("gpu") is not device("cpu")
+        assert as_device("gpu") is not as_device("cpu")
 
     def test_equality_and_hash(self):
-        assert device("gpu") == device("gpu")
-        assert hash(device("gpu")) == hash(device("gpu"))
-        assert device("gpu") != device("cpu")
+        assert as_device("gpu") == as_device("gpu")
+        assert hash(as_device("gpu")) == hash(as_device("gpu"))
+        assert as_device("gpu") != as_device("cpu")
 
     def test_passthrough(self):
-        gpu = device("gpu")
-        assert device(gpu) is gpu
+        gpu = as_device("gpu")
+        assert as_device(gpu) is gpu
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            device("")
+            as_device("")
         with pytest.raises(ValueError):
-            device(123)  # type: ignore[arg-type]
+            as_device(123)  # type: ignore[arg-type]
+
+    def test_device_module_is_reachable_as_an_attribute(self):
+        """``repro.tensor.device`` is the module, not a function that
+        shadows it, so its names read through the attribute."""
+        import repro.tensor.device
+
+        module = repro.tensor.device
+        assert isinstance(module.HOST_HEAP_RETAINED, bool)
+        assert module.CPU is as_device("cpu")
+        assert module.GPU is as_device("gpu")
 
 
 class TestStorageAccounting:
     def test_allocation_charges_logical_bytes(self):
-        dev = device("test-alloc-1")
+        dev = as_device("test-alloc-1")
         before = dev.tracker.current_bytes
         storage = Storage(np.zeros(100, dtype=np.float32), float32, dev)
         assert dev.tracker.current_bytes - before == 400
         del storage
 
     def test_bf16_counts_two_bytes_per_element(self):
-        dev = device("test-alloc-2")
+        dev = as_device("test-alloc-2")
         before = dev.tracker.current_bytes
         storage = Storage(np.zeros(100, dtype=np.float32), bfloat16, dev)
         assert dev.tracker.current_bytes - before == 200  # not 400
         assert storage.nbytes == 200
 
     def test_release_on_gc(self):
-        dev = device("test-alloc-3")
+        dev = as_device("test-alloc-3")
         before = dev.tracker.current_bytes
         storage = Storage(np.zeros(64, dtype=np.float32), float32, dev)
         assert dev.tracker.current_bytes > before
@@ -73,7 +83,7 @@ class TestStorageAccounting:
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_requires_1d_buffer(self):
-        dev = device("test-reject-1d")
+        dev = as_device("test-reject-1d")
         before = _counters(dev)
         with pytest.raises(ValueError, match="1-D"):
             Storage(np.zeros((4, 4), dtype=np.float32), float32, dev)
@@ -82,7 +92,7 @@ class TestStorageAccounting:
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_requires_matching_physical_dtype(self):
-        dev = device("test-reject-dtype")
+        dev = as_device("test-reject-dtype")
         before = _counters(dev)
         with pytest.raises(ValueError, match="dtype"):
             Storage(np.zeros(4, dtype=np.float64), float32, dev)
@@ -92,8 +102,8 @@ class TestStorageAccounting:
     def test_cycle_releases_each_charge_once(self):
         """A Storage and a ShardedTensor kept alive only by a reference
         cycle are each released exactly once, by the collector."""
-        dev = device("test-cycle")
-        group = LearnerGroup(2, host=device("test-cycle-host"))
+        dev = as_device("test-cycle")
+        group = LearnerGroup(2, host=as_device("test-cycle-host"))
         devices = [dev, *group.devices]
         before = [_counters(d) for d in devices]
 
@@ -113,14 +123,14 @@ class TestStorageAccounting:
 
     def test_from_values_projects(self):
         storage = Storage.from_values(
-            np.array([1.0000001], dtype=np.float32), bfloat16, device("cpu")
+            np.array([1.0000001], dtype=np.float32), bfloat16, as_device("cpu")
         )
         bits = storage.data.view(np.uint32)
         assert (bits & 0xFFFF).item() == 0
 
     def test_from_values_copies(self):
         source = np.arange(8, dtype=np.float32)
-        storage = Storage.from_values(source, float32, device("cpu"))
+        storage = Storage.from_values(source, float32, as_device("cpu"))
         source[0] = 99.0
         assert storage.data[0] == 0.0
 
@@ -142,8 +152,8 @@ class TestStorageAccounting:
             source -= 100
 
     def test_clone_to_moves_device(self):
-        src_dev = device("test-clone-src")
-        dst_dev = device("test-clone-dst")
+        src_dev = as_device("test-clone-src")
+        dst_dev = as_device("test-clone-dst")
         storage = Storage(np.arange(16, dtype=np.float32), float32, src_dev)
         clone = storage.clone_to(dst_dev)
         assert clone.device is dst_dev
@@ -151,7 +161,7 @@ class TestStorageAccounting:
         assert clone.data is not storage.data
 
     def test_peak_tracks_maximum(self):
-        dev = device("test-peak")
+        dev = as_device("test-peak")
         with profile_memory([dev.tracker]) as prof:
             a = Storage(np.zeros(1000, dtype=np.float32), float32, dev)
             b = Storage(np.zeros(1000, dtype=np.float32), float32, dev)
@@ -171,7 +181,7 @@ class TestCachedViewFollowsStorageSwaps:
     def test_move_to_reads_new_buffer_and_releases_old(self):
         from repro.nn import Parameter
 
-        src, dst = device("test-swap-move-src"), device("test-swap-move-dst")
+        src, dst = as_device("test-swap-move-src"), as_device("test-swap-move-dst")
         param = Parameter.wrap(Tensor.from_numpy(np.arange(12.0).reshape(3, 4), float32, src))
         old_view = param._np()
         old_storage = weakref.ref(param.storage)
@@ -193,7 +203,7 @@ class TestCachedViewFollowsStorageSwaps:
         from repro.core.compressor import ClusteredLinear
         from repro.nn import Linear
 
-        dev = device("test-swap-reproject")
+        dev = as_device("test-swap-reproject")
         layer = Linear(8, 6, bias=False, rng=np.random.default_rng(0))
         layer.to(dev)
         weight = layer.weight
