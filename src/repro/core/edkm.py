@@ -36,6 +36,7 @@ from repro.core.uniquify import attention_table, index_dtype_for, uniquify
 from repro.tensor.autograd import Context, Function, is_grad_enabled, no_grad
 from repro.tensor.dtype import decode_pattern16, float32, uint16
 from repro.tensor.ops.segment import segment_sum
+from repro.tensor.pairwise import _sum_rows_pairwise
 from repro.tensor.tensor import Tensor
 
 
@@ -115,9 +116,15 @@ class EDKMClusterAssign(Function):
         - ``dL/dc_j = sum_u seg_u (A_uj + J_uj)``, ``seg_u`` the sum of
           ``g`` over group ``u``.
 
-        The ``(u, k)`` part runs in float64 -- it is ``O(u·|C|)``, and the
-        ``c_j - out_u`` cancellation at near-hard temperatures otherwise
-        costs two digits -- and no ``O(|W|·|C|)`` buffer is ever built.
+        The ``O(u·|C|)`` part runs in float64 -- the ``c_j - out_u``
+        cancellation at near-hard temperatures otherwise costs two digits
+        -- and no ``O(|W|·|C|)`` buffer is ever built.  ``J`` is laid out
+        ``(k, u)``: every elementwise pass runs down ``k`` rows of ``u``
+        contiguous elements, and ``rho``'s sum over ``j`` adds those rows in
+        the pairwise order ``np.add.reduce`` uses for a contiguous ``k``-run,
+        from the same ``+0.0`` start.  The two gemvs, ``table @ c`` and
+        ``seg @ (A + J)``, keep the saved ``(u, k)`` table's layout, so both
+        gradients are the bytes of the ``(u, k)`` formulation.
         """
         table_t, index_t, patterns_t, centroids_t = ctx.saved_tensors
         table = table_t._compute().astype(np.float64)  # (u, k)
@@ -126,19 +133,25 @@ class EDKMClusterAssign(Function):
         w_unique = decode_pattern16(patterns_t._np(), ctx.weight_dtype)  # (u,)
         g = grad.reshape(-1).astype(np.float32, copy=False)  # (N,)
 
-        diff_u = w_unique.astype(np.float64)[:, None] - c[None, :]  # (u, k)
         out_u = table @ c  # (u,)
-        jac = table * (c[None, :] - out_u[:, None]) * (diff_u * (2.0 / ctx.temperature))
+        jac = np.subtract(c[:, None], out_u)  # (k, u)
+        jac *= table.T
+        diff = np.subtract(w_unique.astype(np.float64), c[:, None])  # (k, u)
+        diff *= 2.0 / ctx.temperature
+        jac *= diff
 
         needs_w, needs_c = ctx.needs_input_grad
         grad_w = grad_c = None
         if needs_w:
-            rho = (-jac.sum(axis=1)).astype(np.float32)  # (u,)
-            grad_w = (g * rho[index_list]).reshape(ctx.w_shape)
+            rho = _sum_rows_pairwise(jac)  # (u,)
+            np.add(0.0, rho, out=rho)
+            np.negative(rho, out=rho)
+            grad_w = (g * rho.astype(np.float32)[index_list]).reshape(ctx.w_shape)
         if needs_c:
             # (u,) segment sums of g: O(N) bincount instead of element-wise add.at.
             seg_g = segment_sum(g, index_list, w_unique.shape[0])
-            grad_c = (seg_g @ (table + jac)).astype(np.float32)
+            table += jac.T
+            grad_c = (seg_g @ table).astype(np.float32)
         return grad_w, grad_c
 
 

@@ -15,17 +15,23 @@ reconstructs the dense map bit-for-bit.
 
 :func:`uniquify` is ``O(N)``.  A stored bf16 weight is already on the bf16
 grid, so its patterns are read straight off the float32 high halves as a
-strided view -- no rounding pass, no copy -- after one check that every low
-half is zero (:func:`~repro.tensor.dtype._pattern16_view`); a raw array off
-the grid is rounded to nearest even by
-:func:`~repro.tensor.dtype.bit_pattern16` instead.  From
-:data:`HISTOGRAM_MIN_SIZE` weights up, the patterns are cast to ``intp``
-once and that one array feeds both the 65,536-bin ``bincount`` and the
-pattern -> row gather.
+strided view -- no rounding pass, no copy -- after one contiguous
+``uint32`` OR shows every low half zero
+(:func:`~repro.tensor.dtype._pattern16_view`); a raw array off the grid is
+rounded to nearest even by :func:`~repro.tensor.dtype.bit_pattern16`
+instead.  From :data:`HISTOGRAM_MIN_SIZE` weights up, the patterns are cast
+to ``intp`` once and that one array feeds both the 65,536-bin ``bincount``
+and the pattern -> row gather, which needs no bounds check: a 16-bit key
+cannot leave the 65,536-entry lookup table.
+
+:func:`attention_table_ku` builds each softmax table in ``(k, u)`` with
+whole-row passes only: the difference, its square, one divide by the
+negated temperature, then :func:`~repro.tensor.pairwise.softmax_columns_`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -74,9 +80,14 @@ def index_dtype_for(n_unique: int) -> DType:
     return int32
 
 
-# Below this element count the 2^16-bin histogram's fixed cost beats the
-# sort; "auto" dispatches on it.  Either path is bit-identical.
-HISTOGRAM_MIN_SIZE = 2048
+# Below this element count the sort is faster than the 2^16-bin histogram,
+# whose fixed cost does not shrink with the input; "auto" dispatches on it.
+# Either path is bit-identical.  Median uniquify of on-grid bf16 weights,
+# sort vs histogram, one thread on a 2-core VM, three runs: 64 weights
+# 41-51 vs 86-111 us, 256: 50-57 vs 86-93, 1 024: 75-112 vs 88-99,
+# 1 280: 97-126 vs 96-101, 2 047: 230-255 vs 103-124, 4 096: 507-543 vs
+# 121-148.
+HISTOGRAM_MIN_SIZE = 1024
 
 # Total calls that actually computed a decomposition (cache hits in the
 # fast-path StepCache never reach this function).  Inspected by the
@@ -120,8 +131,11 @@ def _decompose_histogram(
     possible patterns yields the multiplicities; the pattern -> row lookup
     table is written only at the ``u`` present patterns (the rest is never
     read), already in the index dtype -- rank 65,535 fits uint16 -- so the
-    index list is one gather.  Output is bit-identical to ``np.unique``
-    (both enumerate present patterns in ascending order).
+    index list is one gather.  That gather clips instead of raising on an
+    out-of-range key, which skips numpy's bounds check: every key is a
+    16-bit pattern, so none is out of range and none is ever clipped.
+    Output is bit-identical to ``np.unique`` (both enumerate present
+    patterns in ascending order).
     """
     keys = patterns.astype(np.intp)
     hist = np.bincount(keys, minlength=MAX_UNIQUE_16BIT)
@@ -129,7 +143,7 @@ def _decompose_histogram(
     present = np.flatnonzero(hist.astype(bool))
     lut = np.empty(MAX_UNIQUE_16BIT, dtype=np.uint16)
     lut[present] = np.arange(present.size, dtype=np.uint16)
-    return present.astype(np.uint16), lut.take(keys), hist[present]
+    return present.astype(np.uint16), lut.take(keys, mode="clip"), hist[present]
 
 
 def uniquify(
@@ -179,17 +193,26 @@ def attention_table_ku(
     built in one scratch buffer with in-place ufuncs.  Bit-identical to the
     ``(u, k)`` formulation (the test oracle): ``max`` is order-free, the
     normaliser reproduces numpy's association order, the rest is
-    elementwise.
+    elementwise.  The logits are one divide by ``-temperature``: under
+    round-to-nearest ``x / -t`` is bit for bit ``-x / t`` (for every x but
+    NaN, whose sign may differ), so no pass negates the table.
+
+    ``temperature`` must be finite and positive in float32, the rule
+    :class:`~repro.core.config.DKMConfig` applies, or it raises
+    ``ValueError``: NaN, or a value that rounds to 0.0 there, would make
+    every entry NaN, and an infinity every column uniform.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    # The table divides in float32, whatever the temperature's own type.
+    t = np.float32(temperature)
+    if not (math.isfinite(temperature) and t > 0):
+        raise ValueError(
+            f"temperature must be finite and positive in float32, got {temperature!r}"
+        )
     w = np.asarray(unique_values, dtype=np.float32).reshape(1, -1)
     c = np.asarray(centroids, dtype=np.float32).reshape(-1, 1)
     buf = w - c
     np.square(buf, out=buf)
-    np.negative(buf, out=buf)
-    # A python-float temperature divides a float32 array in float32.
-    np.divide(buf, np.float32(temperature), out=buf)
+    np.divide(buf, -t, out=buf)
     return softmax_columns_(buf)
 
 

@@ -12,8 +12,9 @@ most ``2**16`` distinct bit patterns (paper Section 2.2).  Every write into a
 bf16 buffer projects, so a stored bf16 buffer is already on the grid -- each
 float32's low half is zero -- and :func:`_pattern16_view`, which uniquify
 keys on, reads its patterns straight off the high halves
-(:func:`_bf16_grid_patterns`); only off-grid input pays
-:func:`bit_pattern16`'s rounding passes.
+(:func:`_bf16_grid_patterns`) once one contiguous ``uint32`` OR has shown
+every low half zero; only off-grid input pays :func:`bit_pattern16`'s
+rounding passes.
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ def _bf16_grid_patterns(array: np.ndarray) -> np.ndarray | None:
     included: a zero low half plus a bias of at most ``0x8000`` never
     carries into the high half.  ``None`` when any low half is set, and on
     a big-endian host, where the high half is the first of the pair.
+
+    The check is one ``bitwise_or`` reduction over the buffer viewed as
+    ``uint32``, a contiguous pass: every low half is zero exactly when the
+    low half of the OR of all the words is.
     """
     if not _LITTLE_ENDIAN:
         return None
-    halves = np.ascontiguousarray(array, dtype=np.float32).view(np.uint16)
-    if halves[..., 0::2].any():
+    buf = np.ascontiguousarray(array, dtype=np.float32)
+    if np.bitwise_or.reduce(buf.view(np.uint32), axis=None) & 0xFFFF:
         return None
-    return halves[..., 1::2]
+    return buf.view(np.uint16)[..., 1::2]
 
 
 def _bf16_rounded_bits(array: np.ndarray) -> np.ndarray:

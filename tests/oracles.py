@@ -23,7 +23,12 @@ what replaced it is equality, not a tolerance:
   activations; backward is closed-form there, so gradients agree to float32
   rounding;
 - index packing through a per-index bit matrix (``unpackbits`` -> slice ->
-  ``packbits``) -- ``src/`` ORs eight indices into one word.
+  ``packbits``) -- ``src/`` ORs eight indices into one word;
+- the sweep kernel's logits as negate-then-divide -- ``src/`` divides once
+  by ``-temperature``, the same bytes;
+- ``EDKMClusterAssign.backward`` over a ``(u, k)`` Jacobian summed row by
+  row -- ``src/`` lays it out ``(k, u)`` and sums down its ``k`` rows in
+  the same order: both gradients are byte-equal.
 
 ``pattern16_inputs`` draws the arrays on which uniquify's on-grid bf16 read
 must agree with ``bit_pattern16``, which rounds every element to nearest even.
@@ -39,7 +44,9 @@ from repro.core.uniquify import HISTOGRAM_MIN_SIZE
 from repro.memory.traffic import global_ledger
 from repro.tensor import ops
 from repro.tensor.autograd import no_grad
-from repro.tensor.dtype import bfloat16, float16
+from repro.tensor.dtype import bfloat16, decode_pattern16, float16
+from repro.tensor.ops.segment import segment_sum
+from repro.tensor.pairwise import softmax_columns_
 from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor, contiguous_strides
 
@@ -54,6 +61,41 @@ def attention_table_uk(unique_values, centroids, temperature):
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def attention_table_ku_negate(unique_values, centroids, temperature):
+    """``attention_table_ku`` negating the squared distances, then dividing by ``temperature``."""
+    w = np.asarray(unique_values, dtype=np.float32).reshape(1, -1)
+    c = np.asarray(centroids, dtype=np.float32).reshape(-1, 1)
+    buf = w - c
+    np.square(buf, out=buf)
+    np.negative(buf, out=buf)
+    np.divide(buf, np.float32(temperature), out=buf)
+    return softmax_columns_(buf)
+
+
+def edkm_backward_uk(ctx, grad):
+    """``EDKMClusterAssign.backward`` with ``J`` laid out ``(u, k)``, ``rho`` summed row by row."""
+    table_t, index_t, patterns_t, centroids_t = ctx.saved_tensors
+    table = table_t._compute().astype(np.float64)  # (u, k)
+    index_list = index_t._np().astype(np.int64)
+    c = centroids_t._compute().reshape(-1).astype(np.float64)
+    w_unique = decode_pattern16(patterns_t._np(), ctx.weight_dtype)
+    g = grad.reshape(-1).astype(np.float32, copy=False)
+
+    diff_u = w_unique.astype(np.float64)[:, None] - c[None, :]  # (u, k)
+    out_u = table @ c  # (u,)
+    jac = table * (c[None, :] - out_u[:, None]) * (diff_u * (2.0 / ctx.temperature))
+
+    needs_w, needs_c = ctx.needs_input_grad
+    grad_w = grad_c = None
+    if needs_w:
+        rho = (-jac.sum(axis=1)).astype(np.float32)  # (u,)
+        grad_w = (g * rho[index_list]).reshape(ctx.w_shape)
+    if needs_c:
+        seg_g = segment_sum(g, index_list, w_unique.shape[0])
+        grad_c = (seg_g @ (table + jac)).astype(np.float32)
+    return grad_w, grad_c
 
 
 def softmax_rowwise(x, axis):

@@ -15,7 +15,10 @@ from repro.core.dkm import DKMClusterer, default_temperature
 from repro.core.edkm import EDKMClusterAssign, cluster, edkm_cluster
 from repro.core.offload import SavedTensorPipeline
 from repro.core.uniquify import reconstruct_attention_map
+from repro.tensor.autograd import Context
 from repro.tensor.dtype import decode_pattern16
+
+from tests.oracles import edkm_backward_uk
 
 
 def _weights_np(n=800, seed=0):
@@ -326,6 +329,61 @@ class TestBackwardProperty:
         # the tolerance, so the dense comparison stops there.
         if log_temperature_scale >= -1.0:
             _assert_within(grad_w, _dense_grad(values, config, dtype), 1e-4, floor=1.0)
+
+
+class TestBackwardEqualsUkOracle:
+    """The ``(k, u)`` backward's ``grad_w`` and ``grad_c`` are the bytes of the
+    ``(u, k)`` formulation it replaced, for every ``needs_input_grad``."""
+
+    _NEEDS = [(True, True), (True, False), (False, True), (False, False)]
+
+    @staticmethod
+    def _recorded_ctx(u, k, dtype, regime, seed):
+        """A context recorded by ``forward`` over exactly ``u`` unique weights.
+
+        ``regime`` picks the codebook and temperature: ``"soft"`` and
+        ``"near-hard"`` draw the centroids from the weights (temperature at
+        1 and 1e-3 times the adaptive one); ``"narrow"`` puts them within
+        ~1e-10 of zero, so each of ``rho``'s terms is some 2^30 times the
+        sum, and the order of the sum over ``j`` reaches float32.
+        """
+        rng = np.random.default_rng(seed)
+        weight_dtype = rt.get_dtype(dtype)
+        # Magnitudes spread over 2^-24 .. 2^-2: some 7 000 distinct bf16 values.
+        spread = rng.standard_normal(100_000) * np.exp2(rng.uniform(-24, -2, 100_000))
+        pool = np.unique(weight_dtype.project(spread.astype(np.float32)))
+        present = rng.choice(pool, size=u, replace=False)
+        values = rng.permutation(np.concatenate([present, rng.choice(present, size=700)]))
+        if regime == "narrow":
+            centroids = np.unique((rng.standard_normal(4 * k) * 1e-10).astype(np.float32))
+            centroids = np.sort(rng.choice(centroids, size=k, replace=False))
+        else:
+            centroids = np.sort(rng.choice(pool, size=k, replace=False))
+        temperature = default_temperature(values, k) * (1e-3 if regime == "near-hard" else 1.0)
+        w = rt.Tensor.from_numpy(values, dtype=dtype, device="gpu", requires_grad=True)
+        c = rt.Tensor.from_numpy(centroids, device="gpu", requires_grad=True)
+        ctx = Context((True, True))
+        EDKMClusterAssign.forward(ctx, w, c, temperature)
+        assert ctx.saved_tensors[2].numpy().size == u
+        return ctx, _upstream(values.shape, grad_seed=seed)
+
+    @pytest.mark.parametrize("regime", ["soft", "near-hard", "narrow"])
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
+    @pytest.mark.parametrize("k", [2, 8, 16, 256])
+    @pytest.mark.parametrize("u", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 5003])
+    def test_grads_bytes_equal_oracle(self, u, k, dtype, regime):
+        ctx, grad = self._recorded_ctx(u, k, dtype, regime, seed=u * 1000 + k)
+        for needs in self._NEEDS:
+            ctx.needs_input_grad = needs
+            got = EDKMClusterAssign.backward(ctx, grad)
+            want = edkm_backward_uk(ctx, grad)
+            for name, got_g, want_g, needed in zip("wc", got, want, needs):
+                if not needed:
+                    assert got_g is None and want_g is None, (name, needs)
+                    continue
+                assert got_g.dtype == want_g.dtype == np.float32, (name, needs)
+                assert got_g.shape == want_g.shape, (name, needs)
+                assert got_g.tobytes() == want_g.tobytes(), (name, needs)
 
 
 class TestBackwardFootprint:

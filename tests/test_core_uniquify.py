@@ -1,5 +1,6 @@
 """Tests for weight uniquification (paper Section 2.2 / Fig. 3)."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.tensor.dtype import bfloat16, bit_pattern16, decode_pattern16, float1
 from repro.tensor import ops
 from repro.tensor.pairwise import _sum_rows_pairwise
 
-from tests.oracles import attention_table_uk, pattern16_inputs
+from tests.oracles import attention_table_ku_negate, attention_table_uk, pattern16_inputs
 
 
 def _weights(n=5000, seed=0, dtype=bfloat16):
@@ -98,6 +99,14 @@ class TestAttentionTable:
         with pytest.raises(ValueError):
             attention_table(np.zeros(2), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("kernel", [attention_table, attention_table_ku])
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, 1e-50, 0.0, -1.0])
+    def test_temperature_must_be_finite_and_positive_in_float32(self, kernel, temperature):
+        # NaN or 1e-50 (0.0 in float32) would make every entry NaN, +inf
+        # every column uniform.
+        with pytest.raises(ValueError, match="finite and positive in float32"):
+            kernel(np.linspace(-1, 1, 5), np.linspace(-1, 1, 4), temperature)
+
     def test_equal_weights_equal_rows(self):
         """The theorem behind uniquification: equal bits => equal rows."""
         w = np.array([0.125, 0.125], dtype=np.float32)
@@ -163,6 +172,14 @@ class TestSweepKernel:
     @settings(max_examples=250, deadline=None)
     def test_table_bytes_equal_oracle(self, case):
         values, centroids, temperature = case
+        with np.errstate(over="ignore"):
+            valid = math.isfinite(temperature) and np.float32(temperature) > 0
+        if not valid:
+            # An extreme pool's spread overflows float32, and its default
+            # temperature with it.
+            with pytest.raises(ValueError, match="finite and positive"):
+                attention_table(values, centroids, temperature)
+            return
         with np.errstate(all="ignore"):
             want = attention_table_uk(values, centroids, temperature)
             got = attention_table(values, centroids, temperature)
@@ -223,6 +240,29 @@ class TestSweepKernel:
         logits /= np.float32(temperature)
         got = ops.softmax(rt.tensor(logits), dim=1).numpy()
         assert got.tobytes() == attention_table_ku(values, centroids, temperature).T.tobytes()
+
+    # bf16 subnormals (patterns 0x0001-0x007F, both signs): their differences
+    # are subnormal and their squares underflow to zero.
+    _SUBNORMALS = decode_pattern16(np.arange(1, 0x80, dtype=np.uint16), bfloat16)
+
+    @pytest.mark.parametrize("temperature", [1e-38, 1e-12, 2.4e-4, 1.0, 1e30])
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 127, 128, 129, 256])
+    def test_logits_equal_negate_then_divide(self, k, temperature):
+        # One divide by -t is the bytes of a negate followed by a divide by t:
+        # w == c (zero distances), subnormal and underflowing logits included.
+        rng = np.random.default_rng(k)
+        pool = np.concatenate([
+            _VALUE_POOLS["weights"], self._SUBNORMALS, -self._SUBNORMALS,
+            np.float32([0.0, -0.0, 1e-30, -1e-30, 1e30, 3.0e38]),
+        ])  # fmt: skip
+        centroids = np.sort(rng.choice(pool, size=k))
+        values = np.concatenate([centroids, pool, rng.choice(pool, size=1000)])
+        with np.errstate(all="ignore"):
+            want = attention_table_ku_negate(values, centroids, temperature)
+            got = attention_table_ku(values, centroids, temperature)
+        assert got.shape == want.shape == (k, values.size)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[:, :k].diagonal() > 0)  # each centroid's own column
 
 
 class TestHistogramTail:
@@ -306,3 +346,22 @@ class TestOnGridRead:
         assert got.values.tobytes() == decode_pattern16(want_patterns, dtype).tobytes()
         assert got.source_shape == array.shape
         assert array.tobytes() == before
+
+    @pytest.mark.parametrize("method", ["auto", "histogram", "sort"])
+    def test_all_65536_patterns_equal_np_unique(self, method):
+        # u = 65 536 on the grid, NaNs and infinities included: the last rank
+        # fills the uint16 index, and the gather's largest key, 0xFFFF, is
+        # the LUT's last entry.
+        rng = np.random.default_rng(3)
+        patterns = rng.permutation(np.repeat(np.arange(MAX_UNIQUE_16BIT, dtype=np.uint16), 3))
+        array = (patterns.astype(np.uint32) << 16).view(np.float32).reshape(768, 256)
+        want_patterns, want_index, want_counts = np.unique(
+            patterns, return_inverse=True, return_counts=True
+        )
+        got = uniquify(array, bfloat16, method=method)
+        assert got.n_unique == MAX_UNIQUE_16BIT
+        assert got.patterns.tobytes() == want_patterns.tobytes()
+        assert got.index_list.dtype == np.uint16
+        assert got.index_list.tobytes() == want_index.reshape(-1).astype(np.uint16).tobytes()
+        assert got.counts.tobytes() == want_counts.tobytes()
+        assert got.values.tobytes() == decode_pattern16(want_patterns, bfloat16).tobytes()

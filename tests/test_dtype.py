@@ -140,6 +140,62 @@ class TestBitPatterns:
         assert np.shares_memory(view, values) and not view.flags.c_contiguous
         assert view.tobytes() == dt.bit_pattern16(values, dt.bfloat16).tobytes()
 
+    # High halves: nonzero, NaN, inf and 0xFFFF among them, so a check that
+    # read them instead of the low halves would refuse every on-grid array.
+    _GRID_HIGHS = np.array(
+        [0x3F80, 0xBF80, 0x7F80, 0xFF80, 0x7FC0, 0x0001, 0x8000, 0xFFFF, 0x3D4C,
+         0x0080, 0x7F7F, 0xC2F7, 0x1234, 0xFEDC, 0x4000, 0x0000, 0x8001],
+        dtype=np.uint32,
+    )  # fmt: skip
+
+    @classmethod
+    def _lay_out_17(cls, words, layout):
+        """The 17 words in a C-order, F-order, transposed or ``[::2]`` float32 array.
+
+        F-order and transposed arrays are ``(17, 2)`` and ``(2, 17)``, the
+        other 17 words on the grid; the words that ``[::2]`` skips carry set
+        low halves, which must not count.
+        """
+        if layout == "C":
+            return words.view(np.float32)
+        pair = np.stack([words, cls._GRID_HIGHS[::-1] << 16], axis=1)  # (17, 2)
+        if layout == "F":
+            return np.asfortranarray(pair).view(np.float32)
+        if layout == "T":
+            return np.ascontiguousarray(pair).view(np.float32).T
+        pair[:, 1] |= 0xFFFF
+        return pair.reshape(-1).view(np.float32)[::2]
+
+    @pytest.mark.parametrize("layout", ["C", "F", "T", "step2"])
+    @pytest.mark.parametrize("low", [0x0001, 0x8000, 0xFFFF])
+    def test_grid_check_finds_a_low_half_at_every_position(self, layout, low):
+        on_grid = self._lay_out_17(self._GRID_HIGHS << 16, layout)
+        assert on_grid.size == (17 if layout in ("C", "step2") else 34)
+        assert on_grid.flags.c_contiguous == (layout == "C")
+        view = dt._bf16_grid_patterns(on_grid)
+        assert view is not None and view.shape == on_grid.shape
+        assert view.tobytes() == np.ascontiguousarray(
+            on_grid.view(np.uint32) >> 16
+        ).astype(np.uint16).tobytes()
+        for position in range(17):
+            words = self._GRID_HIGHS << 16
+            words[position] |= low
+            array = self._lay_out_17(words, layout)
+            before = array.tobytes()
+            assert dt._bf16_grid_patterns(array) is None, position
+            assert array.tobytes() == before
+
+    def test_grid_check_of_empty_and_0d_arrays(self):
+        empty = dt._bf16_grid_patterns(np.zeros((0, 3), dtype=np.float32))
+        assert empty is not None and empty.shape == (0, 3) and empty.dtype == np.uint16
+        scalar = np.array(0x3F80_0000, dtype=np.uint32).view(np.float32)
+        assert scalar.ndim == 0
+        view = dt._bf16_grid_patterns(scalar)
+        assert view.shape == (1,) and view.tolist() == [0x3F80]
+        for low in (0x0001, 0x8000, 0xFFFF):
+            off = np.array(0x3F80_0000 | low, dtype=np.uint32).view(np.float32)
+            assert dt._bf16_grid_patterns(off) is None
+
     @given(pattern16_inputs(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_rounding_formulation(self, case, little_endian):
