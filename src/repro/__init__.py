@@ -112,7 +112,6 @@ def serve(
     *,
     config: ServingConfig | None = None,
     device=None,
-    ledger=None,
     start: bool = True,
     **overrides,
 ) -> PaletteServer:
@@ -139,7 +138,6 @@ def serve(
         tokenizer,
         config=config or ServingConfig(**overrides),
         device=device,
-        ledger=ledger,
     )
     return server.start() if start else server
 

@@ -51,7 +51,6 @@ from repro.llm import (
     generate,
     train_causal_lm,
 )
-from repro.memory.traffic import TrafficLedger
 from repro.serving import (
     FaultPlan,
     FaultSpec,
@@ -337,9 +336,7 @@ def _run_chaos_scenario(
     max_new_tokens: int,
 ) -> ChaosScenarioRow:
     """One matrix cell: serve the load under the plan, then reconcile."""
-    server = PaletteServer(
-        model, tokenizer, config=config, ledger=TrafficLedger()
-    )
+    server = PaletteServer(model, tokenizer, config=config)
     server.start()
     started = time.monotonic()
     try:
@@ -441,9 +438,7 @@ def run_serving_faults(
 
     # --- draining shutdown: stop(drain=True) finishes in-flight ----------
     config = ServingConfig(max_batch_size=2, max_new_tokens=max_new_tokens)
-    server = PaletteServer(
-        fresh_model(), tokenizer, config=config, ledger=TrafficLedger()
-    )
+    server = PaletteServer(fresh_model(), tokenizer, config=config)
     server.start()
     requests = [
         server.submit(p, max_new_tokens=max_new_tokens) for p in prompts

@@ -66,7 +66,6 @@ from repro.core.uniquify import (
     index_dtype_for,
     reconstruct_attention_map,
     reset_uniquify_call_count,
-    uniquify,
     uniquify_call_count,
 )
 
@@ -114,6 +113,5 @@ __all__ = [
     "index_dtype_for",
     "reconstruct_attention_map",
     "reset_uniquify_call_count",
-    "uniquify",
     "uniquify_call_count",
 ]

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.core.uniquify import float32_temperature
 from repro.distributed.learner import LearnerGroup
 from repro.tensor.dtype import DType, bfloat16
 
@@ -35,11 +33,8 @@ class DKMConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 8:
             raise ValueError(f"bits must be in [1, 8], got {self.bits}")
-        # The attention table divides by the float32 temperature: NaN, or a
-        # value that rounds to 0.0 there, turns every entry into NaN.
-        t = self.temperature
-        if t is not None and not (math.isfinite(t) and np.float32(t) > 0):
-            raise ValueError(f"temperature must be finite and positive in float32, got {t!r}")
+        if self.temperature is not None:
+            float32_temperature(self.temperature)  # the attention table's rule
         if self.iters < 1:
             raise ValueError("need at least one k-means iteration")
 

@@ -57,22 +57,12 @@ class SavedTensorPipeline:
     ``stats`` accumulates across steps; the marshaling registry is scoped to
     a single step (weights change between steps, so stale copies must not be
     reused).
-
-    With ``record_events=True`` every packed tensor appends
-    ``(nbytes, hit)`` to :attr:`events`, in pack order.  Two strategies
-    dedup the identical set of storages on a deterministic workload iff
-    their event sequences are equal -- the comparison the
-    strategy-equivalence tests run on.  Fig. 2's lookup-strategy table
-    (``python -m repro.bench fig2``) reads the :attr:`stats` counters
-    instead and leaves this off.
     """
 
-    def __init__(self, config: EDKMConfig, record_events: bool = False) -> None:
+    def __init__(self, config: EDKMConfig) -> None:
         self.config = config
         self.stats = PipelineStats()
         self.registry = MarshalRegistry()
-        self.record_events = record_events
-        self.events: list[tuple[int, bool]] = []
 
     @contextlib.contextmanager
     def step(self) -> Iterator["SavedTensorPipeline"]:
@@ -109,8 +99,6 @@ class SavedTensorPipeline:
             )
             if entry is not None:
                 self.stats.record_hit(hops, tensor.storage.nbytes)
-                if self.record_events:
-                    self.events.append((tensor.storage.nbytes, True))
                 return SavedPayload(
                     entry=entry,
                     shape=metadata[0],
@@ -122,8 +110,6 @@ class SavedTensorPipeline:
         entry = self._offload(tensor)
         if cfg.marshal:
             self.registry.register(tensor, entry)
-        if self.record_events:
-            self.events.append((tensor.storage.nbytes, False))
         return SavedPayload(
             entry=entry,
             shape=metadata[0],

@@ -31,7 +31,6 @@ negated temperature, then :func:`~repro.tensor.pairwise.softmax_columns_`.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -182,6 +181,28 @@ def uniquify(
     )
 
 
+FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+"""The smallest float64 that rounds to infinity in float32: halfway between
+float32's largest finite value and 2**128, where round-half-even goes up."""
+
+
+def float32_temperature(temperature: float) -> np.float32:
+    """``temperature`` as the float32 the attention table divides by.
+
+    Raises ``ValueError``, and warns nothing, unless that float32 is finite
+    and positive: NaN, or a value that rounds to 0.0 there, would make every
+    entry NaN, and one that overflows to infinity every column uniform.
+    """
+    # In float64: a float32 temperature would cast the bound to inf.
+    if abs(float(temperature)) < FLOAT32_OVERFLOW:  # False for NaN and infinities
+        t = np.float32(temperature)
+        if t > 0:
+            return t
+    raise ValueError(
+        f"temperature must be finite and positive in float32, got {temperature!r}"
+    )
+
+
 def attention_table_ku(
     unique_values: np.ndarray, centroids: np.ndarray, temperature: float
 ) -> np.ndarray:
@@ -197,17 +218,10 @@ def attention_table_ku(
     round-to-nearest ``x / -t`` is bit for bit ``-x / t`` (for every x but
     NaN, whose sign may differ), so no pass negates the table.
 
-    ``temperature`` must be finite and positive in float32, the rule
-    :class:`~repro.core.config.DKMConfig` applies, or it raises
-    ``ValueError``: NaN, or a value that rounds to 0.0 there, would make
-    every entry NaN, and an infinity every column uniform.
+    ``temperature`` must pass :func:`float32_temperature`, the rule
+    :class:`~repro.core.config.DKMConfig` applies too.
     """
-    # The table divides in float32, whatever the temperature's own type.
-    t = np.float32(temperature)
-    if not (math.isfinite(temperature) and t > 0):
-        raise ValueError(
-            f"temperature must be finite and positive in float32, got {temperature!r}"
-        )
+    t = float32_temperature(temperature)
     w = np.asarray(unique_values, dtype=np.float32).reshape(1, -1)
     c = np.asarray(centroids, dtype=np.float32).reshape(-1, 1)
     buf = w - c

@@ -6,14 +6,15 @@ This package provides the instruments those experiments are built on:
 
 - :class:`MemoryTracker` -- per-device current/peak byte counters, fed by
   storage allocation and release events from :mod:`repro.tensor.storage`.
-- :class:`TrafficLedger` -- a log of cross-device transfers (bytes moved and
-  transaction count), the quantity eDKM's marshaling is designed to cut.
+- :class:`TrafficLedger` -- running totals of cross-device transfers (bytes
+  moved and transaction count per route), the quantity eDKM's marshaling is
+  designed to cut.
 - :class:`MemoryProfile` / :func:`profile_memory` -- a scope that snapshots
   trackers before/after a region and reports deltas and peaks.
 """
 
 from repro.memory.tracker import MemoryTracker, TrackerRegistry, global_registry
-from repro.memory.traffic import TrafficLedger, Transfer, global_ledger
+from repro.memory.traffic import TrafficLedger, global_ledger
 from repro.memory.profile import MemoryProfile, profile_memory
 from repro.memory.report import format_bytes
 
@@ -22,7 +23,6 @@ __all__ = [
     "TrackerRegistry",
     "global_registry",
     "TrafficLedger",
-    "Transfer",
     "global_ledger",
     "MemoryProfile",
     "profile_memory",

@@ -72,7 +72,7 @@ def profile_memory(
     for tracker in trackers:
         tracker.reset_peak()
         starts[tracker.name] = tracker.current_bytes
-    ledger_start = len(ledger) if ledger is not None else 0
+    ledger_start = ledger.totals() if ledger is not None else {}
     try:
         yield profile
     finally:
@@ -85,11 +85,14 @@ def profile_memory(
                 peak_bytes=snap.peak_bytes,
             )
         if ledger is not None:
-            for transfer in ledger.transfers()[ledger_start:]:
-                key = (transfer.src, transfer.dst)
+            for route, (count, nbytes) in ledger.totals().items():
+                count0, nbytes0 = ledger_start.get(route, (0, 0))
+                if count == count0:
+                    continue
+                key = route[:2]  # (src, dst): tags are summed
                 profile.traffic_bytes[key] = (
-                    profile.traffic_bytes.get(key, 0) + transfer.nbytes
+                    profile.traffic_bytes.get(key, 0) + nbytes - nbytes0
                 )
                 profile.traffic_transactions[key] = (
-                    profile.traffic_transactions.get(key, 0) + 1
+                    profile.traffic_transactions.get(key, 0) + count - count0
                 )

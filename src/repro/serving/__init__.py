@@ -5,8 +5,7 @@ package serves it -- an admission-controlled request queue
 (:mod:`repro.serving.queue`), continuous batching over K/V-cached ragged
 decode steps (:mod:`repro.serving.batcher`), palettized layers served
 from one resident, CRC-32-checked weight each (:mod:`repro.serving.palette`),
-and per-request
-latency/throughput/byte accounting (:mod:`repro.serving.stats`), all
+and bounded request and byte counters (:mod:`repro.serving.stats`), all
 fronted by :class:`~repro.serving.server.PaletteServer` (or the
 top-level ``repro.serve()`` convenience).
 
@@ -47,13 +46,7 @@ from repro.serving.queue import (
     StepFailed,
 )
 from repro.serving.server import LoopSupervisor, PaletteServer, ServerHealth
-from repro.serving.stats import (
-    RequestRecord,
-    ServerStats,
-    StatsReport,
-    percentile,
-    request_tag,
-)
+from repro.serving.stats import ServerStats, StatsReport, percentile
 
 __all__ = [
     "FAULT_KINDS",
@@ -71,7 +64,6 @@ __all__ = [
     "PaletteLayout",
     "PaletteServer",
     "RequestQueue",
-    "RequestRecord",
     "RetryPolicy",
     "RobustnessWarning",
     "SequenceState",
@@ -89,5 +81,4 @@ __all__ = [
     "WatchdogTimeout",
     "palette_matmul",
     "percentile",
-    "request_tag",
 ]

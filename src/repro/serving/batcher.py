@@ -20,8 +20,6 @@ abort_all`, :meth:`ContinuousBatcher.release_kv` -- releases it.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.llm.decode import SequenceCache, decode_step
@@ -30,7 +28,7 @@ from repro.llm.tokenizer import WordTokenizer
 from repro.nn import Transformer
 from repro.serving.config import ServingConfig
 from repro.serving.queue import DeadlineExceeded, ServerRequest
-from repro.serving.stats import RequestRecord, ServerStats
+from repro.serving.stats import ServerStats
 from repro.tensor.device import Device
 from repro.tensor.random import default_rng
 
@@ -47,7 +45,6 @@ class SequenceState:
         kv: SequenceCache,
     ) -> None:
         self.request = request
-        self.prompt_tokens = len(prompt_ids)
         self.ids = list(prompt_ids)
         self.generated: list[int] = []
         self.budget = budget
@@ -65,14 +62,12 @@ class ContinuousBatcher:
         config: ServingConfig,
         device: Device | None = None,
         stats: ServerStats | None = None,
-        on_retire: Callable[[SequenceState], None] | None = None,
     ) -> None:
         self.model = model
         self.tokenizer = tokenizer
         self.config = config
         self.device = device or model.embed.weight.device
         self.stats = stats if stats is not None else ServerStats()
-        self.on_retire = on_retire
         self.active: list[SequenceState] = []
 
     @property
@@ -161,16 +156,13 @@ class ContinuousBatcher:
         """Fail every in-flight sequence (server shutdown); returns count.
 
         Only sequences whose request this call actually resolved are
-        counted and recorded -- a request already failed by the step
-        watchdog (idempotent futures, first resolution wins) is skipped.
+        counted -- a request already failed by the step watchdog
+        (idempotent futures, first resolution wins) is skipped.
         """
         aborted = 0
         for seq in self.active:
             seq.kv.release()
             if seq.request.fail(error):
-                self.stats.note_finished(
-                    RequestRecord.from_request(seq.request, seq.prompt_tokens)
-                )
                 aborted += 1
         self.active = []
         self._note_kv_cache()
@@ -178,13 +170,9 @@ class ContinuousBatcher:
 
     def _finish(self, seq: SequenceState) -> None:
         seq.kv.release()  # before the client wakes: its bytes are back by then
-        if not seq.request.complete(self.tokenizer.decode(seq.generated)):
-            return  # already resolved elsewhere (watchdog); nothing to record
-        self.stats.note_finished(
-            RequestRecord.from_request(seq.request, seq.prompt_tokens)
-        )
-        if self.on_retire is not None:
-            self.on_retire(seq)
+        text = self.tokenizer.decode(seq.generated)
+        if seq.request.complete(text):  # else the watchdog resolved it first
+            self.stats.note_completed(len(seq.generated), len(text.encode("utf-8")))
 
     def _abort_deadline(self, seq: SequenceState, now: float) -> None:
         seq.kv.release()
@@ -194,11 +182,5 @@ class ContinuousBatcher:
             ),
             now=now,
         )
-        if not resolved:
-            return
-        self.stats.note_aborted_deadline()
-        self.stats.note_finished(
-            RequestRecord.from_request(seq.request, seq.prompt_tokens)
-        )
-        if self.on_retire is not None:
-            self.on_retire(seq)
+        if resolved:
+            self.stats.note_aborted_deadline()

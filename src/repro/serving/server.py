@@ -7,9 +7,8 @@ thread, a scheduler thread drains the admission-controlled
 :class:`~repro.serving.batcher.ContinuousBatcher`, and eval-mode
 :class:`~repro.core.compressor.ClusteredLinear` layers execute through
 one resident, CRC-32-checked dequantized weight per layer in the
-server's :class:`~repro.serving.palette.TileCache`.  Per-request bytes flow
-into :mod:`repro.memory.traffic` under ``serve:`` tags, and
-:meth:`PaletteServer.stats` renders everything into a
+server's :class:`~repro.serving.palette.TileCache`, and
+:meth:`PaletteServer.stats` renders the server's counters into a
 :class:`~repro.serving.stats.StatsReport`.
 
 The scheduler is *supervised*:
@@ -33,12 +32,13 @@ The scheduler is *supervised*:
   work first; :meth:`health` snapshots loop liveness and queue depth,
   and :meth:`submit` consults it to shed load.
 
-Byte accounting convention: prompt and completion text bytes are
-recorded per request (``serve:req<id>`` tags, endpoints
-``client <-> server``); weight bytes *read per decode step* are
-recorded under ``serve:weights`` with ``dst="flops"`` -- each clustered
-layer charges its palette (lut + indices) on the call that dequantizes
-it and the resident float32 weight on every other call.
+Byte accounting convention: :class:`~repro.serving.stats.ServerStats`
+counts prompt text bytes at submit and completion text bytes when a
+request completes (``activation_bytes``), and the weight bytes each decode
+step read (``weight_bytes_read``) -- each clustered layer charges its
+palette (lut + indices) on the call that dequantizes it and the resident
+float32 weight on every other call.  The server writes nothing to
+:mod:`repro.memory.traffic`: no device bytes move while it serves.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ from dataclasses import dataclass
 
 from repro.core.compressor import ClusteredLinear
 from repro.llm.tokenizer import WordTokenizer
-from repro.memory.traffic import TrafficLedger, global_ledger
 from repro.nn import Transformer
-from repro.serving.batcher import ContinuousBatcher, SequenceState
+from repro.serving.batcher import ContinuousBatcher
 from repro.serving.config import ServingConfig
 from repro.serving.faults import (
     STEP_TARGET,
@@ -70,16 +69,8 @@ from repro.serving.queue import (
     ServerRequest,
     StepFailed,
 )
-from repro.serving.stats import (
-    RequestRecord,
-    ServerStats,
-    StatsReport,
-    request_tag,
-)
+from repro.serving.stats import ServerStats, StatsReport
 from repro.tensor.device import Device
-
-WEIGHT_TAG = "serve:weights"
-"""Ledger tag of per-step weight-read records (``dst="flops"``)."""
 
 POLL_INTERVAL_S = 0.005
 """How long an idle scheduler waits for work before re-checking its
@@ -300,13 +291,11 @@ class PaletteServer:
         tokenizer: WordTokenizer,
         config: ServingConfig | None = None,
         device: Device | None = None,
-        ledger: TrafficLedger | None = None,
     ) -> None:
         self.model = model
         self.tokenizer = tokenizer
         self.config = config or ServingConfig()
         self.device = device
-        self.ledger = ledger if ledger is not None else global_ledger()
         self.stats_acc = ServerStats()
         self.queue = RequestQueue(self.config.max_queue_depth)
         self.tile_cache = TileCache()
@@ -333,7 +322,6 @@ class PaletteServer:
             self.config,
             device=self.device,
             stats=self.stats_acc,
-            on_retire=self._on_retire,
         )
 
     def _fault_hook(self):
@@ -389,7 +377,6 @@ class PaletteServer:
             return self
         self._stop.clear()
         self._started_at = time.monotonic()
-        self.stats_acc.started_at = self._started_at
         self._spawn_loop(count_respawn=False)
         if self.config.retry.timeout_s is not None:
             self._watchdog = threading.Thread(
@@ -456,10 +443,8 @@ class PaletteServer:
             watchdog.join(timeout=JOIN_TIMEOUT_S)
             self._watchdog = None
         self._stopped_at = time.monotonic()
-        self.stats_acc.stopped_at = self._stopped_at
         closed = ServerClosed("server stopped before completing this request")
-        for request in self.queue.drain(closed):
-            self.stats_acc.note_finished(RequestRecord.from_request(request, 0))
+        self.queue.drain(closed)
         self._fail_active(self.batcher, closed)
 
     def close(self) -> None:
@@ -556,10 +541,7 @@ class PaletteServer:
         except AdmissionError:
             self.stats_acc.note_rejected_admission()
             raise
-        self.stats_acc.note_submitted()
-        self._record(
-            "client", "server", len(prompt.encode("utf-8")), request_tag(request.id)
-        )
+        self.stats_acc.note_submitted(len(prompt.encode("utf-8")))
         return request
 
     def generate(
@@ -603,10 +585,6 @@ class PaletteServer:
                     admitted, expired = self.queue.take(free, now)
                     if expired:
                         self.stats_acc.note_rejected_deadline(len(expired))
-                        for request in expired:
-                            self.stats_acc.note_finished(
-                                RequestRecord.from_request(request, 0)
-                            )
                     for request in admitted:
                         self._admit_one(batcher, request, now)
                 if batcher.active:
@@ -630,12 +608,7 @@ class PaletteServer:
         try:
             batcher.admit(request, now)
         except Exception as exc:  # noqa: BLE001 - crash boundary
-            if request.fail(
-                StepFailed(f"admission failed: {exc}", cause=exc), now=now
-            ):
-                self.stats_acc.note_finished(
-                    RequestRecord.from_request(request, 0)
-                )
+            request.fail(StepFailed(f"admission failed: {exc}", cause=exc), now=now)
 
     def _run_step(self, generation: int, batcher: ContinuousBatcher) -> None:
         """One supervised decode step: the crash boundary.
@@ -661,9 +634,9 @@ class PaletteServer:
                     before = self._served_bytes()
                     batcher.step(time.monotonic())
                     # A zombie waking from a genuine in-step hang must not
-                    # ledger bytes.
+                    # count bytes.
                     self.supervisor.check(generation)
-                    self._record_step_weights(before)
+                    self.stats_acc.note_weight_bytes(self._served_bytes() - before)
                     return
                 except _StaleGeneration:
                     raise
@@ -758,13 +731,9 @@ class PaletteServer:
             self.supervisor.mark_dead()
             if batcher is not None:
                 self._fail_active(batcher, error)
-            closed = ServerClosed(
-                "scheduler loop dead: watchdog respawn budget exhausted"
+            self.queue.drain(
+                ServerClosed("scheduler loop dead: watchdog respawn budget exhausted")
             )
-            for request in self.queue.drain(closed):
-                self.stats_acc.note_finished(
-                    RequestRecord.from_request(request, 0)
-                )
             return
         self.stats_acc.note_loop_respawn()
         warnings.warn(
@@ -795,40 +764,13 @@ class PaletteServer:
         """
         batcher.release_kv()
         for seq in list(batcher.active):
-            if seq.request.fail(error):
-                self.stats_acc.note_finished(
-                    RequestRecord.from_request(seq.request, seq.prompt_tokens)
-                )
-
-    # ------------------------------------------------------------------
-    # Byte accounting
-    # ------------------------------------------------------------------
-
-    def _record(self, src: str, dst: str, nbytes: int, tag: str) -> None:
-        """Ledger one transfer and count it in this server's stats."""
-        self.ledger.record(src, dst, nbytes, tag=tag)
-        self.stats_acc.note_bytes(nbytes, weights=dst == "flops")
-
-    def _on_retire(self, seq: SequenceState) -> None:
-        """Ledger the completion bytes of a retired sequence."""
-        text = "" if seq.request.error is not None else self.tokenizer.decode(
-            seq.generated
-        )
-        self._record(
-            "server", "client", len(text.encode("utf-8")), request_tag(seq.request.id)
-        )
+            seq.request.fail(error)
 
     def _served_bytes(self) -> int:
-        """Weight bytes the served layers have read so far."""
-        return sum(module.served_bytes for _, module in self._palette_layers)
-
-    def _record_step_weights(self, before: int) -> None:
-        """Ledger the weight bytes one decode step read.
+        """Weight bytes the served layers have read so far.
 
         A served call that dequantized charges the palette it read (lut +
         indices); every other call charges the resident float32 weight its
         gemm read.
         """
-        nbytes = self._served_bytes() - before
-        if nbytes:
-            self._record("weights", "flops", nbytes, WEIGHT_TAG)
+        return sum(module.served_bytes for _, module in self._palette_layers)

@@ -84,11 +84,12 @@ class TestShardRows:
         group = LearnerGroup(4)
         tensor = _tensor((8, 4), device=group.primary)
         shard_rows(tensor, group, tag="scatter-test")
-        records = [t for t in ledger.transfers() if t.tag == "scatter-test"]
-        # Learner 0's shard is local: three transfers, each one shard.
-        assert len(records) == 3
-        assert all(t.nbytes == 2 * 4 * 4 for t in records)
-        assert all(t.src == group.primary.name for t in records)
+        # Learner 0's shard is local: three transfers, each one shard, and
+        # each learner its own route.
+        assert ledger.totals() == {
+            (group.primary.name, dev.name, "scatter-test"): (1, 2 * 4 * 4)
+            for dev in group.devices[1:]
+        }
 
 
 class TestAllGather:
@@ -98,10 +99,11 @@ class TestAllGather:
         sharded = shard_rows(tensor, group)
         ledger.clear()
         all_gather(sharded, group.primary, tag="gather-test")
-        records = [t for t in ledger.transfers() if t.tag == "gather-test"]
-        assert len(records) == 3  # local shard moves nothing
-        assert all(t.nbytes == 2 * 4 * 4 for t in records)
-        assert all(t.dst == group.primary.name for t in records)
+        # The local shard moves nothing.
+        assert ledger.totals() == {
+            (dev.name, group.primary.name, "gather-test"): (1, 2 * 4 * 4)
+            for dev in group.devices[1:]
+        }
 
 
 @st.composite
@@ -186,18 +188,19 @@ class TestTransferPath:
         assert after.current_bytes - baseline[-1].current_bytes == sum(chunk_bytes)
         assert after.alloc_count - baseline[-1].alloc_count == 1
 
-        # (iv) one ledger row per non-local shard, each way.
-        scatter = [
-            (src.name, dev.name, nbytes, "prop-shard")
+        # (iv) one transfer per non-local shard, each way, each learner its
+        # own route.
+        scatter = {
+            (src.name, dev.name, "prop-shard"): (1, nbytes)
             for dev, nbytes in zip(group.devices, chunk_bytes)
             if dev != src
-        ]
-        gather = [
-            (dev.name, GPU.name, nbytes, "prop-gather")
+        }
+        gather = {
+            (dev.name, GPU.name, "prop-gather"): (1, nbytes)
             for dev, nbytes in zip(group.devices, chunk_bytes)
-        ]
-        rows = [(t.src, t.dst, t.nbytes, t.tag) for t in ledger.transfers()]
-        assert rows == scatter + gather
+        }
+        assert len(scatter) + len(gather) == len(ledger)
+        assert ledger.totals() == scatter | gather
 
         # (iii, cont.) every byte is released with the last reference --
         # which a view's window onto the buffer is not.

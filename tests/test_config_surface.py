@@ -139,6 +139,8 @@ OUT_OF_RANGE = [
     (DKMConfig, "temperature", math.inf),
     # Positive in float64 but 0.0 in float32, where the table divides by it.
     (DKMConfig, "temperature", 1e-50),
+    # Finite in float64 but inf in float32, where every column goes uniform.
+    (DKMConfig, "temperature", 1e39),
     (ServingConfig, "max_batch_size", -1),
     (ServingConfig, "max_queue_depth", -1),
     (ServingConfig, "max_new_tokens", -1),

@@ -363,14 +363,14 @@ class TestRawByteTransfer:
             }
             stats = pipeline.stats
             counts = (stats.tensors_sharded, stats.bytes_sharded_local, stats.gathers)
-            return loss, restored, global_ledger().transfers(), trackers, counts
+            return loss, restored, global_ledger().totals(), trackers, counts
 
-        loss, restored, transfers, trackers, counts = run(per_shard=False)
+        loss, restored, traffic, trackers, counts = run(per_shard=False)
         oracle = run(per_shard=True)
         assert counts[0] > 0 and counts[2] > 0 and len(trackers) >= 9
         assert loss == oracle[0]  # bit-identical float, not approx
         assert restored == oracle[1]
-        assert transfers == oracle[2]
+        assert traffic == oracle[2]
         assert trackers == oracle[3]
         assert counts == oracle[4]
         global_ledger().clear()

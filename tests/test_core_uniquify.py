@@ -1,6 +1,8 @@
 """Tests for weight uniquification (paper Section 2.2 / Fig. 3)."""
 
 import math
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 import repro.tensor as rt
 from repro.core.dkm import default_temperature
 from repro.core.uniquify import (
+    FLOAT32_OVERFLOW,
     MAX_UNIQUE_16BIT,
     _decompose_histogram,
     attention_table,
     attention_table_ku,
     dense_attention_map,
+    float32_temperature,
     index_dtype_for,
     reconstruct_attention_map,
     uniquify,
@@ -34,6 +38,16 @@ def _weights(n=5000, seed=0, dtype=bfloat16):
 
 
 class TestUniquify:
+    def test_module_is_reachable_as_an_attribute(self):
+        """``repro.core.uniquify`` is the module, not the function of the
+        same name that ``repro.core`` used to re-export over it."""
+        import repro.core
+        import repro.core.uniquify as module
+
+        assert module is sys.modules["repro.core.uniquify"]
+        assert repro.core.uniquify is module
+        assert module.HISTOGRAM_MIN_SIZE > 0 and callable(module.uniquify)
+
     def test_reconstruction_is_lossless(self):
         w = _weights()
         unique = uniquify(w, bfloat16)
@@ -100,12 +114,26 @@ class TestAttentionTable:
             attention_table(np.zeros(2), np.zeros(2), 0.0)
 
     @pytest.mark.parametrize("kernel", [attention_table, attention_table_ku])
-    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, 1e-50, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "temperature", [math.nan, math.inf, -math.inf, 1e-50, 0.0, -1.0, 1e39]
+    )
     def test_temperature_must_be_finite_and_positive_in_float32(self, kernel, temperature):
-        # NaN or 1e-50 (0.0 in float32) would make every entry NaN, +inf
-        # every column uniform.
+        # NaN or 1e-50 (0.0 in float32) would make every entry NaN, +inf or
+        # 1e39 (inf in float32) every column uniform.  Refused, not warned.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive in float32"):
+                kernel(np.linspace(-1, 1, 5), np.linspace(-1, 1, 4), temperature)
+
+    def test_float32_overflow_boundary(self):
+        """The largest float64 below the bound rounds to float32's max and is
+        accepted; the bound itself rounds to inf and is refused."""
+        below = np.nextafter(FLOAT32_OVERFLOW, 0.0)
+        assert float32_temperature(below) == np.finfo(np.float32).max
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float32(FLOAT32_OVERFLOW))
         with pytest.raises(ValueError, match="finite and positive in float32"):
-            kernel(np.linspace(-1, 1, 5), np.linspace(-1, 1, 4), temperature)
+            float32_temperature(FLOAT32_OVERFLOW)
 
     def test_equal_weights_equal_rows(self):
         """The theorem behind uniquification: equal bits => equal rows."""
@@ -173,7 +201,8 @@ class TestSweepKernel:
     def test_table_bytes_equal_oracle(self, case):
         values, centroids, temperature = case
         with np.errstate(over="ignore"):
-            valid = math.isfinite(temperature) and np.float32(temperature) > 0
+            t = np.float32(temperature)
+        valid = math.isfinite(t) and t > 0
         if not valid:
             # An extreme pool's spread overflows float32, and its default
             # temperature with it.

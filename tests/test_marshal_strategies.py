@@ -21,11 +21,25 @@ def _gpu_matrix(n=24, seed=0):
 
 
 def _pipeline(strategy):
+    """A pipeline whose ``events`` list gets ``(nbytes, hit)`` per packed
+    device tensor, in pack order."""
     pipeline = SavedTensorPipeline(
-        EDKMConfig(marshal=True, uniquify=False, shard=False, group=None),
-        record_events=True,
+        EDKMConfig(marshal=True, uniquify=False, shard=False, group=None)
     )
     pipeline.registry = MarshalRegistry(strategy)
+    pipeline.events = []
+    pack = pipeline._pack
+
+    def recording_pack(tensor):
+        copies = pipeline.stats.copies_made
+        payload = pack(tensor)
+        if payload.passthrough is None:  # a device tensor: a hit or a copy
+            pipeline.events.append(
+                (tensor.storage.nbytes, pipeline.stats.copies_made == copies)
+            )
+        return payload
+
+    pipeline._pack = recording_pack
     return pipeline
 
 
@@ -47,6 +61,8 @@ class TestStrategyEquivalence:
         # Same workload -> same pack order; equal event streams mean the
         # two strategies deduped the identical set of storages.
         assert graph.events == oracle.events
+        assert sum(hit for _, hit in graph.events) == graph.stats.copies_avoided
+        assert len(graph.events) == graph.stats.tensors_packed
         assert graph.stats.copies_avoided == oracle.stats.copies_avoided > 0
         assert graph.stats.bytes_copied == oracle.stats.bytes_copied
 

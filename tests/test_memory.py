@@ -1,6 +1,7 @@
 """Tests for memory trackers, traffic ledger, profiling and reports."""
 
 import gc
+import sys
 import threading
 
 import numpy as np
@@ -92,7 +93,8 @@ class TestTrafficLedger:
         assert ledger.total_bytes("gpu", "cpu") == 150
         assert ledger.total_bytes("cpu", "gpu") == 30
         assert ledger.total_bytes() == 180
-        assert ledger.transaction_count("gpu", "cpu") == 2
+        assert len(ledger) == 3
+        assert ledger.totals() == {("gpu", "cpu", ""): (2, 150), ("cpu", "gpu", ""): (1, 30)}
 
     def test_clear(self):
         ledger = TrafficLedger()
@@ -107,7 +109,87 @@ class TestTrafficLedger:
     def test_tags_preserved(self):
         ledger = TrafficLedger()
         ledger.record("gpu", "cpu", 10, tag="offload")
-        assert ledger.transfers()[0].tag == "offload"
+        ledger.record("gpu", "cpu", 4)
+        assert ledger.totals() == {("gpu", "cpu", "offload"): (1, 10), ("gpu", "cpu", ""): (1, 4)}
+        assert ledger.total_bytes(tag="offload") == 10
+
+    def test_concurrent_records_lose_no_update(self):
+        """``record`` is a read-modify-write of one route's pair."""
+        ledger = TrafficLedger()
+        n_threads, per_thread = 8, 5000
+
+        def worker(i):
+            for _ in range(per_thread):
+                ledger.record("gpu", "cpu", i + 1)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        total = per_thread * sum(range(1, n_threads + 1))
+        assert ledger.totals() == {("gpu", "cpu", ""): (n_threads * per_thread, total)}
+
+    def test_totals_is_a_copy(self):
+        ledger = TrafficLedger()
+        ledger.record("a", "b", 1)
+        totals = ledger.totals()
+        totals.clear()
+        ledger.record("a", "b", 2)
+        assert totals == {} and ledger.totals() == {("a", "b", ""): (2, 3)}
+
+
+class TestLedgerStaysBounded:
+    def test_fine_tune_adds_transactions_not_routes(self):
+        """A MICRO M+U+S fine-tune: every step adds the same transactions
+        to the same routes, so the ledger's size stops growing at step 1."""
+        from repro.core import DKMConfig, EDKMConfig, ModelCompressor, SavedTensorPipeline
+        from repro.data import FactWorld, alpaca_batches, corpus_vocabulary, generate_alpaca
+        from repro.distributed import LearnerGroup
+        from repro.llm import MICRO, FinetuneConfig, WordTokenizer, build_model, train_causal_lm
+
+        world = FactWorld(seed=0)
+        tokenizer = WordTokenizer(corpus_vocabulary(world))
+        config = EDKMConfig(group=LearnerGroup(8))
+        model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=0)
+        model.to(rt.GPU)
+        ModelCompressor(DKMConfig(bits=3, iters=2), config).compress(model)
+        ledger = global_ledger()
+        seen = []  # (len, totals) before each step, then after the last
+
+        def observed(batches):
+            for batch in batches:
+                seen.append((len(ledger), ledger.totals()))
+                yield batch
+
+        examples = generate_alpaca(world, 8 * 4, seed=1)
+        batches = alpaca_batches(examples, tokenizer, 4, rt.GPU, seed=2)
+        ledger.clear()
+        try:
+            train_causal_lm(
+                model,
+                observed(batches),
+                FinetuneConfig(lr=1e-3),
+                pipeline=SavedTensorPipeline(config),
+                max_steps=8,
+            )
+            seen.append((len(ledger), ledger.totals()))
+        finally:
+            ledger.clear()
+        assert len(seen) == 9
+        lengths = [length for length, _ in seen]
+        per_step = lengths[3] - lengths[2]
+        assert per_step > 0
+        assert lengths[8] - lengths[2] == 6 * per_step
+        assert set(seen[2][1]) == set(seen[8][1])
+        assert {tag for _, _, tag in seen[8][1]} >= {"offload-shard", "backward-gather"}
+        assert sum(count for count, _ in seen[8][1].values()) == lengths[8]
 
 
 class TestProfileMemory:
@@ -130,6 +212,16 @@ class TestProfileMemory:
         assert prof.traffic("gpu", "cpu") == 15
         assert prof.transactions("gpu", "cpu") == 2
         assert prof.traffic("cpu", "gpu") == 0
+
+    def test_traffic_sums_tags_and_skips_quiet_routes(self):
+        ledger = TrafficLedger()
+        ledger.record("gpu", "cpu", 999, tag="offload")  # before
+        ledger.record("cpu", "gpu", 7)  # before, and quiet inside
+        with profile_memory([MemoryTracker("y")], ledger) as prof:
+            ledger.record("gpu", "cpu", 10, tag="offload")
+            ledger.record("gpu", "cpu", 5, tag="shard")
+        assert prof.traffic_bytes == {("gpu", "cpu"): 15}
+        assert prof.traffic_transactions == {("gpu", "cpu"): 2}
 
     def test_table1_semantics_end_to_end(self):
         """The paper's Table 1 numbers, byte-exact."""

@@ -350,9 +350,12 @@ class TestDeterminism:
         assert live == []
 
 
-class TestResourceLifecycle:
-    def test_bare_local_shm_is_rl401(self):
-        live, _, _ = lint(
+class TestRetiredResourceLifecycle:
+    """RL401 (shm/executor ownership) is retired: nothing under ``src/``
+    builds a ``SharedMemory`` block or an executor."""
+
+    def test_bare_local_shm_is_no_finding(self):
+        live, _, meta = lint(
             """\
             from multiprocessing import shared_memory
 
@@ -361,57 +364,17 @@ class TestResourceLifecycle:
                 block.close()
             """
         )
-        assert ids_and_lines(live) == [("RL401", 4)]
+        assert live == [] and meta == []
 
-    def test_with_block_is_clean(self):
-        live, _, _ = lint(
+    def test_rl401_disable_names_an_unknown_rule(self):
+        _, _, meta = lint(
             """\
             from concurrent.futures import ThreadPoolExecutor
 
-            def run(fn):
-                with ThreadPoolExecutor(max_workers=2) as pool:
-                    return pool.submit(fn).result()
+            POOL = ThreadPoolExecutor(max_workers=2)  # repolint: disable=RL401 module-owned
             """
         )
-        assert live == []
-
-    def test_try_finally_disposal_is_clean(self):
-        live, _, _ = lint(
-            """\
-            from multiprocessing import shared_memory
-
-            def probe(name):
-                block = shared_memory.SharedMemory(name=name)
-                try:
-                    return block.size
-                finally:
-                    block.close()
-            """
-        )
-        assert live == []
-
-    def test_returned_resource_is_clean(self):
-        live, _, _ = lint(
-            """\
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
-            """
-        )
-        assert live == []
-
-    def test_self_attribute_is_clean(self):
-        live, _, _ = lint(
-            """\
-            from concurrent.futures import ProcessPoolExecutor
-
-            class Engine:
-                def __init__(self):
-                    self._pool = ProcessPoolExecutor(max_workers=2)
-            """
-        )
-        assert live == []
+        assert [(f.rule, f.line) for f in meta] == [("RL001", 3)]
 
 
 class TestJoinTimeout:
@@ -662,8 +625,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert repolint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL101", "RL201", "RL301", "RL401"):
+        for rule_id in ("RL101", "RL201", "RL301", "RL402"):
             assert rule_id in out
+        assert "RL401" not in out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert repolint_main(["definitely/not/here"]) == 2

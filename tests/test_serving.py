@@ -10,8 +10,8 @@ The load-bearing guarantees under test:
   its version, so an in-place weight update in eval mode is never served
   stale;
 - admission control bounds the queue and deadlines reject late work;
-- every serving byte flows through the traffic ledger under ``serve:``
-  tags.
+- every served byte is counted once, in the server's own bounded
+  counters, and serving writes nothing to the traffic ledger.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ import repro.serving.batcher as batcher_mod
 from repro.core.uniquify import uniquify_call_count
 from repro.data import standard_suites
 from repro.evalsuite import evaluate_suites
-from repro.memory import global_registry
-from repro.memory.traffic import TrafficLedger
+from repro.memory import global_ledger, global_registry
 from repro.tensor.autograd import no_grad
 from repro.serving import (
     AdmissionError,
@@ -55,7 +54,6 @@ from repro.serving import (
     TileCache,
     palette_matmul,
     percentile,
-    request_tag,
 )
 
 MAX_NEW = 6
@@ -701,14 +699,11 @@ class TestPaletteServer:
                 t.join()
         assert results == offline
 
-    def test_stats_and_ledger_accounting(self, served_model, tokenizer):
-        ledger = TrafficLedger()
+    def test_stats_and_byte_accounting(self, served_model, tokenizer):
         config = ServingConfig(max_batch_size=4)
-        server = PaletteServer(served_model, tokenizer, config=config, ledger=ledger)
-        with server:
+        with PaletteServer(served_model, tokenizer, config=config) as server:
             requests = [server.submit(p, max_new_tokens=MAX_NEW) for p in PROMPTS]
-            for request in requests:
-                request.result(timeout=120.0)
+            texts = [request.result(timeout=120.0) for request in requests]
             report = server.stats()
         assert report.submitted == len(PROMPTS)
         assert report.completed == len(PROMPTS)
@@ -716,16 +711,36 @@ class TestPaletteServer:
         assert report.mean_batch_occupancy > 0
         assert report.tokens_generated == sum(r.tokens_generated for r in requests)
         assert report.weight_bytes_read > 0
-        assert report.activation_bytes > 0
+        # Each prompt counted once at submit, each completion once when it won.
+        assert report.activation_bytes == sum(
+            len(text.encode("utf-8")) for text in PROMPTS + texts
+        )
         assert report.kv_cache_peak_bytes > 0
         assert report.kv_cache_bytes == 0  # everything retired, everything released
-        per_request = ledger.by_tag("serve:req")
-        assert set(per_request) == {request_tag(r.id) for r in requests}
-        assert all(nbytes > 0 for nbytes in per_request.values())
+
+    def test_serving_keeps_counters_not_histories(self, served_model, tokenizer):
+        """64 resolved requests leave no per-request state in the stats and
+        nothing in the traffic ledger: serving moves no device bytes."""
+        ledger = global_ledger()
+        before = (ledger.totals(), len(ledger))
+        config = ServingConfig(max_batch_size=8)
+        with PaletteServer(served_model, tokenizer, config=config) as server:
+            requests = [
+                server.submit(PROMPTS[i % len(PROMPTS)], max_new_tokens=2) for i in range(64)
+            ]
+            for request in requests:
+                request.result(timeout=120.0)
+            report = server.stats()
+        state = vars(server.stats_acc)
+        counters = {name: value for name, value in state.items() if not name.startswith("_")}
+        assert all(type(value) is int for value in counters.values()), counters
+        assert not any(isinstance(value, (list, dict, set, tuple)) for value in state.values())
+        assert report.completed == report.submitted == 64
+        assert (ledger.totals(), len(ledger)) == before
 
     def test_cold_step_charges_the_palette_and_warm_step_the_resident_weight(self):
         """Nine words make ``lm_head`` (13, 32).  The cold step dequantizes
-        every layer and ledgers each palette (lut + uint8 indices); a warm
+        every layer and charges each palette (lut + uint8 indices); a warm
         step reads each layer's resident float32 weight once, which is
         exactly the cache's resident bytes."""
         words = ["alice", "bob", "carol", "the", "capital", "of", "lives", "in", "works"]
@@ -734,12 +749,11 @@ class TestPaletteServer:
         model.to(rt.GPU)
         ModelCompressor(DKMConfig(bits=4)).compress(model)
         assert model.lm_head.inner.weight.shape == (13, 32)
-        ledger = TrafficLedger()
-        with PaletteServer(model, decoder, ledger=ledger) as server:
+        with PaletteServer(model, decoder) as server:
             server.submit("alice lives in", max_new_tokens=1).result(timeout=30)
-            cold = ledger.total_bytes(tag="serve:weights")
+            cold = server.stats().weight_bytes_read
             server.submit("alice lives in", max_new_tokens=1).result(timeout=30)
-            warm = ledger.total_bytes(tag="serve:weights") - cold
+            warm = server.stats().weight_bytes_read - cold
             snapshots = [module._eval for _, module in server._palette_layers]
             assert cold == sum(lut.nbytes + indices.size for _, lut, indices, _ in snapshots)
             assert warm == server.tile_cache.resident_bytes() == 83_584
@@ -823,19 +837,14 @@ class TestPaletteServer:
             assert all(module._route[1] is s2.tile_cache for _, module in layers)
 
     def test_stats_count_only_this_servers_bytes(self, served_model, tokenizer):
-        """A fresh server used to report its predecessor's ledgered bytes."""
-        ledger = TrafficLedger()
-        with PaletteServer(served_model, tokenizer, ledger=ledger) as first:
+        """A fresh server used to report its predecessor's bytes."""
+        with PaletteServer(served_model, tokenizer) as first:
             first.generate(PROMPTS[0], max_new_tokens=2)
         used = first.stats()
         assert used.weight_bytes_read > 0 and used.activation_bytes > 0
-        with PaletteServer(served_model, tokenizer, ledger=ledger) as fresh:
+        with PaletteServer(served_model, tokenizer) as fresh:
             report = fresh.stats()
         assert (report.completed, report.weight_bytes_read, report.activation_bytes) == (0, 0, 0)
-        # The ledger still receives every record.
-        assert ledger.total_bytes(tag_prefix="serve:") == (
-            used.weight_bytes_read + used.activation_bytes
-        )
 
 
 def _compressed(tokenizer, trained_state):

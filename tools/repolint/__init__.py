@@ -9,8 +9,8 @@ shipped bug once violated dynamically:
   ``Storage.bump_version()`` in the same function.
 - **RL3xx determinism** -- no import-time entropy, ad-hoc default
   generators, kernel wall-clock reads, or unordered-set iteration.
-- **RL4xx resource lifecycle** -- shm blocks and executors are visibly
-  owned at their construction site.
+- **RL4xx resource lifecycle** -- no timeout-less ``Thread.join()`` in the
+  serving layer's shutdown paths.
 
 Plus a documentation suite (``--suite docs``) and a ThreadSanitizer-lite
 runtime mode (:mod:`tools.repolint.tsan`) that validates the RL1xx model

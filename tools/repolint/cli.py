@@ -26,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant analyzer: lock discipline (RL1xx), "
             "Storage.version discipline (RL2xx), determinism (RL3xx), "
-            "resource lifecycle (RL4xx), plus the docs suite."
+            "serving join timeouts (RL4xx), plus the docs suite."
         ),
     )
     parser.add_argument(

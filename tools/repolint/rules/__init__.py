@@ -14,10 +14,7 @@ from tools.repolint.rules.determinism import (
     ModuleLevelRandomRule,
     SetIterationRule,
 )
-from tools.repolint.rules.lifecycle import (
-    JoinTimeoutRule,
-    ResourceLifecycleRule,
-)
+from tools.repolint.rules.lifecycle import JoinTimeoutRule
 from tools.repolint.rules.locks import LockDisciplineRule, LockHelperCallRule
 from tools.repolint.rules.versions import CopytoVersionRule, VersionBumpRule
 
@@ -30,7 +27,6 @@ ALL_RULES: tuple[Rule, ...] = (
     DefaultGeneratorRule(),
     KernelClockRule(),
     SetIterationRule(),
-    ResourceLifecycleRule(),
     JoinTimeoutRule(),
 )
 

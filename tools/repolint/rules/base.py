@@ -117,16 +117,6 @@ def is_self_attribute(node: ast.AST, attr: str | None = None) -> bool:
     )
 
 
-def enclosing_function(
-    ctx: FileContext, node: ast.AST
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """The nearest enclosing function definition, if any."""
-    for anc in ctx.ancestors(node):
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return anc
-    return None
-
-
 def decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     """Final identifiers of a function's decorators."""
     names: set[str] = set()
