@@ -20,20 +20,19 @@ def main() -> None:
 
     rows = []
     for row in result.rows:
-        paper_mb, paper_red, paper_rt = PAPER_TABLE2[row.name]
+        paper_mb, paper_red = PAPER_TABLE2[row.name]
         rows.append(
             [
                 row.name,
                 format_bytes(row.cpu_peak_bytes),
                 f"{result.reduction(row):.1f}x",
-                f"{row.runtime_s:.2f}s",
                 f"{paper_mb:.0f} MB",
                 f"{paper_red}x",
             ]
         )
     print(render_table(
-        ["config", "CPU peak", "reduction", "runtime",
-         "paper MB (7B scale)", "paper reduction"],
+        ["config", "CPU peak", "reduction", "paper MB (7B scale)",
+         "paper reduction"],
         rows,
         title="\nTable 2 reproduction",
     ))

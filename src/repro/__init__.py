@@ -97,7 +97,7 @@ def compress(
     mutually exclusive with each other only when they disagree:
     ``bits`` is ignored when an explicit ``dkm_config`` is given).
     Build a :class:`~repro.core.compressor.ModelCompressor` directly for
-    ``embedding_bits`` or ``skip_names``.
+    ``skip_names``.
     """
     compressor = ModelCompressor(
         dkm_config or DKMConfig(bits=bits), edkm_config=edkm_config

@@ -9,7 +9,7 @@ make "survived" a checkable claim rather than a vibe:
 - **token identity** -- every scenario's completions, including the
   runs where the watchdog revoked a hung loop or a palette kernel
   raised and its step was retried, must be *identical* to offline
-  single-prompt :func:`repro.llm.generate.generate` on the same
+  single-prompt :func:`repro.llm.recompute.generate` on the same
   compressed weights;
 - **fault reconciliation** -- every armed fault spec must have fired
   (its :class:`~repro.serving.faults.FaultEvent` appears in the
@@ -243,12 +243,11 @@ def _config_for(
 ) -> ServingConfig:
     """Serving knobs for one matrix cell: ``hang_step`` arms the watchdog.
 
-    Every cell keeps the default ``retry.retries`` (2), so a spec firing
+    Every cell keeps the server's ``STEP_RETRIES`` (2), so a spec firing
     ``times=2`` on one step is retried twice and the step still succeeds.
     """
     return ServingConfig(
         max_batch_size=4,
-        max_queue_depth=64,
         max_new_tokens=max_new_tokens,
         fault_plan=plan,
         retry=RetryPolicy(

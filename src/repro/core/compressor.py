@@ -351,24 +351,24 @@ class CompressionReport:
 class ModelCompressor:
     """Wraps a model's Linears with DKM clustering; finalizes to palettes.
 
-    Embeddings are palettized post-training at ``embedding_bits`` (paper:
-    "we also compressed the embedding layers with 8 bits"); norms and biases
-    stay in 16-bit.  ``skip_names`` lists module-path prefixes exempted
-    from wrapping; their Linears stay in 16-bit too.
+    Embeddings are palettized post-training at :attr:`embedding_bits`
+    (paper: "we also compressed the embedding layers with 8 bits"); norms
+    and biases stay in 16-bit.  Of ``edkm_config`` only ``uniquify`` is
+    read here (the saved-tensor pipeline takes its own config).
+    ``skip_names`` lists module-path prefixes exempted from wrapping; their
+    Linears stay in 16-bit too.
     """
+
+    embedding_bits = 8
 
     def __init__(
         self,
         dkm_config: DKMConfig,
         edkm_config: EDKMConfig | None = None,
-        embedding_bits: int = 8,
         skip_names: tuple[str, ...] = (),
     ) -> None:
         self.dkm_config = dkm_config
-        self.edkm_config = edkm_config or EDKMConfig(
-            offload=False, marshal=False, uniquify=True, shard=False, group=None
-        )
-        self.embedding_bits = embedding_bits
+        self.edkm_config = edkm_config or EDKMConfig(marshal=False)
         self.skip_names = skip_names
         self.wrapped: dict[str, ClusteredLinear] = {}
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.core.uniquify import float32_temperature
 from repro.distributed.learner import LearnerGroup
-from repro.tensor.dtype import DType, bfloat16
+from repro.tensor.dtype import DType, bfloat16, float16
 
 
 @dataclass
@@ -18,16 +18,17 @@ class DKMConfig:
         temperature: softmax temperature for the weight-centroid attention;
             smaller is harder assignment.  ``None`` (default) picks an
             adaptive per-tensor temperature from the weight spread.
-        iters: maximum k-means refinement iterations per forward.
-        tol: early-stop threshold on centroid movement.
-        weight_dtype: 16-bit dtype weights are clustered in (uniquification
-            keys on its bit patterns; paper fine-tunes in bfloat16).
+        iters: maximum k-means refinement iterations per forward (the
+            loop stops early once no centroid moves by
+            :data:`repro.core.dkm.TOL`).
+        weight_dtype: 16-bit float dtype weights are clustered in,
+            bfloat16 (default; the paper fine-tunes in it) or float16
+            (uniquification keys on its bit patterns).
     """
 
     bits: int = 3
     temperature: float | None = None
     iters: int = 5
-    tol: float = 1e-8
     weight_dtype: DType = bfloat16
 
     def __post_init__(self) -> None:
@@ -37,6 +38,10 @@ class DKMConfig:
             float32_temperature(self.temperature)  # the attention table's rule
         if self.iters < 1:
             raise ValueError("need at least one k-means iteration")
+        if self.weight_dtype not in (bfloat16, float16):
+            raise ValueError(
+                f"weight_dtype must be bfloat16 or float16, got {self.weight_dtype!r}"
+            )
 
     @property
     def n_clusters(self) -> int:
@@ -48,15 +53,16 @@ class DKMConfig:
 class EDKMConfig:
     """The eDKM memory pipeline: which of M / U / S are enabled.
 
-    Mirrors the toggles of the paper's Table 2 ablation:
+    Mirrors the toggles of the paper's Table 2 ablation.  Every saved
+    tensor overflows from GPU to CPU (the baseline the paper starts from);
+    a run that keeps everything on GPU passes no pipeline at all.
 
-    - ``offload``: overflow saved tensors from GPU to CPU at all (the
-      baseline the paper starts from; disabling it keeps everything on GPU).
     - ``marshal`` (M): cross-device tensor marshaling -- dedup offloaded
       storages via a hop-limited walk of the forward graph.
     - ``uniquify`` (U): compute the attention *table* over unique 16-bit
       weight values plus an index list, instead of the dense attention map.
-    - ``shard`` (S): partition large offloaded tensors row-wise across the
+    - ``shard`` (S): partition offloaded tensors of at least
+      :data:`repro.core.offload.SHARD_MIN_BYTES` row-wise across the
       learner group; reconstruction all-gathers.  The default (``None``)
       resolves to "shard iff a ``group`` was provided", so ``EDKMConfig()``
       is constructible; an *explicit* ``shard=True`` without a group is
@@ -69,13 +75,11 @@ class EDKMConfig:
     change.
     """
 
-    offload: bool = True
     marshal: bool = True
     uniquify: bool = True
     shard: bool | None = None
     hop_budget: int = 4
     group: LearnerGroup | None = None
-    shard_min_bytes: int = 4096
 
     def __post_init__(self) -> None:
         if self.hop_budget < 0:

@@ -44,6 +44,10 @@ HARD_ASSIGN_CHUNK = 1 << 16
 # builds; a bigger layer raises ``MemoryError`` instead of thrashing the host.
 DENSE_SAVED_BYTES_LIMIT = 256 << 20
 
+# Early-stop threshold of :meth:`DKMClusterer.refine`: the k-means loop
+# leaves once no centroid moved by this much in an iteration.
+TOL = 1e-8
+
 
 @dataclass
 class ClusterState:
@@ -200,7 +204,7 @@ class DKMClusterer:
             movement = float(np.abs(new_centroids - state.centroids).max())
             state.centroids = new_centroids
             state.iterations_run += 1
-            if movement < self.config.tol:
+            if movement < TOL:
                 break
         if cache_table:
             final_table = attention_table(w_u, state.centroids, state.temperature)

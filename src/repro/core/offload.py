@@ -31,6 +31,11 @@ from repro.tensor.autograd import saved_tensors_hooks
 from repro.tensor.device import CPU, GPU
 from repro.tensor.tensor import Tensor
 
+# Smallest storage the S path shards; smaller host copies stay whole.  A
+# higher floor saves no measured host byte (docs/edkm-pipeline.md, "Why
+# `SHARD_MIN_BYTES` stays 4096").
+SHARD_MIN_BYTES = 4096
+
 
 @dataclass
 class SavedPayload:
@@ -72,9 +77,6 @@ class SavedTensorPipeline:
         span an optimizer write.
         """
         self.registry.clear()
-        if not self.config.offload:
-            yield self
-            return
         with saved_tensors_hooks(self._pack, self._unpack):
             try:
                 yield self
@@ -142,11 +144,7 @@ class SavedTensorPipeline:
         """
         cfg = self.config
         storage = tensor.storage
-        if (
-            cfg.shard
-            and cfg.group is not None
-            and storage.nbytes >= cfg.shard_min_bytes
-        ):
+        if cfg.shard and cfg.group is not None and storage.nbytes >= SHARD_MIN_BYTES:
             host_copy: Tensor | ShardedTensor = shard_storage(
                 storage, cfg.group, tag="offload-shard"
             )

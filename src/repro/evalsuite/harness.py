@@ -21,7 +21,7 @@ bit-identical to a forward of that option alone:
   on the values in other rows when the row count is the same.
 
 Rows are never stacked across options or items: a ``(B, T)`` forward
-changes every gemm's row count (see ``repro.llm.generate``), and with it
+changes every gemm's row count (see ``repro.llm.recompute``), and with it
 the rounding of every score.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.tasks import ClozeItem, MultipleChoiceItem, TaskSuite
-from repro.llm.generate import generate
+from repro.llm.recompute import generate
 from repro.llm.tokenizer import WordTokenizer
 from repro.nn import Module
 from repro.tensor import ops

@@ -16,7 +16,7 @@ the last layer and the LM head have succeeded.  A step that raises midway
 as it found it, and retrying it feeds the same tokens again.
 
 Logits are *not* bit-equal to the full-recompute reference
-(:func:`repro.llm.generate.batched_last_logits`): a gemm's result depends
+(:func:`repro.llm.recompute.batched_last_logits`): a gemm's result depends
 on how many rows it is given, and the flattened pass gives it a different
 number than a per-bucket pass does.  The contract is the same greedy
 tokens and logits within ``1e-4``; ``generate`` / ``generate_batch`` stay

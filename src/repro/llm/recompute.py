@@ -1,4 +1,8 @@
-"""Autoregressive generation: single-prompt, batched, and bucketed logits.
+"""Full-recompute greedy generation: single-prompt, batched, and bucketed logits.
+
+Every step forwards each row's whole token window again; this is the
+reference the K/V-cached serving path (:mod:`repro.llm.decode`) must
+reproduce token for token.  Decoding is greedy (argmax) throughout.
 
 Batched decoding here is **length-bucketed**, not padded: active rows
 are grouped by current window length and each group runs one forward.
@@ -23,7 +27,6 @@ from repro.llm.tokenizer import WordTokenizer
 from repro.nn import Transformer
 from repro.tensor.autograd import no_grad
 from repro.tensor.device import Device
-from repro.tensor.random import default_rng
 from repro.tensor.tensor import Tensor
 
 
@@ -66,15 +69,8 @@ def batched_last_logits(
     return out  # type: ignore[return-value]
 
 
-def _pick_next(
-    last: np.ndarray, temperature: float, rng: np.random.Generator
-) -> int:
-    """Greedy argmax at temperature 0, else temperature sampling."""
-    if temperature > 0:
-        scaled = last / temperature
-        scaled -= scaled.max()
-        probs = np.exp(scaled) / np.exp(scaled).sum()
-        return int(rng.choice(len(probs), p=probs))
+def greedy_next(last: np.ndarray) -> int:
+    """The next token: the argmax of the last position's logits."""
     return int(np.argmax(last))
 
 
@@ -83,25 +79,16 @@ def generate_batch(
     tokenizer: WordTokenizer,
     prompts: list[str],
     max_new_tokens: int = 8,
-    temperature: float = 0.0,
     device: Device | None = None,
-    rngs: list[np.random.Generator] | None = None,
 ) -> list[str]:
-    """Continue every prompt; returns only the newly generated texts.
+    """Greedily continue every prompt; returns only the newly generated texts.
 
     Decoding is continuous at the function scale: each step forwards only
     the still-active rows (EOS or token budget retires a row without
-    stalling the others), grouped into length buckets.  With the default
-    per-row rngs the output equals calling :func:`generate` once per
-    prompt.
+    stalling the others), grouped into length buckets.  The output equals
+    calling :func:`generate` once per prompt.
     """
     device = device or model.embed.weight.device
-    if rngs is None:
-        rngs = [default_rng(0) for _ in prompts]
-    if len(rngs) != len(prompts):
-        raise ValueError(
-            f"got {len(rngs)} rngs for {len(prompts)} prompts"
-        )
     ids = [tokenizer.encode(prompt, bos=True) for prompt in prompts]
     generated: list[list[int]] = [[] for _ in prompts]
     active = list(range(len(prompts)))
@@ -112,7 +99,7 @@ def generate_batch(
         lasts = batched_last_logits(model, windows, device=device)
         still_active: list[int] = []
         for i, last in zip(active, lasts):
-            next_id = _pick_next(last, temperature, rngs[i])
+            next_id = greedy_next(last)
             if next_id == tokenizer.eos_id:
                 continue
             ids[i].append(next_id)
@@ -127,22 +114,13 @@ def generate(
     tokenizer: WordTokenizer,
     prompt: str,
     max_new_tokens: int = 8,
-    temperature: float = 0.0,
     device: Device | None = None,
-    rng: np.random.Generator | None = None,
 ) -> str:
-    """Continue ``prompt``; returns only the newly generated text.
+    """Greedily continue ``prompt``; returns only the newly generated text.
 
-    ``temperature == 0`` is greedy decoding; generation stops early at
-    EOS.  Implemented as a batch of one -- :func:`generate_batch` is the
-    engine.
+    Generation stops early at EOS.  Implemented as a batch of one --
+    :func:`generate_batch` is the engine.
     """
     return generate_batch(
-        model,
-        tokenizer,
-        [prompt],
-        max_new_tokens=max_new_tokens,
-        temperature=temperature,
-        device=device,
-        rngs=[rng or default_rng(0)],
+        model, tokenizer, [prompt], max_new_tokens=max_new_tokens, device=device
     )[0]

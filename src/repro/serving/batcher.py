@@ -8,7 +8,7 @@ whole prompt, every other row its one new token), appends one token per
 row, and retires rows that hit EOS or their token budget -- freeing
 their slots for the next :meth:`ContinuousBatcher.admit` without
 stalling the rest of the batch.  Every row's token stream equals a
-single-prompt :func:`repro.llm.generate.generate` call -- which
+single-prompt :func:`repro.llm.recompute.generate` call -- which
 recomputes the full prefix and shares no code with the cached step --
 regardless of what other requests share its batch; logits agree to
 ``1e-4``, not bit for bit (see :mod:`repro.llm.decode`).
@@ -20,17 +20,14 @@ abort_all`, :meth:`ContinuousBatcher.release_kv` -- releases it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.llm.decode import SequenceCache, decode_step
-from repro.llm.generate import _pick_next
+from repro.llm.recompute import greedy_next
 from repro.llm.tokenizer import WordTokenizer
 from repro.nn import Transformer
 from repro.serving.config import ServingConfig
 from repro.serving.queue import DeadlineExceeded, ServerRequest
 from repro.serving.stats import ServerStats
 from repro.tensor.device import Device
-from repro.tensor.random import default_rng
 
 
 class SequenceState:
@@ -41,14 +38,12 @@ class SequenceState:
         request: ServerRequest,
         prompt_ids: list[int],
         budget: int,
-        rng: np.random.Generator,
         kv: SequenceCache,
     ) -> None:
         self.request = request
         self.ids = list(prompt_ids)
         self.generated: list[int] = []
         self.budget = budget
-        self.rng = rng
         self.kv = kv
 
 
@@ -85,7 +80,6 @@ class ContinuousBatcher:
                 request,
                 prompt_ids=self.tokenizer.encode(request.prompt, bos=True),
                 budget=request.max_new_tokens,
-                rng=default_rng(0),
                 kv=SequenceCache(self.model),
             )
         )
@@ -121,7 +115,7 @@ class ContinuousBatcher:
         self._note_kv_cache()  # the step's high-water mark, before rows retire
         survivors = []
         for seq, last in zip(self.active, lasts):
-            next_id = _pick_next(last, self.config.temperature, seq.rng)
+            next_id = greedy_next(last)
             if next_id == self.tokenizer.eos_id:
                 self._finish(seq)
                 retired += 1

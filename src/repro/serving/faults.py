@@ -31,7 +31,8 @@ tokens under every fault plan.
 The names the supervisor keys on:
 
 - :class:`TransientStepError` -- a decode-step failure worth retrying in
-  place (backoff, same scheduler loop, bounded by ``retry.retries``).
+  place (backoff, same scheduler loop, bounded by
+  :data:`repro.serving.server.STEP_RETRIES`).
 - :class:`PaletteKernelError` -- a layer's palette-path call failed; a
   transient step error.
 - :class:`CorruptTileError` -- a resident dequantized layer weight failed

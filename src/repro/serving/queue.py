@@ -1,8 +1,8 @@
 """Admission-controlled request queue for the serving engine.
 
 The queue is the server's pressure-relief valve: depth is bounded
-(``ServingConfig.max_queue_depth``), so a traffic burst beyond what the
-batcher can drain is *rejected at submit time* with
+(:data:`repro.serving.server.MAX_QUEUE_DEPTH`), so a traffic burst beyond
+what the batcher can drain is *rejected at submit time* with
 :class:`AdmissionError` instead of growing an unbounded backlog, and a
 request whose deadline has already passed when the scheduler reaches it
 is rejected with :class:`DeadlineExceeded` rather than wasting decode

@@ -90,6 +90,16 @@ LOOP_RESPAWNS = 4
 """Watchdog respawns of the scheduler loop over a server's lifetime; past
 them the server is marked dead and rejects work."""
 
+MAX_QUEUE_DEPTH = 64
+"""Admission-control bound on *waiting* requests: a submit against a full
+queue is rejected at once with :class:`AdmissionError` instead of growing
+an unbounded backlog."""
+
+STEP_RETRIES = 2
+"""Re-attempts of a decode step that raised :class:`TransientStepError`
+(palette-kernel and corrupt-tile errors included) before its batch fails
+with :class:`StepFailed`; each waits ``retry.backoff(n)``."""
+
 
 class _StaleGeneration(Exception):
     """Internal: this scheduler loop's generation was revoked.
@@ -297,7 +307,7 @@ class PaletteServer:
         self.config = config or ServingConfig()
         self.device = device
         self.stats_acc = ServerStats()
-        self.queue = RequestQueue(self.config.max_queue_depth)
+        self.queue = RequestQueue(MAX_QUEUE_DEPTH)
         self.tile_cache = TileCache()
         self.supervisor = LoopSupervisor()
         self.fault_injector = FaultInjector.from_plan(self.config.fault_plan)
@@ -501,7 +511,7 @@ class PaletteServer:
         """Enqueue ``prompt``; returns the request future immediately.
 
         Raises :class:`AdmissionError` when the queue is at
-        ``max_queue_depth`` *or* the current decode step has overrun the
+        :data:`MAX_QUEUE_DEPTH` *or* the current decode step has overrun the
         watchdog deadline (shedding load behind a wedge), and
         :class:`ServerClosed` when the server is not running, draining,
         or its scheduler loop is dead.  ``deadline_s`` is measured from
@@ -616,7 +626,7 @@ class PaletteServer:
         Exception taxonomy (see :mod:`repro.serving.faults`): a
         :class:`TransientStepError` -- palette-kernel and corrupt-tile
         errors included (a corrupt weight was already dropped by the CRC-32
-        check) -- retries in place with backoff up to ``retry.retries``,
+        check) -- retries in place with backoff up to :data:`STEP_RETRIES`,
         then fails the batch; anything else fails the batch with
         :class:`StepFailed` at once.
         """
@@ -642,7 +652,7 @@ class PaletteServer:
                     raise
                 except TransientStepError as exc:
                     transient_attempts += 1
-                    if transient_attempts > self.config.retry.retries:
+                    if transient_attempts > STEP_RETRIES:
                         self._fail_batch(batcher, exc)
                         return
                     self.stats_acc.note_step_retry()

@@ -39,6 +39,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.core import dkm
 from repro.core.dkm import ClusterState, default_temperature, init_centroids_quantile
 from repro.core.uniquify import HISTOGRAM_MIN_SIZE
 from repro.memory.traffic import global_ledger
@@ -152,7 +153,7 @@ def refine_uk(clusterer, weights, cache_table=False):
         movement = float(np.abs(new_centroids - state.centroids).max())
         state.centroids = new_centroids
         state.iterations_run += 1
-        if movement < self.config.tol:
+        if movement < dkm.TOL:
             break
     if cache_table:
         final_table = attention_table_uk(w_u, state.centroids, state.temperature)

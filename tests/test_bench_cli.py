@@ -100,6 +100,14 @@ class TestWriter:
             assert text.strip() and text in out
         assert not list(tmp_path.glob("*.json"))
 
+    def test_table2_rerun_rewrites_the_tracked_file(self, tmp_path):
+        """Table 2 records bytes and counts only, no wall-clock column, so
+        a fresh run reproduces the tracked text byte for byte."""
+        assert main(["table2", "--out", str(tmp_path)]) == 0
+        fresh = (tmp_path / "table2.txt").read_bytes()
+        with open(os.path.join(RESULTS_DIR, "table2.txt"), "rb") as fh:
+            assert fresh == fh.read()
+
     def test_a_failed_gate_exits_1_and_is_listed(
         self, tmp_path, capsys, monkeypatch, quick_result
     ):

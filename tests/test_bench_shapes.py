@@ -95,6 +95,12 @@ class TestTable2Shape:
         assert peaks["M+U+S"] == min(peaks.values())
         assert result.failures() == []
 
+    def test_rows_record_no_wall_clock(self, result):
+        """Table 2's runtime ratio is measured end to end by the fine-tune
+        benchmark workloads; the table keeps only deterministic columns."""
+        assert "runtime_s" not in {f.name for f in dataclasses.fields(result.rows[0])}
+        assert not hasattr(result, "slowdown")
+
     def test_a_missed_threshold_is_named(self, result):
         weak = Table2Result(rows=list(result.rows))
         weak.rows[1] = dataclasses.replace(

@@ -9,6 +9,7 @@ different from the first (ROADMAP aim 2: a mechanism nobody but its own
 bench and tests switches on is deleted together with its selector).
 """
 
+import importlib
 import inspect
 import math
 from dataclasses import fields
@@ -26,20 +27,13 @@ from repro.core.compressor import ModelCompressor
 from repro.core.config import DKMConfig, EDKMConfig
 from repro.core.marshal import SEARCH_STRATEGIES
 from repro.serving.config import RetryPolicy, ServingConfig
+from repro.tensor.dtype import bfloat16, float16, float32, int64
 
 SURFACE = {
-    DKMConfig: {
-        "bits", "temperature", "iters", "tol", "weight_dtype",
-    },
-    EDKMConfig: {
-        "offload", "marshal", "uniquify", "shard", "hop_budget", "group",
-        "shard_min_bytes",
-    },
-    ServingConfig: {
-        "max_batch_size", "max_queue_depth", "max_new_tokens",
-        "temperature", "retry", "fault_plan",
-    },
-    RetryPolicy: {"timeout_s", "retries", "backoff_s"},
+    DKMConfig: {"bits", "temperature", "iters", "weight_dtype"},
+    EDKMConfig: {"marshal", "uniquify", "shard", "hop_budget", "group"},
+    ServingConfig: {"max_batch_size", "max_new_tokens", "retry", "fault_plan"},
+    RetryPolicy: {"timeout_s", "backoff_s"},
 }
 
 # Fields that hold a nested config: each counts as its config's values.
@@ -83,25 +77,23 @@ def test_baseline_settable_value_budget():
 def test_field_budget():
     """Fields of the three top-level configs; a nested policy is one field."""
     nested = set(NESTED.values())
-    assert sum(len(names) for cls, names in SURFACE.items() if cls not in nested) == 18
+    assert sum(len(names) for cls, names in SURFACE.items() if cls not in nested) == 13
 
 
 def test_settable_value_budget():
     """Every field is one value, except that a nested config counts as its
-    own fields: ``retry`` is one field but three values."""
+    own fields: ``retry`` is one field but two values."""
     for (owner, name), nested in NESTED.items():
         assert name in SURFACE[owner] and nested in SURFACE
     total = sum(len(names) for names in SURFACE.values())
-    assert total - len(NESTED) == 20
+    assert total - len(NESTED) == 14
 
 
 def test_model_compressor_keywords_are_pinned():
-    """The configs plus two loose values; there is no engine knob."""
+    """The configs plus one loose value; there is no engine knob."""
     params = inspect.signature(ModelCompressor).parameters
-    assert list(params) == [
-        "dkm_config", "edkm_config", "embedding_bits", "skip_names",
-    ]
-    assert (params["embedding_bits"].default, params["skip_names"].default) == (8, ())
+    assert list(params) == ["dkm_config", "edkm_config", "skip_names"]
+    assert params["skip_names"].default == ()
 
 
 def test_registries_are_pinned():
@@ -116,17 +108,16 @@ OUT_OF_RANGE = [
     (EDKMConfig, "hop_budget", -1),
     (EDKMConfig, "shard", True),  # no LearnerGroup to shard over
     (ServingConfig, "max_batch_size", 0),
-    (ServingConfig, "max_queue_depth", 0),
     (ServingConfig, "max_new_tokens", 0),
-    (ServingConfig, "temperature", -0.1),
     (ServingConfig, "fault_plan", "hang_step"),
     (RetryPolicy, "timeout_s", 0.0),
-    (RetryPolicy, "retries", -1),
     (RetryPolicy, "backoff_s", -0.1),
-    # Non-finite times and temperatures: a NaN passes every sign check,
-    # and an infinite sleep overflows inside the scheduler.
-    (ServingConfig, "temperature", math.nan),
-    (ServingConfig, "temperature", math.inf),
+    # Clustering keys on 16-bit float patterns: a wider float failed only
+    # at the first forward, and an integer dtype zeroed the wrapped weight.
+    (DKMConfig, "weight_dtype", float32),
+    (DKMConfig, "weight_dtype", int64),
+    # Non-finite times: a NaN passes every sign check, and an infinite
+    # sleep overflows inside the scheduler.
     (RetryPolicy, "timeout_s", math.nan),
     (RetryPolicy, "timeout_s", math.inf),
     (RetryPolicy, "backoff_s", math.nan),
@@ -142,9 +133,7 @@ OUT_OF_RANGE = [
     # Finite in float64 but inf in float32, where every column goes uniform.
     (DKMConfig, "temperature", 1e39),
     (ServingConfig, "max_batch_size", -1),
-    (ServingConfig, "max_queue_depth", -1),
     (ServingConfig, "max_new_tokens", -1),
-    (ServingConfig, "temperature", -math.inf),
     (RetryPolicy, "timeout_s", -1.0),
     (RetryPolicy, "timeout_s", -math.inf),
     (RetryPolicy, "backoff_s", -math.inf),
@@ -166,13 +155,12 @@ IN_RANGE = [
     (DKMConfig, "bits", 8),
     (DKMConfig, "iters", 1),
     (DKMConfig, "temperature", 1e-30),
+    (DKMConfig, "weight_dtype", bfloat16),
+    (DKMConfig, "weight_dtype", float16),
     (EDKMConfig, "hop_budget", 0),
     (ServingConfig, "max_batch_size", 1),
-    (ServingConfig, "max_queue_depth", 1),
     (ServingConfig, "max_new_tokens", 1),
-    (ServingConfig, "temperature", 0.0),
     (RetryPolicy, "timeout_s", None),
-    (RetryPolicy, "retries", 0),
     (RetryPolicy, "backoff_s", 0.0),
 ]
 
@@ -189,6 +177,13 @@ def test_boundary_value_accepted(cls, name, value):
 
 
 RETIRED = [
+    (DKMConfig, "tol"),
+    (EDKMConfig, "offload"),
+    (EDKMConfig, "shard_min_bytes"),
+    (ModelCompressor, "embedding_bits"),
+    (ServingConfig, "max_queue_depth"),
+    (ServingConfig, "temperature"),
+    (RetryPolicy, "retries"),
     (ServingConfig, "tile_cache_bytes_limit"),
     (ServingConfig, "breaker_threshold"),
     (ServingConfig, "breaker_probation_steps"),
@@ -201,14 +196,17 @@ RETIRED = [
 
 
 @pytest.mark.parametrize("cls,name", RETIRED, ids=[name for _, name in RETIRED])
-def test_retired_serving_knobs_are_refused(cls, name):
-    """The tile-cache budget, the circuit breaker's two knobs, the
-    palette/dense eval-path switch, and the scheduler's idle poll, join and
-    drain deadlines and respawn budget (now constants of
-    ``repro.serving.server``) are gone: a constructor keyword is a
+def test_retired_knobs_are_refused(cls, name):
+    """Knobs that only ever had one value are gone: k-means' ``tol``, the
+    pipeline's ``offload`` switch and shard floor, the embedding bit width,
+    the serving queue depth, sampling temperature and step retries, the
+    tile-cache budget, the circuit breaker's two knobs, the palette/dense
+    eval-path switch, and the scheduler's idle poll, join and drain
+    deadlines and respawn budget.  A constructor keyword is a
     ``TypeError``, never a silent default."""
+    args = (DKMConfig(),) if cls is ModelCompressor else ()
     with pytest.raises(TypeError, match=name):
-        cls(**{name: 1})
+        cls(*args, **{name: 1})
 
 
 @pytest.mark.parametrize(
@@ -218,15 +216,36 @@ def test_retired_serving_knobs_are_refused(cls, name):
         ("JOIN_TIMEOUT_S", 5.0),
         ("DRAIN_TIMEOUT_S", 30.0),
         ("LOOP_RESPAWNS", 4),
+        ("MAX_QUEUE_DEPTH", 64),
+        ("STEP_RETRIES", 2),
     ],
 )
 def test_retired_knobs_are_server_constants(name, value):
-    """The four retired scheduler knobs live on as module constants at the
-    defaults they had as fields; tests that need a short deadline patch the
-    constant."""
+    """The six retired scheduler knobs live on as module constants at the
+    defaults they had as fields; tests that need a short deadline, a
+    shallow queue or fewer retries patch the constant."""
     import repro.serving.server as server_mod
 
     assert getattr(server_mod, name) == value
+
+
+@pytest.mark.parametrize(
+    "module,name,value",
+    [
+        ("repro.core.dkm", "TOL", 1e-8),
+        ("repro.core.offload", "SHARD_MIN_BYTES", 4096),
+    ],
+)
+def test_retired_knobs_are_core_constants(module, name, value):
+    """``DKMConfig.tol`` and ``EDKMConfig.shard_min_bytes`` live on as
+    constants next to the code that reads them, at their old defaults."""
+    assert getattr(importlib.import_module(module), name) == value
+
+
+def test_embedding_bits_is_a_class_constant():
+    """The paper's 8-bit embedding palette, read as ``compressor.embedding_bits``."""
+    assert ModelCompressor.embedding_bits == 8
+    assert ModelCompressor(DKMConfig()).embedding_bits == 8
 
 
 @pytest.mark.parametrize("method", ["to_dict", "from_dict"])

@@ -123,7 +123,7 @@ class TestModelCompressor:
 
     def test_finalize_report(self):
         model = self._model()
-        compressor = ModelCompressor(DKMConfig(bits=3), embedding_bits=8)
+        compressor = ModelCompressor(DKMConfig(bits=3))
         compressor.compress(model)
         tokens = rt.Tensor.from_numpy(np.array([[1, 2, 3]]), device="gpu")
         model(tokens)
@@ -159,10 +159,7 @@ class TestModelCompressor:
         assert "lm_head" in text
 
     def test_keywords_apply(self):
-        compressor = ModelCompressor(
-            DKMConfig(bits=3), embedding_bits=6, skip_names=("layer0",)
-        )
-        assert compressor.embedding_bits == 6
+        compressor = ModelCompressor(DKMConfig(bits=3), skip_names=("layer0",))
         assert compressor.skip_names == ("layer0",)
 
 

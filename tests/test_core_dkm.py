@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro.tensor as rt
-from repro.core import DKMConfig
+from repro.core import DKMConfig, dkm
 from repro.core.dkm import (
     ClusterState,
     DKMClusterer,
@@ -188,7 +188,8 @@ class TestRankMonotonicity:
         """bf16 takes the unique-space path, float32 the chunked one."""
         centroids, values = case
         weights = rt.Tensor.from_numpy(values, dtype=dtype, device="gpu")
-        clusterer = DKMClusterer(DKMConfig(bits=4, weight_dtype=rt.get_dtype(dtype)))
+        # ``hard_assign`` dispatches on the weights' dtype, not the config's.
+        clusterer = DKMClusterer(DKMConfig(bits=4))
         clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
         assignments = np.asarray(clusterer.hard_assign(weights))
         stored = weights.numpy().reshape(-1)  # values after the dtype's rounding
@@ -271,7 +272,7 @@ class TestHardAssignUint8:
     def test_equals_int64_gather(self, dtype, case, bits):
         centroids, values = case
         weights = rt.Tensor.from_numpy(values, dtype=dtype, device="gpu")
-        clusterer = DKMClusterer(DKMConfig(bits=bits, weight_dtype=rt.get_dtype(dtype)))
+        clusterer = DKMClusterer(DKMConfig(bits=bits))
         clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
         got = clusterer.hard_assign(weights)
         if dtype == "float32":
@@ -409,9 +410,9 @@ class TestRefineEqualsOracle:
         self._assert_same(got, want)
         assert got[0].fastpath.uniquify(w, w.dtype).counts.max() >= 1 << 20
 
-    def test_early_tol_exit(self):
-        config = DKMConfig(bits=3, iters=4, tol=1.0)
-        got, want = self._pair(config, _weight_tensor())
+    def test_early_tol_exit(self, monkeypatch):
+        monkeypatch.setattr(dkm, "TOL", 1.0)
+        got, want = self._pair(DKMConfig(bits=3, iters=4), _weight_tensor())
         self._assert_same(got, want)
         assert got[0].state.iterations_run == 1  # left the loop, table still parked
         assert _parked(got[0].fastpath) is not None

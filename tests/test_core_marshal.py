@@ -245,7 +245,7 @@ class TestConfigValidation:
         """Regression: ``EDKMConfig()`` used to raise because the dataclass
         defaults were ``shard=True, group=None`` -- mutually inconsistent."""
         config = EDKMConfig()
-        assert config.offload and config.marshal and config.uniquify
+        assert config.marshal and config.uniquify
         assert config.shard is False  # auto-downgraded: no learner group
 
     def test_shard_auto_enables_with_group(self):
@@ -274,5 +274,4 @@ class TestConfigValidation:
 
     def test_baseline_has_no_optimizations(self):
         config = EDKMConfig.baseline_offload()
-        assert config.offload
         assert not config.marshal and not config.uniquify and not config.shard

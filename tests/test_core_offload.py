@@ -6,6 +6,7 @@ import numpy as np
 
 import repro.tensor as rt
 from repro.core import DKMConfig, EDKMConfig, SavedTensorPipeline
+from repro.core import offload
 from repro.core.dkm import DKMClusterer
 from repro.core.edkm import edkm_cluster
 from repro.distributed import LearnerGroup
@@ -46,24 +47,20 @@ class TestCorrectness:
             _loss(x_piped).backward()
         assert np.allclose(x_plain.grad.numpy(), x_piped.grad.numpy(), rtol=1e-6)
 
-    def test_gradients_unchanged_by_sharding(self):
+    def test_gradients_unchanged_by_sharding(self, monkeypatch):
+        monkeypatch.setattr(offload, "SHARD_MIN_BYTES", 64)
         x_plain = _gpu_matrix()
         _loss(x_plain).backward()
         x_piped = _gpu_matrix()
         pipeline = SavedTensorPipeline(
-            EDKMConfig(
-                marshal=True,
-                uniquify=False,
-                shard=True,
-                group=LearnerGroup(4),
-                shard_min_bytes=64,
-            )
+            EDKMConfig(marshal=True, uniquify=False, shard=True, group=LearnerGroup(4))
         )
         with pipeline.step():
             _loss(x_piped).backward()
         assert np.allclose(x_plain.grad.numpy(), x_piped.grad.numpy(), rtol=1e-6)
 
-    def test_gradients_unchanged_full_edkm_on_dkm_layer(self):
+    def test_gradients_unchanged_full_edkm_on_dkm_layer(self, monkeypatch):
+        monkeypatch.setattr(offload, "SHARD_MIN_BYTES", 128)
         values = (np.random.default_rng(1).standard_normal(600) * 0.05).astype(
             np.float32
         )
@@ -81,27 +78,28 @@ class TestCorrectness:
             return w.grad.numpy()
 
         plain = run(None)
-        full = run(
-            SavedTensorPipeline(
-                EDKMConfig(group=LearnerGroup(8), shard_min_bytes=128)
-            )
-        )
+        full = run(SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8))))
         assert np.allclose(plain, full, rtol=1e-5, atol=1e-8)
 
 
 class TestOffloadBehavior:
-    def test_disabled_pipeline_is_noop(self):
-        pipeline = SavedTensorPipeline(
-            EDKMConfig(
-                offload=False, marshal=False, uniquify=False, shard=False, group=None
-            )
-        )
-        cpu = rt.CPU
-        with profile_memory([cpu.tracker]) as prof:
-            with pipeline.step():
-                _loss(_gpu_matrix()).backward()
-        assert pipeline.stats.tensors_packed == 0
+    def test_no_pipeline_keeps_everything_on_gpu(self):
+        """Without a pipeline (``pipeline=None`` in ``train_causal_lm``)
+        no saved tensor reaches the host."""
+        with profile_memory([rt.CPU.tracker], global_ledger()) as prof:
+            _loss(_gpu_matrix()).backward()
         assert prof.peak_delta("cpu") == 0
+        assert prof.traffic("gpu", "cpu") == 0
+
+    def test_every_pipeline_offloads(self):
+        """There is no switch that turns a pipeline's offload off: the
+        plainest config still packs every GPU tensor it saves to the host."""
+        pipeline = SavedTensorPipeline(EDKMConfig.baseline_offload())
+        with pipeline.step():
+            _loss(_gpu_matrix()).backward()
+        stats = pipeline.stats
+        assert stats.tensors_packed > 0
+        assert stats.copies_made == stats.tensors_packed
 
     def test_cpu_tensors_pass_through(self):
         x = rt.tensor(
@@ -140,16 +138,11 @@ class TestOffloadBehavior:
         assert marshal_peak < base_peak
         assert base_stats.copies_avoided == 0
 
-    def test_sharding_distributes_bytes(self):
+    def test_sharding_distributes_bytes(self, monkeypatch):
+        monkeypatch.setattr(offload, "SHARD_MIN_BYTES", 64)
         group = LearnerGroup(4)
         pipeline = SavedTensorPipeline(
-            EDKMConfig(
-                marshal=False,
-                uniquify=False,
-                shard=True,
-                group=group,
-                shard_min_bytes=64,
-            )
+            EDKMConfig(marshal=False, uniquify=False, shard=True, group=group)
         )
         peer = group.devices[1]
         cpu = rt.CPU
@@ -161,21 +154,28 @@ class TestOffloadBehavior:
         # Learner 0 holds roughly 1/4 of what a whole copy would be.
         assert prof.peak_delta("cpu") < prof.peak_delta(peer.name) * 4
 
-    def test_shard_min_bytes_respected(self):
+    def test_shard_min_bytes_respected(self, monkeypatch):
+        monkeypatch.setattr(offload, "SHARD_MIN_BYTES", 10_000_000)
         group = LearnerGroup(4)
         pipeline = SavedTensorPipeline(
-            EDKMConfig(
-                marshal=False,
-                uniquify=False,
-                shard=True,
-                group=group,
-                shard_min_bytes=10_000_000,
-            )
+            EDKMConfig(marshal=False, uniquify=False, shard=True, group=group)
         )
         with pipeline.step():
             _loss(_gpu_matrix()).backward()
         assert pipeline.stats.tensors_sharded == 0
         assert pipeline.stats.copies_made > 0
+
+    def test_default_floor_shards_only_storages_from_4096_bytes(self):
+        """At the default floor a 24x24 float32 storage (2 304 bytes) stays
+        whole and a 48x48 one (9 216 bytes) is sharded."""
+        assert offload.SHARD_MIN_BYTES == 4096
+        for n, sharded in ((24, False), (48, True)):
+            pipeline = SavedTensorPipeline(
+                EDKMConfig(marshal=False, uniquify=False, group=LearnerGroup(4))
+            )
+            with pipeline.step():
+                _loss(_gpu_matrix(n)).backward()
+            assert (pipeline.stats.tensors_sharded > 0) is sharded, n
 
     def test_registry_cleared_between_steps(self):
         pipeline = SavedTensorPipeline(
@@ -245,7 +245,7 @@ class TestRawByteTransfer:
             seed=3,
         )
         model.to(rt.GPU)
-        ModelCompressor(DKMConfig(bits=3, iters=2), pipeline.config).compress(model)
+        ModelCompressor(DKMConfig(bits=3, iters=2)).compress(model)
         batches = alpaca_batches(
             generate_alpaca(world, 8, seed=40), tokenizer, 8, rt.GPU, seed=41
         )
@@ -259,13 +259,10 @@ class TestRawByteTransfer:
     ):
         from repro.tensor.dtype import DType
 
-        plain = self._bf16_step(
-            tokenizer, world, SavedTensorPipeline(EDKMConfig(offload=False))
-        )
+        plain = self._bf16_step(tokenizer, world, None)
 
-        pipeline = SavedTensorPipeline(
-            EDKMConfig(group=LearnerGroup(8), shard_min_bytes=512)
-        )
+        monkeypatch.setattr(offload, "SHARD_MIN_BYTES", 512)
+        pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
         in_hook = [False]
         projections = []
         packed = {}  # id(payload) -> (payload kept alive, bytes it was packed from)
@@ -318,12 +315,10 @@ class TestRawByteTransfer:
     ):
         """One M+U+S step over the one-buffer collectives and over the
         per-shard ones they replaced: same ledger, same trackers, same bytes."""
-        from repro.core import offload
+        monkeypatch.setattr(offload, "SHARD_MIN_BYTES", 512)
 
         def run(per_shard):
-            pipeline = SavedTensorPipeline(
-                EDKMConfig(group=LearnerGroup(8), shard_min_bytes=512)
-            )
+            pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
             restored = []
             unpack = pipeline._unpack
 

@@ -93,14 +93,13 @@ class TestRetryPolicy:
     def test_validation(self):
         for bad, field in (
             (dict(timeout_s=0.0), "timeout_s"),
-            (dict(retries=-1), "retries"),
             (dict(backoff_s=-0.1), "backoff_s"),
         ):
             with pytest.raises(ValueError, match=field):
                 RetryPolicy(**bad)
 
     def test_server_defaults(self):
-        assert ServingConfig().retry == RetryPolicy() == RetryPolicy(None, 2, 0.02)
+        assert ServingConfig().retry == RetryPolicy() == RetryPolicy(None, 0.02)
 
     def test_backoff_doubles_per_attempt(self):
         policy = RetryPolicy(backoff_s=0.02)

@@ -67,10 +67,15 @@ class TestCompressedFinetuneEndToEnd:
 
 
 class TestMemoryPipelineIntegration:
-    def test_edkm_training_step_reduces_cpu_footprint(self, world, tokenizer):
+    def test_edkm_training_step_reduces_cpu_footprint(
+        self, monkeypatch, world, tokenizer
+    ):
         """A full compressed training step under baseline offload vs full
         eDKM shows an order-of-magnitude CPU reduction."""
+        from repro.core import offload
         from repro.llm import MICRO, build_model
+
+        monkeypatch.setattr(offload, "SHARD_MIN_BYTES", 512)
 
         alpaca = generate_alpaca(world, 16, seed=40)
 
@@ -91,9 +96,7 @@ class TestMemoryPipelineIntegration:
             return prof.peak_delta("cpu")
 
         baseline = run_step(EDKMConfig.baseline_offload(), uniquify=False)
-        full = run_step(
-            EDKMConfig(group=LearnerGroup(8), shard_min_bytes=512), uniquify=True
-        )
+        full = run_step(EDKMConfig(group=LearnerGroup(8)), uniquify=True)
         assert full < baseline / 5
 
     def test_traffic_ledger_sees_both_directions(self, world, tokenizer):

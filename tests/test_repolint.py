@@ -3,9 +3,9 @@
 Fixture-driven: every rule gets at least one violating snippet (asserted
 by finding ID *and* line) and one clean snippet, so a rule regression
 shows up as a missed or spurious fixture finding rather than as CI noise
-on real source.  Also covers suppression hygiene (RL001/RL002), baseline
-round-trips, the CLI, the docs suite, and regression tests for the
-source fixes the first triage of ``src/repro`` produced.
+on real source.  Also covers suppression hygiene (RL001/RL002), the CLI
+(with no baseline: any finding fails), the docs suite, and regression
+tests for the source fixes the first triage of ``src/repro`` produced.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import textwrap
 import threading
 
 import numpy as np
+import pytest
 
 from repro.nn import Embedding, Linear, SwiGLUMLP
 from repro.tensor.random import default_rng
-from tools.repolint.baseline import load_baseline, write_baseline
 from tools.repolint.cli import main as repolint_main
 from tools.repolint.docs import run_docs_suite
 from tools.repolint.engine import lint_source, run_code_suite
@@ -515,7 +515,9 @@ class TestSuppressions:
         assert meta == []
 
 
-class TestBaseline:
+class TestNoBaseline:
+    """Every finding fails the run; there is no file of tolerated ones."""
+
     SOURCE = textwrap.dedent(
         """\
         def walk(names):
@@ -524,58 +526,21 @@ class TestBaseline:
         """
     )
 
-    def _tree(self, tmp_path):
+    def test_a_finding_fails_the_run(self, tmp_path):
         pkg = tmp_path / "src"
         pkg.mkdir()
         (pkg / "mod.py").write_text(self.SOURCE)
-        return tmp_path
+        report = run_code_suite([str(pkg)], str(tmp_path))
+        assert [f.rule for f in report.findings] == ["RL304"]
+        assert not report.ok
+        assert "baselined" not in report.to_json_dict()
 
-    def test_round_trip_grandfathers_findings(self, tmp_path):
-        root = self._tree(tmp_path)
-        baseline_path = str(tmp_path / "baseline.json")
-        first = run_code_suite([str(root / "src")], str(root))
-        assert [f.rule for f in first.findings] == ["RL304"]
-        write_baseline(baseline_path, first.findings)
-
-        # Unjustified entries refuse to gate anything.
-        unjustified = load_baseline(baseline_path)
-        blocked = run_code_suite(
-            [str(root / "src")], str(root), baseline=unjustified
-        )
-        assert not blocked.ok
-        assert "without justification" in blocked.errors[0]
-
-        # Justified entries grandfather the finding.
-        raw = json.loads(open(baseline_path).read())
-        for entry in raw["entries"]:
-            entry["justification"] = "legacy walker; burn-down tracked"
-        with open(baseline_path, "w") as fh:
-            json.dump(raw, fh)
-        gated = run_code_suite(
-            [str(root / "src")], str(root), baseline=load_baseline(baseline_path)
-        )
-        assert gated.ok
-        assert gated.baselined == 1
-        assert gated.findings == []
-
-    def test_stale_entry_is_an_error(self, tmp_path):
-        root = self._tree(tmp_path)
-        baseline_path = str(tmp_path / "baseline.json")
-        first = run_code_suite([str(root / "src")], str(root))
-        write_baseline(baseline_path, first.findings)
-        raw = json.loads(open(baseline_path).read())
-        for entry in raw["entries"]:
-            entry["justification"] = "x"
-        with open(baseline_path, "w") as fh:
-            json.dump(raw, fh)
-        (root / "src" / "mod.py").write_text(
-            "def walk(names):\n    for name in sorted(names):\n        print(name)\n"
-        )
-        gated = run_code_suite(
-            [str(root / "src")], str(root), baseline=load_baseline(baseline_path)
-        )
-        assert not gated.ok
-        assert "stale baseline entry" in gated.errors[0]
+    @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+    def test_baseline_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repolint_main(["src", flag, "--root", REPO_ROOT])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_finding_key_is_line_independent(self):
         a = Finding(rule="RL304", path="p.py", line=3, message="m", symbol="s")
@@ -590,8 +555,6 @@ class TestCli:
         code = repolint_main(
             [
                 "src",
-                "--baseline",
-                os.path.join(REPO_ROOT, "tools/repolint/baseline.json"),
                 "--root",
                 REPO_ROOT,
             ]
@@ -670,8 +633,6 @@ class TestDocsSuite:
                 "src",
                 "--suite",
                 "all",
-                "--baseline",
-                os.path.join(REPO_ROOT, "tools/repolint/baseline.json"),
                 "--root",
                 REPO_ROOT,
             ]
@@ -769,12 +730,6 @@ class TestTriageRegressions:
         )
 
     def test_repolint_gate_matches_ci_invocation(self):
-        report = run_code_suite(
-            [os.path.join(REPO_ROOT, "src")],
-            REPO_ROOT,
-            baseline=load_baseline(
-                os.path.join(REPO_ROOT, "tools/repolint/baseline.json")
-            ),
-        )
+        report = run_code_suite([os.path.join(REPO_ROOT, "src")], REPO_ROOT)
         assert report.ok, report.render_text()
         assert report.findings == []

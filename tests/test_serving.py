@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import math
 import threading
 from unittest import mock
 
@@ -33,8 +32,9 @@ import repro.tensor as rt
 from repro.core import DKMConfig, ModelCompressor
 from repro.core.compressor import ClusteredLinear
 from repro.llm import MICRO, ModelSpec, WordTokenizer, build_model, generate, generate_batch
-from repro.llm.generate import batched_last_logits
+from repro.llm.recompute import batched_last_logits
 import repro.serving.batcher as batcher_mod
+import repro.serving.server as server_mod
 from repro.core.uniquify import uniquify_call_count
 from repro.data import standard_suites
 from repro.evalsuite import evaluate_suites
@@ -297,27 +297,11 @@ class TestBatchedGeneration:
         )
         assert batch == singles
 
-    def test_batch_matches_singles_with_temperature(self, plain_model, tokenizer):
-        singles = [
-            generate(
-                plain_model,
-                tokenizer,
-                p,
-                max_new_tokens=MAX_NEW,
-                temperature=0.8,
-                rng=np.random.default_rng(100 + i),
-            )
-            for i, p in enumerate(PROMPTS[:3])
-        ]
-        batch = generate_batch(
-            plain_model,
-            tokenizer,
-            PROMPTS[:3],
-            max_new_tokens=MAX_NEW,
-            temperature=0.8,
-            rngs=[np.random.default_rng(100 + i) for i in range(3)],
-        )
-        assert batch == singles
+    @pytest.mark.parametrize("name", ["temperature", "rngs"])
+    def test_sampling_keywords_are_gone(self, plain_model, tokenizer, name):
+        """Decoding is greedy only: no caller ever sampled."""
+        with pytest.raises(TypeError, match=name):
+            generate_batch(plain_model, tokenizer, PROMPTS, max_new_tokens=1, **{name: None})
 
     def test_window_truncation_matches_single(self, plain_model, tokenizer):
         long_prompt = " ".join(["alice"] * (plain_model.max_seq_len + 5))
@@ -497,9 +481,6 @@ class TestConfigValidation:
         "bad",
         [
             {"max_batch_size": 0},
-            {"max_queue_depth": 0},
-            {"temperature": math.nan},
-            {"temperature": -0.1},
             {"max_new_tokens": 0},
         ],
     )
@@ -770,8 +751,11 @@ class TestPaletteServer:
             assert request.max_new_tokens == server.config.max_new_tokens
             request.result(timeout=30)
 
-    def test_admission_burst_is_shed_and_accounted(self, served_model, tokenizer):
-        config = ServingConfig(max_batch_size=1, max_queue_depth=1)
+    def test_admission_burst_is_shed_and_accounted(
+        self, monkeypatch, served_model, tokenizer
+    ):
+        monkeypatch.setattr(server_mod, "MAX_QUEUE_DEPTH", 1)
+        config = ServingConfig(max_batch_size=1)
         with PaletteServer(served_model, tokenizer, config=config) as server:
             accepted, rejected = [], 0
             for _ in range(8):

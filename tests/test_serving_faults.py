@@ -473,13 +473,14 @@ class TestInjectedFaults:
             assert [e.kind for e in events] == ["transient_step"]
 
     def test_transient_exhausts_retries_to_step_failed(
-        self, served_model, tokenizer, expected_texts
+        self, monkeypatch, served_model, tokenizer, expected_texts
     ):
+        monkeypatch.setattr(server_mod, "STEP_RETRIES", 1)
         config = _config(
             fault_plan=FaultPlan.single(
                 "transient_step", sweep=1, times=2
             ),
-            retry=RetryPolicy(retries=1, backoff_s=0.001),
+            retry=RetryPolicy(backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             request = server.submit(PROMPTS[0])
@@ -527,11 +528,12 @@ class TestInjectedFaults:
             )
 
     def test_kernel_error_exhausts_retries_to_step_failed(
-        self, served_model, tokenizer, expected_texts
+        self, monkeypatch, served_model, tokenizer, expected_texts
     ):
+        monkeypatch.setattr(server_mod, "STEP_RETRIES", 1)
         config = _config(
             fault_plan=FaultPlan.single("kernel_error", sweep=1, times=2),
-            retry=RetryPolicy(retries=1, backoff_s=0.001),
+            retry=RetryPolicy(backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             request = server.submit(PROMPTS[0])
@@ -665,7 +667,7 @@ class TestOneRetryPath:
     def test_each_retry_sleeps_the_policy_backoff(
         self, served_model, tokenizer, expected_texts, make_error
     ):
-        policy = RetryPolicy(retries=2, backoff_s=0.001)
+        policy = RetryPolicy(backoff_s=0.001)  # STEP_RETRIES re-attempts: 2
         config = _config(retry=policy)
         with _failing_first_steps(make_error, times=2) as calls:
             with PaletteServer(served_model, tokenizer, config) as server:
@@ -679,9 +681,10 @@ class TestOneRetryPath:
 
     @pytest.mark.parametrize("make_error", _TRANSIENT_ERRORS, ids=_TRANSIENT_IDS)
     def test_zero_retries_fails_the_batch_at_once(
-        self, served_model, tokenizer, expected_texts, make_error
+        self, monkeypatch, served_model, tokenizer, expected_texts, make_error
     ):
-        config = _config(retry=RetryPolicy(retries=0, backoff_s=0.001))
+        monkeypatch.setattr(server_mod, "STEP_RETRIES", 0)
+        config = _config(retry=RetryPolicy(backoff_s=0.001))
         with _failing_first_steps(make_error, times=1):
             with PaletteServer(served_model, tokenizer, config) as server:
                 sleeps = _record_sleeps(server)
@@ -1042,9 +1045,9 @@ class TestChaosBenchHelpers:
         assert hang.fault_plan is not None
         quiet = _config_for("delay_step", _plan_for("delay_step", 0), 4)
         assert quiet.retry.timeout_s is None
-        # The kernel cell's retry budget covers every firing of its spec.
+        # The server's retry budget covers every firing of the kernel spec.
         kernel = _config_for("kernel_error", _plan_for("kernel_error", 0), 4)
-        assert kernel.retry.retries >= kernel.fault_plan.specs[0].times
+        assert server_mod.STEP_RETRIES >= kernel.fault_plan.specs[0].times
 
     def test_to_json_dict_gates_reflect_rows(self):
         from repro.bench.serving_faults import ChaosBenchResult

@@ -3,7 +3,7 @@
 Exit codes: 0 clean, 1 findings, 2 usage/configuration error.  The CI
 gates are::
 
-    python -m tools.repolint src/ --baseline tools/repolint/baseline.json
+    python -m tools.repolint src/
     python -m tools.repolint --suite docs --report docs-lint.json
 """
 
@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 
-from tools.repolint.baseline import load_baseline, write_baseline
 from tools.repolint.docs import run_docs_suite
 from tools.repolint.engine import run_code_suite
 from tools.repolint.findings import Report
@@ -41,15 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="code",
         help="which checks to run (default: code)",
     )
-    parser.add_argument("--baseline", help="baseline JSON for the code suite")
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "write current code-suite findings to --baseline (entries get "
-            "empty justifications you must fill in) and exit"
-        ),
-    )
     parser.add_argument(
         "--format",
         choices=("text", "json"),
@@ -74,7 +64,6 @@ def _merge(into: Report, other: Report) -> None:
     into.findings.extend(other.findings)
     into.errors.extend(other.errors)
     into.suppressed += other.suppressed
-    into.baselined += other.baselined
     into.files_checked += other.files_checked
 
 
@@ -98,28 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             print(f"error: no such path: {missing[0]}", file=sys.stderr)
             return 2
-        if args.write_baseline:
-            if not args.baseline:
-                print(
-                    "error: --write-baseline requires --baseline",
-                    file=sys.stderr,
-                )
-                return 2
-            fresh = run_code_suite(paths, root, baseline=None)
-            write_baseline(args.baseline, fresh.findings)
-            print(
-                f"wrote {len(fresh.findings)} entries to {args.baseline} "
-                "(fill in the justifications)"
-            )
-            return 0
-        baseline = None
-        if args.baseline:
-            try:
-                baseline = load_baseline(args.baseline)
-            except (ValueError, OSError, KeyError) as exc:
-                print(f"error: bad baseline: {exc}", file=sys.stderr)
-                return 2
-        _merge(report, run_code_suite(paths, root, baseline=baseline))
+        _merge(report, run_code_suite(paths, root))
 
     if args.suite in ("docs", "all"):
         _merge(report, run_docs_suite(root))

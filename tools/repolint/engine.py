@@ -1,12 +1,11 @@
 """The repo-lint engine: walk files, run rules, apply suppressions.
 
 Pipeline per file: parse once into a shared :class:`FileContext`, run
-every rule, drop findings covered by ``# repolint: disable`` comments
-(marking them used), then drop findings matched by the baseline.  What
-survives fails the run.  Malformed disables (RL001) and disables that
+every rule, and drop findings covered by ``# repolint: disable`` comments
+(marking them used).  What survives fails the run: there is no baseline
+of tolerated findings.  Malformed disables (RL001) and disables that
 suppressed nothing (RL002) are themselves findings, so the suppression
-surface stays honest; baseline entries must each carry a justification
-and stale entries are reported as errors so fixes also clean the file.
+surface stays honest.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from tools.repolint.baseline import Baseline
 from tools.repolint.findings import Finding, Report
 from tools.repolint.rules import ALL_RULES, KNOWN_RULE_IDS, FileContext, Rule
 from tools.repolint.suppress import parse_suppressions
@@ -101,20 +99,10 @@ def lint_source(
 def run_code_suite(
     paths: Iterable[str],
     root: str,
-    baseline: Baseline | None = None,
     rules: tuple[Rule, ...] = ALL_RULES,
 ) -> Report:
-    """Run the code rules over ``paths``; apply ``baseline`` if given."""
+    """Run the code rules over ``paths``."""
     report = Report(suite="code")
-    if baseline is not None:
-        bad = baseline.unjustified_entries()
-        if bad:
-            for entry in bad:
-                report.errors.append(
-                    f"baseline entry without justification: "
-                    f"{entry.rule} {entry.path} [{entry.symbol}]"
-                )
-            return report
     for file_path in iter_python_files(paths):
         rel = relpath_posix(file_path, root)
         try:
@@ -126,15 +114,5 @@ def run_code_suite(
         report.files_checked += 1
         live, suppressed, meta = lint_source(rel, source, rules)
         report.suppressed += suppressed
-        for finding in live + meta:
-            if baseline is not None and baseline.match(finding):
-                report.baselined += 1
-            else:
-                report.findings.append(finding)
-    if baseline is not None:
-        for entry in baseline.stale_entries():
-            report.errors.append(
-                f"stale baseline entry (fixed or moved -- delete it): "
-                f"{entry.rule} {entry.path} [{entry.symbol}]"
-            )
+        report.findings.extend(live + meta)
     return report

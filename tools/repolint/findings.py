@@ -2,8 +2,8 @@
 
 A :class:`Finding` is one rule violation at one source location.  Findings
 are identity-keyed on ``(rule, path, symbol, message)`` -- deliberately
-*not* on the line number, so a baseline entry survives unrelated edits
-that shift code up or down a file.
+*not* on the line number, so two JSON reports can be matched finding for
+finding across edits that shift code up or down a file.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class Finding:
     """One rule violation.
 
     ``symbol`` is the dotted in-file scope (``Class.method`` or a bare
-    function name; empty at module level), which keys baselines robustly
+    function name; empty at module level), which keys a finding robustly
     against line drift.
     """
 
@@ -31,7 +31,7 @@ class Finding:
 
     @property
     def key(self) -> str:
-        """Stable identity used for baseline matching."""
+        """Stable identity across line drift (the JSON report's ``key``)."""
         raw = f"{self.rule}|{self.path}|{self.symbol}|{self.message}"
         return hashlib.sha1(raw.encode()).hexdigest()[:16]
 
@@ -49,7 +49,6 @@ class Report:
     suite: str
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files_checked: int = 0
     errors: list[str] = field(default_factory=list)
 
@@ -65,7 +64,6 @@ class Report:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "errors": list(self.errors),
             "findings": [
                 {**asdict(f), "key": f.key} for f in self.findings
@@ -81,7 +79,7 @@ class Report:
         lines.append(
             f"repolint[{self.suite}]: {len(self.findings)} finding(s) in "
             f"{self.files_checked} file(s) "
-            f"({self.suppressed} suppressed, {self.baselined} baselined)"
+            f"({self.suppressed} suppressed)"
         )
         return "\n".join(lines)
 
