@@ -60,6 +60,7 @@ from repro.core.palettize import (
 from repro.core.uniquify import (
     HISTOGRAM_MIN_SIZE,
     MAX_UNIQUE_16BIT,
+    PatternHistogram,
     UniquifiedWeights,
     attention_table,
     dense_attention_map,
@@ -107,6 +108,7 @@ __all__ = [
     "unpack_indices",
     "HISTOGRAM_MIN_SIZE",
     "MAX_UNIQUE_16BIT",
+    "PatternHistogram",
     "UniquifiedWeights",
     "attention_table",
     "dense_attention_map",

@@ -31,13 +31,18 @@ import numpy as np
 
 from repro.core.config import DKMConfig
 from repro.core.fastpath import StepCache
-from repro.core.uniquify import attention_table, attention_table_ku
+from repro.core.uniquify import (
+    attention_table,
+    attention_table_ku,
+    check_pattern16_dtype,
+    pattern_table,
+)
 from repro.tensor import ops
 from repro.tensor.autograd import no_grad
 from repro.tensor.tensor import Tensor
 
-# Row-block size for the chunked fallback of the inspection helpers: bounds
-# the materialized distance block at chunk x k instead of N x k.
+# Row-block size of nearest_centroid: bounds the materialized distance
+# block at chunk x k instead of N x k.
 HARD_ASSIGN_CHUNK = 1 << 16
 
 # Largest ``O(|W|·|C|)`` float32 buffer :meth:`DKMClusterer.cluster_dense`
@@ -267,32 +272,30 @@ class DKMClusterer:
         """Nearest-centroid index per weight as uint8 (no gradient; for palettization).
 
         ``DKMConfig`` caps bits at 8, so every index fits a byte.  Works in
-        unique-value space for 16-bit weights (at most ``2**16`` distance
-        rows regardless of layer size, then one uint8 gather by the uint16
-        index list) and falls back to a chunked sweep otherwise, so the
-        full ``(N, k)`` distance matrix is never materialized.
+        unique-value space (at most ``2**16`` distance rows regardless of
+        layer size), then gathers each weight's index through a
+        65,536-entry pattern -> cluster table, keyed by the patterns the
+        step cache already holds: no index list and no second grid check.
+        Raises ``TypeError`` for a weight dtype that is not 16-bit floating.
         """
         if self.state is None:
             raise RuntimeError("cluster state not initialized; call refine() first")
-        dtype = weights.dtype
-        if dtype.is_floating and dtype.itemsize == 2:
-            unique = self.fastpath.uniquify(weights, dtype)
-            assign_u = nearest_centroid(unique.values, self.state.centroids)
-            return assign_u.astype(np.uint8).take(unique.index_list)
-        return nearest_centroid(weights._compute(), self.state.centroids).astype(np.uint8)
+        check_pattern16_dtype(weights.dtype)
+        unique = self.fastpath.uniquify(weights, weights.dtype)
+        assign_u = nearest_centroid(unique.values, self.state.centroids)
+        clusters = pattern_table(unique.patterns, assign_u.astype(np.uint8))
+        return clusters.take(unique.keys(), mode="clip")
 
     def reconstruction_error(self, weights: Tensor) -> float:
-        """Mean squared error of hard-assigned reconstruction."""
+        """Mean squared error of hard-assigned reconstruction.
+
+        Raises ``TypeError`` for a weight dtype that is not 16-bit floating.
+        """
         if self.state is None:
             raise RuntimeError("cluster state not initialized; call refine() first")
+        check_pattern16_dtype(weights.dtype)
         centroids = self.state.centroids
-        dtype = weights.dtype
-        if dtype.is_floating and dtype.itemsize == 2:
-            unique = self.fastpath.uniquify(weights, dtype)
-            assign_u = nearest_centroid(unique.values, centroids)
-            sq = (unique.values - centroids[assign_u]).astype(np.float64) ** 2
-            return float((sq * unique.counts).sum() / max(unique.n_weights, 1))
-        flat = weights._compute().reshape(-1)
-        assign = nearest_centroid(flat, centroids)
-        sq = (flat - centroids[assign]).astype(np.float64) ** 2
-        return float(sq.sum() / max(flat.size, 1))
+        unique = self.fastpath.uniquify(weights, weights.dtype)
+        assign_u = nearest_centroid(unique.values, centroids)
+        sq = (unique.values - centroids[assign_u]).astype(np.float64) ** 2
+        return float((sq * unique.counts).sum() / max(unique.n_weights, 1))

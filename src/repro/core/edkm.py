@@ -32,7 +32,12 @@ import numpy as np
 
 from repro.core.dkm import DKMClusterer
 from repro.core.fastpath import StepCache
-from repro.core.uniquify import attention_table, index_dtype_for, uniquify
+from repro.core.uniquify import (
+    attention_table,
+    check_pattern16_dtype,
+    index_dtype_for,
+    pattern_table,
+)
 from repro.tensor.autograd import Context, Function, is_grad_enabled, no_grad
 from repro.tensor.dtype import decode_pattern16, float32, uint16
 from repro.tensor.ops.segment import segment_sum
@@ -55,42 +60,45 @@ class EDKMClusterAssign(Function):
 
         Computes in unique-value space (table ``(u, k)`` + index list)
         and saves only those factors for backward -- the U of the paper's
-        M/U/S ablation.  With a :class:`StepCache`, the decomposition and
-        the refine-parked attention table are reused instead of rebuilt.
+        M/U/S ablation.  With a :class:`StepCache`, the pattern histogram
+        and the refine-parked attention table are reused instead of
+        rebuilt, and a forward that saves the index list builds it in the
+        cache once per weight version.  Raises ``TypeError`` for a weight
+        dtype that is not 16-bit floating.
         """
         from repro.tensor.ops._common import check_same_device, make_result
 
         check_same_device(weights, centroids)
         dtype = weights.dtype
-        if dtype.itemsize != 2:
-            raise TypeError(
-                f"eDKM uniquification requires a 16-bit weight dtype, got {dtype.name}"
-            )
-        if cache is not None:
-            # Fast path: refine() already decomposed this weight version and
-            # parked the final-iteration table; reuse both.
-            unique = cache.uniquify(weights, dtype)
-        else:
-            unique = uniquify(weights._np(), dtype)
+        check_pattern16_dtype(dtype)
+        if cache is None:
+            # A cache of this call alone: one code path either way.
+            cache = StepCache()
+        # Fast path: refine() already counted this weight version's patterns
+        # and parked the final-iteration table; reuse both.
+        unique = cache.uniquify(weights, dtype)
         c_np = centroids._compute().reshape(-1)
 
-        table_np = cache.lookup_table(c_np, temperature) if cache is not None else None
+        table_np = cache.lookup_table(c_np, temperature)
         if table_np is None:
             table_np = attention_table(unique.values, c_np, temperature)  # (u, k)
-            if cache is not None:
-                cache.store_table(c_np, temperature, table_np)
+            cache.store_table(c_np, temperature, table_np)
         mixed_unique = table_np @ c_np  # (u,)
-        out_np = mixed_unique[unique.index_list.astype(np.int64)].reshape(weights.shape)
+        # One intp key array drives both per-weight gathers: the output's,
+        # through a 65,536-entry mixture table, and the index list's.
+        keys = unique.keys()
+        mixed = pattern_table(unique.patterns, mixed_unique)
+        out_np = mixed.take(keys, mode="clip").reshape(weights.shape)
 
         # Function.apply records a node only under these conditions; without
-        # one nothing will ever read the saved set, so do not hand it to the
-        # offload pipeline (frozen weight, or a forward under no_grad).
+        # one nothing will ever read the saved set, so do not build the index
+        # list or hand anything to the offload pipeline (frozen weight, or a
+        # forward under no_grad).
         if is_grad_enabled() and any(ctx.needs_input_grad):
-            idx_dtype = index_dtype_for(unique.n_unique)
             table_t = Tensor.from_numpy(table_np, dtype=float32, device=weights.device)
             index_t = Tensor.from_numpy(
-                unique.index_list.astype(idx_dtype.np_storage, copy=False),
-                dtype=idx_dtype,
+                cache.index_list(unique, keys),
+                dtype=index_dtype_for(unique.n_unique),
                 device=weights.device,
             )
             patterns_t = Tensor.from_numpy(

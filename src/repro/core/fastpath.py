@@ -8,7 +8,7 @@ recomputations are pure functions of the weight bytes, so one small memo
 keyed on the weight's storage version removes them:
 
 - :meth:`StepCache.uniquify` returns the cached
-  :class:`~repro.core.uniquify.UniquifiedWeights` while the weight storage
+  :class:`~repro.core.uniquify.PatternHistogram` while the weight storage
   has not been written (the version counter is bumped by every in-place
   mutation, i.e. by optimizer steps), and recomputes exactly once per
   layer per training step otherwise.
@@ -21,10 +21,13 @@ models amortize per layer independently; :class:`repro.core.compressor.
 ModelCompressor` aggregates the per-layer hit counters for reporting.
 
 Footprint: between steps the cache retains the layer's
-:class:`~repro.core.uniquify.UniquifiedWeights` -- dominated by the
-``O(|W|)`` uint16 index list, i.e. roughly the byte size of the bf16
-weight itself per layer, on the host and outside the device trackers.
-During training this entry is consumed twice per step (refine + forward)
+:class:`~repro.core.uniquify.PatternHistogram` -- ``O(u)`` arrays plus the
+per-weight pattern array, a view into the weight itself for an on-grid
+bf16 weight (a uint16 copy, the byte size of the weight, for float16).
+The ``O(|W|)`` uint16 index list is built lazily, under the lock, by the
+first forward that saves it (:meth:`StepCache.index_list`), so the entry
+holds one only after such a forward: a refine-only sweep never builds it.
+During training the entry is consumed twice per step (refine + forward)
 and goes stale at the next optimizer write; call
 :meth:`StepCache.invalidate` (or
 ``ModelCompressor.release_step_caches``) to reclaim the memory when a
@@ -40,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.uniquify import UniquifiedWeights, uniquify
+from repro.core.uniquify import PatternHistogram, build_index_list, pattern_histogram
 from repro.tensor.dtype import DType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,7 +107,8 @@ class StepCache:
         self._lock = threading.RLock()
         self._storage_ref: weakref.ReferenceType | None = None
         self._key: tuple | None = None
-        self._unique: UniquifiedWeights | None = None
+        self._unique: PatternHistogram | None = None
+        self._index_list: np.ndarray | None = None
         self._table: np.ndarray | None = None
         self._table_centroids: np.ndarray | None = None
         self._table_temperature: float | None = None
@@ -131,14 +135,17 @@ class StepCache:
             and self._storage_ref() is weights.storage
         )
 
-    def uniquify(self, weights: "Tensor", dtype: DType) -> UniquifiedWeights:
-        """The decomposition of ``weights``, computed at most once per version."""
+    def uniquify(self, weights: "Tensor", dtype: DType) -> PatternHistogram:
+        """The pattern histogram of ``weights``, computed at most once per version.
+
+        A miss builds no index list; :meth:`index_list` does, on demand.
+        """
         with self._lock:
             if self._key_matches(weights, dtype):
                 self.stats.uniquify_hits += 1
                 return self._unique
             self.stats.uniquify_misses += 1
-            unique = uniquify(weights._np(), dtype)
+            unique = pattern_histogram(weights._np(), dtype)
             # Drop everything derived from the previous decomposition (the
             # cached table is stale), then repopulate.
             self.invalidate()
@@ -146,6 +153,20 @@ class StepCache:
             self._key = self._weight_key(weights, dtype)
             self._unique = unique
             return unique
+
+    def index_list(self, unique: PatternHistogram, keys: np.ndarray) -> np.ndarray:
+        """``unique``'s index list, built from its ``keys`` at most once per entry.
+
+        ``keys`` are ``unique.keys()``, which the caller already holds for
+        its own gather.  A ``unique`` that is no longer the live entry
+        (another thread's miss replaced it) gets a list that is not kept.
+        """
+        with self._lock:
+            if unique is not self._unique:
+                return build_index_list(unique.patterns, keys)
+            if self._index_list is None:
+                self._index_list = build_index_list(unique.patterns, keys)
+            return self._index_list
 
     # ------------------------------------------------------------------
     # Attention-table carry-over (refine -> forward assignment)
@@ -195,6 +216,7 @@ class StepCache:
             self._storage_ref = None
             self._key = None
             self._unique = None
+            self._index_list = None
             self._table = None
             self._table_centroids = None
             self._table_temperature = None

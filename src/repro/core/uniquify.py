@@ -13,16 +13,24 @@ equal patterns provably receive identical attention rows, so the dense
 The factorization is lossless: gathering table rows by the index list
 reconstructs the dense map bit-for-bit.
 
-:func:`uniquify` is ``O(N)``.  A stored bf16 weight is already on the bf16
-grid, so its patterns are read straight off the float32 high halves as a
-strided view -- no rounding pass, no copy -- after one contiguous
-``uint32`` OR shows every low half zero
+U runs in two steps.  :func:`pattern_histogram` is what refinement reads:
+the unique patterns, their values and their counts, ``O(N)``.  A stored
+bf16 weight is already on the bf16 grid, so its patterns are read straight
+off the float32 high halves as a strided view -- no rounding pass, no copy
+-- after one contiguous ``uint32`` OR shows every low half zero
 (:func:`~repro.tensor.dtype._pattern16_view`); a raw array off the grid is
 rounded to nearest even by :func:`~repro.tensor.dtype.bit_pattern16`
 instead.  From :data:`HISTOGRAM_MIN_SIZE` weights up, the patterns are cast
-to ``intp`` once and that one array feeds both the 65,536-bin ``bincount``
-and the pattern -> row gather, which needs no bounds check: a 16-bit key
-cannot leave the 65,536-entry lookup table.
+to ``intp`` and counted by one 65,536-bin ``bincount``.  The histogram keeps
+that per-weight pattern array (the view, when there is one), but no index
+list: only the op that saves the list for backward needs it.
+
+:func:`build_index_list` is the second step, the only place an index list
+is built: one gather of the per-weight ``intp`` keys through a 65,536-entry
+pattern -> row table (:func:`pattern_table`).  The gather needs no bounds
+check: a 16-bit key cannot leave the table.  The same keys drive any other
+per-weight gather through a pattern table -- the eDKM forward's output --
+so a caller casts them once.  :func:`uniquify` runs both steps.
 
 :func:`attention_table_ku` builds each softmax table in ``(k, u)`` with
 whole-row passes only: the difference, its square, one divide by the
@@ -43,11 +51,18 @@ MAX_UNIQUE_16BIT = 1 << 16
 
 
 @dataclass(frozen=True)
-class UniquifiedWeights:
-    """The unique-pattern decomposition of a 16-bit weight tensor."""
+class PatternHistogram:
+    """The unique patterns of a 16-bit weight tensor, without the index list.
 
+    ``values`` and ``counts`` are all refinement reads.  ``weight_patterns``
+    lets :func:`build_index_list` and any pattern-table gather read the
+    weights again without a second grid check.
+    """
+
+    # (N,) uint16, each weight's pattern: a read-only view into the weight
+    # when it is on the bf16 grid, never a copy of it.
+    weight_patterns: np.ndarray
     patterns: np.ndarray  # (u,) uint16, sorted unique bit patterns
-    index_list: np.ndarray  # (N,) uint16 or int32, row of each weight
     values: np.ndarray  # (u,) float32, decoded unique values
     counts: np.ndarray  # (u,) int64, multiplicity of each unique value
     source_shape: tuple[int, ...]
@@ -60,7 +75,18 @@ class UniquifiedWeights:
     @property
     def n_weights(self) -> int:
         """Total weight positions (``N``, the index-list length)."""
-        return int(self.index_list.size)
+        return int(self.weight_patterns.size)
+
+    def keys(self) -> np.ndarray:
+        """Each weight's pattern as ``intp``: the keys of a pattern-table gather."""
+        return self.weight_patterns.astype(np.intp)
+
+
+@dataclass(frozen=True)
+class UniquifiedWeights(PatternHistogram):
+    """The full unique-pattern decomposition: the histogram and the index list."""
+
+    index_list: np.ndarray  # (N,) uint16, row of each weight
 
     @property
     def compression_ratio(self) -> float:
@@ -70,6 +96,14 @@ class UniquifiedWeights:
     def reconstruct_values(self) -> np.ndarray:
         """All weight values, rebuilt from the decomposition."""
         return self.values[self.index_list].reshape(self.source_shape)
+
+
+def check_pattern16_dtype(dtype: DType) -> None:
+    """Raise ``TypeError`` unless ``dtype`` is a 16-bit floating format."""
+    if not (dtype.is_floating and dtype.itemsize == 2):
+        raise TypeError(
+            f"uniquification requires a 16-bit floating weight dtype, got {dtype.name}"
+        )
 
 
 def index_dtype_for(n_unique: int) -> DType:
@@ -88,8 +122,8 @@ def index_dtype_for(n_unique: int) -> DType:
 # 121-148.
 HISTOGRAM_MIN_SIZE = 1024
 
-# Total calls that actually computed a decomposition (cache hits in the
-# fast-path StepCache never reach this function).  Inspected by the
+# Pattern histograms actually computed: one per uniquify() call and one per
+# StepCache miss (cache hits never reach the histogram).  Inspected by the
 # one-uniquify-per-layer-per-step tests and the fastpath benchmark.  The
 # lock keeps the counter exact when two threads of one process (the
 # serving scheduler and its caller, say) uniquify at once.
@@ -98,7 +132,7 @@ _CALL_COUNT_LOCK = threading.Lock()
 
 
 def uniquify_call_count() -> int:
-    """Number of real uniquify computations since process start / reset."""
+    """Pattern histograms computed since process start / reset."""
     return _CALL_COUNT
 
 
@@ -109,40 +143,83 @@ def reset_uniquify_call_count() -> None:
         _CALL_COUNT = 0
 
 
-def _decompose_sort(
-    patterns: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Legacy O(N log N) decomposition via ``np.unique`` (reference path)."""
-    unique_patterns, inverse, counts = np.unique(
-        patterns, return_inverse=True, return_counts=True
-    )
-    return unique_patterns, inverse.reshape(-1), counts
+def _histogram(
+    weights: np.ndarray, dtype: DType, method: str
+) -> tuple[PatternHistogram, np.ndarray | None]:
+    """:func:`pattern_histogram`, plus the ``intp`` keys it counted (``None`` if sorted).
 
-
-def _decompose_histogram(
-    patterns: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """O(N + u) decomposition over the fixed 2^16-pattern domain.
-
-    ``patterns`` is a 1-D uint16 array, or a strided view of one.  It is
-    cast to ``intp`` once, up front: ``bincount`` and ``take`` would each
-    make that cast internally otherwise.  One ``bincount`` over all 65,536
-    possible patterns yields the multiplicities; the pattern -> row lookup
-    table is written only at the ``u`` present patterns (the rest is never
-    read), already in the index dtype -- rank 65,535 fits uint16 -- so the
-    index list is one gather.  That gather clips instead of raising on an
-    out-of-range key, which skips numpy's bounds check: every key is a
-    16-bit pattern, so none is out of range and none is ever clipped.
-    Output is bit-identical to ``np.unique`` (both enumerate present
-    patterns in ascending order).
+    The histogram method casts the patterns to ``intp`` once, up front, so
+    :func:`uniquify` hands the same keys to :func:`build_index_list`;
+    ``bincount`` would make that cast internally otherwise.  One
+    ``bincount`` over all 65,536 possible patterns yields the
+    multiplicities.  Both methods enumerate the present patterns in
+    ascending order, so their results are bit-identical.
     """
-    keys = patterns.astype(np.intp)
-    hist = np.bincount(keys, minlength=MAX_UNIQUE_16BIT)
-    # flatnonzero scans a bool mask 4x faster than the int64 histogram itself.
-    present = np.flatnonzero(hist.astype(bool))
-    lut = np.empty(MAX_UNIQUE_16BIT, dtype=np.uint16)
-    lut[present] = np.arange(present.size, dtype=np.uint16)
-    return present.astype(np.uint16), lut.take(keys, mode="clip"), hist[present]
+    global _CALL_COUNT
+    with _CALL_COUNT_LOCK:
+        _CALL_COUNT += 1
+    # A view into ``weights`` when they are on the bf16 grid: read only.
+    weight_patterns = _pattern16_view(weights, dtype).reshape(-1)
+    if method == "auto":
+        method = "histogram" if weight_patterns.size >= HISTOGRAM_MIN_SIZE else "sort"
+    keys = None
+    if method == "histogram":
+        keys = weight_patterns.astype(np.intp)
+        hist = np.bincount(keys, minlength=MAX_UNIQUE_16BIT)
+        # flatnonzero scans a bool mask 4x faster than the int64 histogram itself.
+        present = np.flatnonzero(hist.astype(bool))
+        patterns, counts = present.astype(np.uint16), hist[present]
+    elif method == "sort":
+        patterns, counts = np.unique(weight_patterns, return_counts=True)
+    else:
+        raise ValueError(f"unknown uniquify method {method!r}")
+    histogram = PatternHistogram(
+        weight_patterns=weight_patterns,
+        patterns=patterns,
+        values=decode_pattern16(patterns, dtype),
+        counts=counts,
+        source_shape=tuple(np.asarray(weights).shape),
+    )
+    return histogram, keys
+
+
+def pattern_histogram(
+    weights: np.ndarray, dtype: DType, method: str = "auto"
+) -> PatternHistogram:
+    """The unique patterns, values and counts of ``weights`` (16-bit dtype).
+
+    ``method`` selects the counting kernel: ``"histogram"`` (the O(N)
+    fixed-domain fast path), ``"sort"`` (``np.unique``), or ``"auto"``
+    (histogram from :data:`HISTOGRAM_MIN_SIZE` elements up).  All methods
+    return bit-identical results.  Counts one :func:`uniquify_call_count`.
+    """
+    return _histogram(weights, dtype, method)[0]
+
+
+def pattern_table(patterns: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """A 65,536-entry lookup table holding ``entries[r]`` at pattern ``patterns[r]``.
+
+    Only the ``u`` present patterns are written: a gather by the keys of
+    the weights ``patterns`` came from never reads the rest.
+    """
+    table = np.empty(MAX_UNIQUE_16BIT, dtype=entries.dtype)
+    table[patterns] = entries
+    return table
+
+
+def build_index_list(patterns: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The ``O(|W|)`` index list: each weight's row among the unique ``patterns``.
+
+    ``keys`` are the weights' patterns as ``intp``
+    (:meth:`PatternHistogram.keys`).  The ranks go into the table already
+    in the index dtype -- rank 65,535 fits uint16 -- so the list is one
+    gather.  It clips instead of raising on an out-of-range key, which
+    skips numpy's bounds check: every key is a 16-bit pattern, so none is
+    out of range and none is ever clipped.  The one place an index list is
+    built.
+    """
+    ranks = np.arange(patterns.size, dtype=index_dtype_for(patterns.size).np_storage)
+    return pattern_table(patterns, ranks).take(keys, mode="clip")
 
 
 def uniquify(
@@ -150,34 +227,14 @@ def uniquify(
 ) -> UniquifiedWeights:
     """Decompose ``weights`` (16-bit dtype) into unique patterns + indices.
 
-    ``method`` selects the decomposition kernel: ``"histogram"`` (the O(N)
-    fixed-domain fast path), ``"sort"`` (legacy ``np.unique``), or
-    ``"auto"`` (histogram above :data:`HISTOGRAM_MIN_SIZE` elements).  All
-    methods return bit-identical results.
+    :func:`pattern_histogram` then :func:`build_index_list`, counted as one
+    :func:`uniquify_call_count`; ``method`` is the histogram's.
     """
-    global _CALL_COUNT
-    with _CALL_COUNT_LOCK:
-        _CALL_COUNT += 1
-    # A view into ``weights`` when they are on the bf16 grid: read only.
-    patterns = _pattern16_view(weights, dtype).reshape(-1)
-    if method == "auto":
-        method = "histogram" if patterns.size >= HISTOGRAM_MIN_SIZE else "sort"
-    if method == "histogram":
-        unique_patterns, inverse, counts = _decompose_histogram(patterns)
-    elif method == "sort":
-        unique_patterns, inverse, counts = _decompose_sort(patterns)
-    else:
-        raise ValueError(f"unknown uniquify method {method!r}")
-    idx_np = inverse.astype(
-        index_dtype_for(unique_patterns.size).np_storage, copy=False
-    )
-    values = decode_pattern16(unique_patterns, dtype)
+    histogram, keys = _histogram(weights, dtype, method)
+    if keys is None:
+        keys = histogram.keys()
     return UniquifiedWeights(
-        patterns=unique_patterns,
-        index_list=idx_np,
-        values=values,
-        counts=counts,
-        source_shape=tuple(np.asarray(weights).shape),
+        **vars(histogram), index_list=build_index_list(histogram.patterns, keys)
     )
 
 

@@ -23,13 +23,17 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     ``e = exp(-|x|)`` never overflows; ``x >= 0`` takes ``1 / (1 + e)`` and
     ``x < 0`` takes ``e / (1 + e)`` -- the two branch formulas evaluated
     elementwise instead of gathered and scattered through boolean masks.
-    ``minimum(x, -x)`` rather than ``-abs(x)`` keeps a NaN's sign bit.
+    ``minimum(x, -x)`` rather than ``-abs(x)`` keeps a NaN's sign bit.  The
+    numerator is ``maximum(e, x >= 0)``: 1 where ``x >= 0`` (``e <= 1``
+    there), ``e`` where ``x < 0``, and a NaN propagates -- no select on the
+    sign mask, whose data-dependent branch cost more than the rest of the
+    kernel.  ``out=`` keeps a 0-d input's result a 0-d array.
     """
     # A typed one: a python 1.0 would promote a 0-d input's scalars to
     # float64 under numpy < 2 and round twice.
     one = x.dtype.type(1)
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, one, e)
+    out = np.maximum(e, x >= 0, out=np.empty(x.shape, x.dtype))
     e += one
     out /= e
     return out

@@ -20,8 +20,10 @@ from repro.core.dkm import (
 from repro.core.uniquify import (
     HISTOGRAM_MIN_SIZE,
     reset_uniquify_call_count,
+    uniquify,
     uniquify_call_count,
 )
+from repro.tensor.dtype import bfloat16, decode_pattern16, float16
 
 from tests.opcount import count_ops
 from tests.oracles import cluster_dense_wk, refine_uk
@@ -181,11 +183,10 @@ class TestRankMonotonicity:
         assignments = nearest_centroid(values, centroids, chunk=chunk)
         _assert_rank_monotone(values, centroids, assignments)
 
-    @pytest.mark.parametrize("dtype", ["bfloat16", "float32"])
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
     @given(case=_ranked_case())
     @settings(max_examples=100, deadline=None)
     def test_hard_assign(self, dtype, case):
-        """bf16 takes the unique-space path, float32 the chunked one."""
         centroids, values = case
         weights = rt.Tensor.from_numpy(values, dtype=dtype, device="gpu")
         # ``hard_assign`` dispatches on the weights' dtype, not the config's.
@@ -263,10 +264,17 @@ class TestHistogramInit:
         assert calls == []  # no repeat, no np.quantile
 
 
-class TestHardAssignUint8:
-    """``hard_assign`` returns uint8 on both paths, equal to the int64 gather."""
+def _index_list_gather(weights, centroids):
+    """The uint8 hard assignment gathered by the index list, as before the
+    pattern table: ``assign_u.astype(uint8).take(index_list)``."""
+    unique = uniquify(weights._np(), weights.dtype)
+    return nearest_centroid(unique.values, centroids).astype(np.uint8).take(unique.index_list)
 
-    @pytest.mark.parametrize("dtype", ["bfloat16", "float16", "float32"])
+
+class TestHardAssignUint8:
+    """``hard_assign`` returns uint8, the bytes of the index-list gather."""
+
+    @pytest.mark.parametrize("dtype", ["bfloat16", "float16"])
     @given(case=_ranked_case(), bits=st.sampled_from([4, 8]))
     @settings(max_examples=60, deadline=None)
     def test_equals_int64_gather(self, dtype, case, bits):
@@ -275,13 +283,8 @@ class TestHardAssignUint8:
         clusterer = DKMClusterer(DKMConfig(bits=bits))
         clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
         got = clusterer.hard_assign(weights)
-        if dtype == "float32":
-            want = nearest_centroid(weights._compute(), centroids)
-        else:
-            unique = clusterer.fastpath.uniquify(weights, weights.dtype)
-            want = nearest_centroid(unique.values, centroids)[
-                unique.index_list.astype(np.int64)
-            ]
+        unique = uniquify(weights._np(), weights.dtype)
+        want = nearest_centroid(unique.values, centroids)[unique.index_list.astype(np.int64)]
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
 
@@ -291,10 +294,45 @@ class TestHardAssignUint8:
         clusterer = DKMClusterer(DKMConfig(bits=8))
         clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
         got = clusterer.hard_assign(weights)
-        unique = clusterer.fastpath.uniquify(weights, weights.dtype)
-        want = nearest_centroid(unique.values, centroids)[unique.index_list.astype(np.int64)]
+        want = _index_list_gather(weights, centroids)
         assert got.dtype == np.uint8 and want.max() == 255
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [bfloat16, float16], ids=["bf16", "fp16"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bits=st.sampled_from([1, 3, 4, 8]),
+        n_extra=st.sampled_from([0, 64, 5056]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_pattern_table_equals_index_list_gather(self, dtype, seed, bits, n_extra):
+        # Every one of the 65 536 patterns -- NaNs, infinities and both
+        # zeros included -- in random order, some repeated.
+        rng = np.random.default_rng(seed)
+        every = np.arange(1 << 16, dtype=np.uint16)
+        patterns = rng.permutation(np.concatenate([every, rng.choice(every, n_extra)]))
+        weights = rt.Tensor.from_numpy(
+            decode_pattern16(patterns, dtype).reshape(-1, 64), dtype=dtype, device="gpu"
+        )
+        centroids = np.sort(rng.standard_normal(1 << bits).astype(np.float32))
+        clusterer = DKMClusterer(DKMConfig(bits=bits))
+        clusterer.state = ClusterState(centroids=centroids, temperature=1.0)
+        with np.errstate(invalid="ignore", over="ignore"):  # the NaN and inf distances
+            got = clusterer.hard_assign(weights)
+            want = _index_list_gather(weights, centroids)
+        assert got.dtype == want.dtype == np.uint8
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64", "uint16", "int64"])
+    @pytest.mark.parametrize("method", ["hard_assign", "reconstruction_error"])
+    def test_non_16bit_float_weights_raise(self, dtype, method):
+        weights = rt.Tensor.from_numpy(np.arange(8, dtype=np.float32), dtype=dtype)
+        clusterer = DKMClusterer(DKMConfig(bits=2))
+        clusterer.state = ClusterState(
+            centroids=np.linspace(0, 7, 4, dtype=np.float32), temperature=1.0
+        )
+        with pytest.raises(TypeError, match="16-bit floating"):
+            getattr(clusterer, method)(weights)
 
 
 class TestRefineRejectsUnclusterableWeights:

@@ -15,7 +15,6 @@ from repro.core.dkm import default_temperature
 from repro.core.uniquify import (
     FLOAT32_OVERFLOW,
     MAX_UNIQUE_16BIT,
-    _decompose_histogram,
     attention_table,
     attention_table_ku,
     dense_attention_map,
@@ -295,28 +294,29 @@ class TestSweepKernel:
 
 
 class TestHistogramTail:
-    """``_decompose_histogram`` after the bincount: O(N + u), equal to ``np.unique``."""
+    """The histogram method after the bincount: O(N + u), equal to ``np.unique``."""
 
     @staticmethod
     def _assert_equals_np_unique(patterns):
-        got_patterns, got_index, got_counts = _decompose_histogram(patterns)
+        weights = (patterns.astype(np.uint32) << 16).view(np.float32)  # on the bf16 grid
+        got = uniquify(weights, bfloat16, method="histogram")
         want_patterns, want_index, want_counts = np.unique(
             patterns, return_inverse=True, return_counts=True
         )
-        assert got_patterns.dtype == np.uint16 and got_index.dtype == np.uint16
-        assert got_counts.dtype == want_counts.dtype
-        assert got_index.shape == patterns.shape
-        assert np.array_equal(got_patterns, want_patterns)
-        assert np.array_equal(got_index, want_index.reshape(-1))
-        assert np.array_equal(got_counts, want_counts)
+        assert got.patterns.dtype == np.uint16 and got.index_list.dtype == np.uint16
+        assert got.counts.dtype == want_counts.dtype
+        assert got.index_list.shape == patterns.shape
+        assert np.array_equal(got.patterns, want_patterns)
+        assert np.array_equal(got.index_list, want_index.reshape(-1))
+        assert np.array_equal(got.counts, want_counts)
+        return got
 
     def test_every_pattern_present(self):
         # u = 65 536: the last rank, 65 535, must fit the LUT's uint16.
         rng = np.random.default_rng(0)
         patterns = rng.permutation(np.repeat(np.arange(MAX_UNIQUE_16BIT, dtype=np.uint16), 2))
-        self._assert_equals_np_unique(patterns)
-        index = _decompose_histogram(patterns)[1]
-        assert index.max() == MAX_UNIQUE_16BIT - 1
+        got = self._assert_equals_np_unique(patterns)
+        assert got.index_list.max() == MAX_UNIQUE_16BIT - 1
 
     @pytest.mark.parametrize("n_present", [1, 2, 1999])
     def test_sparse_patterns(self, n_present):

@@ -17,7 +17,7 @@ import pytest
 
 import repro.nn as nn
 import repro.tensor as rt
-from repro.core import DKMConfig, ModelCompressor
+from repro.core import DKMConfig, EDKMConfig, ModelCompressor
 from repro.core.compressor import ClusteredLinear
 from repro.core.dkm import DKMClusterer
 from repro.core.edkm import edkm_cluster
@@ -25,12 +25,13 @@ from repro.core.fastpath import StepCache
 from repro.core.uniquify import (
     HISTOGRAM_MIN_SIZE,
     attention_table,
+    build_index_list,
     reset_uniquify_call_count,
     uniquify,
     uniquify_call_count,
 )
 from repro.optim import SGD
-from repro.tensor.dtype import bfloat16, float16
+from repro.tensor.dtype import bfloat16, bit_pattern16, float16
 from repro.tensor.ops.segment import scatter_add_rows, segment_sum
 from repro.tensor.tensor import Tensor
 
@@ -500,3 +501,159 @@ class TestOneKindOfEntry:
         short = np.full((unique.n_unique - 1, 8), 0.125, dtype=np.float32)
         cache.store_table(centroids, 0.01, short)
         assert cache.lookup_table(centroids, 0.01) is None
+
+
+@pytest.fixture
+def index_list_builds(monkeypatch):
+    """The ``|W|`` length of every index list built, by wrapping the one builder.
+
+    ``uniquify()`` and ``StepCache.index_list`` each call it through their
+    own module's name, so both names are wrapped.
+    """
+    import repro.core.fastpath as fastpath_module
+    import repro.core.uniquify as uniquify_module
+
+    builds = []
+    build = uniquify_module.build_index_list
+
+    def recording_build(patterns, keys):
+        builds.append(keys.size)
+        return build(patterns, keys)
+
+    monkeypatch.setattr(fastpath_module, "build_index_list", recording_build)
+    monkeypatch.setattr(uniquify_module, "build_index_list", recording_build)
+    return builds
+
+
+def micro_finetune(edkm_config, steps, seed=0):
+    """A compressed MICRO model fine-tuned ``steps`` steps in the saved-tensor
+    pipeline: ``(model, compressor, losses)``."""
+    from repro.core import SavedTensorPipeline
+    from repro.data import FactWorld, alpaca_batches, corpus_vocabulary, generate_alpaca
+    from repro.llm import MICRO, FinetuneConfig, WordTokenizer, build_model, train_causal_lm
+
+    world = FactWorld(seed=seed)
+    tokenizer = WordTokenizer(corpus_vocabulary(world))
+    examples = generate_alpaca(world, steps * 8, seed=seed + 1)
+    model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=seed)
+    model.to(rt.GPU)
+    compressor = ModelCompressor(DKMConfig(bits=3, iters=2), edkm_config)
+    compressor.compress(model)
+    losses = train_causal_lm(
+        model,
+        alpaca_batches(examples, tokenizer, 8, rt.GPU, seed=seed + 2),
+        FinetuneConfig(lr=1e-3),
+        pipeline=SavedTensorPipeline(edkm_config),
+    ).losses
+    return model, compressor, losses
+
+
+class TestIndexListOnlyWhereSaved:
+    """Only a forward that saves the index list builds it, once per weight
+    version; refine, precluster, finalize and the dense path build none."""
+
+    def _stack(self, seed=0):
+        model = nn.SwiGLUMLP(64, 160, rng=np.random.default_rng(seed))
+        model.to("gpu")
+        compressor = ModelCompressor(DKMConfig(bits=3, iters=2))
+        compressor.compress(model)
+        return model, compressor
+
+    def test_compressor_sweeps_build_none(self, index_list_builds):
+        model, compressor = self._stack()
+        compressor.precluster()
+        for wrapper in compressor.wrapped.values():  # a fresh weight version each
+            wrapper.inner.weight.copy_(wrapper.inner.weight._compute() * 0.5)
+        before = compressor.fastpath_report().total
+        compressor.refine_all()  # cold: every cache misses
+        compressor.refine_all()  # warm
+        compressor.finalize(model)
+        fast = compressor.fastpath_report().total.diff(before)
+        n_layers = len(compressor.wrapped)
+        assert fast.uniquify_misses == n_layers
+        assert fast.uniquify_hits == 3 * n_layers
+        assert index_list_builds == []
+
+    def test_one_build_per_layer_per_mus_step(self, index_list_builds):
+        from repro.distributed import LearnerGroup
+
+        _, compressor, _ = micro_finetune(EDKMConfig(group=LearnerGroup(8)), steps=2)
+        n_weights = sorted(w.inner.weight.numel for w in compressor.wrapped.values())
+        assert sorted(index_list_builds) == sorted(n_weights * 2)
+
+    def test_dense_step_builds_none(self, index_list_builds):
+        micro_finetune(EDKMConfig(marshal=False, uniquify=False, shard=False), steps=2)
+        assert index_list_builds == []
+
+    def test_forwards_share_one_build_per_version(self, index_list_builds):
+        w = Tensor.from_numpy(
+            (np.random.default_rng(0).standard_normal(4096) * 0.05).astype(np.float32),
+            dtype=bfloat16,
+            requires_grad=True,
+        )
+        clusterer = DKMClusterer(DKMConfig(bits=3, iters=2))
+        with rt.no_grad():
+            edkm_cluster(w, clusterer)  # saves nothing, builds nothing
+        assert index_list_builds == []
+        edkm_cluster(w, clusterer)
+        edkm_cluster(w, clusterer)
+        assert index_list_builds == [4096]
+        w.copy_(w._compute() * 0.5)
+        edkm_cluster(w, clusterer)
+        assert index_list_builds == [4096, 4096]
+
+    def test_two_threads_build_once(self, index_list_builds):
+        import threading
+
+        w = Tensor.from_numpy(
+            (np.random.default_rng(1).standard_normal(1 << 16) * 0.05).astype(np.float32),
+            dtype=bfloat16,
+        )
+        cache = StepCache()
+        unique = cache.uniquify(w, bfloat16)
+        keys = unique.keys()
+        barrier = threading.Barrier(2)
+        lists = []
+
+        def build():
+            barrier.wait(timeout=30)
+            lists.append(cache.index_list(unique, keys))
+
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert index_list_builds == [1 << 16]
+        assert lists[0] is lists[1]
+        assert lists[0].tobytes() == uniquify(w._np(), bfloat16).index_list.tobytes()
+
+    def test_replaced_entry_gets_a_list_it_does_not_keep(self, index_list_builds):
+        w = Tensor.from_numpy(np.linspace(-1, 1, 2048, dtype=np.float32), dtype=bfloat16)
+        cache = StepCache()
+        stale = cache.uniquify(w, bfloat16)
+        w.copy_(w._compute() * 0.5)
+        live = cache.uniquify(w, bfloat16)
+        got = cache.index_list(stale, stale.keys())
+        assert got.tobytes() == build_index_list(stale.patterns, stale.keys()).tobytes()
+        cache.index_list(live, live.keys())
+        cache.index_list(live, live.keys())
+        assert len(index_list_builds) == 2  # the stale one, then the live one once
+
+
+class TestPatternHistogramEntry:
+    """A cache miss keeps each weight's pattern, never a copy of an on-grid weight."""
+
+    def test_on_grid_bf16_entry_views_the_weight(self):
+        w = Tensor.from_numpy(
+            (np.random.default_rng(0).standard_normal((64, 96)) * 0.05).astype(np.float32),
+            dtype=bfloat16,
+        )
+        unique = StepCache().uniquify(w, bfloat16)
+        assert np.shares_memory(unique.weight_patterns, w._np())
+        assert not hasattr(unique, "index_list")
+        want = uniquify(w._np(), bfloat16)
+        assert unique.weight_patterns.tobytes() == bit_pattern16(w._np(), bfloat16).tobytes()
+        for field in ("patterns", "values", "counts"):
+            assert getattr(unique, field).tobytes() == getattr(want, field).tobytes()

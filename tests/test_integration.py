@@ -1,6 +1,9 @@
 """End-to-end integration tests across subsystem boundaries."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 import repro.tensor as rt
 from repro.baselines import RTNConfig, quantize
@@ -15,6 +18,8 @@ from repro.distributed import LearnerGroup
 from repro.evalsuite import evaluate_suites
 from repro.llm import FinetuneConfig, train_causal_lm
 from repro.memory import global_ledger, profile_memory
+
+from tests.test_fastpath import micro_finetune
 
 
 class TestCompressedFinetuneEndToEnd:
@@ -143,3 +148,40 @@ class TestSerializationIntegration:
         save_state(path, state)
         loaded = load_state(path)
         assert loaded["w"].dtype is rt.bfloat16
+
+
+class TestPinnedFinetuneBytes:
+    """8-step MICRO fine-tunes, M+U+S and dense, at seeds 0-2: the losses and
+    the ``finalize`` artifacts equal the values recorded before the index
+    list was built lazily and ``hard_assign`` gathered through the pattern
+    table.  Recorded with numpy 2.x and OpenBLAS, at 1 and 2 BLAS threads.
+    """
+
+    # (seed, path) -> (blake2b-8 of the float64 losses, blake2b-16 of the artifacts)
+    PINNED = {
+        (0, "mus"): ("2e58cb2232bb5338", "6c3f2fa82b78b468fd85f7f6f014c62c"),
+        (0, "dense"): ("44dd31508e0c3c23", "6c3f2fa82b78b468fd85f7f6f014c62c"),
+        (1, "mus"): ("6baa66de2c5c89ec", "abfc5be0866918b5836292e9e0089487"),
+        (1, "dense"): ("8ca69e41adad2cf5", "abfc5be0866918b5836292e9e0089487"),
+        (2, "mus"): ("e6cc98b9e78c42d5", "54d2e52b96c44c7f4a3abf380c45408e"),
+        (2, "dense"): ("f5ccca9c51cf964a", "54d2e52b96c44c7f4a3abf380c45408e"),
+    }
+    CONFIGS = {
+        "mus": lambda: EDKMConfig(group=LearnerGroup(8)),
+        "dense": lambda: EDKMConfig(marshal=False, uniquify=False, shard=False),
+    }
+
+    @pytest.mark.parametrize("path", ["mus", "dense"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_losses_and_artifacts(self, seed, path):
+        model, compressor, losses = micro_finetune(self.CONFIGS[path](), steps=8, seed=seed)
+        assert len(losses) == 8
+        loss_digest = hashlib.blake2b(
+            np.asarray(losses, np.float64).tobytes(), digest_size=8
+        ).hexdigest()
+        artifacts = hashlib.blake2b(digest_size=16)
+        for name, tensor in compressor.finalize(model).palettized.items():
+            artifacts.update(name.encode())
+            artifacts.update(np.ascontiguousarray(tensor.lut).tobytes())
+            artifacts.update(np.ascontiguousarray(tensor.packed).tobytes())
+        assert (loss_digest, artifacts.hexdigest()) == self.PINNED[seed, path]

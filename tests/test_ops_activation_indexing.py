@@ -67,6 +67,15 @@ class TestStableSigmoid:
         assert views[0].ndim == 0 and views[1].size == 0
         assert base.tobytes() == before  # input never written
 
+    def test_sampled_float32_patterns(self):
+        # Bit patterns drawn over all of float32: both signs of every
+        # exponent, subnormals, infinities and NaNs with any payload.
+        bits = np.random.default_rng(3).integers(0, 1 << 32, 1 << 20, dtype=np.uint32)
+        x = bits.view(np.float32)
+        with np.errstate(all="ignore"):  # signaling NaNs raise invalid in exp
+            got, want = _stable_sigmoid(x), _masked_sigmoid(x)
+        assert got.tobytes() == want.tobytes()
+
     def test_silu_forward_and_backward_bytes(self):
         x = (np.random.default_rng(2).standard_normal((4, 33)) * 20).astype(np.float32)
         a = rt.tensor(x, requires_grad=True)
