@@ -23,13 +23,13 @@ Quickstart -- serve::
     import repro
     from repro.llm import MICRO, WordTokenizer, build_model
 
-    tokenizer = WordTokenizer.from_corpus(["the quick brown fox ..."])
+    tokenizer = WordTokenizer(["the", "quick", "brown", "fox"])
     model = build_model(MICRO, vocab_size=tokenizer.vocab_size)
     repro.compress(model, bits=3)
     with repro.serve(model, tokenizer, max_batch_size=8) as server:
         request = server.submit("the quick", max_new_tokens=8)
         print(request.result(timeout=30))
-        print(server.stats().to_json_dict())
+        print(server.stats())
 
 ``repro.compress`` wraps the model's Linears with
 :class:`~repro.core.compressor.ClusteredLinear` (train-time clustering);

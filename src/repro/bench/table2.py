@@ -114,14 +114,13 @@ def _build_workload(
 def _run_config(
     name: str,
     config: EDKMConfig,
-    uniquify: bool,
     dim: int,
     n_heads: int,
     seq_len: int,
     bits: int,
     iters: int,
 ) -> Table2Row:
-    attention, x = _build_workload(dim, n_heads, seq_len, bits, iters, uniquify)
+    attention, x = _build_workload(dim, n_heads, seq_len, bits, iters, config.uniquify)
     pipeline = SavedTensorPipeline(config)
     with profile_memory([CPU.tracker], global_ledger()) as prof:
         with pipeline.step():
@@ -130,7 +129,7 @@ def _run_config(
     return Table2Row(
         name=name,
         marshal=config.marshal,
-        uniquify=uniquify,
+        uniquify=config.uniquify,
         shard=config.shard,
         cpu_peak_bytes=prof.peak_delta("cpu"),
         offload_traffic_bytes=prof.traffic("gpu", "cpu"),
@@ -151,15 +150,15 @@ def run_table2(
     """The five-row ablation at a CPU-friendly scale."""
     group = LearnerGroup(n_learners)
     configs = [
-        ("baseline", EDKMConfig.baseline_offload(), False),
-        ("M", EDKMConfig(marshal=True, uniquify=False, shard=False, group=None), False),
-        ("M+U", EDKMConfig(marshal=True, uniquify=True, shard=False, group=None), True),
-        ("M+S", EDKMConfig(marshal=True, uniquify=False, shard=True, group=group), False),
-        ("M+U+S", EDKMConfig(marshal=True, uniquify=True, shard=True, group=group), True),
+        ("baseline", EDKMConfig.baseline_offload()),
+        ("M", EDKMConfig(marshal=True, uniquify=False, shard=False, group=None)),
+        ("M+U", EDKMConfig(marshal=True, uniquify=True, shard=False, group=None)),
+        ("M+S", EDKMConfig(marshal=True, uniquify=False, shard=True, group=group)),
+        ("M+U+S", EDKMConfig(marshal=True, uniquify=True, shard=True, group=group)),
     ]
     rows = [
-        _run_config(name, config, uniq, dim, n_heads, seq_len, bits, iters)
-        for name, config, uniq in configs
+        _run_config(name, config, dim, n_heads, seq_len, bits, iters)
+        for name, config in configs
     ]
     return Table2Result(rows=rows)
 
@@ -174,13 +173,10 @@ def run_learner_sweep(
     for n in n_learners_options:
         group = LearnerGroup(n)
         rows = [
-            _run_config(
-                "baseline", EDKMConfig.baseline_offload(), False, dim, 8, seq_len, 3, 3
-            ),
+            _run_config("baseline", EDKMConfig.baseline_offload(), dim, 8, seq_len, 3, 3),
             _run_config(
                 f"M+U+S|L={n}",
                 EDKMConfig(marshal=True, uniquify=True, shard=True, group=group),
-                True,
                 dim,
                 8,
                 seq_len,

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Any, Sequence
 
 
 class PaperTable:
     """Base of the paper-table results (each subclass is a dataclass).
 
-    ``python -m repro.bench`` writes these as rendered ``<name>.txt``; the
-    JSON view is simply the measured fields.
+    ``python -m repro.bench`` writes these as rendered ``<name>.txt``.
     """
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def render_table(

@@ -337,16 +337,6 @@ class CompressionReport:
             self.uncompressed.values()
         )
 
-    def summary(self) -> str:
-        """A per-tensor size table (bits/weight and bytes), TOTAL last."""
-        lines = [f"{'tensor':<40} {'bits/w':>8} {'bytes':>12}"]
-        for name, p in sorted(self.palettized.items()):
-            lines.append(f"{name:<40} {p.bits_per_weight:>8.2f} {p.nbytes:>12}")
-        for name, nbytes in sorted(self.uncompressed.items()):
-            lines.append(f"{name:<40} {'16.00':>8} {nbytes:>12}")
-        lines.append(f"{'TOTAL':<40} {'':>8} {self.total_bytes:>12}")
-        return "\n".join(lines)
-
 
 class ModelCompressor:
     """Wraps a model's Linears with DKM clustering; finalizes to palettes.
@@ -424,12 +414,6 @@ class ModelCompressor:
                 for name, wrapper in self.wrapped.items()
             }
         )
-
-    def release_step_caches(self) -> None:
-        """Drop every layer's cached decomposition (frees O(|W|) host bytes
-        per layer; the next step simply re-uniquifies)."""
-        for wrapper in self.wrapped.values():
-            wrapper.step_cache.invalidate()
 
     def finalize(self, model: Module) -> CompressionReport:
         """Palettize all clustered layers and embeddings; report sizes.

@@ -29,9 +29,8 @@ first forward that saves it (:meth:`StepCache.index_list`), so the entry
 holds one only after such a forward: a refine-only sweep never builds it.
 During training the entry is consumed twice per step (refine + forward)
 and goes stale at the next optimizer write; call
-:meth:`StepCache.invalidate` (or
-``ModelCompressor.release_step_caches``) to reclaim the memory when a
-model sits idle between phases.
+:meth:`StepCache.invalidate` to reclaim the memory when a model sits idle
+between phases.
 """
 
 from __future__ import annotations
@@ -235,18 +234,3 @@ class FastPathReport:
         for stats in self.per_layer.values():
             merged = merged.merge(stats)
         return merged
-
-    def summary(self) -> str:
-        """A per-layer hit/miss table, TOTAL last."""
-        lines = [f"{'layer':<40} {'uniq h/m':>12} {'table h/m':>12}"]
-        for name, s in sorted(self.per_layer.items()):
-            lines.append(
-                f"{name:<40} {f'{s.uniquify_hits}/{s.uniquify_misses}':>12} "
-                f"{f'{s.table_hits}/{s.table_misses}':>12}"
-            )
-        t = self.total
-        lines.append(
-            f"{'TOTAL':<40} {f'{t.uniquify_hits}/{t.uniquify_misses}':>12} "
-            f"{f'{t.table_hits}/{t.table_misses}':>12}"
-        )
-        return "\n".join(lines)

@@ -88,15 +88,6 @@ class UniquifiedWeights(PatternHistogram):
 
     index_list: np.ndarray  # (N,) uint16, row of each weight
 
-    @property
-    def compression_ratio(self) -> float:
-        """Dense-row count over unique-row count (the U win on the map)."""
-        return self.n_weights / max(self.n_unique, 1)
-
-    def reconstruct_values(self) -> np.ndarray:
-        """All weight values, rebuilt from the decomposition."""
-        return self.values[self.index_list].reshape(self.source_shape)
-
 
 def check_pattern16_dtype(dtype: DType) -> None:
     """Raise ``TypeError`` unless ``dtype`` is a 16-bit floating format."""

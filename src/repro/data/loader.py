@@ -21,10 +21,6 @@ class Batch:
     tokens: Tensor
     targets: Tensor
 
-    @property
-    def batch_size(self) -> int:
-        return self.tokens.shape[0]
-
 
 def _pad_and_shift(
     sequences: list[list[int]],

@@ -11,7 +11,6 @@ collectives move real bytes between them while logging traffic.
 from repro.distributed.learner import LearnerGroup
 from repro.distributed.collective import (
     ShardedTensor,
-    ShardView,
     all_gather,
     shard_rows,
     shard_storage,
@@ -20,7 +19,6 @@ from repro.distributed.collective import (
 __all__ = [
     "LearnerGroup",
     "ShardedTensor",
-    "ShardView",
     "all_gather",
     "shard_rows",
     "shard_storage",

@@ -18,7 +18,6 @@ while the rows of all learners sit side by side in one host array.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,16 +27,6 @@ from repro.tensor.device import Device
 from repro.tensor.dtype import DType
 from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor, contiguous_strides
-
-
-class ShardView(NamedTuple):
-    """One learner's rows of a :class:`ShardedTensor`, for inspection:
-    ``data`` is a read-only window onto the owner's buffer, so looking at a
-    shard allocates nothing and charges no tracker."""
-
-    device: Device
-    shape: tuple[int, ...]
-    data: np.ndarray
 
 
 class ShardedTensor:
@@ -90,20 +79,6 @@ class ShardedTensor:
     def local_nbytes(self) -> int:
         """Learner 0's bytes (the footprint experiments report)."""
         return self.learner_nbytes[0]
-
-    def shard_views(self) -> list[ShardView]:
-        """Per-learner device, shape and read-only data, in learner order."""
-        tail = self.full_shape[1:]
-        row_elems = math.prod(tail)
-        window = self.data.view()
-        window.flags.writeable = False
-        views = []
-        lo = 0
-        for dev, count in zip(self.group.devices, self.counts):
-            rows = count // row_elems if row_elems else 0
-            views.append(ShardView(dev, (rows, *tail), window[lo : lo + count]))
-            lo += count
-        return views
 
     def __repr__(self) -> str:
         return (

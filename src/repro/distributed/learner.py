@@ -23,12 +23,8 @@ class LearnerGroup:
             as_device(f"{host.name}:peer{i}") for i in range(1, n_learners)
         ]
 
-    @property
-    def primary(self) -> Device:
-        return self.devices[0]
-
     def __len__(self) -> int:
         return self.n_learners
 
     def __repr__(self) -> str:
-        return f"LearnerGroup(n={self.n_learners}, primary={self.primary.name!r})"
+        return f"LearnerGroup(n={self.n_learners}, primary={self.devices[0].name!r})"

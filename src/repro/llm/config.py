@@ -23,10 +23,6 @@ class ModelSpec:
     hidden_dim: int
     max_seq_len: int
 
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.n_heads
-
     def attention_params_per_layer(self) -> int:
         return 4 * self.dim * self.dim
 

@@ -36,11 +36,6 @@ class FinetuneConfig:
     weight_decay: float = 0.0
     grad_clip: float = 1.0
 
-    @classmethod
-    def paper(cls) -> "FinetuneConfig":
-        """The exact LLaMA-7B recipe from the paper (lr 5e-5)."""
-        return cls(lr=5e-5)
-
 
 @dataclass
 class TrainResult:

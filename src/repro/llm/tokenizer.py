@@ -71,12 +71,3 @@ class WordTokenizer:
             else:
                 words.append(self.unk_token)
         return " ".join(words)
-
-    @classmethod
-    def from_corpus(cls, sentences: list[str]) -> "WordTokenizer":
-        """Build the vocabulary from every word appearing in ``sentences``."""
-        vocab: dict[str, None] = {}
-        for sentence in sentences:
-            for word in sentence.split():
-                vocab.setdefault(word, None)
-        return cls(words=sorted(vocab))

@@ -30,11 +30,6 @@ class DeviceDelta:
         """Peak residency growth above the starting level."""
         return self.peak_bytes - self.start_bytes
 
-    @property
-    def retained_delta(self) -> int:
-        """Bytes still resident when the region exited."""
-        return self.end_bytes - self.start_bytes
-
 
 @dataclass
 class MemoryProfile:
@@ -46,9 +41,6 @@ class MemoryProfile:
 
     def peak_delta(self, device: str) -> int:
         return self.devices[device].peak_delta
-
-    def retained_delta(self, device: str) -> int:
-        return self.devices[device].retained_delta
 
     def traffic(self, src: str, dst: str) -> int:
         return self.traffic_bytes.get((src, dst), 0)

@@ -39,19 +39,9 @@ class MemoryTracker:
             return self._current
 
     @property
-    def peak_bytes(self) -> int:
-        with self._lock:
-            return self._peak
-
-    @property
     def alloc_count(self) -> int:
         with self._lock:
             return self._alloc_count
-
-    @property
-    def free_count(self) -> int:
-        with self._lock:
-            return self._free_count
 
     def allocate(self, nbytes: int) -> None:
         if nbytes < 0:
@@ -115,9 +105,6 @@ class TrackerRegistry:
             tracker = MemoryTracker(name)
             self._trackers[name] = tracker
         return tracker
-
-    def names(self) -> list[str]:
-        return sorted(self._trackers)
 
     def snapshot_all(self) -> dict[str, TrackerSnapshot]:
         return {name: t.snapshot() for name, t in self._trackers.items()}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -74,12 +74,6 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_modules(prefix=f"{prefix}{name}.")
 
-    def children(self) -> list["Module"]:
-        return list(self._modules.values())
-
-    def num_parameters(self) -> int:
-        return sum(p.numel for p in self.parameters())
-
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
@@ -121,16 +115,6 @@ class Module:
         dev = as_device(device)
         for param in self.parameters():
             param.move_to(dev)
-        return self
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.grad = None
-
-    def apply(self, fn: Callable[["Module"], None]) -> "Module":
-        for module in self._modules.values():
-            module.apply(fn)
-        fn(self)
         return self
 
     # ------------------------------------------------------------------

@@ -182,11 +182,6 @@ class FaultPlan:
         # Accept any sequence for ergonomics, store a tuple for hashing.
         object.__setattr__(self, "specs", tuple(self.specs))
 
-    @classmethod
-    def single(cls, kind: str, sweep: int = 1, **kwargs) -> "FaultPlan":
-        """A one-spec plan -- the common chaos-benchmark shape."""
-        return cls(specs=(FaultSpec(kind=kind, sweep=sweep, **kwargs),))
-
 
 @dataclass
 class FaultEvent:
@@ -215,12 +210,6 @@ class FaultLog:
     def record(self, event: FaultEvent) -> None:
         """Append one injection."""
         self.events.append(event)
-
-    def count(self, kind: str | None = None) -> int:
-        """Number of recorded injections, optionally filtered by kind."""
-        if kind is None:
-            return len(self.events)
-        return sum(1 for event in self.events if event.kind == kind)
 
 
 def _seeded_index(seed: int, spec_index: int, sweep: int, n: int) -> int:

@@ -176,20 +176,6 @@ class ServerRequest:
         assert text is not None
         return text
 
-    @property
-    def latency_s(self) -> float | None:
-        """Submit-to-resolve wall time, once resolved."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-    @property
-    def queue_wait_s(self) -> float | None:
-        """Submit-to-schedule wall time, once scheduled."""
-        if self.scheduled_at is None:
-            return None
-        return self.scheduled_at - self.submitted_at
-
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
         return f"ServerRequest(id={self.id}, {state}, prompt={self.prompt!r})"

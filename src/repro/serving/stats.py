@@ -12,7 +12,7 @@ queue wait live on each :class:`~repro.serving.queue.ServerRequest`.
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -50,10 +50,6 @@ class StatsReport:
     loop_respawns: int = 0
     kv_cache_bytes: int = 0
     kv_cache_peak_bytes: int = 0
-
-    def to_json_dict(self) -> dict:
-        """A JSON-serializable dict (the BENCH_serving row shape)."""
-        return asdict(self)
 
 
 class ServerStats:

@@ -18,7 +18,6 @@ from repro.tensor import ops
 from repro.tensor.autograd import (
     Context,
     Function,
-    enable_grad,
     is_grad_enabled,
     no_grad,
     saved_tensors_hooks,
@@ -40,15 +39,14 @@ from repro.tensor.dtype import (
     uint8,
     uint16,
 )
-from repro.tensor.random import default_rng, manual_seed, rand, randint, randn
+from repro.tensor.random import default_rng, manual_seed
 from repro.tensor.serialization import load_state, save_state
-from repro.tensor.tensor import Tensor, arange, full, ones, tensor, zeros
+from repro.tensor.tensor import Tensor, tensor, zeros
 
 __all__ = [
     "ops",
     "Context",
     "Function",
-    "enable_grad",
     "is_grad_enabled",
     "no_grad",
     "saved_tensors_hooks",
@@ -72,15 +70,9 @@ __all__ = [
     "uint16",
     "default_rng",
     "manual_seed",
-    "rand",
-    "randint",
-    "randn",
     "load_state",
     "save_state",
     "Tensor",
-    "arange",
-    "full",
-    "ones",
     "tensor",
     "zeros",
 ]

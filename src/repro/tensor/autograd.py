@@ -56,17 +56,6 @@ def no_grad() -> Iterator[None]:
         _STATE.grad_enabled = previous
 
 
-@contextlib.contextmanager
-def enable_grad() -> Iterator[None]:
-    """Re-enable graph recording inside the block."""
-    previous = _grad_enabled()
-    _STATE.grad_enabled = True
-    try:
-        yield
-    finally:
-        _STATE.grad_enabled = previous
-
-
 # --------------------------------------------------------------------------
 # Saved-tensor hooks (the eDKM integration point)
 # --------------------------------------------------------------------------

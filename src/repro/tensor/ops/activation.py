@@ -75,47 +75,6 @@ class LogSoftmax(Function):
         return (grad - softmax * grad.sum(axis=ctx.dim, keepdims=True),)
 
 
-class Relu(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        a_np = a._compute()
-        ctx.mask = (a_np > 0).astype(a.dtype.np_compute)
-        return make_result(np.maximum(a_np, 0.0), a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        return (grad * ctx.mask,)
-
-
-class Sigmoid(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        x = a._compute()
-        out = make_result(_stable_sigmoid(x), a.dtype, a.device)
-        ctx.save_for_backward(out)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        (out,) = ctx.saved_tensors
-        y = out._compute()
-        return (grad * y * (1.0 - y),)
-
-
-class Tanh(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        out = make_result(np.tanh(a._compute()), a.dtype, a.device)
-        ctx.save_for_backward(out)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        (out,) = ctx.saved_tensors
-        y = out._compute()
-        return (grad * (1.0 - y * y),)
-
-
 class Silu(Function):
     """x * sigmoid(x) -- the LLaMA MLP activation."""
 
@@ -132,25 +91,3 @@ class Silu(Function):
         x = a._compute()
         sig = _stable_sigmoid(x)
         return (grad * (sig + x * sig * (1.0 - sig)),)
-
-
-class Gelu(Function):
-    """Tanh-approximation GELU."""
-
-    _C = float(np.sqrt(2.0 / np.pi))
-
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        ctx.save_for_backward(a)
-        x = a._compute()
-        inner = Gelu._C * (x + 0.044715 * x**3)
-        return make_result(0.5 * x * (1.0 + np.tanh(inner)), a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        (a,) = ctx.saved_tensors
-        x = a._compute()
-        inner = Gelu._C * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        d_inner = Gelu._C * (1.0 + 3.0 * 0.044715 * x**2)
-        return (grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)

@@ -92,16 +92,6 @@ class Div(Function):
         return (ga, gb)
 
 
-class Neg(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        return make_result(-a._compute(), a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        return (-grad,)
-
-
 class Pow(Function):
     @staticmethod
     def forward(ctx: Context, a: Tensor, exponent: float) -> Tensor:
@@ -116,31 +106,6 @@ class Pow(Function):
         return (grad * p * a._compute() ** (p - 1.0),)
 
 
-class Exp(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        out = make_result(np.exp(a._compute()), a.dtype, a.device)
-        ctx.save_for_backward(out)
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        (out,) = ctx.saved_tensors
-        return (grad * out._compute(),)
-
-
-class Log(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        ctx.save_for_backward(a)
-        return make_result(np.log(a._compute()), a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        (a,) = ctx.saved_tensors
-        return (grad / a._compute(),)
-
-
 class Sqrt(Function):
     @staticmethod
     def forward(ctx: Context, a: Tensor) -> Tensor:
@@ -152,29 +117,3 @@ class Sqrt(Function):
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         (out,) = ctx.saved_tensors
         return (grad / (2.0 * out._compute()),)
-
-
-class Abs(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        a_np = a._compute()
-        ctx.sign = np.sign(a_np)
-        return make_result(np.abs(a_np), a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        return (grad * ctx.sign,)
-
-
-class Clip(Function):
-    @staticmethod
-    def forward(ctx: Context, a: Tensor, low: float | None, high: float | None) -> Tensor:
-        a_np = a._compute()
-        out = np.clip(a_np, low, high)
-        # Pass-through mask: gradient flows only where the value was kept.
-        ctx.mask = (out == a_np).astype(a.dtype.np_compute)
-        return make_result(out, a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        return (grad * ctx.mask,)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.autograd import Context, Function, unbroadcast
+from repro.tensor.autograd import Context, Function
 from repro.tensor.tensor import Tensor
 from repro.tensor.ops._common import check_same_device, make_result, normalize_dim
 from repro.tensor.ops.segment import scatter_add_rows
@@ -120,23 +120,3 @@ class MaskedFill(Function):
         g = grad.copy()
         g[ctx.mask] = 0.0
         return (g,)
-
-
-class Where(Function):
-    """Elementwise select between two tensors by a boolean mask."""
-
-    @staticmethod
-    def forward(ctx: Context, condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-        check_same_device(a, b)
-        cond = np.asarray(condition, dtype=bool)
-        out = np.where(cond, a._compute(), b._compute())
-        ctx.cond = np.broadcast_to(cond, out.shape)
-        ctx.a_shape, ctx.b_shape = a.shape, b.shape
-        return make_result(out, a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        needs_a, needs_b = ctx.needs_input_grad
-        ga = unbroadcast(np.where(ctx.cond, grad, 0.0), ctx.a_shape) if needs_a else None
-        gb = unbroadcast(np.where(ctx.cond, 0.0, grad), ctx.b_shape) if needs_b else None
-        return (ga, gb)

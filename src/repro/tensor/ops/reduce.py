@@ -1,4 +1,4 @@
-"""Reductions: sum, mean, max, min."""
+"""Reductions: sum, mean."""
 
 from __future__ import annotations
 
@@ -49,62 +49,3 @@ class Mean(Function):
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         g = _restore_dims(grad, ctx.in_shape, ctx.dim, ctx.keepdim) / ctx.count
         return (g.copy(),)
-
-
-class _ExtremumBase(Function):
-    """Shared machinery for Max/Min: route gradient to the arg position."""
-
-    reducer: staticmethod
-    arg_reducer: staticmethod
-
-    @classmethod
-    def _forward(cls, ctx: Context, a: Tensor, dim: int | None, keepdim: bool) -> Tensor:
-        a_np = a._compute()
-        ctx.in_shape, ctx.dim, ctx.keepdim = a.shape, dim, keepdim
-        if dim is None:
-            flat_idx = int(cls.arg_reducer(a_np))
-            ctx.flat_index = flat_idx
-            out = np.asarray(cls.reducer(a_np))
-        else:
-            idx = cls.arg_reducer(a_np, axis=dim)
-            ctx.indices = idx
-            out = cls.reducer(a_np, axis=dim, keepdims=keepdim)
-        return make_result(out, a.dtype, a.device)
-
-    @classmethod
-    def _backward(cls, ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        g = np.zeros(ctx.in_shape, dtype=grad.dtype)
-        if ctx.dim is None:
-            g.reshape(-1)[ctx.flat_index] = grad.reshape(())
-        else:
-            expanded = grad if ctx.keepdim else np.expand_dims(grad, axis=ctx.dim)
-            np.put_along_axis(
-                g, np.expand_dims(ctx.indices, axis=ctx.dim), expanded, axis=ctx.dim
-            )
-        return (g,)
-
-
-class Max(_ExtremumBase):
-    reducer = staticmethod(np.max)
-    arg_reducer = staticmethod(np.argmax)
-
-    @staticmethod
-    def forward(ctx: Context, a: Tensor, dim: int | None, keepdim: bool) -> Tensor:
-        return Max._forward(ctx, a, dim, keepdim)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        return Max._backward(ctx, grad)
-
-
-class Min(_ExtremumBase):
-    reducer = staticmethod(np.min)
-    arg_reducer = staticmethod(np.argmin)
-
-    @staticmethod
-    def forward(ctx: Context, a: Tensor, dim: int | None, keepdim: bool) -> Tensor:
-        return Min._forward(ctx, a, dim, keepdim)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        return Min._backward(ctx, grad)

@@ -1,6 +1,6 @@
 """Shape and layout operations.
 
-The view family (``View``, ``Transpose``, ``Permute``, ``Expand``, ``Slice``)
+The view family (``View``, ``Transpose``, ``Permute``, ``Slice``)
 is *storage-invariant*: outputs share the input's data storage, exactly the
 edge class eDKM's marshaling walks when it searches the forward graph for a
 tensor whose storage has already been copied to the CPU (paper Section 2.1).
@@ -12,7 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.tensor.autograd import Context, Function, unbroadcast
+from repro.tensor.autograd import Context, Function
 from repro.tensor.tensor import Tensor, contiguous_strides
 from repro.tensor.ops._common import check_same_device, make_result, normalize_dim
 
@@ -94,32 +94,6 @@ class Permute(Function):
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
         inverse = np.argsort(ctx.dims)
         return (np.transpose(grad, inverse),)
-
-
-class Expand(Function):
-    storage_invariant = True
-
-    @staticmethod
-    def forward(ctx: Context, a: Tensor, shape: tuple[int, ...]) -> Tensor:
-        if len(shape) < a.ndim:
-            raise ValueError(f"expand to fewer dims: {a.shape} -> {shape}")
-        ctx.in_shape = a.shape
-        lead = len(shape) - a.ndim
-        new_strides = [0] * lead
-        new_shape = list(shape)
-        for i, (src, dst) in enumerate(zip(a.shape, shape[lead:])):
-            if dst == -1 or dst == src:
-                new_shape[lead + i] = src
-                new_strides.append(a.strides[i])
-            elif src == 1:
-                new_strides.append(0)
-            else:
-                raise ValueError(f"cannot expand dim of size {src} to {dst}")
-        return Tensor.view_of(a, new_shape, new_strides, a.offset)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        return (unbroadcast(grad, ctx.in_shape),)
 
 
 class Slice(Function):

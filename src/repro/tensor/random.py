@@ -1,4 +1,4 @@
-"""Seeded random tensor creation.
+"""Seeded random generators.
 
 All stochastic components in the library (init, data generation, dropout-free
 by design) draw from explicit generators so experiments are reproducible.
@@ -7,10 +7,6 @@ by design) draw from explicit generators so experiments are reproducible.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.tensor.device import CPU, Device
-from repro.tensor.dtype import DType, float32, get_dtype
-from repro.tensor.tensor import Tensor
 
 _default_rng = np.random.default_rng(0)
 
@@ -34,45 +30,3 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
     if seed is None:
         return _default_rng
     return np.random.default_rng(seed)
-
-
-def rand(
-    *shape: int,
-    dtype: DType | str = float32,
-    device: Device | str = CPU,
-    requires_grad: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Uniform [0, 1) tensor."""
-    rng = rng or _default_rng
-    dt = get_dtype(dtype)
-    values = rng.random(shape, dtype=np.float64).astype(np.float32)
-    return Tensor.from_numpy(values, dtype=dt, device=device, requires_grad=requires_grad)
-
-
-def randn(
-    *shape: int,
-    dtype: DType | str = float32,
-    device: Device | str = CPU,
-    requires_grad: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Standard-normal tensor."""
-    rng = rng or _default_rng
-    dt = get_dtype(dtype)
-    values = rng.standard_normal(shape).astype(np.float32)
-    return Tensor.from_numpy(values, dtype=dt, device=device, requires_grad=requires_grad)
-
-
-def randint(
-    low: int,
-    high: int,
-    shape: tuple[int, ...],
-    device: Device | str = CPU,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Uniform integer tensor in [low, high)."""
-    rng = rng or _default_rng
-    return Tensor.from_numpy(
-        rng.integers(low, high, size=shape, dtype=np.int64), device=device
-    )

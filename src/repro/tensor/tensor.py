@@ -3,7 +3,7 @@
 Reproduces the PyTorch tensor architecture the paper's Section 2.1 describes:
 a tensor is (shape, strides, offset) metadata plus a reference to a
 :class:`~repro.tensor.storage.Storage`.  View operations (``view``,
-``transpose``, ``expand``, basic slicing) return new metadata over the *same*
+``transpose``, basic slicing) return new metadata over the *same*
 storage and cost no device memory; ``.to(device)`` must materialize a new
 storage on the destination and is the operation whose redundancy eDKM's
 marshaling removes.
@@ -12,7 +12,7 @@ marshaling removes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -186,19 +186,12 @@ class Tensor:
         return n
 
     @property
-    def is_leaf(self) -> bool:
-        return self.grad_fn is None
-
-    @property
     def nbytes(self) -> int:
         """Logical bytes of this tensor's *storage* (shared across views)."""
         return self.storage.nbytes
 
     def is_contiguous(self) -> bool:
         return self.strides == contiguous_strides(self.shape)
-
-    def shares_storage_with(self, other: "Tensor") -> bool:
-        return self.storage is other.storage
 
     # ------------------------------------------------------------------
     # Data access
@@ -247,9 +240,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return self._np().reshape(()).item()
 
-    def tolist(self) -> Any:
-        return self._np().tolist()
-
     # ------------------------------------------------------------------
     # In-place mutation (never recorded on the tape)
     # ------------------------------------------------------------------
@@ -262,14 +252,6 @@ class Tensor:
         self._np()[...] = self.dtype.project(values).reshape(self.shape)
         self.storage.bump_version()
         return self
-
-    def fill_(self, value: float) -> "Tensor":
-        self._np()[...] = self.dtype.project(np.asarray(value))
-        self.storage.bump_version()
-        return self
-
-    def zero_(self) -> "Tensor":
-        return self.fill_(0.0)
 
     def _unsafe_add_(self, values: np.ndarray) -> "Tensor":
         """In-place accumulate, used only by the autograd engine."""
@@ -286,20 +268,6 @@ class Tensor:
         if isinstance(grad, Tensor):
             grad = grad._compute()
         autograd.backward(self, grad)
-
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's storage (no grad history)."""
-        out = Tensor(self.storage, self.shape, self.strides, self.offset)
-        return out
-
-    def requires_grad_(self, value: bool = True) -> "Tensor":
-        if value and self.grad_fn is not None:
-            raise RuntimeError("cannot require grad on a non-leaf tensor")
-        self.requires_grad = value
-        return self
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ------------------------------------------------------------------
     # Movement / casting
@@ -322,15 +290,6 @@ class Tensor:
             return self
         return _ops.cast(self, dtype)
 
-    def float(self) -> "Tensor":
-        return self.cast(dtypes.float32)
-
-    def half(self) -> "Tensor":
-        return self.cast(dtypes.float16)
-
-    def bfloat16(self) -> "Tensor":
-        return self.cast(dtypes.bfloat16)
-
     # ------------------------------------------------------------------
     # Shape ops (delegate to autograd Functions)
     # ------------------------------------------------------------------
@@ -349,31 +308,10 @@ class Tensor:
             dims = tuple(dims[0])
         return _ops.permute(self, dims)
 
-    def expand(self, *shape: int) -> "Tensor":
-        return _ops.expand(self, _normalize_shape(shape))
-
-    def flatten(self) -> "Tensor":
-        return self.reshape(-1)
-
-    def squeeze(self, dim: int | None = None) -> "Tensor":
-        if dim is None:
-            new_shape = tuple(s for s in self.shape if s != 1) or (1,)
-        else:
-            dim = dim % max(self.ndim, 1)
-            if self.shape[dim] != 1:
-                return self
-            new_shape = self.shape[:dim] + self.shape[dim + 1 :]
-        return self.reshape(*new_shape)
-
     def unsqueeze(self, dim: int) -> "Tensor":
         dim = dim % (self.ndim + 1)
         new_shape = self.shape[:dim] + (1,) + self.shape[dim:]
         return self.reshape(*new_shape)
-
-    def contiguous(self) -> "Tensor":
-        if self.is_contiguous():
-            return self
-        return _ops.contiguous(self)
 
     @property
     def T(self) -> "Tensor":
@@ -391,57 +329,20 @@ class Tensor:
     def __add__(self, other: Any) -> "Tensor":
         return _ops.add(self, other)
 
-    def __radd__(self, other: Any) -> "Tensor":
-        return _ops.add(self, other)
-
     def __sub__(self, other: Any) -> "Tensor":
         return _ops.sub(self, other)
-
-    def __rsub__(self, other: Any) -> "Tensor":
-        return _ops.sub(_ops.constant_like(self, other), self)
 
     def __mul__(self, other: Any) -> "Tensor":
         return _ops.mul(self, other)
 
-    def __rmul__(self, other: Any) -> "Tensor":
-        return _ops.mul(self, other)
-
     def __truediv__(self, other: Any) -> "Tensor":
         return _ops.div(self, other)
-
-    def __rtruediv__(self, other: Any) -> "Tensor":
-        return _ops.div(_ops.constant_like(self, other), self)
-
-    def __neg__(self) -> "Tensor":
-        return _ops.neg(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         return _ops.pow(self, exponent)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return _ops.matmul(self, other)
-
-    # Comparisons: non-differentiable, produce bool tensors.
-    def __eq__(self, other: Any):  # type: ignore[override]
-        return _ops.compare(self, other, "eq")
-
-    def __ne__(self, other: Any):  # type: ignore[override]
-        return _ops.compare(self, other, "ne")
-
-    def __lt__(self, other: Any) -> "Tensor":
-        return _ops.compare(self, other, "lt")
-
-    def __le__(self, other: Any) -> "Tensor":
-        return _ops.compare(self, other, "le")
-
-    def __gt__(self, other: Any) -> "Tensor":
-        return _ops.compare(self, other, "gt")
-
-    def __ge__(self, other: Any) -> "Tensor":
-        return _ops.compare(self, other, "ge")
-
-    def __hash__(self) -> int:
-        return id(self)
 
     # ------------------------------------------------------------------
     # Reductions / elementwise sugar
@@ -453,38 +354,8 @@ class Tensor:
     def mean(self, dim: int | None = None, keepdim: bool = False) -> "Tensor":
         return _ops.mean(self, dim=dim, keepdim=keepdim)
 
-    def max(self, dim: int | None = None, keepdim: bool = False) -> "Tensor":
-        return _ops.max_(self, dim=dim, keepdim=keepdim)
-
-    def min(self, dim: int | None = None, keepdim: bool = False) -> "Tensor":
-        return _ops.min_(self, dim=dim, keepdim=keepdim)
-
-    def exp(self) -> "Tensor":
-        return _ops.exp(self)
-
-    def log(self) -> "Tensor":
-        return _ops.log(self)
-
     def sqrt(self) -> "Tensor":
         return _ops.sqrt(self)
-
-    def abs(self) -> "Tensor":
-        return _ops.abs_(self)
-
-    def clip(self, low: float | None = None, high: float | None = None) -> "Tensor":
-        return _ops.clip(self, low, high)
-
-    def softmax(self, dim: int = -1) -> "Tensor":
-        return _ops.softmax(self, dim=dim)
-
-    def log_softmax(self, dim: int = -1) -> "Tensor":
-        return _ops.log_softmax(self, dim=dim)
-
-    def argmax(self, dim: int | None = None) -> "Tensor":
-        return _ops.argmax(self, dim=dim)
-
-    def argmin(self, dim: int | None = None) -> "Tensor":
-        return _ops.argmin(self, dim=dim)
 
     def __repr__(self) -> str:
         grad_part = ", requires_grad=True" if self.requires_grad else ""
@@ -536,49 +407,6 @@ def zeros(
         dtype=dt,
         device=device,
         requires_grad=requires_grad,
-    )
-
-
-def ones(
-    *shape: int,
-    dtype: DType | str = dtypes.float32,
-    device: Device | str = CPU,
-    requires_grad: bool = False,
-) -> Tensor:
-    shape = _normalize_shape(shape)
-    dt = get_dtype(dtype)
-    return Tensor.from_numpy(
-        np.ones(shape, dtype=dt.np_storage),
-        dtype=dt,
-        device=device,
-        requires_grad=requires_grad,
-    )
-
-
-def full(
-    shape: Iterable[int],
-    value: float,
-    dtype: DType | str = dtypes.float32,
-    device: Device | str = CPU,
-) -> Tensor:
-    dt = get_dtype(dtype)
-    return Tensor.from_numpy(
-        np.full(tuple(shape), value, dtype=dt.np_storage), dtype=dt, device=device
-    )
-
-
-def arange(
-    start: int,
-    stop: int | None = None,
-    step: int = 1,
-    dtype: DType | str = dtypes.int64,
-    device: Device | str = CPU,
-) -> Tensor:
-    if stop is None:
-        start, stop = 0, start
-    dt = get_dtype(dtype)
-    return Tensor.from_numpy(
-        np.arange(start, stop, step).astype(dt.np_storage), dtype=dt, device=device
     )
 
 

@@ -245,10 +245,10 @@ class TestLLMQAT:
         for _ in range(40):
             diff = wrapped(x) - target
             loss = (diff * diff).sum()
-            layer.zero_grad()
             loss.backward()
             for p in layer.parameters():
                 p.copy_(p._compute() - 0.002 * p.grad._compute())
+                p.grad = None
             losses.append(loss.item())
         assert losses[-1] < losses[0] * 0.8
 

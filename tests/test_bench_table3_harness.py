@@ -35,7 +35,7 @@ class TestHarness:
         a = harness.restore()
         b = harness.restore()
         assert a is not b
-        assert a.num_parameters() == b.num_parameters()
+        assert [p.shape for p in a.parameters()] == [p.shape for p in b.parameters()]
 
     def test_fp16_row(self, harness):
         row = harness.run_row(*FP16)

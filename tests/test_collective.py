@@ -20,7 +20,6 @@ from repro.distributed import (
     all_gather,
     shard_rows,
 )
-from repro.memory.tracker import global_registry
 from repro.memory.traffic import global_ledger
 from repro.tensor.device import GPU
 from repro.tensor.dtype import bfloat16, float16, float32, int64, uint16
@@ -48,28 +47,26 @@ class TestShardRows:
     @pytest.mark.parametrize("dtype", [float32, bfloat16], ids=["f32", "bf16"])
     def test_round_trip(self, dtype):
         group = LearnerGroup(4)
-        tensor = _tensor((10, 6), dtype=dtype, device=group.primary)
+        tensor = _tensor((10, 6), dtype=dtype, device=group.devices[0])
         sharded = shard_rows(tensor, group)
-        gathered = all_gather(sharded, group.primary)
+        gathered = all_gather(sharded, group.devices[0])
         assert gathered.shape == tensor.shape
         assert gathered.dtype is dtype
         assert np.array_equal(gathered._np(), tensor._np())
 
     def test_round_trip_1d(self):
         group = LearnerGroup(3)
-        tensor = _tensor((7,), device=group.primary)
-        gathered = all_gather(shard_rows(tensor, group), group.primary)
+        tensor = _tensor((7,), device=group.devices[0])
+        gathered = all_gather(shard_rows(tensor, group), group.devices[0])
         assert np.array_equal(gathered._np(), tensor._np())
 
     def test_fewer_rows_than_learners(self):
         """np.array_split yields empty shards; they must survive the trip."""
         group = LearnerGroup(4)
-        tensor = _tensor((2, 5), device=group.primary)
+        tensor = _tensor((2, 5), device=group.devices[0])
         sharded = shard_rows(tensor, group)
-        assert [view.shape for view in sharded.shard_views()] == [
-            (1, 5), (1, 5), (0, 5), (0, 5)
-        ]
-        gathered = all_gather(sharded, group.primary)
+        assert sharded.counts == (5, 5, 0, 0)
+        gathered = all_gather(sharded, group.devices[0])
         assert np.array_equal(gathered._np(), tensor._np())
 
     def test_shard_count_mismatch_rejected(self):
@@ -82,12 +79,12 @@ class TestShardRows:
 
     def test_scatter_ledger_accounting(self, ledger):
         group = LearnerGroup(4)
-        tensor = _tensor((8, 4), device=group.primary)
+        tensor = _tensor((8, 4), device=group.devices[0])
         shard_rows(tensor, group, tag="scatter-test")
         # Learner 0's shard is local: three transfers, each one shard, and
         # each learner its own route.
         assert ledger.totals() == {
-            (group.primary.name, dev.name, "scatter-test"): (1, 2 * 4 * 4)
+            (group.devices[0].name, dev.name, "scatter-test"): (1, 2 * 4 * 4)
             for dev in group.devices[1:]
         }
 
@@ -95,13 +92,13 @@ class TestShardRows:
 class TestAllGather:
     def test_ledger_accounting(self, ledger):
         group = LearnerGroup(4)
-        tensor = _tensor((8, 4), device=group.primary)
+        tensor = _tensor((8, 4), device=group.devices[0])
         sharded = shard_rows(tensor, group)
         ledger.clear()
-        all_gather(sharded, group.primary, tag="gather-test")
+        all_gather(sharded, group.devices[0], tag="gather-test")
         # The local shard moves nothing.
         assert ledger.totals() == {
-            (dev.name, group.primary.name, "gather-test"): (1, 2 * 4 * 4)
+            (dev.name, group.devices[0].name, "gather-test"): (1, 2 * 4 * 4)
             for dev in group.devices[1:]
         }
 
@@ -137,7 +134,7 @@ def _transfer_cases(draw):
     group = LearnerGroup(n)
     tensor = view(
         Tensor.from_numpy(
-            values, dtype=dtype, device=group.primary if on_primary else GPU
+            values, dtype=dtype, device=group.devices[0] if on_primary else GPU
         )
     )
     assert tensor.shape == (rows, *tail)
@@ -167,11 +164,12 @@ class TestTransferPath:
         sharded = shard_rows(tensor, group, tag="prop-shard")
         assert sharded.full_shape == tensor.shape and sharded.dtype is dtype
         assert sharded.local_nbytes == chunk_bytes[0]
-        views = sharded.shard_views()
-        assert len(views) == group.n_learners
-        for view, chunk, dev in zip(views, chunks, group.devices):
-            assert view.shape == chunk.shape and view.device == dev
-            assert view.data.tobytes() == chunk.tobytes()
+        assert len(sharded.counts) == group.n_learners
+        lo = 0
+        for count, chunk in zip(sharded.counts, chunks):
+            assert count == chunk.size
+            assert sharded.data[lo : lo + count].tobytes() == chunk.tobytes()
+            lo += count
         for tracker, before, nbytes in zip(trackers, baseline, chunk_bytes):
             after = tracker.snapshot()
             assert after.current_bytes - before.current_bytes == nbytes
@@ -210,16 +208,15 @@ class TestTransferPath:
             after = tracker.snapshot()
             assert after.current_bytes == before.current_bytes
             assert after.free_count - before.free_count == after.alloc_count - before.alloc_count
-        assert views[0].data.tobytes() == chunks[0].tobytes()
         ledger.clear()
 
     def test_gather_rejects_shards_that_do_not_fill_the_shape(self):
         group = LearnerGroup(2)
-        sharded = shard_rows(_tensor((4, 3), device=group.primary), group)
+        sharded = shard_rows(_tensor((4, 3), device=group.devices[0]), group)
         for wrong_shape in [(5, 3), (3, 3)]:
             sharded.full_shape = wrong_shape
             with pytest.raises(ValueError, match="full shape"):
-                all_gather(sharded, group.primary)
+                all_gather(sharded, group.devices[0])
 
     def test_one_buffer_per_collective(self, monkeypatch):
         """Call shape: sharding builds no ``Storage`` at all -- the learners'
@@ -240,15 +237,6 @@ class TestTransferPath:
         all_gather(sharded, GPU)
         assert built == ["gpu"]
 
-    def test_inspecting_a_shard_charges_nothing(self):
-        group = LearnerGroup(3)
-        sharded = shard_rows(_tensor((7, 2), device=GPU), group)
+    def test_repr_names_shape_shards_and_dtype(self):
+        sharded = shard_rows(_tensor((7, 2), device=GPU), LearnerGroup(3))
         assert repr(sharded) == "ShardedTensor(full_shape=(7, 2), n_shards=3, dtype=float32)"
-        before = global_registry().snapshot_all()
-        views = sharded.shard_views()
-        assert [view.device for view in views] == group.devices
-        assert sum(view.data.nbytes for view in views) == sharded.data.nbytes
-        assert sharded.local_nbytes == views[0].data.nbytes == 3 * 2 * 4
-        with pytest.raises(ValueError, match="read-only"):
-            views[1].data[0] = 1.0
-        assert global_registry().snapshot_all() == before

@@ -144,19 +144,8 @@ class TestModelCompressor:
         tokens = rt.Tensor.from_numpy(np.array([[1, 2]]), device="gpu")
         model(tokens)
         report = compressor.finalize(model)
-        fp16_bytes = 2 * model.num_parameters()
+        fp16_bytes = 2 * sum(p.numel for p in model.parameters())
         assert report.total_bytes < fp16_bytes / 3
-
-    def test_summary_renders(self):
-        model = self._model()
-        compressor = ModelCompressor(DKMConfig(bits=3))
-        compressor.compress(model)
-        tokens = rt.Tensor.from_numpy(np.array([[1, 2]]), device="gpu")
-        model(tokens)
-        report = compressor.finalize(model)
-        text = report.summary()
-        assert "TOTAL" in text
-        assert "lm_head" in text
 
     def test_keywords_apply(self):
         compressor = ModelCompressor(DKMConfig(bits=3), skip_names=("layer0",))
@@ -268,7 +257,6 @@ class TestFinalizeCountsSkippedLinears:
             "body.bias": 2 * 16,
         }
         assert report.total_bytes == 416
-        assert "head.weight" in report.summary()
 
     def test_wrapped_linears_are_not_double_counted(self):
         report = self._report(())

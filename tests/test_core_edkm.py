@@ -245,7 +245,7 @@ class TestFusedOpMechanics:
         c_d = rt.Tensor.from_numpy(c_np, device="gpu", requires_grad=True)
         flat = w_d.reshape(-1)
         diff = flat.unsqueeze(1) - c_d.unsqueeze(0)
-        attention = ((diff * diff) * (-1.0 / tau)).softmax(dim=1)
+        attention = rt.ops.softmax((diff * diff) * (-1.0 / tau), dim=1)
         out_dense = (attention @ c_d.unsqueeze(1)).reshape(w_d.shape)
         out_dense.sum().backward()
 

@@ -188,7 +188,7 @@ class TestLoader:
     def test_corpus_batch_shapes(self, world, tokenizer):
         corpus = generate_corpus(world, 40, seed=0)
         batches = list(corpus_batches(corpus, tokenizer, 8, rt.CPU, seed=1))
-        assert sum(b.batch_size for b in batches) == 40
+        assert sum(b.tokens.shape[0] for b in batches) == 40
         for batch in batches:
             assert batch.tokens.shape == batch.targets.shape
 

@@ -14,9 +14,15 @@ from repro.memory import profile_memory
 from repro.tensor import ops
 
 
+def _randn(*shape, seed=0, **kwargs):
+    """A float32 standard-normal tensor; ``kwargs`` go to ``rt.tensor``."""
+    values = np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+    return rt.tensor(values, **kwargs)
+
+
 class TestTensorEdgeCases:
     def test_empty_slice(self):
-        t = rt.randn(4)
+        t = _randn(4)
         s = t[2:2]
         assert s.shape == (0,)
         assert s.numel == 0
@@ -35,37 +41,26 @@ class TestTensorEdgeCases:
         out = ops.softmax(rt.tensor([[7.0]]), dim=1)
         assert out.numpy()[0, 0] == pytest.approx(1.0)
 
-    def test_expand_then_reduce_grad(self):
-        a = rt.tensor([[2.0]], requires_grad=True)
-        a.expand(5, 3).sum().backward()
-        assert a.grad.numpy()[0, 0] == pytest.approx(15.0)
-
     def test_chain_of_casts(self):
-        t = rt.randn(16)
-        roundtrip = t.bfloat16().float().bfloat16().float()
-        assert np.array_equal(roundtrip.numpy(), t.bfloat16().float().numpy())
+        t = _randn(16)
+        roundtrip = t.cast("bfloat16").cast("float32").cast("bfloat16").cast("float32")
+        assert np.array_equal(roundtrip.numpy(), t.cast("bfloat16").cast("float32").numpy())
 
     def test_deeply_nested_views_resolve(self):
-        t = rt.randn(2, 3, 4)
+        t = _randn(2, 3, 4)
         v = t.view(-1)
         for _ in range(20):
             v = v.view(24)
-        assert v.shares_storage_with(t)
+        assert v.storage is t.storage
 
     def test_slice_of_slice(self):
-        t = rt.randn(10)
+        t = _randn(10)
         s = t[2:9][1:4]
         assert np.array_equal(s.numpy(), t.numpy()[2:9][1:4])
-        assert s.shares_storage_with(t)
-
-    def test_transpose_of_expand(self):
-        t = rt.randn(1, 4)
-        e = t.expand(3, 4).transpose(0, 1)
-        assert e.shape == (4, 3)
-        assert np.array_equal(e.numpy(), np.broadcast_to(t.numpy(), (3, 4)).T)
+        assert s.storage is t.storage
 
     def test_view_after_gc_of_base(self):
-        t = rt.randn(4, 4)
+        t = _randn(4, 4)
         storage = t.storage
         v = t.view(-1)
         del t
@@ -154,11 +149,11 @@ class TestPipelineEdgeCases:
         pipeline = SavedTensorPipeline(
             EDKMConfig(marshal=True, uniquify=False, shard=False, group=None)
         )
-        x = rt.randn(8, 8, device="gpu", requires_grad=True)
+        x = _randn(8, 8, device="gpu", requires_grad=True)
         with pipeline.step():
             (x * x).sum().backward()
         first_avoided = pipeline.stats.copies_avoided
-        y = rt.randn(8, 8, device="gpu", requires_grad=True)
+        y = _randn(8, 8, device="gpu", requires_grad=True)
         with pipeline.step():
             (y * y).sum().backward()
         # Second step also gets exactly one dedup hit (same structure).
@@ -169,12 +164,12 @@ class TestPipelineEdgeCases:
         pipeline = SavedTensorPipeline(EDKMConfig.baseline_offload())
         cpu = rt.CPU
         with profile_memory([cpu.tracker]) as prof:
-            x = rt.randn(16, 16, device="gpu", requires_grad=True)
+            x = _randn(16, 16, device="gpu", requires_grad=True)
             with pipeline.step():
                 out = (x * x).sum()
             del out
             gc.collect()
-        assert prof.retained_delta("cpu") == 0
+        assert prof.devices["cpu"].end_bytes == prof.devices["cpu"].start_bytes
 
     def test_exception_inside_step_restores_hooks(self):
         pipeline = SavedTensorPipeline(EDKMConfig.baseline_offload())
@@ -182,7 +177,7 @@ class TestPipelineEdgeCases:
             with pipeline.step():
                 raise RuntimeError("boom")
         # Hooks must be uninstalled: saving tensors copies nothing now.
-        x = rt.randn(4, 4, device="gpu", requires_grad=True)
+        x = _randn(4, 4, device="gpu", requires_grad=True)
         before = pipeline.stats.copies_made
         (x * x).sum().backward()
         assert pipeline.stats.copies_made == before
@@ -193,7 +188,7 @@ class TestDistributedEdgeCases:
         group = LearnerGroup(8)
         t = rt.tensor(np.arange(3, dtype=np.float32), device="gpu")
         sharded = shard_rows(t, group)
-        sizes = [view.shape[0] for view in sharded.shard_views()]
+        sizes = sharded.counts
         assert sum(sizes) == 3
         assert max(sizes) == 1
         rebuilt = all_gather(sharded, rt.GPU)

@@ -84,13 +84,10 @@ class TestMemoryPipelineIntegration:
 
         alpaca = generate_alpaca(world, 16, seed=40)
 
-        def run_step(config, uniquify):
+        def run_step(config):
             model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=3)
             model.to(rt.GPU)
-            compressor = ModelCompressor(DKMConfig(bits=3, iters=2), config)
-            compressor.compress(model)
-            for wrapper in compressor.wrapped.values():
-                wrapper.uniquify_enabled = uniquify
+            ModelCompressor(DKMConfig(bits=3, iters=2), config).compress(model)
             pipeline = SavedTensorPipeline(config)
             batches = alpaca_batches(alpaca, tokenizer, 8, rt.GPU, seed=41)
             with profile_memory([rt.CPU.tracker], global_ledger()) as prof:
@@ -100,8 +97,8 @@ class TestMemoryPipelineIntegration:
                 )
             return prof.peak_delta("cpu")
 
-        baseline = run_step(EDKMConfig.baseline_offload(), uniquify=False)
-        full = run_step(EDKMConfig(group=LearnerGroup(8)), uniquify=True)
+        baseline = run_step(EDKMConfig.baseline_offload())
+        full = run_step(EDKMConfig(group=LearnerGroup(8)))
         assert full < baseline / 5
 
     def test_traffic_ledger_sees_both_directions(self, world, tokenizer):

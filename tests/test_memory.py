@@ -28,21 +28,21 @@ class TestMemoryTracker:
         t.release(100)
         assert t.current_bytes == 50
         assert t.alloc_count == 2
-        assert t.free_count == 1
+        assert t.snapshot().free_count == 1
 
     def test_peak_monotone(self):
         t = MemoryTracker("t")
         t.allocate(100)
         t.release(100)
         t.allocate(30)
-        assert t.peak_bytes == 100
+        assert t.snapshot().peak_bytes == 100
 
     def test_reset_peak(self):
         t = MemoryTracker("t")
         t.allocate(100)
         t.release(60)
         t.reset_peak()
-        assert t.peak_bytes == 40
+        assert t.snapshot().peak_bytes == 40
 
     def test_negative_amounts_rejected(self):
         t = MemoryTracker("t")
@@ -81,7 +81,7 @@ class TestMemoryTracker:
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive(), "release deadlocked on the tracker lock"
-        assert (t.current_bytes, t.free_count) == (0, 1)
+        assert (t.current_bytes, t.snapshot().free_count) == (0, 1)
 
 
 class TestTrafficLedger:
@@ -200,7 +200,7 @@ class TestProfileMemory:
             tracker.allocate(500)
             tracker.release(500)
         assert prof.peak_delta("scope") == 500
-        assert prof.retained_delta("scope") == 0
+        assert prof.devices["scope"].end_bytes == prof.devices["scope"].start_bytes
 
     def test_traffic_scoped_to_region(self):
         ledger = TrafficLedger()
@@ -233,8 +233,8 @@ class TestProfileMemory:
             x1 = x0.view(-1, 1)
             y0 = x0.to(cpu)
             y1 = x1.to(cpu)
-            assert x1.shares_storage_with(x0)
-            assert not y0.shares_storage_with(y1)
+            assert x1.storage is x0.storage
+            assert y0.storage is not y1.storage
             retained_gpu = 4 * 1024 * 1024
             retained_cpu = 8 * 1024 * 1024
             del x0, x1, y0, y1

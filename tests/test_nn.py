@@ -34,10 +34,6 @@ class TestModule:
         assert "mlp.down_proj.weight" in names
         assert "attn_norm.weight" in names
 
-    def test_num_parameters(self):
-        layer = nn.Linear(3, 4)
-        assert layer.num_parameters() == 3 * 4 + 4
-
     def test_state_dict_roundtrip(self):
         a = nn.Linear(3, 4, rng=np.random.default_rng(1))
         b = nn.Linear(3, 4, rng=np.random.default_rng(2))
@@ -70,14 +66,6 @@ class TestModule:
         layer.to("gpu")
         assert layer.weight is weight
         assert layer.weight.device.name == "gpu"
-
-    def test_zero_grad(self):
-        layer = nn.Linear(3, 4)
-        out = layer(rt.tensor(_arr((2, 3))))
-        out.sum().backward()
-        assert layer.weight.grad is not None
-        layer.zero_grad()
-        assert layer.weight.grad is None
 
     def test_module_list(self):
         modules = nn.ModuleList([nn.Linear(2, 2), nn.Linear(2, 2)])
@@ -453,10 +441,10 @@ class TestLoss:
         losses = []
         for _ in range(20):
             loss = nn.cross_entropy(layer(x), targets)
-            layer.zero_grad()
             loss.backward()
             for p in layer.parameters():
                 p.copy_(p._compute() - 0.5 * p.grad._compute())
+                p.grad = None
             losses.append(loss.item())
         assert losses[-1] < losses[0] * 0.5
 

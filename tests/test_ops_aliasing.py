@@ -54,26 +54,16 @@ CASES = {
     arithmetic.Sub: lambda a, rng: (a, 1.5),
     arithmetic.Mul: lambda a, rng: (a, _other(a, rng)),
     arithmetic.Div: lambda a, rng: (a, 2.0),
-    arithmetic.Neg: lambda a, rng: (a,),
     arithmetic.Pow: lambda a, rng: (a, float(rng.choice([1.0, 2.0, 0.5]))),
-    arithmetic.Exp: lambda a, rng: (a,),
-    arithmetic.Log: lambda a, rng: (a,),
     arithmetic.Sqrt: lambda a, rng: (a,),
-    arithmetic.Abs: lambda a, rng: (a,),
-    arithmetic.Clip: lambda a, rng: (a, None, 1.0),
     activation.Softmax: lambda a, rng: (a, -1),
     activation.LogSoftmax: lambda a, rng: (a, 0),
-    activation.Relu: lambda a, rng: (a,),
-    activation.Sigmoid: lambda a, rng: (a,),
-    activation.Tanh: lambda a, rng: (a,),
     activation.Silu: lambda a, rng: (a,),
-    activation.Gelu: lambda a, rng: (a,),
     indexing.IndexSelect: lambda a, rng: (
         a, _index(rng, a.shape[0], () if rng.random() < 0.5 else (3,))
     ),
     indexing.TakeAlongDim: lambda a, rng: (a, _index(rng, a.shape[-1], a.shape), a.ndim - 1),
     indexing.MaskedFill: lambda a, rng: (a, rng.random(a.shape) < 0.5, -1.0),
-    indexing.Where: lambda a, rng: (rng.random(a.shape) < 0.5, a, _other(a, rng)),
     MatMul: lambda a, rng: (
         a, Tensor.from_numpy(rng.uniform(size=(a.shape[-1], 3)), dtype=a.dtype)
     ),
@@ -84,22 +74,10 @@ CASES = {
     ),
     reduce.Sum: lambda a, rng: (a, None if rng.random() < 0.5 else 0, bool(rng.random() < 0.5)),
     reduce.Mean: lambda a, rng: (a, a.ndim - 1, False),
-    reduce.Max: lambda a, rng: (a, None if rng.random() < 0.5 else 0, True),
-    reduce.Min: lambda a, rng: (a, a.ndim - 1, False),
     rotary.Rope: lambda a, rng: (a, *rotary.rope_tables(a.shape[-1], a.shape[-2], 1e4)),
     shape.Cat: lambda a, rng: (a,) if rng.random() < 0.5 else (a, _other(a, rng)),
     shape.Contiguous: lambda a, rng: (a,),
 }
-
-# The result builders in `repro.tensor.ops` that are not Functions.
-HELPERS = {
-    "compare": lambda a, rng: ops.compare(a, 1.0, "gt"),
-    "argmax": lambda a, rng: ops.argmax(a, dim=0),
-    "argmin": lambda a, rng: ops.argmin(a),
-    "one_hot": lambda a, rng: ops.one_hot(_index(rng, 4, ()), 4),
-    "constant_like": lambda a, rng: ops.constant_like(a, 3.0),
-}
-
 
 def _op_classes() -> set[type]:
     """Every Function with its own ``forward`` defined under ``repro.tensor.ops``."""
@@ -137,7 +115,7 @@ def _assert_owns_its_buffer(result: Tensor, inputs: list[Tensor]) -> None:
     for t in inputs:
         assert not np.may_share_memory(result.storage.data, t.storage.data)
     assert np.shares_memory(result._np(), result.storage.data)
-    result._np()[...] = 1 if result.dtype is rt.bool_ else 7
+    result._np()[...] = 7
     for t, raw in zip(inputs, before):
         assert t.storage.data.tobytes() == raw
     assert (result.storage.data == result._np().reshape(-1)[0]).all()
@@ -146,7 +124,7 @@ def _assert_owns_its_buffer(result: Tensor, inputs: list[Tensor]) -> None:
 def test_cases_cover_every_non_view_op():
     ops_found = _op_classes()
     views = {cls for cls in ops_found if cls.storage_invariant}
-    assert views == {shape.View, shape.Transpose, shape.Permute, shape.Expand, shape.Slice}
+    assert views == {shape.View, shape.Transpose, shape.Permute, shape.Slice}
     assert set(CASES) == ops_found - views
 
 
@@ -155,15 +133,10 @@ def test_cases_cover_every_non_view_op():
 def test_op_result_shares_memory_with_no_input(data):
     a = _draw_tensor(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    op = data.draw(st.sampled_from([*CASES, *HELPERS]))
-    if op in HELPERS:
-        result = HELPERS[op](a, rng)
-        inputs = [a]
-    else:
-        args = CASES[op](a, rng)
-        result = op.apply(*args)
-        inputs = [x for x in args if isinstance(x, Tensor)]
-    _assert_owns_its_buffer(result, inputs)
+    op = data.draw(st.sampled_from(list(CASES)))
+    args = CASES[op](a, rng)
+    result = op.apply(*args)
+    _assert_owns_its_buffer(result, [x for x in args if isinstance(x, Tensor)])
 
 
 class TestExplicitCopies:
@@ -176,14 +149,14 @@ class TestExplicitCopies:
 
     def test_cast_between_dtypes_sharing_a_physical_buffer(self):
         a = rt.tensor(np.arange(6.0).reshape(2, 3), dtype="bfloat16")
-        out = a.float()
+        out = a.cast(rt.float32)
         assert out.dtype is rt.float32
         _assert_owns_its_buffer(out, [a])
 
     def test_contiguous_of_contiguous(self):
         a = rt.tensor(np.arange(6.0).reshape(2, 3))
         assert a.is_contiguous()
-        _assert_owns_its_buffer(ops.contiguous(a), [a])
+        _assert_owns_its_buffer(shape.Contiguous.apply(a), [a])
 
     def test_reshape_of_non_contiguous(self):
         a = rt.tensor(np.arange(6.0).reshape(2, 3)).T

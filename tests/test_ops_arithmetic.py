@@ -25,42 +25,23 @@ class TestForwardValues:
     def test_scalar_operands(self):
         a = rt.tensor([2.0, 4.0])
         assert np.allclose((a + 1).numpy(), [3, 5])
-        assert np.allclose((1 + a).numpy(), [3, 5])
         assert np.allclose((a - 1).numpy(), [1, 3])
-        assert np.allclose((10 - a).numpy(), [8, 6])
         assert np.allclose((a * 3).numpy(), [6, 12])
         assert np.allclose((a / 2).numpy(), [1, 2])
-        assert np.allclose((8 / a).numpy(), [4, 2])
 
-    def test_neg_pow_abs(self):
+    def test_pow(self):
         a = rt.tensor([-2.0, 3.0])
-        assert np.allclose((-a).numpy(), [2, -3])
         assert np.allclose((a**2).numpy(), [4, 9])
-        assert np.allclose(a.abs().numpy(), [2, 3])
 
-    def test_exp_log_sqrt(self):
+    def test_sqrt(self):
         a = rt.tensor([1.0, 4.0])
-        assert np.allclose(a.exp().numpy(), np.exp([1, 4]), rtol=1e-6)
-        assert np.allclose(a.log().numpy(), np.log([1, 4]), rtol=1e-6)
         assert np.allclose(a.sqrt().numpy(), [1, 2])
-
-    def test_clip(self):
-        a = rt.tensor([-2.0, 0.5, 3.0])
-        assert np.allclose(a.clip(-1, 1).numpy(), [-1, 0.5, 1])
-        assert np.allclose(a.clip(low=0).numpy(), [0, 0.5, 3])
 
     def test_broadcasting(self):
         a = rt.tensor(_arr((3, 1)))
         b = rt.tensor(_arr((1, 4), seed=1))
         assert (a + b).shape == (3, 4)
         assert np.allclose((a + b).numpy(), a.numpy() + b.numpy())
-
-    def test_comparisons_produce_bool(self):
-        a, b = rt.tensor([1.0, 2.0]), rt.tensor([2.0, 2.0])
-        assert (a < b).dtype is rt.bool_
-        assert np.array_equal((a < b).numpy(), [True, False])
-        assert np.array_equal((a == b).numpy(), [False, True])
-        assert np.array_equal((a >= 2).numpy(), [False, True])
 
     def test_mixed_device_raises(self):
         a = rt.zeros(2, device="gpu")
@@ -102,25 +83,8 @@ class TestGradients:
     def test_pow_grad(self):
         check_gradients(lambda ts: ts[0] ** 3, [_arr((4,), offset=2.0, scale=0.3)])
 
-    def test_exp_grad(self):
-        check_gradients(lambda ts: ts[0].exp(), [_arr((4,), scale=0.5)])
-
-    def test_log_grad(self):
-        check_gradients(lambda ts: ts[0].log(), [_arr((4,), scale=0.1, offset=2.0)])
-
     def test_sqrt_grad(self):
         check_gradients(lambda ts: ts[0].sqrt(), [_arr((4,), scale=0.2, offset=3.0)])
-
-    def test_abs_grad(self):
-        check_gradients(lambda ts: ts[0].abs(), [_arr((4,), offset=1.5, scale=0.3)])
-
-    def test_clip_grad_passes_inside_range_only(self):
-        a = rt.tensor([-2.0, 0.5, 3.0], requires_grad=True)
-        a.clip(-1, 1).sum().backward()
-        assert np.array_equal(a.grad.numpy(), [0.0, 1.0, 0.0])
-
-    def test_neg_grad(self):
-        check_gradients(lambda ts: -ts[0], [_arr((3,))])
 
     @pytest.mark.parametrize("frozen", [0, 1])
     @pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul, ops.div])
@@ -244,7 +208,8 @@ class TestMatmul:
         np.testing.assert_allclose(
             b.grad.numpy(), x.sum(axis=(0, 1))[None, :].repeat(2, 0), rtol=1e-2
         )
-        check_gradients(lambda ts: ts[0] @ b.detach().T, [x], atol=5e-3)
+        frozen = rt.tensor(w16, dtype="bfloat16")
+        check_gradients(lambda ts: ts[0] @ frozen.T, [x], atol=5e-3)
 
     def test_linear_shape_is_one_gemm_forward_two_backward(self, gemm_shapes):
         x = rt.tensor(_arr((4, 3, 8)), requires_grad=True)

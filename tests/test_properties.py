@@ -74,7 +74,8 @@ class TestUniquifyProperties:
     def test_reconstruct_values_identity(self, values):
         weights = bfloat16.project(values)
         unique = uniquify(weights, bfloat16)
-        assert np.array_equal(unique.reconstruct_values(), weights)
+        rebuilt = unique.values[unique.index_list].reshape(unique.source_shape)
+        assert np.array_equal(rebuilt, weights)
         assert unique.counts.sum() == weights.size
 
     @given(
@@ -145,7 +146,7 @@ class TestEngineVsNumpy:
                       elements=st.floats(-5, 5, width=32)))
     @settings(max_examples=40, deadline=None)
     def test_softmax_rows_normalized(self, a):
-        out = rt.tensor(a).softmax(dim=-1).numpy()
+        out = rt.ops.softmax(rt.tensor(a), dim=-1).numpy()
         assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-4)
 
 
@@ -174,7 +175,7 @@ class TestPipelineInvariance:
             x = rt.Tensor.from_numpy(values, device="gpu", requires_grad=True)
             scope = pipeline.step() if pipeline else _null()
             with scope:
-                ((x @ x).softmax(dim=1) ** 2).sum().backward()
+                (rt.ops.softmax(x @ x, dim=1) ** 2).sum().backward()
             return x.grad.numpy()
 
         plain = grads(None)

@@ -667,7 +667,7 @@ class TestTriageRegressions:
             for thread in threads:
                 thread.join()
         assert tracker.current_bytes == 0
-        assert tracker.alloc_count == tracker.free_count == 2000
+        assert tracker.alloc_count == tracker.snapshot().free_count == 2000
 
     def test_marshal_registry_concurrent_register_and_find(self):
         from repro.core.marshal import MarshalRegistry, OffloadEntry

@@ -101,13 +101,7 @@ class TestRequestQueue:
         request.complete("out", now=3.0)
         assert request.ok and request.done
         assert request.result(timeout=0) == "out"
-        assert request.latency_s == 3.0
-
-    def test_queue_wait_requires_scheduling(self):
-        request = _request(now=1.0)
-        assert request.queue_wait_s is None
-        request.scheduled_at = 1.5
-        assert request.queue_wait_s == 0.5
+        assert request.finished_at == 3.0
 
     def test_percentile_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]

@@ -116,13 +116,6 @@ class TestFaultPlanSpec:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec(kind="disk_full", sweep=1)
 
-    def test_single_builds_serving_spec(self):
-        plan = FaultPlan.single("hang_step", sweep=3, seconds=1.5)
-        (spec,) = plan.specs
-        assert spec.kind == "hang_step"
-        assert spec.sweep == 3
-        assert spec.seconds == 1.5
-
     def test_injector_from_plan_none(self):
         assert FaultInjector.from_plan(None) is None
 
@@ -140,7 +133,7 @@ class TestFaultPlanSpec:
         assert fired in names
 
     def test_fires_at_first_opportunity_at_or_after_step(self):
-        plan = FaultPlan.single("transient_step", sweep=3)
+        plan = FaultPlan([FaultSpec("transient_step", sweep=3)])
         injector = FaultInjector(plan)
         injector.begin(1, [])
         assert injector.fire("transient_step", STEP_TARGET) is None  # armed >= 3
@@ -460,7 +453,7 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=FaultPlan.single("transient_step", sweep=1),
+            fault_plan=FaultPlan([FaultSpec("transient_step", sweep=1)]),
             retry=RetryPolicy(backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
@@ -477,9 +470,9 @@ class TestInjectedFaults:
     ):
         monkeypatch.setattr(server_mod, "STEP_RETRIES", 1)
         config = _config(
-            fault_plan=FaultPlan.single(
+            fault_plan=FaultPlan([FaultSpec(
                 "transient_step", sweep=1, times=2
-            ),
+            )]),
             retry=RetryPolicy(backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
@@ -495,9 +488,9 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=FaultPlan.single(
+            fault_plan=FaultPlan([FaultSpec(
                 "delay_step", sweep=2, seconds=0.05
-            ),
+            )]),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             texts = _serve_all(server)
@@ -509,7 +502,7 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=FaultPlan.single("kernel_error", sweep=1, times=2),
+            fault_plan=FaultPlan([FaultSpec("kernel_error", sweep=1, times=2)]),
             retry=RetryPolicy(backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
@@ -532,7 +525,7 @@ class TestInjectedFaults:
     ):
         monkeypatch.setattr(server_mod, "STEP_RETRIES", 1)
         config = _config(
-            fault_plan=FaultPlan.single("kernel_error", sweep=1, times=2),
+            fault_plan=FaultPlan([FaultSpec("kernel_error", sweep=1, times=2)]),
             retry=RetryPolicy(backoff_s=0.001),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
@@ -552,7 +545,7 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=FaultPlan.single("corrupt_tile", sweep=2),
+            fault_plan=FaultPlan([FaultSpec("corrupt_tile", sweep=2)]),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             texts = _serve_all(server)
@@ -567,9 +560,9 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=FaultPlan.single(
+            fault_plan=FaultPlan([FaultSpec(
                 "hang_step", sweep=1, seconds=30.0
-            ),
+            )]),
             retry=RetryPolicy(timeout_s=0.15),
         )
         with warnings.catch_warnings():
@@ -595,9 +588,9 @@ class TestInjectedFaults:
     ):
         monkeypatch.setattr(server_mod, "LOOP_RESPAWNS", 0)
         config = _config(
-            fault_plan=FaultPlan.single(
+            fault_plan=FaultPlan([FaultSpec(
                 "hang_step", sweep=1, times=3, seconds=30.0
-            ),
+            )]),
             retry=RetryPolicy(timeout_s=0.1),
         )
         with warnings.catch_warnings():

@@ -20,7 +20,7 @@ from repro.tensor.storage import Storage
 
 def _counters(dev):
     tracker = dev.tracker
-    return tracker.current_bytes, tracker.alloc_count, tracker.free_count
+    return tracker.current_bytes, tracker.alloc_count, tracker.snapshot().free_count
 
 
 class TestDeviceInterning:
@@ -171,7 +171,7 @@ class TestStorageAccounting:
             del b, c
             gc.collect()
         assert prof.peak_delta(dev.name) == 8000
-        assert prof.retained_delta(dev.name) == 0
+        assert prof.devices[dev.name].end_bytes == prof.devices[dev.name].start_bytes
 
 
 class TestCachedViewFollowsStorageSwaps:
@@ -195,7 +195,7 @@ class TestCachedViewFollowsStorageSwaps:
         assert view is not old_view
         assert np.shares_memory(view, param.storage.data)
         assert np.array_equal(view, np.arange(12.0).reshape(3, 4))
-        param.fill_(5.0)
+        param.copy_(np.full((3, 4), 5.0, dtype=np.float32))
         assert (param.storage.data == 5.0).all()
 
     def test_bf16_reprojection_reads_new_buffer_and_releases_old(self):

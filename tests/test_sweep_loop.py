@@ -311,20 +311,22 @@ class TestStepCacheCounters:
             results.append(compressor.precluster(compute_error=True))
         _assert_results_equal(*results)
 
-    def test_release_step_caches_forces_one_miss_per_layer(self):
+    def test_invalidated_step_caches_force_one_miss_per_layer(self):
         compressor, _ = _compressor(n_layers=3)
         compressor.precluster()
-        compressor.release_step_caches()
+        for wrapper in compressor.wrapped.values():
+            wrapper.step_cache.invalidate()
         compressor.precluster()
         for stats in _stats(compressor).values():
             assert stats["uniquify_misses"] == 2
 
-    def test_release_step_caches_keeps_results(self):
+    def test_invalidated_step_caches_keep_results(self):
         released, _ = _compressor(seed=9)
         kept, _ = _compressor(seed=9)
         for compressor in (released, kept):
             compressor.precluster()
-        released.release_step_caches()
+        for wrapper in released.wrapped.values():
+            wrapper.step_cache.invalidate()
         _assert_results_equal(
             kept.precluster(compute_error=True),
             released.precluster(compute_error=True),

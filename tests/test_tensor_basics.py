@@ -8,6 +8,12 @@ from repro.tensor.storage import Storage
 from repro.tensor.tensor import Tensor, contiguous_strides
 
 
+def _randn(*shape, seed=0, **kwargs):
+    """A float32 standard-normal tensor; ``kwargs`` go to ``rt.tensor``."""
+    values = np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+    return rt.tensor(values, **kwargs)
+
+
 class TestConstruction:
     def test_tensor_from_list(self):
         t = rt.tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -23,27 +29,8 @@ class TestConstruction:
         t = rt.tensor(np.arange(3))
         assert t.dtype is rt.int64
 
-    def test_zeros_ones_full(self):
+    def test_zeros(self):
         assert np.array_equal(rt.zeros(2, 3).numpy(), np.zeros((2, 3)))
-        assert np.array_equal(rt.ones(4).numpy(), np.ones(4))
-        assert np.array_equal(rt.full((2,), 7.0).numpy(), [7.0, 7.0])
-
-    def test_arange(self):
-        assert np.array_equal(rt.arange(5).numpy(), np.arange(5))
-        assert np.array_equal(rt.arange(2, 8, 2).numpy(), [2, 4, 6])
-
-    def test_rand_randn_shapes_and_determinism(self):
-        rt.manual_seed(42)
-        a = rt.randn(3, 4)
-        rt.manual_seed(42)
-        b = rt.randn(3, 4)
-        assert a.shape == (3, 4)
-        assert np.array_equal(a.numpy(), b.numpy())
-
-    def test_randint_bounds(self):
-        t = rt.randint(3, 9, (100,))
-        values = t.numpy()
-        assert values.min() >= 3 and values.max() < 9
 
     def test_device_placement(self):
         t = rt.zeros(2, device="gpu")
@@ -116,19 +103,18 @@ class TestNumpyView:
             lambda t: t,
             lambda t: t[2:5, 1::2],
             lambda t: t[3],
-            lambda t: t[1:2].expand(5, 8),
             lambda t: t.transpose(0, 1),
             lambda t: t.view(2, 3, 8).permute(2, 0, 1)[1:],
             lambda t: t[6:6],
             lambda t: t[:, 8:],
         ],
         ids=[
-            "whole", "offset-slice", "row", "expand-stride0",
+            "whole", "offset-slice", "row",
             "transpose", "permute-offset", "zero-rows", "zero-cols-at-end",
         ],
     )
     def test_matches_as_strided(self, make):
-        view = make(rt.randn(6, 8))
+        view = make(_randn(6, 8))
         got = view._np()
         want = _as_strided_view(view)
         assert got.shape == want.shape and got.strides == want.strides
@@ -147,89 +133,67 @@ class TestNumpyView:
 
 class TestViewSemantics:
     def test_view_shares_storage(self):
-        t = rt.randn(4, 6)
+        t = _randn(4, 6)
         v = t.view(-1, 2)
-        assert v.shares_storage_with(t)
+        assert v.storage is t.storage
         assert v.shape == (12, 2)
 
     def test_view_requires_contiguous(self):
-        t = rt.randn(4, 6).transpose(0, 1)
+        t = _randn(4, 6).transpose(0, 1)
         with pytest.raises(RuntimeError, match="contiguous"):
             t.view(24)
 
     def test_reshape_of_noncontiguous_copies(self):
-        t = rt.randn(4, 6)
+        t = _randn(4, 6)
         r = t.transpose(0, 1).reshape(24)
-        assert not r.shares_storage_with(t)
+        assert r.storage is not t.storage
         assert np.array_equal(r.numpy(), t.numpy().T.reshape(24))
 
     def test_transpose_is_view(self):
-        t = rt.randn(3, 5)
+        t = _randn(3, 5)
         tt = t.transpose(0, 1)
-        assert tt.shares_storage_with(t)
+        assert tt.storage is t.storage
         assert tt.shape == (5, 3)
         assert np.array_equal(tt.numpy(), t.numpy().T)
         assert not tt.is_contiguous()
 
     def test_permute(self):
-        t = rt.randn(2, 3, 4)
+        t = _randn(2, 3, 4)
         p = t.permute(2, 0, 1)
         assert p.shape == (4, 2, 3)
         assert np.array_equal(p.numpy(), np.transpose(t.numpy(), (2, 0, 1)))
 
-    def test_expand_stride_zero(self):
-        t = rt.randn(1, 4)
-        e = t.expand(3, 4)
-        assert e.shares_storage_with(t)
-        assert np.array_equal(e.numpy(), np.broadcast_to(t.numpy(), (3, 4)))
-
-    def test_squeeze_unsqueeze(self):
-        t = rt.randn(2, 1, 3)
-        assert t.squeeze(1).shape == (2, 3)
-        assert t.squeeze().shape == (2, 3)
+    def test_unsqueeze(self):
+        t = _randn(2, 1, 3)
         assert t.unsqueeze(0).shape == (1, 2, 1, 3)
         assert t.unsqueeze(-1).shape == (2, 1, 3, 1)
 
-    def test_flatten(self):
-        assert rt.randn(2, 3).flatten().shape == (6,)
-
     def test_slicing_is_view(self):
-        t = rt.randn(6, 8)
+        t = _randn(6, 8)
         s = t[2:5, ::2]
-        assert s.shares_storage_with(t)
+        assert s.storage is t.storage
         assert np.array_equal(s.numpy(), t.numpy()[2:5, ::2])
 
     def test_integer_indexing(self):
-        t = rt.randn(4, 5)
+        t = _randn(4, 5)
         row = t[1]
         assert row.shape == (5,)
         assert np.array_equal(row.numpy(), t.numpy()[1])
 
     def test_ellipsis_and_newaxis(self):
-        t = rt.randn(2, 3, 4)
+        t = _randn(2, 3, 4)
         assert t[..., 0].shape == (2, 3)
         assert t[None].shape == (1, 2, 3, 4)
 
     def test_negative_index(self):
-        t = rt.randn(4)
+        t = _randn(4)
         assert t[-1].item() == pytest.approx(t.numpy()[-1])
 
-    def test_contiguous_materializes(self):
-        t = rt.randn(3, 4).transpose(0, 1)
-        c = t.contiguous()
-        assert c.is_contiguous()
-        assert not c.shares_storage_with(t)
-        assert np.array_equal(c.numpy(), t.numpy())
-
-    def test_contiguous_noop_when_contiguous(self):
-        t = rt.randn(3, 4)
-        assert t.contiguous() is t
-
     def test_T_property(self):
-        t = rt.randn(2, 3)
+        t = _randn(2, 3)
         assert t.T.shape == (3, 2)
         with pytest.raises(ValueError):
-            rt.randn(2, 3, 4).T
+            _randn(2, 3, 4).T
 
 
 class TestMutation:
@@ -242,7 +206,7 @@ class TestMutation:
 
     def test_copy_from_tensor(self):
         t = rt.zeros(4)
-        t.copy_(rt.ones(4))
+        t.copy_(rt.tensor(np.ones(4, dtype=np.float32)))
         assert np.array_equal(t.numpy(), np.ones(4))
 
     def test_copy_projects_dtype(self):
@@ -251,15 +215,10 @@ class TestMutation:
         bits = t.numpy().view(np.uint32)
         assert (bits & 0xFFFF).item() == 0
 
-    def test_fill_zero(self):
-        t = rt.ones(4)
-        t.zero_()
-        assert np.array_equal(t.numpy(), np.zeros(4))
-
     def test_mutation_through_view_is_visible(self):
         t = rt.zeros(2, 2)
         v = t.view(4)
-        v.fill_(5.0)
+        v.copy_(np.full(4, 5.0, dtype=np.float32))
         assert np.array_equal(t.numpy(), np.full((2, 2), 5.0))
 
 
@@ -272,26 +231,20 @@ class TestMovement:
         t = rt.zeros(4, device="gpu")
         moved = t.to("cpu")
         assert moved.device.name == "cpu"
-        assert not moved.shares_storage_with(t)
+        assert moved.storage is not t.storage
         assert np.array_equal(moved.numpy(), t.numpy())
 
     def test_noncontiguous_to_device_materializes_logical_data(self):
-        t = rt.randn(4, 6, device="gpu")
+        t = _randn(4, 6, device="gpu")
         moved = t.transpose(0, 1).to("cpu")
         assert np.array_equal(moved.numpy(), t.numpy().T)
 
     def test_cast_roundtrip(self):
-        t = rt.randn(8)
+        t = _randn(8)
         half = t.cast("float16")
         assert half.dtype is rt.float16
-        assert np.allclose(half.float().numpy(), t.numpy(), atol=1e-2)
+        assert np.allclose(half.cast("float32").numpy(), t.numpy(), atol=1e-2)
 
     def test_cast_same_dtype_returns_self(self):
-        t = rt.randn(4)
+        t = _randn(4)
         assert t.cast("float32") is t
-
-    def test_dtype_helpers(self):
-        t = rt.randn(4)
-        assert t.half().dtype is rt.float16
-        assert t.bfloat16().dtype is rt.bfloat16
-        assert t.bfloat16().float().dtype is rt.float32
