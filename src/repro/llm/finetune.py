@@ -60,6 +60,8 @@ def train_causal_lm(
     ``pipeline`` scopes each step in the eDKM saved-tensor hooks; without it
     training runs with default (on-device) saved tensors.  With
     ``max_steps=n`` no more than ``n`` batches are pulled from ``batches``.
+    Gradients are cleared at the top of each step, so after return every
+    trainable parameter still holds the last step's gradient.
 
     ``checkpoint`` is a file path.  If the file exists it is verified and
     restored, and the batches its steps consumed are skipped, so a run
@@ -80,15 +82,18 @@ def train_causal_lm(
         result.steps = len(result.losses)
     model.train()
     for batch in itertools.islice(batches, result.steps, max_steps):
+        # The forward starts from the parameters and its batch alone: the
+        # previous step's gradients are cleared here, its loss is dropped
+        # below, and the logits are never bound to a name.
+        optimizer.zero_grad()
         scope = pipeline.step() if pipeline is not None else contextlib.nullcontext()
         with scope:
-            logits = model(batch.tokens)
-            loss = cross_entropy(logits, batch.targets)
-            optimizer.zero_grad()
+            loss = cross_entropy(model(batch.tokens), batch.targets)
             loss.backward()
         clip_grad_norm_(model.parameters(), config.grad_clip)
         optimizer.step()
         result.losses.append(loss.item())
+        del loss
         result.steps += 1
         if checkpoint is not None:
             write_checkpoint(checkpoint, model, optimizer, config, result.losses)

@@ -140,17 +140,25 @@ class MultiHeadAttention(Module):
         return x.permute(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Causal self-attention over ``x`` of shape (batch, seq, dim)."""
+        """Causal self-attention over ``x`` of shape (batch, seq, dim).
+
+        Each buffer is dropped at its last read: whatever backward needs
+        autograd has saved (on the host, under the eDKM pipeline), so a
+        name kept past that point only holds device bytes.
+        """
         seq_len = x.shape[1]
         q = self.rope.apply(self._split_heads(self.q_proj(x)))
         k = self.rope.apply(self._split_heads(self.k_proj(x)))
         v = self._split_heads(self.v_proj(x))
 
-        scores = (q @ k.transpose(2, 3)) * (1.0 / math.sqrt(self.head_dim))
-        mask = ops.causal_mask(seq_len)
-        scores = ops.masked_fill(scores, mask, -1e9)
+        scores = q @ k.transpose(2, 3)
+        del q, k
+        scores = scores * (1.0 / math.sqrt(self.head_dim))
+        scores = ops.masked_fill(scores, ops.causal_mask(seq_len), -1e9)
         weights = ops.softmax(scores, dim=-1)
+        del scores
         context = self._merge_heads(weights @ v)
+        del weights, v
         return self.o_proj(context)
 
     def step(

@@ -54,18 +54,8 @@ def sqrt(a: Tensor) -> Tensor:
 # -- matmul -----------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    squeeze_front = a.ndim == 1
-    squeeze_back = b.ndim == 1
-    if squeeze_front:
-        a = a.unsqueeze(0)
-    if squeeze_back:
-        b = b.unsqueeze(1)
-    out = MatMul.apply(a, b)
-    if squeeze_back:
-        out = out.reshape(out.shape[:-1])
-    if squeeze_front:
-        out = out.reshape(out.shape[1:])
-    return out
+    """``a @ b``; both operands need ``ndim >= 2`` (``MatMul`` raises otherwise)."""
+    return MatMul.apply(a, b)
 
 
 # -- reductions ---------------------------------------------------------------

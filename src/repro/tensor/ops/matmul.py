@@ -63,7 +63,7 @@ def _is_one_gemm(a: Tensor, b: Tensor) -> bool:
 
 
 class MatMul(Function):
-    """``a @ b`` for operands with ``ndim >= 2`` (wrappers handle vectors)."""
+    """``a @ b`` for operands with ``ndim >= 2``."""
 
     @staticmethod
     def forward(ctx: Context, a: Tensor, b: Tensor) -> Tensor:

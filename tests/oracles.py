@@ -28,7 +28,11 @@ what replaced it is equality, not a tolerance:
   by ``-temperature``, the same bytes;
 - ``EDKMClusterAssign.backward`` over a ``(u, k)`` Jacobian summed row by
   row -- ``src/`` lays it out ``(k, u)`` and sums down its ``k`` rows in
-  the same order: both gradients are byte-equal.
+  the same order: both gradients are byte-equal;
+- ``MultiHeadAttention.forward`` with every buffer bound to the end --
+  ``src/`` drops q and k after the score matmul, the scores after softmax
+  and the weights and v after the context matmul: the same ops in the same
+  order, so the output and every gradient are byte-equal.
 
 ``pattern16_inputs`` draws the arrays on which uniquify's on-grid bf16 read
 must agree with ``bit_pattern16``, which rounds every element to nearest even.
@@ -268,6 +272,21 @@ def rope_composite(rope, x):
     rotated_first = x1 * cos_b - x2 * sin_b
     rotated_second = x1 * sin_b + x2 * cos_b
     return ops.cat([rotated_first, rotated_second], dim=3)
+
+
+def attention_forward_unfreed(layer, x):
+    """``MultiHeadAttention.forward`` holding q, k, v, scores and weights to the end."""
+    seq_len = x.shape[1]
+    q = layer.rope.apply(layer._split_heads(layer.q_proj(x)))
+    k = layer.rope.apply(layer._split_heads(layer.k_proj(x)))
+    v = layer._split_heads(layer.v_proj(x))
+
+    scores = (q @ k.transpose(2, 3)) * (1.0 / math.sqrt(layer.head_dim))
+    mask = ops.causal_mask(seq_len)
+    scores = ops.masked_fill(scores, mask, -1e9)
+    weights = ops.softmax(scores, dim=-1)
+    context = layer._merge_heads(weights @ v)
+    return layer.o_proj(context)
 
 
 def rms_norm_composite(x, weight, eps):

@@ -1,11 +1,17 @@
 """Tests for the LLM substrate: tokenizer, presets, generation, fine-tuning."""
 
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
+import repro.llm.finetune as finetune_mod
 import repro.tensor as rt
-from repro.core import EDKMConfig, SavedTensorPipeline
-from repro.data import corpus_batches
+from repro.core import DKMConfig, EDKMConfig, ModelCompressor, SavedTensorPipeline
+from repro.data import FactWorld, alpaca_batches, corpus_batches, corpus_vocabulary, generate_alpaca
+from repro.distributed import LearnerGroup
 from repro.llm import (
     LLAMA_7B,
     MICRO,
@@ -19,6 +25,9 @@ from repro.llm import (
     generate,
     train_causal_lm,
 )
+from repro.memory import global_registry
+
+from tests import test_integration
 
 
 class TestTokenizer:
@@ -296,3 +305,71 @@ class TestFinetune:
         assert cfg.betas == (0.9, 0.95)
         assert cfg.weight_decay == 0.0
         assert cfg.grad_clip == 1.0
+
+
+class TestStepResidency:
+    """Every step's forward starts from the same device bytes: the previous
+    step's gradients, logits and loss are gone before it allocates.
+
+    The run is ``TestPinnedFinetuneBytes``' seed-0 M+U+S fine-tune (a 3-bit
+    MICRO model, eight steps, so its loss pin applies) over a batch list
+    made up front: the batches are the same device bytes at every step.
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        config = EDKMConfig(group=LearnerGroup(8))
+        world = FactWorld(seed=0)
+        tokenizer = WordTokenizer(corpus_vocabulary(world))
+        examples = generate_alpaca(world, 64, seed=1)
+        model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=0)
+        model.to(rt.GPU)
+        ModelCompressor(DKMConfig(bits=3, iters=2), config).compress(model)
+        batches = list(alpaca_batches(examples, tokenizer, 8, rt.GPU, seed=2))
+        gpu = global_registry().get("gpu")
+        entry_bytes, clipped = [], []
+        forward, clip = model.forward, finetune_mod.clip_grad_norm_
+
+        def recording_forward(*args, **kwargs):
+            entry_bytes.append(gpu.current_bytes)
+            return forward(*args, **kwargs)
+
+        def recording_clip(params, max_norm):
+            params = list(params)
+            clipped.append({id(p): weakref.ref(p.grad) for p in params})
+            return clip(params, max_norm)
+
+        model.forward = recording_forward
+        # Other tests' garbage must not be collected mid-run: it would move
+        # the device counter between two step entries.
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(finetune_mod, "clip_grad_norm_", recording_clip)
+                result = train_causal_lm(
+                    model, batches, FinetuneConfig(lr=1e-3), pipeline=SavedTensorPipeline(config)
+                )
+        finally:
+            gc.enable()
+        return model, result.losses, entry_bytes, clipped
+
+    def test_every_forward_enters_at_step_one_bytes(self, run):
+        _, losses, entry_bytes, _ = run
+        assert len(entry_bytes) == len(losses) == 8
+        assert entry_bytes == [entry_bytes[0]] * 8
+
+    def test_last_gradients_survive_return(self, run):
+        model, _, _, clipped = run
+        trainable = [p for p in model.parameters() if p.requires_grad]
+        assert trainable
+        for p in trainable:
+            assert p.grad is not None
+            assert p.grad is clipped[-1][id(p)]()
+            assert clipped[-2][id(p)]() is None  # the step before freed its own
+
+    def test_losses_equal_the_pins(self, run):
+        _, losses, _, _ = run
+        digest = hashlib.blake2b(np.asarray(losses, np.float64).tobytes(), digest_size=8)
+        pinned = test_integration.TestPinnedFinetuneBytes.PINNED[0, "mus"][0]
+        assert digest.hexdigest() == pinned

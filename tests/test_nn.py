@@ -1,5 +1,7 @@
 """Tests for the nn layer library."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,11 @@ from hypothesis import strategies as st
 import repro.tensor as rt
 import repro.nn as nn
 import repro.nn.attention as attention_mod
+from repro.core import EDKMConfig, SavedTensorPipeline
+from repro.distributed import LearnerGroup
 from repro.nn.module import Parameter
 
+from tests import oracles
 from tests.gradcheck import check_gradients
 from tests.opcount import training_step_counts
 
@@ -293,6 +298,61 @@ class TestAttention:
         for proj in (attn.q_proj, attn.k_proj, attn.v_proj, attn.o_proj):
             assert proj.weight.grad is not None
             assert float(np.abs(proj.weight.grad.numpy()).max()) > 0
+
+
+class TestAttentionLifetimes:
+    """``MultiHeadAttention.forward`` drops each buffer at its last read
+    and still computes, byte for byte, what the body that kept them did."""
+
+    DTYPES = [rt.float32, rt.bfloat16]
+
+    @staticmethod
+    def _layer(dtype):
+        attn = nn.MultiHeadAttention(
+            dim=16, n_heads=4, max_seq_len=8, dtype=dtype, rng=np.random.default_rng(3)
+        )
+        return attn.to(rt.GPU)
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
+    def test_roped_q_and_k_are_freed_before_softmax(self, monkeypatch, dtype):
+        """Under the pipeline autograd keeps host copies, so once q·kᵀ has
+        read them nothing holds the device storages of roped q and k."""
+        attn = self._layer(dtype)
+        roped, seen_alive = [], []
+        apply, softmax = attn.rope.apply, attention_mod.ops.softmax
+
+        def recording_apply(x):
+            out = apply(x)
+            roped.append(weakref.ref(out.storage))
+            return out
+
+        def checking_softmax(*args, **kwargs):
+            seen_alive.append([ref() is not None for ref in roped])
+            return softmax(*args, **kwargs)
+
+        monkeypatch.setattr(attn.rope, "apply", recording_apply)
+        monkeypatch.setattr(attention_mod.ops, "softmax", checking_softmax)
+        x = rt.tensor(_arr((2, 6, 16)), dtype=dtype, device=rt.GPU)
+        pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
+        with pipeline.step():
+            attn(x).sum().backward()
+        assert seen_alive == [[False, False]]
+        assert all(p.grad is not None for p in attn.parameters())
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
+    def test_equals_the_body_that_kept_every_buffer(self, dtype):
+        def run(forward):
+            attn = self._layer(dtype)
+            x = rt.tensor(_arr((2, 6, 16)), dtype=dtype, device=rt.GPU, requires_grad=True)
+            out = forward(attn, x)
+            upstream = rt.tensor(_arr(out.shape, 5), dtype=dtype, device=rt.GPU)
+            (out * upstream).sum().backward()
+            grads = [x.grad] + [p.grad for p in attn.parameters()]
+            return [t.numpy().tobytes() for t in [out] + grads]
+
+        freed = run(lambda attn, x: attn(x))
+        assert freed == run(oracles.attention_forward_unfreed)
+        assert len(freed) == 6  # the output, x and the four projection weights
 
 
 STEP_LEN = 16  # max_seq_len of the step property's attention layer

@@ -148,14 +148,13 @@ class TestMatmul:
         assert out.shape == (2, 3, 5)
         assert np.allclose(out.numpy(), a @ b, rtol=1e-5)
 
-    def test_vector_operands(self):
-        a, b = _arr((4,)), _arr((4,), 1)
-        assert np.allclose(
-            ops.matmul(rt.tensor(a), rt.tensor(b)).numpy(), a @ b, rtol=1e-5
-        )
-        m = _arr((3, 4), 2)
-        assert ops.matmul(rt.tensor(m), rt.tensor(b)).shape == (3,)
-        assert ops.matmul(rt.tensor(a), rt.tensor(m.T)).shape == (3,)
+    @pytest.mark.parametrize("shapes", [((4,), (4,)), ((3, 4), (4,)), ((4,), (4, 3))])
+    def test_vector_operands_are_refused(self, shapes):
+        a, b = (rt.tensor(_arr(shape, seed)) for seed, shape in enumerate(shapes))
+        with pytest.raises(ValueError, match="ndim >= 2"):
+            ops.matmul(a, b)
+        with pytest.raises(ValueError, match="ndim >= 2"):
+            _ = a @ b
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
