@@ -1,15 +1,11 @@
 """Repo-level pytest config: make src-layout imports work uninstalled.
 
-Also the install point for two opt-in runtime modes that must activate
-*before* any test module imports construct instances, so both happen
-here at collection start rather than in a fixture:
-
-- ThreadSanitizer-lite (``REPRO_TSAN=1``): patches the lock-owning
-  classes with lockset instrumentation.
-- Line coverage (``REPRO_COV=1``): installs the zero-dependency
-  ``tools.covlite`` tracer over ``src/`` and writes a
-  ``coverage.py``-compatible ``coverage.json`` at session end, feeding
-  the ``tools.check_coverage`` ratchet on hosts without ``pytest-cov``.
+Also the install point for opt-in line coverage (``REPRO_COV=1``), which
+must activate *before* any test module is imported, so it happens here at
+collection start rather than in a fixture: it installs the zero-dependency
+``tools.covlite`` tracer over ``src/`` and writes a
+``coverage.py``-compatible ``coverage.json`` at session end, feeding the
+``tools.check_coverage`` ratchet on hosts without ``pytest-cov``.
 """
 
 import os
@@ -17,12 +13,7 @@ import sys
 
 _REPO_ROOT = os.path.dirname(__file__)
 sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
-sys.path.insert(0, _REPO_ROOT)  # for `import tools.repolint`
-
-from tools.repolint import tsan  # noqa: E402
-
-if tsan.enabled():
-    _TSAN_CLASSES = tsan.install()
+sys.path.insert(0, _REPO_ROOT)  # for `import tools`
 
 _COV_ENABLED = os.environ.get("REPRO_COV") == "1"
 if _COV_ENABLED:
@@ -32,16 +23,10 @@ if _COV_ENABLED:
 
 
 def pytest_report_header(config):
-    """Surface the active runtime modes in the pytest header."""
-    headers = []
-    if tsan.enabled():
-        headers.append(
-            f"repro tsan-lite: instrumenting {len(_TSAN_CLASSES)} "
-            f"lock-owning classes ({', '.join(_TSAN_CLASSES)})"
-        )
+    """Say in the pytest header when covlite traces the run."""
     if _COV_ENABLED:
-        headers.append("repro covlite: tracing src/ -> coverage.json")
-    return headers or None
+        return ["repro covlite: tracing src/ -> coverage.json"]
+    return None
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -112,18 +112,16 @@ def serve(
     *,
     config: ServingConfig | None = None,
     device=None,
-    start: bool = True,
     **overrides,
 ) -> PaletteServer:
-    """Start a palette-aware generation server over ``model``.
+    """A palette-aware generation server over ``model``.
 
     The one-call front door to :class:`~repro.serving.server.
-    PaletteServer`: switches the model to eval mode, routes any
+    PaletteServer`: switches the model to eval mode and routes any
     :class:`~repro.core.compressor.ClusteredLinear` to the server's
-    tile cache, and -- unless ``start=False`` --
-    launches the scheduler thread so :meth:`~repro.serving.server.
-    PaletteServer.submit` / :meth:`~repro.serving.server.PaletteServer.
-    generate` are immediately usable.  Keyword ``overrides`` are
+    tile cache; :meth:`~repro.serving.server.PaletteServer.submit` /
+    :meth:`~repro.serving.server.PaletteServer.generate` are usable at
+    once.  Keyword ``overrides`` are
     :class:`~repro.serving.config.ServingConfig` fields
     (``repro.serve(m, tok, max_batch_size=16)``); they are mutually
     exclusive with an explicit ``config``.
@@ -133,13 +131,12 @@ def serve(
             "pass ServingConfig fields either via config= or as keyword "
             f"overrides, not both (got overrides {sorted(overrides)})"
         )
-    server = PaletteServer(
+    return PaletteServer(
         model,
         tokenizer,
         config=config or ServingConfig(**overrides),
         device=device,
     )
-    return server.start() if start else server
 
 
 __all__ = [

@@ -2,23 +2,24 @@
 
 Trains one small model, compresses it, and replays the same request
 load through a matrix of injected serving faults (one scenario per
-fault kind x client count), with clients that retry on the typed
-:class:`~repro.serving.queue.StepFailed` crash boundary.  Four gates
-make "survived" a checkable claim rather than a vibe:
+fault kind x client count).  The ``N`` clients of a cell are logical:
+one thread drives them, each keeps one request outstanding and retries
+it on the typed :class:`~repro.serving.queue.StepFailed` crash boundary,
+so every count in a row is a function of the seed.  Four gates make
+"survived" a checkable claim rather than a vibe:
 
 - **token identity** -- every scenario's completions, including the
-  runs where the watchdog revoked a hung loop or a palette kernel
-  raised and its step was retried, must be *identical* to offline
-  single-prompt :func:`repro.llm.recompute.generate` on the same
-  compressed weights;
+  runs where a palette kernel raised and its step was retried, must be
+  *identical* to offline single-prompt
+  :func:`repro.llm.recompute.generate` on the same compressed weights;
 - **fault reconciliation** -- every armed fault spec must have fired
   (its :class:`~repro.serving.faults.FaultEvent` appears in the
   injector's log), so a green run cannot mean "the chaos never
   happened";
-- **no stranded futures** -- every client thread joins; a submitted
-  request always resolves (text, or a typed error the client retried);
+- **no stranded futures** -- a submitted request always resolves (text,
+  or a typed error the client retried) within the driver's timeout;
 - **bounded shutdown** -- ``stop()`` returns within a fixed deadline
-  in every scenario, including the hung-step one.
+  in every scenario.
 
 One extra scenario exercises draining shutdown (``stop(drain=True)``
 finishes all in-flight requests bit-identically).
@@ -31,8 +32,8 @@ Wall times are recorded but not gated -- CI runners are noisy.
 from __future__ import annotations
 
 import os
-import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 from repro.core.compressor import ModelCompressor
@@ -55,7 +56,7 @@ from repro.serving import (
     FaultPlan,
     FaultSpec,
     PaletteServer,
-    RetryPolicy,
+    ServerRequest,
     ServingConfig,
     StepFailed,
 )
@@ -68,7 +69,6 @@ CHAOS_KINDS = (
     "delay_step",
     "kernel_error",
     "corrupt_tile",
-    "hang_step",
 )
 
 #: ``stop()`` must return within this many seconds in every scenario.
@@ -97,8 +97,6 @@ class ChaosScenarioRow:
     unfired_specs: int = 0
     step_failures: int = 0
     step_retries: int = 0
-    watchdog_kills: int = 0
-    loop_respawns: int = 0
     completions: list[str] = field(default_factory=list)
 
 
@@ -175,7 +173,7 @@ class ChaosBenchResult:
                  "completions differ from the offline reference "
                  "(faults were not survived bit-identically)"),
                 (not row.stranded,
-                 "a client thread never joined -- a submitted request was stranded"),
+                 "a submitted request never resolved -- it was stranded"),
                 (not row.unfired_specs,
                  f"{row.unfired_specs} armed fault spec(s) never fired "
                  "(the chaos did not happen)"),
@@ -183,7 +181,6 @@ class ChaosBenchResult:
                  f"stop() took {row.stop_s:.2f}s (deadline {STOP_DEADLINE_S:.0f}s)"),
             ]
             failures += [f"{row.scenario}: {msg}" for ok, msg in checks if not ok]
-        hang_rows = [r for r in self.rows if r.kind == "hang_step"]
         kernel_rows = [r for r in self.rows if r.kind == "kernel_error"]
         checks = [
             (all(r.step_retries >= r.fault_events.get("kernel_error", 0) > 0
@@ -193,9 +190,6 @@ class ChaosBenchResult:
             (self.drain_ok,
              "stop(drain=True) did not finish all in-flight requests "
              "bit-identically within the deadline"),
-            (not hang_rows or any(r.watchdog_kills for r in hang_rows),
-             "hang_step scenario ran without a watchdog kill "
-             "(the hang was not injected or not detected)"),
         ]
         return failures + [message for ok, message in checks if not ok]
 
@@ -220,8 +214,7 @@ def _plan_for(kind: str, seed: int) -> FaultPlan:
     """A deterministic single-kind plan tuned so the run survives it.
 
     ``corrupt_tile`` waits for step 2 so the layer weight it poisons
-    is resident; ``hang_step`` sleeps far past the watchdog so only
-    the revocation path can unwedge it.
+    is resident.
     """
     if kind == "transient_step":
         spec = FaultSpec(kind=kind, sweep=1, times=2)
@@ -231,17 +224,13 @@ def _plan_for(kind: str, seed: int) -> FaultPlan:
         spec = FaultSpec(kind=kind, sweep=1, times=2)
     elif kind == "corrupt_tile":
         spec = FaultSpec(kind=kind, sweep=2, times=1)
-    elif kind == "hang_step":
-        spec = FaultSpec(kind=kind, sweep=1, times=1, seconds=30.0)
     else:  # pragma: no cover - matrix is fixed above
         raise ValueError(f"unknown chaos kind {kind!r}")
     return FaultPlan(specs=(spec,), seed=seed)
 
 
-def _config_for(
-    kind: str, plan: FaultPlan, max_new_tokens: int
-) -> ServingConfig:
-    """Serving knobs for one matrix cell: ``hang_step`` arms the watchdog.
+def _config_for(plan: FaultPlan, max_new_tokens: int) -> ServingConfig:
+    """Serving knobs for one matrix cell: a 5 ms retry backoff.
 
     Every cell keeps the server's ``STEP_RETRIES`` (2), so a spec firing
     ``times=2`` on one step is retried twice and the step still succeeds.
@@ -250,10 +239,7 @@ def _config_for(
         max_batch_size=4,
         max_new_tokens=max_new_tokens,
         fault_plan=plan,
-        retry=RetryPolicy(
-            timeout_s=0.25 if kind == "hang_step" else None,
-            backoff_s=0.005,
-        ),
+        backoff_s=0.005,
     )
 
 
@@ -264,47 +250,54 @@ def _drive_chaos(
     clients: int,
     timeout: float = 120.0,
 ) -> tuple[list[str | None], int, bool]:
-    """Drive the load with clients that retry on :class:`StepFailed`.
+    """Drive the load with ``clients`` logical clients from this thread.
+
+    Client ``c`` serves prompts ``c, c + clients, ...`` in order and keeps
+    one request outstanding; a request that fails with
+    :class:`StepFailed` is resubmitted, at most :data:`CLIENT_RETRIES`
+    times.  The driver waits on the oldest outstanding request (which
+    steps the server), then replaces every request that has resolved, in
+    submission order.
 
     Returns ``(texts_in_prompt_order, total_client_retries, stranded)``
-    where ``stranded`` is True if any client thread failed to join --
-    the exact symptom of a future that never resolved.
+    where ``stranded`` is True if a request was still unresolved when
+    ``timeout`` ran out -- the exact symptom of a future that never
+    resolves.
     """
     results: list[str | None] = [None] * len(prompts)
-    retries = [0] * len(prompts)
-    errors: list[BaseException] = []
+    attempts = [0] * len(prompts)
+    todo = [deque(range(c, len(prompts), clients)) for c in range(clients)]
+    outstanding: list[tuple[int, int, ServerRequest]] = []
 
-    def client(indices: list[int]) -> None:
-        for i in indices:
-            for _attempt in range(CLIENT_RETRIES + 1):
-                try:
-                    results[i] = server.generate(
-                        prompts[i], max_new_tokens=max_new_tokens, timeout=timeout
-                    )
-                    break
-                except StepFailed:
-                    retries[i] += 1
-                except BaseException as exc:  # surfaced to the caller below
-                    errors.append(exc)
-                    return
+    def submit(client: int, index: int) -> None:
+        request = server.submit(prompts[index], max_new_tokens=max_new_tokens)
+        outstanding.append((client, index, request))
 
-    threads = [
-        threading.Thread(
-            target=client,
-            args=(list(range(c, len(prompts), clients)),),
-            name=f"chaos-client-{c}",
-        )
-        for c in range(clients)
-    ]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + timeout + 30.0
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
-    stranded = any(t.is_alive() for t in threads)
-    if errors and not stranded:
-        raise errors[0]
-    return results, sum(retries), stranded
+    for client in range(clients):
+        if todo[client]:
+            submit(client, todo[client].popleft())
+    deadline = time.monotonic() + timeout
+    while outstanding:
+        try:
+            outstanding[0][2].result(timeout=max(deadline - time.monotonic(), 0.0))
+        except TimeoutError:
+            return results, sum(attempts), True
+        except StepFailed:
+            pass  # resubmitted below
+        for entry in [entry for entry in outstanding if entry[2].done]:
+            outstanding.remove(entry)
+            client, index, request = entry
+            if request.ok:
+                results[index] = request.result(timeout=0)
+            elif not isinstance(request.error, StepFailed):
+                raise request.error
+            elif attempts[index] < CLIENT_RETRIES:
+                attempts[index] += 1
+                submit(client, index)
+                continue
+            if todo[client]:
+                submit(client, todo[client].popleft())
+    return results, sum(attempts), False
 
 
 def _reconcile_faults(
@@ -336,7 +329,6 @@ def _run_chaos_scenario(
 ) -> ChaosScenarioRow:
     """One matrix cell: serve the load under the plan, then reconcile."""
     server = PaletteServer(model, tokenizer, config=config)
-    server.start()
     started = time.monotonic()
     try:
         texts, client_retries, stranded = _drive_chaos(
@@ -365,8 +357,6 @@ def _run_chaos_scenario(
         unfired_specs=unfired,
         step_failures=report.step_failures,
         step_retries=report.step_retries,
-        watchdog_kills=report.watchdog_kills,
-        loop_respawns=report.loop_respawns,
         completions=completions,
     )
 
@@ -420,7 +410,7 @@ def run_serving_faults(
     for kind in CHAOS_KINDS:
         for clients in client_matrix:
             plan = _plan_for(kind, seed)
-            config = _config_for(kind, plan, max_new_tokens)
+            config = _config_for(plan, max_new_tokens)
             result.rows.append(
                 _run_chaos_scenario(
                     f"{kind}-c{clients}",
@@ -438,7 +428,6 @@ def run_serving_faults(
     # --- draining shutdown: stop(drain=True) finishes in-flight ----------
     config = ServingConfig(max_batch_size=2, max_new_tokens=max_new_tokens)
     server = PaletteServer(fresh_model(), tokenizer, config=config)
-    server.start()
     requests = [
         server.submit(p, max_new_tokens=max_new_tokens) for p in prompts
     ]

@@ -24,9 +24,9 @@ Footprint: between steps the cache retains the layer's
 :class:`~repro.core.uniquify.PatternHistogram` -- ``O(u)`` arrays plus the
 per-weight pattern array, a view into the weight itself for an on-grid
 bf16 weight (a uint16 copy, the byte size of the weight, for float16).
-The ``O(|W|)`` uint16 index list is built lazily, under the lock, by the
-first forward that saves it (:meth:`StepCache.index_list`), so the entry
-holds one only after such a forward: a refine-only sweep never builds it.
+The ``O(|W|)`` uint16 index list is built lazily by the first forward
+that saves it (:meth:`StepCache.index_list`), so the entry holds one only
+after such a forward: a refine-only sweep never builds it.
 During training the entry is consumed twice per step (refine + forward)
 and goes stale at the next optimizer write; call
 :meth:`StepCache.invalidate` to reclaim the memory when a model sits idle
@@ -35,7 +35,6 @@ between phases.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -93,17 +92,10 @@ class StepCache:
     anything deeper would never be hit.  Storage identity is validated
     through a weak reference (ids can be recycled after garbage
     collection, exactly the hazard ``MarshalRegistry`` guards against).
-
-    Thread safety: the memo, the derived table, and the hit/miss
-    counters are guarded by a per-cache reentrant lock, so calls against
-    one cache from two threads sharing a model (the serving scheduler
-    and its caller, say) stay consistent: an interleaved miss can at worst
-    recompute, it can never corrupt the memo or lose counter increments.
-    Distinct layers own distinct caches and never contend.
+    Like everything in the library it is driven from one thread.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._storage_ref: weakref.ReferenceType | None = None
         self._key: tuple | None = None
         self._unique: PatternHistogram | None = None
@@ -139,33 +131,31 @@ class StepCache:
 
         A miss builds no index list; :meth:`index_list` does, on demand.
         """
-        with self._lock:
-            if self._key_matches(weights, dtype):
-                self.stats.uniquify_hits += 1
-                return self._unique
-            self.stats.uniquify_misses += 1
-            unique = pattern_histogram(weights._np(), dtype)
-            # Drop everything derived from the previous decomposition (the
-            # cached table is stale), then repopulate.
-            self.invalidate()
-            self._storage_ref = weakref.ref(weights.storage)
-            self._key = self._weight_key(weights, dtype)
-            self._unique = unique
-            return unique
+        if self._key_matches(weights, dtype):
+            self.stats.uniquify_hits += 1
+            return self._unique
+        self.stats.uniquify_misses += 1
+        unique = pattern_histogram(weights._np(), dtype)
+        # Drop everything derived from the previous decomposition (the
+        # cached table is stale), then repopulate.
+        self.invalidate()
+        self._storage_ref = weakref.ref(weights.storage)
+        self._key = self._weight_key(weights, dtype)
+        self._unique = unique
+        return unique
 
     def index_list(self, unique: PatternHistogram, keys: np.ndarray) -> np.ndarray:
         """``unique``'s index list, built from its ``keys`` at most once per entry.
 
         ``keys`` are ``unique.keys()``, which the caller already holds for
         its own gather.  A ``unique`` that is no longer the live entry
-        (another thread's miss replaced it) gets a list that is not kept.
+        (a later miss replaced it) gets a list that is not kept.
         """
-        with self._lock:
-            if unique is not self._unique:
-                return build_index_list(unique.patterns, keys)
-            if self._index_list is None:
-                self._index_list = build_index_list(unique.patterns, keys)
-            return self._index_list
+        if unique is not self._unique:
+            return build_index_list(unique.patterns, keys)
+        if self._index_list is None:
+            self._index_list = build_index_list(unique.patterns, keys)
+        return self._index_list
 
     # ------------------------------------------------------------------
     # Attention-table carry-over (refine -> forward assignment)
@@ -179,46 +169,43 @@ class StepCache:
         Accepted against a live entry whose row count matches; otherwise
         the call is ignored.
         """
-        with self._lock:
-            if self._unique is None or table.shape[0] != self._unique.n_unique:
-                return
-            self._table = table
-            # Flatten at store time: lookup compares against a flattened
-            # key, so a column-vector ``(k, 1)`` centroid array stored
-            # as-is would never hit and the refine->forward carry-over
-            # would be silently dead.
-            self._table_centroids = np.array(centroids, dtype=np.float32).reshape(-1)
-            self._table_temperature = float(temperature)
+        if self._unique is None or table.shape[0] != self._unique.n_unique:
+            return
+        self._table = table
+        # Flatten at store time: lookup compares against a flattened
+        # key, so a column-vector ``(k, 1)`` centroid array stored
+        # as-is would never hit and the refine->forward carry-over
+        # would be silently dead.
+        self._table_centroids = np.array(centroids, dtype=np.float32).reshape(-1)
+        self._table_temperature = float(temperature)
 
     def lookup_table(
         self, centroids: np.ndarray, temperature: float
     ) -> np.ndarray | None:
         """The stored table, iff centroids and temperature match exactly."""
-        with self._lock:
-            if (
-                self._table is not None
-                and self._table_temperature == float(temperature)
-                and self._table_centroids is not None
-                and np.array_equal(
-                    self._table_centroids,
-                    np.asarray(centroids, dtype=np.float32).reshape(-1),
-                )
-            ):
-                self.stats.table_hits += 1
-                return self._table
-            self.stats.table_misses += 1
-            return None
+        if (
+            self._table is not None
+            and self._table_temperature == float(temperature)
+            and self._table_centroids is not None
+            and np.array_equal(
+                self._table_centroids,
+                np.asarray(centroids, dtype=np.float32).reshape(-1),
+            )
+        ):
+            self.stats.table_hits += 1
+            return self._table
+        self.stats.table_misses += 1
+        return None
 
     def invalidate(self) -> None:
         """Drop all cached products (weights changed out from under us)."""
-        with self._lock:
-            self._storage_ref = None
-            self._key = None
-            self._unique = None
-            self._index_list = None
-            self._table = None
-            self._table_centroids = None
-            self._table_temperature = None
+        self._storage_ref = None
+        self._key = None
+        self._unique = None
+        self._index_list = None
+        self._table = None
+        self._table_centroids = None
+        self._table_temperature = None
 
 
 @dataclass

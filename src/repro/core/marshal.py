@@ -22,7 +22,6 @@ counters through :class:`~repro.core.config.PipelineStats`.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import deque
 from typing import Iterator
@@ -87,9 +86,6 @@ class MarshalRegistry:
                 f"expected one of {SEARCH_STRATEGIES}"
             )
         self.strategy = strategy
-        # Reentrant: public entry points lock, private helpers assume the
-        # caller holds it (the repolint RL101/RL102 convention).
-        self._lock = threading.RLock()
         # id(tensor) -> (tensor weakref, entry, id(storage))
         self._by_tensor_id: dict[
             int, tuple[weakref.ReferenceType, OffloadEntry, int]
@@ -104,23 +100,16 @@ class MarshalRegistry:
         ``entry`` (indexed by tensor id and by storage id)."""
         ref = weakref.ref(tensor)
         storage_ref = weakref.ref(tensor.storage)
-        with self._lock:
-            self._by_tensor_id[id(tensor)] = (ref, entry, id(tensor.storage))
-            self._by_storage_id[id(tensor.storage)] = (
-                storage_ref,
-                entry,
-                id(tensor),
-            )
+        self._by_tensor_id[id(tensor)] = (ref, entry, id(tensor.storage))
+        self._by_storage_id[id(tensor.storage)] = (storage_ref, entry, id(tensor))
 
     def clear(self) -> None:
         """Drop every index (called between steps: weights change)."""
-        with self._lock:
-            self._by_tensor_id.clear()
-            self._by_storage_id.clear()
+        self._by_tensor_id.clear()
+        self._by_storage_id.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_tensor_id)
+        return len(self._by_tensor_id)
 
     # ------------------------------------------------------------------
     # Lookup strategies
@@ -140,11 +129,10 @@ class MarshalRegistry:
         ``stats`` is given, the probe's cost and hit/miss outcome are
         recorded under the registry's strategy name.
         """
-        with self._lock:
-            if self.strategy == "storage-id":
-                result = self._find_by_storage(tensor)
-            else:
-                result = self._find_by_graph(tensor, hop_budget, stats)
+        if self.strategy == "storage-id":
+            result = self._find_by_storage(tensor)
+        else:
+            result = self._find_by_graph(tensor, hop_budget, stats)
         if stats is not None:
             stats.record_probe(self.strategy, hit=result[0] is not None)
         return result

@@ -39,7 +39,6 @@ negated temperature, then :func:`~repro.tensor.pairwise.softmax_columns_`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +114,8 @@ HISTOGRAM_MIN_SIZE = 1024
 
 # Pattern histograms actually computed: one per uniquify() call and one per
 # StepCache miss (cache hits never reach the histogram).  Inspected by the
-# one-uniquify-per-layer-per-step tests and the fastpath benchmark.  The
-# lock keeps the counter exact when two threads of one process (the
-# serving scheduler and its caller, say) uniquify at once.
+# one-uniquify-per-layer-per-step tests and the fastpath benchmark.
 _CALL_COUNT = 0
-_CALL_COUNT_LOCK = threading.Lock()
 
 
 def uniquify_call_count() -> int:
@@ -130,8 +126,7 @@ def uniquify_call_count() -> int:
 def reset_uniquify_call_count() -> None:
     """Zero the computation counter (test/benchmark bookkeeping)."""
     global _CALL_COUNT
-    with _CALL_COUNT_LOCK:
-        _CALL_COUNT = 0
+    _CALL_COUNT = 0
 
 
 def _histogram(
@@ -147,8 +142,7 @@ def _histogram(
     ascending order, so their results are bit-identical.
     """
     global _CALL_COUNT
-    with _CALL_COUNT_LOCK:
-        _CALL_COUNT += 1
+    _CALL_COUNT += 1
     # A view into ``weights`` when they are on the bf16 grid: read only.
     weight_patterns = _pattern16_view(weights, dtype).reshape(-1)
     if method == "auto":

@@ -53,12 +53,7 @@ class SequenceCache:
         return sum(block.nbytes for block in self.blocks)
 
     def release(self) -> None:
-        """Drop every block; the device bytes return once no step uses them.
-
-        A step already running on another thread (a revoked scheduler
-        loop) holds the blocks itself and finishes on them; its commit
-        finds nothing to commit to.
-        """
+        """Drop every block; the device bytes return once no step uses them."""
         self.blocks = ()
         self.length = 0
 
@@ -86,7 +81,7 @@ def decode_step(
     fed: list[int] = []
     positions: list[int] = []
     rows: list[tuple[int, int, int, tuple[KVBlock, ...]]] = []
-    commits: list[tuple[SequenceCache, tuple[KVBlock, ...], int]] = []
+    commits: list[tuple[SequenceCache, int]] = []
     for tokens, cache in zip(ids, caches):
         if len(tokens) > model.max_seq_len:
             cache.release()
@@ -94,7 +89,7 @@ def decode_step(
             cached, blocks = 0, SequenceCache(model).blocks
         else:
             cached, blocks = cache.length, cache.blocks
-            commits.append((cache, blocks, len(tokens)))
+            commits.append((cache, len(tokens)))
         if len(tokens) <= cached:
             raise ValueError(
                 f"sequence of {len(tokens)} tokens has nothing to feed past "
@@ -118,7 +113,6 @@ def decode_step(
             x, Tensor.from_numpy(np.asarray(last, dtype=np.int64), device=device)
         )
         logits = model.lm_head(model.final_norm(final))._compute()
-    for cache, blocks, length in commits:
-        if cache.blocks is blocks:  # not released while the step ran
-            cache.length = length
+    for cache, length in commits:
+        cache.length = length
     return [np.ascontiguousarray(row) for row in logits]

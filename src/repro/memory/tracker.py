@@ -9,7 +9,6 @@ it with fp32 numpy buffers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 
@@ -23,11 +22,6 @@ class MemoryTracker:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        # Reentrant: ``Storage.__del__`` calls ``release``, and the
-        # garbage collector can run it on any allocation -- including one
-        # this thread makes while it holds the lock (``snapshot`` builds
-        # its result under it).  A plain Lock would deadlock there.
-        self._lock = threading.RLock()
         self._current = 0
         self._peak = 0
         self._alloc_count = 0
@@ -35,51 +29,44 @@ class MemoryTracker:
 
     @property
     def current_bytes(self) -> int:
-        with self._lock:
-            return self._current
+        return self._current
 
     @property
     def alloc_count(self) -> int:
-        with self._lock:
-            return self._alloc_count
+        return self._alloc_count
 
     def allocate(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError(f"negative allocation of {nbytes} bytes")
-        with self._lock:
-            self._current += nbytes
-            self._alloc_count += 1
-            if self._current > self._peak:
-                self._peak = self._current
+        self._current += nbytes
+        self._alloc_count += 1
+        if self._current > self._peak:
+            self._peak = self._current
 
     def release(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError(f"negative release of {nbytes} bytes")
-        with self._lock:
-            self._current -= nbytes
-            self._free_count += 1
+        self._current -= nbytes
+        self._free_count += 1
 
     def reset_peak(self) -> None:
         """Re-arm the peak counter at the current residency."""
-        with self._lock:
-            self._peak = self._current
+        self._peak = self._current
 
     def snapshot(self) -> "TrackerSnapshot":
-        with self._lock:
-            return TrackerSnapshot(
-                name=self.name,
-                current_bytes=self._current,
-                peak_bytes=self._peak,
-                alloc_count=self._alloc_count,
-                free_count=self._free_count,
-            )
+        return TrackerSnapshot(
+            name=self.name,
+            current_bytes=self._current,
+            peak_bytes=self._peak,
+            alloc_count=self._alloc_count,
+            free_count=self._free_count,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        with self._lock:
-            return (
-                f"MemoryTracker({self.name!r}, current={self._current}, "
-                f"peak={self._peak})"
-            )
+        return (
+            f"MemoryTracker({self.name!r}, current={self._current}, "
+            f"peak={self._peak})"
+        )
 
 
 @dataclass(frozen=True)

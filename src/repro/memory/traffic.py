@@ -12,8 +12,6 @@ routes however long a run goes; a region's traffic is the difference of two
 
 from __future__ import annotations
 
-import threading
-
 Route = tuple[str, str, str]
 """``(src, dst, tag)``: the key the ledger totals under."""
 
@@ -22,21 +20,18 @@ class TrafficLedger:
     """Running ``(count, nbytes)`` totals of transfers per ``(src, dst, tag)``."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._totals: dict[Route, tuple[int, int]] = {}
 
     def record(self, src: str, dst: str, nbytes: int, tag: str = "") -> None:
         if nbytes < 0:
             raise ValueError(f"negative transfer of {nbytes} bytes")
         key = (src, dst, tag)
-        with self._lock:
-            count, total = self._totals.get(key, (0, 0))
-            self._totals[key] = (count + 1, total + nbytes)
+        count, total = self._totals.get(key, (0, 0))
+        self._totals[key] = (count + 1, total + nbytes)
 
     def totals(self) -> dict[Route, tuple[int, int]]:
         """A copy of the map ``(src, dst, tag) -> (count, nbytes)``."""
-        with self._lock:
-            return dict(self._totals)
+        return dict(self._totals)
 
     def total_bytes(
         self,
@@ -54,13 +49,11 @@ class TrafficLedger:
         )
 
     def clear(self) -> None:
-        with self._lock:
-            self._totals.clear()
+        self._totals.clear()
 
     def __len__(self) -> int:
         """The number of transfers recorded (not of routes)."""
-        with self._lock:
-            return sum(count for count, _ in self._totals.values())
+        return sum(count for count, _ in self._totals.values())
 
 
 _GLOBAL_LEDGER = TrafficLedger()

@@ -9,14 +9,15 @@ and bounded request and byte counters (:mod:`repro.serving.stats`), all
 fronted by :class:`~repro.serving.server.PaletteServer` (or the
 top-level ``repro.serve()`` convenience).
 
-The server is chaos-hardened: a supervised scheduler with a per-step
-crash boundary, one bounded retry path (:class:`RetryPolicy`) and a
-watchdog, draining shutdown, and the deterministic fault injector of
+The server has no thread of its own: a request's ``result()`` runs the
+scheduler on the caller's thread.  It is chaos-hardened: a per-step crash
+boundary, one bounded retry path (``ServingConfig.backoff_s``), draining
+shutdown, and the deterministic fault injector of
 :mod:`repro.serving.faults` armed via ``ServingConfig.fault_plan``.
 """
 
 from repro.serving.batcher import ContinuousBatcher, SequenceState
-from repro.serving.config import RetryPolicy, ServingConfig
+from repro.serving.config import ServingConfig
 from repro.serving.faults import (
     FAULT_KINDS,
     CorruptTileError,
@@ -26,9 +27,7 @@ from repro.serving.faults import (
     FaultPlan,
     FaultSpec,
     PaletteKernelError,
-    RobustnessWarning,
     TransientStepError,
-    WatchdogTimeout,
 )
 from repro.serving.palette import (
     PaletteLayout,
@@ -45,7 +44,7 @@ from repro.serving.queue import (
     ServingError,
     StepFailed,
 )
-from repro.serving.server import LoopSupervisor, PaletteServer, ServerHealth
+from repro.serving.server import PaletteServer
 from repro.serving.stats import ServerStats, StatsReport, percentile
 
 __all__ = [
@@ -59,16 +58,12 @@ __all__ = [
     "FaultLog",
     "FaultPlan",
     "FaultSpec",
-    "LoopSupervisor",
     "PaletteKernelError",
     "PaletteLayout",
     "PaletteServer",
     "RequestQueue",
-    "RetryPolicy",
-    "RobustnessWarning",
     "SequenceState",
     "ServerClosed",
-    "ServerHealth",
     "ServerRequest",
     "ServerStats",
     "ServingConfig",
@@ -78,7 +73,6 @@ __all__ = [
     "TileCache",
     "TileCacheStats",
     "TransientStepError",
-    "WatchdogTimeout",
     "palette_matmul",
     "percentile",
 ]

@@ -15,7 +15,7 @@ regardless of what other requests share its batch; logits agree to
 
 Each :class:`SequenceState` owns its sequence's K/V cache and every way
 out of the batch -- retire, deadline abort, :meth:`ContinuousBatcher.
-abort_all`, :meth:`ContinuousBatcher.release_kv` -- releases it.
+abort_all` -- releases it.
 """
 
 from __future__ import annotations
@@ -132,49 +132,29 @@ class ContinuousBatcher:
         self._note_kv_cache()
         return retired
 
-    def release_kv(self) -> None:
-        """Release every in-flight sequence's K/V cache, leaving the batch as is.
-
-        For other threads (watchdog, ``stop`` escalation) failing this
-        batch while its loop may still be wedged mid-step: that step
-        finishes on the blocks it holds and commits nothing.
-        """
-        for seq in list(self.active):
-            seq.kv.release()
-        self._note_kv_cache()
-
     def _note_kv_cache(self) -> None:
-        self.stats.note_kv_cache(sum(seq.kv.nbytes for seq in list(self.active)))
+        self.stats.note_kv_cache(sum(seq.kv.nbytes for seq in self.active))
 
-    def abort_all(self, error: BaseException) -> int:
-        """Fail every in-flight sequence (server shutdown); returns count.
-
-        Only sequences whose request this call actually resolved are
-        counted -- a request already failed by the step watchdog
-        (idempotent futures, first resolution wins) is skipped.
-        """
-        aborted = 0
+    def abort_all(self, error: BaseException) -> None:
+        """Fail every in-flight sequence with ``error`` and release its K/V."""
         for seq in self.active:
             seq.kv.release()
-            if seq.request.fail(error):
-                aborted += 1
+            seq.request.fail(error)
         self.active = []
         self._note_kv_cache()
-        return aborted
 
     def _finish(self, seq: SequenceState) -> None:
         seq.kv.release()  # before the client wakes: its bytes are back by then
         text = self.tokenizer.decode(seq.generated)
-        if seq.request.complete(text):  # else the watchdog resolved it first
-            self.stats.note_completed(len(seq.generated), len(text.encode("utf-8")))
+        seq.request.complete(text)
+        self.stats.note_completed(len(seq.generated), len(text.encode("utf-8")))
 
     def _abort_deadline(self, seq: SequenceState, now: float) -> None:
         seq.kv.release()
-        resolved = seq.request.fail(
+        seq.request.fail(
             DeadlineExceeded(
                 f"request {seq.request.id} missed its deadline mid-decode"
             ),
             now=now,
         )
-        if resolved:
-            self.stats.note_aborted_deadline()
+        self.stats.note_aborted_deadline()

@@ -1,13 +1,12 @@
 """The serving engine's fault model: deterministic injection and taxonomy.
 
 A serving process will see a palette-path layer raise on a bad palette,
-a resident dequantized weight rot in memory, and a decode step wedge or stall
-long before it sees a clean crash.  The recovery paths of
-:mod:`repro.serving.server` -- the crash boundary, bounded retry and the
-step watchdog (see ``docs/robustness.md``) -- are only trustworthy if
-every one of them can be triggered *on demand*, at a chosen point,
-repeatably.  This module is that trigger, plus the exceptions the
-supervisor keys on.
+a resident dequantized weight rot in memory, and a decode step stall or
+fail transiently long before it sees a clean crash.  The recovery paths of
+:mod:`repro.serving.server` -- the crash boundary and bounded retry (see
+``docs/robustness.md``) -- are only trustworthy if every one of them can
+be triggered *on demand*, at a chosen point, repeatably.  This module is
+that trigger, plus the exceptions the scheduler keys on.
 
 A :class:`FaultPlan` names the injections: each :class:`FaultSpec` arms
 one fault ``kind`` from a decode step on (``layer=None`` picks a layer
@@ -28,20 +27,16 @@ wall-clock, no global RNG, only the plan's seed hashed with each spec's
 index and step.  This is what lets the chaos gate demand *bit-identical*
 tokens under every fault plan.
 
-The names the supervisor keys on:
+The names the scheduler keys on:
 
 - :class:`TransientStepError` -- a decode-step failure worth retrying in
-  place (backoff, same scheduler loop, bounded by
+  place (backoff, same decode step, bounded by
   :data:`repro.serving.server.STEP_RETRIES`).
 - :class:`PaletteKernelError` -- a layer's palette-path call failed; a
   transient step error.
 - :class:`CorruptTileError` -- a resident dequantized layer weight failed
   its CRC-32 check; the poisoned entry is already dropped, so it too is a
   transient step error.
-- :class:`WatchdogTimeout` -- a supervised step exceeded its deadline
-  (the cause the step watchdog attaches).
-- :class:`RobustnessWarning` -- the warning category for every
-  survivable degradation (a revoked and respawned scheduler loop).
 - :class:`~repro.serving.queue.StepFailed` (in :mod:`repro.serving.queue`)
   -- the typed error delivered through every future of a batch whose
   step could not be completed.
@@ -58,7 +53,6 @@ from repro.serving.queue import ServingError
 FAULT_KINDS = {
     "kernel_error": "layer",
     "corrupt_tile": "layer",
-    "hang_step": "step",
     "delay_step": "step",
     "transient_step": "step",
 }
@@ -66,30 +60,14 @@ FAULT_KINDS = {
 
 ``scope`` is what a spec targets: ``"layer"`` kinds hit one served layer
 (raise from its palette-path call, poison its resident weight);
-``"step"`` kinds hit the decode step itself (:data:`STEP_TARGET`: hang,
-delay, or raise a retryable error).  A spec fires at the first
+``"step"`` kinds hit the decode step itself (:data:`STEP_TARGET`: delay
+it, or raise a retryable error).  A spec fires at the first
 opportunity at or after its step: a ``corrupt_tile`` can only poison a
 resident weight and a ``kernel_error`` only fires while its layer's
 palette-path call runs, so a spec waits for one."""
 
 STEP_TARGET = "<step>"
 """The resolved target of step-scoped specs: the decode step, no layer."""
-
-_NAP_KINDS = ("hang_step", "delay_step")
-"""Kinds whose ``seconds`` sizes a sleep (logged as the event detail)."""
-
-
-class RobustnessWarning(RuntimeWarning):
-    """A survivable degradation: a revoked loop, a respawn, a slow stop.
-
-    Emitted (never raised) whenever the server trades performance for
-    forward progress, so operators see the event without the run
-    failing.
-    """
-
-
-class WatchdogTimeout(RuntimeError):
-    """A supervised step exceeded its deadline and its loop was revoked."""
 
 
 class TransientStepError(ServingError):
@@ -144,7 +122,7 @@ class FaultSpec:
     seeded pick from the step's layer list (step-scoped kinds always
     target :data:`STEP_TARGET`).  ``times > 1`` re-fires on retries -- e.g.
     a ``transient_step`` with ``times`` above the retry budget fails the
-    batch.  ``seconds`` sizes hang/delay naps.
+    batch.  ``seconds`` sizes a ``delay_step`` nap.
     """
 
     kind: str
@@ -197,7 +175,7 @@ class FaultLog:
     """Append-only record of every injection the injector performed.
 
     The chaos benchmark reconciles this log against the recoveries it
-    observed (retries, respawns): every logged fault must have been
+    observed (retries): every logged fault must have been
     survived, and no unlogged fault may have occurred.
     """
 
@@ -232,10 +210,7 @@ class FaultInjector:
     :meth:`fire` whether ``kind`` fires on a target right now; a firing
     consumes one of the spec's ``times`` and is logged.  Retries within
     a step ask again without a new :meth:`begin`, so a spec with
-    ``times > 1`` re-fires on them.  Single-threaded by contract: the
-    server's scheduler loop owns its injector (a revoked loop never
-    touches it again -- see the stale-generation checks in
-    :mod:`repro.serving.server`).
+    ``times > 1`` re-fires on them.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -293,7 +268,7 @@ class FaultInjector:
                     kind=kind,
                     detail=(
                         f"{spec.seconds}s"
-                        if kind in _NAP_KINDS
+                        if kind == "delay_step"
                         else f"firing {spec.times} time(s)"
                     ),
                 )
@@ -312,7 +287,5 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "PaletteKernelError",
-    "RobustnessWarning",
     "TransientStepError",
-    "WatchdogTimeout",
 ]

@@ -27,7 +27,6 @@ artifact execution, not training.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -158,8 +157,7 @@ class TileCache:
 
     Shared across a server's layers: each entry sits under its layer's
     name, stamped with the weight version it was built from, and a
-    :meth:`put` of a new version replaces it.  Thread-safe: the scheduler
-    thread and any caller probing stats may race.
+    :meth:`put` of a new version replaces it.
 
     Every entry is stamped with its CRC-32 at :meth:`put`, and every
     :meth:`get` recomputes the stamp over the whole entry: a resident
@@ -168,7 +166,7 @@ class TileCache:
     dropped and surfaced as a typed
     :class:`~repro.serving.faults.CorruptTileError` instead of silently
     serving wrong logits.  The error is a transient step error: the
-    supervised scheduler retries the step, which re-dequantizes cleanly.
+    scheduler retries the step, which re-dequantizes cleanly.
 
     The stamp is an error-detecting code, not a cryptographic hash: it
     sits in the same dict entry as the weight, so whoever can write one
@@ -187,7 +185,6 @@ class TileCache:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._tiles: dict[str, tuple[object, np.ndarray, int]] = {}
         self._resident_bytes = 0
         self.stats = TileCacheStats()
@@ -205,19 +202,18 @@ class TileCache:
         dropping the entry) when its bytes no longer match the CRC-32
         stamped at :meth:`put`.  The returned array is read-only.
         """
-        with self._lock:
-            entry = self._tiles.get(name)
-            if entry is None or entry[0] != version:
-                self.stats.misses += 1
-                return None
-            _, tile, digest = entry
-            if self._digest(tile) != digest:
-                del self._tiles[name]
-                self._resident_bytes -= int(tile.nbytes)
-                self.stats.corruptions += 1
-                raise CorruptTileError(name)
-            self.stats.hits += 1
-            return tile
+        entry = self._tiles.get(name)
+        if entry is None or entry[0] != version:
+            self.stats.misses += 1
+            return None
+        _, tile, digest = entry
+        if self._digest(tile) != digest:
+            del self._tiles[name]
+            self._resident_bytes -= int(tile.nbytes)
+            self.stats.corruptions += 1
+            raise CorruptTileError(name)
+        self.stats.hits += 1
+        return tile
 
     def put(self, name: str, version: object, tile: np.ndarray) -> None:
         """Make ``tile`` ``name``'s entry for ``version``, replacing any
@@ -225,18 +221,16 @@ class TileCache:
         nbytes = int(tile.nbytes)
         digest = self._digest(tile)
         tile.setflags(write=False)
-        with self._lock:
-            old = self._tiles.get(name)
-            if old is not None:
-                self._resident_bytes -= int(old[1].nbytes)
-            self._tiles[name] = (version, tile, digest)
-            self._resident_bytes += nbytes
-            self.stats.puts += 1
+        old = self._tiles.get(name)
+        if old is not None:
+            self._resident_bytes -= int(old[1].nbytes)
+        self._tiles[name] = (version, tile, digest)
+        self._resident_bytes += nbytes
+        self.stats.puts += 1
 
     def holds(self, name: str) -> bool:
         """Whether ``name`` has a resident entry (a poisoning target)."""
-        with self._lock:
-            return name in self._tiles
+        return name in self._tiles
 
     def corrupt_one(self, name: str) -> bool:
         """Flip one byte of ``name``'s resident entry.
@@ -247,27 +241,23 @@ class TileCache:
         of that entry detects the corruption.  Returns whether an entry
         was poisoned (``False`` when ``name`` has none).
         """
-        with self._lock:
-            entry = self._tiles.get(name)
-            if entry is None:
-                return False
-            tile = entry[1]
-            tile.setflags(write=True)
-            tile.view(np.uint8).reshape(-1)[0] ^= 0xFF
-            tile.setflags(write=False)
-            return True
+        entry = self._tiles.get(name)
+        if entry is None:
+            return False
+        tile = entry[1]
+        tile.setflags(write=True)
+        tile.view(np.uint8).reshape(-1)[0] ^= 0xFF
+        tile.setflags(write=False)
+        return True
 
     def clear(self) -> None:
         """Drop every entry (the server closed); the stats stay."""
-        with self._lock:
-            self._tiles.clear()
-            self._resident_bytes = 0
+        self._tiles.clear()
+        self._resident_bytes = 0
 
     def resident_bytes(self) -> int:
         """Bytes currently held by resident entries."""
-        with self._lock:
-            return self._resident_bytes
+        return self._resident_bytes
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._tiles)
+        return len(self._tiles)

@@ -11,16 +11,16 @@ control" half of continuous batching; the batching half lives in
 :mod:`repro.serving.batcher`.
 
 Clients talk to the queue through :class:`ServerRequest` -- a
-future-like handle whose :meth:`ServerRequest.result` blocks until the
-scheduler thread completes or fails the request.
+future-like handle whose :meth:`ServerRequest.result` runs the server's
+scheduler on the caller's thread until the request resolves.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import deque
+from typing import Callable
 
 
 class ServingError(RuntimeError):
@@ -42,11 +42,11 @@ class ServerClosed(ServingError):
 class StepFailed(ServingError):
     """Request failed: its decode step could not be completed.
 
-    The typed error the supervised scheduler delivers through every
-    future of a batch whose step raised, hung past the step watchdog, or
-    exhausted its retries -- the crash boundary that keeps one bad step
-    from stranding callers until their own timeouts.  ``cause`` carries
-    the underlying failure (an exception instance, never re-raised).
+    The typed error the scheduler delivers through every future of a
+    batch whose step raised or exhausted its retries -- the crash
+    boundary that keeps one bad step from stranding its callers.
+    ``cause`` carries the underlying failure (an exception instance,
+    never re-raised).
     """
 
     def __init__(self, detail: str, cause: BaseException | None = None):
@@ -58,20 +58,21 @@ _REQUEST_IDS = itertools.count()
 
 
 class ServerRequest:
-    """One in-flight generation request (a thread-safe future).
+    """One in-flight generation request (a future).
 
     Timing fields are monotonic-clock stamps filled in by the pipeline:
     ``submitted_at`` at submit, ``scheduled_at`` when the batcher admits
     the request into the running batch, ``finished_at`` on completion or
     failure.  ``deadline`` is absolute (monotonic) or ``None``.
 
+    ``drive`` is the server's scheduler iteration: :meth:`result` calls it
+    until the request resolves.  A request built without one (tests) can
+    only be resolved by hand.
+
     Resolution is **idempotent**: the first :meth:`complete` or
     :meth:`fail` wins and every later attempt is a no-op returning
-    ``False``.  The supervised scheduler relies on this -- a step
-    watchdog may fail a batch's requests while a revoked (zombie) loop
-    is still mid-step; whichever resolution lands first is the one the
-    client sees, and stats are only recorded by the caller whose
-    resolution actually took.
+    ``False``, so stats are only recorded by the caller whose resolution
+    actually took.
     """
 
     def __init__(
@@ -80,6 +81,7 @@ class ServerRequest:
         max_new_tokens: int,
         deadline: float | None = None,
         now: float | None = None,
+        drive: Callable[[], bool] | None = None,
     ) -> None:
         self.id = next(_REQUEST_IDS)
         self.prompt = prompt
@@ -89,13 +91,10 @@ class ServerRequest:
         self.scheduled_at: float | None = None
         self.finished_at: float | None = None
         self.tokens_generated = 0
-        self._lock = threading.Lock()
-        # The completion latch is itself a synchronization primitive;
-        # waiting on it under the state lock would deadlock resolution.
-        self._event = threading.Event()  # repolint: disable=RL101 Event is thread-safe; waited on outside the lock by design
-        self._resolved = False
+        self.done = False
+        self.error: BaseException | None = None
         self._text: str | None = None
-        self._error: BaseException | None = None
+        self._drive = drive
 
     # ------------------------------------------------------------------
     # Completion (scheduler side)
@@ -105,16 +104,14 @@ class ServerRequest:
         """Resolve the request with generated ``text``.
 
         Returns whether *this* call resolved the request; ``False`` means
-        it was already resolved (the caller must not record stats or
-        ledger bytes for it again).
+        it was already resolved (the caller must not record stats for it
+        again).
         """
-        with self._lock:
-            if self._resolved:
-                return False
-            self._resolved = True
-            self._text = text
-            self.finished_at = time.monotonic() if now is None else now
-        self._event.set()
+        if self.done:
+            return False
+        self.done = True
+        self._text = text
+        self.finished_at = time.monotonic() if now is None else now
         return True
 
     def fail(self, error: BaseException, now: float | None = None) -> bool:
@@ -122,13 +119,11 @@ class ServerRequest:
 
         Idempotent like :meth:`complete`; returns whether this call won.
         """
-        with self._lock:
-            if self._resolved:
-                return False
-            self._resolved = True
-            self._error = error
-            self.finished_at = time.monotonic() if now is None else now
-        self._event.set()
+        if self.done:
+            return False
+        self.done = True
+        self.error = error
+        self.finished_at = time.monotonic() if now is None else now
         return True
 
     # ------------------------------------------------------------------
@@ -136,45 +131,38 @@ class ServerRequest:
     # ------------------------------------------------------------------
 
     @property
-    def done(self) -> bool:
-        """Whether the request has resolved (successfully or not)."""
-        return self._event.is_set()
-
-    @property
     def ok(self) -> bool:
         """Whether the request resolved successfully."""
-        with self._lock:
-            return self._resolved and self._error is None
-
-    @property
-    def error(self) -> BaseException | None:
-        """The failure, if the request resolved unsuccessfully."""
-        with self._lock:
-            return self._error
+        return self.done and self.error is None
 
     def expired(self, now: float) -> bool:
         """Whether the deadline has passed as of monotonic time ``now``."""
         return self.deadline is not None and now > self.deadline
 
     def result(self, timeout: float | None = None) -> str:
-        """Block until resolved; return the generated text or raise.
+        """Step the server until resolved; return the generated text or raise.
 
-        Raises ``TimeoutError`` if the request is still in flight after
-        ``timeout`` seconds, or the failure the scheduler recorded
-        (:class:`DeadlineExceeded`, :class:`ServerClosed`,
-        :class:`StepFailed`, ...).
+        Each iteration of the server's scheduler runs on this thread.
+        ``timeout`` is checked between iterations: past it, a request
+        still in flight raises ``TimeoutError`` (a step already running
+        is never interrupted).  Otherwise raises the failure the
+        scheduler recorded (:class:`DeadlineExceeded`,
+        :class:`ServerClosed`, :class:`StepFailed`, ...).
         """
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.id} still in flight after {timeout}s"
-            )
-        with self._lock:
-            error = self._error
-            text = self._text
-        if error is not None:
-            raise error
-        assert text is not None
-        return text
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.done:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(
+                    f"request {self.id} still in flight after {timeout}s"
+                )
+            if self._drive is None or not self._drive():
+                raise TimeoutError(
+                    f"request {self.id} is pending with no server to step it"
+                )
+        if self.error is not None:
+            raise self.error
+        assert self._text is not None
+        return self._text
 
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
@@ -188,19 +176,15 @@ class RequestQueue:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.max_depth = max_depth
-        self._lock = threading.Lock()
-        self._nonempty = threading.Condition(self._lock)
         self._pending: deque[ServerRequest] = deque()
 
     def submit(self, request: ServerRequest) -> ServerRequest:
         """Enqueue ``request`` or raise :class:`AdmissionError` when full."""
-        with self._lock:
-            if len(self._pending) >= self.max_depth:
-                raise AdmissionError(
-                    f"queue full ({self.max_depth} pending); request rejected"
-                )
-            self._pending.append(request)
-            self._nonempty.notify()
+        if len(self._pending) >= self.max_depth:
+            raise AdmissionError(
+                f"queue full ({self.max_depth} pending); request rejected"
+            )
+        self._pending.append(request)
         return request
 
     def take(self, limit: int, now: float) -> tuple[list[ServerRequest], list[ServerRequest]]:
@@ -212,47 +196,27 @@ class RequestQueue:
         """
         admitted: list[ServerRequest] = []
         expired: list[ServerRequest] = []
-        with self._lock:
-            while self._pending and len(admitted) < limit:
-                request = self._pending.popleft()
-                if request.expired(now):
-                    expired.append(request)
-                    continue
-                admitted.append(request)
-        for request in expired:
-            request.fail(
-                DeadlineExceeded(
-                    f"request {request.id} missed its deadline while queued"
-                ),
-                now=now,
-            )
+        while self._pending and len(admitted) < limit:
+            request = self._pending.popleft()
+            if request.expired(now):
+                request.fail(
+                    DeadlineExceeded(
+                        f"request {request.id} missed its deadline while queued"
+                    ),
+                    now=now,
+                )
+                expired.append(request)
+                continue
+            admitted.append(request)
         return admitted, expired
 
     def drain(self, error: BaseException) -> list[ServerRequest]:
         """Fail every pending request with ``error`` (server shutdown)."""
-        with self._lock:
-            drained = list(self._pending)
-            self._pending.clear()
+        drained = list(self._pending)
+        self._pending.clear()
         for request in drained:
             request.fail(error)
         return drained
 
-    def wait_nonempty(self, timeout: float, stop: threading.Event) -> bool:
-        """Block up to ``timeout`` seconds for a pending request or ``stop``.
-
-        ``stop`` is read under the queue's lock, so a :meth:`wake` that
-        follows ``stop.set()`` cannot slip between the check and the wait.
-        """
-        with self._nonempty:
-            return self._nonempty.wait_for(
-                lambda: bool(self._pending) or stop.is_set(), timeout
-            )
-
-    def wake(self) -> None:
-        """Wake every :meth:`wait_nonempty` caller to re-check its ``stop``."""
-        with self._nonempty:
-            self._nonempty.notify_all()
-
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._pending)
+        return len(self._pending)

@@ -17,7 +17,6 @@ optimizations interact with:
 from __future__ import annotations
 
 import contextlib
-import threading
 import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -33,27 +32,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Grad mode
 # --------------------------------------------------------------------------
 
-_STATE = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_STATE, "grad_enabled", True)
+_GRAD_ENABLED = True
 
 
 def is_grad_enabled() -> bool:
     """Whether new operations will be recorded on the autograd tape."""
-    return _grad_enabled()
+    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
     """Disable graph recording inside the block (like ``torch.no_grad``)."""
-    previous = _grad_enabled()
-    _STATE.grad_enabled = False
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
     try:
         yield
     finally:
-        _STATE.grad_enabled = previous
+        _GRAD_ENABLED = previous
 
 
 # --------------------------------------------------------------------------
@@ -61,12 +57,8 @@ def no_grad() -> Iterator[None]:
 # --------------------------------------------------------------------------
 
 
-def _hook_stack() -> list[tuple[Callable[["Tensor"], Any], Callable[[Any], "Tensor"]]]:
-    stack = getattr(_STATE, "hooks", None)
-    if stack is None:
-        stack = []
-        _STATE.hooks = stack
-    return stack
+_HOOKS: list[tuple[Callable[["Tensor"], Any], Callable[[Any], "Tensor"]]] = []
+"""The installed :func:`saved_tensors_hooks` pairs, innermost last."""
 
 
 @contextlib.contextmanager
@@ -81,19 +73,17 @@ def saved_tensors_hooks(
     arbitrary handle; ``unpack`` runs when ``ctx.saved_tensors`` is read
     during backward and must return an equivalent tensor.
     """
-    stack = _hook_stack()
-    stack.append((pack, unpack))
+    _HOOKS.append((pack, unpack))
     try:
         yield
     finally:
-        stack.pop()
+        _HOOKS.pop()
 
 
 def _current_hooks() -> (
     tuple[Callable[["Tensor"], Any], Callable[[Any], "Tensor"]] | None
 ):
-    stack = _hook_stack()
-    return stack[-1] if stack else None
+    return _HOOKS[-1] if _HOOKS else None
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +204,7 @@ class Function:
         ctx = Context(needs_input_grad)
         output = cls.forward(ctx, *args, **kwargs)
 
-        if True in needs_input_grad and _grad_enabled():
+        if True in needs_input_grad and _GRAD_ENABLED:
             edges: list[tuple[str, Any]] = []
             input_refs: list[weakref.ReferenceType[Tensor] | None] = []
             for t, needs_grad in zip(tensor_inputs, needs_input_grad):

@@ -63,13 +63,10 @@ class Storage:
         return int(self.data.size)
 
     def bump_version(self) -> None:
-        """Record an in-place write to the buffer.
+        """Record an in-place write to the buffer (optimizer steps, ``copy_``).
 
-        Writers (optimizer steps, ``copy_``) run on the thread that owns the
-        training loop; another thread (the serving scheduler) only *reads*
-        weights, and a stale read of ``version`` merely causes a
-        step-cache recompute, never a wrong hit -- the cache validates the
-        full (storage, version, view) key under its own lock.
+        Step caches key on the full (storage, version, view) triple, so a
+        write is never answered from a stale entry.
         """
         self.version += 1
 

@@ -8,8 +8,6 @@ one short fine-tune.
 
 from __future__ import annotations
 
-import signal
-
 import numpy as np
 import pytest
 
@@ -17,64 +15,6 @@ import repro.tensor as rt
 from repro.data import FactWorld, alpaca_batches, corpus_batches, generate_alpaca, generate_corpus
 from repro.data.corpus import corpus_vocabulary
 from repro.llm import MICRO, FinetuneConfig, WordTokenizer, build_model, train_causal_lm
-from tools.repolint import tsan
-
-try:  # CI installs pytest-timeout and adds a global --timeout ceiling.
-    import pytest_timeout  # noqa: F401
-
-    _HAVE_PYTEST_TIMEOUT = True
-except ImportError:  # local runs: SIGALRM fallback below stands in
-    _HAVE_PYTEST_TIMEOUT = False
-
-
-def pytest_configure(config):
-    """Register the ``timeout`` marker when pytest-timeout is absent.
-
-    The watchdog/chaos tests mark themselves ``@pytest.mark.timeout(N)``
-    so a recovery-path regression fails fast instead of hanging the
-    suite.  CI gets the real plugin; locally (the container installs
-    nothing) the marker must still be known, and the fixture below
-    enforces it with SIGALRM.
-    """
-    if not _HAVE_PYTEST_TIMEOUT:
-        config.addinivalue_line(
-            "markers",
-            "timeout(seconds): fail the test if it runs longer "
-            "(pytest-timeout fallback)",
-        )
-
-
-@pytest.fixture(autouse=True)
-def _timeout_fallback(request):
-    """SIGALRM-based stand-in for pytest-timeout on bare local runs.
-
-    Only engages for tests carrying a ``timeout`` marker, only on the
-    main thread of a POSIX interpreter, and only when the real plugin is
-    missing -- pytest-timeout takes precedence whenever installed.
-    """
-    marker = request.node.get_closest_marker("timeout")
-    if (
-        marker is None
-        or _HAVE_PYTEST_TIMEOUT
-        or not hasattr(signal, "SIGALRM")
-    ):
-        yield
-        return
-    seconds = int(marker.args[0]) if marker.args else 300
-
-    def _expired(signum, frame):
-        raise TimeoutError(
-            f"test exceeded its {seconds}s timeout (SIGALRM fallback)"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
 
 # Single authoritative seed for every pseudo-random source the suite
 # touches.  CI runs the suite across a Python-version matrix; seeding both
@@ -89,31 +29,6 @@ def _seed_everything() -> int:
     np.random.seed(SUITE_SEED)
     rt.manual_seed(SUITE_SEED)
     return SUITE_SEED
-
-
-@pytest.fixture(autouse=True)
-def _tsan_check(request):
-    """Fail any test during which tsan-lite recorded a lock violation.
-
-    Inert unless the session runs under ``REPRO_TSAN=1`` (see the
-    repo-level ``conftest.py``, which installs the instrumentation before
-    collection).  Violations are recorded, not raised, at the racy access
-    -- this fixture is where they become a test failure, attributed to
-    the test that triggered them.
-    """
-    if not tsan.enabled():
-        yield
-        return
-    watermark = tsan.violation_count()
-    yield
-    new = tsan.violations_since(watermark)
-    if new:
-        details = "\n".join(f"  {v.render()}" for v in new[:20])
-        pytest.fail(
-            f"tsan-lite: {len(new)} guarded-attribute access(es) without "
-            f"the owning lock held:\n{details}",
-            pytrace=False,
-        )
 
 
 @pytest.fixture

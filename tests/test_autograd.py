@@ -90,6 +90,22 @@ class TestGraphMechanics:
         assert y.grad_fn is None
         assert not y.requires_grad
 
+    def test_nested_no_grad_restores_the_outer_mode(self):
+        x = rt.tensor([1.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not rt.is_grad_enabled()
+            assert (x * 2.0).grad_fn is None
+        assert rt.is_grad_enabled()
+        assert (x * 2.0).grad_fn is not None
+
+    def test_no_grad_restores_the_mode_after_an_exception(self):
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("boom")
+        assert rt.is_grad_enabled()
+
     def test_grad_not_tracked_for_non_required(self):
         x = rt.tensor([1.0])
         y = x * 2.0
@@ -205,6 +221,25 @@ class TestSavedTensorHooks:
         y.backward()
         assert "pack-inner" in order
         assert "pack-outer" not in order
+
+    def test_inner_hooks_pop_back_to_the_outer_pair(self):
+        order = []
+        x = rt.tensor([1.0], requires_grad=True)
+        with saved_tensors_hooks(lambda t: order.append("outer") or t, lambda h: h):
+            with saved_tensors_hooks(lambda t: order.append("inner") or t, lambda h: h):
+                pass
+            y = (x * x).sum()
+        y.backward()
+        assert order and set(order) == {"outer"}
+
+    def test_hooks_are_popped_after_an_exception(self):
+        calls = []
+        with pytest.raises(KeyError):
+            with saved_tensors_hooks(lambda t: calls.append(1) or t, lambda h: h):
+                raise KeyError("boom")
+        x = rt.tensor([1.0], requires_grad=True)
+        (x * x).sum().backward()
+        assert calls == []
 
     def test_handle_can_be_arbitrary_object(self):
         stash = {}

@@ -21,11 +21,6 @@ from repro.bench.tables import PaperTable
 #: Modules of the package that are not runners.
 HELPERS = {"__main__", "tables"}
 
-# The chaos entries recover from injected faults by design, and say so.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.serving.faults.RobustnessWarning"
-)
-
 DETERMINISTIC = ("fig2", "serving_faults", "faults")
 
 RESULTS_DIR = os.path.join(
@@ -227,8 +222,25 @@ class TestNoChaosCellDropped:
         result = quick_result("serving_faults")
         assert [row.scenario for row in result.rows] == [
             "transient_step-c4", "delay_step-c4", "kernel_error-c4",
-            "corrupt_tile-c4", "hang_step-c4", "drain-shutdown",
+            "corrupt_tile-c4", "drain-shutdown",
         ]
         (kernel,) = [row for row in result.rows if row.kind == "kernel_error"]
         assert kernel.fault_events == {"kernel_error": 2}
         assert kernel.step_retries == 2
+
+    def test_serving_faults_rows_repeat_at_one_seed(self, quick_result):
+        """One thread drives every logical client, so a row's counts --
+        ``client_retries``, ``completed``, ``fault_events``, the step
+        counters -- are a function of the seed: a second run at seed 0
+        gives equal rows apart from the wall-clock fields."""
+        wall_clock = ("stop_s", "wall_s")
+
+        def rows(payload):
+            return [
+                {k: v for k, v in row.items() if k not in wall_clock} for row in payload["rows"]
+            ]
+
+        first = quick_result("serving_faults").to_json_dict()
+        again = BENCHES["serving_faults"].run(quick=True, seed=0).to_json_dict()
+        assert rows(again) == rows(first)
+        assert again["drain"] == first["drain"]

@@ -1,7 +1,7 @@
 """The configuration surface, pinned by name.
 
-Every field of the three engine config dataclasses and the retry policy
-nested in ``ServingConfig``, every keyword of ``ModelCompressor``, every
+Every field of the three engine config dataclasses, every keyword of
+``ModelCompressor``, every
 field of the four baseline method configs, and every member of the
 strategy registry is listed here.  Adding a knob means editing this pin
 *and* naming, in the PR, the second non-test caller that needs a value
@@ -9,6 +9,7 @@ different from the first (ROADMAP aim 2: a mechanism nobody but its own
 bench and tests switches on is deleted together with its selector).
 """
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -26,18 +27,15 @@ from repro.baselines import (
 from repro.core.compressor import ModelCompressor
 from repro.core.config import DKMConfig, EDKMConfig
 from repro.core.marshal import SEARCH_STRATEGIES
-from repro.serving.config import RetryPolicy, ServingConfig
+import repro
+from repro.serving.config import ServingConfig
 from repro.tensor.dtype import bfloat16, float16, float32, int64
 
 SURFACE = {
     DKMConfig: {"bits", "temperature", "iters", "weight_dtype"},
     EDKMConfig: {"marshal", "uniquify", "shard", "hop_budget", "group"},
-    ServingConfig: {"max_batch_size", "max_new_tokens", "retry", "fault_plan"},
-    RetryPolicy: {"timeout_s", "backoff_s"},
+    ServingConfig: {"max_batch_size", "max_new_tokens", "backoff_s", "fault_plan"},
 }
-
-# Fields that hold a nested config: each counts as its config's values.
-NESTED = {(ServingConfig, "retry"): RetryPolicy}
 
 
 # ``quantize(model, config, run_fn=, skip_names=)``: eDKM takes the
@@ -75,18 +73,20 @@ def test_baseline_settable_value_budget():
 
 
 def test_field_budget():
-    """Fields of the three top-level configs; a nested policy is one field."""
-    nested = set(NESTED.values())
-    assert sum(len(names) for cls, names in SURFACE.items() if cls not in nested) == 13
+    """Fields of the three configs."""
+    assert sum(len(names) for names in SURFACE.values()) == 13
 
 
 def test_settable_value_budget():
-    """Every field is one value, except that a nested config counts as its
-    own fields: ``retry`` is one field but two values."""
-    for (owner, name), nested in NESTED.items():
-        assert name in SURFACE[owner] and nested in SURFACE
-    total = sum(len(names) for names in SURFACE.values())
-    assert total - len(NESTED) == 14
+    """Every field is one value: no config nests another (the retry
+    policy's ``backoff_s`` is a ``ServingConfig`` field, its watchdog
+    ``timeout_s`` is gone), so 13 values, down from 14."""
+    assert not any(
+        dataclasses.is_dataclass(f.type) or f.name == "retry"
+        for cls in SURFACE
+        for f in fields(cls)
+    )
+    assert sum(len(names) for names in SURFACE.values()) == 13
 
 
 def test_model_compressor_keywords_are_pinned():
@@ -109,19 +109,16 @@ OUT_OF_RANGE = [
     (EDKMConfig, "shard", True),  # no LearnerGroup to shard over
     (ServingConfig, "max_batch_size", 0),
     (ServingConfig, "max_new_tokens", 0),
-    (ServingConfig, "fault_plan", "hang_step"),
-    (RetryPolicy, "timeout_s", 0.0),
-    (RetryPolicy, "backoff_s", -0.1),
+    (ServingConfig, "fault_plan", "transient_step"),
+    (ServingConfig, "backoff_s", -0.1),
     # Clustering keys on 16-bit float patterns: a wider float failed only
     # at the first forward, and an integer dtype zeroed the wrapped weight.
     (DKMConfig, "weight_dtype", float32),
     (DKMConfig, "weight_dtype", int64),
     # Non-finite times: a NaN passes every sign check, and an infinite
     # sleep overflows inside the scheduler.
-    (RetryPolicy, "timeout_s", math.nan),
-    (RetryPolicy, "timeout_s", math.inf),
-    (RetryPolicy, "backoff_s", math.nan),
-    (RetryPolicy, "backoff_s", math.inf),
+    (ServingConfig, "backoff_s", math.nan),
+    (ServingConfig, "backoff_s", math.inf),
     # One past each bound on the other side, and the signed infinities.
     (DKMConfig, "bits", -1),
     (DKMConfig, "iters", -1),
@@ -134,9 +131,7 @@ OUT_OF_RANGE = [
     (DKMConfig, "temperature", 1e39),
     (ServingConfig, "max_batch_size", -1),
     (ServingConfig, "max_new_tokens", -1),
-    (RetryPolicy, "timeout_s", -1.0),
-    (RetryPolicy, "timeout_s", -math.inf),
-    (RetryPolicy, "backoff_s", -math.inf),
+    (ServingConfig, "backoff_s", -math.inf),
 ]
 
 
@@ -160,8 +155,7 @@ IN_RANGE = [
     (EDKMConfig, "hop_budget", 0),
     (ServingConfig, "max_batch_size", 1),
     (ServingConfig, "max_new_tokens", 1),
-    (RetryPolicy, "timeout_s", None),
-    (RetryPolicy, "backoff_s", 0.0),
+    (ServingConfig, "backoff_s", 0.0),
 ]
 
 
@@ -183,7 +177,7 @@ RETIRED = [
     (ModelCompressor, "embedding_bits"),
     (ServingConfig, "max_queue_depth"),
     (ServingConfig, "temperature"),
-    (RetryPolicy, "retries"),
+    (ServingConfig, "retries"),
     (ServingConfig, "tile_cache_bytes_limit"),
     (ServingConfig, "breaker_threshold"),
     (ServingConfig, "breaker_probation_steps"),
@@ -191,7 +185,10 @@ RETIRED = [
     (ServingConfig, "poll_interval_s"),
     (ServingConfig, "join_timeout_s"),
     (ServingConfig, "drain_timeout_s"),
-    (RetryPolicy, "respawns"),
+    (ServingConfig, "respawns"),
+    (ServingConfig, "retry"),
+    (ServingConfig, "timeout_s"),
+    (repro.serve, "start"),
 ]
 
 
@@ -202,9 +199,11 @@ def test_retired_knobs_are_refused(cls, name):
     the serving queue depth, sampling temperature and step retries, the
     tile-cache budget, the circuit breaker's two knobs, the palette/dense
     eval-path switch, and the scheduler's idle poll, join and drain
-    deadlines and respawn budget.  A constructor keyword is a
-    ``TypeError``, never a silent default."""
-    args = (DKMConfig(),) if cls is ModelCompressor else ()
+    deadlines and respawn budget, the nested retry policy and its watchdog
+    deadline, and ``repro.serve(start=)`` (a server accepts work from
+    construction).  A constructor keyword is a ``TypeError``, never a
+    silent default."""
+    args = {ModelCompressor: (DKMConfig(),), repro.serve: (None, None)}.get(cls, ())
     with pytest.raises(TypeError, match=name):
         cls(*args, **{name: 1})
 
@@ -212,21 +211,28 @@ def test_retired_knobs_are_refused(cls, name):
 @pytest.mark.parametrize(
     "name,value",
     [
-        ("POLL_INTERVAL_S", 0.005),
-        ("JOIN_TIMEOUT_S", 5.0),
-        ("DRAIN_TIMEOUT_S", 30.0),
-        ("LOOP_RESPAWNS", 4),
         ("MAX_QUEUE_DEPTH", 64),
         ("STEP_RETRIES", 2),
     ],
 )
 def test_retired_knobs_are_server_constants(name, value):
-    """The six retired scheduler knobs live on as module constants at the
-    defaults they had as fields; tests that need a short deadline, a
-    shallow queue or fewer retries patch the constant."""
+    """The queue depth and step retries live on as module constants at the
+    defaults they had as fields; tests that need a shallow queue or fewer
+    retries patch the constant."""
     import repro.serving.server as server_mod
 
     assert getattr(server_mod, name) == value
+
+
+@pytest.mark.parametrize(
+    "name", ["POLL_INTERVAL_S", "JOIN_TIMEOUT_S", "DRAIN_TIMEOUT_S", "LOOP_RESPAWNS"]
+)
+def test_scheduler_thread_constants_are_gone(name):
+    """The idle poll, join and drain deadlines and respawn budget timed a
+    scheduler thread; the scheduler now runs on the caller's thread."""
+    import repro.serving.server as server_mod
+
+    assert not hasattr(server_mod, name)
 
 
 @pytest.mark.parametrize(

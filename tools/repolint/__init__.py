@@ -1,20 +1,16 @@
 """repro-lint: AST-based invariant analyzer for this repository.
 
-Four repo-specific rule families, each encoding an invariant that a
+Two repo-specific rule families, each encoding an invariant that a
 shipped bug once violated dynamically:
 
-- **RL1xx lock discipline** -- guarded ``self._*`` state of lock-owning
-  classes is only touched under ``with self._lock``.
 - **RL2xx version discipline** -- in-place buffer writes reach
   ``Storage.bump_version()`` in the same function.
 - **RL3xx determinism** -- no import-time entropy, ad-hoc default
   generators, kernel wall-clock reads, or unordered-set iteration.
-- **RL4xx resource lifecycle** -- no timeout-less ``Thread.join()`` in the
-  serving layer's shutdown paths.
 
-Plus a documentation suite (``--suite docs``) and a ThreadSanitizer-lite
-runtime mode (:mod:`tools.repolint.tsan`) that validates the RL1xx model
-against real concurrent executions.
+Plus a documentation suite (``--suite docs``).  The RL1xx lock-discipline
+and RL4xx join-timeout rules are retired: ``src/repro`` holds no lock and
+starts no thread.
 """
 
 from tools.repolint.engine import lint_source, run_code_suite

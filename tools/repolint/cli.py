@@ -23,9 +23,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tools.repolint",
         description=(
-            "AST-based invariant analyzer: lock discipline (RL1xx), "
-            "Storage.version discipline (RL2xx), determinism (RL3xx), "
-            "serving join timeouts (RL4xx), plus the docs suite."
+            "AST-based invariant analyzer: Storage.version discipline "
+            "(RL2xx) and determinism (RL3xx), plus the docs suite."
         ),
     )
     parser.add_argument(

@@ -14,20 +14,15 @@ from tools.repolint.rules.determinism import (
     ModuleLevelRandomRule,
     SetIterationRule,
 )
-from tools.repolint.rules.lifecycle import JoinTimeoutRule
-from tools.repolint.rules.locks import LockDisciplineRule, LockHelperCallRule
 from tools.repolint.rules.versions import CopytoVersionRule, VersionBumpRule
 
 ALL_RULES: tuple[Rule, ...] = (
-    LockDisciplineRule(),
-    LockHelperCallRule(),
     VersionBumpRule(),
     CopytoVersionRule(),
     ModuleLevelRandomRule(),
     DefaultGeneratorRule(),
     KernelClockRule(),
     SetIterationRule(),
-    JoinTimeoutRule(),
 )
 
 META_RULE_IDS = ("RL001", "RL002")

@@ -2,8 +2,8 @@
 
 Rules are stateless objects with an ``id``, a one-line ``summary``, and a
 ``check(ctx)`` generator of findings.  :class:`FileContext` carries one
-parsed file plus a parent map so rules can walk *up* the tree (lock
-contexts, ownership of a constructor call) as well as down.
+parsed file plus a parent map so rules can walk *up* the tree (the
+enclosing call of a set iteration, a finding's symbol) as well as down.
 """
 
 from __future__ import annotations
@@ -80,16 +80,6 @@ class Rule:
         )
 
 
-def call_name(node: ast.Call) -> str:
-    """The final identifier of a call target (``a.b.C()`` -> ``C``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 def dotted_name(node: ast.AST) -> str:
     """Best-effort dotted rendering of a Name/Attribute chain."""
     parts: list[str] = []
@@ -105,24 +95,3 @@ def dotted_name(node: ast.AST) -> str:
     else:
         return ""
     return ".".join(reversed(parts))
-
-
-def is_self_attribute(node: ast.AST, attr: str | None = None) -> bool:
-    """Whether ``node`` is ``self.<attr>`` (any attribute when ``None``)."""
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and (attr is None or node.attr == attr)
-    )
-
-
-def decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Final identifiers of a function's decorators."""
-    names: set[str] = set()
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = dotted_name(target)
-        if name:
-            names.add(name.split(".")[-1])
-    return names

@@ -1,14 +1,14 @@
-"""Per-line suppression comments (``# repolint: disable=RL101 <reason>``).
+"""Per-line suppression comments (``# repolint: disable=RL304 <reason>``).
 
 Suppressions are the analyzer's pressure valve for *intentional* rule
-departures (a deliberately lock-free read, a seeded benchmark generator).
+departures (an order-free set walk, a seeded benchmark generator).
 Every disable must name the rule(s) it silences and carry a non-empty
 reason; a malformed disable is itself a finding (RL001), and a disable
 that silences nothing is dead weight the triage should remove (RL002).
 
 Two scopes:
 
-- ``# repolint: disable=RL101,RL102 <reason>`` -- trailing or standalone
+- ``# repolint: disable=RL201,RL304 <reason>`` -- trailing or standalone
   comment; applies to findings on that source line (a standalone comment
   line also covers the line directly below it, so long statements can
   carry the disable above them).
