@@ -214,16 +214,13 @@ def _plan_for(kind: str, seed: int) -> FaultPlan:
     """A deterministic single-kind plan tuned so the run survives it.
 
     ``corrupt_tile`` waits for step 2 so the layer weight it poisons
-    is resident.
+    is resident; every other kind fires twice from step 1 (a
+    ``delay_step`` naps its default ``seconds`` each time).
     """
-    if kind == "transient_step":
-        spec = FaultSpec(kind=kind, sweep=1, times=2)
-    elif kind == "delay_step":
-        spec = FaultSpec(kind=kind, sweep=1, times=2, seconds=0.05)
-    elif kind == "kernel_error":
-        spec = FaultSpec(kind=kind, sweep=1, times=2)
-    elif kind == "corrupt_tile":
+    if kind == "corrupt_tile":
         spec = FaultSpec(kind=kind, sweep=2, times=1)
+    elif kind in ("transient_step", "delay_step", "kernel_error"):
+        spec = FaultSpec(kind=kind, sweep=1, times=2)
     else:  # pragma: no cover - matrix is fixed above
         raise ValueError(f"unknown chaos kind {kind!r}")
     return FaultPlan(specs=(spec,), seed=seed)

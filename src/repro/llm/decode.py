@@ -108,7 +108,7 @@ def decode_step(
                 for start, count, cached, blocks in rows
             ]
             x = x + layer.attn.step(layer.attn_norm(x), at, attention_rows)
-            x = x + layer.mlp(layer.mlp_norm(x))
+            x = layer.mlp_residual(x)
         final = ops.index_select(
             x, Tensor.from_numpy(np.asarray(last, dtype=np.int64), device=device)
         )

@@ -30,5 +30,20 @@ class SwiGLUMLP(Module):
         self.up_proj = Linear(dim, hidden_dim, bias=False, dtype=dtype, rng=rng)
         self.down_proj = Linear(hidden_dim, dim, bias=False, dtype=dtype, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.down_proj(ops.silu(self.gate_proj(x)) * self.up_proj(x))
+    def forward(self, x: Tensor, norm: Module | None = None) -> Tensor:
+        """``down(silu(gate(h)) * up(h))`` for ``h = norm(x)``, or ``x`` itself.
+
+        A pre-norm block passes its norm rather than a normed input: then
+        this frame holds the only reference to ``h`` and drops it once
+        ``up_proj`` has read it, and drops the two factors once their
+        product exists.  Whatever backward needs autograd has saved (on the
+        host, under the eDKM pipeline), so a name kept past its last read
+        only holds device bytes.
+        """
+        h = x if norm is None else norm(x)
+        gate = ops.silu(self.gate_proj(h))
+        up = self.up_proj(h)
+        del h
+        hidden = gate * up
+        del gate, up
+        return self.down_proj(hidden)

@@ -15,7 +15,13 @@ from repro.tensor.tensor import Tensor
 
 
 class DecoderLayer(Module):
-    """Pre-norm residual block: attention then SwiGLU MLP."""
+    """Pre-norm residual block: attention then SwiGLU MLP.
+
+    The layer holds parameters but runs no ``forward`` of its own: the
+    caller's frame (:meth:`Transformer.forward`, the decode step) holds the
+    residual stream and rebinds it after each sublayer, so no layer input
+    outlives the sublayer that last reads it.
+    """
 
     def __init__(
         self,
@@ -35,10 +41,9 @@ class DecoderLayer(Module):
         self.mlp_norm = RMSNorm(dim, dtype=dtype)
         self.mlp = SwiGLUMLP(dim, hidden_dim, dtype=dtype, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.attn_norm(x))
-        x = x + self.mlp(self.mlp_norm(x))
-        return x
+    def mlp_residual(self, x: Tensor) -> Tensor:
+        """The stream after the MLP sublayer: ``x + mlp(mlp_norm(x))``."""
+        return x + self.mlp(x, self.mlp_norm)
 
 
 class Transformer(Module):
@@ -81,5 +86,6 @@ class Transformer(Module):
         """Logits of shape (batch, seq, vocab) for integer ``tokens``."""
         x = self.embed(tokens)
         for layer in self.layers:
-            x = layer(x)
+            x = x + layer.attn(layer.attn_norm(x))
+            x = layer.mlp_residual(x)
         return self.lm_head(self.final_norm(x))

@@ -45,6 +45,7 @@ The names the scheduler keys on:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,14 +123,15 @@ class FaultSpec:
     seeded pick from the step's layer list (step-scoped kinds always
     target :data:`STEP_TARGET`).  ``times > 1`` re-fires on retries -- e.g.
     a ``transient_step`` with ``times`` above the retry budget fails the
-    batch.  ``seconds`` sizes a ``delay_step`` nap.
+    batch.  ``seconds`` sizes a ``delay_step`` nap, which blocks the thread
+    that steps the server; it must be finite and non-negative.
     """
 
     kind: str
     sweep: int = 1
     layer: str | None = None
     times: int = 1
-    seconds: float = 30.0
+    seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -141,8 +143,8 @@ class FaultSpec:
             raise ValueError(f"sweep is 1-based, got {self.sweep}")
         if self.times < 1:
             raise ValueError(f"times must be >= 1, got {self.times}")
-        if self.seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
+        if not (math.isfinite(self.seconds) and self.seconds >= 0):
+            raise ValueError(f"seconds must be finite and >= 0, got {self.seconds}")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,12 @@ what replaced it is equality, not a tolerance:
   ``src/`` drops q and k after the score matmul, the scores after softmax
   and the weights and v after the context matmul: the same ops in the same
   order, so the output and every gradient are byte-equal.
+- ``DecoderLayer.forward`` and the ``Transformer.forward`` that called it
+  -- ``src/`` has no layer ``forward``: ``Transformer.forward`` holds the
+  residual stream and rebinds it after each sublayer, and the MLP applies
+  its norm itself and drops the normed input once ``up_proj`` has read it.
+  The same ops run in the same order, so the output and every gradient are
+  byte-equal; only the layer input and the MLP-norm output die earlier.
 
 ``pattern16_inputs`` draws the arrays on which uniquify's on-grid bf16 read
 must agree with ``bit_pattern16``, which rounds every element to nearest even.
@@ -287,6 +293,22 @@ def attention_forward_unfreed(layer, x):
     weights = ops.softmax(scores, dim=-1)
     context = layer._merge_heads(weights @ v)
     return layer.o_proj(context)
+
+
+def decoder_layer_unfreed(layer, x):
+    """``DecoderLayer.forward``: the caller's ``x`` keeps the layer input, and
+    argument passing keeps the MLP-norm output, alive until the MLP returns."""
+    x = x + layer.attn(layer.attn_norm(x))
+    x = x + layer.mlp(layer.mlp_norm(x))
+    return x
+
+
+def transformer_forward_unfreed(model, tokens):
+    """``Transformer.forward`` running each layer through ``decoder_layer_unfreed``."""
+    x = model.embed(tokens)
+    for layer in model.layers:
+        x = decoder_layer_unfreed(layer, x)
+    return model.lm_head(model.final_norm(x))
 
 
 def rms_norm_composite(x, weight, eps):

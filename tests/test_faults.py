@@ -76,6 +76,18 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError, match="seconds"):
             FaultSpec(kind="delay_step", seconds=-1.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_seconds_rejected(self, seconds):
+        """``time.sleep`` raises on NaN and inf mid-step, where the server
+        would count it as a step crash; the spec refuses them up front."""
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec(kind="delay_step", seconds=seconds)
+
+    def test_delay_defaults_to_the_chaos_nap(self):
+        """A ``delay_step`` naps on the thread that steps the server, so an
+        unset ``seconds`` is the chaos matrix's short nap."""
+        assert FaultSpec(kind="delay_step").seconds == 0.05
+
     @pytest.mark.parametrize(
         "kind",
         ["kill", "hang", "delay", "transient", "corrupt_delta", "drop_shm", "hang_step"],

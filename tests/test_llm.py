@@ -17,6 +17,7 @@ from repro.llm import (
     MICRO,
     TINY,
     FinetuneConfig,
+    ModelSpec,
     SequenceCache,
     WordTokenizer,
     batched_last_logits,
@@ -27,7 +28,7 @@ from repro.llm import (
 )
 from repro.memory import global_registry
 
-from tests import test_integration
+from tests import oracles, test_integration
 
 
 class TestTokenizer:
@@ -373,3 +374,40 @@ class TestStepResidency:
         digest = hashlib.blake2b(np.asarray(losses, np.float64).tobytes(), digest_size=8)
         pinned = test_integration.TestPinnedFinetuneBytes.PINNED[0, "mus"][0]
         assert digest.hexdigest() == pinned
+
+
+class TestResidualStreamPeak:
+    """One M+U+S training forward at the e2e benchmark's model and batch
+    shape, where layer 0's MLP holds the GPU peak.  The old layer body kept
+    two ``B·T·dim`` float32 activations alive there through argument
+    passing: the layer input and the MLP-norm output."""
+
+    SPEC = ModelSpec("bench", vocab_size=0, dim=128, n_layers=2, n_heads=8, hidden_dim=256, max_seq_len=64)
+    BATCH, SEQ, VOCAB = 16, 23, 200
+
+    def _forward_peak(self, forward):
+        """Device bytes the forward adds at its peak over its entry bytes."""
+        config = EDKMConfig(group=LearnerGroup(8))
+        model = build_model(self.SPEC, vocab_size=self.VOCAB, seed=0)
+        model.to(rt.GPU)
+        ModelCompressor(DKMConfig(bits=3, iters=2), config).compress(model)
+        tokens = rt.Tensor.from_numpy(
+            np.random.default_rng(1).integers(0, self.VOCAB, (self.BATCH, self.SEQ)), device=rt.GPU
+        )
+        gpu = global_registry().get("gpu")
+        # Other tests' garbage must not be collected mid-forward.
+        gc.collect()
+        gc.disable()
+        try:
+            with SavedTensorPipeline(config).step():
+                entry = gpu.current_bytes
+                gpu.reset_peak()
+                forward(model, tokens)
+                return gpu.snapshot().peak_bytes - entry
+        finally:
+            gc.enable()
+
+    def test_peak_drops_by_the_two_activations(self):
+        freed = self._forward_peak(lambda model, tokens: model(tokens))
+        unfreed = self._forward_peak(oracles.transformer_forward_unfreed)
+        assert unfreed - freed == 2 * self.BATCH * self.SEQ * self.SPEC.dim * 4 == 376_832

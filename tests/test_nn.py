@@ -355,6 +355,97 @@ class TestAttentionLifetimes:
         assert len(freed) == 6  # the output, x and the four projection weights
 
 
+class TestResidualStreamLifetimes:
+    """``Transformer.forward`` holds the residual stream in one frame: a
+    layer input dies once its attention sublayer has been added to it, and
+    the MLP-norm output once ``up_proj`` has read it.  The same ops run in
+    the same order as the layer body that kept both alive, so the output
+    and every gradient are that body's, byte for byte."""
+
+    DTYPES = [rt.float32, rt.bfloat16]
+
+    @staticmethod
+    def _model(dtype):
+        model = nn.Transformer(
+            vocab_size=20, dim=16, n_layers=2, n_heads=4, hidden_dim=32, max_seq_len=8, dtype=dtype
+        )
+        return model.to(rt.GPU)
+
+    @staticmethod
+    def _tokens():
+        return rt.Tensor.from_numpy(np.random.default_rng(4).integers(0, 20, (2, 6)), device=rt.GPU)
+
+    @staticmethod
+    def _wrap(monkeypatch, module, before=None, after=None):
+        """Run ``before(args)`` and ``after(out)`` around ``module``'s forward."""
+        forward = module.forward
+
+        def wrapped(*args):
+            if before is not None:
+                before(args)
+            out = forward(*args)
+            if after is not None:
+                after(out)
+            return out
+
+        monkeypatch.setattr(module, "forward", wrapped)
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
+    def test_mlp_norm_output_is_freed_before_the_product(self, monkeypatch, dtype):
+        """Under the pipeline autograd keeps host copies, so once ``up_proj``
+        has read the normed input nothing holds its device storage."""
+        model = self._model(dtype)
+        normed, ups, seen_alive = [], [], []
+        for layer in model.layers:
+            self._wrap(monkeypatch, layer.mlp_norm, after=lambda out: normed.append(weakref.ref(out.storage)))
+            self._wrap(monkeypatch, layer.mlp.up_proj, after=lambda out: ups.append(weakref.ref(out)))
+        mul = rt.Tensor.__mul__
+
+        def checking_mul(a, b):
+            if ups and b is ups[-1]():  # silu(gate) * up
+                seen_alive.append([ref() is not None for ref in normed])
+            return mul(a, b)
+
+        monkeypatch.setattr(rt.Tensor, "__mul__", checking_mul)
+        pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
+        with pipeline.step():
+            model(self._tokens()).sum().backward()
+        assert seen_alive == [[False], [False, False]]
+        assert all(p.grad is not None for p in model.parameters())
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
+    def test_layer_input_is_freed_before_its_mlp(self, monkeypatch, dtype):
+        model = self._model(dtype)
+        inputs, seen_alive = [], []
+        for layer in model.layers:
+            self._wrap(monkeypatch, layer.attn_norm, before=lambda args: inputs.append(weakref.ref(args[0].storage)))
+            self._wrap(
+                monkeypatch,
+                layer.mlp.gate_proj,
+                before=lambda args: seen_alive.append([ref() is not None for ref in inputs]),
+            )
+        pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
+        with pipeline.step():
+            model(self._tokens()).sum().backward()
+        assert seen_alive == [[False], [False, False]]
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
+    def test_equals_the_body_that_kept_the_layer_input(self, dtype):
+        def run(forward):
+            model = self._model(dtype)
+            pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
+            with pipeline.step():
+                out = forward(model, self._tokens())
+                upstream = rt.tensor(_arr(out.shape, 5), dtype=dtype, device=rt.GPU)
+                (out * upstream).sum().backward()
+            grads = [p.grad for p in model.parameters()]
+            return [t.numpy().tobytes() for t in [out] + grads]
+
+        freed = run(lambda model, tokens: model(tokens))
+        assert freed == run(oracles.transformer_forward_unfreed)
+        assert len(freed) == 22  # the output, embed, 2 x 9 layer weights, final norm, lm_head
+
+
 STEP_LEN = 16  # max_seq_len of the step property's attention layer
 
 

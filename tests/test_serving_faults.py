@@ -603,11 +603,11 @@ def _raise_mid_step(model, error, on_call):
     real = mlp.forward
     calls = {"n": 0}
 
-    def forward(x):
+    def forward(*args):
         calls["n"] += 1
         if calls["n"] == on_call:
             raise error
-        return real(x)
+        return real(*args)
 
     object.__setattr__(mlp, "forward", forward)
     try:
