@@ -215,7 +215,8 @@ def _plan_for(kind: str, seed: int) -> FaultPlan:
 
     ``corrupt_tile`` waits for step 2 so the layer weight it poisons
     is resident; every other kind fires twice from step 1 (a
-    ``delay_step`` naps its default ``seconds`` each time).
+    ``delay_step`` naps :data:`~repro.serving.faults.DELAY_STEP_S` each
+    time).
     """
     if kind == "corrupt_tile":
         spec = FaultSpec(kind=kind, sweep=2, times=1)

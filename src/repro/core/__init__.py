@@ -36,10 +36,7 @@ from repro.core.compressor import (
     CompressionReport,
     LayerClusterResult,
     ModelCompressor,
-    SWEEP_OPS,
     palettize_op,
-    precluster_op,
-    refine_op,
 )
 from repro.core.dkm import (
     ClusterState,
@@ -84,10 +81,7 @@ __all__ = [
     "CompressionReport",
     "LayerClusterResult",
     "ModelCompressor",
-    "SWEEP_OPS",
     "palettize_op",
-    "precluster_op",
-    "refine_op",
     "ClusterState",
     "DKMClusterer",
     "default_temperature",

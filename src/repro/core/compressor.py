@@ -9,9 +9,8 @@ and finalizes the fine-tuned model into palettized artifacts.
 Each ``ClusteredLinear`` owns its weight storage, its
 :class:`~repro.core.dkm.DKMClusterer`, and its
 :class:`~repro.core.fastpath.StepCache`, so the compressor's no-grad
-sweeps (``refine_all`` / ``precluster`` / ``finalize``) are one loop on
-the calling thread: the :data:`SWEEP_OPS` function of the sweep, called
-on every wrapped layer in insertion order.
+sweeps (``refine_all`` / ``precluster`` / ``finalize``) are each one loop
+on the calling thread over the wrapped layers, in insertion order.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -249,34 +247,6 @@ class LayerClusterResult:
     reconstruction_error: float | None = None
 
 
-# ----------------------------------------------------------------------
-# Sweep ops
-#
-# One function per compressor sweep, taking only (clusterer, weights, ...).
-# ----------------------------------------------------------------------
-
-
-def refine_op(clusterer: DKMClusterer, weights: Tensor) -> ClusterState:
-    """One layer's centroid refinement (the ``refine_all`` sweep body)."""
-    return clusterer.refine(weights)
-
-
-def precluster_op(
-    clusterer: DKMClusterer, weights: Tensor, compute_error: bool = False
-) -> LayerClusterResult:
-    """One layer's refine + hard-assign snapshot (``precluster`` body)."""
-    state = clusterer.refine(weights)
-    assignments = clusterer.hard_assign(weights)
-    error = clusterer.reconstruction_error(weights) if compute_error else None
-    return LayerClusterResult(
-        centroids=state.centroids.copy(),
-        temperature=state.temperature,
-        iterations_run=state.iterations_run,
-        assignments=np.asarray(assignments, dtype=np.int64),
-        reconstruction_error=error,
-    )
-
-
 def hard_cluster(
     clusterer: DKMClusterer, weights: Tensor
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,14 +283,6 @@ def palettize_op(
     state."""
     lut, indices = hard_cluster(clusterer, weights)
     return PalettizedTensor.from_assignments(lut, indices, bits, tuple(weights.shape))
-
-
-SWEEP_OPS: dict[str, Callable] = {
-    "refine": refine_op,
-    "precluster": precluster_op,
-    "palettize": palettize_op,
-}
-"""Sweep-op registry, keyed by the op names ``ModelCompressor`` sweeps run."""
 
 
 @dataclass
@@ -376,20 +338,12 @@ class ModelCompressor:
             raise ValueError("no Linear layers found to compress")
         return model
 
-    def _sweep(self, op: str, **kwargs) -> dict:
-        """Run the :data:`SWEEP_OPS` function ``op`` over every layer.
-
-        Each wrapper's own clusterer and weight, in insertion order; the
-        results come back keyed by layer name in that order.
-        """
-        return {
-            name: SWEEP_OPS[op](wrapper.clusterer, wrapper.inner.weight, **kwargs)
-            for name, wrapper in self.wrapped.items()
-        }
-
     def refine_all(self) -> dict[str, ClusterState]:
         """Converge every layer's centroids, in layer insertion order."""
-        return self._sweep("refine")
+        return {
+            name: wrapper.clusterer.refine(wrapper.inner.weight)
+            for name, wrapper in self.wrapped.items()
+        }
 
     def precluster(self, compute_error: bool = False) -> dict[str, LayerClusterResult]:
         """Refine + hard-assign every layer, snapshotting results.
@@ -399,7 +353,21 @@ class ModelCompressor:
         its nearest centroid.  Returns per-layer
         :class:`LayerClusterResult` in layer insertion order.
         """
-        return self._sweep("precluster", compute_error=compute_error)
+        results = {}
+        for name, wrapper in self.wrapped.items():
+            clusterer, weights = wrapper.clusterer, wrapper.inner.weight
+            state = clusterer.refine(weights)
+            assignments = clusterer.hard_assign(weights)
+            results[name] = LayerClusterResult(
+                centroids=state.centroids.copy(),
+                temperature=state.temperature,
+                iterations_run=state.iterations_run,
+                assignments=np.asarray(assignments, dtype=np.int64),
+                reconstruction_error=(
+                    clusterer.reconstruction_error(weights) if compute_error else None
+                ),
+            )
+        return results
 
     def fastpath_report(self) -> FastPathReport:
         """Aggregate per-layer step-cache hit/miss counters.
@@ -422,7 +390,10 @@ class ModelCompressor:
         sweep; embeddings and the byte accounting follow it.
         """
         report = CompressionReport()
-        report.palettized.update(self._sweep("palettize", bits=self.dkm_config.bits))
+        for name, wrapper in self.wrapped.items():
+            report.palettized[name] = palettize_op(
+                wrapper.clusterer, wrapper.inner.weight, self.dkm_config.bits
+            )
         wrapped_inner = {id(wrapper.inner) for wrapper in self.wrapped.values()}
         for name, module in model.named_modules():
             if isinstance(module, Embedding):

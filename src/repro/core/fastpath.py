@@ -91,7 +91,7 @@ class StepCache:
     view) key -- a layer's weight only has one live version at a time, so
     anything deeper would never be hit.  Storage identity is validated
     through a weak reference (ids can be recycled after garbage
-    collection, exactly the hazard ``MarshalRegistry`` guards against).
+    collection).
     Like everything in the library it is driven from one thread.
     """
 

@@ -5,15 +5,17 @@ semantics force a fresh CPU storage per ``.to()`` call -- two views of one
 GPU storage become two independent CPU copies (Table 1).  The marshaling
 layer interposes on the offload: before copying, it checks whether the same
 data storage has already been offloaded, and if so stores only a *reference*
-to the existing host copy plus the metadata needed to rebuild the view
-("the list of operations tracing back to the new tensor").
+to the existing host copy plus the view's shape, strides and offset.  That
+metadata replaces the paper's "list of operations tracing back to the new
+tensor": unpack rebuilds the view from it directly, and nothing ever
+replayed an op list.
 
 Lookup follows the paper: content hashing is assumed prohibitively
 expensive, so the registry walks the forward computation graph from the new
 tensor through data-storage-invariant operations (view, transpose, expand,
 slice, ...) for at most ``hop_budget`` hops, looking for a tensor already
 registered as offloaded.  The paper found 4 hops sufficient; an oracle
-``"storage-id"`` strategy (a dict keyed on storage identity) is provided for
+``"storage-id"`` strategy (an index keyed on the storage) is provided for
 ablation: Fig. 2 and the strategy tests build a
 ``MarshalRegistry(strategy="storage-id")`` and assign it to
 ``SavedTensorPipeline.registry``.  Both strategies thread probe-cost
@@ -67,16 +69,12 @@ class OffloadEntry:
 class MarshalRegistry:
     """Tracks which tensors' storages already have host copies.
 
-    Registration is keyed on tensor object identity (validated through a
-    weak reference); lookup is by graph walk (``strategy="graph"``, the
-    default) or by storage identity (``"storage-id"``, the oracle).  A
-    registry instance scopes one forward/backward step.
-
-    The tensor-id and storage-id tables cross-reference each other's key,
-    so a stale id detected on either side (the CPython allocator reuses
-    addresses after garbage collection) evicts *both* slots -- a one-sided
-    eviction would leave a dead counterpart that a recycled id could later
-    resolve to the wrong entry.
+    One weak index per registry, keyed by what its strategy looks up: the
+    tensor object for the graph walk (``strategy="graph"``, the default),
+    its storage for the ``"storage-id"`` oracle.  Tensors and storages
+    hash and compare by identity, so a dead key leaves the index by itself
+    and a recycled ``id()`` can never resolve to an old entry.  A registry
+    instance scopes one forward/backward step.
     """
 
     def __init__(self, strategy: str = "graph") -> None:
@@ -86,30 +84,22 @@ class MarshalRegistry:
                 f"expected one of {SEARCH_STRATEGIES}"
             )
         self.strategy = strategy
-        # id(tensor) -> (tensor weakref, entry, id(storage))
-        self._by_tensor_id: dict[
-            int, tuple[weakref.ReferenceType, OffloadEntry, int]
-        ] = {}
-        # id(storage) -> (storage weakref, entry, id(tensor))
-        self._by_storage_id: dict[
-            int, tuple[weakref.ReferenceType, OffloadEntry, int]
-        ] = {}
+        self._index: weakref.WeakKeyDictionary[object, OffloadEntry] = (
+            weakref.WeakKeyDictionary()
+        )
 
     def register(self, tensor: Tensor, entry: OffloadEntry) -> None:
         """Record that ``tensor``'s storage now has the host copy in
-        ``entry`` (indexed by tensor id and by storage id)."""
-        ref = weakref.ref(tensor)
-        storage_ref = weakref.ref(tensor.storage)
-        self._by_tensor_id[id(tensor)] = (ref, entry, id(tensor.storage))
-        self._by_storage_id[id(tensor.storage)] = (storage_ref, entry, id(tensor))
+        ``entry``."""
+        key = tensor.storage if self.strategy == "storage-id" else tensor
+        self._index[key] = entry
 
     def clear(self) -> None:
-        """Drop every index (called between steps: weights change)."""
-        self._by_tensor_id.clear()
-        self._by_storage_id.clear()
+        """Drop every entry (called between steps: weights change)."""
+        self._index.clear()
 
     def __len__(self) -> int:
-        return len(self._by_tensor_id)
+        return len(self._index)
 
     # ------------------------------------------------------------------
     # Lookup strategies
@@ -120,59 +110,25 @@ class MarshalRegistry:
         tensor: Tensor,
         hop_budget: int,
         stats: PipelineStats | None = None,
-    ) -> tuple[OffloadEntry | None, int, list[str]]:
+    ) -> tuple[OffloadEntry | None, int]:
         """Locate an existing entry for ``tensor``'s data storage.
 
-        Returns ``(entry, hops, op_trace)`` where ``op_trace`` names the
-        storage-invariant ops connecting the found tensor back to the new
-        one (the "required ops for future retrieval" of Fig. 2b).  When
-        ``stats`` is given, the probe's cost and hit/miss outcome are
+        Returns ``(entry, hops)``: the entry (or None) and the number of
+        storage-invariant ops between the found tensor and the new one.
+        When ``stats`` is given, the probe's cost and hit/miss outcome are
         recorded under the registry's strategy name.
         """
         if self.strategy == "storage-id":
-            result = self._find_by_storage(tensor)
+            result = (self._index.get(tensor.storage), 0)
         else:
             result = self._find_by_graph(tensor, hop_budget, stats)
         if stats is not None:
             stats.record_probe(self.strategy, hit=result[0] is not None)
         return result
 
-    # -- eviction (both sides, see class docstring) ---------------------
-
-    def _evict_tensor_key(self, tensor_key: int) -> None:
-        stale = self._by_tensor_id.pop(tensor_key, None)
-        if stale is None:
-            return
-        _, entry, storage_key = stale
-        counterpart = self._by_storage_id.get(storage_key)
-        if counterpart is not None and counterpart[1] is entry:
-            del self._by_storage_id[storage_key]
-
-    def _evict_storage_key(self, storage_key: int) -> None:
-        stale = self._by_storage_id.pop(storage_key, None)
-        if stale is None:
-            return
-        _, entry, tensor_key = stale
-        counterpart = self._by_tensor_id.get(tensor_key)
-        if counterpart is not None and counterpart[1] is entry:
-            del self._by_tensor_id[tensor_key]
-
-    def _find_by_storage(
-        self, tensor: Tensor
-    ) -> tuple[OffloadEntry | None, int, list[str]]:
-        hit = self._by_storage_id.get(id(tensor.storage))
-        if hit is None:
-            return (None, 0, [])
-        storage_ref, entry, _ = hit
-        if storage_ref() is not tensor.storage:
-            # Stale id reuse after garbage collection.
-            self._evict_storage_key(id(tensor.storage))
-            return (None, 0, [])
-        return (entry, 0, [])
-
     def _find_by_graph(
         self, tensor: Tensor, hop_budget: int, stats: PipelineStats | None = None
-    ) -> tuple[OffloadEntry | None, int, list[str]]:
+    ) -> tuple[OffloadEntry | None, int]:
         """BFS over the forward graph through storage-invariant ops.
 
         The walk alternates between tensors and graph *nodes* so that it can
@@ -185,7 +141,7 @@ class MarshalRegistry:
         # Most probes are plain misses -- the tensor is not registered and
         # no storage-invariant op touches it -- and a registered tensor is
         # its own 0-hop hit: answer both before any BFS state is built.
-        entry = self._lookup_tensor(tensor)
+        entry = self._index.get(tensor)
         if (
             entry is not None
             or hop_budget <= 0
@@ -193,31 +149,31 @@ class MarshalRegistry:
         ):
             if stats is not None:
                 stats.graph_nodes_visited += 1
-            return (entry, 0, [])
+            return (entry, 0)
         visited: set[int] = {id(tensor)}
-        # Items are (tensor-or-node, hops, op-name trace).  A deque keeps the
-        # BFS pop O(1); list.pop(0) made the walk O(n^2) in frontier size.
-        frontier: deque[tuple[object, int, list[str]]] = deque([(tensor, 0, [])])
+        # Items are (tensor-or-node, hops).  A deque keeps the BFS pop O(1);
+        # list.pop(0) made the walk O(n^2) in frontier size.
+        frontier: deque[tuple[object, int]] = deque([(tensor, 0)])
         while frontier:
-            current, hops, trace = frontier.popleft()
+            current, hops = frontier.popleft()
             if stats is not None:
                 stats.graph_nodes_visited += 1
             if isinstance(current, Tensor):
-                entry = self._lookup_tensor(current)
+                entry = self._index.get(current)
                 if entry is not None and current.storage is tensor.storage:
-                    return (entry, hops, trace)
+                    return (entry, hops)
                 if hops >= hop_budget:
                     continue
                 for node in _adjacent_view_nodes(current):
                     if id(node) not in visited:
                         visited.add(id(node))
-                        frontier.append((node, hops + 1, trace + [node.op_name]))
+                        frontier.append((node, hops + 1))
             else:
                 node = current
                 for endpoint in _node_endpoint_tensors(node):
                     if id(endpoint) not in visited:
                         visited.add(id(endpoint))
-                        frontier.append((endpoint, hops, trace))
+                        frontier.append((endpoint, hops))
                 if hops >= hop_budget:
                     continue
                 for kind, target in node.edges:
@@ -227,20 +183,8 @@ class MarshalRegistry:
                         and id(target) not in visited
                     ):
                         visited.add(id(target))
-                        frontier.append(
-                            (target, hops + 1, trace + [target.op_name])
-                        )
-        return (None, 0, [])
-
-    def _lookup_tensor(self, tensor: Tensor) -> OffloadEntry | None:
-        hit = self._by_tensor_id.get(id(tensor))
-        if hit is None:
-            return None
-        ref, entry, _ = hit
-        if ref() is not tensor:
-            self._evict_tensor_key(id(tensor))
-            return None
-        return entry
+                        frontier.append((target, hops + 1))
+        return (None, 0)
 
 
 def _adjacent_view_nodes(tensor: Tensor) -> Iterator[object]:

@@ -39,14 +39,13 @@ SHARD_MIN_BYTES = 4096
 
 @dataclass
 class SavedPayload:
-    """Handle stored in a Function context in place of the saved tensor."""
+    """Handle stored in a Function context in place of a saved GPU tensor:
+    the host copy's entry plus the view to rebuild from it."""
 
-    entry: OffloadEntry | None
-    shape: tuple[int, ...] = ()
-    strides: tuple[int, ...] = ()
-    offset: int = 0
-    op_trace: tuple[str, ...] = ()
-    passthrough: Tensor | None = None
+    entry: OffloadEntry
+    shape: tuple[int, ...]
+    strides: tuple[int, ...]
+    offset: int
 
 
 class SavedTensorPipeline:
@@ -87,43 +86,28 @@ class SavedTensorPipeline:
     # Hooks
     # ------------------------------------------------------------------
 
-    def _pack(self, tensor: Tensor) -> SavedPayload:
-        cfg = self.config
+    def _pack(self, tensor: Tensor) -> "SavedPayload | Tensor":
         if tensor.device != GPU:
-            return SavedPayload(entry=None, passthrough=tensor)
-
+            return tensor
         self.stats.tensors_packed += 1
-        metadata = (tensor.shape, tensor.strides, tensor.offset)
-
-        if cfg.marshal:
-            entry, hops, trace = self.registry.find(
-                tensor, cfg.hop_budget, self.stats
+        marshal = self.config.marshal
+        entry = None
+        if marshal:
+            entry, hops = self.registry.find(
+                tensor, self.config.hop_budget, self.stats
             )
             if entry is not None:
                 self.stats.record_hit(hops, tensor.storage.nbytes)
-                return SavedPayload(
-                    entry=entry,
-                    shape=metadata[0],
-                    strides=metadata[1],
-                    offset=metadata[2],
-                    op_trace=tuple(trace),
-                )
+        if entry is None:
+            entry = self._offload(tensor)
+            if marshal:
+                self.registry.register(tensor, entry)
+        return SavedPayload(entry, tensor.shape, tensor.strides, tensor.offset)
 
-        entry = self._offload(tensor)
-        if cfg.marshal:
-            self.registry.register(tensor, entry)
-        return SavedPayload(
-            entry=entry,
-            shape=metadata[0],
-            strides=metadata[1],
-            offset=metadata[2],
-        )
-
-    def _unpack(self, payload: SavedPayload) -> Tensor:
-        if payload.passthrough is not None:
-            return payload.passthrough
+    def _unpack(self, payload: "SavedPayload | Tensor") -> Tensor:
+        if isinstance(payload, Tensor):
+            return payload
         entry = payload.entry
-        assert entry is not None
         storage = entry.cached_gpu_storage()
         if storage is None:
             flat = self._restore(entry)

@@ -9,9 +9,9 @@ be triggered *on demand*, at a chosen point, repeatably.  This module is
 that trigger, plus the exceptions the scheduler keys on.
 
 A :class:`FaultPlan` names the injections: each :class:`FaultSpec` arms
-one fault ``kind`` from a decode step on (``layer=None`` picks a layer
-deterministically from the plan's seed, so "some layer, same one every
-run" is expressible without naming layers up front).  The
+one fault ``kind`` from a decode step on; a layer-scoped kind targets a
+layer picked deterministically from the plan's seed ("some layer, same
+one every run").  The
 :data:`FAULT_KINDS` table says what each kind targets.  Armed via
 ``ServingConfig.fault_plan``,
 :class:`~repro.serving.server.PaletteServer` opens every decode step
@@ -45,7 +45,6 @@ The names the scheduler keys on:
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,6 +68,10 @@ palette-path call runs, so a spec waits for one."""
 
 STEP_TARGET = "<step>"
 """The resolved target of step-scoped specs: the decode step, no layer."""
+
+DELAY_STEP_S = 0.05
+"""How long a ``delay_step`` fault naps, blocking the thread that steps
+the server: the chaos matrix's short stall."""
 
 
 class TransientStepError(ServingError):
@@ -119,19 +122,16 @@ class FaultSpec:
     """One armed fault: ``kind`` from decode step ``sweep`` on, ``times`` times.
 
     ``sweep`` is the 1-based decode step the spec arms at (the name is
-    the fault log's key).  ``layer=None`` resolves to a deterministic
-    seeded pick from the step's layer list (step-scoped kinds always
-    target :data:`STEP_TARGET`).  ``times > 1`` re-fires on retries -- e.g.
-    a ``transient_step`` with ``times`` above the retry budget fails the
-    batch.  ``seconds`` sizes a ``delay_step`` nap, which blocks the thread
-    that steps the server; it must be finite and non-negative.
+    the fault log's key).  A layer-scoped kind resolves to a deterministic
+    seeded pick from the step's layer list; step-scoped kinds target
+    :data:`STEP_TARGET`.  ``times > 1`` re-fires on retries -- e.g. a
+    ``transient_step`` with ``times`` above the retry budget fails the
+    batch.  A ``delay_step`` naps :data:`DELAY_STEP_S` per firing.
     """
 
     kind: str
     sweep: int = 1
-    layer: str | None = None
     times: int = 1
-    seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -143,8 +143,6 @@ class FaultSpec:
             raise ValueError(f"sweep is 1-based, got {self.sweep}")
         if self.times < 1:
             raise ValueError(f"times must be >= 1, got {self.times}")
-        if not (math.isfinite(self.seconds) and self.seconds >= 0):
-            raise ValueError(f"seconds must be finite and >= 0, got {self.seconds}")
 
 
 @dataclass(frozen=True)
@@ -231,8 +229,8 @@ class FaultInjector:
         """Open ``point`` (a decode step) over the layer ``names``.
 
         Arms every spec whose step is at or before ``point`` and resolves
-        its target: step-scoped kinds target :data:`STEP_TARGET`, a
-        pinned ``layer`` itself, and ``layer=None`` the seeded pick
+        its target: step-scoped kinds target :data:`STEP_TARGET`, and
+        layer-scoped kinds the seeded pick
         ``names[_seeded_index(seed, index, spec.sweep, len(names))]`` --
         the same layer at every point of every run.
         """
@@ -243,8 +241,6 @@ class FaultInjector:
                 continue
             if FAULT_KINDS[spec.kind] == "step":
                 self._targets[index] = STEP_TARGET
-            elif spec.layer is not None:
-                self._targets[index] = spec.layer
             elif names:
                 self._targets[index] = names[
                     _seeded_index(self.plan.seed, index, spec.sweep, len(names))
@@ -269,7 +265,7 @@ class FaultInjector:
                     layer=target,
                     kind=kind,
                     detail=(
-                        f"{spec.seconds}s"
+                        f"{DELAY_STEP_S}s"
                         if kind == "delay_step"
                         else f"firing {spec.times} time(s)"
                     ),
@@ -280,6 +276,7 @@ class FaultInjector:
 
 
 __all__ = [
+    "DELAY_STEP_S",
     "FAULT_KINDS",
     "STEP_TARGET",
     "CorruptTileError",

@@ -48,6 +48,7 @@ from repro.nn import Transformer
 from repro.serving.batcher import ContinuousBatcher
 from repro.serving.config import ServingConfig
 from repro.serving.faults import (
+    DELAY_STEP_S,
     STEP_TARGET,
     FaultInjector,
     PaletteKernelError,
@@ -318,9 +319,8 @@ class PaletteServer:
         for name, _ in self._palette_layers:
             if self.tile_cache.holds(name) and injector.fire("corrupt_tile", name):
                 self.tile_cache.corrupt_one(name)
-        spec = injector.fire("delay_step", STEP_TARGET)
-        if spec is not None:
-            time.sleep(spec.seconds)
+        if injector.fire("delay_step", STEP_TARGET):
+            time.sleep(DELAY_STEP_S)
         if injector.fire("transient_step", STEP_TARGET):
             raise TransientStepError()
 

@@ -5,7 +5,7 @@ import gc
 import numpy as np
 
 import repro.tensor as rt
-from repro.core import DKMConfig, EDKMConfig, SavedTensorPipeline
+from repro.core import DKMConfig, EDKMConfig, SavedPayload, SavedTensorPipeline
 from repro.core import offload
 from repro.core.dkm import DKMClusterer
 from repro.core.edkm import edkm_cluster
@@ -288,13 +288,13 @@ class TestRawByteTransfer:
 
         def recording_pack(tensor):
             payload = pack(tensor)
-            if payload.entry is not None:
+            if isinstance(payload, SavedPayload):
                 packed[id(payload)] = (payload, tensor._np().tobytes())
             return payload
 
         def checking_unpack(payload):
             tensor = unpack(payload)
-            if payload.entry is not None:
+            if isinstance(payload, SavedPayload):
                 assert tensor.device == rt.GPU
                 restored.append(tensor._np().tobytes() == packed[id(payload)][1])
             return tensor
@@ -324,7 +324,7 @@ class TestRawByteTransfer:
 
             def recording_unpack(payload):
                 tensor = unpack(payload)
-                if payload.entry is not None:
+                if isinstance(payload, SavedPayload):
                     restored.append(tensor.storage.data.tobytes())
                 return tensor
 

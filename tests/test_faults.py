@@ -9,6 +9,7 @@ same points on every run.  The server's recoveries under those faults
 are tested in ``tests/test_serving_faults.py``.
 """
 
+import dataclasses
 import importlib
 from unittest import mock
 
@@ -29,7 +30,12 @@ from repro.serving import (
     ServingConfig,
     TransientStepError,
 )
-from repro.serving.faults import FAULT_KINDS, STEP_TARGET, _seeded_index
+from repro.serving.faults import (
+    DELAY_STEP_S,
+    FAULT_KINDS,
+    STEP_TARGET,
+    _seeded_index,
+)
 
 #: The fault names that live in ``repro.serving`` alone.
 SERVING_FAULT_NAMES = (
@@ -72,21 +78,21 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError, match="times"):
             FaultSpec(kind="kernel_error", times=0)
 
-    def test_negative_seconds_rejected(self):
-        with pytest.raises(ValueError, match="seconds"):
-            FaultSpec(kind="delay_step", seconds=-1.0)
-
-    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_seconds_rejected(self, seconds):
-        """``time.sleep`` raises on NaN and inf mid-step, where the server
-        would count it as a step crash; the spec refuses them up front."""
-        with pytest.raises(ValueError, match="finite"):
-            FaultSpec(kind="delay_step", seconds=seconds)
+    @pytest.mark.parametrize("field", ["layer", "seconds"])
+    def test_spec_has_no_layer_or_seconds(self, field):
+        """A spec is ``kind``, ``sweep`` and ``times``: layer-scoped kinds
+        take the seeded layer pick, and every ``delay_step`` naps
+        :data:`DELAY_STEP_S`."""
+        assert [f.name for f in dataclasses.fields(FaultSpec)] == [
+            "kind", "sweep", "times"
+        ]
+        with pytest.raises(TypeError, match=field):
+            FaultSpec(kind="delay_step", **{field: "lm_head"})
 
     def test_delay_defaults_to_the_chaos_nap(self):
-        """A ``delay_step`` naps on the thread that steps the server, so an
-        unset ``seconds`` is the chaos matrix's short nap."""
-        assert FaultSpec(kind="delay_step").seconds == 0.05
+        """A ``delay_step`` naps on the thread that steps the server, so
+        its nap is the chaos matrix's short one."""
+        assert DELAY_STEP_S == 0.05
 
     @pytest.mark.parametrize(
         "kind",
@@ -176,16 +182,18 @@ class TestInjectorDeterminism:
         ]
 
     def test_times_budget_is_consumed(self):
-        plan = FaultPlan([FaultSpec("kernel_error", sweep=1, layer="a", times=2)])
+        plan = FaultPlan([FaultSpec("kernel_error", sweep=1, times=2)])
+        names = ["a", "b"]
+        target = names[_seeded_index(0, 0, 1, len(names))]
         injector = FaultInjector(plan)
-        injector.begin(1, ["a", "b"])
-        assert injector.fire("kernel_error", "a") is not None
-        assert injector.fire("kernel_error", "a") is not None
-        assert injector.fire("kernel_error", "a") is None
+        injector.begin(1, names)
+        assert injector.fire("kernel_error", target) is not None
+        assert injector.fire("kernel_error", target) is not None
+        assert injector.fire("kernel_error", target) is None
         assert len(injector.log) == 2
 
     def test_wrong_sweep_or_layer_never_fires(self):
-        plan = FaultPlan(specs=(FaultSpec(kind="kernel_error", sweep=2, layer="a"),))
+        plan = FaultPlan(specs=(FaultSpec(kind="kernel_error", sweep=2),))
         injector = FaultInjector(plan)
         injector.begin(1, ["a"])
         assert injector.fire("kernel_error", "a") is None  # before its step
@@ -195,10 +203,11 @@ class TestInjectorDeterminism:
         assert injector.fire("kernel_error", "a") is not None  # fires from its step on
 
     def test_step_scoped_kinds_target_the_step(self):
-        injector = FaultInjector(FaultPlan([FaultSpec("delay_step", sweep=1, seconds=2.0)]))
+        spec = FaultSpec("delay_step", sweep=1)
+        injector = FaultInjector(FaultPlan([spec]))
         injector.begin(1, ["layers.0.mlp"])
         assert injector.fire("delay_step", "layers.0.mlp") is None
-        assert injector.fire("delay_step", STEP_TARGET).seconds == 2.0
+        assert injector.fire("delay_step", STEP_TARGET) is spec
 
 
 LAYER_KINDS = sorted(k for k, scope in FAULT_KINDS.items() if scope == "layer")
@@ -220,19 +229,21 @@ class TestEveryKind:
         assert ServingConfig(fault_plan=plan).fault_plan is plan
 
     @pytest.mark.parametrize("kind", STEP_KINDS)
-    def test_step_kind_ignores_a_pinned_layer(self, kind):
-        injector = FaultInjector(FaultPlan([FaultSpec(kind, sweep=1, layer="lm_head")]))
+    def test_step_kind_ignores_the_seeded_layer(self, kind):
+        target = NAMES[_seeded_index(0, 0, 1, len(NAMES))]
+        injector = FaultInjector(FaultPlan([FaultSpec(kind, sweep=1)]))
         injector.begin(1, NAMES)
-        assert injector.fire(kind, "lm_head") is None
+        assert injector.fire(kind, target) is None
         assert injector.fire(kind, STEP_TARGET) is not None
         assert [e.layer for e in injector.log.events] == [STEP_TARGET]
 
     @pytest.mark.parametrize("kind", LAYER_KINDS)
-    def test_pinned_layer_kind_fires_only_on_its_layer(self, kind):
-        injector = FaultInjector(FaultPlan([FaultSpec(kind, sweep=1, layer="lm_head")]))
+    def test_layer_kind_fires_only_on_its_seeded_layer(self, kind):
+        target = NAMES[_seeded_index(0, 0, 1, len(NAMES))]
+        injector = FaultInjector(FaultPlan([FaultSpec(kind, sweep=1)]))
         injector.begin(1, NAMES)
         assert injector.fire(kind, STEP_TARGET) is None
-        assert [n for n in NAMES if injector.fire(kind, n)] == ["lm_head"]
+        assert [n for n in NAMES if injector.fire(kind, n)] == [target]
 
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_unpinned_layer_kind_waits_for_layers(self, kind):
@@ -248,12 +259,12 @@ class TestEveryKind:
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
     def test_event_detail(self, kind):
-        injector = FaultInjector(FaultPlan([FaultSpec(kind, sweep=1, times=3, seconds=0.5)]))
+        injector = FaultInjector(FaultPlan([FaultSpec(kind, sweep=1, times=3)]))
         injector.begin(1, NAMES)
         targets = [STEP_TARGET] if kind in STEP_KINDS else NAMES
         assert any(injector.fire(kind, target) for target in targets)
         (event,) = injector.log.events
-        expected = "0.5s" if kind == "delay_step" else "firing 3 time(s)"
+        expected = "0.05s" if kind == "delay_step" else "firing 3 time(s)"
         assert (event.kind, event.sweep, event.detail) == (kind, 1, expected)
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
@@ -273,7 +284,7 @@ class TestFaultLog:
         plan = FaultPlan(
             specs=(
                 FaultSpec(kind="transient_step", sweep=1, times=2),
-                FaultSpec(kind="delay_step", sweep=1, seconds=0.0),
+                FaultSpec(kind="delay_step", sweep=1),
             )
         )
         injector = FaultInjector(plan)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro.tensor as rt
-from repro.core import EDKMConfig, MarshalRegistry, SavedTensorPipeline
+from repro.core import EDKMConfig, MarshalRegistry, SavedPayload, SavedTensorPipeline
 from repro.core.marshal import SEARCH_STRATEGIES
 
 
@@ -33,7 +33,7 @@ def _pipeline(strategy):
     def recording_pack(tensor):
         copies = pipeline.stats.copies_made
         payload = pack(tensor)
-        if payload.passthrough is None:  # a device tensor: a hit or a copy
+        if isinstance(payload, SavedPayload):  # a device tensor: a hit or a copy
             pipeline.events.append(
                 (tensor.storage.nbytes, pipeline.stats.copies_made == copies)
             )

@@ -466,7 +466,7 @@ class TestTriageRegressions:
         entries = {id(t): OffloadEntry(t) for t in tensors}
         for tensor in tensors:
             registry.register(tensor, entries[id(tensor)])
-            entry, _, _ = registry.find(tensor, 0)
+            entry, _ = registry.find(tensor, 0)
             assert entry is entries[id(tensor)]
         assert len(registry) == 16
         registry.clear()

@@ -51,7 +51,7 @@ from repro.serving import (
     TileCache,
     TransientStepError,
 )
-from repro.serving.faults import FAULT_KINDS, STEP_TARGET
+from repro.serving.faults import DELAY_STEP_S, FAULT_KINDS, STEP_TARGET
 from repro.tensor.autograd import no_grad
 
 MAX_NEW = 5
@@ -453,15 +453,29 @@ class TestInjectedFaults:
         self, served_model, tokenizer, expected_texts
     ):
         config = _config(
-            fault_plan=FaultPlan([FaultSpec(
-                "delay_step", sweep=2, seconds=0.05
-            )]),
+            fault_plan=FaultPlan([FaultSpec("delay_step", sweep=2)]),
         )
         with PaletteServer(served_model, tokenizer, config) as server:
             texts = _serve_all(server)
             assert texts == [expected_texts[p] for p in PROMPTS]
             events = server.fault_injector.log.events
             assert [e.kind for e in events] == ["delay_step"]
+
+    def test_each_delay_step_naps_the_chaos_nap(
+        self, served_model, tokenizer, expected_texts
+    ):
+        """Every ``delay_step`` firing sleeps :data:`DELAY_STEP_S` on the
+        thread that steps the server, and nothing else sleeps."""
+        config = _config(
+            fault_plan=FaultPlan([FaultSpec("delay_step", sweep=1, times=2)]),
+        )
+        with PaletteServer(served_model, tokenizer, config) as server:
+            with _recorded_sleeps() as sleeps:
+                text = server.submit(PROMPTS[0]).result(timeout=30)
+            report = server.stats()
+        assert text == expected_texts[PROMPTS[0]]
+        assert sleeps == [DELAY_STEP_S, DELAY_STEP_S]
+        assert (report.step_retries, report.step_failures) == (0, 0)
 
     def test_kernel_error_retried_to_identical_tokens(
         self, served_model, tokenizer, expected_texts
@@ -774,7 +788,7 @@ class TestConcurrentChaos:
             specs=(
                 FaultSpec(kind="transient_step", sweep=2),
                 FaultSpec(kind="corrupt_tile", sweep=3),
-                FaultSpec(kind="delay_step", sweep=4, seconds=0.02),
+                FaultSpec(kind="delay_step", sweep=4),
             )
         )
         config = _config(fault_plan=plan, backoff_s=0.001)

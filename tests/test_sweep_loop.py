@@ -1,10 +1,9 @@
-"""The compressor's sweep loop (``ModelCompressor._sweep``).
+"""The compressor's sweep loops.
 
 Every compression sweep -- ``refine_all``, ``precluster``, ``finalize``
--- is one loop on the calling thread: the :data:`SWEEP_OPS` function of
-the sweep, called on every wrapped layer in insertion order.  The
-contract under test: a sweep equals calling its op layer by layer by
-hand (centroids, assignments, palettized artifacts, reconstruction
+-- is one loop on the calling thread over the wrapped layers, in
+insertion order.  The contract under test: a sweep equals calling its
+functions layer by layer by hand (centroids, assignments, palettized artifacts, reconstruction
 errors), it is repeatable run to run, its results come back in the
 caller's layer order, an op error propagates and leaves no trace,
 and each layer's step cache sees exactly one uniquify per weight
@@ -19,7 +18,7 @@ import pytest
 
 import repro.nn as nn
 from repro.core import DKMConfig, ModelCompressor
-from repro.core.compressor import SWEEP_OPS
+from repro.core.compressor import LayerClusterResult, palettize_op
 from repro.tensor.tensor import Tensor
 
 LAYER_COUNTS = [1, 4, 6]
@@ -78,10 +77,28 @@ def _assert_reports_equal(reference, candidate):
     assert reference.total_bytes == candidate.total_bytes
 
 
-def _by_hand(compressor, op, **kwargs):
-    """The sweep's op called on every layer without ``_sweep``."""
+def _precluster_by_hand(compressor, compute_error=False):
+    """``precluster``'s refine + hard assign called layer by layer."""
+    results = {}
+    for name, wrapper in compressor.wrapped.items():
+        clusterer, weights = wrapper.clusterer, wrapper.inner.weight
+        state = clusterer.refine(weights)
+        assignments = np.asarray(clusterer.hard_assign(weights), dtype=np.int64)
+        error = clusterer.reconstruction_error(weights) if compute_error else None
+        results[name] = LayerClusterResult(
+            centroids=state.centroids.copy(),
+            temperature=state.temperature,
+            iterations_run=state.iterations_run,
+            assignments=assignments,
+            reconstruction_error=error,
+        )
+    return results
+
+
+def _palettize_by_hand(compressor, bits):
+    """``finalize``'s per-layer :func:`palettize_op`, layer by layer."""
     return {
-        name: SWEEP_OPS[op](wrapper.clusterer, wrapper.inner.weight, **kwargs)
+        name: palettize_op(wrapper.clusterer, wrapper.inner.weight, bits)
         for name, wrapper in compressor.wrapped.items()
     }
 
@@ -107,7 +124,7 @@ class TestSweepEqualsPerLayerOps:
         reference, _ = _compressor(n_layers=n_layers)
         for _ in range(2):  # the second sweep runs warm
             _assert_results_equal(
-                _by_hand(reference, "precluster", compute_error=True),
+                _precluster_by_hand(reference, compute_error=True),
                 swept.precluster(compute_error=True),
             )
         assert _stats(swept) == _stats(reference)
@@ -117,7 +134,7 @@ class TestSweepEqualsPerLayerOps:
         swept, stack = _compressor(n_layers=n_layers)
         reference, _ = _compressor(n_layers=n_layers)
         report = swept.finalize(stack)
-        by_hand = _by_hand(reference, "palettize", bits=3)
+        by_hand = _palettize_by_hand(reference, bits=3)
         assert list(report.palettized) == list(by_hand)
         for name, pal in by_hand.items():
             assert np.array_equal(report.palettized[name].lut, pal.lut)
@@ -164,9 +181,6 @@ class TestTableParking:
         compressor, _ = _compressor(n_layers=1)
         with pytest.raises(TypeError, match="cache_table"):
             compressor.refine_all(cache_table=True)
-        wrapper = compressor.wrapped["layer0"]
-        with pytest.raises(TypeError, match="cache_table"):
-            SWEEP_OPS["refine"](wrapper.clusterer, wrapper.inner.weight, cache_table=True)
 
     def test_training_forward_after_precluster_reads_its_own_table(self):
         compressor, stack = _compressor(n_layers=2, seed=7)
@@ -243,32 +257,73 @@ class TestSweepOrderAndAccounting:
         assert list(compressor.refine_all()) == names
         assert list(compressor.precluster()) == names
 
-    @pytest.mark.parametrize("op", sorted(SWEEP_OPS))
-    def test_every_op_sweeps_every_layer_once(self, op):
-        compressor, _ = _compressor(n_layers=3)
-        kwargs = {"bits": 3} if op == "palettize" else {}
-        results = compressor._sweep(op, **kwargs)
-        assert list(results) == list(compressor.wrapped)
+    @pytest.mark.parametrize("sweep", ["finalize", "precluster", "refine_all"])
+    def test_every_sweep_visits_every_layer_once(self, sweep, monkeypatch):
+        compressor, stack = _compressor(n_layers=3)
+        visited = []
+        for name, wrapper in compressor.wrapped.items():
+            refine = wrapper.clusterer.refine
 
-    def test_sweep_ops_registry_names(self):
-        assert sorted(SWEEP_OPS) == ["palettize", "precluster", "refine"]
+            def counting(weights, *args, _name=name, _refine=refine, **kwargs):
+                visited.append(_name)
+                return _refine(weights, *args, **kwargs)
 
-    def test_op_exception_propagates_and_leaves_no_trace(self):
+            monkeypatch.setattr(wrapper.clusterer, "refine", counting)
+        if sweep == "finalize":
+            results = compressor.finalize(stack).palettized
+        else:
+            results = getattr(compressor, sweep)()
+        assert visited == list(compressor.wrapped)
+        assert list(results)[: len(visited)] == visited
+
+    def test_op_exception_propagates_and_leaves_no_trace(self, monkeypatch):
         """An op bug is deterministic, so it is raised, and the next sweep
         still matches a fresh run."""
         failing, _ = _compressor(n_layers=2)
         reference, _ = _compressor(n_layers=2)
-        with pytest.raises(TypeError):
-            failing._sweep("refine", bogus_kwarg=True)
+        clusterer = failing.wrapped["layer0"].clusterer
+        with monkeypatch.context() as patch:
+
+            def broken(weights, *args, **kwargs):
+                raise TypeError("refine bug")
+
+            patch.setattr(clusterer, "refine", broken)
+            with pytest.raises(TypeError, match="refine bug"):
+                failing.refine_all()
         _assert_results_equal(
             reference.precluster(compute_error=True),
             failing.precluster(compute_error=True),
         )
 
-    def test_unknown_op_raises_key_error(self):
-        compressor, _ = _compressor(n_layers=1)
-        with pytest.raises(KeyError):
-            compressor._sweep("quantize")
+    @pytest.mark.parametrize("sweep", ["finalize", "precluster", "refine_all"])
+    def test_error_on_the_last_layer_stops_the_sweep_there(self, sweep, monkeypatch):
+        """Each sweep calls its functions directly, so a failure after
+        earlier layers have run is raised as-is, and the sweep has done
+        exactly the earlier layers' work: their warm-started ``refine``
+        for ``refine_all`` / ``precluster``, nothing for ``finalize``
+        (:func:`hard_cluster` refines a copy)."""
+        failing, stack = _compressor(n_layers=3)
+        reference, _ = _compressor(n_layers=3)
+        clusterer = failing.wrapped["layer2"].clusterer
+        with monkeypatch.context() as patch:
+
+            def broken(weights, *args, **kwargs):
+                raise TypeError("last-layer bug")
+
+            patch.setattr(clusterer, "refine", broken)
+            with pytest.raises(TypeError, match="last-layer bug"):
+                if sweep == "finalize":
+                    failing.finalize(stack)
+                else:
+                    getattr(failing, sweep)()
+        if sweep != "finalize":
+            for name in ["layer0", "layer1"]:
+                wrapper = reference.wrapped[name]
+                wrapper.clusterer.refine(wrapper.inner.weight)
+        _assert_results_equal(
+            reference.precluster(compute_error=True),
+            failing.precluster(compute_error=True),
+        )
 
 
 class TestStepCacheCounters:
