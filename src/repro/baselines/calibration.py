@@ -61,11 +61,11 @@ def record_linear_inputs(
         records[name] = calibration
 
         def recording_forward(
-            x: Tensor, _inner=module, _cal=calibration
+            x: Tensor, gate: Tensor | None = None, _inner=module, _cal=calibration
         ) -> Tensor:
             flat = x._compute().reshape(-1, _inner.in_features)
             _cal.update(flat.astype(np.float64))
-            return Linear.forward(_inner, x)
+            return Linear.forward(_inner, x, gate)
 
         originals.append((module, module.forward))
         object.__setattr__(module, "forward", recording_forward)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.baselines.common import fake_quantize
 from repro.nn import Linear, Module
+from repro.nn.linear import linear
 from repro.tensor.autograd import Context, Function
 from repro.tensor.tensor import Tensor
 
@@ -44,12 +45,9 @@ class QATLinear(Module):
         self.inner = inner
         self.bits = bits
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, gate: Tensor | None = None) -> Tensor:
         weight = FakeQuantSTE.apply(self.inner.weight, self.bits)
-        out = x @ weight.T
-        if self.inner.bias is not None:
-            out = out + self.inner.bias
-        return out
+        return linear(x, weight, self.inner.bias, gate)
 
     def __repr__(self) -> str:
         return f"QATLinear({self.inner!r}, bits={self.bits})"

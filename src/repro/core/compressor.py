@@ -26,10 +26,11 @@ from repro.core.dkm import ClusterState, DKMClusterer
 from repro.core.edkm import cluster
 from repro.core.fastpath import FastPathReport, FastPathStats, StepCache
 from repro.core.palettize import PalettizedTensor, kmeans_palettize
-from repro.nn.linear import Embedding, Linear, named_linears
+from repro.nn.linear import Embedding, Linear, linear, named_linears
 from repro.nn.module import Module
 from repro.tensor.autograd import is_grad_enabled, no_grad
 from repro.tensor.dtype import promote
+from repro.tensor.ops.activation import silu_gate
 from repro.tensor.tensor import Tensor
 
 
@@ -71,9 +72,11 @@ class ClusteredLinear(Module):
             )
             inner.weight.dtype = dkm_config.weight_dtype
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, gate: Tensor | None = None) -> Tensor:
         """``x @ clustered(W).T + b``: soft clustering while training, the
-        hard-clustered weight in eval mode."""
+        hard-clustered weight in eval mode.  With ``gate``, the SwiGLU up
+        projection ``silu(gate) * (x @ clustered(W).T)`` of
+        :func:`~repro.nn.linear.linear`, in every mode."""
         if self.training:
             clustered = cluster(
                 self.inner.weight,
@@ -86,12 +89,9 @@ class ClusteredLinear(Module):
             # eval forward (e.g. probing gradients against frozen weights)
             # keeps the dense Tensor.
             if self._route is not None and not is_grad_enabled():
-                return self._served_forward(x)
+                return self._served_forward(x, gate)
             clustered = self._hard_weight()
-        out = x @ clustered.T
-        if self.inner.bias is not None:
-            out = out + self.inner.bias
-        return out
+        return linear(x, clustered, self.inner.bias, gate)
 
     def train(self, mode: bool = True) -> "ClusteredLinear":
         """Switch train/eval mode; training drops the dense eval Tensor.
@@ -176,15 +176,20 @@ class ClusteredLinear(Module):
         """Restore the dense eval path."""
         self._route = None
 
-    def _served_forward(self, x: Tensor) -> Tensor:
+    def _served_forward(self, x: Tensor, gate: Tensor | None) -> Tensor:
         """One verified cache read and one gemm (host numpy).
 
         A miss (the first call of a weight version, or the first after a
         corrupt entry was dropped) puts ``lut[indices]`` into the cache
         first.  The fault hook runs before the read, so an injected
         :class:`~repro.serving.faults.PaletteKernelError` originates inside
-        the layer's call.
+        the layer's call.  A gated up projection finishes with
+        :func:`~repro.tensor.ops.activation.silu_gate`, the epilogue of the
+        training op, so the served bytes are the dense eval path's.
         """
+        bias = self.inner.bias
+        if gate is not None and bias is not None:
+            raise ValueError("a gated up projection takes no bias")
         key, lut, indices, _ = self._snapshot()
         name, cache, fault_hook = self._route
         if fault_hook is not None:
@@ -199,14 +204,12 @@ class ClusteredLinear(Module):
         weight = self.inner.weight
         x_np = x._compute()
         y = np.matmul(x_np.reshape(-1, weight.shape[1]), resident.T)
-        out = Tensor.adopt(  # y is this gemm's fresh result
-            y.reshape(*x_np.shape[:-1], weight.shape[0]),
-            promote(x.dtype, weight.dtype),
-            x.device,
-        )
-        if self.inner.bias is not None:
-            out = out + self.inner.bias
-        return out
+        y = y.reshape(*x_np.shape[:-1], weight.shape[0])
+        dtype = promote(x.dtype, weight.dtype)
+        if gate is not None:
+            y, dtype = silu_gate(gate._compute(), gate.dtype, y, dtype)
+        out = Tensor.adopt(y, dtype, x.device)  # y is this call's fresh result
+        return out if bias is None else out + bias
 
     @property
     def step_cache(self) -> StepCache:

@@ -8,16 +8,36 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
+from repro.tensor import ops
 from repro.tensor.dtype import DType, float32, get_dtype
 from repro.tensor.random import default_rng
 from repro.tensor.tensor import Tensor
+
+
+def linear(
+    x: Tensor, weight: Tensor, bias: Tensor | None = None, gate: Tensor | None = None
+) -> Tensor:
+    """``x @ weight.T + bias``, or with ``gate`` ``silu(gate) * (x @ weight.T)``.
+
+    The gated form is SwiGLU's up projection as one op
+    (:func:`~repro.tensor.ops.silu_gated_linear`), which saves only ``x``,
+    ``weight`` and ``gate`` for backward; it takes no bias.  Every module
+    that can be an up projection computes its output here.
+    """
+    if gate is None:
+        out = x @ weight.T
+        return out if bias is None else out + bias
+    if bias is not None:
+        raise ValueError("a gated up projection takes no bias")
+    return ops.silu_gated_linear(x, weight, gate)
 
 
 class Linear(Module):
     """``y = x @ W.T + b`` with weight of shape ``(out_features, in_features)``.
 
     The weight layout matches PyTorch so compression code (DKM, GPTQ, AWQ)
-    can treat rows as output channels.
+    can treat rows as output channels.  ``forward(x, gate=g)`` is the
+    gated up projection of :func:`linear`.
     """
 
     def __init__(
@@ -44,11 +64,8 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def forward(self, x: Tensor, gate: Tensor | None = None) -> Tensor:
+        return linear(x, self.weight, self.bias, gate)
 
     def __repr__(self) -> str:
         return (
@@ -99,8 +116,6 @@ class Embedding(Module):
         self.weight = Parameter.wrap(Tensor.from_numpy(values, dtype=dt))
 
     def forward(self, indices: Tensor) -> Tensor:
-        from repro.tensor import ops
-
         return ops.embedding(self.weight, indices)
 
     def __repr__(self) -> str:

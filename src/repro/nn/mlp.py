@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.tensor import ops
 from repro.tensor.dtype import DType, float32
 from repro.tensor.random import default_rng
 from repro.tensor.tensor import Tensor
@@ -33,17 +32,18 @@ class SwiGLUMLP(Module):
     def forward(self, x: Tensor, norm: Module | None = None) -> Tensor:
         """``down(silu(gate(h)) * up(h))`` for ``h = norm(x)``, or ``x`` itself.
 
-        A pre-norm block passes its norm rather than a normed input: then
-        this frame holds the only reference to ``h`` and drops it once
-        ``up_proj`` has read it, and drops the two factors once their
-        product exists.  Whatever backward needs autograd has saved (on the
-        host, under the eDKM pipeline), so a name kept past its last read
-        only holds device bytes.
+        The gate runs first and ``up_proj`` takes it (``gate=``): the up
+        projection and the product are one op, which saves ``h``, the up
+        weight and the gate, so neither the up activation nor the silu
+        output is ever a tensor.  A pre-norm block passes its norm rather
+        than a normed input: then this frame holds the only reference to
+        ``h`` and to the gate and drops both before ``down_proj``.
+        Whatever backward needs autograd has saved (on the host, under the
+        eDKM pipeline), so a name kept past its last read only holds device
+        bytes.
         """
         h = x if norm is None else norm(x)
-        gate = ops.silu(self.gate_proj(h))
-        up = self.up_proj(h)
-        del h
-        hidden = gate * up
-        del gate, up
+        gate = self.gate_proj(h)
+        hidden = self.up_proj(h, gate=gate)
+        del h, gate
         return self.down_proj(hidden)

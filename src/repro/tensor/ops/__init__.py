@@ -15,9 +15,9 @@ from repro.tensor.dtype import DType
 from repro.tensor.tensor import Tensor
 from repro.tensor.ops._common import normalize_dim
 from repro.tensor.ops.arithmetic import Add, Div, Mul, Pow, Sqrt, Sub
-from repro.tensor.ops.activation import LogSoftmax, Silu, Softmax
+from repro.tensor.ops.activation import LogSoftmax, Softmax
 from repro.tensor.ops.indexing import IndexSelect, MaskedFill, TakeAlongDim
-from repro.tensor.ops.matmul import MatMul
+from repro.tensor.ops.matmul import MatMul, SiluGatedLinear
 from repro.tensor.ops.movement import Cast, ToDevice
 from repro.tensor.ops.norm import RmsNorm
 from repro.tensor.ops.reduce import Mean, Sum
@@ -58,6 +58,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return MatMul.apply(a, b)
 
 
+def silu_gated_linear(x: Tensor, weight: Tensor, gate: Tensor) -> Tensor:
+    """``silu(gate) * (x @ weight.T)``, saving only the three inputs for backward."""
+    return SiluGatedLinear.apply(x, weight, gate)
+
+
 # -- reductions ---------------------------------------------------------------
 
 def _reduce_dim(a: Tensor, dim: int | None) -> int | None:
@@ -80,10 +85,6 @@ def softmax(a: Tensor, dim: int = -1) -> Tensor:
 
 def log_softmax(a: Tensor, dim: int = -1) -> Tensor:
     return LogSoftmax.apply(a, dim)
-
-
-def silu(a: Tensor) -> Tensor:
-    return Silu.apply(a)
 
 
 # -- transformer-block ops ------------------------------------------------------

@@ -2,7 +2,10 @@
 
 ``Softmax`` is the op at the centre of the paper: DKM's attention map *is* a
 softmax output saved for backward, and its ``O(|W|·|C|)`` saved tensor is
-what eDKM compresses.
+what eDKM compresses.  SiLU is no op of its own: :func:`silu_gate` is the
+epilogue of the SwiGLU MLP's gated up projection
+(:class:`~repro.tensor.ops.matmul.SiluGatedLinear`), which saves its inputs
+and not the activations between them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.tensor.autograd import Context, Function
+from repro.tensor.dtype import DType, promote
 from repro.tensor.pairwise import stable_softmax, sum_keepdims
 from repro.tensor.tensor import Tensor
 from repro.tensor.ops._common import make_result, normalize_dim
@@ -75,19 +79,25 @@ class LogSoftmax(Function):
         return (grad - softmax * grad.sum(axis=ctx.dim, keepdims=True),)
 
 
-class Silu(Function):
-    """x * sigmoid(x) -- the LLaMA MLP activation."""
+def _silu(g: np.ndarray, dtype: DType) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigmoid(g), silu(g))`` for compute-precision ``g``, silu on ``dtype``'s grid."""
+    sig = _stable_sigmoid(g)
+    return sig, dtype.project(g * sig)
 
-    @staticmethod
-    def forward(ctx: Context, a: Tensor) -> Tensor:
-        ctx.save_for_backward(a)
-        x = a._compute()
-        sig = _stable_sigmoid(x)
-        return make_result(x * sig, a.dtype, a.device)
 
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        (a,) = ctx.saved_tensors
-        x = a._compute()
-        sig = _stable_sigmoid(x)
-        return (grad * (sig + x * sig * (1.0 - sig)),)
+def silu_gate(
+    gate: np.ndarray, gate_dtype: DType, up: np.ndarray, up_dtype: DType
+) -> tuple[np.ndarray, DType]:
+    """``silu(gate) * up`` and its dtype: the epilogue of ``SiluGatedLinear``.
+
+    ``gate`` is in compute precision and ``up`` is the raw up-projection
+    gemm.  Each factor is rounded onto its own dtype's grid and the product
+    is taken in their promoted dtype, as a ``silu`` op and a ``mul`` op
+    would store and read them, so a caller that computes ``up`` itself (the
+    served palette path) gets the op's bytes.
+    """
+    dtype = promote(gate_dtype, up_dtype)
+    _, silu = _silu(gate, gate_dtype)
+    up = up_dtype.project(up)
+    out = silu.astype(dtype.np_compute, copy=False) * up.astype(dtype.np_compute, copy=False)
+    return out, dtype

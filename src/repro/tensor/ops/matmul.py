@@ -15,6 +15,10 @@ training step builds one.  The bytes are the elementwise products', signed
 zeros included.  They equal ``np.matmul``'s up to the sign of a zero
 product: BLAS accumulates into a ``beta = 0`` output, and
 ``+0.0 + -0.0`` is ``+0.0``.
+
+``SiluGatedLinear`` is SwiGLU's up projection with its gate applied in the
+same op, ``silu(gate) * (x @ weight.T)``: the same gemm, then the
+``silu_gate`` epilogue.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.tensor.autograd import Context, Function
-from repro.tensor.dtype import promote
+from repro.tensor.dtype import DType, promote
 from repro.tensor.tensor import Tensor
 from repro.tensor.ops._common import check_same_device, make_result
+from repro.tensor.ops.activation import _silu, silu_gate
 
 
 def _unbroadcast_batch(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -104,3 +109,63 @@ class MatMul(Function):
             if needs_b:
                 gb = _unbroadcast_batch(_product(np.swapaxes(a_np, -1, -2), grad), b.shape)
         return (ga, gb)
+
+
+def _up_projection(x: Tensor, weight: Tensor, dtype: DType) -> np.ndarray:
+    """``x @ weight.T`` as ``MatMul`` computes it, raw (not yet on ``dtype``'s grid)."""
+    x_np = x._np().astype(dtype.np_compute, copy=False)
+    w_np = weight._np().astype(dtype.np_compute, copy=False)
+    return _product(_rows(x_np), w_np.T).reshape(x.shape[:-1] + weight.shape[:1])
+
+
+class SiluGatedLinear(Function):
+    """``silu(gate) * (x @ weight.T)`` -- SwiGLU's up projection, gated.
+
+    Saves only its three inputs.  The up activation and the silu output
+    are kernel temporaries that no tensor holds: backward rebuilds both
+    from the saved inputs (one gemm and one sigmoid pass), the selective
+    recomputation of Korthikanti et al. (arXiv:2205.05198).  Every array
+    is computed by the numpy calls, in the order, of the ``x @ weight.T``
+    ``MatMul``, ``silu`` and ``mul`` chain it replaces, so the output and
+    all three gradients are that chain's, byte for byte.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, x: Tensor, weight: Tensor, gate: Tensor) -> Tensor:
+        check_same_device(x, weight, gate)
+        if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
+            raise ValueError(f"silu_gated_linear shape mismatch: {x.shape} @ {weight.shape}.T")
+        if gate.shape != x.shape[:-1] + weight.shape[:1]:
+            raise ValueError(
+                f"gate shape {gate.shape} does not match the up projection's "
+                f"{x.shape[:-1] + weight.shape[:1]}"
+            )
+        ctx.save_for_backward(x, weight, gate)
+        up_dtype = promote(x.dtype, weight.dtype)
+        out, dtype = silu_gate(
+            gate._compute(), gate.dtype, _up_projection(x, weight, up_dtype), up_dtype
+        )
+        return make_result(out, dtype, x.device)
+
+    @staticmethod
+    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
+        x, weight, gate = ctx.saved_tensors
+        needs_x, needs_weight, needs_gate = ctx.needs_input_grad
+        g = gate._compute()
+        sig, silu = _silu(g, gate.dtype)
+        gx = gw = g_gate = None
+        if needs_gate:
+            up_dtype = promote(x.dtype, weight.dtype)
+            up = up_dtype.project(_up_projection(x, weight, up_dtype))
+            g_silu = grad * up.astype(up_dtype.np_compute, copy=False)
+            g_gate = g_silu * (sig + g * sig * (1.0 - sig))
+        if needs_x or needs_weight:
+            g_up = _rows(grad * silu.astype(gate.dtype.np_compute, copy=False))
+            # Strided views go to BLAS as transpose flags; no contiguous copies.
+            if needs_x:
+                w_np = weight._np().astype(g_up.dtype, copy=False)
+                gx = _product(g_up, w_np).reshape(x.shape)
+            if needs_weight:
+                x_np = x._np().astype(g_up.dtype, copy=False)
+                gw = _product(_rows(x_np).T, g_up).T
+        return (gx, gw, g_gate)

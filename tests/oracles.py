@@ -39,6 +39,11 @@ what replaced it is equality, not a tolerance:
   its norm itself and drops the normed input once ``up_proj`` has read it.
   The same ops run in the same order, so the output and every gradient are
   byte-equal; only the layer input and the MLP-norm output die earlier.
+- SwiGLU's gated up projection as ``x @ weight.T``, a ``Silu`` op and a
+  ``mul`` -- ``src/`` runs it as one ``SiluGatedLinear``, which saves its
+  three inputs instead of the gate, ``weight.T``, the silu output and the
+  up activation, and rebuilds the last two in backward with the same numpy
+  calls: the output and all three gradients are byte-equal.
 
 ``pattern16_inputs`` draws the arrays on which uniquify's on-grid bf16 read
 must agree with ``bit_pattern16``, which rounds every element to nearest even.
@@ -54,8 +59,10 @@ from repro.core.dkm import ClusterState, default_temperature, init_centroids_qua
 from repro.core.uniquify import HISTOGRAM_MIN_SIZE
 from repro.memory.traffic import global_ledger
 from repro.tensor import ops
-from repro.tensor.autograd import no_grad
+from repro.tensor.autograd import Function, no_grad
 from repro.tensor.dtype import bfloat16, decode_pattern16, float16
+from repro.tensor.ops._common import make_result
+from repro.tensor.ops.activation import _stable_sigmoid
 from repro.tensor.ops.segment import segment_sum
 from repro.tensor.pairwise import softmax_columns_
 from repro.tensor.storage import Storage
@@ -309,6 +316,42 @@ def transformer_forward_unfreed(model, tokens):
     for layer in model.layers:
         x = decoder_layer_unfreed(layer, x)
     return model.lm_head(model.final_norm(x))
+
+
+class Silu(Function):
+    """x * sigmoid(x) -- the LLaMA MLP activation."""
+
+    @staticmethod
+    def forward(ctx, a):
+        ctx.save_for_backward(a)
+        x = a._compute()
+        sig = _stable_sigmoid(x)
+        return make_result(x * sig, a.dtype, a.device)
+
+    @staticmethod
+    def backward(ctx, grad):
+        (a,) = ctx.saved_tensors
+        x = a._compute()
+        sig = _stable_sigmoid(x)
+        return (grad * (sig + x * sig * (1.0 - sig)),)
+
+
+def silu_gated_linear_composite(x, weight, gate):
+    """``ops.silu_gated_linear`` as ``Silu.apply(gate) * (x @ weight.T)``."""
+    return Silu.apply(gate) * (x @ weight.T)
+
+
+def swiglu_mlp_composite(mlp, x, norm=None):
+    """``SwiGLUMLP.forward`` when ``up_proj`` returned ``x @ W.T`` and the
+    MLP multiplied it by ``silu(gate)`` itself, dropping ``h`` and then both
+    factors as it went."""
+    h = x if norm is None else norm(x)
+    gate = Silu.apply(mlp.gate_proj(h))
+    up = mlp.up_proj(h)
+    del h
+    hidden = gate * up
+    del gate, up
+    return mlp.down_proj(hidden)
 
 
 def rms_norm_composite(x, weight, eps):

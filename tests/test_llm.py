@@ -1,5 +1,6 @@
 """Tests for the LLM substrate: tokenizer, presets, generation, fine-tuning."""
 
+import functools
 import gc
 import hashlib
 import weakref
@@ -27,6 +28,7 @@ from repro.llm import (
     train_causal_lm,
 )
 from repro.memory import global_registry
+from repro.nn import cross_entropy
 
 from tests import oracles, test_integration
 
@@ -378,22 +380,35 @@ class TestStepResidency:
 
 class TestResidualStreamPeak:
     """One M+U+S training forward at the e2e benchmark's model and batch
-    shape, where layer 0's MLP holds the GPU peak.  The old layer body kept
-    two ``B·T·dim`` float32 activations alive there through argument
-    passing: the layer input and the MLP-norm output."""
+    shape.  Its GPU peak is reached at layer 0's ``q @ kᵀ``: the layer
+    input, the attention-norm output, roped q and k and v, ``B·T·dim``
+    float32 each, under the ``B·heads·T²`` scores.  The MLP is below it:
+    the fused up projection keeps neither the silu output nor the up
+    activation.  The old layer body, which kept the layer input and the
+    MLP-norm output alive through argument passing, still peaks in its
+    MLP: the layer input, the stream, the MLP-norm output, the gate and the
+    fused output, ``B·T·hidden`` float32, beside the bf16 clustered up
+    weight."""
 
     SPEC = ModelSpec("bench", vocab_size=0, dim=128, n_layers=2, n_heads=8, hidden_dim=256, max_seq_len=64)
     BATCH, SEQ, VOCAB = 16, 23, 200
 
-    def _forward_peak(self, forward):
-        """Device bytes the forward adds at its peak over its entry bytes."""
-        config = EDKMConfig(group=LearnerGroup(8))
+    def _model(self, config):
         model = build_model(self.SPEC, vocab_size=self.VOCAB, seed=0)
         model.to(rt.GPU)
         ModelCompressor(DKMConfig(bits=3, iters=2), config).compress(model)
-        tokens = rt.Tensor.from_numpy(
-            np.random.default_rng(1).integers(0, self.VOCAB, (self.BATCH, self.SEQ)), device=rt.GPU
+        return model
+
+    def _tokens(self, seed=1):
+        return rt.Tensor.from_numpy(
+            np.random.default_rng(seed).integers(0, self.VOCAB, (self.BATCH, self.SEQ)), device=rt.GPU
         )
+
+    def _forward_peak(self, forward):
+        """Device bytes the forward adds at its peak over its entry bytes."""
+        config = EDKMConfig(group=LearnerGroup(8))
+        model = self._model(config)
+        tokens = self._tokens()
         gpu = global_registry().get("gpu")
         # Other tests' garbage must not be collected mid-forward.
         gc.collect()
@@ -407,7 +422,73 @@ class TestResidualStreamPeak:
         finally:
             gc.enable()
 
-    def test_peak_drops_by_the_two_activations(self):
+    def test_peak_is_layer_0_scores(self):
+        spec, rows = self.SPEC, self.BATCH * self.SEQ
+        activation = rows * spec.dim * 4
+        scores = self.BATCH * spec.n_heads * self.SEQ * self.SEQ * 4
         freed = self._forward_peak(lambda model, tokens: model(tokens))
+        assert freed == 5 * activation + scores == 1_212_928
+
+    def test_the_body_that_kept_both_activations_peaks_in_its_mlp(self):
+        spec, rows = self.SPEC, self.BATCH * self.SEQ
+        up_weight = spec.hidden_dim * spec.dim * 2  # bf16
+        mlp = 3 * rows * spec.dim * 4 + 2 * rows * spec.hidden_dim * 4 + up_weight
         unfreed = self._forward_peak(oracles.transformer_forward_unfreed)
-        assert unfreed - freed == 2 * self.BATCH * self.SEQ * self.SPEC.dim * 4 == 376_832
+        assert unfreed == mlp == 1_384_448
+
+    def _step_stats(self, composite):
+        """Pipeline counters of one M+U+S training step (forward and backward)."""
+        config = EDKMConfig(group=LearnerGroup(8))
+        model = self._model(config)
+        if composite:
+            for layer in model.layers:
+                layer.mlp.forward = functools.partial(oracles.swiglu_mlp_composite, layer.mlp)
+        pipeline = SavedTensorPipeline(config)
+        with pipeline.step():
+            cross_entropy(model(self._tokens()), self._tokens(2)).backward()
+        assert all(p.grad is not None for p in model.parameters())
+        return pipeline.stats
+
+    def test_fused_up_projection_offloads_two_tensors_fewer_per_layer(self):
+        """The fused op saves the gate, ``h`` and ``W̃``; the composite saved
+        the gate, ``h``, ``W̃ᵀ``, the silu output and the up activation.
+        Both extra tensors are ``B·T·hidden`` float32 host copies, sharded
+        and gathered back in backward."""
+        fused, composite = self._step_stats(False), self._step_stats(True)
+        spec, layers = self.SPEC, self.SPEC.n_layers
+        assert composite.tensors_packed - fused.tensors_packed == 2 * layers
+        assert composite.copies_made - fused.copies_made == 2 * layers
+        assert composite.gathers - fused.gathers == 2 * layers
+        dropped = composite.bytes_copied - fused.bytes_copied
+        assert dropped == layers * 2 * self.BATCH * self.SEQ * spec.hidden_dim * 4 == 1_507_328
+        assert fused.bytes_avoided == composite.bytes_avoided
+
+
+class TestOptimizerMomentBytes:
+    """AdamW's first and second moments after one ``train_causal_lm`` step
+    at the e2e benchmark's shape: two float32 host arrays per trainable
+    parameter, 8 bytes per weight in all, which no ``MemoryTracker`` counts
+    (``gpu_peak_bytes`` and ``node_peak_bytes`` leave them out)."""
+
+    def test_moments_are_eight_untracked_bytes_per_parameter(self, monkeypatch):
+        created = []
+
+        class RecordingAdamW(finetune_mod.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(finetune_mod, "AdamW", RecordingAdamW)
+        world = FactWorld(seed=0)
+        tokenizer = WordTokenizer(corpus_vocabulary(world))
+        model = build_model(TestResidualStreamPeak.SPEC, vocab_size=tokenizer.vocab_size, seed=0)
+        model.to(rt.GPU)
+        config = EDKMConfig(group=LearnerGroup(8))
+        ModelCompressor(DKMConfig(bits=3, iters=2), config).compress(model)
+        batches = alpaca_batches(generate_alpaca(world, 16, seed=2), tokenizer, 16, rt.GPU, seed=7)
+        train_causal_lm(model, batches, pipeline=SavedTensorPipeline(config), max_steps=1)
+        (optimizer,) = created
+        trainable = sum(p.numel for p in model.parameters() if p.requires_grad)
+        moments = optimizer.m + optimizer.v
+        assert all(type(moment) is np.ndarray for moment in moments)
+        assert sum(moment.nbytes for moment in moments) == 8 * trainable == 3_120_128

@@ -76,15 +76,23 @@ class TestStableSigmoid:
             got, want = _stable_sigmoid(x), _masked_sigmoid(x)
         assert got.tobytes() == want.tobytes()
 
-    def test_silu_forward_and_backward_bytes(self):
-        x = (np.random.default_rng(2).standard_normal((4, 33)) * 20).astype(np.float32)
-        a = rt.tensor(x, requires_grad=True)
-        out = ops.silu(a)
-        out.backward(np.ones_like(x))
-        sig = _masked_sigmoid(x)
-        assert out.numpy().tobytes() == (x * sig).tobytes()
-        want_grad = (sig + x * sig * (1.0 - sig)).astype(np.float32)
-        assert a.grad.numpy().tobytes() == want_grad.tobytes()
+    def test_silu_gated_linear_forward_and_backward_bytes(self):
+        """The op's sigmoid is ``_stable_sigmoid``: its output and every
+        gradient equal numpy's, built on the masked oracle, byte for byte."""
+        rng = np.random.default_rng(2)
+        x_np = rng.standard_normal((4, 6)).astype(np.float32)
+        w_np = rng.standard_normal((33, 6)).astype(np.float32)
+        g_np = (rng.standard_normal((4, 33)) * 20).astype(np.float32)
+        x, w, g = (rt.tensor(a, requires_grad=True) for a in (x_np, w_np, g_np))
+        out = ops.silu_gated_linear(x, w, g)
+        out.backward(np.ones((4, 33), np.float32))
+        sig = _masked_sigmoid(g_np)
+        silu, up = g_np * sig, np.matmul(x_np, w_np.T)
+        assert out.numpy().tobytes() == (silu * up).tobytes()
+        want_gate = (up * (sig + g_np * sig * (1.0 - sig))).astype(np.float32)
+        assert g.grad.numpy().tobytes() == want_gate.tobytes()
+        assert x.grad.numpy().tobytes() == np.matmul(silu, w_np).tobytes()
+        assert w.grad.numpy().tobytes() == np.matmul(x_np.T, silu).T.tobytes()
 
 
 class TestActivations:
@@ -108,11 +116,10 @@ class TestActivations:
             out.numpy(), scipy.special.log_softmax(a, axis=1), rtol=1e-5
         )
 
-    def test_silu(self):
-        a = _arr((5,))
-        assert np.allclose(
-            ops.silu(rt.tensor(a)).numpy(), a * scipy.special.expit(a), rtol=1e-5
-        )
+    def test_silu_gated_linear(self):
+        x, w, g = _arr((2, 3, 4)), _arr((5, 4), 1), _arr((2, 3, 5), 2)
+        out = ops.silu_gated_linear(rt.tensor(x), rt.tensor(w), rt.tensor(g))
+        assert np.allclose(out.numpy(), g * scipy.special.expit(g) * (x @ w.T), rtol=1e-5)
 
     def test_sigmoid_extreme_values_stable(self):
         out = _stable_sigmoid(np.array([-100.0, 100.0], dtype=np.float32))
@@ -132,8 +139,10 @@ class TestActivations:
             [_arr((3, 2))],
         )
 
-    def test_silu_grad(self):
-        check_gradients(lambda ts: ops.silu(ts[0]), [_arr((5,))])
+    def test_silu_gated_linear_grad(self):
+        check_gradients(
+            lambda ts: ops.silu_gated_linear(*ts), [_arr((2, 3)), _arr((4, 3), 1), _arr((2, 4), 2)]
+        )
 
 
 # Every branch of the pairwise order (sequential < 8, lanes + tail to 128,

@@ -32,7 +32,7 @@ from repro.tensor import ops
 from repro.tensor.autograd import Function
 from repro.tensor.ops import activation, arithmetic, indexing, movement, norm
 from repro.tensor.ops import reduce, rotary, shape
-from repro.tensor.ops.matmul import MatMul
+from repro.tensor.ops.matmul import MatMul, SiluGatedLinear
 from repro.tensor.tensor import Tensor
 
 FLOAT_DTYPES = (rt.float32, rt.bfloat16, rt.float16)
@@ -58,7 +58,11 @@ CASES = {
     arithmetic.Sqrt: lambda a, rng: (a,),
     activation.Softmax: lambda a, rng: (a, -1),
     activation.LogSoftmax: lambda a, rng: (a, 0),
-    activation.Silu: lambda a, rng: (a,),
+    SiluGatedLinear: lambda a, rng: (
+        a,
+        Tensor.from_numpy(rng.uniform(size=(3, a.shape[-1])), dtype=a.dtype),
+        Tensor.from_numpy(rng.uniform(size=a.shape[:-1] + (3,)), dtype=a.dtype),
+    ),
     indexing.IndexSelect: lambda a, rng: (
         a, _index(rng, a.shape[0], () if rng.random() < 0.5 else (3,))
     ),

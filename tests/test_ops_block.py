@@ -1,20 +1,31 @@
-"""``ops.rope`` and ``ops.rms_norm`` against the composites they replaced.
+"""``ops.rope``, ``ops.rms_norm`` and ``ops.silu_gated_linear`` against the
+composites they replaced.
 
 Forward is bit-equal to the oracle for float32 activations (on both numpy
-lines: ``mean`` over the last axis is a pairwise reduction); gradients
-agree with the oracle to float32 rounding and with finite differences.
+lines: ``mean`` over the last axis is a pairwise reduction); RoPE and
+RMSNorm gradients agree with the oracle to float32 rounding and with finite
+differences.  The gated up projection rebuilds its oracle's intermediates
+in backward with the same numpy calls: its output and all three gradients
+are byte-equal at every dtype.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
 import repro.tensor as rt
+from repro.core import EDKMConfig, SavedTensorPipeline
+from repro.distributed import LearnerGroup
 from repro.tensor import ops
+from repro.tensor.autograd import no_grad
+from repro.tensor.dtype import promote
+from repro.tensor.ops.activation import silu_gate
 
 from tests.gradcheck import check_gradients
 from tests.opcount import count_ops
-from tests.oracles import rms_norm_composite, rope_composite
+from tests.oracles import rms_norm_composite, rope_composite, silu_gated_linear_composite
 
 HEAD_DIM, MAX_SEQ = 16, 64
 
@@ -203,3 +214,94 @@ class TestRmsNorm:
     def test_weight_must_match_the_last_axis(self):
         with pytest.raises(ValueError, match="rms_norm weight"):
             ops.rms_norm(rt.tensor(_arr((3, 8))), rt.tensor(_arr((4,))), self.eps)
+
+
+class TestSiluGatedLinear:
+    """``silu(gate) * (x @ W.T)`` as one op and as ``MatMul``, ``Silu`` and ``Mul``."""
+
+    IN, OUT = 8, 12
+    LEADS = {"3-D": (2, 5), "2-D": (7,)}
+
+    def _leaves(self, dtype, layout, lead, device):
+        """``(leaves, inputs)``: the strided inputs are views of wider leaves."""
+        rng = np.random.default_rng(11)
+
+        def leaf(shape):
+            values = rng.standard_normal(shape) * 2.0
+            return rt.Tensor.from_numpy(values, dtype=dtype, device=device, requires_grad=True)
+
+        if layout == "contiguous":
+            leaves = (leaf(lead + (self.IN,)), leaf((self.OUT, self.IN)), leaf(lead + (self.OUT,)))
+            return leaves, leaves
+        x, w, g = leaf(lead + (2 * self.IN,)), leaf((self.IN, self.OUT)), leaf(lead + (2 * self.OUT,))
+        every = (slice(None),) * len(lead)
+        return (x, w, g), (x[every + (slice(None, None, 2),)], w.T, g[every + (slice(1, None, 2),)])
+
+    def _run(self, fn, dtype, layout, lead, piped):
+        """The output's bytes and each leaf gradient's, after one backward."""
+        device = rt.GPU if piped else rt.CPU
+        leaves, inputs = self._leaves(dtype, layout, lead, device)
+        pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
+        with pipeline.step() if piped else contextlib.nullcontext():
+            out = fn(*inputs)
+            out.backward(np.random.default_rng(3).standard_normal(out.shape).astype(np.float32))
+        assert inputs[0].is_contiguous() == (layout == "contiguous")
+        return [_bits(t) for t in [out] + [leaf.grad for leaf in leaves]]
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["hooks off", "pipeline"])
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("dtype", [rt.float32, rt.bfloat16], ids=lambda d: d.name)
+    def test_output_and_gradients_equal_the_composite(self, dtype, layout, lead, piped):
+        args = (dtype, layout, self.LEADS[lead], piped)
+        fused = self._run(ops.silu_gated_linear, *args)
+        assert fused == self._run(silu_gated_linear_composite, *args)
+        assert len(fused) == 4
+
+    # (x, weight, gate) dtypes: one, the clustered layer's bf16 weight under
+    # float32 activations, and a float16 / bfloat16 pair that promotes.
+    DTYPES = [
+        ("float32",) * 3,
+        ("bfloat16",) * 3,
+        ("float32", "bfloat16", "float32"),
+        ("float16", "bfloat16", "float16"),
+    ]
+
+    @pytest.mark.parametrize("dtypes", DTYPES, ids="-".join)
+    def test_served_epilogue_equals_the_no_grad_forward(self, dtypes):
+        rng = np.random.default_rng(5)
+        shapes = [(2, 5, self.IN), (self.OUT, self.IN), (2, 5, self.OUT)]
+        x, w, g = (
+            rt.Tensor.from_numpy(rng.standard_normal(shape), dtype=dtype)
+            for shape, dtype in zip(shapes, dtypes)
+        )
+        with no_grad():
+            want = ops.silu_gated_linear(x, w, g)
+        up_dtype = promote(x.dtype, w.dtype)
+        up = np.matmul(x._compute().reshape(-1, self.IN), w._compute().T).reshape(2, 5, self.OUT)
+        got, dtype = silu_gate(g._compute(), g.dtype, up, up_dtype)
+        assert dtype is want.dtype
+        assert dtype.project(got).tobytes() == _bits(want)
+
+    def test_saves_its_three_inputs_only(self):
+        shapes = [(3, 4), (5, 4), (3, 5)]
+        x, w, g = (rt.tensor(_arr(s, seed), requires_grad=True) for seed, s in enumerate(shapes))
+        with count_ops() as counts:
+            saved = _saved_by(lambda: ops.silu_gated_linear(x, w, g))
+        assert [t is u for t, u in zip(saved, (x, w, g))] == [True] * 3 and len(saved) == 3
+        assert dict(counts.dispatches) == {"SiluGatedLinear": 1}
+
+    def test_frozen_inputs_get_no_gradient(self):
+        x = rt.tensor(_arr((3, 4)), requires_grad=True)
+        w, g = rt.tensor(_arr((5, 4), 1)), rt.tensor(_arr((3, 5), 2))
+        ops.silu_gated_linear(x, w, g).sum().backward()
+        assert x.grad is not None and w.grad is None and g.grad is None
+
+    def test_shapes_must_match(self):
+        x, w = rt.tensor(_arr((3, 4))), rt.tensor(_arr((5, 4)))
+        with pytest.raises(ValueError, match="gate shape"):
+            ops.silu_gated_linear(x, w, rt.tensor(_arr((3, 4))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ops.silu_gated_linear(x, rt.tensor(_arr((5, 3))), rt.tensor(_arr((3, 5))))
+        with pytest.raises(ValueError, match="no bias"):
+            nn.Linear(4, 5)(x, gate=rt.tensor(_arr((3, 5))))

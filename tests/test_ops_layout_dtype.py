@@ -21,7 +21,7 @@ from repro.tensor import ops
 from repro.tensor.autograd import Function
 from repro.tensor.ops import activation, arithmetic, indexing, movement, norm
 from repro.tensor.ops import reduce, rotary, shape
-from repro.tensor.ops.matmul import MatMul
+from repro.tensor.ops.matmul import MatMul, SiluGatedLinear
 
 _COS, _SIN = rotary.rope_tables(4, 3, 1e4)
 _MASK = np.random.default_rng(7).random((3, 4)) < 0.5
@@ -45,7 +45,9 @@ CASES = {
     reduce.Mean: ([(3, 4)], lambda a: ops.mean(a, dim=1, keepdim=True)),
     activation.Softmax: ([(3, 4)], lambda a: ops.softmax(a, dim=-1)),
     activation.LogSoftmax: ([(3, 4)], lambda a: ops.log_softmax(a, dim=0)),
-    activation.Silu: ([(3, 4)], lambda a: ops.silu(a)),
+    SiluGatedLinear: (
+        [(3, 4), (5, 4), (3, 5)], lambda x, w, g: ops.silu_gated_linear(x, w, g)
+    ),
     norm.RmsNorm: ([(3, 4), (4,)], lambda a, w: ops.rms_norm(a, w, 1e-6)),
     rotary.Rope: ([(3, 4)], lambda a: ops.rope(a, _COS, _SIN)),
     shape.View: ([(3, 4)], lambda a: ops.reshape(a, (12,))),

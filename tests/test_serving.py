@@ -140,6 +140,24 @@ class TestPaletteKernel:
         # The cold call charged the palette it read: the lut and the indices.
         assert wrapped.served_bytes == lut.nbytes + 40 * 24 == 16 * 4 + 40 * 24
 
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["decode rows", "batch x seq"])
+    def test_served_gated_up_projection_is_the_dense_eval_bytes(self, lead):
+        """The served path ends in the fused op's own epilogue, so a gated
+        up projection serves the dense eval path's bytes."""
+        rng = np.random.default_rng(4)
+        wrapped = ClusteredLinear(
+            nn.Linear(24, 40, bias=False, rng=np.random.default_rng(0)), DKMConfig(bits=4)
+        )
+        wrapped.eval()
+        x = rt.Tensor.from_numpy(rng.standard_normal(lead + (24,)).astype(np.float32))
+        gate = rt.Tensor.from_numpy((rng.standard_normal(lead + (40,)) * 4).astype(np.float32))
+        with no_grad():
+            dense = wrapped(x, gate=gate).numpy()
+            wrapped.enable_palette_eval(name="layer", cache=TileCache())
+            served = wrapped(x, gate=gate).numpy()
+        assert wrapped.served_bytes > 0
+        assert served.tobytes() == dense.tobytes()
+
     def test_palette_matmul_matches_dense(self):
         lut, indices, layout = self._layout(out=12, in_f=32, k=8)
         x = np.random.default_rng(1).standard_normal((5, 32)).astype(np.float32)
