@@ -15,10 +15,11 @@ bit-identical to a forward of that option alone:
 - members of a group share a prefix, so their input length ``T`` is equal;
 - a score reads only rows before ``T - 1``, and no such row depends on
   the last token: the embedding, RoPE, RMSNorm, the MLP, the LM head and
-  ``log_softmax`` all work row by row; the causal ``masked_fill(..., -1e9)``
-  replaces every masked score before the softmax, so row ``i``'s weight on
-  the last position is exactly 0; and a gemm's row ``i`` does not depend
-  on the values in other rows when the row count is the same.
+  ``log_softmax`` all work row by row; the fused causal attention op
+  (``ops.causal_attention``) fills every masked score with ``-1e9`` before
+  its softmax, so row ``i``'s weight on the last position is exactly 0;
+  and a gemm's row ``i`` does not depend on the values in other rows when
+  the row count is the same.
 
 Rows are never stacked across options or items: a ``(B, T)`` forward
 changes every gemm's row count (see ``repro.llm.recompute``), and with it

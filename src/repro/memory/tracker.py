@@ -12,18 +12,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class OpScope:
+    """The name of the autograd op whose forward is running; ``""`` outside any op.
+
+    ``Function.apply`` stores the name on entry and restores the outer one
+    on exit, so a tracker can name the op whose allocation raised its peak
+    without knowing anything about ops.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self) -> None:
+        self.name = ""
+
+
+OP_SCOPE = OpScope()
+
+
 class MemoryTracker:
     """Current/peak byte counters for a single simulated device.
 
     The tracker is deliberately dumb: it knows nothing about tensors, only
     about byte deltas.  ``peak`` is monotone within a lifetime and can be
     re-armed with :meth:`reset_peak` to scope measurements to a region.
+    An allocation that raises the peak also records :data:`OP_SCOPE`'s
+    name as ``peak_op``; one below the peak does no extra work.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._current = 0
         self._peak = 0
+        self._peak_op = ""
         self._alloc_count = 0
         self._free_count = 0
 
@@ -42,6 +62,7 @@ class MemoryTracker:
         self._alloc_count += 1
         if self._current > self._peak:
             self._peak = self._current
+            self._peak_op = OP_SCOPE.name
 
     def release(self, nbytes: int) -> None:
         if nbytes < 0:
@@ -52,12 +73,14 @@ class MemoryTracker:
     def reset_peak(self) -> None:
         """Re-arm the peak counter at the current residency."""
         self._peak = self._current
+        self._peak_op = ""
 
     def snapshot(self) -> "TrackerSnapshot":
         return TrackerSnapshot(
             name=self.name,
             current_bytes=self._current,
             peak_bytes=self._peak,
+            peak_op=self._peak_op,
             alloc_count=self._alloc_count,
             free_count=self._free_count,
         )
@@ -76,6 +99,9 @@ class TrackerSnapshot:
     name: str
     current_bytes: int
     peak_bytes: int
+    # ``op_name`` of the ``Function.apply`` whose allocation last raised
+    # the peak, or ``""`` when none did (outside any op, or since a reset).
+    peak_op: str
     alloc_count: int
     free_count: int
 

@@ -3,7 +3,8 @@
 The paper's ablation (Table 2) measures "one attention layer from the LLaMA
 7B decoder stack" under 3-bit DKM compression.  This module is that layer:
 four Linear projections -- whose weights the DKM layer re-clusters on every
-forward -- plus RoPE, causal masking and softmax attention.
+forward -- plus RoPE and the causal softmax(QK^T)V core, one op
+(``ops.causal_attention``).
 
 Inference additionally gets :meth:`MultiHeadAttention.step`, the K/V-cached
 form of the same layer: it sees only the tokens a sequence has not fed yet
@@ -135,30 +136,20 @@ class MultiHeadAttention(Module):
         batch, seq, _ = x.shape
         return x.reshape(batch, seq, self.n_heads, self.head_dim).permute(0, 2, 1, 3)
 
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        batch, heads, seq, head_dim = x.shape
-        return x.permute(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
-
     def forward(self, x: Tensor) -> Tensor:
         """Causal self-attention over ``x`` of shape (batch, seq, dim).
 
-        Each buffer is dropped at its last read: whatever backward needs
-        autograd has saved (on the host, under the eDKM pipeline), so a
-        name kept past that point only holds device bytes.
+        The projections and RoPE feed one ``causal_attention`` op, which
+        saves q, k and v and no ``B·heads·T²`` map.  Each buffer is dropped
+        at its last read: whatever backward needs autograd has saved (on
+        the host, under the eDKM pipeline), so a name kept past that point
+        only holds device bytes.
         """
-        seq_len = x.shape[1]
         q = self.rope.apply(self._split_heads(self.q_proj(x)))
         k = self.rope.apply(self._split_heads(self.k_proj(x)))
         v = self._split_heads(self.v_proj(x))
-
-        scores = q @ k.transpose(2, 3)
-        del q, k
-        scores = scores * (1.0 / math.sqrt(self.head_dim))
-        scores = ops.masked_fill(scores, ops.causal_mask(seq_len), -1e9)
-        weights = ops.softmax(scores, dim=-1)
-        del scores
-        context = self._merge_heads(weights @ v)
-        del weights, v
+        context = ops.causal_attention(q, k, v)
+        del q, k, v
         return self.o_proj(context)
 
     def step(

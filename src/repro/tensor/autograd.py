@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.memory.tracker import OP_SCOPE
 from repro.tensor.pairwise import sum_keepdims
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -202,7 +203,13 @@ class Function:
         tensor_inputs = [a for a in args if isinstance(a, Tensor)]
         needs_input_grad = tuple([t.requires_grad for t in tensor_inputs])
         ctx = Context(needs_input_grad)
-        output = cls.forward(ctx, *args, **kwargs)
+        op_name = cls.op_name or cls.__name__
+        # Device trackers name the op whose allocation raised their peak.
+        outer, OP_SCOPE.name = OP_SCOPE.name, op_name
+        try:
+            output = cls.forward(ctx, *args, **kwargs)
+        finally:
+            OP_SCOPE.name = outer
 
         if True in needs_input_grad and _GRAD_ENABLED:
             edges: list[tuple[str, Any]] = []
@@ -218,7 +225,7 @@ class Function:
             node = Node(
                 fn=cls,
                 ctx=ctx,
-                op_name=cls.op_name or cls.__name__,
+                op_name=op_name,
                 storage_invariant=cls.storage_invariant,
                 edges=edges,
                 input_refs=input_refs,

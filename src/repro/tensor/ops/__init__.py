@@ -16,8 +16,8 @@ from repro.tensor.tensor import Tensor
 from repro.tensor.ops._common import normalize_dim
 from repro.tensor.ops.arithmetic import Add, Div, Mul, Pow, Sqrt, Sub
 from repro.tensor.ops.activation import LogSoftmax, Softmax
-from repro.tensor.ops.indexing import IndexSelect, MaskedFill, TakeAlongDim
-from repro.tensor.ops.matmul import MatMul, SiluGatedLinear
+from repro.tensor.ops.indexing import IndexSelect, TakeAlongDim
+from repro.tensor.ops.matmul import CausalAttention, MatMul, SiluGatedLinear, causal_mask
 from repro.tensor.ops.movement import Cast, ToDevice
 from repro.tensor.ops.norm import RmsNorm
 from repro.tensor.ops.reduce import Mean, Sum
@@ -61,6 +61,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def silu_gated_linear(x: Tensor, weight: Tensor, gate: Tensor) -> Tensor:
     """``silu(gate) * (x @ weight.T)``, saving only the three inputs for backward."""
     return SiluGatedLinear.apply(x, weight, gate)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``softmax(mask(q·kᵀ/√d))·v`` over ``(B, heads, T, d)`` inputs, as ``(B, T, heads·d)``.
+
+    Saves only ``q``, ``k`` and ``v`` for backward: no ``B·heads·T²`` map
+    is kept.
+    """
+    return CausalAttention.apply(q, k, v)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -142,10 +151,6 @@ def take_along_dim(a: Tensor, indices: Tensor, dim: int) -> Tensor:
     return TakeAlongDim.apply(a, indices, dim)
 
 
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    return MaskedFill.apply(a, mask, value)
-
-
 # -- movement -----------------------------------------------------------------
 
 def to_device(a: Tensor, device: Device, tag: str = "") -> Tensor:
@@ -154,10 +159,3 @@ def to_device(a: Tensor, device: Device, tag: str = "") -> Tensor:
 
 def cast(a: Tensor, dtype: DType) -> Tensor:
     return Cast.apply(a, dtype)
-
-
-# -- non-differentiable helpers -------------------------------------------------
-
-def causal_mask(size: int) -> np.ndarray:
-    """Boolean mask that is True strictly above the diagonal (to be filled)."""
-    return np.triu(np.ones((size, size), dtype=bool), k=1)

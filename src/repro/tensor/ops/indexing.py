@@ -102,21 +102,3 @@ def _along_axis_key(
     key[dim] = idx
     return tuple(key)
 
-
-class MaskedFill(Function):
-    """Replace masked positions with ``value`` (no grad through them)."""
-
-    @staticmethod
-    def forward(ctx: Context, a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-        mask = np.asarray(mask, dtype=bool)
-        out = a._compute().copy()
-        broadcast_mask = np.broadcast_to(mask, out.shape)
-        out[broadcast_mask] = value
-        ctx.mask = broadcast_mask
-        return make_result(out, a.dtype, a.device)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        g = grad.copy()
-        g[ctx.mask] = 0.0
-        return (g,)

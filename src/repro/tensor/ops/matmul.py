@@ -18,7 +18,9 @@ product: BLAS accumulates into a ``beta = 0`` output, and
 
 ``SiluGatedLinear`` is SwiGLU's up projection with its gate applied in the
 same op, ``silu(gate) * (x @ weight.T)``: the same gemm, then the
-``silu_gate`` epilogue.
+``silu_gate`` epilogue.  ``CausalAttention`` is the attention core,
+``softmax(mask(q·kᵀ/√d))·v`` with its heads merged: two batched gemms
+around a masked softmax, whose ``B·heads·T²`` map no tensor holds.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.tensor.dtype import DType, promote
 from repro.tensor.tensor import Tensor
 from repro.tensor.ops._common import check_same_device, make_result
 from repro.tensor.ops.activation import _silu, silu_gate
+from repro.tensor.pairwise import stable_softmax, sum_keepdims
 
 
 def _unbroadcast_batch(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -169,3 +172,96 @@ class SiluGatedLinear(Function):
                 x_np = x._np().astype(g_up.dtype, copy=False)
                 gw = _product(_rows(x_np).T, g_up).T
         return (gx, gw, g_gate)
+
+
+# The score a masked (future) position gets before the softmax: finite, so
+# a row's maximum stays a real score, and far enough down that its weight
+# underflows to exactly 0.
+MASK_FILL = -1e9
+
+
+def causal_mask(size: int) -> np.ndarray:
+    """Boolean mask that is True strictly above the diagonal (to be filled)."""
+    return np.triu(np.ones((size, size), dtype=bool), k=1)
+
+
+def _attention_map(q: Tensor, k: Tensor) -> tuple[np.ndarray, DType, float]:
+    """``(weights, dtype, scale)``: ``softmax(mask(q·kᵀ·scale))`` on ``dtype``'s grid.
+
+    Each step is the numpy call of the op it stood for -- ``MatMul``, a
+    scalar ``Mul``, ``MaskedFill`` and ``Softmax`` -- on that op's input as
+    it read it from the previous op's stored (projected) result.
+    """
+    dtype = promote(q.dtype, k.dtype)
+    compute = dtype.np_compute
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    q_np = q._np().astype(compute, copy=False)
+    k_np = k._np().astype(compute, copy=False)
+    scores = dtype.project(_product(q_np, np.swapaxes(k_np, -1, -2))).astype(compute, copy=False)
+    scores = dtype.project(scores * np.asarray(scale, dtype=compute)).astype(compute, copy=False)
+    np.copyto(scores, MASK_FILL, where=causal_mask(q.shape[-2]))
+    scores = np.ascontiguousarray(dtype.project(scores), dtype=compute)
+    return dtype.project(stable_softmax(scores, scores.ndim - 1)), dtype, scale
+
+
+class CausalAttention(Function):
+    """Causal self-attention's core: ``softmax(mask(q·kᵀ/√d))·v``, heads merged.
+
+    ``q``, ``k`` and ``v`` are ``(B, heads, T, head_dim)``; the result is
+    the ``(B, T, heads·head_dim)`` context.  Saves only its three inputs:
+    the scores and the attention map are kernel temporaries that no tensor
+    holds, and backward rebuilds the map from ``q`` and ``k`` (one batched
+    gemm and the softmax), the selective recomputation of Korthikanti et
+    al. (arXiv:2205.05198) that FlashAttention also makes (Dao et al.,
+    arXiv:2205.14135).  Every array is computed by the numpy calls, in the
+    order, of the ``q @ kᵀ``, ``* 1/√d``, ``masked_fill(-1e9)``,
+    ``softmax``, ``@ v`` and head-merge chain it replaces, each rounded
+    onto its dtype's grid as that chain stored it, so the output and all
+    three gradients are that chain's, byte for byte.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        check_same_device(q, k, v)
+        if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
+            raise ValueError(
+                "causal_attention expects q, k and v of one (batch, heads, seq, "
+                f"head_dim) shape, got {q.shape}, {k.shape} and {v.shape}"
+            )
+        ctx.save_for_backward(q, k, v)
+        weights, map_dtype, _ = _attention_map(q, k)
+        dtype = promote(map_dtype, v.dtype)
+        context = _product(
+            weights.astype(dtype.np_compute, copy=False),
+            v._np().astype(dtype.np_compute, copy=False),
+        )
+        batch, heads, seq, head_dim = q.shape
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+        return make_result(merged, dtype, q.device)
+
+    @staticmethod
+    def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
+        q, k, v = ctx.saved_tensors
+        needs_q, needs_k, needs_v = ctx.needs_input_grad
+        batch, heads, seq, head_dim = q.shape
+        weights, map_dtype, scale = _attention_map(q, k)
+        g_context = grad.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+        # Strided views go to BLAS as transpose flags; no contiguous copies.
+        w_np = weights.astype(grad.dtype, copy=False)
+        gq = gk = gv = None
+        if needs_v:
+            gv = _product(np.swapaxes(w_np, -1, -2), g_context)
+        if needs_q or needs_k:
+            v_np = v._np().astype(grad.dtype, copy=False)
+            g_weights = _product(g_context, np.swapaxes(v_np, -1, -2))
+            y = np.ascontiguousarray(weights, dtype=map_dtype.np_compute)
+            g_scores = y * (g_weights - sum_keepdims(g_weights * y, y.ndim - 1))
+            np.copyto(g_scores, 0.0, where=causal_mask(seq))
+            g_scores = g_scores * scale
+            if needs_q:
+                k_np = k._np().astype(grad.dtype, copy=False)
+                gq = _product(g_scores, k_np)
+            if needs_k:
+                q_np = q._np().astype(grad.dtype, copy=False)
+                gk = np.swapaxes(_product(np.swapaxes(q_np, -1, -2), g_scores), -1, -2)
+        return (gq, gk, gv)

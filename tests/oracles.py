@@ -29,10 +29,12 @@ what replaced it is equality, not a tolerance:
 - ``EDKMClusterAssign.backward`` over a ``(u, k)`` Jacobian summed row by
   row -- ``src/`` lays it out ``(k, u)`` and sums down its ``k`` rows in
   the same order: both gradients are byte-equal;
-- ``MultiHeadAttention.forward`` with every buffer bound to the end --
-  ``src/`` drops q and k after the score matmul, the scores after softmax
-  and the weights and v after the context matmul: the same ops in the same
-  order, so the output and every gradient are byte-equal.
+- ``MultiHeadAttention.forward`` with every buffer bound to the end, and
+  its attention core as the ``q @ kᵀ``, ``mul``, ``MaskedFill``,
+  ``softmax``, ``@ v`` and head-merge chain -- ``src/`` runs the core as
+  one ``CausalAttention``, which saves q, k and v instead of q, ``kᵀ``,
+  the attention map (twice) and v, and rebuilds the map in backward with
+  the same numpy calls: the output and every gradient are byte-equal.
 - ``DecoderLayer.forward`` and the ``Transformer.forward`` that called it
   -- ``src/`` has no layer ``forward``: ``Transformer.forward`` holds the
   residual stream and rebinds it after each sublayer, and the MLP applies
@@ -287,6 +289,39 @@ def rope_composite(rope, x):
     return ops.cat([rotated_first, rotated_second], dim=3)
 
 
+class MaskedFill(Function):
+    """Replace masked positions with ``value`` (no grad through them)."""
+
+    @staticmethod
+    def forward(ctx, a, mask, value):
+        mask = np.asarray(mask, dtype=bool)
+        out = a._compute().copy()
+        broadcast_mask = np.broadcast_to(mask, out.shape)
+        out[broadcast_mask] = value
+        ctx.mask = broadcast_mask
+        return make_result(out, a.dtype, a.device)
+
+    @staticmethod
+    def backward(ctx, grad):
+        g = grad.copy()
+        g[ctx.mask] = 0.0
+        return (g,)
+
+
+def masked_fill(a, mask, value):
+    return MaskedFill.apply(a, mask, value)
+
+
+def attention_composite(q, k, v):
+    """``ops.causal_attention`` as ``q @ kᵀ``, ``* 1/√d``, ``masked_fill(-1e9)``,
+    ``softmax`` and ``@ v``, with the heads merged by ``permute`` and ``reshape``."""
+    batch, heads, seq, head_dim = q.shape
+    scores = (q @ k.transpose(2, 3)) * (1.0 / math.sqrt(head_dim))
+    scores = masked_fill(scores, ops.causal_mask(seq), -1e9)
+    weights = ops.softmax(scores, dim=-1)
+    return (weights @ v).permute(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+
+
 def attention_forward_unfreed(layer, x):
     """``MultiHeadAttention.forward`` holding q, k, v, scores and weights to the end."""
     seq_len = x.shape[1]
@@ -296,9 +331,10 @@ def attention_forward_unfreed(layer, x):
 
     scores = (q @ k.transpose(2, 3)) * (1.0 / math.sqrt(layer.head_dim))
     mask = ops.causal_mask(seq_len)
-    scores = ops.masked_fill(scores, mask, -1e9)
+    scores = masked_fill(scores, mask, -1e9)
     weights = ops.softmax(scores, dim=-1)
-    context = layer._merge_heads(weights @ v)
+    batch, heads, seq, head_dim = q.shape
+    context = (weights @ v).permute(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
     return layer.o_proj(context)
 
 

@@ -380,15 +380,14 @@ class TestStepResidency:
 
 class TestResidualStreamPeak:
     """One M+U+S training forward at the e2e benchmark's model and batch
-    shape.  Its GPU peak is reached at layer 0's ``q @ kᵀ``: the layer
-    input, the attention-norm output, roped q and k and v, ``B·T·dim``
-    float32 each, under the ``B·heads·T²`` scores.  The MLP is below it:
-    the fused up projection keeps neither the silu output nor the up
-    activation.  The old layer body, which kept the layer input and the
-    MLP-norm output alive through argument passing, still peaks in its
-    MLP: the layer input, the stream, the MLP-norm output, the gate and the
-    fused output, ``B·T·hidden`` float32, beside the bf16 clustered up
-    weight."""
+    shape.  Its GPU peak is reached at layer 0's fused up projection: the
+    stream and the MLP-norm output, ``B·T·dim`` float32 each, the gate and
+    the projection's output, ``B·T·hidden`` float32 each, beside the bf16
+    clustered up weight.  Attention is below it: the fused attention op
+    keeps no ``B·heads·T²`` scores or map, so its peak is roped q and k, v
+    and the context it returns.  The old layer body, which kept the layer
+    input and the MLP-norm output alive through argument passing, peaks in
+    the same op one activation higher."""
 
     SPEC = ModelSpec("bench", vocab_size=0, dim=128, n_layers=2, n_heads=8, hidden_dim=256, max_seq_len=64)
     BATCH, SEQ, VOCAB = 16, 23, 200
@@ -405,7 +404,8 @@ class TestResidualStreamPeak:
         )
 
     def _forward_peak(self, forward):
-        """Device bytes the forward adds at its peak over its entry bytes."""
+        """Device bytes the forward adds at its peak over its entry bytes,
+        and the op whose allocation reached it."""
         config = EDKMConfig(group=LearnerGroup(8))
         model = self._model(config)
         tokens = self._tokens()
@@ -418,43 +418,64 @@ class TestResidualStreamPeak:
                 entry = gpu.current_bytes
                 gpu.reset_peak()
                 forward(model, tokens)
-                return gpu.snapshot().peak_bytes - entry
+                snapshot = gpu.snapshot()
+                return snapshot.peak_bytes - entry, snapshot.peak_op
         finally:
             gc.enable()
 
-    def test_peak_is_layer_0_scores(self):
+    def test_peak_is_layer_0_fused_up_projection(self):
         spec, rows = self.SPEC, self.BATCH * self.SEQ
-        activation = rows * spec.dim * 4
-        scores = self.BATCH * spec.n_heads * self.SEQ * self.SEQ * 4
-        freed = self._forward_peak(lambda model, tokens: model(tokens))
-        assert freed == 5 * activation + scores == 1_212_928
+        up_weight = spec.hidden_dim * spec.dim * 2  # bf16
+        mlp = 2 * rows * spec.dim * 4 + 2 * rows * spec.hidden_dim * 4 + up_weight
+        freed, op = self._forward_peak(lambda model, tokens: model(tokens))
+        assert (freed, op) == (mlp, "SiluGatedLinear") == (1_196_032, "SiluGatedLinear")
+
+    def test_attention_holds_no_score_map(self):
+        """Layer 0's attention sublayer peaks at its op's output over the
+        normed input it reads, roped q and k and v: five ``B·T·dim``
+        activations and no ``B·heads·T²`` term (270 848 B here)."""
+        spec, rows = self.SPEC, self.BATCH * self.SEQ
+        def attention(model, tokens):
+            layer = model.layers[0]
+            return layer.attn(layer.attn_norm(model.embed(tokens)))
+
+        peak = self._forward_peak(attention)
+        assert peak == (5 * rows * spec.dim * 4, "CausalAttention") == (942_080, "CausalAttention")
 
     def test_the_body_that_kept_both_activations_peaks_in_its_mlp(self):
         spec, rows = self.SPEC, self.BATCH * self.SEQ
         up_weight = spec.hidden_dim * spec.dim * 2  # bf16
         mlp = 3 * rows * spec.dim * 4 + 2 * rows * spec.hidden_dim * 4 + up_weight
-        unfreed = self._forward_peak(oracles.transformer_forward_unfreed)
-        assert unfreed == mlp == 1_384_448
+        unfreed, op = self._forward_peak(oracles.transformer_forward_unfreed)
+        assert (unfreed, op) == (mlp, "SiluGatedLinear") == (1_384_448, "SiluGatedLinear")
 
-    def _step_stats(self, composite):
-        """Pipeline counters of one M+U+S training step (forward and backward)."""
+    def _step_stats(self, patch=None):
+        """Pipeline counters of one M+U+S training step (forward and backward),
+        with ``patch(layer)`` applied to each decoder layer first."""
         config = EDKMConfig(group=LearnerGroup(8))
         model = self._model(config)
-        if composite:
-            for layer in model.layers:
-                layer.mlp.forward = functools.partial(oracles.swiglu_mlp_composite, layer.mlp)
+        for layer in model.layers if patch else ():
+            patch(layer)
         pipeline = SavedTensorPipeline(config)
         with pipeline.step():
             cross_entropy(model(self._tokens()), self._tokens(2)).backward()
         assert all(p.grad is not None for p in model.parameters())
         return pipeline.stats
 
+    @staticmethod
+    def _composite_mlp(layer):
+        layer.mlp.forward = functools.partial(oracles.swiglu_mlp_composite, layer.mlp)
+
+    @staticmethod
+    def _composite_attention(layer):
+        layer.attn.forward = functools.partial(oracles.attention_forward_unfreed, layer.attn)
+
     def test_fused_up_projection_offloads_two_tensors_fewer_per_layer(self):
         """The fused op saves the gate, ``h`` and ``W̃``; the composite saved
         the gate, ``h``, ``W̃ᵀ``, the silu output and the up activation.
         Both extra tensors are ``B·T·hidden`` float32 host copies, sharded
         and gathered back in backward."""
-        fused, composite = self._step_stats(False), self._step_stats(True)
+        fused, composite = self._step_stats(), self._step_stats(self._composite_mlp)
         spec, layers = self.SPEC, self.SPEC.n_layers
         assert composite.tensors_packed - fused.tensors_packed == 2 * layers
         assert composite.copies_made - fused.copies_made == 2 * layers
@@ -463,6 +484,21 @@ class TestResidualStreamPeak:
         assert dropped == layers * 2 * self.BATCH * self.SEQ * spec.hidden_dim * 4 == 1_507_328
         assert fused.bytes_avoided == composite.bytes_avoided
 
+    def test_fused_attention_offloads_one_map_fewer_per_layer(self):
+        """The fused op saves q, k and v; the composite saved q, ``kᵀ``, the
+        attention map for its softmax and again for its ``@ v``, and v.  The
+        map's first save was a ``B·heads·T²`` float32 host copy and its
+        second a marshal hit, and backward gathered it back for each, so
+        per layer two packs, one copy and two gathers go, and the bytes
+        copied and the bytes avoided each fall by one map."""
+        fused, composite = self._step_stats(), self._step_stats(self._composite_attention)
+        spec, layers = self.SPEC, self.SPEC.n_layers
+        score_map = self.BATCH * spec.n_heads * self.SEQ * self.SEQ * 4
+        assert composite.tensors_packed - fused.tensors_packed == 2 * layers
+        assert composite.copies_made - fused.copies_made == layers
+        assert composite.gathers - fused.gathers == 2 * layers
+        assert composite.bytes_copied - fused.bytes_copied == layers * score_map == 541_696
+        assert composite.bytes_avoided - fused.bytes_avoided == layers * score_map
 
 class TestOptimizerMomentBytes:
     """AdamW's first and second moments after one ``train_causal_lm`` step

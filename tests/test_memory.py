@@ -13,6 +13,8 @@ from repro.memory import (
     global_ledger,
     profile_memory,
 )
+from repro.memory.tracker import OP_SCOPE
+from repro.tensor import ops
 from repro.tensor.device import Device
 from repro.tensor.storage import Storage
 
@@ -73,6 +75,38 @@ class TestMemoryTracker:
         assert t.current_bytes == 8
         gc.collect()
         assert (t.current_bytes, t.snapshot().free_count) == (0, 1)
+
+
+class TestPeakOp:
+    """A tracker names the op whose forward allocation last raised its peak."""
+
+    @staticmethod
+    def _device(name):
+        tracker = MemoryTracker(name)
+        return tracker, Device(name, tracker)
+
+    def test_the_op_that_raised_the_peak(self):
+        tracker, dev = self._device("peak-op")
+        a = rt.Tensor.from_numpy(np.ones((4, 4), dtype=np.float32), device=dev)
+        assert tracker.snapshot().peak_op == ""  # allocated outside any op
+        wide = a @ a  # MatMul allocates 64 B: the peak
+        del wide
+        small = a + 1.0  # Add allocates 64 B again: not above the peak
+        assert tracker.snapshot().peak_op == "MatMul"
+        del small
+        tracker.reset_peak()
+        assert tracker.snapshot().peak_op == ""
+        _ = ops.cat([a, a], dim=0)
+        assert tracker.snapshot().peak_op == "Cat"
+
+    def test_an_op_that_raises_restores_the_outer_scope(self):
+        tracker, dev = self._device("peak-op-raise")
+        a = rt.Tensor.from_numpy(np.ones((2, 3), dtype=np.float32), device=dev)
+        with pytest.raises(ValueError):
+            a @ a  # MatMul rejects the shapes
+        assert OP_SCOPE.name == ""
+        rt.Tensor.from_numpy(np.ones((8, 8), dtype=np.float32), device=dev)
+        assert tracker.snapshot().peak_op == ""
 
 
 class TestTrafficLedger:

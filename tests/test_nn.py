@@ -302,7 +302,8 @@ class TestAttention:
 
 class TestAttentionLifetimes:
     """``MultiHeadAttention.forward`` drops each buffer at its last read
-    and still computes, byte for byte, what the body that kept them did."""
+    and still computes, byte for byte, what the body that kept them and
+    ran the attention core as a chain of primitive ops did."""
 
     DTYPES = [rt.float32, rt.bfloat16]
 
@@ -314,29 +315,44 @@ class TestAttentionLifetimes:
         return attn.to(rt.GPU)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
-    def test_roped_q_and_k_are_freed_before_softmax(self, monkeypatch, dtype):
-        """Under the pipeline autograd keeps host copies, so once q·kᵀ has
-        read them nothing holds the device storages of roped q and k."""
+    def test_roped_q_k_and_v_are_freed_before_o_proj(self, monkeypatch, dtype):
+        """Under the pipeline autograd keeps host copies, so once the fused
+        attention op has read them nothing holds the device storages of
+        roped q and k and of v: all three are alive when the op runs and
+        dead when ``o_proj`` does."""
         attn = self._layer(dtype)
-        roped, seen_alive = [], []
-        apply, softmax = attn.rope.apply, attention_mod.ops.softmax
+        held, at_op, at_o_proj = [], [], []
+        apply, v_forward, o_forward = attn.rope.apply, attn.v_proj.forward, attn.o_proj.forward
+        causal_attention = attention_mod.ops.causal_attention
 
-        def recording_apply(x):
-            out = apply(x)
-            roped.append(weakref.ref(out.storage))
-            return out
+        def alive():
+            return [ref() is not None for ref in held]
 
-        def checking_softmax(*args, **kwargs):
-            seen_alive.append([ref() is not None for ref in roped])
-            return softmax(*args, **kwargs)
+        def recording(forward):
+            def record(*args, **kwargs):
+                out = forward(*args, **kwargs)
+                held.append(weakref.ref(out.storage))
+                return out
 
-        monkeypatch.setattr(attn.rope, "apply", recording_apply)
-        monkeypatch.setattr(attention_mod.ops, "softmax", checking_softmax)
+            return record
+
+        def checking(seen, forward):
+            def check(*args, **kwargs):
+                seen.append(alive())
+                return forward(*args, **kwargs)
+
+            return check
+
+        monkeypatch.setattr(attn.rope, "apply", recording(apply))
+        monkeypatch.setattr(attn.v_proj, "forward", recording(v_forward))
+        monkeypatch.setattr(attention_mod.ops, "causal_attention", checking(at_op, causal_attention))
+        monkeypatch.setattr(attn.o_proj, "forward", checking(at_o_proj, o_forward))
         x = rt.tensor(_arr((2, 6, 16)), dtype=dtype, device=rt.GPU)
         pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
         with pipeline.step():
             attn(x).sum().backward()
-        assert seen_alive == [[False, False]]
+        assert at_op == [[True, True, True]]
+        assert at_o_proj == [[False, False, False]]
         assert all(p.grad is not None for p in attn.parameters())
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
@@ -555,15 +571,19 @@ class TestTransformer:
         # 173 dispatches / 178 saved tensors while RoPE and RMSNorm were
         # chains of primitive ops (13 x 4 and 6 x 5 of them), 100 / 121
         # while each MLP ran its up projection, silu and product as
-        # ``MatMul`` (with a ``Transpose``), ``Silu`` and ``Mul``.
+        # ``MatMul`` (with a ``Transpose``), ``Silu`` and ``Mul``, 94 / 117
+        # while each attention core ran as ``Transpose``, ``MatMul``, ``Mul``,
+        # ``MaskedFill``, ``Softmax``, ``MatMul``, ``Permute``, ``Contiguous``
+        # and ``View``, saving q, ``kᵀ``, the map twice and v.
         counts = training_step_counts()
         assert counts.dispatches["EDKMClusterAssign"] == 15
         assert counts.dispatches["rope"] == 4 and counts.saved["rope"] == 0
         assert counts.dispatches["rms_norm"] == 5 and counts.saved["rms_norm"] == 10
         assert counts.dispatches["SiluGatedLinear"] == 2 and counts.saved["SiluGatedLinear"] == 6
-        assert not {"Slice", "Cat", "Mean", "Sqrt", "Div", "Sub"} & set(counts.dispatches)
-        assert sum(counts.dispatches.values()) <= 94
-        assert sum(counts.saved.values()) <= 117
+        assert counts.dispatches["CausalAttention"] == 2 and counts.saved["CausalAttention"] == 6
+        assert not {"Slice", "Cat", "Mean", "Sqrt", "Div", "Sub", "Softmax"} & set(counts.dispatches)
+        assert sum(counts.dispatches.values()) <= 78
+        assert sum(counts.saved.values()) <= 113
 
 
 class TestLoss:

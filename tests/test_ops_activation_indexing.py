@@ -375,20 +375,6 @@ class TestIndexing:
         expected = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0]], dtype=np.float32)
         assert np.array_equal(a.grad.numpy(), expected)
 
-    def test_masked_fill(self):
-        a = rt.tensor(_arr((2, 2)))
-        mask = np.array([[True, False], [False, True]])
-        out = ops.masked_fill(a, mask, -9.0)
-        assert out.numpy()[0, 0] == -9.0
-        assert out.numpy()[0, 1] == a.numpy()[0, 1]
-
-    def test_masked_fill_grad_blocked_by_mask(self):
-        a = rt.tensor(_arr((2, 2)), requires_grad=True)
-        mask = np.array([[True, False], [False, False]])
-        ops.masked_fill(a, mask, 0.0).sum().backward()
-        assert a.grad.numpy()[0, 0] == 0.0
-        assert a.grad.numpy()[1, 1] == 1.0
-
     def test_causal_mask(self):
         mask = ops.causal_mask(3)
         assert np.array_equal(

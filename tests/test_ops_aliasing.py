@@ -32,7 +32,7 @@ from repro.tensor import ops
 from repro.tensor.autograd import Function
 from repro.tensor.ops import activation, arithmetic, indexing, movement, norm
 from repro.tensor.ops import reduce, rotary, shape
-from repro.tensor.ops.matmul import MatMul, SiluGatedLinear
+from repro.tensor.ops.matmul import CausalAttention, MatMul, SiluGatedLinear
 from repro.tensor.tensor import Tensor
 
 FLOAT_DTYPES = (rt.float32, rt.bfloat16, rt.float16)
@@ -63,11 +63,14 @@ CASES = {
         Tensor.from_numpy(rng.uniform(size=(3, a.shape[-1])), dtype=a.dtype),
         Tensor.from_numpy(rng.uniform(size=a.shape[:-1] + (3,)), dtype=a.dtype),
     ),
+    # ``a`` as the queries of one batch (and, 2-D, one head).
+    CausalAttention: lambda a, rng: (
+        (q := a[(None,) * (4 - a.ndim)]), _other(q, rng), _other(q, rng)
+    ),
     indexing.IndexSelect: lambda a, rng: (
         a, _index(rng, a.shape[0], () if rng.random() < 0.5 else (3,))
     ),
     indexing.TakeAlongDim: lambda a, rng: (a, _index(rng, a.shape[-1], a.shape), a.ndim - 1),
-    indexing.MaskedFill: lambda a, rng: (a, rng.random(a.shape) < 0.5, -1.0),
     MatMul: lambda a, rng: (
         a, Tensor.from_numpy(rng.uniform(size=(a.shape[-1], 3)), dtype=a.dtype)
     ),

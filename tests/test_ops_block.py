@@ -1,12 +1,12 @@
-"""``ops.rope``, ``ops.rms_norm`` and ``ops.silu_gated_linear`` against the
-composites they replaced.
+"""``ops.rope``, ``ops.rms_norm``, ``ops.silu_gated_linear`` and
+``ops.causal_attention`` against the composites they replaced.
 
 Forward is bit-equal to the oracle for float32 activations (on both numpy
 lines: ``mean`` over the last axis is a pairwise reduction); RoPE and
 RMSNorm gradients agree with the oracle to float32 rounding and with finite
 differences.  The gated up projection rebuilds its oracle's intermediates
-in backward with the same numpy calls: its output and all three gradients
-are byte-equal at every dtype.
+in backward with the same numpy calls, and so does causal attention: the
+output and all three gradients of each are byte-equal at every dtype.
 """
 
 import contextlib
@@ -25,7 +25,12 @@ from repro.tensor.ops.activation import silu_gate
 
 from tests.gradcheck import check_gradients
 from tests.opcount import count_ops
-from tests.oracles import rms_norm_composite, rope_composite, silu_gated_linear_composite
+from tests.oracles import (
+    attention_composite,
+    rms_norm_composite,
+    rope_composite,
+    silu_gated_linear_composite,
+)
 
 HEAD_DIM, MAX_SEQ = 16, 64
 
@@ -305,3 +310,103 @@ class TestSiluGatedLinear:
             ops.silu_gated_linear(x, rt.tensor(_arr((5, 3))), rt.tensor(_arr((3, 5))))
         with pytest.raises(ValueError, match="no bias"):
             nn.Linear(4, 5)(x, gate=rt.tensor(_arr((3, 5))))
+
+
+class TestCausalAttention:
+    """``softmax(mask(q·kᵀ/√d))·v`` as one op and as the ``MatMul``, ``Mul``,
+    ``MaskedFill``, ``Softmax``, ``MatMul`` and head-merge chain."""
+
+    # (B, heads, T, head_dim): the e2e benchmark's layer, one token, and a
+    # head dimension of 1 (the score gemm becomes a broadcast multiply).
+    SHAPES = {"bench": (16, 8, 23, 16), "T=1": (2, 3, 1, 4), "d=1": (2, 3, 7, 1)}
+
+    def _leaves(self, dtype, shape, strided_v, device):
+        """``(leaves, inputs)``: a strided ``v`` is every other column of a
+        ``(B, T, heads, 2·d)`` leaf, permuted as attention splits heads."""
+        rng = np.random.default_rng(11)
+
+        def leaf(leaf_shape):
+            values = rng.standard_normal(leaf_shape) * 2.0
+            return rt.Tensor.from_numpy(values, dtype=dtype, device=device, requires_grad=True)
+
+        q, k = leaf(shape), leaf(shape)
+        if not strided_v:
+            v = leaf(shape)
+            return (q, k, v), (q, k, v)
+        batch, heads, seq, head_dim = shape
+        v = leaf((batch, seq, heads, 2 * head_dim))
+        return (q, k, v), (q, k, v[..., ::2].permute(0, 2, 1, 3))
+
+    def _run(self, fn, dtype, shape, strided_v, piped):
+        """The output's bytes and each leaf gradient's, after one backward."""
+        device = rt.GPU if piped else rt.CPU
+        leaves, inputs = self._leaves(dtype, shape, strided_v, device)
+        pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
+        with pipeline.step() if piped else contextlib.nullcontext():
+            out = fn(*inputs)
+            out.backward(np.random.default_rng(3).standard_normal(out.shape).astype(np.float32))
+        assert inputs[2].is_contiguous() != strided_v
+        return [_bits(t) for t in [out] + [leaf.grad for leaf in leaves]]
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["hooks off", "pipeline"])
+    @pytest.mark.parametrize("strided_v", [False, True], ids=["contiguous v", "strided v"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [rt.float32, rt.bfloat16], ids=lambda d: d.name)
+    def test_output_and_gradients_equal_the_composite(self, dtype, shape, strided_v, piped):
+        args = (dtype, self.SHAPES[shape], strided_v, piped)
+        fused = self._run(ops.causal_attention, *args)
+        assert fused == self._run(attention_composite, *args)
+        assert len(fused) == 4
+
+    def test_output_merges_the_heads(self):
+        q, k, v = (rt.tensor(_arr((2, 3, 5, 4), seed)) for seed in range(3))
+        out = ops.causal_attention(q, k, v)
+        assert out.shape == (2, 5, 12) and out.is_contiguous()
+        # Row 0 sees only position 0: its context is v's first row, per head.
+        first = v.numpy()[:, :, 0, :].reshape(2, 12)
+        assert np.array_equal(out.numpy()[:, 0, :], first)
+
+    def test_a_row_ignores_later_positions(self):
+        """Row ``i``'s weight on every later position is exactly 0, so no
+        value there reaches its output bytes (the eval harness's grouped
+        scoring relies on it) or gets a gradient from it."""
+        q, k, v = (rt.tensor(_arr((1, 2, 6, 4), seed), requires_grad=True) for seed in range(3))
+        out = ops.causal_attention(q, k, v)
+        changed_k, changed_v = k.numpy(), v.numpy()
+        changed_k[:, :, 3:] *= -7.0
+        changed_v[:, :, 3:] += 5.0
+        again = ops.causal_attention(q, rt.tensor(changed_k), rt.tensor(changed_v))
+        assert out.numpy()[:, :3].tobytes() == again.numpy()[:, :3].tobytes()
+        upstream = np.zeros(out.shape, dtype=np.float32)
+        upstream[:, :3] = 1.0
+        out.backward(upstream)
+        assert not k.grad.numpy()[:, :, 3:].any() and not v.grad.numpy()[:, :, 3:].any()
+        assert not q.grad.numpy()[:, :, 3:].any()
+
+    def test_saves_q_k_and_v_only(self):
+        q, k, v = (rt.tensor(_arr((2, 3, 5, 4), seed), requires_grad=True) for seed in range(3))
+        with count_ops() as counts:
+            saved = _saved_by(lambda: ops.causal_attention(q, k, v))
+        assert [t is u for t, u in zip(saved, (q, k, v))] == [True] * 3 and len(saved) == 3
+        assert dict(counts.dispatches) == {"CausalAttention": 1}
+
+    @pytest.mark.parametrize("trained", ["q", "k", "v"])
+    def test_frozen_inputs_get_no_gradient(self, trained):
+        inputs = {
+            name: rt.tensor(_arr((2, 3, 5, 4), seed), requires_grad=name == trained)
+            for seed, name in enumerate("qkv")
+        }
+        ops.causal_attention(*inputs.values()).sum().backward()
+        assert {name: t.grad is not None for name, t in inputs.items()} == {
+            name: name == trained for name in "qkv"
+        }
+
+    def test_shapes_must_match(self):
+        q = rt.tensor(_arr((2, 3, 5, 4)))
+        with pytest.raises(ValueError, match="one \\(batch, heads, seq, head_dim\\) shape"):
+            ops.causal_attention(q, q, rt.tensor(_arr((2, 3, 5, 8))))
+        with pytest.raises(ValueError, match="one \\(batch, heads, seq, head_dim\\) shape"):
+            ops.causal_attention(q, rt.tensor(_arr((2, 3, 4, 4))), q)
+        flat = rt.tensor(_arr((3, 5, 4)))
+        with pytest.raises(ValueError, match="one \\(batch, heads, seq, head_dim\\) shape"):
+            ops.causal_attention(flat, flat, flat)

@@ -21,10 +21,9 @@ from repro.tensor import ops
 from repro.tensor.autograd import Function
 from repro.tensor.ops import activation, arithmetic, indexing, movement, norm
 from repro.tensor.ops import reduce, rotary, shape
-from repro.tensor.ops.matmul import MatMul, SiluGatedLinear
+from repro.tensor.ops.matmul import CausalAttention, MatMul, SiluGatedLinear
 
 _COS, _SIN = rotary.rope_tables(4, 3, 1e4)
-_MASK = np.random.default_rng(7).random((3, 4)) < 0.5
 
 
 def _index(high, shape_):
@@ -48,6 +47,11 @@ CASES = {
     SiluGatedLinear: (
         [(3, 4), (5, 4), (3, 5)], lambda x, w, g: ops.silu_gated_linear(x, w, g)
     ),
+    # (T, head_dim) leaves as one batch of one head.
+    CausalAttention: (
+        [(3, 4), (3, 4), (3, 4)],
+        lambda q, k, v: ops.causal_attention(q[None, None], k[None, None], v[None, None]),
+    ),
     norm.RmsNorm: ([(3, 4), (4,)], lambda a, w: ops.rms_norm(a, w, 1e-6)),
     rotary.Rope: ([(3, 4)], lambda a: ops.rope(a, _COS, _SIN)),
     shape.View: ([(3, 4)], lambda a: ops.reshape(a, (12,))),
@@ -60,7 +64,6 @@ CASES = {
     indexing.TakeAlongDim: (
         [(3, 4)], lambda a: ops.take_along_dim(a, _index(4, (3, 4)), dim=1)
     ),
-    indexing.MaskedFill: ([(3, 4)], lambda a: ops.masked_fill(a, _MASK, -1.0)),
     movement.Cast: ([(3, 4)], lambda a: movement.Cast.apply(a, rt.float32)),
     movement.ToDevice: ([(3, 4)], lambda a: a.to(rt.GPU)),
 }
