@@ -55,16 +55,20 @@ def record_linear_inputs(
 ) -> Iterator[dict[str, LayerCalibration]]:
     """Patch every Linear's forward to record inputs; restore on exit."""
     records: dict[str, LayerCalibration] = {}
+    by_module: dict[Module, LayerCalibration] = {}
     originals: list[tuple[Linear, object]] = []
     for name, _, _, module in named_linears(model):
         calibration = LayerCalibration(in_features=module.in_features)
-        records[name] = calibration
+        records[name] = by_module[module] = calibration
 
         def recording_forward(
-            x: Tensor, gate: Tensor | None = None, _inner=module, _cal=calibration
+            x: Tensor, gate: Module | None = None, _inner=module, _cal=calibration
         ) -> Tensor:
-            flat = x._compute().reshape(-1, _inner.in_features)
-            _cal.update(flat.astype(np.float64))
+            flat = x._compute().reshape(-1, _inner.in_features).astype(np.float64)
+            if gate is not None:
+                # A gated up projection runs its gate's gemm on the same input.
+                by_module[gate].update(flat)
+            _cal.update(flat)
             return Linear.forward(_inner, x, gate)
 
         originals.append((module, module.forward))

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.baselines.common import fake_quantize
 from repro.nn import Linear, Module
-from repro.nn.linear import linear
+from repro.nn.linear import apply_projection
 from repro.tensor.autograd import Context, Function
 from repro.tensor.tensor import Tensor
 
@@ -45,9 +45,17 @@ class QATLinear(Module):
         self.inner = inner
         self.bits = bits
 
-    def forward(self, x: Tensor, gate: Tensor | None = None) -> Tensor:
-        weight = FakeQuantSTE.apply(self.inner.weight, self.bits)
-        return linear(x, weight, self.inner.bias, gate)
+    @property
+    def bias(self) -> Tensor | None:
+        """The wrapped Linear's bias."""
+        return self.inner.bias
+
+    def gemm_weight(self) -> Tensor:
+        """The fake-quantized weight."""
+        return FakeQuantSTE.apply(self.inner.weight, self.bits)
+
+    def forward(self, x: Tensor, gate: Module | None = None) -> Tensor:
+        return apply_projection(x, self, gate)
 
     def __repr__(self) -> str:
         return f"QATLinear({self.inner!r}, bits={self.bits})"

@@ -26,7 +26,7 @@ from repro.core.dkm import ClusterState, DKMClusterer
 from repro.core.edkm import cluster
 from repro.core.fastpath import FastPathReport, FastPathStats, StepCache
 from repro.core.palettize import PalettizedTensor, kmeans_palettize
-from repro.nn.linear import Embedding, Linear, linear, named_linears
+from repro.nn.linear import Embedding, Linear, apply_projection, named_linears
 from repro.nn.module import Module
 from repro.tensor.autograd import is_grad_enabled, no_grad
 from repro.tensor.dtype import promote
@@ -72,26 +72,32 @@ class ClusteredLinear(Module):
             )
             inner.weight.dtype = dkm_config.weight_dtype
 
-    def forward(self, x: Tensor, gate: Tensor | None = None) -> Tensor:
-        """``x @ clustered(W).T + b``: soft clustering while training, the
-        hard-clustered weight in eval mode.  With ``gate``, the SwiGLU up
-        projection ``silu(gate) * (x @ clustered(W).T)`` of
-        :func:`~repro.nn.linear.linear`, in every mode."""
+    @property
+    def bias(self) -> Tensor | None:
+        """The wrapped Linear's bias."""
+        return self.inner.bias
+
+    def gemm_weight(self) -> Tensor:
+        """``cluster(W)``: the soft clustering while training, the
+        hard-clustered weight in eval mode."""
         if self.training:
-            clustered = cluster(
+            return cluster(
                 self.inner.weight,
                 self.clusterer,
                 uniquify_enabled=self.uniquify_enabled,
             )
-        else:
-            # A served layer answers no-grad forwards from the server's
-            # resident weight.  Served outputs are detached, so a recorded
-            # eval forward (e.g. probing gradients against frozen weights)
-            # keeps the dense Tensor.
-            if self._route is not None and not is_grad_enabled():
-                return self._served_forward(x, gate)
-            clustered = self._hard_weight()
-        return linear(x, clustered, self.inner.bias, gate)
+        return self._hard_weight()
+
+    def forward(self, x: Tensor, gate: Module | None = None) -> Tensor:
+        """``x @ clustered(W).T + b``, or with ``gate`` the SwiGLU form of
+        :func:`~repro.nn.linear.apply_projection`, in every mode."""
+        # A served layer answers no-grad eval forwards from the server's
+        # resident weight.  Served outputs are detached, so a recorded eval
+        # forward (e.g. probing gradients against frozen weights) keeps the
+        # dense Tensor.
+        if not self.training and self._route is not None and not is_grad_enabled():
+            return self._served_forward(x, gate)
+        return apply_projection(x, self, gate)
 
     def train(self, mode: bool = True) -> "ClusteredLinear":
         """Switch train/eval mode; training drops the dense eval Tensor.
@@ -176,20 +182,16 @@ class ClusteredLinear(Module):
         """Restore the dense eval path."""
         self._route = None
 
-    def _served_forward(self, x: Tensor, gate: Tensor | None) -> Tensor:
-        """One verified cache read and one gemm (host numpy).
+    def _resident(self) -> np.ndarray:
+        """This layer's weight as its served gemm reads it: one verified
+        cache read.
 
         A miss (the first call of a weight version, or the first after a
         corrupt entry was dropped) puts ``lut[indices]`` into the cache
         first.  The fault hook runs before the read, so an injected
         :class:`~repro.serving.faults.PaletteKernelError` originates inside
-        the layer's call.  A gated up projection finishes with
-        :func:`~repro.tensor.ops.activation.silu_gate`, the epilogue of the
-        training op, so the served bytes are the dense eval path's.
+        the layer's call.
         """
-        bias = self.inner.bias
-        if gate is not None and bias is not None:
-            raise ValueError("a gated up projection takes no bias")
         key, lut, indices, _ = self._snapshot()
         name, cache, fault_hook = self._route
         if fault_hook is not None:
@@ -201,13 +203,40 @@ class ClusteredLinear(Module):
             self.served_bytes += lut.nbytes + indices.nbytes
         else:
             self.served_bytes += resident.nbytes
+        return resident
+
+    def _served_forward(self, x: Tensor, gate: Module | None) -> Tensor:
+        """One gemm per resident weight, in host numpy.
+
+        A gated up projection reads its gate's weight first (a served
+        gate's resident weight, so its fault hook fires first), runs both
+        gemms and finishes with
+        :func:`~repro.tensor.ops.activation.silu_gate`, the training op's
+        epilogue, so the served bytes are the dense eval path's.  Neither
+        weight nor the gate becomes a tracked tensor.
+        """
+        bias = self.inner.bias
+        if gate is not None:
+            if bias is not None:
+                raise ValueError("a gated up projection takes no bias")
+            if gate.bias is not None:
+                raise ValueError("a gate projection takes no bias")
+            if isinstance(gate, ClusteredLinear) and gate._route is not None:
+                gate_weight, gate_dtype = gate._resident(), gate.inner.weight.dtype
+            else:
+                dense = gate.gemm_weight()
+                gate_weight, gate_dtype = dense._compute(), dense.dtype
+        resident = self._resident()
         weight = self.inner.weight
         x_np = x._compute()
-        y = np.matmul(x_np.reshape(-1, weight.shape[1]), resident.T)
-        y = y.reshape(*x_np.shape[:-1], weight.shape[0])
+        rows = x_np.reshape(-1, weight.shape[1])
+        y = np.matmul(rows, resident.T).reshape(*x_np.shape[:-1], weight.shape[0])
         dtype = promote(x.dtype, weight.dtype)
         if gate is not None:
-            y, dtype = silu_gate(gate._compute(), gate.dtype, y, dtype)
+            g_dtype = promote(x.dtype, gate_dtype)
+            g = np.matmul(rows, gate_weight.T).reshape(y.shape)
+            g = g_dtype.project(g).astype(g_dtype.np_compute, copy=False)
+            y, dtype = silu_gate(g, g_dtype, y, dtype)
         out = Tensor.adopt(y, dtype, x.device)  # y is this call's fresh result
         return out if bias is None else out + bias
 

@@ -16,8 +16,9 @@ bit-identical to a forward of that option alone:
 - a score reads only rows before ``T - 1``, and no such row depends on
   the last token: the embedding, RoPE, RMSNorm, the MLP, the LM head and
   ``log_softmax`` all work row by row; the fused causal attention op
-  (``ops.causal_attention``) fills every masked score with ``-1e9`` before
-  its softmax, so row ``i``'s weight on the last position is exactly 0;
+  (``ops.causal_attention``) fills every masked score with ``-1e9`` (with
+  float16's lowest finite value at float16) before its softmax, so row
+  ``i``'s weight on the last position is exactly 0;
   and a gemm's row ``i`` does not depend on the values in other rows when
   the row count is the same.
 

@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 
 class OpScope:
-    """The name of the autograd op whose forward is running; ``""`` outside any op.
+    """The name of the autograd op that is running; ``""`` outside any op.
 
-    ``Function.apply`` stores the name on entry and restores the outer one
-    on exit, so a tracker can name the op whose allocation raised its peak
-    without knowing anything about ops.
+    ``Function.apply`` stores the op's name on entry and restores the outer
+    one on exit; ``autograd.backward`` stores ``"<op>.backward"`` as it
+    reaches each node and restores the outer name when the pass ends.  So a
+    tracker can name the op whose allocation raised its peak, forward or
+    backward, without knowing anything about ops.
     """
 
     __slots__ = ("name",)

@@ -13,7 +13,6 @@ and attends over that sequence's :class:`KVBlock`.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from typing import NamedTuple
 
@@ -24,8 +23,8 @@ from repro.nn.module import Module
 from repro.nn.rope import RotaryEmbedding
 from repro.tensor import ops
 from repro.tensor.device import Device
-from repro.tensor.dtype import DType, float32
-from repro.tensor.pairwise import stable_softmax
+from repro.tensor.dtype import DType, float32, promote
+from repro.tensor.ops.matmul import attention_weights
 from repro.tensor.random import default_rng
 from repro.tensor.tensor import Tensor, zeros
 
@@ -169,7 +168,8 @@ class MultiHeadAttention(Module):
         only: nothing is recorded on the autograd tape.
         """
         heads = (x.shape[0], self.n_heads, self.head_dim)
-        q = self.rope.apply_at(self.q_proj(x)._compute().reshape(heads), positions)
+        queries = self.q_proj(x)
+        q = self.rope.apply_at(queries._compute().reshape(heads), positions)
         k = self.rope.apply_at(self.k_proj(x)._compute().reshape(heads), positions)
         v = self.v_proj(x)._compute().reshape(heads)
         groups: dict[int, list[AttentionRow]] = defaultdict(list)
@@ -178,7 +178,6 @@ class MultiHeadAttention(Module):
             row.block.write(row.cached, k[tokens], v[tokens])
             groups[row.count].append(row)
         context = np.empty(heads, dtype=q.dtype)
-        scale = 1.0 / math.sqrt(self.head_dim)
         for count, members in groups.items():
             cached = np.array([row.cached for row in members])
             longest = int(cached.max()) + count
@@ -188,14 +187,16 @@ class MultiHeadAttention(Module):
             for slot, row in enumerate(members):
                 total = row.cached + count
                 keys[slot, :, :total], values[slot, :, :total] = row.block.read(total)
-            queries = np.stack(
+            grouped = np.stack(
                 [q[row.start : row.start + count] for row in members]
             ).transpose(0, 2, 1, 3)
-            scores = (queries @ keys.transpose(0, 1, 3, 2)) * scale
             seen = cached[:, None] + np.arange(count)  # (rows, count)
             hidden = np.arange(longest) > seen[:, None, :, None]
-            np.copyto(scores, -1e9, where=hidden)
-            weights = stable_softmax(scores, axis=-1)
+            dtype = promote(queries.dtype, members[0].block.dtype)
+            compute = dtype.np_compute
+            weights = attention_weights(
+                grouped.astype(compute, copy=False), keys.astype(compute, copy=False), hidden, dtype
+            )
             mixed = (weights @ values).transpose(0, 2, 1, 3)
             for row, out in zip(members, mixed):
                 context[row.start : row.start + count] = out

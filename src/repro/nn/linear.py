@@ -17,27 +17,45 @@ from repro.tensor.tensor import Tensor
 def linear(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, gate: Tensor | None = None
 ) -> Tensor:
-    """``x @ weight.T + bias``, or with ``gate`` ``silu(gate) * (x @ weight.T)``.
+    """``x @ weight.T + bias``, or with ``gate`` -- the gate projection's
+    weight -- SwiGLU's ``silu(x @ gate.T) * (x @ weight.T)``.
 
-    The gated form is SwiGLU's up projection as one op
-    (:func:`~repro.tensor.ops.silu_gated_linear`), which saves only ``x``,
-    ``weight`` and ``gate`` for backward; it takes no bias.  Every module
-    that can be an up projection computes its output here.
+    The gated form is the MLP's gate and up projections as one op
+    (:func:`~repro.tensor.ops.swiglu`), which saves only ``x`` and the two
+    weights for backward; it takes no bias.  Every projection module
+    computes its output here, through :func:`apply_projection`.
     """
     if gate is None:
         out = x @ weight.T
         return out if bias is None else out + bias
     if bias is not None:
         raise ValueError("a gated up projection takes no bias")
-    return ops.silu_gated_linear(x, weight, gate)
+    return ops.swiglu(x, gate, weight)
+
+
+def apply_projection(x: Tensor, up: Module, gate: Module | None = None) -> Tensor:
+    """``up``'s output for ``x``: :func:`linear` of the weight its gemm reads.
+
+    Each projection module (``Linear``, ``ClusteredLinear``, ``QATLinear``)
+    names that weight in its ``gemm_weight()`` and its bias as ``bias``.
+    With ``gate``, SwiGLU's gate projection module, this is the gated form
+    of :func:`linear`; the gate's weight is built first (for a clustered
+    layer, its clustering), then ``up``'s.  A gate takes no bias.
+    """
+    gate_weight = None
+    if gate is not None:
+        if gate.bias is not None:
+            raise ValueError("a gate projection takes no bias")
+        gate_weight = gate.gemm_weight()
+    return linear(x, up.gemm_weight(), up.bias, gate_weight)
 
 
 class Linear(Module):
     """``y = x @ W.T + b`` with weight of shape ``(out_features, in_features)``.
 
     The weight layout matches PyTorch so compression code (DKM, GPTQ, AWQ)
-    can treat rows as output channels.  ``forward(x, gate=g)`` is the
-    gated up projection of :func:`linear`.
+    can treat rows as output channels.  ``forward(x, gate=gate_proj)`` is
+    the gated form of :func:`apply_projection`.
     """
 
     def __init__(
@@ -64,8 +82,12 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor, gate: Tensor | None = None) -> Tensor:
-        return linear(x, self.weight, self.bias, gate)
+    def gemm_weight(self) -> Tensor:
+        """The weight this layer's gemm reads."""
+        return self.weight
+
+    def forward(self, x: Tensor, gate: Module | None = None) -> Tensor:
+        return apply_projection(x, self, gate)
 
     def __repr__(self) -> str:
         return (

@@ -32,18 +32,16 @@ class SwiGLUMLP(Module):
     def forward(self, x: Tensor, norm: Module | None = None) -> Tensor:
         """``down(silu(gate(h)) * up(h))`` for ``h = norm(x)``, or ``x`` itself.
 
-        The gate runs first and ``up_proj`` takes it (``gate=``): the up
-        projection and the product are one op, which saves ``h``, the up
-        weight and the gate, so neither the up activation nor the silu
-        output is ever a tensor.  A pre-norm block passes its norm rather
-        than a normed input: then this frame holds the only reference to
-        ``h`` and to the gate and drops both before ``down_proj``.
-        Whatever backward needs autograd has saved (on the host, under the
-        eDKM pipeline), so a name kept past its last read only holds device
-        bytes.
+        ``up_proj`` takes the gate module (``gate=``): the gate and up
+        projections and their product are one op, which saves ``h`` and the
+        two weights, so neither the gate, its silu nor the up activation is
+        ever a tensor.  A pre-norm block passes its norm rather than a
+        normed input: then this frame holds the only reference to ``h`` and
+        drops it before ``down_proj``.  Whatever backward needs autograd has
+        saved (on the host, under the eDKM pipeline), so a name kept past
+        its last read only holds device bytes.
         """
         h = x if norm is None else norm(x)
-        gate = self.gate_proj(h)
-        hidden = self.up_proj(h, gate=gate)
-        del h, gate
+        hidden = self.up_proj(h, gate=self.gate_proj)
+        del h
         return self.down_proj(hidden)

@@ -275,34 +275,40 @@ def backward(root: "Tensor", grad: np.ndarray | None = None) -> None:
     topo = _topological_order(root.grad_fn)
     node_grads: dict[int, np.ndarray] = {id(root.grad_fn): grad}
     nodes_by_id = {id(n): n for n in topo}
-
-    for node in topo:
-        node_grad = node_grads.pop(id(node), None)
-        if node_grad is None:
-            continue
-        if node.consumed:
-            raise RuntimeError(
-                f"node {node.op_name} was already consumed by a previous "
-                "backward pass (retain_graph is not supported)"
-            )
-        grads = node.fn.backward(node.ctx, node_grad)
-        node.consumed = True
-        node.ctx.release_saved()
-        if len(grads) != len(node.edges):
-            raise RuntimeError(
-                f"{node.op_name}.backward returned {len(grads)} grads for "
-                f"{len(node.edges)} inputs"
-            )
-        for (kind, target), g in zip(node.edges, grads):
-            if g is None or kind == "none":
+    outer = OP_SCOPE.name
+    try:
+        for node in topo:
+            node_grad = node_grads.pop(id(node), None)
+            if node_grad is None:
                 continue
-            if kind == "leaf":
-                _accumulate_leaf(target, g)
-            else:
-                key = id(target)
-                assert key in nodes_by_id
-                existing = node_grads.get(key)
-                node_grads[key] = g if existing is None else existing + g
+            if node.consumed:
+                raise RuntimeError(
+                    f"node {node.op_name} was already consumed by a previous "
+                    "backward pass (retain_graph is not supported)"
+                )
+            # Device trackers name the node whose backward -- its unpacks, its
+            # kernel and the leaf gradients it creates -- raised their peak.
+            OP_SCOPE.name = f"{node.op_name}.backward"
+            grads = node.fn.backward(node.ctx, node_grad)
+            node.consumed = True
+            node.ctx.release_saved()
+            if len(grads) != len(node.edges):
+                raise RuntimeError(
+                    f"{node.op_name}.backward returned {len(grads)} grads for "
+                    f"{len(node.edges)} inputs"
+                )
+            for (kind, target), g in zip(node.edges, grads):
+                if g is None or kind == "none":
+                    continue
+                if kind == "leaf":
+                    _accumulate_leaf(target, g)
+                else:
+                    key = id(target)
+                    assert key in nodes_by_id
+                    existing = node_grads.get(key)
+                    node_grads[key] = g if existing is None else existing + g
+    finally:
+        OP_SCOPE.name = outer
 
 
 def _topological_order(root_node: Node) -> list[Node]:

@@ -17,7 +17,7 @@ from repro.tensor.ops._common import normalize_dim
 from repro.tensor.ops.arithmetic import Add, Div, Mul, Pow, Sqrt, Sub
 from repro.tensor.ops.activation import LogSoftmax, Softmax
 from repro.tensor.ops.indexing import IndexSelect, TakeAlongDim
-from repro.tensor.ops.matmul import CausalAttention, MatMul, SiluGatedLinear, causal_mask
+from repro.tensor.ops.matmul import CausalAttention, MatMul, SwiGLU, causal_mask
 from repro.tensor.ops.movement import Cast, ToDevice
 from repro.tensor.ops.norm import RmsNorm
 from repro.tensor.ops.reduce import Mean, Sum
@@ -58,9 +58,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return MatMul.apply(a, b)
 
 
-def silu_gated_linear(x: Tensor, weight: Tensor, gate: Tensor) -> Tensor:
-    """``silu(gate) * (x @ weight.T)``, saving only the three inputs for backward."""
-    return SiluGatedLinear.apply(x, weight, gate)
+def swiglu(h: Tensor, w_gate: Tensor, w_up: Tensor) -> Tensor:
+    """``silu(h @ w_gate.T) * (h @ w_up.T)``, saving only the three inputs for backward.
+
+    Neither the gate nor the up activation is ever a tensor: backward
+    rebuilds both from ``h`` and the two weights.
+    """
+    return SwiGLU.apply(h, w_gate, w_up)
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

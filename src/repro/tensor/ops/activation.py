@@ -3,9 +3,8 @@
 ``Softmax`` is the op at the centre of the paper: DKM's attention map *is* a
 softmax output saved for backward, and its ``O(|W|·|C|)`` saved tensor is
 what eDKM compresses.  SiLU is no op of its own: :func:`silu_gate` is the
-epilogue of the SwiGLU MLP's gated up projection
-(:class:`~repro.tensor.ops.matmul.SiluGatedLinear`), which saves its inputs
-and not the activations between them.
+epilogue of the SwiGLU MLP's one op (:class:`~repro.tensor.ops.matmul.SwiGLU`),
+which saves its inputs and not the activations between them.
 """
 
 from __future__ import annotations
@@ -88,13 +87,14 @@ def _silu(g: np.ndarray, dtype: DType) -> tuple[np.ndarray, np.ndarray]:
 def silu_gate(
     gate: np.ndarray, gate_dtype: DType, up: np.ndarray, up_dtype: DType
 ) -> tuple[np.ndarray, DType]:
-    """``silu(gate) * up`` and its dtype: the epilogue of ``SiluGatedLinear``.
+    """``silu(gate) * up`` and its dtype: the epilogue of ``SwiGLU``.
 
-    ``gate`` is in compute precision and ``up`` is the raw up-projection
-    gemm.  Each factor is rounded onto its own dtype's grid and the product
-    is taken in their promoted dtype, as a ``silu`` op and a ``mul`` op
-    would store and read them, so a caller that computes ``up`` itself (the
-    served palette path) gets the op's bytes.
+    ``gate`` is the gate gemm in compute precision, on its dtype's grid,
+    and ``up`` is the raw up-projection gemm.  Each factor is rounded onto
+    its own dtype's grid and the product is taken in their promoted dtype,
+    as a ``silu`` op and a ``mul`` op would store and read them, so a
+    caller that computes both gemms itself (the served palette path) gets
+    the op's bytes.
     """
     dtype = promote(gate_dtype, up_dtype)
     _, silu = _silu(gate, gate_dtype)

@@ -16,8 +16,8 @@ zeros included.  They equal ``np.matmul``'s up to the sign of a zero
 product: BLAS accumulates into a ``beta = 0`` output, and
 ``+0.0 + -0.0`` is ``+0.0``.
 
-``SiluGatedLinear`` is SwiGLU's up projection with its gate applied in the
-same op, ``silu(gate) * (x @ weight.T)``: the same gemm, then the
+``SwiGLU`` is the LLaMA MLP's gate and up projections as one op,
+``silu(h @ w_gate.T) * (h @ w_up.T)``: two of those gemms, then the
 ``silu_gate`` epilogue.  ``CausalAttention`` is the attention core,
 ``softmax(mask(q·kᵀ/√d))·v`` with its heads merged: two batched gemms
 around a masked softmax, whose ``B·heads·T²`` map no tensor holds.
@@ -25,6 +25,7 @@ around a masked softmax, whose ``B·heads·T²`` map no tensor holds.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -114,70 +115,91 @@ class MatMul(Function):
         return (ga, gb)
 
 
-def _up_projection(x: Tensor, weight: Tensor, dtype: DType) -> np.ndarray:
+def _projection(x: Tensor, weight: Tensor, dtype: DType) -> np.ndarray:
     """``x @ weight.T`` as ``MatMul`` computes it, raw (not yet on ``dtype``'s grid)."""
     x_np = x._np().astype(dtype.np_compute, copy=False)
     w_np = weight._np().astype(dtype.np_compute, copy=False)
     return _product(_rows(x_np), w_np.T).reshape(x.shape[:-1] + weight.shape[:1])
 
 
-class SiluGatedLinear(Function):
-    """``silu(gate) * (x @ weight.T)`` -- SwiGLU's up projection, gated.
+def _gate(h: Tensor, w_gate: Tensor) -> tuple[np.ndarray, DType]:
+    """The gate ``h @ w_gate.T`` and its dtype, in compute precision on that
+    dtype's grid: the ``MatMul`` result as a reader of the stored tensor read it."""
+    dtype = promote(h.dtype, w_gate.dtype)
+    gate = dtype.project(_projection(h, w_gate, dtype))
+    return gate.astype(dtype.np_compute, copy=False), dtype
 
-    Saves only its three inputs.  The up activation and the silu output
-    are kernel temporaries that no tensor holds: backward rebuilds both
-    from the saved inputs (one gemm and one sigmoid pass), the selective
-    recomputation of Korthikanti et al. (arXiv:2205.05198).  Every array
-    is computed by the numpy calls, in the order, of the ``x @ weight.T``
-    ``MatMul``, ``silu`` and ``mul`` chain it replaces, so the output and
-    all three gradients are that chain's, byte for byte.
+
+class SwiGLU(Function):
+    """``silu(h @ w_gate.T) * (h @ w_up.T)`` -- SwiGLU's gate and up projections.
+
+    Saves only its three inputs.  The gate, its silu and the up activation
+    are kernel temporaries that no tensor holds: backward rebuilds them
+    from the saved inputs (two gemms and one sigmoid pass), the selective
+    recomputation of Korthikanti et al. (arXiv:2205.05198), as a dual-gemm
+    SwiGLU kernel does.  Every array is computed by the numpy calls, in the
+    order, of the chain it replaces -- the gate's ``h @ w_gate.T``
+    ``MatMul``, then ``h @ w_up.T``, ``silu`` and ``mul`` -- so the output
+    and all three gradients are that chain's, byte for byte; ``h``'s
+    gradient is the sum the engine formed from its two readers.
     """
 
     @staticmethod
-    def forward(ctx: Context, x: Tensor, weight: Tensor, gate: Tensor) -> Tensor:
-        check_same_device(x, weight, gate)
-        if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
-            raise ValueError(f"silu_gated_linear shape mismatch: {x.shape} @ {weight.shape}.T")
-        if gate.shape != x.shape[:-1] + weight.shape[:1]:
+    def forward(ctx: Context, h: Tensor, w_gate: Tensor, w_up: Tensor) -> Tensor:
+        check_same_device(h, w_gate, w_up)
+        if h.ndim < 2 or w_up.ndim != 2 or h.shape[-1] != w_up.shape[1]:
+            raise ValueError(f"swiglu shape mismatch: {h.shape} @ {w_up.shape}.T")
+        if w_gate.shape != w_up.shape:
             raise ValueError(
-                f"gate shape {gate.shape} does not match the up projection's "
-                f"{x.shape[:-1] + weight.shape[:1]}"
+                f"gate weight shape {w_gate.shape} does not match the up weight's {w_up.shape}"
             )
-        ctx.save_for_backward(x, weight, gate)
-        up_dtype = promote(x.dtype, weight.dtype)
-        out, dtype = silu_gate(
-            gate._compute(), gate.dtype, _up_projection(x, weight, up_dtype), up_dtype
-        )
-        return make_result(out, dtype, x.device)
+        ctx.save_for_backward(h, w_gate, w_up)
+        gate, gate_dtype = _gate(h, w_gate)
+        up_dtype = promote(h.dtype, w_up.dtype)
+        out, dtype = silu_gate(gate, gate_dtype, _projection(h, w_up, up_dtype), up_dtype)
+        return make_result(out, dtype, h.device)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray) -> Sequence[np.ndarray | None]:
-        x, weight, gate = ctx.saved_tensors
-        needs_x, needs_weight, needs_gate = ctx.needs_input_grad
-        g = gate._compute()
-        sig, silu = _silu(g, gate.dtype)
-        gx = gw = g_gate = None
-        if needs_gate:
-            up_dtype = promote(x.dtype, weight.dtype)
-            up = up_dtype.project(_up_projection(x, weight, up_dtype))
+        h, w_gate, w_up = ctx.saved_tensors
+        needs_h, needs_gate, needs_up = ctx.needs_input_grad
+        g, gate_dtype = _gate(h, w_gate)
+        sig, silu = _silu(g, gate_dtype)
+        gx = gw_gate = gw_up = None
+        if needs_h or needs_gate:
+            up_dtype = promote(h.dtype, w_up.dtype)
+            up = up_dtype.project(_projection(h, w_up, up_dtype))
             g_silu = grad * up.astype(up_dtype.np_compute, copy=False)
-            g_gate = g_silu * (sig + g * sig * (1.0 - sig))
-        if needs_x or needs_weight:
-            g_up = _rows(grad * silu.astype(gate.dtype.np_compute, copy=False))
-            # Strided views go to BLAS as transpose flags; no contiguous copies.
-            if needs_x:
-                w_np = weight._np().astype(g_up.dtype, copy=False)
-                gx = _product(g_up, w_np).reshape(x.shape)
-            if needs_weight:
-                x_np = x._np().astype(g_up.dtype, copy=False)
-                gw = _product(_rows(x_np).T, g_up).T
-        return (gx, gw, g_gate)
+            g_gate = _rows(g_silu * (sig + g * sig * (1.0 - sig)))
+        # Strided views go to BLAS as transpose flags; no contiguous copies.
+        if needs_h or needs_up:
+            g_up = _rows(grad * silu.astype(gate_dtype.np_compute, copy=False))
+            if needs_h:
+                w_np = w_up._np().astype(g_up.dtype, copy=False)
+                gx = _product(g_up, w_np).reshape(h.shape)
+            if needs_up:
+                h_np = h._np().astype(g_up.dtype, copy=False)
+                gw_up = _product(_rows(h_np).T, g_up).T
+        if needs_h:
+            w_np = w_gate._np().astype(g_gate.dtype, copy=False)
+            gx = gx + _product(g_gate, w_np).reshape(h.shape)
+        if needs_gate:
+            h_np = h._np().astype(g_gate.dtype, copy=False)
+            gw_gate = _product(_rows(h_np).T, g_gate).T
+        return (gx, gw_gate, gw_up)
 
 
 # The score a masked (future) position gets before the softmax: finite, so
 # a row's maximum stays a real score, and far enough down that its weight
-# underflows to exactly 0.
+# underflows to exactly 0.  A dtype whose range ends above it (float16)
+# takes its lowest finite value instead, whose weight underflows alike.
 MASK_FILL = -1e9
+
+
+@functools.cache
+def _mask_fill(storage: np.dtype) -> float:
+    """:data:`MASK_FILL`, or the lowest finite value of a ``storage`` above it."""
+    return max(MASK_FILL, float(np.finfo(storage).min))
 
 
 def causal_mask(size: int) -> np.ndarray:
@@ -185,23 +207,34 @@ def causal_mask(size: int) -> np.ndarray:
     return np.triu(np.ones((size, size), dtype=bool), k=1)
 
 
-def _attention_map(q: Tensor, k: Tensor) -> tuple[np.ndarray, DType, float]:
-    """``(weights, dtype, scale)``: ``softmax(mask(q·kᵀ·scale))`` on ``dtype``'s grid.
+def attention_weights(
+    q: np.ndarray, k: np.ndarray, hidden: np.ndarray, dtype: DType
+) -> np.ndarray:
+    """``softmax(mask(q·kᵀ/√d))``, projected onto ``dtype``'s grid.
 
-    Each step is the numpy call of the op it stood for -- ``MatMul``, a
-    scalar ``Mul``, ``MaskedFill`` and ``Softmax`` -- on that op's input as
-    it read it from the previous op's stored (projected) result.
+    ``q`` and ``k`` are ``(..., T_q, d)`` and ``(..., T_k, d)`` arrays in
+    ``dtype``'s compute precision; ``hidden`` is True where a score is
+    masked and broadcasts against the ``(..., T_q, T_k)`` scores.  Each
+    step is the numpy call of the op it stood for -- ``MatMul``, a scalar
+    ``Mul``, ``MaskedFill`` and ``Softmax`` -- on that op's input as it
+    read it from the previous op's stored (projected) result.
     """
+    compute = dtype.np_compute
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=compute)
+    scores = dtype.project(_product(q, np.swapaxes(k, -1, -2))).astype(compute, copy=False)
+    scores = dtype.project(scores * scale).astype(compute, copy=False)
+    np.copyto(scores, _mask_fill(dtype.np_storage), where=hidden)
+    scores = np.ascontiguousarray(dtype.project(scores), dtype=compute)
+    return dtype.project(stable_softmax(scores, scores.ndim - 1))
+
+
+def _attention_map(q: Tensor, k: Tensor) -> tuple[np.ndarray, DType]:
+    """``(weights, dtype)``: :func:`attention_weights` of ``q`` and ``k`` under the causal mask."""
     dtype = promote(q.dtype, k.dtype)
     compute = dtype.np_compute
-    scale = 1.0 / math.sqrt(q.shape[-1])
     q_np = q._np().astype(compute, copy=False)
     k_np = k._np().astype(compute, copy=False)
-    scores = dtype.project(_product(q_np, np.swapaxes(k_np, -1, -2))).astype(compute, copy=False)
-    scores = dtype.project(scores * np.asarray(scale, dtype=compute)).astype(compute, copy=False)
-    np.copyto(scores, MASK_FILL, where=causal_mask(q.shape[-2]))
-    scores = np.ascontiguousarray(dtype.project(scores), dtype=compute)
-    return dtype.project(stable_softmax(scores, scores.ndim - 1)), dtype, scale
+    return attention_weights(q_np, k_np, causal_mask(q.shape[-2]), dtype), dtype
 
 
 class CausalAttention(Function):
@@ -229,7 +262,7 @@ class CausalAttention(Function):
                 f"head_dim) shape, got {q.shape}, {k.shape} and {v.shape}"
             )
         ctx.save_for_backward(q, k, v)
-        weights, map_dtype, _ = _attention_map(q, k)
+        weights, map_dtype = _attention_map(q, k)
         dtype = promote(map_dtype, v.dtype)
         context = _product(
             weights.astype(dtype.np_compute, copy=False),
@@ -244,7 +277,7 @@ class CausalAttention(Function):
         q, k, v = ctx.saved_tensors
         needs_q, needs_k, needs_v = ctx.needs_input_grad
         batch, heads, seq, head_dim = q.shape
-        weights, map_dtype, scale = _attention_map(q, k)
+        weights, map_dtype = _attention_map(q, k)
         g_context = grad.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
         # Strided views go to BLAS as transpose flags; no contiguous copies.
         w_np = weights.astype(grad.dtype, copy=False)
@@ -257,7 +290,7 @@ class CausalAttention(Function):
             y = np.ascontiguousarray(weights, dtype=map_dtype.np_compute)
             g_scores = y * (g_weights - sum_keepdims(g_weights * y, y.ndim - 1))
             np.copyto(g_scores, 0.0, where=causal_mask(seq))
-            g_scores = g_scores * scale
+            g_scores = g_scores * (1.0 / math.sqrt(head_dim))
             if needs_q:
                 k_np = k._np().astype(grad.dtype, copy=False)
                 gq = _product(g_scores, k_np)

@@ -41,11 +41,15 @@ what replaced it is equality, not a tolerance:
   its norm itself and drops the normed input once ``up_proj`` has read it.
   The same ops run in the same order, so the output and every gradient are
   byte-equal; only the layer input and the MLP-norm output die earlier.
-- SwiGLU's gated up projection as ``x @ weight.T``, a ``Silu`` op and a
-  ``mul`` -- ``src/`` runs it as one ``SiluGatedLinear``, which saves its
-  three inputs instead of the gate, ``weight.T``, the silu output and the
-  up activation, and rebuilds the last two in backward with the same numpy
-  calls: the output and all three gradients are byte-equal.
+- SwiGLU's gate and up projections as the gate's ``h @ w_gate.T``
+  ``MatMul`` feeding a ``SiluGatedLinear``, the gated up projection that
+  saved ``h``, ``w_up`` and the gate (itself the ``x @ weight.T``, ``Silu``
+  and ``mul`` chain) -- ``src/`` runs both as one ``SwiGLU``, which saves
+  ``h`` and the two weights instead of ``h`` twice, ``w_gateᵀ``, ``w_up``
+  and the gate, and rebuilds the gate and the up activation in backward
+  with the same numpy calls: the output and all three gradients are
+  byte-equal wherever ``h`` is an op's output (a leaf ``h`` accumulates
+  its two gradients separately, rounding a 16-bit one twice).
 
 ``pattern16_inputs`` draws the arrays on which uniquify's on-grid bf16 read
 must agree with ``bit_pattern16``, which rounds every element to nearest even.
@@ -62,9 +66,10 @@ from repro.core.uniquify import HISTOGRAM_MIN_SIZE
 from repro.memory.traffic import global_ledger
 from repro.tensor import ops
 from repro.tensor.autograd import Function, no_grad
-from repro.tensor.dtype import bfloat16, decode_pattern16, float16
+from repro.tensor.dtype import bfloat16, decode_pattern16, float16, promote
 from repro.tensor.ops._common import make_result
-from repro.tensor.ops.activation import _stable_sigmoid
+from repro.tensor.ops.activation import _silu, _stable_sigmoid, silu_gate
+from repro.tensor.ops.matmul import _product, _projection, _rows
 from repro.tensor.ops.segment import segment_sum
 from repro.tensor.pairwise import softmax_columns_
 from repro.tensor.storage import Storage
@@ -372,8 +377,53 @@ class Silu(Function):
         return (grad * (sig + x * sig * (1.0 - sig)),)
 
 
+class SiluGatedLinear(Function):
+    """``silu(gate) * (x @ weight.T)`` -- SwiGLU's up projection, gated.
+
+    Saves its three inputs and rebuilds the up activation and the silu
+    output in backward with the numpy calls of the ``x @ weight.T``
+    ``MatMul``, ``silu`` and ``mul`` chain.
+    """
+
+    @staticmethod
+    def forward(ctx, x, weight, gate):
+        ctx.save_for_backward(x, weight, gate)
+        up_dtype = promote(x.dtype, weight.dtype)
+        out, dtype = silu_gate(
+            gate._compute(), gate.dtype, _projection(x, weight, up_dtype), up_dtype
+        )
+        return make_result(out, dtype, x.device)
+
+    @staticmethod
+    def backward(ctx, grad):
+        x, weight, gate = ctx.saved_tensors
+        needs_x, needs_weight, needs_gate = ctx.needs_input_grad
+        g = gate._compute()
+        sig, silu = _silu(g, gate.dtype)
+        gx = gw = g_gate = None
+        if needs_gate:
+            up_dtype = promote(x.dtype, weight.dtype)
+            up = up_dtype.project(_projection(x, weight, up_dtype))
+            g_silu = grad * up.astype(up_dtype.np_compute, copy=False)
+            g_gate = g_silu * (sig + g * sig * (1.0 - sig))
+        if needs_x or needs_weight:
+            g_up = _rows(grad * silu.astype(gate.dtype.np_compute, copy=False))
+            if needs_x:
+                w_np = weight._np().astype(g_up.dtype, copy=False)
+                gx = _product(g_up, w_np).reshape(x.shape)
+            if needs_weight:
+                x_np = x._np().astype(g_up.dtype, copy=False)
+                gw = _product(_rows(x_np).T, g_up).T
+        return (gx, gw, g_gate)
+
+
+def swiglu_composite(h, w_gate, w_up):
+    """``ops.swiglu`` as the gate's ``h @ w_gate.T`` and a ``SiluGatedLinear``."""
+    return SiluGatedLinear.apply(h, w_up, h @ w_gate.T)
+
+
 def silu_gated_linear_composite(x, weight, gate):
-    """``ops.silu_gated_linear`` as ``Silu.apply(gate) * (x @ weight.T)``."""
+    """``SiluGatedLinear`` as ``Silu.apply(gate) * (x @ weight.T)``."""
     return Silu.apply(gate) * (x @ weight.T)
 
 
@@ -387,6 +437,17 @@ def swiglu_mlp_composite(mlp, x, norm=None):
     del h
     hidden = gate * up
     del gate, up
+    return mlp.down_proj(hidden)
+
+
+def swiglu_mlp_gated_composite(mlp, x, norm=None):
+    """``SwiGLUMLP.forward`` when ``gate_proj`` ran its own projection and
+    ``up_proj`` took the gate tensor: one ``SiluGatedLinear`` over ``h``,
+    the up weight and the gate, dropping ``h`` and the gate after it."""
+    h = x if norm is None else norm(x)
+    gate = mlp.gate_proj(h)
+    hidden = SiluGatedLinear.apply(h, mlp.up_proj.gemm_weight(), gate)
+    del h, gate
     return mlp.down_proj(hidden)
 
 

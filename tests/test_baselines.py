@@ -300,6 +300,38 @@ class TestCalibration:
         assert records["lm_head"].n_samples > 0
 
 
+    # name -> blake2b-8 of the record's Hessian, |x| mean, samples and
+    # sample count, recorded while ``gate_proj`` ran a forward of its own.
+    PINNED_GATE_RECORDS = {
+        "layers.0.mlp.gate_proj": "13f8548c1354ef21",
+        "layers.1.mlp.gate_proj": "2ffdd7a2e86eb106",
+    }
+
+    def test_a_gate_records_the_input_its_up_projection_reads(self):
+        """``gate_proj`` runs no forward: ``up_proj`` reads its weight, and
+        the recorder records the shared input for both."""
+        import hashlib
+
+        from repro.llm import MICRO, build_model
+        from repro.tensor.autograd import no_grad
+
+        model = build_model(MICRO, vocab_size=40, seed=0)
+        tokens = rt.Tensor.from_numpy(np.random.default_rng(3).integers(0, 40, (2, 9)))
+        with record_linear_inputs(model) as records, no_grad():
+            model(tokens)
+        digests = {}
+        for name, record in records.items():
+            if name.endswith("gate_proj"):
+                up = records[name.replace("gate_proj", "up_proj")]
+                assert record.hessian.tobytes() == up.hessian.tobytes()
+                digest = hashlib.blake2b(digest_size=8)
+                for array in (record.hessian, record.abs_mean, record.stacked_samples()):
+                    digest.update(array.tobytes())
+                digest.update(str(record.n_samples).encode())
+                digests[name] = digest.hexdigest()
+        assert digests == self.PINNED_GATE_RECORDS
+
+
 class TestQuantizeFrontEnd:
     @pytest.mark.parametrize(
         "config",

@@ -181,6 +181,38 @@ class TestDecodeStep:
                 row.append(int(np.argmax(g)))
             assert [c.length for c in caches] == [len(row) - 1 for row in ids]
 
+    # seed -> blake2b-8 of every float32 logits row of ``_pinned_steps``,
+    # recorded while the step ran its own score, mask and softmax code
+    # (numpy 2.x, OpenBLAS).
+    PINNED_LOGITS = {0: "c913b61dde3654f5", 1: "ead75656b115f31a", 2: "4a56a7bde507885a"}
+
+    @staticmethod
+    def _pinned_steps(seed):
+        """Five ragged decode steps of a float32 MICRO model, a row joining
+        at the third; the digest of every logits row they return."""
+        model = build_model(MICRO, vocab_size=40, seed=seed)
+        model.eval()
+        rng = np.random.default_rng(seed)
+        ids = [rng.integers(4, 40, size=n).tolist() for n in (1, 7, 3)]
+        caches = [SequenceCache(model) for _ in ids]
+        digest = hashlib.blake2b(digest_size=8)
+        for step in range(5):
+            if step == 2:
+                ids.append(rng.integers(4, 40, size=5).tolist())
+                caches.append(SequenceCache(model))
+            for row, logits in zip(ids, decode_step(model, ids, caches)):
+                assert logits.dtype == np.float32
+                digest.update(logits.tobytes())
+                row.append(int(np.argmax(logits)))
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_logits_equal_the_pins(self, seed):
+        """The step's attention core is the training op's
+        (``attention_weights``); at float32 every projection onto the grid
+        is the identity, so the logits are the ones it computed before."""
+        assert self._pinned_steps(seed) == self.PINNED_LOGITS[seed]
+
     def test_sliding_window_drops_the_cache(self):
         model = self._model()
         ids = [[4 + i % 30 for i in range(model.max_seq_len - 1)]]
@@ -380,14 +412,15 @@ class TestStepResidency:
 
 class TestResidualStreamPeak:
     """One M+U+S training forward at the e2e benchmark's model and batch
-    shape.  Its GPU peak is reached at layer 0's fused up projection: the
-    stream and the MLP-norm output, ``B·T·dim`` float32 each, the gate and
-    the projection's output, ``B·T·hidden`` float32 each, beside the bf16
-    clustered up weight.  Attention is below it: the fused attention op
-    keeps no ``B·heads·T²`` scores or map, so its peak is roped q and k, v
-    and the context it returns.  The old layer body, which kept the layer
+    shape.  Its GPU peak is reached at layer 0's attention op: the stream,
+    the normed input, roped q and k, v and the context the op returns, six
+    ``B·T·dim`` float32 activations.  The fused attention op keeps no
+    ``B·heads·T²`` scores or map, and the SwiGLU op keeps no gate, so the
+    MLP sits below it: the stream and the MLP-norm output, ``B·T·dim``
+    float32 each, the op's ``B·T·hidden`` float32 output and the two bf16
+    clustered weights it reads.  The old layer body, which kept the layer
     input and the MLP-norm output alive through argument passing, peaks in
-    the same op one activation higher."""
+    its MLP's ``down_proj``, above the attention term."""
 
     SPEC = ModelSpec("bench", vocab_size=0, dim=128, n_layers=2, n_heads=8, hidden_dim=256, max_seq_len=64)
     BATCH, SEQ, VOCAB = 16, 23, 200
@@ -423,12 +456,25 @@ class TestResidualStreamPeak:
         finally:
             gc.enable()
 
-    def test_peak_is_layer_0_fused_up_projection(self):
+    def test_peak_is_layer_0_attention(self):
         spec, rows = self.SPEC, self.BATCH * self.SEQ
-        up_weight = spec.hidden_dim * spec.dim * 2  # bf16
-        mlp = 2 * rows * spec.dim * 4 + 2 * rows * spec.hidden_dim * 4 + up_weight
-        freed, op = self._forward_peak(lambda model, tokens: model(tokens))
-        assert (freed, op) == (mlp, "SiluGatedLinear") == (1_196_032, "SiluGatedLinear")
+        attention = 6 * rows * spec.dim * 4
+        peak = self._forward_peak(lambda model, tokens: model(tokens))
+        assert peak == (attention, "CausalAttention") == (1_130_496, "CausalAttention")
+
+    def test_mlp_holds_no_gate(self):
+        """Layer 0's MLP sublayer, under the stream its caller holds, peaks
+        at the SwiGLU op's output over the normed input and the two bf16
+        clustered weights: no ``B·T·hidden`` gate (884 736 B here)."""
+        spec, rows = self.SPEC, self.BATCH * self.SEQ
+        weight = spec.hidden_dim * spec.dim * 2  # bf16
+
+        def mlp(model, tokens):
+            layer = model.layers[0]
+            return layer.mlp(model.embed(tokens), layer.mlp_norm)
+
+        transient = 2 * rows * spec.dim * 4 + rows * spec.hidden_dim * 4 + 2 * weight
+        assert self._forward_peak(mlp) == (transient, "SwiGLU") == (884_736, "SwiGLU")
 
     def test_attention_holds_no_score_map(self):
         """Layer 0's attention sublayer peaks at its op's output over the
@@ -443,11 +489,14 @@ class TestResidualStreamPeak:
         assert peak == (5 * rows * spec.dim * 4, "CausalAttention") == (942_080, "CausalAttention")
 
     def test_the_body_that_kept_both_activations_peaks_in_its_mlp(self):
+        """It holds the layer input and the MLP-norm output through the
+        whole MLP, so its ``down_proj`` gemm reads the op's output beside
+        four ``B·T·dim`` activations and the bf16 down weight."""
         spec, rows = self.SPEC, self.BATCH * self.SEQ
-        up_weight = spec.hidden_dim * spec.dim * 2  # bf16
-        mlp = 3 * rows * spec.dim * 4 + 2 * rows * spec.hidden_dim * 4 + up_weight
+        down_weight = spec.dim * spec.hidden_dim * 2  # bf16
+        mlp = 4 * rows * spec.dim * 4 + rows * spec.hidden_dim * 4 + down_weight
         unfreed, op = self._forward_peak(oracles.transformer_forward_unfreed)
-        assert (unfreed, op) == (mlp, "SiluGatedLinear") == (1_384_448, "SiluGatedLinear")
+        assert (unfreed, op) == (mlp, "MatMul") == (1_196_032, "MatMul")
 
     def _step_stats(self, patch=None):
         """Pipeline counters of one M+U+S training step (forward and backward),
@@ -467,22 +516,44 @@ class TestResidualStreamPeak:
         layer.mlp.forward = functools.partial(oracles.swiglu_mlp_composite, layer.mlp)
 
     @staticmethod
+    def _gated_mlp(layer):
+        layer.mlp.forward = functools.partial(oracles.swiglu_mlp_gated_composite, layer.mlp)
+
+    @staticmethod
     def _composite_attention(layer):
         layer.attn.forward = functools.partial(oracles.attention_forward_unfreed, layer.attn)
 
-    def test_fused_up_projection_offloads_two_tensors_fewer_per_layer(self):
-        """The fused op saves the gate, ``h`` and ``W̃``; the composite saved
-        the gate, ``h``, ``W̃ᵀ``, the silu output and the up activation.
-        Both extra tensors are ``B·T·hidden`` float32 host copies, sharded
-        and gathered back in backward."""
+    def test_swiglu_offloads_no_gate(self):
+        """The op saves ``h``, ``W̃_g`` and ``W̃_u``; the gate projection
+        beside the gated up projection saved ``h`` and ``W̃_gᵀ``, then
+        ``h`` again, ``W̃_u`` and the gate.  Per layer two packs go: the
+        gate, a ``B·T·hidden`` float32 host copy sharded and gathered back
+        in backward, and the second ``h``, a marshal hit that was gathered
+        too."""
+        fused, gated = self._step_stats(), self._step_stats(self._gated_mlp)
+        spec, layers, rows = self.SPEC, self.SPEC.n_layers, self.BATCH * self.SEQ
+        assert gated.tensors_packed - fused.tensors_packed == 2 * layers
+        assert gated.copies_made - fused.copies_made == layers
+        assert gated.copies_avoided - fused.copies_avoided == layers
+        assert gated.gathers - fused.gathers == 2 * layers
+        dropped = gated.bytes_copied - fused.bytes_copied
+        assert dropped == layers * rows * spec.hidden_dim * 4 == 753_664
+        avoided = gated.bytes_avoided - fused.bytes_avoided
+        assert avoided == layers * rows * spec.dim * 4 == 376_832
+
+    def test_swiglu_offloads_four_tensors_fewer_than_the_chain(self):
+        """Against the ``MatMul``, ``Silu``, ``MatMul`` and ``Mul`` chain,
+        which saved ``h`` and ``W̃_gᵀ``, the gate, ``h`` and ``W̃_uᵀ``, and
+        the silu output and the up activation: three ``B·T·hidden`` float32
+        host copies and the second ``h`` go per layer."""
         fused, composite = self._step_stats(), self._step_stats(self._composite_mlp)
-        spec, layers = self.SPEC, self.SPEC.n_layers
-        assert composite.tensors_packed - fused.tensors_packed == 2 * layers
-        assert composite.copies_made - fused.copies_made == 2 * layers
-        assert composite.gathers - fused.gathers == 2 * layers
+        spec, layers, rows = self.SPEC, self.SPEC.n_layers, self.BATCH * self.SEQ
+        assert composite.tensors_packed - fused.tensors_packed == 4 * layers
+        assert composite.copies_made - fused.copies_made == 3 * layers
+        assert composite.gathers - fused.gathers == 4 * layers
         dropped = composite.bytes_copied - fused.bytes_copied
-        assert dropped == layers * 2 * self.BATCH * self.SEQ * spec.hidden_dim * 4 == 1_507_328
-        assert fused.bytes_avoided == composite.bytes_avoided
+        assert dropped == layers * 3 * rows * spec.hidden_dim * 4 == 2_260_992
+        assert composite.bytes_avoided - fused.bytes_avoided == layers * rows * spec.dim * 4
 
     def test_fused_attention_offloads_one_map_fewer_per_layer(self):
         """The fused op saves q, k and v; the composite saved q, ``kᵀ``, the

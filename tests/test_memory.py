@@ -78,7 +78,8 @@ class TestMemoryTracker:
 
 
 class TestPeakOp:
-    """A tracker names the op whose forward allocation last raised its peak."""
+    """A tracker names the op whose allocation last raised its peak: the op's
+    name in its forward, ``"<op>.backward"`` in its backward."""
 
     @staticmethod
     def _device(name):
@@ -107,6 +108,22 @@ class TestPeakOp:
         assert OP_SCOPE.name == ""
         rt.Tensor.from_numpy(np.ones((8, 8), dtype=np.float32), device=dev)
         assert tracker.snapshot().peak_op == ""
+
+
+    def test_a_backward_node_names_its_peak(self):
+        """The leaf gradients ``MatMul``'s backward creates raise the peak;
+        the pass restores the outer scope when it ends."""
+        tracker, dev = self._device("peak-op-backward")
+        a, b = (
+            rt.Tensor.from_numpy(np.ones((4, 4), dtype=np.float32), device=dev, requires_grad=True)
+            for _ in range(2)
+        )
+        loss = (a @ b).sum()
+        tracker.reset_peak()
+        loss.backward()
+        assert tracker.snapshot().peak_op == "MatMul.backward"
+        assert OP_SCOPE.name == ""
+        assert a.grad is not None and b.grad is not None
 
 
 class TestTrafficLedger:

@@ -374,8 +374,8 @@ class TestAttentionLifetimes:
 class TestResidualStreamLifetimes:
     """``Transformer.forward`` holds the residual stream in one frame: a
     layer input dies once its attention sublayer has been added to it, and
-    the MLP-norm output lives through the fused up projection and dies
-    before ``down_proj``.  The same ops run in the same order as the layer
+    the MLP-norm output lives through the SwiGLU op and dies before
+    ``down_proj``.  The same ops run in the same order as the layer
     body that kept both alive, so the output and every gradient are that
     body's, byte for byte."""
 
@@ -408,13 +408,14 @@ class TestResidualStreamLifetimes:
         monkeypatch.setattr(module, "forward", wrapped)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
-    def test_mlp_norm_output_and_gate_are_freed_before_down_proj(self, monkeypatch, dtype):
-        """Under the pipeline autograd keeps host copies, so once the fused
-        up projection has read the normed input and the gate, nothing holds
-        their device storage: both are alive when ``up_proj`` runs and dead
-        when ``down_proj`` does."""
+    def test_mlp_norm_output_is_freed_before_down_proj(self, monkeypatch, dtype):
+        """Under the pipeline autograd keeps host copies, so once the SwiGLU
+        op has read the normed input, nothing holds its device storage: it
+        is alive when ``up_proj`` runs and dead when ``down_proj`` does.
+        ``gate_proj`` never runs a forward of its own: ``up_proj`` reads its
+        weight, so the gate is never a tensor."""
         model = self._model(dtype)
-        held, at_up, at_down = [], [], []
+        held, at_up, at_down, gate_calls = [], [], [], []
 
         def alive():
             return [ref() is not None for ref in held]
@@ -422,14 +423,15 @@ class TestResidualStreamLifetimes:
         for layer in model.layers:
             mlp = layer.mlp
             self._wrap(monkeypatch, layer.mlp_norm, after=lambda out: held.append(weakref.ref(out.storage)))
-            self._wrap(monkeypatch, mlp.gate_proj, after=lambda out: held.append(weakref.ref(out.storage)))
+            self._wrap(monkeypatch, mlp.gate_proj, before=gate_calls.append)
             self._wrap(monkeypatch, mlp.up_proj, before=lambda args: at_up.append(alive()))
             self._wrap(monkeypatch, mlp.down_proj, before=lambda args: at_down.append(alive()))
         pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
         with pipeline.step():
             model(self._tokens()).sum().backward()
-        assert at_up == [[True, True], [False, False, True, True]]
-        assert at_down == [[False, False], [False] * 4]
+        assert at_up == [[True], [False, True]]
+        assert at_down == [[False], [False, False]]
+        assert gate_calls == []
         assert all(p.grad is not None for p in model.parameters())
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.name)
@@ -440,7 +442,7 @@ class TestResidualStreamLifetimes:
             self._wrap(monkeypatch, layer.attn_norm, before=lambda args: inputs.append(weakref.ref(args[0].storage)))
             self._wrap(
                 monkeypatch,
-                layer.mlp.gate_proj,
+                layer.mlp.up_proj,
                 before=lambda args: seen_alive.append([ref() is not None for ref in inputs]),
             )
         pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
@@ -538,13 +540,13 @@ class TestAttentionStepGroups:
         for row in ids:
             row.append(5)
         calls = []
-        real = attention_mod.stable_softmax
+        real = attention_mod.attention_weights
 
-        def counting(x, axis=-1):
-            calls.append(x.shape)
-            return real(x, axis)
+        def counting(q, k, hidden, dtype):
+            calls.append(q.shape)
+            return real(q, k, hidden, dtype)
 
-        monkeypatch.setattr(attention_mod, "stable_softmax", counting)
+        monkeypatch.setattr(attention_mod, "attention_weights", counting)
         decode_step(model, ids, caches)
         assert len(calls) == len(model.layers)
         assert all(shape[0] == 7 for shape in calls)
@@ -574,16 +576,19 @@ class TestTransformer:
         # ``MatMul`` (with a ``Transpose``), ``Silu`` and ``Mul``, 94 / 117
         # while each attention core ran as ``Transpose``, ``MatMul``, ``Mul``,
         # ``MaskedFill``, ``Softmax``, ``MatMul``, ``Permute``, ``Contiguous``
-        # and ``View``, saving q, ``kᵀ``, the map twice and v.
+        # and ``View``, saving q, ``kᵀ``, the map twice and v, 78 / 113
+        # while each MLP ran its gate as ``MatMul`` (with a ``Transpose``)
+        # beside the gated up projection, saving ``h`` twice, ``W_gateᵀ``
+        # and the gate.
         counts = training_step_counts()
         assert counts.dispatches["EDKMClusterAssign"] == 15
         assert counts.dispatches["rope"] == 4 and counts.saved["rope"] == 0
         assert counts.dispatches["rms_norm"] == 5 and counts.saved["rms_norm"] == 10
-        assert counts.dispatches["SiluGatedLinear"] == 2 and counts.saved["SiluGatedLinear"] == 6
+        assert counts.dispatches["SwiGLU"] == 2 and counts.saved["SwiGLU"] == 6
         assert counts.dispatches["CausalAttention"] == 2 and counts.saved["CausalAttention"] == 6
         assert not {"Slice", "Cat", "Mean", "Sqrt", "Div", "Sub", "Softmax"} & set(counts.dispatches)
-        assert sum(counts.dispatches.values()) <= 78
-        assert sum(counts.saved.values()) <= 113
+        assert sum(counts.dispatches.values()) <= 74
+        assert sum(counts.saved.values()) <= 109
 
 
 class TestLoss:

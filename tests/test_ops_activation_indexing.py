@@ -76,23 +76,25 @@ class TestStableSigmoid:
             got, want = _stable_sigmoid(x), _masked_sigmoid(x)
         assert got.tobytes() == want.tobytes()
 
-    def test_silu_gated_linear_forward_and_backward_bytes(self):
+    def test_swiglu_forward_and_backward_bytes(self):
         """The op's sigmoid is ``_stable_sigmoid``: its output and every
         gradient equal numpy's, built on the masked oracle, byte for byte."""
         rng = np.random.default_rng(2)
         x_np = rng.standard_normal((4, 6)).astype(np.float32)
-        w_np = rng.standard_normal((33, 6)).astype(np.float32)
-        g_np = (rng.standard_normal((4, 33)) * 20).astype(np.float32)
-        x, w, g = (rt.tensor(a, requires_grad=True) for a in (x_np, w_np, g_np))
-        out = ops.silu_gated_linear(x, w, g)
+        wg_np = (rng.standard_normal((33, 6)) * 8).astype(np.float32)  # gates span the tails
+        wu_np = rng.standard_normal((33, 6)).astype(np.float32)
+        x, wg, wu = (rt.tensor(a, requires_grad=True) for a in (x_np, wg_np, wu_np))
+        out = ops.swiglu(x, wg, wu)
         out.backward(np.ones((4, 33), np.float32))
-        sig = _masked_sigmoid(g_np)
-        silu, up = g_np * sig, np.matmul(x_np, w_np.T)
+        gate, up = np.matmul(x_np, wg_np.T), np.matmul(x_np, wu_np.T)
+        sig = _masked_sigmoid(gate)
+        silu = gate * sig
         assert out.numpy().tobytes() == (silu * up).tobytes()
-        want_gate = (up * (sig + g_np * sig * (1.0 - sig))).astype(np.float32)
-        assert g.grad.numpy().tobytes() == want_gate.tobytes()
-        assert x.grad.numpy().tobytes() == np.matmul(silu, w_np).tobytes()
-        assert w.grad.numpy().tobytes() == np.matmul(x_np.T, silu).T.tobytes()
+        g_gate = (up * (sig + gate * sig * (1.0 - sig))).astype(np.float32)
+        want_x = np.matmul(silu, wu_np) + np.matmul(g_gate, wg_np)
+        assert x.grad.numpy().tobytes() == want_x.tobytes()
+        assert wg.grad.numpy().tobytes() == np.matmul(x_np.T, g_gate).T.tobytes()
+        assert wu.grad.numpy().tobytes() == np.matmul(x_np.T, silu).T.tobytes()
 
 
 class TestActivations:
@@ -116,10 +118,11 @@ class TestActivations:
             out.numpy(), scipy.special.log_softmax(a, axis=1), rtol=1e-5
         )
 
-    def test_silu_gated_linear(self):
-        x, w, g = _arr((2, 3, 4)), _arr((5, 4), 1), _arr((2, 3, 5), 2)
-        out = ops.silu_gated_linear(rt.tensor(x), rt.tensor(w), rt.tensor(g))
-        assert np.allclose(out.numpy(), g * scipy.special.expit(g) * (x @ w.T), rtol=1e-5)
+    def test_swiglu(self):
+        x, w_gate, w_up = _arr((2, 3, 4)), _arr((5, 4), 1), _arr((5, 4), 2)
+        out = ops.swiglu(rt.tensor(x), rt.tensor(w_gate), rt.tensor(w_up))
+        g = x @ w_gate.T
+        assert np.allclose(out.numpy(), g * scipy.special.expit(g) * (x @ w_up.T), rtol=1e-5)
 
     def test_sigmoid_extreme_values_stable(self):
         out = _stable_sigmoid(np.array([-100.0, 100.0], dtype=np.float32))
@@ -139,9 +142,9 @@ class TestActivations:
             [_arr((3, 2))],
         )
 
-    def test_silu_gated_linear_grad(self):
+    def test_swiglu_grad(self):
         check_gradients(
-            lambda ts: ops.silu_gated_linear(*ts), [_arr((2, 3)), _arr((4, 3), 1), _arr((2, 4), 2)]
+            lambda ts: ops.swiglu(*ts), [_arr((2, 3)), _arr((4, 3), 1), _arr((4, 3), 2)]
         )
 
 

@@ -32,7 +32,7 @@ from repro.tensor import ops
 from repro.tensor.autograd import Function
 from repro.tensor.ops import activation, arithmetic, indexing, movement, norm
 from repro.tensor.ops import reduce, rotary, shape
-from repro.tensor.ops.matmul import CausalAttention, MatMul, SiluGatedLinear
+from repro.tensor.ops.matmul import CausalAttention, MatMul, SwiGLU
 from repro.tensor.tensor import Tensor
 
 FLOAT_DTYPES = (rt.float32, rt.bfloat16, rt.float16)
@@ -58,10 +58,10 @@ CASES = {
     arithmetic.Sqrt: lambda a, rng: (a,),
     activation.Softmax: lambda a, rng: (a, -1),
     activation.LogSoftmax: lambda a, rng: (a, 0),
-    SiluGatedLinear: lambda a, rng: (
+    SwiGLU: lambda a, rng: (
         a,
         Tensor.from_numpy(rng.uniform(size=(3, a.shape[-1])), dtype=a.dtype),
-        Tensor.from_numpy(rng.uniform(size=a.shape[:-1] + (3,)), dtype=a.dtype),
+        Tensor.from_numpy(rng.uniform(size=(3, a.shape[-1])), dtype=a.dtype),
     ),
     # ``a`` as the queries of one batch (and, 2-D, one head).
     CausalAttention: lambda a, rng: (

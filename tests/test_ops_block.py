@@ -1,15 +1,16 @@
-"""``ops.rope``, ``ops.rms_norm``, ``ops.silu_gated_linear`` and
+"""``ops.rope``, ``ops.rms_norm``, ``ops.swiglu`` and
 ``ops.causal_attention`` against the composites they replaced.
 
 Forward is bit-equal to the oracle for float32 activations (on both numpy
 lines: ``mean`` over the last axis is a pairwise reduction); RoPE and
 RMSNorm gradients agree with the oracle to float32 rounding and with finite
-differences.  The gated up projection rebuilds its oracle's intermediates
-in backward with the same numpy calls, and so does causal attention: the
-output and all three gradients of each are byte-equal at every dtype.
+differences.  SwiGLU rebuilds its oracle's intermediates in backward with
+the same numpy calls, and so does causal attention: the output and all
+three gradients of each are byte-equal at every dtype.
 """
 
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from tests.oracles import (
     rms_norm_composite,
     rope_composite,
     silu_gated_linear_composite,
+    swiglu_composite,
 )
 
 HEAD_DIM, MAX_SEQ = 16, 64
@@ -221,95 +223,135 @@ class TestRmsNorm:
             ops.rms_norm(rt.tensor(_arr((3, 8))), rt.tensor(_arr((4,))), self.eps)
 
 
-class TestSiluGatedLinear:
-    """``silu(gate) * (x @ W.T)`` as one op and as ``MatMul``, ``Silu`` and ``Mul``."""
+class TestSwiGLU:
+    """``silu(h @ W_g.T) * (h @ W_u.T)`` as one op and as the gate's
+    ``MatMul`` feeding a ``SiluGatedLinear``, and as the ``MatMul``,
+    ``Silu``, ``MatMul`` and ``Mul`` chain.
+
+    ``h`` is an op's output, as the MLP's normed input is: a leaf ``h``
+    would accumulate its two readers' gradients one at a time, rounding a
+    16-bit sum twice where the engine sums a node's once.
+    """
 
     IN, OUT = 8, 12
     LEADS = {"3-D": (2, 5), "2-D": (7,)}
+    COMPOSITES = {
+        "gate MatMul + SiluGatedLinear": swiglu_composite,
+        "MatMul + Silu + MatMul + Mul": lambda h, w_gate, w_up: silu_gated_linear_composite(
+            h, w_up, h @ w_gate.T
+        ),
+    }
 
-    def _leaves(self, dtype, layout, lead, device):
-        """``(leaves, inputs)``: the strided inputs are views of wider leaves."""
+    def _leaves(self, dtype, layout, lead, device, trained):
+        """``(leaves, inputs)``: ``h`` is a view of its leaf and the strided
+        weights are transposes of ``(in, out)`` leaves; ``trained`` names the
+        inputs that require grad."""
         rng = np.random.default_rng(11)
 
-        def leaf(shape):
+        def leaf(shape, name):
             values = rng.standard_normal(shape) * 2.0
-            return rt.Tensor.from_numpy(values, dtype=dtype, device=device, requires_grad=True)
+            return rt.Tensor.from_numpy(
+                values, dtype=dtype, device=device, requires_grad=name in trained
+            )
 
         if layout == "contiguous":
-            leaves = (leaf(lead + (self.IN,)), leaf((self.OUT, self.IN)), leaf(lead + (self.OUT,)))
-            return leaves, leaves
-        x, w, g = leaf(lead + (2 * self.IN,)), leaf((self.IN, self.OUT)), leaf(lead + (2 * self.OUT,))
+            h = leaf(lead + (self.IN,), "h")
+            weights = [leaf((self.OUT, self.IN), name) for name in ("gate", "up")]
+            return [h] + weights, [h.reshape(h.shape)] + weights
+        h = leaf(lead + (2 * self.IN,), "h")
+        weights = [leaf((self.IN, self.OUT), name) for name in ("gate", "up")]
         every = (slice(None),) * len(lead)
-        return (x, w, g), (x[every + (slice(None, None, 2),)], w.T, g[every + (slice(1, None, 2),)])
+        return [h] + weights, [h[every + (slice(None, None, 2),)]] + [w.T for w in weights]
 
-    def _run(self, fn, dtype, layout, lead, piped):
-        """The output's bytes and each leaf gradient's, after one backward."""
+    def _run(self, fn, dtype, layout, lead, piped, trained="h gate up"):
+        """The output's bytes and each trained leaf gradient's, after one backward."""
         device = rt.GPU if piped else rt.CPU
-        leaves, inputs = self._leaves(dtype, layout, lead, device)
+        leaves, inputs = self._leaves(dtype, layout, lead, device, trained.split())
         pipeline = SavedTensorPipeline(EDKMConfig(group=LearnerGroup(8)))
         with pipeline.step() if piped else contextlib.nullcontext():
             out = fn(*inputs)
             out.backward(np.random.default_rng(3).standard_normal(out.shape).astype(np.float32))
         assert inputs[0].is_contiguous() == (layout == "contiguous")
-        return [_bits(t) for t in [out] + [leaf.grad for leaf in leaves]]
+        return [_bits(out)] + [None if t.grad is None else _bits(t.grad) for t in leaves]
 
     @pytest.mark.parametrize("piped", [False, True], ids=["hooks off", "pipeline"])
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("layout", ["contiguous", "strided"])
     @pytest.mark.parametrize("dtype", [rt.float32, rt.bfloat16], ids=lambda d: d.name)
-    def test_output_and_gradients_equal_the_composite(self, dtype, layout, lead, piped):
+    @pytest.mark.parametrize("composite", COMPOSITES)
+    def test_output_and_gradients_equal_the_composite(self, composite, dtype, layout, lead, piped):
         args = (dtype, layout, self.LEADS[lead], piped)
-        fused = self._run(ops.silu_gated_linear, *args)
-        assert fused == self._run(silu_gated_linear_composite, *args)
-        assert len(fused) == 4
+        fused = self._run(ops.swiglu, *args)
+        assert fused == self._run(self.COMPOSITES[composite], *args)
+        assert len(fused) == 4 and None not in fused
 
-    # (x, weight, gate) dtypes: one, the clustered layer's bf16 weight under
+    # Every proper subset of (h, W_g, W_u) that still needs a backward.
+    TRAINED = ["h", "gate", "up", "h gate", "h up", "gate up"]
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["hooks off", "pipeline"])
+    @pytest.mark.parametrize("dtype", [rt.float32, rt.bfloat16], ids=lambda d: d.name)
+    @pytest.mark.parametrize("trained", TRAINED)
+    def test_frozen_inputs_equal_the_composite(self, trained, dtype, piped):
+        args = (dtype, "strided", self.LEADS["3-D"], piped, trained)
+        fused = self._run(ops.swiglu, *args)
+        assert fused == self._run(swiglu_composite, *args)
+        got = [grad is not None for grad in fused[1:]]
+        assert got == [name in trained.split() for name in ("h", "gate", "up")]
+
+    # (h, W_g, W_u) dtypes: one, the clustered layers' bf16 weights under
     # float32 activations, and a float16 / bfloat16 pair that promotes.
     DTYPES = [
         ("float32",) * 3,
         ("bfloat16",) * 3,
-        ("float32", "bfloat16", "float32"),
-        ("float16", "bfloat16", "float16"),
+        ("float32", "bfloat16", "bfloat16"),
+        ("float16", "bfloat16", "bfloat16"),
     ]
 
     @pytest.mark.parametrize("dtypes", DTYPES, ids="-".join)
     def test_served_epilogue_equals_the_no_grad_forward(self, dtypes):
+        """The served palette path runs both gemms in numpy and ends in
+        ``silu_gate``: the op's bytes."""
         rng = np.random.default_rng(5)
-        shapes = [(2, 5, self.IN), (self.OUT, self.IN), (2, 5, self.OUT)]
-        x, w, g = (
-            rt.Tensor.from_numpy(rng.standard_normal(shape), dtype=dtype)
+        shapes = [(2, 5, self.IN), (self.OUT, self.IN), (self.OUT, self.IN)]
+        h, w_gate, w_up = (
+            rt.Tensor.from_numpy(rng.standard_normal(shape) * 3, dtype=dtype)
             for shape, dtype in zip(shapes, dtypes)
         )
         with no_grad():
-            want = ops.silu_gated_linear(x, w, g)
-        up_dtype = promote(x.dtype, w.dtype)
-        up = np.matmul(x._compute().reshape(-1, self.IN), w._compute().T).reshape(2, 5, self.OUT)
-        got, dtype = silu_gate(g._compute(), g.dtype, up, up_dtype)
+            want = ops.swiglu(h, w_gate, w_up)
+        rows = h._compute().reshape(-1, self.IN)
+
+        def gemm(w):
+            return np.matmul(rows, w._compute().T).reshape(2, 5, self.OUT)
+
+        gate_dtype, up_dtype = promote(h.dtype, w_gate.dtype), promote(h.dtype, w_up.dtype)
+        gate = gate_dtype.project(gemm(w_gate)).astype(np.float32)
+        got, dtype = silu_gate(gate, gate_dtype, gemm(w_up), up_dtype)
         assert dtype is want.dtype
         assert dtype.project(got).tobytes() == _bits(want)
 
     def test_saves_its_three_inputs_only(self):
-        shapes = [(3, 4), (5, 4), (3, 5)]
-        x, w, g = (rt.tensor(_arr(s, seed), requires_grad=True) for seed, s in enumerate(shapes))
+        shapes = [(3, 4), (5, 4), (5, 4)]
+        h, w_gate, w_up = (
+            rt.tensor(_arr(s, seed), requires_grad=True) for seed, s in enumerate(shapes)
+        )
         with count_ops() as counts:
-            saved = _saved_by(lambda: ops.silu_gated_linear(x, w, g))
-        assert [t is u for t, u in zip(saved, (x, w, g))] == [True] * 3 and len(saved) == 3
-        assert dict(counts.dispatches) == {"SiluGatedLinear": 1}
-
-    def test_frozen_inputs_get_no_gradient(self):
-        x = rt.tensor(_arr((3, 4)), requires_grad=True)
-        w, g = rt.tensor(_arr((5, 4), 1)), rt.tensor(_arr((3, 5), 2))
-        ops.silu_gated_linear(x, w, g).sum().backward()
-        assert x.grad is not None and w.grad is None and g.grad is None
+            saved = _saved_by(lambda: ops.swiglu(h, w_gate, w_up))
+        assert [t is u for t, u in zip(saved, (h, w_gate, w_up))] == [True] * 3 and len(saved) == 3
+        assert dict(counts.dispatches) == {"SwiGLU": 1}
 
     def test_shapes_must_match(self):
-        x, w = rt.tensor(_arr((3, 4))), rt.tensor(_arr((5, 4)))
-        with pytest.raises(ValueError, match="gate shape"):
-            ops.silu_gated_linear(x, w, rt.tensor(_arr((3, 4))))
+        h, w = rt.tensor(_arr((3, 4))), rt.tensor(_arr((5, 4)))
+        with pytest.raises(ValueError, match="gate weight shape"):
+            ops.swiglu(h, rt.tensor(_arr((6, 4))), w)
         with pytest.raises(ValueError, match="shape mismatch"):
-            ops.silu_gated_linear(x, rt.tensor(_arr((5, 3))), rt.tensor(_arr((3, 5))))
+            ops.swiglu(h, rt.tensor(_arr((5, 3))), rt.tensor(_arr((5, 3))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ops.swiglu(rt.tensor(_arr((4,))), w, w)
         with pytest.raises(ValueError, match="no bias"):
-            nn.Linear(4, 5)(x, gate=rt.tensor(_arr((3, 5))))
+            nn.Linear(4, 5)(h, gate=nn.Linear(4, 5, bias=False))
+        with pytest.raises(ValueError, match="gate projection takes no bias"):
+            nn.Linear(4, 5, bias=False)(h, gate=nn.Linear(4, 5))
 
 
 class TestCausalAttention:
@@ -357,6 +399,17 @@ class TestCausalAttention:
         fused = self._run(ops.causal_attention, *args)
         assert fused == self._run(attention_composite, *args)
         assert len(fused) == 4
+
+    def test_float16_fills_a_score_it_can_hold(self):
+        """``-1e9`` has no float16 value: the op fills float16's lowest
+        finite score, which warns nowhere and whose weight underflows to 0
+        as the chain's ``-inf`` did, so the bytes are the chain's."""
+        args = (rt.float16, self.SHAPES["bench"], True, False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fused = self._run(ops.causal_attention, *args)
+        with np.errstate(over="ignore"):  # the chain's -1e9 overflows to -inf
+            assert fused == self._run(attention_composite, *args)
 
     def test_output_merges_the_heads(self):
         q, k, v = (rt.tensor(_arr((2, 3, 5, 4), seed)) for seed in range(3))

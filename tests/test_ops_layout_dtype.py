@@ -21,7 +21,7 @@ from repro.tensor import ops
 from repro.tensor.autograd import Function
 from repro.tensor.ops import activation, arithmetic, indexing, movement, norm
 from repro.tensor.ops import reduce, rotary, shape
-from repro.tensor.ops.matmul import CausalAttention, MatMul, SiluGatedLinear
+from repro.tensor.ops.matmul import CausalAttention, MatMul, SwiGLU
 
 _COS, _SIN = rotary.rope_tables(4, 3, 1e4)
 
@@ -44,9 +44,7 @@ CASES = {
     reduce.Mean: ([(3, 4)], lambda a: ops.mean(a, dim=1, keepdim=True)),
     activation.Softmax: ([(3, 4)], lambda a: ops.softmax(a, dim=-1)),
     activation.LogSoftmax: ([(3, 4)], lambda a: ops.log_softmax(a, dim=0)),
-    SiluGatedLinear: (
-        [(3, 4), (5, 4), (3, 5)], lambda x, w, g: ops.silu_gated_linear(x, w, g)
-    ),
+    SwiGLU: ([(3, 4), (5, 4), (5, 4)], lambda h, w_gate, w_up: ops.swiglu(h, w_gate, w_up)),
     # (T, head_dim) leaves as one batch of one head.
     CausalAttention: (
         [(3, 4), (3, 4), (3, 4)],

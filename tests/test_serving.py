@@ -140,22 +140,41 @@ class TestPaletteKernel:
         # The cold call charged the palette it read: the lut and the indices.
         assert wrapped.served_bytes == lut.nbytes + 40 * 24 == 16 * 4 + 40 * 24
 
+    @pytest.mark.parametrize("gate_kind", ["served", "uncompressed"])
     @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["decode rows", "batch x seq"])
-    def test_served_gated_up_projection_is_the_dense_eval_bytes(self, lead):
-        """The served path ends in the fused op's own epilogue, so a gated
-        up projection serves the dense eval path's bytes."""
+    def test_served_gated_mlp_is_the_dense_eval_bytes(self, lead, gate_kind):
+        """The served path runs both weights' gemms and ends in the SwiGLU
+        op's own epilogue, so a gated up projection serves the dense eval
+        path's bytes.  A served gate's fault hook fires first; a gate left
+        uncompressed (skipped by name) lends its dense weight.  Neither
+        weight nor the gate becomes a device tensor."""
         rng = np.random.default_rng(4)
-        wrapped = ClusteredLinear(
-            nn.Linear(24, 40, bias=False, rng=np.random.default_rng(0)), DKMConfig(bits=4)
+
+        def projection(seed):
+            return nn.Linear(24, 40, bias=False, rng=np.random.default_rng(seed)).to(rt.GPU)
+
+        up = ClusteredLinear(projection(0), DKMConfig(bits=4)).eval()
+        gate = projection(1)
+        if gate_kind == "served":
+            gate = ClusteredLinear(gate, DKMConfig(bits=4)).eval()
+        x = rt.Tensor.from_numpy(
+            (rng.standard_normal(lead + (24,)) * 4).astype(np.float32), device=rt.GPU
         )
-        wrapped.eval()
-        x = rt.Tensor.from_numpy(rng.standard_normal(lead + (24,)).astype(np.float32))
-        gate = rt.Tensor.from_numpy((rng.standard_normal(lead + (40,)) * 4).astype(np.float32))
+        served_layers = [("gate", gate)] if gate_kind == "served" else []
+        hooked = []
+        cache = TileCache()
+        gpu = global_registry().get("gpu")
         with no_grad():
-            dense = wrapped(x, gate=gate).numpy()
-            wrapped.enable_palette_eval(name="layer", cache=TileCache())
-            served = wrapped(x, gate=gate).numpy()
-        assert wrapped.served_bytes > 0
+            dense = up(x, gate=gate).numpy()
+            for name, layer in served_layers + [("up", up)]:
+                layer.enable_palette_eval(name=name, cache=cache, fault_hook=hooked.append)
+            entry = gpu.current_bytes
+            gpu.reset_peak()
+            served = up(x, gate=gate)
+            assert gpu.snapshot().peak_bytes - entry == served.nbytes
+            served = served.numpy()
+        assert hooked == [name for name, _ in served_layers] + ["up"]
+        assert all(layer.served_bytes > 0 for _, layer in served_layers + [("up", up)])
         assert served.tobytes() == dense.tobytes()
 
     def test_palette_matmul_matches_dense(self):
